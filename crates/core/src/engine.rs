@@ -99,9 +99,8 @@ pub(crate) struct PendingQuit {
     pub next_send: SimTime,
 }
 
-/// Everything the engine schedules on the timer wheel. One key per
-/// independent deadline; re-arming a key supersedes its previous entry
-/// (generation counters inside [`TimerService`] make that O(1)).
+/// Everything the engine schedules on its [`TimerService`]. One key per
+/// independent deadline; re-arming a key supersedes its previous entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum TimerKind {
     /// IGMP querier election + membership presence on one LAN.
@@ -121,9 +120,10 @@ pub(crate) enum TimerKind {
     IffScan,
 }
 
-/// The engine's timer front-end: a [`TimerService`] when the wheel is
-/// enabled, a transparent no-op when the legacy scan path is in force
-/// (so call sites arm unconditionally and legacy mode pays nothing).
+/// The engine's timer front-end: a [`TimerService`] when
+/// `CbtConfig::timer_wheel` is on, a transparent no-op when the legacy
+/// scan path is in force (so call sites arm unconditionally and legacy
+/// mode pays nothing).
 pub(crate) struct EngineTimers {
     svc: TimerService<TimerKind>,
     /// Mirrors `CbtConfig::timer_wheel`.
@@ -131,8 +131,8 @@ pub(crate) struct EngineTimers {
 }
 
 impl EngineTimers {
-    fn new(now: SimTime, enabled: bool) -> Self {
-        EngineTimers { svc: TimerService::new(now), enabled }
+    fn new(enabled: bool) -> Self {
+        EngineTimers { svc: TimerService::new(), enabled }
     }
 
     /// (Re-)schedules `key` to fire at `deadline`.
@@ -154,7 +154,9 @@ impl EngineTimers {
     }
 
     fn pop_due_with_deadline(&mut self, now: SimTime) -> Vec<(TimerKind, SimTime)> {
-        self.svc.pop_due_with_deadline(now)
+        let mut due = Vec::new();
+        self.svc.pop_due_into(now, &mut due);
+        due
     }
 
     fn peek(&self) -> Option<SimTime> {
@@ -325,7 +327,7 @@ impl CbtRouter {
                 );
             }
         }
-        let timers = EngineTimers::new(now, cfg.timer_wheel);
+        let timers = EngineTimers::new(cfg.timer_wheel);
         let mut r = CbtRouter {
             me,
             id_addr: spec.addr,
@@ -387,7 +389,7 @@ impl CbtRouter {
             })
             .collect();
         let my_addrs: BTreeSet<Addr> = [id_addr].into_iter().collect();
-        let timers = EngineTimers::new(now, cfg.timer_wheel);
+        let timers = EngineTimers::new(cfg.timer_wheel);
         let mut r = CbtRouter {
             me,
             id_addr,
