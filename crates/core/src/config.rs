@@ -63,11 +63,13 @@ pub struct CbtConfig {
     /// learn cores — "by means of network management"). Ordered,
     /// primary first. Consulted when no RP/Core-Report supplied a list.
     pub managed_mappings: HashMap<GroupId, Vec<Addr>>,
-    /// Drive timers from the hierarchical timer wheel (O(due entries)
-    /// per tick) instead of the legacy full-FIB scans. Behaviour is
-    /// bit-identical either way; the flag exists so the equivalence
-    /// suite and the `groupscale` experiment can pit both paths against
-    /// each other.
+    /// Drive timers from the keyed deadline service
+    /// ([`crate::timers::TimerService`], O(due · log n) per wakeup)
+    /// instead of the legacy full-FIB scans. Behaviour is bit-identical
+    /// either way; the flag exists so the equivalence suite and the
+    /// `groupscale` experiment can pit both paths against each other.
+    /// (The name predates the heap: the service used to be a
+    /// hierarchical timing wheel.)
     pub timer_wheel: bool,
     /// Group-space shards per router (see [`crate::shard`]). Defaults
     /// to the `CBT_SHARDS` environment variable, or 1 when unset, so

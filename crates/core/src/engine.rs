@@ -9,6 +9,7 @@
 use crate::config::CbtConfig;
 use crate::events::{RouterAction, RouterStats};
 use crate::fib::{Fib, GroupSlot};
+use crate::inline::InlineBuf;
 use crate::pending::PendingJoins;
 use crate::timers::TimerService;
 use cbt_igmp::{GroupPresence, IgmpOut, PresenceEvent, QuerierElection};
@@ -101,6 +102,9 @@ pub(crate) struct PendingQuit {
 
 /// Everything the engine schedules on its [`TimerService`]. One key per
 /// independent deadline; re-arming a key supersedes its previous entry.
+///
+/// The variants are declared in the order `on_timer` services them —
+/// the derived `Ord` is what sorts a wakeup's due keys into phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum TimerKind {
     /// IGMP querier election + membership presence on one LAN.
@@ -146,24 +150,24 @@ impl EngineTimers {
     /// is removed outside its own service routine: `next_wakeup` must
     /// be *exact* (the event loop's FIFO tie-break is part of the
     /// bit-identity contract), so no disarmed deadline may linger at
-    /// the wheel head.
+    /// the heap head.
     pub(crate) fn cancel(&mut self, key: TimerKind) {
         if self.enabled {
             self.svc.cancel(key);
         }
     }
 
-    fn pop_due_with_deadline(&mut self, now: SimTime) -> Vec<(TimerKind, SimTime)> {
-        let mut due = Vec::new();
-        self.svc.pop_due_into(now, &mut due);
-        due
-    }
-
     fn peek(&self) -> Option<SimTime> {
         self.svc.peek()
     }
 
-    /// Drains superseded/cancelled entries off the wheel head so the
+    /// `(heap entries, armed keys)` — equal when no stale entry exists.
+    #[cfg(test)]
+    pub(crate) fn entries_and_keys(&self) -> (usize, usize) {
+        (self.svc.len(), self.svc.tracked_keys())
+    }
+
+    /// Drains superseded/cancelled entries off the heap head so the
     /// next `peek` reports the earliest *valid* deadline. Called at the
     /// end of every mutating engine entry point (`next_wakeup` itself
     /// takes `&self` and cannot).
@@ -268,7 +272,7 @@ pub struct CbtRouter {
     /// aggregate-echo refresh walks it instead of rescanning the FIB.
     pub(crate) parent_index: BTreeMap<Addr, BTreeSet<GroupId>>,
     /// Child-liveness deadlines: `(last_heard + CHILD-ASSERT-EXPIRE,
-    /// group, child)`. Maintained only when the wheel is enabled; the
+    /// group, child)`. Maintained only when the timer service is enabled; the
     /// sweep pops due tuples and re-checks against the FIB, so stale
     /// tuples for removed children are harmless.
     pub(crate) child_expiry: BTreeSet<(SimTime, GroupId, Addr)>,
@@ -605,9 +609,11 @@ impl CbtRouter {
     /// encode infallible. Lists arriving off the wire already satisfy
     /// the bound — decode enforces it.
     pub fn learn_cores(&mut self, group: GroupId, cores: &[Addr]) {
-        if !cores.is_empty() {
-            let keep = cores.len().min(cbt_wire::header::MAX_CORES);
-            self.core_knowledge.insert(group, cores[..keep].to_vec());
+        let known = &cores[..cores.len().min(cbt_wire::header::MAX_CORES)];
+        // Every join and ack on a settled tree repeats the list the
+        // router already holds; only a change is worth a copy.
+        if !known.is_empty() && self.core_knowledge.get(&group).map(Vec::as_slice) != Some(known) {
+            self.core_knowledge.insert(group, known.to_vec());
         }
     }
 
@@ -651,10 +657,26 @@ impl CbtRouter {
         msg: ControlMessage,
     ) -> Vec<RouterAction> {
         let mut act = Vec::new();
+        self.handle_control_into(now, iface, src, msg, &mut act);
+        act
+    }
+
+    /// [`handle_control`](Self::handle_control) appending to a
+    /// caller-owned action buffer — the keepalive majority of control
+    /// traffic (an echo reply, an echo from a stranger) emits nothing
+    /// and a reused buffer never allocates.
+    pub fn handle_control_into(
+        &mut self,
+        now: SimTime,
+        iface: IfIndex,
+        src: Addr,
+        msg: ControlMessage,
+        act: &mut Vec<RouterAction>,
+    ) {
         // A frame claiming to come from one of our own addresses is
         // spoofed or looped — no legitimate neighbour ever is us.
         if self.is_my_addr(src) {
-            return act;
+            return;
         }
         self.obs.ctl_received(msg.group().addr().0, ctl_kind(msg.control_type()));
         match msg {
@@ -668,43 +690,32 @@ impl CbtRouter {
                     origin,
                     target_core,
                     &cores,
-                    &mut act,
+                    act,
                 );
             }
             ControlMessage::JoinAck { subcode, group, origin, target_core, cores } => {
-                self.on_join_ack(
-                    now,
-                    iface,
-                    src,
-                    subcode,
-                    group,
-                    origin,
-                    target_core,
-                    &cores,
-                    &mut act,
-                );
+                self.on_join_ack(now, iface, src, subcode, group, origin, target_core, &cores, act);
             }
             ControlMessage::JoinNack { group, .. } => {
-                self.on_join_nack(now, iface, src, group, &mut act);
+                self.on_join_nack(now, iface, src, group, act);
             }
             ControlMessage::QuitRequest { group, .. } => {
-                self.on_quit_request(now, iface, src, group, &mut act);
+                self.on_quit_request(now, iface, src, group, act);
             }
             ControlMessage::QuitAck { group, .. } => {
                 self.on_quit_ack(group);
             }
             ControlMessage::FlushTree { group, .. } => {
-                self.on_flush_tree(now, iface, src, group, &mut act);
+                self.on_flush_tree(now, iface, src, group, act);
             }
             ControlMessage::EchoRequest { group, group_mask, .. } => {
-                self.on_echo_request(now, iface, src, group, group_mask, &mut act);
+                self.on_echo_request(now, iface, src, group, group_mask, act);
             }
             ControlMessage::EchoReply { group, group_mask, .. } => {
                 self.on_echo_reply(now, iface, src, group, group_mask);
             }
         }
         self.timers.compact();
-        act
     }
 
     /// Handles a received IGMP message on a LAN interface.
@@ -747,7 +758,7 @@ impl CbtRouter {
             }
         }
         // Reports and Leaves move this LAN's presence deadlines (and a
-        // foreign query re-times the election): re-clock its wheel entry.
+        // foreign query re-times the election): re-clock its timer entry.
         self.arm_lan(iface);
         self.timers.compact();
         act
@@ -787,18 +798,25 @@ impl CbtRouter {
 
     /// Advances every timer that has come due.
     pub fn on_timer(&mut self, now: SimTime) -> Vec<RouterAction> {
+        let mut act = Vec::new();
+        self.on_timer_into(now, &mut act);
+        act
+    }
+
+    /// [`on_timer`](Self::on_timer) appending to a caller-owned action
+    /// buffer.
+    pub fn on_timer_into(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
         if self.cfg.timer_wheel {
-            self.on_timer_wheel(now)
+            self.on_timer_deadlines(now, act)
         } else {
-            self.on_timer_scan(now)
+            self.on_timer_scan(now, act)
         }
     }
 
     /// Legacy timer service: scan every piece of state for due work.
-    /// Kept as the O(groups) reference the wheel path must match
-    /// bit-for-bit (`cfg.timer_wheel = false`).
-    fn on_timer_scan(&mut self, now: SimTime) -> Vec<RouterAction> {
-        let mut act = Vec::new();
+    /// Kept as the O(groups) reference the deadline-driven path must
+    /// match bit-for-bit (`cfg.timer_wheel = false`).
+    fn on_timer_scan(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
         // IGMP querier duty + presence expiry per LAN.
         let lan_ids: Vec<IfIndex> = self.lans.keys().copied().collect();
         for iface in lan_ids {
@@ -812,114 +830,95 @@ impl CbtRouter {
                 act.push(RouterAction::SendIgmp { iface, dst: s.dst, msg: s.msg });
             }
             for ev in events {
-                self.on_presence_event(now, iface, ev, &mut act);
+                self.on_presence_event(now, iface, ev, act);
             }
         }
-        self.service_deferred_reattach(now, &mut act);
-        self.service_pending_joins(now, &mut act);
-        self.service_keepalives(now, &mut act);
-        self.service_pending_quits(now, &mut act);
+        self.service_deferred_reattach(now, act);
+        self.service_pending_joins(now, act);
+        self.service_keepalives(now, act);
+        self.service_pending_quits(now, act);
         if now >= self.next_child_sweep {
-            self.sweep_children(now, &mut act);
+            self.sweep_children(now, act);
             self.next_child_sweep = now + self.cfg.child_assert_interval;
         }
         if now >= self.next_iff_scan {
-            self.iff_scan(now, &mut act);
+            self.iff_scan(now, act);
             self.next_iff_scan = now + self.cfg.iff_scan_interval;
         }
-        act
     }
 
-    /// Wheel-driven timer service: pop the due entries, bucket them by
-    /// kind, then run the same seven phases in the same order as the
-    /// scan path — but each phase visits only its due candidates.
+    /// Deadline-driven timer service: pop the due keys, then run the
+    /// same seven phases in the same order as the scan path — but each
+    /// phase visits only its due candidates, in ascending key order
+    /// like the scan's map walks.
     ///
     /// Every candidate is re-checked against the authoritative state
     /// (`pending`, `deferred_reattach`, the FIB…) before acting, so a
     /// stale or early entry degenerates to a no-op (plus a lazy re-arm
     /// where the true deadline moved later) and never produces an
     /// action the scan path would not.
-    fn on_timer_wheel(&mut self, now: SimTime) -> Vec<RouterAction> {
-        let mut act = Vec::new();
-        let mut lan_due: BTreeSet<IfIndex> = BTreeSet::new();
-        let mut reattach_due: BTreeSet<GroupId> = BTreeSet::new();
-        let mut join_due: BTreeSet<GroupId> = BTreeSet::new();
-        let mut echo_cand: BTreeSet<GroupId> = BTreeSet::new();
-        let mut quit_due: BTreeSet<GroupId> = BTreeSet::new();
-        let mut sweep_due = false;
-        let mut scan_due = false;
-        for (kind, deadline) in self.timers.pop_due_with_deadline(now) {
+    fn on_timer_deadlines(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
+        let mut due: InlineBuf<(TimerKind, SimTime), 4> = InlineBuf::new();
+        self.timers.svc.pop_due_into(now, &mut due);
+        // `TimerKind` orders by variant, then key, and the variants are
+        // declared in phase order: one sort lines every phase's
+        // candidates up ascending. A key has one valid deadline, so no
+        // candidate repeats.
+        due.as_mut_slice().sort_unstable_by_key(|&(kind, _)| kind);
+        let due = due.as_slice();
+        // The keys of one kind among the due entries, ascending.
+        macro_rules! due_of {
+            ($kind:path) => {
+                due.iter().filter_map(|&(k, _)| if let $kind(x) = k { Some(x) } else { None })
+            };
+        }
+        for &(_, deadline) in due {
             // Wakeup lag: how far past its armed deadline each timer
             // actually fired. In the simulator this is 0 unless wakes
             // coalesce; under the live runtime it measures scheduling
             // latency.
             self.obs.timer_lag_us.record(now.since(deadline).micros());
-            match kind {
-                TimerKind::Lan(i) => {
-                    lan_due.insert(i);
-                }
-                TimerKind::Reattach(g) => {
-                    reattach_due.insert(g);
-                }
-                TimerKind::PendingJoin(g) => {
-                    join_due.insert(g);
-                }
-                TimerKind::Echo(g) => {
-                    echo_cand.insert(g);
-                }
-                TimerKind::Quit(g) => {
-                    quit_due.insert(g);
-                }
-                TimerKind::ChildSweep => sweep_due = true,
-                TimerKind::IffScan => scan_due = true,
-            }
         }
         // Phase 1: IGMP querier duty + presence expiry per due LAN.
-        for iface in lan_due {
-            if !self.lans.contains_key(&iface) {
-                continue;
-            }
-            let (sends, events) = {
-                let lan = self.lans.get_mut(&iface).expect("checked");
-                let sends: Vec<IgmpOut> = lan.election.poll(now);
-                let events = lan.presence.poll(now);
-                (sends, events)
-            };
+        for iface in due_of!(TimerKind::Lan) {
+            let Some(lan) = self.lans.get_mut(&iface) else { continue };
+            let sends: Vec<IgmpOut> = lan.election.poll(now);
+            let events = lan.presence.poll(now);
             for s in sends {
                 act.push(RouterAction::SendIgmp { iface, dst: s.dst, msg: s.msg });
             }
             for ev in events {
-                self.on_presence_event(now, iface, ev, &mut act);
+                self.on_presence_event(now, iface, ev, act);
             }
             self.arm_lan(iface);
         }
         // Phase 2: deferred re-attachments.
-        for group in reattach_due {
+        for group in due_of!(TimerKind::Reattach) {
             if self.deferred_reattach.get(&group).is_some_and(|(t, _)| *t <= now) {
                 let (_, idx) = self.deferred_reattach.remove(&group).expect("checked");
-                self.start_reattach(now, group, idx, &mut act);
+                self.start_reattach(now, group, idx, act);
             }
         }
         // Phase 3: pending-join retransmit/expiry.
-        for group in join_due {
+        for group in due_of!(TimerKind::PendingJoin) {
             if self.pending.get(group).is_some_and(|p| p.next_deadline() <= now) {
-                self.service_pending_join_group(now, group, &mut act);
+                self.service_pending_join_group(now, group, act);
             }
         }
         // Phase 4: parent keepalives.
-        self.service_keepalives_wheel(now, echo_cand, &mut act);
+        self.service_keepalives_due(now, due_of!(TimerKind::Echo), act);
         // Phase 5: pending-quit retransmits.
-        for group in quit_due {
+        for group in due_of!(TimerKind::Quit) {
             if self.pending_quits.get(&group).is_some_and(|q| q.next_send <= now) {
-                self.service_pending_quit_group(now, group, &mut act);
+                self.service_pending_quit_group(now, group, act);
             }
         }
         // Phase 6: child-liveness sweep (cadence-gated, like the scan).
         // Under compact_idle the sweep re-arms only while deadlines
         // remain; the next tracked child re-arms it (`track_child_expiry`).
-        if sweep_due {
+        if due.iter().any(|&(k, _)| k == TimerKind::ChildSweep) {
             if now >= self.next_child_sweep {
-                self.sweep_children_wheel(now, &mut act);
+                self.sweep_children_due(now, act);
                 self.next_child_sweep = now + self.cfg.child_assert_interval;
             }
             if !self.cfg.compact_idle || !self.child_expiry.is_empty() {
@@ -930,9 +929,9 @@ impl CbtRouter {
         // Compact-idle routers without LANs have no presence tables for
         // the scan to consult — local membership quits eagerly instead
         // (`local_leave`) — so the clock stays down.
-        if scan_due {
+        if due.iter().any(|&(k, _)| k == TimerKind::IffScan) {
             if now >= self.next_iff_scan {
-                self.iff_scan(now, &mut act);
+                self.iff_scan(now, act);
                 self.next_iff_scan = now + self.cfg.iff_scan_interval;
             }
             if !self.cfg.compact_idle || !self.lans.is_empty() {
@@ -940,15 +939,14 @@ impl CbtRouter {
             }
         }
         self.timers.compact();
-        act
     }
 
     /// Earliest instant any internal timer wants service.
     ///
-    /// With the wheel enabled this is a peek at the wheel head, and it
-    /// is *exact*: every mutating entry point ends by compacting stale
-    /// entries off the head, and every state removal cancels its key,
-    /// so the head always carries the earliest valid deadline. This
+    /// With the timer service enabled this is a peek at its heap head,
+    /// and it is *exact*: every mutating entry point ends by compacting
+    /// stale entries off the head, and every state removal cancels its
+    /// key, so the head always carries the earliest valid deadline. This
     /// matters beyond efficiency — `netsim` breaks same-instant event
     /// ties in scheduling order, so a spurious early wake would
     /// reshuffle a router against its peers and break bit-identity
@@ -980,7 +978,7 @@ impl CbtRouter {
     // Timer arming + index maintenance, shared by the protocol modules.
     // ------------------------------------------------------------------
 
-    /// (Re-)clocks a LAN's wheel entry from its election + presence
+    /// (Re-)clocks a LAN's timer entry from its election + presence
     /// deadlines. Called wherever those deadlines can change: after
     /// every `handle_igmp` and after each phase-1 poll.
     pub(crate) fn arm_lan(&mut self, iface: IfIndex) {
@@ -1022,7 +1020,7 @@ impl CbtRouter {
     }
 
     /// Defers a re-attachment, keeping any earlier deferral (the map's
-    /// `or_insert` semantics), and arms the wheel at the instant the
+    /// `or_insert` semantics), and arms the timer at the instant the
     /// map actually holds.
     pub(crate) fn defer_reattach(&mut self, group: GroupId, at: SimTime, core_index: usize) {
         let (t, _) = *self.deferred_reattach.entry(group).or_insert((at, core_index));

@@ -787,7 +787,7 @@ impl CbtRouter {
     }
 
     /// Services one due pending join — the shared body behind both the
-    /// legacy scan and the wheel's per-candidate dispatch.
+    /// legacy scan and the deadline-driven per-candidate dispatch.
     pub(crate) fn service_pending_join_group(
         &mut self,
         now: SimTime,

@@ -4,6 +4,7 @@
 
 use crate::engine::CbtRouter;
 use crate::events::RouterAction;
+use crate::inline::InlineBuf;
 use cbt_netsim::SimTime;
 use cbt_topology::IfIndex;
 use cbt_wire::{Addr, ControlMessage, GroupId};
@@ -20,8 +21,8 @@ impl CbtRouter {
     }
 
     /// Sends due echo requests and detects parent failures (legacy
-    /// full-FIB scan; the wheel path feeds the same worker from its due
-    /// candidates in [`CbtRouter::service_keepalives_wheel`]).
+    /// full-FIB scan; the deadline-driven path feeds the same worker
+    /// from its due candidates in [`CbtRouter::service_keepalives_due`]).
     pub(crate) fn service_keepalives(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
         // Pass 1: which groups need an echo, which parents have timed out.
         let mut echo_due: Vec<(GroupId, IfIndex, Addr)> = Vec::new();
@@ -34,21 +35,22 @@ impl CbtRouter {
                 echo_due.push((g, p.iface, p.addr));
             }
         }
-        self.run_echoes(now, echo_due, failed, act);
+        self.run_echoes(now, &echo_due, &failed, act);
     }
 
-    /// Wheel-side keepalive service: the same classification as the
-    /// legacy pass 1, applied only to the due candidates. A candidate
-    /// whose true deadline moved later (its parent answered an echo
-    /// since the entry was armed) is silently re-armed.
-    pub(crate) fn service_keepalives_wheel(
+    /// Deadline-driven keepalive service: the same classification as
+    /// the legacy pass 1, applied only to the due candidates (ascending
+    /// group order). A candidate whose true deadline moved later (its
+    /// parent answered an echo since the entry was armed) is silently
+    /// re-armed.
+    pub(crate) fn service_keepalives_due(
         &mut self,
         now: SimTime,
-        candidates: BTreeSet<GroupId>,
+        candidates: impl Iterator<Item = GroupId>,
         act: &mut Vec<RouterAction>,
     ) {
-        let mut echo_due: Vec<(GroupId, IfIndex, Addr)> = Vec::new();
-        let mut failed: Vec<GroupId> = Vec::new();
+        let mut echo_due: InlineBuf<(GroupId, IfIndex, Addr), 4> = InlineBuf::new();
+        let mut failed: InlineBuf<GroupId, 4> = InlineBuf::new();
         for g in candidates {
             let Some(p) = self.fib.get(g).and_then(|e| e.parent) else { continue };
             if now.since(p.last_reply) >= self.cfg.echo_timeout {
@@ -59,7 +61,7 @@ impl CbtRouter {
                 self.arm_echo(g);
             }
         }
-        self.run_echoes(now, echo_due, failed, act);
+        self.run_echoes(now, echo_due.as_slice(), failed.as_slice(), act);
     }
 
     /// Sends the echoes for the already-classified due groups and kicks
@@ -68,14 +70,15 @@ impl CbtRouter {
     fn run_echoes(
         &mut self,
         now: SimTime,
-        echo_due: Vec<(GroupId, IfIndex, Addr)>,
-        failed: Vec<GroupId>,
+        echo_due: &[(GroupId, IfIndex, Addr)],
+        failed: &[GroupId],
         act: &mut Vec<RouterAction>,
     ) {
+        let interval = self.cfg.echo_interval;
         if self.cfg.aggregate_echoes {
             // §8.4: one echo per parent covering a masked group range.
             let mut by_parent: BTreeMap<(IfIndex, Addr), Vec<GroupId>> = BTreeMap::new();
-            for (g, iface, addr) in &echo_due {
+            for (g, iface, addr) in echo_due {
                 by_parent.entry((*iface, *addr)).or_default().push(*g);
             }
             for ((iface, addr), groups) in by_parent {
@@ -95,7 +98,6 @@ impl CbtRouter {
                     .get(&addr)
                     .map(|s| s.iter().copied().collect())
                     .unwrap_or_default();
-                let interval = self.cfg.echo_interval;
                 for g in covered {
                     if let Some(p) = self.fib.get_mut(g).and_then(|e| e.parent.as_mut()) {
                         if p.addr == addr {
@@ -106,14 +108,13 @@ impl CbtRouter {
                 }
             }
         } else {
-            for (g, iface, addr) in echo_due {
+            for &(g, iface, addr) in echo_due {
                 let msg = ControlMessage::EchoRequest {
                     group: g,
                     origin: self.id_addr(),
                     group_mask: None,
                 };
                 self.send_control(act, iface, addr, msg);
-                let interval = self.cfg.echo_interval;
                 if let Some(p) = self.fib.get_mut(g).and_then(|e| e.parent.as_mut()) {
                     p.next_echo = now + interval;
                 }
@@ -121,7 +122,7 @@ impl CbtRouter {
             }
         }
 
-        for g in failed {
+        for &g in failed {
             // §6.1: "the child realises that its parent has become
             // unreachable and must therefore try and re-connect."
             self.stats.parent_failures += 1;
@@ -140,39 +141,25 @@ impl CbtRouter {
         group_mask: Option<Addr>,
         act: &mut Vec<RouterAction>,
     ) {
-        let mut refreshed_any = false;
-        // A point echo (no mask) names exactly one group: resolve it
-        // with one FIB lookup instead of scanning every entry — at
-        // 100k groups the scan made each keepalive O(n).
-        let matching: Vec<GroupId> = match group_mask {
-            None => self
-                .fib
-                .get(group)
-                .filter(|e| e.has_child(src))
-                .map(|_| vec![group])
-                .unwrap_or_default(),
-            Some(_) => self
-                .fib
-                .iter()
-                .filter(|(g, e)| group_matches(*g, group, group_mask) && e.has_child(src))
-                .map(|(g, _)| g)
-                .collect(),
-        };
-        let wheel = self.timers.enabled;
-        let expire = self.cfg.child_assert_expire;
-        for g in matching {
-            if let Some(e) = self.fib.get_mut(g) {
-                if let Some(c) = e.children.iter_mut().find(|c| c.addr == src) {
-                    let old_heard = c.last_heard;
-                    c.last_heard = now;
-                    refreshed_any = true;
-                    if wheel {
-                        self.child_expiry.remove(&(old_heard + expire, g, src));
-                        self.child_expiry.insert((now + expire, g, src));
-                    }
+        let refreshed_any = match group_mask {
+            // A point echo names exactly one group: one FIB lookup, no
+            // candidate list — at 100k groups the scan made each
+            // keepalive O(n), and the keepalive is the steady state.
+            None => self.refresh_child(now, group, src),
+            Some(_) => {
+                let matching: Vec<GroupId> = self
+                    .fib
+                    .iter()
+                    .filter(|(g, e)| group_matches(*g, group, group_mask) && e.has_child(src))
+                    .map(|(g, _)| g)
+                    .collect();
+                let mut any = false;
+                for g in matching {
+                    any |= self.refresh_child(now, g, src);
                 }
+                any
             }
-        }
+        };
         if refreshed_any {
             let reply = ControlMessage::EchoReply { group, origin: self.id_addr(), group_mask };
             self.send_control(act, iface, src, reply);
@@ -180,6 +167,24 @@ impl CbtRouter {
         // An echo from a router we do not consider a child gets no
         // reply: its echo timeout will make it re-join, which is the
         // §6.2 recovery for a parent that lost state.
+    }
+
+    /// Marks child `src` of `g` heard at `now` and re-files its
+    /// liveness deadline. False if `src` is not a child of `g`.
+    fn refresh_child(&mut self, now: SimTime, g: GroupId, src: Addr) -> bool {
+        let Some(c) =
+            self.fib.get_mut(g).and_then(|e| e.children.iter_mut().find(|c| c.addr == src))
+        else {
+            return false;
+        };
+        let old_heard = c.last_heard;
+        c.last_heard = now;
+        if self.timers.enabled {
+            let expire = self.cfg.child_assert_expire;
+            self.child_expiry.remove(&(old_heard + expire, g, src));
+            self.child_expiry.insert((now + expire, g, src));
+        }
+        true
     }
 
     /// Receipt of CBT-ECHO-REPLY: refresh parent liveness.
@@ -196,34 +201,38 @@ impl CbtRouter {
         // reply is one lookup, an aggregated reply is one
         // `parent_index` fetch. (The old full-FIB scan made every
         // reply O(groups) — quadratic keepalive cost per interval.)
-        let candidates: Vec<GroupId> = match group_mask {
-            None => vec![group],
+        match group_mask {
+            None => self.settle_parent(now, group, src),
             Some(_) => {
-                self.parent_index.get(&src).map(|s| s.iter().copied().collect()).unwrap_or_default()
-            }
-        };
-        let mut settled: Vec<GroupId> = Vec::new();
-        for g in candidates {
-            if !group_matches(g, group, group_mask) {
-                continue;
-            }
-            if let Some(p) = self.fib.get_mut(g).and_then(|e| e.parent.as_mut()) {
-                if p.addr == src {
-                    p.last_reply = now;
-                    settled.push(g);
+                let candidates: Vec<GroupId> = self
+                    .parent_index
+                    .get(&src)
+                    .map(|s| s.iter().copied().collect())
+                    .unwrap_or_default();
+                for g in candidates {
+                    if group_matches(g, group, group_mask) {
+                        self.settle_parent(now, g, src);
+                    }
                 }
             }
         }
+    }
+
+    /// Parent `src` of `g` answered an echo at `now`. No-op if `src` is
+    /// not `g`'s parent.
+    fn settle_parent(&mut self, now: SimTime, g: GroupId, src: Addr) {
+        match self.fib.get_mut(g).and_then(|e| e.parent.as_mut()) {
+            Some(p) if p.addr == src => p.last_reply = now,
+            _ => return,
+        }
         // A parent that answers echoes is real — not the transient
         // instatement of a §6.3 loop-in-progress — so the §6.1
-        // RECONNECT-TIMEOUT campaign for these groups has genuinely
+        // RECONNECT-TIMEOUT campaign for this group has genuinely
         // succeeded and its budget can be retired.
-        for g in settled {
-            self.reattach_started.remove(&g);
-            // The keepalive deadline just moved later: re-clock the
-            // wheel entry so the next wake lands on it exactly.
-            self.arm_echo(g);
-        }
+        self.reattach_started.remove(&g);
+        // The keepalive deadline may have moved later (the echo-timeout
+        // arm of the min): re-clock so the next wake lands on it exactly.
+        self.arm_echo(g);
     }
 
     /// §9 CHILD-ASSERT: drop children that have stopped sending echoes.
@@ -243,12 +252,12 @@ impl CbtRouter {
         }
     }
 
-    /// Wheel-side child-assert sweep: pop the due `(deadline, group,
+    /// Deadline-driven child-assert sweep: pop the due `(deadline, group,
     /// child)` tuples and run the exact legacy `retain` on just those
     /// groups. Tuples are exact (every `last_heard` refresh re-files
     /// its tuple), so a group with no due tuple cannot hold an expired
     /// child; orphan tuples for already-removed children pop as no-ops.
-    pub(crate) fn sweep_children_wheel(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
+    pub(crate) fn sweep_children_due(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
         let expire = self.cfg.child_assert_expire;
         let mut candidates: BTreeSet<GroupId> = BTreeSet::new();
         while let Some(first) = self.child_expiry.first().copied() {
@@ -518,6 +527,68 @@ mod tests {
         }
         assert_eq!(e.stats().parent_failures, 0);
         assert_eq!(e.parent_of(g(1)), Some(up_hop().addr));
+    }
+
+    /// Steady-state keepalives must not manufacture stale timer
+    /// entries: the reply re-arms the echo key at the deadline it
+    /// already holds, so after any number of rounds every armed key
+    /// owns exactly one heap entry.
+    #[test]
+    fn echo_rounds_leave_one_timer_entry_per_armed_key() {
+        let mut e = routed_engine(CbtConfig::default());
+        join_group(&mut e, 1, t(0));
+        e.handle_control(
+            t(1),
+            IfIndex(2),
+            down_addr(),
+            ControlMessage::JoinRequest {
+                subcode: JoinSubcode::ActiveJoin,
+                group: g(1),
+                origin: Addr::from_octets(10, 9, 0, 1),
+                target_core: core_a(),
+                cores: vec![core_a()],
+            },
+        );
+        let mut requests = 0;
+        for round in 1..=1000u64 {
+            // Our echo to the parent fires on its clock and is answered
+            // a second later; the child's echo arrives in between.
+            let at = t(30 * round);
+            let mut now = at;
+            while let Some(w) = e.next_wakeup().filter(|w| *w <= at) {
+                now = w;
+                requests += e
+                    .on_timer(w)
+                    .iter()
+                    .filter(|a| {
+                        matches!(
+                            a,
+                            RouterAction::SendControl {
+                                msg: ControlMessage::EchoRequest { .. },
+                                ..
+                            }
+                        )
+                    })
+                    .count();
+            }
+            e.handle_control(
+                now,
+                IfIndex(2),
+                down_addr(),
+                ControlMessage::EchoRequest { group: g(1), origin: down_addr(), group_mask: None },
+            );
+            e.handle_control(
+                at + cbt_netsim::SimDuration::from_secs(1),
+                IfIndex(1),
+                up_hop().addr,
+                ControlMessage::EchoReply { group: g(1), origin: up_hop().addr, group_mask: None },
+            );
+            let (entries, keys) = e.timers.entries_and_keys();
+            assert_eq!(entries, keys, "round {round}: a stale timer entry appeared");
+        }
+        assert_eq!(requests, 1000, "one echo request per interval");
+        assert_eq!(e.stats().parent_failures, 0);
+        assert_eq!(e.children_of(g(1)).len(), 1);
     }
 
     #[test]

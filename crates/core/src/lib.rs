@@ -83,6 +83,7 @@ pub mod events;
 pub mod explore;
 pub mod fib;
 pub mod forward;
+mod inline;
 pub mod join;
 pub mod keepalive;
 pub mod netscale;

@@ -24,6 +24,7 @@ use cbt_netsim::{NsNode, NsOutbox, SimTime};
 use cbt_routing::Hop;
 use cbt_topology::{CsrGraph, IfIndex, RouterId, SpfScratch, SpfTree, NO_NODE};
 use cbt_wire::{Addr, ControlMessage};
+use std::cell::RefCell;
 use std::sync::{Arc, RwLock};
 
 /// The identity address of fleet router `i`: `10.x.y.z` with `i`
@@ -267,6 +268,14 @@ impl RouteLookup for FleetRoutes {
     }
 }
 
+thread_local! {
+    /// The action buffer every [`P2pNode`] on this thread lends its
+    /// engine for the length of one entry point. One buffer for the
+    /// whole fleet: kept per node it would be resident in ten thousand
+    /// copies, built per call it is an allocation per keepalive.
+    static ACTIONS: RefCell<Vec<RouterAction>> = const { RefCell::new(Vec::new()) };
+}
+
 /// A real CBT router living in a [`cbt_netsim::NetscaleWorld`] slot.
 ///
 /// Frames are `[4-byte source address, big-endian | control wire
@@ -311,9 +320,14 @@ impl P2pNode {
     /// Converts engine actions into netscale frames. Public so
     /// experiment drivers injecting membership through
     /// `NetscaleWorld::with_node` can ship the resulting actions.
-    pub fn deliver(&mut self, actions: Vec<RouterAction>, out: &mut NsOutbox) {
+    pub fn deliver(&mut self, mut actions: Vec<RouterAction>, out: &mut NsOutbox) {
+        self.ship(&mut actions, out);
+    }
+
+    /// Drains `actions` into netscale frames.
+    fn ship(&mut self, actions: &mut Vec<RouterAction>, out: &mut NsOutbox) {
         let src = self.router.id_addr().octets();
-        for a in actions {
+        for a in actions.drain(..) {
             match a {
                 RouterAction::SendControl { iface, dst: _, msg } => {
                     if msg.encode_into(&mut self.scratch).is_ok() {
@@ -342,13 +356,17 @@ impl NsNode for P2pNode {
             self.decode_errors += 1;
             return;
         };
-        let act = self.router.handle_control(now, IfIndex(iface), src, msg);
-        self.deliver(act, out);
+        let mut act = ACTIONS.take();
+        self.router.handle_control_into(now, IfIndex(iface), src, msg, &mut act);
+        self.ship(&mut act, out);
+        ACTIONS.set(act);
     }
 
     fn on_timer(&mut self, now: SimTime, out: &mut NsOutbox) {
-        let act = self.router.on_timer(now);
-        self.deliver(act, out);
+        let mut act = ACTIONS.take();
+        self.router.on_timer_into(now, &mut act);
+        self.ship(&mut act, out);
+        ACTIONS.set(act);
     }
 
     fn next_wakeup(&self) -> Option<SimTime> {

@@ -5,7 +5,7 @@
 //! partition key. [`ShardedRouter`] fronts `N` fully independent
 //! [`CbtRouter`] shards for one node: every group hashes to exactly one
 //! shard ([`shard_of`]), and that shard owns the group's FIB entry,
-//! pending-join state, timer-wheel entries and observability counters
+//! pending-join state, timer entries and observability counters
 //! outright. No state is shared between shards, so a deployment can pin
 //! one shard per core and the forward path crosses no locks.
 //!
@@ -24,7 +24,7 @@
 //! * Non-group housekeeping (decode-error drop counts, group-less
 //!   transit) lands on shard 0 by convention.
 //!
-//! `next_wakeup` is the min over per-shard wheel peeks; `on_timer`
+//! `next_wakeup` is the min over per-shard timer peeks; `on_timer`
 //! visits due shards in index order, which keeps multi-shard instants
 //! deterministic. Snapshots ([`ShardedRouter::stats`],
 //! [`ShardedRouter::obs_snapshot`]) merge across shards with the same
@@ -222,6 +222,20 @@ impl ShardedRouter {
         self.shards[k].handle_control(now, iface, src, msg)
     }
 
+    /// [`handle_control`](Self::handle_control) appending to a
+    /// caller-owned action buffer.
+    pub fn handle_control_into(
+        &mut self,
+        now: SimTime,
+        iface: IfIndex,
+        src: Addr,
+        msg: ControlMessage,
+        act: &mut Vec<RouterAction>,
+    ) {
+        let k = self.local_for(msg.group());
+        self.shards[k].handle_control_into(now, iface, src, msg, act);
+    }
+
     /// Steers a direct local-membership join (netscale p2p mode) to its
     /// group's shard.
     pub fn local_join(&mut self, now: SimTime, group: GroupId) -> Vec<RouterAction> {
@@ -310,25 +324,34 @@ impl ShardedRouter {
     /// several shards share a wakeup instant). A single local shard is
     /// driven unconditionally, exactly like an unsharded engine.
     pub fn on_timer(&mut self, now: SimTime) -> Vec<RouterAction> {
-        let first = self.first_index;
-        if self.shards.len() == 1 {
-            let mut act = self.shards[0].on_timer(now);
-            if first > 0 {
-                act.retain(|a| emits(first, a));
-            }
-            return act;
-        }
-        let mut out = Vec::new();
-        for (k, shard) in self.shards.iter_mut().enumerate() {
-            if shard.next_wakeup().is_some_and(|w| w <= now) {
-                let act = shard.on_timer(now);
-                out.extend(act.into_iter().filter(|a| emits(first + k, a)));
-            }
-        }
-        out
+        let mut act = Vec::new();
+        self.on_timer_into(now, &mut act);
+        act
     }
 
-    /// Earliest wakeup across every local shard's wheel peek.
+    /// [`on_timer`](Self::on_timer) appending to a caller-owned action
+    /// buffer.
+    pub fn on_timer_into(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
+        let first = self.first_index;
+        let single = self.shards.len() == 1;
+        for (k, shard) in self.shards.iter_mut().enumerate() {
+            if single || shard.next_wakeup().is_some_and(|w| w <= now) {
+                let from = act.len();
+                shard.on_timer_into(now, act);
+                if first + k > 0 {
+                    // Drop this shard's redundant group-less emissions;
+                    // what was buffered before it ran stays.
+                    let mut at = 0;
+                    act.retain(|a| {
+                        at += 1;
+                        at <= from || emits(first + k, a)
+                    });
+                }
+            }
+        }
+    }
+
+    /// Earliest wakeup across every local shard's timer peek.
     pub fn next_wakeup(&self) -> Option<SimTime> {
         self.shards.iter().filter_map(|s| s.next_wakeup()).min()
     }
@@ -660,7 +683,7 @@ mod tests {
     /// The shard-merged snapshot equals the single-engine snapshot for
     /// the same (timer-free) event stream: joins, acks, data, leaves.
     /// Timer-driven events are deliberately absent — each shard runs
-    /// its own LAN/election replica, so wheel-driven housekeeping
+    /// its own LAN/election replica, so timer-driven housekeeping
     /// (general queries, sweeps) legitimately fires once per shard,
     /// while every group-scoped counter lands on exactly one shard and
     /// must sum back to the unsharded totals.

@@ -106,7 +106,7 @@ impl CbtRouter {
     }
 
     /// Services one due pending quit — the shared body behind both the
-    /// legacy scan and the wheel's per-candidate dispatch.
+    /// legacy scan and the deadline-driven per-candidate dispatch.
     pub(crate) fn service_pending_quit_group(
         &mut self,
         now: SimTime,

@@ -1,9 +1,9 @@
-//! Impl-1 — timer service scaling: hierarchical wheel vs full-state scan.
+//! Impl-1 — timer service scaling: deadline heap vs full-state scan.
 //!
 //! The engine's legacy timer path recomputes `next_wakeup` and walks
 //! every FIB entry, pending join, LAN and deferral on *every* wakeup:
-//! O(groups) per tick. The timer wheel keys each deadline once, so a
-//! wakeup costs O(entries actually due). This experiment drives one
+//! O(groups) per tick. The deadline heap keys each deadline once, so a
+//! wakeup costs O(entries actually due · log n). This experiment drives one
 //! leaf router to N group memberships (staggered so echo deadlines
 //! spread over the whole §9 echo interval), then measures the wall cost
 //! of the `next_wakeup` + `on_timer` pair over a multi-interval window.
@@ -75,7 +75,7 @@ fn shape(s: &RunStats) -> (u64, u64) {
 /// to UP, which plays both unicast next hop and tree parent: it acks
 /// every join and answers every echo, so ME holds `n` FIB entries with
 /// a live parent — the state the per-tick scan pays for.
-fn drive(n: usize, wheel: bool, measure_secs: u64) -> RunStats {
+fn drive(n: usize, deadline_service: bool, measure_secs: u64) -> RunStats {
     let mut b = NetworkBuilder::new();
     let me = b.router("ME");
     let up = b.router("UP");
@@ -94,7 +94,7 @@ fn drive(n: usize, wheel: bool, measure_secs: u64) -> RunStats {
         [(core, Hop { iface: up_if, router: up, addr: up_peer, dist: 1 })].into_iter().collect(),
     );
 
-    let cfg = CbtConfig { timer_wheel: wheel, ..CbtConfig::default() };
+    let cfg = CbtConfig { timer_wheel: deadline_service, ..CbtConfig::default() };
     let echo_us = cfg.echo_interval.micros();
     let mut eng = CbtRouter::new(&net, me, cfg, Box::new(routes), SimTime::ZERO);
 
@@ -185,18 +185,19 @@ fn drive(n: usize, wheel: bool, measure_secs: u64) -> RunStats {
 
 /// Runs the experiment.
 pub fn run(p: &Params) -> Report {
-    let mut report = Report::new("Impl-1", "timer service: wheel vs per-tick full-state scan");
+    let mut report =
+        Report::new("Impl-1", "timer service: deadline heap vs per-tick full-state scan");
     let mut table =
         Table::new(["groups", "mode", "wakeups", "timer ms", "µs/wakeup", "timer events/s"]);
     let mut rows_json = Vec::new();
     let mut per_size = Vec::new();
 
     for &n in &p.sizes {
-        let wheel = drive(n, true, p.measure_secs);
+        let heap = drive(n, true, p.measure_secs);
         let scan = drive(n, false, p.measure_secs);
-        assert_eq!(shape(&wheel), shape(&scan), "n={n}: modes must replay the identical schedule");
+        assert_eq!(shape(&heap), shape(&scan), "n={n}: modes must replay the identical schedule");
         let mut us_per_wakeup = [0.0f64; 2];
-        for (slot, (mode, s)) in [("wheel", &wheel), ("scan", &scan)].iter().enumerate() {
+        for (slot, (mode, s)) in [("heap", &heap), ("scan", &scan)].iter().enumerate() {
             let ms = s.timer_ns as f64 / 1.0e6;
             let us =
                 if s.wakeups == 0 { 0.0 } else { s.timer_ns as f64 / 1.0e3 / s.wakeups as f64 };
@@ -233,8 +234,8 @@ pub fn run(p: &Params) -> Report {
     let mut fig =
         cbt_metrics::BarChart::new("Figure Impl-1: µs per timer wakeup vs group count".to_string())
             .unit(" µs");
-    for (n, wheel_us, scan_us) in &per_size {
-        fig.bar(format!("wheel G={n}"), *wheel_us);
+    for (n, heap_us, scan_us) in &per_size {
+        fig.bar(format!("heap  G={n}"), *heap_us);
         fig.bar(format!("scan  G={n}"), *scan_us);
     }
     report.chart(fig);
@@ -245,7 +246,7 @@ pub fn run(p: &Params) -> Report {
     report.finding(
         "Both timer services replay the identical wakeup schedule (equal wakeup and action \
          counts — the determinism suite proves bit-identity), but the scan path pays O(groups) \
-         per wakeup while the wheel pays only for entries actually due: its per-wakeup cost \
+         per wakeup while the heap pays only for entries actually due: its per-wakeup cost \
          stays near-flat from 100 to 10k groups where the scan's grows linearly.",
     );
     report
@@ -257,11 +258,11 @@ mod tests {
 
     #[test]
     fn modes_replay_the_same_schedule() {
-        let wheel = drive(64, true, 40);
+        let heap = drive(64, true, 40);
         let scan = drive(64, false, 40);
-        assert_eq!(shape(&wheel), shape(&scan));
+        assert_eq!(shape(&heap), shape(&scan));
         // A 40s window past a 30s echo interval must see echo traffic.
-        assert!(wheel.timer_actions as usize >= 64, "echoes fired: {wheel:?}");
+        assert!(heap.timer_actions as usize >= 64, "echoes fired: {heap:?}");
     }
 
     #[test]
@@ -270,7 +271,7 @@ mod tests {
         let rows = r.json["rows"].as_array().unwrap();
         assert_eq!(rows.len(), 4);
         for n in [32u64, 96] {
-            for mode in ["wheel", "scan"] {
+            for mode in ["heap", "scan"] {
                 assert!(
                     rows.iter().any(|r| r["groups"] == n && r["mode"] == mode),
                     "missing row {n}/{mode}"
@@ -280,7 +281,7 @@ mod tests {
         // The schedule scales with group count.
         let w = |n: u64| {
             rows.iter()
-                .find(|r| r["groups"] == n && r["mode"] == "wheel")
+                .find(|r| r["groups"] == n && r["mode"] == "heap")
                 .and_then(|r| r["wakeups"].as_u64())
                 .unwrap()
         };

@@ -2,7 +2,7 @@
 //!
 //! One `cbtd` node used to serialise every group through a single
 //! engine task. The sharded engine ([`cbt::ShardedRouter`]) splits the
-//! group space over N independent shards — own FIB, own timer wheel —
+//! group space over N independent shards — own FIB, own timer service —
 //! with a steering layer in front, so a deployment with one core per
 //! shard forwards N groups' traffic concurrently.
 //!
@@ -14,7 +14,7 @@
 //! each shard's queue with per-shard wall timing. Churn (IGMP leave +
 //! rejoin bursts) rides along in the same queues so the control path
 //! is exercised mid-stream, and a timer window afterwards measures the
-//! per-wakeup cost across all shard wheels.
+//! per-wakeup cost across all shard timers.
 //!
 //! **Reading the numbers on a small machine:** the harness drains the
 //! shard queues *sequentially* and reports aggregate goodput as
@@ -112,7 +112,7 @@ struct RunStats {
     forwarded: u64,
     /// Churn messages (leaves + rejoins) processed in-stream.
     churn_msgs: u64,
-    /// Timer wakeups across every shard wheel in the window.
+    /// Timer wakeups across every shard's timer service in the window.
     wakeups: u64,
     /// Wall nanoseconds inside `next_wakeup` + `on_timer` pairs.
     timer_ns: u128,
@@ -281,8 +281,8 @@ fn drive(n: usize, shards: usize, packets_per_group: usize, measure_secs: u64) -
         busy_ns[k] = t0.elapsed().as_nanos();
     }
 
-    // Timer window: every shard advances its own wheel; the deployment
-    // wakeup is min over wheels, so per-wakeup cost is measured per
+    // Timer window: every shard advances its own timers; the deployment
+    // wakeup is min over shards, so per-wakeup cost is measured per
     // shard and pooled.
     let window_end = settled + SimDuration::from_secs(measure_secs);
     let mut wakeups = 0u64;

@@ -11,7 +11,7 @@
 //!   keyed by [`CtlKind`]) for joins, acks, nacks, quits, echoes and
 //!   flush-tree traffic in both directions;
 //! * log2-bucketed **latency histograms** ([`Histogram`]) for join
-//!   round-trips and timer-wheel wakeup lag, in microseconds;
+//!   round-trips and timer wakeup lag, in microseconds;
 //! * a cheap [`RouterObs::snapshot`] producing an [`ObsSnapshot`] with
 //!   text and JSON exporters that `cbt-eval` embeds in its reports and
 //!   `cbtd` prints on demand.
@@ -444,7 +444,7 @@ pub struct RouterObs {
     pub groups: BTreeMap<u32, ProtocolCounters>,
     /// JOIN_REQUEST → JOIN_ACK round-trip, µs, at the joining router.
     pub join_rtt_us: Histogram,
-    /// Timer-wheel wakeup lag (fire time minus deadline), µs.
+    /// Timer wakeup lag (fire time minus deadline), µs.
     pub timer_lag_us: Histogram,
     /// Tree-invariant violations attributed to this router by the
     /// post-run checker (zero in a healthy run).
