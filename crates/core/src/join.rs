@@ -27,14 +27,12 @@ impl CbtRouter {
         }
         // §2.6: "If an IGMP RP/Core-Report is received by a D-DR with a
         // join for the same group already pending, it takes no action"
-        // — but the LAN is remembered so the eventual ack serves it.
-        if self.pending.contains(group) {
-            if let Some(p) = self.pending.get_mut(group) {
-                if let JoinReason::LocalMembership { trigger_lans } = &mut p.reason {
-                    if !trigger_lans.contains(&iface) {
-                        trigger_lans.push(iface);
-                    }
-                }
+        // — but the LAN is remembered so the eventual ack serves it,
+        // whether the pending join is our own, a transit join we are
+        // forwarding or a re-attachment.
+        if let Some(p) = self.pending.get_mut(group) {
+            if !p.lans.contains(&iface) {
+                p.lans.push(iface);
             }
             return;
         }
@@ -61,9 +59,12 @@ impl CbtRouter {
             cores,
             target_core_index,
             JoinSubcode::ActiveJoin,
-            JoinReason::LocalMembership { trigger_lans: vec![iface] },
+            JoinReason::LocalMembership,
             act,
         );
+        if let Some(p) = self.pending.get_mut(group) {
+            p.lans.push(iface);
+        }
     }
 
     /// A member of `group` appeared directly on this router (netscale
@@ -89,7 +90,7 @@ impl CbtRouter {
                         cores,
                         0,
                         JoinSubcode::ActiveJoin,
-                        JoinReason::LocalMembership { trigger_lans: vec![] },
+                        JoinReason::LocalMembership,
                         &mut act,
                     );
                 }
@@ -226,6 +227,7 @@ impl CbtRouter {
                 upstream: (hop.iface, hop.addr),
                 sent_subcode: subcode,
                 cached: Vec::new(),
+                lans: Vec::new(),
                 started: now,
                 attempt_started: now,
                 next_retransmit: now + self.cfg.pend_join_interval,
@@ -347,6 +349,7 @@ impl CbtRouter {
                         upstream: (hop.iface, hop.addr),
                         sent_subcode: subcode,
                         cached: Vec::new(),
+                        lans: Vec::new(),
                         started: now,
                         attempt_started: now,
                         next_retransmit: now + self.cfg.pend_join_interval,
@@ -544,11 +547,13 @@ impl CbtRouter {
         self.obs.join_rtt_us.record(now.since(p.started).micros());
 
         let old_parent = self.fib.get(group).and_then(|e| e.parent.map(|pp| pp.addr));
+        let proxied =
+            matches!((&p.reason, subcode), (JoinReason::LocalMembership, AckSubcode::ProxyAck));
         match (&p.reason, subcode) {
-            (JoinReason::LocalMembership { trigger_lans }, AckSubcode::ProxyAck) => {
+            (JoinReason::LocalMembership, AckSubcode::ProxyAck) => {
                 // §2.6: cancel transient state, keep **no** FIB entry;
                 // the proxy sender is the G-DR.
-                for lan in trigger_lans.clone() {
+                for &lan in &p.lans {
                     let origin_lan = self.iface(lan).is_some_and(|i| i.contains(p.origin));
                     if origin_lan {
                         self.proxy_handled.insert((lan, group), src);
@@ -560,7 +565,7 @@ impl CbtRouter {
                     }
                 }
             }
-            (JoinReason::LocalMembership { trigger_lans }, _) => {
+            (JoinReason::LocalMembership, _) => {
                 let cores_final = if cores.is_empty() { p.cores.clone() } else { cores.to_vec() };
                 let entry = self.fib.entry(group);
                 entry.parent = Some(Parent {
@@ -571,16 +576,6 @@ impl CbtRouter {
                 });
                 entry.i_am_core = false;
                 entry.cores = cores_final;
-                for lan in trigger_lans.clone() {
-                    self.gdr.insert((lan, group));
-                    // §2.5 proposal: notify member hosts on the subnet
-                    // that the tree has been joined.
-                    act.push(RouterAction::SendIgmp {
-                        iface: lan,
-                        dst: group.addr(),
-                        msg: IgmpMessage::TreeJoined { group, core: p.target_core },
-                    });
-                }
             }
             (JoinReason::Forwarded { from_iface, from_addr, subcode: down_sub }, _) => {
                 let cores_final = if cores.is_empty() { p.cores.clone() } else { cores.to_vec() };
@@ -621,6 +616,23 @@ impl CbtRouter {
                 // budget every oscillation. The budget is retired when
                 // the new parent proves real by answering an echo
                 // (`on_echo_reply`).
+            }
+        }
+        if !proxied {
+            // The branch exists now, whoever asked for it: every member
+            // LAN that waited on this join gets its attachment point.
+            // A LAN that appeared while a *transit* join was in flight
+            // used to be forgotten here — its host then sat on an
+            // on-tree router and heard nothing.
+            for &lan in &p.lans {
+                self.gdr.insert((lan, group));
+                // §2.5 proposal: notify member hosts on the subnet
+                // that the tree has been joined.
+                act.push(RouterAction::SendIgmp {
+                    iface: lan,
+                    dst: group.addr(),
+                    msg: IgmpMessage::TreeJoined { group, core: p.target_core },
+                });
             }
         }
         self.reindex_parent(group, old_parent);
@@ -679,7 +691,7 @@ impl CbtRouter {
         // ack instates a memberless, childless branch that persists
         // until the IFF scan (or forever, if the scan never runs).
         let eager = match &p.reason {
-            JoinReason::LocalMembership { trigger_lans } => trigger_lans.is_empty(),
+            JoinReason::LocalMembership => p.lans.is_empty(),
             JoinReason::Reattach => true,
             JoinReason::Forwarded { .. } => false,
         };
@@ -739,6 +751,7 @@ impl CbtRouter {
                 // obligations survive the retry.
                 npj.started = p.started;
                 npj.cached = p.cached;
+                npj.lans = p.lans;
             } else {
                 // Relaunch found no reachable core at all: give up.
                 self.give_up_pending(now, group, p, act);
@@ -1079,6 +1092,77 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    /// The silent member loss the benchmark's Poisson joins found: a
+    /// host on the *transit* router's own LAN reports membership while
+    /// the router's forwarded join is still in flight (the 1–4 ms the
+    /// ack takes to retrace). The trigger is coalesced onto the pending
+    /// join — and the ack must then serve that LAN, or the host sits
+    /// behind an on-tree router and hears nothing, forever.
+    #[test]
+    fn lan_joining_behind_a_pending_transit_join_is_served_by_the_ack() {
+        let ms = |n: u64| SimTime::from_micros(1_000_000 + n * 1_000);
+        let transit_join = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        let ack = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        for gap_ms in 1..=4 {
+            let mut e = routed_engine();
+            e.handle_control(ms(0), IfIndex(2), down_addr(), transit_join.clone());
+            assert!(e.has_pending_join(g()));
+            // The local host's report lands mid-flight, through the
+            // same IGMP entry point a real LAN would use.
+            e.learn_cores(g(), &[core_a()]);
+            let act = e.handle_igmp(
+                ms(gap_ms),
+                IfIndex(0),
+                Addr::from_octets(10, 1, 0, 77),
+                IgmpMessage::Report { version: 2, group: g() },
+            );
+            assert!(
+                !act.iter().any(|a| matches!(a, RouterAction::SendControl { .. })),
+                "gap {gap_ms} ms: §2.6 — a join is already pending, no second one"
+            );
+            let act = e.handle_control(ms(5), IfIndex(1), up_hop().addr, ack.clone());
+            assert_eq!(e.children_of(g()), vec![down_addr()], "transit obligation kept");
+            assert!(e.is_gdr(IfIndex(0), g()), "gap {gap_ms} ms: member LAN left unserved");
+            assert!(
+                act.iter().any(|a| matches!(
+                    a,
+                    RouterAction::SendIgmp {
+                        iface: IfIndex(0),
+                        msg: IgmpMessage::TreeJoined { .. },
+                        ..
+                    }
+                )),
+                "gap {gap_ms} ms: hosts are told the tree was joined"
+            );
+            // And the data plane agrees: a packet from the parent
+            // reaches both the child and the member LAN.
+            let mut fwd = Vec::new();
+            let pkt = cbt_wire::DataPacket::new(Addr::from_octets(10, 7, 0, 9), g(), 16, vec![1]);
+            e.handle_native_data(ms(10), IfIndex(1), up_hop().addr, pkt, &mut fwd);
+            let mut out: Vec<IfIndex> = fwd
+                .iter()
+                .filter_map(|a| match a {
+                    RouterAction::SendNativeData { iface, .. } => Some(*iface),
+                    _ => None,
+                })
+                .collect();
+            out.sort();
+            assert_eq!(out, vec![IfIndex(0), IfIndex(2)], "gap {gap_ms} ms: fan-out");
+        }
     }
 
     #[test]

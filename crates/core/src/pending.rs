@@ -14,12 +14,9 @@ use std::collections::BTreeMap;
 /// Why this router has a join in flight.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JoinReason {
-    /// We are the D-DR and local membership triggered it (§2.5). The
-    /// listed LAN interfaces want G-DR status once the ack arrives.
-    LocalMembership {
-        /// LAN interfaces whose membership triggered/joined the wait.
-        trigger_lans: Vec<IfIndex>,
-    },
+    /// We are the D-DR (or, in netscale p2p mode, the member's own
+    /// router) and local membership triggered it (§2.5).
+    LocalMembership,
     /// We are forwarding someone else's join (§2.5): remember the
     /// previous hop so the ack can retrace.
     Forwarded {
@@ -65,6 +62,11 @@ pub struct PendingJoin {
     pub sent_subcode: JoinSubcode,
     /// Joins cached while waiting (§2.5).
     pub cached: Vec<CachedJoin>,
+    /// LAN interfaces whose membership triggered this join or appeared
+    /// while it was in flight — whatever the reason for the join, they
+    /// want G-DR status once the ack arrives (§2.6: a second trigger
+    /// "takes no action", but the ack must still serve its subnet).
+    pub lans: Vec<IfIndex>,
     /// When the whole endeavour started (EXPIRE-PENDING-JOIN budget).
     pub started: SimTime,
     /// When the current core attempt started (PEND-JOIN-TIMEOUT budget).
@@ -158,13 +160,14 @@ mod tests {
 
     fn pj(t0: u64) -> PendingJoin {
         PendingJoin {
-            reason: JoinReason::LocalMembership { trigger_lans: vec![IfIndex(0)] },
+            reason: JoinReason::LocalMembership,
             origin: Addr::from_octets(10, 1, 0, 1),
             target_core: Addr::from_octets(10, 255, 0, 3),
             cores: vec![Addr::from_octets(10, 255, 0, 3)],
             upstream: (IfIndex(1), Addr::from_octets(172, 31, 0, 2)),
             sent_subcode: JoinSubcode::ActiveJoin,
             cached: Vec::new(),
+            lans: vec![IfIndex(0)],
             started: SimTime::from_secs(t0),
             attempt_started: SimTime::from_secs(t0),
             next_retransmit: SimTime::from_secs(t0 + 10),
