@@ -13,7 +13,8 @@
 //!   numbers are never reused, so re-arming or cancelling a key is one
 //!   table write and never searches the heap;
 //! * superseded entries stay in the heap until they surface at its
-//!   head, where [`TimerService::compact`] and the pop discard them;
+//!   head, where [`TimerService::compact`] and the pop discard them —
+//!   or until they outnumber the armed keys, when `arm` sweeps them;
 //! * re-arming a key with the deadline it already holds is a no-op —
 //!   the steady state of a keepalive clock whose reply arrives before
 //!   the next echo is due — so an idle tree holds exactly one heap
@@ -29,6 +30,10 @@ use cbt_netsim::SimTime;
 use std::cmp::Reverse;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap};
+
+/// Superseded entries tolerated beyond twice the armed keys before
+/// [`TimerService::arm`] sweeps them out.
+const SWEEP_SLACK: usize = 32;
 
 /// Keyed timer service with O(log n) arm and O(log K) cancellation.
 #[derive(Debug, Clone)]
@@ -66,6 +71,16 @@ impl<K: Ord + Copy> TimerService<K> {
         self.seq += 1;
         self.keys.insert(key, (deadline, seq));
         self.heap.push(Reverse((deadline, seq, key)));
+        // Superseded entries only leave when they surface, and a key
+        // re-armed again and again to later deadlines never surfaces
+        // them: sweep once they outnumber the live keys, so the heap
+        // stays O(armed keys). Amortised O(1) per arm; pop order is
+        // unaffected, `(deadline, seq)` being a total order.
+        if self.heap.len() > 2 * self.keys.len() + SWEEP_SLACK {
+            let keys = &self.keys;
+            self.heap
+                .retain(|&Reverse((_, seq, key))| keys.get(&key).is_some_and(|&(_, s)| s == seq));
+        }
     }
 
     /// Disarms `key`; its heap entry is discarded when it surfaces.
@@ -179,6 +194,23 @@ mod tests {
         }
         assert_eq!(s.len(), 1);
         assert_eq!(pop(&mut s, t(10)), vec![1]);
+    }
+
+    #[test]
+    fn superseded_entries_stay_bounded_by_the_armed_keys() {
+        // Nothing pops and the hot key's old deadlines never reach the
+        // head (key 0 holds it): only the sweep keeps the heap small.
+        let mut s = TimerService::new();
+        for k in 0..8u32 {
+            s.arm(k, t(1));
+        }
+        for n in 0..10_000u64 {
+            s.arm(7u32, t(10 + n));
+            assert!(s.len() <= 2 * s.tracked_keys() + SWEEP_SLACK + 1, "heap grew to {}", s.len());
+        }
+        assert_eq!(pop(&mut s, t(1)), vec![0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(pop(&mut s, t(20_000)), vec![7]);
+        assert!(s.is_empty());
     }
 
     #[test]
