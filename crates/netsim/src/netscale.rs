@@ -51,8 +51,9 @@ pub trait NsNode {
 }
 
 /// Per-call send buffer handed to [`NsNode`] entry points. Capacity
-/// persists across calls, so steady-state emission allocates nothing
-/// beyond the frames themselves.
+/// persists across calls, so the one allocation left per emission is
+/// the frame's own `Vec`, which moves into the arrival queue and is
+/// freed at delivery.
 #[derive(Debug, Default)]
 pub struct NsOutbox {
     sends: Vec<(u32, Vec<u8>)>,
