@@ -64,12 +64,17 @@ impl<K: Ord + Copy> TimerService<K> {
     /// other deadline armed for the key. Past deadlines are fine: they
     /// pop on the next [`pop_due_into`](Self::pop_due_into).
     pub fn arm(&mut self, key: K, deadline: SimTime) {
-        if self.keys.get(&key).is_some_and(|&(d, _)| d == deadline) {
-            return;
-        }
         let seq = self.seq;
+        match self.keys.entry(key) {
+            Entry::Occupied(e) if e.get().0 == deadline => return,
+            Entry::Occupied(mut e) => {
+                e.insert((deadline, seq));
+            }
+            Entry::Vacant(e) => {
+                e.insert((deadline, seq));
+            }
+        }
         self.seq += 1;
-        self.keys.insert(key, (deadline, seq));
         self.heap.push(Reverse((deadline, seq, key)));
         // Superseded entries only leave when they surface, and a key
         // re-armed again and again to later deadlines never surfaces
@@ -78,8 +83,7 @@ impl<K: Ord + Copy> TimerService<K> {
         // unaffected, `(deadline, seq)` being a total order.
         if self.heap.len() > 2 * self.keys.len() + SWEEP_SLACK {
             let keys = &self.keys;
-            self.heap
-                .retain(|&Reverse((_, seq, key))| keys.get(&key).is_some_and(|&(_, s)| s == seq));
+            self.heap.retain(|&Reverse((_, seq, key))| Self::is_valid(keys, key, seq));
         }
     }
 
@@ -88,8 +92,9 @@ impl<K: Ord + Copy> TimerService<K> {
         self.keys.remove(&key);
     }
 
-    fn is_valid(&self, key: K, seq: u64) -> bool {
-        self.keys.get(&key).is_some_and(|&(_, s)| s == seq)
+    /// Is `seq` the arm the table currently holds for `key`?
+    fn is_valid(keys: &BTreeMap<K, (SimTime, u64)>, key: K, seq: u64) -> bool {
+        keys.get(&key).is_some_and(|&(_, s)| s == seq)
     }
 
     /// Pops every key whose valid deadline is `<= now` into `out`,
@@ -131,7 +136,7 @@ impl<K: Ord + Copy> TimerService<K> {
     /// is popped at most once.
     pub fn compact(&mut self) {
         while let Some(&Reverse((_, seq, key))) = self.heap.peek() {
-            if self.is_valid(key, seq) {
+            if Self::is_valid(&self.keys, key, seq) {
                 return;
             }
             self.heap.pop();
