@@ -11,9 +11,18 @@
 //! path that legitimately allocates — first-hop §5.1 encapsulation,
 //! which must materialize the encapsulated datagram — is reported as
 //! allocations/packet instead.
+//!
+//! `router_node_hop` then puts the simulator adapter around the engine
+//! — frame in, [`RouterNode::on_packet`], frames out — and asserts the
+//! patch-and-forward budget: a native transit hop allocates the
+//! outgoing frame's buffer and its `Arc`, nothing else, however many
+//! branches share that frame.
 
-use cbt::{config::ForwardingMode, CbtConfig, CbtRouter, RouterAction, ShardedRouter};
-use cbt_netsim::SimTime;
+use cbt::{
+    config::ForwardingMode, CbtConfig, CbtRouter, RouterAction, RouterNode, ShardedRouter,
+    SharedRib,
+};
+use cbt_netsim::{Bytes, Outbox, SimNode, SimTime};
 use cbt_routing::Hop;
 use cbt_topology::{IfIndex, NetworkBuilder, RouterId};
 use cbt_wire::header::ON_TREE;
@@ -218,6 +227,73 @@ fn on_tree_sharded(mode: ForwardingMode) -> ShardedRouter {
     e
 }
 
+/// A [`RouterNode`] on-tree with its parent behind if0 and `fanout`
+/// children behind if1.. (one link each, no member LAN), plus the frame
+/// a `payload`-byte native packet makes when the parent forwards it.
+/// Returns `(node, arrival iface, link-layer sender, frame)`.
+fn transit_node(fanout: usize, payload: usize) -> (RouterNode, IfIndex, Addr, Bytes) {
+    let mut b = NetworkBuilder::new();
+    let me = b.router("ME");
+    let up = b.router("UP");
+    b.link(me, up, 1);
+    let downs: Vec<RouterId> = (0..fanout).map(|i| b.router(format!("DOWN{i}"))).collect();
+    for &d in &downs {
+        b.link(me, d, 1);
+    }
+    let net = std::sync::Arc::new(b.build());
+    let (_rib, make_rib) = SharedRib::build(net.clone());
+    let cfg = CbtConfig { shards: 1, ..CbtConfig::default() };
+    let mut node = RouterNode::new(&net, me, cfg, make_rib(me), SimTime::ZERO);
+
+    // The neighbour's address on the link behind each of ME's ifaces.
+    let peer_addr = |iface: usize, peer: RouterId| {
+        let subnet = net.routers[me.0 as usize].ifaces[iface].subnet;
+        net.routers[peer.0 as usize]
+            .ifaces
+            .iter()
+            .find(|i| i.subnet == subnet)
+            .expect("peer sits on the link")
+            .addr
+    };
+    let core = net.router_addr(up);
+    let parent = peer_addr(0, up);
+    let e = node.engine_mut();
+    for (i, &d) in downs.iter().enumerate() {
+        let origin = Addr::from_octets(10, 9, i as u8, 1);
+        e.handle_control(
+            SimTime::from_secs(1),
+            IfIndex(1 + i as u32),
+            peer_addr(1 + i, d),
+            ControlMessage::JoinRequest {
+                subcode: JoinSubcode::ActiveJoin,
+                group: group(),
+                origin,
+                target_core: core,
+                cores: vec![core],
+            },
+        );
+        if i == 0 {
+            // The first child's join went upstream; the parent acks it
+            // and every later child finds ME already on-tree.
+            e.handle_control(
+                SimTime::from_secs(1),
+                IfIndex(0),
+                parent,
+                ControlMessage::JoinAck {
+                    subcode: AckSubcode::Normal,
+                    group: group(),
+                    origin,
+                    target_core: core,
+                    cores: vec![core],
+                },
+            );
+        }
+    }
+    assert_eq!(e.children_of(group()).len(), fanout);
+    let pkt = DataPacket::new(Addr::from_octets(10, 77, 0, 5), group(), 32, vec![0u8; payload]);
+    (node, IfIndex(0), parent, Bytes::from(pkt.encode()))
+}
+
 /// Warms `f` (growing every scratch buffer and memo to capacity), then
 /// measures the allocation count across `iters` further calls and
 /// returns allocations per call.
@@ -359,6 +435,31 @@ fn bench_dataplane(c: &mut Criterion) {
         println!("[cbt_first_hop_encap] steady-state heap allocations/packet: {per}");
     }
 
+    // One hop through the simulator adapter: at most the outgoing
+    // frame's buffer and its `Arc`, whatever the fan-out.
+    for (fanout, payload) in [(1, 64), (3, 64), (1, 256), (3, 256)] {
+        let (mut node, iface, link_src, frame) = transit_node(fanout, payload);
+        let mut out = Outbox::new();
+        let mut sent = 0;
+        let per = steady_state_allocs(
+            || {
+                node.on_packet(SimTime::from_secs(2), iface, link_src, &frame, &mut out);
+                sent = out.drain().count();
+            },
+            10_000,
+        );
+        assert_eq!(sent, fanout, "one frame per child branch");
+        assert!(per <= 2.0, "native transit hop allocated {per} times (fan-out {fanout})");
+        // What went out: the arrival with one less TTL, byte for byte
+        // what a fresh encode gives, one allocation behind every branch.
+        node.on_packet(SimTime::from_secs(2), iface, link_src, &frame, &mut out);
+        let frames: Vec<Bytes> = out.drain().map(|t| t.frame).collect();
+        let mut next = DataPacket::decode_bytes(&frame).unwrap();
+        next.ttl -= 1;
+        assert!(frames.iter().all(|f| *f == next.encode() && f.shares_allocation_with(&frames[0])));
+        println!("[router_node_hop fanout={fanout} {payload}B] heap allocations/hop: {per}");
+    }
+
     // -- Timings for the same paths --
 
     let mut g = c.benchmark_group("dataplane_forward");
@@ -433,6 +534,23 @@ fn bench_dataplane(c: &mut Criterion) {
             black_box(&mut act);
         })
     });
+
+    for (fanout, payload) in [(1, 64), (3, 64), (1, 256), (3, 256)] {
+        g.bench_function(&format!("router_node_hop_fanout{fanout}_{payload}B"), |b| {
+            let (mut node, iface, link_src, frame) = transit_node(fanout, payload);
+            let mut out = Outbox::new();
+            b.iter(|| {
+                node.on_packet(
+                    black_box(SimTime::from_secs(2)),
+                    iface,
+                    link_src,
+                    black_box(&frame),
+                    &mut out,
+                );
+                black_box(out.drain().count());
+            })
+        });
+    }
 
     g.finish();
 

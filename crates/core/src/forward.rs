@@ -60,7 +60,7 @@ impl CbtRouter {
                 || (self.i_am_dr(iface, now) && !self.proxy_handled.contains_key(&(iface, group)));
             let arrival_is_tree = slot.is_some_and(|s| self.fib.at(s).is_tree_iface(iface));
             if slot.is_some() && (responsible || arrival_is_tree) {
-                self.forward_over_tree(now, group, &pkt, Some(iface), None, act);
+                self.forward_over_tree(now, group, pkt, Some(iface), None, act);
             } else if responsible && self.i_am_dr(iface, now) && slot.is_none() {
                 // §5.1/§5.3 non-member sending: the D-DR encapsulates
                 // and unicasts toward a core for the group.
@@ -91,7 +91,7 @@ impl CbtRouter {
                 || e.children.iter().any(|c| c.iface == iface && c.addr == link_src)
         });
         if valid {
-            self.forward_over_tree(now, group, &pkt, Some(iface), None, act);
+            self.forward_over_tree(now, group, pkt, Some(iface), None, act);
         } else {
             self.stats.data_discarded += 1;
             self.obs.drop_packet(DropReason::ScopeBoundary);
@@ -172,7 +172,7 @@ impl CbtRouter {
         &mut self,
         now: SimTime,
         group: GroupId,
-        pkt: &DataPacket,
+        pkt: DataPacket,
         skip_iface: Option<IfIndex>,
         skip_neighbor: Option<Addr>,
         act: &mut Vec<RouterAction>,
@@ -186,7 +186,7 @@ impl CbtRouter {
                     .fib_slot_cached(group)
                     .and_then(|s| self.fib.at(s).primary_core())
                     .unwrap_or(Addr::NULL);
-                let mut enc = CbtDataPacket::encapsulate(pkt, core);
+                let mut enc = CbtDataPacket::encapsulate(&pkt, core);
                 enc.cbt.on_tree = ON_TREE;
                 self.span_cbt(now, group, enc, skip_neighbor, skip_iface, act);
             }
@@ -195,11 +195,14 @@ impl CbtRouter {
 
     /// Native-mode spanning (§4): one IP multicast per distinct tree
     /// interface (parent vif, child vifs) and per member subnet this
-    /// router is the attachment (G-DR) for.
+    /// router is the attachment (G-DR) for. The packet is moved into
+    /// the last branch's action, so N branches cost N-1 refcount
+    /// clones, and it stays the packet that was decoded: the adapter
+    /// can re-send its arrival frame patched instead of rebuilding it.
     fn forward_native(
         &mut self,
         group: GroupId,
-        pkt: &DataPacket,
+        mut pkt: DataPacket,
         skip_iface: Option<IfIndex>,
         act: &mut Vec<RouterAction>,
     ) {
@@ -242,10 +245,13 @@ impl CbtRouter {
         if let Some(skip) = skip_iface {
             ifaces.retain(|i| *i != skip);
         }
-        let out = DataPacket::new(pkt.src, pkt.group, pkt.ttl - 1, pkt.payload.clone());
+        pkt.ttl -= 1;
         let sent = ifaces.len();
-        for &iface in &ifaces {
-            act.push(RouterAction::SendNativeData { iface, pkt: out.clone() });
+        if let Some((&last, rest)) = ifaces.split_last() {
+            for &iface in rest {
+                act.push(RouterAction::SendNativeData { iface, pkt: pkt.clone() });
+            }
+            act.push(RouterAction::SendNativeData { iface: last, pkt });
         }
         self.scratch_ifaces = ifaces;
         if sent > 0 {

@@ -13,12 +13,13 @@ use cbt_igmp::{HostMembership, IgmpTimers};
 use cbt_netsim::{Bytes, Outbox, SimNode, SimTime};
 use cbt_obs::DropReason;
 use cbt_topology::IfIndex;
-use cbt_wire::ipv4::{build_datagram, split_datagram};
+use cbt_wire::ipv4::{build_datagram, datagram_with_ttl, split_datagram};
 use cbt_wire::{
     Addr, CbtDataPacket, ControlMessage, DataPacket, GroupId, IgmpMessage, IpProto, Ipv4Header,
     UdpHeader, WireError, CBT_AUX_PORT, CBT_PRIMARY_PORT,
 };
 use std::any::Any;
+use std::collections::VecDeque;
 
 /// A CBT router in the simulator: the protocol engine plus the plain
 /// IP forwarding plane that carries multi-hop unicasts (joins are
@@ -94,11 +95,8 @@ impl RouterNode {
     /// caller's buffer (and its capacity) can be reused for the next
     /// packet.
     fn emit(&mut self, actions: &mut Vec<RouterAction>, out: &mut Outbox) {
-        // Fan-out memo: native spanning pushes one SendNativeData per
-        // branch interface carrying the *same* datagram. Encode once
-        // and hand each interface a refcounted clone of the frame.
-        let mut native_memo: Option<(DataPacket, Bytes)> = None;
-        for a in actions.drain(..) {
+        let mut actions = actions.drain(..).peekable();
+        while let Some(a) = actions.next() {
             match a {
                 RouterAction::SendControl { iface, dst, msg } => {
                     let port = if msg.is_primary() { CBT_PRIMARY_PORT } else { CBT_AUX_PORT };
@@ -120,17 +118,25 @@ impl RouterNode {
                     let frame = build_datagram(src, dst, IpProto::Igmp, 1, &msg.encode());
                     self.emit_frame(iface, dst, frame.into(), out);
                 }
-                RouterAction::SendNativeData { iface, pkt } => {
-                    // The original datagram travels unchanged (§4):
-                    // source stays the originating end-system.
-                    let frame = match &native_memo {
-                        Some((prev, frame)) if *prev == pkt => frame.clone(),
-                        _ => {
-                            let frame = Bytes::from(pkt.encode());
-                            native_memo = Some((pkt, frame.clone()));
-                            frame
-                        }
+                RouterAction::SendNativeData { mut iface, pkt } => {
+                    // The original datagram travels unchanged (§4) bar
+                    // the TTL: a transit packet is its arrival frame
+                    // copied and patched, only a locally built one is
+                    // encoded. Native spanning pushes one action per
+                    // branch interface, all clones of one packet
+                    // (recognised by identity, not by comparing
+                    // payloads): they share the frame, by refcount.
+                    let frame = Bytes::from(pkt.to_frame());
+                    let same_frame = |a: &RouterAction| {
+                        matches!(a, RouterAction::SendNativeData { pkt: p, .. }
+                            if p.shares_frame_with(&pkt))
                     };
+                    while let Some(RouterAction::SendNativeData { iface: next, .. }) =
+                        actions.next_if(same_frame)
+                    {
+                        out.send(iface, frame.clone());
+                        iface = next;
+                    }
                     out.send(iface, frame);
                 }
                 RouterAction::SendCbtUnicast { iface, dst, pkt } => {
@@ -140,7 +146,7 @@ impl RouterNode {
                 }
                 RouterAction::SendCbtMulticast { iface, pkt } => {
                     // Outer source differs per interface, so CBT
-                    // multicasts cannot share a memoised frame.
+                    // multicasts cannot share a frame.
                     let src = self.iface_addr(iface);
                     let frame = pkt.wrap_multicast(src);
                     out.send(iface, frame);
@@ -172,14 +178,15 @@ impl RouterNode {
         // No route: dropped, like a real router with no ARP entry.
     }
 
-    /// Plain IP forwarding for unicasts not addressed to us.
-    fn ip_forward(&mut self, hdr: Ipv4Header, body: &[u8], out: &mut Outbox) {
+    /// Plain IP forwarding for unicasts not addressed to us: `frame`
+    /// (whose validated header is `hdr`) goes on unchanged bar the TTL.
+    fn ip_forward(&mut self, hdr: Ipv4Header, frame: &[u8], out: &mut Outbox) {
         if hdr.ttl <= 1 {
             return;
         }
         let Some(hop) = self.rib.hop_toward(hdr.dst) else { return };
-        let frame = build_datagram(hdr.src, hdr.dst, hdr.proto, hdr.ttl - 1, body);
-        self.emit_frame(hop.iface, hdr.dst, frame.into(), out);
+        let next = datagram_with_ttl(&frame[..usize::from(hdr.total_len)], hdr.ttl - 1);
+        self.emit_frame(hop.iface, hdr.dst, next.into(), out);
     }
 
     /// Zero-copy view of `sub` (a subslice of `frame`'s backing bytes)
@@ -217,7 +224,8 @@ impl SimNode for RouterNode {
             }
         };
         let (hdr, body) = hdr_body;
-        let mine = self.engine.is_my_addr(hdr.dst);
+        // No group address is mine: data skips the address-set probe.
+        let mine = !hdr.dst.is_multicast() && self.engine.is_my_addr(hdr.dst);
         match hdr.proto {
             IpProto::Igmp => match IgmpMessage::decode(body) {
                 Ok(msg) => {
@@ -241,14 +249,15 @@ impl SimNode for RouterNode {
                                 Err(e) => self.count_decode_failure(&e),
                             }
                         } else if !hdr.dst.is_multicast() {
-                            self.ip_forward(hdr, body, out);
+                            self.ip_forward(hdr, frame, out);
                         }
                     }
-                    Ok(_) => {
+                    Ok((udp, _)) => {
                         if hdr.dst.is_multicast() {
-                            // Zero-copy parse: the packet's payload is
-                            // a refcounted view into the frame.
-                            match DataPacket::decode_bytes(frame) {
+                            // Both headers are validated above; the
+                            // packet is views into the frame, nothing
+                            // is parsed, summed or copied again.
+                            match DataPacket::from_validated(frame, &hdr, &udp) {
                                 Ok(pkt) => {
                                     let mut actions = std::mem::take(&mut self.act_buf);
                                     self.engine.handle_native_data(
@@ -264,7 +273,7 @@ impl SimNode for RouterNode {
                                 Err(e) => self.count_decode_failure(&e),
                             }
                         } else if !mine {
-                            self.ip_forward(hdr, body, out);
+                            self.ip_forward(hdr, frame, out);
                         }
                     }
                     Err(e) => self.count_decode_failure(&e), // corrupted in flight
@@ -298,13 +307,13 @@ impl SimNode for RouterNode {
                         self.emit(&mut actions, out);
                         self.act_buf = actions;
                     } else {
-                        self.ip_forward(hdr, body, out);
+                        self.ip_forward(hdr, frame, out);
                     }
                 }
             }
             IpProto::IpIp => {
                 if !mine {
-                    self.ip_forward(hdr, body, out);
+                    self.ip_forward(hdr, frame, out);
                 }
             }
         }
@@ -354,7 +363,9 @@ enum HostOp {
 pub struct HostApp {
     addr: Addr,
     membership: HostMembership,
-    schedule: Vec<(SimTime, HostOp)>,
+    /// Pending operations, ascending by instant; same-instant ones in
+    /// the order they were scheduled.
+    schedule: VecDeque<(SimTime, HostOp)>,
     received: Vec<Delivery>,
     tree_joined: Vec<(SimTime, GroupId, Addr)>,
 }
@@ -365,7 +376,7 @@ impl HostApp {
         HostApp {
             addr,
             membership: HostMembership::new(addr, igmp_version, timers),
-            schedule: Vec::new(),
+            schedule: VecDeque::new(),
             received: Vec::new(),
             tree_joined: Vec::new(),
         }
@@ -374,8 +385,7 @@ impl HostApp {
     /// Schedules a group join (unsolicited report + RP/Core-Report) at
     /// `at`.
     pub fn join_at(&mut self, at: SimTime, group: GroupId, cores: Vec<Addr>) {
-        self.schedule.push((at, HostOp::Join { group, cores, target_core_index: 0 }));
-        self.schedule.sort_by_key(|(t, _)| *t);
+        self.join_at_with_target(at, group, cores, 0);
     }
 
     /// Schedules a join that steers toward a specific core in the list.
@@ -386,20 +396,25 @@ impl HostApp {
         cores: Vec<Addr>,
         target_core_index: u8,
     ) {
-        self.schedule.push((at, HostOp::Join { group, cores, target_core_index }));
-        self.schedule.sort_by_key(|(t, _)| *t);
+        self.schedule_op(at, HostOp::Join { group, cores, target_core_index });
     }
 
     /// Schedules a leave at `at`.
     pub fn leave_at(&mut self, at: SimTime, group: GroupId) {
-        self.schedule.push((at, HostOp::Leave { group }));
-        self.schedule.sort_by_key(|(t, _)| *t);
+        self.schedule_op(at, HostOp::Leave { group });
     }
 
     /// Schedules a data transmission at `at`.
     pub fn send_at(&mut self, at: SimTime, group: GroupId, payload: impl Into<Vec<u8>>, ttl: u8) {
-        self.schedule.push((at, HostOp::Send { group, payload: payload.into(), ttl }));
-        self.schedule.sort_by_key(|(t, _)| *t);
+        self.schedule_op(at, HostOp::Send { group, payload: payload.into(), ttl });
+    }
+
+    /// Inserts after every operation due at or before `at`: the queue
+    /// stays sorted and same-instant operations keep call order. The
+    /// usual append-in-time-order is a search plus a push at the back.
+    fn schedule_op(&mut self, at: SimTime, op: HostOp) {
+        let i = self.schedule.partition_point(|(t, _)| *t <= at);
+        self.schedule.insert(i, (at, op));
     }
 
     /// Everything the application has received.
@@ -454,17 +469,20 @@ impl SimNode for HostApp {
             }
             IpProto::Udp => {
                 // Application data: only for groups we are members of.
-                // The parse itself is zero-copy; the one copy happens
-                // here, where the application takes ownership.
-                if let Ok(pkt) = DataPacket::decode_bytes(frame) {
-                    if self.membership.is_member(pkt.group) && pkt.src != self.addr {
-                        self.received.push(Delivery {
-                            at: now,
-                            group: pkt.group,
-                            src: pkt.src,
-                            payload: pkt.payload.to_vec(),
-                        });
-                    }
+                // The IP header is validated above; the UDP shell is
+                // summed once, and the one copy happens here, where
+                // the application takes ownership.
+                let Some(group) = GroupId::new(hdr.dst) else { return };
+                if !self.membership.is_member(group) || hdr.src == self.addr {
+                    return;
+                }
+                if let Ok((_, payload)) = UdpHeader::unwrap(body) {
+                    self.received.push(Delivery {
+                        at: now,
+                        group,
+                        src: hdr.src,
+                        payload: payload.to_vec(),
+                    });
                 }
             }
             // "The IP module of end-systems ... will discard these
@@ -475,11 +493,8 @@ impl SimNode for HostApp {
     }
 
     fn on_timer(&mut self, now: SimTime, out: &mut Outbox) {
-        while let Some((at, _)) = self.schedule.first() {
-            if *at > now {
-                break;
-            }
-            let (_, op) = self.schedule.remove(0);
+        while self.schedule.front().is_some_and(|(at, _)| *at <= now) {
+            let (_, op) = self.schedule.pop_front().expect("front was just seen");
             match op {
                 HostOp::Join { group, cores, target_core_index } => {
                     let msgs = self.membership.join(group, cores, target_core_index);
@@ -500,7 +515,7 @@ impl SimNode for HostApp {
     }
 
     fn next_wakeup(&self) -> Option<SimTime> {
-        let sched = self.schedule.first().map(|(t, _)| *t);
+        let sched = self.schedule.front().map(|(t, _)| *t);
         let report = self.membership.next_wakeup();
         match (sched, report) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -634,6 +649,7 @@ mod tests {
     use super::*;
     use cbt_netsim::WorldConfig;
     use cbt_topology::NetworkBuilder;
+    use std::sync::Arc;
 
     /// Two LANs joined by a chain of three routers; host A joins, host
     /// B sends — the simplest end-to-end delivery through a real join.
@@ -794,5 +810,92 @@ mod tests {
         assert!(!cw.router(r0).engine().is_on_tree(group), "quit after leave");
         let core_children = cw.router(r1).engine().children_of(group);
         assert!(core_children.is_empty(), "core saw the quit");
+    }
+
+    /// R0 - R1 - R2 in a chain, R1 a bare transit router: the node
+    /// under test, the interface facing R0 and R0's address on it.
+    fn chain_transit_node() -> (RouterNode, Arc<cbt_topology::NetworkSpec>, IfIndex, Addr) {
+        let mut b = NetworkBuilder::new();
+        let r0 = b.router("R0");
+        let r1 = b.router("R1");
+        let r2 = b.router("R2");
+        b.link(r0, r1, 1);
+        b.link(r1, r2, 1);
+        let net = Arc::new(b.build());
+        let (_rib, make_rib) = SharedRib::build(net.clone());
+        let node = RouterNode::new(&net, r1, crate::CbtConfig::fast(), make_rib(r1), SimTime::ZERO);
+        let r0_addr = net.routers[r0.0 as usize].ifaces[0].addr;
+        (node, net, IfIndex(0), r0_addr)
+    }
+
+    /// Patch-and-forward must not cost the receive-side checks: a
+    /// native frame with either checksum broken dies at the first
+    /// router, counted `ChecksumBad`, exactly as before.
+    #[test]
+    fn corrupted_checksums_still_die_at_the_first_router() {
+        let (mut node, _net, iface, from) = chain_transit_node();
+        let pkt = DataPacket::new(
+            Addr::from_octets(10, 9, 0, 7),
+            GroupId::numbered(1),
+            9,
+            b"data".to_vec(),
+        );
+        let good = pkt.encode();
+        for (what, byte) in [("IP header", 4), ("UDP shell", good.len() - 1)] {
+            let mut bad = good.clone();
+            bad[byte] ^= 0x40;
+            let mut out = Outbox::new();
+            let before = node.engine().obs().drops.get(DropReason::ChecksumBad);
+            node.on_packet(SimTime::from_secs(1), iface, from, &Bytes::from(bad), &mut out);
+            assert!(out.is_empty(), "{what}: nothing forwarded");
+            let after = node.engine().obs().drops.get(DropReason::ChecksumBad);
+            assert_eq!(after, before + 1, "{what}: counted as a checksum drop");
+        }
+    }
+
+    /// A transit unicast goes on as the datagram that arrived — same
+    /// identification, one less TTL, a header that still verifies —
+    /// not as a rebuilt one.
+    #[test]
+    fn ip_forward_keeps_the_datagram_and_patches_the_ttl() {
+        let (mut node, net, iface, from) = chain_transit_node();
+        let dst = net.router_addr(cbt_topology::RouterId(2));
+        let mut hdr = Ipv4Header::new(from, dst, IpProto::Udp, 7, 8 + 3);
+        hdr.ident = 0x1234;
+        let mut arrival = hdr.encode().to_vec();
+        arrival.extend_from_slice(&UdpHeader::wrap(4000, 4000, b"abc"));
+        let mut out = Outbox::new();
+        node.on_packet(SimTime::from_secs(1), iface, from, &Bytes::from(arrival.clone()), &mut out);
+        let sent: Vec<_> = out.drain().collect();
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent[0].iface, IfIndex(1), "toward R2");
+        let (back, body) = split_datagram(&sent[0].frame).unwrap();
+        assert_eq!(back, Ipv4Header { ttl: 6, ..hdr });
+        assert_eq!(body, &arrival[20..]);
+    }
+
+    /// Scheduled operations run in time order; ones scheduled for the
+    /// same instant run in the order they were scheduled, and a late
+    /// call for an early instant goes in front of what is already
+    /// queued for later.
+    #[test]
+    fn host_schedule_is_time_ordered_and_fifo_within_an_instant() {
+        let me = Addr::from_octets(10, 1, 0, 100);
+        let mut app = HostApp::new(me, 3, crate::CbtConfig::fast().igmp);
+        let g = GroupId::numbered(1);
+        app.send_at(SimTime::from_secs(3), g, b"3a".to_vec(), 4);
+        app.send_at(SimTime::from_secs(1), g, b"1a".to_vec(), 4);
+        app.send_at(SimTime::from_secs(3), g, b"3b".to_vec(), 4);
+        app.send_at(SimTime::from_secs(1), g, b"1b".to_vec(), 4);
+        app.send_at(SimTime::from_secs(2), g, b"2a".to_vec(), 4);
+        app.send_at(SimTime::from_secs(1), g, b"1c".to_vec(), 4);
+        app.send_at(SimTime::from_secs(9), g, b"9a".to_vec(), 4);
+        assert_eq!(app.next_wakeup(), Some(SimTime::from_secs(1)));
+        let mut out = Outbox::new();
+        app.on_timer(SimTime::from_secs(3), &mut out);
+        let sent: Vec<Vec<u8>> =
+            out.drain().map(|t| DataPacket::decode(&t.frame).unwrap().payload.to_vec()).collect();
+        assert_eq!(sent, [b"1a", b"1b", b"1c", b"2a", b"3a", b"3b"]);
+        assert_eq!(app.next_wakeup(), Some(SimTime::from_secs(9)), "the rest stays queued");
     }
 }

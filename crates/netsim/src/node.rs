@@ -69,19 +69,10 @@ impl Outbox {
         self.sends.push(Transmit { iface, link_dst: Some(link_dst), frame: frame.into() });
     }
 
-    /// Drains everything queued.
-    pub fn drain(&mut self) -> Vec<Transmit> {
-        std::mem::take(&mut self.sends)
-    }
-
-    /// Drains everything queued into a caller-provided buffer, keeping
-    /// both allocations alive for reuse. Hot loops (the live node
-    /// tasks) call this with a scratch `Vec` instead of [`drain`],
-    /// which gives up the outbox's capacity every call.
-    ///
-    /// [`drain`]: Outbox::drain
-    pub fn drain_into(&mut self, buf: &mut Vec<Transmit>) {
-        buf.append(&mut self.sends);
+    /// Drains everything queued, in place: the outbox keeps its
+    /// capacity, so one outbox serves a whole run without reallocating.
+    pub fn drain(&mut self) -> impl Iterator<Item = Transmit> + '_ {
+        self.sends.drain(..)
     }
 
     /// Number of queued transmissions.
@@ -150,27 +141,16 @@ mod tests {
         out.send(IfIndex(0), vec![1, 2, 3]);
         out.send(IfIndex(2), vec![4]);
         assert_eq!(out.len(), 2);
-        let drained = out.drain();
+        let drained: Vec<Transmit> = out.drain().collect();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].iface, IfIndex(0));
         assert_eq!(drained[1].frame, Bytes::from(vec![4u8]));
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn drain_into_appends_and_empties() {
-        let mut out = Outbox::new();
-        let mut buf = Vec::new();
-        out.send(IfIndex(0), vec![1]);
-        out.send(IfIndex(1), vec![2]);
-        out.drain_into(&mut buf);
-        assert_eq!(buf.len(), 2);
-        assert!(out.is_empty());
-        // Draining again appends, never clobbers.
-        out.send(IfIndex(2), vec![3]);
-        out.drain_into(&mut buf);
-        assert_eq!(buf.len(), 3);
-        assert_eq!(buf[2].iface, IfIndex(2));
+        // Draining is in place: the next callback reuses the buffer.
+        let cap = out.sends.capacity();
+        assert!(cap >= 2);
+        out.send(IfIndex(1), vec![5]);
+        assert_eq!(out.sends.capacity(), cap);
     }
 
     #[test]

@@ -9,9 +9,8 @@ use crate::node::Entity;
 use crate::time::SimTime;
 use cbt_obs::{DropCounters, DropReason};
 use cbt_topology::{IfIndex, LanId, LinkId};
-use cbt_wire::{
-    ControlMessage, ControlType, IgmpMessage, IgmpType, IpProto, Ipv4Header, UdpHeader,
-};
+use cbt_wire::ipv4::peek_datagram;
+use cbt_wire::{ControlMessage, ControlType, IgmpMessage, IgmpType, IpProto, UdpHeader};
 use std::collections::HashMap;
 
 /// Protocol classification of one frame.
@@ -30,31 +29,36 @@ pub enum PacketKind {
 }
 
 impl PacketKind {
-    /// Classifies a raw frame by parsing just enough headers.
+    /// Labels a raw frame from its framing alone: protocol, port and
+    /// type bytes, with every length checked and no checksum summed.
+    ///
+    /// The world calls this on frames its own nodes have just encoded,
+    /// before the fault injector touches them; verifying checksums is
+    /// the receiving node's job. [`PacketKind::Other`] still means "a
+    /// receiver could not parse this" — short, mis-framed, or of a
+    /// protocol or type nobody here speaks.
     pub fn classify(frame: &[u8]) -> PacketKind {
-        let Ok(ip) = Ipv4Header::decode(frame) else { return PacketKind::Other };
-        let body = &frame[20..];
-        match ip.proto {
-            IpProto::Cbt => PacketKind::DataCbt,
-            IpProto::Igmp => match IgmpMessage::decode(body) {
-                Ok(m) => PacketKind::Igmp(m.igmp_type()),
-                Err(_) => PacketKind::Other,
-            },
-            IpProto::Udp => match UdpHeader::unwrap(body) {
-                Ok((udp, payload))
-                    if udp.dst_port == cbt_wire::CBT_PRIMARY_PORT
-                        || udp.dst_port == cbt_wire::CBT_AUX_PORT =>
+        Self::classify_framed(frame).unwrap_or(PacketKind::Other)
+    }
+
+    fn classify_framed(frame: &[u8]) -> cbt_wire::Result<PacketKind> {
+        let (ip, body) = peek_datagram(frame)?;
+        Ok(match ip.proto {
+            IpProto::Cbt | IpProto::IpIp => PacketKind::DataCbt,
+            IpProto::Igmp => PacketKind::Igmp(IgmpMessage::peek_type(body)?),
+            IpProto::Udp => {
+                let (udp, payload) = UdpHeader::peek(body)?;
+                if udp.dst_port == cbt_wire::CBT_PRIMARY_PORT
+                    || udp.dst_port == cbt_wire::CBT_AUX_PORT
                 {
-                    match ControlMessage::decode(payload) {
-                        Ok(m) => PacketKind::Control(m.control_type()),
-                        Err(_) => PacketKind::Other,
-                    }
+                    PacketKind::Control(ControlMessage::peek_type(payload)?)
+                } else if ip.dst.is_multicast() {
+                    PacketKind::DataNative
+                } else {
+                    PacketKind::Other
                 }
-                Ok(_) if ip.dst.is_multicast() => PacketKind::DataNative,
-                _ => PacketKind::Other,
-            },
-            IpProto::IpIp => PacketKind::DataCbt,
-        }
+            }
+        })
     }
 
     /// True for either data kind.
@@ -404,8 +408,146 @@ mod tests {
     fn classify_garbage_as_other() {
         assert_eq!(PacketKind::classify(&[0xde, 0xad]), PacketKind::Other);
         let mut frame = control_frame();
-        frame[25] ^= 0x01; // corrupt inside the UDP region
+        frame[25] ^= 0x01; // the UDP length no longer frames the message
         assert_eq!(PacketKind::classify(&frame), PacketKind::Other);
+        let mut frame = control_frame();
+        frame[29] = 99; // no such control type
+        assert_eq!(PacketKind::classify(&frame), PacketKind::Other);
+    }
+
+    #[test]
+    fn classify_labels_without_verifying() {
+        // A flipped payload bit only a checksum would catch: the tap
+        // still names the frame by its type bytes. The receiving node
+        // is the one that sums it and counts the drop.
+        let mut frame = control_frame();
+        let last = frame.len() - 1;
+        frame[last] ^= 0x01;
+        assert!(ControlMessage::decode(&frame[28..]).is_err());
+        assert_eq!(PacketKind::classify(&frame), PacketKind::Control(ControlType::JoinRequest));
+    }
+
+    /// The classifier this one replaced: every header and message
+    /// decoded in full, checksums included.
+    fn classify_by_full_parse(frame: &[u8]) -> PacketKind {
+        let Ok(ip) = cbt_wire::Ipv4Header::decode(frame) else { return PacketKind::Other };
+        let body = &frame[20..];
+        match ip.proto {
+            IpProto::Cbt | IpProto::IpIp => PacketKind::DataCbt,
+            IpProto::Igmp => match IgmpMessage::decode(body) {
+                Ok(m) => PacketKind::Igmp(m.igmp_type()),
+                Err(_) => PacketKind::Other,
+            },
+            IpProto::Udp => match UdpHeader::unwrap(body) {
+                Ok((udp, payload))
+                    if udp.dst_port == cbt_wire::CBT_PRIMARY_PORT
+                        || udp.dst_port == cbt_wire::CBT_AUX_PORT =>
+                {
+                    match ControlMessage::decode(payload) {
+                        Ok(m) => PacketKind::Control(m.control_type()),
+                        Err(_) => PacketKind::Other,
+                    }
+                }
+                Ok(_) if ip.dst.is_multicast() => PacketKind::DataNative,
+                _ => PacketKind::Other,
+            },
+        }
+    }
+
+    /// One well-formed frame of every kind a node in this repo emits.
+    fn every_emitted_kind() -> Vec<(PacketKind, Vec<u8>)> {
+        use cbt_wire::ipv4::build_datagram;
+        use cbt_wire::{AckSubcode, CbtDataPacket, RpCoreReport};
+        let g = GroupId::numbered(5);
+        let (a, b) = (Addr::from_octets(10, 1, 0, 1), Addr::from_octets(172, 31, 0, 2));
+        let cores = vec![Addr::from_octets(10, 255, 0, 3)];
+        let target_core = cores[0];
+        let control = [
+            ControlMessage::JoinRequest {
+                subcode: JoinSubcode::RejoinActive,
+                group: g,
+                origin: a,
+                target_core,
+                cores: cores.clone(),
+            },
+            ControlMessage::JoinAck {
+                subcode: AckSubcode::ProxyAck,
+                group: g,
+                origin: a,
+                target_core,
+                cores: cores.clone(),
+            },
+            ControlMessage::JoinNack { group: g, origin: a, target_core },
+            ControlMessage::QuitRequest { group: g, origin: a },
+            ControlMessage::QuitAck { group: g, origin: a },
+            ControlMessage::FlushTree { group: g, origin: a },
+            ControlMessage::EchoRequest { group: g, origin: a, group_mask: Some(b) },
+            ControlMessage::EchoReply { group: g, origin: a, group_mask: None },
+        ];
+        let igmp = [
+            IgmpMessage::Query { group: None, max_resp_tenths: 100 },
+            IgmpMessage::Report { version: 1, group: g },
+            IgmpMessage::Report { version: 2, group: g },
+            IgmpMessage::Report { version: 3, group: g },
+            IgmpMessage::Leave { group: g },
+            IgmpMessage::RpCore(RpCoreReport {
+                group: g,
+                code: cbt_wire::igmp::RP_CORE_CODE_CBT,
+                target_core_index: 0,
+                cores,
+            }),
+            IgmpMessage::TreeJoined { group: g, core: target_core },
+        ];
+        let mut frames = Vec::new();
+        for m in control {
+            let port =
+                if m.is_primary() { cbt_wire::CBT_PRIMARY_PORT } else { cbt_wire::CBT_AUX_PORT };
+            let udp = UdpHeader::wrap(port, port, &m.encode().unwrap());
+            let kind = PacketKind::Control(m.control_type());
+            frames.push((kind, build_datagram(a, b, IpProto::Udp, 64, &udp)));
+        }
+        for m in igmp {
+            let frame = build_datagram(a, cbt_wire::ALL_SYSTEMS, IpProto::Igmp, 1, &m.encode());
+            frames.push((PacketKind::Igmp(m.igmp_type()), frame));
+        }
+        let native = DataPacket::new(a, g, 16, vec![7u8; 64]);
+        let enc = CbtDataPacket::encapsulate(&native, target_core);
+        frames.push((PacketKind::DataNative, native.encode()));
+        frames.push((PacketKind::DataCbt, enc.wrap_unicast(a, b, None)));
+        frames.push((PacketKind::DataCbt, enc.wrap_multicast(a)));
+        frames
+            .push((PacketKind::DataCbt, build_datagram(a, b, IpProto::IpIp, 9, &native.encode())));
+        // A unicast to a port nobody here listens on is nobody's kind.
+        let stray = UdpHeader::wrap(53, 53, b"?");
+        frames.push((PacketKind::Other, build_datagram(a, b, IpProto::Udp, 9, &stray)));
+        frames
+    }
+
+    #[test]
+    fn classify_agrees_with_the_full_parse_on_everything_nodes_emit() {
+        let frames = every_emitted_kind();
+        let kinds: std::collections::HashSet<PacketKind> = frames.iter().map(|f| f.0).collect();
+        assert_eq!(kinds.len(), PacketKind::COUNT, "every kind is represented");
+        for (kind, frame) in &frames {
+            assert_eq!(PacketKind::classify(frame), *kind, "{kind:?}");
+            assert_eq!(classify_by_full_parse(frame), *kind, "{kind:?}");
+            // Link-layer padding changes nothing.
+            let padded = [&frame[..], &[0u8; 7]].concat();
+            assert_eq!(PacketKind::classify(&padded), *kind, "{kind:?} padded");
+            // Truncated anywhere, it parses for nobody. (The full
+            // parse never looked past the outer header of CBT-mode
+            // data, so it alone kept calling a cut one DataCbt.)
+            for cut in 0..frame.len() {
+                assert_eq!(
+                    PacketKind::classify(&frame[..cut]),
+                    PacketKind::Other,
+                    "{kind:?}@{cut}"
+                );
+                if *kind != PacketKind::DataCbt {
+                    assert_eq!(classify_by_full_parse(&frame[..cut]), PacketKind::Other);
+                }
+            }
+        }
     }
 
     #[test]

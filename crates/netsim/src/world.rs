@@ -3,8 +3,8 @@
 //!
 //! # Hot-path design
 //!
-//! The dispatch loop is the simulator's inner loop, so three costs are
-//! engineered out of it:
+//! The dispatch loop is the simulator's inner loop. A transmission
+//! costs one label, one queue slot per receiver and no allocation:
 //!
 //! - **Frames are [`Bytes`]**: refcounted, immutable. LAN fan-out to N
 //!   receivers clones the handle N times (a pointer bump each), never
@@ -18,6 +18,21 @@
 //!   link with peer + peer interface). `emit` then walks flat slices
 //!   instead of cloning `LanSpec`s and re-resolving `iface_on_lan` per
 //!   transmission.
+//! - **Arrivals ride FIFO lanes**. Every arrival is pushed at `now +
+//!   lan_latency` or `now + link_latency`, two constants, while `now`
+//!   never decreases — so each class is born time-sorted and goes
+//!   through an O(1) lane of the [`EventQueue`]; only wakes, whose
+//!   instants are arbitrary, pay the heap. The pop order is that of a
+//!   single heap (see [`crate::queue`]), so no corpus notices.
+//! - **Frames are labelled, not verified**. [`PacketKind::classify`]
+//!   reads the protocol, port and type bytes of a frame one of this
+//!   world's own nodes built a line earlier; summing its checksums is
+//!   the receiver's job, and the receiver does it.
+//! - **One [`Outbox`] serves the whole run**, drained in place after
+//!   each callback, so collecting a node's sends never allocates.
+//!   (Draining into a second scratch `Vec` to free the outbox sooner
+//!   was measured 4 % slower than even allocating a fresh outbox per
+//!   event: it moves every `Transmit` twice.)
 
 use crate::fault::{FaultClass, FaultInjector, FaultPlan};
 use crate::node::{Entity, Outbox, SimNode};
@@ -58,6 +73,10 @@ impl Default for WorldConfig {
         }
     }
 }
+
+/// [`EventQueue`] lanes: arrivals over LANs, arrivals over links.
+const LAN_LANE: usize = 0;
+const LINK_LANE: usize = 1;
 
 enum Event {
     Arrive { to: Entity, iface: IfIndex, link_src: cbt_wire::Addr, frame: Bytes },
@@ -117,6 +136,8 @@ pub struct World {
     injector: FaultInjector,
     trace: Trace,
     capture: Option<crate::pcap::Capture>,
+    /// The one outbox every callback writes into (see `run_node`).
+    outbox: Outbox,
 }
 
 impl World {
@@ -196,6 +217,7 @@ impl World {
             injector: FaultInjector::new(cfg.fault.clone(), cfg.seed),
             trace: if cfg.record_trace { Trace::recording() } else { Trace::counters_only() },
             capture: cfg.capture_pcap.then(crate::pcap::Capture::new),
+            outbox: Outbox::new(),
             cfg,
             spec,
         }
@@ -299,15 +321,22 @@ impl World {
         if self.entity_down(entity) {
             return;
         }
-        let mut out = Outbox::new();
         let now = self.now;
+        self.run_node(entity, |node, out| node.on_timer(now, out));
+    }
+
+    /// One callback into `entity`'s node (if installed) with the
+    /// world's outbox, then everything it queued dispatched and its
+    /// wakeup re-read. The outbox is taken for the call and put back
+    /// drained, capacity intact.
+    fn run_node(&mut self, entity: Entity, call: impl FnOnce(&mut dyn SimNode, &mut Outbox)) {
+        let mut out = std::mem::take(&mut self.outbox);
         let i = self.idx(entity);
-        if let Some(slot) = self.slots.get_mut(i) {
-            if let Some(node) = slot.node.as_deref_mut() {
-                node.on_timer(now, &mut out);
-            }
+        if let Some(node) = self.slots.get_mut(i).and_then(|s| s.node.as_deref_mut()) {
+            call(node, &mut out);
         }
-        self.emit(entity, out);
+        self.emit(entity, &mut out);
+        self.outbox = out;
         self.reschedule_wake(entity);
     }
 
@@ -333,13 +362,7 @@ impl World {
                 if self.entity_down(to) {
                     return true;
                 }
-                let mut out = Outbox::new();
-                let i = self.idx(to);
-                if let Some(node) = self.slots[i].node.as_deref_mut() {
-                    node.on_packet(at, iface, link_src, &frame, &mut out);
-                }
-                self.emit(to, out);
-                self.reschedule_wake(to);
+                self.run_node(to, |node, out| node.on_packet(at, iface, link_src, &frame, out));
             }
             Event::Wake { who, generation } => {
                 let i = self.idx(who);
@@ -352,12 +375,7 @@ impl World {
                 if self.entity_down(who) {
                     return true;
                 }
-                let mut out = Outbox::new();
-                if let Some(node) = self.slots[i].node.as_deref_mut() {
-                    node.on_timer(at, &mut out);
-                }
-                self.emit(who, out);
-                self.reschedule_wake(who);
+                self.run_node(who, |node, out| node.on_timer(at, out));
             }
         }
         true
@@ -403,8 +421,9 @@ impl World {
         }
     }
 
-    /// Dispatches everything a node queued, via the precomputed plans.
-    fn emit(&mut self, from: Entity, mut out: Outbox) {
+    /// Dispatches everything a node queued, via the precomputed plans,
+    /// leaving `out` empty with its capacity.
+    fn emit(&mut self, from: Entity, out: &mut Outbox) {
         for t in out.drain() {
             match from {
                 Entity::Router(r) => {
@@ -479,7 +498,8 @@ impl World {
             if link_dst.is_some_and(|d| d != rx.addr) {
                 continue;
             }
-            self.queue.push(
+            self.queue.push_lane(
+                LAN_LANE,
                 arrive_at,
                 Event::Arrive {
                     to: rx.entity,
@@ -515,7 +535,8 @@ impl World {
         let class = if kind.is_control() { FaultClass::Control } else { FaultClass::Data };
         let Some(frame) = self.injector.apply(class, frame) else { return };
         let Some(peer_iface) = peer_iface else { return };
-        self.queue.push(
+        self.queue.push_lane(
+            LINK_LANE,
             self.now + self.cfg.link_latency,
             Event::Arrive {
                 to: Entity::Router(peer),

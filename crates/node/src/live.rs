@@ -3,13 +3,13 @@
 //!
 //! The node task loops are the live data plane's hot path: each wakeup
 //! drains up to [`DataPlaneConfig::rx_batch`] queued frames through
-//! the engine before flushing the outbox, and the outbox is drained
-//! into a reused scratch buffer ([`Outbox::drain_into`]) so steady
-//! state forwards without per-wakeup allocations.
+//! the engine before flushing the outbox, and the outbox is drained in
+//! place ([`Outbox::drain`]) so steady state forwards without
+//! per-wakeup allocations.
 
 use crate::fabric::{DataPlaneConfig, Fabric, FabricCounters, FabricStats, RxFrame};
 use cbt::{CbtConfig, HostApp, RouterNode, SharedRib};
-use cbt_netsim::{Entity, Outbox, SimNode, SimTime, Transmit};
+use cbt_netsim::{Entity, Outbox, SimNode, SimTime};
 use cbt_topology::{HostId, NetworkSpec, RouterId};
 use cbt_wire::{Addr, GroupId};
 use std::collections::HashMap;
@@ -281,7 +281,6 @@ async fn router_task(
     dp: DataPlaneConfig,
 ) {
     let mut out = Outbox::new();
-    let mut txs: Vec<Transmit> = Vec::new();
     loop {
         let wake = node.next_wakeup().map(|t| sim_to_instant(epoch, t));
         tokio::select! {
@@ -320,8 +319,7 @@ async fn router_task(
                 node.on_timer(now, &mut out);
             }
         }
-        out.drain_into(&mut txs);
-        for t in txs.drain(..) {
+        for t in out.drain() {
             fabric.dispatch(me, &t);
         }
     }
@@ -337,7 +335,6 @@ async fn host_task(
     dp: DataPlaneConfig,
 ) {
     let mut out = Outbox::new();
-    let mut txs: Vec<Transmit> = Vec::new();
     loop {
         let wake = app.next_wakeup().map(|t| sim_to_instant(epoch, t));
         tokio::select! {
@@ -388,8 +385,7 @@ async fn host_task(
                 app.on_timer(now, &mut out);
             }
         }
-        out.drain_into(&mut txs);
-        for t in txs.drain(..) {
+        for t in out.drain() {
             fabric.dispatch(me, &t);
         }
     }

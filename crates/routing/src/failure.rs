@@ -53,19 +53,23 @@ impl FailureSet {
         self.lans.remove(&l)
     }
 
+    // The three queries below sit on the simulator's per-event path,
+    // where the sets are almost always empty: answer that without
+    // hashing the key.
+
     /// Is this router down?
     pub fn router_down(&self, r: RouterId) -> bool {
-        self.routers.contains(&r)
+        !self.routers.is_empty() && self.routers.contains(&r)
     }
 
     /// Is this link down?
     pub fn link_down(&self, l: LinkId) -> bool {
-        self.links.contains(&l)
+        !self.links.is_empty() && self.links.contains(&l)
     }
 
     /// Is this LAN down?
     pub fn lan_down(&self, l: LanId) -> bool {
-        self.lans.contains(&l)
+        !self.lans.is_empty() && self.lans.contains(&l)
     }
 
     /// True when nothing at all is failed.

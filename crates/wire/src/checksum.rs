@@ -22,6 +22,25 @@ pub fn verify_checksum(data: &[u8]) -> bool {
     ones_complement_sum(data) == 0xffff
 }
 
+/// The checksum of a buffer whose 16-bit word `old` became `new`, given
+/// its previous checksum `hc` (RFC 1624 eqn. 3: `HC' = ~(~HC + ~m + m')`).
+///
+/// For a buffer that is not all zero the result equals
+/// [`internet_checksum`] recomputed over the changed buffer, bit for
+/// bit: both fold a congruent, non-zero one's-complement sum into
+/// `1..=0xffff`, where every residue has exactly one representative.
+pub fn update_checksum(hc: u16, old: u16, new: u16) -> u16 {
+    !fold(u32::from(!hc) + u32::from(!old) + u32::from(new))
+}
+
+/// Folds the carries of a one's-complement sum back in (end-around).
+fn fold(mut sum: u32) -> u16 {
+    while sum > 0xffff {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    sum as u16
+}
+
 /// One's-complement 16-bit sum with end-around carry folding.
 fn ones_complement_sum(data: &[u8]) -> u16 {
     let mut sum: u32 = 0;
@@ -32,10 +51,7 @@ fn ones_complement_sum(data: &[u8]) -> u16 {
     if let [last] = chunks.remainder() {
         sum += u32::from(u16::from_be_bytes([*last, 0]));
     }
-    while sum > 0xffff {
-        sum = (sum & 0xffff) + (sum >> 16);
-    }
-    sum as u16
+    fold(sum)
 }
 
 #[cfg(test)]
@@ -75,6 +91,26 @@ mod tests {
                 let mut corrupted = data.clone();
                 corrupted[byte] ^= 1 << bit;
                 assert!(!verify_checksum(&corrupted), "flip at byte {byte} bit {bit} undetected");
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_update_equals_recomputation() {
+        // Every value of one word, in buffers whose remaining words sum
+        // to each corner of the one's-complement range (0x0000 needs an
+        // all-zero rest, which a real header never is).
+        for rest in [0x0001u16, 0x00ff, 0x4500, 0x7fff, 0xfffe, 0xffff] {
+            for old in (0..=0xffffu16).step_by(257) {
+                for new in [0u16, 1, old.wrapping_sub(0x100), !old, 0xffff] {
+                    let buf = |w: u16| [rest.to_be_bytes(), w.to_be_bytes()].concat();
+                    let hc = internet_checksum(&buf(old));
+                    assert_eq!(
+                        update_checksum(hc, old, new),
+                        internet_checksum(&buf(new)),
+                        "rest {rest:#06x} old {old:#06x} new {new:#06x}"
+                    );
+                }
             }
         }
     }

@@ -373,6 +373,15 @@ impl ControlMessage {
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         Self::from_header(&CbtControlHeader::decode(bytes)?)
     }
+
+    /// The type of a control message that is framed correctly (see
+    /// [`ControlMessage::decode`] for the checks skipped: checksum,
+    /// subcode, group class). For a tap that labels frames its own side
+    /// just encoded; a receiver decodes.
+    pub fn peek_type(bytes: &[u8]) -> Result<ControlType> {
+        CbtControlHeader::framed_len(bytes)?;
+        ControlType::from_wire(bytes[1])
+    }
 }
 
 #[cfg(test)]

@@ -10,13 +10,18 @@
 //! Payloads are refcounted [`Bytes`]: cloning a packet for per-branch
 //! fan-out shares the application bytes instead of copying them, and
 //! [`DataPacket::decode_bytes`] parses straight out of a received frame
-//! without copying the payload at all.
+//! without copying the payload at all. A decoded packet also remembers
+//! the datagram it came from, so [`DataPacket::to_frame`] can re-send
+//! "the original datagram unchanged" (§4) bar the TTL: one copy, one
+//! patched byte, an incremental header-checksum update.
 
 use crate::addr::{Addr, GroupId};
 use crate::checksum::internet_checksum;
 use crate::error::WireError;
 use crate::header::{CbtDataHeader, CBT_DATA_HEADER_LEN};
-use crate::ipv4::{split_datagram, IpProto, Ipv4Header, IPV4_HEADER_LEN, MAX_TTL};
+use crate::ipv4::{
+    datagram_with_ttl, split_datagram, IpProto, Ipv4Header, IPV4_HEADER_LEN, MAX_TTL,
+};
 use crate::udp::{UdpHeader, UDP_HEADER_LEN};
 use crate::Result;
 use bytes::Bytes;
@@ -34,8 +39,14 @@ pub enum EncapMode {
     CbtMode,
 }
 
+/// Offset of the application payload in a native datagram.
+const PAYLOAD_OFFSET: usize = IPV4_HEADER_LEN + UDP_HEADER_LEN;
+
 /// A native-mode multicast data packet: the original IP datagram.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality is over the four public fields; where the packet was
+/// decoded from is not part of its value.
+#[derive(Debug, Clone)]
 pub struct DataPacket {
     /// Originating end-system.
     pub src: Addr,
@@ -45,12 +56,23 @@ pub struct DataPacket {
     pub ttl: u8,
     /// Application payload (refcounted; clones share the allocation).
     pub payload: Bytes,
+    /// The validated datagram this packet was decoded from (`None` for
+    /// a locally built one); `payload` is a view into it.
+    datagram: Option<Bytes>,
 }
+
+impl PartialEq for DataPacket {
+    fn eq(&self, other: &Self) -> bool {
+        (self.src, self.group, self.ttl) == (other.src, other.group, other.ttl)
+            && self.payload == other.payload
+    }
+}
+impl Eq for DataPacket {}
 
 impl DataPacket {
     /// Builds a fresh multicast datagram as an end-system would.
     pub fn new(src: Addr, group: GroupId, ttl: u8, payload: impl Into<Bytes>) -> Self {
-        DataPacket { src, group, ttl, payload: payload.into() }
+        DataPacket { src, group, ttl, payload: payload.into(), datagram: None }
     }
 
     /// Serializes to a complete IP datagram. The application payload
@@ -83,40 +105,75 @@ impl DataPacket {
         buf[u + 6..u + 8].copy_from_slice(&ck.to_be_bytes());
     }
 
-    /// Parses and validates a native multicast datagram, returning the
-    /// header plus the payload as a subslice of `bytes`.
-    fn decode_parts(bytes: &[u8]) -> Result<(Ipv4Header, GroupId, &[u8])> {
-        let (hdr, body) = split_datagram(bytes)?;
+    /// The datagram to put on the wire for this packet. One decoded
+    /// from a frame and changed in nothing but its TTL since re-sends
+    /// that datagram (see [`datagram_with_ttl`]); anything else is
+    /// [`DataPacket::encode`]d. For datagrams `encode` produced the two
+    /// agree byte for byte.
+    pub fn to_frame(&self) -> Vec<u8> {
+        match self.pristine_datagram() {
+            Some(datagram) => datagram_with_ttl(datagram, self.ttl),
+            None => self.encode(),
+        }
+    }
+
+    /// The source datagram, if the public fields (TTL aside) still say
+    /// what it says. `Bytes` are immutable, so a payload that is the
+    /// same memory as the datagram's own has the same content.
+    fn pristine_datagram(&self) -> Option<&Bytes> {
+        let d = self.datagram.as_ref()?;
+        let udp_len = usize::from(u16::from_be_bytes([d[24], d[25]]));
+        let unchanged = d[12..16] == self.src.0.to_be_bytes()
+            && d[16..20] == self.group.addr().0.to_be_bytes()
+            && self.payload.len() + UDP_HEADER_LEN == udp_len
+            && std::ptr::eq(self.payload.as_ptr(), d[PAYLOAD_OFFSET..].as_ptr());
+        unchanged.then_some(d)
+    }
+
+    /// True when `other` is certain to serialize to the same frame,
+    /// judged by identity instead of content: equal header fields and
+    /// a payload (and source datagram) that is the very same memory.
+    /// Fan-out clones of one packet always are; equal bytes held in
+    /// two allocations are not, and merely cost a second encode.
+    pub fn shares_frame_with(&self, other: &DataPacket) -> bool {
+        let ptr = |b: &Bytes| (b.as_ptr(), b.len());
+        (self.src, self.group, self.ttl) == (other.src, other.group, other.ttl)
+            && ptr(&self.payload) == ptr(&other.payload)
+            && self.datagram.as_ref().map(ptr) == other.datagram.as_ref().map(ptr)
+    }
+
+    /// Builds the packet from views a caller has already validated on
+    /// `frame`: `hdr` from [`split_datagram`] and `udp` from
+    /// [`UdpHeader::unwrap`] on its body. Nothing is parsed or summed
+    /// again and nothing is copied — the payload and the remembered
+    /// datagram are refcounted views into `frame`.
+    pub fn from_validated(frame: &Bytes, hdr: &Ipv4Header, udp: &UdpHeader) -> Result<Self> {
         let group = GroupId::new(hdr.dst).ok_or(WireError::BadField {
             what: "native data packet",
             why: "destination is not a multicast group",
         })?;
-        let (_, payload) = UdpHeader::unwrap(body)?;
-        Ok((hdr, group, payload))
-    }
-
-    /// Parses a native multicast datagram (copies the payload).
-    pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let (hdr, group, payload) = Self::decode_parts(bytes)?;
         Ok(DataPacket {
             src: hdr.src,
             group,
             ttl: hdr.ttl,
-            payload: Bytes::copy_from_slice(payload),
+            payload: frame.slice(PAYLOAD_OFFSET..IPV4_HEADER_LEN + usize::from(udp.length)),
+            datagram: Some(frame.slice(..usize::from(hdr.total_len))),
         })
+    }
+
+    /// Parses a native multicast datagram out of a plain slice, which
+    /// it copies; receive paths hold [`Bytes`] and use
+    /// [`DataPacket::decode_bytes`].
+    pub fn decode(bytes: &[u8]) -> Result<Self> {
+        Self::decode_bytes(&Bytes::copy_from_slice(bytes))
     }
 
     /// Parses a native multicast datagram out of a refcounted frame:
     /// the payload is a zero-copy view into `frame`'s allocation.
     pub fn decode_bytes(frame: &Bytes) -> Result<Self> {
-        let (hdr, group, payload) = Self::decode_parts(frame)?;
-        let off = payload.as_ptr() as usize - frame.as_ptr() as usize;
-        Ok(DataPacket {
-            src: hdr.src,
-            group,
-            ttl: hdr.ttl,
-            payload: frame.slice(off..off + payload.len()),
-        })
+        let (hdr, body) = split_datagram(frame)?;
+        let (udp, _) = UdpHeader::unwrap(body)?;
+        Self::from_validated(frame, &hdr, &udp)
     }
 }
 
@@ -298,6 +355,59 @@ mod tests {
             back.payload.shares_allocation_with(&frame),
             "payload must view the frame, not copy it"
         );
+    }
+
+    #[test]
+    fn to_frame_resends_the_arrival_datagram_with_only_the_ttl_patched() {
+        // An arrival no `encode` would produce: ident, source port and
+        // link-layer padding are all non-default. They must survive.
+        let mut hdr = Ipv4Header::new(native().src, native().group.addr(), IpProto::Udp, 9, 8 + 2);
+        hdr.ident = 0xbeef;
+        let mut arrival = hdr.encode().to_vec();
+        arrival.extend_from_slice(&UdpHeader::wrap(4242, APP_PORT, b"hi"));
+        let datagram_len = arrival.len();
+        arrival.extend_from_slice(&[0u8; 6]);
+        let mut pkt = DataPacket::decode_bytes(&Bytes::from(arrival.clone())).unwrap();
+        assert_eq!(pkt, DataPacket { ttl: 9, ..native() });
+        pkt.ttl -= 1;
+        let next = pkt.to_frame();
+        assert_eq!(next.len(), datagram_len, "padding is the link's, not the datagram's");
+        let (back, body) = split_datagram(&next).unwrap();
+        assert_eq!(back, Ipv4Header { ttl: 8, ..hdr });
+        assert_eq!(body, &arrival[IPV4_HEADER_LEN..datagram_len], "UDP shell untouched");
+        assert_eq!(DataPacket::decode(&next).unwrap(), pkt);
+    }
+
+    #[test]
+    fn to_frame_encodes_when_the_packet_no_longer_says_what_its_datagram_says() {
+        let frame = Bytes::from(native().encode());
+        let decoded = DataPacket::decode_bytes(&frame).unwrap();
+        assert_eq!(native().to_frame(), native().encode(), "locally built: plain encode");
+        let other = Bytes::from(b"hi".to_vec()); // equal bytes, another allocation
+        let changed = [
+            DataPacket { src: Addr::from_octets(192, 168, 10, 8), ..decoded.clone() },
+            DataPacket { group: GroupId::numbered(4), ..decoded.clone() },
+            DataPacket { payload: Bytes::from(b"ho".to_vec()), ..decoded.clone() },
+            DataPacket { payload: decoded.payload.slice(..1), ..decoded.clone() },
+            DataPacket { payload: other, ..decoded.clone() },
+        ];
+        for pkt in changed {
+            assert_eq!(pkt.to_frame(), pkt.encode(), "{pkt:?}");
+        }
+    }
+
+    #[test]
+    fn shares_frame_with_is_identity_not_content() {
+        let frame = Bytes::from(native().encode());
+        let a = DataPacket::decode_bytes(&frame).unwrap();
+        assert!(a.shares_frame_with(&a.clone()), "fan-out clones share");
+        assert!(!a.shares_frame_with(&DataPacket { ttl: a.ttl - 1, ..a.clone() }));
+        let twin = DataPacket::decode_bytes(&Bytes::from(native().encode())).unwrap();
+        assert_eq!(a, twin);
+        assert!(!a.shares_frame_with(&twin), "equal bytes in another allocation do not");
+        let local = native();
+        assert!(local.shares_frame_with(&local.clone()));
+        assert!(!local.shares_frame_with(&a));
     }
 
     #[test]

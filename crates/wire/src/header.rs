@@ -254,8 +254,11 @@ impl CbtControlHeader {
         Ok(())
     }
 
-    /// Parses and validates a control message from `bytes`.
-    pub fn decode(bytes: &[u8]) -> Result<Self> {
+    /// The structural half of [`CbtControlHeader::decode`]: long
+    /// enough, the right version, and a counted length that agrees with
+    /// `# cores` and fits in `bytes`. Returns that length. No checksum
+    /// is computed and no field beyond the framing is interpreted.
+    pub(crate) fn framed_len(bytes: &[u8]) -> Result<usize> {
         const WHAT: &str = "cbt control header";
         let min = Self::encoded_len(0);
         if bytes.len() < min {
@@ -277,7 +280,13 @@ impl CbtControlHeader {
         if bytes.len() < expected {
             return Err(WireError::Truncated { what: WHAT, needed: expected, got: bytes.len() });
         }
-        let b = &bytes[..expected];
+        Ok(expected)
+    }
+
+    /// Parses and validates a control message from `bytes`.
+    pub fn decode(bytes: &[u8]) -> Result<Self> {
+        const WHAT: &str = "cbt control header";
+        let b = &bytes[..Self::framed_len(bytes)?];
         if !verify_checksum(b) {
             return Err(WireError::BadChecksum { what: WHAT });
         }
@@ -286,6 +295,7 @@ impl CbtControlHeader {
             what: WHAT,
             why: "group identifier is not a class-D address",
         })?;
+        let n_cores = b[3] as usize;
         let mut cores = Vec::with_capacity(n_cores);
         for i in 0..n_cores {
             let off = CONTROL_FIXED_LEN + 4 * i;

@@ -173,8 +173,9 @@ impl IgmpMessage {
         b
     }
 
-    /// Parses and validates a message.
-    pub fn decode(bytes: &[u8]) -> Result<Self> {
+    /// The structural half of [`IgmpMessage::decode`]: a known type
+    /// and the whole of that type's (possibly counted) length present.
+    fn framed(bytes: &[u8]) -> Result<(IgmpType, usize)> {
         const WHAT: &str = "igmp message";
         if bytes.len() < 8 {
             return Err(WireError::Truncated { what: WHAT, needed: 8, got: bytes.len() });
@@ -194,6 +195,20 @@ impl IgmpMessage {
         if bytes.len() < fixed_len {
             return Err(WireError::Truncated { what: WHAT, needed: fixed_len, got: bytes.len() });
         }
+        Ok((typ, fixed_len))
+    }
+
+    /// The type of a message that is framed correctly, with no checksum
+    /// computed and no field interpreted — the IGMP twin of
+    /// [`crate::ControlMessage::peek_type`].
+    pub fn peek_type(bytes: &[u8]) -> Result<IgmpType> {
+        Self::framed(bytes).map(|(typ, _)| typ)
+    }
+
+    /// Parses and validates a message.
+    pub fn decode(bytes: &[u8]) -> Result<Self> {
+        const WHAT: &str = "igmp message";
+        let (typ, fixed_len) = Self::framed(bytes)?;
         let b = &bytes[..fixed_len];
         if !verify_checksum(b) {
             return Err(WireError::BadChecksum { what: WHAT });

@@ -5,7 +5,7 @@
 //! handling, tunnels) is exercised byte-for-byte rather than modelled.
 
 use crate::addr::Addr;
-use crate::checksum::{internet_checksum, verify_checksum};
+use crate::checksum::{internet_checksum, update_checksum, verify_checksum};
 use crate::error::WireError;
 use crate::Result;
 
@@ -94,6 +94,10 @@ impl Ipv4Header {
 
     /// Parses and validates a header from the front of `bytes`.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
+        Self::parse(bytes, true)
+    }
+
+    fn parse(bytes: &[u8], verify: bool) -> Result<Self> {
         const WHAT: &str = "ipv4 header";
         if bytes.len() < IPV4_HEADER_LEN {
             return Err(WireError::Truncated {
@@ -109,7 +113,7 @@ impl Ipv4Header {
         if b[0] & 0x0f != 5 {
             return Err(WireError::BadLength { what: WHAT, got: (b[0] & 0x0f) as usize });
         }
-        if !verify_checksum(b) {
+        if verify && !verify_checksum(b) {
             return Err(WireError::BadChecksum { what: WHAT });
         }
         let total_len = u16::from_be_bytes([b[2], b[3]]);
@@ -141,9 +145,41 @@ pub fn build_datagram(src: Addr, dst: Addr, proto: IpProto, ttl: u8, payload: &[
     out
 }
 
+/// Copies `datagram` for the next hop with its TTL set to `ttl`: the
+/// one byte changes and the header checksum is updated incrementally
+/// (RFC 1624), so identification, flags and payload travel untouched
+/// and nothing is summed again. The result is what
+/// [`Ipv4Header::encode`] would write for the same header with the new
+/// TTL.
+///
+/// # Panics
+///
+/// If `datagram` is shorter than an IPv4 header; callers pass what
+/// [`split_datagram`] accepted.
+pub fn datagram_with_ttl(datagram: &[u8], ttl: u8) -> Vec<u8> {
+    let mut out = datagram.to_vec();
+    let old = u16::from_be_bytes([out[8], out[9]]);
+    let new = u16::from_be_bytes([ttl, out[9]]);
+    let ck = update_checksum(u16::from_be_bytes([out[10], out[11]]), old, new);
+    out[8] = ttl;
+    out[10..12].copy_from_slice(&ck.to_be_bytes());
+    out
+}
+
 /// Splits a datagram into its validated header and payload slice.
 pub fn split_datagram(bytes: &[u8]) -> Result<(Ipv4Header, &[u8])> {
-    let hdr = Ipv4Header::decode(bytes)?;
+    split(bytes, true)
+}
+
+/// [`split_datagram`] without the header-checksum pass: every field and
+/// length is still checked. For a tap that labels frames its own side
+/// just built; a receiver splits.
+pub fn peek_datagram(bytes: &[u8]) -> Result<(Ipv4Header, &[u8])> {
+    split(bytes, false)
+}
+
+fn split(bytes: &[u8], verify: bool) -> Result<(Ipv4Header, &[u8])> {
+    let hdr = Ipv4Header::parse(bytes, verify)?;
     let end = hdr.total_len as usize;
     if bytes.len() < end {
         return Err(WireError::Truncated { what: "ipv4 datagram", needed: end, got: bytes.len() });
@@ -213,6 +249,25 @@ mod tests {
             c[i] ^= 0x10;
             assert!(Ipv4Header::decode(&c).is_err(), "byte {i}");
         }
+    }
+
+    #[test]
+    fn ttl_patch_keeps_everything_else_and_still_verifies() {
+        let mut hdr = Ipv4Header::new(
+            Addr::from_octets(10, 0, 0, 1),
+            Addr::from_octets(10, 9, 0, 2),
+            IpProto::Udp,
+            64,
+            3,
+        );
+        hdr.ident = 0xbeef;
+        let mut dg = hdr.encode().to_vec();
+        dg.extend_from_slice(b"abc");
+        let next = datagram_with_ttl(&dg, 63);
+        let (back, body) = split_datagram(&next).unwrap();
+        assert_eq!(back, Ipv4Header { ttl: 63, ..hdr }, "only the TTL moved; ident survives");
+        assert_eq!(body, b"abc");
+        assert_eq!(datagram_with_ttl(&dg, 64), dg, "same TTL is a plain copy");
     }
 
     #[test]

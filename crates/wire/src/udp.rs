@@ -46,6 +46,17 @@ impl UdpHeader {
     /// Splits a datagram into header and payload, validating length and
     /// checksum.
     pub fn unwrap(bytes: &[u8]) -> Result<(UdpHeader, &[u8])> {
+        let (hdr, payload) = Self::peek(bytes)?;
+        if !crate::checksum::verify_checksum(&bytes[..usize::from(hdr.length)]) {
+            return Err(WireError::BadChecksum { what: "udp datagram" });
+        }
+        Ok((hdr, payload))
+    }
+
+    /// [`UdpHeader::unwrap`] without the checksum pass: the length
+    /// checks only. For a tap that labels frames its own side just
+    /// built; a receiver unwraps.
+    pub fn peek(bytes: &[u8]) -> Result<(UdpHeader, &[u8])> {
         const WHAT: &str = "udp datagram";
         if bytes.len() < UDP_HEADER_LEN {
             return Err(WireError::Truncated {
@@ -60,9 +71,6 @@ impl UdpHeader {
         }
         if bytes.len() < length {
             return Err(WireError::Truncated { what: WHAT, needed: length, got: bytes.len() });
-        }
-        if !crate::checksum::verify_checksum(&bytes[..length]) {
-            return Err(WireError::BadChecksum { what: WHAT });
         }
         let hdr = UdpHeader {
             src_port: u16::from_be_bytes([bytes[0], bytes[1]]),

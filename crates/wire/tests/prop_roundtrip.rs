@@ -3,6 +3,7 @@
 //! region — this is exactly the guarantee the simulator's fault
 //! injection relies on (experiment Spec-E7 in DESIGN.md).
 
+use bytes::Bytes;
 use cbt_wire::{
     control::ECHO_AGGREGATE, igmp::RpCoreReport, AckSubcode, Addr, CbtControlHeader, CbtDataHeader,
     CbtDataPacket, ControlMessage, DataPacket, GroupId, IgmpMessage, JoinSubcode,
@@ -37,6 +38,19 @@ fn arb_ack_subcode() -> impl Strategy<Value = AckSubcode> {
         Just(AckSubcode::ProxyAck),
         Just(AckSubcode::RejoinNactive),
     ]
+}
+
+/// `src` with its low half chosen so that the IPv4 header of the
+/// native datagram `(src, group, ttl, payload_len)` sums to `0xffff`,
+/// i.e. carries header checksum `0x0000` — the corner an incremental
+/// update is most likely to get wrong.
+fn src_with_zero_header_checksum(src: Addr, group: GroupId, ttl: u8, payload_len: usize) -> Addr {
+    let high = Addr(src.0 & 0xffff_0000);
+    let frame = DataPacket::new(high, group, ttl, vec![0u8; payload_len]).encode();
+    // With a zero low half the checksum is the complement of the sum
+    // of everything else: adding it back makes the sum all ones.
+    let low = u16::from_be_bytes([frame[10], frame[11]]);
+    Addr(high.0 | u32::from(low))
 }
 
 prop_compose! {
@@ -188,5 +202,39 @@ proptest! {
         prop_assert_eq!(delivered.payload, payload);
         prop_assert_eq!(delivered.src, src);
         prop_assert_eq!(delivered.ttl, 1);
+    }
+
+    /// Patch-and-forward: for every TTL a transit router can see, the
+    /// arrival frame copied with its TTL byte and header checksum
+    /// patched is, byte for byte, what encoding the decremented packet
+    /// from scratch gives — and it still decodes. `src` is pinned so
+    /// the header checksum is 0x0000 at `zero_at`: the sweep crosses
+    /// that corner once on arrival (TTL = zero_at) and once on
+    /// departure (TTL = zero_at + 1), and also takes the arrival with
+    /// the checksum spelt 0xffff, the other one's-complement zero.
+    #[test]
+    fn patched_frame_equals_reencoding(
+        group in arb_group(),
+        src in arb_addr(),
+        zero_at in 1u8..=255,
+        payload in proptest::collection::vec(any::<u8>(), 0..=1500),
+    ) {
+        let src = src_with_zero_header_checksum(src, group, zero_at, payload.len());
+        for ttl in 2..=255u8 {
+            let mut arrivals = vec![DataPacket::new(src, group, ttl, payload.clone()).encode()];
+            if ttl == zero_at {
+                prop_assert_eq!(&arrivals[0][10..12], &[0u8, 0][..]);
+                let mut minus_zero = arrivals[0].clone();
+                minus_zero[10..12].copy_from_slice(&[0xff, 0xff]);
+                arrivals.push(minus_zero);
+            }
+            for arrival in arrivals {
+                let mut pkt = DataPacket::decode_bytes(&Bytes::from(arrival)).unwrap();
+                pkt.ttl -= 1;
+                let patched = pkt.to_frame();
+                prop_assert_eq!(&patched, &pkt.encode(), "ttl {}", ttl);
+                prop_assert_eq!(DataPacket::decode(&patched).unwrap(), pkt);
+            }
+        }
     }
 }
