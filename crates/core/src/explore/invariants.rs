@@ -183,7 +183,7 @@ fn collect_fleet(cw: &CbtWorld, groups: &[GroupId]) -> FleetView {
 }
 
 /// Netscale counterpart of [`check_tree_invariants`]: collects a
-/// [`FleetView`] from a point-to-point engine fleet and runs the same
+/// `FleetView` from a point-to-point engine fleet and runs the same
 /// pure checks over it. `members` lists the routers currently holding
 /// a local member per group (the soak driver's membership ledger);
 /// each is modelled as one host on a private LAN served only by that

@@ -1,17 +1,17 @@
-//! Impl-2 — live data-plane throughput: batched zero-copy node loops
-//! vs the legacy wake-per-packet, copy-per-recipient plane.
+//! Impl-2 — live data-plane throughput of the batched zero-copy node
+//! loops.
 //!
 //! Drives a real tokio deployment ([`LiveNet`]) — every router and
 //! host its own task, frames crossing real channels under wall-clock
 //! time — through a flood workload: N concurrent senders (each a
 //! non-member host on its own stub LAN, §5.1) blast packets at a
-//! member group whose receivers sit two router hops away. Both data
-//! planes run in the *same harness*; the only variable is
-//! [`DataPlaneConfig`]: `legacy()` wakes once per frame and deep-copies
-//! every fan-out, the default drains up to `rx_batch` frames per wakeup
-//! and fans out refcounted handles.
+//! member group whose receivers sit two router hops away. The plane
+//! drains up to `rx_batch` frames per task wakeup and fans out
+//! refcounted handles ([`DataPlaneConfig`]); the wake-per-packet,
+//! copy-per-recipient plane it replaced survives only as the recorded
+//! rows in EXPERIMENTS.md.
 //!
-//! Reported per (senders, mode): delivered packets/s (goodput at the
+//! Reported per sender count: delivered packets/s (goodput at the
 //! receiver), p50/p99 end-to-end latency (send-call to app delivery,
 //! stamped in the payload), and fabric drop counts.
 
@@ -35,7 +35,7 @@ pub struct Params {
     /// Application payload size in bytes (≥ 8; the first 8 carry the
     /// send timestamp).
     pub payload_len: usize,
-    /// Independent trials per (senders, mode) cell; the reported row is
+    /// Independent trials per sender count; the reported row is
     /// the trial with the median goodput. Wall-clock throughput under a
     /// real scheduler is noisy; medians over independent deployments are
     /// the standard way to keep one unlucky run out of the record.
@@ -50,8 +50,8 @@ impl Default for Params {
 
 impl Params {
     /// Smaller preset for tests/CI smoke runs. Keeps the 64-sender
-    /// point — the concurrency regime the batched plane exists for —
-    /// and enough trials for a stable median.
+    /// point — the concurrency regime batching exists for — and enough
+    /// trials for a stable median.
     pub fn quick() -> Self {
         Params { senders: vec![1, 64], total_packets: 16384, payload_len: 512, trials: 5 }
     }
@@ -68,10 +68,8 @@ struct RunStats {
     fabric_dropped: u64,
 }
 
-/// Group members on the delivery LAN — the fan-out the data planes
-/// differ on most: legacy materializes one frame copy and one task
-/// wakeup per member per packet, batched fans out refcounted handles
-/// and drains member inboxes in batches.
+/// Group members on the delivery LAN — the fan-out: one refcounted
+/// handle per member per packet, member inboxes drained in batches.
 const RECEIVERS: usize = 16;
 
 /// A five-router chain — R0 fronts `n` stub LANs (one non-member
@@ -79,8 +77,7 @@ const RECEIVERS: usize = 16;
 /// member hosts share the delivery LAN at the far end. Every data
 /// packet crosses five router tasks and then fans out to every member,
 /// so the per-packet cost of the node task loops and the per-recipient
-/// fan-out policy (the things the two data planes differ in) dominate
-/// the way they do on a real multi-hop multicast tree.
+/// fan-out dominate the way they do on a real multi-hop multicast tree.
 fn build_net(n: usize) -> (NetworkSpec, RouterId, Vec<HostId>, Vec<HostId>) {
     let mut b = NetworkBuilder::new();
     let r0 = b.router("R0");
@@ -105,9 +102,8 @@ fn build_net(n: usize) -> (NetworkSpec, RouterId, Vec<HostId>, Vec<HostId>) {
 }
 
 /// Floods `per_sender` packets from each of `n` senders through a live
-/// deployment running data plane `dp`, and measures goodput + latency
-/// at the first receiver.
-fn drive(n: usize, per_sender: usize, payload_len: usize, dp: DataPlaneConfig) -> RunStats {
+/// deployment and measures goodput + latency at the first receiver.
+fn drive(n: usize, per_sender: usize, payload_len: usize) -> RunStats {
     // Sized to the host: on multi-core machines a small worker pool
     // lets router and host tasks truly run in parallel; on a one-core
     // box extra workers are pure context-switch overhead (and measurement
@@ -129,7 +125,7 @@ fn drive(n: usize, per_sender: usize, payload_len: usize, dp: DataPlaneConfig) -
         // §5.1: non-member senders need their D-DR to hold a
         // <core, group> mapping; supply it as managed configuration.
         let cfg = CbtConfig::fast().with_mapping(group, vec![core]);
-        let live = LiveNet::spawn_with(net, cfg, dp);
+        let live = LiveNet::spawn_with(net, cfg, DataPlaneConfig::default());
 
         for &r in &receivers {
             live.host_join(r, group, vec![core]);
@@ -258,26 +254,18 @@ fn drive(n: usize, per_sender: usize, payload_len: usize, dp: DataPlaneConfig) -
 
 /// Runs `trials` independent deployments and returns the one with the
 /// median goodput.
-fn drive_median(
-    n: usize,
-    per_sender: usize,
-    payload_len: usize,
-    dp: DataPlaneConfig,
-    trials: usize,
-) -> RunStats {
+fn drive_median(n: usize, per_sender: usize, payload_len: usize, trials: usize) -> RunStats {
     let mut runs: Vec<RunStats> =
-        (0..trials.max(1)).map(|_| drive(n, per_sender, payload_len, dp)).collect();
+        (0..trials.max(1)).map(|_| drive(n, per_sender, payload_len)).collect();
     runs.sort_by(|a, b| a.pkts_per_s.total_cmp(&b.pkts_per_s));
     runs[runs.len() / 2]
 }
 
 /// Runs the experiment.
 pub fn run(p: &Params) -> Report {
-    let mut report =
-        Report::new("Impl-2", "live data plane: batched zero-copy vs wake-per-packet copying");
+    let mut report = Report::new("Impl-2", "live data plane: batched zero-copy goodput");
     let mut table = Table::new([
         "senders",
-        "mode",
         "sent",
         "deliveries",
         "deliveries/s",
@@ -286,37 +274,32 @@ pub fn run(p: &Params) -> Report {
         "dropped",
     ]);
     let mut rows_json = Vec::new();
-    let mut speedups = Vec::new();
+    let mut fig =
+        cbt_metrics::BarChart::new("Figure Impl-2: delivered goodput vs senders".to_string())
+            .unit("deliveries/s");
 
     for &n in &p.senders {
         let per_sender = (p.total_packets / n).max(1);
-        let batched =
-            drive_median(n, per_sender, p.payload_len, DataPlaneConfig::default(), p.trials);
-        let legacy =
-            drive_median(n, per_sender, p.payload_len, DataPlaneConfig::legacy(), p.trials);
-        for (mode, s) in [("batched", &batched), ("legacy", &legacy)] {
-            table.row([
-                n.to_string(),
-                mode.to_string(),
-                s.sent.to_string(),
-                s.received.to_string(),
-                f(s.pkts_per_s),
-                s.p50_us.to_string(),
-                s.p99_us.to_string(),
-                s.fabric_dropped.to_string(),
-            ]);
-            rows_json.push(json!({
-                "senders": n,
-                "mode": mode,
-                "sent": s.sent,
-                "delivered": s.received,
-                "pkts_per_s": s.pkts_per_s,
-                "p50_us": s.p50_us,
-                "p99_us": s.p99_us,
-                "dropped_overflow": s.fabric_dropped,
-            }));
-        }
-        speedups.push((n, batched.pkts_per_s / legacy.pkts_per_s.max(1.0)));
+        let s = drive_median(n, per_sender, p.payload_len, p.trials);
+        table.row([
+            n.to_string(),
+            s.sent.to_string(),
+            s.received.to_string(),
+            f(s.pkts_per_s),
+            s.p50_us.to_string(),
+            s.p99_us.to_string(),
+            s.fabric_dropped.to_string(),
+        ]);
+        rows_json.push(json!({
+            "senders": n,
+            "sent": s.sent,
+            "delivered": s.received,
+            "pkts_per_s": s.pkts_per_s,
+            "p50_us": s.p50_us,
+            "p99_us": s.p99_us,
+            "dropped_overflow": s.fabric_dropped,
+        }));
+        fig.bar(format!("N={n}"), s.pkts_per_s);
     }
 
     report.table(
@@ -326,13 +309,6 @@ pub fn run(p: &Params) -> Report {
         ),
         table,
     );
-    let mut fig = cbt_metrics::BarChart::new(
-        "Figure Impl-2: batched/legacy goodput ratio vs senders".to_string(),
-    )
-    .unit("x");
-    for (n, ratio) in &speedups {
-        fig.bar(format!("N={n}"), *ratio);
-    }
     report.chart(fig);
     report.json = json!({
         "params": {
@@ -342,19 +318,13 @@ pub fn run(p: &Params) -> Report {
             "trials": p.trials,
         },
         "rows": rows_json,
-        "speedups": speedups
-            .iter()
-            .map(|(n, r)| json!({"senders": n, "goodput_ratio": r}))
-            .collect::<Vec<_>>(),
     });
-    let max_ratio = speedups.iter().map(|(_, r)| *r).fold(0.0f64, f64::max);
-    report.finding(format!(
-        "Same topology, same engine, same tokio harness — only the data plane differs. The \
-         batched zero-copy plane (drain up to rx_batch frames per wakeup, refcounted fan-out) \
-         sustains up to {max_ratio:.1}x the delivered goodput of the legacy wake-per-packet \
-         copy-per-recipient plane, and its bounded inboxes shed correspondingly fewer frames \
-         under the concurrent-sender flood."
-    ));
+    report.finding(
+        "One tokio task per router and host, the same engine as the simulator. Each task drains up \
+         to rx_batch frames per wakeup and flushes its outbox once per batch; LAN fan-out hands \
+         every member a refcounted handle to one allocation; bounded inboxes shed and count what \
+         a receiver cannot absorb.",
+    );
     report
 }
 
@@ -362,18 +332,16 @@ pub fn run(p: &Params) -> Report {
 mod tests {
     use super::*;
 
-    /// Both planes deliver the flood end-to-end and the report carries
-    /// one row per (senders, mode) pair.
+    /// The plane delivers the flood end-to-end and the report carries
+    /// one row per sender count.
     #[test]
-    fn both_planes_deliver_and_report_rows() {
+    fn plane_delivers_and_reports_one_row_per_sender_count() {
         let p = Params { senders: vec![2], total_packets: 64, payload_len: 64, trials: 1 };
         let r = run(&p);
         let rows = r.json["rows"].as_array().unwrap();
-        assert_eq!(rows.len(), 2);
-        for mode in ["batched", "legacy"] {
-            let row = rows.iter().find(|r| r["mode"] == mode).expect("row per mode");
-            assert!(row["delivered"].as_u64().unwrap() > 0, "{mode} delivered nothing");
-            assert!(row["pkts_per_s"].as_f64().unwrap() > 0.0);
-        }
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0]["senders"], 2);
+        assert!(rows[0]["delivered"].as_u64().unwrap() > 0, "delivered nothing");
+        assert!(rows[0]["pkts_per_s"].as_f64().unwrap() > 0.0);
     }
 }

@@ -48,7 +48,7 @@ pub struct Params {
     /// Seconds of timer activity to measure after the data drain.
     pub measure_secs: u64,
     /// Timing repetitions per (size, shards) cell; per-shard busy takes
-    /// the minimum across repetitions (see [`drive_best`]).
+    /// the minimum across repetitions (see `drive_best`).
     pub reps: usize,
 }
 

@@ -11,6 +11,9 @@
 //!   behaviour per router/host, moves whole IP datagrams between them
 //!   over LANs and point-to-point links with per-hop latency, and
 //!   honours the shared [`cbt_routing::FailureSet`];
+//! * the **delivery plan** ([`plan`]) — who hears a transmission, on
+//!   which interface, from which link-layer source: resolved once per
+//!   network and shared by the world and the live fabrics of `cbt-node`;
 //! * **fault injection** ([`fault`]) — seeded probabilistic drop and
 //!   byte corruption, smoltcp-style;
 //! * the **netscale world** ([`netscale`]) — the scale-over-fidelity
@@ -33,6 +36,7 @@ pub mod fault;
 pub mod netscale;
 pub mod node;
 pub mod pcap;
+pub mod plan;
 pub mod queue;
 pub mod time;
 pub mod trace;
@@ -43,6 +47,7 @@ pub use fault::{FaultClass, FaultPlan};
 pub use netscale::{NetscaleWorld, NsNode, NsOutbox, NsTrace};
 pub use node::{Entity, Outbox, SimNode, Transmit};
 pub use pcap::Capture;
+pub use plan::{DeliveryPlan, Receiver, Route};
 pub use queue::EventQueue;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Medium, PacketKind, Trace, TraceEntry};

@@ -12,12 +12,11 @@
 //! - **Node lookup is a dense `Vec` index**, not a `HashMap` probe.
 //!   Entities map to slots as routers-then-hosts; each slot carries its
 //!   node and its wake generation side by side.
-//! - **Delivery is precomputed**. `World::new` resolves, once, every
-//!   LAN's receiver list (entity, rx interface, rx address) and every
-//!   router interface's medium (LAN with hoisted source address, or
-//!   link with peer + peer interface). `emit` then walks flat slices
-//!   instead of cloning `LanSpec`s and re-resolving `iface_on_lan` per
-//!   transmission.
+//! - **Delivery is precomputed**. Who hears a transmission, on which
+//!   interface, from which link-layer source is the shared
+//!   [`DeliveryPlan`], resolved once per network; `emit` walks its
+//!   flat slices and adds only what is the world's own — failure
+//!   masks, the trace, the capture and the fault injector.
 //! - **Arrivals ride FIFO lanes**. Every arrival is pushed at `now +
 //!   lan_latency` or `now + link_latency`, two constants, while `now`
 //!   never decreases — so each class is born time-sorted and goes
@@ -36,12 +35,13 @@
 
 use crate::fault::{FaultClass, FaultInjector, FaultPlan};
 use crate::node::{Entity, Outbox, SimNode};
+use crate::plan::DeliveryPlan;
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Medium, PacketKind, Trace};
 use bytes::Bytes;
 use cbt_routing::FailureSet;
-use cbt_topology::{Attachment, HostId, IfIndex, LanId, LinkId, NetworkSpec, RouterId};
+use cbt_topology::{IfIndex, NetworkSpec};
 
 /// World construction parameters.
 #[derive(Debug, Clone)]
@@ -80,7 +80,7 @@ const LINK_LANE: usize = 1;
 
 enum Event {
     Arrive { to: Entity, iface: IfIndex, link_src: cbt_wire::Addr, frame: Bytes },
-    Wake { who: Entity, generation: u64 },
+    Wake { slot: usize, generation: u64 },
 }
 
 /// One entity's state: its behaviour (if installed) and the generation
@@ -95,23 +95,6 @@ struct Slot {
     scheduled_wake: Option<SimTime>,
 }
 
-/// One attachment on a LAN, resolved at construction: who receives, on
-/// which interface, at which link-layer address.
-struct LanReceiver {
-    entity: Entity,
-    iface: IfIndex,
-    addr: cbt_wire::Addr,
-}
-
-/// What a router interface transmits onto, resolved at construction.
-/// `src_addr` is the interface's own address — the link-layer source
-/// every delivery from this interface carries.
-#[derive(Clone, Copy)]
-enum IfacePlan {
-    Lan { lan: LanId, src_addr: cbt_wire::Addr },
-    Link { link: LinkId, peer: RouterId, peer_iface: Option<IfIndex>, src_addr: cbt_wire::Addr },
-}
-
 /// The discrete-event world.
 ///
 /// Construct with a network, plug in one [`SimNode`] per router/host
@@ -124,15 +107,10 @@ pub struct World {
     cfg: WorldConfig,
     now: SimTime,
     queue: EventQueue<Event>,
-    /// Dense node table: routers at `[0, num_routers)`, hosts after.
+    /// Who hears what, and the dense entity index `slots` follows.
+    plan: DeliveryPlan,
+    /// Dense node table, indexed by [`DeliveryPlan::index`].
     slots: Vec<Slot>,
-    num_routers: usize,
-    /// Indexed by `LanId`: everyone attached to that LAN.
-    lan_plans: Vec<Vec<LanReceiver>>,
-    /// Indexed by `RouterId`, then `IfIndex`.
-    iface_plans: Vec<Vec<IfacePlan>>,
-    /// Indexed by `HostId`: (its LAN, its address).
-    host_plans: Vec<(LanId, cbt_wire::Addr)>,
     injector: FaultInjector,
     trace: Trace,
     capture: Option<crate::pcap::Capture>,
@@ -143,77 +121,19 @@ pub struct World {
 impl World {
     /// Creates a world over `spec` with the given config.
     pub fn new(spec: NetworkSpec, cfg: WorldConfig) -> Self {
-        let num_routers = spec.routers.len();
-        let slots = (0..num_routers + spec.hosts.len())
+        let plan = DeliveryPlan::new(&spec);
+        let slots = (0..plan.num_entities())
             .map(|_| Slot { node: None, wake_generation: 0, scheduled_wake: None })
             .collect();
-
-        let iface_plans = spec
-            .routers
-            .iter()
-            .map(|r| {
-                r.ifaces
-                    .iter()
-                    .map(|ifspec| match ifspec.attachment {
-                        Attachment::Lan(lan) => IfacePlan::Lan { lan, src_addr: ifspec.addr },
-                        Attachment::Link { link, peer } => {
-                            let peer_iface = spec.routers[peer.0 as usize]
-                                .ifaces
-                                .iter()
-                                .position(|pi| {
-                                    matches!(pi.attachment,
-                                        Attachment::Link { link: l, .. } if l == link)
-                                })
-                                .map(|p| IfIndex(p as u32));
-                            IfacePlan::Link { link, peer, peer_iface, src_addr: ifspec.addr }
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let lan_plans = spec
-            .lans
-            .iter()
-            .enumerate()
-            .map(|(li, lan)| {
-                let lan_id = LanId(li as u32);
-                let mut receivers = Vec::with_capacity(lan.routers.len() + lan.hosts.len());
-                for &r in &lan.routers {
-                    if let Some((rx_iface, rx_spec)) =
-                        spec.routers[r.0 as usize].iface_on_lan(lan_id)
-                    {
-                        receivers.push(LanReceiver {
-                            entity: Entity::Router(r),
-                            iface: rx_iface,
-                            addr: rx_spec.addr,
-                        });
-                    }
-                }
-                for &h in &lan.hosts {
-                    receivers.push(LanReceiver {
-                        entity: Entity::Host(h),
-                        iface: IfIndex(0),
-                        addr: spec.hosts[h.0 as usize].addr,
-                    });
-                }
-                receivers
-            })
-            .collect();
-
-        let host_plans = spec.hosts.iter().map(|h| (h.lan, h.addr)).collect();
 
         World {
             failures: FailureSet::none(),
             now: SimTime::ZERO,
             // Room for one scheduled wake per node plus a frame in
             // flight per router: covers the boot burst without growing.
-            queue: EventQueue::with_capacity(2 * num_routers + spec.hosts.len()),
+            queue: EventQueue::with_capacity(2 * spec.routers.len() + spec.hosts.len()),
+            plan,
             slots,
-            num_routers,
-            lan_plans,
-            iface_plans,
-            host_plans,
             injector: FaultInjector::new(cfg.fault.clone(), cfg.seed),
             trace: if cfg.record_trace { Trace::recording() } else { Trace::counters_only() },
             capture: cfg.capture_pcap.then(crate::pcap::Capture::new),
@@ -269,23 +189,6 @@ impl World {
         &mut self.failures
     }
 
-    /// Dense slot index: routers first, hosts after.
-    fn idx(&self, e: Entity) -> usize {
-        match e {
-            Entity::Router(r) => r.0 as usize,
-            Entity::Host(h) => self.num_routers + h.0 as usize,
-        }
-    }
-
-    /// Inverse of [`World::idx`].
-    fn entity_at(&self, i: usize) -> Entity {
-        if i < self.num_routers {
-            Entity::Router(RouterId(i as u32))
-        } else {
-            Entity::Host(HostId((i - self.num_routers) as u32))
-        }
-    }
-
     /// Installs the behaviour for an entity, replacing any previous one
     /// (that is how router *restarts* are modelled: a fresh engine with
     /// empty state, per §6.2).
@@ -294,25 +197,26 @@ impl World {
     ///
     /// If `entity` is not part of this world's [`NetworkSpec`].
     pub fn set_node(&mut self, entity: Entity, node: Box<dyn SimNode>) {
-        let i = self.idx(entity);
-        assert!(i < self.slots.len(), "set_node: {entity} is not in the network spec");
+        let Some(i) = self.plan.index(entity) else {
+            panic!("set_node: {entity} is not in the network spec")
+        };
         self.slots[i].node = Some(node);
-        self.reschedule_wake(entity);
+        self.reschedule_wake(i);
     }
 
     /// Typed access to a node for harness-level commands (e.g. telling
     /// a host application to join a group). Follow mutations that need
     /// to send packets with [`World::poke`].
     pub fn node_mut<N: SimNode + 'static>(&mut self, entity: Entity) -> Option<&mut N> {
-        let i = self.idx(entity);
-        self.slots.get_mut(i)?.node.as_deref_mut()?.as_any_mut().downcast_mut::<N>()
+        let i = self.plan.index(entity)?;
+        self.slots[i].node.as_deref_mut()?.as_any_mut().downcast_mut::<N>()
     }
 
     /// Immutable typed access to a node — inspection without exclusive
     /// access to the world.
     pub fn node<N: SimNode + 'static>(&self, entity: Entity) -> Option<&N> {
-        let i = self.idx(entity);
-        self.slots.get(i)?.node.as_deref()?.as_any().downcast_ref::<N>()
+        let i = self.plan.index(entity)?;
+        self.slots[i].node.as_deref()?.as_any().downcast_ref::<N>()
     }
 
     /// Invokes `on_timer` on an entity *now* — used right after a
@@ -330,14 +234,14 @@ impl World {
     /// wakeup re-read. The outbox is taken for the call and put back
     /// drained, capacity intact.
     fn run_node(&mut self, entity: Entity, call: impl FnOnce(&mut dyn SimNode, &mut Outbox)) {
+        let Some(i) = self.plan.index(entity) else { return };
         let mut out = std::mem::take(&mut self.outbox);
-        let i = self.idx(entity);
-        if let Some(node) = self.slots.get_mut(i).and_then(|s| s.node.as_deref_mut()) {
+        if let Some(node) = self.slots[i].node.as_deref_mut() {
             call(node, &mut out);
         }
         self.emit(entity, &mut out);
         self.outbox = out;
-        self.reschedule_wake(entity);
+        self.reschedule_wake(i);
     }
 
     /// Schedules the initial wakeups of every installed node. Call once
@@ -347,7 +251,7 @@ impl World {
         // order `Entity` derives, so startup stays deterministic.
         for i in 0..self.slots.len() {
             if self.slots[i].node.is_some() {
-                self.poke(self.entity_at(i));
+                self.poke(self.plan.entity(i));
             }
         }
     }
@@ -364,14 +268,14 @@ impl World {
                 }
                 self.run_node(to, |node, out| node.on_packet(at, iface, link_src, &frame, out));
             }
-            Event::Wake { who, generation } => {
-                let i = self.idx(who);
+            Event::Wake { slot: i, generation } => {
                 if self.slots[i].wake_generation != generation {
                     return true; // stale wake
                 }
                 // The live generation's queued event is consumed either
                 // way; forget it so the next reschedule pushes afresh.
                 self.slots[i].scheduled_wake = None;
+                let who = self.plan.entity(i);
                 if self.entity_down(who) {
                     return true;
                 }
@@ -421,136 +325,58 @@ impl World {
         }
     }
 
-    /// Dispatches everything a node queued, via the precomputed plans,
+    /// Dispatches everything a node queued along the delivery plan,
     /// leaving `out` empty with its capacity.
     fn emit(&mut self, from: Entity, out: &mut Outbox) {
         for t in out.drain() {
-            match from {
-                Entity::Router(r) => {
-                    let Some(plan) = self
-                        .iface_plans
-                        .get(r.0 as usize)
-                        .and_then(|p| p.get(t.iface.0 as usize))
-                        .copied()
-                    else {
-                        // Unknown interface: the world has no plan to
-                        // carry this frame anywhere.
-                        self.trace.record_drop(cbt_obs::DropReason::NoFibEntry);
-                        continue;
-                    };
-                    match plan {
-                        IfacePlan::Lan { lan, src_addr } => {
-                            self.emit_lan(from, t.iface, lan, src_addr, t.link_dst, t.frame);
-                        }
-                        IfacePlan::Link { link, peer, peer_iface, src_addr } => {
-                            self.emit_link(
-                                from, t.iface, link, peer, peer_iface, src_addr, t.frame,
-                            );
-                        }
-                    }
-                }
-                Entity::Host(h) => {
-                    if t.iface != IfIndex(0) {
-                        self.trace.record_drop(cbt_obs::DropReason::NoFibEntry);
-                        continue;
-                    }
-                    let Some(&(lan, src_addr)) = self.host_plans.get(h.0 as usize) else {
-                        self.trace.record_drop(cbt_obs::DropReason::NoFibEntry);
-                        continue;
-                    };
-                    self.emit_lan(from, t.iface, lan, src_addr, t.link_dst, t.frame);
-                }
-            }
-        }
-    }
-
-    fn emit_lan(
-        &mut self,
-        from: Entity,
-        iface: IfIndex,
-        lan: LanId,
-        link_src: cbt_wire::Addr,
-        link_dst: Option<cbt_wire::Addr>,
-        frame: Bytes,
-    ) {
-        if self.failures.lan_down(lan) {
-            return;
-        }
-        let kind = PacketKind::classify(&frame);
-        self.trace.record_tx(self.now, from, iface, Medium::Lan(lan), kind, frame.len());
-        if let Some(cap) = &mut self.capture {
-            cap.record(self.now, frame.clone());
-        }
-        let class = if kind.is_control() { FaultClass::Control } else { FaultClass::Data };
-        let Some(frame) = self.injector.apply(class, frame) else { return };
-        let arrive_at = self.now + self.cfg.lan_latency;
-        for rx in &self.lan_plans[lan.0 as usize] {
-            if rx.entity == from {
+            let Some(route) = self.plan.route(from, t.iface) else {
+                // Unknown interface: the world has no plan to carry
+                // this frame anywhere.
+                self.trace.record_drop(cbt_obs::DropReason::NoFibEntry);
                 continue;
-            }
-            if let Entity::Router(r) = rx.entity {
-                if self.failures.router_down(r) {
+            };
+            let (lane, latency) = match route.medium {
+                Medium::Lan(lan) if self.failures.lan_down(lan) => continue,
+                Medium::Lan(_) => (LAN_LANE, self.cfg.lan_latency),
+                Medium::Link(_) => (LINK_LANE, self.cfg.link_latency),
+            };
+            let kind = PacketKind::classify(&t.frame);
+            self.trace.record_tx(self.now, from, t.iface, route.medium, kind, t.frame.len());
+            // On a link the attempt is recorded (bytes hit the wire)
+            // even when the link or peer is down and nothing arrives.
+            if let Medium::Link(link) = route.medium {
+                let peer_down = route.heard_by(None).any(|rx| self.entity_down(rx.entity));
+                if self.failures.link_down(link) || peer_down {
                     continue;
                 }
             }
-            // Link-layer filter: a framed unicast only reaches its
-            // addressee.
-            if link_dst.is_some_and(|d| d != rx.addr) {
-                continue;
+            if let Some(cap) = &mut self.capture {
+                cap.record(self.now, t.frame.clone());
             }
-            self.queue.push_lane(
-                LAN_LANE,
-                arrive_at,
-                Event::Arrive {
-                    to: rx.entity,
-                    iface: rx.iface,
-                    link_src,
-                    frame: frame.clone(), // refcount bump, not a copy
-                },
-            );
+            let class = if kind.is_control() { FaultClass::Control } else { FaultClass::Data };
+            let Some(frame) = self.injector.apply(class, t.frame) else { continue };
+            let arrive_at = self.now + latency;
+            for rx in route.heard_by(t.link_dst) {
+                if self.entity_down(rx.entity) {
+                    continue;
+                }
+                self.queue.push_lane(
+                    lane,
+                    arrive_at,
+                    Event::Arrive {
+                        to: rx.entity,
+                        iface: rx.iface,
+                        link_src: route.link_src,
+                        frame: frame.clone(), // refcount bump, not a copy
+                    },
+                );
+            }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn emit_link(
-        &mut self,
-        from: Entity,
-        iface: IfIndex,
-        link: LinkId,
-        peer: RouterId,
-        peer_iface: Option<IfIndex>,
-        src_addr: cbt_wire::Addr,
-        frame: Bytes,
-    ) {
-        // Record the attempt (bytes hit the wire) even when the link or
-        // peer is down and nothing arrives.
-        let kind = PacketKind::classify(&frame);
-        self.trace.record_tx(self.now, from, iface, Medium::Link(link), kind, frame.len());
-        if self.failures.link_down(link) || self.failures.router_down(peer) {
-            return;
-        }
-        if let Some(cap) = &mut self.capture {
-            cap.record(self.now, frame.clone());
-        }
-        let class = if kind.is_control() { FaultClass::Control } else { FaultClass::Data };
-        let Some(frame) = self.injector.apply(class, frame) else { return };
-        let Some(peer_iface) = peer_iface else { return };
-        self.queue.push_lane(
-            LINK_LANE,
-            self.now + self.cfg.link_latency,
-            Event::Arrive {
-                to: Entity::Router(peer),
-                iface: peer_iface,
-                link_src: src_addr,
-                frame,
-            },
-        );
-    }
-
-    fn reschedule_wake(&mut self, entity: Entity) {
-        let i = self.idx(entity);
+    fn reschedule_wake(&mut self, i: usize) {
         let now = self.now;
-        let Some(slot) = self.slots.get_mut(i) else { return };
+        let slot = &mut self.slots[i];
         let next = slot.node.as_ref().and_then(|n| n.next_wakeup()).map(|at| at.max(now));
         // An unchanged wake instant keeps its queued event (and its
         // generation). Re-pushing would re-key the event by insertion
@@ -566,7 +392,7 @@ impl World {
         let generation = slot.wake_generation;
         slot.scheduled_wake = next;
         if let Some(at) = next {
-            self.queue.push(at, Event::Wake { who: entity, generation });
+            self.queue.push(at, Event::Wake { slot: i, generation });
         }
     }
 }
@@ -574,7 +400,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbt_topology::NetworkBuilder;
+    use cbt_topology::{HostId, NetworkBuilder, RouterId};
     use cbt_wire::{Addr, DataPacket, GroupId};
     use std::any::Any;
 

@@ -1,29 +1,25 @@
 //! The in-process frame fabric: who receives what a node transmits.
 //!
-//! Mirrors the delivery semantics of `cbt_netsim::World` (LAN broadcast
-//! with link-layer unicast filtering, p2p peer delivery) but pushes
-//! frames into per-entity tokio mpsc channels instead of an event
-//! queue.
+//! Walks the same [`DeliveryPlan`] as `cbt_netsim::World` (LAN
+//! broadcast with link-layer unicast filtering, p2p peer delivery) but
+//! pushes frames into per-entity tokio mpsc channels instead of an
+//! event queue.
 //!
 //! Data-plane properties (see DESIGN.md "Data-plane architecture"):
 //! - **Zero-copy fan-out** — a [`Transmit`] already owns its frame as
 //!   refcounted [`Bytes`]; delivery clones the handle per recipient
-//!   (a refcount bump), never the payload. The optional legacy mode
-//!   (`DataPlaneConfig::copy_per_recipient`) re-materializes each
-//!   recipient's copy the way the pre-batching fabric did, so the
-//!   `dataplane` experiment can measure both paths in one harness.
+//!   (a refcount bump), never the payload.
 //! - **Bounded inboxes** — every node inbox is a bounded channel; when
 //!   a receiver falls behind, frames are dropped and counted instead
 //!   of growing an unbounded queue (a real router sheds load, it does
 //!   not OOM).
 
 use cbt::shard_of;
-use cbt_netsim::{Bytes, Entity, Transmit};
+use cbt_netsim::{Bytes, DeliveryPlan, Entity, Receiver, Transmit};
 use cbt_obs::{AtomicDropCounters, DropCounters, DropReason};
-use cbt_topology::{Attachment, HostId, IfIndex, NetworkSpec, RouterId};
+use cbt_topology::{IfIndex, NetworkSpec};
 use cbt_wire::ipv4::IPV4_HEADER_LEN;
 use cbt_wire::{Addr, GroupId, IgmpMessage, IpProto, CBT_AUX_PORT, CBT_PRIMARY_PORT};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tokio::sync::mpsc;
@@ -98,15 +94,6 @@ pub fn steer_frame(frame: &[u8], shards: usize) -> Steer {
     }
 }
 
-/// Enumerates every entity of a network, in the fabric's canonical
-/// order (routers first, then hosts).
-pub(crate) fn entities_of(net: &NetworkSpec) -> Vec<Entity> {
-    (0..net.routers.len())
-        .map(|i| Entity::Router(RouterId(i as u32)))
-        .chain((0..net.hosts.len()).map(|i| Entity::Host(HostId(i as u32))))
-        .collect()
-}
-
 /// A frame as delivered to a node: which interface it arrived on and
 /// who (at the link layer) sent it. The frame bytes are a refcounted
 /// handle shared with every other recipient of the same transmission.
@@ -128,37 +115,27 @@ pub struct DataPlaneConfig {
     /// and counted ([`FabricStats::dropped_overflow`]).
     pub inbox_capacity: usize,
     /// How many queued frames a node task drains per wakeup before
-    /// flushing its outbox (1 = wake-per-packet, the legacy behavior).
+    /// flushing its outbox.
     pub rx_batch: usize,
-    /// Copy the frame per recipient instead of fanning out refcounted
-    /// handles — the pre-batching behavior, kept as a measurable
-    /// baseline for the `dataplane` experiment.
-    pub copy_per_recipient: bool,
 }
 
 impl Default for DataPlaneConfig {
     fn default() -> Self {
-        DataPlaneConfig { inbox_capacity: 2048, rx_batch: 64, copy_per_recipient: false }
+        DataPlaneConfig { inbox_capacity: 2048, rx_batch: 64 }
     }
 }
 
-impl DataPlaneConfig {
-    /// The pre-batching data plane: per-recipient frame copies and
-    /// one inbox frame handled per task wakeup.
-    pub fn legacy() -> Self {
-        DataPlaneConfig { inbox_capacity: 1024, rx_batch: 1, copy_per_recipient: true }
-    }
-}
-
-/// Live counters for fabric delivery. All counters are cumulative.
-/// Drops are tallied **per receiving node** under the shared
-/// [`DropReason`] taxonomy rather than as one fabric-wide
-/// `dropped_overflow` total, so a single overwhelmed inbox is
-/// attributable.
-#[derive(Default)]
+/// Live delivery counters, shared by both fabrics. All counters are
+/// cumulative. Drops are tallied **per receiving node** under the
+/// shared [`DropReason`] taxonomy rather than as one fabric-wide
+/// total, so a single overwhelmed inbox is attributable: a full inbox
+/// counts as [`DropReason::InboxOverflow`], a datagram the UDP pump
+/// cannot parse as [`DropReason::DecodeError`].
 pub struct FabricCounters {
+    plan: Arc<DeliveryPlan>,
     delivered: AtomicU64,
-    node_drops: HashMap<Entity, AtomicDropCounters>,
+    /// One taxonomy row per entity, indexed by [`DeliveryPlan::index`].
+    node_drops: Vec<AtomicDropCounters>,
 }
 
 /// A point-in-time snapshot of [`FabricCounters`].
@@ -172,32 +149,37 @@ pub struct FabricStats {
 }
 
 impl FabricCounters {
-    /// Builds the counter set with one taxonomy row per entity.
-    pub(crate) fn for_net(net: &NetworkSpec) -> Self {
-        FabricCounters {
-            delivered: AtomicU64::new(0),
-            node_drops: entities_of(net)
-                .into_iter()
-                .map(|e| (e, AtomicDropCounters::default()))
-                .collect(),
+    pub(crate) fn new(plan: Arc<DeliveryPlan>) -> Self {
+        let node_drops = plan.entities().map(|_| AtomicDropCounters::default()).collect();
+        FabricCounters { plan, delivered: AtomicU64::new(0), node_drops }
+    }
+    /// Tries to enqueue `rx` into an inbox of the node at plan index
+    /// `to`, counting the outcome. False when the receiver is gone
+    /// (that node shut down).
+    pub(crate) fn enqueue(&self, tx: &mpsc::Sender<RxFrame>, to: usize, rx: RxFrame) -> bool {
+        match tx.try_send(rx) {
+            Ok(()) => {
+                self.delivered.fetch_add(1, Ordering::Relaxed);
+                true
+            }
+            Err(mpsc::error::TrySendError::Full(_)) => {
+                self.count_dropped(to, DropReason::InboxOverflow);
+                true
+            }
+            Err(mpsc::error::TrySendError::Closed(_)) => false,
         }
     }
-    pub(crate) fn count_delivered(&self) {
-        self.delivered.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn count_dropped(&self, to: Entity) {
-        if let Some(d) = self.node_drops.get(&to) {
-            d.bump(DropReason::InboxOverflow);
-        }
+    pub(crate) fn count_dropped(&self, to: usize, why: DropReason) {
+        self.node_drops[to].bump(why);
     }
     /// One node's transport-level drop taxonomy.
     pub fn node_drops(&self, e: Entity) -> DropCounters {
-        self.node_drops.get(&e).map(|d| d.snapshot()).unwrap_or_default()
+        self.plan.index(e).map(|i| self.node_drops[i].snapshot()).unwrap_or_default()
     }
     /// The fleet-wide drop taxonomy (sum over every node).
     pub fn drops_total(&self) -> DropCounters {
         let mut out = DropCounters::default();
-        for d in self.node_drops.values() {
+        for d in &self.node_drops {
             out.merge(&d.snapshot());
         }
         out
@@ -211,66 +193,83 @@ impl FabricCounters {
     }
 }
 
+/// The receive ends of a fabric's inboxes, to hand to the node tasks:
+/// indexed by [`DeliveryPlan::index`], then shard.
+pub type Inboxes = Vec<Vec<mpsc::Receiver<RxFrame>>>;
+
+/// One bounded inbox per shard of every entity — `shards` for a
+/// router, one for a host — as (send ends, receive ends), both indexed
+/// like [`Inboxes`].
+pub(crate) fn inboxes(
+    plan: &DeliveryPlan,
+    dp: DataPlaneConfig,
+    shards: usize,
+) -> (Vec<Vec<mpsc::Sender<RxFrame>>>, Inboxes) {
+    plan.entities()
+        .map(|e| {
+            let n = match e {
+                Entity::Router(_) => shards.max(1),
+                Entity::Host(_) => 1,
+            };
+            (0..n).map(|_| mpsc::channel(dp.inbox_capacity.max(1))).unzip()
+        })
+        .unzip()
+}
+
+/// Enqueues one received frame on the shard inbox(es) of the node at
+/// plan index `to` that own it ([`steer_frame`]); a 1-inbox entity
+/// (a host, or `shards = 1`) skips the peek. False when every inbox
+/// it was meant for is gone.
+pub(crate) fn steer_into(
+    txs: &[mpsc::Sender<RxFrame>],
+    counters: &FabricCounters,
+    to: usize,
+    rx: RxFrame,
+) -> bool {
+    let steer = if txs.len() == 1 { Steer::One(0) } else { steer_frame(&rx.frame, txs.len()) };
+    match steer {
+        Steer::One(k) => counters.enqueue(&txs[k], to, rx),
+        Steer::All => {
+            let mut any_open = false;
+            for tx in txs {
+                any_open |= counters.enqueue(tx, to, rx.clone());
+            }
+            any_open
+        }
+    }
+}
+
 /// Shared dispatch fabric.
 ///
-/// With sharding enabled ([`Fabric::with_shards`]) every router has
-/// one bounded inbox **per shard**; [`Fabric::deliver`] peeks at each
-/// frame ([`steer_frame`]) and enqueues it on the owning shard's
-/// channel only — no cross-shard locks, no shared queue. Hosts always
-/// have exactly one inbox, and a 1-inbox entity skips the peek
-/// entirely, so the unsharded path is byte-for-byte the old one.
+/// With `shards > 1` every router has one bounded inbox **per shard**;
+/// delivery peeks at each frame ([`steer_frame`]) and enqueues it on
+/// the owning shard's channel only — no cross-shard locks, no shared
+/// queue. Hosts always have exactly one inbox.
 pub struct Fabric {
-    net: Arc<NetworkSpec>,
-    inboxes: HashMap<Entity, Vec<mpsc::Sender<RxFrame>>>,
+    plan: Arc<DeliveryPlan>,
+    /// Indexed by [`DeliveryPlan::index`], then shard.
+    inboxes: Vec<Vec<mpsc::Sender<RxFrame>>>,
     counters: Arc<FabricCounters>,
-    copy_per_recipient: bool,
 }
 
 impl Fabric {
-    /// Builds the fabric (default data-plane config) and one bounded
-    /// inbox per entity. Returns the fabric plus the receive ends, to
-    /// hand to each node's task.
-    pub fn new(net: Arc<NetworkSpec>) -> (Arc<Self>, HashMap<Entity, mpsc::Receiver<RxFrame>>) {
-        Fabric::with_config(net, DataPlaneConfig::default())
-    }
-
-    /// Builds the fabric with explicit data-plane tuning (one inbox
-    /// per entity — the unsharded shape).
-    pub fn with_config(
-        net: Arc<NetworkSpec>,
-        dp: DataPlaneConfig,
-    ) -> (Arc<Self>, HashMap<Entity, mpsc::Receiver<RxFrame>>) {
-        let (fabric, rxs) = Fabric::with_shards(net, dp, 1);
-        let rxs =
-            rxs.into_iter().map(|(e, mut v)| (e, v.pop().expect("one inbox per entity"))).collect();
-        (fabric, rxs)
-    }
-
     /// Builds the fabric with `shards` bounded inboxes per **router**
-    /// (hosts keep one). Receive ends come back as a `Vec` per entity,
-    /// index = shard, to hand to each shard's task.
+    /// (hosts keep one).
     pub fn with_shards(
-        net: Arc<NetworkSpec>,
+        net: &NetworkSpec,
         dp: DataPlaneConfig,
         shards: usize,
-    ) -> (Arc<Self>, HashMap<Entity, Vec<mpsc::Receiver<RxFrame>>>) {
-        let shards = shards.max(1);
-        let mut inboxes = HashMap::new();
-        let mut rxs = HashMap::new();
-        let cap = dp.inbox_capacity.max(1);
-        for i in 0..net.routers.len() {
-            let (txs, rx): (Vec<_>, Vec<_>) = (0..shards).map(|_| mpsc::channel(cap)).unzip();
-            inboxes.insert(Entity::Router(RouterId(i as u32)), txs);
-            rxs.insert(Entity::Router(RouterId(i as u32)), rx);
-        }
-        for i in 0..net.hosts.len() {
-            let (tx, rx) = mpsc::channel(cap);
-            inboxes.insert(Entity::Host(HostId(i as u32)), vec![tx]);
-            rxs.insert(Entity::Host(HostId(i as u32)), vec![rx]);
-        }
-        let counters = Arc::new(FabricCounters::for_net(&net));
-        let fabric = Fabric { net, inboxes, counters, copy_per_recipient: dp.copy_per_recipient };
-        (Arc::new(fabric), rxs)
+    ) -> (Arc<Self>, Inboxes) {
+        let plan = Arc::new(DeliveryPlan::new(net));
+        let (inboxes, rxs) = inboxes(&plan, dp, shards);
+        let counters = Arc::new(FabricCounters::new(plan.clone()));
+        (Arc::new(Fabric { plan, inboxes, counters }), rxs)
+    }
+
+    /// The delivery plan this fabric walks (and indexes its receive
+    /// ends by).
+    pub fn plan(&self) -> &DeliveryPlan {
+        &self.plan
     }
 
     /// Delivery counters (shared across all dispatches).
@@ -282,105 +281,12 @@ impl Fabric {
     /// The frame is encoded exactly once (by the sender, into the
     /// `Transmit`); recipients share the allocation.
     pub fn dispatch(&self, from: Entity, t: &Transmit) {
-        match self.medium_of(from, t.iface) {
-            Some(Attachment::Lan(lan)) => {
-                let link_src = match from {
-                    Entity::Router(r) => self
-                        .net
-                        .routers
-                        .get(r.0 as usize)
-                        .and_then(|s| s.iface_on_lan(lan))
-                        .map(|(_, i)| i.addr)
-                        .unwrap_or(cbt_wire::Addr::NULL),
-                    Entity::Host(h) => self
-                        .net
-                        .hosts
-                        .get(h.0 as usize)
-                        .map(|s| s.addr)
-                        .unwrap_or(cbt_wire::Addr::NULL),
-                };
-                let lan_spec = &self.net.lans[lan.0 as usize];
-                for &r in &lan_spec.routers {
-                    if Entity::Router(r) == from {
-                        continue;
-                    }
-                    let Some((rx_iface, rx_spec)) =
-                        self.net.routers[r.0 as usize].iface_on_lan(lan)
-                    else {
-                        continue;
-                    };
-                    if t.link_dst.is_some_and(|d| d != rx_spec.addr) {
-                        continue;
-                    }
-                    self.deliver(Entity::Router(r), rx_iface, link_src, &t.frame);
-                }
-                for &h in &lan_spec.hosts {
-                    if Entity::Host(h) == from {
-                        continue;
-                    }
-                    if t.link_dst.is_some_and(|d| d != self.net.hosts[h.0 as usize].addr) {
-                        continue;
-                    }
-                    self.deliver(Entity::Host(h), IfIndex(0), link_src, &t.frame);
-                }
-            }
-            Some(Attachment::Link { link, peer }) => {
-                let Entity::Router(r) = from else { return };
-                let link_src = self
-                    .net
-                    .routers
-                    .get(r.0 as usize)
-                    .and_then(|s| s.iface(t.iface))
-                    .map(|i| i.addr)
-                    .unwrap_or(cbt_wire::Addr::NULL);
-                let peer_iface = self.net.routers[peer.0 as usize].ifaces.iter().position(
-                    |pi| matches!(pi.attachment, Attachment::Link { link: l, .. } if l == link),
-                );
-                if let Some(idx) = peer_iface {
-                    self.deliver(Entity::Router(peer), IfIndex(idx as u32), link_src, &t.frame);
-                }
-            }
-            None => {}
-        }
-    }
-
-    fn medium_of(&self, from: Entity, iface: IfIndex) -> Option<Attachment> {
-        match from {
-            Entity::Router(r) => Some(self.net.routers.get(r.0 as usize)?.iface(iface)?.attachment),
-            Entity::Host(h) => {
-                let spec = self.net.hosts.get(h.0 as usize)?;
-                (iface == IfIndex(0)).then_some(Attachment::Lan(spec.lan))
-            }
-        }
-    }
-
-    fn deliver(&self, to: Entity, iface: IfIndex, link_src: cbt_wire::Addr, frame: &Bytes) {
-        let Some(txs) = self.inboxes.get(&to) else { return };
-        // Fast path: clone the refcounted handle. Legacy path: deep
-        // copy per recipient, as the pre-batching fabric did.
-        let frame =
-            if self.copy_per_recipient { Bytes::from(frame.to_vec()) } else { frame.clone() };
-        // Single-inbox entities (hosts, or shards = 1) skip the peek.
-        if txs.len() == 1 {
-            self.enqueue(&txs[0], to, RxFrame { iface, link_src, frame });
-            return;
-        }
-        match steer_frame(&frame, txs.len()) {
-            Steer::One(k) => self.enqueue(&txs[k], to, RxFrame { iface, link_src, frame }),
-            Steer::All => {
-                for tx in txs {
-                    self.enqueue(tx, to, RxFrame { iface, link_src, frame: frame.clone() });
-                }
-            }
-        }
-    }
-
-    fn enqueue(&self, tx: &mpsc::Sender<RxFrame>, to: Entity, rx: RxFrame) {
-        match tx.try_send(rx) {
-            Ok(()) => self.counters.count_delivered(),
-            Err(mpsc::error::TrySendError::Full(_)) => self.counters.count_dropped(to),
+        let Some(route) = self.plan.route(from, t.iface) else { return };
+        for &Receiver { entity, iface, .. } in route.heard_by(t.link_dst) {
+            let to = self.plan.index(entity).expect("the plan lists only its own entities");
+            let rx = RxFrame { iface, link_src: route.link_src, frame: t.frame.clone() };
             // A closed inbox means that node shut down; fine.
-            Err(mpsc::error::TrySendError::Closed(_)) => {}
+            steer_into(&self.inboxes[to], &self.counters, to, rx);
         }
     }
 }
@@ -388,8 +294,30 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbt_topology::NetworkBuilder;
-    use cbt_wire::Addr;
+    use cbt_topology::{HostId, NetworkBuilder, RouterId};
+    use std::collections::HashMap;
+
+    /// A fabric's receive ends keyed by entity, as the tests address
+    /// them.
+    fn keyed(
+        net: &NetworkSpec,
+        dp: DataPlaneConfig,
+        shards: usize,
+    ) -> (Arc<Fabric>, HashMap<Entity, Vec<mpsc::Receiver<RxFrame>>>) {
+        let (fabric, rxs) = Fabric::with_shards(net, dp, shards);
+        let rxs = fabric.plan().entities().zip(rxs).collect();
+        (fabric, rxs)
+    }
+
+    /// The unsharded shape: one receive end per entity.
+    fn unsharded(
+        net: &NetworkSpec,
+        dp: DataPlaneConfig,
+    ) -> (Arc<Fabric>, HashMap<Entity, mpsc::Receiver<RxFrame>>) {
+        let (fabric, rxs) = keyed(net, dp, 1);
+        let one = |(e, mut v): (Entity, Vec<_>)| (e, v.pop().expect("one inbox per entity"));
+        (fabric, rxs.into_iter().map(one).collect())
+    }
 
     fn lan_pair() -> (Arc<NetworkSpec>, RouterId, RouterId, HostId) {
         let mut b = NetworkBuilder::new();
@@ -409,7 +337,7 @@ mod tests {
     #[tokio::test]
     async fn lan_broadcast_reaches_everyone() {
         let (net, r0, r1, h) = lan_pair();
-        let (fabric, mut rxs) = Fabric::new(net);
+        let (fabric, mut rxs) = unsharded(&net, DataPlaneConfig::default());
         let t = Transmit { iface: IfIndex(0), link_dst: None, frame: frame(&[1, 2, 3]) };
         fabric.dispatch(Entity::Router(r0), &t);
         assert!(rxs.get_mut(&Entity::Router(r1)).unwrap().try_recv().is_ok());
@@ -422,7 +350,7 @@ mod tests {
     async fn link_dst_filters_lan_unicast() {
         let (net, r0, r1, h) = lan_pair();
         let r1_addr = net.routers[r1.0 as usize].ifaces[0].addr;
-        let (fabric, mut rxs) = Fabric::new(net);
+        let (fabric, mut rxs) = unsharded(&net, DataPlaneConfig::default());
         let t = Transmit { iface: IfIndex(0), link_dst: Some(r1_addr), frame: frame(&[9]) };
         fabric.dispatch(Entity::Router(r0), &t);
         assert!(rxs.get_mut(&Entity::Router(r1)).unwrap().try_recv().is_ok());
@@ -436,7 +364,7 @@ mod tests {
         let r1 = b.router("R1");
         b.link(r0, r1, 1);
         let net = Arc::new(b.build());
-        let (fabric, mut rxs) = Fabric::new(net);
+        let (fabric, mut rxs) = unsharded(&net, DataPlaneConfig::default());
         let t = Transmit { iface: IfIndex(0), link_dst: None, frame: frame(&[7]) };
         fabric.dispatch(Entity::Router(r0), &t);
         let got = rxs.get_mut(&Entity::Router(r1)).unwrap().try_recv().unwrap();
@@ -447,7 +375,7 @@ mod tests {
     #[tokio::test]
     async fn unknown_iface_is_silently_dropped() {
         let (net, r0, ..) = lan_pair();
-        let (fabric, _rxs) = Fabric::new(net);
+        let (fabric, _rxs) = unsharded(&net, DataPlaneConfig::default());
         let t = Transmit { iface: IfIndex(42), link_dst: None, frame: frame(&[0]) };
         fabric.dispatch(Entity::Router(r0), &t); // must not panic
         let _ = Addr::NULL;
@@ -458,25 +386,13 @@ mod tests {
     #[tokio::test]
     async fn fanout_shares_the_frame_allocation() {
         let (net, r0, r1, h) = lan_pair();
-        let (fabric, mut rxs) = Fabric::new(net);
+        let (fabric, mut rxs) = unsharded(&net, DataPlaneConfig::default());
         let t = Transmit { iface: IfIndex(0), link_dst: None, frame: frame(&[5; 64]) };
         fabric.dispatch(Entity::Router(r0), &t);
         let a = rxs.get_mut(&Entity::Router(r1)).unwrap().try_recv().unwrap();
         let b = rxs.get_mut(&Entity::Host(h)).unwrap().try_recv().unwrap();
         assert!(a.frame.shares_allocation_with(&t.frame), "handle, not copy");
         assert!(b.frame.shares_allocation_with(&t.frame), "handle, not copy");
-    }
-
-    /// Legacy mode really does copy (the measurable baseline).
-    #[tokio::test]
-    async fn legacy_mode_copies_per_recipient() {
-        let (net, r0, r1, _) = lan_pair();
-        let (fabric, mut rxs) = Fabric::with_config(net, DataPlaneConfig::legacy());
-        let t = Transmit { iface: IfIndex(0), link_dst: None, frame: frame(&[5; 64]) };
-        fabric.dispatch(Entity::Router(r0), &t);
-        let a = rxs.get_mut(&Entity::Router(r1)).unwrap().try_recv().unwrap();
-        assert_eq!(a.frame, t.frame);
-        assert!(!a.frame.shares_allocation_with(&t.frame), "legacy copies");
     }
 
     /// Every frame class the live plane carries steers to the shard
@@ -562,7 +478,7 @@ mod tests {
     async fn sharded_delivery_steers_to_the_owning_inbox() {
         use cbt_wire::{ipv4::build_datagram, DataPacket};
         let (net, r0, r1, _h) = lan_pair();
-        let (fabric, mut rxs) = Fabric::with_shards(net, DataPlaneConfig::default(), 4);
+        let (fabric, mut rxs) = keyed(&net, DataPlaneConfig::default(), 4);
         let g = GroupId::numbered(9);
         let own = match steer_frame(
             &DataPacket::new(Addr::from_octets(10, 1, 0, 1), g, 16, vec![0u8]).encode(),
@@ -600,7 +516,7 @@ mod tests {
         let (net, r0, r1, _) = lan_pair();
         let r1_addr = net.routers[r1.0 as usize].ifaces[0].addr;
         let dp = DataPlaneConfig { inbox_capacity: 4, ..Default::default() };
-        let (fabric, mut rxs) = Fabric::with_config(net, dp);
+        let (fabric, mut rxs) = unsharded(&net, dp);
         let t = Transmit { iface: IfIndex(0), link_dst: Some(r1_addr), frame: frame(&[1]) };
         for _ in 0..10 {
             fabric.dispatch(Entity::Router(r0), &t);

@@ -101,66 +101,63 @@ impl LiveNet {
         LiveNet::spawn_with(net, cfg, DataPlaneConfig::default())
     }
 
-    /// Spawns with explicit data-plane tuning (the `dataplane`
-    /// experiment uses this to measure legacy vs batched in the same
-    /// harness).
+    /// Spawns with explicit data-plane tuning: inbox depth and how many
+    /// queued frames a task drains per wakeup.
     pub fn spawn_with(net: NetworkSpec, cfg: CbtConfig, dp: DataPlaneConfig) -> LiveNet {
         let shards = cfg.shards.max(1);
         let net = Arc::new(net);
         let epoch = Instant::now();
         let (_rib, make_rib) = SharedRib::build(net.clone());
-        let (fabric, mut rxs) = Fabric::with_shards(net.clone(), dp, shards);
+        let (fabric, rxs) = Fabric::with_shards(&net, dp, shards);
         let counters = fabric.counters().clone();
 
         let mut tasks = Vec::new();
         let mut router_cmds = HashMap::new();
-        for i in 0..net.routers.len() {
-            let me = RouterId(i as u32);
-            let shard_rxs = rxs.remove(&Entity::Router(me)).expect("inbox");
-            let mut cmd_txs = Vec::with_capacity(shards);
-            for (k, rx) in shard_rxs.into_iter().enumerate() {
-                let node = RouterNode::new_shard_slice(
-                    &net,
-                    me,
-                    cfg.clone(),
-                    make_rib(me),
-                    SimTime::ZERO,
-                    k,
-                    shards,
-                );
-                let (cmd_tx, cmd_rx) = mpsc::unbounded_channel();
-                cmd_txs.push(cmd_tx);
-                tasks.push(tokio::spawn(router_task(
-                    node,
-                    Entity::Router(me),
-                    fabric.clone(),
-                    rx,
-                    cmd_rx,
-                    epoch,
-                    dp,
-                )));
-            }
-            router_cmds.insert(me, cmd_txs);
-        }
         let mut host_cmds = HashMap::new();
-        for (i, h) in net.hosts.iter().enumerate() {
-            let hid = HostId(i as u32);
-            let app = HostApp::new(h.addr, 3, cfg.igmp);
-            let rx = rxs
-                .remove(&Entity::Host(hid))
-                .and_then(|mut v| v.pop())
-                .expect("one inbox per host");
-            let (cmd_tx, cmd_rx) = mpsc::unbounded_channel();
-            host_cmds.insert(hid, cmd_tx);
-            tasks.push(tokio::spawn(host_task(
-                app,
-                Entity::Host(hid),
-                fabric.clone(),
-                rx,
-                cmd_rx,
-                epoch,
-                dp,
-            )));
+        for (entity, shard_rxs) in fabric.plan().entities().zip(rxs) {
+            match entity {
+                Entity::Router(me) => {
+                    let mut cmd_txs = Vec::with_capacity(shards);
+                    for (k, rx) in shard_rxs.into_iter().enumerate() {
+                        let node = RouterNode::new_shard_slice(
+                            &net,
+                            me,
+                            cfg.clone(),
+                            make_rib(me),
+                            SimTime::ZERO,
+                            k,
+                            shards,
+                        );
+                        let (cmd_tx, cmd_rx) = mpsc::unbounded_channel();
+                        cmd_txs.push(cmd_tx);
+                        tasks.push(tokio::spawn(router_task(
+                            node,
+                            entity,
+                            fabric.clone(),
+                            rx,
+                            cmd_rx,
+                            epoch,
+                            dp,
+                        )));
+                    }
+                    router_cmds.insert(me, cmd_txs);
+                }
+                Entity::Host(hid) => {
+                    let app = HostApp::new(net.host_addr(hid), 3, cfg.igmp);
+                    let rx = shard_rxs.into_iter().next().expect("one inbox per host");
+                    let (cmd_tx, cmd_rx) = mpsc::unbounded_channel();
+                    host_cmds.insert(hid, cmd_tx);
+                    tasks.push(tokio::spawn(host_task(
+                        app,
+                        entity,
+                        fabric.clone(),
+                        rx,
+                        cmd_rx,
+                        epoch,
+                        dp,
+                    )));
+                }
+            }
         }
         LiveNet { net, epoch, host_cmds, router_cmds, counters, tasks }
     }
@@ -301,18 +298,9 @@ async fn router_task(
                 }
             }
             frame = rx.recv() => {
-                let Some(f) = frame else { break };
+                let Some(first) = frame else { break };
                 let now = instant_to_sim(epoch, Instant::now());
-                node.on_packet(now, f.iface, f.link_src, &f.frame, &mut out);
-                // Batch: run every frame already queued through the
-                // engine before flushing, so a burst pays one wakeup
-                // and one outbox flush, not one per packet.
-                let mut n = 1;
-                while n < dp.rx_batch {
-                    let Ok(f) = rx.try_recv() else { break };
-                    node.on_packet(now, f.iface, f.link_src, &f.frame, &mut out);
-                    n += 1;
-                }
+                receive_batch(&mut node, first, &mut rx, dp.rx_batch, now, &mut out);
             }
             _ = sleep_maybe(wake) => {
                 let now = instant_to_sim(epoch, Instant::now());
@@ -370,15 +358,9 @@ async fn host_task(
                 }
             }
             frame = rx.recv() => {
-                let Some(f) = frame else { break };
+                let Some(first) = frame else { break };
                 let now = instant_to_sim(epoch, Instant::now());
-                app.on_packet(now, f.iface, f.link_src, &f.frame, &mut out);
-                let mut n = 1;
-                while n < dp.rx_batch {
-                    let Ok(f) = rx.try_recv() else { break };
-                    app.on_packet(now, f.iface, f.link_src, &f.frame, &mut out);
-                    n += 1;
-                }
+                receive_batch(&mut app, first, &mut rx, dp.rx_batch, now, &mut out);
             }
             _ = sleep_maybe(wake) => {
                 let now = instant_to_sim(epoch, Instant::now());
@@ -388,6 +370,25 @@ async fn host_task(
         for t in out.drain() {
             fabric.dispatch(me, &t);
         }
+    }
+}
+
+/// Runs the frame that woke a task through `node`, then every frame
+/// already queued behind it — `rx_batch` in all at most — so a burst
+/// pays one wakeup and one outbox flush, not one per packet.
+fn receive_batch(
+    node: &mut dyn SimNode,
+    first: RxFrame,
+    rx: &mut mpsc::Receiver<RxFrame>,
+    rx_batch: usize,
+    now: SimTime,
+    out: &mut Outbox,
+) {
+    let mut handle = |f: RxFrame| node.on_packet(now, f.iface, f.link_src, &f.frame, out);
+    handle(first);
+    for _ in 1..rx_batch {
+        let Ok(f) = rx.try_recv() else { break };
+        handle(f);
     }
 }
 
@@ -479,26 +480,6 @@ mod tests {
         let snap = live.router_snapshot(r0, group).await.unwrap();
         assert!(snap.stats.echo_requests_sent >= 2, "{snap:?}");
         assert_eq!(snap.stats.parent_failures, 0, "parent stayed alive");
-        live.shutdown();
-    }
-
-    /// The legacy (copy-per-recipient, wake-per-packet) data plane is
-    /// still a correct data plane — the experiment baseline must pass
-    /// the same end-to-end delivery check as the batched one.
-    #[tokio::test(start_paused = true)]
-    async fn legacy_data_plane_still_delivers() {
-        let (net, _r0, r1, _r2, a, bb) = chain();
-        let core = net.router_addr(r1);
-        let group = GroupId::numbered(8);
-        let live = LiveNet::spawn_with(net, CbtConfig::fast(), DataPlaneConfig::legacy());
-        live.host_join(a, group, vec![core]);
-        live.host_join(bb, group, vec![core]);
-        tokio::time::sleep(Duration::from_secs(3)).await;
-        live.host_send(bb, group, b"legacy".to_vec(), 16);
-        tokio::time::sleep(Duration::from_secs(1)).await;
-        let got = live.host_received(a).await.expect("host alive");
-        assert_eq!(got.len(), 1, "{got:?}");
-        assert_eq!(got[0].payload, b"legacy");
         live.shutdown();
     }
 

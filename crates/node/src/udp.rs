@@ -2,13 +2,14 @@
 //! sockets on loopback.
 //!
 //! Every entity binds one `tokio::net::UdpSocket`; a transmission is
-//! resolved to its recipients exactly like the channel fabric, then
-//! sent as a real datagram `[iface_be32 | link_src_be32 | frame]` to
-//! each recipient's socket, where a pump task feeds it into the node's
-//! inbox (the link_src word plays the role of the Ethernet source MAC). The CBT
-//! control messages inside are the byte-exact §8 formats riding in the
-//! §3 UDP shells — so a packet capture of loopback during a test shows
-//! genuine CBT traffic.
+//! resolved to its recipients through the same [`DeliveryPlan`] as the
+//! channel fabric, then sent as a real datagram
+//! `[iface_be32 | link_src_be32 | frame]` to each recipient's socket,
+//! where a pump task feeds it into the node's inbox (the link_src word
+//! plays the role of the Ethernet source MAC). The CBT control messages
+//! inside are the byte-exact §8 formats riding in the §3 UDP shells —
+//! so a packet capture of loopback during a test shows genuine CBT
+//! traffic.
 //!
 //! Data-plane properties (see DESIGN.md "Data-plane architecture"):
 //! - the send side encodes each outbound datagram **once** into a
@@ -20,16 +21,15 @@
 //!   wakeup (batch receive into one reused scratch buffer) instead of
 //!   taking a task wakeup per packet;
 //! - node inboxes are bounded; overflow is dropped and counted, and
-//!   malformed datagrams shorter than the 8-byte preamble are counted
-//!   in [`UdpStats::short_datagrams`] instead of vanishing silently.
+//!   malformed datagrams — shorter than the 8-byte preamble, or naming
+//!   an interface the receiving node does not have — are counted as
+//!   [`DropReason::DecodeError`] instead of vanishing silently.
 
-use crate::fabric::{entities_of, steer_frame, DataPlaneConfig, RxFrame, Steer};
-use cbt_netsim::{Bytes, Entity, Transmit};
-use cbt_obs::{AtomicDropCounters, DropCounters, DropReason};
-use cbt_topology::{Attachment, IfIndex, NetworkSpec};
-use std::collections::HashMap;
+use crate::fabric::{inboxes, steer_into, DataPlaneConfig, FabricCounters, Inboxes, RxFrame};
+use cbt_netsim::{Bytes, DeliveryPlan, Entity, Transmit};
+use cbt_obs::DropReason;
+use cbt_topology::{IfIndex, NetworkSpec};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tokio::net::UdpSocket;
 use tokio::sync::mpsc;
@@ -38,131 +38,53 @@ use tokio::task::JoinHandle;
 /// How many datagrams a pump drains per socket wakeup before yielding.
 const PUMP_BATCH: usize = 64;
 
-/// Cumulative transport counters, shared by every pump of a fabric.
-/// Drops are attributed to the **receiving node** under the shared
-/// [`DropReason`] taxonomy: a truncated preamble counts as
-/// [`DropReason::DecodeError`], a full inbox as
-/// [`DropReason::InboxOverflow`].
-#[derive(Default)]
-pub struct UdpCounters {
-    datagrams_rx: AtomicU64,
-    node_drops: HashMap<Entity, AtomicDropCounters>,
-}
-
-/// A point-in-time snapshot of [`UdpCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UdpStats {
-    /// Well-formed datagrams delivered into node inboxes.
-    pub datagrams_rx: u64,
-    /// Datagrams shorter than the 8-byte `[iface|link_src]` preamble
-    /// (including zero-length), dropped at the pump (sum of
-    /// [`DropReason::DecodeError`] over every node).
-    pub short_datagrams: u64,
-    /// Well-formed datagrams dropped because the node's bounded inbox
-    /// was full (sum of [`DropReason::InboxOverflow`] over every node).
-    pub dropped_overflow: u64,
-}
-
-impl UdpCounters {
-    /// Builds the counter set with one taxonomy row per entity.
-    fn for_net(net: &NetworkSpec) -> Self {
-        UdpCounters {
-            datagrams_rx: AtomicU64::new(0),
-            node_drops: entities_of(net)
-                .into_iter()
-                .map(|e| (e, AtomicDropCounters::default()))
-                .collect(),
-        }
-    }
-    /// One node's transport-level drop taxonomy.
-    pub fn node_drops(&self, e: Entity) -> DropCounters {
-        self.node_drops.get(&e).map(|d| d.snapshot()).unwrap_or_default()
-    }
-    /// The fleet-wide drop taxonomy (sum over every node).
-    pub fn drops_total(&self) -> DropCounters {
-        let mut out = DropCounters::default();
-        for d in self.node_drops.values() {
-            out.merge(&d.snapshot());
-        }
-        out
-    }
-    /// Snapshots the counters.
-    pub fn snapshot(&self) -> UdpStats {
-        let drops = self.drops_total();
-        UdpStats {
-            datagrams_rx: self.datagrams_rx.load(Ordering::Relaxed),
-            short_datagrams: drops.get(DropReason::DecodeError),
-            dropped_overflow: drops.get(DropReason::InboxOverflow),
-        }
-    }
-}
-
-/// The UDP-backed fabric.
+/// The UDP-backed fabric. Its tables are indexed by
+/// [`DeliveryPlan::index`].
 pub struct UdpFabric {
-    net: Arc<NetworkSpec>,
+    plan: Arc<DeliveryPlan>,
     /// Each entity's bound socket (send side).
-    sockets: HashMap<Entity, Arc<UdpSocket>>,
+    sockets: Vec<Arc<UdpSocket>>,
     /// Each entity's socket address (receive side).
-    peers: HashMap<Entity, SocketAddr>,
-    counters: Arc<UdpCounters>,
+    peers: Vec<SocketAddr>,
+    counters: Arc<FabricCounters>,
     pumps: Vec<JoinHandle<()>>,
 }
 
 impl UdpFabric {
     /// Binds one loopback socket per entity and starts pump tasks that
-    /// forward received datagrams into the returned inboxes (default
-    /// data-plane config).
-    pub async fn bind(
-        net: Arc<NetworkSpec>,
-    ) -> std::io::Result<(Arc<Self>, HashMap<Entity, mpsc::Receiver<RxFrame>>)> {
-        UdpFabric::bind_with(net, DataPlaneConfig::default()).await
-    }
-
-    /// Binds with explicit data-plane tuning (one inbox per entity —
-    /// the unsharded shape).
-    pub async fn bind_with(
-        net: Arc<NetworkSpec>,
-        dp: DataPlaneConfig,
-    ) -> std::io::Result<(Arc<Self>, HashMap<Entity, mpsc::Receiver<RxFrame>>)> {
-        let (fabric, rxs) = UdpFabric::bind_sharded(net, dp, 1).await?;
-        let rxs =
-            rxs.into_iter().map(|(e, mut v)| (e, v.pop().expect("one inbox per entity"))).collect();
-        Ok((fabric, rxs))
-    }
-
-    /// Binds with `shards` inboxes per **router** (hosts keep one);
-    /// each router still owns a single socket, whose pump steers every
-    /// datagram to the shard owning its group
-    /// ([`steer_frame`](crate::fabric::steer_frame)).
+    /// forward received datagrams into the returned inboxes: `shards`
+    /// per **router** (hosts keep one). Each router still owns a
+    /// single socket, whose pump steers every datagram to the shard
+    /// owning its group ([`steer_frame`](crate::fabric::steer_frame)).
     pub async fn bind_sharded(
-        net: Arc<NetworkSpec>,
+        net: &NetworkSpec,
         dp: DataPlaneConfig,
         shards: usize,
-    ) -> std::io::Result<(Arc<Self>, HashMap<Entity, Vec<mpsc::Receiver<RxFrame>>>)> {
-        let shards = shards.max(1);
-        let mut sockets = HashMap::new();
-        let mut peers = HashMap::new();
-        let mut rxs = HashMap::new();
-        let mut pumps = Vec::new();
-        let counters = Arc::new(UdpCounters::for_net(&net));
-        for e in entities_of(&net) {
-            let n = match e {
-                Entity::Router(_) => shards,
-                Entity::Host(_) => 1,
-            };
+    ) -> std::io::Result<(Arc<Self>, Inboxes)> {
+        let plan = Arc::new(DeliveryPlan::new(net));
+        let counters = Arc::new(FabricCounters::new(plan.clone()));
+        let (txs, rxs) = inboxes(&plan, dp, shards);
+        let mut sockets = Vec::with_capacity(txs.len());
+        let mut peers = Vec::with_capacity(txs.len());
+        let mut pumps = Vec::with_capacity(txs.len());
+        for (me, txs) in txs.into_iter().enumerate() {
             let socket = Arc::new(UdpSocket::bind("127.0.0.1:0").await?);
-            peers.insert(e, socket.local_addr()?);
-            let (txs, rx): (Vec<_>, Vec<_>) =
-                (0..n).map(|_| mpsc::channel(dp.inbox_capacity.max(1))).unzip();
-            rxs.insert(e, rx);
-            pumps.push(tokio::spawn(pump(socket.clone(), txs, counters.clone(), e)));
-            sockets.insert(e, socket);
+            peers.push(socket.local_addr()?);
+            let ifaces = plan.iface_count(plan.entity(me)) as u32;
+            pumps.push(tokio::spawn(pump(socket.clone(), txs, counters.clone(), me, ifaces)));
+            sockets.push(socket);
         }
-        Ok((Arc::new(UdpFabric { net, sockets, peers, counters, pumps }), rxs))
+        Ok((Arc::new(UdpFabric { plan, sockets, peers, counters, pumps }), rxs))
+    }
+
+    /// The delivery plan this fabric walks (and indexes its receive
+    /// ends by).
+    pub fn plan(&self) -> &DeliveryPlan {
+        &self.plan
     }
 
     /// Transport counters (shared across all pumps).
-    pub fn counters(&self) -> &Arc<UdpCounters> {
+    pub fn counters(&self) -> &Arc<FabricCounters> {
         &self.counters
     }
 
@@ -188,93 +110,22 @@ impl UdpFabric {
     /// go through the socket's synchronous path (UDP on loopback does
     /// not block), so a whole batch leaves without yielding.
     async fn dispatch_buffered(&self, from: Entity, t: &Transmit, dgram: &mut Vec<u8>) {
-        let Some(sock) = self.sockets.get(&from) else { return };
-        let link_src = self.link_src_of(from, t.iface);
+        let Some(me) = self.plan.index(from) else { return };
+        let Some(route) = self.plan.route(from, t.iface) else { return };
+        let sock = &self.sockets[me];
         dgram.clear();
         dgram.extend_from_slice(&[0, 0, 0, 0]);
-        dgram.extend_from_slice(&link_src.0.to_be_bytes());
+        dgram.extend_from_slice(&route.link_src.0.to_be_bytes());
         dgram.extend_from_slice(&t.frame);
-        for (to, iface) in self.recipients(from, t) {
-            let Some(peer) = self.peers.get(&to) else { continue };
-            dgram[0..4].copy_from_slice(&iface.0.to_be_bytes());
-            if sock.try_send_to(dgram, *peer).is_err() {
+        for rx in route.heard_by(t.link_dst) {
+            let to = self.plan.index(rx.entity).expect("the plan lists only its own entities");
+            dgram[0..4].copy_from_slice(&rx.iface.0.to_be_bytes());
+            if sock.try_send_to(dgram, self.peers[to]).is_err() {
                 // Loopback UDP virtually never blocks; fall back to the
                 // awaiting path if it does rather than drop the frame.
-                let _ = sock.send_to(&dgram[..], *peer).await;
+                let _ = sock.send_to(&dgram[..], self.peers[to]).await;
             }
         }
-    }
-
-    /// The sender's address on the transmitting medium.
-    fn link_src_of(&self, from: Entity, iface: IfIndex) -> cbt_wire::Addr {
-        match from {
-            Entity::Router(r) => self
-                .net
-                .routers
-                .get(r.0 as usize)
-                .and_then(|s| s.iface(iface))
-                .map(|i| i.addr)
-                .unwrap_or(cbt_wire::Addr::NULL),
-            Entity::Host(h) => {
-                self.net.hosts.get(h.0 as usize).map(|s| s.addr).unwrap_or(cbt_wire::Addr::NULL)
-            }
-        }
-    }
-
-    /// Who receives this transmission, and on which of their ifaces.
-    fn recipients(&self, from: Entity, t: &Transmit) -> Vec<(Entity, IfIndex)> {
-        let mut out = Vec::new();
-        let medium = match from {
-            Entity::Router(r) => self
-                .net
-                .routers
-                .get(r.0 as usize)
-                .and_then(|s| s.iface(t.iface))
-                .map(|i| i.attachment),
-            Entity::Host(h) => self
-                .net
-                .hosts
-                .get(h.0 as usize)
-                .filter(|_| t.iface == IfIndex(0))
-                .map(|s| Attachment::Lan(s.lan)),
-        };
-        match medium {
-            Some(Attachment::Lan(lan)) => {
-                let lan_spec = &self.net.lans[lan.0 as usize];
-                for &r in &lan_spec.routers {
-                    if Entity::Router(r) == from {
-                        continue;
-                    }
-                    if let Some((rx_iface, rx_spec)) =
-                        self.net.routers[r.0 as usize].iface_on_lan(lan)
-                    {
-                        if t.link_dst.is_some_and(|d| d != rx_spec.addr) {
-                            continue;
-                        }
-                        out.push((Entity::Router(r), rx_iface));
-                    }
-                }
-                for &h in &lan_spec.hosts {
-                    if Entity::Host(h) == from {
-                        continue;
-                    }
-                    if t.link_dst.is_some_and(|d| d != self.net.hosts[h.0 as usize].addr) {
-                        continue;
-                    }
-                    out.push((Entity::Host(h), IfIndex(0)));
-                }
-            }
-            Some(Attachment::Link { link, peer }) => {
-                let peer_iface = self.net.routers[peer.0 as usize].ifaces.iter().position(
-                    |pi| matches!(pi.attachment, Attachment::Link { link: l, .. } if l == link),
-                );
-                if let Some(idx) = peer_iface {
-                    out.push((Entity::Router(peer), IfIndex(idx as u32)));
-                }
-            }
-            None => {}
-        }
-        out
     }
 
     /// Stops the pump tasks.
@@ -285,21 +136,22 @@ impl UdpFabric {
     }
 }
 
-/// The receive pump: await one datagram, then drain everything else
+/// The receive pump of the entity at plan index `me`, which has
+/// `ifaces` interfaces: await one datagram, then drain everything else
 /// already queued on the socket (up to [`PUMP_BATCH`]) before yielding.
 /// One 64 KiB scratch buffer is reused for every read; each frame is
 /// copied out at its exact size into a refcounted [`Bytes`].
 async fn pump(
     socket: Arc<UdpSocket>,
     txs: Vec<mpsc::Sender<RxFrame>>,
-    counters: Arc<UdpCounters>,
-    me: Entity,
+    counters: Arc<FabricCounters>,
+    me: usize,
+    ifaces: u32,
 ) {
-    let drops = counters.node_drops.get(&me).expect("every entity has a taxonomy row");
     let mut buf = vec![0u8; 65536];
     'outer: loop {
         let Ok((len, _)) = socket.recv_from(&mut buf).await else { break };
-        if !pump_one(&buf[..len], &txs, &counters.datagrams_rx, drops) {
+        if !pump_one(&buf[..len], &txs, &counters, me, ifaces) {
             break;
         }
         // Batch: drain whatever else already arrived, without paying a
@@ -308,61 +160,38 @@ async fn pump(
         while drained < PUMP_BATCH {
             let Ok((len, _)) = socket.try_recv_from(&mut buf) else { break };
             drained += 1;
-            if !pump_one(&buf[..len], &txs, &counters.datagrams_rx, drops) {
+            if !pump_one(&buf[..len], &txs, &counters, me, ifaces) {
                 break 'outer;
             }
         }
     }
 }
 
-/// Parses, steers and enqueues one received datagram. Returns false
-/// when every inbox receiver is gone (pump should exit).
+/// Parses, steers and enqueues one received datagram. A datagram is
+/// outside input: one too short for the preamble, or whose interface
+/// word names an interface this node does not have (the engine would
+/// file protocol state on it and every later send there would vanish),
+/// is dropped and counted. Returns false when every inbox receiver is
+/// gone (pump should exit).
 fn pump_one(
     dgram: &[u8],
     txs: &[mpsc::Sender<RxFrame>],
-    rx_total: &AtomicU64,
-    drops: &AtomicDropCounters,
+    counters: &FabricCounters,
+    me: usize,
+    ifaces: u32,
 ) -> bool {
-    if dgram.len() < 8 {
-        drops.bump(DropReason::DecodeError);
+    let word =
+        |at: usize| dgram.get(at..at + 4).map(|b| u32::from_be_bytes([b[0], b[1], b[2], b[3]]));
+    let Some((iface, link_src)) = word(0).filter(|&iface| iface < ifaces).zip(word(4)) else {
+        counters.count_dropped(me, DropReason::DecodeError);
         return true;
-    }
-    let iface = IfIndex(u32::from_be_bytes([dgram[0], dgram[1], dgram[2], dgram[3]]));
-    let link_src = cbt_wire::Addr(u32::from_be_bytes([dgram[4], dgram[5], dgram[6], dgram[7]]));
-    let frame = Bytes::from(dgram[8..].to_vec());
-    // Single-inbox entities (hosts, or shards = 1) skip the peek.
-    let steer = if txs.len() == 1 { Steer::One(0) } else { steer_frame(&frame, txs.len()) };
-    match steer {
-        Steer::One(k) => enqueue(&txs[k], RxFrame { iface, link_src, frame }, rx_total, drops),
-        Steer::All => {
-            let mut any_open = false;
-            for tx in txs {
-                let rx = RxFrame { iface, link_src, frame: frame.clone() };
-                any_open |= enqueue(tx, rx, rx_total, drops);
-            }
-            any_open
-        }
-    }
-}
-
-/// Enqueues into one shard inbox; false when that receiver is gone.
-fn enqueue(
-    tx: &mpsc::Sender<RxFrame>,
-    rx: RxFrame,
-    rx_total: &AtomicU64,
-    drops: &AtomicDropCounters,
-) -> bool {
-    match tx.try_send(rx) {
-        Ok(()) => {
-            rx_total.fetch_add(1, Ordering::Relaxed);
-            true
-        }
-        Err(mpsc::error::TrySendError::Full(_)) => {
-            drops.bump(DropReason::InboxOverflow);
-            true
-        }
-        Err(mpsc::error::TrySendError::Closed(_)) => false,
-    }
+    };
+    let rx = RxFrame {
+        iface: IfIndex(iface),
+        link_src: cbt_wire::Addr(link_src),
+        frame: Bytes::from(dgram[8..].to_vec()),
+    };
+    steer_into(txs, counters, me, rx)
 }
 
 #[cfg(test)]
@@ -370,6 +199,39 @@ mod tests {
     use super::*;
     use cbt_topology::{NetworkBuilder, RouterId};
     use cbt_wire::{Addr, ControlMessage, GroupId, JoinSubcode, UdpHeader, CBT_PRIMARY_PORT};
+    use std::collections::HashMap;
+
+    /// A bound fabric's receive ends keyed by entity, as the tests
+    /// address them.
+    async fn keyed(
+        net: &NetworkSpec,
+        dp: DataPlaneConfig,
+        shards: usize,
+    ) -> (Arc<UdpFabric>, HashMap<Entity, Vec<mpsc::Receiver<RxFrame>>>) {
+        let (fabric, rxs) = UdpFabric::bind_sharded(net, dp, shards).await.unwrap();
+        let rxs = fabric.plan().entities().zip(rxs).collect();
+        (fabric, rxs)
+    }
+
+    /// The unsharded shape: one receive end per entity.
+    async fn unsharded(
+        net: &NetworkSpec,
+        dp: DataPlaneConfig,
+    ) -> (Arc<UdpFabric>, HashMap<Entity, mpsc::Receiver<RxFrame>>) {
+        let (fabric, rxs) = keyed(net, dp, 1).await;
+        let one = |(e, mut v): (Entity, Vec<_>)| (e, v.pop().expect("one inbox per entity"));
+        (fabric, rxs.into_iter().map(one).collect())
+    }
+
+    /// The socket address a raw sender must target to reach `e`.
+    fn peer_of(fabric: &UdpFabric, e: Entity) -> SocketAddr {
+        fabric.peers[fabric.plan.index(e).unwrap()]
+    }
+
+    /// Datagrams the pumps refused to parse, fleet-wide.
+    fn decode_errors(fabric: &UdpFabric) -> u64 {
+        fabric.counters().drops_total().get(DropReason::DecodeError)
+    }
 
     fn pair() -> Arc<NetworkSpec> {
         let mut b = NetworkBuilder::new();
@@ -388,7 +250,7 @@ mod tests {
     #[tokio::test]
     async fn join_request_over_real_sockets() {
         let net = pair();
-        let (fabric, mut rxs) = UdpFabric::bind(net.clone()).await.unwrap();
+        let (fabric, mut rxs) = unsharded(&net, DataPlaneConfig::default()).await;
 
         let join = ControlMessage::JoinRequest {
             subcode: JoinSubcode::ActiveJoin,
@@ -421,7 +283,7 @@ mod tests {
         let (udp_hdr, payload) = UdpHeader::unwrap(body).unwrap();
         assert_eq!(udp_hdr.dst_port, CBT_PRIMARY_PORT);
         assert_eq!(ControlMessage::decode(payload).unwrap(), join);
-        assert_eq!(fabric.counters().snapshot().datagrams_rx, 1);
+        assert_eq!(fabric.counters().snapshot().delivered, 1);
         fabric.shutdown();
     }
 
@@ -437,7 +299,7 @@ mod tests {
         b.attach(lan, r2);
         let net = Arc::new(b.build());
         let r1_addr = net.routers[1].ifaces[0].addr;
-        let (fabric, mut rxs) = UdpFabric::bind(net.clone()).await.unwrap();
+        let (fabric, mut rxs) = unsharded(&net, DataPlaneConfig::default()).await;
         let t =
             Transmit { iface: IfIndex(0), link_dst: Some(r1_addr), frame: frame(&[0, 1, 2, 3, 4]) };
         fabric.dispatch(Entity::Router(r0), &t).await;
@@ -455,18 +317,21 @@ mod tests {
     }
 
     /// Datagrams shorter than the `[iface|link_src]` preamble —
-    /// including zero-length ones — are dropped and counted, never
-    /// delivered.
+    /// including zero-length ones — and datagrams naming an interface
+    /// the node does not have are dropped and counted, never delivered.
     #[tokio::test]
     async fn short_datagrams_are_counted_and_dropped() {
         let net = pair();
-        let (fabric, mut rxs) = UdpFabric::bind(net.clone()).await.unwrap();
-        let r1_peer = fabric.peers[&Entity::Router(RouterId(1))];
+        let (fabric, mut rxs) = unsharded(&net, DataPlaneConfig::default()).await;
+        let r1_peer = peer_of(&fabric, Entity::Router(RouterId(1)));
         let raw = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
         raw.send_to(&[], r1_peer).unwrap(); // zero-length
         raw.send_to(&[1, 2, 3], r1_peer).unwrap(); // 3 < 8
         raw.send_to(&[0; 7], r1_peer).unwrap(); // 7 < 8
-                                                // An 8-byte datagram is a valid (empty) frame and must pass.
+                                                // R1 has one interface: words 1 and u32::MAX name none of its.
+        raw.send_to(&[0, 0, 0, 1, 0, 0, 0, 0, 9], r1_peer).unwrap();
+        raw.send_to(&[0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0], r1_peer).unwrap();
+        // An 8-byte datagram is a valid (empty) frame and must pass.
         raw.send_to(&[0; 8], r1_peer).unwrap();
         let rx = rxs.get_mut(&Entity::Router(RouterId(1))).unwrap();
         let got = tokio::time::timeout(std::time::Duration::from_secs(5), rx.recv())
@@ -475,8 +340,8 @@ mod tests {
             .expect("open");
         assert!(got.frame.is_empty());
         let stats = fabric.counters().snapshot();
-        assert_eq!(stats.short_datagrams, 3, "{stats:?}");
-        assert_eq!(stats.datagrams_rx, 1);
+        assert_eq!(decode_errors(&fabric), 5, "{stats:?}");
+        assert_eq!(stats.delivered, 1);
         fabric.shutdown();
     }
 
@@ -493,9 +358,9 @@ mod tests {
     async fn per_node_overflow_has_exact_reason_counts() {
         let net = pair();
         let dp = DataPlaneConfig { inbox_capacity: 4, ..Default::default() };
-        let (fabric, _rxs) = UdpFabric::bind_with(net.clone(), dp).await.unwrap();
+        let (fabric, _rxs) = unsharded(&net, dp).await;
         let r1 = Entity::Router(RouterId(1));
-        let r1_peer = fabric.peers[&r1];
+        let r1_peer = peer_of(&fabric, r1);
         let raw = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
         for _ in 0..10 {
             raw.send_to(&[0; 8], r1_peer).unwrap(); // valid (empty frame)
@@ -506,8 +371,8 @@ mod tests {
         // Wait until the pump has accounted for all 13 datagrams.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         loop {
-            let accounted = fabric.counters().snapshot().datagrams_rx
-                + fabric.counters().node_drops(r1).total();
+            let accounted =
+                fabric.counters().snapshot().delivered + fabric.counters().node_drops(r1).total();
             if accounted >= 13 {
                 break;
             }
@@ -518,7 +383,7 @@ mod tests {
         assert_eq!(drops.get(DropReason::InboxOverflow), 6, "exact overflow count");
         assert_eq!(drops.get(DropReason::DecodeError), 3, "exact truncation count");
         assert_eq!(drops.total(), 9, "no other reason was bumped");
-        assert_eq!(fabric.counters().snapshot().datagrams_rx, 4, "inbox capacity accepted");
+        assert_eq!(fabric.counters().snapshot().delivered, 4, "inbox capacity accepted");
         assert_eq!(
             fabric.counters().node_drops(Entity::Router(RouterId(0))).total(),
             0,
@@ -546,7 +411,7 @@ mod tests {
             b.attach(lan, r);
         }
         let net = Arc::new(b.build());
-        let (fabric, mut rxs) = UdpFabric::bind(net.clone()).await.unwrap();
+        let (fabric, mut rxs) = unsharded(&net, DataPlaneConfig::default()).await;
         let hub_addr = net.routers[0].ifaces[0].addr;
 
         let mut handles = Vec::new();
@@ -601,8 +466,8 @@ mod tests {
             got += 1;
         }
         let stats = fabric.counters().snapshot();
-        assert_eq!(stats.short_datagrams, 0, "no frame was corrupted in flight");
-        assert_eq!(got, stats.datagrams_rx, "transport accounting matches deliveries");
+        assert_eq!(decode_errors(&fabric), 0, "no frame was corrupted in flight");
+        assert_eq!(got, stats.delivered, "transport accounting matches deliveries");
         assert!(
             got + stats.dropped_overflow >= total * 9 / 10,
             "≥90% accounted for (got {got}, overflow {}, total {total})",
@@ -616,8 +481,7 @@ mod tests {
     #[tokio::test]
     async fn sharded_bind_steers_datagrams_by_group() {
         let net = pair();
-        let (fabric, mut rxs) =
-            UdpFabric::bind_sharded(net.clone(), DataPlaneConfig::default(), 4).await.unwrap();
+        let (fabric, mut rxs) = keyed(&net, DataPlaneConfig::default(), 4).await;
         let g = GroupId::numbered(9);
         let own = cbt::shard_of(g, 4);
         let join = ControlMessage::JoinRequest {
@@ -659,7 +523,7 @@ mod tests {
     #[tokio::test]
     async fn batch_dispatch_delivers_every_frame() {
         let net = pair();
-        let (fabric, mut rxs) = UdpFabric::bind(net.clone()).await.unwrap();
+        let (fabric, mut rxs) = unsharded(&net, DataPlaneConfig::default()).await;
         let batch: Vec<Transmit> = (0..20u8)
             .map(|i| Transmit { iface: IfIndex(0), link_dst: None, frame: frame(&[i; 16]) })
             .collect();
