@@ -317,51 +317,7 @@ impl CbtRouter {
                 },
             })
             .collect();
-        let mut my_addrs: BTreeSet<Addr> = ifaces.iter().map(|i| i.addr).collect();
-        my_addrs.insert(spec.addr);
-        let mut lans = BTreeMap::new();
-        for (n, info) in ifaces.iter().enumerate() {
-            if info.lan.is_some() {
-                lans.insert(
-                    IfIndex(n as u32),
-                    LanState {
-                        election: QuerierElection::new(info.addr, cfg.igmp, now),
-                        presence: GroupPresence::new(cfg.igmp),
-                    },
-                );
-            }
-        }
-        let timers = EngineTimers::new(cfg.timer_wheel);
-        let mut r = CbtRouter {
-            me,
-            id_addr: spec.addr,
-            my_addrs,
-            ifaces,
-            next_child_sweep: now + cfg.child_assert_interval,
-            next_iff_scan: now + cfg.iff_scan_interval,
-            cfg,
-            routes,
-            lans,
-            fib: Fib::new(),
-            pending: PendingJoins::new(),
-            pending_quits: BTreeMap::new(),
-            gdr: BTreeSet::new(),
-            proxy_handled: BTreeMap::new(),
-            core_knowledge: BTreeMap::new(),
-            local_members: BTreeSet::new(),
-            deferred_reattach: BTreeMap::new(),
-            reattach_started: BTreeMap::new(),
-            timers,
-            parent_index: BTreeMap::new(),
-            child_expiry: BTreeSet::new(),
-            stats: RouterStats::default(),
-            obs: RouterObs::new(),
-            data_slot_memo: None,
-            scratch_ifaces: Vec::new(),
-            scratch_neighbors: Vec::new(),
-        };
-        r.boot_arm();
-        r
+        Self::boot(me, spec.addr, ifaces, cfg, routes, now)
     }
 
     /// Builds an engine for a bare point-to-point router: `degree`
@@ -392,8 +348,34 @@ impl CbtRouter {
                 lan: None,
             })
             .collect();
-        let my_addrs: BTreeSet<Addr> = [id_addr].into_iter().collect();
-        let timers = EngineTimers::new(cfg.timer_wheel);
+        Self::boot(me, id_addr, ifaces, cfg, routes, now)
+    }
+
+    /// The one constructor behind [`CbtRouter::new`] and
+    /// [`CbtRouter::p2p`]: empty protocol state, one election +
+    /// presence table per LAN interface, boot timers armed.
+    fn boot(
+        me: RouterId,
+        id_addr: Addr,
+        ifaces: Vec<IfaceInfo>,
+        cfg: CbtConfig,
+        routes: Box<dyn RouteLookup>,
+        now: SimTime,
+    ) -> Self {
+        let mut my_addrs: BTreeSet<Addr> = ifaces.iter().map(|i| i.addr).collect();
+        my_addrs.insert(id_addr);
+        let mut lans = BTreeMap::new();
+        for (n, info) in ifaces.iter().enumerate() {
+            if info.lan.is_some() {
+                lans.insert(
+                    IfIndex(n as u32),
+                    LanState {
+                        election: QuerierElection::new(info.addr, cfg.igmp, now),
+                        presence: GroupPresence::new(cfg.igmp),
+                    },
+                );
+            }
+        }
         let mut r = CbtRouter {
             me,
             id_addr,
@@ -401,9 +383,10 @@ impl CbtRouter {
             ifaces,
             next_child_sweep: now + cfg.child_assert_interval,
             next_iff_scan: now + cfg.iff_scan_interval,
+            timers: EngineTimers::new(cfg.timer_wheel),
             cfg,
             routes,
-            lans: BTreeMap::new(),
+            lans,
             fib: Fib::new(),
             pending: PendingJoins::new(),
             pending_quits: BTreeMap::new(),
@@ -413,7 +396,6 @@ impl CbtRouter {
             local_members: BTreeSet::new(),
             deferred_reattach: BTreeMap::new(),
             reattach_started: BTreeMap::new(),
-            timers,
             parent_index: BTreeMap::new(),
             child_expiry: BTreeSet::new(),
             stats: RouterStats::default(),
@@ -632,6 +614,22 @@ impl CbtRouter {
         self.lans.keys().copied().collect()
     }
 
+    /// Is `group` on LAN interface `lan` already taken care of — this
+    /// router on-tree or joining, or another router's branch serving
+    /// the LAN (proxy-ack, §2.6)? If not, its D-DR must (re)join.
+    pub(crate) fn lan_group_handled(&self, lan: IfIndex, group: GroupId) -> bool {
+        self.fib.on_tree(group)
+            || self.pending.contains(group)
+            || self.proxy_handled.contains_key(&(lan, group))
+    }
+
+    /// Forgets every G-DR role for `group` (its tree state is gone).
+    pub(crate) fn clear_gdr(&mut self, group: GroupId) {
+        for lan in self.lans.keys() {
+            self.gdr.remove(&(*lan, group));
+        }
+    }
+
     /// Does any directly connected LAN have members of `group` that
     /// *this* router is responsible for (G-DR)? Locally attached
     /// members (netscale p2p mode) count unconditionally — this router
@@ -703,7 +701,7 @@ impl CbtRouter {
                 self.on_quit_request(now, iface, src, group, act);
             }
             ControlMessage::QuitAck { group, .. } => {
-                self.on_quit_ack(group);
+                self.on_quit_ack(iface, src, group);
             }
             ControlMessage::FlushTree { group, .. } => {
                 self.on_flush_tree(now, iface, src, group, act);
@@ -750,10 +748,7 @@ impl CbtRouter {
         // instead of waiting for the IFF-scan safety net.
         if let IgmpMessage::RpCore(r) = &msg {
             let live = self.lans.get(&iface).is_some_and(|l| l.presence.has_members(r.group));
-            let handled = self.fib.on_tree(r.group)
-                || self.pending.contains(r.group)
-                || self.proxy_handled.contains_key(&(iface, r.group));
-            if live && !handled && self.i_am_dr(iface, now) {
+            if live && !self.lan_group_handled(iface, r.group) && self.i_am_dr(iface, now) {
                 self.trigger_join(now, iface, r.group, r.target_core_index as usize, &mut act);
             }
         }
@@ -818,20 +813,8 @@ impl CbtRouter {
     /// match bit-for-bit (`cfg.timer_wheel = false`).
     fn on_timer_scan(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
         // IGMP querier duty + presence expiry per LAN.
-        let lan_ids: Vec<IfIndex> = self.lans.keys().copied().collect();
-        for iface in lan_ids {
-            let (sends, events) = {
-                let lan = self.lans.get_mut(&iface).expect("listed");
-                let sends: Vec<IgmpOut> = lan.election.poll(now);
-                let events = lan.presence.poll(now);
-                (sends, events)
-            };
-            for s in sends {
-                act.push(RouterAction::SendIgmp { iface, dst: s.dst, msg: s.msg });
-            }
-            for ev in events {
-                self.on_presence_event(now, iface, ev, act);
-            }
+        for iface in self.lan_ifaces() {
+            self.poll_lan(now, iface, act);
         }
         self.service_deferred_reattach(now, act);
         self.service_pending_joins(now, act);
@@ -881,16 +864,7 @@ impl CbtRouter {
         }
         // Phase 1: IGMP querier duty + presence expiry per due LAN.
         for iface in due_of!(TimerKind::Lan) {
-            let Some(lan) = self.lans.get_mut(&iface) else { continue };
-            let sends: Vec<IgmpOut> = lan.election.poll(now);
-            let events = lan.presence.poll(now);
-            for s in sends {
-                act.push(RouterAction::SendIgmp { iface, dst: s.dst, msg: s.msg });
-            }
-            for ev in events {
-                self.on_presence_event(now, iface, ev, act);
-            }
-            self.arm_lan(iface);
+            self.poll_lan(now, iface, act);
         }
         // Phase 2: deferred re-attachments.
         for group in due_of!(TimerKind::Reattach) {
@@ -939,6 +913,22 @@ impl CbtRouter {
             }
         }
         self.timers.compact();
+    }
+
+    /// IGMP querier duty + presence expiry on one LAN, then its timer
+    /// entry re-clocked from the deadlines the poll moved (a no-op on
+    /// the scan path, whose `arm_lan` is inert).
+    fn poll_lan(&mut self, now: SimTime, iface: IfIndex, act: &mut Vec<RouterAction>) {
+        let Some(lan) = self.lans.get_mut(&iface) else { return };
+        let sends: Vec<IgmpOut> = lan.election.poll(now);
+        let events = lan.presence.poll(now);
+        for s in sends {
+            act.push(RouterAction::SendIgmp { iface, dst: s.dst, msg: s.msg });
+        }
+        for ev in events {
+            self.on_presence_event(now, iface, ev, act);
+        }
+        self.arm_lan(iface);
     }
 
     /// Earliest instant any internal timer wants service.

@@ -3,9 +3,10 @@
 
 use crate::engine::{CbtRouter, TimerKind};
 use crate::events::RouterAction;
-use crate::fib::Parent;
+use crate::fib::{FibEntry, Parent};
 use crate::pending::{CachedJoin, JoinReason, PendingJoin};
 use cbt_netsim::SimTime;
+use cbt_routing::Hop;
 use cbt_topology::IfIndex;
 use cbt_wire::{AckSubcode, Addr, ControlMessage, GroupId, IgmpMessage, JoinSubcode};
 
@@ -20,51 +21,52 @@ impl CbtRouter {
         target_core_index: usize,
         act: &mut Vec<RouterAction>,
     ) {
-        // Already on-tree: this LAN just needs to be served.
+        let origin = self.iface(iface).map(|i| i.addr).unwrap_or(self.id_addr());
+        self.join_for_member(now, group, origin, target_core_index, act);
         if self.fib.on_tree(group) {
+            // On-tree (before, or just now as one of the group's
+            // cores): this LAN just needs to be served.
             self.gdr.insert((iface, group));
-            return;
-        }
-        // §2.6: "If an IGMP RP/Core-Report is received by a D-DR with a
-        // join for the same group already pending, it takes no action"
-        // — but the LAN is remembered so the eventual ack serves it,
-        // whether the pending join is our own, a transit join we are
-        // forwarding or a re-attachment.
-        if let Some(p) = self.pending.get_mut(group) {
+        } else if let Some(p) = self.pending.get_mut(group) {
+            // The LAN is remembered so the eventual ack serves it,
+            // whether the pending join is the one just launched, a
+            // transit join we are forwarding or a re-attachment.
             if !p.lans.contains(&iface) {
                 p.lans.push(iface);
             }
+        }
+    }
+
+    /// Establishes this router on `group`'s tree for a member that just
+    /// appeared: as a core if it is listed as one, otherwise by an
+    /// ACTIVE_JOIN from `origin` toward `cores[core_index]`. Does
+    /// nothing when already on-tree, or with a join already pending
+    /// (§2.6: "If an IGMP RP/Core-Report is received by a D-DR with a
+    /// join for the same group already pending, it takes no action") —
+    /// its ack will serve this member too. Without any core knowledge
+    /// (§2.4 v1/v2 hosts without managed mappings) nothing can be
+    /// done; the LAN path's IFF scan retries, netscale callers supply
+    /// managed mappings up front.
+    fn join_for_member(
+        &mut self,
+        now: SimTime,
+        group: GroupId,
+        origin: Addr,
+        core_index: usize,
+        act: &mut Vec<RouterAction>,
+    ) {
+        if self.fib.on_tree(group) || self.pending.contains(group) {
             return;
         }
-        let Some(cores) = self.cores_for(group) else {
-            // No core knowledge at all (§2.4 v1/v2 hosts without managed
-            // mappings): nothing can be done; the IFF-scan will retry.
-            return;
-        };
+        let Some(cores) = self.cores_for(group) else { return };
         self.learn_cores(group, &cores);
-
-        // Am I one of the group's cores myself?
         if self.i_am_listed_core(&cores) {
             self.become_core(now, group, &cores, act);
-            self.gdr.insert((iface, group));
             return;
         }
-
-        let origin = self.iface(iface).map(|i| i.addr).unwrap_or(self.id_addr());
-        let target_core_index = target_core_index.min(cores.len() - 1);
-        self.launch_join(
-            now,
-            group,
-            origin,
-            cores,
-            target_core_index,
-            JoinSubcode::ActiveJoin,
-            JoinReason::LocalMembership,
-            act,
-        );
-        if let Some(p) = self.pending.get_mut(group) {
-            p.lans.push(iface);
-        }
+        let core_index = core_index.min(cores.len() - 1);
+        let (subcode, reason) = (JoinSubcode::ActiveJoin, JoinReason::LocalMembership);
+        self.launch_join(now, group, origin, cores, core_index, subcode, reason, act);
     }
 
     /// A member of `group` appeared directly on this router (netscale
@@ -73,32 +75,11 @@ impl CbtRouter {
     /// LAN gained presence, minus the subnet bookkeeping.
     pub fn local_join(&mut self, now: SimTime, group: GroupId) -> Vec<RouterAction> {
         let mut act = Vec::new();
+        // `serves_members` consults `local_members`, so an existing
+        // branch or in-flight join serves this membership as it is.
         self.local_members.insert(group);
-        // Already on-tree, or a join is in flight whose ack will serve
-        // this membership (serves_members consults `local_members`).
-        if !self.fib.on_tree(group) && !self.pending.contains(group) {
-            if let Some(cores) = self.cores_for(group) {
-                self.learn_cores(group, &cores);
-                if self.i_am_listed_core(&cores) {
-                    self.become_core(now, group, &cores, &mut act);
-                } else {
-                    let origin = self.id_addr();
-                    self.launch_join(
-                        now,
-                        group,
-                        origin,
-                        cores,
-                        0,
-                        JoinSubcode::ActiveJoin,
-                        JoinReason::LocalMembership,
-                        &mut act,
-                    );
-                }
-            }
-            // No core knowledge: nothing can be done. Unlike the LAN
-            // path there is no IFF-scan retry; netscale callers supply
-            // managed mappings up front.
-        }
+        let origin = self.id_addr();
+        self.join_for_member(now, group, origin, 0, &mut act);
         self.timers.compact();
         act
     }
@@ -208,33 +189,92 @@ impl CbtRouter {
                 self.flush_child(now, group, hop.addr, act);
             }
         }
-        let msg = ControlMessage::JoinRequest {
-            subcode,
+        self.stats.joins_originated += 1;
+        self.send_join(now, group, hop, reason, origin, target, cores, core_index, subcode, act);
+    }
+
+    /// Sends a JOIN_REQUEST to `hop` and records it as pending, with
+    /// its retransmit timer armed — the one place a [`PendingJoin`]
+    /// is built, for joins this router originates and joins it
+    /// forwards alike.
+    #[allow(clippy::too_many_arguments)]
+    fn send_join(
+        &mut self,
+        now: SimTime,
+        group: GroupId,
+        hop: Hop,
+        reason: JoinReason,
+        origin: Addr,
+        target_core: Addr,
+        cores: Vec<Addr>,
+        core_index: usize,
+        subcode: JoinSubcode,
+        act: &mut Vec<RouterAction>,
+    ) {
+        let next_retransmit = now + self.cfg.pend_join_interval;
+        let p = PendingJoin {
+            reason,
+            origin,
+            target_core,
+            cores,
+            upstream: (hop.iface, hop.addr),
+            sent_subcode: subcode,
+            cached: Vec::new(),
+            lans: Vec::new(),
+            started: now,
+            attempt_started: now,
+            next_retransmit,
+            core_index,
+        };
+        self.send_control(act, hop.iface, hop.addr, p.request(group));
+        self.pending.insert(group, p);
+        self.timers.arm(TimerKind::PendingJoin(group), next_retransmit);
+    }
+
+    /// §6.3: one parent-ward step of the NACTIVE loop-detection walk.
+    /// The first on-tree non-core router to see an active rejoin starts
+    /// it (before acknowledging the rejoin downstream) with itself as
+    /// `converter` — the core-address field, so the primary can ack it
+    /// directly (§8.3.1) — and every router above passes it on.
+    /// `origin` never changes, so the originator can recognise its own
+    /// rejoin coming back.
+    fn forward_nactive(
+        &mut self,
+        group: GroupId,
+        origin: Addr,
+        converter: Addr,
+        cores: Vec<Addr>,
+        act: &mut Vec<RouterAction>,
+    ) {
+        let Some(parent) = self.fib.get(group).and_then(|e| e.parent) else { return };
+        let fwd = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::RejoinNactive,
             group,
             origin,
-            target_core: target,
-            cores: cores.clone(),
+            target_core: converter,
+            cores,
         };
-        self.stats.joins_originated += 1;
-        self.send_control(act, hop.iface, hop.addr, msg);
-        self.pending.insert(
-            group,
-            PendingJoin {
-                reason,
-                origin,
-                target_core: target,
-                cores,
-                upstream: (hop.iface, hop.addr),
-                sent_subcode: subcode,
-                cached: Vec::new(),
-                lans: Vec::new(),
-                started: now,
-                attempt_started: now,
-                next_retransmit: now + self.cfg.pend_join_interval,
-                core_index,
-            },
-        );
-        self.timers.arm(TimerKind::PendingJoin(group), now + self.cfg.pend_join_interval);
+        self.stats.joins_forwarded += 1;
+        self.send_control(act, parent.iface, parent.addr, fwd);
+    }
+
+    /// Instates `src`, heard on `iface`, as the group's parent — what
+    /// every non-proxy JOIN_ACK does — keeping the ack's core list, or
+    /// the join's own if the ack carried none.
+    fn instate_parent(
+        &mut self,
+        now: SimTime,
+        group: GroupId,
+        iface: IfIndex,
+        src: Addr,
+        ack_cores: &[Addr],
+        p: &PendingJoin,
+    ) -> &mut FibEntry {
+        let next_echo = now + self.cfg.echo_interval;
+        let entry = self.fib.entry(group);
+        entry.parent = Some(Parent { addr: src, iface, last_reply: now, next_echo });
+        entry.cores = if ack_cores.is_empty() { p.cores.clone() } else { ack_cores.to_vec() };
+        entry
     }
 
     /// Receipt of a JOIN_REQUEST (§2.5, §6.2, §6.3).
@@ -257,44 +297,18 @@ impl CbtRouter {
             return;
         }
 
+        let join = CachedJoin { from_iface: iface, from_addr: src, origin, subcode };
+
         // On-tree and able to acknowledge? (§2.5: a pending-join router
-        // must cache instead.)
+        // must cache instead.) A core or on-tree router terminates the
+        // join with an ack; an active rejoin reaching a non-core first
+        // sets off the §6.3 loop-detection walk.
         if self.fib.on_tree(group) && !self.pending.contains(group) {
-            let entry = self.fib.get(group).expect("on tree");
-            let i_am_core_here = entry.i_am_core;
+            let i_am_core_here = self.fib.get(group).is_some_and(|e| e.i_am_core);
             if subcode == JoinSubcode::RejoinActive && !i_am_core_here {
-                // §6.3: first on-tree non-core router converts the
-                // active rejoin into the NACTIVE loop-detection walk...
-                let fwd = ControlMessage::JoinRequest {
-                    subcode: JoinSubcode::RejoinNactive,
-                    group,
-                    origin, // unchanged, so the originator can recognise it
-                    // §8.3.1: converting router puts its own address in
-                    // the core-address field so the primary can ack it
-                    // directly.
-                    target_core: self.id_addr(),
-                    cores: cores.to_vec(),
-                };
-                if let Some(parent) = self.fib.get(group).and_then(|e| e.parent) {
-                    self.stats.joins_forwarded += 1;
-                    self.send_control(act, parent.iface, parent.addr, fwd);
-                }
-                // ...and acknowledges the received join downstream.
-                self.ack_downstream(
-                    now,
-                    group,
-                    &CachedJoin { from_iface: iface, from_addr: src, origin, subcode },
-                    act,
-                );
-            } else {
-                // Plain termination: core or on-tree router acks (§2.5).
-                self.ack_downstream(
-                    now,
-                    group,
-                    &CachedJoin { from_iface: iface, from_addr: src, origin, subcode },
-                    act,
-                );
+                self.forward_nactive(group, origin, self.id_addr(), cores.to_vec(), act);
             }
+            self.ack_downstream(now, group, &join, act);
             return;
         }
 
@@ -302,22 +316,16 @@ impl CbtRouter {
         // it is such by receiving a JOIN-REQUEST".
         if self.is_my_addr(target_core) || self.i_am_listed_core(cores) {
             self.become_core(now, group, cores, act);
-            self.ack_downstream(
-                now,
-                group,
-                &CachedJoin { from_iface: iface, from_addr: src, origin, subcode },
-                act,
-            );
+            self.ack_downstream(now, group, &join, act);
             return;
         }
 
         // Waiting for our own ack: cache (§2.5).
-        if self.pending.contains(group) {
-            let p = self.pending.get_mut(group).expect("pending");
+        if let Some(p) = self.pending.get_mut(group) {
             let dup = p.cached.iter().any(|c| c.from_addr == src && c.origin == origin)
                 || (p.upstream.1 == src);
             if !dup {
-                p.cached.push(CachedJoin { from_iface: iface, from_addr: src, origin, subcode });
+                p.cached.push(join);
                 self.stats.joins_cached += 1;
             }
             return;
@@ -326,37 +334,21 @@ impl CbtRouter {
         // Forward hop-by-hop toward the target core (§2.5).
         match self.routes.hop_toward(target_core) {
             Some(hop) if hop.addr != src => {
-                let fwd = ControlMessage::JoinRequest {
-                    subcode,
+                let reason = JoinReason::Forwarded { from_iface: iface, from_addr: src, subcode };
+                let core_index = cores.iter().position(|c| *c == target_core).unwrap_or(0);
+                self.stats.joins_forwarded += 1;
+                self.send_join(
+                    now,
                     group,
+                    hop,
+                    reason,
                     origin,
                     target_core,
-                    cores: cores.to_vec(),
-                };
-                self.stats.joins_forwarded += 1;
-                self.send_control(act, hop.iface, hop.addr, fwd);
-                self.pending.insert(
-                    group,
-                    PendingJoin {
-                        reason: JoinReason::Forwarded {
-                            from_iface: iface,
-                            from_addr: src,
-                            subcode,
-                        },
-                        origin,
-                        target_core,
-                        cores: cores.to_vec(),
-                        upstream: (hop.iface, hop.addr),
-                        sent_subcode: subcode,
-                        cached: Vec::new(),
-                        lans: Vec::new(),
-                        started: now,
-                        attempt_started: now,
-                        next_retransmit: now + self.cfg.pend_join_interval,
-                        core_index: cores.iter().position(|c| *c == target_core).unwrap_or(0),
-                    },
+                    cores.to_vec(),
+                    core_index,
+                    subcode,
+                    act,
                 );
-                self.timers.arm(TimerKind::PendingJoin(group), now + self.cfg.pend_join_interval);
             }
             _ => {
                 // Unreachable core, or routing points straight back:
@@ -426,18 +418,7 @@ impl CbtRouter {
             return;
         }
         // Keep walking parent-ward.
-        let parent = self.fib.get(group).and_then(|e| e.parent);
-        if let Some(p) = parent {
-            let fwd = ControlMessage::JoinRequest {
-                subcode: JoinSubcode::RejoinNactive,
-                group,
-                origin,
-                target_core: converter,
-                cores: cores.to_vec(),
-            };
-            self.stats.joins_forwarded += 1;
-            self.send_control(act, p.iface, p.addr, fwd);
-        }
+        self.forward_nactive(group, origin, converter, cores.to_vec(), act);
     }
 
     /// Acknowledges a join received from downstream, applying the §2.6
@@ -535,15 +516,7 @@ impl CbtRouter {
             // walk we started terminated loop-free. Nothing to change.
             return;
         }
-        let Some(p) = self.pending.remove(group) else {
-            return; // stale/duplicate ack
-        };
-        // The ack must come from the hop we actually joined through.
-        if p.upstream.1 != src {
-            self.pending.insert(group, p);
-            return;
-        }
-        self.timers.cancel(TimerKind::PendingJoin(group));
+        let Some(p) = self.take_pending_from(group, src) else { return };
         self.obs.join_rtt_us.record(now.since(p.started).micros());
 
         let old_parent = self.fib.get(group).and_then(|e| e.parent.map(|pp| pp.addr));
@@ -566,27 +539,10 @@ impl CbtRouter {
                 }
             }
             (JoinReason::LocalMembership, _) => {
-                let cores_final = if cores.is_empty() { p.cores.clone() } else { cores.to_vec() };
-                let entry = self.fib.entry(group);
-                entry.parent = Some(Parent {
-                    addr: src,
-                    iface,
-                    last_reply: now,
-                    next_echo: now + self.cfg.echo_interval,
-                });
-                entry.i_am_core = false;
-                entry.cores = cores_final;
+                self.instate_parent(now, group, iface, src, cores, &p).i_am_core = false;
             }
             (JoinReason::Forwarded { from_iface, from_addr, subcode: down_sub }, _) => {
-                let cores_final = if cores.is_empty() { p.cores.clone() } else { cores.to_vec() };
-                let entry = self.fib.entry(group);
-                entry.parent = Some(Parent {
-                    addr: src,
-                    iface,
-                    last_reply: now,
-                    next_echo: now + self.cfg.echo_interval,
-                });
-                entry.cores = cores_final;
+                self.instate_parent(now, group, iface, src, cores, &p);
                 self.ack_downstream(
                     now,
                     group,
@@ -600,15 +556,7 @@ impl CbtRouter {
                 );
             }
             (JoinReason::Reattach, _) => {
-                let cores_final = if cores.is_empty() { p.cores.clone() } else { cores.to_vec() };
-                let entry = self.fib.entry(group);
-                entry.parent = Some(Parent {
-                    addr: src,
-                    iface,
-                    last_reply: now,
-                    next_echo: now + self.cfg.echo_interval,
-                });
-                entry.cores = cores_final;
+                self.instate_parent(now, group, iface, src, cores, &p);
                 // The RECONNECT campaign budget is NOT retired here: an
                 // ack whose path runs through our own subtree instates
                 // a parent that the §6.3 NACTIVE walk tears right back
@@ -648,19 +596,10 @@ impl CbtRouter {
                 // that was cached while we were pending — and whose ack
                 // path runs THROUGH its own originator — instate a
                 // stable parent/child cycle that nothing ever breaks.
-                let i_am_core_here = self.fib.get(group).is_some_and(|e| e.i_am_core);
-                if cached.subcode == JoinSubcode::RejoinActive && !i_am_core_here {
-                    let fwd = ControlMessage::JoinRequest {
-                        subcode: JoinSubcode::RejoinNactive,
-                        group,
-                        origin: cached.origin,
-                        target_core: self.id_addr(),
-                        cores: self.fib.get(group).map(|e| e.cores.clone()).unwrap_or_default(),
-                    };
-                    if let Some(parent) = self.fib.get(group).and_then(|e| e.parent) {
-                        self.stats.joins_forwarded += 1;
-                        self.send_control(act, parent.iface, parent.addr, fwd);
-                    }
+                let entry = self.fib.get(group).expect("on tree");
+                if cached.subcode == JoinSubcode::RejoinActive && !entry.i_am_core {
+                    let cores = entry.cores.clone();
+                    self.forward_nactive(group, cached.origin, self.id_addr(), cores, act);
                 }
                 self.ack_downstream(now, group, &cached, act);
             } else {
@@ -709,13 +648,19 @@ impl CbtRouter {
         group: GroupId,
         act: &mut Vec<RouterAction>,
     ) {
-        let Some(p) = self.pending.remove(group) else { return };
-        if p.upstream.1 != src {
-            self.pending.insert(group, p);
-            return;
+        let Some(p) = self.take_pending_from(group, src) else { return };
+        self.fail_pending(now, group, p, act);
+    }
+
+    /// Takes the group's pending join, its timer cancelled, if `src` is
+    /// the hop it actually went to: an ack or nack from anyone else —
+    /// or with nothing pending — is stale, duplicate or spoofed.
+    fn take_pending_from(&mut self, group: GroupId, src: Addr) -> Option<PendingJoin> {
+        if self.pending.get(group)?.upstream.1 != src {
+            return None;
         }
         self.timers.cancel(TimerKind::PendingJoin(group));
-        self.fail_pending(now, group, p, act);
+        self.pending.remove(group)
     }
 
     /// A pending join failed (nack or timeout): try the next core or
@@ -786,9 +731,7 @@ impl CbtRouter {
             // (they serve their own member subnets).
             self.flush_all_children(now, group, act);
             self.remove_fib_entry(group);
-            for lan in self.lan_ifaces() {
-                self.gdr.remove(&(lan, group));
-            }
+            self.clear_gdr(group);
         }
     }
 
@@ -818,15 +761,8 @@ impl CbtRouter {
             self.fail_pending(now, group, p, act);
         } else {
             // §9 PEND-JOIN-INTERVAL: retransmit the same join.
-            let msg = ControlMessage::JoinRequest {
-                subcode: p.sent_subcode,
-                group,
-                origin: p.origin,
-                target_core: p.target_core,
-                cores: p.cores.clone(),
-            };
             let (up_iface, up_addr) = p.upstream;
-            self.send_control(act, up_iface, up_addr, msg);
+            self.send_control(act, up_iface, up_addr, p.request(group));
             let interval = self.cfg.pend_join_interval;
             if let Some(pm) = self.pending.get_mut(group) {
                 pm.next_retransmit = now + interval;

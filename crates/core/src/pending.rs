@@ -8,7 +8,7 @@
 
 use cbt_netsim::SimTime;
 use cbt_topology::IfIndex;
-use cbt_wire::{Addr, GroupId, JoinSubcode};
+use cbt_wire::{Addr, ControlMessage, GroupId, JoinSubcode};
 use std::collections::BTreeMap;
 
 /// Why this router has a join in flight.
@@ -78,6 +78,18 @@ pub struct PendingJoin {
 }
 
 impl PendingJoin {
+    /// The JOIN_REQUEST this pending join stands for — what went
+    /// upstream when it was filed and what each retransmission repeats.
+    pub fn request(&self, group: GroupId) -> ControlMessage {
+        ControlMessage::JoinRequest {
+            subcode: self.sent_subcode,
+            group,
+            origin: self.origin,
+            target_core: self.target_core,
+            cores: self.cores.clone(),
+        }
+    }
+
     /// Earliest instant this pending join needs timer service.
     pub fn next_deadline(&self) -> SimTime {
         self.next_retransmit

@@ -31,9 +31,10 @@ pub struct RouterNode {
     /// Scratch buffer reused for every control-message encode on the
     /// send path — the hot path allocates once, not per message.
     ctl_buf: Vec<u8>,
-    /// Reusable action buffer the data-plane handlers write into;
-    /// drained by [`RouterNode::emit`], its capacity persists across
-    /// packets so the steady-state forward path never reallocates it.
+    /// Reusable action buffer every engine entry point writes into
+    /// (see [`RouterNode::drive`]); drained by [`RouterNode::emit`],
+    /// its capacity persists across packets so the steady-state
+    /// forward path never reallocates it.
     act_buf: Vec<RouterAction>,
 }
 
@@ -89,6 +90,19 @@ impl RouterNode {
     /// Mutable access to the sharded steering front.
     pub fn sharded_mut(&mut self) -> &mut ShardedRouter {
         &mut self.engine
+    }
+
+    /// Runs one engine entry point against the reusable action buffer
+    /// and puts what it emitted on the wire.
+    fn drive(
+        &mut self,
+        out: &mut Outbox,
+        input: impl FnOnce(&mut ShardedRouter, &mut Vec<RouterAction>),
+    ) {
+        let mut actions = std::mem::take(&mut self.act_buf);
+        input(&mut self.engine, &mut actions);
+        self.emit(&mut actions, out);
+        self.act_buf = actions;
     }
 
     /// Turns engine actions into frames, draining `actions` so the
@@ -241,11 +255,9 @@ impl SimNode for RouterNode {
                     {
                         if mine {
                             match ControlMessage::decode(payload) {
-                                Ok(msg) => {
-                                    let mut actions =
-                                        self.engine.handle_control(now, iface, hdr.src, msg);
-                                    self.emit(&mut actions, out);
-                                }
+                                Ok(msg) => self.drive(out, |e, act| {
+                                    e.handle_control_into(now, iface, hdr.src, msg, act)
+                                }),
                                 Err(e) => self.count_decode_failure(&e),
                             }
                         } else if !hdr.dst.is_multicast() {
@@ -258,18 +270,9 @@ impl SimNode for RouterNode {
                             // packet is views into the frame, nothing
                             // is parsed, summed or copied again.
                             match DataPacket::from_validated(frame, &hdr, &udp) {
-                                Ok(pkt) => {
-                                    let mut actions = std::mem::take(&mut self.act_buf);
-                                    self.engine.handle_native_data(
-                                        now,
-                                        iface,
-                                        link_src,
-                                        pkt,
-                                        &mut actions,
-                                    );
-                                    self.emit(&mut actions, out);
-                                    self.act_buf = actions;
-                                }
+                                Ok(pkt) => self.drive(out, |e, act| {
+                                    e.handle_native_data(now, iface, link_src, pkt, act)
+                                }),
                                 Err(e) => self.count_decode_failure(&e),
                             }
                         } else if !mine {
@@ -283,12 +286,8 @@ impl SimNode for RouterNode {
                 let payload = Self::subslice(frame, body);
                 if mine || hdr.dst.is_multicast() {
                     match CbtDataPacket::decode_payload_bytes(&payload) {
-                        Ok(pkt) => {
-                            let mut actions = std::mem::take(&mut self.act_buf);
-                            self.engine.handle_cbt_data(now, iface, hdr.src, pkt, &mut actions);
-                            self.emit(&mut actions, out);
-                            self.act_buf = actions;
-                        }
+                        Ok(pkt) => self
+                            .drive(out, |e, act| e.handle_cbt_data(now, iface, hdr.src, pkt, act)),
                         Err(e) => self.count_decode_failure(&e),
                     }
                 } else {
@@ -302,10 +301,7 @@ impl SimNode for RouterNode {
                         .ok()
                         .filter(|p| !p.cbt.is_on_tree() && self.engine.is_on_tree(p.cbt.group));
                     if let Some(pkt) = intercept {
-                        let mut actions = std::mem::take(&mut self.act_buf);
-                        self.engine.handle_cbt_data(now, iface, hdr.src, pkt, &mut actions);
-                        self.emit(&mut actions, out);
-                        self.act_buf = actions;
+                        self.drive(out, |e, act| e.handle_cbt_data(now, iface, hdr.src, pkt, act));
                     } else {
                         self.ip_forward(hdr, frame, out);
                     }
@@ -320,8 +316,7 @@ impl SimNode for RouterNode {
     }
 
     fn on_timer(&mut self, now: SimTime, out: &mut Outbox) {
-        let mut actions = self.engine.on_timer(now);
-        self.emit(&mut actions, out);
+        self.drive(out, |e, act| e.on_timer_into(now, act));
     }
 
     fn next_wakeup(&self) -> Option<SimTime> {

@@ -20,43 +20,33 @@ impl CbtRouter {
         if !entry.children.is_empty() || self.serves_members(group) {
             return;
         }
-        let parent = entry.parent;
-        match parent {
-            Some(parent) => {
-                let quit = ControlMessage::QuitRequest { group, origin: self.id_addr() };
-                self.send_control(act, parent.iface, parent.addr, quit);
-                self.pending_quits.insert(
-                    group,
-                    PendingQuit {
-                        parent_addr: parent.addr,
-                        parent_iface: parent.iface,
-                        retries_left: self.cfg.quit_retries,
-                        next_send: now + self.cfg.quit_interval,
-                    },
-                );
-                self.timers.arm(TimerKind::Quit(group), now + self.cfg.quit_interval);
-                // The child removes its own state right away; the
-                // pending quit only drives retransmission (§8.3: if the
-                // parent cannot respond "the child nevertheless removes
-                // its parent information").
-                self.drop_group_state(group);
-            }
-            None => {
-                // A core (or orphaned subtree root) with no children and
-                // no members simply forgets the empty entry; §6.2 lets
-                // it re-learn its core role from the next join.
-                self.drop_group_state(group);
-            }
+        if let Some(parent) = entry.parent {
+            let quit = ControlMessage::QuitRequest { group, origin: self.id_addr() };
+            self.send_control(act, parent.iface, parent.addr, quit);
+            self.pending_quits.insert(
+                group,
+                PendingQuit {
+                    parent_addr: parent.addr,
+                    parent_iface: parent.iface,
+                    retries_left: self.cfg.quit_retries,
+                    next_send: now + self.cfg.quit_interval,
+                },
+            );
+            self.timers.arm(TimerKind::Quit(group), now + self.cfg.quit_interval);
         }
+        // The child removes its own state right away; the pending quit
+        // only drives retransmission (§8.3: if the parent cannot
+        // respond "the child nevertheless removes its parent
+        // information"). A core (or orphaned subtree root) with no
+        // children and no members simply forgets the empty entry; §6.2
+        // lets it re-learn its core role from the next join.
+        self.drop_group_state(group);
     }
 
     /// Removes every trace of `group` from this router.
     pub(crate) fn drop_group_state(&mut self, group: GroupId) {
         self.remove_fib_entry(group);
-        let lans = self.lan_ifaces();
-        for lan in lans {
-            self.gdr.remove(&(lan, group));
-        }
+        self.clear_gdr(group);
         self.pending.remove(group);
         self.timers.cancel(TimerKind::PendingJoin(group));
         self.deferred_reattach.remove(&group);
@@ -85,10 +75,20 @@ impl CbtRouter {
         }
     }
 
-    /// Receipt of a QUIT_ACK: retransmissions can stop.
-    pub(crate) fn on_quit_ack(&mut self, group: GroupId) {
-        self.pending_quits.remove(&group);
-        self.timers.cancel(TimerKind::Quit(group));
+    /// Receipt of a QUIT_ACK: retransmissions can stop — if it comes
+    /// from the parent the quit went to. A late ack from a previous
+    /// parent (or any other neighbour) must not silence the quit
+    /// toward the current one, which would keep a phantom child until
+    /// CHILD-ASSERT-EXPIRE.
+    pub(crate) fn on_quit_ack(&mut self, iface: IfIndex, src: Addr, group: GroupId) {
+        let from_parent = self
+            .pending_quits
+            .get(&group)
+            .is_some_and(|q| q.parent_addr == src && q.parent_iface == iface);
+        if from_parent {
+            self.pending_quits.remove(&group);
+            self.timers.cancel(TimerKind::Quit(group));
+        }
     }
 
     /// Retransmits unacknowledged quits; gives up after the configured
@@ -182,15 +182,7 @@ impl CbtRouter {
             return; // only our parent may tear our branch down
         }
         // Forward down every child branch first.
-        let children: Vec<(Addr, IfIndex)> = self
-            .fib
-            .get(group)
-            .map(|e| e.children.iter().map(|c| (c.addr, c.iface)).collect())
-            .unwrap_or_default();
-        for (addr, child_iface) in children {
-            let flush = ControlMessage::FlushTree { group, origin: self.id_addr() };
-            self.send_control(act, child_iface, addr, flush);
-        }
+        self.flush_all_children(now, group, act);
         // Remember which LANs we served, then drop all state.
         let served: Vec<IfIndex> =
             self.lan_ifaces().into_iter().filter(|l| self.is_gdr(*l, group)).collect();
@@ -240,10 +232,7 @@ impl CbtRouter {
             let groups: Vec<GroupId> =
                 self.lans.get(&lan).map(|l| l.presence.groups().collect()).unwrap_or_default();
             for g in groups {
-                let handled = self.fib.on_tree(g)
-                    || self.pending.contains(g)
-                    || self.proxy_handled.contains_key(&(lan, g));
-                if !handled && self.i_am_dr(lan, now) {
+                if !self.lan_group_handled(lan, g) && self.i_am_dr(lan, now) {
                     self.trigger_join(now, lan, g, 0, act);
                 }
             }
@@ -418,6 +407,52 @@ mod tests {
             a,
             RouterAction::SendControl { msg: ControlMessage::QuitRequest { .. }, .. }
         )));
+    }
+
+    #[test]
+    fn quit_ack_from_a_stranger_does_not_stop_retransmission() {
+        let mut e = on_tree_with_child();
+        e.gdr.remove(&(IfIndex(0), g()));
+        e.handle_control(
+            t(10),
+            IfIndex(2),
+            down_addr(),
+            ControlMessage::QuitRequest { group: g(), origin: down_addr() },
+        );
+        assert_eq!(e.stats().quits_sent, 1, "the cascade quit went to the parent on if1");
+        let retransmits = |act: &[RouterAction]| {
+            act.iter().any(|a| {
+                matches!(
+                    a,
+                    RouterAction::SendControl {
+                        iface: IfIndex(1),
+                        msg: ControlMessage::QuitRequest { .. },
+                        ..
+                    }
+                )
+            })
+        };
+        // Acks from the former child, and from the parent's address on
+        // the wrong interface, are not the parent's ack.
+        for (iface, src) in [(IfIndex(2), down_addr()), (IfIndex(2), up_hop().addr)] {
+            e.handle_control(
+                t(11),
+                iface,
+                src,
+                ControlMessage::QuitAck { group: g(), origin: src },
+            );
+        }
+        assert!(retransmits(&e.on_timer(t(15))), "a stranger's ack silenced the quit");
+        // The parent's own ack still does.
+        let parent = up_hop().addr;
+        e.handle_control(
+            t(16),
+            IfIndex(1),
+            parent,
+            ControlMessage::QuitAck { group: g(), origin: parent },
+        );
+        assert!(!retransmits(&e.on_timer(t(20))));
+        assert_eq!(e.next_wakeup().map(|w| w > t(20)), Some(true), "quit timer is down");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!    the end that the repaired trees are *identical* to from-scratch
 //!    SPF.
 
-use crate::membership::{FlashCrowd, MembershipEvent, MembershipParams, MembershipStream};
+use crate::membership::{MembershipEvent, MembershipParams, MembershipStream, XorShift};
 use crate::report::Report;
 use cbt_baselines::{flood_and_prune, source_tree};
 use cbt_metrics::{linkload, table::f, Table};
@@ -132,24 +132,6 @@ impl Params {
     }
 }
 
-/// xorshift64* for flap/target selection.
-pub(crate) struct XorShift(pub(crate) u64);
-
-impl XorShift {
-    pub(crate) fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    pub(crate) fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
-
 /// Union-of-member-paths walk over a warm core tree: stamps every
 /// on-tree node, summing node count and edge weight without
 /// allocating per query.
@@ -255,22 +237,8 @@ pub fn run(p: &Params) -> Report {
 
     // --- Phase 3: membership workload + per-sample state/cost axes. ---
     let pool: Vec<u32> = (transit as u32..n as u32).collect();
-    let mp = MembershipParams {
-        groups,
-        horizon_s: p.horizon_s,
-        arrivals: p.arrivals,
-        hold_s: p.hold_s,
-        diurnal_depth: 0.6,
-        day_s: p.horizon_s,
-        hotspot_frac: 0.5,
-        flash: Some(FlashCrowd {
-            group: (groups as u32) / 2,
-            at_s: 0.62 * p.horizon_s,
-            joins: p.flash_joins,
-            window_s: p.horizon_s / 72.0,
-            hold_s: p.hold_s / 16.0,
-        }),
-    };
+    let mp =
+        MembershipParams::netscale(groups, p.horizon_s, p.arrivals, p.hold_s, Some(p.flash_joins));
     let t0 = std::time::Instant::now();
     let mut counts: Vec<HashMap<u32, u32>> = vec![HashMap::new(); groups];
     let mut concurrent = 0u64;
@@ -398,7 +366,7 @@ pub fn run(p: &Params) -> Report {
     // Delay ratio: actual shared-tree path (up to the lowest common
     // ancestor on the core tree, then down) vs the unicast shortest
     // path, over sampled member pairs.
-    let mut rng = XorShift(p.seed ^ 0xdead_beef);
+    let mut rng = XorShift::new(p.seed ^ 0xdead_beef);
     let mut delay_sum = 0.0f64;
     let mut delay_max = 0.0f64;
     let mut delay_n = 0u64;
@@ -684,7 +652,7 @@ fn flap_bench(
     scratch: &mut SpfScratch,
     stats: &mut SpfStats,
 ) -> (u64, f64) {
-    let mut rng = XorShift(seed ^ 0x5bd1_e995);
+    let mut rng = XorShift::new(seed ^ 0x5bd1_e995);
     let mut touched = 0u64;
     let mut wall_ms = 0.0f64;
     for _ in 0..flaps {

@@ -12,7 +12,7 @@
 //! 1. **validate** — at ~1k routers, drive a fixed membership set
 //!    through real joins, settle, and hard-assert the engine-built
 //!    tree (parent/child FIB edges) is edge-identical to the analytic
-//!    `TreeWalk` over the same [`SpfTree`]s; then tear every member
+//!    `TreeWalk` over the same [`cbt_topology::SpfTree`]s; then tear every member
 //!    down and assert the fleet returns to silence (zero FIB entries,
 //!    zero armed timers, zero decode errors fleet-wide);
 //! 2. **instantiate** the preset fleet (quick ≈ 10k, full ≈ 100k) of
@@ -26,22 +26,19 @@
 //!
 //! The fleet is single-core-per-group (cores spread over the transit
 //! routers, learned by the member before it joins), so every engine
-//! route lookup resolves through the shared [`FleetRib`].
+//! route lookup resolves through the shared [`cbt::FleetRib`].
+//!
+//! Standing the fleet up, the membership ledger and the teardown
+//! asserts live in [`crate::fleet::Fleet`]; this module is the script
+//! and the report tables.
 
-use super::netscale::{TreeWalk, XorShift};
-use crate::membership::{FlashCrowd, MembershipEvent, MembershipParams, MembershipStream};
+use super::netscale::TreeWalk;
+use crate::fleet::{rss_bytes, Fleet, RibKind, Sample, TOPO_100K, TOPO_10K, TOPO_1K};
+use crate::membership::XorShift;
 use crate::report::Report;
-use cbt::{node_addr, CbtConfig, FleetRib, FleetRoutes, P2pNode, ShardedRouter, SharedFleetRib};
 use cbt_metrics::{table::f, Table};
-use cbt_netsim::{NetscaleWorld, SimDuration, SimTime};
-use cbt_obs::Histogram;
-use cbt_topology::csr::{CsrGraph, SpfScratch, SpfTree};
-use cbt_topology::generate::{self, TransitStubParams};
-use cbt_topology::RouterId;
-use cbt_wire::GroupId;
+use cbt_topology::generate::TransitStubParams;
 use serde_json::json;
-use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
 
 /// Experiment parameters.
 #[derive(Debug, Clone)]
@@ -71,26 +68,14 @@ pub struct Params {
 impl Default for Params {
     fn default() -> Self {
         Params {
-            // 8 × 16 × (1 + 6·131) = 100 736 live engines.
-            topo: TransitStubParams {
-                transit_domains: 8,
-                transit_size: 16,
-                stubs_per_transit_node: 6,
-                stub_size: 131,
-            },
+            topo: TOPO_100K,
             groups: 32,
             arrivals: 200_000,
             hold_s: 120.0,
             horizon_s: 600.0,
             flash_joins: 20_000,
             samples: 6,
-            // 2 × 4 × (1 + 3·40) = 968 routers for the equivalence gate.
-            equiv_topo: TransitStubParams {
-                transit_domains: 2,
-                transit_size: 4,
-                stubs_per_transit_node: 3,
-                stub_size: 40,
-            },
+            equiv_topo: TOPO_1K,
             equiv_members: 48,
             seed: 9393,
         }
@@ -102,13 +87,7 @@ impl Params {
     /// at ~1k).
     pub fn quick() -> Self {
         Params {
-            // 4 × 8 × (1 + 4·77) = 9 888 live engines.
-            topo: TransitStubParams {
-                transit_domains: 4,
-                transit_size: 8,
-                stubs_per_transit_node: 4,
-                stub_size: 77,
-            },
+            topo: TOPO_10K,
             groups: 16,
             arrivals: 20_000,
             hold_s: 60.0,
@@ -122,85 +101,20 @@ impl Params {
     /// Tiny preset for the in-crate unit tests (runs in debug builds).
     #[cfg(test)]
     fn tiny() -> Self {
-        let topo = TransitStubParams {
-            transit_domains: 2,
-            transit_size: 4,
-            stubs_per_transit_node: 2,
-            stub_size: 6,
-        };
+        use crate::fleet::TOPO_TINY;
         Params {
-            topo,
+            topo: TOPO_TINY,
             groups: 4,
             arrivals: 600,
             hold_s: 20.0,
             horizon_s: 60.0,
             flash_joins: 60,
             samples: 2,
-            equiv_topo: topo,
+            equiv_topo: TOPO_TINY,
             equiv_members: 8,
             seed: 9393,
         }
     }
-}
-
-/// Engine configuration for a netscale fleet: compressed (`fast`)
-/// timers so keepalive dynamics fit a minutes-long horizon, compact
-/// idle state so an untouched engine stays O(bytes), and a children
-/// cap comfortably above the largest node degree (children are
-/// distinct neighbour routers on a p2p fleet, so degree bounds them).
-pub(crate) fn fleet_cfg() -> CbtConfig {
-    let mut cfg = CbtConfig::fast();
-    cfg.compact_idle = true;
-    cfg.max_children = 4096;
-    cfg
-}
-
-/// Builds one live engine per CSR node and wires the delivery plan.
-/// Interface `k` of router `u` is its `k`-th directed CSR slot — the
-/// same contract [`FleetRib`] encodes, so routes and ports agree by
-/// construction. Edge weights map to milliseconds of one-way latency.
-pub(crate) fn build_fleet(
-    csr: &CsrGraph,
-    pairs: &[[u32; 2]],
-    edge_list: &[(u32, u32, u32)],
-    rib: SharedFleetRib,
-    cfg: CbtConfig,
-) -> NetscaleWorld<P2pNode> {
-    let n = csr.node_count();
-    let slot_count = csr.slot_count() as u32;
-    let base: Vec<u32> = (0..n as u32).map(|u| csr.slot_base(u)).chain([slot_count]).collect();
-    let nodes: Vec<P2pNode> = (0..n as u32)
-        .map(|i| {
-            let degree = (base[i as usize + 1] - base[i as usize]) as usize;
-            let router = ShardedRouter::p2p(
-                RouterId(i),
-                node_addr(i),
-                degree,
-                cfg.clone(),
-                || Box::new(FleetRoutes::new(Arc::clone(&rib), i)),
-                SimTime::ZERO,
-            );
-            P2pNode::new(router)
-        })
-        .collect();
-    NetscaleWorld::new(nodes, csr, pairs, edge_list, |w| SimDuration::from_millis(w.max(1) as u64))
-}
-
-/// Group id of experiment group `gi` (1-based so the group address is
-/// never the unassigned 239.1.0.0).
-pub(crate) fn group_id(gi: usize) -> GroupId {
-    GroupId::numbered((gi + 1) as u16)
-}
-
-/// Resident set size from `/proc/self/statm` (Linux, 4 KiB pages);
-/// zero where unavailable. A benchmark metric, not a portability
-/// contract.
-pub(crate) fn rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/statm")
-        .ok()
-        .and_then(|s| s.split_whitespace().nth(1).and_then(|p| p.parse::<u64>().ok()))
-        .map(|pages| pages * 4096)
-        .unwrap_or(0)
 }
 
 /// What the ~1k-router equivalence gate measured (every protocol
@@ -238,126 +152,36 @@ pub fn equivalence(
     shards: Option<usize>,
     seed: u64,
 ) -> EquivSummary {
-    let n = topo.total_nodes();
-    let transit = topo.transit_nodes();
-    let groups = groups.min(transit);
-    let g = generate::transit_stub(topo, seed);
-    let edge_list: Vec<(u32, u32, u32)> = g.edges().map(|(a, b, w)| (a.0, b.0, w)).collect();
-    let (csr, pairs) = CsrGraph::from_edges(n, &edge_list);
-    let cores: Vec<u32> = (0..groups).map(|gi| ((gi * transit) / groups) as u32).collect();
-    let mut scratch = SpfScratch::new();
-    let trees: Vec<SpfTree> = cores.iter().map(|&c| SpfTree::full(&csr, c, &mut scratch)).collect();
-    let rib = Arc::new(RwLock::new(FleetRib::new(&csr, &cores, &trees)));
-    let mut cfg = fleet_cfg();
-    if let Some(s) = shards {
-        cfg.shards = s;
-    }
-    let mut world = build_fleet(&csr, &pairs, &edge_list, rib, cfg);
-
-    // Deterministic member draw from the stub pool (transit routers
-    // host cores, not members).
-    let mut rng = XorShift(seed ^ 0x5ca1_ab1e);
-    let members: Vec<Vec<u32>> = (0..groups)
-        .map(|_| {
-            let mut m: Vec<u32> = (0..members_per_group)
-                .map(|_| transit as u32 + rng.below(n - transit) as u32)
-                .collect();
-            m.sort_unstable();
-            m.dedup();
-            m
-        })
-        .collect();
-
-    // Joins staggered one per millisecond, groups interleaved — both
-    // the sequential hop-by-hop path and the transient pending-join
-    // caching path get exercised.
-    let mut k = 0u64;
-    for gi in 0..groups {
-        let gid = group_id(gi);
-        let core = node_addr(cores[gi]);
-        for &m in &members[gi] {
-            k += 1;
-            world.run_until(SimTime::from_micros(k * 1000));
-            world.with_node(m, |nd, now, out| {
-                nd.router.learn_cores(gid, &[core]);
-                let act = nd.router.local_join(now, gid);
-                nd.deliver(act, out);
-            });
-        }
-    }
+    let mut fleet = Fleet::new(topo, groups, shards, seed, RibKind::Fixed);
+    let members = fleet.join_staggered(&mut XorShift::new(seed ^ 0x5ca1_ab1e), members_per_group);
     // Worst-case join retrace is a handful of link RTTs; two seconds
     // also covers a pending-join retransmission if one were needed.
-    world.run_until(world.now() + SimDuration::from_secs(2));
-    let settle_us = world.now().micros();
-    let join_frames = world.trace.frames;
+    fleet.run_until_us(fleet.now_us() + 2_000_000);
+    let settle_us = fleet.now_us();
+    let join_frames = fleet.trace().frames;
 
     // The hard assert: engine FIB edges == the analytic tree walk,
     // group by group.
-    let mut walker = TreeWalk::new(n);
+    let mut walker = TreeWalk::new(fleet.routers());
     let mut tree_edges = 0u64;
-    for gi in 0..groups {
-        let gid = group_id(gi);
-        let mut engine: Vec<(u32, u32)> = Vec::new();
-        for i in 0..n as u32 {
-            let r = &world.node(i).router;
-            assert!(!r.has_pending_join(gid), "router {i} still pending after settle");
-            match r.parent_of(gid) {
-                Some(parent) => engine.push((i, cbt::addr_node(parent))),
-                None => assert!(
-                    !r.is_on_tree(gid) || i == cores[gi],
-                    "router {i} is on-tree yet parentless and not the core"
-                ),
-            }
-        }
-        engine.sort_unstable();
-        let mut span = walker.span(&trees[gi], &members[gi]).edges;
+    for (gi, mem) in members.iter().enumerate() {
+        let mut span = walker.span(&fleet.spf_tree(gi), mem).edges;
         span.sort_unstable();
-        assert_eq!(engine, span, "group {gi}: engine tree != analytic walk");
+        assert_eq!(fleet.engine_tree(gi), span, "group {gi}: engine tree != analytic walk");
         tree_edges += span.len() as u64;
     }
 
-    // Full teardown: every member leaves; quits must cascade all the
-    // way to the cores and the compact-idle fleet must fall silent.
-    let mut t = world.now();
-    for (gi, mem) in members.iter().enumerate() {
-        let gid = group_id(gi);
-        for &m in mem {
-            t += SimDuration::from_millis(1);
-            world.run_until(t);
-            world.with_node(m, |nd, now, out| {
-                let act = nd.router.local_leave(now, gid);
-                nd.deliver(act, out);
-            });
-        }
-    }
-    let silent = world.run_to_quiescence(world.now() + SimDuration::from_secs(30));
-    for i in 0..n as u32 {
-        let nd = world.node(i);
-        assert_eq!(nd.router.fib_len(), 0, "router {i} kept tree state after teardown");
-        assert!(nd.router.next_wakeup().is_none(), "router {i} kept a timer after teardown");
-        assert_eq!(nd.decode_errors, 0, "router {i} saw undecodable frames");
-        assert_eq!(nd.encode_errors, 0, "router {i} failed to encode a control message");
-        assert_eq!(nd.dropped_non_control, 0, "router {i} emitted non-control traffic");
-    }
+    let silent_us = fleet.teardown_to_silence(30_000_000);
     EquivSummary {
-        routers: n,
-        groups,
+        routers: fleet.routers(),
+        groups: fleet.groups(),
         members: members.iter().map(Vec::len).sum(),
         tree_edges,
         join_frames,
-        total_frames: world.trace.frames,
+        total_frames: fleet.trace().frames,
         settle_us,
-        silent_us: silent.micros(),
+        silent_us,
     }
-}
-
-/// One engine-state sample.
-struct Sample {
-    t_s: f64,
-    concurrent: u64,
-    fib_entries: u64,
-    busy_routers: u64,
-    frames: u64,
 }
 
 /// Runs the experiment.
@@ -380,155 +204,50 @@ pub fn run(p: &Params) -> Report {
     let equiv_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // --- Phase 2: instantiate the fleet, RSS-audited. ---
-    let g = generate::transit_stub(p.topo, p.seed);
-    let edge_list: Vec<(u32, u32, u32)> = g.edges().map(|(a, b, w)| (a.0, b.0, w)).collect();
-    let (csr, pairs) = CsrGraph::from_edges(n, &edge_list);
-    let cores: Vec<u32> = (0..groups).map(|gi| ((gi * transit) / groups) as u32).collect();
-    let mut scratch = SpfScratch::new();
-    let trees: Vec<SpfTree> = cores.iter().map(|&c| SpfTree::full(&csr, c, &mut scratch)).collect();
-    let rib = Arc::new(RwLock::new(FleetRib::new(&csr, &cores, &trees)));
-    drop(trees);
-    drop(scratch);
-    let rss0 = rss_bytes();
-    let t0 = std::time::Instant::now();
-    let mut world = build_fleet(&csr, &pairs, &edge_list, rib, fleet_cfg());
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let rss_idle = rss_bytes();
+    let mut fleet = Fleet::new(p.topo, groups, None, p.seed, RibKind::Fixed);
+    let marks = fleet.marks();
+    let (rss0, rss_idle, build_ms) = (marks.rss_routed, marks.rss_built, marks.engines_ms);
     let idle_per_router = rss_idle.saturating_sub(rss0) / n as u64;
 
     // --- Phase 3: drive the session stream through real control
     // traffic. Membership transitions (0→1 joins, 1→0 leaves) hit the
     // engines; everything after that — forwarding, acks, keepalives,
     // quits — is the protocol's own doing.
-    let gids: Vec<GroupId> = (0..groups).map(group_id).collect();
-    let core_addrs: Vec<_> = cores.iter().map(|&c| node_addr(c)).collect();
-    let pool: Vec<u32> = (transit as u32..n as u32).collect();
-    let mp = MembershipParams {
-        groups,
-        horizon_s: p.horizon_s,
-        arrivals: p.arrivals,
-        hold_s: p.hold_s,
-        diurnal_depth: 0.6,
-        day_s: p.horizon_s,
-        hotspot_frac: 0.5,
-        flash: Some(FlashCrowd {
-            group: (groups as u32) / 2,
-            at_s: 0.62 * p.horizon_s,
-            joins: p.flash_joins,
-            window_s: p.horizon_s / 72.0,
-            hold_s: p.hold_s / 16.0,
-        }),
-    };
-    let mut counts: Vec<HashMap<u32, u32>> = vec![HashMap::new(); groups];
-    let mut concurrent = 0u64;
-    let mut peak_concurrent = 0u64;
-    let mut total_joins = 0u64;
     let mut samples: Vec<Sample> = Vec::new();
     let sample_gap_us = (p.horizon_s * 1e6) as u64 / p.samples as u64;
     let mut next_sample = sample_gap_us;
-    let scan = |world: &NetscaleWorld<P2pNode>, t_us: u64, concurrent: u64| {
-        let mut fib_entries = 0u64;
-        let mut busy_routers = 0u64;
-        for i in 0..world.len() as u32 {
-            let len = world.node(i).router.fib_len() as u64;
-            fib_entries += len;
-            busy_routers += (len > 0) as u64;
-        }
-        Sample {
-            t_s: t_us as f64 / 1e6,
-            concurrent,
-            fib_entries,
-            busy_routers,
-            frames: world.trace.frames,
-        }
-    };
     let t0 = std::time::Instant::now();
-    for ev in MembershipStream::new(&mp, pool, p.seed) {
-        let t_us = ev.time_us();
-        while t_us >= next_sample {
-            world.run_until(SimTime::from_micros(next_sample));
-            samples.push(scan(&world, next_sample, concurrent));
+    for ev in fleet.churn(p.horizon_s, p.arrivals, p.hold_s, Some(p.flash_joins), p.seed) {
+        while ev.time_us() >= next_sample {
+            fleet.run_until_us(next_sample);
+            samples.push(fleet.sample());
             next_sample += sample_gap_us;
         }
-        world.run_until(SimTime::from_micros(t_us));
-        match ev {
-            MembershipEvent::Join { group, router, .. } => {
-                total_joins += 1;
-                concurrent += 1;
-                peak_concurrent = peak_concurrent.max(concurrent);
-                let c = counts[group as usize].entry(router).or_default();
-                *c += 1;
-                if *c == 1 {
-                    let (gid, core) = (gids[group as usize], core_addrs[group as usize]);
-                    world.with_node(router, |nd, now, out| {
-                        nd.router.learn_cores(gid, &[core]);
-                        let act = nd.router.local_join(now, gid);
-                        nd.deliver(act, out);
-                    });
-                }
-            }
-            MembershipEvent::Leave { group, router, .. } => {
-                if let Some(c) = counts[group as usize].get_mut(&router) {
-                    *c -= 1;
-                    concurrent -= 1;
-                    if *c == 0 {
-                        counts[group as usize].remove(&router);
-                        let gid = gids[group as usize];
-                        world.with_node(router, |nd, now, out| {
-                            let act = nd.router.local_leave(now, gid);
-                            nd.deliver(act, out);
-                        });
-                    }
-                }
-            }
-        }
+        fleet.run_until_us(ev.time_us());
+        fleet.apply(ev);
     }
     while samples.len() < p.samples {
-        world.run_until(SimTime::from_micros(next_sample));
-        samples.push(scan(&world, next_sample, concurrent));
+        fleet.run_until_us(next_sample);
+        samples.push(fleet.sample());
         next_sample += sample_gap_us;
     }
     let drive_s = t0.elapsed().as_secs_f64();
     let rss_end = rss_bytes();
 
     // --- Phase 4: harvest. ---
-    // The join-RTT histogram, merged across every shard of every
-    // engine (originators record on ack receipt).
-    let mut rtt = Histogram::new();
-    let mut dropped_non_control = 0u64;
-    let mut decode_errors = 0u64;
-    let mut encode_errors = 0u64;
-    let mut fleet_obs = cbt_obs::ObsSnapshot { router: "fleet".into(), ..Default::default() };
-    for i in 0..n as u32 {
-        let nd = world.node(i);
-        for k in 0..nd.router.local_count() {
-            rtt.merge(&nd.router.shard(k).obs().join_rtt_us);
-        }
-        fleet_obs.merge(&nd.router.obs_snapshot());
-        dropped_non_control += nd.dropped_non_control;
-        decode_errors += nd.decode_errors;
-        encode_errors += nd.encode_errors;
-    }
-    assert_eq!(decode_errors, 0, "a faultless fleet must decode every frame");
-    assert_eq!(encode_errors, 0, "a faultless fleet must encode every control message");
-    assert_eq!(dropped_non_control, 0, "a p2p control fleet must emit control frames only");
-    // Per-link control rate: every frame crosses exactly one directed
-    // slot; a link is a slot pair.
-    let links = edge_list.len().max(1) as u64;
-    let frames = world.trace.frames;
-    let mean_link_per_s = frames as f64 / links as f64 / p.horizon_s;
-    let (busiest_slot, busiest_fwd) = world.trace.busiest_slot().unwrap_or((0, 0));
-    let busiest_link = pairs
-        .iter()
-        .find(|pq| pq[0] == busiest_slot || pq[1] == busiest_slot)
-        .map(|pq| world.trace.slot_frames[pq[0] as usize] + world.trace.slot_frames[pq[1] as usize])
-        .unwrap_or(busiest_fwd);
-    let busiest_link_per_s = busiest_link as f64 / p.horizon_s;
+    let harvest = fleet.harvest();
+    let (total_joins, peak_concurrent) = (fleet.tally().sessions, fleet.tally().peak_concurrent);
+    let rtt = &harvest.obs.join_rtt_us;
+    let trace = fleet.trace();
+    let links = fleet.links();
+    let frames = trace.frames;
+    let mean_link_per_s = frames as f64 / links.max(1) as f64 / p.horizon_s;
+    let busiest_link_per_s = fleet.busiest_link_frames() as f64 / p.horizon_s;
     let peak = samples.iter().max_by_key(|s| s.fib_entries);
     let peak_state = peak.map(|s| s.fib_entries).unwrap_or(0);
     let peak_busy = peak.map(|s| s.busy_routers).unwrap_or(0);
     let joins_per_s = total_joins as f64 / drive_s.max(1e-9);
-    let events_per_s = world.trace.events as f64 / drive_s.max(1e-9);
+    let events_per_s = trace.events as f64 / drive_s.max(1e-9);
 
     // --- Report. ---
     let mut eqt = Table::new([
@@ -558,7 +277,7 @@ pub fn run(p: &Params) -> Report {
     let mut fleet = Table::new(["routers", "links", "build ms", "idle RSS MB", "idle B/router"]);
     fleet.row([
         n.to_string(),
-        edge_list.len().to_string(),
+        links.to_string(),
         f(build_ms),
         f(rss_idle.saturating_sub(rss0) as f64 / 1e6),
         idle_per_router.to_string(),
@@ -578,7 +297,7 @@ pub fn run(p: &Params) -> Report {
     let mut mtable = Table::new(["t (s)", "concurrent", "fib entries", "busy routers", "frames"]);
     for s in &samples {
         mtable.row([
-            f(s.t_s),
+            f(s.t_us as f64 / 1e6),
             s.concurrent.to_string(),
             s.fib_entries.to_string(),
             s.busy_routers.to_string(),
@@ -605,7 +324,7 @@ pub fn run(p: &Params) -> Report {
         "link max f/s",
     ]);
     thr.row([
-        world.trace.events.to_string(),
+        trace.events.to_string(),
         frames.to_string(),
         f(events_per_s),
         f(joins_per_s),
@@ -646,7 +365,7 @@ pub fn run(p: &Params) -> Report {
         },
         "fleet": {
             "routers": n,
-            "links": edge_list.len(),
+            "links": links,
             "build_ms": build_ms,
             "rss_idle_bytes": rss_idle.saturating_sub(rss0),
             "idle_bytes_per_router": idle_per_router,
@@ -657,18 +376,18 @@ pub fn run(p: &Params) -> Report {
             "peak_fib_entries": peak_state,
             "peak_busy_routers": peak_busy,
             "frames": frames,
-            "bytes": world.trace.bytes,
-            "sim_events": world.trace.events,
+            "bytes": trace.bytes,
+            "sim_events": trace.events,
             "wall_s": drive_s,
             "joins_per_s": joins_per_s,
             "events_per_s": events_per_s,
             "link_mean_frames_per_s": mean_link_per_s,
             "link_max_frames_per_s": busiest_link_per_s,
-            "decode_errors": decode_errors,
-            "encode_errors": encode_errors,
-            "dropped_non_control": dropped_non_control,
+            "decode_errors": harvest.decode_errors,
+            "encode_errors": harvest.encode_errors,
+            "dropped_non_control": harvest.dropped_non_control,
             "samples": samples.iter().map(|s| json!({
-                "t_s": s.t_s,
+                "t_s": s.t_us as f64 / 1e6,
                 "concurrent": s.concurrent,
                 "fib_entries": s.fib_entries,
                 "busy_routers": s.busy_routers,
@@ -688,14 +407,7 @@ pub fn run(p: &Params) -> Report {
             "after_drive": rss_end,
         },
     });
-    // The fleet obs snapshot, with the adapter-level loss counters
-    // (which live outside the engine's drop taxonomy) mirrored in.
-    report.attach_obs(&fleet_obs);
-    if let serde_json::Value::Object(m) = &mut report.obs {
-        m.insert("decode_errors".into(), json!(decode_errors));
-        m.insert("encode_errors".into(), json!(encode_errors));
-        m.insert("dropped_non_control".into(), json!(dropped_non_control));
-    }
+    harvest.attach(&mut report);
     report.finding(format!(
         "{} live protocol engines in one process: {} idle bytes/router RSS, {} join-sessions \
          of real control traffic driven at {:.0} joins/s and {:.0} events/s wall, join RTT \

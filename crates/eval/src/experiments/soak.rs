@@ -13,8 +13,8 @@
 //!    100k), drive the Poisson/diurnal membership stream, and fire a
 //!    scheduled fault script through it: link flaps on in-use tree
 //!    edges plus router crashes with §6.2 cold restarts. Every fault
-//!    repairs the shared [`FleetRib`] incrementally
-//!    ([`FleetRib::apply_removals`] / [`FleetRib::apply_additions`])
+//!    repairs the shared [`cbt::FleetRib`] incrementally
+//!    ([`cbt::FleetRib::apply_removals`] / [`cbt::FleetRib::apply_additions`])
 //!    and hard-asserts the repaired tables equal a from-scratch SPF;
 //! 3. **measure** — per-fault detached/reattached/lost member counts
 //!    and recovery time, the echo-timeout reattachment latency
@@ -29,23 +29,19 @@
 //! link or router is committed only if an SPF probe over the masked
 //! graph still reaches every live node, so "every member reattaches"
 //! is a protocol obligation, not a topology lottery.
+//!
+//! The fleet, its ledger, the fault operations and the "rooted" /
+//! "silent" checks live in [`crate::fleet::Fleet`]; this module is the
+//! fault plan, the reattachment tracker (`Soak`) and the report tables.
 
-use super::netscale::XorShift;
-use super::protoscale::{build_fleet, fleet_cfg, group_id, rss_bytes};
-use crate::membership::{MembershipEvent, MembershipParams, MembershipStream};
+use crate::fleet::{Fleet, RibKind, TOPO_100K, TOPO_10K, TOPO_1K};
+use crate::membership::XorShift;
 use crate::report::Report;
-use cbt::explore::check_netscale_invariants;
-use cbt::{addr_node, node_addr, FleetRib, FleetRoutes, P2pNode, ShardedRouter, SharedFleetRib};
 use cbt_metrics::{table::f, Table};
-use cbt_netsim::{NetscaleWorld, SimDuration, SimTime};
 use cbt_obs::Histogram;
-use cbt_topology::csr::{CsrGraph, SpfScratch, SpfTree};
-use cbt_topology::generate::{self, TransitStubParams};
-use cbt_topology::RouterId;
-use cbt_wire::{Addr, GroupId};
+use cbt_topology::generate::TransitStubParams;
 use serde_json::json;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, RwLock};
+use std::collections::BTreeMap;
 
 /// Poll cadence for reattachment tracking and frame-rate sampling.
 const POLL_US: u64 = 500_000;
@@ -89,13 +85,7 @@ pub struct Params {
 impl Default for Params {
     fn default() -> Self {
         Params {
-            // 8 × 16 × (1 + 6·131) = 100 736 live engines.
-            topo: TransitStubParams {
-                transit_domains: 8,
-                transit_size: 16,
-                stubs_per_transit_node: 6,
-                stub_size: 131,
-            },
+            topo: TOPO_100K,
             groups: 32,
             arrivals: 150_000,
             hold_s: 120.0,
@@ -104,13 +94,7 @@ impl Default for Params {
             crashes: 3,
             flap_hold_s: 25.0,
             crash_hold_s: 20.0,
-            // 2 × 4 × (1 + 3·40) = 968 routers for the regression gate.
-            regress_topo: TransitStubParams {
-                transit_domains: 2,
-                transit_size: 4,
-                stubs_per_transit_node: 3,
-                stub_size: 40,
-            },
+            regress_topo: TOPO_1K,
             regress_members: 48,
             seed: 6262,
         }
@@ -121,13 +105,7 @@ impl Params {
     /// ~10k-engine preset for the CI smoke run.
     pub fn quick() -> Self {
         Params {
-            // 4 × 8 × (1 + 4·77) = 9 888 live engines.
-            topo: TransitStubParams {
-                transit_domains: 4,
-                transit_size: 8,
-                stubs_per_transit_node: 4,
-                stub_size: 77,
-            },
+            topo: TOPO_10K,
             groups: 16,
             arrivals: 15_000,
             hold_s: 60.0,
@@ -141,14 +119,9 @@ impl Params {
     /// Tiny preset for the in-crate unit tests (runs in debug builds).
     #[cfg(test)]
     fn tiny() -> Self {
-        let topo = TransitStubParams {
-            transit_domains: 2,
-            transit_size: 4,
-            stubs_per_transit_node: 2,
-            stub_size: 6,
-        };
+        use crate::fleet::TOPO_TINY;
         Params {
-            topo,
+            topo: TOPO_TINY,
             groups: 4,
             arrivals: 400,
             hold_s: 20.0,
@@ -157,407 +130,10 @@ impl Params {
             crashes: 1,
             flap_hold_s: 15.0,
             crash_hold_s: 15.0,
-            regress_topo: topo,
+            regress_topo: TOPO_TINY,
             regress_members: 8,
             seed: 6262,
         }
-    }
-}
-
-/// A live fleet plus everything the fault script needs to mutate it
-/// consistently: the CSR masks, the delivery plane, the repairable
-/// rib, and the membership ledger. Every fault keeps all four in
-/// lock-step — that is the whole point of the type.
-struct Fleet {
-    world: NetscaleWorld<P2pNode>,
-    csr: CsrGraph,
-    pairs: Vec<[u32; 2]>,
-    edge_list: Vec<(u32, u32, u32)>,
-    /// `(min, max) endpoint pair → edge index` for chain walks.
-    edge_index: HashMap<(u32, u32), usize>,
-    /// Slot bases with a `slot_count` sentinel, for degree lookups.
-    base: Vec<u32>,
-    rib: SharedFleetRib,
-    scratch: SpfScratch,
-    cores: Vec<u32>,
-    core_addrs: Vec<Addr>,
-    gids: Vec<GroupId>,
-    n: u32,
-    transit: u32,
-    /// Per group: member router → live session multiplicity.
-    counts: Vec<HashMap<u32, u32>>,
-    /// `(group, router)` → leaves still owed for sessions a crash
-    /// killed; the stream's eventual Leave events drain this instead
-    /// of the ledger, keeping multiplicity exact across crashes.
-    dead_leaves: HashMap<(u32, u32), u32>,
-    concurrent: u64,
-    /// Joins the driver re-expressed for members whose engine gave up
-    /// (the IGMP-membership analog a p2p fleet otherwise lacks).
-    rejoin_kicks: u64,
-    /// Total nodes re-settled by incremental rib repairs.
-    repair_touched: u64,
-}
-
-impl Fleet {
-    fn new(topo: TransitStubParams, groups: usize, shards: Option<usize>, seed: u64) -> Fleet {
-        let n = topo.total_nodes();
-        let transit = topo.transit_nodes();
-        let groups = groups.min(transit);
-        let g = generate::transit_stub(topo, seed);
-        let edge_list: Vec<(u32, u32, u32)> = g.edges().map(|(a, b, w)| (a.0, b.0, w)).collect();
-        let (csr, pairs) = CsrGraph::from_edges(n, &edge_list);
-        let cores: Vec<u32> = (0..groups).map(|gi| ((gi * transit) / groups) as u32).collect();
-        let mut scratch = SpfScratch::new();
-        let trees: Vec<SpfTree> =
-            cores.iter().map(|&c| SpfTree::full(&csr, c, &mut scratch)).collect();
-        let rib = Arc::new(RwLock::new(FleetRib::repairable(&csr, &cores, trees)));
-        let mut cfg = fleet_cfg();
-        if let Some(s) = shards {
-            cfg.shards = s;
-        }
-        let world = build_fleet(&csr, &pairs, &edge_list, Arc::clone(&rib), cfg);
-        let slot_count = csr.slot_count() as u32;
-        let base: Vec<u32> = (0..n as u32).map(|u| csr.slot_base(u)).chain([slot_count]).collect();
-        let mut edge_index = HashMap::with_capacity(edge_list.len());
-        for (k, &(a, b, _)) in edge_list.iter().enumerate() {
-            edge_index.entry((a.min(b), a.max(b))).or_insert(k);
-        }
-        Fleet {
-            world,
-            csr,
-            pairs,
-            edge_list,
-            edge_index,
-            base,
-            rib,
-            scratch,
-            core_addrs: cores.iter().map(|&c| node_addr(c)).collect(),
-            cores,
-            gids: (0..groups).map(group_id).collect(),
-            n: n as u32,
-            transit: transit as u32,
-            counts: vec![HashMap::new(); groups],
-            dead_leaves: HashMap::new(),
-            concurrent: 0,
-            rejoin_kicks: 0,
-            repair_touched: 0,
-        }
-    }
-
-    /// One session arrives. Returns false if the target router is
-    /// down (the session is lost; its eventual Leave is pre-forgiven).
-    fn member_join(&mut self, gi: usize, r: u32) -> bool {
-        if !self.world.is_node_up(r) {
-            *self.dead_leaves.entry((gi as u32, r)).or_default() += 1;
-            return false;
-        }
-        self.concurrent += 1;
-        let c = self.counts[gi].entry(r).or_default();
-        *c += 1;
-        if *c == 1 {
-            let (gid, core) = (self.gids[gi], self.core_addrs[gi]);
-            self.world.with_node(r, |nd, now, out| {
-                nd.router.learn_cores(gid, &[core]);
-                let act = nd.router.local_join(now, gid);
-                nd.deliver(act, out);
-            });
-        }
-        true
-    }
-
-    /// One session ends. Leaves owed to crash-killed or never-started
-    /// sessions are swallowed by the `dead_leaves` ledger.
-    fn member_leave(&mut self, gi: usize, r: u32) {
-        if let Some(k) = self.dead_leaves.get_mut(&(gi as u32, r)) {
-            *k -= 1;
-            if *k == 0 {
-                self.dead_leaves.remove(&(gi as u32, r));
-            }
-            return;
-        }
-        let Some(c) = self.counts[gi].get_mut(&r) else { return };
-        *c -= 1;
-        self.concurrent -= 1;
-        if *c == 0 {
-            self.counts[gi].remove(&r);
-            let gid = self.gids[gi];
-            self.world.with_node(r, |nd, now, out| {
-                let act = nd.router.local_leave(now, gid);
-                nd.deliver(act, out);
-            });
-        }
-    }
-
-    /// Drops a member's whole session multiplicity with a single
-    /// engine leave — the teardown path.
-    fn force_leave(&mut self, gi: usize, r: u32) {
-        if let Some(c) = self.counts[gi].remove(&r) {
-            self.concurrent -= c as u64;
-            let gid = self.gids[gi];
-            self.world.with_node(r, |nd, now, out| {
-                let act = nd.router.local_leave(now, gid);
-                nd.deliver(act, out);
-            });
-        }
-    }
-
-    /// Is member router `r`'s engine chain rooted at group `gi`'s
-    /// core over *live* links and routers? This is the driver's-eye
-    /// "attached" predicate: FIB state alone is not enough, because a
-    /// chain that crosses a downed link is still walking dead wire
-    /// until §6.1 notices.
-    fn rooted(&self, gi: usize, r: u32) -> bool {
-        let gid = self.gids[gi];
-        let core = self.cores[gi];
-        let mut cur = r;
-        let mut hops = 0u32;
-        loop {
-            if !self.world.is_node_up(cur) {
-                return false;
-            }
-            let rt = &self.world.node(cur).router;
-            if !rt.is_on_tree(gid) {
-                return false;
-            }
-            if cur == core {
-                return true;
-            }
-            let Some(p) = rt.parent_of(gid) else { return false };
-            let p = addr_node(p);
-            let Some(&k) = self.edge_index.get(&(cur.min(p), cur.max(p))) else { return false };
-            if !self.csr.slot_live(self.pairs[k][0]) {
-                return false;
-            }
-            cur = p;
-            hops += 1;
-            if hops > self.n {
-                return false;
-            }
-        }
-    }
-
-    /// Every member pair not currently rooted, in deterministic
-    /// order. `settled_only` skips members whose engine is mid-flow
-    /// (pending join or transient state) — right for fault snapshots
-    /// and stray sweeps, wrong for the final convergence gate.
-    fn detached_members(&self, settled_only: bool) -> Vec<(u32, u32)> {
-        let mut out = Vec::new();
-        for gi in 0..self.counts.len() {
-            let mut holders: Vec<u32> = self.counts[gi].keys().copied().collect();
-            holders.sort_unstable();
-            for r in holders {
-                if self.rooted(gi, r) {
-                    continue;
-                }
-                if settled_only {
-                    let rt = &self.world.node(r).router;
-                    let gid = self.gids[gi];
-                    if rt.has_pending_join(gid) || rt.has_transient_state(gid) {
-                        continue;
-                    }
-                }
-                out.push((gi as u32, r));
-            }
-        }
-        out
-    }
-
-    /// Deterministic member map for the invariant checker.
-    fn members_map(&self) -> BTreeMap<GroupId, Vec<u32>> {
-        let mut m = BTreeMap::new();
-        for (gi, c) in self.counts.iter().enumerate() {
-            let mut v: Vec<u32> = c.keys().copied().collect();
-            v.sort_unstable();
-            if !v.is_empty() {
-                m.insert(self.gids[gi], v);
-            }
-        }
-        m
-    }
-
-    /// Re-expresses membership for a member whose engine has given up
-    /// entirely (off-tree, nothing pending, nothing transient) — the
-    /// p2p analog of IGMP re-announcing a group to the local router.
-    /// Refuses while the engine still has its own recovery in flight.
-    fn kick(&mut self, gi: usize, r: u32) -> bool {
-        if !self.world.is_node_up(r) {
-            return false;
-        }
-        let gid = self.gids[gi];
-        {
-            let rt = &self.world.node(r).router;
-            if rt.is_on_tree(gid) || rt.has_pending_join(gid) || rt.has_transient_state(gid) {
-                return false;
-            }
-        }
-        let core = self.core_addrs[gi];
-        self.world.with_node(r, |nd, now, out| {
-            nd.router.learn_cores(gid, &[core]);
-            let act = nd.router.local_join(now, gid);
-            nd.deliver(act, out);
-        });
-        self.rejoin_kicks += 1;
-        true
-    }
-
-    /// SPF probe: with the current masks, does core 0's tree still
-    /// reach every live node? (The graph is connected iff any one
-    /// root reaches everything.)
-    fn probe_connected(&mut self) -> bool {
-        let live = (0..self.n).filter(|&i| self.csr.is_node_up(i)).count() as u64;
-        let t = SpfTree::full(&self.csr, self.cores[0], &mut self.scratch);
-        t.reached() == live
-    }
-
-    /// Masks or restores edge `k` across all four layers: CSR slots,
-    /// the delivery plane, the rib (incrementally repaired), and the
-    /// repair-equals-full-SPF hard assert.
-    fn set_edge(&mut self, k: usize, up: bool) {
-        let (a, b, _) = self.edge_list[k];
-        let pair = self.pairs[k];
-        self.csr.set_slot_live(pair[0], up);
-        self.csr.set_slot_live(pair[1], up);
-        self.world.set_link_up(pair, up);
-        let touched = {
-            let mut rib = self.rib.write().expect("rib lock poisoned");
-            if up {
-                rib.apply_additions(&self.csr, &[(a, b)], &[], &mut self.scratch)
-            } else {
-                rib.apply_removals(&self.csr, &[(a, b)], &[], &mut self.scratch)
-            }
-        };
-        self.repair_touched += touched;
-        self.rib
-            .read()
-            .expect("rib lock poisoned")
-            .assert_matches_full_spf(&self.csr, &mut self.scratch);
-    }
-
-    /// Crashes router `r`: the delivery plane drops its arrivals and
-    /// wakeups, the rib routes around it, and every session it hosted
-    /// dies with it (§6.2 — a restarted router has no memory).
-    fn crash(&mut self, r: u32) {
-        self.csr.set_node_up(r, false);
-        self.world.crash_node(r);
-        let touched = self.rib.write().expect("rib lock poisoned").apply_removals(
-            &self.csr,
-            &[],
-            &[r],
-            &mut self.scratch,
-        );
-        self.repair_touched += touched;
-        self.rib
-            .read()
-            .expect("rib lock poisoned")
-            .assert_matches_full_spf(&self.csr, &mut self.scratch);
-        for gi in 0..self.counts.len() {
-            if let Some(c) = self.counts[gi].remove(&r) {
-                self.concurrent -= c as u64;
-                *self.dead_leaves.entry((gi as u32, r)).or_default() += c;
-            }
-        }
-    }
-
-    /// §6.2 cold restart: a brand-new engine in the same slot, then
-    /// the masks and rib are restored around it.
-    fn restart(&mut self, r: u32) {
-        self.csr.set_node_up(r, true);
-        let degree = (self.base[r as usize + 1] - self.base[r as usize]) as usize;
-        let cfg = self.world.node(r).router.config().clone();
-        let rib = Arc::clone(&self.rib);
-        let now = self.world.now();
-        let router = ShardedRouter::p2p(
-            RouterId(r),
-            node_addr(r),
-            degree,
-            cfg,
-            || Box::new(FleetRoutes::new(Arc::clone(&rib), r)),
-            now,
-        );
-        self.world.restart_node(r, |nd| nd.restart(router));
-        let touched = self.rib.write().expect("rib lock poisoned").apply_additions(
-            &self.csr,
-            &[],
-            &[r],
-            &mut self.scratch,
-        );
-        self.repair_touched += touched;
-        self.rib
-            .read()
-            .expect("rib lock poisoned")
-            .assert_matches_full_spf(&self.csr, &mut self.scratch);
-    }
-
-    /// Picks a flappable edge: walk a random member's live parent
-    /// chain core-ward and return the first chain edge whose removal
-    /// keeps the masked graph connected. Core-side (transit) edges are
-    /// tried first — they carry whole subtrees and have redundant
-    /// alternates; stub uplinks are usually cut edges and fail the
-    /// probe.
-    fn pick_flap(&mut self, rng: &mut XorShift) -> Option<usize> {
-        for _ in 0..64 {
-            let gi = rng.below(self.counts.len());
-            let mut holders: Vec<u32> = self.counts[gi].keys().copied().collect();
-            if holders.is_empty() {
-                continue;
-            }
-            holders.sort_unstable();
-            let m = holders[rng.below(holders.len())];
-            let gid = self.gids[gi];
-            let mut chain: Vec<usize> = Vec::new();
-            let mut cur = m;
-            for _ in 0..self.n {
-                if !self.world.is_node_up(cur) {
-                    break;
-                }
-                let Some(p) = self.world.node(cur).router.parent_of(gid) else { break };
-                let p = addr_node(p);
-                if let Some(&k) = self.edge_index.get(&(cur.min(p), cur.max(p))) {
-                    chain.push(k);
-                }
-                cur = p;
-            }
-            for &k in chain.iter().rev() {
-                let pair = self.pairs[k];
-                if !self.csr.slot_live(pair[0]) {
-                    continue; // already down from an overlapping fault
-                }
-                self.csr.set_slot_live(pair[0], false);
-                self.csr.set_slot_live(pair[1], false);
-                let ok = self.probe_connected();
-                self.csr.set_slot_live(pair[0], true);
-                self.csr.set_slot_live(pair[1], true);
-                if ok {
-                    return Some(k);
-                }
-            }
-        }
-        None
-    }
-
-    /// Picks a crashable router: an up, non-core stub router whose
-    /// removal keeps the rest of the graph connected. Prefers routers
-    /// currently holding tree state (so the crash actually exercises
-    /// §6.2), falling back to any viable one.
-    fn pick_crash(&mut self, rng: &mut XorShift) -> Option<u32> {
-        for want_state in [true, false] {
-            for _ in 0..128 {
-                let r = self.transit + rng.below((self.n - self.transit) as usize) as u32;
-                if !self.world.is_node_up(r) || self.cores.contains(&r) {
-                    continue;
-                }
-                if want_state && self.world.node(r).router.fib_len() == 0 {
-                    continue;
-                }
-                self.csr.set_node_up(r, false);
-                let ok = self.probe_connected();
-                self.csr.set_node_up(r, true);
-                if ok {
-                    return Some(r);
-                }
-            }
-        }
-        None
     }
 }
 
@@ -619,7 +195,7 @@ impl FaultRec {
         match self.target {
             Target::None => "skipped".into(),
             Target::Edge(k) => {
-                let (a, b, _) = fleet.edge_list[k];
+                let (a, b) = fleet.edge_ends(k);
                 format!("link {a}-{b}")
             }
             Target::Node(r) => format!("router {r}"),
@@ -638,7 +214,7 @@ struct Soak {
     next_poll: u64,
     polls: u64,
     /// `(group, router)` → (fault index or STRAY, detach instant).
-    detached: BTreeMap<(u32, u32), (usize, u64)>,
+    detached: BTreeMap<(usize, u32), (usize, u64)>,
     /// Echo-timeout reattachment latency, fault-attributed members.
     hist: Histogram,
     /// Reattachment latency for strays (found adrift outside any
@@ -659,7 +235,7 @@ impl Soak {
             if nxt > t_us {
                 break;
             }
-            self.fleet.world.run_until(SimTime::from_micros(nxt));
+            self.fleet.run_until_us(nxt);
             if na <= self.next_poll {
                 let (_, act) = self.plan[self.ai];
                 self.ai += 1;
@@ -672,11 +248,11 @@ impl Soak {
                 self.do_poll(nxt);
             }
         }
-        self.fleet.world.run_until(SimTime::from_micros(t_us));
+        self.fleet.run_until_us(t_us);
     }
 
     fn do_fault(&mut self, i: usize) {
-        let now = self.fleet.world.now().micros();
+        let now = self.fleet.now_us();
         self.faults[i].t_us = now;
         let target = match self.faults[i].kind {
             FaultKind::Flap => match self.fleet.pick_flap(&mut self.rng) {
@@ -698,7 +274,7 @@ impl Soak {
         if !self.faults[i].committed() {
             return;
         }
-        self.faults[i].frames_at = self.fleet.world.trace.frames;
+        self.faults[i].frames_at = self.fleet.trace().frames;
         // Snapshot the members this fault severed: their engine chains
         // now cross dead wire. In-flight joiners are excluded — their
         // latency is join latency, not echo-timeout reattachment.
@@ -719,7 +295,7 @@ impl Soak {
             Target::Edge(k) => self.fleet.set_edge(k, true),
             Target::Node(r) => self.fleet.restart(r),
         }
-        self.faults[i].restored_us = Some(self.fleet.world.now().micros());
+        self.faults[i].restored_us = Some(self.fleet.now_us());
     }
 
     fn mark_recovered(&mut self, fi: usize, now_us: u64) {
@@ -731,7 +307,7 @@ impl Soak {
 
     fn do_poll(&mut self, now_us: u64) {
         self.polls += 1;
-        let frames = self.fleet.world.trace.frames;
+        let frames = self.fleet.trace().frames;
         let fps = (frames - self.last_frames) as f64 * 1e6 / POLL_US as f64;
         self.last_frames = frames;
         if fps > self.peak_frames_per_s {
@@ -745,10 +321,10 @@ impl Soak {
         }
         // Reconcile every tracked detached member: reattached, gone,
         // or still adrift (kick if its engine has given up).
-        let tracked: Vec<((u32, u32), (usize, u64))> =
+        let tracked: Vec<((usize, u32), (usize, u64))> =
             self.detached.iter().map(|(&k, &v)| (k, v)).collect();
         for ((gi, r), (fi, ft)) in tracked {
-            if !self.fleet.counts[gi as usize].contains_key(&r) {
+            if !self.fleet.is_member(gi, r) {
                 self.detached.remove(&(gi, r));
                 if fi != STRAY {
                     self.faults[fi].lost += 1;
@@ -756,7 +332,7 @@ impl Soak {
                 }
                 continue;
             }
-            if self.fleet.rooted(gi as usize, r) {
+            if self.fleet.rooted(gi, r) {
                 self.detached.remove(&(gi, r));
                 if fi == STRAY {
                     self.stray_hist.record(now_us - ft);
@@ -767,7 +343,7 @@ impl Soak {
                 }
                 continue;
             }
-            self.fleet.kick(gi as usize, r);
+            self.fleet.kick(gi, r);
         }
         // Every 5 s, sweep for members adrift outside any fault
         // snapshot (e.g. second-order detachment) whose engine has
@@ -777,7 +353,7 @@ impl Soak {
                 if self.detached.contains_key(&(gi, r)) {
                     continue;
                 }
-                if self.fleet.kick(gi as usize, r) {
+                if self.fleet.kick(gi, r) {
                     self.strays_found += 1;
                     self.detached.insert((gi, r), (STRAY, now_us));
                 }
@@ -828,35 +404,18 @@ pub fn fault_regression(
     shards: Option<usize>,
     seed: u64,
 ) -> FaultSummary {
-    let mut fleet = Fleet::new(topo, groups, shards, seed);
-    let n = fleet.n as usize;
-    let transit = fleet.transit;
-    let mut rng = XorShift(seed ^ 0x5ca1_ab1e);
-
-    // Deterministic member draw from the stub pool, joins staggered
-    // one per millisecond.
-    let mut k = 0u64;
-    for gi in 0..fleet.gids.len() {
-        let mut mem: Vec<u32> = (0..members_per_group)
-            .map(|_| transit + rng.below(n - transit as usize) as u32)
-            .collect();
-        mem.sort_unstable();
-        mem.dedup();
-        for m in mem {
-            k += 1;
-            fleet.world.run_until(SimTime::from_micros(k * 1000));
-            fleet.member_join(gi, m);
-        }
-    }
-    fleet.world.run_until(fleet.world.now() + SimDuration::from_secs(2));
+    let mut fleet = Fleet::new(topo, groups, shards, seed, RibKind::Repairable);
+    let mut rng = XorShift::new(seed ^ 0x5ca1_ab1e);
+    fleet.join_staggered(&mut rng, members_per_group);
+    fleet.run_until_us(fleet.now_us() + 2_000_000);
     assert!(fleet.detached_members(false).is_empty(), "fleet failed to settle before the fault");
-    let members: usize = fleet.counts.iter().map(HashMap::len).sum();
+    let members = fleet.members();
 
     // Flap one in-use tree edge (connectivity-preserving, asserted
     // inside pick_flap's probe).
     let e = fleet.pick_flap(&mut rng).expect("an on-tree flappable link");
     fleet.set_edge(e, false);
-    let fault_t = fleet.world.now().micros();
+    let fault_t = fleet.now_us();
     let detached = fleet.detached_members(true).len() as u64;
     assert!(detached > 0, "the flap severed no member chain");
 
@@ -864,15 +423,15 @@ pub fn fault_regression(
     // it; after a 15 s grace the driver re-expresses membership for
     // any engine that gave up.
     let converge_us = loop {
-        fleet.world.run_until(fleet.world.now() + SimDuration::from_millis(250));
+        fleet.run_until_us(fleet.now_us() + 250_000);
+        let now_us = fleet.now_us();
         let leftovers = fleet.detached_members(false);
         if leftovers.is_empty() {
-            break fleet.world.now().micros() - fault_t;
+            break now_us - fault_t;
         }
-        let now_us = fleet.world.now().micros();
         if now_us >= fault_t + 15_000_000 {
             for (gi, r) in &leftovers {
-                fleet.kick(*gi as usize, *r);
+                fleet.kick(*gi, *r);
             }
         }
         assert!(
@@ -885,44 +444,23 @@ pub fn fault_regression(
     // Restore, settle past child-assert expiry (stale child entries
     // from the reattachment age out), then the invariant gate.
     fleet.set_edge(e, true);
-    fleet.world.run_until(fleet.world.now() + SimDuration::from_secs(25));
+    fleet.run_until_us(fleet.now_us() + 25_000_000);
     assert!(fleet.detached_members(false).is_empty(), "members detached during settle");
-    let members_map = fleet.members_map();
-    let violations = check_netscale_invariants(&fleet.world, &fleet.gids, &members_map);
+    let violations = fleet.invariant_violations();
     assert!(violations.is_empty(), "invariant violations after fault recovery: {violations:?}");
 
-    // Full teardown back to silence.
-    let mut t = fleet.world.now().micros();
-    for gi in 0..fleet.gids.len() {
-        let mut holders: Vec<u32> = fleet.counts[gi].keys().copied().collect();
-        holders.sort_unstable();
-        for r in holders {
-            t += 1000;
-            fleet.world.run_until(SimTime::from_micros(t));
-            fleet.force_leave(gi, r);
-        }
-    }
-    let silent = fleet.world.run_to_quiescence(fleet.world.now() + SimDuration::from_secs(30));
-    for i in 0..n as u32 {
-        let nd = fleet.world.node(i);
-        assert_eq!(nd.router.fib_len(), 0, "router {i} kept tree state after teardown");
-        assert!(nd.router.next_wakeup().is_none(), "router {i} kept a timer after teardown");
-        assert_eq!(nd.decode_errors, 0, "router {i} saw undecodable frames");
-        assert_eq!(nd.encode_errors, 0, "router {i} failed to encode a control message");
-        assert_eq!(nd.dropped_non_control, 0, "router {i} emitted non-control traffic");
-    }
-    let rib_version = fleet.rib.read().expect("rib lock poisoned").version();
+    let silent_us = fleet.teardown_to_silence(30_000_000);
     FaultSummary {
-        routers: n,
+        routers: fleet.routers(),
         members,
         detached,
         reattached: detached,
-        kicks: fleet.rejoin_kicks,
-        rib_version,
+        kicks: fleet.tally().rejoin_kicks,
+        rib_version: fleet.rib_version(),
         converge_us,
-        dropped_link_down: fleet.world.trace.dropped_link_down,
-        total_frames: fleet.world.trace.frames,
-        silent_us: silent.micros(),
+        dropped_link_down: fleet.trace().dropped_link_down,
+        total_frames: fleet.trace().frames,
+        silent_us,
     }
 }
 
@@ -948,12 +486,9 @@ pub fn run(p: &Params) -> Report {
     let regress_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // --- Phase 2: the soak fleet and its fault plan. ---
-    let rss0 = rss_bytes();
-    let t0 = std::time::Instant::now();
-    let fleet = Fleet::new(p.topo, groups, None, p.seed);
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let rss_fleet = rss_bytes();
-    let links = fleet.edge_list.len();
+    let fleet = Fleet::new(p.topo, groups, None, p.seed, RibKind::Repairable);
+    let marks = fleet.marks();
+    let links = fleet.links();
 
     // Faults spread evenly across [0.15, 0.85] of the horizon, crash
     // events interleaved proportionally among the flaps; each fault's
@@ -981,7 +516,7 @@ pub fn run(p: &Params) -> Report {
         plan,
         ai: 0,
         faults,
-        rng: XorShift(p.seed ^ 0xfa_17_5c_41),
+        rng: XorShift::new(p.seed ^ 0xfa_17_5c_41),
         next_poll: POLL_US,
         polls: 0,
         detached: BTreeMap::new(),
@@ -993,36 +528,10 @@ pub fn run(p: &Params) -> Report {
     };
 
     // --- Phase 3: drive churn and faults together. ---
-    let pool: Vec<u32> = (transit as u32..n as u32).collect();
-    let mp = MembershipParams {
-        groups,
-        horizon_s: p.horizon_s,
-        arrivals: p.arrivals,
-        hold_s: p.hold_s,
-        diurnal_depth: 0.6,
-        day_s: p.horizon_s,
-        hotspot_frac: 0.5,
-        flash: None,
-    };
-    let mut total_joins = 0u64;
-    let mut lost_joins = 0u64;
-    let mut peak_concurrent = 0u64;
     let t0 = std::time::Instant::now();
-    for ev in MembershipStream::new(&mp, pool, p.seed) {
+    for ev in soak.fleet.churn(p.horizon_s, p.arrivals, p.hold_s, None, p.seed) {
         soak.advance_to(ev.time_us());
-        match ev {
-            MembershipEvent::Join { group, router, .. } => {
-                total_joins += 1;
-                if soak.fleet.member_join(group as usize, router) {
-                    peak_concurrent = peak_concurrent.max(soak.fleet.concurrent);
-                } else {
-                    lost_joins += 1;
-                }
-            }
-            MembershipEvent::Leave { group, router, .. } => {
-                soak.fleet.member_leave(group as usize, router);
-            }
-        }
+        soak.fleet.apply(ev);
     }
     // Run out the horizon and any restores still pending past it.
     let mut end_us = (p.horizon_s * 1e6) as u64;
@@ -1049,21 +558,20 @@ pub fn run(p: &Params) -> Report {
             heal_rounds
         );
         for (gi, r) in leftovers {
-            soak.fleet.kick(gi as usize, r);
+            soak.fleet.kick(gi, r);
         }
-        let now = soak.fleet.world.now().micros();
+        let now = soak.fleet.now_us();
         soak.advance_to(now + 3_000_000);
     }
     // Settle past child-assert expiry so reattachment residue (stale
     // child entries at former parents) ages out before the checker.
-    let now = soak.fleet.world.now().micros();
+    let now = soak.fleet.now_us();
     soak.advance_to(now + 25_000_000);
     assert!(soak.fleet.detached_members(false).is_empty(), "members detached during settle");
     assert!(soak.detached.is_empty(), "reattachment tracking left unresolved members");
-    let converge_us = soak.fleet.world.now().micros();
-    let members_map = soak.fleet.members_map();
-    let live_members: usize = members_map.values().map(Vec::len).sum();
-    let violations = check_netscale_invariants(&soak.fleet.world, &soak.fleet.gids, &members_map);
+    let converge_us = soak.fleet.now_us();
+    let live_members = soak.fleet.members();
+    let violations = soak.fleet.invariant_violations();
     assert!(
         violations.is_empty(),
         "invariant violations at post-soak quiescence: {:?}",
@@ -1072,47 +580,26 @@ pub fn run(p: &Params) -> Report {
 
     // --- Phase 5: teardown storm, measured, then silence. ---
     soak.peak_frames_per_s = 0.0;
-    let mut t = soak.fleet.world.now().micros();
-    for gi in 0..soak.fleet.gids.len() {
-        let mut holders: Vec<u32> = soak.fleet.counts[gi].keys().copied().collect();
-        holders.sort_unstable();
-        for r in holders {
-            t += 1000;
-            soak.advance_to(t);
-            soak.fleet.force_leave(gi, r);
-        }
+    let mut t = soak.fleet.now_us();
+    for (gi, r) in soak.fleet.holders() {
+        t += 1000;
+        soak.advance_to(t);
+        soak.fleet.force_leave(gi, r);
     }
-    let now = soak.fleet.world.now().micros();
+    let now = soak.fleet.now_us();
     soak.advance_to(now + 10_000_000);
     let teardown_peak_fps = soak.peak_frames_per_s;
-    let silent =
-        soak.fleet.world.run_to_quiescence(soak.fleet.world.now() + SimDuration::from_secs(60));
+    let silent_us = soak.fleet.teardown_to_silence(60_000_000);
 
     // --- Phase 6: harvest. ---
-    let mut fleet_obs = cbt_obs::ObsSnapshot { router: "fleet".into(), ..Default::default() };
-    let mut decode_errors = 0u64;
-    let mut encode_errors = 0u64;
-    let mut dropped_non_control = 0u64;
-    let mut parent_failures = 0u64;
-    for i in 0..n as u32 {
-        let nd = soak.fleet.world.node(i);
-        assert_eq!(nd.router.fib_len(), 0, "router {i} kept tree state after teardown");
-        assert!(nd.router.next_wakeup().is_none(), "router {i} kept a timer after teardown");
-        fleet_obs.merge(&nd.router.obs_snapshot());
-        decode_errors += nd.decode_errors;
-        encode_errors += nd.encode_errors;
-        dropped_non_control += nd.dropped_non_control;
-        parent_failures += nd.router.stats().parent_failures;
-    }
-    assert_eq!(decode_errors, 0, "liveness masks drop whole frames; nothing may arrive torn");
-    assert_eq!(encode_errors, 0, "every control message must encode");
-    assert_eq!(dropped_non_control, 0, "a p2p control fleet must emit control frames only");
+    let harvest = soak.fleet.harvest();
+    let tally = soak.fleet.tally();
     let committed_flaps =
         soak.faults.iter().filter(|r| r.kind == FaultKind::Flap && r.committed()).count();
     let committed_crashes =
         soak.faults.iter().filter(|r| r.kind == FaultKind::Crash && r.committed()).count();
-    let trace = &soak.fleet.world.trace;
-    let rib_version = soak.fleet.rib.read().expect("rib lock poisoned").version();
+    let trace = soak.fleet.trace();
+    let rib_version = soak.fleet.rib_version();
 
     // --- Report. ---
     let mut regt = Table::new([
@@ -1202,16 +689,16 @@ pub fn run(p: &Params) -> Report {
         "silent at (s)",
     ]);
     dt.row([
-        total_joins.to_string(),
-        peak_concurrent.to_string(),
+        tally.sessions.to_string(),
+        tally.peak_concurrent.to_string(),
         trace.frames.to_string(),
         trace.dropped_link_down.to_string(),
         trace.dropped_node_down.to_string(),
-        soak.fleet.rejoin_kicks.to_string(),
+        tally.rejoin_kicks.to_string(),
         rib_version.to_string(),
         f(drive_peak_fps),
         f(teardown_peak_fps),
-        f(silent.micros() as f64 / 1e6),
+        f(silent_us as f64 / 1e6),
     ]);
     report.table(
         format!(
@@ -1252,8 +739,8 @@ pub fn run(p: &Params) -> Report {
         "fleet": {
             "routers": n,
             "links": links,
-            "build_ms": build_ms,
-            "rss_fleet_bytes": rss_fleet.saturating_sub(rss0),
+            "build_ms": marks.total_ms,
+            "rss_fleet_bytes": marks.rss_built.saturating_sub(marks.rss_start),
         },
         "faults": soak.faults.iter().map(|rec| json!({
             "kind": match rec.kind { FaultKind::Flap => "flap", FaultKind::Crash => "crash" },
@@ -1277,39 +764,34 @@ pub fn run(p: &Params) -> Report {
         },
         "strays": { "found": soak.strays_found, "reattached": soak.stray_hist.count() },
         "drive": {
-            "total_joins": total_joins,
-            "lost_joins": lost_joins,
-            "peak_concurrent": peak_concurrent,
+            "total_joins": tally.sessions,
+            "lost_joins": tally.lost_sessions,
+            "peak_concurrent": tally.peak_concurrent,
             "live_members_at_gate": live_members,
             "frames": trace.frames,
             "bytes": trace.bytes,
             "sim_events": trace.events,
             "dropped_link_down": trace.dropped_link_down,
             "dropped_node_down": trace.dropped_node_down,
-            "kicks": soak.fleet.rejoin_kicks,
-            "parent_failures": parent_failures,
+            "kicks": tally.rejoin_kicks,
+            "parent_failures": harvest.parent_failures,
             "rib_version": rib_version,
-            "rib_repair_touched": soak.fleet.repair_touched,
+            "rib_repair_touched": tally.repair_touched,
             "heal_rounds": heal_rounds,
             "peak_frames_per_s": drive_peak_fps,
             "wall_s": drive_s,
-            "decode_errors": decode_errors,
-            "encode_errors": encode_errors,
-            "dropped_non_control": dropped_non_control,
+            "decode_errors": harvest.decode_errors,
+            "encode_errors": harvest.encode_errors,
+            "dropped_non_control": harvest.dropped_non_control,
         },
         "invariants": { "violations": violations.len(), "checked_members": live_members },
         "teardown": {
             "peak_frames_per_s": teardown_peak_fps,
             "converge_us": converge_us,
-            "silent_us": silent.micros(),
+            "silent_us": silent_us,
         },
     });
-    report.attach_obs(&fleet_obs);
-    if let serde_json::Value::Object(m) = &mut report.obs {
-        m.insert("decode_errors".into(), json!(decode_errors));
-        m.insert("encode_errors".into(), json!(encode_errors));
-        m.insert("dropped_non_control".into(), json!(dropped_non_control));
-    }
+    harvest.attach(&mut report);
     report.finding(format!(
         "{} live engines soaked through {} link flaps and {} crash/restarts under {} \
          join-sessions of churn: {} members severed and every one reattached (p50 {:.1} s, \
@@ -1319,7 +801,7 @@ pub fn run(p: &Params) -> Report {
         n,
         committed_flaps,
         committed_crashes,
-        total_joins,
+        tally.sessions,
         soak.hist.count(),
         soak.hist.quantile(0.50) as f64 / 1e6,
         soak.hist.quantile(0.99) as f64 / 1e6,

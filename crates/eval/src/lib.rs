@@ -16,11 +16,25 @@
 //! | S93-T4 join latency | [`experiments::latency`] |
 //! | Abl-1 core placement | [`experiments::placement`] |
 //! | Abl-2 multi-core failover | [`experiments::multicore`] |
+//! | Impl-1 timer-service scaling | [`experiments::groupscale`] |
+//! | Impl-2 live data plane | [`experiments::dataplane`] |
+//! | Impl-3 sharded engine scaling | [`experiments::shardscale`] |
+//! | Impl-4 internet-scale routing | [`experiments::netscale`] |
+//! | Impl-5 protocol at netscale | [`experiments::protoscale`] |
+//! | Impl-6 faults at netscale | [`experiments::soak`] |
+//! | Expl-1 fault-interleaving exploration | [`experiments::explore`] |
+//!
+//! Impl-5 and Impl-6 are scripts over one live-fleet harness,
+//! [`fleet::Fleet`]: construction, the membership ledger, the
+//! attached / severed / silent predicates, the fault operations and
+//! the teardown asserts exist there once. Impl-4 to Impl-6 share one
+//! workload shape, [`membership::MembershipParams::netscale`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod fleet;
 pub mod membership;
 pub mod parallel;
 pub mod report;

@@ -178,13 +178,7 @@ fn main() {
         }
         "all" => {
             let mut timings = Vec::new();
-            let mut timer_scaling = serde_json::Value::Null;
-            let mut dataplane_rows = serde_json::Value::Null;
-            let mut shard_scaling = serde_json::Value::Null;
-            let mut netscale_rows = serde_json::Value::Null;
-            let mut protoscale_rows = serde_json::Value::Null;
-            let mut soak_rows = serde_json::Value::Null;
-            let mut explore_cov = serde_json::Value::Null;
+            let mut rows = Vec::new();
             for (name, run) in &runners {
                 let t0 = std::time::Instant::now();
                 let report = run(quick);
@@ -194,57 +188,23 @@ fn main() {
                 // Scaling rows from the implementation benchmarks are
                 // benchmark records in their own right; carry them into
                 // the consolidated record alongside the wall timings.
-                if *name == "groupscale" {
-                    timer_scaling = report.json.clone();
+                if let Some((_, key)) = BENCH_ROWS.iter().find(|(n, _)| n == name) {
+                    rows.push((*key, report.json.clone()));
                 }
-                if *name == "dataplane" {
-                    dataplane_rows = report.json.clone();
-                }
-                if *name == "shardscale" {
-                    shard_scaling = report.json.clone();
-                }
-                if *name == "netscale" {
-                    netscale_rows = report.json.clone();
-                }
-                if *name == "protoscale" {
-                    protoscale_rows = report.json.clone();
-                    write_bench_protoscale(&report);
-                }
-                if *name == "soak" {
-                    soak_rows = report.json.clone();
-                    write_bench_soak(&report);
-                }
-                if *name == "explore" {
-                    explore_cov = report.json.clone();
-                }
+                write_bench_fleet(name, &report);
                 timings.push(serde_json::json!({
                     "experiment": *name,
                     "wall_ms": wall_ms,
                 }));
             }
-            write_bench(
-                timings,
-                timer_scaling,
-                dataplane_rows,
-                shard_scaling,
-                netscale_rows,
-                protoscale_rows,
-                soak_rows,
-                explore_cov,
-                quick,
-            );
+            write_bench(timings, rows, quick);
         }
         name => match runners.iter().find(|(n, _)| *n == name) {
             Some((_, run)) => {
                 let report = run(quick);
                 println!("{}", report.render());
                 write_json(name, &report);
-                if name == "protoscale" {
-                    write_bench_protoscale(&report);
-                }
-                if name == "soak" {
-                    write_bench_soak(&report);
-                }
+                write_bench_fleet(name, &report);
             }
             None => {
                 eprintln!("unknown experiment '{name}'; try `cbt-eval list`");
@@ -254,40 +214,39 @@ fn main() {
     }
 }
 
+/// The implementation benchmarks whose JSON rides along in
+/// `BENCH_eval.json`, and the key each goes under.
+const BENCH_ROWS: [(&str, &str); 7] = [
+    ("groupscale", "timer_scaling"),
+    ("dataplane", "dataplane"),
+    ("shardscale", "shard_scaling"),
+    ("netscale", "netscale"),
+    ("protoscale", "protoscale"),
+    ("soak", "soak"),
+    ("explore", "explore"),
+];
+
 /// Consolidated wall-clock timings for an `all` run — the evaluation
 /// suite's own benchmark record (timings vary run to run; the
 /// experiment JSONs next to it do not).
-#[allow(clippy::too_many_arguments)]
-fn write_bench(
-    timings: Vec<serde_json::Value>,
-    timer_scaling: serde_json::Value,
-    dataplane: serde_json::Value,
-    shard_scaling: serde_json::Value,
-    netscale: serde_json::Value,
-    protoscale: serde_json::Value,
-    soak: serde_json::Value,
-    explore: serde_json::Value,
-    quick: bool,
-) {
+fn write_bench(timings: Vec<serde_json::Value>, rows: Vec<(&str, serde_json::Value)>, quick: bool) {
     let dir = PathBuf::from("target");
     if std::fs::create_dir_all(&dir).is_err() {
         return;
     }
     let total: f64 = timings.iter().filter_map(|t| t["wall_ms"].as_f64()).sum();
-    let payload = serde_json::json!({
+    let mut payload = serde_json::json!({
         "suite": "cbt-eval all",
         "quick": quick,
         "jobs": cbt_eval::parallel::jobs(),
         "total_wall_ms": total,
         "experiments": timings,
-        "timer_scaling": timer_scaling,
-        "dataplane": dataplane,
-        "shard_scaling": shard_scaling,
-        "netscale": netscale,
-        "protoscale": protoscale,
-        "soak": soak,
-        "explore": explore,
     });
+    if let serde_json::Value::Object(m) = &mut payload {
+        for (key, json) in rows {
+            m.insert(key.into(), json);
+        }
+    }
     let path = dir.join("BENCH_eval.json");
     if let Ok(s) = serde_json::to_string_pretty(&payload) {
         let _ = std::fs::write(&path, s);
@@ -295,34 +254,22 @@ fn write_bench(
     }
 }
 
-/// Writes the Impl-5 summary rows to `BENCH_protoscale.json` in the
-/// working directory — run from the repo root, that's the in-repo
-/// perf-trajectory record the CI smoke and the committed snapshot use
-/// (the other BENCH files live under `target/` and are never
-/// committed).
-fn write_bench_protoscale(report: &Report) {
-    let payload = serde_json::json!({
-        "suite": "cbt-eval protoscale",
-        "findings": report.findings,
-        "rows": report.json,
-    });
-    let path = PathBuf::from("BENCH_protoscale.json");
-    if let Ok(s) = serde_json::to_string_pretty(&payload) {
-        let _ = std::fs::write(&path, s);
-        eprintln!("[written {}]", path.display());
+/// Writes the summary rows of a fleet experiment (`protoscale`,
+/// `soak`) to `BENCH_<name>.json` in the working directory — run from
+/// the repo root, that's the in-repo perf-trajectory record the CI
+/// smoke and the committed snapshots use (the other BENCH files live
+/// under `target/` and are never committed). Other experiments have
+/// no such record.
+fn write_bench_fleet(name: &str, report: &Report) {
+    if !matches!(name, "protoscale" | "soak") {
+        return;
     }
-}
-
-/// Writes the Impl-6 summary rows to `BENCH_soak.json` in the working
-/// directory — the committed fault-soak record, same contract as
-/// [`write_bench_protoscale`].
-fn write_bench_soak(report: &Report) {
     let payload = serde_json::json!({
-        "suite": "cbt-eval soak",
+        "suite": format!("cbt-eval {name}"),
         "findings": report.findings,
         "rows": report.json,
     });
-    let path = PathBuf::from("BENCH_soak.json");
+    let path = PathBuf::from(format!("BENCH_{name}.json"));
     if let Ok(s) = serde_json::to_string_pretty(&payload) {
         let _ = std::fs::write(&path, s);
         eprintln!("[written {}]", path.display());

@@ -65,7 +65,6 @@ pub mod error;
 pub mod header;
 pub mod igmp;
 pub mod ipv4;
-pub mod legacy;
 pub mod udp;
 
 pub use addr::{Addr, GroupId, ALL_CBT_ROUTERS, ALL_ROUTERS, ALL_SYSTEMS};
@@ -75,7 +74,6 @@ pub use error::WireError;
 pub use header::{CbtControlHeader, CbtDataHeader, CBT_VERSION};
 pub use igmp::{IgmpMessage, IgmpType, RpCoreReport};
 pub use ipv4::{IpProto, Ipv4Header};
-pub use legacy::{LegacyMessage, LegacyType};
 pub use udp::{UdpHeader, CBT_AUX_PORT, CBT_PRIMARY_PORT};
 
 /// Result alias used across the crate.

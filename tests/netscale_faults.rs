@@ -15,12 +15,7 @@ use cbt_topology::generate::TransitStubParams;
 
 /// 2 × 4 × (1 + 3·40) = 968 routers — the same ~1k gate shape the
 /// Impl-5 equivalence test uses, now with a mid-run link fault.
-const TOPO: TransitStubParams = TransitStubParams {
-    transit_domains: 2,
-    transit_size: 4,
-    stubs_per_transit_node: 3,
-    stub_size: 40,
-};
+const TOPO: TransitStubParams = cbt_eval::fleet::TOPO_1K;
 
 #[test]
 fn a_flapped_tree_link_reattaches_every_member_at_1k_routers() {
@@ -43,6 +38,17 @@ fn a_flapped_tree_link_reattaches_every_member_at_1k_routers() {
     assert!(s.converge_us >= 6_000_000, "reattached before the echo timeout could fire");
     assert!(s.converge_us < 60_000_000);
     assert!(s.silent_us > s.converge_us);
+    // Commit against commit, not only shard count against shard count:
+    // every deterministic field, as captured at 28f0f33 (the parent of
+    // the PR that moved this gate onto `cbt_eval::fleet`).
+    assert_eq!(s.members, 252);
+    assert_eq!(s.detached, 45);
+    assert_eq!(s.kicks, 0);
+    assert_eq!(s.rib_version, 2);
+    assert_eq!(s.converge_us, 7_000_000);
+    assert_eq!(s.dropped_link_down, 12);
+    assert_eq!(s.total_frames, 25_004);
+    assert_eq!(s.silent_us, 54_000_000);
 }
 
 #[test]

@@ -15,12 +15,7 @@ use cbt_topology::generate::TransitStubParams;
 /// 2 × 4 × (1 + 3·40) = 968 routers — the ~1k gate from the Impl-5
 /// experiment, run with the session's `CBT_SHARDS` default so the CI
 /// sharded pass (`CBT_SHARDS=2 cargo test`) exercises it too.
-const TOPO: TransitStubParams = TransitStubParams {
-    transit_domains: 2,
-    transit_size: 4,
-    stubs_per_transit_node: 3,
-    stub_size: 40,
-};
+const TOPO: TransitStubParams = cbt_eval::fleet::TOPO_1K;
 
 #[test]
 fn live_engines_rebuild_the_analytic_tree_at_1k_routers() {
@@ -34,6 +29,16 @@ fn live_engines_rebuild_the_analytic_tree_at_1k_routers() {
     // Teardown traffic exists (quits + acks) and postdates the build.
     assert!(eq.total_frames > eq.join_frames);
     assert!(eq.silent_us > eq.settle_us);
+    // Commit against commit, not only shard count against shard count:
+    // every deterministic field, as captured at 28f0f33 (the parent of
+    // the PR that moved this gate onto `cbt_eval::fleet`). A value that
+    // moves means the wire behaviour moved.
+    assert_eq!(eq.members, 251);
+    assert_eq!(eq.tree_edges, 980);
+    assert_eq!(eq.join_frames, 1960);
+    assert_eq!(eq.total_frames, 3920);
+    assert_eq!(eq.settle_us, 2_251_000);
+    assert_eq!(eq.silent_us, 27_000_000);
 }
 
 #[test]
