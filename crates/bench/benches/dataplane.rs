@@ -6,20 +6,20 @@
 //! and the engine's scratch collections, the steady-state forward path
 //! must perform **zero** heap allocations per packet. This bench
 //! wraps the system allocator in a counter and *asserts* that claim
-//! for the three hot paths (native transit, native local-origin
-//! fan-out, CBT-mode on-tree transit) before timing them; the one
-//! path that legitimately allocates — first-hop §5.1 encapsulation,
-//! which must materialize the encapsulated datagram — is reported as
-//! allocations/packet instead.
+//! for the hot paths (native transit, native local-origin fan-out,
+//! CBT-mode on-tree transit, and first-hop §5.1 encapsulation of a
+//! packet that arrived in a frame, whose datagram it carries by
+//! reference) before timing them.
 //!
 //! `router_node_hop` then puts the simulator adapter around the engine
 //! — frame in, [`RouterNode::on_packet`], frames out — and asserts the
 //! patch-and-forward budget: a native transit hop allocates the
 //! outgoing frame's buffer and its `Arc`, nothing else, however many
-//! branches share that frame.
+//! branches share that frame. `host_send` asserts the same budget for
+//! a packet a [`HostApp`] originates.
 
 use cbt::{
-    config::ForwardingMode, CbtConfig, CbtRouter, RouterAction, RouterNode, ShardedRouter,
+    config::ForwardingMode, CbtConfig, CbtRouter, HostApp, RouterAction, RouterNode, ShardedRouter,
     SharedRib,
 };
 use cbt_netsim::{Bytes, Outbox, SimNode, SimTime};
@@ -294,6 +294,13 @@ fn transit_node(fanout: usize, payload: usize) -> (RouterNode, IfIndex, Addr, By
     (node, IfIndex(0), parent, Bytes::from(pkt.encode()))
 }
 
+/// A 512-byte native packet as a first-hop router gets it: decoded
+/// from the frame the member host `src` put on the LAN.
+fn first_hop_arrival(src: Addr) -> DataPacket {
+    let frame = Bytes::from(DataPacket::new(src, group(), 32, vec![0u8; 512]).encode());
+    DataPacket::decode_bytes(&frame).expect("a frame `encode` built")
+}
+
 /// Warms `f` (growing every scratch buffer and memo to capacity), then
 /// measures the allocation count across `iters` further calls and
 /// returns allocations per call.
@@ -413,11 +420,11 @@ fn bench_dataplane(c: &mut Criterion) {
         println!("[sharded_native_transit] steady-state heap allocations/packet: {per}");
     }
 
-    // First-hop CBT encapsulation (§5.1) — the one path that must
-    // materialize a new buffer. Reported, not asserted zero.
+    // First-hop CBT encapsulation (§5.1): the packet arrived in a
+    // frame, and the encapsulation carries that datagram by reference.
     {
         let mut e = on_tree_engine(ForwardingMode::CbtMode);
-        let pkt = DataPacket::new(host_src, group(), 32, vec![0u8; 512]);
+        let pkt = first_hop_arrival(host_src);
         let mut act = Vec::new();
         let per = steady_state_allocs(
             || {
@@ -432,6 +439,8 @@ fn bench_dataplane(c: &mut Criterion) {
             },
             10_000,
         );
+        assert!(!act.is_empty());
+        assert_eq!(per, 0.0, "first-hop encapsulation must share the arrival datagram");
         println!("[cbt_first_hop_encap] steady-state heap allocations/packet: {per}");
     }
 
@@ -458,6 +467,29 @@ fn bench_dataplane(c: &mut Criterion) {
         next.ttl -= 1;
         assert!(frames.iter().all(|f| *f == next.encode() && f.shares_allocation_with(&frames[0])));
         println!("[router_node_hop fanout={fanout} {payload}B] heap allocations/hop: {per}");
+    }
+
+    // A host originating a packet: header and payload are written
+    // straight into the frame buffer, so the send path allocates that
+    // buffer and its `Arc`; the third allocation counted here is the
+    // payload `Vec` the caller hands in.
+    for payload in [64usize, 256] {
+        let mut app = HostApp::new(host_src, 3, CbtConfig::default().igmp);
+        let mut out = Outbox::new();
+        let mut sent = 0;
+        let per = steady_state_allocs(
+            || {
+                app.send_at(SimTime::from_secs(2), group(), vec![0u8; payload], 32);
+                app.on_timer(SimTime::from_secs(2), &mut out);
+                sent = out.drain().count();
+            },
+            10_000,
+        );
+        assert_eq!(sent, 1, "one frame per originated packet");
+        assert!(per <= 3.0, "host send allocated {per} times (payload + frame buffer + Arc = 3)");
+        println!(
+            "[host_send {payload}B] heap allocations/packet, caller's payload included: {per}"
+        );
     }
 
     // -- Timings for the same paths --
@@ -520,7 +552,7 @@ fn bench_dataplane(c: &mut Criterion) {
 
     g.bench_function("cbt_first_hop_encap_512B", |b| {
         let mut e = on_tree_engine(ForwardingMode::CbtMode);
-        let pkt = DataPacket::new(host_src, group(), 32, vec![0u8; 512]);
+        let pkt = first_hop_arrival(host_src);
         let mut act = Vec::new();
         b.iter(|| {
             act.clear();

@@ -88,6 +88,7 @@ pub mod join;
 pub mod keepalive;
 pub mod netscale;
 pub mod parallelism;
+pub mod payload;
 pub mod pending;
 pub mod shard;
 pub mod sim;
@@ -100,5 +101,6 @@ pub use events::{RouterAction, RouterStats};
 pub use fib::{Fib, FibEntry, MAX_CHILDREN};
 pub use netscale::{addr_node, node_addr, FleetRib, FleetRoutes, P2pNode, SharedFleetRib};
 pub use parallelism::Parallelism;
+pub use payload::{Payload, RX_COPYBREAK};
 pub use shard::{shard_of, ShardedRouter};
 pub use sim::{CbtWorld, Delivery, HostApp, RouterNode};

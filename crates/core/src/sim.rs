@@ -8,15 +8,17 @@
 
 use crate::engine::{CbtRouter, RouteLookup, SharedRib};
 use crate::events::RouterAction;
+use crate::payload::Payload;
 use crate::shard::ShardedRouter;
 use cbt_igmp::{HostMembership, IgmpTimers};
 use cbt_netsim::{Bytes, Outbox, SimNode, SimTime};
 use cbt_obs::DropReason;
 use cbt_topology::IfIndex;
+use cbt_wire::data::PAYLOAD_OFFSET;
 use cbt_wire::ipv4::{build_datagram, datagram_with_ttl, split_datagram};
 use cbt_wire::{
-    Addr, CbtDataPacket, ControlMessage, DataPacket, GroupId, IgmpMessage, IpProto, Ipv4Header,
-    UdpHeader, WireError, CBT_AUX_PORT, CBT_PRIMARY_PORT,
+    encode_native, Addr, CbtDataPacket, ControlMessage, DataPacket, GroupId, IgmpMessage, IpProto,
+    Ipv4Header, UdpHeader, WireError, CBT_AUX_PORT, CBT_PRIMARY_PORT,
 };
 use std::any::Any;
 use std::collections::VecDeque;
@@ -342,7 +344,7 @@ pub struct Delivery {
     /// Originating end-system.
     pub src: Addr,
     /// Application payload.
-    pub payload: Vec<u8>,
+    pub payload: Payload,
 }
 
 /// An application-level operation a host performs at a given time.
@@ -464,20 +466,17 @@ impl SimNode for HostApp {
             }
             IpProto::Udp => {
                 // Application data: only for groups we are members of.
-                // The IP header is validated above; the UDP shell is
-                // summed once, and the one copy happens here, where
-                // the application takes ownership.
+                // The IP header is validated above and the UDP shell is
+                // summed once; the application then takes the payload
+                // by copy or by reference, by length (`RX_COPYBREAK`).
                 let Some(group) = GroupId::new(hdr.dst) else { return };
                 if !self.membership.is_member(group) || hdr.src == self.addr {
                     return;
                 }
                 if let Ok((_, payload)) = UdpHeader::unwrap(body) {
-                    self.received.push(Delivery {
-                        at: now,
-                        group,
-                        src: hdr.src,
-                        payload: payload.to_vec(),
-                    });
+                    let at = PAYLOAD_OFFSET..PAYLOAD_OFFSET + payload.len();
+                    let payload = Payload::from_frame(frame, at);
+                    self.received.push(Delivery { at: now, group, src: hdr.src, payload });
                 }
             }
             // "The IP module of end-systems ... will discard these
@@ -500,8 +499,7 @@ impl SimNode for HostApp {
                     self.emit_igmp(msgs, out);
                 }
                 HostOp::Send { group, payload, ttl } => {
-                    let pkt = DataPacket::new(self.addr, group, ttl, payload);
-                    out.send(IfIndex(0), pkt.encode());
+                    out.send(IfIndex(0), encode_native(self.addr, group, ttl, &payload));
                 }
             }
         }
@@ -892,5 +890,45 @@ mod tests {
             out.drain().map(|t| DataPacket::decode(&t.frame).unwrap().payload.to_vec()).collect();
         assert_eq!(sent, [b"1a", b"1b", b"1c", b"2a", b"3a", b"3b"]);
         assert_eq!(app.next_wakeup(), Some(SimTime::from_secs(9)), "the rest stays queued");
+    }
+
+    /// A host that has joined `g` (its membership is up the moment the
+    /// join operation runs).
+    fn member_host(g: GroupId) -> HostApp {
+        let mut app =
+            HostApp::new(Addr::from_octets(10, 1, 0, 100), 3, crate::CbtConfig::fast().igmp);
+        app.join_at(SimTime::ZERO, g, vec![Addr::from_octets(10, 255, 0, 1)]);
+        app.on_timer(SimTime::ZERO, &mut Outbox::new());
+        assert!(app.is_member(g));
+        app
+    }
+
+    /// The copybreak boundary at the host edge: one byte short of
+    /// `RX_COPYBREAK` is copied out of the arrival frame, `RX_COPYBREAK`
+    /// itself is a view into it — and at either size a datagram whose
+    /// UDP checksum does not verify is not delivered at all, so a view
+    /// is only ever taken of validated bytes.
+    #[test]
+    fn copybreak_boundary_shares_only_long_validated_payloads() {
+        use crate::RX_COPYBREAK;
+        let g = GroupId::numbered(1);
+        let mut app = member_host(g);
+        let src = Addr::from_octets(10, 9, 0, 7);
+        let mut out = Outbox::new();
+        for (len, shared) in [(RX_COPYBREAK - 1, false), (RX_COPYBREAK, true)] {
+            let body: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let frame = Bytes::from(encode_native(src, g, 4, &body));
+            let mut bad = frame.to_vec();
+            *bad.last_mut().unwrap() ^= 0x01; // payload no longer sums
+            let before = app.received().len();
+            app.on_packet(SimTime::from_secs(1), IfIndex(0), src, &Bytes::from(bad), &mut out);
+            assert_eq!(app.received().len(), before, "{len} B: corrupted, not delivered");
+            app.on_packet(SimTime::from_secs(1), IfIndex(0), src, &frame, &mut out);
+            let d = app.received().last().expect("delivered");
+            assert_eq!((d.group, d.src), (g, src));
+            assert_eq!(d.payload, body);
+            assert_eq!(d.payload.shares_allocation_with(&frame), shared, "{len} B");
+        }
+        assert_eq!(app.received().len(), 2);
     }
 }

@@ -2,7 +2,7 @@
 //! loops.
 //!
 //! Drives a real tokio deployment ([`LiveNet`]) — every router and
-//! host its own task, frames crossing real channels under wall-clock
+//! host its own task, frames crossing bounded inboxes under wall-clock
 //! time — through a flood workload: N concurrent senders (each a
 //! non-member host on its own stub LAN, §5.1) blast packets at a
 //! member group whose receivers sit two router hops away. The plane
@@ -13,7 +13,8 @@
 //!
 //! Reported per sender count: delivered packets/s (goodput at the
 //! receiver), p50/p99 end-to-end latency (send-call to app delivery,
-//! stamped in the payload), and fabric drop counts.
+//! stamped in the payload), fabric drop counts and the deepest any
+//! node's inbox got.
 
 use crate::report::Report;
 use cbt::CbtConfig;
@@ -66,6 +67,8 @@ struct RunStats {
     p50_us: u64,
     p99_us: u64,
     fabric_dropped: u64,
+    /// Deepest any node's inbox got (of `inbox_capacity`).
+    inbox_high_water: usize,
 }
 
 /// Group members on the delivery LAN — the fan-out: one refcounted
@@ -246,6 +249,7 @@ fn drive(n: usize, per_sender: usize, payload_len: usize) -> RunStats {
             p50_us: pct(50),
             p99_us: pct(99),
             fabric_dropped: fabric.dropped_overflow,
+            inbox_high_water: fabric.inbox_high_water,
         }
     });
     drop(rt);
@@ -272,6 +276,7 @@ pub fn run(p: &Params) -> Report {
         "p50 µs",
         "p99 µs",
         "dropped",
+        "inbox high-water",
     ]);
     let mut rows_json = Vec::new();
     let mut fig =
@@ -289,6 +294,7 @@ pub fn run(p: &Params) -> Report {
             s.p50_us.to_string(),
             s.p99_us.to_string(),
             s.fabric_dropped.to_string(),
+            s.inbox_high_water.to_string(),
         ]);
         rows_json.push(json!({
             "senders": n,
@@ -298,6 +304,7 @@ pub fn run(p: &Params) -> Report {
             "p50_us": s.p50_us,
             "p99_us": s.p99_us,
             "dropped_overflow": s.fabric_dropped,
+            "inbox_high_water": s.inbox_high_water,
         }));
         fig.bar(format!("N={n}"), s.pkts_per_s);
     }
@@ -320,10 +327,12 @@ pub fn run(p: &Params) -> Report {
         "rows": rows_json,
     });
     report.finding(
-        "One tokio task per router and host, the same engine as the simulator. Each task drains up \
-         to rx_batch frames per wakeup and flushes its outbox once per batch; LAN fan-out hands \
-         every member a refcounted handle to one allocation; bounded inboxes shed and count what \
-         a receiver cannot absorb.",
+        "One tokio task per router and host, the same engine as the simulator. Each task takes up \
+         to rx_batch frames out of its inbox under one lock per wakeup and flushes its outbox \
+         once per batch, a run of same-destination frames at a time; LAN fan-out hands every \
+         member a refcounted handle to one allocation, which a payload of RX_COPYBREAK bytes or \
+         more is delivered as a slice of; bounded inboxes shed and count what a receiver cannot \
+         absorb.",
     );
     report
 }

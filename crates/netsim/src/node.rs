@@ -75,6 +75,17 @@ impl Outbox {
         self.sends.drain(..)
     }
 
+    /// Everything queued, in order, for a consumer that takes the whole
+    /// batch by reference and then [`Outbox::clear`]s.
+    pub fn as_slice(&self) -> &[Transmit] {
+        &self.sends
+    }
+
+    /// Drops everything queued; the outbox keeps its capacity.
+    pub fn clear(&mut self) {
+        self.sends.clear();
+    }
+
     /// Number of queued transmissions.
     pub fn len(&self) -> usize {
         self.sends.len()

@@ -6,10 +6,10 @@
 //! of a virtual event queue:
 //!
 //! * every router and host is its own task;
-//! * frames move over an in-process [`fabric`] of mpsc channels that
-//!   reproduces the link/LAN semantics (broadcast fan-out, link-layer
-//!   unicast filtering) — or over **real UDP sockets** on loopback via
-//!   [`udp`];
+//! * frames move over an in-process [`fabric`] of bounded inboxes
+//!   ([`inbox`]) that reproduces the link/LAN semantics (broadcast
+//!   fan-out, link-layer unicast filtering) — or over **real UDP
+//!   sockets** on loopback via [`udp`];
 //! * timers are `tokio::time::sleep_until` against the node's own
 //!   `next_wakeup()`, so `tokio::time::pause()` makes tests instant.
 //!
@@ -22,6 +22,8 @@
 pub mod config;
 #[cfg(feature = "live")]
 pub mod fabric;
+#[cfg(feature = "live")]
+pub mod inbox;
 #[cfg(feature = "live")]
 pub mod live;
 #[cfg(feature = "live")]

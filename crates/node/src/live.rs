@@ -2,12 +2,13 @@
 //! timers, command/query channels for the application layer.
 //!
 //! The node task loops are the live data plane's hot path: each wakeup
-//! drains up to [`DataPlaneConfig::rx_batch`] queued frames through
-//! the engine before flushing the outbox, and the outbox is drained in
-//! place ([`Outbox::drain`]) so steady state forwards without
-//! per-wakeup allocations.
+//! takes up to [`DataPlaneConfig::rx_batch`] queued frames out of the
+//! inbox under one lock, runs them through the engine, and hands the
+//! whole outbox to [`Fabric::dispatch_batch`] in place, so steady state
+//! forwards without per-wakeup allocations.
 
-use crate::fabric::{DataPlaneConfig, Fabric, FabricCounters, FabricStats, RxFrame};
+use crate::fabric::{DataPlaneConfig, Fabric, FabricCounters, FabricStats};
+use crate::inbox::{InboxRx, RxFrame};
 use cbt::{CbtConfig, HostApp, RouterNode, SharedRib};
 use cbt_netsim::{Entity, Outbox, SimNode, SimTime};
 use cbt_topology::{HostId, NetworkSpec, RouterId};
@@ -49,6 +50,11 @@ pub struct RouterSnapshot {
     /// the fabric's transport-level drops for this node (inbox
     /// overflow) into `obs.drops` so one snapshot covers both layers.
     pub obs: cbt_obs::ObsSnapshot,
+    /// The deepest this router's inbox has been
+    /// ([`FabricCounters::inbox_high_water`]); like the transport-level
+    /// drops it is the fabric's to know, and
+    /// [`LiveNet::router_snapshot`] fills it in.
+    pub inbox_high_water: usize,
 }
 
 /// Why a [`LiveNet`] query could not be answered.
@@ -234,15 +240,17 @@ impl LiveNet {
             snap.stats.merge(&other.stats);
             snap.obs.merge(&other.obs);
         }
-        // Transport-level drops (bounded-inbox overflow) happen in the
-        // fabric, outside the engine; fold this node's row in so the
-        // snapshot covers every layer.
+        // Transport-level drops (bounded-inbox overflow) and inbox depth
+        // happen in the fabric, outside the engine; fold this node's
+        // row in so the snapshot covers every layer.
         snap.obs.drops.merge(&self.counters.node_drops(Entity::Router(r)));
+        snap.inbox_high_water = self.counters.inbox_high_water(Entity::Router(r));
         Ok(snap)
     }
 
     /// Fabric delivery counters (frames enqueued / dropped on
-    /// overflow), cumulative over the deployment's lifetime.
+    /// overflow, deepest inbox), cumulative over the deployment's
+    /// lifetime.
     pub fn fabric_stats(&self) -> FabricStats {
         self.counters.snapshot()
     }
@@ -272,12 +280,13 @@ async fn router_task(
     mut node: RouterNode,
     me: Entity,
     fabric: Arc<Fabric>,
-    mut rx: mpsc::Receiver<RxFrame>,
+    mut rx: InboxRx,
     mut cmds: mpsc::UnboundedReceiver<RouterCmd>,
     epoch: Instant,
     dp: DataPlaneConfig,
 ) {
     let mut out = Outbox::new();
+    let mut batch = Vec::new();
     loop {
         let wake = node.next_wakeup().map(|t| sim_to_instant(epoch, t));
         tokio::select! {
@@ -293,23 +302,25 @@ async fn router_task(
                             children: e.children_of(group),
                             stats: e.stats(),
                             obs: e.obs_snapshot(),
+                            inbox_high_water: 0,
                         });
                     }
                 }
             }
-            frame = rx.recv() => {
-                let Some(first) = frame else { break };
+            n = rx.recv_batch(dp.rx_batch, &mut batch) => {
+                if n == 0 {
+                    break;
+                }
                 let now = instant_to_sim(epoch, Instant::now());
-                receive_batch(&mut node, first, &mut rx, dp.rx_batch, now, &mut out);
+                receive_batch(&mut node, &mut batch, now, &mut out);
             }
             _ = sleep_maybe(wake) => {
                 let now = instant_to_sim(epoch, Instant::now());
                 node.on_timer(now, &mut out);
             }
         }
-        for t in out.drain() {
-            fabric.dispatch(me, &t);
-        }
+        fabric.dispatch_batch(me, out.as_slice());
+        out.clear();
     }
 }
 
@@ -317,12 +328,13 @@ async fn host_task(
     mut app: HostApp,
     me: Entity,
     fabric: Arc<Fabric>,
-    mut rx: mpsc::Receiver<RxFrame>,
+    mut rx: InboxRx,
     mut cmds: mpsc::UnboundedReceiver<HostCmd>,
     epoch: Instant,
     dp: DataPlaneConfig,
 ) {
     let mut out = Outbox::new();
+    let mut batch = Vec::new();
     loop {
         let wake = app.next_wakeup().map(|t| sim_to_instant(epoch, t));
         tokio::select! {
@@ -357,38 +369,30 @@ async fn host_task(
                     }
                 }
             }
-            frame = rx.recv() => {
-                let Some(first) = frame else { break };
+            n = rx.recv_batch(dp.rx_batch, &mut batch) => {
+                if n == 0 {
+                    break;
+                }
                 let now = instant_to_sim(epoch, Instant::now());
-                receive_batch(&mut app, first, &mut rx, dp.rx_batch, now, &mut out);
+                receive_batch(&mut app, &mut batch, now, &mut out);
             }
             _ = sleep_maybe(wake) => {
                 let now = instant_to_sim(epoch, Instant::now());
                 app.on_timer(now, &mut out);
             }
         }
-        for t in out.drain() {
-            fabric.dispatch(me, &t);
-        }
+        fabric.dispatch_batch(me, out.as_slice());
+        out.clear();
     }
 }
 
-/// Runs the frame that woke a task through `node`, then every frame
-/// already queued behind it — `rx_batch` in all at most — so a burst
-/// pays one wakeup and one outbox flush, not one per packet.
-fn receive_batch(
-    node: &mut dyn SimNode,
-    first: RxFrame,
-    rx: &mut mpsc::Receiver<RxFrame>,
-    rx_batch: usize,
-    now: SimTime,
-    out: &mut Outbox,
-) {
-    let mut handle = |f: RxFrame| node.on_packet(now, f.iface, f.link_src, &f.frame, out);
-    handle(first);
-    for _ in 1..rx_batch {
-        let Ok(f) = rx.try_recv() else { break };
-        handle(f);
+/// Runs the frames one wakeup took out of the inbox through `node`,
+/// all at the same `now` — a burst pays one wakeup, one inbox lock and
+/// one outbox flush, not one per packet. Leaves `batch` empty, with its
+/// capacity.
+fn receive_batch(node: &mut dyn SimNode, batch: &mut Vec<RxFrame>, now: SimTime, out: &mut Outbox) {
+    for f in batch.drain(..) {
+        node.on_packet(now, f.iface, f.link_src, &f.frame, out);
     }
 }
 

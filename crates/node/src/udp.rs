@@ -3,7 +3,7 @@
 //!
 //! Every entity binds one `tokio::net::UdpSocket`; a transmission is
 //! resolved to its recipients through the same [`DeliveryPlan`] as the
-//! channel fabric, then sent as a real datagram
+//! in-process fabric, then sent as a real datagram
 //! `[iface_be32 | link_src_be32 | frame]` to each recipient's socket,
 //! where a pump task feeds it into the node's inbox (the link_src word
 //! plays the role of the Ethernet source MAC). The CBT control messages
@@ -25,14 +25,13 @@
 //!   an interface the receiving node does not have — are counted as
 //!   [`DropReason::DecodeError`] instead of vanishing silently.
 
-use crate::fabric::{inboxes, steer_into, DataPlaneConfig, FabricCounters, Inboxes, RxFrame};
+use crate::fabric::{DataPlaneConfig, FabricCounters, Inboxes};
 use cbt_netsim::{Bytes, DeliveryPlan, Entity, Transmit};
 use cbt_obs::DropReason;
 use cbt_topology::{IfIndex, NetworkSpec};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use tokio::net::UdpSocket;
-use tokio::sync::mpsc;
 use tokio::task::JoinHandle;
 
 /// How many datagrams a pump drains per socket wakeup before yielding.
@@ -62,16 +61,15 @@ impl UdpFabric {
         shards: usize,
     ) -> std::io::Result<(Arc<Self>, Inboxes)> {
         let plan = Arc::new(DeliveryPlan::new(net));
-        let counters = Arc::new(FabricCounters::new(plan.clone()));
-        let (txs, rxs) = inboxes(&plan, dp, shards);
-        let mut sockets = Vec::with_capacity(txs.len());
-        let mut peers = Vec::with_capacity(txs.len());
-        let mut pumps = Vec::with_capacity(txs.len());
-        for (me, txs) in txs.into_iter().enumerate() {
+        let (counters, rxs) = FabricCounters::new(plan.clone(), dp, shards);
+        let mut sockets = Vec::with_capacity(rxs.len());
+        let mut peers = Vec::with_capacity(rxs.len());
+        let mut pumps = Vec::with_capacity(rxs.len());
+        for me in 0..rxs.len() {
             let socket = Arc::new(UdpSocket::bind("127.0.0.1:0").await?);
             peers.push(socket.local_addr()?);
             let ifaces = plan.iface_count(plan.entity(me)) as u32;
-            pumps.push(tokio::spawn(pump(socket.clone(), txs, counters.clone(), me, ifaces)));
+            pumps.push(tokio::spawn(pump(socket.clone(), counters.clone(), me, ifaces)));
             sockets.push(socket);
         }
         Ok((Arc::new(UdpFabric { plan, sockets, peers, counters, pumps }), rxs))
@@ -128,11 +126,13 @@ impl UdpFabric {
         }
     }
 
-    /// Stops the pump tasks.
+    /// Stops the pump tasks and closes every inbox, so the node tasks
+    /// drain what is queued and then see the end.
     pub fn shutdown(&self) {
         for p in &self.pumps {
             p.abort();
         }
+        self.counters.close_inboxes();
     }
 }
 
@@ -141,17 +141,11 @@ impl UdpFabric {
 /// already queued on the socket (up to [`PUMP_BATCH`]) before yielding.
 /// One 64 KiB scratch buffer is reused for every read; each frame is
 /// copied out at its exact size into a refcounted [`Bytes`].
-async fn pump(
-    socket: Arc<UdpSocket>,
-    txs: Vec<mpsc::Sender<RxFrame>>,
-    counters: Arc<FabricCounters>,
-    me: usize,
-    ifaces: u32,
-) {
+async fn pump(socket: Arc<UdpSocket>, counters: Arc<FabricCounters>, me: usize, ifaces: u32) {
     let mut buf = vec![0u8; 65536];
     'outer: loop {
         let Ok((len, _)) = socket.recv_from(&mut buf).await else { break };
-        if !pump_one(&buf[..len], &txs, &counters, me, ifaces) {
+        if !pump_one(&buf[..len], &counters, me, ifaces) {
             break;
         }
         // Batch: drain whatever else already arrived, without paying a
@@ -160,7 +154,7 @@ async fn pump(
         while drained < PUMP_BATCH {
             let Ok((len, _)) = socket.try_recv_from(&mut buf) else { break };
             drained += 1;
-            if !pump_one(&buf[..len], &txs, &counters, me, ifaces) {
+            if !pump_one(&buf[..len], &counters, me, ifaces) {
                 break 'outer;
             }
         }
@@ -171,32 +165,23 @@ async fn pump(
 /// outside input: one too short for the preamble, or whose interface
 /// word names an interface this node does not have (the engine would
 /// file protocol state on it and every later send there would vanish),
-/// is dropped and counted. Returns false when every inbox receiver is
-/// gone (pump should exit).
-fn pump_one(
-    dgram: &[u8],
-    txs: &[mpsc::Sender<RxFrame>],
-    counters: &FabricCounters,
-    me: usize,
-    ifaces: u32,
-) -> bool {
+/// is dropped and counted. Returns false when every inbox it was meant
+/// for is closed (pump should exit).
+fn pump_one(dgram: &[u8], counters: &FabricCounters, me: usize, ifaces: u32) -> bool {
     let word =
         |at: usize| dgram.get(at..at + 4).map(|b| u32::from_be_bytes([b[0], b[1], b[2], b[3]]));
     let Some((iface, link_src)) = word(0).filter(|&iface| iface < ifaces).zip(word(4)) else {
         counters.count_dropped(me, DropReason::DecodeError);
         return true;
     };
-    let rx = RxFrame {
-        iface: IfIndex(iface),
-        link_src: cbt_wire::Addr(link_src),
-        frame: Bytes::from(dgram[8..].to_vec()),
-    };
-    steer_into(txs, counters, me, rx)
+    let frame = Bytes::from(dgram[8..].to_vec());
+    counters.deliver_run(me, IfIndex(iface), cbt_wire::Addr(link_src), std::iter::once(&frame))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inbox::{InboxRx, RxFrame};
     use cbt_topology::{NetworkBuilder, RouterId};
     use cbt_wire::{Addr, ControlMessage, GroupId, JoinSubcode, UdpHeader, CBT_PRIMARY_PORT};
     use std::collections::HashMap;
@@ -207,7 +192,7 @@ mod tests {
         net: &NetworkSpec,
         dp: DataPlaneConfig,
         shards: usize,
-    ) -> (Arc<UdpFabric>, HashMap<Entity, Vec<mpsc::Receiver<RxFrame>>>) {
+    ) -> (Arc<UdpFabric>, HashMap<Entity, Vec<InboxRx>>) {
         let (fabric, rxs) = UdpFabric::bind_sharded(net, dp, shards).await.unwrap();
         let rxs = fabric.plan().entities().zip(rxs).collect();
         (fabric, rxs)
@@ -217,11 +202,23 @@ mod tests {
     async fn unsharded(
         net: &NetworkSpec,
         dp: DataPlaneConfig,
-    ) -> (Arc<UdpFabric>, HashMap<Entity, mpsc::Receiver<RxFrame>>) {
+    ) -> (Arc<UdpFabric>, HashMap<Entity, InboxRx>) {
         let (fabric, rxs) = keyed(net, dp, 1).await;
         let one = |(e, mut v): (Entity, Vec<_>)| (e, v.pop().expect("one inbox per entity"));
         (fabric, rxs.into_iter().map(one).collect())
     }
+
+    /// The next frame out of `rx`, waiting up to `limit` for it; `None`
+    /// on timeout or a closed inbox.
+    async fn recv_within(rx: &mut InboxRx, limit: std::time::Duration) -> Option<RxFrame> {
+        let mut one = Vec::new();
+        match tokio::time::timeout(limit, rx.recv_batch(1, &mut one)).await {
+            Ok(1) => one.pop(),
+            _ => None,
+        }
+    }
+
+    const FIVE_S: std::time::Duration = std::time::Duration::from_secs(5);
 
     /// The socket address a raw sender must target to reach `e`.
     fn peer_of(fabric: &UdpFabric, e: Entity) -> SocketAddr {
@@ -273,10 +270,7 @@ mod tests {
         fabric.dispatch(Entity::Router(RouterId(0)), &t).await;
 
         let rx = rxs.get_mut(&Entity::Router(RouterId(1))).unwrap();
-        let got = tokio::time::timeout(std::time::Duration::from_secs(5), rx.recv())
-            .await
-            .expect("datagram within 5s")
-            .expect("channel open");
+        let got = recv_within(rx, FIVE_S).await.expect("datagram within 5s");
         assert_eq!(got.iface, IfIndex(0));
         let (hdr, body) = cbt_wire::ipv4::split_datagram(&got.frame).unwrap();
         assert_eq!(hdr.proto, cbt_wire::IpProto::Udp);
@@ -305,14 +299,11 @@ mod tests {
         fabric.dispatch(Entity::Router(r0), &t).await;
         // R1 receives...
         let rx1 = rxs.get_mut(&Entity::Router(r1)).unwrap();
-        let got = tokio::time::timeout(std::time::Duration::from_secs(5), rx1.recv())
-            .await
-            .expect("delivered")
-            .expect("open");
+        let got = recv_within(rx1, FIVE_S).await.expect("delivered");
         assert_eq!(got.frame, vec![0, 1, 2, 3, 4]);
         // ...R2 does not (give the network a moment, then check empty).
         tokio::time::sleep(std::time::Duration::from_millis(100)).await;
-        assert!(rxs.get_mut(&Entity::Router(r2)).unwrap().try_recv().is_err());
+        assert!(rxs.get_mut(&Entity::Router(r2)).unwrap().try_recv().is_none());
         fabric.shutdown();
     }
 
@@ -334,15 +325,61 @@ mod tests {
         // An 8-byte datagram is a valid (empty) frame and must pass.
         raw.send_to(&[0; 8], r1_peer).unwrap();
         let rx = rxs.get_mut(&Entity::Router(RouterId(1))).unwrap();
-        let got = tokio::time::timeout(std::time::Duration::from_secs(5), rx.recv())
-            .await
-            .expect("the valid frame arrives")
-            .expect("open");
+        let got = recv_within(rx, FIVE_S).await.expect("the valid frame arrives");
         assert!(got.frame.is_empty());
         let stats = fabric.counters().snapshot();
         assert_eq!(decode_errors(&fabric), 5, "{stats:?}");
         assert_eq!(stats.delivered, 1);
         fabric.shutdown();
+    }
+
+    proptest::proptest! {
+        /// A datagram is outside input: whatever the bytes, `pump_one`
+        /// does not panic, and it either counts exactly one
+        /// `DecodeError` against its node or enqueues exactly one frame
+        /// — the bytes behind the preamble, on the interface and from
+        /// the sender the preamble names — never both, never neither.
+        /// (Sharded, it steers garbage without panicking too; only a
+        /// well-formed general IGMP query is one frame per shard, and
+        /// random bytes do not checksum as one.)
+        #[test]
+        fn pump_one_counts_or_enqueues_exactly_once(
+            iface in proptest::prop_oneof![0u32..4, proptest::prelude::any::<u32>()],
+            link_src in proptest::prelude::any::<u32>(),
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+            cut in 0usize..80,
+            shards in 1usize..5,
+        ) {
+            let net = pair();
+            let plan = Arc::new(DeliveryPlan::new(&net));
+            let (counters, mut rxs) =
+                FabricCounters::new(plan.clone(), DataPlaneConfig::default(), shards);
+            let r1 = Entity::Router(RouterId(1));
+            let me = plan.index(r1).unwrap();
+            let ifaces = plan.iface_count(r1) as u32;
+            let mut dgram = iface.to_be_bytes().to_vec();
+            dgram.extend_from_slice(&link_src.to_be_bytes());
+            dgram.extend_from_slice(&body);
+            dgram.truncate(cut.min(dgram.len()));
+
+            proptest::prop_assert!(pump_one(&dgram, &counters, me, ifaces), "inboxes are open");
+            let queued: Vec<RxFrame> =
+                rxs[me].iter_mut().flat_map(|rx| std::iter::from_fn(|| rx.try_recv())).collect();
+            let drops = counters.node_drops(r1);
+            proptest::prop_assert_eq!(drops.total(), drops.get(DropReason::DecodeError));
+            if dgram.len() >= 8 && iface < ifaces {
+                proptest::prop_assert_eq!(drops.total(), 0);
+                proptest::prop_assert_eq!(queued.len(), 1);
+                proptest::prop_assert_eq!(queued[0].iface, IfIndex(iface));
+                proptest::prop_assert_eq!(queued[0].link_src, Addr(link_src));
+                proptest::prop_assert_eq!(&queued[0].frame[..], &dgram[8..]);
+                proptest::prop_assert_eq!(counters.snapshot().delivered, 1);
+            } else {
+                proptest::prop_assert_eq!(drops.total(), 1);
+                proptest::prop_assert!(queued.is_empty());
+                proptest::prop_assert_eq!(counters.snapshot().delivered, 0);
+            }
+        }
     }
 
     /// Per-node drop taxonomy over real sockets: one node's inbox is
@@ -452,12 +489,9 @@ mod tests {
             if got + stats.dropped_overflow >= total {
                 break;
             }
-            let Ok(f) =
-                tokio::time::timeout(std::time::Duration::from_millis(500), rx.recv()).await
-            else {
+            let Some(f) = recv_within(rx, std::time::Duration::from_millis(500)).await else {
                 break;
             };
-            let f = f.expect("open");
             assert_eq!(f.frame.len(), 64, "frame intact");
             let (s, n) = (f.frame[0] as usize, f.frame[1] as usize);
             assert!(s < SENDERS && n < PER_SENDER, "valid (sender, seq)");
@@ -503,16 +537,14 @@ mod tests {
         fabric.dispatch(Entity::Router(RouterId(0)), &t).await;
 
         let shard_rxs = rxs.get_mut(&Entity::Router(RouterId(1))).unwrap();
-        let got = tokio::time::timeout(std::time::Duration::from_secs(5), shard_rxs[own].recv())
-            .await
-            .expect("owner shard gets the datagram")
-            .expect("open");
+        let got =
+            recv_within(&mut shard_rxs[own], FIVE_S).await.expect("owner shard gets the datagram");
         let (_, body) = cbt_wire::ipv4::split_datagram(&got.frame).unwrap();
         let (_, payload) = UdpHeader::unwrap(body).unwrap();
         assert_eq!(ControlMessage::decode(payload).unwrap(), join);
         for (k, rx) in shard_rxs.iter_mut().enumerate() {
             if k != own {
-                assert!(rx.try_recv().is_err(), "shard {k} does not own group {g}");
+                assert!(rx.try_recv().is_none(), "shard {k} does not own group {g}");
             }
         }
         fabric.shutdown();
@@ -530,12 +562,12 @@ mod tests {
         fabric.dispatch_batch(Entity::Router(RouterId(0)), &batch).await;
         let rx = rxs.get_mut(&Entity::Router(RouterId(1))).unwrap();
         for i in 0..20u8 {
-            let got = tokio::time::timeout(std::time::Duration::from_secs(5), rx.recv())
-                .await
-                .expect("frame within 5s")
-                .expect("open");
+            let got = recv_within(rx, FIVE_S).await.expect("frame within 5s");
             assert_eq!(got.frame, vec![i; 16], "in-order loopback delivery");
         }
+        // Shutdown closes the inboxes: a node task waiting on one sees
+        // the end instead of waiting forever.
         fabric.shutdown();
+        assert_eq!(rx.recv_batch(1, &mut Vec::new()).await, 0);
     }
 }

@@ -40,7 +40,37 @@ pub enum EncapMode {
 }
 
 /// Offset of the application payload in a native datagram.
-const PAYLOAD_OFFSET: usize = IPV4_HEADER_LEN + UDP_HEADER_LEN;
+pub const PAYLOAD_OFFSET: usize = IPV4_HEADER_LEN + UDP_HEADER_LEN;
+
+/// Offset of the TTL byte in an IPv4 header.
+const TTL_OFFSET: usize = 8;
+
+/// Serializes a native multicast datagram — IP header, a UDP shell on
+/// [`APP_PORT`] and `payload` — straight into one exactly-sized buffer.
+/// This is what [`DataPacket::encode`] writes; a sender that holds its
+/// payload as plain bytes calls it directly and skips the packet (and
+/// the refcounted payload handle a packet would wrap them in).
+pub fn encode_native(src: Addr, group: GroupId, ttl: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_native(src, group, ttl, payload, &mut out);
+    out
+}
+
+fn write_native(src: Addr, group: GroupId, ttl: u8, payload: &[u8], buf: &mut Vec<u8>) {
+    buf.clear();
+    let udp_len = UDP_HEADER_LEN + payload.len();
+    let hdr = Ipv4Header::new(src, group.addr(), IpProto::Udp, ttl, udp_len);
+    buf.reserve(IPV4_HEADER_LEN + udp_len);
+    buf.extend_from_slice(&hdr.encode());
+    let u = buf.len();
+    buf.extend_from_slice(&APP_PORT.to_be_bytes());
+    buf.extend_from_slice(&APP_PORT.to_be_bytes());
+    buf.extend_from_slice(&(udp_len as u16).to_be_bytes());
+    buf.extend_from_slice(&[0, 0]); // checksum, patched below
+    buf.extend_from_slice(payload);
+    let ck = internet_checksum(&buf[u..]);
+    buf[u + 6..u + 8].copy_from_slice(&ck.to_be_bytes());
+}
 
 /// A native-mode multicast data packet: the original IP datagram.
 ///
@@ -80,29 +110,15 @@ impl DataPacket {
     /// what applications send, but carrying honest headers end-to-end
     /// lets the trace classify every frame unambiguously.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
+        encode_native(self.src, self.group, self.ttl, &self.payload)
     }
 
     /// Serializes into `buf`, replacing its contents — IP header, UDP
     /// shell and payload in one pass, with no intermediate buffers.
     /// Hot send paths keep one scratch buffer alive and call this per
-    /// packet instead of allocating twice via [`DataPacket::encode`].
+    /// packet instead of allocating via [`DataPacket::encode`].
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.clear();
-        let udp_len = UDP_HEADER_LEN + self.payload.len();
-        let hdr = Ipv4Header::new(self.src, self.group.addr(), IpProto::Udp, self.ttl, udp_len);
-        buf.reserve(IPV4_HEADER_LEN + udp_len);
-        buf.extend_from_slice(&hdr.encode());
-        let u = buf.len();
-        buf.extend_from_slice(&APP_PORT.to_be_bytes());
-        buf.extend_from_slice(&APP_PORT.to_be_bytes());
-        buf.extend_from_slice(&(udp_len as u16).to_be_bytes());
-        buf.extend_from_slice(&[0, 0]); // checksum, patched below
-        buf.extend_from_slice(&self.payload);
-        let ck = internet_checksum(&buf[u..]);
-        buf[u + 6..u + 8].copy_from_slice(&ck.to_be_bytes());
+        write_native(self.src, self.group, self.ttl, &self.payload, buf);
     }
 
     /// The datagram to put on the wire for this packet. One decoded
@@ -114,6 +130,16 @@ impl DataPacket {
         match self.pristine_datagram() {
             Some(datagram) => datagram_with_ttl(datagram, self.ttl),
             None => self.encode(),
+        }
+    }
+
+    /// [`DataPacket::to_frame`] as a refcounted handle: when not even
+    /// the TTL moved since decode, the remembered datagram itself — no
+    /// copy, no allocation.
+    fn to_frame_bytes(&self) -> Bytes {
+        match self.pristine_datagram() {
+            Some(datagram) if datagram[TTL_OFFSET] == self.ttl => datagram.clone(),
+            _ => Bytes::from(self.to_frame()),
         }
     }
 
@@ -192,10 +218,14 @@ pub struct CbtDataPacket {
 impl CbtDataPacket {
     /// Encapsulates a native packet as the DR adjacent to the origin
     /// does (§5): the CBT header TTL is gleaned from the original IP
-    /// header; the packet starts off-tree.
+    /// header; the packet starts off-tree. The inner datagram follows
+    /// [`DataPacket::to_frame`]'s identity rule — a packet decoded from
+    /// a frame and unchanged since shares that frame's allocation, one
+    /// whose TTL alone moved is the frame copied and patched, and only
+    /// a locally built or edited packet is encoded.
     pub fn encapsulate(native: &DataPacket, core: Addr) -> Self {
         let cbt = CbtDataHeader::new(native.group, core, native.src, native.ttl);
-        CbtDataPacket { cbt, inner: Bytes::from(native.encode()) }
+        CbtDataPacket { cbt, inner: native.to_frame_bytes() }
     }
 
     /// Recovers the original native packet for final delivery, setting

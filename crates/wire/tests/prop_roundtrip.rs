@@ -204,6 +204,46 @@ proptest! {
         prop_assert_eq!(delivered.ttl, 1);
     }
 
+    /// First-hop §5.1 encapsulation carries "the original datagram
+    /// unchanged": `encapsulate(decode_bytes(x)).inner == x` byte for
+    /// byte — for arrivals no `encode` would produce too (foreign
+    /// ident and source port) — and by sharing `x`'s allocation, not
+    /// by re-encoding. A packet whose TTL alone moved carries `x`
+    /// patched; one edited in any other field is encoded afresh.
+    #[test]
+    fn encapsulation_carries_the_arrival_datagram(
+        group in arb_group(),
+        src in arb_addr(),
+        core in arb_addr(),
+        ttl in 2u8..=255,
+        ident in any::<u16>(),
+        src_port in any::<u16>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..600),
+    ) {
+        let mut hdr = cbt_wire::Ipv4Header::new(
+            src, group.addr(), cbt_wire::IpProto::Udp, ttl, 8 + payload.len());
+        hdr.ident = ident;
+        let mut x = hdr.encode().to_vec();
+        x.extend_from_slice(&cbt_wire::UdpHeader::wrap(src_port, cbt_wire::data::APP_PORT, &payload));
+        let x = Bytes::from(x);
+        let pkt = DataPacket::decode_bytes(&x).unwrap();
+        let enc = CbtDataPacket::encapsulate(&pkt, core);
+        prop_assert_eq!(&enc.inner, &x);
+        prop_assert!(enc.inner.shares_allocation_with(&x), "shared, not re-encoded");
+        prop_assert_eq!(enc.cbt.ip_ttl, ttl);
+
+        let mut hop = pkt.clone();
+        hop.ttl -= 1;
+        let enc = CbtDataPacket::encapsulate(&hop, core);
+        prop_assert_eq!(&enc.inner[..], &hop.to_frame()[..]);
+        prop_assert_eq!(&enc.inner[..8], &x[..8], "ident survives the TTL patch");
+        prop_assert_eq!(&enc.inner[12..], &x[12..], "and so does everything behind the checksum");
+
+        let mut edited = pkt;
+        edited.src = Addr(src.0 ^ 1);
+        prop_assert_eq!(&CbtDataPacket::encapsulate(&edited, core).inner[..], &edited.encode()[..]);
+    }
+
     /// Patch-and-forward: for every TTL a transit router can see, the
     /// arrival frame copied with its TTL byte and header checksum
     /// patched is, byte for byte, what encoding the decremented packet

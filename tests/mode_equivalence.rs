@@ -58,7 +58,7 @@ fn run_scenario(seed: u64, mode: ForwardingMode) -> (BTreeSet<(u32, Vec<u8>)>, V
         let got = cw.host(HostId(m.0)).received();
         counts.push(got.len());
         for d in got {
-            deliveries.insert((m.0, d.payload.clone()));
+            deliveries.insert((m.0, d.payload.to_vec()));
         }
     }
     (deliveries, counts)

@@ -122,7 +122,7 @@ fn random_multiaccess_topologies_deliver_exactly_once() {
         for (i, h) in hosts.iter().enumerate() {
             let got = cw.host(*h).received();
             // COMPLETE: every host hears every other host at least once.
-            let mut tags: Vec<Vec<u8>> = got.iter().map(|d| d.payload.clone()).collect();
+            let mut tags: Vec<Vec<u8>> = got.iter().map(|d| d.payload.to_vec()).collect();
             tags.sort();
             tags.dedup();
             assert_eq!(
