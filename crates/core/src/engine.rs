@@ -105,7 +105,7 @@ pub(crate) struct PendingQuit {
 ///
 /// The variants are declared in the order `on_timer` services them —
 /// the derived `Ord` is what sorts a wakeup's due keys into phases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum TimerKind {
     /// IGMP querier election + membership presence on one LAN.
     Lan(IfIndex),
@@ -232,7 +232,9 @@ impl ProtocolPhase {
 pub struct CbtRouter {
     pub(crate) me: RouterId,
     pub(crate) id_addr: Addr,
-    pub(crate) my_addrs: BTreeSet<Addr>,
+    /// Interface addresses other than `id_addr`. Empty — and so never
+    /// touched — on an unnumbered p2p engine.
+    other_addrs: BTreeSet<Addr>,
     pub(crate) ifaces: Vec<IfaceInfo>,
     pub(crate) cfg: CbtConfig,
     pub(crate) routes: Box<dyn RouteLookup>,
@@ -271,11 +273,21 @@ pub struct CbtRouter {
     /// many groups ride it), kept in both timer modes: the §8.4
     /// aggregate-echo refresh walks it instead of rescanning the FIB.
     pub(crate) parent_index: BTreeMap<Addr, BTreeSet<GroupId>>,
-    /// Child-liveness deadlines: `(last_heard + CHILD-ASSERT-EXPIRE,
-    /// group, child)`. Maintained only when the timer service is enabled; the
-    /// sweep pops due tuples and re-checks against the FIB, so stale
-    /// tuples for removed children are harmless.
+    /// Child-liveness deadlines, filed lazily: each child in the FIB
+    /// owns exactly one tuple `(child.filed, group, child)` with
+    /// `filed <= last_heard + CHILD-ASSERT-EXPIRE`. An echo moves only
+    /// `last_heard`; the sweep pops due tuples and re-files survivors
+    /// at their true deadline. Tuples left by removed children match no
+    /// child's `filed` and are dropped when they pop. Maintained only
+    /// when the timer service is enabled.
     pub(crate) child_expiry: BTreeSet<(SimTime, GroupId, Addr)>,
+    /// The latest child deadline any adopt or echo would have filed
+    /// (`now + CHILD-ASSERT-EXPIRE`). Some child's liveness is still to
+    /// be swept — [`CbtRouter::children_tracked`] — exactly while this
+    /// lies beyond `last_child_sweep`.
+    pub(crate) child_deadline_max: SimTime,
+    /// Instant of the last deadline-driven child sweep.
+    pub(crate) last_child_sweep: SimTime,
     pub(crate) stats: RouterStats,
     /// Observability counters: the drop-reason taxonomy, per-group
     /// protocol counters and latency histograms every path reports
@@ -362,8 +374,8 @@ impl CbtRouter {
         routes: Box<dyn RouteLookup>,
         now: SimTime,
     ) -> Self {
-        let mut my_addrs: BTreeSet<Addr> = ifaces.iter().map(|i| i.addr).collect();
-        my_addrs.insert(id_addr);
+        let other_addrs: BTreeSet<Addr> =
+            ifaces.iter().map(|i| i.addr).filter(|a| *a != id_addr).collect();
         let mut lans = BTreeMap::new();
         for (n, info) in ifaces.iter().enumerate() {
             if info.lan.is_some() {
@@ -379,7 +391,7 @@ impl CbtRouter {
         let mut r = CbtRouter {
             me,
             id_addr,
-            my_addrs,
+            other_addrs,
             ifaces,
             next_child_sweep: now + cfg.child_assert_interval,
             next_iff_scan: now + cfg.iff_scan_interval,
@@ -398,6 +410,8 @@ impl CbtRouter {
             reattach_started: BTreeMap::new(),
             parent_index: BTreeMap::new(),
             child_expiry: BTreeSet::new(),
+            child_deadline_max: SimTime::ZERO,
+            last_child_sweep: SimTime::ZERO,
             stats: RouterStats::default(),
             obs: RouterObs::new(),
             data_slot_memo: None,
@@ -411,7 +425,7 @@ impl CbtRouter {
     /// Arms the boot-time timers. Under `compact_idle` the periodic
     /// maintenance clocks stay unarmed until the state they service
     /// exists: the child sweep is armed by the first tracked child
-    /// (see [`CbtRouter::track_child_expiry`]) and the IFF scan only
+    /// (see [`CbtRouter::track_child_deadline`]) and the IFF scan only
     /// matters on routers with member LANs to re-check.
     fn boot_arm(&mut self) {
         if !self.cfg.compact_idle {
@@ -441,7 +455,7 @@ impl CbtRouter {
 
     /// Is `a` one of my addresses (identity or interface)?
     pub fn is_my_addr(&self, a: Addr) -> bool {
-        self.my_addrs.contains(&a)
+        a == self.id_addr || self.other_addrs.contains(&a)
     }
 
     pub(crate) fn iface(&self, i: IfIndex) -> Option<&IfaceInfo> {
@@ -889,13 +903,13 @@ impl CbtRouter {
         }
         // Phase 6: child-liveness sweep (cadence-gated, like the scan).
         // Under compact_idle the sweep re-arms only while deadlines
-        // remain; the next tracked child re-arms it (`track_child_expiry`).
+        // remain; the next tracked child re-arms it (`track_child_deadline`).
         if due.iter().any(|&(k, _)| k == TimerKind::ChildSweep) {
             if now >= self.next_child_sweep {
                 self.sweep_children_due(now, act);
                 self.next_child_sweep = now + self.cfg.child_assert_interval;
             }
-            if !self.cfg.compact_idle || !self.child_expiry.is_empty() {
+            if !self.cfg.compact_idle || self.children_tracked() {
                 self.timers.arm(TimerKind::ChildSweep, self.next_child_sweep);
             }
         }
@@ -996,17 +1010,25 @@ impl CbtRouter {
         self.timers.arm(TimerKind::Echo(group), d);
     }
 
-    /// Files a child-liveness deadline. Under `compact_idle` the first
-    /// tracked deadline also raises the sweep clock, which `boot_arm`
-    /// left down: the armed instant may already lie in the past (the
-    /// boot-relative cadence kept ticking), in which case the sweep
-    /// fires immediately as a no-op and phase 6 re-times the cadence
-    /// before re-arming.
-    pub(crate) fn track_child_expiry(&mut self, deadline: SimTime, group: GroupId, child: Addr) {
-        if self.cfg.compact_idle && self.child_expiry.is_empty() {
+    /// Is any child's liveness still to be swept? Every deadline is
+    /// `now + CHILD-ASSERT-EXPIRE` with `now` monotone, so the latest
+    /// one belongs to some child's newest refresh, and that child has
+    /// been swept iff a sweep ran at or after it.
+    pub(crate) fn children_tracked(&self) -> bool {
+        self.child_deadline_max > self.last_child_sweep
+    }
+
+    /// Raises the child-deadline watermark for an adopted or re-acked
+    /// child. Under `compact_idle` the first tracked deadline also
+    /// raises the sweep clock, which `boot_arm` left down: the armed
+    /// instant may already lie in the past (the boot-relative cadence
+    /// kept ticking), in which case the sweep fires immediately as a
+    /// no-op and phase 6 re-times the cadence before re-arming.
+    pub(crate) fn track_child_deadline(&mut self, deadline: SimTime) {
+        if self.cfg.compact_idle && !self.children_tracked() {
             self.timers.arm(TimerKind::ChildSweep, self.next_child_sweep);
         }
-        self.child_expiry.insert((deadline, group, child));
+        self.child_deadline_max = self.child_deadline_max.max(deadline);
     }
 
     /// Defers a re-attachment, keeping any earlier deferral (the map's

@@ -39,6 +39,12 @@ pub struct Child {
     pub iface: IfIndex,
     /// Last time an ECHO_REQUEST arrived from this child.
     pub last_heard: SimTime,
+    /// Deadline of the one CHILD-ASSERT liveness tuple the engine has
+    /// filed for this child (`<= last_heard + CHILD-ASSERT-EXPIRE`; an
+    /// echo moves `last_heard` only, the sweep re-files). Set by the
+    /// engine; [`FibEntry::add_child`] alone leaves the adoption
+    /// instant here.
+    pub filed: SimTime,
 }
 
 /// A per-group FIB entry.
@@ -88,7 +94,7 @@ impl FibEntry {
         if self.children.len() >= cap {
             return false;
         }
-        self.children.push(Child { addr, iface, last_heard: now });
+        self.children.push(Child { addr, iface, last_heard: now, filed: now });
         true
     }
 
@@ -142,13 +148,18 @@ pub struct GroupSlot(usize);
 #[derive(Debug, Default)]
 pub struct GroupIdHasher(u64);
 
+/// The splitmix64 finisher: full avalanche on sequential inputs. What
+/// this crate's deterministic hashers end with.
+pub(crate) fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 impl Hasher for GroupIdHasher {
     fn finish(&self) -> u64 {
-        // splitmix64 finisher: full avalanche on sequential addresses.
-        let mut z = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64(self.0)
     }
 
     fn write(&mut self, bytes: &[u8]) {

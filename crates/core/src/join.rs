@@ -461,24 +461,23 @@ impl CbtRouter {
         // Normal ack: the previous hop becomes a child (§8.3: "it is
         // the receipt of a JOIN-ACK that actually creates a branch" —
         // state on our side is created when we *send* one).
-        let old_heard = if self.timers.enabled {
-            self.fib.get(group).and_then(|e| {
-                e.children.iter().find(|c| c.addr == join.from_addr).map(|c| c.last_heard)
-            })
-        } else {
-            None
-        };
+        let was_child = self.fib.get(group).is_some_and(|e| e.has_child(join.from_addr));
+        let deadline = now + self.cfg.child_assert_expire;
         let full = {
             let cap = self.cfg.max_children;
             let entry = self.fib.entry(group);
-            !entry.add_child_capped(join.from_addr, join.from_iface, now, cap)
+            let added = entry.add_child_capped(join.from_addr, join.from_iface, now, cap);
+            if added && !was_child {
+                entry.children.last_mut().expect("just pushed").filed = deadline;
+            }
+            !added
         };
         if !full && self.timers.enabled {
-            let expire = self.cfg.child_assert_expire;
-            if let Some(h) = old_heard {
-                self.child_expiry.remove(&(h + expire, group, join.from_addr));
+            self.track_child_deadline(deadline);
+            // A re-acked child keeps the tuple it has on file.
+            if !was_child {
+                self.child_expiry.insert((deadline, group, join.from_addr));
             }
-            self.track_child_expiry(now + expire, group, join.from_addr);
         }
         if full {
             let nack =

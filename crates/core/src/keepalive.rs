@@ -8,7 +8,7 @@ use crate::inline::InlineBuf;
 use cbt_netsim::SimTime;
 use cbt_topology::IfIndex;
 use cbt_wire::{Addr, ControlMessage, GroupId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 impl CbtRouter {
     /// Earliest echo-related deadline (for `next_wakeup`).
@@ -169,20 +169,25 @@ impl CbtRouter {
         // §6.2 recovery for a parent that lost state.
     }
 
-    /// Marks child `src` of `g` heard at `now` and re-files its
-    /// liveness deadline. False if `src` is not a child of `g`.
+    /// Marks child `src` of `g` heard at `now`. False if `src` is not a
+    /// child of `g`. The child's filed liveness tuple stays where it
+    /// is — early, never late — and the sweep that pops it re-files it
+    /// from `last_heard`; only the watermark moves here.
     fn refresh_child(&mut self, now: SimTime, g: GroupId, src: Addr) -> bool {
         let Some(c) =
             self.fib.get_mut(g).and_then(|e| e.children.iter_mut().find(|c| c.addr == src))
         else {
             return false;
         };
-        let old_heard = c.last_heard;
         c.last_heard = now;
         if self.timers.enabled {
-            let expire = self.cfg.child_assert_expire;
-            self.child_expiry.remove(&(old_heard + expire, g, src));
-            self.child_expiry.insert((now + expire, g, src));
+            debug_assert!(
+                self.child_expiry.contains(&(c.filed, g, src)),
+                "child {src} of {g} has no liveness tuple filed at {:?}",
+                c.filed
+            );
+            let deadline = now + self.cfg.child_assert_expire;
+            self.child_deadline_max = self.child_deadline_max.max(deadline);
         }
         true
     }
@@ -253,32 +258,72 @@ impl CbtRouter {
     }
 
     /// Deadline-driven child-assert sweep: pop the due `(deadline, group,
-    /// child)` tuples and run the exact legacy `retain` on just those
-    /// groups. Tuples are exact (every `last_heard` refresh re-files
-    /// its tuple), so a group with no due tuple cannot hold an expired
-    /// child; orphan tuples for already-removed children pop as no-ops.
+    /// child)` tuples, run the legacy `retain` on just those groups,
+    /// and re-file each survivor at `last_heard + expire`. A
+    /// child's tuple is never later than that, so a group with no due
+    /// tuple cannot hold an expired child. A popped tuple that is not
+    /// the one its child has on file (the child is gone, or was removed
+    /// and adopted again since) is dropped.
     pub(crate) fn sweep_children_due(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
         let expire = self.cfg.child_assert_expire;
-        let mut candidates: BTreeSet<GroupId> = BTreeSet::new();
-        while let Some(first) = self.child_expiry.first().copied() {
-            if first.0 > now {
+        self.last_child_sweep = self.last_child_sweep.max(now);
+        let mut popped: InlineBuf<(GroupId, Addr, SimTime), 4> = InlineBuf::new();
+        while let Some(&(deadline, g, child)) = self.child_expiry.first() {
+            if deadline > now {
                 break;
             }
-            self.child_expiry.remove(&first);
-            candidates.insert(first.1);
+            self.child_expiry.pop_first();
+            popped.push((g, child, deadline));
         }
-        let mut affected: Vec<GroupId> = Vec::new();
-        for g in candidates {
+        // Ascending group order, like the scan's FIB walk.
+        popped.as_mut_slice().sort_unstable();
+        let mut affected: InlineBuf<GroupId, 4> = InlineBuf::new();
+        let child_expiry = &mut self.child_expiry;
+        for of_group in popped.as_slice().chunk_by(|a, b| a.0 == b.0) {
+            let g = of_group[0].0;
             let Some(e) = self.fib.get_mut(g) else { continue };
             let before = e.children.len();
-            e.children.retain(|c| now.since(c.last_heard) < expire);
+            e.children.retain_mut(|c| {
+                if now.since(c.last_heard) >= expire {
+                    return false;
+                }
+                if of_group.binary_search(&(g, c.addr, c.filed)).is_ok() {
+                    // `now - last_heard < expire`: strictly in the future.
+                    c.filed = c.last_heard + expire;
+                    child_expiry.insert((c.filed, g, c.addr));
+                }
+                true
+            });
             if e.children.len() != before {
                 affected.push(g);
             }
         }
-        for g in affected {
+        for &g in affected.as_slice() {
             self.maybe_quit(now, g, act);
         }
+    }
+}
+
+#[cfg(test)]
+impl CbtRouter {
+    /// Checks the lazy-filing invariant over the whole FIB — every
+    /// child owns the one tuple it has on file, no later than its true
+    /// deadline — and returns how many tuples belong to no child.
+    fn check_child_filing(&self) -> usize {
+        let expire = self.cfg.child_assert_expire;
+        let mut live = 0;
+        for (g, e) in self.fib.iter() {
+            for c in &e.children {
+                assert!(
+                    c.filed <= c.last_heard + expire,
+                    "{g} {}: filed past its deadline",
+                    c.addr
+                );
+                assert!(self.child_expiry.contains(&(c.filed, g, c.addr)), "{g} {}", c.addr);
+                live += 1;
+            }
+        }
+        self.child_expiry.len() - live
     }
 }
 
@@ -838,5 +883,175 @@ mod tests {
             ControlMessage::EchoReply { group: g(1), origin: up_hop().addr, group_mask: None },
         );
         assert!(!e.reattach_started.contains_key(&g(1)), "parent answered: settled");
+    }
+
+    /// A compact-idle p2p engine that every join below names as the
+    /// group's core: no parent, no LAN, so the child sweep is the only
+    /// timer it ever arms.
+    fn p2p_core() -> (CbtRouter, Addr) {
+        let me = Addr::from_octets(10, 0, 0, 1);
+        let cfg = CbtConfig { compact_idle: true, shards: 1, ..CbtConfig::fast() };
+        let routes = Box::new(ScriptRoutes(BTreeMap::new()));
+        (CbtRouter::p2p(cbt_topology::RouterId(0), me, 1, cfg, routes, SimTime::ZERO), me)
+    }
+
+    fn join_from(e: &mut CbtRouter, at: SimTime, group: GroupId, child: Addr, me: Addr) {
+        let join = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group,
+            origin: child,
+            target_core: me,
+            cores: vec![me],
+        };
+        e.handle_control(at, IfIndex(0), child, join);
+    }
+
+    /// A child that quits and is adopted again leaves its first tuple
+    /// behind. When that tuple pops the child is alive — but it is not
+    /// the tuple the child has on file, so it is dropped, not re-filed
+    /// beside the real one for as long as the child lives.
+    #[test]
+    fn a_readopted_child_keeps_one_tuple_however_long_it_lives() {
+        let (mut e, me) = p2p_core();
+        let c = Addr::from_octets(10, 0, 1, 1);
+        join_from(&mut e, t(0), g(1), c, me);
+        e.handle_control(
+            t(1),
+            IfIndex(0),
+            c,
+            ControlMessage::QuitRequest { group: g(1), origin: c },
+        );
+        join_from(&mut e, t(2), g(1), c, me);
+        assert_eq!(e.child_expiry.len(), 2, "the quit left its tuple behind");
+        assert_eq!(e.check_child_filing(), 1);
+        for s in 3..400u64 {
+            if s % 3 == 0 {
+                let echo = ControlMessage::EchoRequest { group: g(1), origin: c, group_mask: None };
+                e.handle_control(t(s), IfIndex(0), c, echo);
+            }
+            while e.next_wakeup().is_some_and(|w| w <= t(s)) {
+                e.on_timer(t(s));
+            }
+            assert_eq!(e.check_child_filing(), usize::from(s < 18), "second {s}");
+        }
+        assert_eq!(e.children_of(g(1)).len(), 1);
+    }
+
+    /// Lazy child liveness against the exact reference it replaced — a
+    /// `BTreeSet` of `(last_heard + expire, group, child)` re-filed on
+    /// every refresh, with the sweep clock armed from its emptiness —
+    /// over a random schedule of adopts, re-adopts, echoes, quits and
+    /// sweeps (some serviced late). The engine is a compact-idle p2p
+    /// core, so the child sweep is its only timer and `next_wakeup`
+    /// shows exactly when the reference would have it armed.
+    #[test]
+    fn lazy_child_liveness_matches_the_exact_refile_model() {
+        use cbt_netsim::SimDuration;
+        use std::collections::BTreeSet;
+        const GROUPS: u16 = 3;
+        const CHILDREN: u8 = 5;
+        let (mut e, me) = p2p_core();
+        let (expire, interval) = (e.cfg.child_assert_expire, e.cfg.child_assert_interval);
+        let child = |k: u8| Addr::from_octets(10, 0, 1, k);
+
+        // The reference: exact tuples, children with their last-heard
+        // instants, and the sweep clock as the old code armed it.
+        let mut filed: BTreeSet<(SimTime, GroupId, Addr)> = BTreeSet::new();
+        let mut heard: BTreeMap<(GroupId, Addr), SimTime> = BTreeMap::new();
+        let mut next_sweep = SimTime::ZERO + interval;
+        let mut armed: Option<SimTime> = None;
+
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut rnd = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let mut now = SimTime::ZERO;
+        let (mut expired, mut survived, mut readopted) = (0usize, 0usize, 0usize);
+        for step in 0..20_000 {
+            let until = now + SimDuration::from_millis(rnd(2_500));
+            // Service the sweep clock up to `until`, on time or late.
+            while let Some(due) = armed.filter(|d| *d <= until) {
+                assert_eq!(e.next_wakeup(), Some(due), "step {step}: sweep clock");
+                now = if rnd(3) == 0 { until } else { due.max(now) };
+                e.on_timer(now);
+                armed = None;
+                if now >= next_sweep {
+                    let due_groups: BTreeSet<GroupId> =
+                        filed.iter().take_while(|t| t.0 <= now).map(|t| t.1).collect();
+                    filed.retain(|t| t.0 > now);
+                    heard.retain(|(g, _), at| {
+                        let keep = !due_groups.contains(g) || now.since(*at) < expire;
+                        expired += usize::from(!keep);
+                        survived += usize::from(keep && due_groups.contains(g));
+                        keep
+                    });
+                    next_sweep = now + interval;
+                }
+                if !filed.is_empty() {
+                    armed = Some(next_sweep);
+                }
+                let live: BTreeMap<(GroupId, Addr), SimTime> = e
+                    .fib
+                    .iter()
+                    .flat_map(|(g, en)| {
+                        en.children.iter().map(move |c| ((g, c.addr), c.last_heard))
+                    })
+                    .collect();
+                assert_eq!(live, heard, "step {step}: sweep at {now:?} expired a different set");
+                assert_eq!(e.children_tracked(), !filed.is_empty(), "step {step}: tracked");
+            }
+            now = until;
+            let (g, c) = (g(rnd(GROUPS as u64) as u16), child(rnd(CHILDREN as u64) as u8));
+            match rnd(10) {
+                0..=2 => {
+                    // Adopt, or re-ack a child we already have.
+                    let was = heard.insert((g, c), now);
+                    if let Some(at) = was {
+                        filed.remove(&(at + expire, g, c));
+                        readopted += 1;
+                    }
+                    if filed.is_empty() {
+                        armed = Some(next_sweep);
+                    }
+                    filed.insert((now + expire, g, c));
+                    join_from(&mut e, now, g, c, me);
+                }
+                3..=7 => {
+                    if let Some(at) = heard.get_mut(&(g, c)) {
+                        filed.remove(&(*at + expire, g, c));
+                        filed.insert((now + expire, g, c));
+                        *at = now;
+                    }
+                    let echo =
+                        ControlMessage::EchoRequest { group: g, origin: c, group_mask: None };
+                    let act = e.handle_control(now, IfIndex(0), c, echo);
+                    assert_eq!(act.len(), usize::from(heard.contains_key(&(g, c))), "reply");
+                }
+                _ => {
+                    // The quit leaves its tuple behind in both designs.
+                    heard.remove(&(g, c));
+                    e.handle_control(
+                        now,
+                        IfIndex(0),
+                        c,
+                        ControlMessage::QuitRequest { group: g, origin: c },
+                    );
+                }
+            }
+            let stale = e.check_child_filing();
+            assert!(stale <= (GROUPS as usize) * (CHILDREN as usize) * 4, "step {step}: {stale}");
+            assert_eq!(e.next_wakeup(), armed, "step {step}: sweep clock after the input");
+            assert_eq!(e.children_tracked(), !filed.is_empty(), "step {step}: tracked");
+        }
+        assert!(expired > 200 && survived > 200 && readopted > 200, "the schedule must mix");
+        // Left alone, every child expires and every tuple is collected.
+        while let Some(due) = e.next_wakeup() {
+            e.on_timer(due);
+        }
+        assert_eq!(e.check_child_filing(), 0);
+        assert!(e.child_expiry.is_empty() && e.fib.is_empty() && !e.children_tracked());
     }
 }

@@ -10,7 +10,8 @@
 //!   world's port `k`" agree by construction;
 //! * [`P2pNode`] — wraps a [`ShardedRouter`] (so `CBT_SHARDS` steering
 //!   works unchanged at netscale), framing control messages as
-//!   `[source address | wire encoding]` byte vectors.
+//!   `[source address | wire encoding]`, written straight into a
+//!   buffer from the world's frame pool.
 //!
 //! The adapter carries **no data plane**: netscale runs are control-
 //! plane experiments, and any data or IGMP emission (impossible on a
@@ -289,25 +290,16 @@ pub struct P2pNode {
     pub dropped_non_control: u64,
     /// Frames that failed to decode.
     pub decode_errors: u64,
-    /// Control messages lost because `encode_into` failed. A silent
+    /// Control messages lost because encoding failed. A silent
     /// discard here once cost every downstream retransmission its
     /// trigger — the clean-wire gates assert this stays zero.
     pub encode_errors: u64,
-    /// Wire-encoding scratch (`encode_into` replaces its contents, so
-    /// the source prefix is copied in afterwards).
-    scratch: Vec<u8>,
 }
 
 impl P2pNode {
     /// Wraps a booted sharded engine.
     pub fn new(router: ShardedRouter) -> Self {
-        P2pNode {
-            router,
-            dropped_non_control: 0,
-            decode_errors: 0,
-            encode_errors: 0,
-            scratch: Vec::new(),
-        }
+        P2pNode { router, dropped_non_control: 0, decode_errors: 0, encode_errors: 0 }
     }
 
     /// Replaces the engine after a §6.2 crash/restart: the new router
@@ -324,18 +316,17 @@ impl P2pNode {
         self.ship(&mut actions, out);
     }
 
-    /// Drains `actions` into netscale frames.
+    /// Drains `actions` into netscale frames, each encoded in place
+    /// behind its source prefix in a pooled buffer.
     fn ship(&mut self, actions: &mut Vec<RouterAction>, out: &mut NsOutbox) {
         let src = self.router.id_addr().octets();
         for a in actions.drain(..) {
             match a {
                 RouterAction::SendControl { iface, dst: _, msg } => {
-                    if msg.encode_into(&mut self.scratch).is_ok() {
-                        let mut frame = Vec::with_capacity(4 + self.scratch.len());
-                        frame.extend_from_slice(&src);
-                        frame.extend_from_slice(&self.scratch);
-                        out.send(iface.0, frame);
-                    } else {
+                    let frame = out.frame(iface.0);
+                    frame.extend_from_slice(&src);
+                    if msg.encode_append(frame).is_err() {
+                        out.unsend();
                         self.encode_errors += 1;
                     }
                 }
@@ -356,17 +347,17 @@ impl NsNode for P2pNode {
             self.decode_errors += 1;
             return;
         };
-        let mut act = ACTIONS.take();
-        self.router.handle_control_into(now, IfIndex(iface), src, msg, &mut act);
-        self.ship(&mut act, out);
-        ACTIONS.set(act);
+        ACTIONS.with_borrow_mut(|act| {
+            self.router.handle_control_into(now, IfIndex(iface), src, msg, act);
+            self.ship(act, out);
+        });
     }
 
     fn on_timer(&mut self, now: SimTime, out: &mut NsOutbox) {
-        let mut act = ACTIONS.take();
-        self.router.on_timer_into(now, &mut act);
-        self.ship(&mut act, out);
-        ACTIONS.set(act);
+        ACTIONS.with_borrow_mut(|act| {
+            self.router.on_timer_into(now, act);
+            self.ship(act, out);
+        });
     }
 
     fn next_wakeup(&self) -> Option<SimTime> {

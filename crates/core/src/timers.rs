@@ -6,12 +6,12 @@
 //! wakeup in resident group state, exactly the cost CBT's per-group
 //! state model is supposed to avoid. [`TimerService`] replaces the walk
 //! with one lazy-deletion binary heap of `(deadline, seq, key)` plus a
-//! key table `key → (deadline, seq)`:
+//! hashed key table `key → (deadline, seq)`:
 //!
 //! * at most one *valid* deadline per key; a heap entry is valid iff
 //!   its `seq` is the one the table holds for its key. Sequence
 //!   numbers are never reused, so re-arming or cancelling a key is one
-//!   table write and never searches the heap;
+//!   O(1) table write and never searches the heap;
 //! * superseded entries stay in the heap until they surface at its
 //!   head, where [`TimerService::compact`] and the pop discard them —
 //!   or until they outnumber the armed keys, when `arm` sweeps them;
@@ -24,37 +24,84 @@
 //! Ordering contract: pops come out sorted by `(deadline, arm order)`
 //! — same-deadline keys fire FIFO — so a deadline-driven engine can
 //! reproduce the scan-based engine's deterministic service order
-//! bit-for-bit.
+//! bit-for-bit. Nothing ever iterates the key table, so its hash order
+//! reaches no output; the hasher is fixed all the same (no per-process
+//! `RandomState`), after [`crate::fib::GroupIdHasher`]'s precedent.
 
 use cbt_netsim::SimTime;
 use std::cmp::Reverse;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// Deterministic hasher for the key table: one multiply-rotate round
+/// per written word, splitmix64 finish. Unkeyed, like
+/// [`crate::fib::GroupIdHasher`], whose index the same wire-borne group
+/// ids already key.
+#[derive(Debug, Default, Clone, Copy)]
+struct TimerKeyHasher(u64);
+
+impl TimerKeyHasher {
+    fn mix(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+}
+
+impl Hasher for TimerKeyHasher {
+    fn finish(&self) -> u64 {
+        crate::fib::splitmix64(self.0)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.mix(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.mix(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.mix(x);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.mix(x as u64);
+    }
+}
+
+/// The key table: armed key → its valid `(deadline, seq)`.
+type KeyTable<K> = HashMap<K, (SimTime, u64), BuildHasherDefault<TimerKeyHasher>>;
 
 /// Superseded entries tolerated beyond twice the armed keys before
 /// [`TimerService::arm`] sweeps them out.
 const SWEEP_SLACK: usize = 32;
 
-/// Keyed timer service with O(log n) arm and O(log K) cancellation.
+/// Keyed timer service with O(log n) arm and O(1) cancellation.
 #[derive(Debug, Clone)]
-pub struct TimerService<K: Ord + Copy> {
+pub struct TimerService<K: Ord + Hash + Copy> {
     /// Min-heap on `(deadline, seq)`; may hold superseded entries.
     heap: BinaryHeap<Reverse<(SimTime, u64, K)>>,
     /// The valid `(deadline, seq)` per armed key. Fired and cancelled
     /// keys leave the table at once, so it is bounded by the live key
     /// set however long the service runs.
-    keys: BTreeMap<K, (SimTime, u64)>,
+    keys: KeyTable<K>,
     /// Next arm sequence number.
     seq: u64,
 }
 
-impl<K: Ord + Copy> Default for TimerService<K> {
+impl<K: Ord + Hash + Copy> Default for TimerService<K> {
     fn default() -> Self {
-        TimerService { heap: BinaryHeap::new(), keys: BTreeMap::new(), seq: 0 }
+        TimerService { heap: BinaryHeap::new(), keys: KeyTable::default(), seq: 0 }
     }
 }
 
-impl<K: Ord + Copy> TimerService<K> {
+impl<K: Ord + Hash + Copy> TimerService<K> {
     /// New, empty service. Does not allocate.
     pub fn new() -> Self {
         Self::default()
@@ -93,7 +140,7 @@ impl<K: Ord + Copy> TimerService<K> {
     }
 
     /// Is `seq` the arm the table currently holds for `key`?
-    fn is_valid(keys: &BTreeMap<K, (SimTime, u64)>, key: K, seq: u64) -> bool {
+    fn is_valid(keys: &KeyTable<K>, key: K, seq: u64) -> bool {
         keys.get(&key).is_some_and(|&(_, s)| s == seq)
     }
 
@@ -157,12 +204,13 @@ impl<K: Ord + Copy> TimerService<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
     }
 
-    fn pop<K: Ord + Copy>(s: &mut TimerService<K>, now: SimTime) -> Vec<K> {
+    fn pop<K: Ord + Hash + Copy>(s: &mut TimerService<K>, now: SimTime) -> Vec<K> {
         let mut out = Vec::new();
         s.pop_due_into(now, &mut out);
         out.into_iter().map(|(k, _)| k).collect()
@@ -244,6 +292,31 @@ mod tests {
         assert_eq!(out, vec![(2, t(4)), (3, t(5)), (1, t(5))]);
         // Repeat pops at the same instant are harmless no-ops.
         assert!(pop(&mut s, t(30)).is_empty());
+    }
+
+    #[test]
+    fn equal_deadlines_pop_in_arm_order_after_a_sweep_whatever_the_hash_order() {
+        // Keys armed in an order that is neither ascending nor the
+        // table's bucket order, all at one deadline; a hot key is then
+        // re-armed until `arm` sweeps the heap through `retain`, which
+        // consults the hashed table for every entry.
+        let mut s = TimerService::new();
+        let keys: Vec<u64> = (0..64u64).map(|i| (i * 37 + 11) % 64).collect();
+        for &k in &keys {
+            s.arm(k, t(100));
+        }
+        let before = s.len();
+        for n in 0..200u64 {
+            s.arm(keys[5], t(200 + n));
+        }
+        assert!(s.len() < before + 200, "the sweep ran");
+        s.arm(keys[5], t(100)); // back among its peers, armed last
+        let mut want = keys.clone();
+        want.remove(5);
+        want.push(keys[5]);
+        assert_eq!(pop(&mut s, t(100)), want);
+        s.compact(); // the hot key's superseded later deadlines
+        assert!(s.is_empty());
     }
 
     #[test]

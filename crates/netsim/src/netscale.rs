@@ -5,9 +5,10 @@
 //! around a few thousand routers. This module is the other end of the
 //! trade: **protocol engines at internet scale**. Routers are dense
 //! slots in a `Vec`, links are the directed slots of a
-//! [`cbt_topology::CsrGraph`], frames are opaque byte vectors delivered
-//! point-to-point with per-edge latency, and tracing is a handful of
-//! flat counters — no `HashMap` is touched anywhere on the hot path.
+//! [`cbt_topology::CsrGraph`], frames are opaque byte buffers delivered
+//! point-to-point with per-edge latency and recycled through the
+//! outbox's pool, and tracing is a handful of flat counters — no
+//! `HashMap` is touched anywhere on the hot path.
 //!
 //! ## The interface-number contract
 //!
@@ -50,19 +51,41 @@ pub trait NsNode {
     fn next_wakeup(&self) -> Option<SimTime>;
 }
 
-/// Per-call send buffer handed to [`NsNode`] entry points. Capacity
-/// persists across calls, so the one allocation left per emission is
-/// the frame's own `Vec`, which moves into the arrival queue and is
-/// freed at delivery.
+/// Per-call send buffer handed to [`NsNode`] entry points, plus the
+/// fleet's pool of frame buffers. A node builds a frame in place with
+/// [`NsOutbox::frame`]; the world returns the buffer to the pool once
+/// the frame has been delivered or dropped, so a steady exchange of
+/// frames allocates nothing. The pool holds at most the peak number of
+/// frames that were in flight at once.
 #[derive(Debug, Default)]
 pub struct NsOutbox {
     sends: Vec<(u32, Vec<u8>)>,
+    /// Spent frame buffers, capacity kept, contents stale.
+    pool: Vec<Vec<u8>>,
 }
 
 impl NsOutbox {
-    /// Queues `frame` for transmission on local interface `iface`.
+    /// Queues `frame` for transmission on local interface `iface`. The
+    /// buffer joins the pool at delivery like any other.
     pub fn send(&mut self, iface: u32, frame: Vec<u8>) {
         self.sends.push((iface, frame));
+    }
+
+    /// Queues an empty frame on local interface `iface` and hands out
+    /// its buffer — drawn from the pool — for the caller to fill.
+    pub fn frame(&mut self, iface: u32) -> &mut Vec<u8> {
+        let mut buf = self.pool.pop().unwrap_or_default();
+        buf.clear();
+        self.sends.push((iface, buf));
+        &mut self.sends.last_mut().expect("just pushed").1
+    }
+
+    /// Takes back the frame queued last (a caller whose encode into
+    /// [`NsOutbox::frame`]'s buffer failed); its buffer is recycled.
+    pub fn unsend(&mut self) {
+        if let Some((_, buf)) = self.sends.pop() {
+            self.pool.push(buf);
+        }
     }
 }
 
@@ -333,6 +356,7 @@ impl<N: NsNode> NetscaleWorld<N> {
             debug_assert_ne!(port.peer, NO_NODE, "send on an unwired interface");
             if !self.slot_up[slot] {
                 self.trace.dropped_link_down += 1;
+                self.outbox.pool.push(frame);
                 continue;
             }
             self.trace.slot_frames[slot] += 1;
@@ -352,31 +376,30 @@ impl<N: NsNode> NetscaleWorld<N> {
     /// wakeups (a frame processed at `t` may cancel the timer that was
     /// due at `t` — the engine's word on its own deadline is final).
     pub fn run_until(&mut self, deadline: SimTime) {
-        loop {
-            let qa = self.queue.peek_time();
-            let qw = self.wake.peek();
-            let (next, is_arrival) = match (qa, qw) {
-                (None, None) => break,
-                (Some(a), None) => (a, true),
-                (None, Some(w)) => (w, false),
-                (Some(a), Some(w)) => {
-                    if a <= w {
-                        (a, true)
-                    } else {
-                        (w, false)
-                    }
-                }
-            };
-            if next > deadline {
-                break;
-            }
-            self.now = next;
-            if is_arrival {
-                let (_, arr) = self.queue.pop().expect("peeked");
-                if !self.node_up[arr.node as usize] {
-                    self.trace.dropped_node_down += 1;
-                    continue;
-                }
+        while let Some(due) = self.next_due().filter(|&(t, _)| t <= deadline) {
+            self.service(due);
+        }
+        self.now = deadline;
+    }
+
+    /// The next event as `(instant, is_arrival)`: the earlier of the
+    /// arrival queue's head and the wakeup heap's valid head, arrivals
+    /// winning a tie.
+    fn next_due(&mut self) -> Option<(SimTime, bool)> {
+        match (self.queue.peek_time(), self.wake.peek()) {
+            (None, None) => None,
+            (Some(a), None) => Some((a, true)),
+            (None, Some(w)) => Some((w, false)),
+            (Some(a), Some(w)) => Some(if a <= w { (a, true) } else { (w, false) }),
+        }
+    }
+
+    /// Services the event [`NetscaleWorld::next_due`] just reported.
+    fn service(&mut self, (at, is_arrival): (SimTime, bool)) {
+        self.now = at;
+        if is_arrival {
+            let (_, arr) = self.queue.pop().expect("peeked");
+            if self.node_up[arr.node as usize] {
                 self.trace.events += 1;
                 self.nodes[arr.node as usize].on_frame(
                     self.now,
@@ -386,14 +409,23 @@ impl<N: NsNode> NetscaleWorld<N> {
                 );
                 self.flush(arr.node);
             } else {
-                let (_, node) = self.wake.pop().expect("peeked");
-                debug_assert!(self.node_up[node as usize], "crashed node left in WakeSched");
-                self.trace.events += 1;
-                self.nodes[node as usize].on_timer(self.now, &mut self.outbox);
-                self.flush(node);
+                self.trace.dropped_node_down += 1;
             }
+            // Only now: sends made during the frame's own `on_frame`
+            // must not be handed the bytes it is still reading.
+            self.outbox.pool.push(arr.frame);
+        } else {
+            let (_, node) = self.wake.pop().expect("peeked");
+            debug_assert!(self.node_up[node as usize], "crashed node left in WakeSched");
+            self.trace.events += 1;
+            self.nodes[node as usize].on_timer(self.now, &mut self.outbox);
+            self.flush(node);
         }
-        self.now = deadline;
+    }
+
+    /// Buffers resting in the frame pool (see [`NsOutbox`]).
+    pub fn pooled_frames(&self) -> usize {
+        self.outbox.pool.len()
     }
 
     /// Drives the world until no arrival or wakeup remains at or
@@ -403,23 +435,10 @@ impl<N: NsNode> NetscaleWorld<N> {
     /// periodic keepalives are the only thing left, or use it between
     /// membership bursts with keepalives not yet due.
     pub fn run_to_quiescence(&mut self, limit: SimTime) -> SimTime {
-        let mut last = self.now;
-        loop {
-            let qa = self.queue.peek_time();
-            let qw = self.wake.peek();
-            let next = match (qa, qw) {
-                (None, None) => break,
-                (Some(a), None) => a,
-                (None, Some(w)) => w,
-                (Some(a), Some(w)) => a.min(w),
-            };
-            if next > limit {
-                break;
-            }
-            self.run_until(next);
-            last = next;
+        while let Some(due) = self.next_due().filter(|&(t, _)| t <= limit) {
+            self.service(due);
         }
-        last
+        self.now
     }
 }
 
@@ -588,6 +607,82 @@ mod tests {
         assert!(w.is_node_up(1));
         w.run_until(SimTime::from_secs(1));
         assert_eq!(w.node(1).woke, 1, "restarted engine woke exactly once");
+    }
+
+    /// Answers `[ttl, body…]` on the arrival interface with `[ttl - 1,
+    /// body + 1…]` built in a pooled buffer, then logs what it read.
+    struct Mirror {
+        got: Vec<Vec<u8>>,
+    }
+
+    impl NsNode for Mirror {
+        fn on_frame(&mut self, _now: SimTime, iface: u32, frame: &[u8], out: &mut NsOutbox) {
+            if frame[0] > 0 {
+                let reply = out.frame(iface);
+                reply.push(frame[0] - 1);
+                reply.extend(frame[1..].iter().map(|b| b + 1));
+            }
+            self.got.push(frame.to_vec());
+        }
+        fn on_timer(&mut self, _now: SimTime, _out: &mut NsOutbox) {}
+        fn next_wakeup(&self) -> Option<SimTime> {
+            None
+        }
+    }
+
+    #[test]
+    fn pooled_buffers_carry_replies_without_touching_the_frame_being_read() {
+        let edges = vec![(0, 1, 1)];
+        let (g, pairs) = CsrGraph::from_edges(2, &edges);
+        let nodes = vec![Mirror { got: Vec::new() }, Mirror { got: Vec::new() }];
+        let mut w =
+            NetscaleWorld::new(nodes, &g, &pairs, &edges, |w| SimDuration::from_millis(w as u64));
+        assert_eq!(w.pooled_frames(), 0);
+        w.with_node(0, |_n, _now, out| out.send(0, vec![3, 10, 20]));
+        w.run_until(SimTime::from_secs(1));
+        // Each reply was built while its request was still being read.
+        assert_eq!(w.node(1).got, vec![vec![3, 10, 20], vec![1, 12, 22]]);
+        assert_eq!(w.node(0).got, vec![vec![2, 11, 21], vec![0, 13, 23]]);
+        // One frame in flight plus the one being answered: the frame
+        // sent by value joined the pool at delivery and carried the
+        // second reply.
+        assert_eq!(w.pooled_frames(), 2);
+        w.with_node(0, |_n, _now, out| out.frame(0).extend([5, 0]));
+        w.run_until(SimTime::from_secs(2));
+        assert_eq!(w.trace.frames, 4 + 6);
+        assert_eq!(w.pooled_frames(), 2, "a second exchange lives off the pool");
+    }
+
+    #[test]
+    fn dropped_frames_return_their_buffers() {
+        let (mut w, pairs) = line3();
+        w.set_link_up(pairs[0], false);
+        w.with_node(0, |_n, _now, out| out.frame(0).push(0));
+        assert_eq!(w.trace.dropped_link_down, 1);
+        assert_eq!(w.pooled_frames(), 1, "link-down drop recycles at once");
+
+        w.set_link_up(pairs[0], true);
+        w.with_node(0, |_n, _now, out| out.frame(0).push(0));
+        assert_eq!(w.pooled_frames(), 0, "the pooled buffer is in flight");
+        w.crash_node(1);
+        w.run_until(SimTime::from_secs(1));
+        assert_eq!(w.trace.dropped_node_down, 1);
+        assert_eq!(w.pooled_frames(), 1, "node-down drop recycles at delivery");
+    }
+
+    #[test]
+    fn unsend_takes_back_the_last_frame_only() {
+        let (mut w, _) = line3();
+        w.with_node(1, |_n, _now, out| {
+            out.frame(0).push(0);
+            out.frame(1).push(0);
+            out.unsend();
+        });
+        w.run_until(SimTime::from_secs(1));
+        assert_eq!(w.node(0).got.len(), 1, "the first frame still went out");
+        assert_eq!(w.node(2).got.len(), 0, "the retracted one never did");
+        assert_eq!(w.trace.frames, 1);
+        assert_eq!(w.pooled_frames(), 2);
     }
 
     #[test]

@@ -366,7 +366,20 @@ impl ControlMessage {
     /// Returns [`WireError::TooManyCores`] (leaving `buf` empty) when
     /// the message's core list exceeds [`crate::header::MAX_CORES`].
     pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<()> {
-        self.to_header().encode_into(buf)
+        buf.clear();
+        self.encode_append(buf)
+    }
+
+    /// Serializes onto the end of `buf`, keeping what it already holds
+    /// (see [`CbtControlHeader::encode_append`]): afterwards `buf` is
+    /// its old contents followed by exactly [`ControlMessage::encode`].
+    ///
+    /// # Errors
+    /// Returns [`WireError::TooManyCores`] (leaving `buf` exactly as it
+    /// was) when the message's core list exceeds
+    /// [`crate::header::MAX_CORES`].
+    pub fn encode_append(&self, buf: &mut Vec<u8>) -> Result<()> {
+        self.to_header().encode_append(buf)
     }
 
     /// Parses straight from bytes (header decode + typing).

@@ -227,14 +227,26 @@ impl CbtControlHeader {
     /// Returns [`WireError::TooManyCores`] (leaving `buf` empty) if
     /// `self.cores.len()` exceeds [`MAX_CORES`].
     pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<()> {
+        buf.clear();
+        self.encode_append(buf)
+    }
+
+    /// Serializes onto the end of `buf`, leaving what it already holds
+    /// in place — a caller that frames the message behind its own
+    /// prefix writes both into one buffer with no copy in between. The
+    /// checksum covers the appended bytes only.
+    ///
+    /// # Errors
+    /// Returns [`WireError::TooManyCores`] (leaving `buf` exactly as it
+    /// was) if `self.cores.len()` exceeds [`MAX_CORES`].
+    pub fn encode_append(&self, buf: &mut Vec<u8>) -> Result<()> {
         if self.cores.len() > MAX_CORES {
-            buf.clear();
             return Err(WireError::TooManyCores { got: self.cores.len() });
         }
         let len = Self::encoded_len(self.cores.len());
-        buf.clear();
-        buf.resize(len, 0);
-        let b = &mut buf[..];
+        let start = buf.len();
+        buf.resize(start + len, 0);
+        let b = &mut buf[start..];
         b[0] = CBT_VERSION << 4;
         b[1] = self.typ;
         b[2] = self.code;

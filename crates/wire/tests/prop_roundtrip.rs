@@ -102,6 +102,35 @@ proptest! {
     }
 
     #[test]
+    fn encode_append_leaves_the_prefix_then_exactly_encode(
+        msg in arb_control(),
+        prefix in proptest::collection::vec(any::<u8>(), 0..24),
+    ) {
+        let mut buf = prefix.clone();
+        msg.encode_append(&mut buf).unwrap();
+        prop_assert_eq!(&buf[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&buf[prefix.len()..], &msg.encode().unwrap()[..]);
+        // `encode_into` is the same body behind a `clear`.
+        msg.encode_into(&mut buf).unwrap();
+        prop_assert_eq!(buf, msg.encode().unwrap());
+    }
+
+    #[test]
+    fn encode_append_of_too_many_cores_keeps_the_prefix_only(
+        group in arb_group(),
+        origin in arb_addr(),
+        cores in proptest::collection::vec(arb_addr(), 9..40),
+        prefix in proptest::collection::vec(any::<u8>(), 0..24),
+    ) {
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal, group, origin, target_core: origin, cores,
+        };
+        let mut buf = prefix.clone();
+        prop_assert!(msg.encode_append(&mut buf).is_err());
+        prop_assert_eq!(buf, prefix, "truncated back to the prefix, not cleared");
+    }
+
+    #[test]
     fn control_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
         let _ = ControlMessage::decode(&bytes);
     }
