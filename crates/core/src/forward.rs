@@ -233,9 +233,13 @@ impl CbtRouter {
                 ifaces.push(c.iface);
             }
         }
+        // Member-LAN sends among the fan-out count as a delivery —
+        // unless the only one is the LAN of arrival, skipped below.
+        let mut delivered = false;
         for (&lan, l) in &self.lans {
             if l.presence.has_members(group) && self.is_gdr(lan, group) {
                 ifaces.push(lan);
+                delivered |= skip_iface != Some(lan);
             }
         }
         // Sorted + deduped: same deterministic emission order as the
@@ -257,14 +261,7 @@ impl CbtRouter {
         if sent > 0 {
             self.stats.data_forwarded += 1;
             self.obs.data_forwarded += 1;
-            // Member-LAN sends among the fan-out count as deliveries.
-            let delivered = self.scratch_ifaces.iter().any(|i| {
-                self.lans.get(i).is_some_and(|l| l.presence.has_members(group))
-                    && self.is_gdr(*i, group)
-            });
-            if delivered {
-                self.obs.data_delivered += 1;
-            }
+            self.obs.data_delivered += u64::from(delivered);
         }
     }
 

@@ -15,13 +15,25 @@ use cbt_netsim::{Bytes, Outbox, SimNode, SimTime};
 use cbt_obs::DropReason;
 use cbt_topology::IfIndex;
 use cbt_wire::data::PAYLOAD_OFFSET;
-use cbt_wire::ipv4::{build_datagram, datagram_with_ttl, split_datagram};
+use cbt_wire::ipv4::{split_datagram, write_datagram_with_ttl};
 use cbt_wire::{
-    encode_native, Addr, CbtDataPacket, ControlMessage, DataPacket, GroupId, IgmpMessage, IpProto,
-    Ipv4Header, UdpHeader, WireError, CBT_AUX_PORT, CBT_PRIMARY_PORT,
+    encode_native_into, Addr, CbtDataPacket, ControlMessage, DataPacket, GroupId, IgmpMessage,
+    IpProto, Ipv4Header, UdpHeader, WireError, CBT_AUX_PORT, CBT_PRIMARY_PORT,
 };
 use std::any::Any;
 use std::collections::VecDeque;
+
+/// Builds one frame in place: takes a buffer from `out`'s pool (a
+/// recycled one where the consumer recycles, see [`Outbox::buffer`]),
+/// lets `write` — a `cbt-wire` write-into encoder, which replaces the
+/// buffer's stale contents — fill it, and freezes it. The buffer's
+/// `Vec` is taken once per frame: each taking is an atomic
+/// read-modify-write on the buffer's refcount.
+fn build_frame(out: &mut Outbox, write: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+    let mut buf = out.buffer();
+    write(buf.as_mut_vec());
+    buf.freeze()
+}
 
 /// A CBT router in the simulator: the protocol engine plus the plain
 /// IP forwarding plane that carries multi-hop unicasts (joins are
@@ -30,9 +42,6 @@ use std::collections::VecDeque;
 pub struct RouterNode {
     engine: ShardedRouter,
     rib: SharedRib,
-    /// Scratch buffer reused for every control-message encode on the
-    /// send path — the hot path allocates once, not per message.
-    ctl_buf: Vec<u8>,
     /// Reusable action buffer every engine entry point writes into
     /// (see [`RouterNode::drive`]); drained by [`RouterNode::emit`],
     /// its capacity persists across packets so the steady-state
@@ -51,7 +60,7 @@ impl RouterNode {
         now: SimTime,
     ) -> Self {
         let engine = ShardedRouter::new(net, me, cfg, || Box::new(rib.clone()), now);
-        RouterNode { engine, rib, ctl_buf: Vec::new(), act_buf: Vec::new() }
+        RouterNode { engine, rib, act_buf: Vec::new() }
     }
 
     /// Builds the node as shard `index` of an `total`-way sharded
@@ -70,7 +79,7 @@ impl RouterNode {
         total: usize,
     ) -> Self {
         let engine = ShardedRouter::slice(net, me, cfg, Box::new(rib.clone()), now, index, total);
-        RouterNode { engine, rib, ctl_buf: Vec::new(), act_buf: Vec::new() }
+        RouterNode { engine, rib, act_buf: Vec::new() }
     }
 
     /// The first shard's engine (tests and metrics poke around in
@@ -109,30 +118,34 @@ impl RouterNode {
 
     /// Turns engine actions into frames, draining `actions` so the
     /// caller's buffer (and its capacity) can be reused for the next
-    /// packet.
+    /// packet. Every frame is written in place into a buffer from
+    /// `out`'s pool ([`build_frame`]) — no scratch copy, and where the
+    /// consumer recycles (the simulator) no allocation.
     fn emit(&mut self, actions: &mut Vec<RouterAction>, out: &mut Outbox) {
         let mut actions = actions.drain(..).peekable();
         while let Some(a) = actions.next() {
             match a {
                 RouterAction::SendControl { iface, dst, msg } => {
-                    let port = if msg.is_primary() { CBT_PRIMARY_PORT } else { CBT_AUX_PORT };
-                    if msg.encode_into(&mut self.ctl_buf).is_err() {
-                        // Unreachable for engine-built messages (core
-                        // lists are clamped at ingestion), but an
-                        // unencodable message must be counted, not
-                        // silently skipped.
+                    let src = self.iface_addr(iface);
+                    let mut buf = out.buffer();
+                    let encoded = msg.write_datagram(src, dst, 64, buf.as_mut_vec());
+                    let frame = buf.freeze();
+                    if encoded.is_err() {
+                        // An *encode* failure, filed under the codec's
+                        // one reason. Unreachable for engine-built
+                        // messages (core lists are clamped at
+                        // ingestion), but an unencodable message must
+                        // be counted, not silently skipped.
                         self.engine.obs_mut().drop_packet(DropReason::DecodeError);
+                        out.recycle(frame);
                         continue;
                     }
-                    let udp = UdpHeader::wrap(port, port, &self.ctl_buf);
-                    let src = self.iface_addr(iface);
-                    let frame = build_datagram(src, dst, IpProto::Udp, 64, &udp);
-                    self.emit_frame(iface, dst, frame.into(), out);
+                    self.emit_frame(iface, dst, frame, out);
                 }
                 RouterAction::SendIgmp { iface, dst, msg } => {
                     let src = self.iface_addr(iface);
-                    let frame = build_datagram(src, dst, IpProto::Igmp, 1, &msg.encode());
-                    self.emit_frame(iface, dst, frame.into(), out);
+                    let frame = build_frame(out, |buf| msg.write_datagram(src, dst, buf));
+                    self.emit_frame(iface, dst, frame, out);
                 }
                 RouterAction::SendNativeData { mut iface, pkt } => {
                     // The original datagram travels unchanged (§4) bar
@@ -142,7 +155,7 @@ impl RouterNode {
                     // branch interface, all clones of one packet
                     // (recognised by identity, not by comparing
                     // payloads): they share the frame, by refcount.
-                    let frame = Bytes::from(pkt.to_frame());
+                    let frame = build_frame(out, |buf| pkt.write_frame(buf));
                     let same_frame = |a: &RouterAction| {
                         matches!(a, RouterAction::SendNativeData { pkt: p, .. }
                             if p.shares_frame_with(&pkt))
@@ -157,14 +170,14 @@ impl RouterNode {
                 }
                 RouterAction::SendCbtUnicast { iface, dst, pkt } => {
                     let src = self.iface_addr(iface);
-                    let frame = pkt.wrap_unicast(src, dst, None);
-                    self.emit_frame(iface, dst, frame.into(), out);
+                    let frame = build_frame(out, |buf| pkt.wrap_unicast_into(src, dst, None, buf));
+                    self.emit_frame(iface, dst, frame, out);
                 }
                 RouterAction::SendCbtMulticast { iface, pkt } => {
                     // Outer source differs per interface, so CBT
                     // multicasts cannot share a frame.
                     let src = self.iface_addr(iface);
-                    let frame = pkt.wrap_multicast(src);
+                    let frame = build_frame(out, |buf| pkt.wrap_multicast_into(src, buf));
                     out.send(iface, frame);
                 }
             }
@@ -177,32 +190,45 @@ impl RouterNode {
 
     /// Sends a frame out `iface`, resolving the link-layer destination
     /// the way ARP + a routing lookup would.
-    fn emit_frame(&self, iface: IfIndex, ip_dst: Addr, frame: Bytes, out: &mut Outbox) {
-        let Some(info) = self.engine.iface(iface) else { return };
+    fn emit_frame(&mut self, iface: IfIndex, ip_dst: Addr, frame: Bytes, out: &mut Outbox) {
+        let Some(info) = self.engine.iface(iface) else {
+            // The engine named an interface this router does not have.
+            return self.drop_unroutable(frame, out);
+        };
         if info.lan.is_none() || ip_dst.is_multicast() {
             out.send(iface, frame);
-            return;
-        }
-        if info.contains(ip_dst) {
+        } else if info.contains(ip_dst) {
             out.send_to(iface, ip_dst, frame);
-            return;
-        }
-        // Off-subnet unicast: frame goes to the next hop's address.
-        if let Some(hop) = self.rib.hop_toward(ip_dst) {
+        } else if let Some(hop) = self.rib.hop_toward(ip_dst) {
+            // Off-subnet unicast: frame goes to the next hop's address.
             out.send_to(iface, hop.addr, frame);
+        } else {
+            // No route: dropped, like a real router with no ARP entry.
+            self.drop_unroutable(frame, out);
         }
-        // No route: dropped, like a real router with no ARP entry.
+    }
+
+    /// Counts a built frame that has nowhere to go and hands its buffer
+    /// back.
+    fn drop_unroutable(&mut self, frame: Bytes, out: &mut Outbox) {
+        self.engine.obs_mut().drop_packet(DropReason::NoFibEntry);
+        out.recycle(frame);
     }
 
     /// Plain IP forwarding for unicasts not addressed to us: `frame`
     /// (whose validated header is `hdr`) goes on unchanged bar the TTL.
     fn ip_forward(&mut self, hdr: Ipv4Header, frame: &[u8], out: &mut Outbox) {
         if hdr.ttl <= 1 {
+            self.engine.obs_mut().drop_packet(DropReason::TtlExpired);
             return;
         }
-        let Some(hop) = self.rib.hop_toward(hdr.dst) else { return };
-        let next = datagram_with_ttl(&frame[..usize::from(hdr.total_len)], hdr.ttl - 1);
-        self.emit_frame(hop.iface, hdr.dst, next.into(), out);
+        let Some(hop) = self.rib.hop_toward(hdr.dst) else {
+            self.engine.obs_mut().drop_packet(DropReason::NoFibEntry);
+            return;
+        };
+        let datagram = &frame[..usize::from(hdr.total_len)];
+        let next = build_frame(out, |buf| write_datagram_with_ttl(datagram, hdr.ttl - 1, buf));
+        self.emit_frame(hop.iface, hdr.dst, next, out);
     }
 
     /// Zero-copy view of `sub` (a subslice of `frame`'s backing bytes)
@@ -436,7 +462,7 @@ impl HostApp {
 
     fn emit_igmp(&self, outs: Vec<cbt_igmp::IgmpOut>, out: &mut Outbox) {
         for o in outs {
-            let frame = build_datagram(self.addr, o.dst, IpProto::Igmp, 1, &o.msg.encode());
+            let frame = build_frame(out, |buf| o.msg.write_datagram(self.addr, o.dst, buf));
             out.send(IfIndex(0), frame);
         }
     }
@@ -499,7 +525,10 @@ impl SimNode for HostApp {
                     self.emit_igmp(msgs, out);
                 }
                 HostOp::Send { group, payload, ttl } => {
-                    out.send(IfIndex(0), encode_native(self.addr, group, ttl, &payload));
+                    let frame = build_frame(out, |buf| {
+                        encode_native_into(self.addr, group, ttl, &payload, buf)
+                    });
+                    out.send(IfIndex(0), frame);
                 }
             }
         }
@@ -805,8 +834,9 @@ mod tests {
         assert!(core_children.is_empty(), "core saw the quit");
     }
 
-    /// R0 - R1 - R2 in a chain, R1 a bare transit router: the node
-    /// under test, the interface facing R0 and R0's address on it.
+    /// R0 - R1 - R2 in a chain, R1 a transit router with a stub LAN on
+    /// its third interface: the node under test, the interface facing
+    /// R0 and R0's address on it.
     fn chain_transit_node() -> (RouterNode, Arc<cbt_topology::NetworkSpec>, IfIndex, Addr) {
         let mut b = NetworkBuilder::new();
         let r0 = b.router("R0");
@@ -814,6 +844,8 @@ mod tests {
         let r2 = b.router("R2");
         b.link(r0, r1, 1);
         b.link(r1, r2, 1);
+        let stub = b.lan("S1");
+        b.attach(stub, r1);
         let net = Arc::new(b.build());
         let (_rib, make_rib) = SharedRib::build(net.clone());
         let node = RouterNode::new(&net, r1, crate::CbtConfig::fast(), make_rib(r1), SimTime::ZERO);
@@ -867,6 +899,98 @@ mod tests {
         assert_eq!(body, &arrival[20..]);
     }
 
+    /// A transit unicast `R0 → dst` with the given TTL, as it arrives.
+    fn transit_unicast(from: Addr, dst: Addr, ttl: u8) -> Bytes {
+        let mut frame = Vec::new();
+        let shell = UdpHeader::wrap(4000, 4000, b"abc");
+        cbt_wire::ipv4::build_datagram_into(from, dst, IpProto::Udp, ttl, &shell, &mut frame);
+        Bytes::from(frame)
+    }
+
+    fn drops(node: &RouterNode, reason: DropReason) -> u64 {
+        node.engine().obs().drops.get(reason)
+    }
+
+    /// A unicast with no hop left to spend is not forwarded — and is
+    /// counted, where it used to vanish.
+    #[test]
+    fn ip_forward_counts_an_expired_ttl() {
+        let (mut node, net, iface, from) = chain_transit_node();
+        let dst = net.router_addr(cbt_topology::RouterId(2));
+        let mut out = Outbox::new();
+        for (ttl, expired) in [(2, 0), (1, 1), (0, 2)] {
+            let frame = transit_unicast(from, dst, ttl);
+            node.on_packet(SimTime::from_secs(1), iface, from, &frame, &mut out);
+            assert_eq!(out.drain().count(), usize::from(ttl == 2), "ttl {ttl}");
+            assert_eq!(drops(&node, DropReason::TtlExpired), expired, "ttl {ttl}");
+        }
+    }
+
+    /// Nor is one to a destination the RIB has no route for.
+    #[test]
+    fn ip_forward_counts_a_destination_with_no_route() {
+        let (mut node, _net, iface, from) = chain_transit_node();
+        let nowhere = Addr::from_octets(172, 16, 9, 9);
+        let mut out = Outbox::new();
+        let frame = transit_unicast(from, nowhere, 9);
+        node.on_packet(SimTime::from_secs(1), iface, from, &frame, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(drops(&node, DropReason::NoFibEntry), 1);
+        assert_eq!(drops(&node, DropReason::TtlExpired), 0);
+    }
+
+    /// A built frame with no way out — the engine named an interface
+    /// this router does not have, or an off-subnet unicast on a LAN has
+    /// no next hop to be framed for — is counted, and its buffer goes
+    /// back to the pool it came from.
+    #[test]
+    fn emit_frame_counts_a_frame_with_no_way_out() {
+        let (mut node, net, ..) = chain_transit_node();
+        let (stub_lan, no_such_iface) = (IfIndex(2), IfIndex(9));
+        let on_the_lan = Addr(net.routers[1].ifaces[2].addr.0 + 1);
+        let nowhere = Addr::from_octets(172, 16, 9, 9);
+        let mut out = Outbox::new();
+        let frame = |out: &mut Outbox| build_frame(out, |buf| buf.extend_from_slice(b"frame"));
+
+        let f = frame(&mut out);
+        node.emit_frame(stub_lan, on_the_lan, f, &mut out);
+        assert_eq!(out.drain().map(|t| t.link_dst).collect::<Vec<_>>(), [Some(on_the_lan)]);
+        assert_eq!(drops(&node, DropReason::NoFibEntry), 0, "a neighbour on the subnet is fine");
+
+        for (n, (iface, dst)) in
+            [(no_such_iface, on_the_lan), (stub_lan, nowhere)].iter().enumerate()
+        {
+            let f = frame(&mut out);
+            assert_eq!(out.pooled(), 0);
+            node.emit_frame(*iface, *dst, f, &mut out);
+            assert!(out.is_empty(), "{iface:?} {dst}: nothing sent");
+            assert_eq!(drops(&node, DropReason::NoFibEntry), n as u64 + 1, "{iface:?} {dst}");
+            assert_eq!(out.pooled(), 1, "and the buffer is back");
+        }
+    }
+
+    /// A control message that cannot be encoded (more cores than the
+    /// wire format counts) is an *encode* failure; it is counted under
+    /// the codec's reason, `DecodeError`, and nothing is sent.
+    #[test]
+    fn an_unencodable_control_message_is_counted_not_sent() {
+        let (mut node, net, ..) = chain_transit_node();
+        let dst = net.router_addr(cbt_topology::RouterId(2));
+        let msg = ControlMessage::JoinRequest {
+            subcode: cbt_wire::JoinSubcode::ActiveJoin,
+            group: GroupId::numbered(1),
+            origin: dst,
+            target_core: dst,
+            cores: vec![dst; cbt_wire::header::MAX_CORES + 1],
+        };
+        let mut out = Outbox::new();
+        let mut actions = vec![RouterAction::SendControl { iface: IfIndex(1), dst, msg }];
+        node.emit(&mut actions, &mut out);
+        assert!(out.is_empty() && actions.is_empty());
+        assert_eq!(drops(&node, DropReason::DecodeError), 1);
+        assert_eq!(out.pooled(), 1, "the buffer it was tried in is back");
+    }
+
     /// Scheduled operations run in time order; ones scheduled for the
     /// same instant run in the order they were scheduled, and a late
     /// call for an early instant goes in front of what is already
@@ -917,7 +1041,7 @@ mod tests {
         let mut out = Outbox::new();
         for (len, shared) in [(RX_COPYBREAK - 1, false), (RX_COPYBREAK, true)] {
             let body: Vec<u8> = (0..len).map(|i| i as u8).collect();
-            let frame = Bytes::from(encode_native(src, g, 4, &body));
+            let frame = Bytes::from(cbt_wire::encode_native(src, g, 4, &body));
             let mut bad = frame.to_vec();
             *bad.last_mut().unwrap() ^= 0x01; // payload no longer sums
             let before = app.received().len();

@@ -137,24 +137,25 @@ impl FaultInjector {
         }
     }
 
-    /// Applies the plan to a frame in flight. Returns `None` if the
-    /// frame is dropped, otherwise the (possibly corrupted) frame.
+    /// Applies the plan to a frame in flight: `Ok` with the (possibly
+    /// corrupted) frame to deliver, or `Err` with the frame handed
+    /// back, its buffer the caller's to reuse, when it is dropped.
     ///
     /// The clean path is zero-copy: the refcounted frame passes through
     /// untouched. Corruption is copy-on-write — the injector clones the
     /// payload into a fresh allocation before flipping its bit, so
     /// other receivers of the same broadcast still see the original.
-    pub fn apply(&mut self, class: FaultClass, frame: Bytes) -> Option<Bytes> {
+    pub fn apply(&mut self, class: FaultClass, frame: Bytes) -> Result<Bytes, Bytes> {
         let c = class as usize;
         let seq = self.seq[c];
         self.seq[c] += 1;
         if self.plan.targets(class).contains(&seq) {
             self.dropped += 1;
-            return None;
+            return Err(frame);
         }
         if self.plan.drop_chance > 0.0 && self.drop_rng[c].gen::<f64>() < self.plan.drop_chance {
             self.dropped += 1;
-            return None;
+            return Err(frame);
         }
         if self.plan.corrupt_chance > 0.0
             && !frame.is_empty()
@@ -165,10 +166,10 @@ impl FaultInjector {
             let bit = self.corrupt_rng[c].gen_range(0..8u8);
             owned[byte] ^= 1 << bit;
             self.corrupted += 1;
-            return Some(Bytes::from(owned));
+            return Ok(Bytes::from(owned));
         }
         self.passed += 1;
-        Some(frame)
+        Ok(frame)
     }
 
     /// Replaces the plan mid-flight, keeping RNG streams, per-class
@@ -201,7 +202,7 @@ mod tests {
         let mut inj = FaultInjector::new(FaultPlan::none(), 1);
         for i in 0..100u8 {
             let frame = Bytes::from(vec![i; 16]);
-            assert_eq!(inj.apply(FaultClass::Data, frame.clone()), Some(frame));
+            assert_eq!(inj.apply(FaultClass::Data, frame.clone()), Ok(frame));
         }
         assert_eq!(inj.stats(), (100, 0, 0));
     }
@@ -218,7 +219,10 @@ mod tests {
     fn full_drop_drops_everything() {
         let mut inj = FaultInjector::new(FaultPlan::drops(1.0), 1);
         for _ in 0..50 {
-            assert_eq!(inj.apply(FaultClass::Data, Bytes::from(vec![0; 8])), None);
+            let frame = Bytes::from(vec![0; 8]);
+            let ptr = frame.as_ptr();
+            let back = inj.apply(FaultClass::Data, frame).expect_err("dropped");
+            assert_eq!(back.as_ptr(), ptr, "the dropped frame comes back for its buffer");
         }
         assert_eq!(inj.stats(), (0, 0, 50));
     }
@@ -253,7 +257,7 @@ mod tests {
         let n = 10_000;
         let mut dropped = 0;
         for _ in 0..n {
-            if inj.apply(FaultClass::Data, Bytes::from(vec![0; 4])).is_none() {
+            if inj.apply(FaultClass::Data, Bytes::from(vec![0; 4])).is_err() {
                 dropped += 1;
             }
         }
@@ -269,7 +273,7 @@ mod tests {
                 seed,
             );
             (0..200)
-                .map(|i| inj.apply(FaultClass::Control, Bytes::from(vec![i as u8; 12])))
+                .map(|i| inj.apply(FaultClass::Control, Bytes::from(vec![i as u8; 12])).ok())
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(5), run(5));
@@ -279,7 +283,7 @@ mod tests {
     #[test]
     fn empty_frame_never_corrupted() {
         let mut inj = FaultInjector::new(FaultPlan::corruption(1.0), 1);
-        assert_eq!(inj.apply(FaultClass::Data, Bytes::new()), Some(Bytes::new()));
+        assert_eq!(inj.apply(FaultClass::Data, Bytes::new()), Ok(Bytes::new()));
     }
 
     #[test]
@@ -287,12 +291,12 @@ mod tests {
         let plan = FaultPlan::none().with_control_drops(vec![0, 3]);
         let mut inj = FaultInjector::new(plan, 11);
         let fates: Vec<bool> = (0..6)
-            .map(|_| inj.apply(FaultClass::Control, Bytes::from(vec![1u8; 4])).is_some())
+            .map(|_| inj.apply(FaultClass::Control, Bytes::from(vec![1u8; 4])).is_ok())
             .collect();
         assert_eq!(fates, vec![false, true, true, false, true, true]);
         // Data frames keep their own counter: none of them are hit.
         for _ in 0..6 {
-            assert!(inj.apply(FaultClass::Data, Bytes::from(vec![2u8; 4])).is_some());
+            assert!(inj.apply(FaultClass::Data, Bytes::from(vec![2u8; 4])).is_ok());
         }
         assert_eq!(inj.stats(), (10, 0, 2));
     }
@@ -310,7 +314,7 @@ mod tests {
                 for _ in 0..data_between {
                     let _ = inj.apply(FaultClass::Data, Bytes::from(vec![0xDD; 20]));
                 }
-                fates.push(inj.apply(FaultClass::Control, Bytes::from(vec![i; 12])));
+                fates.push(inj.apply(FaultClass::Control, Bytes::from(vec![i; 12])).ok());
             }
             fates
         };

@@ -42,7 +42,7 @@ pub mod time;
 pub mod trace;
 pub mod world;
 
-pub use bytes::Bytes;
+pub use bytes::{Bytes, BytesMut};
 pub use fault::{FaultClass, FaultPlan};
 pub use netscale::{NetscaleWorld, NsNode, NsOutbox, NsTrace};
 pub use node::{Entity, Outbox, SimNode, Transmit};

@@ -1,7 +1,7 @@
 //! The plug-in interface between the simulator and protocol behaviours.
 
 use crate::time::SimTime;
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use cbt_topology::{HostId, IfIndex, RouterId};
 
 /// An addressable entity in the world: a router or a host.
@@ -43,16 +43,67 @@ pub struct Transmit {
     pub frame: Bytes,
 }
 
-/// Collects a node's outbound transmissions during one callback.
+/// Collects a node's outbound transmissions during one callback, and
+/// keeps the pool of frame buffers they are built in.
+///
+/// A frame has one lifecycle: written in place into a buffer from
+/// [`Outbox::buffer`], frozen, sent — fanned out by refcount, never
+/// copied — and offered back with [`Outbox::recycle`] by whoever
+/// consumed it, which takes the buffer only when no other handle still
+/// views it. [`crate::World`] offers back every arrival once its
+/// receiver has returned, so there a steady flow allocates nothing and
+/// the pool holds at most the peak number of frames that were in flight
+/// at once. A consumer that never recycles (the live runtimes) leaves
+/// the pool empty, and `buffer` then allocates what building a `Vec`
+/// and wrapping it in [`Bytes`] always did.
 #[derive(Debug, Default)]
 pub struct Outbox {
-    sends: Vec<Transmit>,
+    pub(crate) sends: Vec<Transmit>,
+    /// Spent frame buffers, capacity kept, contents stale.
+    pub(crate) pool: FramePool,
+}
+
+/// The buffers behind frames nobody views any more.
+#[derive(Debug, Default)]
+pub(crate) struct FramePool(Vec<BytesMut>);
+
+impl FramePool {
+    /// Takes `frame`'s buffer if `frame` is the last handle to it.
+    #[inline]
+    pub(crate) fn recycle(&mut self, frame: Bytes) {
+        if let Ok(buf) = frame.try_into_mut() {
+            self.0.push(buf);
+        }
+    }
 }
 
 impl Outbox {
     /// New empty outbox.
     pub fn new() -> Self {
         Outbox::default()
+    }
+
+    /// A buffer to build the next frame in: a recycled one if there is
+    /// one, fresh otherwise. Its contents are stale — every `cbt-wire`
+    /// write-into encoder replaces them. Take its `Vec` once, fill it,
+    /// [`BytesMut::freeze`] and [`Outbox::send`].
+    #[inline]
+    pub fn buffer(&mut self) -> BytesMut {
+        self.pool.0.pop().unwrap_or_default()
+    }
+
+    /// Offers a consumed frame's buffer back to the pool. A frame some
+    /// other handle still views — another receiver's queued copy, a
+    /// payload delivered by reference, a capture — is simply dropped:
+    /// its bytes are never rewritten under a reader.
+    #[inline]
+    pub fn recycle(&mut self, frame: Bytes) {
+        self.pool.recycle(frame);
+    }
+
+    /// Buffers waiting in the pool.
+    pub fn pooled(&self) -> usize {
+        self.pool.0.len()
     }
 
     /// Queues a frame on an interface, link-layer broadcast.
@@ -162,6 +213,33 @@ mod tests {
         assert!(cap >= 2);
         out.send(IfIndex(1), vec![5]);
         assert_eq!(out.sends.capacity(), cap);
+    }
+
+    #[test]
+    fn a_recycled_frame_is_the_next_buffer_unless_somebody_still_views_it() {
+        let mut out = Outbox::new();
+        let mut buf = out.buffer();
+        buf.as_mut_vec().extend_from_slice(b"first frame");
+        let frame = buf.freeze();
+        let ptr = frame.as_ptr();
+
+        // Fanned out to two receivers: the first to finish cannot give
+        // the buffer back, the last one does.
+        let other_receiver = frame.clone();
+        out.recycle(frame);
+        assert_eq!(out.pooled(), 0, "still viewed: dropped, not pooled");
+        assert_eq!(other_receiver, b"first frame");
+        out.recycle(other_receiver);
+        assert_eq!(out.pooled(), 1);
+
+        let mut buf = out.buffer();
+        assert_eq!(out.pooled(), 0);
+        let v = buf.as_mut_vec();
+        v.clear();
+        v.extend_from_slice(b"second");
+        let frame = buf.freeze();
+        assert_eq!(frame.as_ptr(), ptr, "built in the first frame's buffer");
+        assert_eq!(frame, b"second");
     }
 
     #[test]

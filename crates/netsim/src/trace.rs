@@ -132,7 +132,7 @@ pub enum Medium {
 }
 
 /// One recorded transmission.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEntry {
     /// When it was sent.
     pub at: SimTime,

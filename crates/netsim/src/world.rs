@@ -4,11 +4,22 @@
 //! # Hot-path design
 //!
 //! The dispatch loop is the simulator's inner loop. A transmission
-//! costs one label, one queue slot per receiver and no allocation:
+//! costs one label, one queue slot per receiver and — the frame
+//! included — no allocation:
 //!
 //! - **Frames are [`Bytes`]**: refcounted, immutable. LAN fan-out to N
-//!   receivers clones the handle N times (a pointer bump each), never
-//!   the payload. Corruption by the fault injector is copy-on-write.
+//!   receivers clones the handle N-1 times (a pointer bump each) and
+//!   moves it into the last, never the payload. Corruption by the
+//!   fault injector is copy-on-write.
+//! - **Frame buffers circulate**. A node builds its frame in a buffer
+//!   from the [`Outbox`]'s pool; the world offers every arrival's
+//!   frame back once its receiver has returned, and every frame it
+//!   drops itself (no live receiver, injector drop). The pool takes a
+//!   buffer only from the *last* handle to it ([`Bytes::try_into_mut`]):
+//!   a frame another receiver still waits for, a payload delivered by
+//!   reference, a captured or traced frame is left alone and merely
+//!   costs the next sender one allocation. So the pool never holds
+//!   more than the peak number of frames in flight, and needs no cap.
 //! - **Node lookup is a dense `Vec` index**, not a `HashMap` probe.
 //!   Entities map to slots as routers-then-hosts; each slot carries its
 //!   node and its wake generation side by side.
@@ -35,7 +46,7 @@
 
 use crate::fault::{FaultClass, FaultInjector, FaultPlan};
 use crate::node::{Entity, Outbox, SimNode};
-use crate::plan::DeliveryPlan;
+use crate::plan::{DeliveryPlan, Receiver};
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Medium, PacketKind, Trace};
@@ -163,6 +174,13 @@ impl World {
         self.capture.as_ref()
     }
 
+    /// Frame buffers waiting in the pool for the next sender (see
+    /// "Hot-path design"): bounded by the peak number of frames that
+    /// were in flight at once.
+    pub fn pooled_frames(&self) -> usize {
+        self.outbox.pooled()
+    }
+
     /// Fault-injector counters: (passed clean, corrupted, dropped).
     pub fn fault_stats(&self) -> (u64, u64, u64) {
         self.injector.stats()
@@ -263,10 +281,12 @@ impl World {
         self.now = at;
         match event {
             Event::Arrive { to, iface, link_src, frame } => {
-                if self.entity_down(to) {
-                    return true;
+                if !self.entity_down(to) {
+                    self.run_node(to, |node, out| node.on_packet(at, iface, link_src, &frame, out));
                 }
-                self.run_node(to, |node, out| node.on_packet(at, iface, link_src, &frame, out));
+                // Consumed (or undeliverable): the buffer is free unless
+                // the receiver kept a view, or another arrival shares it.
+                self.outbox.recycle(frame);
             }
             Event::Wake { slot: i, generation } => {
                 if self.slots[i].wake_generation != generation {
@@ -319,24 +339,29 @@ impl World {
     }
 
     fn entity_down(&self, e: Entity) -> bool {
-        match e {
-            Entity::Router(r) => self.failures.router_down(r),
-            Entity::Host(_) => false,
-        }
+        entity_down(&self.failures, e)
     }
 
     /// Dispatches everything a node queued along the delivery plan,
-    /// leaving `out` empty with its capacity.
+    /// leaving `out` empty with its capacity. A frame goes to its
+    /// receivers by refcount — cloned for all but the last, which takes
+    /// the sender's handle — and one that reaches nobody goes straight
+    /// back to the pool.
     fn emit(&mut self, from: Entity, out: &mut Outbox) {
-        for t in out.drain() {
+        let Outbox { sends, pool } = out;
+        for t in sends.drain(..) {
             let Some(route) = self.plan.route(from, t.iface) else {
                 // Unknown interface: the world has no plan to carry
                 // this frame anywhere.
                 self.trace.record_drop(cbt_obs::DropReason::NoFibEntry);
+                pool.recycle(t.frame);
                 continue;
             };
             let (lane, latency) = match route.medium {
-                Medium::Lan(lan) if self.failures.lan_down(lan) => continue,
+                Medium::Lan(lan) if self.failures.lan_down(lan) => {
+                    pool.recycle(t.frame);
+                    continue;
+                }
                 Medium::Lan(_) => (LAN_LANE, self.cfg.lan_latency),
                 Medium::Link(_) => (LINK_LANE, self.cfg.link_latency),
             };
@@ -347,6 +372,7 @@ impl World {
             if let Medium::Link(link) = route.medium {
                 let peer_down = route.heard_by(None).any(|rx| self.entity_down(rx.entity));
                 if self.failures.link_down(link) || peer_down {
+                    pool.recycle(t.frame);
                     continue;
                 }
             }
@@ -354,22 +380,35 @@ impl World {
                 cap.record(self.now, t.frame.clone());
             }
             let class = if kind.is_control() { FaultClass::Control } else { FaultClass::Data };
-            let Some(frame) = self.injector.apply(class, t.frame) else { continue };
-            let arrive_at = self.now + latency;
-            for rx in route.heard_by(t.link_dst) {
-                if self.entity_down(rx.entity) {
+            let frame = match self.injector.apply(class, t.frame) {
+                Ok(frame) => frame,
+                Err(dropped) => {
+                    pool.recycle(dropped);
                     continue;
                 }
-                self.queue.push_lane(
-                    lane,
-                    arrive_at,
-                    Event::Arrive {
-                        to: rx.entity,
-                        iface: rx.iface,
-                        link_src: route.link_src,
-                        frame: frame.clone(), // refcount bump, not a copy
-                    },
-                );
+            };
+            let arrive_at = self.now + latency;
+            let mut arrive = |rx: &Receiver, frame: Bytes| {
+                let event = Event::Arrive {
+                    to: rx.entity,
+                    iface: rx.iface,
+                    link_src: route.link_src,
+                    frame,
+                };
+                self.queue.push_lane(lane, arrive_at, event);
+            };
+            let mut last: Option<&Receiver> = None;
+            for rx in route.heard_by(t.link_dst) {
+                if entity_down(&self.failures, rx.entity) {
+                    continue;
+                }
+                if let Some(earlier) = last.replace(rx) {
+                    arrive(earlier, frame.clone()); // refcount bump, not a copy
+                }
+            }
+            match last {
+                Some(rx) => arrive(rx, frame),
+                None => pool.recycle(frame),
             }
         }
     }
@@ -394,6 +433,13 @@ impl World {
         if let Some(at) = next {
             self.queue.push(at, Event::Wake { slot: i, generation });
         }
+    }
+}
+
+fn entity_down(failures: &FailureSet, e: Entity) -> bool {
+    match e {
+        Entity::Router(r) => failures.router_down(r),
+        Entity::Host(_) => false,
     }
 }
 

@@ -6,6 +6,8 @@
 use crate::addr::{Addr, GroupId};
 use crate::error::WireError;
 use crate::header::CbtControlHeader;
+use crate::ipv4::{IpProto, Ipv4Header, IPV4_HEADER_LEN};
+use crate::udp::{UdpHeader, CBT_AUX_PORT, CBT_PRIMARY_PORT, UDP_HEADER_LEN};
 use crate::Result;
 
 /// The six primary (§8.3) and two auxiliary (§8.4) CBT control message
@@ -380,6 +382,29 @@ impl ControlMessage {
     /// [`crate::header::MAX_CORES`].
     pub fn encode_append(&self, buf: &mut Vec<u8>) -> Result<()> {
         self.to_header().encode_append(buf)
+    }
+
+    /// The complete IP datagram this message travels in — "inside UDP
+    /// datagrams" (§3), on the primary or the auxiliary port by type —
+    /// written into `buf` in one pass, replacing its contents: the
+    /// message is encoded in place behind room for the two headers,
+    /// which are then filled in over it.
+    ///
+    /// # Errors
+    /// Returns [`WireError::TooManyCores`] (leaving `buf` empty) when
+    /// the message's core list exceeds [`crate::header::MAX_CORES`].
+    pub fn write_datagram(&self, src: Addr, dst: Addr, ttl: u8, buf: &mut Vec<u8>) -> Result<()> {
+        buf.clear();
+        buf.extend_from_slice(&[0; IPV4_HEADER_LEN + UDP_HEADER_LEN]);
+        if let Err(e) = self.encode_append(buf) {
+            buf.clear();
+            return Err(e);
+        }
+        let port = if self.is_primary() { CBT_PRIMARY_PORT } else { CBT_AUX_PORT };
+        let (ip, udp) = buf.split_at_mut(IPV4_HEADER_LEN);
+        UdpHeader::seal(port, port, udp);
+        ip.copy_from_slice(&Ipv4Header::new(src, dst, IpProto::Udp, ttl, udp.len()).encode());
+        Ok(())
     }
 
     /// Parses straight from bytes (header decode + typing).

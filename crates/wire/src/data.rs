@@ -11,16 +11,15 @@
 //! fan-out shares the application bytes instead of copying them, and
 //! [`DataPacket::decode_bytes`] parses straight out of a received frame
 //! without copying the payload at all. A decoded packet also remembers
-//! the datagram it came from, so [`DataPacket::to_frame`] can re-send
-//! "the original datagram unchanged" (§4) bar the TTL: one copy, one
-//! patched byte, an incremental header-checksum update.
+//! the datagram it came from, so [`DataPacket::write_frame`] can
+//! re-send "the original datagram unchanged" (§4) bar the TTL: one
+//! copy, one patched byte, an incremental header-checksum update.
 
 use crate::addr::{Addr, GroupId};
-use crate::checksum::internet_checksum;
 use crate::error::WireError;
 use crate::header::{CbtDataHeader, CBT_DATA_HEADER_LEN};
 use crate::ipv4::{
-    datagram_with_ttl, split_datagram, IpProto, Ipv4Header, IPV4_HEADER_LEN, MAX_TTL,
+    split_datagram, write_datagram_with_ttl, IpProto, Ipv4Header, IPV4_HEADER_LEN, MAX_TTL,
 };
 use crate::udp::{UdpHeader, UDP_HEADER_LEN};
 use crate::Result;
@@ -52,24 +51,21 @@ const TTL_OFFSET: usize = 8;
 /// the refcounted payload handle a packet would wrap them in).
 pub fn encode_native(src: Addr, group: GroupId, ttl: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
-    write_native(src, group, ttl, payload, &mut out);
+    encode_native_into(src, group, ttl, payload, &mut out);
     out
 }
 
-fn write_native(src: Addr, group: GroupId, ttl: u8, payload: &[u8], buf: &mut Vec<u8>) {
+/// [`encode_native`] into a reusable buffer, replacing its contents:
+/// header, shell and payload in one pass, no intermediate buffers.
+pub fn encode_native_into(src: Addr, group: GroupId, ttl: u8, payload: &[u8], buf: &mut Vec<u8>) {
     buf.clear();
     let udp_len = UDP_HEADER_LEN + payload.len();
     let hdr = Ipv4Header::new(src, group.addr(), IpProto::Udp, ttl, udp_len);
     buf.reserve(IPV4_HEADER_LEN + udp_len);
     buf.extend_from_slice(&hdr.encode());
-    let u = buf.len();
-    buf.extend_from_slice(&APP_PORT.to_be_bytes());
-    buf.extend_from_slice(&APP_PORT.to_be_bytes());
-    buf.extend_from_slice(&(udp_len as u16).to_be_bytes());
-    buf.extend_from_slice(&[0, 0]); // checksum, patched below
+    buf.extend_from_slice(&[0; UDP_HEADER_LEN]);
     buf.extend_from_slice(payload);
-    let ck = internet_checksum(&buf[u..]);
-    buf[u + 6..u + 8].copy_from_slice(&ck.to_be_bytes());
+    UdpHeader::seal(APP_PORT, APP_PORT, &mut buf[IPV4_HEADER_LEN..]);
 }
 
 /// A native-mode multicast data packet: the original IP datagram.
@@ -118,18 +114,27 @@ impl DataPacket {
     /// Hot send paths keep one scratch buffer alive and call this per
     /// packet instead of allocating via [`DataPacket::encode`].
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        write_native(self.src, self.group, self.ttl, &self.payload, buf);
+        encode_native_into(self.src, self.group, self.ttl, &self.payload, buf);
     }
 
     /// The datagram to put on the wire for this packet. One decoded
     /// from a frame and changed in nothing but its TTL since re-sends
-    /// that datagram (see [`datagram_with_ttl`]); anything else is
-    /// [`DataPacket::encode`]d. For datagrams `encode` produced the two
-    /// agree byte for byte.
+    /// that datagram (see [`write_datagram_with_ttl`]); anything else
+    /// is [`DataPacket::encode`]d. For datagrams `encode` produced the
+    /// two agree byte for byte.
     pub fn to_frame(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.write_frame(&mut out);
+        out
+    }
+
+    /// [`DataPacket::to_frame`] into a reusable buffer, replacing its
+    /// contents — the forward path's form: a transit hop is one copy
+    /// into a buffer it already owns.
+    pub fn write_frame(&self, buf: &mut Vec<u8>) {
         match self.pristine_datagram() {
-            Some(datagram) => datagram_with_ttl(datagram, self.ttl),
-            None => self.encode(),
+            Some(datagram) => write_datagram_with_ttl(datagram, self.ttl, buf),
+            None => self.encode_into(buf),
         }
     }
 

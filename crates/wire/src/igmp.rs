@@ -8,6 +8,7 @@
 use crate::addr::{Addr, GroupId};
 use crate::checksum::{internet_checksum, verify_checksum};
 use crate::error::WireError;
+use crate::ipv4::{IpProto, Ipv4Header, IPV4_HEADER_LEN};
 use crate::Result;
 
 /// IGMP message type numbers.
@@ -139,38 +140,52 @@ impl IgmpMessage {
     /// (type, code, checksum, group). The RP/Core-Report and TreeJoined
     /// extensions append their extra words, per Fig. 10.
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = vec![0u8; 8];
-        b[0] = self.igmp_type() as u8;
-        match self {
+        let mut b = Vec::new();
+        self.encode_append(&mut b);
+        b
+    }
+
+    /// Serializes onto the end of `buf`, leaving what it already holds
+    /// in place; the checksum covers the appended bytes only.
+    pub fn encode_append(&self, buf: &mut Vec<u8>) {
+        let (code, group) = match self {
             IgmpMessage::Query { group, max_resp_tenths } => {
-                b[1] = *max_resp_tenths;
-                let g = group.map(|g| g.addr()).unwrap_or(Addr::NULL);
-                b[4..8].copy_from_slice(&g.0.to_be_bytes());
+                (*max_resp_tenths, group.map(|g| g.addr()).unwrap_or(Addr::NULL))
             }
-            IgmpMessage::Report { group, .. } | IgmpMessage::Leave { group } => {
-                b[4..8].copy_from_slice(&group.addr().0.to_be_bytes());
-            }
+            IgmpMessage::Report { group, .. }
+            | IgmpMessage::Leave { group }
+            | IgmpMessage::TreeJoined { group, .. } => (0, group.addr()),
+            IgmpMessage::RpCore(r) => (r.code, r.group.addr()),
+        };
+        let start = buf.len();
+        buf.extend_from_slice(&[self.igmp_type() as u8, code, 0, 0]); // checksum below
+        buf.extend_from_slice(&group.0.to_be_bytes());
+        match self {
             IgmpMessage::RpCore(r) => {
-                b[1] = r.code;
-                b[4..8].copy_from_slice(&r.group.addr().0.to_be_bytes());
-                // Version(8) | target-core index (8, ex-Reserved) | #RPs (16)
-                let mut ext = vec![0u8; 4];
-                ext[0] = 3; // IGMP version of the amendment
-                ext[1] = r.target_core_index;
-                ext[2..4].copy_from_slice(&(r.cores.len() as u16).to_be_bytes());
-                b.extend_from_slice(&ext);
+                // Version(8) | target-core index (8, ex-Reserved) | #RPs (16);
+                // 3 is the IGMP version of the amendment.
+                buf.extend_from_slice(&[3, r.target_core_index]);
+                buf.extend_from_slice(&(r.cores.len() as u16).to_be_bytes());
                 for c in &r.cores {
-                    b.extend_from_slice(&c.0.to_be_bytes());
+                    buf.extend_from_slice(&c.0.to_be_bytes());
                 }
             }
-            IgmpMessage::TreeJoined { group, core } => {
-                b[4..8].copy_from_slice(&group.addr().0.to_be_bytes());
-                b.extend_from_slice(&core.0.to_be_bytes());
-            }
+            IgmpMessage::TreeJoined { core, .. } => buf.extend_from_slice(&core.0.to_be_bytes()),
+            _ => {}
         }
-        let ck = internet_checksum(&b);
-        b[2..4].copy_from_slice(&ck.to_be_bytes());
-        b
+        let ck = internet_checksum(&buf[start..]);
+        buf[start + 2..start + 4].copy_from_slice(&ck.to_be_bytes());
+    }
+
+    /// The complete IP datagram this message travels in (TTL 1: IGMP
+    /// never leaves its subnet), written into `buf` in one pass,
+    /// replacing its contents.
+    pub fn write_datagram(&self, src: Addr, dst: Addr, buf: &mut Vec<u8>) {
+        buf.clear();
+        buf.extend_from_slice(&[0; IPV4_HEADER_LEN]);
+        self.encode_append(buf);
+        let hdr = Ipv4Header::new(src, dst, IpProto::Igmp, 1, buf.len() - IPV4_HEADER_LEN);
+        buf[..IPV4_HEADER_LEN].copy_from_slice(&hdr.encode());
     }
 
     /// The structural half of [`IgmpMessage::decode`]: a known type

@@ -138,32 +138,45 @@ impl Ipv4Header {
 
 /// Builds a complete datagram: header + payload.
 pub fn build_datagram(src: Addr, dst: Addr, proto: IpProto, ttl: u8, payload: &[u8]) -> Vec<u8> {
-    let hdr = Ipv4Header::new(src, dst, proto, ttl, payload.len());
-    let mut out = Vec::with_capacity(IPV4_HEADER_LEN + payload.len());
-    out.extend_from_slice(&hdr.encode());
-    out.extend_from_slice(payload);
+    let mut out = Vec::new();
+    build_datagram_into(src, dst, proto, ttl, payload, &mut out);
     out
 }
 
-/// Copies `datagram` for the next hop with its TTL set to `ttl`: the
-/// one byte changes and the header checksum is updated incrementally
-/// (RFC 1624), so identification, flags and payload travel untouched
-/// and nothing is summed again. The result is what
-/// [`Ipv4Header::encode`] would write for the same header with the new
-/// TTL.
+/// [`build_datagram`] into a reusable buffer, replacing its contents.
+pub fn build_datagram_into(
+    src: Addr,
+    dst: Addr,
+    proto: IpProto,
+    ttl: u8,
+    payload: &[u8],
+    buf: &mut Vec<u8>,
+) {
+    buf.clear();
+    buf.reserve(IPV4_HEADER_LEN + payload.len());
+    buf.extend_from_slice(&Ipv4Header::new(src, dst, proto, ttl, payload.len()).encode());
+    buf.extend_from_slice(payload);
+}
+
+/// Copies `datagram` into `buf` (replacing its contents) for the next
+/// hop, with its TTL set to `ttl`: the one byte changes and the header
+/// checksum is updated incrementally (RFC 1624), so identification,
+/// flags and payload travel untouched and nothing is summed again. The
+/// result is what [`Ipv4Header::encode`] would write for the same
+/// header with the new TTL.
 ///
 /// # Panics
 ///
 /// If `datagram` is shorter than an IPv4 header; callers pass what
 /// [`split_datagram`] accepted.
-pub fn datagram_with_ttl(datagram: &[u8], ttl: u8) -> Vec<u8> {
-    let mut out = datagram.to_vec();
-    let old = u16::from_be_bytes([out[8], out[9]]);
-    let new = u16::from_be_bytes([ttl, out[9]]);
-    let ck = update_checksum(u16::from_be_bytes([out[10], out[11]]), old, new);
-    out[8] = ttl;
-    out[10..12].copy_from_slice(&ck.to_be_bytes());
-    out
+pub fn write_datagram_with_ttl(datagram: &[u8], ttl: u8, buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.extend_from_slice(datagram);
+    let old = u16::from_be_bytes([buf[8], buf[9]]);
+    let new = u16::from_be_bytes([ttl, buf[9]]);
+    let ck = update_checksum(u16::from_be_bytes([buf[10], buf[11]]), old, new);
+    buf[8] = ttl;
+    buf[10..12].copy_from_slice(&ck.to_be_bytes());
 }
 
 /// Splits a datagram into its validated header and payload slice.
@@ -263,11 +276,14 @@ mod tests {
         hdr.ident = 0xbeef;
         let mut dg = hdr.encode().to_vec();
         dg.extend_from_slice(b"abc");
-        let next = datagram_with_ttl(&dg, 63);
+        let mut next = vec![0xee; 64]; // dirty and longer: replaced, not appended to
+        write_datagram_with_ttl(&dg, 63, &mut next);
         let (back, body) = split_datagram(&next).unwrap();
+        assert_eq!(next.len(), dg.len());
         assert_eq!(back, Ipv4Header { ttl: 63, ..hdr }, "only the TTL moved; ident survives");
         assert_eq!(body, b"abc");
-        assert_eq!(datagram_with_ttl(&dg, 64), dg, "same TTL is a plain copy");
+        write_datagram_with_ttl(&dg, 64, &mut next);
+        assert_eq!(next, dg, "same TTL is a plain copy");
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub mod udp;
 
 pub use addr::{Addr, GroupId, ALL_CBT_ROUTERS, ALL_ROUTERS, ALL_SYSTEMS};
 pub use control::{AckSubcode, ControlMessage, ControlType, JoinSubcode};
-pub use data::{encode_native, CbtDataPacket, DataPacket, EncapMode};
+pub use data::{encode_native, encode_native_into, CbtDataPacket, DataPacket, EncapMode};
 pub use error::WireError;
 pub use header::{CbtControlHeader, CbtDataHeader, CBT_VERSION};
 pub use igmp::{IgmpMessage, IgmpType, RpCoreReport};

@@ -32,15 +32,36 @@ pub struct UdpHeader {
 impl UdpHeader {
     /// Wraps `payload` in a UDP datagram between the given ports.
     pub fn wrap(src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
-        let length = (UDP_HEADER_LEN + payload.len()) as u16;
-        let mut out = vec![0u8; UDP_HEADER_LEN + payload.len()];
-        out[0..2].copy_from_slice(&src_port.to_be_bytes());
-        out[2..4].copy_from_slice(&dst_port.to_be_bytes());
-        out[4..6].copy_from_slice(&length.to_be_bytes());
-        out[UDP_HEADER_LEN..].copy_from_slice(payload);
-        let ck = internet_checksum(&out);
-        out[6..8].copy_from_slice(&ck.to_be_bytes());
+        let mut out = Vec::new();
+        Self::wrap_into(src_port, dst_port, payload, &mut out);
         out
+    }
+
+    /// [`UdpHeader::wrap`] into a reusable buffer, replacing its
+    /// contents.
+    pub fn wrap_into(src_port: u16, dst_port: u16, payload: &[u8], buf: &mut Vec<u8>) {
+        buf.clear();
+        buf.reserve(UDP_HEADER_LEN + payload.len());
+        buf.extend_from_slice(&[0; UDP_HEADER_LEN]);
+        buf.extend_from_slice(payload);
+        Self::seal(src_port, dst_port, buf);
+    }
+
+    /// Fills in the header at the front of `datagram` for the payload
+    /// already behind it: a sender that encodes its payload in place
+    /// leaves [`UDP_HEADER_LEN`] bytes of room, writes, then seals.
+    ///
+    /// # Panics
+    ///
+    /// If `datagram` is shorter than the header.
+    pub fn seal(src_port: u16, dst_port: u16, datagram: &mut [u8]) {
+        let length = datagram.len() as u16;
+        datagram[0..2].copy_from_slice(&src_port.to_be_bytes());
+        datagram[2..4].copy_from_slice(&dst_port.to_be_bytes());
+        datagram[4..6].copy_from_slice(&length.to_be_bytes());
+        datagram[6..8].copy_from_slice(&[0, 0]);
+        let ck = internet_checksum(datagram);
+        datagram[6..8].copy_from_slice(&ck.to_be_bytes());
     }
 
     /// Splits a datagram into header and payload, validating length and
@@ -125,6 +146,13 @@ mod tests {
         dg.push(0xee);
         let (_, payload) = UdpHeader::unwrap(&dg).unwrap();
         assert_eq!(payload, b"xy");
+    }
+
+    #[test]
+    fn wrap_into_replaces_a_dirty_longer_buffer() {
+        let mut buf = vec![0xee; 100];
+        UdpHeader::wrap_into(5, 6, b"xy", &mut buf);
+        assert_eq!(buf, UdpHeader::wrap(5, 6, b"xy"));
     }
 
     #[test]

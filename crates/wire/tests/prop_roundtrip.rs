@@ -306,4 +306,118 @@ proptest! {
             }
         }
     }
+
+    /// The write-into form of patch-and-forward against an oracle that
+    /// shares no code with it: for an arrival no `encode` would produce
+    /// (foreign ident and source port, link-layer padding behind the
+    /// datagram) and a buffer that is dirty and longer than the frame,
+    /// `write_frame` leaves the arrival's header re-encoded with the
+    /// new TTL followed by its UDP shell, untouched — which is also
+    /// what `to_frame` returns. Padding is not part of the datagram.
+    #[test]
+    fn write_frame_replaces_a_dirty_buffer_with_the_patched_arrival(
+        group in arb_group(),
+        src in arb_addr(),
+        ttl in 2u8..=255,
+        ident in any::<u16>(),
+        src_port in any::<u16>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..300),
+        padding in 0usize..12,
+        dirt in any::<u8>(),
+    ) {
+        let mut hdr = cbt_wire::Ipv4Header::new(
+            src, group.addr(), cbt_wire::IpProto::Udp, ttl, 8 + payload.len());
+        hdr.ident = ident;
+        let shell = cbt_wire::UdpHeader::wrap(src_port, cbt_wire::data::APP_PORT, &payload);
+        let mut arrival = hdr.encode().to_vec();
+        arrival.extend_from_slice(&shell);
+        arrival.resize(arrival.len() + padding, 0x5a);
+        let mut pkt = DataPacket::decode_bytes(&Bytes::from(arrival)).unwrap();
+        pkt.ttl -= 1;
+
+        let mut want = cbt_wire::Ipv4Header { ttl: ttl - 1, ..hdr }.encode().to_vec();
+        want.extend_from_slice(&shell);
+        let mut buf = vec![dirt; want.len() + 1 + usize::from(dirt)];
+        pkt.write_frame(&mut buf);
+        prop_assert_eq!(&buf, &want);
+        prop_assert_eq!(&pkt.to_frame(), &want);
+
+        // A locally built packet (nothing to patch) is encoded, into
+        // the same dirty buffer.
+        let local = DataPacket::new(src, group, ttl, payload);
+        buf.resize(want.len() + 40, dirt);
+        local.write_frame(&mut buf);
+        prop_assert_eq!(&buf, &local.encode());
+    }
+
+    /// Every other write-into encoder leaves, in a dirty and longer
+    /// buffer, exactly what its allocating form returns.
+    #[test]
+    fn write_into_forms_match_their_allocating_forms(
+        group in arb_group(),
+        src in arb_addr(),
+        dst in arb_addr(),
+        ttl in any::<u8>(),
+        ports in (any::<u16>(), any::<u16>()),
+        payload in proptest::collection::vec(any::<u8>(), 0..300),
+        msg in arb_control(),
+        dirt in any::<u8>(),
+    ) {
+        use cbt_wire::ipv4::{build_datagram, build_datagram_into};
+        use cbt_wire::{IpProto, UdpHeader};
+        let dirty = || vec![dirt; 400 + usize::from(dirt)];
+
+        let mut buf = dirty();
+        build_datagram_into(src, dst, IpProto::Cbt, ttl, &payload, &mut buf);
+        prop_assert_eq!(&buf, &build_datagram(src, dst, IpProto::Cbt, ttl, &payload));
+
+        let mut buf = dirty();
+        UdpHeader::wrap_into(ports.0, ports.1, &payload, &mut buf);
+        prop_assert_eq!(&buf, &UdpHeader::wrap(ports.0, ports.1, &payload));
+
+        let mut buf = dirty();
+        cbt_wire::encode_native_into(src, group, ttl, &payload, &mut buf);
+        prop_assert_eq!(&buf, &cbt_wire::encode_native(src, group, ttl, &payload));
+        prop_assert_eq!(&buf, &DataPacket::new(src, group, ttl, payload).encode());
+
+        // A control message on the wire: UDP on the port its type
+        // selects, inside IP — built in place, no intermediate buffer.
+        let port = if msg.is_primary() { cbt_wire::CBT_PRIMARY_PORT } else { cbt_wire::CBT_AUX_PORT };
+        let want = build_datagram(
+            src, dst, IpProto::Udp, ttl, &UdpHeader::wrap(port, port, &msg.encode().unwrap()));
+        let mut buf = dirty();
+        msg.write_datagram(src, dst, ttl, &mut buf).unwrap();
+        prop_assert_eq!(&buf, &want);
+    }
+
+    /// IGMP the same way: `encode_append` keeps the prefix and appends
+    /// exactly `encode`, and the datagram form is that inside a TTL-1
+    /// IP header.
+    #[test]
+    fn igmp_write_forms_match_encode(
+        group in arb_group(),
+        src in arb_addr(),
+        dst in arb_addr(),
+        cores in arb_cores(),
+        target in 0u8..8,
+        which in 0u8..5,
+        prefix in proptest::collection::vec(any::<u8>(), 0..40),
+    ) {
+        let msg = match which {
+            0 => IgmpMessage::Query { group: Some(group), max_resp_tenths: target },
+            1 => IgmpMessage::Report { version: 2, group },
+            2 => IgmpMessage::Leave { group },
+            3 => IgmpMessage::TreeJoined { group, core: dst },
+            _ => IgmpMessage::RpCore(RpCoreReport {
+                code: 1, group, target_core_index: target, cores,
+            }),
+        };
+        let mut buf = prefix.clone();
+        msg.encode_append(&mut buf);
+        prop_assert_eq!(&buf[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&buf[prefix.len()..], &msg.encode()[..]);
+        msg.write_datagram(src, dst, &mut buf);
+        let want = cbt_wire::ipv4::build_datagram(src, dst, cbt_wire::IpProto::Igmp, 1, &msg.encode());
+        prop_assert_eq!(&buf, &want);
+    }
 }
