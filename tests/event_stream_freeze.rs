@@ -13,6 +13,10 @@
 //!   silence;
 //! * a small full-fidelity `World` with LANs, IGMP hosts, lossy links
 //!   and a burst of data.
+//!
+//! Below them, the reference streams the deadline heap was once checked
+//! against a full-state scan engine on: the determinism suite's lossy
+//! world, pinned to totals and a digest of every transmission.
 
 use cbt::{
     node_addr, CbtConfig, CbtWorld, FleetRib, FleetRoutes, P2pNode, RouterNode, ShardedRouter,
@@ -232,4 +236,74 @@ fn lan_world_event_stream_is_frozen() {
     };
     assert_eq!(lan_world(1), want, "one shard");
     assert_eq!(lan_world(2), want, "two shards");
+}
+
+/// `tests/determinism.rs`'s busy little world — joins, one data probe,
+/// lossy and corrupting links — run to 30 s. Returns the trace's
+/// `(frames, bytes)` and a 64-bit FNV-1a digest over every transmission
+/// (instant, sender, iface, medium, kind, size), fed byte by byte.
+/// FNV, not `DefaultHasher`: SipHash output is not promised stable
+/// across Rust releases, which a committed literal needs.
+fn reference_stream(seed: u64, cfg: CbtConfig) -> (u64, u64, u64) {
+    let graph = generate::waxman(generate::WaxmanParams { n: 20, ..Default::default() }, 4);
+    let net = NetworkSpec::from_graph_with_stub_lans(&graph);
+    let core_addr = net.router_addr(RouterId(0));
+    let group = GroupId::numbered(1);
+    let mut cw = CbtWorld::build(
+        net,
+        cfg,
+        WorldConfig {
+            fault: FaultPlan { drop_chance: 0.08, corrupt_chance: 0.05, ..FaultPlan::default() },
+            seed,
+            ..Default::default()
+        },
+    );
+    for i in (2..20u32).step_by(3) {
+        cw.host(HostId(i)).join_at(SimTime::from_secs(1), group, vec![core_addr]);
+    }
+    cw.host(HostId(2)).send_at(SimTime::from_secs(10), group, b"probe".to_vec(), 64);
+    cw.world.start();
+    cw.world.run_until(SimTime::from_secs(30));
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for e in cw.world.trace().entries() {
+        let line = format!(
+            "{:?} {:?} {:?} {:?} {:?} {}",
+            e.at, e.from, e.iface, e.medium, e.kind, e.bytes
+        );
+        for b in line.bytes() {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    let (frames, bytes) = cw.world.trace().totals();
+    (frames, bytes, digest)
+}
+
+/// Pending-join retransmits, core switches, echo timeouts and
+/// re-attachments under seeded loss: any timer that fires early, late,
+/// twice or not at all moves the digest.
+#[test]
+fn scan_reference_streams_are_frozen() {
+    for (seed, want) in [
+        (7, (301, 14_519, 0x6868_6ec5_d33a_e5c5)),
+        (42, (296, 14_563, 0xe12d_cdbe_6c31_c54a)),
+        (1337, (299, 14_388, 0x1d41_5fa2_b9e9_add5)),
+    ] {
+        for shards in [1, 2] {
+            let cfg = CbtConfig { shards, ..CbtConfig::fast() };
+            assert_eq!(reference_stream(seed, cfg), want, "seed {seed}, {shards} shard(s)");
+        }
+    }
+}
+
+/// The same world with §8.4 echo aggregation on.
+#[test]
+fn aggregated_echo_streams_are_frozen() {
+    for (seed, want) in
+        [(5, (294, 14_158, 0x1578_d7e7_1f55_a830)), (99, (306, 14_850, 0x43ac_893b_91f1_fc34))]
+    {
+        for shards in [1, 2] {
+            let cfg = CbtConfig { aggregate_echoes: true, shards, ..CbtConfig::fast() };
+            assert_eq!(reference_stream(seed, cfg), want, "seed {seed}, {shards} shard(s)");
+        }
+    }
 }
