@@ -258,7 +258,7 @@ fn transit_node(fanout: usize, payload: usize) -> (RouterNode, IfIndex, Addr, By
     };
     let core = net.router_addr(up);
     let parent = peer_addr(0, up);
-    let e = node.engine_mut();
+    let e = node.sharded_mut();
     for (i, &d) in downs.iter().enumerate() {
         let origin = Addr::from_octets(10, 9, i as u8, 1);
         e.handle_control(

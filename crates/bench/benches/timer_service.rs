@@ -1,7 +1,7 @@
 //! `TimerService` microbenches: arm, cancel, pop and peek at 100 and
 //! 10 000 armed keys — one router's worth of groups at either end of
-//! the Impl-1 range. The per-wakeup cost *through the engine* (deadline
-//! service vs the legacy scan) is `cbt-eval groupscale`.
+//! the Impl-1 range. The per-wakeup cost *through the engine* is
+//! `cbt-eval groupscale`.
 
 use cbt::timers::TimerService;
 use cbt_netsim::{SimDuration, SimTime};

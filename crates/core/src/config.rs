@@ -63,19 +63,10 @@ pub struct CbtConfig {
     /// learn cores — "by means of network management"). Ordered,
     /// primary first. Consulted when no RP/Core-Report supplied a list.
     pub managed_mappings: HashMap<GroupId, Vec<Addr>>,
-    /// Drive timers from the keyed deadline service
-    /// ([`crate::timers::TimerService`], O(due · log n) per wakeup)
-    /// instead of the legacy full-FIB scans. Behaviour is bit-identical
-    /// either way; the flag exists so the equivalence suite and the
-    /// `groupscale` experiment can pit both paths against each other.
-    /// (The name predates the heap: the service used to be a
-    /// hierarchical timing wheel.)
-    pub timer_wheel: bool,
     /// Group-space shards per router (see [`crate::shard`]). Defaults
     /// to the `CBT_SHARDS` environment variable, or 1 when unset, so
-    /// the determinism suite can exercise sharded steering without code
-    /// changes (`CBT_SHARDS=2 cargo test`). At 1 the sharded front is a
-    /// transparent pass-through around a single engine.
+    /// the whole test suite can exercise sharded steering without code
+    /// changes (`CBT_SHARDS=2 cargo test`).
     pub shards: usize,
     /// Compact-idle mode for netscale fleets: periodic maintenance
     /// timers (child-assert sweep, IFF scan, LAN clocks) are armed
@@ -110,7 +101,6 @@ impl Default for CbtConfig {
             aggregate_echoes: false,
             igmp: IgmpTimers::default(),
             managed_mappings: HashMap::new(),
-            timer_wheel: true,
             shards: crate::parallelism::NODE_SHARDS.with_default(1).resolve_lenient(),
             compact_idle: false,
             max_children: crate::fib::MAX_CHILDREN,

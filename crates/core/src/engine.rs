@@ -124,60 +124,6 @@ pub(crate) enum TimerKind {
     IffScan,
 }
 
-/// The engine's timer front-end: a [`TimerService`] when
-/// `CbtConfig::timer_wheel` is on, a transparent no-op when the legacy
-/// scan path is in force (so call sites arm unconditionally and legacy
-/// mode pays nothing).
-pub(crate) struct EngineTimers {
-    svc: TimerService<TimerKind>,
-    /// Mirrors `CbtConfig::timer_wheel`.
-    pub(crate) enabled: bool,
-}
-
-impl EngineTimers {
-    fn new(enabled: bool) -> Self {
-        EngineTimers { svc: TimerService::new(), enabled }
-    }
-
-    /// (Re-)schedules `key` to fire at `deadline`.
-    pub(crate) fn arm(&mut self, key: TimerKind, deadline: SimTime) {
-        if self.enabled {
-            self.svc.arm(key, deadline);
-        }
-    }
-
-    /// Disarms `key`. Must be called wherever the state behind a timer
-    /// is removed outside its own service routine: `next_wakeup` must
-    /// be *exact* (the event loop's FIFO tie-break is part of the
-    /// bit-identity contract), so no disarmed deadline may linger at
-    /// the heap head.
-    pub(crate) fn cancel(&mut self, key: TimerKind) {
-        if self.enabled {
-            self.svc.cancel(key);
-        }
-    }
-
-    fn peek(&self) -> Option<SimTime> {
-        self.svc.peek()
-    }
-
-    /// `(heap entries, armed keys)` — equal when no stale entry exists.
-    #[cfg(test)]
-    pub(crate) fn entries_and_keys(&self) -> (usize, usize) {
-        (self.svc.len(), self.svc.tracked_keys())
-    }
-
-    /// Drains superseded/cancelled entries off the heap head so the
-    /// next `peek` reports the earliest *valid* deadline. Called at the
-    /// end of every mutating engine entry point (`next_wakeup` itself
-    /// takes `&self` and cannot).
-    pub(crate) fn compact(&mut self) {
-        if self.enabled {
-            self.svc.compact();
-        }
-    }
-}
-
 /// The protocol state a router is in for one group, as the exploration
 /// harness classifies it. Each reachable phase is a distinct place to
 /// inject a fault: the §6.1/§9 machinery behaves differently in every
@@ -265,21 +211,23 @@ pub struct CbtRouter {
     pub(crate) reattach_started: BTreeMap<GroupId, SimTime>,
     pub(crate) next_child_sweep: SimTime,
     pub(crate) next_iff_scan: SimTime,
-    /// Deadline-driven timer service (see [`TimerKind`]); inert when
-    /// `cfg.timer_wheel` is off.
-    pub(crate) timers: EngineTimers,
+    /// Deadline-driven timer service (see [`TimerKind`]). Wherever the
+    /// state behind a key is removed outside its own service routine,
+    /// the key is cancelled, and every mutating entry point ends with
+    /// `compact`: `next_wakeup` must be *exact*, because the event
+    /// loop's FIFO tie-break is part of the pinned event streams.
+    pub(crate) timers: TimerService<TimerKind>,
     /// Parent address → groups currently parented through it. Keyed on
     /// address alone (a neighbour is one keepalive peer no matter how
-    /// many groups ride it), kept in both timer modes: the §8.4
-    /// aggregate-echo refresh walks it instead of rescanning the FIB.
+    /// many groups ride it): the §8.4 aggregate-echo refresh walks it
+    /// instead of rescanning the FIB.
     pub(crate) parent_index: BTreeMap<Addr, BTreeSet<GroupId>>,
     /// Child-liveness deadlines, filed lazily: each child in the FIB
     /// owns exactly one tuple `(child.filed, group, child)` with
     /// `filed <= last_heard + CHILD-ASSERT-EXPIRE`. An echo moves only
     /// `last_heard`; the sweep pops due tuples and re-files survivors
     /// at their true deadline. Tuples left by removed children match no
-    /// child's `filed` and are dropped when they pop. Maintained only
-    /// when the timer service is enabled.
+    /// child's `filed` and are dropped when they pop.
     pub(crate) child_expiry: BTreeSet<(SimTime, GroupId, Addr)>,
     /// The latest child deadline any adopt or echo would have filed
     /// (`now + CHILD-ASSERT-EXPIRE`). Some child's liveness is still to
@@ -395,7 +343,7 @@ impl CbtRouter {
             ifaces,
             next_child_sweep: now + cfg.child_assert_interval,
             next_iff_scan: now + cfg.iff_scan_interval,
-            timers: EngineTimers::new(cfg.timer_wheel),
+            timers: TimerService::new(),
             cfg,
             routes,
             lans,
@@ -814,49 +762,16 @@ impl CbtRouter {
 
     /// [`on_timer`](Self::on_timer) appending to a caller-owned action
     /// buffer.
-    pub fn on_timer_into(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
-        if self.cfg.timer_wheel {
-            self.on_timer_deadlines(now, act)
-        } else {
-            self.on_timer_scan(now, act)
-        }
-    }
-
-    /// Legacy timer service: scan every piece of state for due work.
-    /// Kept as the O(groups) reference the deadline-driven path must
-    /// match bit-for-bit (`cfg.timer_wheel = false`).
-    fn on_timer_scan(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
-        // IGMP querier duty + presence expiry per LAN.
-        for iface in self.lan_ifaces() {
-            self.poll_lan(now, iface, act);
-        }
-        self.service_deferred_reattach(now, act);
-        self.service_pending_joins(now, act);
-        self.service_keepalives(now, act);
-        self.service_pending_quits(now, act);
-        if now >= self.next_child_sweep {
-            self.sweep_children(now, act);
-            self.next_child_sweep = now + self.cfg.child_assert_interval;
-        }
-        if now >= self.next_iff_scan {
-            self.iff_scan(now, act);
-            self.next_iff_scan = now + self.cfg.iff_scan_interval;
-        }
-    }
-
-    /// Deadline-driven timer service: pop the due keys, then run the
-    /// same seven phases in the same order as the scan path — but each
-    /// phase visits only its due candidates, in ascending key order
-    /// like the scan's map walks.
     ///
-    /// Every candidate is re-checked against the authoritative state
-    /// (`pending`, `deferred_reattach`, the FIB…) before acting, so a
-    /// stale or early entry degenerates to a no-op (plus a lazy re-arm
-    /// where the true deadline moved later) and never produces an
-    /// action the scan path would not.
-    fn on_timer_deadlines(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
+    /// Pops the due keys, then runs seven phases in `TimerKind`
+    /// order, each visiting only its due candidates, in ascending key
+    /// order. Every candidate is re-checked against the authoritative
+    /// state (`pending`, `deferred_reattach`, the FIB…) before acting,
+    /// so a stale or early entry degenerates to a no-op (plus a lazy
+    /// re-arm where the true deadline moved later).
+    pub fn on_timer_into(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
         let mut due: InlineBuf<(TimerKind, SimTime), 4> = InlineBuf::new();
-        self.timers.svc.pop_due_into(now, &mut due);
+        self.timers.pop_due_into(now, &mut due);
         // `TimerKind` orders by variant, then key, and the variants are
         // declared in phase order: one sort lines every phase's
         // candidates up ascending. A key has one valid deadline, so no
@@ -901,7 +816,7 @@ impl CbtRouter {
                 self.service_pending_quit_group(now, group, act);
             }
         }
-        // Phase 6: child-liveness sweep (cadence-gated, like the scan).
+        // Phase 6: child-liveness sweep, gated on its own cadence.
         // Under compact_idle the sweep re-arms only while deadlines
         // remain; the next tracked child re-arms it (`track_child_deadline`).
         if due.iter().any(|&(k, _)| k == TimerKind::ChildSweep) {
@@ -930,8 +845,7 @@ impl CbtRouter {
     }
 
     /// IGMP querier duty + presence expiry on one LAN, then its timer
-    /// entry re-clocked from the deadlines the poll moved (a no-op on
-    /// the scan path, whose `arm_lan` is inert).
+    /// entry re-clocked from the deadlines the poll moved.
     fn poll_lan(&mut self, now: SimTime, iface: IfIndex, act: &mut Vec<RouterAction>) {
         let Some(lan) = self.lans.get_mut(&iface) else { return };
         let sends: Vec<IgmpOut> = lan.election.poll(now);
@@ -947,35 +861,15 @@ impl CbtRouter {
 
     /// Earliest instant any internal timer wants service.
     ///
-    /// With the timer service enabled this is a peek at its heap head,
-    /// and it is *exact*: every mutating entry point ends by compacting
-    /// stale entries off the head, and every state removal cancels its
-    /// key, so the head always carries the earliest valid deadline. This
-    /// matters beyond efficiency — `netsim` breaks same-instant event
-    /// ties in scheduling order, so a spurious early wake would
-    /// reshuffle a router against its peers and break bit-identity
-    /// with the scan engine.
+    /// A peek at the timer heap's head, and *exact*: every mutating
+    /// entry point ends by compacting stale entries off the head, and
+    /// every state removal cancels its key, so the head always carries
+    /// the earliest valid deadline. This matters beyond efficiency —
+    /// `netsim` breaks same-instant event ties in scheduling order, so
+    /// a spurious early wake would reshuffle a router against its peers
+    /// and move the pinned event streams.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        if self.cfg.timer_wheel {
-            return self.timers.peek();
-        }
-        let mut earliest: Option<SimTime> = None;
-        let mut consider = |t: Option<SimTime>| {
-            if let Some(t) = t {
-                earliest = Some(earliest.map_or(t, |e: SimTime| e.min(t)));
-            }
-        };
-        for lan in self.lans.values() {
-            consider(Some(lan.election.next_wakeup()));
-            consider(lan.presence.next_wakeup());
-        }
-        consider(self.pending.next_wakeup());
-        consider(self.deferred_reattach.values().map(|(t, _)| *t).min());
-        consider(self.next_echo_deadline());
-        consider(self.pending_quits.values().map(|q| q.next_send).min());
-        consider(Some(self.next_child_sweep));
-        consider(Some(self.next_iff_scan));
-        earliest
+        self.timers.peek()
     }
 
     // ------------------------------------------------------------------
@@ -986,9 +880,6 @@ impl CbtRouter {
     /// deadlines. Called wherever those deadlines can change: after
     /// every `handle_igmp` and after each phase-1 poll.
     pub(crate) fn arm_lan(&mut self, iface: IfIndex) {
-        if !self.timers.enabled {
-            return;
-        }
         if let Some(lan) = self.lans.get(&iface) {
             let mut d = lan.election.next_wakeup();
             if let Some(p) = lan.presence.next_wakeup() {
@@ -1002,9 +893,6 @@ impl CbtRouter {
     /// timeout failure instant, whichever comes first. No-op without a
     /// parent.
     pub(crate) fn arm_echo(&mut self, group: GroupId) {
-        if !self.timers.enabled {
-            return;
-        }
         let Some(p) = self.fib.get(group).and_then(|e| e.parent) else { return };
         let d = p.next_echo.min(p.last_reply + self.cfg.echo_timeout);
         self.timers.arm(TimerKind::Echo(group), d);

@@ -472,7 +472,7 @@ impl CbtRouter {
             }
             !added
         };
-        if !full && self.timers.enabled {
+        if !full {
             self.track_child_deadline(deadline);
             // A re-acked child keeps the tuple it has on file.
             if !was_child {
@@ -734,15 +734,8 @@ impl CbtRouter {
         }
     }
 
-    /// Retransmission / core-switch / expiry service for pending joins.
-    pub(crate) fn service_pending_joins(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
-        for group in self.pending.due(now) {
-            self.service_pending_join_group(now, group, act);
-        }
-    }
-
-    /// Services one due pending join — the shared body behind both the
-    /// legacy scan and the deadline-driven per-candidate dispatch.
+    /// Retransmission / core-switch / expiry service for one due
+    /// pending join (phase 3 of the timer service).
     pub(crate) fn service_pending_join_group(
         &mut self,
         now: SimTime,
@@ -767,20 +760,6 @@ impl CbtRouter {
                 pm.next_retransmit = now + interval;
             }
             self.timers.arm(TimerKind::PendingJoin(group), now + interval);
-        }
-    }
-
-    /// Fires re-attachments whose post-loop backoff has elapsed.
-    pub(crate) fn service_deferred_reattach(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
-        let due: Vec<(GroupId, usize)> = self
-            .deferred_reattach
-            .iter()
-            .filter(|(_, (t, _))| *t <= now)
-            .map(|(g, (_, idx))| (*g, *idx))
-            .collect();
-        for (group, idx) in due {
-            self.deferred_reattach.remove(&group);
-            self.start_reattach(now, group, idx, act);
         }
     }
 

@@ -11,35 +11,8 @@ use cbt_wire::{Addr, ControlMessage, GroupId};
 use std::collections::BTreeMap;
 
 impl CbtRouter {
-    /// Earliest echo-related deadline (for `next_wakeup`).
-    pub(crate) fn next_echo_deadline(&self) -> Option<SimTime> {
-        self.fib
-            .iter()
-            .filter_map(|(_, e)| e.parent)
-            .map(|p| p.next_echo.min(p.last_reply + self.cfg.echo_timeout))
-            .min()
-    }
-
-    /// Sends due echo requests and detects parent failures (legacy
-    /// full-FIB scan; the deadline-driven path feeds the same worker
-    /// from its due candidates in [`CbtRouter::service_keepalives_due`]).
-    pub(crate) fn service_keepalives(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
-        // Pass 1: which groups need an echo, which parents have timed out.
-        let mut echo_due: Vec<(GroupId, IfIndex, Addr)> = Vec::new();
-        let mut failed: Vec<GroupId> = Vec::new();
-        for (g, e) in self.fib.iter() {
-            let Some(p) = e.parent else { continue };
-            if now.since(p.last_reply) >= self.cfg.echo_timeout {
-                failed.push(g);
-            } else if now >= p.next_echo {
-                echo_due.push((g, p.iface, p.addr));
-            }
-        }
-        self.run_echoes(now, &echo_due, &failed, act);
-    }
-
-    /// Deadline-driven keepalive service: the same classification as
-    /// the legacy pass 1, applied only to the due candidates (ascending
+    /// Phase 4 of the timer service: sends due echo requests and
+    /// detects parent failures among the due candidates (ascending
     /// group order). A candidate whose true deadline moved later (its
     /// parent answered an echo since the entry was armed) is silently
     /// re-armed.
@@ -61,30 +34,17 @@ impl CbtRouter {
                 self.arm_echo(g);
             }
         }
-        self.run_echoes(now, echo_due.as_slice(), failed.as_slice(), act);
-    }
-
-    /// Sends the echoes for the already-classified due groups and kicks
-    /// off re-attachment for failed parents — shared by both timer
-    /// paths, so behaviour (message set *and* order) is identical.
-    fn run_echoes(
-        &mut self,
-        now: SimTime,
-        echo_due: &[(GroupId, IfIndex, Addr)],
-        failed: &[GroupId],
-        act: &mut Vec<RouterAction>,
-    ) {
         let interval = self.cfg.echo_interval;
         if self.cfg.aggregate_echoes {
             // §8.4: one echo per parent covering a masked group range.
             let mut by_parent: BTreeMap<(IfIndex, Addr), Vec<GroupId>> = BTreeMap::new();
-            for (g, iface, addr) in echo_due {
-                by_parent.entry((*iface, *addr)).or_default().push(*g);
+            for &(g, iface, addr) in echo_due.as_slice() {
+                by_parent.entry((iface, addr)).or_default().push(g);
             }
             for ((iface, addr), groups) in by_parent {
-                let (low, mask) = mask_covering(&groups);
+                let (named, mask) = mask_covering(&groups);
                 let msg = ControlMessage::EchoRequest {
-                    group: low,
+                    group: named,
                     origin: self.id_addr(),
                     group_mask: Some(mask),
                 };
@@ -108,7 +68,7 @@ impl CbtRouter {
                 }
             }
         } else {
-            for &(g, iface, addr) in echo_due {
+            for &(g, iface, addr) in echo_due.as_slice() {
                 let msg = ControlMessage::EchoRequest {
                     group: g,
                     origin: self.id_addr(),
@@ -122,7 +82,7 @@ impl CbtRouter {
             }
         }
 
-        for &g in failed {
+        for &g in failed.as_slice() {
             // §6.1: "the child realises that its parent has become
             // unreachable and must therefore try and re-connect."
             self.stats.parent_failures += 1;
@@ -180,15 +140,13 @@ impl CbtRouter {
             return false;
         };
         c.last_heard = now;
-        if self.timers.enabled {
-            debug_assert!(
-                self.child_expiry.contains(&(c.filed, g, src)),
-                "child {src} of {g} has no liveness tuple filed at {:?}",
-                c.filed
-            );
-            let deadline = now + self.cfg.child_assert_expire;
-            self.child_deadline_max = self.child_deadline_max.max(deadline);
-        }
+        debug_assert!(
+            self.child_expiry.contains(&(c.filed, g, src)),
+            "child {src} of {g} has no liveness tuple filed at {:?}",
+            c.filed
+        );
+        let deadline = now + self.cfg.child_assert_expire;
+        self.child_deadline_max = self.child_deadline_max.max(deadline);
         true
     }
 
@@ -240,26 +198,10 @@ impl CbtRouter {
         self.arm_echo(g);
     }
 
-    /// §9 CHILD-ASSERT: drop children that have stopped sending echoes.
-    pub(crate) fn sweep_children(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
-        let expire = self.cfg.child_assert_expire;
-        let mut affected: Vec<GroupId> = Vec::new();
-        for (g, e) in self.fib.iter_mut() {
-            let before = e.children.len();
-            e.children.retain(|c| now.since(c.last_heard) < expire);
-            if e.children.len() != before {
-                affected.push(g);
-            }
-        }
-        for g in affected {
-            // Losing the last child may make us quittable (§2.7).
-            self.maybe_quit(now, g, act);
-        }
-    }
-
-    /// Deadline-driven child-assert sweep: pop the due `(deadline, group,
-    /// child)` tuples, run the legacy `retain` on just those groups,
-    /// and re-file each survivor at `last_heard + expire`. A
+    /// §9 CHILD-ASSERT, phase 6 of the timer service: drop children
+    /// that have stopped sending echoes. Pops the due `(deadline,
+    /// group, child)` tuples, expires silent children of just those
+    /// groups, and re-files each survivor at `last_heard + expire`. A
     /// child's tuple is never later than that, so a group with no due
     /// tuple cannot hold an expired child. A popped tuple that is not
     /// the one its child has on file (the child is gone, or was removed
@@ -275,7 +217,7 @@ impl CbtRouter {
             self.child_expiry.pop_first();
             popped.push((g, child, deadline));
         }
-        // Ascending group order, like the scan's FIB walk.
+        // Ascending group order: the phase contract.
         popped.as_mut_slice().sort_unstable();
         let mut affected: InlineBuf<GroupId, 4> = InlineBuf::new();
         let child_expiry = &mut self.child_expiry;
@@ -299,6 +241,7 @@ impl CbtRouter {
             }
         }
         for &g in affected.as_slice() {
+            // Losing the last child may make us quittable (§2.7).
             self.maybe_quit(now, g, act);
         }
     }
@@ -328,15 +271,18 @@ impl CbtRouter {
 }
 
 /// Does `g` fall inside the echo's group/mask cover (Fig. 9 semantics)?
-fn group_matches(g: GroupId, low: GroupId, mask: Option<Addr>) -> bool {
+fn group_matches(g: GroupId, named: GroupId, mask: Option<Addr>) -> bool {
     match mask {
-        None => g == low,
-        Some(m) => g.addr().masked(m) == low.addr().masked(m),
+        None => g == named,
+        Some(m) => g.addr().masked(m) == named.addr().masked(m),
     }
 }
 
-/// Smallest common-prefix mask covering all `groups`, with the low end
-/// of the range. Used to build aggregated echoes (§8.4).
+/// Smallest common-prefix mask covering all `groups`, named by the
+/// first of them. Used to build aggregated echoes (§8.4). The name is
+/// one of the sender's own groups, not the masked base: group-space
+/// steering routes the echo by that field, and only a group the
+/// sending shard owns lands on the peer shard that owns the cover.
 fn mask_covering(groups: &[GroupId]) -> (GroupId, Addr) {
     debug_assert!(!groups.is_empty());
     let first = groups[0].addr().0;
@@ -353,10 +299,7 @@ fn mask_covering(groups: &[GroupId]) -> (GroupId, Addr) {
             break;
         }
     }
-    let low = Addr(first & mask);
-    // The low end must itself be a valid class-D address for the wire
-    // format; groups all share the 1110 prefix so this always holds.
-    (GroupId::new(low).unwrap_or(groups[0]), Addr(mask))
+    (groups[0], Addr(mask))
 }
 
 #[cfg(test)]
@@ -628,7 +571,7 @@ mod tests {
                 up_hop().addr,
                 ControlMessage::EchoReply { group: g(1), origin: up_hop().addr, group_mask: None },
             );
-            let (entries, keys) = e.timers.entries_and_keys();
+            let (entries, keys) = (e.timers.len(), e.timers.tracked_keys());
             assert_eq!(entries, keys, "round {round}: a stale timer entry appeared");
         }
         assert_eq!(requests, 1000, "one echo request per interval");
@@ -848,15 +791,16 @@ mod tests {
 
     #[test]
     fn mask_covering_properties() {
-        let (low, mask) = mask_covering(&[g(0)]);
-        assert_eq!(low, g(0));
+        let (named, mask) = mask_covering(&[g(0)]);
+        assert_eq!(named, g(0));
         assert_eq!(mask, Addr(!0), "single group ⇒ host mask");
-        let groups = [g(0), g(1), g(2), g(3)];
-        let (low, mask) = mask_covering(&groups);
+        let groups = [g(1), g(2), g(3), g(0)];
+        let (named, mask) = mask_covering(&groups);
         for grp in groups {
-            assert!(group_matches(grp, low, Some(mask)));
+            assert!(group_matches(grp, named, Some(mask)));
         }
-        assert!(low.addr().is_multicast());
+        // Named by a group the sender owns, so steering agrees with it.
+        assert_eq!(named, g(1), "the cover is named by its first group");
     }
 
     /// Deviation 7: the §6.1 RECONNECT campaign budget is retired by a

@@ -69,7 +69,7 @@
 //! cw.world.start();
 //! cw.world.run_until(SimTime::from_secs(5));
 //!
-//! assert!(cw.router(r0).engine().is_on_tree(group));
+//! assert!(cw.router(r0).sharded().is_on_tree(group));
 //! assert_eq!(cw.host(receiver).received().len(), 1);
 //! assert_eq!(cw.host(receiver).received()[0].payload, b"hi");
 //! ```

@@ -141,16 +141,6 @@ impl PendingJoins {
         self.joins.iter().map(|(g, p)| (*g, p))
     }
 
-    /// Groups with a due retransmission/expiry check at `now`.
-    pub fn due(&self, now: SimTime) -> Vec<GroupId> {
-        self.joins.iter().filter(|(_, p)| p.next_deadline() <= now).map(|(g, _)| *g).collect()
-    }
-
-    /// Earliest deadline over all pending joins.
-    pub fn next_wakeup(&self) -> Option<SimTime> {
-        self.joins.values().map(|p| p.next_deadline()).min()
-    }
-
     /// Number of pending joins.
     pub fn len(&self) -> usize {
         self.joins.len()
@@ -206,17 +196,6 @@ mod tests {
         let mut p = PendingJoins::new();
         p.insert(g(1), pj(0));
         p.insert(g(1), pj(5));
-    }
-
-    #[test]
-    fn due_and_wakeup() {
-        let mut p = PendingJoins::new();
-        p.insert(g(1), pj(0)); // retransmit at t=10
-        p.insert(g(2), pj(20)); // retransmit at t=30
-        assert_eq!(p.next_wakeup(), Some(SimTime::from_secs(10)));
-        assert!(p.due(SimTime::from_secs(9)).is_empty());
-        assert_eq!(p.due(SimTime::from_secs(10)), vec![g(1)]);
-        assert_eq!(p.due(SimTime::from_secs(31)), vec![g(1), g(2)]);
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //!
 //! * Control messages, group-specific IGMP, native data and CBT data
 //!   all carry a group — each goes to `shard_of(group)` alone.
+//! * A §8.4 aggregated echo names its mask cover by its first group,
+//!   which the sending shard owns, so it lands on the peer shard that
+//!   owns the cover's groups — provided both neighbours run the same
+//!   shard count. Neighbours with different counts are out of scope:
+//!   their covers can straddle peer shards.
 //! * IGMP **general** queries (`Query { group: None }`) carry no group
 //!   but drive the querier/DR election, whose outcome every shard needs
 //!   to agree on. They are broadcast to all shards, which keep
@@ -31,9 +36,9 @@
 //! associative/commutative folds the parallel eval runner uses across
 //! seeds.
 //!
-//! At `shards = 1` the front is a transparent pass-through around a
-//! single engine: same calls, same action vectors, no filtering — the
-//! determinism suite replays byte-identically.
+//! The front is the only way into a router's shards: every per-group
+//! query steers to the owner and every counter view merges, so no
+//! caller can mistake shard 0 for the whole router.
 
 use crate::config::CbtConfig;
 use crate::engine::{CbtRouter, IfaceInfo, RouteLookup};
@@ -183,18 +188,6 @@ impl ShardedRouter {
         &mut self.shards[k]
     }
 
-    /// The first local shard — the engine that owns group-less state.
-    /// Existing single-engine call sites read through this; at
-    /// `shards = 1` it *is* the whole router.
-    pub fn primary(&self) -> &CbtRouter {
-        &self.shards[0]
-    }
-
-    /// Mutable access to the first local shard.
-    pub fn primary_mut(&mut self) -> &mut CbtRouter {
-        &mut self.shards[0]
-    }
-
     /// The shard owning `group`.
     pub fn shard_for(&self, group: GroupId) -> &CbtRouter {
         &self.shards[self.local_for(group)]
@@ -271,14 +264,6 @@ impl ShardedRouter {
                 let k = self.local_for(g);
                 self.shards[k].handle_igmp(now, iface, src, msg)
             }
-            None if self.shards.len() == 1 => {
-                let first = self.first_index;
-                let mut act = self.shards[0].handle_igmp(now, iface, src, msg);
-                if first > 0 {
-                    act.retain(|a| emits(first, a));
-                }
-                act
-            }
             None => {
                 let first = self.first_index;
                 let mut out = Vec::new();
@@ -321,8 +306,8 @@ impl ShardedRouter {
     }
 
     /// Advances every due shard, in shard order (deterministic when
-    /// several shards share a wakeup instant). A single local shard is
-    /// driven unconditionally, exactly like an unsharded engine.
+    /// several shards share a wakeup instant). Driving a shard that is
+    /// not due would be a no-op, so it is skipped.
     pub fn on_timer(&mut self, now: SimTime) -> Vec<RouterAction> {
         let mut act = Vec::new();
         self.on_timer_into(now, &mut act);
@@ -333,9 +318,8 @@ impl ShardedRouter {
     /// buffer.
     pub fn on_timer_into(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
         let first = self.first_index;
-        let single = self.shards.len() == 1;
         for (k, shard) in self.shards.iter_mut().enumerate() {
-            if single || shard.next_wakeup().is_some_and(|w| w <= now) {
+            if shard.next_wakeup().is_some_and(|w| w <= now) {
                 let from = act.len();
                 shard.on_timer_into(now, act);
                 if first + k > 0 {

@@ -6,7 +6,7 @@
 //! Everything on the wire is a complete IPv4 datagram built by
 //! `cbt-wire`, so the trace sees exactly what a packet capture would.
 
-use crate::engine::{CbtRouter, RouteLookup, SharedRib};
+use crate::engine::{RouteLookup, SharedRib};
 use crate::events::RouterAction;
 use crate::payload::Payload;
 use crate::shard::ShardedRouter;
@@ -82,18 +82,8 @@ impl RouterNode {
         RouterNode { engine, rib, act_buf: Vec::new() }
     }
 
-    /// The first shard's engine (tests and metrics poke around in
-    /// here; at the default `shards = 1` it is the whole router).
-    pub fn engine(&self) -> &CbtRouter {
-        self.engine.primary()
-    }
-
-    /// Mutable first-shard access for harness-level operations.
-    pub fn engine_mut(&mut self) -> &mut CbtRouter {
-        self.engine.primary_mut()
-    }
-
-    /// The sharded steering front (all shards).
+    /// The sharded steering front (all shards): the one way into the
+    /// router's engines.
     pub fn sharded(&self) -> &ShardedRouter {
         &self.engine
     }
@@ -705,9 +695,9 @@ mod tests {
         cw.world.run_until(SimTime::from_secs(5));
 
         // A's DR joined the tree...
-        assert!(cw.router(r0).engine().is_on_tree(group));
+        assert!(cw.router(r0).sharded().is_on_tree(group));
         assert_eq!(
-            cw.router(r0).engine().parent_of(group),
+            cw.router(r0).sharded().parent_of(group),
             Some({
                 // R0's parent is R1 via the p2p link.
                 let net = cw.net.clone();
@@ -763,7 +753,7 @@ mod tests {
         assert_eq!(at_a[0].payload, b"from B");
         // The core carries both directions: it is on-tree with two
         // children and no parent.
-        let core_engine = cw.router(r1).engine();
+        let core_engine = cw.router(r1).sharded();
         assert!(core_engine.is_on_tree(group));
         assert_eq!(core_engine.parent_of(group), None);
         assert_eq!(core_engine.children_of(group).len(), 2);
@@ -827,10 +817,10 @@ mod tests {
         cw.host(a).leave_at(SimTime::from_secs(5), group);
         cw.world.start();
         cw.world.run_until(SimTime::from_secs(4));
-        assert!(cw.router(r0).engine().is_on_tree(group), "joined first");
+        assert!(cw.router(r0).sharded().is_on_tree(group), "joined first");
         cw.world.run_until(SimTime::from_secs(15));
-        assert!(!cw.router(r0).engine().is_on_tree(group), "quit after leave");
-        let core_children = cw.router(r1).engine().children_of(group);
+        assert!(!cw.router(r0).sharded().is_on_tree(group), "quit after leave");
+        let core_children = cw.router(r1).sharded().children_of(group);
         assert!(core_children.is_empty(), "core saw the quit");
     }
 
@@ -870,10 +860,10 @@ mod tests {
             let mut bad = good.clone();
             bad[byte] ^= 0x40;
             let mut out = Outbox::new();
-            let before = node.engine().obs().drops.get(DropReason::ChecksumBad);
+            let before = node.sharded().obs_snapshot().drops.get(DropReason::ChecksumBad);
             node.on_packet(SimTime::from_secs(1), iface, from, &Bytes::from(bad), &mut out);
             assert!(out.is_empty(), "{what}: nothing forwarded");
-            let after = node.engine().obs().drops.get(DropReason::ChecksumBad);
+            let after = node.sharded().obs_snapshot().drops.get(DropReason::ChecksumBad);
             assert_eq!(after, before + 1, "{what}: counted as a checksum drop");
         }
     }
@@ -908,7 +898,7 @@ mod tests {
     }
 
     fn drops(node: &RouterNode, reason: DropReason) -> u64 {
-        node.engine().obs().drops.get(reason)
+        node.sharded().obs_snapshot().drops.get(reason)
     }
 
     /// A unicast with no hop left to spend is not forwarded — and is

@@ -91,22 +91,9 @@ impl CbtRouter {
         }
     }
 
-    /// Retransmits unacknowledged quits; gives up after the configured
-    /// retries (parent state is already gone, §8.3).
-    pub(crate) fn service_pending_quits(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
-        let due: Vec<GroupId> = self
-            .pending_quits
-            .iter()
-            .filter(|(_, q)| q.next_send <= now)
-            .map(|(g, _)| *g)
-            .collect();
-        for group in due {
-            self.service_pending_quit_group(now, group, act);
-        }
-    }
-
-    /// Services one due pending quit — the shared body behind both the
-    /// legacy scan and the deadline-driven per-candidate dispatch.
+    /// Retransmits one due unacknowledged quit (phase 5 of the timer
+    /// service); gives up after the configured retries (parent state is
+    /// already gone, §8.3).
     pub(crate) fn service_pending_quit_group(
         &mut self,
         now: SimTime,

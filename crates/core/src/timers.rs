@@ -1,12 +1,12 @@
 //! Keyed deadline service: the engine's O(due · log n) timer front-end.
 //!
-//! The scan-based engine recomputes `next_wakeup` and services timers
-//! by walking the *entire* FIB (plus every pending-join, pending-quit
-//! and deferred-reattach map) on every `on_timer` call — O(N) per
-//! wakeup in resident group state, exactly the cost CBT's per-group
-//! state model is supposed to avoid. [`TimerService`] replaces the walk
-//! with one lazy-deletion binary heap of `(deadline, seq, key)` plus a
-//! hashed key table `key → (deadline, seq)`:
+//! Every piece of CBT hard state has a clock (§9). Rather than walk the
+//! FIB and the pending-join, pending-quit and deferred-reattach maps on
+//! every wakeup — O(N) in resident group state, exactly the cost CBT's
+//! per-group state model is supposed to avoid — the engine files each
+//! deadline in a [`TimerService`]: one lazy-deletion binary heap of
+//! `(deadline, seq, key)` plus a hashed key table `key → (deadline,
+//! seq)`:
 //!
 //! * at most one *valid* deadline per key; a heap entry is valid iff
 //!   its `seq` is the one the table holds for its key. Sequence
@@ -22,9 +22,8 @@
 //! * a service that never armed a key owns no heap memory at all.
 //!
 //! Ordering contract: pops come out sorted by `(deadline, arm order)`
-//! — same-deadline keys fire FIFO — so a deadline-driven engine can
-//! reproduce the scan-based engine's deterministic service order
-//! bit-for-bit. Nothing ever iterates the key table, so its hash order
+//! — same-deadline keys fire FIFO — so the engine's service order is
+//! deterministic. Nothing ever iterates the key table, so its hash order
 //! reaches no output; the hasher is fixed all the same (no per-process
 //! `RandomState`), after [`crate::fib::GroupIdHasher`]'s precedent.
 

@@ -86,7 +86,7 @@ fn steady_state_native_hops_allocate_only_what_the_member_keeps() {
     }
     cw.world.start();
     cw.world.run_until(SimTime::from_secs(4));
-    assert!(cw.router(r0).engine().is_on_tree(group) && cw.router(r2).engine().is_on_tree(group));
+    assert!(cw.router(r0).sharded().is_on_tree(group) && cw.router(r2).sharded().is_on_tree(group));
 
     // Every send is scheduled (payload `Vec`s and all) outside the
     // counted windows; the windows sit between the routers' 3 s echo

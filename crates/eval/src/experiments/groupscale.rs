@@ -1,15 +1,12 @@
-//! Impl-1 — timer service scaling: deadline heap vs full-state scan.
+//! Impl-1 — timer service scaling: the deadline heap's cost per wakeup.
 //!
-//! The engine's legacy timer path recomputes `next_wakeup` and walks
-//! every FIB entry, pending join, LAN and deferral on *every* wakeup:
-//! O(groups) per tick. The deadline heap keys each deadline once, so a
-//! wakeup costs O(entries actually due · log n). This experiment drives one
-//! leaf router to N group memberships (staggered so echo deadlines
-//! spread over the whole §9 echo interval), then measures the wall cost
-//! of the `next_wakeup` + `on_timer` pair over a multi-interval window.
-//! Both modes are driven through the identical deterministic schedule —
-//! same wakeups, same actions — so the only variable is the timer
-//! service itself.
+//! The engine keys each deadline once in a heap, so a wakeup costs
+//! O(entries actually due · log n) rather than O(groups). This
+//! experiment drives one leaf router to N group memberships (staggered
+//! so echo deadlines spread over the whole §9 echo interval), then
+//! measures the wall cost of the `next_wakeup` + `on_timer` pair over a
+//! multi-interval window. The full-state scan it was once compared with
+//! is gone; its rows are frozen in EXPERIMENTS.md Impl-1.
 
 use crate::report::Report;
 use cbt::{CbtConfig, CbtRouter, RouteLookup};
@@ -64,18 +61,12 @@ struct RunStats {
     timer_actions: u64,
 }
 
-/// Structural fingerprint (everything except wall time) — must be
-/// identical across modes or the comparison is meaningless.
-fn shape(s: &RunStats) -> (u64, u64) {
-    (s.wakeups, s.timer_actions)
-}
-
 /// Drives one leaf router to `n` memberships and measures the timer
 /// path. ME sits on a stub LAN (if0) with one host and a p2p link (if1)
 /// to UP, which plays both unicast next hop and tree parent: it acks
 /// every join and answers every echo, so ME holds `n` FIB entries with
-/// a live parent — the state the per-tick scan pays for.
-fn drive(n: usize, deadline_service: bool, measure_secs: u64) -> RunStats {
+/// a live parent.
+fn drive(n: usize, measure_secs: u64) -> RunStats {
     let mut b = NetworkBuilder::new();
     let me = b.router("ME");
     let up = b.router("UP");
@@ -94,7 +85,7 @@ fn drive(n: usize, deadline_service: bool, measure_secs: u64) -> RunStats {
         [(core, Hop { iface: up_if, router: up, addr: up_peer, dist: 1 })].into_iter().collect(),
     );
 
-    let cfg = CbtConfig { timer_wheel: deadline_service, ..CbtConfig::default() };
+    let cfg = CbtConfig::default();
     let echo_us = cfg.echo_interval.micros();
     let mut eng = CbtRouter::new(&net, me, cfg, Box::new(routes), SimTime::ZERO);
 
@@ -156,8 +147,7 @@ fn drive(n: usize, deadline_service: bool, measure_secs: u64) -> RunStats {
         if now > measure_end {
             break;
         }
-        // Timers first at ties, then the join input — the same policy
-        // for both modes, so their schedules stay aligned.
+        // Timers first at ties, then the join input.
         if next_timer.is_some_and(|t| t <= now) {
             let in_window = now >= measure_start;
             let t0 = std::time::Instant::now();
@@ -185,43 +175,28 @@ fn drive(n: usize, deadline_service: bool, measure_secs: u64) -> RunStats {
 
 /// Runs the experiment.
 pub fn run(p: &Params) -> Report {
-    let mut report =
-        Report::new("Impl-1", "timer service: deadline heap vs per-tick full-state scan");
-    let mut table =
-        Table::new(["groups", "mode", "wakeups", "timer ms", "µs/wakeup", "timer events/s"]);
+    let mut report = Report::new("Impl-1", "timer service: deadline heap cost per wakeup");
+    let mut table = Table::new(["groups", "wakeups", "timer ms", "µs/wakeup", "timer events/s"]);
     let mut rows_json = Vec::new();
-    let mut per_size = Vec::new();
+    let mut fig =
+        cbt_metrics::BarChart::new("Figure Impl-1: µs per timer wakeup vs group count".to_string())
+            .unit(" µs");
 
     for &n in &p.sizes {
-        let heap = drive(n, true, p.measure_secs);
-        let scan = drive(n, false, p.measure_secs);
-        assert_eq!(shape(&heap), shape(&scan), "n={n}: modes must replay the identical schedule");
-        let mut us_per_wakeup = [0.0f64; 2];
-        for (slot, (mode, s)) in [("heap", &heap), ("scan", &scan)].iter().enumerate() {
-            let ms = s.timer_ns as f64 / 1.0e6;
-            let us =
-                if s.wakeups == 0 { 0.0 } else { s.timer_ns as f64 / 1.0e3 / s.wakeups as f64 };
-            let eps = if ms == 0.0 { 0.0 } else { s.timer_actions as f64 / (ms / 1.0e3) };
-            us_per_wakeup[slot] = us;
-            table.row([
-                n.to_string(),
-                mode.to_string(),
-                s.wakeups.to_string(),
-                f(ms),
-                f(us),
-                f(eps),
-            ]);
-            rows_json.push(json!({
-                "groups": n,
-                "mode": mode,
-                "wakeups": s.wakeups,
-                "timer_wall_ms": ms,
-                "us_per_wakeup": us,
-                "timer_actions": s.timer_actions,
-                "events_per_s": eps,
-            }));
-        }
-        per_size.push((n, us_per_wakeup[0], us_per_wakeup[1]));
+        let s = drive(n, p.measure_secs);
+        let ms = s.timer_ns as f64 / 1.0e6;
+        let us = if s.wakeups == 0 { 0.0 } else { s.timer_ns as f64 / 1.0e3 / s.wakeups as f64 };
+        let eps = if ms == 0.0 { 0.0 } else { s.timer_actions as f64 / (ms / 1.0e3) };
+        table.row([n.to_string(), s.wakeups.to_string(), f(ms), f(us), f(eps)]);
+        rows_json.push(json!({
+            "groups": n,
+            "wakeups": s.wakeups,
+            "timer_wall_ms": ms,
+            "us_per_wakeup": us,
+            "timer_actions": s.timer_actions,
+            "events_per_s": eps,
+        }));
+        fig.bar(format!("G={n}"), us);
     }
 
     report.table(
@@ -231,23 +206,14 @@ pub fn run(p: &Params) -> Report {
         ),
         table,
     );
-    let mut fig =
-        cbt_metrics::BarChart::new("Figure Impl-1: µs per timer wakeup vs group count".to_string())
-            .unit(" µs");
-    for (n, heap_us, scan_us) in &per_size {
-        fig.bar(format!("heap  G={n}"), *heap_us);
-        fig.bar(format!("scan  G={n}"), *scan_us);
-    }
     report.chart(fig);
     report.json = json!({
         "params": {"sizes": p.sizes, "measure_secs": p.measure_secs},
         "rows": rows_json,
     });
     report.finding(
-        "Both timer services replay the identical wakeup schedule (equal wakeup and action \
-         counts — the determinism suite proves bit-identity), but the scan path pays O(groups) \
-         per wakeup while the heap pays only for entries actually due: its per-wakeup cost \
-         stays near-flat from 100 to 10k groups where the scan's grows linearly.",
+        "The heap pays only for entries actually due: its per-wakeup cost stays near-flat from \
+         100 to 10k groups while the wakeup count grows with the groups' echo clocks.",
     );
     report
 }
@@ -257,34 +223,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn modes_replay_the_same_schedule() {
-        let heap = drive(64, true, 40);
-        let scan = drive(64, false, 40);
-        assert_eq!(shape(&heap), shape(&scan));
+    fn echoes_fire_inside_the_window() {
         // A 40s window past a 30s echo interval must see echo traffic.
-        assert!(heap.timer_actions as usize >= 64, "echoes fired: {heap:?}");
+        let s = drive(64, 40);
+        assert!(s.timer_actions as usize >= 64, "echoes fired: {s:?}");
     }
 
     #[test]
-    fn report_has_rows_for_both_modes_per_size() {
+    fn report_has_one_row_per_size() {
         let r = run(&Params { sizes: vec![32, 96], measure_secs: 35 });
         let rows = r.json["rows"].as_array().unwrap();
-        assert_eq!(rows.len(), 4);
-        for n in [32u64, 96] {
-            for mode in ["heap", "scan"] {
-                assert!(
-                    rows.iter().any(|r| r["groups"] == n && r["mode"] == mode),
-                    "missing row {n}/{mode}"
-                );
-            }
-        }
-        // The schedule scales with group count.
+        assert_eq!(rows.len(), 2);
         let w = |n: u64| {
-            rows.iter()
-                .find(|r| r["groups"] == n && r["mode"] == "heap")
-                .and_then(|r| r["wakeups"].as_u64())
-                .unwrap()
+            rows.iter().find(|r| r["groups"] == n).and_then(|r| r["wakeups"].as_u64()).unwrap()
         };
+        // The schedule scales with group count.
         assert!(w(96) > w(32), "more groups ⇒ more echo wakeups");
     }
 }

@@ -49,7 +49,7 @@ fn tree_table(cw: &mut CbtWorld, fig: &Figure1) -> Table {
     let numbers: Vec<usize> = vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12];
     for n in numbers {
         let r = fig.router(n);
-        let engine = cw.router(r).engine();
+        let engine = cw.router(r).sharded();
         let parent = engine.parent_of(GROUP).map(|a| a.to_string()).unwrap_or("—".into());
         let children = engine.children_of(GROUP).len().to_string();
         t.row([
@@ -76,7 +76,7 @@ pub fn e1() -> Report {
     report.table("resulting tree state", tree_table(&mut cw, &fig));
     report.finding(format!(
         "R1 parent = {:?}; R4 (primary core) has no parent; joins seen: {}",
-        cw.router(fig.router(1)).engine().parent_of(GROUP),
+        cw.router(fig.router(1)).sharded().parent_of(GROUP),
         cw.world.trace().count(PacketKind::Control(cbt_wire::ControlType::JoinRequest)),
     ));
     report.json = json!({"joins": cw.world.trace().count(PacketKind::Control(cbt_wire::ControlType::JoinRequest))});
@@ -95,8 +95,8 @@ pub fn e2() -> Report {
     let mut report = Report::new("Spec-E2", "§2.6: proxy-ack on S4 — R2 becomes G-DR");
     report.table("message ledger (from B's join)", ledger(&cw, t(3)));
     report.table("resulting tree state", tree_table(&mut cw, &fig));
-    let r2 = cw.router(fig.router(2)).engine().stats();
-    let r6_state = cw.router(fig.router(6)).engine().is_on_tree(GROUP);
+    let r2 = cw.router(fig.router(2)).sharded().stats();
+    let r6_state = cw.router(fig.router(6)).sharded().is_on_tree(GROUP);
     report.finding(format!(
         "R2 sent {} proxy-ack(s); R6 on-tree = {} (the D-DR keeps no FIB entry)",
         r2.proxy_acks_sent, r6_state
@@ -120,13 +120,13 @@ pub fn e3() -> Report {
     report.table("resulting tree state", tree_table(&mut cw, &fig));
     report.finding(format!(
         "R2 on-tree = {}; R3 on-tree = {} with {} child(ren)",
-        cw.router(fig.router(2)).engine().is_on_tree(GROUP),
-        cw.router(fig.router(3)).engine().is_on_tree(GROUP),
-        cw.router(fig.router(3)).engine().children_of(GROUP).len(),
+        cw.router(fig.router(2)).sharded().is_on_tree(GROUP),
+        cw.router(fig.router(3)).sharded().is_on_tree(GROUP),
+        cw.router(fig.router(3)).sharded().children_of(GROUP).len(),
     ));
     report.json = json!({
-        "r2_on_tree": cw.router(fig.router(2)).engine().is_on_tree(GROUP),
-        "r3_children": cw.router(fig.router(3)).engine().children_of(GROUP).len(),
+        "r2_on_tree": cw.router(fig.router(2)).sharded().is_on_tree(GROUP),
+        "r3_children": cw.router(fig.router(3)).sharded().children_of(GROUP).len(),
     });
     report
 }
@@ -233,7 +233,7 @@ pub fn e5() -> Report {
         }
         t2
     });
-    let loops = cw.router(r(3)).engine().stats().loops_broken;
+    let loops = cw.router(r(3)).sharded().stats().loops_broken;
     report.finding(format!(
         "R3 detected and broke the loop {loops} time(s) via its own NACTIVE rejoin"
     ));
@@ -256,7 +256,7 @@ pub fn e6() -> Report {
 
     let mut report = Report::new("Spec-E6", "§6.1: R8 dies — echo timeout, island re-roots at R9");
     report.table("tree state after failure", tree_table(&mut cw, &fig));
-    let r9 = cw.router(fig.router(9)).engine();
+    let r9 = cw.router(fig.router(9)).sharded();
     report.finding(format!(
         "R9 (secondary core) on-tree = {}, parent = {:?}, parent failures seen = {}",
         r9.is_on_tree(GROUP),

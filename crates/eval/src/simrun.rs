@@ -70,7 +70,7 @@ impl SimSetup {
         let group = self.group;
         member_routers.iter().all(|m| {
             let r = RouterId(m.0);
-            self.cw.router(r).engine().is_on_tree(group)
+            self.cw.router(r).sharded().is_on_tree(group)
         })
     }
 
@@ -81,7 +81,7 @@ impl SimSetup {
     pub fn obs_fleet(&mut self) -> cbt_obs::ObsSnapshot {
         let mut fleet = cbt_obs::ObsSnapshot { router: "fleet".into(), ..Default::default() };
         for i in 0..self.graph.node_count() {
-            fleet.merge(&self.cw.router(RouterId(i as u32)).engine().obs_snapshot());
+            fleet.merge(&self.cw.router(RouterId(i as u32)).sharded().obs_snapshot());
         }
         fleet
     }
@@ -91,7 +91,7 @@ impl SimSetup {
         let group = self.group;
         member_routers
             .iter()
-            .filter(|m| self.cw.router(RouterId(m.0)).engine().is_on_tree(group))
+            .filter(|m| self.cw.router(RouterId(m.0)).sharded().is_on_tree(group))
             .count()
     }
 }

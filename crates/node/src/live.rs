@@ -295,7 +295,7 @@ async fn router_task(
                 let Some(cmd) = cmd else { break };
                 match cmd {
                     RouterCmd::Snapshot { group, resp } => {
-                        let e = node.engine();
+                        let e = node.sharded();
                         let _ = resp.send(RouterSnapshot {
                             on_tree: e.is_on_tree(group),
                             parent: e.parent_of(group),

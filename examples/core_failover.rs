@@ -42,7 +42,7 @@ fn main() {
     cw.world.run_until(SimTime::from_secs(8));
 
     let on_tree = |cw: &mut CbtWorld| {
-        members.iter().filter(|m| cw.router(RouterId(m.0)).engine().is_on_tree(group)).count()
+        members.iter().filter(|m| cw.router(RouterId(m.0)).sharded().is_on_tree(group)).count()
     };
     println!("t=8s   all joined: {}/{} member DRs on-tree", on_tree(&mut cw), members.len());
 
@@ -64,8 +64,10 @@ fn main() {
         cw.touch_host(sender);
         cw.world.run_until(kill_at + SimDuration::from_secs(3 * round));
         let delivered = cw.host(receiver).received().len() > receiver_start;
-        let failures: u64 =
-            members.iter().map(|m| cw.router(RouterId(m.0)).engine().stats().parent_failures).sum();
+        let failures: u64 = members
+            .iter()
+            .map(|m| cw.router(RouterId(m.0)).sharded().stats().parent_failures)
+            .sum();
         println!(
             "t={:>2}s after crash: probe {} — {} ({} parent-failure events so far, {}/{} DRs attached)",
             3 * round,

@@ -64,7 +64,7 @@ fn main() {
     // 4. Show the resulting tree and the delivery.
     println!("\ntree state:");
     for (name, r) in [("R0", r0), ("R1", r1), ("R2", r2)] {
-        let engine = cw.router(r).engine();
+        let engine = cw.router(r).sharded();
         println!(
             "  {name}: on_tree={} parent={:?} children={:?}",
             engine.is_on_tree(group),

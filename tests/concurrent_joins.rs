@@ -51,14 +51,14 @@ fn diamond_simultaneous_joins_converge() {
     cw.world.run_until(SimTime::from_secs(6));
 
     for r in [r_top, r_west, r_east] {
-        assert!(cw.router(r).engine().is_on_tree(group));
-        assert!(!cw.router(r).engine().has_pending_join(group));
+        assert!(cw.router(r).sharded().is_on_tree(group));
+        assert!(!cw.router(r).sharded().has_pending_join(group));
     }
     // Parent pointers form a tree rooted at the core (acyclic and all
     // connected to Rbot).
     let mut tree = Graph::with_nodes(4);
     for (i, r) in [r_top, r_west, r_east, r_bot].iter().enumerate() {
-        if let Some(p) = cw.router(*r).engine().parent_of(group) {
+        if let Some(p) = cw.router(*r).sharded().parent_of(group) {
             let parent = cw.net.router_of(p).unwrap();
             tree.add_edge(NodeId(i as u32), NodeId(parent.0), 1);
         }
@@ -90,7 +90,7 @@ fn chain_of_simultaneous_joins_uses_the_pending_cache() {
 
     let mut cached_total = 0;
     for i in 1..5u32 {
-        let engine = cw.router(RouterId(i)).engine();
+        let engine = cw.router(RouterId(i)).sharded();
         assert!(engine.is_on_tree(group), "R{i} attached");
         cached_total += engine.stats().joins_cached;
     }
@@ -132,7 +132,7 @@ fn simultaneous_equals_staggered_tree() {
             // Collect (router, parent router) edges.
             let mut edges: Vec<(u32, u32)> = Vec::new();
             for i in 0..30u32 {
-                if let Some(p) = cw.router(RouterId(i)).engine().parent_of(group) {
+                if let Some(p) = cw.router(RouterId(i)).sharded().parent_of(group) {
                     edges.push((i, cw.net.router_of(p).unwrap().0));
                 }
             }

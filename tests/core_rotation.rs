@@ -62,11 +62,11 @@ fn join_send_and_check(mut cw: CbtWorld, yy: &Y, label: &str, expect_root: bool)
     cw.world.start();
     cw.world.run_until(SimTime::from_secs(25));
 
-    let sec = cw.router(yy.secondary).engine().is_on_tree(group);
+    let sec = cw.router(yy.secondary).sharded().is_on_tree(group);
     assert!(sec, "{label}: secondary core serves the tree");
     if expect_root {
         assert!(
-            cw.router(yy.secondary).engine().parent_of(group).is_none(),
+            cw.router(yy.secondary).sharded().parent_of(group).is_none(),
             "{label}: secondary core is the root (§6.1 fallback target)"
         );
     }
@@ -75,7 +75,7 @@ fn join_send_and_check(mut cw: CbtWorld, yy: &Y, label: &str, expect_root: bool)
     // one of its own subtree routers as a *settled* parent and child
     // simultaneously — that two-node loop is what §6.3 NACTIVE_REJOIN
     // detection breaks.
-    let sec_engine = cw.router(yy.secondary).engine();
+    let sec_engine = cw.router(yy.secondary).sharded();
     let sec_parent = sec_engine.parent_of(group);
     let sec_children = sec_engine.children_of(group);
     if let Some(p) = sec_parent {
@@ -158,7 +158,7 @@ fn revived_primary_reabsorbs_the_fragment_via_iff_scan() {
     cw.world.start();
     cw.world.run_until(SimTime::from_secs(20));
     assert!(
-        cw.router(yy.secondary).engine().is_on_tree(group),
+        cw.router(yy.secondary).sharded().is_on_tree(group),
         "fragment serving under the secondary before revival"
     );
     let now = cw.world.now();
@@ -168,7 +168,7 @@ fn revived_primary_reabsorbs_the_fragment_via_iff_scan() {
     cw.host(yy.x).send_at(SimTime::from_secs(50), group, b"post-revival".to_vec(), 16);
     cw.touch_host(yy.x);
     cw.world.run_until(SimTime::from_secs(55));
-    let prim = cw.router(yy.primary).engine();
+    let prim = cw.router(yy.primary).sharded();
     assert!(prim.is_on_tree(group), "revived primary absorbed the fragment");
     assert!(
         prim.parent_of(group).is_none(),

@@ -78,44 +78,6 @@ fn different_seeds_diverge() {
     assert_ne!(run(42).2, run(43).2, "fault seeds must matter");
 }
 
-fn run_cfg(seed: u64, cfg: CbtConfig) -> ((u64, u64), Vec<(cbt_netsim::PacketKind, u64)>, u64) {
-    let mut cw = build_with(seed, cfg);
-    cw.world.start();
-    cw.world.run_until(SimTime::from_secs(30));
-    (cw.world.trace().totals(), cw.world.trace().kind_counts(), event_stream_hash(&cw))
-}
-
-/// The wheel-driven timer service must be *behaviour-preserving*, not
-/// just correct: under seeded churn (lossy links force pending-join
-/// retransmits, core switches, echo timeouts and re-attachments) every
-/// transmission must happen at the same instant, in the same order,
-/// with the same bytes as the legacy scan-every-tick engine — any
-/// timer that fires early, late, twice, or not at all changes the
-/// event-stream hash.
-#[test]
-fn timer_wheel_replays_the_scan_engine_bit_identically() {
-    for seed in [7u64, 42, 1337] {
-        let wheel = run_cfg(seed, CbtConfig { timer_wheel: true, ..CbtConfig::fast() });
-        let scan = run_cfg(seed, CbtConfig { timer_wheel: false, ..CbtConfig::fast() });
-        assert_eq!(wheel.0, scan.0, "seed {seed}: frame/byte totals diverge");
-        assert_eq!(wheel.1, scan.1, "seed {seed}: per-kind counters diverge");
-        assert_eq!(wheel.2, scan.2, "seed {seed}: event-stream hash diverges");
-    }
-}
-
-/// Same equivalence with §8.4 echo aggregation on — the path whose
-/// per-parent refresh now rides the parent index.
-#[test]
-fn timer_wheel_matches_scan_with_aggregated_echoes() {
-    for seed in [5u64, 99] {
-        let base = CbtConfig { aggregate_echoes: true, ..CbtConfig::fast() };
-        let wheel = run_cfg(seed, CbtConfig { timer_wheel: true, ..base.clone() });
-        let scan = run_cfg(seed, CbtConfig { timer_wheel: false, ..base });
-        assert_eq!(wheel.1, scan.1, "seed {seed}: per-kind counters diverge");
-        assert_eq!(wheel.2, scan.2, "seed {seed}: event-stream hash diverges");
-    }
-}
-
 /// Order-sensitive digest of the *control-plane* substream only.
 fn control_stream_hash(cw: &CbtWorld) -> u64 {
     let mut h = DefaultHasher::new();

@@ -40,10 +40,10 @@ fn lowest_addressed_router_is_initial_dr() {
     cw.world.run_until(SimTime::from_secs(5));
     // The D-DR (lowest address on S0) originated the join and serves
     // the branch; the other router holds nothing.
-    assert!(cw.router(r_low).engine().is_on_tree(group));
-    assert_eq!(cw.router(r_low).engine().stats().joins_originated, 1);
-    assert!(!cw.router(r_high).engine().is_on_tree(group));
-    assert_eq!(cw.router(r_high).engine().stats().joins_originated, 0);
+    assert!(cw.router(r_low).sharded().is_on_tree(group));
+    assert_eq!(cw.router(r_low).sharded().stats().joins_originated, 1);
+    assert!(!cw.router(r_high).sharded().is_on_tree(group));
+    assert_eq!(cw.router(r_high).sharded().stats().joins_originated, 0);
     assert!(await_quiescence(&mut cw, &[group], SimDuration::from_secs(30)));
     assert_tree_invariants(&cw, &[group]);
 }
@@ -63,7 +63,7 @@ fn surviving_router_takes_over_after_dr_death() {
     // attach in a richer topology; here we check control-plane takeover.
     cw.world.start();
     cw.world.run_until(SimTime::from_secs(5));
-    assert!(cw.router(r_low).engine().is_on_tree(group));
+    assert!(cw.router(r_low).sharded().is_on_tree(group));
 
     // D-DR dies.
     cw.fail_router(r_low);
@@ -71,7 +71,7 @@ fn surviving_router_takes_over_after_dr_death() {
     // Rhigh reclaims querier duty → becomes D-DR → the host's periodic
     // re-reports trigger a fresh join from Rhigh.
     cw.world.run_until(SimTime::from_secs(60));
-    let survivor = cw.router(r_high).engine();
+    let survivor = cw.router(r_high).sharded();
     assert!(
         survivor.is_on_tree(group),
         "survivor took over DR duty and joined: stats {:?}",
@@ -80,7 +80,7 @@ fn surviving_router_takes_over_after_dr_death() {
     assert!(survivor.stats().joins_originated >= 1);
 
     // And the takeover carries data: the core forwards down to Rhigh.
-    let children = cw.router(r_core).engine().children_of(group);
+    let children = cw.router(r_core).sharded().children_of(group);
     assert_eq!(children.len(), 1, "exactly one live branch: {children:?}");
     // The post-takeover tree is fully consistent (Rlow stays dead and
     // is excluded; the checker proves the survivors' tree is clean).

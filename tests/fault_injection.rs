@@ -83,7 +83,7 @@ fn faulty_runs_replay_deterministically() {
         cw.world.run_until(SimTime::from_secs(30));
         let states: Vec<(bool, Option<cbt_wire::Addr>)> = (0..20u32)
             .map(|i| {
-                let e = cw.router(RouterId(i)).engine();
+                let e = cw.router(RouterId(i)).sharded();
                 (e.is_on_tree(group), e.parent_of(group))
             })
             .collect();
@@ -102,7 +102,7 @@ fn keepalives_survive_mild_loss() {
     cw.world.run_until(SimTime::from_secs(60));
     let mut failures = 0;
     for m in &members {
-        failures += cw.router(RouterId(m.0)).engine().stats().parent_failures;
+        failures += cw.router(RouterId(m.0)).sharded().stats().parent_failures;
     }
     // A rare false failure is tolerable (the router re-attaches — that
     // is §6.1 working as designed), but wholesale flapping is a bug.

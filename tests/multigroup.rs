@@ -52,11 +52,11 @@ fn groups_are_isolated() {
     // Per-group state: each core serves its group; routers that none
     // of the trees cross hold nothing at all (R5, R6 proxy away their
     // state; R7 and R12 are off every join path).
-    assert!(cw.router(fig.router(4)).engine().is_on_tree(g1));
-    assert!(cw.router(fig.router(9)).engine().is_on_tree(g2));
-    assert!(cw.router(fig.router(3)).engine().is_on_tree(g3));
+    assert!(cw.router(fig.router(4)).sharded().is_on_tree(g1));
+    assert!(cw.router(fig.router(9)).sharded().is_on_tree(g2));
+    assert!(cw.router(fig.router(3)).sharded().is_on_tree(g3));
     for n in [5usize, 6, 7, 12] {
-        let engine = cw.router(fig.router(n)).engine();
+        let engine = cw.router(fig.router(n)).sharded();
         for g in [g1, g2, g3] {
             assert!(!engine.is_on_tree(g), "R{n} should hold no state for {g}");
         }
@@ -64,12 +64,13 @@ fn groups_are_isolated() {
 }
 
 /// §8.4 echo aggregation: many groups sharing one parent produce one
-/// masked echo per interval instead of one per group — and keepalives
-/// still protect every group.
+/// masked echo per interval (per engine shard) instead of one per group
+/// — and keepalives still protect every group, also when each router
+/// splits its groups over two shards.
 #[test]
 fn echo_aggregation_reduces_keepalive_traffic() {
     // Chain R0 — R1(core); 8 groups, all members behind R0.
-    let build = |aggregate: bool| {
+    let build = |aggregate: bool, shards: usize| {
         let mut b = NetworkBuilder::new();
         let r0 = b.router("R0");
         let r1 = b.router("R1");
@@ -79,8 +80,7 @@ fn echo_aggregation_reduces_keepalive_traffic() {
         b.link(r0, r1, 1);
         let net = b.build();
         let core = net.router_addr(r1);
-        let mut cfg = CbtConfig::fast();
-        cfg.aggregate_echoes = aggregate;
+        let cfg = CbtConfig { aggregate_echoes: aggregate, shards, ..CbtConfig::fast() };
         let mut cw = CbtWorld::build(net, cfg, WorldConfig::default());
         for n in 0..8u16 {
             cw.host(host).join_at(SimTime::from_secs(1), GroupId::numbered(n), vec![core]);
@@ -90,18 +90,21 @@ fn echo_aggregation_reduces_keepalive_traffic() {
         cw.world.run_until(SimTime::from_secs(32));
         let echoes = cw.world.trace().count(PacketKind::Control(ControlType::EchoRequest));
         let failures: u64 =
-            (0..2).map(|i| cw.router(RouterId(i)).engine().stats().parent_failures).sum();
+            (0..2).map(|i| cw.router(RouterId(i)).sharded().stats().parent_failures).sum();
         (echoes, failures)
     };
 
-    let (per_group, failures_plain) = build(false);
-    let (aggregated, failures_agg) = build(true);
-    assert_eq!(failures_plain, 0, "keepalives work without aggregation");
-    assert_eq!(failures_agg, 0, "…and with aggregation (§8.4)");
-    assert!(
-        aggregated * 4 <= per_group,
-        "8 groups → ≥4x fewer echo requests with aggregation: {aggregated} vs {per_group}"
-    );
+    for shards in [1, 2] {
+        let (per_group, failures_plain) = build(false, shards);
+        let (aggregated, failures_agg) = build(true, shards);
+        assert_eq!(failures_plain, 0, "{shards} shard(s): keepalives work without aggregation");
+        assert_eq!(failures_agg, 0, "{shards} shard(s): …and with aggregation (§8.4)");
+        assert!(
+            aggregated * 4 <= per_group,
+            "{shards} shard(s): 8 groups → ≥4x fewer echo requests with aggregation: \
+             {aggregated} vs {per_group}"
+        );
+    }
 }
 
 /// State scales with groups, not with senders, at the router level —
@@ -123,6 +126,6 @@ fn fib_size_equals_group_count() {
     }
     cw.world.start();
     cw.world.run_until(SimTime::from_secs(5));
-    assert_eq!(cw.router(r0).engine().fib().len(), 5, "one FIB entry per group");
-    assert_eq!(cw.router(r1).engine().fib().len(), 5);
+    assert_eq!(cw.router(r0).sharded().fib_len(), 5, "one FIB entry per group");
+    assert_eq!(cw.router(r1).sharded().fib_len(), 5);
 }

@@ -18,7 +18,7 @@ fn protocol_tree(cw: &mut CbtWorld, n: usize, group: GroupId) -> BTreeSet<(u32, 
     let mut edges = BTreeSet::new();
     for i in 0..n {
         let r = RouterId(i as u32);
-        let Some(parent_addr) = cw.router(r).engine().parent_of(group) else { continue };
+        let Some(parent_addr) = cw.router(r).sharded().parent_of(group) else { continue };
         let parent = cw.net.router_of(parent_addr).expect("parent is a router");
         let (a, b) = if r.0 < parent.0 { (r.0, parent.0) } else { (parent.0, r.0) };
         edges.insert((a, b));
@@ -93,11 +93,11 @@ fn protocol_tree_invariants_under_staggered_joins() {
     let mut tree = Graph::with_nodes(25);
     let mut on_tree_routers = Vec::new();
     for i in 0..25u32 {
-        let engine_on = cw.router(RouterId(i)).engine().is_on_tree(group);
+        let engine_on = cw.router(RouterId(i)).sharded().is_on_tree(group);
         if engine_on {
             on_tree_routers.push(NodeId(i));
         }
-        if let Some(p) = cw.router(RouterId(i)).engine().parent_of(group) {
+        if let Some(p) = cw.router(RouterId(i)).sharded().parent_of(group) {
             let parent = cw.net.router_of(p).unwrap();
             tree.add_edge(NodeId(i), NodeId(parent.0), 1);
         }
@@ -107,9 +107,9 @@ fn protocol_tree_invariants_under_staggered_joins() {
     // parent-pointer graph.
     let sp = cbt_topology::ShortestPaths::dijkstra(&tree, core);
     for m in &members {
-        assert!(cw.router(RouterId(m.0)).engine().is_on_tree(group), "member DR {m} attached");
+        assert!(cw.router(RouterId(m.0)).sharded().is_on_tree(group), "member DR {m} attached");
         assert!(sp.dist(*m).is_some(), "member DR {m} reaches the core through the tree");
     }
     // The core has no parent; everyone else on-tree has exactly one.
-    assert_eq!(cw.router(RouterId(core.0)).engine().parent_of(group), None);
+    assert_eq!(cw.router(RouterId(core.0)).sharded().parent_of(group), None);
 }

@@ -43,14 +43,14 @@ fn core_restart_relearns_role_from_next_join() {
     cw.host(a).join_at(SimTime::from_secs(1), group, vec![core_addr]);
     cw.world.start();
     cw.world.run_until(SimTime::from_secs(4));
-    assert!(cw.router(r2).engine().is_on_tree(group));
-    assert!(cw.router(r2).engine().fib().get(group).unwrap().i_am_core);
+    assert!(cw.router(r2).sharded().is_on_tree(group));
+    assert!(cw.router(r2).sharded().shard_for(group).fib().get(group).unwrap().i_am_core);
 
     // The core dies and comes back with a blank engine.
     cw.fail_router(r2);
     cw.world.run_until(SimTime::from_secs(6));
     cw.restart_router(r2, cw.world.now());
-    assert!(!cw.router(r2).engine().is_on_tree(group), "restart wiped all state");
+    assert!(!cw.router(r2).sharded().is_on_tree(group), "restart wiped all state");
 
     // A second member joins: its join carries the core list (§6.2), so
     // the restarted core rediscovers itself and acks.
@@ -58,17 +58,17 @@ fn core_restart_relearns_role_from_next_join() {
     cw.host(c).join_at(at, group, vec![core_addr]);
     cw.touch_host(c);
     cw.world.run_until(SimTime::from_secs(12));
-    let engine = cw.router(r2).engine();
+    let engine = cw.router(r2).sharded();
     assert!(engine.is_on_tree(group), "core re-learned its role from the join");
-    assert!(engine.fib().get(group).unwrap().i_am_core);
-    assert!(engine.fib().get(group).unwrap().parent.is_none(), "primary core: no parent");
+    assert!(engine.shard_for(group).fib().get(group).unwrap().i_am_core);
+    assert_eq!(engine.parent_of(group), None, "primary core: no parent");
 
     // The ORIGINAL branch (R0's) recovers too: R0's echoes toward the
     // core died during the outage; §6.1 re-attachment (single core: the
     // same one) rebuilds it within the echo-timeout + rejoin budget.
     cw.world.run_until(SimTime::from_secs(40));
     assert!(
-        cw.router(r0).engine().is_on_tree(group),
+        cw.router(r0).sharded().is_on_tree(group),
         "pre-restart branch re-attached after the outage"
     );
     // Full recovery means a fully consistent tree, not just "R0 is on".
@@ -88,12 +88,12 @@ fn transit_router_restart_pulled_back_by_downstream_join() {
     cw.host(a).join_at(SimTime::from_secs(1), group, vec![core_addr]);
     cw.world.start();
     cw.world.run_until(SimTime::from_secs(4));
-    assert!(cw.router(r1).engine().is_on_tree(group), "R1 is transit for A's branch");
+    assert!(cw.router(r1).sharded().is_on_tree(group), "R1 is transit for A's branch");
 
     cw.fail_router(r1);
     cw.world.run_until(SimTime::from_secs(6));
     cw.restart_router(r1, cw.world.now());
-    assert!(!cw.router(r1).engine().is_on_tree(group));
+    assert!(!cw.router(r1).sharded().is_on_tree(group));
 
     // A new member joins behind R3; its join crosses R1.
     let at = cw.world.now() + SimDuration::from_millis(100);
@@ -101,7 +101,7 @@ fn transit_router_restart_pulled_back_by_downstream_join() {
     cw.touch_host(c);
     cw.world.run_until(SimTime::from_secs(12));
     assert!(
-        cw.router(r1).engine().is_on_tree(group),
+        cw.router(r1).sharded().is_on_tree(group),
         "the downstream join re-established the restarted transit router"
     );
     // End-to-end sanity: C and A exchange data after full recovery.

@@ -62,7 +62,7 @@ fn five_virtual_minutes_of_multigroup_churn() {
         if gi % 2 == 0 {
             // Live group: every member DR attached, no transients.
             for m in members {
-                let engine = cw.router(RouterId(m.0)).engine();
+                let engine = cw.router(RouterId(m.0)).sharded();
                 assert!(
                     engine.is_on_tree(*group),
                     "group {group}: member {m} detached at end of soak"
@@ -72,7 +72,7 @@ fn five_virtual_minutes_of_multigroup_churn() {
         } else {
             // Departed group: zero state anywhere in the network.
             for i in 0..n as u32 {
-                let engine = cw.router(RouterId(i)).engine();
+                let engine = cw.router(RouterId(i)).sharded();
                 assert!(
                     !engine.is_on_tree(*group),
                     "group {group}: router R{i} leaked state after universal leave"

@@ -62,7 +62,7 @@ fn e1_host_a_join_builds_r1_r3_r4_branch() {
     let r4 = fig.router(4);
 
     // R1 is on-tree with parent R3.
-    let r1_engine = cw.router(r1).engine();
+    let r1_engine = cw.router(r1).sharded();
     assert!(r1_engine.is_on_tree(GROUP));
     assert_eq!(
         r1_engine.parent_of(GROUP),
@@ -70,11 +70,11 @@ fn e1_host_a_join_builds_r1_r3_r4_branch() {
         "R1's parent is R3 (§2.5)"
     );
     // R3 is on-tree: parent R4, child R1.
-    let r3_engine = cw.router(r3).engine();
+    let r3_engine = cw.router(r3).sharded();
     assert_eq!(r3_engine.parent_of(GROUP), Some(link_addr_between(&fig, r4, r3)));
     assert_eq!(r3_engine.children_of(GROUP), vec![link_addr_between(&fig, r1, r3)]);
     // R4 is the primary core: on-tree, no parent, child R3.
-    let r4_engine = cw.router(r4).engine();
+    let r4_engine = cw.router(r4).sharded();
     assert!(r4_engine.is_on_tree(GROUP));
     assert_eq!(r4_engine.parent_of(GROUP), None, "the primary core has no parent (§5)");
     assert_eq!(r4_engine.children_of(GROUP), vec![link_addr_between(&fig, r3, r4)]);
@@ -88,7 +88,7 @@ fn e1_host_a_join_builds_r1_r3_r4_branch() {
     // No other router gained any state.
     for n in [2usize, 5, 6, 7, 8, 9, 10, 12] {
         let r = fig.router(n);
-        assert!(!cw.router(r).engine().is_on_tree(GROUP), "R{n} must hold no state for the group");
+        assert!(!cw.router(r).sharded().is_on_tree(GROUP), "R{n} must hold no state for the group");
     }
 }
 
@@ -108,7 +108,7 @@ fn e2_proxy_ack_on_s4() {
     let r6 = fig.router(6);
 
     // R6 was the D-DR that originated, but holds no state (§2.6).
-    let r6_engine = cw.router(r6).engine();
+    let r6_engine = cw.router(r6).sharded();
     assert!(!r6_engine.is_on_tree(GROUP), "D-DR keeps no FIB entry after proxy-ack");
     assert!(!r6_engine.has_pending_join(GROUP));
     assert!(r6_engine.stats().joins_originated >= 1, "R6 did originate the join");
@@ -119,7 +119,7 @@ fn e2_proxy_ack_on_s4() {
         fig.net.routers[r2.0 as usize].iface_on_lan(s4).unwrap().0
     };
     let r2_node = cw.router(r2);
-    let r2_engine = r2_node.engine();
+    let r2_engine = r2_node.sharded();
     assert!(r2_engine.is_on_tree(GROUP));
     assert_eq!(r2_engine.parent_of(GROUP), Some(link_addr_between(&fig, r3, r2)));
     assert!(r2_engine.children_of(GROUP).is_empty(), "proxy-ack adds no child");
@@ -128,7 +128,7 @@ fn e2_proxy_ack_on_s4() {
 
     // R3 terminated B's join (it was already on-tree from A's join):
     // its children are now R1 and R2.
-    let r3_children = cw.router(r3).engine().children_of(GROUP);
+    let r3_children = cw.router(r3).sharded().children_of(GROUP);
     assert_eq!(r3_children.len(), 2);
     assert!(r3_children.contains(&link_addr_between(&fig, fig.router(1), r3)));
     assert!(r3_children.contains(&link_addr_between(&fig, r2, r3)));
@@ -150,10 +150,10 @@ fn e3_teardown_quit_from_r2() {
     let r2 = fig.router(2);
     let r3 = fig.router(3);
     // R2 has quit.
-    assert!(!cw.router(r2).engine().is_on_tree(GROUP), "branch R3–R2 torn down");
-    assert!(cw.router(r2).engine().stats().quits_sent >= 1);
+    assert!(!cw.router(r2).sharded().is_on_tree(GROUP), "branch R3–R2 torn down");
+    assert!(cw.router(r2).sharded().stats().quits_sent >= 1);
     // R3 keeps its entry: R1 is still a child.
-    let r3_engine = cw.router(r3).engine();
+    let r3_engine = cw.router(r3).sharded();
     assert!(r3_engine.is_on_tree(GROUP), "R3 cannot quit (§2.7: it has children)");
     assert_eq!(r3_engine.children_of(GROUP), vec![link_addr_between(&fig, fig.router(1), r3)]);
     // The group-specific query went out on S4.
@@ -217,12 +217,12 @@ fn e4_data_walkthrough_from_g_native_mode() {
     // Tree shape per the walkthrough.
     let r4 = fig.router(4);
     let r8 = fig.router(8);
-    let r4_children = cw.router(r4).engine().children_of(GROUP);
+    let r4_children = cw.router(r4).sharded().children_of(GROUP);
     assert_eq!(r4_children.len(), 3, "R4's children: R3, R7, R8 — got {r4_children:?}");
     for n in [3usize, 7, 8] {
         assert!(r4_children.contains(&link_addr_between(&fig, fig.router(n), r4)), "R{n}");
     }
-    let r8_children = cw.router(r8).engine().children_of(GROUP);
+    let r8_children = cw.router(r8).sharded().children_of(GROUP);
     assert_eq!(r8_children.len(), 2, "R8's children: R9 and R12");
     for n in [9usize, 12] {
         assert!(r8_children.contains(&link_addr_between(&fig, fig.router(n), r8)));
@@ -230,13 +230,13 @@ fn e4_data_walkthrough_from_g_native_mode() {
     // R9 (the secondary core) is on the shared tree with parent R8 —
     // exactly the §5 upstream direction G's packet used.
     assert_eq!(
-        cw.router(fig.router(9)).engine().parent_of(GROUP),
+        cw.router(fig.router(9)).sharded().parent_of(GROUP),
         Some(link_addr_between(&fig, r8, fig.router(9)))
     );
     // R10 serves both S13 and S15.
     let r10 = fig.router(10);
     assert_eq!(
-        cw.router(r10).engine().parent_of(GROUP),
+        cw.router(r10).sharded().parent_of(GROUP),
         Some(link_addr_between(&fig, fig.router(9), r10))
     );
 }
@@ -300,7 +300,7 @@ fn e6_parent_failure_reattach() {
     cw.world.run_until(t(30));
 
     // R9, as secondary core, is now parentless but on-tree.
-    let r9_engine = cw.router(fig.router(9)).engine();
+    let r9_engine = cw.router(fig.router(9)).sharded();
     assert!(r9_engine.is_on_tree(GROUP));
     // R10 is still its child, so H and J still receive data sourced
     // below R9.
@@ -332,7 +332,7 @@ fn e5_loop_detection_and_recovery() {
     cw.world.start();
     cw.world.run_until(t(4));
     for (parent, child) in [(1, 2), (2, 3), (3, 4), (4, 5)] {
-        let c = cw.router(r(child)).engine();
+        let c = cw.router(r(child)).sharded();
         assert_eq!(
             c.parent_of(group),
             Some(link_addr_between_net(&net, r(parent), r(child))),
@@ -353,7 +353,7 @@ fn e5_loop_detection_and_recovery() {
     // REJOIN_ACTIVE (it has child R4) toward R6 — the loop forms and
     // must be broken.
     cw.world.run_until(t(25));
-    let r3_stats = cw.router(r(3)).engine().stats();
+    let r3_stats = cw.router(r(3)).sharded().stats();
     assert!(r3_stats.loops_broken >= 1, "§6.3 loop detected and broken: {r3_stats:?}");
     // No data may loop: while routing stays stale every rejoin attempt
     // loops and is broken, so R3 must never hold a settled parent
@@ -362,14 +362,14 @@ fn e5_loop_detection_and_recovery() {
     // flush/rejoin cycles at t=25 — its campaign (budget
     // `expire_pending_join` = 9 s fast) has expired and the subtree
     // was flushed downstream to fend for itself.
-    let r3_parent = cw.router(r(3)).engine().parent_of(group);
+    let r3_parent = cw.router(r(3)).sharded().parent_of(group);
     assert_ne!(
         r3_parent,
         Some(link_addr_between_net(&net, r(6), r(3))),
         "R3 must not rest attached through the stale loop via R6"
     );
     assert!(
-        cw.router(r(3)).engine().children_of(group).is_empty(),
+        cw.router(r(3)).sharded().children_of(group).is_empty(),
         "§6.1: past RECONNECT-TIMEOUT the subtree below R3 is flushed"
     );
 
@@ -384,7 +384,7 @@ fn e5_loop_detection_and_recovery() {
     cw.world.run_until(t(60));
     // The tree heals: R3's parent is R2 again...
     assert_eq!(
-        cw.router(r(3)).engine().parent_of(group),
+        cw.router(r(3)).sharded().parent_of(group),
         Some(link_addr_between_net(&net, r(2), r(3))),
         "after convergence R3 re-attaches through R2"
     );
@@ -432,7 +432,7 @@ fn igmpv1_host_served_via_managed_mapping() {
     cw.host(fig.hosts.g).send_at(t(4), GROUP, b"v1".to_vec(), 32);
     cw.world.start();
     cw.world.run_until(t(7));
-    assert!(cw.router(fig.router(1)).engine().is_on_tree(GROUP));
+    assert!(cw.router(fig.router(1)).sharded().is_on_tree(GROUP));
     assert_eq!(cw.host(fig.hosts.a).received().len(), 1, "delivery to the v1 host");
 }
 

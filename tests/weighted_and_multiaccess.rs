@@ -50,13 +50,13 @@ fn joins_follow_metric_not_hop_count() {
     cw.world.run_until(SimTime::from_secs(4));
 
     // The branch runs through Ra and Rb, not the direct link.
-    assert!(cw.router(ra).engine().is_on_tree(group), "detour hop Ra on-tree");
-    assert!(cw.router(rb).engine().is_on_tree(group), "detour hop Rb on-tree");
-    let r0_parent = cw.router(r0).engine().parent_of(group).expect("attached");
+    assert!(cw.router(ra).sharded().is_on_tree(group), "detour hop Ra on-tree");
+    assert!(cw.router(rb).sharded().is_on_tree(group), "detour hop Rb on-tree");
+    let r0_parent = cw.router(r0).sharded().parent_of(group).expect("attached");
     let parent_router = cw.net.router_of(r0_parent).unwrap();
     assert_eq!(parent_router, ra, "R0's parent is the cheap next hop");
     // And data crosses the same detour.
-    let core_children = cw.router(rcore).engine().children_of(group);
+    let core_children = cw.router(rcore).sharded().children_of(group);
     assert_eq!(core_children.len(), 1);
     assert_eq!(cw.net.router_of(core_children[0]).unwrap(), rb);
 }
