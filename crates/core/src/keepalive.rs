@@ -51,18 +51,11 @@ impl CbtRouter {
                 self.send_control(act, iface, addr, msg);
                 // Every group this parent covers advances its echo clock
                 // (not just the due ones — the aggregate refreshed all).
-                // One `parent_index` lookup yields exactly those groups;
-                // the old code rescanned the entire FIB per parent.
-                let covered: Vec<GroupId> = self
-                    .parent_index
-                    .get(&addr)
-                    .map(|s| s.iter().copied().collect())
-                    .unwrap_or_default();
+                let covered: Vec<GroupId> =
+                    self.fib.iter().filter(|(_, e)| e.is_parent(addr)).map(|(g, _)| g).collect();
                 for g in covered {
                     if let Some(p) = self.fib.get_mut(g).and_then(|e| e.parent.as_mut()) {
-                        if p.addr == addr {
-                            p.next_echo = now + interval;
-                        }
+                        p.next_echo = now + interval;
                     }
                     self.arm_echo(g);
                 }
@@ -159,23 +152,20 @@ impl CbtRouter {
         group: GroupId,
         group_mask: Option<Addr>,
     ) {
-        // Only groups parented on `src` can be refreshed, so resolve
-        // the candidates without touching the rest of the FIB: a point
-        // reply is one lookup, an aggregated reply is one
-        // `parent_index` fetch. (The old full-FIB scan made every
-        // reply O(groups) — quadratic keepalive cost per interval.)
+        // Only groups parented on `src` can be refreshed: a point reply
+        // is one lookup, and only an aggregated reply (§8.4) walks the
+        // FIB, as its request did at the parent.
         match group_mask {
             None => self.settle_parent(now, group, src),
             Some(_) => {
                 let candidates: Vec<GroupId> = self
-                    .parent_index
-                    .get(&src)
-                    .map(|s| s.iter().copied().collect())
-                    .unwrap_or_default();
+                    .fib
+                    .iter()
+                    .filter(|(g, e)| e.is_parent(src) && group_matches(*g, group, group_mask))
+                    .map(|(g, _)| g)
+                    .collect();
                 for g in candidates {
-                    if group_matches(g, group, group_mask) {
-                        self.settle_parent(now, g, src);
-                    }
+                    self.settle_parent(now, g, src);
                 }
             }
         }
@@ -192,7 +182,7 @@ impl CbtRouter {
         // instatement of a §6.3 loop-in-progress — so the §6.1
         // RECONNECT-TIMEOUT campaign for this group has genuinely
         // succeeded and its budget can be retired.
-        self.reattach_started.remove(&g);
+        self.end_campaign(g);
         // The keepalive deadline may have moved later (the echo-timeout
         // arm of the min): re-clock so the next wake lands on it exactly.
         self.arm_echo(g);
@@ -688,12 +678,11 @@ mod tests {
     }
 
     /// Regression for the §8.4 re-clock loop: refreshing one parent's
-    /// covered groups must touch exactly that parent's groups (one
-    /// `parent_index` lookup), never re-scan the whole FIB. Two groups
-    /// ride the upstream parent, a third rides a different parent with
-    /// a staggered clock — the aggregate for the first parent must
-    /// advance its own two groups to `now + interval` and leave the
-    /// third group's earlier deadline untouched.
+    /// covered groups must touch exactly that parent's groups. Two
+    /// groups ride the upstream parent, a third rides a different
+    /// parent with a staggered clock — the aggregate for the first
+    /// parent must advance its own two groups to `now + interval` and
+    /// leave the third group's earlier deadline untouched.
     #[test]
     fn aggregate_refresh_is_single_pass_per_parent() {
         let cfg = CbtConfig { aggregate_echoes: true, ..Default::default() };
@@ -726,15 +715,7 @@ mod tests {
                 cores: vec![core_b()],
             },
         );
-        assert_eq!(
-            e.parent_index.get(&up_hop().addr).map(|s| s.iter().copied().collect::<Vec<_>>()),
-            Some(vec![g(1), g(2)]),
-            "index maps the upstream parent to exactly its groups"
-        );
-        assert_eq!(
-            e.parent_index.get(&down_addr()).map(|s| s.iter().copied().collect::<Vec<_>>()),
-            Some(vec![g(3)]),
-        );
+        assert_eq!(e.parent_of(g(3)), Some(down_addr()));
 
         let act = e.on_timer(t(30));
         let echoes = act
@@ -810,7 +791,9 @@ mod tests {
     fn parent_echo_reply_retires_the_reconnect_budget() {
         let mut e = routed_engine(CbtConfig::default());
         join_group(&mut e, 1, t(0));
-        e.reattach_started.insert(g(1), t(0));
+        e.edit(g(1), |r| {
+            r.campaign = Some(crate::pending::Campaign { since: t(0), backoff: None })
+        });
         // A reply from someone who is NOT the parent changes nothing.
         e.handle_control(
             t(5),
@@ -818,7 +801,7 @@ mod tests {
             down_addr(),
             ControlMessage::EchoReply { group: g(1), origin: down_addr(), group_mask: None },
         );
-        assert!(e.reattach_started.contains_key(&g(1)), "stranger's reply ignored");
+        assert!(e.has_transient_state(g(1)), "stranger's reply ignored");
         // The parent's reply retires the campaign.
         e.handle_control(
             t(6),
@@ -826,7 +809,7 @@ mod tests {
             up_hop().addr,
             ControlMessage::EchoReply { group: g(1), origin: up_hop().addr, group_mask: None },
         );
-        assert!(!e.reattach_started.contains_key(&g(1)), "parent answered: settled");
+        assert!(!e.has_transient_state(g(1)), "parent answered: settled");
     }
 
     /// A compact-idle p2p engine that every join below names as the

@@ -89,7 +89,7 @@ pub mod keepalive;
 pub mod netscale;
 pub mod parallelism;
 pub mod payload;
-pub mod pending;
+mod pending;
 pub mod shard;
 pub mod sim;
 pub mod teardown;

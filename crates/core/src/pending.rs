@@ -1,15 +1,23 @@
-//! Transient pending-join state (§2.5).
+//! Per-group transient state: everything a router has in flight for
+//! one group, in one record.
 //!
-//! "For the period between any CBT-capable router forwarding (or
+//! A [`Transient`] holds up to three parts, each on its own §9 clock: a
+//! pending join (§2.5), a §6.1 re-attachment campaign with its §6.3
+//! backoff, and an unacknowledged quit (§2.7). The record exists
+//! exactly while one of its parts does, and [`CbtRouter::edit`] is its
+//! only write path.
+//!
+//! §2.5: "For the period between any CBT-capable router forwarding (or
 //! originating) a JOIN_REQUEST and receiving a JOIN_ACK the router is
 //! not permitted to acknowledge any subsequent joins received for the
 //! same group; rather, the router caches such joins till such time as
 //! it has itself received a JOIN_ACK for the original join."
 
+use crate::engine::{CbtRouter, TimerKind};
 use cbt_netsim::SimTime;
 use cbt_topology::IfIndex;
 use cbt_wire::{Addr, ControlMessage, GroupId, JoinSubcode};
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
 
 /// Why this router has a join in flight.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,125 +97,244 @@ impl PendingJoin {
             cores: self.cores.clone(),
         }
     }
+}
 
-    /// Earliest instant this pending join needs timer service.
-    pub fn next_deadline(&self) -> SimTime {
-        self.next_retransmit
+/// A quit in flight (§2.7/§6.3: retried a small number of times, then
+/// parent state is dropped unilaterally).
+#[derive(Debug, Clone, Copy)]
+pub struct PendingQuit {
+    /// The parent the quit went to.
+    pub parent_addr: Addr,
+    /// The interface that parent sits on.
+    pub parent_iface: IfIndex,
+    /// Retransmissions still allowed.
+    pub retries_left: u32,
+    /// Next retransmission instant (QUIT-INTERVAL).
+    pub next_send: SimTime,
+}
+
+/// A §6.1 re-attachment campaign, bounded as a whole by
+/// RECONNECT-TIMEOUT: once it runs out, the subtree is flushed.
+#[derive(Debug, Clone, Copy)]
+pub struct Campaign {
+    /// When the campaign began.
+    pub since: SimTime,
+    /// A re-attachment deferred after a broken loop, or while no core
+    /// is reachable (§6.3 "it then attempts to re-join again" — after
+    /// a short backoff so stale routing gets a chance to converge):
+    /// (when, core index).
+    pub backoff: Option<(SimTime, usize)>,
+}
+
+/// Everything in flight for one group. Each part owns one timer key —
+/// `PendingJoin(g)`, `Reattach(g)` for the backoff, `Quit(g)` — armed
+/// exactly while the part exists. The parts are independent because
+/// their states are reachable together: a quit keeps retransmitting
+/// beside a new join when a member leaves and another joins within
+/// QUIT-INTERVAL.
+#[derive(Debug, Default)]
+pub struct Transient {
+    /// The group's pending join, at most one (§2.5). Boxed: it is by
+    /// far the largest part, and most records hold only the others.
+    pub join: Option<Box<PendingJoin>>,
+    /// The re-attachment campaign. Only a router with a FIB entry for
+    /// the group runs one.
+    pub campaign: Option<Campaign>,
+    /// The unacknowledged quit.
+    pub quit: Option<PendingQuit>,
+}
+
+impl Transient {
+    fn is_empty(&self) -> bool {
+        self.join.is_none() && self.campaign.is_none() && self.quit.is_none()
+    }
+
+    /// The campaign's scheduled re-attachment, if any.
+    pub fn backoff(&self) -> Option<(SimTime, usize)> {
+        self.campaign?.backoff
     }
 }
 
-/// All pending joins, keyed by group (at most one per group, §2.5).
-#[derive(Debug, Clone, Default)]
-pub struct PendingJoins {
-    joins: BTreeMap<GroupId, PendingJoin>,
-}
-
-impl PendingJoins {
-    /// Empty set.
-    pub fn new() -> Self {
-        PendingJoins::default()
+impl CbtRouter {
+    /// The one write path for a group's transient record: runs `f` on
+    /// the record (an empty one if the group has none) and keeps the
+    /// record only while one of its parts exists.
+    pub(crate) fn edit<R>(&mut self, group: GroupId, f: impl FnOnce(&mut Transient) -> R) -> R {
+        match self.transients.entry(group) {
+            Entry::Occupied(mut e) => {
+                let r = f(e.get_mut());
+                if e.get().is_empty() {
+                    e.remove();
+                }
+                r
+            }
+            // Clearing a part of an absent record, as every keepalive
+            // reply does with the campaign, must not allocate a node.
+            Entry::Vacant(e) => {
+                let mut t = Transient::default();
+                let r = f(&mut t);
+                if !t.is_empty() {
+                    e.insert(t);
+                }
+                r
+            }
+        }
     }
 
-    /// Is a join pending for `group`?
-    pub fn contains(&self, group: GroupId) -> bool {
-        self.joins.contains_key(&group)
+    /// The group's pending join, if any.
+    pub(crate) fn pending_join(&self, group: GroupId) -> Option<&PendingJoin> {
+        self.transients.get(&group)?.join.as_deref()
     }
 
-    /// Inserts a pending join; panics if one already exists for the
-    /// group (callers must check first — a second trigger must cache or
-    /// coalesce, never double-send).
-    pub fn insert(&mut self, group: GroupId, join: PendingJoin) {
-        let prev = self.joins.insert(group, join);
-        assert!(prev.is_none(), "second pending join for {group}");
+    /// Schedules a re-attachment at `at` toward `cores[core_index]`,
+    /// starting the campaign at `now` if none runs. An earlier backoff
+    /// is kept; the timer is armed at the instant the record holds.
+    pub(crate) fn defer_reattach(
+        &mut self,
+        now: SimTime,
+        group: GroupId,
+        at: SimTime,
+        core_index: usize,
+    ) {
+        let (t, _) = self.edit(group, |t| {
+            let c = t.campaign.get_or_insert(Campaign { since: now, backoff: None });
+            *c.backoff.get_or_insert((at, core_index))
+        });
+        self.timers.arm(TimerKind::Reattach(group), t);
     }
 
-    /// Read access.
-    pub fn get(&self, group: GroupId) -> Option<&PendingJoin> {
-        self.joins.get(&group)
-    }
-
-    /// Write access.
-    pub fn get_mut(&mut self, group: GroupId) -> Option<&mut PendingJoin> {
-        self.joins.get_mut(&group)
-    }
-
-    /// Removes and returns the pending join for `group`.
-    pub fn remove(&mut self, group: GroupId) -> Option<PendingJoin> {
-        self.joins.remove(&group)
-    }
-
-    /// Iterates (group, pending).
-    pub fn iter(&self) -> impl Iterator<Item = (GroupId, &PendingJoin)> {
-        self.joins.iter().map(|(g, p)| (*g, p))
-    }
-
-    /// Number of pending joins.
-    pub fn len(&self) -> usize {
-        self.joins.len()
-    }
-
-    /// True when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.joins.is_empty()
+    /// Ends the group's campaign, and its backoff with it.
+    pub(crate) fn end_campaign(&mut self, group: GroupId) {
+        if self.edit(group, |t| t.campaign.take()?.backoff).is_some() {
+            self.timers.cancel(TimerKind::Reattach(group));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::testutil::ScriptRoutes;
+    use crate::CbtConfig;
+    use cbt_netsim::SimDuration;
+    use cbt_routing::Hop;
+    use cbt_topology::RouterId;
+    use cbt_wire::AckSubcode;
 
-    fn g(n: u16) -> GroupId {
-        GroupId::numbered(n)
-    }
-
-    fn pj(t0: u64) -> PendingJoin {
-        PendingJoin {
-            reason: JoinReason::LocalMembership,
-            origin: Addr::from_octets(10, 1, 0, 1),
-            target_core: Addr::from_octets(10, 255, 0, 3),
-            cores: vec![Addr::from_octets(10, 255, 0, 3)],
-            upstream: (IfIndex(1), Addr::from_octets(172, 31, 0, 2)),
-            sent_subcode: JoinSubcode::ActiveJoin,
-            cached: Vec::new(),
-            lans: vec![IfIndex(0)],
-            started: SimTime::from_secs(t0),
-            attempt_started: SimTime::from_secs(t0),
-            next_retransmit: SimTime::from_secs(t0 + 10),
-            core_index: 0,
+    /// The record against its timer keys, over a seeded random schedule
+    /// on a p2p engine: local joins and leaves; JOIN_ACK, JOIN_NACK and
+    /// QUIT_ACK from the upstream hop or from a stranger; the router's
+    /// own NACTIVE rejoin; echo replies; a downstream join or quit; and
+    /// time advancing to the next wakeup. After every step each part's
+    /// key is armed exactly while the part exists, and a campaign runs
+    /// only beside a FIB entry.
+    #[test]
+    fn record_parts_match_their_timer_keys() {
+        let me = Addr::from_octets(10, 0, 0, 1);
+        let (via, stranger, child) = (
+            Addr::from_octets(10, 0, 0, 2),
+            Addr::from_octets(10, 0, 0, 3),
+            Addr::from_octets(10, 0, 0, 4),
+        );
+        let cores = vec![Addr::from_octets(10, 0, 9, 1), Addr::from_octets(10, 0, 9, 2)];
+        let groups = [GroupId::numbered(1), GroupId::numbered(2)];
+        let mut cfg = CbtConfig { compact_idle: true, ..CbtConfig::fast() };
+        for g in groups {
+            cfg = cfg.with_mapping(g, cores.clone());
         }
-    }
+        let hop = Hop { iface: IfIndex(0), router: RouterId(1), addr: via, dist: 1 };
+        let routes = ScriptRoutes(cores.iter().map(|c| (*c, hop)).collect());
+        let mut e = CbtRouter::p2p(RouterId(0), me, 3, cfg, Box::new(routes), SimTime::ZERO);
 
-    #[test]
-    fn insert_get_remove() {
-        let mut p = PendingJoins::new();
-        assert!(p.is_empty());
-        p.insert(g(1), pj(0));
-        assert!(p.contains(g(1)));
-        assert_eq!(p.len(), 1);
-        assert_eq!(p.get(g(1)).unwrap().core_index, 0);
-        p.get_mut(g(1)).unwrap().core_index = 1;
-        assert_eq!(p.remove(g(1)).unwrap().core_index, 1);
-        assert!(p.remove(g(1)).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "second pending join")]
-    fn double_insert_panics() {
-        let mut p = PendingJoins::new();
-        p.insert(g(1), pj(0));
-        p.insert(g(1), pj(5));
-    }
-
-    #[test]
-    fn cached_joins_accumulate() {
-        let mut p = PendingJoins::new();
-        p.insert(g(1), pj(0));
-        p.get_mut(g(1)).unwrap().cached.push(CachedJoin {
-            from_iface: IfIndex(2),
-            from_addr: Addr::from_octets(172, 31, 0, 6),
-            origin: Addr::from_octets(10, 2, 0, 1),
-            subcode: JoinSubcode::ActiveJoin,
-        });
-        assert_eq!(p.get(g(1)).unwrap().cached.len(), 1);
+        let mut x = 0x5851_f42d_4c95_7f2du64;
+        let mut rnd = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let mut now = SimTime::ZERO;
+        // Steps on which some record held a join, a campaign, a backoff,
+        // a quit, and a quit beside a join.
+        let mut seen = [0usize; 5];
+        for step in 0..20_000 {
+            now += SimDuration::from_millis(rnd(1_500));
+            while let Some(w) = e.next_wakeup().filter(|w| *w <= now) {
+                e.on_timer(w);
+            }
+            let g = groups[rnd(2) as usize];
+            let (iface, from) =
+                if rnd(4) == 0 { (IfIndex(1), stranger) } else { (IfIndex(0), via) };
+            let join = |subcode, origin| ControlMessage::JoinRequest {
+                subcode,
+                group: g,
+                origin,
+                target_core: cores[0],
+                cores: cores.clone(),
+            };
+            let down = |msg| Some((IfIndex(2), child, msg));
+            let input = match rnd(14) {
+                0..=1 => {
+                    e.local_join(now, g);
+                    None
+                }
+                2 => {
+                    e.local_leave(now, g);
+                    None
+                }
+                3..=4 => Some((
+                    iface,
+                    from,
+                    ControlMessage::JoinAck {
+                        subcode: AckSubcode::Normal,
+                        group: g,
+                        origin: me,
+                        target_core: cores[0],
+                        cores: cores.clone(),
+                    },
+                )),
+                5 => Some((
+                    iface,
+                    from,
+                    ControlMessage::JoinNack { group: g, origin: me, target_core: cores[0] },
+                )),
+                6 => Some((iface, from, ControlMessage::QuitAck { group: g, origin: from })),
+                7 => down(join(JoinSubcode::RejoinNactive, me)),
+                8..=9 => Some((
+                    iface,
+                    from,
+                    ControlMessage::EchoReply { group: g, origin: from, group_mask: None },
+                )),
+                10 => down(join(JoinSubcode::ActiveJoin, child)),
+                11 => down(ControlMessage::QuitRequest { group: g, origin: child }),
+                _ => {
+                    if let Some(w) = e.next_wakeup() {
+                        now = now.max(w);
+                        e.on_timer(now);
+                    }
+                    None
+                }
+            };
+            if let Some((iface, src, msg)) = input {
+                e.handle_control(now, iface, src, msg);
+            }
+            for g in groups {
+                let t = e.transients.get(&g);
+                let join = t.is_some_and(|t| t.join.is_some());
+                let campaign = t.is_some_and(|t| t.campaign.is_some());
+                let backoff = t.and_then(Transient::backoff).is_some();
+                let quit = t.is_some_and(|t| t.quit.is_some());
+                assert_eq!(e.timers.is_armed(TimerKind::PendingJoin(g)), join, "step {step}: {g}");
+                assert_eq!(e.timers.is_armed(TimerKind::Reattach(g)), backoff, "step {step}: {g}");
+                assert_eq!(e.timers.is_armed(TimerKind::Quit(g)), quit, "step {step}: {g}");
+                assert!(!campaign || e.fib.on_tree(g), "step {step}: {g} campaign off-tree");
+                for (n, part) in
+                    [join, campaign, backoff, quit, quit && join].into_iter().enumerate()
+                {
+                    seen[n] += usize::from(part);
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 50), "the schedule must reach every part: {seen:?}");
     }
 }

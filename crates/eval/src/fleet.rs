@@ -577,8 +577,9 @@ impl Fleet {
 
     /// Every member pair not currently rooted, in deterministic
     /// order. `settled_only` skips members whose engine is mid-flow
-    /// (pending join or transient state) — right for fault snapshots
-    /// and stray sweeps, wrong for the final convergence gate.
+    /// (any transient state, a pending join included) — right for
+    /// fault snapshots and stray sweeps, wrong for the final
+    /// convergence gate.
     pub fn detached_members(&self, settled_only: bool) -> Vec<(usize, u32)> {
         let mut out = self.holders();
         out.retain(|&(gi, r)| {
@@ -587,7 +588,7 @@ impl Fleet {
             }
             let rt = &self.world.node(r).router;
             let gid = self.gids[gi];
-            !(settled_only && (rt.has_pending_join(gid) || rt.has_transient_state(gid)))
+            !(settled_only && rt.has_transient_state(gid))
         });
         out
     }
@@ -638,7 +639,7 @@ impl Fleet {
         }
         let gid = self.gids[gi];
         let rt = &self.world.node(r).router;
-        if rt.is_on_tree(gid) || rt.has_pending_join(gid) || rt.has_transient_state(gid) {
+        if rt.is_on_tree(gid) || rt.has_transient_state(gid) {
             return false;
         }
         self.engine_join(gi, r);
@@ -797,9 +798,10 @@ impl Fleet {
     /// Full teardown: every member still in the ledger leaves, one per
     /// millisecond; quits must cascade all the way to the cores and the
     /// compact-idle fleet must fall silent within `limit_us` — zero FIB
-    /// entries, zero armed timers and clean adapter counters on every
-    /// router, all hard-asserted. Returns the instant (µs) of the last
-    /// event before silence.
+    /// entries, zero armed timers, no transient state for any fleet
+    /// group and clean adapter counters on every router, all
+    /// hard-asserted. Returns the instant (µs) of the last event before
+    /// silence.
     pub fn teardown_to_silence(&mut self, limit_us: u64) -> u64 {
         let mut t = self.now_us();
         for (gi, r) in self.holders() {
@@ -813,6 +815,10 @@ impl Fleet {
             let nd = self.world.node(i);
             assert_eq!(nd.router.fib_len(), 0, "router {i} kept tree state after teardown");
             assert!(nd.router.next_wakeup().is_none(), "router {i} kept a timer after teardown");
+            for &gid in &self.gids {
+                let kept = nd.router.has_transient_state(gid);
+                assert!(!kept, "router {i} kept transient state for {gid} after teardown");
+            }
             assert_eq!(nd.decode_errors, 0, "router {i} saw undecodable frames");
             assert_eq!(nd.encode_errors, 0, "router {i} failed to encode a control message");
             assert_eq!(nd.dropped_non_control, 0, "router {i} emitted non-control traffic");
