@@ -217,6 +217,8 @@ pub struct CbtRouter {
     pub(crate) child_deadline_max: SimTime,
     /// Instant of the last deadline-driven child sweep.
     pub(crate) last_child_sweep: SimTime,
+    /// Behaviour counters, less the per-type send counts that
+    /// [`CbtRouter::stats`] reads from `obs`.
     pub(crate) stats: RouterStats,
     /// Observability counters: the drop-reason taxonomy, per-group
     /// protocol counters and latency histograms every path reports
@@ -267,6 +269,12 @@ impl CbtRouter {
     /// touches no `NetworkSpec` and, combined with
     /// [`CbtConfig::compact_idle`], boots without arming any timer, so
     /// an idle router costs a few hundred bytes and never wakes.
+    ///
+    /// Its memory follows its protocol state: once a router's groups
+    /// have left, its FIB, transient, timer, child-deadline and member
+    /// tables are freed again, and what remains of the churn is one
+    /// counter row per group it has seen ([`RouterObs::groups`]) plus
+    /// the core lists it has learned.
     ///
     /// Membership is driven through [`CbtRouter::local_join`] /
     /// [`CbtRouter::local_leave`] instead of LAN presence.
@@ -466,9 +474,20 @@ impl CbtRouter {
         self.transients.contains_key(&group)
     }
 
-    /// Behaviour counters.
+    /// Behaviour counters. The per-type send counts are read from the
+    /// observability counters, which every sent control message bumps
+    /// (see `send_control`).
     pub fn stats(&self) -> RouterStats {
-        self.stats
+        let sent = |k| self.obs.ctl.sent(k);
+        RouterStats {
+            acks_sent: sent(CtlKind::JoinAck),
+            nacks_sent: sent(CtlKind::JoinNack),
+            quits_sent: sent(CtlKind::QuitRequest),
+            flushes_sent: sent(CtlKind::FlushTree),
+            echo_requests_sent: sent(CtlKind::EchoRequest),
+            echo_replies_sent: sent(CtlKind::EchoReply),
+            ..self.stats
+        }
     }
 
     /// Observability counters (drop taxonomy, per-group protocol
@@ -900,16 +919,6 @@ impl CbtRouter {
         dst: Addr,
         msg: ControlMessage,
     ) {
-        match msg.control_type() {
-            cbt_wire::ControlType::JoinRequest => {}
-            cbt_wire::ControlType::JoinAck => self.stats.acks_sent += 1,
-            cbt_wire::ControlType::JoinNack => self.stats.nacks_sent += 1,
-            cbt_wire::ControlType::QuitRequest => self.stats.quits_sent += 1,
-            cbt_wire::ControlType::FlushTree => self.stats.flushes_sent += 1,
-            cbt_wire::ControlType::EchoRequest => self.stats.echo_requests_sent += 1,
-            cbt_wire::ControlType::EchoReply => self.stats.echo_replies_sent += 1,
-            cbt_wire::ControlType::QuitAck => {}
-        }
         self.obs.ctl_sent(msg.group().addr().0, ctl_kind(msg.control_type()));
         act.push(RouterAction::SendControl { iface, dst, msg });
     }

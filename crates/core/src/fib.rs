@@ -260,13 +260,21 @@ impl Fib {
         self.slots[s].as_mut().expect("indexed slot is live")
     }
 
-    /// Deletes the entry for `group`; returns it if it existed.
+    /// Deletes the entry for `group`; returns it if it existed. Deleting
+    /// the last entry frees every table — an off-tree router owns no FIB
+    /// memory — while the generation keeps counting, so no slot handle
+    /// taken before can match again.
     pub fn remove(&mut self, group: GroupId) -> Option<FibEntry> {
         let s = self.index.remove(&group)?;
-        self.order.remove(&group);
         self.generation += 1;
-        self.free.push(s);
-        Some(self.slots[s].take().expect("indexed slot is live"))
+        let entry = self.slots[s].take().expect("indexed slot is live");
+        if self.index.is_empty() {
+            *self = Fib { generation: self.generation, ..Fib::default() };
+        } else {
+            self.order.remove(&group);
+            self.free.push(s);
+        }
+        Some(entry)
     }
 
     /// Is this router on-tree for `group`?
@@ -424,6 +432,26 @@ mod tests {
         assert_eq!(fib.slots.len(), 2);
         let gs: Vec<_> = fib.groups().collect();
         assert_eq!(gs, vec![GroupId::numbered(2), GroupId::numbered(3)]);
+    }
+
+    #[test]
+    fn removing_the_last_entry_frees_the_tables_and_moves_the_generation() {
+        let mut fib = Fib::new();
+        for n in 1..=3 {
+            fib.entry(GroupId::numbered(n));
+        }
+        let slot = fib.slot(GroupId::numbered(1)).expect("on-tree");
+        for n in 1..=3 {
+            assert!(fib.remove(GroupId::numbered(n)).is_some());
+        }
+        assert!(fib.is_empty());
+        assert_eq!(fib.index.capacity(), 0);
+        assert_eq!((fib.slots.capacity(), fib.free.capacity()), (0, 0));
+        assert_eq!(fib.generation(), 6, "three inserts and three removes");
+        // A new entry may reuse slot 0, but the handle's generation is gone.
+        fib.entry(GroupId::numbered(4));
+        assert_eq!(fib.slot(GroupId::numbered(4)), Some(slot));
+        assert_eq!(fib.generation(), 7);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use cbt_netsim::SimTime;
 use cbt_routing::Hop;
 use cbt_topology::IfIndex;
 use cbt_wire::{AckSubcode, Addr, ControlMessage, GroupId, IgmpMessage, JoinSubcode};
+use std::collections::BTreeSet;
 
 impl CbtRouter {
     /// D-DR join origination (§2.5): local membership appeared on LAN
@@ -92,6 +93,9 @@ impl CbtRouter {
     pub fn local_leave(&mut self, now: SimTime, group: GroupId) -> Vec<RouterAction> {
         let mut act = Vec::new();
         if self.local_members.remove(&group) {
+            if self.local_members.is_empty() {
+                self.local_members = BTreeSet::new();
+            }
             self.maybe_quit(now, group, &mut act);
             self.timers.compact();
         }

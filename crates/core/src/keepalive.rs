@@ -8,7 +8,7 @@ use crate::inline::InlineBuf;
 use cbt_netsim::SimTime;
 use cbt_topology::IfIndex;
 use cbt_wire::{Addr, ControlMessage, GroupId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 impl CbtRouter {
     /// Phase 4 of the timer service: sends due echo requests and
@@ -229,6 +229,10 @@ impl CbtRouter {
             if e.children.len() != before {
                 affected.push(g);
             }
+        }
+        if self.child_expiry.is_empty() {
+            // The last deadline popped: free the set's emptied leaf.
+            self.child_expiry = BTreeSet::new();
         }
         for &g in affected.as_slice() {
             // Losing the last child may make us quittable (§2.7).

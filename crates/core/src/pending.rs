@@ -18,6 +18,7 @@ use cbt_netsim::SimTime;
 use cbt_topology::IfIndex;
 use cbt_wire::{Addr, ControlMessage, GroupId, JoinSubcode};
 use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 /// Why this router has a join in flight.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,13 +159,18 @@ impl Transient {
 impl CbtRouter {
     /// The one write path for a group's transient record: runs `f` on
     /// the record (an empty one if the group has none) and keeps the
-    /// record only while one of its parts exists.
+    /// record only while one of its parts exists. Removing the last
+    /// record frees the map, whose emptied leaf node would otherwise
+    /// outlive it.
     pub(crate) fn edit<R>(&mut self, group: GroupId, f: impl FnOnce(&mut Transient) -> R) -> R {
         match self.transients.entry(group) {
             Entry::Occupied(mut e) => {
                 let r = f(e.get_mut());
                 if e.get().is_empty() {
                     e.remove();
+                    if self.transients.is_empty() {
+                        self.transients = BTreeMap::new();
+                    }
                 }
                 r
             }

@@ -619,7 +619,7 @@ mod tests {
                 "shard {k}: group A join state misplaced"
             );
             assert_eq!(
-                r.shard(k).obs().groups.contains_key(&ga.addr().0),
+                r.shard(k).obs().group(ga.addr().0).is_some(),
                 k == ka,
                 "shard {k}: group A counters misplaced"
             );
@@ -738,7 +738,7 @@ mod tests {
             );
         }
         let merged = r.obs_snapshot();
-        let by_hand: usize = (0..4).map(|k| r.shard(k).obs().groups.len()).sum();
+        let by_hand: usize = (0..4).map(|k| r.shard(k).obs().groups().len()).sum();
         assert_eq!(merged.groups.len(), 32, "every group visible in the merged snapshot");
         assert_eq!(by_hand, 32, "each group counted on exactly one shard");
         let stats = r.stats();

@@ -19,7 +19,9 @@
 //!   the steady state of a keepalive clock whose reply arrives before
 //!   the next echo is due — so an idle tree holds exactly one heap
 //!   entry per armed key;
-//! * a service that never armed a key owns no heap memory at all.
+//! * a service with no armed key owns no heap memory once compacted,
+//!   whatever it held before: [`TimerService::compact`] frees both
+//!   tables, so an engine's timer memory follows its armed clocks.
 //!
 //! Ordering contract: pops come out sorted by `(deadline, arm order)`
 //! — same-deadline keys fire FIFO — so the engine's service order is
@@ -179,8 +181,14 @@ impl<K: Ord + Hash + Copy> TimerService<K> {
     /// Discards superseded entries from the heap head until a valid
     /// one (or nothing) is left, making the next [`peek`](Self::peek)
     /// exact. Amortised O(log n) per arm/cancel: each superseded entry
-    /// is popped at most once.
+    /// is popped at most once. With no key armed every entry is
+    /// superseded, so both tables are freed outright.
     pub fn compact(&mut self) {
+        if self.keys.is_empty() {
+            self.heap = BinaryHeap::new();
+            self.keys = KeyTable::default();
+            return;
+        }
         while let Some(&Reverse((_, seq, key))) = self.heap.peek() {
             if Self::is_valid(&self.keys, key, seq) {
                 return;
@@ -349,12 +357,22 @@ mod tests {
     #[test]
     fn idle_service_owns_no_heap_memory() {
         // Compact-idle contract: a fleet of mostly idle engines pays
-        // nothing per router for timers it never armed.
+        // nothing per router for timers it never armed...
         let mut s: TimerService<u8> = TimerService::new();
         assert!(pop(&mut s, t(1_000_000)).is_empty());
         s.compact();
         assert_eq!(s.peek(), None);
-        assert_eq!(s.heap.capacity(), 0);
+        assert_eq!((s.heap.capacity(), s.keys.capacity()), (0, 0));
+        // ...nor for timers it armed once: the cancelled key's entry is
+        // still in the heap until compaction frees both tables.
+        s.arm(1, t(10));
+        s.arm(2, t(20));
+        s.cancel(1);
+        s.cancel(2);
+        assert_eq!(s.len(), 2);
+        s.compact();
+        assert_eq!(s.peek(), None);
+        assert_eq!((s.heap.capacity(), s.keys.capacity()), (0, 0));
     }
 
     /// The service against a naive model — a map `key → (deadline,

@@ -7,34 +7,44 @@ use cbt_topology::{CsrGraph, RouterId, SpfScratch, SpfTree};
 use cbt_wire::GroupId;
 use std::sync::{Arc, RwLock};
 
+/// The line's links: `(a, b, latency ms)`.
+const EDGES: [(u32, u32, u32); 2] = [(0, 1, 1), (1, 2, 1)];
+
+/// Interfaces per router: the ends have one, the middle two.
+const DEGREE: [usize; 3] = [1, 2, 1];
+
 /// The one group the line carries.
 pub fn group() -> GroupId {
     GroupId::numbered(1)
 }
 
-/// Builds the line in the fleet benchmark's engine configuration
-/// (compact-idle, fast timers), one shard whatever `CBT_SHARDS` says.
-pub fn line() -> NetscaleWorld<P2pNode> {
-    let edges = vec![(0, 1, 1), (1, 2, 1)];
-    let (csr, pairs) = CsrGraph::from_edges(3, &edges);
+/// The line's route table, rooted at the core.
+pub fn rib() -> Arc<RwLock<FleetRib>> {
+    let (csr, _) = CsrGraph::from_edges(3, &EDGES);
     let tree = SpfTree::full(&csr, 0, &mut SpfScratch::new());
-    let rib = Arc::new(RwLock::new(FleetRib::new(&csr, &[0], &[tree])));
+    Arc::new(RwLock::new(FleetRib::new(&csr, &[0], &[tree])))
+}
+
+/// Boots router `i` of the line in the fleet benchmark's engine
+/// configuration (compact-idle, fast timers), one shard whatever
+/// `CBT_SHARDS` says.
+pub fn engine(rib: &Arc<RwLock<FleetRib>>, i: u32) -> ShardedRouter {
     let cfg = CbtConfig { compact_idle: true, shards: 1, ..CbtConfig::fast() };
-    let nodes = (0..3u32)
-        .map(|i| {
-            let degree = (csr.slot_base(i + 1) - csr.slot_base(i)) as usize;
-            let rib = Arc::clone(&rib);
-            P2pNode::new(ShardedRouter::p2p(
-                RouterId(i),
-                node_addr(i),
-                degree,
-                cfg.clone(),
-                move || Box::new(FleetRoutes::new(Arc::clone(&rib), i)),
-                SimTime::ZERO,
-            ))
-        })
-        .collect();
-    NetscaleWorld::new(nodes, &csr, &pairs, &edges, |w| SimDuration::from_millis(w as u64))
+    ShardedRouter::p2p(
+        RouterId(i),
+        node_addr(i),
+        DEGREE[i as usize],
+        cfg,
+        || Box::new(FleetRoutes::new(Arc::clone(rib), i)),
+        SimTime::ZERO,
+    )
+}
+
+/// Builds the line over `rib`, every engine booted by [`engine`].
+pub fn line(rib: &Arc<RwLock<FleetRib>>) -> NetscaleWorld<P2pNode> {
+    let (csr, pairs) = CsrGraph::from_edges(3, &EDGES);
+    let nodes = (0..3u32).map(|i| P2pNode::new(engine(rib, i))).collect();
+    NetscaleWorld::new(nodes, &csr, &pairs, &EDGES, |w| SimDuration::from_millis(w as u64))
 }
 
 /// A member of [`group`] attaches behind router `r`.

@@ -53,7 +53,7 @@ fn steady_state_echo_exchange_allocates_nothing() {
     let interval = cfg.echo_interval.micros();
     let at = |intervals: u64| SimTime::from_micros(intervals * interval);
     // One member behind router 2: it echoes 1, and 1 echoes the core.
-    let mut world = common::line();
+    let mut world = common::line(&common::rib());
     common::join(&mut world, 2);
 
     // Warm-up: the join, the first two echo rounds, every buffer grown.

@@ -78,7 +78,7 @@ proptest! {
     ) {
         // Router 1 is on-tree between a child and the core, so echoes,
         // quits and joins in the mix find a parent and a child to hit.
-        let mut world = common::line();
+        let mut world = common::line(&common::rib());
         common::join(&mut world, 2);
         world.run_until(cbt_netsim::SimTime::from_secs(1));
         for (iface, frame) in frames {
@@ -98,7 +98,7 @@ proptest! {
     fn an_unencodable_message_costs_one_counted_unqueued_frame(
         msgs in proptest::collection::vec((0u32..2, arb_control(12)), 1..24),
     ) {
-        let mut world = common::line();
+        let mut world = common::line(&common::rib());
         let encodable: Vec<bool> = msgs.iter().map(|(_, m)| m.encode().is_ok()).collect();
         let actions = msgs
             .into_iter()
