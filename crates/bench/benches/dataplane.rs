@@ -3,7 +3,7 @@
 //!
 //! The data-plane refactor's claim is not just "faster" but "no heap
 //! traffic": with a warmed action buffer, refcounted payload handles
-//! and the engine's scratch collections, the steady-state forward path
+//! and the engine's cached spanning entries, the steady-state forward path
 //! must perform **zero** heap allocations per packet. This bench
 //! wraps the system allocator in a counter and *asserts* that claim
 //! for the hot paths (native transit, native local-origin fan-out,

@@ -9,6 +9,7 @@
 use crate::config::CbtConfig;
 use crate::events::{RouterAction, RouterStats};
 use crate::fib::{Fib, GroupSlot};
+use crate::forward::Span;
 use crate::inline::InlineBuf;
 use crate::pending::Transient;
 use crate::timers::TimerService;
@@ -226,15 +227,23 @@ pub struct CbtRouter {
     pub(crate) obs: RouterObs,
     /// Data-plane memo: the last group's dense FIB slot plus the FIB
     /// generation it was resolved at. A burst of packets to one group
-    /// pays the ordered FIB lookup once (see [`Fib::slot`]).
+    /// pays the hashed FIB lookup once (see [`Fib::slot`]).
     pub(crate) data_slot_memo: Option<(GroupId, GroupSlot, u64)>,
-    /// Reused per-packet scratch for native spanning (the distinct
-    /// outgoing interfaces); capacity persists across packets so the
-    /// steady-state forward path performs no heap allocation.
-    pub(crate) scratch_ifaces: Vec<IfIndex>,
-    /// Reused per-packet scratch for CBT spanning: (iface, neighbour)
-    /// pairs, sorted by interface before emission.
-    pub(crate) scratch_neighbors: Vec<(IfIndex, Addr)>,
+    /// Control epoch: bumped at the top of every entry point that can
+    /// write tree, G-DR or presence state (`handle_control_into`,
+    /// `handle_igmp`, `on_timer_into`, `local_join`, `local_leave`).
+    /// The data handlers write none of it, so a spanning entry built at
+    /// the current epoch is exact.
+    pub(crate) epoch: u64,
+    /// One spanning entry per FIB slot — the outgoing interfaces and
+    /// tree neighbours both forwarding modes read per packet, rebuilt
+    /// when the epoch has moved since. Grown by the first data packet:
+    /// a router that never forwards data allocates nothing here.
+    pub(crate) spans: Vec<Span>,
+    /// The oracle's reused scratch entry: every lookup recomputes into
+    /// it and asserts that the cached entry matches.
+    #[cfg(debug_assertions)]
+    pub(crate) span_check: Span,
 }
 
 impl CbtRouter {
@@ -348,8 +357,11 @@ impl CbtRouter {
             stats: RouterStats::default(),
             obs: RouterObs::new(),
             data_slot_memo: None,
-            scratch_ifaces: Vec::new(),
-            scratch_neighbors: Vec::new(),
+            // A fresh `Span` carries epoch 0, so it is never current.
+            epoch: 1,
+            spans: Vec::new(),
+            #[cfg(debug_assertions)]
+            span_check: Span::default(),
         };
         r.boot_arm();
         r
@@ -396,8 +408,8 @@ impl CbtRouter {
     }
 
     /// Data-plane FIB lookup through the memoised dense slot: a burst
-    /// of packets to one group resolves the ordered index once; any
-    /// FIB insert/remove (generation bump) invalidates the memo.
+    /// of packets to one group probes the hash index once; any FIB
+    /// insert/remove (generation bump) invalidates the memo.
     pub(crate) fn fib_slot_cached(&mut self, group: GroupId) -> Option<GroupSlot> {
         let generation = self.fib.generation();
         if let Some((g, slot, seen)) = self.data_slot_memo {
@@ -620,6 +632,7 @@ impl CbtRouter {
         msg: ControlMessage,
         act: &mut Vec<RouterAction>,
     ) {
+        self.epoch += 1;
         // A frame claiming to come from one of our own addresses is
         // spoofed or looped — no legitimate neighbour ever is us.
         if self.is_my_addr(src) {
@@ -673,6 +686,7 @@ impl CbtRouter {
         src: Addr,
         msg: IgmpMessage,
     ) -> Vec<RouterAction> {
+        self.epoch += 1;
         let mut act = Vec::new();
         // Core lists ride in RP/Core-Reports (§2.2); learn them even
         // when the matching membership report was lost in flight — the
@@ -757,6 +771,7 @@ impl CbtRouter {
     /// so a stale or early entry degenerates to a no-op (plus a lazy
     /// re-arm where the true deadline moved later).
     pub fn on_timer_into(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
+        self.epoch += 1;
         let mut due: InlineBuf<(TimerKind, SimTime), 4> = InlineBuf::new();
         self.timers.pop_due_into(now, &mut due);
         // `TimerKind` orders by variant, then key, and the variants are

@@ -10,7 +10,7 @@
 use cbt_netsim::SimTime;
 use cbt_topology::IfIndex;
 use cbt_wire::{Addr, GroupId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Maximum children per group entry. Fig. 4's field widths "assume a
@@ -110,17 +110,6 @@ impl FibEntry {
         self.children.iter().any(|c| c.addr == addr)
     }
 
-    /// The distinct interfaces children are reached through, with the
-    /// number of children behind each — CBT-mode forwarding picks
-    /// unicast vs multicast per interface from this (§5).
-    pub fn child_ifaces(&self) -> BTreeMap<IfIndex, usize> {
-        let mut m = BTreeMap::new();
-        for c in &self.children {
-            *m.entry(c.iface).or_insert(0) += 1;
-        }
-        m
-    }
-
     /// Is `iface` a valid on-tree interface for this entry (§7)?
     pub fn is_tree_iface(&self, iface: IfIndex) -> bool {
         self.parent.is_some_and(|p| p.iface == iface)
@@ -139,6 +128,14 @@ impl FibEntry {
 /// instead of walking the ordered index per packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupSlot(usize);
+
+impl GroupSlot {
+    /// The slot's position in the dense vector, for per-slot side
+    /// tables such as the engine's spanning entries.
+    pub(crate) fn index(self) -> usize {
+        self.0
+    }
+}
 
 /// Deterministic hasher for `GroupId` keys. The group address is
 /// already a well-mixed 32-bit value after the splitmix-style finisher,
@@ -370,17 +367,6 @@ mod tests {
         assert!(!e.add_child(a(200), IfIndex(0), t(0)), "17th child rejected");
         // But refreshing an existing one still works at capacity.
         assert!(e.add_child(a(1), IfIndex(0), t(9)));
-    }
-
-    #[test]
-    fn child_ifaces_counts_per_interface() {
-        let mut e = FibEntry::default();
-        e.add_child(a(1), IfIndex(0), t(0));
-        e.add_child(a(2), IfIndex(0), t(0));
-        e.add_child(a(3), IfIndex(2), t(0));
-        let m = e.child_ifaces();
-        assert_eq!(m[&IfIndex(0)], 2, "two children share iface 0 ⇒ CBT multicast there");
-        assert_eq!(m[&IfIndex(2)], 1, "one child on iface 2 ⇒ CBT unicast");
     }
 
     #[test]

@@ -1,21 +1,80 @@
 //! Data-plane forwarding: native mode (§4), CBT mode (§5), the on-tree
 //! bit (§7) and non-member sending (§5.1/§5.3).
 //!
-//! The handlers write into a caller-provided action buffer and draw all
-//! per-packet working storage from scratch collections on the router,
-//! so the steady-state forward path performs no heap allocation: the
-//! caller drains and reuses one `Vec<RouterAction>`, packet payloads
-//! are refcounted [`Bytes`](cbt_wire::data) handles, and group lookups
-//! go through the memoised dense FIB slot.
+//! The handlers write into a caller-provided action buffer and read a
+//! group's outgoing interfaces from its cached spanning entry
+//! (`Span`), which only a control event can make stale, so the
+//! steady-state forward path neither allocates nor sorts: the caller
+//! drains and reuses one `Vec<RouterAction>`, packet payloads are
+//! refcounted [`Bytes`](cbt_wire::data) handles, and group lookups go
+//! through the memoised dense FIB slot.
 
 use crate::config::ForwardingMode;
-use crate::engine::CbtRouter;
+use crate::engine::{CbtRouter, LanState};
 use crate::events::RouterAction;
+use crate::fib::{FibEntry, GroupSlot};
 use cbt_netsim::SimTime;
 use cbt_obs::DropReason;
 use cbt_topology::IfIndex;
 use cbt_wire::header::{OFF_TREE, ON_TREE};
 use cbt_wire::{Addr, CbtDataPacket, DataPacket, GroupId};
+use std::collections::{BTreeMap, BTreeSet};
+
+/// One group's spanning entry: where a packet on its tree leaves this
+/// router, worked out from the FIB entry, LAN presence and the G-DR
+/// roles. All three change only under a control event, so the entry is
+/// rebuilt at most once per control epoch (see [`CbtRouter::epoch`]),
+/// not once per packet.
+#[derive(Debug, Default)]
+pub(crate) struct Span {
+    /// Native outgoing interfaces, ascending and distinct; `true` marks
+    /// a member LAN this router is the G-DR for.
+    oifs: Vec<(IfIndex, bool)>,
+    /// Parent and children as `(interface, address)`, ordered by
+    /// interface.
+    tree: Vec<(IfIndex, Addr)>,
+    /// The control epoch the entry was built at.
+    epoch: u64,
+}
+
+impl Span {
+    /// Recomputes the entry in place, keeping the vectors' capacity.
+    fn build(
+        &mut self,
+        entry: &FibEntry,
+        group: GroupId,
+        lans: &BTreeMap<IfIndex, LanState>,
+        gdr: &BTreeSet<(IfIndex, GroupId)>,
+    ) {
+        self.tree.clear();
+        self.tree.extend(entry.parent.map(|p| (p.iface, p.addr)));
+        self.tree.extend(entry.children.iter().map(|c| (c.iface, c.addr)));
+        self.tree.sort_unstable();
+        self.oifs.clear();
+        self.oifs.extend(self.tree.iter().map(|&(iface, _)| (iface, false)));
+        for (&lan, l) in lans {
+            if l.presence.has_members(group) && gdr.contains(&(lan, group)) {
+                self.oifs.push((lan, true));
+            }
+        }
+        self.oifs.sort_unstable();
+        // A tree interface that is also a served member LAN is one send.
+        self.oifs.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            kept.1 |= same && next.1;
+            same
+        });
+    }
+}
+
+/// The CBT-mode send on one tree interface: a unicast to its lone
+/// neighbour, or a CBT multicast where several share it (§5).
+fn cbt_send((iface, lone): (IfIndex, Option<Addr>), pkt: CbtDataPacket) -> RouterAction {
+    match lone {
+        Some(dst) => RouterAction::SendCbtUnicast { iface, dst, pkt },
+        None => RouterAction::SendCbtMulticast { iface, pkt },
+    }
+}
 
 impl CbtRouter {
     /// A native (plain IP multicast) data packet arrived on `iface`
@@ -58,23 +117,27 @@ impl CbtRouter {
             // Everyone else discards, or the tree carries duplicates.
             let responsible = self.is_gdr(iface, group)
                 || (self.i_am_dr(iface, now) && !self.proxy_handled.contains_key(&(iface, group)));
-            let arrival_is_tree = slot.is_some_and(|s| self.fib.at(s).is_tree_iface(iface));
-            if slot.is_some() && (responsible || arrival_is_tree) {
-                self.forward_over_tree(now, group, pkt, Some(iface), None, act);
-            } else if responsible && self.i_am_dr(iface, now) && slot.is_none() {
+            match slot {
+                Some(slot) if responsible || self.fib.at(slot).is_tree_iface(iface) => {
+                    self.forward_over_tree(group, slot, pkt, iface, act);
+                }
                 // §5.1/§5.3 non-member sending: the D-DR encapsulates
                 // and unicasts toward a core for the group.
-                self.send_toward_core(group, &pkt, act);
-            } else {
-                self.stats.data_discarded += 1;
-                // A responsible router with no tree has no FIB state to
-                // forward with; an unresponsible one is outside its
-                // scope — another router owns this LAN's attachment.
-                self.obs.drop_packet(if responsible {
-                    DropReason::NoFibEntry
-                } else {
-                    DropReason::ScopeBoundary
-                });
+                None if responsible && self.i_am_dr(iface, now) => {
+                    self.send_toward_core(group, &pkt, act);
+                }
+                _ => {
+                    self.stats.data_discarded += 1;
+                    // A responsible router with no tree has no FIB state
+                    // to forward with; an unresponsible one is outside
+                    // its scope — another router owns this LAN's
+                    // attachment.
+                    self.obs.drop_packet(if responsible {
+                        DropReason::NoFibEntry
+                    } else {
+                        DropReason::ScopeBoundary
+                    });
+                }
             }
             return;
         }
@@ -85,17 +148,21 @@ impl CbtRouter {
         // the branch parent/child counts, otherwise member-delivery
         // multicasts from a co-located G-DR would be mistaken for
         // branch traffic and amplified around shared-LAN cycles.
-        let valid = slot.is_some_and(|s| {
-            let e = self.fib.at(s);
-            e.parent.is_some_and(|p| p.iface == iface && p.addr == link_src)
-                || e.children.iter().any(|c| c.iface == iface && c.addr == link_src)
-        });
-        if valid {
-            self.forward_over_tree(now, group, pkt, Some(iface), None, act);
-        } else {
-            self.stats.data_discarded += 1;
-            self.obs.drop_packet(DropReason::ScopeBoundary);
+        match slot.filter(|&s| self.sent_by_tree_neighbor(s, iface, link_src)) {
+            Some(slot) => self.forward_over_tree(group, slot, pkt, iface, act),
+            None => {
+                self.stats.data_discarded += 1;
+                self.obs.drop_packet(DropReason::ScopeBoundary);
+            }
         }
+    }
+
+    /// Did a packet arriving on `iface` from `src` come from the tree
+    /// neighbour that interface points at (§7)?
+    fn sent_by_tree_neighbor(&self, slot: GroupSlot, iface: IfIndex, src: Addr) -> bool {
+        let e = self.fib.at(slot);
+        e.parent.is_some_and(|p| p.iface == iface && p.addr == src)
+            || e.children.iter().any(|c| c.iface == iface && c.addr == src)
     }
 
     /// A CBT-mode (encapsulated) data packet arrived, addressed to us
@@ -103,7 +170,7 @@ impl CbtRouter {
     /// neighbour; `arrival` the interface. Sends are appended to `act`.
     pub fn handle_cbt_data(
         &mut self,
-        now: SimTime,
+        _now: SimTime,
         arrival: IfIndex,
         outer_src: Addr,
         mut pkt: CbtDataPacket,
@@ -115,29 +182,23 @@ impl CbtRouter {
             // §7: an on-tree packet arriving over a non-tree interface
             // — or from anyone but the tree neighbour behind that
             // interface — is a leak (or a loop): discard immediately.
-            let valid = slot.is_some_and(|s| {
-                let e = self.fib.at(s);
-                e.parent.is_some_and(|p| p.iface == arrival && p.addr == outer_src)
-                    || e.children.iter().any(|c| c.iface == arrival && c.addr == outer_src)
-            });
-            if !valid {
-                self.stats.data_discarded += 1;
-                self.obs.drop_packet(DropReason::ScopeBoundary);
-                return;
+            match slot.filter(|&s| self.sent_by_tree_neighbor(s, arrival, outer_src)) {
+                Some(slot) => self.span_cbt(group, slot, pkt, Some(outer_src), act),
+                None => {
+                    self.stats.data_discarded += 1;
+                    self.obs.drop_packet(DropReason::ScopeBoundary);
+                }
             }
-            self.span_cbt(now, group, pkt, Some(outer_src), Some(arrival), act);
-        } else {
+        } else if let Some(slot) = slot {
             // Off-tree packet travelling from a non-member sender's DR
             // toward the tree (§5.1). The first on-tree router marks it.
-            if slot.is_some() {
-                pkt.cbt.on_tree = ON_TREE;
-                self.span_cbt(now, group, pkt, Some(outer_src), None, act);
-            } else {
-                // We are the target core but have no tree (no members
-                // ever joined): nowhere to deliver.
-                self.stats.data_discarded += 1;
-                self.obs.drop_packet(DropReason::NoFibEntry);
-            }
+            pkt.cbt.on_tree = ON_TREE;
+            self.span_cbt(group, slot, pkt, Some(outer_src), act);
+        } else {
+            // We are the target core but have no tree (no members ever
+            // joined): nowhere to deliver.
+            self.stats.data_discarded += 1;
+            self.obs.drop_packet(DropReason::NoFibEntry);
         }
     }
 
@@ -164,55 +225,67 @@ impl CbtRouter {
         self.obs.drop_packet(DropReason::NoFibEntry);
     }
 
-    /// Spans the tree with a packet that is on it, in the configured
-    /// forwarding mode. `skip_neighbor` suppresses the tree neighbour
-    /// the packet came from; `skip_iface` suppresses re-multicasting
-    /// onto the arrival subnet.
+    /// The spanning entry for `slot` (an index into `spans`), rebuilt
+    /// first if a control event has run since it was built.
+    fn span_index(&mut self, group: GroupId, slot: GroupSlot) -> usize {
+        let i = slot.index();
+        if i >= self.spans.len() {
+            self.spans.resize_with(i + 1, Span::default);
+        }
+        let span = &mut self.spans[i];
+        if span.epoch != self.epoch {
+            span.build(self.fib.at(slot), group, &self.lans, &self.gdr);
+            span.epoch = self.epoch;
+        }
+        // The oracle: an entry built at the current epoch is exact.
+        #[cfg(debug_assertions)]
+        {
+            self.span_check.build(self.fib.at(slot), group, &self.lans, &self.gdr);
+            let (cached, fresh) = (&self.spans[i], &self.span_check);
+            assert!(
+                cached.oifs == fresh.oifs && cached.tree == fresh.tree,
+                "stale spanning entry for {group}: cached {cached:?}, recomputed {fresh:?}"
+            );
+        }
+        i
+    }
+
+    /// Spans the tree with a packet that arrived on `arrival`, in the
+    /// configured forwarding mode.
     fn forward_over_tree(
         &mut self,
-        now: SimTime,
         group: GroupId,
+        slot: GroupSlot,
         pkt: DataPacket,
-        skip_iface: Option<IfIndex>,
-        skip_neighbor: Option<Addr>,
+        arrival: IfIndex,
         act: &mut Vec<RouterAction>,
     ) {
         match self.cfg.mode {
-            ForwardingMode::Native => {
-                self.forward_native(group, pkt, skip_iface, act);
-            }
+            ForwardingMode::Native => self.forward_native(group, slot, pkt, arrival, act),
             ForwardingMode::CbtMode => {
-                let core = self
-                    .fib_slot_cached(group)
-                    .and_then(|s| self.fib.at(s).primary_core())
-                    .unwrap_or(Addr::NULL);
+                let core = self.fib.at(slot).primary_core().unwrap_or(Addr::NULL);
                 let mut enc = CbtDataPacket::encapsulate(&pkt, core);
                 enc.cbt.on_tree = ON_TREE;
-                self.span_cbt(now, group, enc, skip_neighbor, skip_iface, act);
+                self.span_cbt(group, slot, enc, None, act);
             }
         }
     }
 
     /// Native-mode spanning (§4): one IP multicast per distinct tree
     /// interface (parent vif, child vifs) and per member subnet this
-    /// router is the attachment (G-DR) for. The packet is moved into
-    /// the last branch's action, so N branches cost N-1 refcount
-    /// clones, and it stays the packet that was decoded: the adapter
-    /// can re-send its arrival frame patched instead of rebuilding it.
+    /// router is the attachment (G-DR) for, except the interface of
+    /// `arrival`. The packet is moved into the last branch's action, so
+    /// N branches cost N-1 refcount clones, and it stays the packet
+    /// that was decoded: the adapter can re-send its arrival frame
+    /// patched instead of rebuilding it.
     fn forward_native(
         &mut self,
         group: GroupId,
+        slot: GroupSlot,
         mut pkt: DataPacket,
-        skip_iface: Option<IfIndex>,
+        arrival: IfIndex,
         act: &mut Vec<RouterAction>,
     ) {
-        let Some(slot) = self.fib_slot_cached(group) else {
-            // Unreachable from the guarded call sites (they check the
-            // slot first), but a FIB miss here must never be silent.
-            self.stats.data_discarded += 1;
-            self.obs.drop_packet(DropReason::NoFibEntry);
-            return;
-        };
         if pkt.ttl <= 1 {
             // §5 boundary, unified with the CBT path: every native
             // re-send decrements, so a ttl=1 packet cannot travel
@@ -222,43 +295,20 @@ impl CbtRouter {
             self.obs.drop_packet(DropReason::TtlExpired);
             return;
         }
-        let mut ifaces = std::mem::take(&mut self.scratch_ifaces);
-        ifaces.clear();
-        {
-            let entry = self.fib.at(slot);
-            if let Some(p) = entry.parent {
-                ifaces.push(p.iface);
-            }
-            for c in &entry.children {
-                ifaces.push(c.iface);
-            }
-        }
-        // Member-LAN sends among the fan-out count as a delivery —
-        // unless the only one is the LAN of arrival, skipped below.
-        let mut delivered = false;
-        for (&lan, l) in &self.lans {
-            if l.presence.has_members(group) && self.is_gdr(lan, group) {
-                ifaces.push(lan);
-                delivered |= skip_iface != Some(lan);
-            }
-        }
-        // Sorted + deduped: same deterministic emission order as the
-        // BTreeSet this replaced, without its per-packet node allocs.
-        ifaces.sort_unstable();
-        ifaces.dedup();
-        if let Some(skip) = skip_iface {
-            ifaces.retain(|i| *i != skip);
-        }
         pkt.ttl -= 1;
-        let sent = ifaces.len();
-        if let Some((&last, rest)) = ifaces.split_last() {
-            for &iface in rest {
-                act.push(RouterAction::SendNativeData { iface, pkt: pkt.clone() });
+        let span = self.span_index(group, slot);
+        // Member-LAN sends among the fan-out count as a delivery —
+        // unless the only one is the LAN of arrival, which is skipped.
+        let mut delivered = false;
+        let mut held = None;
+        for &(iface, member) in self.spans[span].oifs.iter().filter(|&&(i, _)| i != arrival) {
+            if let Some(prev) = held.replace(iface) {
+                act.push(RouterAction::SendNativeData { iface: prev, pkt: pkt.clone() });
             }
-            act.push(RouterAction::SendNativeData { iface: last, pkt });
+            delivered |= member;
         }
-        self.scratch_ifaces = ifaces;
-        if sent > 0 {
+        if let Some(iface) = held {
+            act.push(RouterAction::SendNativeData { iface, pkt });
             self.stats.data_forwarded += 1;
             self.obs.data_forwarded += 1;
             self.obs.data_delivered += u64::from(delivered);
@@ -268,14 +318,14 @@ impl CbtRouter {
     /// CBT-mode spanning (§5): per tree interface, CBT-unicast to a
     /// single neighbour or CBT-multicast when parent/children share it;
     /// member subnets get the decapsulated packet as a native multicast
-    /// with TTL 1.
+    /// with TTL 1. `skip_neighbor` is the tree neighbour the packet
+    /// came from.
     fn span_cbt(
         &mut self,
-        _now: SimTime,
         group: GroupId,
+        slot: GroupSlot,
         mut pkt: CbtDataPacket,
         skip_neighbor: Option<Addr>,
-        _arrival: Option<IfIndex>,
         act: &mut Vec<RouterAction>,
     ) {
         // §5/§8.1: the CBT header TTL is decremented by every CBT hop.
@@ -293,81 +343,53 @@ impl CbtRouter {
             return;
         }
         pkt.cbt.ip_ttl -= 1;
-        let Some(slot) = self.fib_slot_cached(group) else {
-            // Unreachable from the guarded call sites, but never silent.
-            self.stats.data_discarded += 1;
-            self.obs.drop_packet(DropReason::NoFibEntry);
-            return;
-        };
+        let span = self.span_index(group, slot);
+        let span = &self.spans[span];
+        let members = span.oifs.iter().filter(|&&(_, member)| member);
 
-        let mut forwarded = false;
-        // Collect tree neighbours, then group by interface (ascending,
-        // matching the order of the BTreeMap this replaced).
-        let mut neighbors = std::mem::take(&mut self.scratch_neighbors);
-        neighbors.clear();
-        {
-            let entry = self.fib.at(slot);
-            if let Some(p) = entry.parent {
-                if Some(p.addr) != skip_neighbor {
-                    neighbors.push((p.iface, p.addr));
-                }
+        // Member subnets get the packet decapsulated, inner TTL forced
+        // to 1 (§5). Zero-copy: the delivered payload views the
+        // encapsulated inner datagram's refcounted buffer. A router
+        // with no member LAN to serve — a transit router, a bare core —
+        // never decodes it.
+        let serves_members = span.oifs.iter().any(|&(_, member)| member);
+        let native = if serves_members { pkt.decapsulate_for_delivery().ok() } else { None };
+
+        // Tree neighbours, one send per interface in ascending order;
+        // the packet itself goes out on the last.
+        let mut neighbors = span.tree.iter().filter(|&&(_, a)| Some(a) != skip_neighbor).peekable();
+        let mut held = None;
+        while let Some(&(iface, dst)) = neighbors.next() {
+            let mut lone = true;
+            while neighbors.next_if(|&&(i, _)| i == iface).is_some() {
+                lone = false;
             }
-            for c in &entry.children {
-                if Some(c.addr) != skip_neighbor {
-                    neighbors.push((c.iface, c.addr));
-                }
+            if let Some(send) = held.replace((iface, lone.then_some(dst))) {
+                act.push(cbt_send(send, pkt.clone()));
             }
         }
-        neighbors.sort_unstable_by_key(|(iface, _)| *iface);
-
-        let mut i = 0;
-        while i < neighbors.len() {
-            let iface = neighbors[i].0;
-            let mut j = i + 1;
-            while j < neighbors.len() && neighbors[j].0 == iface {
-                j += 1;
-            }
-            if j - i == 1 {
-                act.push(RouterAction::SendCbtUnicast {
-                    iface,
-                    dst: neighbors[i].1,
-                    pkt: pkt.clone(),
-                });
-            } else {
-                // §5 "CBT multicasting": several tree neighbours
-                // behind one interface.
-                act.push(RouterAction::SendCbtMulticast { iface, pkt: pkt.clone() });
-            }
-            forwarded = true;
-            i = j;
+        let mut forwarded = held.is_some();
+        if let Some(send) = held {
+            act.push(cbt_send(send, pkt));
         }
-        self.scratch_neighbors = neighbors;
 
-        // Member subnets: decapsulate, inner TTL forced to 1 (§5).
-        // Zero-copy: the delivered payload views the encapsulated inner
-        // datagram's refcounted buffer.
         let mut delivered = false;
-        if let Ok(native) = pkt.decapsulate_for_delivery() {
-            for (&lan, l) in &self.lans {
-                if l.presence.has_members(group) && self.is_gdr(lan, group) {
-                    // Never send the packet back onto its source subnet
-                    // ("S10 received the IP style packet already from
-                    // the originator", §5).
-                    let src_is_here = self.iface(lan).is_some_and(|i| i.contains(native.src));
-                    if !src_is_here {
-                        act.push(RouterAction::SendNativeData { iface: lan, pkt: native.clone() });
-                        delivered = true;
-                        forwarded = true;
-                    }
+        if let Some(native) = native {
+            for &(lan, _) in members {
+                // Never send the packet back onto its source subnet
+                // ("S10 received the IP style packet already from the
+                // originator", §5).
+                if !self.iface(lan).is_some_and(|i| i.contains(native.src)) {
+                    act.push(RouterAction::SendNativeData { iface: lan, pkt: native.clone() });
+                    delivered = true;
+                    forwarded = true;
                 }
             }
         }
         if forwarded {
             self.stats.data_forwarded += 1;
             self.obs.data_forwarded += 1;
-            if delivered {
-                self.obs.data_delivered += 1;
-            }
+            self.obs.data_delivered += u64::from(delivered);
         }
     }
 }
@@ -377,6 +399,7 @@ mod tests {
     use super::*;
     use crate::engine::testutil::*;
     use crate::CbtConfig;
+    use cbt_netsim::SimDuration;
     use cbt_wire::{AckSubcode, ControlMessage, IgmpMessage, JoinSubcode};
     use std::collections::BTreeMap;
 
@@ -856,5 +879,318 @@ mod tests {
         assert!(act.is_empty(), "ttl=1 transit packet must not be forwarded (§4)");
         assert_eq!(e.obs().drops.get(DropReason::TtlExpired), 1);
         assert_eq!(e.stats().data_discarded, 1);
+    }
+
+    /// The forward path as it was before spanning entries, kept as the
+    /// model: the handlers' gates, then every packet's outgoing
+    /// interfaces worked out afresh from the FIB entry, the LANs and the
+    /// G-DR set, sorted and deduplicated. Read-only, so it can run
+    /// beside the engine it models.
+    mod reference {
+        use super::*;
+
+        pub fn native(
+            e: &CbtRouter,
+            now: SimTime,
+            iface: IfIndex,
+            link_src: Addr,
+            pkt: DataPacket,
+        ) -> Vec<RouterAction> {
+            let mut act = Vec::new();
+            let group = pkt.group;
+            let entry = e.fib.get(group);
+            if pkt.ttl == 0 {
+                return act;
+            }
+            let local_origin =
+                e.iface(iface).is_some_and(|i| i.contains(pkt.src)) && link_src == pkt.src;
+            if local_origin {
+                let responsible = e.is_gdr(iface, group)
+                    || (e.i_am_dr(iface, now) && !e.proxy_handled.contains_key(&(iface, group)));
+                let arrival_is_tree = entry.is_some_and(|en| en.is_tree_iface(iface));
+                if entry.is_some() && (responsible || arrival_is_tree) {
+                    over_tree(e, pkt, iface, &mut act);
+                } else if responsible && e.i_am_dr(iface, now) && entry.is_none() {
+                    toward_core(e, &pkt, &mut act);
+                }
+            } else if entry.is_some_and(|en| from_neighbor(en, iface, link_src)) {
+                over_tree(e, pkt, iface, &mut act);
+            }
+            act
+        }
+
+        pub fn cbt(
+            e: &CbtRouter,
+            arrival: IfIndex,
+            outer_src: Addr,
+            mut pkt: CbtDataPacket,
+        ) -> Vec<RouterAction> {
+            let mut act = Vec::new();
+            let Some(entry) = e.fib.get(pkt.cbt.group) else { return act };
+            if pkt.cbt.is_on_tree() {
+                if !from_neighbor(entry, arrival, outer_src) {
+                    return act;
+                }
+            } else {
+                pkt.cbt.on_tree = ON_TREE;
+            }
+            span_cbt(e, pkt, Some(outer_src), &mut act);
+            act
+        }
+
+        fn from_neighbor(en: &FibEntry, iface: IfIndex, src: Addr) -> bool {
+            en.parent.is_some_and(|p| p.iface == iface && p.addr == src)
+                || en.children.iter().any(|c| c.iface == iface && c.addr == src)
+        }
+
+        fn toward_core(e: &CbtRouter, pkt: &DataPacket, act: &mut Vec<RouterAction>) {
+            for core in e.cores_for(pkt.group).unwrap_or_default() {
+                if let Some(hop) = e.routes.hop_toward(core) {
+                    let mut enc = CbtDataPacket::encapsulate(pkt, core);
+                    enc.cbt.on_tree = OFF_TREE;
+                    act.push(RouterAction::SendCbtUnicast {
+                        iface: hop.iface,
+                        dst: core,
+                        pkt: enc,
+                    });
+                    return;
+                }
+            }
+        }
+
+        fn over_tree(
+            e: &CbtRouter,
+            pkt: DataPacket,
+            arrival: IfIndex,
+            act: &mut Vec<RouterAction>,
+        ) {
+            match e.cfg.mode {
+                ForwardingMode::Native => native_span(e, pkt, arrival, act),
+                ForwardingMode::CbtMode => {
+                    let entry = e.fib.get(pkt.group).expect("on tree");
+                    let core = entry.primary_core().unwrap_or(Addr::NULL);
+                    let mut enc = CbtDataPacket::encapsulate(&pkt, core);
+                    enc.cbt.on_tree = ON_TREE;
+                    span_cbt(e, enc, None, act);
+                }
+            }
+        }
+
+        /// Member LANs this router serves for `group`, ascending.
+        fn member_lans(e: &CbtRouter, group: GroupId) -> Vec<IfIndex> {
+            let lans = e.lans.iter();
+            lans.filter(|(&lan, l)| l.presence.has_members(group) && e.is_gdr(lan, group))
+                .map(|(&lan, _)| lan)
+                .collect()
+        }
+
+        fn native_span(
+            e: &CbtRouter,
+            mut pkt: DataPacket,
+            skip: IfIndex,
+            act: &mut Vec<RouterAction>,
+        ) {
+            if pkt.ttl <= 1 {
+                return;
+            }
+            let entry = e.fib.get(pkt.group).expect("on tree");
+            let mut ifaces: Vec<IfIndex> = entry.parent.map(|p| p.iface).into_iter().collect();
+            ifaces.extend(entry.children.iter().map(|c| c.iface));
+            ifaces.extend(member_lans(e, pkt.group));
+            ifaces.sort_unstable();
+            ifaces.dedup();
+            ifaces.retain(|i| *i != skip);
+            pkt.ttl -= 1;
+            for iface in ifaces {
+                act.push(RouterAction::SendNativeData { iface, pkt: pkt.clone() });
+            }
+        }
+
+        fn span_cbt(
+            e: &CbtRouter,
+            mut pkt: CbtDataPacket,
+            skip_neighbor: Option<Addr>,
+            act: &mut Vec<RouterAction>,
+        ) {
+            if pkt.cbt.ip_ttl <= 1 {
+                return;
+            }
+            pkt.cbt.ip_ttl -= 1;
+            let group = pkt.cbt.group;
+            let entry = e.fib.get(group).expect("on tree");
+            let mut neighbors: Vec<(IfIndex, Addr)> =
+                entry.parent.map(|p| (p.iface, p.addr)).into_iter().collect();
+            neighbors.extend(entry.children.iter().map(|c| (c.iface, c.addr)));
+            neighbors.retain(|&(_, a)| Some(a) != skip_neighbor);
+            neighbors.sort_unstable_by_key(|&(iface, _)| iface);
+            for run in neighbors.chunk_by(|a, b| a.0 == b.0) {
+                act.push(match *run {
+                    [(iface, dst)] => RouterAction::SendCbtUnicast { iface, dst, pkt: pkt.clone() },
+                    _ => RouterAction::SendCbtMulticast { iface: run[0].0, pkt: pkt.clone() },
+                });
+            }
+            if let Ok(native) = pkt.decapsulate_for_delivery() {
+                for lan in member_lans(e, group) {
+                    if !e.iface(lan).is_some_and(|i| i.contains(native.src)) {
+                        act.push(RouterAction::SendNativeData { iface: lan, pkt: native.clone() });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs one control entry point and checks the rule the spanning
+    /// entries rest on: it moved the epoch.
+    fn control<T>(e: &mut CbtRouter, entry_point: impl FnOnce(&mut CbtRouter) -> T) {
+        let before = e.epoch;
+        entry_point(e);
+        assert!(e.epoch > before, "a control entry point left the epoch at {before}");
+    }
+
+    /// Cached spanning entries against the per-packet model, in both
+    /// forwarding modes, over random interleavings of joins and acks,
+    /// children adopted and quitting, echoes, flushes, IGMP reports and
+    /// leaves, local membership and timers (presence, child and parent
+    /// expiry), with data from the parent, a child, a LAN child and a
+    /// member host. Two groups share the FIB, so slots get reused.
+    ///
+    /// A control step that forgot its epoch bump shows up as a
+    /// mismatch after the next packet. `local_join` / `local_leave`
+    /// only ever create or drop whole entries, whose slots are stale by
+    /// then anyway, so for those two the epoch check in `control` is
+    /// what fails.
+    #[test]
+    fn cached_spans_forward_exactly_like_the_per_packet_model() {
+        let host = Addr::from_octets(10, 1, 0, 100);
+        let remote = Addr::from_octets(10, 9, 0, 100);
+        let parent = up_hop().addr;
+        for mode in [ForwardingMode::Native, ForwardingMode::CbtMode] {
+            let mut e = engine(CbtConfig::fast().with_mode(mode));
+            let mut map = BTreeMap::new();
+            map.insert(core_a(), up_hop());
+            set_routes(&mut e, map);
+            let groups = [g(), GroupId::numbered(2)];
+            for group in groups {
+                e.learn_cores(group, &[core_a()]);
+            }
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            let mut rnd = move |n: u64| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % n
+            };
+            let mut now = SimTime::ZERO;
+            let mut act = Vec::new();
+            // Data packets that went somewhere; native sends onto the
+            // LAN; CBT multicasts; a CBT branch send and a native one
+            // on the LAN for the same packet.
+            let mut seen = [0usize; 4];
+            for step in 0..20_000 {
+                now += SimDuration::from_millis(rnd(400));
+                let group = groups[rnd(2) as usize];
+                let lan_child = Addr::from_octets(10, 1, 0, 2 + rnd(2) as u8);
+                let (child_iface, child) =
+                    [(IfIndex(2), down_addr()), (IfIndex(0), lan_child)][rnd(2) as usize];
+                let cores = vec![core_a()];
+                act.clear();
+                match rnd(16) {
+                    0 => control(&mut e, |e| {
+                        let report = IgmpMessage::Report { version: 3, group };
+                        e.handle_igmp(now, IfIndex(0), host, report)
+                    }),
+                    1 => control(&mut e, |e| {
+                        e.handle_igmp(now, IfIndex(0), host, IgmpMessage::Leave { group })
+                    }),
+                    2 => control(&mut e, |e| {
+                        let ack = ControlMessage::JoinAck {
+                            subcode: AckSubcode::Normal,
+                            group,
+                            origin: Addr::from_octets(10, 1, 0, 1),
+                            target_core: core_a(),
+                            cores,
+                        };
+                        e.handle_control_into(now, IfIndex(1), parent, ack, &mut act)
+                    }),
+                    3 => control(&mut e, |e| {
+                        let join = ControlMessage::JoinRequest {
+                            subcode: JoinSubcode::ActiveJoin,
+                            group,
+                            origin: Addr::from_octets(10, 7, 0, 1),
+                            target_core: core_a(),
+                            cores,
+                        };
+                        e.handle_control_into(now, child_iface, child, join, &mut act)
+                    }),
+                    4 => control(&mut e, |e| {
+                        let quit = ControlMessage::QuitRequest { group, origin: child };
+                        e.handle_control_into(now, child_iface, child, quit, &mut act)
+                    }),
+                    5 => control(&mut e, |e| {
+                        let echo =
+                            ControlMessage::EchoRequest { group, origin: child, group_mask: None };
+                        e.handle_control_into(now, child_iface, child, echo, &mut act)
+                    }),
+                    6 => control(&mut e, |e| {
+                        let echo =
+                            ControlMessage::EchoReply { group, origin: parent, group_mask: None };
+                        e.handle_control_into(now, IfIndex(1), parent, echo, &mut act)
+                    }),
+                    7 if rnd(4) == 0 => control(&mut e, |e| {
+                        let flush = ControlMessage::FlushTree { group, origin: parent };
+                        e.handle_control_into(now, IfIndex(1), parent, flush, &mut act)
+                    }),
+                    8 | 9 => {
+                        // Jump to the next deadline: presence, children
+                        // and parents expire here when nothing refreshed
+                        // them.
+                        now = now.max(e.next_wakeup().unwrap_or(now));
+                        control(&mut e, |e| e.on_timer_into(now, &mut act));
+                    }
+                    10 if rnd(2) == 0 => control(&mut e, |e| e.local_join(now, group)),
+                    10 => control(&mut e, |e| e.local_leave(now, group)),
+                    _ => {
+                        let (iface, link_src, src) = match rnd(4) {
+                            0 => (IfIndex(0), host, host),
+                            1 => (IfIndex(1), parent, remote),
+                            2 => (IfIndex(2), down_addr(), remote),
+                            _ => (IfIndex(0), lan_child, remote),
+                        };
+                        let ttl = [1, 2, 16][rnd(3) as usize];
+                        let pkt = DataPacket::new(src, group, ttl, b"x".to_vec());
+                        let want = if rnd(2) == 0 {
+                            let want = reference::native(&e, now, iface, link_src, pkt.clone());
+                            e.handle_native_data(now, iface, link_src, pkt, &mut act);
+                            want
+                        } else {
+                            let mut enc = CbtDataPacket::encapsulate(&pkt, core_a());
+                            enc.cbt.on_tree = if rnd(4) == 0 { OFF_TREE } else { ON_TREE };
+                            let want = reference::cbt(&e, iface, link_src, enc.clone());
+                            e.handle_cbt_data(now, iface, link_src, enc, &mut act);
+                            want
+                        };
+                        assert_eq!(act, want, "{mode:?}, step {step}: {group} from {link_src}");
+                        let delivered = act.iter().any(|a| {
+                            matches!(a, RouterAction::SendNativeData { iface: IfIndex(0), .. })
+                        });
+                        let branch = act.iter().any(|a| {
+                            matches!(
+                                a,
+                                RouterAction::SendCbtUnicast { iface: IfIndex(0), .. }
+                                    | RouterAction::SendCbtMulticast { iface: IfIndex(0), .. }
+                            )
+                        });
+                        seen[0] += usize::from(!act.is_empty());
+                        seen[1] += usize::from(delivered);
+                        seen[2] += usize::from(
+                            act.iter().any(|a| matches!(a, RouterAction::SendCbtMulticast { .. })),
+                        );
+                        seen[3] += usize::from(delivered && branch);
+                    }
+                }
+            }
+            println!("{mode:?}: {seen:?}");
+            assert!(seen.iter().all(|&n| n >= 20), "{mode:?}: the walk stayed shallow: {seen:?}");
+        }
     }
 }

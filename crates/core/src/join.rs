@@ -77,6 +77,7 @@ impl CbtRouter {
     /// is no LAN and no IGMP). Joins the tree exactly like a D-DR whose
     /// LAN gained presence, minus the subnet bookkeeping.
     pub fn local_join(&mut self, now: SimTime, group: GroupId) -> Vec<RouterAction> {
+        self.epoch += 1;
         let mut act = Vec::new();
         // `serves_members` consults `local_members`, so an existing
         // branch or in-flight join serves this membership as it is.
@@ -91,6 +92,7 @@ impl CbtRouter {
     /// Quits the tree immediately when nothing else needs the branch —
     /// the eager analogue of the LAN path's periodic IFF scan.
     pub fn local_leave(&mut self, now: SimTime, group: GroupId) -> Vec<RouterAction> {
+        self.epoch += 1;
         let mut act = Vec::new();
         if self.local_members.remove(&group) {
             if self.local_members.is_empty() {
