@@ -282,20 +282,6 @@ fn write_json(name: &str, report: &Report) {
         return;
     }
     let path = dir.join(format!("{name}.json"));
-    let payload = serde_json::json!({
-        "id": report.id,
-        "title": report.title,
-        "findings": report.findings,
-        "data": report.json,
-        "obs": report.obs,
-        "tables": report
-            .tables
-            .iter()
-            .map(|(n, t)| serde_json::json!({"name": n, "csv": t.to_csv()}))
-            .collect::<Vec<_>>(),
-    });
-    if let Ok(s) = serde_json::to_string_pretty(&payload) {
-        let _ = std::fs::write(&path, s);
-        eprintln!("[written {}]", path.display());
-    }
+    let _ = std::fs::write(&path, report.to_file_json());
+    eprintln!("[written {}]", path.display());
 }

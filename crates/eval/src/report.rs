@@ -65,6 +65,23 @@ impl Report {
         self
     }
 
+    /// The JSON document `cbt-eval` writes under `target/eval-results/`.
+    pub fn to_file_json(&self) -> String {
+        let payload = serde_json::json!({
+            "id": self.id,
+            "title": self.title,
+            "findings": self.findings,
+            "data": self.json,
+            "obs": self.obs,
+            "tables": self
+                .tables
+                .iter()
+                .map(|(n, t)| serde_json::json!({"name": n, "csv": t.to_csv()}))
+                .collect::<Vec<_>>(),
+        });
+        serde_json::to_string_pretty(&payload).expect("a JSON value serialises")
+    }
+
     /// Renders everything for the terminal.
     pub fn render(&self) -> String {
         let mut out = String::new();
