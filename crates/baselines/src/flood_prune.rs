@@ -18,7 +18,8 @@
 //! *plus* prune entries — off-tree routers pay too, which is the state
 //! result of experiment S93-T1) and exact message counts.
 
-use cbt_topology::{Graph, NodeId, ShortestPaths};
+use crate::spt::spf;
+use cbt_topology::{tree_spanning, Graph, NodeId};
 use std::collections::BTreeSet;
 
 /// Everything one flood-prune cycle produces.
@@ -59,7 +60,8 @@ impl FloodPruneOutcome {
 pub fn flood_and_prune(g: &Graph, source: NodeId, members: &[NodeId]) -> FloodPruneOutcome {
     let n = g.node_count();
     let member_set: BTreeSet<NodeId> = members.iter().copied().collect();
-    let sp = ShortestPaths::dijkstra(g, source);
+    let sp = spf(g, source);
+    let rpf = |v: NodeId| sp.toward_root(v.0).map(NodeId);
 
     // --- Phase 1: RPF flood. ---
     // Each reachable router accepts exactly one copy (via its RPF
@@ -72,7 +74,7 @@ pub fn flood_and_prune(g: &Graph, source: NodeId, members: &[NodeId]) -> FloodPr
     let mut rpf_children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
     for v in g.nodes() {
         if v != source {
-            if let Some(p) = sp.toward_root(v) {
+            if let Some(p) = rpf(v) {
                 rpf_children[p.idx()].push(v);
                 reached[v.idx()] = true;
             }
@@ -86,13 +88,13 @@ pub fn flood_and_prune(g: &Graph, source: NodeId, members: &[NodeId]) -> FloodPr
         if !reached[v.idx()] {
             continue;
         }
-        let upstream = sp.toward_root(v);
+        let upstream = rpf(v);
         for (u, _) in g.neighbors(v) {
             if Some(u) == upstream {
                 continue; // never send back up the RPF interface
             }
             flood_messages += 1;
-            if sp.toward_root(u) != Some(v) {
+            if rpf(u) != Some(v) {
                 rpf_discards += 1;
             }
         }
@@ -143,7 +145,7 @@ pub fn flood_and_prune(g: &Graph, source: NodeId, members: &[NodeId]) -> FloodPr
     }
 
     // --- Delivery tree: RPF paths to members. ---
-    let tree = sp.tree_spanning(g, members);
+    let tree = tree_spanning(g, &sp, members);
 
     FloodPruneOutcome {
         tree,

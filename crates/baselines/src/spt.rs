@@ -1,14 +1,19 @@
 //! Shortest-path-tree constructions: the per-source oracle and the
 //! graph-level prediction of the CBT shared tree.
 
-use cbt_topology::{Graph, NodeId, ShortestPaths};
+use cbt_topology::{tree_spanning, CsrGraph, Graph, NodeId, SpfScratch, SpfTree};
+
+/// The shortest-path tree of `g` rooted at `root` — the routing
+/// tables' own Dijkstra, run over `g`'s CSR form.
+pub(crate) fn spf(g: &Graph, root: NodeId) -> SpfTree {
+    SpfTree::full(&CsrGraph::from_graph(g), root.0, &mut SpfScratch::new())
+}
 
 /// The converged per-(source, group) shortest-path tree: the union of
 /// shortest paths from `source` to every member. This is what
 /// DVMRP/MOSPF deliver along after pruning.
 pub fn source_tree(g: &Graph, source: NodeId, members: &[NodeId]) -> Graph {
-    let sp = ShortestPaths::dijkstra(g, source);
-    sp.tree_spanning(g, members)
+    tree_spanning(g, &spf(g, source), members)
 }
 
 /// The CBT shared tree as graph-level prediction: every member router
@@ -19,8 +24,7 @@ pub fn source_tree(g: &Graph, source: NodeId, members: &[NodeId]) -> Graph {
 /// The `protocol_equivalence` integration test confirms the packet-level
 /// protocol builds exactly this tree on the same topology.
 pub fn cbt_shared_tree(g: &Graph, core: NodeId, members: &[NodeId]) -> Graph {
-    let sp = ShortestPaths::dijkstra(g, core);
-    sp.tree_spanning(g, members)
+    tree_spanning(g, &spf(g, core), members)
 }
 
 #[cfg(test)]
@@ -35,12 +39,11 @@ mod tests {
         let tree = source_tree(&g, NodeId(0), &members);
         assert!(tree.is_forest());
         // Every member is connected to the source within the tree.
-        let sp = ShortestPaths::dijkstra(&tree, NodeId(0));
+        let (in_tree, in_graph) = (spf(&tree, NodeId(0)), spf(&g, NodeId(0)));
         for m in &members {
-            assert!(sp.dist(*m).is_some(), "{m} attached");
+            assert!(in_tree.dist(m.0).is_some(), "{m} attached");
             // Tree distance equals graph distance (shortest-path tree).
-            let gd = ShortestPaths::dijkstra(&g, NodeId(0)).dist(*m);
-            assert_eq!(sp.dist(*m), gd);
+            assert_eq!(in_tree.dist(m.0), in_graph.dist(m.0));
         }
     }
 

@@ -2,7 +2,8 @@
 //! per member over the unicast shortest path — the pre-multicast
 //! baseline the '93 paper's introduction motivates against.
 
-use cbt_topology::{Graph, NodeId, ShortestPaths};
+use crate::spt::spf;
+use cbt_topology::{Graph, NodeId};
 use std::collections::BTreeMap;
 
 /// Per-edge packet loads when `source` unicasts one packet to each of
@@ -12,16 +13,16 @@ pub fn unicast_star_loads(
     source: NodeId,
     members: &[NodeId],
 ) -> BTreeMap<(NodeId, NodeId), u64> {
-    let sp = ShortestPaths::dijkstra(g, source);
+    let sp = spf(g, source);
     let mut loads: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
     for &m in members {
         if m == source {
             continue;
         }
-        let Some(path) = sp.path_to_root(m) else { continue };
+        let Some(path) = sp.path_to_root(m.0) else { continue };
         for hop in path.windows(2) {
-            let (a, b) = if hop[0] < hop[1] { (hop[0], hop[1]) } else { (hop[1], hop[0]) };
-            *loads.entry((a, b)).or_default() += 1;
+            let (a, b) = (hop[0].min(hop[1]), hop[0].max(hop[1]));
+            *loads.entry((NodeId(a), NodeId(b))).or_default() += 1;
         }
     }
     loads
@@ -55,8 +56,8 @@ mod tests {
         let members: Vec<NodeId> = vec![NodeId(3), NodeId(12), NodeId(15), NodeId(5)];
         let loads = unicast_star_loads(&g, NodeId(0), &members);
         let total: u64 = loads.values().sum();
-        let sp = ShortestPaths::dijkstra(&g, NodeId(0));
-        let expect: u64 = members.iter().map(|m| sp.dist(*m).unwrap()).sum();
+        let sp = spf(&g, NodeId(0));
+        let expect: u64 = members.iter().map(|m| sp.dist(m.0).unwrap()).sum();
         assert_eq!(total, expect, "each copy pays its full path length");
     }
 

@@ -2,7 +2,7 @@
 //! tree constructions the evaluation sweeps lean on.
 
 use cbt_baselines::{cbt_shared_tree, flood_and_prune};
-use cbt_topology::{generate, AllPairs, NodeId, ShortestPaths};
+use cbt_topology::{generate, AllPairs, CsrGraph, NodeId, SpfScratch, SpfTree};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_waxman(c: &mut Criterion) {
@@ -17,8 +17,10 @@ fn bench_waxman(c: &mut Criterion) {
 
 fn bench_spf(c: &mut Criterion) {
     let g = generate::waxman(generate::WaxmanParams { n: 200, ..Default::default() }, 1);
+    let csr = CsrGraph::from_graph(&g);
+    let mut scratch = SpfScratch::new();
     c.bench_function("graph/dijkstra_n200", |b| {
-        b.iter(|| ShortestPaths::dijkstra(black_box(&g), NodeId(0)))
+        b.iter(|| SpfTree::full(black_box(&csr), 0, &mut scratch))
     });
     c.bench_function("graph/allpairs_n200", |b| b.iter(|| AllPairs::compute(black_box(&g))));
 }

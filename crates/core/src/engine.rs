@@ -53,8 +53,7 @@ impl SharedRib {
     /// incremental: only cached shortest-path trees actually affected
     /// by the delta are repaired, and manual `set_override` entries
     /// survive unless they reference a failed element.
-    pub fn recompute(net: &NetworkSpec, rib: &Arc<RwLock<Rib>>, failures: &FailureSet) {
-        let _ = net;
+    pub fn recompute(rib: &Arc<RwLock<Rib>>, failures: &FailureSet) {
         rib.write().apply_failures(failures);
     }
 }
@@ -218,16 +217,16 @@ pub struct CbtRouter {
     pub(crate) child_deadline_max: SimTime,
     /// Instant of the last deadline-driven child sweep.
     pub(crate) last_child_sweep: SimTime,
-    /// Behaviour counters, less the per-type send counts that
-    /// [`CbtRouter::stats`] reads from `obs`.
+    /// Behaviour counters, less the per-type send counts and the
+    /// forwarded-data count that [`CbtRouter::stats`] reads from `obs`.
     pub(crate) stats: RouterStats,
     /// Observability counters: the drop-reason taxonomy, per-group
     /// protocol counters and latency histograms every path reports
     /// into. Plain data — bumping is hot-path safe.
     pub(crate) obs: RouterObs,
-    /// Data-plane memo: the last group's dense FIB slot plus the FIB
-    /// generation it was resolved at. A burst of packets to one group
-    /// pays the hashed FIB lookup once (see [`Fib::slot`]).
+    /// Data-plane memo: the last group's dense FIB slot plus the control
+    /// epoch it was resolved at. A burst of packets to one group pays
+    /// the hashed FIB lookup once (see [`Fib::slot`]).
     pub(crate) data_slot_memo: Option<(GroupId, GroupSlot, u64)>,
     /// Control epoch: bumped at the top of every entry point that can
     /// write tree, G-DR or presence state (`handle_control_into`,
@@ -408,17 +407,19 @@ impl CbtRouter {
     }
 
     /// Data-plane FIB lookup through the memoised dense slot: a burst
-    /// of packets to one group probes the hash index once; any FIB
-    /// insert/remove (generation bump) invalidates the memo.
+    /// of packets to one group probes the hash index once. Every FIB
+    /// insert/remove runs inside a control entry point, which moves the
+    /// epoch, so a memo taken at the current epoch still names the
+    /// group's slot — the same validity rule as the spanning entries.
     pub(crate) fn fib_slot_cached(&mut self, group: GroupId) -> Option<GroupSlot> {
-        let generation = self.fib.generation();
-        if let Some((g, slot, seen)) = self.data_slot_memo {
-            if g == group && seen == generation {
+        if let Some((g, slot, epoch)) = self.data_slot_memo {
+            if g == group && epoch == self.epoch {
+                debug_assert_eq!(self.fib.slot(group), Some(slot), "stale data-slot memo");
                 return Some(slot);
             }
         }
         let slot = self.fib.slot(group)?;
-        self.data_slot_memo = Some((group, slot, generation));
+        self.data_slot_memo = Some((group, slot, self.epoch));
         Some(slot)
     }
 
@@ -486,9 +487,10 @@ impl CbtRouter {
         self.transients.contains_key(&group)
     }
 
-    /// Behaviour counters. The per-type send counts are read from the
-    /// observability counters, which every sent control message bumps
-    /// (see `send_control`).
+    /// Behaviour counters. The per-type send counts and the
+    /// forwarded-data count are read from the observability counters,
+    /// which every sent control message (see `send_control`) and every
+    /// forwarded packet bumps.
     pub fn stats(&self) -> RouterStats {
         let sent = |k| self.obs.ctl.sent(k);
         RouterStats {
@@ -498,6 +500,7 @@ impl CbtRouter {
             flushes_sent: sent(CtlKind::FlushTree),
             echo_requests_sent: sent(CtlKind::EchoRequest),
             echo_replies_sent: sent(CtlKind::EchoReply),
+            data_forwarded: self.obs.data_forwarded,
             ..self.stats
         }
     }

@@ -122,10 +122,10 @@ impl FibEntry {
     }
 }
 
-/// A stable handle to one group's dense FIB slot, valid for as long as
-/// the FIB's [`Fib::generation`] is unchanged. Data-plane code resolves
-/// a group to its slot once per burst and then indexes directly,
-/// instead of walking the ordered index per packet.
+/// A stable handle to one group's dense FIB slot, valid until the next
+/// insert or remove. Data-plane code resolves a group to its slot once
+/// per burst and then indexes directly, instead of probing the index
+/// per packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupSlot(usize);
 
@@ -195,7 +195,6 @@ pub struct Fib {
     order: BTreeSet<GroupId>,
     slots: Vec<Option<FibEntry>>,
     free: Vec<usize>,
-    generation: u64,
 }
 
 impl Fib {
@@ -217,7 +216,7 @@ impl Fib {
 
     /// Resolves `group` to its dense slot — the once-per-burst half of
     /// a data-plane lookup. The handle is invalidated by any insert or
-    /// remove (see [`Fib::generation`]).
+    /// remove.
     pub fn slot(&self, group: GroupId) -> Option<GroupSlot> {
         self.index.get(&group).map(|&s| GroupSlot(s))
     }
@@ -227,18 +226,11 @@ impl Fib {
         self.slots[slot.0].as_ref().expect("slot handle outlived its entry")
     }
 
-    /// Bumped on every insert and remove; a [`GroupSlot`] obtained at
-    /// generation `n` must not be used once the generation moves on.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Creates (or returns) the entry for `group`.
     pub fn entry(&mut self, group: GroupId) -> &mut FibEntry {
         let s = match self.index.get(&group) {
             Some(&s) => s,
             None => {
-                self.generation += 1;
                 let s = match self.free.pop() {
                     Some(s) => {
                         self.slots[s] = Some(FibEntry::default());
@@ -259,14 +251,12 @@ impl Fib {
 
     /// Deletes the entry for `group`; returns it if it existed. Deleting
     /// the last entry frees every table — an off-tree router owns no FIB
-    /// memory — while the generation keeps counting, so no slot handle
-    /// taken before can match again.
+    /// memory.
     pub fn remove(&mut self, group: GroupId) -> Option<FibEntry> {
         let s = self.index.remove(&group)?;
-        self.generation += 1;
         let entry = self.slots[s].take().expect("indexed slot is live");
         if self.index.is_empty() {
-            *self = Fib { generation: self.generation, ..Fib::default() };
+            *self = Fib::default();
         } else {
             self.order.remove(&group);
             self.free.push(s);
@@ -389,19 +379,16 @@ mod tests {
     }
 
     #[test]
-    fn slot_lookup_tracks_generation() {
+    fn slot_handles_survive_edits_and_other_inserts() {
         let mut fib = Fib::new();
         fib.entry(g()).cores = vec![a(4)];
-        let gen0 = fib.generation();
         let slot = fib.slot(g()).expect("on-tree");
         assert_eq!(fib.at(slot).primary_core(), Some(a(4)));
         // Mutating an entry in place does not move slots...
         fib.get_mut(g()).unwrap().add_child(a(1), IfIndex(0), t(1));
-        assert_eq!(fib.generation(), gen0);
         assert_eq!(fib.at(slot).children.len(), 1);
-        // ...but insert/remove invalidate outstanding handles.
+        // ...and neither does another group's insert.
         fib.entry(GroupId::numbered(2));
-        assert_ne!(fib.generation(), gen0);
         assert_eq!(fib.slot(g()), Some(slot), "existing entries keep their slot");
     }
 
@@ -421,23 +408,17 @@ mod tests {
     }
 
     #[test]
-    fn removing_the_last_entry_frees_the_tables_and_moves_the_generation() {
+    fn removing_the_last_entry_frees_the_tables() {
         let mut fib = Fib::new();
         for n in 1..=3 {
             fib.entry(GroupId::numbered(n));
         }
-        let slot = fib.slot(GroupId::numbered(1)).expect("on-tree");
         for n in 1..=3 {
             assert!(fib.remove(GroupId::numbered(n)).is_some());
         }
         assert!(fib.is_empty());
         assert_eq!(fib.index.capacity(), 0);
         assert_eq!((fib.slots.capacity(), fib.free.capacity()), (0, 0));
-        assert_eq!(fib.generation(), 6, "three inserts and three removes");
-        // A new entry may reuse slot 0, but the handle's generation is gone.
-        fib.entry(GroupId::numbered(4));
-        assert_eq!(fib.slot(GroupId::numbered(4)), Some(slot));
-        assert_eq!(fib.generation(), 7);
     }
 
     #[test]

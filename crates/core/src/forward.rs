@@ -215,7 +215,6 @@ impl CbtRouter {
             if let Some(hop) = self.routes.hop_toward(core) {
                 let mut enc = CbtDataPacket::encapsulate(pkt, core);
                 enc.cbt.on_tree = OFF_TREE;
-                self.stats.data_forwarded += 1;
                 self.obs.data_forwarded += 1;
                 act.push(RouterAction::SendCbtUnicast { iface: hop.iface, dst: core, pkt: enc });
                 return;
@@ -309,7 +308,6 @@ impl CbtRouter {
         }
         if let Some(iface) = held {
             act.push(RouterAction::SendNativeData { iface, pkt });
-            self.stats.data_forwarded += 1;
             self.obs.data_forwarded += 1;
             self.obs.data_delivered += u64::from(delivered);
         }
@@ -387,7 +385,6 @@ impl CbtRouter {
             }
         }
         if forwarded {
-            self.stats.data_forwarded += 1;
             self.obs.data_forwarded += 1;
             self.obs.data_delivered += u64::from(delivered);
         }

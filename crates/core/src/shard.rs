@@ -183,11 +183,6 @@ impl ShardedRouter {
         &self.shards[k]
     }
 
-    /// Mutable shard by local index.
-    pub fn shard_mut(&mut self, k: usize) -> &mut CbtRouter {
-        &mut self.shards[k]
-    }
-
     /// The shard owning `group`.
     pub fn shard_for(&self, group: GroupId) -> &CbtRouter {
         &self.shards[self.local_for(group)]

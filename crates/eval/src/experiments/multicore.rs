@@ -16,7 +16,7 @@ use crate::workload::Workload;
 use cbt::CbtConfig;
 use cbt_metrics::{table::f, Table};
 use cbt_netsim::{SimDuration, SimTime};
-use cbt_topology::{generate, AllPairs, RouterId};
+use cbt_topology::{generate, AllPairs, CsrGraph, RouterId, SpfScratch, SpfTree};
 use serde_json::json;
 
 /// Sweep parameters.
@@ -66,15 +66,11 @@ fn connected_without(
     removed: cbt_topology::NodeId,
     must_reach: &[cbt_topology::NodeId],
 ) -> bool {
-    let mut h = cbt_topology::Graph::with_nodes(g.node_count());
-    for (a, b, w) in g.edges() {
-        if a != removed && b != removed {
-            h.add_edge(a, b, w);
-        }
-    }
     let Some(&start) = must_reach.first() else { return true };
-    let sp = cbt_topology::ShortestPaths::dijkstra(&h, start);
-    must_reach.iter().all(|m| sp.dist(*m).is_some())
+    let mut csr = CsrGraph::from_graph(g);
+    csr.set_node_up(removed.0, false);
+    let sp = SpfTree::full(&csr, start.0, &mut SpfScratch::new());
+    must_reach.iter().all(|m| sp.dist(m.0).is_some())
 }
 
 fn scenario(n: usize, group_size: usize, seed: u64, core_count: usize) -> Outcome {

@@ -85,15 +85,6 @@ impl SimSetup {
         }
         fleet
     }
-
-    /// Count of member DRs currently on-tree.
-    pub fn on_tree_count(&mut self, member_routers: &[NodeId]) -> usize {
-        let group = self.group;
-        member_routers
-            .iter()
-            .filter(|m| self.cw.router(RouterId(m.0)).sharded().is_on_tree(group))
-            .count()
-    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! average for well-placed cores.
 
 use crate::stat::Summary;
-use cbt_topology::{AllPairs, Graph, NodeId, ShortestPaths};
+use cbt_topology::{AllPairs, CsrGraph, Graph, NodeId, SpfScratch, SpfTree};
 use serde::Serialize;
 
 /// Delay-ratio statistics across all ordered member pairs.
@@ -22,14 +22,16 @@ pub struct DelayStats {
 ///
 /// Returns `None` if any member pair is disconnected in the tree.
 pub fn tree_distances(tree: &Graph, members: &[NodeId]) -> Option<Vec<(NodeId, NodeId, u64)>> {
+    let csr = CsrGraph::from_graph(tree);
+    let mut scratch = SpfScratch::new();
     let mut out = Vec::new();
     for (i, &a) in members.iter().enumerate() {
-        let sp = ShortestPaths::dijkstra(tree, a);
+        let sp = SpfTree::full(&csr, a.0, &mut scratch);
         for &b in &members[i + 1..] {
             if a == b {
                 continue;
             }
-            out.push((a, b, sp.dist(b)?));
+            out.push((a, b, sp.dist(b.0)?));
         }
     }
     Some(out)
@@ -63,7 +65,13 @@ pub fn delay_ratio_stats(tree: &Graph, ap: &AllPairs, members: &[NodeId]) -> Opt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbt_topology::generate;
+    use cbt_topology::{generate, tree_spanning};
+
+    /// The union of `g`'s shortest paths from `members` to `core`.
+    fn shared_tree(g: &Graph, core: u32, members: &[NodeId]) -> Graph {
+        let sp = SpfTree::full(&CsrGraph::from_graph(g), core, &mut SpfScratch::new());
+        tree_spanning(g, &sp, members)
+    }
 
     /// On a ring with the core opposite two adjacent members, the
     /// shared tree detours: members 3 and 5 are 2 apart directly but
@@ -73,9 +81,7 @@ mod tests {
         let g = generate::ring(8);
         let ap = AllPairs::compute(&g);
         let members = [NodeId(3), NodeId(5)];
-        let core = NodeId(0);
-        let sp = ShortestPaths::dijkstra(&g, core);
-        let tree = sp.tree_spanning(&g, &members);
+        let tree = shared_tree(&g, 0, &members);
         let stats = delay_ratio_stats(&tree, &ap, &members).unwrap();
         assert_eq!(stats.direct_dist.max, 2.0);
         assert_eq!(stats.tree_dist.max, 6.0, "3→0 and 0→5, 3 hops each side");
@@ -88,8 +94,7 @@ mod tests {
         let g = generate::star(6);
         let ap = AllPairs::compute(&g);
         let members: Vec<NodeId> = (1..6).map(NodeId).collect();
-        let sp = ShortestPaths::dijkstra(&g, NodeId(0));
-        let tree = sp.tree_spanning(&g, &members);
+        let tree = shared_tree(&g, 0, &members);
         let stats = delay_ratio_stats(&tree, &ap, &members).unwrap();
         assert!((stats.ratio.mean - 1.0).abs() < 1e-12, "hub core ⇒ optimal paths");
     }
@@ -106,8 +111,7 @@ mod tests {
     fn single_member_has_no_pairs() {
         let g = generate::line(3);
         let ap = AllPairs::compute(&g);
-        let sp = ShortestPaths::dijkstra(&g, NodeId(0));
-        let tree = sp.tree_spanning(&g, &[NodeId(2)]);
+        let tree = shared_tree(&g, 0, &[NodeId(2)]);
         let stats = delay_ratio_stats(&tree, &ap, &[NodeId(2)]).unwrap();
         assert_eq!(stats.ratio.n, 0);
     }

@@ -64,8 +64,7 @@ pub fn load_stats(loads: &BTreeMap<(NodeId, NodeId), u64>) -> LoadStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbt_topology::generate;
-    use cbt_topology::ShortestPaths;
+    use cbt_topology::{generate, tree_spanning, CsrGraph, SpfScratch, SpfTree};
 
     #[test]
     fn shared_tree_concentrates() {
@@ -84,8 +83,10 @@ mod tests {
         // edges to both members; count overlaps honestly.
         let g = generate::ring(4);
         let members = [NodeId(1), NodeId(3)];
-        let t0 = ShortestPaths::dijkstra(&g, NodeId(0)).tree_spanning(&g, &members);
-        let t2 = ShortestPaths::dijkstra(&g, NodeId(2)).tree_spanning(&g, &members);
+        let csr = CsrGraph::from_graph(&g);
+        let mut scratch = SpfScratch::new();
+        let t0 = tree_spanning(&g, &SpfTree::full(&csr, 0, &mut scratch), &members);
+        let t2 = tree_spanning(&g, &SpfTree::full(&csr, 2, &mut scratch), &members);
         let spread = source_tree_loads(&[t0.clone(), t2]);
         let shared = shared_tree_loads(&t0, 2);
         assert!(

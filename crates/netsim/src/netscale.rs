@@ -294,16 +294,11 @@ impl<N: NsNode> NetscaleWorld<N> {
         self.node_up[i as usize]
     }
 
-    /// Masks or unmasks one directed slot. Frames sent on a downed
-    /// slot are dropped at transmission (and counted); frames already
-    /// in flight when the slot goes down still arrive — the wire does
-    /// not eat what it already accepted.
-    pub fn set_slot_up(&mut self, slot: u32, up: bool) {
-        self.slot_up[slot as usize] = up;
-    }
-
     /// Masks or unmasks both directed slots of an undirected edge, as
-    /// returned by [`cbt_topology::CsrGraph::from_edges`].
+    /// returned by [`cbt_topology::CsrGraph::from_edges`]. Frames sent
+    /// on a downed slot are dropped at transmission (and counted);
+    /// frames already in flight when the slot goes down still arrive —
+    /// the wire does not eat what it already accepted.
     pub fn set_link_up(&mut self, pair: [u32; 2], up: bool) {
         if pair[0] != NO_NODE {
             self.slot_up[pair[0] as usize] = up;

@@ -7,9 +7,13 @@
 //!
 //! It models a converged link-state IGP: every router effectively knows
 //! the router-level topology and runs SPF, yielding per-router next-hop
-//! tables ([`Rib`]). Link/router failures are applied through a
-//! [`FailureSet`] and the tables recomputed — that is what drives the
-//! §6 reconfiguration experiments. Transiently *inconsistent* routing
+//! tables ([`Rib`]) from `cbt-topology`'s one shortest-path layer
+//! (`SpfTree` over `CsrGraph`). Link/router failures are applied
+//! through a [`FailureSet`] and the tables repaired incrementally —
+//! that is what drives the §6 reconfiguration experiments. A route
+//! resolves to the SPF predecessor out of the lowest-numbered *live*
+//! interface toward it (see [`rib`]), so a failed link beside a live
+//! parallel LAN is routed around. Transiently *inconsistent* routing
 //! (the §6.3 loop scenario) is modelled with explicit per-router
 //! overrides ([`Rib::set_override`]), because a correctly converged IGP
 //! never produces the loop the spec defends against.

@@ -1,22 +1,35 @@
 //! Per-router next-hop tables (the Routing Information Base).
 //!
-//! Scalable architecture (replacing the all-pairs table): the router
-//! graph lives in an arena-backed CSR ([`cbt_topology::CsrGraph`])
-//! with in-place failure masks, and per-destination shortest-path
-//! trees are computed **on demand** into an LRU-bounded cache — CBT
-//! only ever asks for routes toward cores and members, a tiny
-//! fraction of all n² pairs. Failure deltas are applied
-//! **incrementally**: masked edges/nodes detach only the affected
-//! subtrees of each cached tree and the frontier is re-run, instead
-//! of recomputing the world. Every repair is exact (bit-identical to
-//! a from-scratch SPF), so replay determinism is preserved no matter
-//! when trees were computed, evicted, or repaired; an invalidation
-//! generation counts applied failure batches for observability.
+//! The router graph lives in an arena-backed CSR ([`CsrGraph`]) with
+//! in-place failure masks: one undirected edge per point-to-point link
+//! and per pair of routers sharing a LAN, so a link and a LAN between
+//! the same two routers are two parallel edges, masked independently.
+//! Per-destination shortest-path trees ([`SpfTree`]) are computed **on
+//! demand**, one per destination router — CBT only ever asks for routes
+//! toward cores and members, a tiny fraction of all n² pairs. Failure
+//! deltas are applied **incrementally**: masked edges/nodes detach only
+//! the affected subtrees of each cached tree and the frontier is re-run,
+//! instead of recomputing the world. Every repair is exact
+//! (bit-identical to a from-scratch SPF), so replay determinism is
+//! preserved no matter when trees were computed or repaired.
+//!
+//! **The hop rule.** A route from `from` toward router `dst` goes to
+//! `from`'s predecessor `next` in `dst`'s tree, out of the
+//! lowest-numbered interface among `from`'s *live* CSR slots toward
+//! `next`, addressed to `next`'s own address on that link or LAN. Each
+//! slot records its sender's interface and the peer's address when the
+//! rib is built, exactly by link / LAN, so no subnet matching happens.
+//! With every adjacency up this is the lowest interface toward `next` at
+//! all, so fault-free streams do not depend on the rule; when a link
+//! fails beside a live parallel LAN (or the reverse), the hop moves to
+//! the live one. The netscale `FleetRib` applies the same rule to its
+//! own graph.
 
 use crate::failure::FailureSet;
 use cbt_obs::SpfStats;
 use cbt_topology::csr::{CsrGraph, SpfScratch, SpfTree};
-use cbt_topology::{Attachment, IfIndex, LanId, NetworkSpec, RouterId};
+use cbt_topology::network::Owner;
+use cbt_topology::{Attachment, IfIndex, LanId, LinkId, NetworkSpec, RouterId};
 use cbt_wire::Addr;
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -35,53 +48,39 @@ pub struct Hop {
     pub dist: u64,
 }
 
-/// Default bound on cached per-destination trees. CBT workloads route
-/// toward cores and member LAN routers, so even internet-scale
-/// experiments sit far below this; at 1024 trees × a 100k-node graph
-/// the cache is still only ~2.5 GB short of all-pairs' ~240 GB.
-const DEFAULT_CACHE_CAP: usize = 1024;
-
-/// One cached per-destination shortest-path tree.
-#[derive(Debug)]
-struct CacheEntry {
-    tree: SpfTree,
-    last_used: u64,
+/// What an edge of the router graph crosses.
+#[derive(Debug, Clone, Copy)]
+enum Medium {
+    Link(LinkId),
+    Lan(LanId),
 }
 
-/// The on-demand tree cache plus the scratch/stat state that rides
-/// along under the same lock.
-#[derive(Debug, Default)]
-struct SpfCache {
-    /// Destination router id → slot in `entries`.
-    index: HashMap<u32, usize>,
-    entries: Vec<CacheEntry>,
-    tick: u64,
-    cap: usize,
-    scratch: SpfScratch,
-    stats: SpfStats,
-}
-
-impl SpfCache {
-    /// Evicts least-recently-used entries until at most `cap` remain.
-    fn evict_to_cap(&mut self) {
-        while self.entries.len() > self.cap.max(1) {
-            let victim = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-                .expect("cache non-empty");
-            let root = self.entries[victim].tree.root();
-            self.index.remove(&root);
-            self.entries.swap_remove(victim);
-            if victim < self.entries.len() {
-                let moved = self.entries[victim].tree.root();
-                self.index.insert(moved, victim);
-            }
-            self.stats.cache_evictions += 1;
+impl Medium {
+    fn down(self, failures: &FailureSet) -> bool {
+        match self {
+            Medium::Link(l) => failures.link_down(l),
+            Medium::Lan(l) => failures.lan_down(l),
         }
     }
+}
+
+/// One undirected edge of the router graph.
+#[derive(Debug)]
+struct Edge {
+    ends: (u32, u32),
+    /// The directed slot pair `[a→b, b→a]`.
+    slots: [u32; 2],
+    medium: Medium,
+}
+
+/// The per-destination trees plus the scratch/stat state that rides
+/// along under the same lock.
+#[derive(Debug, Default)]
+struct Trees {
+    /// Indexed by destination router; built on first use.
+    by_dst: Vec<Option<SpfTree>>,
+    scratch: SpfScratch,
+    stats: SpfStats,
 }
 
 /// A converged routing table for every router in a network.
@@ -94,72 +93,76 @@ impl SpfCache {
 pub struct Rib {
     /// Arena CSR of the router graph, failure state masked in place.
     graph: CsrGraph,
-    /// Per-link endpoints and directed slot pairs (index = LinkId).
-    link_ends: Vec<(u32, u32)>,
-    link_slots: Vec<[u32; 2]>,
-    /// Per-LAN clique pairs: endpoints plus their slot pair.
-    lan_pairs: Vec<Vec<(u32, u32, [u32; 2])>>,
+    /// Per directed slot: the sender's interface and the peer's address
+    /// on that link or LAN.
+    slot_hops: Vec<(IfIndex, Addr)>,
+    /// Every link, then every LAN's router pairs.
+    edges: Vec<Edge>,
     /// The failure set currently masked into `graph`.
     applied: FailureSet,
-    /// Bumped once per applied failure delta batch.
-    generation: u64,
     /// Manual next-hop overrides: (from, dst_router) → forced next router.
     overrides: HashMap<(RouterId, RouterId), RouterId>,
     /// Lazily-built per-destination trees (interior mutability: route
     /// lookups are `&self` and shared across engine shards).
-    cache: Mutex<SpfCache>,
+    trees: Mutex<Trees>,
 }
 
 impl Rib {
     /// Builds the masked router graph for `net` with `failures`
     /// applied. Trees are computed on first use per destination.
     pub fn compute(net: &NetworkSpec, failures: &FailureSet) -> Self {
-        let n = net.routers.len();
-        let mut edges: Vec<(u32, u32, u32)> = Vec::new();
-        let mut link_ends = Vec::with_capacity(net.links.len());
-        for l in &net.links {
-            edges.push((l.a.0, l.b.0, l.cost));
-            link_ends.push((l.a.0, l.b.0));
+        // The interface and address router `r` has on `medium`.
+        let on = |r: RouterId, medium: Attachment| {
+            let ifaces = &net.routers[r.0 as usize].ifaces;
+            let (i, s) = ifaces
+                .iter()
+                .enumerate()
+                .find(|(_, s)| s.attachment == medium)
+                .expect("an edge is attached at both ends");
+            (IfIndex(i as u32), s.addr)
+        };
+        // Each edge, and the (interface, address) of both ends on it.
+        let mut edges = Vec::new();
+        let mut ends = Vec::new();
+        for (j, l) in net.links.iter().enumerate() {
+            let link = LinkId(j as u32);
+            edges.push(((l.a.0, l.b.0, l.cost), Medium::Link(link)));
+            ends.push([
+                on(l.a, Attachment::Link { link, peer: l.b }),
+                on(l.b, Attachment::Link { link, peer: l.a }),
+            ]);
         }
-        let mut lan_members: Vec<Vec<(u32, u32)>> = Vec::with_capacity(net.lans.len());
-        for lan in &net.lans {
-            let mut pairs = Vec::new();
+        for (k, lan) in net.lans.iter().enumerate() {
+            let id = LanId(k as u32);
             for (i, &a) in lan.routers.iter().enumerate() {
                 for &b in &lan.routers[i + 1..] {
-                    pairs.push((a.0, b.0));
-                    edges.push((a.0, b.0, 1));
+                    edges.push(((a.0, b.0, 1), Medium::Lan(id)));
+                    ends.push([on(a, Attachment::Lan(id)), on(b, Attachment::Lan(id))]);
                 }
             }
-            lan_members.push(pairs);
         }
-        let (graph, slot_pairs) = CsrGraph::from_edges(n, &edges);
-        let link_slots: Vec<[u32; 2]> = slot_pairs[..link_ends.len()].to_vec();
-        let mut cursor = link_ends.len();
-        let lan_pairs: Vec<Vec<(u32, u32, [u32; 2])>> = lan_members
+        let weighted: Vec<(u32, u32, u32)> = edges.iter().map(|&(e, _)| e).collect();
+        let (graph, slot_pairs) = CsrGraph::from_edges(net.routers.len(), &weighted);
+        let mut slot_hops = vec![(IfIndex(0), Addr(0)); graph.slot_count()];
+        for (&[ab, ba], &[a, b]) in slot_pairs.iter().zip(&ends) {
+            // a→b leaves by a's interface toward b's address, and back.
+            slot_hops[ab as usize] = (a.0, b.1);
+            slot_hops[ba as usize] = (b.0, a.1);
+        }
+        let edges = edges
             .into_iter()
-            .map(|pairs| {
-                pairs
-                    .into_iter()
-                    .map(|(a, b)| {
-                        let s = slot_pairs[cursor];
-                        cursor += 1;
-                        (a, b, s)
-                    })
-                    .collect()
-            })
+            .zip(slot_pairs)
+            .map(|(((a, b, _), medium), slots)| Edge { ends: (a, b), slots, medium })
             .collect();
         let mut rib = Rib {
+            trees: Mutex::new(Trees { by_dst: vec![None; graph.node_count()], ..Trees::default() }),
             graph,
-            link_ends,
-            link_slots,
-            lan_pairs,
+            slot_hops,
+            edges,
             applied: FailureSet::none(),
-            generation: 0,
             overrides: HashMap::new(),
-            cache: Mutex::new(SpfCache { cap: DEFAULT_CACHE_CAP, ..SpfCache::default() }),
         };
-        rib.mask_all(failures);
-        rib.applied = failures.clone();
+        rib.apply_failures(failures);
         rib
     }
 
@@ -168,39 +171,13 @@ impl Rib {
         Self::compute(net, &FailureSet::none())
     }
 
-    /// Masks `failures` into the CSR graph (fresh-build path only —
-    /// there are no cached trees to repair yet).
-    fn mask_all(&mut self, failures: &FailureSet) {
-        for l in failures.failed_links() {
-            if let Some(&slots) = self.link_slots.get(l.0 as usize) {
-                for s in slots {
-                    self.graph.set_slot_live(s, false);
-                }
-            }
-        }
-        for lan in failures.failed_lans() {
-            if let Some(pairs) = self.lan_pairs.get(lan.0 as usize) {
-                for &(_, _, slots) in pairs {
-                    for s in slots {
-                        self.graph.set_slot_live(s, false);
-                    }
-                }
-            }
-        }
-        for r in failures.failed_routers() {
-            if (r.0 as usize) < self.graph.node_count() {
-                self.graph.set_node_up(r.0, false);
-            }
-        }
-    }
-
     /// Applies a new failure state **incrementally**: the delta
     /// against the currently-applied set is masked in place and every
     /// cached tree is patched (removals first, then restorations —
     /// the order matters, since an improvement through a restored
     /// element must not be visible while detached subtrees reattach).
-    /// Overrides that reference failed elements are cleared; the
-    /// invalidation generation is bumped.
+    /// Overrides that reference failed elements are cleared. A delta
+    /// that changes anything counts as one batch in [`Rib::spf_stats`].
     pub fn apply_failures(&mut self, target: &FailureSet) {
         // Diff the target against the applied set. Removals are masked
         // immediately; additions are only *collected* here and unmasked
@@ -212,39 +189,19 @@ impl Rib {
         let mut added_pairs: Vec<(u32, u32)> = Vec::new();
         let mut added_slots: Vec<u32> = Vec::new();
         let mut restored: Vec<u32> = Vec::new();
-        for (j, &slots) in self.link_slots.iter().enumerate() {
-            let id = cbt_topology::LinkId(j as u32);
-            let (was, now) = (self.applied.link_down(id), target.link_down(id));
+        for e in &self.edges {
+            let (was, now) = (e.medium.down(&self.applied), e.medium.down(target));
             if was == now {
                 continue;
             }
-            let ends = self.link_ends[j];
             if now {
-                for s in slots {
+                for s in e.slots {
                     self.graph.set_slot_live(s, false);
                 }
-                removed_pairs.push(ends);
+                removed_pairs.push(e.ends);
             } else {
-                added_slots.extend(slots);
-                added_pairs.push(ends);
-            }
-        }
-        for (k, pairs) in self.lan_pairs.iter().enumerate() {
-            let id = LanId(k as u32);
-            let (was, now) = (self.applied.lan_down(id), target.lan_down(id));
-            if was == now {
-                continue;
-            }
-            for &(a, b, slots) in pairs {
-                if now {
-                    for s in slots {
-                        self.graph.set_slot_live(s, false);
-                    }
-                    removed_pairs.push((a, b));
-                } else {
-                    added_slots.extend(slots);
-                    added_pairs.push((a, b));
-                }
+                added_slots.extend(e.slots);
+                added_pairs.push(e.ends);
             }
         }
         for r in 0..self.graph.node_count() as u32 {
@@ -260,39 +217,34 @@ impl Rib {
                 restored.push(r);
             }
         }
+        let removals = !removed_pairs.is_empty() || !downed.is_empty();
+        let additions = !added_pairs.is_empty() || !restored.is_empty();
+        let trees = self.trees.get_mut().expect("rib trees poisoned");
         // Phase 1: repair every cached tree for the removals.
-        let cache = self.cache.get_mut().expect("rib cache poisoned");
-        if !removed_pairs.is_empty() || !downed.is_empty() {
-            for e in &mut cache.entries {
-                let touched = e.tree.repair_removals(
-                    &self.graph,
-                    &removed_pairs,
-                    &downed,
-                    &mut cache.scratch,
-                );
-                cache.stats.record_repair(touched);
+        if removals {
+            for tree in trees.by_dst.iter_mut().flatten() {
+                let touched =
+                    tree.repair_removals(&self.graph, &removed_pairs, &downed, &mut trees.scratch);
+                trees.stats.record_repair(touched);
             }
         }
         // Phase 2: unmask the restorations, then propagate improvements.
-        if !added_pairs.is_empty() || !restored.is_empty() {
+        if additions {
             for &s in &added_slots {
                 self.graph.set_slot_live(s, true);
             }
             for &r in &restored {
                 self.graph.set_node_up(r, true);
             }
-            for e in &mut cache.entries {
-                let touched = e.tree.repair_additions(
-                    &self.graph,
-                    &added_pairs,
-                    &restored,
-                    &mut cache.scratch,
-                );
-                cache.stats.record_repair(touched);
+            for tree in trees.by_dst.iter_mut().flatten() {
+                let touched =
+                    tree.repair_additions(&self.graph, &added_pairs, &restored, &mut trees.scratch);
+                trees.stats.record_repair(touched);
             }
         }
-        cache.stats.apply_batches += 1;
-        self.generation += 1;
+        if removals || additions {
+            trees.stats.apply_batches += 1;
+        }
         self.applied = target.clone();
         // Drop overrides that reference failed elements: either
         // endpoint router down, or no usable adjacency from → via
@@ -306,56 +258,30 @@ impl Rib {
         });
     }
 
-    /// The number of failure batches applied since construction — the
-    /// invalidation generation replay tooling records alongside
-    /// failure events.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Bounds the number of cached per-destination trees (≥ 1),
-    /// evicting least-recently-used trees immediately if over.
-    /// Results are unaffected — an evicted tree recomputes
-    /// identically — only memory/time trade off.
-    pub fn set_cache_capacity(&mut self, cap: usize) {
-        let cache = self.cache.get_mut().expect("rib cache poisoned");
-        cache.cap = cap.max(1);
-        cache.evict_to_cap();
-    }
-
-    /// Snapshot of the SPF counters (cache behaviour, repair economics).
+    /// Snapshot of the SPF counters (tree reuse, repair economics).
     pub fn spf_stats(&self) -> SpfStats {
-        self.cache.lock().expect("rib cache poisoned").stats.clone()
+        self.trees.lock().expect("rib trees poisoned").stats.clone()
     }
 
     /// Runs `f` against the (cached or freshly computed) tree rooted
-    /// at `dst`, updating LRU state.
+    /// at `dst`.
     fn with_tree<R>(&self, dst: u32, f: impl FnOnce(&SpfTree) -> R) -> Option<R> {
-        if dst as usize >= self.graph.node_count() {
-            return None;
+        let mut guard = self.trees.lock().expect("rib trees poisoned");
+        let Trees { by_dst, scratch, stats } = &mut *guard;
+        let slot = by_dst.get_mut(dst as usize)?;
+        if slot.is_some() {
+            stats.cache_hits += 1;
+        } else {
+            stats.cache_misses += 1;
+            let tree = SpfTree::full(&self.graph, dst, scratch);
+            stats.record_full(tree.reached());
+            *slot = Some(tree);
         }
-        let mut cache = self.cache.lock().expect("rib cache poisoned");
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some(&i) = cache.index.get(&dst) {
-            cache.stats.cache_hits += 1;
-            cache.entries[i].last_used = tick;
-            return Some(f(&cache.entries[i].tree));
-        }
-        cache.stats.cache_misses += 1;
-        let tree = SpfTree::full(&self.graph, dst, &mut cache.scratch);
-        cache.stats.record_full(tree.reached());
-        cache.entries.push(CacheEntry { tree, last_used: tick });
-        let slot = cache.entries.len() - 1;
-        cache.index.insert(dst, slot);
-        cache.evict_to_cap();
-        // The fresh entry may have moved during eviction; look it up.
-        let i = *cache.index.get(&dst).expect("fresh entry never evicted first");
-        Some(f(&cache.entries[i].tree))
+        slot.as_ref().map(f)
     }
 
     /// Forces `from`'s next hop toward `dst` to be `via`, regardless of
-    /// SPF. `via` must be a physical neighbour for the result to be
+    /// SPF. `via` must be a live physical neighbour for the result to be
     /// resolvable. This models stale/inconsistent tables (§6.3).
     pub fn set_override(&mut self, from: RouterId, dst: RouterId, via: RouterId) {
         self.overrides.insert((from, dst), via);
@@ -384,59 +310,38 @@ impl Rib {
         self.with_tree(dst.0, |t| t.dist(from.0))?
     }
 
-    /// Resolves `from`'s route toward `dst_addr` to a concrete [`Hop`]:
-    /// which interface, which next-hop address.
+    /// Resolves `from`'s route toward `dst_addr` to a concrete [`Hop`]
+    /// by the module's hop rule: which interface, which next-hop address.
     ///
     /// `dst_addr` may be any address owned by a router (identity or
     /// interface) or by a host (the route then leads to the host's LAN).
     pub fn route(&self, net: &NetworkSpec, from: RouterId, dst_addr: Addr) -> Option<Hop> {
-        let dst_router = match net.owner_of(dst_addr)? {
-            cbt_topology::network::Owner::Router(r) => r,
-            cbt_topology::network::Owner::Host(h) => {
-                // Route to the first attached (lowest-addressed) live
-                // router of the host's LAN.
+        let dst = match net.owner_of(dst_addr)? {
+            Owner::Router(r) => r,
+            // Route to the first attached (lowest-addressed) live
+            // router of the host's LAN.
+            Owner::Host(h) => {
                 let lan = net.hosts[h.0 as usize].lan;
-                *net.lans[lan.0 as usize].routers.first()?
+                *net.lans[lan.0 as usize].routers.iter().find(|r| self.graph.is_node_up(r.0))?
             }
         };
-        if dst_router == from {
+        if dst == from {
             return None;
         }
-        let next = self.next_router(from, dst_router)?;
-        let dist = self.dist(from, dst_router)?;
-        let (iface, addr) = resolve_adjacency(net, from, next)?;
-        Some(Hop { iface, router: next, addr, dist })
+        let (spf_next, dist) =
+            self.with_tree(dst.0, |t| (t.toward_root(from.0), t.dist(from.0)))?;
+        let next = match self.overrides.get(&(from, dst)) {
+            Some(&via) => via,
+            None => RouterId(spf_next?),
+        };
+        let (iface, addr) = self
+            .graph
+            .live_slots(from.0)
+            .filter(|&(_, v, _)| v == next.0)
+            .map(|(s, ..)| self.slot_hops[s as usize])
+            .min_by_key(|&(iface, _)| iface)?;
+        Some(Hop { iface, router: next, addr, dist: dist? })
     }
-}
-
-/// Finds the interface and next-hop address `from` uses to reach its
-/// physical neighbour `next` (shared LAN or p2p link; lowest interface
-/// index wins if several qualify).
-fn resolve_adjacency(net: &NetworkSpec, from: RouterId, next: RouterId) -> Option<(IfIndex, Addr)> {
-    let from_spec = &net.routers[from.0 as usize];
-    for (idx, iface) in from_spec.ifaces.iter().enumerate() {
-        match iface.attachment {
-            Attachment::Link { peer, .. } if peer == next => {
-                let peer_spec = &net.routers[next.0 as usize];
-                let peer_iface = peer_spec.ifaces.iter().find(|pi| {
-                    matches!(pi.attachment, Attachment::Link { peer: p, .. } if p == from)
-                        && pi.subnet == iface.subnet
-                })?;
-                return Some((IfIndex(idx as u32), peer_iface.addr));
-            }
-            Attachment::Lan(lan) => {
-                if let Some((_, peer_iface)) = lan_iface(net, next, lan) {
-                    return Some((IfIndex(idx as u32), peer_iface));
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-fn lan_iface(net: &NetworkSpec, router: RouterId, lan: LanId) -> Option<(IfIndex, Addr)> {
-    net.routers[router.0 as usize].iface_on_lan(lan).map(|(i, s)| (i, s.addr))
 }
 
 #[cfg(test)]
@@ -586,14 +491,13 @@ mod tests {
         failures.fail_link(cbt_topology::LinkId(0));
         failures.fail_router(f.router(7));
         inc.apply_failures(&failures);
-        assert_eq!(inc.generation(), 1);
+        assert_eq!(inc.spf_stats().apply_batches, 1);
         let scratch = Rib::compute(&f.net, &failures);
         assert_tables_equal(&f.net, &inc, &scratch, "after failures");
         // Heal everything and fail a LAN in the same batch.
         let mut failures2 = FailureSet::none();
         failures2.fail_lan(f.subnet(4));
         inc.apply_failures(&failures2);
-        assert_eq!(inc.generation(), 2);
         let scratch2 = Rib::compute(&f.net, &failures2);
         assert_tables_equal(&f.net, &inc, &scratch2, "after heal + LAN fail");
         let stats = inc.spf_stats();
@@ -636,21 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_cache_bounds_memory_without_changing_results() {
-        let f = figure1();
-        let mut rib = Rib::converged(&f.net);
-        rib.set_cache_capacity(2);
-        let reference = Rib::converged(&f.net);
-        // Sweep all destinations twice: plenty of evictions, same answers.
-        for _ in 0..2 {
-            assert_tables_equal(&f.net, &rib, &reference, "bounded cache");
-        }
-        let stats = rib.spf_stats();
-        assert!(stats.cache_evictions > 0, "cap 2 must evict during a full sweep");
-        assert!(stats.full_runs > f.net.routers.len() as u64, "evicted trees recompute on demand");
-    }
-
-    #[test]
     fn trees_are_computed_on_demand_not_eagerly() {
         let f = figure1();
         let rib = Rib::converged(&f.net);
@@ -661,5 +550,60 @@ mod tests {
         assert_eq!(s.cache_misses, 1);
         let _ = rib.dist(f.router(2), f.router(4));
         assert_eq!(rib.spf_stats().cache_hits, 1, "second lookup reuses the tree");
+    }
+
+    /// A and B share a p2p link (A's interface 0) *and* a LAN (A's
+    /// interface 1); the core C sits behind B.
+    fn link_beside_lan() -> (NetworkSpec, LinkId, LanId) {
+        let mut b = NetworkBuilder::new();
+        let (a, bb, c) = (b.router("A"), b.router("B"), b.router("C"));
+        let link = b.link(a, bb, 1);
+        let lan = b.lan("S");
+        b.attach(lan, a);
+        b.attach(lan, bb);
+        b.link(bb, c, 1);
+        (b.build(), link, lan)
+    }
+
+    #[test]
+    fn route_takes_the_live_side_of_a_parallel_adjacency() {
+        let (net, link, lan) = link_beside_lan();
+        let (a, bb, c) = (RouterId(0), RouterId(1), RouterId(2));
+        let on_link = net.routers[1].ifaces[0].addr;
+        let (_, on_lan) = net.routers[1].iface_on_lan(lan).unwrap();
+        let hop = |iface, addr| Some(Hop { iface: IfIndex(iface), router: bb, addr, dist: 2 });
+        let core = net.router_addr(c);
+        let mut rib = Rib::converged(&net);
+        assert_eq!(rib.route(&net, a, core), hop(0, on_link), "both up: the lower interface");
+        let mut failures = FailureSet::none();
+        failures.fail_link(link);
+        rib.apply_failures(&failures);
+        assert_eq!(rib.route(&net, a, core), hop(1, on_lan.addr), "link down: over the LAN");
+        assert_eq!(Rib::compute(&net, &failures).route(&net, a, core), hop(1, on_lan.addr));
+        let mut failures = FailureSet::none();
+        failures.fail_lan(lan);
+        rib.apply_failures(&failures);
+        assert_eq!(rib.route(&net, a, core), hop(0, on_link), "LAN down: over the link");
+    }
+
+    #[test]
+    fn host_route_enters_its_lan_at_the_first_live_router() {
+        // R links to X and Y, which both sit on the host's LAN (X first).
+        let mut b = NetworkBuilder::new();
+        let (r, x, y) = (b.router("R"), b.router("X"), b.router("Y"));
+        b.link(r, x, 1);
+        b.link(r, y, 1);
+        let lan = b.lan("S");
+        b.attach(lan, x);
+        b.attach(lan, y);
+        let host = b.host("H", lan);
+        let net = b.build();
+        let to_host = net.host_addr(host);
+        let rib = Rib::converged(&net);
+        assert_eq!(rib.route(&net, r, to_host).map(|h| h.router), Some(x));
+        let mut failures = FailureSet::none();
+        failures.fail_router(x);
+        let hop = Rib::compute(&net, &failures).route(&net, r, to_host);
+        assert_eq!(hop.map(|h| (h.router, h.iface)), Some((y, IfIndex(1))), "X is down");
     }
 }

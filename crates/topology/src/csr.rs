@@ -234,12 +234,16 @@ impl SpfScratch {
     }
 }
 
-/// A single-destination shortest-path tree with incremental repair.
+/// A single-destination shortest-path tree with incremental repair —
+/// the repo's only Dijkstra. Routing tables, netscale route columns and
+/// the analytic trees ([`crate::AllPairs`], [`crate::tree_spanning`])
+/// all read it.
 ///
-/// Semantics match [`crate::ShortestPaths`] over the failure-filtered
-/// graph: the root always has distance 0 (even when down — mirroring
-/// how the RIB treats `dist(dst, dst)`), no path traverses a down node
-/// or a masked slot, and ties resolve to the smallest-id predecessor.
+/// Dijkstra over the failure-filtered graph: the root always has
+/// distance 0 (even when down — mirroring how the RIB treats
+/// `dist(dst, dst)`), no path traverses a down node or a masked slot,
+/// and ties resolve to the smallest-id predecessor. On an undirected
+/// graph the distance toward the root is also the distance from it.
 #[derive(Debug, Clone)]
 pub struct SpfTree {
     root: u32,
@@ -663,8 +667,6 @@ impl SpfTree {
 mod tests {
     use super::*;
     use crate::generate::{self, WaxmanParams};
-    use crate::graph::NodeId;
-    use crate::shortest::ShortestPaths;
 
     /// 0 —1— 1 —1— 2 —1— 3 and a heavy chord 0 —5— 3.
     fn path_with_chord() -> (CsrGraph, Vec<[u32; 2]>) {
@@ -679,22 +681,15 @@ mod tests {
     }
 
     #[test]
-    fn full_matches_shortest_paths_on_graph() {
-        let g = generate::waxman(WaxmanParams { n: 60, ..Default::default() }, 11);
-        let csr = CsrGraph::from_graph(&g);
-        let mut scratch = SpfScratch::new();
-        for root in [0u32, 7, 59] {
-            let sp = ShortestPaths::dijkstra(&g, NodeId(root));
-            let t = SpfTree::full(&csr, root, &mut scratch);
-            for x in 0..60u32 {
-                assert_eq!(t.dist(x), sp.dist(NodeId(x)), "dist root {root} node {x}");
-                assert_eq!(
-                    t.toward_root(x),
-                    sp.toward_root(NodeId(x)).map(|p| p.0),
-                    "pred root {root} node {x}"
-                );
-            }
-        }
+    fn full_distances_and_paths() {
+        let (g, _) = path_with_chord();
+        let t = SpfTree::full(&g, 0, &mut SpfScratch::new());
+        assert_eq!(t.dist(3), Some(3), "the path beats the weight-5 chord");
+        assert_eq!(t.path_to_root(3), Some(vec![3, 2, 1, 0]));
+        assert_eq!(t.path_to_root(0), Some(vec![0]));
+        let (g, _) = CsrGraph::from_edges(3, &[(0, 1, 1)]);
+        let t = SpfTree::full(&g, 0, &mut SpfScratch::new());
+        assert_eq!((t.dist(2), t.path_to_root(2)), (None, None), "isolated node");
     }
 
     #[test]

@@ -215,8 +215,16 @@ pub fn figure5_loop() -> Figure5 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::{CsrGraph, SpfScratch, SpfTree};
     use crate::graph::NodeId;
-    use crate::shortest::ShortestPaths;
+
+    /// Router names on the shortest path from `R{from}` to `R{to}`.
+    fn path_names(f: &Figure1, from: usize, to: usize) -> Vec<&str> {
+        let g = CsrGraph::from_graph(&f.net.router_graph());
+        let tree = SpfTree::full(&g, f.router(to).0, &mut SpfScratch::new());
+        let path = tree.path_to_root(f.router(from).0).unwrap();
+        path.iter().map(|&n| f.net.routers[n as usize].name.as_str()).collect()
+    }
 
     #[test]
     fn figure1_has_all_named_entities() {
@@ -247,12 +255,7 @@ mod tests {
     /// next-hop on the path to R4 (R3)".
     #[test]
     fn r1_reaches_core_via_r3() {
-        let f = figure1();
-        let g = f.net.router_graph();
-        let to_r4 = ShortestPaths::dijkstra(&g, NodeId(f.router(4).0));
-        let path = to_r4.path_to_root(NodeId(f.router(1).0)).unwrap();
-        let names: Vec<_> = path.iter().map(|n| f.net.routers[n.idx()].name.as_str()).collect();
-        assert_eq!(names, ["R1", "R3", "R4"]);
+        assert_eq!(path_names(&figure1(), 1, 4), ["R1", "R3", "R4"]);
     }
 
     /// §2.6: R6's best next hop to R4 is R2, on R6's own subnet S4, and
@@ -260,11 +263,7 @@ mod tests {
     #[test]
     fn r6_reaches_core_through_same_subnet_r2() {
         let f = figure1();
-        let g = f.net.router_graph();
-        let to_r4 = ShortestPaths::dijkstra(&g, NodeId(f.router(4).0));
-        let path = to_r4.path_to_root(NodeId(f.router(6).0)).unwrap();
-        let names: Vec<_> = path.iter().map(|n| f.net.routers[n.idx()].name.as_str()).collect();
-        assert_eq!(names, ["R6", "R2", "R3", "R4"]);
+        assert_eq!(path_names(&f, 6, 4), ["R6", "R2", "R3", "R4"]);
         // And R2 really shares S4 with R6.
         let s4 = f.subnet(4);
         assert!(f.net.routers[f.router(2).0 as usize].iface_on_lan(s4).is_some());

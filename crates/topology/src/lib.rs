@@ -3,9 +3,14 @@
 //! Provides the three things every experiment needs before a single CBT
 //! message is exchanged:
 //!
-//! 1. a **router-level weighted graph** ([`graph::Graph`]) with shortest-
-//!    path machinery ([`shortest`]) — this is what the unicast routing
-//!    substrate (`cbt-routing`) and all tree-quality metrics run on;
+//! 1. a **router-level weighted graph** ([`graph::Graph`], the
+//!    generators' de-duplicating edge set) and **one shortest-path
+//!    layer**: [`csr::SpfTree`], a Dijkstra over the flat
+//!    [`csr::CsrGraph`] with in-place failure masks and incremental
+//!    repair. The unicast routing substrate (`cbt-routing`), the
+//!    netscale route tables and every tree-quality metric
+//!    ([`shortest`]'s all-pairs table and member-spanning trees) run
+//!    on it, so they all break ties the same way;
 //! 2. **generators** ([`generate`]) for the random topologies the
 //!    SIGCOMM-'93-style evaluation sweeps over (Waxman graphs in the
 //!    Doar–Leslie tradition, plus regular shapes for unit tests);
@@ -33,4 +38,4 @@ pub use network::{
     Attachment, HostId, HostSpec, IfIndex, LanId, LanSpec, LinkId, LinkSpec, NetworkBuilder,
     NetworkSpec, RouterId, RouterSpec,
 };
-pub use shortest::{AllPairs, DijkstraScratch, ShortestPaths};
+pub use shortest::{tree_spanning, AllPairs};

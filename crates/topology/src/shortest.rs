@@ -1,173 +1,83 @@
-//! Shortest-path machinery: Dijkstra single-source trees, all-pairs
-//! tables, and the centrality helpers used for core placement.
+//! Analytic helpers over shortest-path trees: all-pairs distance
+//! tables, the centrality measures used for core placement, and the
+//! member-spanning tree of the baselines.
 //!
-//! Determinism note: ties are broken by smaller predecessor node id so
-//! the same graph always yields the same trees — essential for the
-//! reproducibility of every experiment.
+//! Every tree here is an [`SpfTree`] over the graph's CSR form — the
+//! same Dijkstra the routing tables run — so the analytic experiments
+//! and the protocol's routes break ties identically (smallest-id
+//! predecessor) and agree by construction.
 
+use crate::csr::{CsrGraph, SpfScratch, SpfTree, INF_DIST};
 use crate::graph::{Graph, NodeId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Distance type; `u64` so summed path weights cannot overflow.
 pub type Dist = u64;
 
-/// Reusable Dijkstra scratch: the binary heap's allocation survives
-/// across runs, so bulk computations (all-pairs tables, per-member
-/// sweeps) stop paying a heap allocation per source.
-#[derive(Debug, Default)]
-pub struct DijkstraScratch {
-    heap: BinaryHeap<Reverse<(Dist, u32)>>,
-}
-
-impl DijkstraScratch {
-    /// A fresh scratch.
-    pub fn new() -> Self {
-        DijkstraScratch::default()
-    }
-}
-
-/// Single-source shortest paths from one root.
-#[derive(Debug, Clone)]
-pub struct ShortestPaths {
-    root: NodeId,
-    dist: Vec<Option<Dist>>,
-    /// Predecessor towards the root, for every reached node but the root.
-    pred: Vec<Option<NodeId>>,
-}
-
-impl ShortestPaths {
-    /// Runs Dijkstra from `root`.
-    ///
-    /// Ties between equal-length paths resolve to the smallest-id
-    /// predecessor, independent of heap pop order: every node relaxes
-    /// its neighbours exactly once (when popped with its final
-    /// distance), so the final predecessor is the minimum over all
-    /// equal-distance candidates.
-    pub fn dijkstra(g: &Graph, root: NodeId) -> Self {
-        Self::dijkstra_with(g, root, &mut DijkstraScratch::new())
-    }
-
-    /// [`ShortestPaths::dijkstra`] reusing a caller-owned scratch heap.
-    pub fn dijkstra_with(g: &Graph, root: NodeId, scratch: &mut DijkstraScratch) -> Self {
-        let n = g.node_count();
-        let mut dist: Vec<Option<Dist>> = vec![None; n];
-        let mut pred: Vec<Option<NodeId>> = vec![None; n];
-        let heap = &mut scratch.heap;
-        heap.clear();
-        dist[root.idx()] = Some(0);
-        heap.push(Reverse((0, root.0)));
-        while let Some(Reverse((d, node))) = heap.pop() {
-            let node_id = NodeId(node);
-            if dist[node_id.idx()] != Some(d) {
-                continue; // stale heap entry
-            }
-            for (next, w) in g.neighbors(node_id) {
-                let nd = d + Dist::from(w);
-                match dist[next.idx()] {
-                    Some(old) if nd > old => {}
-                    Some(old) if nd == old => {
-                        if pred[next.idx()].is_some_and(|p| node < p.0) {
-                            pred[next.idx()] = Some(node_id);
-                        }
-                    }
-                    _ => {
-                        dist[next.idx()] = Some(nd);
-                        pred[next.idx()] = Some(node_id);
-                        heap.push(Reverse((nd, next.0)));
-                    }
-                }
-            }
+/// The union of `tree`'s shortest paths from all `members` to its root
+/// — a shortest-path tree (the per-source tree of the baselines, and the
+/// "joins follow unicast routing" shape of a CBT tree).
+///
+/// `tree` must have been computed over `g` (via [`CsrGraph::from_graph`]).
+/// Returned as a subgraph of `g` (same node ids, only tree edges);
+/// unreachable members add nothing.
+pub fn tree_spanning(g: &Graph, tree: &SpfTree, members: &[NodeId]) -> Graph {
+    let mut out = Graph::with_nodes(g.node_count());
+    for &m in members {
+        let Some(path) = tree.path_to_root(m.0) else { continue };
+        for hop in path.windows(2) {
+            let (a, b) = (NodeId(hop[0]), NodeId(hop[1]));
+            let w = g.edge_weight(a, b).expect("path edge exists");
+            out.add_edge(a, b, w);
         }
-        ShortestPaths { root, dist, pred }
     }
-
-    /// The tree root.
-    pub fn root(&self) -> NodeId {
-        self.root
-    }
-
-    /// Distance from the root to `n`, if reachable.
-    pub fn dist(&self, n: NodeId) -> Option<Dist> {
-        self.dist.get(n.idx()).copied().flatten()
-    }
-
-    /// Next hop *from `n` toward the root* (its shortest-path
-    /// predecessor). `None` for the root itself or unreachable nodes.
-    pub fn toward_root(&self, n: NodeId) -> Option<NodeId> {
-        self.pred.get(n.idx()).copied().flatten()
-    }
-
-    /// Full path from `n` to the root, inclusive of both endpoints.
-    pub fn path_to_root(&self, n: NodeId) -> Option<Vec<NodeId>> {
-        self.dist(n)?;
-        let mut path = vec![n];
-        let mut cur = n;
-        while let Some(p) = self.toward_root(cur) {
-            path.push(p);
-            cur = p;
-        }
-        debug_assert_eq!(cur, self.root);
-        Some(path)
-    }
-
-    /// The union of shortest paths from all `members` to the root — a
-    /// shortest-path tree (the per-source tree of the baselines, and the
-    /// "joins follow unicast routing" shape of a CBT tree).
-    ///
-    /// Returned as a subgraph of `g` (same node ids, only tree edges).
-    pub fn tree_spanning(&self, g: &Graph, members: &[NodeId]) -> Graph {
-        let mut tree = Graph::with_nodes(g.node_count());
-        for &m in members {
-            let Some(path) = self.path_to_root(m) else { continue };
-            for hop in path.windows(2) {
-                let w = g.edge_weight(hop[0], hop[1]).expect("path edge exists");
-                tree.add_edge(hop[0], hop[1], w);
-            }
-        }
-        tree
-    }
+    out
 }
 
-/// All-pairs shortest-path distances, with per-root trees on demand.
+/// All-pairs shortest-path distances.
 #[derive(Debug, Clone)]
 pub struct AllPairs {
-    trees: Vec<ShortestPaths>,
+    n: usize,
+    /// Row-major `n × n`: row `a` holds the distances from `a`,
+    /// [`INF_DIST`] where unreachable.
+    dist: Vec<Dist>,
 }
 
 impl AllPairs {
-    /// Runs Dijkstra from every node.
+    /// Runs one [`SpfTree`] per node over the CSR form of `g`.
     pub fn compute(g: &Graph) -> Self {
-        let mut scratch = DijkstraScratch::new();
-        AllPairs {
-            trees: g.nodes().map(|r| ShortestPaths::dijkstra_with(g, r, &mut scratch)).collect(),
+        let n = g.node_count();
+        let csr = CsrGraph::from_graph(g);
+        let mut scratch = SpfScratch::new();
+        let mut dist = Vec::with_capacity(n * n);
+        for root in 0..n as u32 {
+            let tree = SpfTree::full(&csr, root, &mut scratch);
+            dist.extend((0..n as u32).map(|x| tree.dist(x).unwrap_or(INF_DIST)));
         }
+        AllPairs { n, dist }
+    }
+
+    /// Distances from `a` to every node.
+    fn row(&self, a: NodeId) -> &[Dist] {
+        &self.dist[a.idx() * self.n..][..self.n]
     }
 
     /// Distance between two nodes, if connected.
     pub fn dist(&self, a: NodeId, b: NodeId) -> Option<Dist> {
-        self.trees.get(a.idx())?.dist(b)
-    }
-
-    /// The single-source structure rooted at `root`.
-    pub fn from_root(&self, root: NodeId) -> &ShortestPaths {
-        &self.trees[root.idx()]
+        if a.idx() >= self.n || b.idx() >= self.n {
+            return None;
+        }
+        Some(self.row(a)[b.idx()]).filter(|&d| d != INF_DIST)
     }
 
     /// Eccentricity of `n`: its largest distance to any node.
     pub fn eccentricity(&self, n: NodeId) -> Option<Dist> {
-        let t = &self.trees[n.idx()];
-        (0..self.trees.len())
-            .map(|i| t.dist(NodeId(i as u32)))
-            .collect::<Option<Vec<_>>>()?
-            .into_iter()
-            .max()
+        self.row(n).iter().try_fold(0, |acc, &d| (d != INF_DIST).then_some(acc.max(d)))
     }
 
     /// Graph center: the node with minimum eccentricity (smallest id on
     /// ties). `None` if the graph is disconnected or empty.
     pub fn center(&self) -> Option<NodeId> {
-        (0..self.trees.len() as u32)
+        (0..self.n as u32)
             .map(NodeId)
             .map(|n| Some((self.eccentricity(n)?, n.0)))
             .collect::<Option<Vec<_>>>()?
@@ -183,7 +93,7 @@ impl AllPairs {
         if members.is_empty() {
             return None;
         }
-        (0..self.trees.len() as u32)
+        (0..self.n as u32)
             .map(NodeId)
             .map(|n| {
                 let sum: Option<Dist> =
@@ -198,7 +108,7 @@ impl AllPairs {
 
     /// Graph diameter, if connected.
     pub fn diameter(&self) -> Option<Dist> {
-        (0..self.trees.len() as u32)
+        (0..self.n as u32)
             .map(|n| self.eccentricity(NodeId(n)))
             .try_fold(0, |acc, e| Some(acc.max(e?)))
     }
@@ -219,52 +129,30 @@ mod tests {
     }
 
     #[test]
-    fn dijkstra_distances() {
+    fn all_pairs_distances() {
         let g = path_with_chord();
-        let sp = ShortestPaths::dijkstra(&g, NodeId(0));
-        assert_eq!(sp.dist(NodeId(0)), Some(0));
-        assert_eq!(sp.dist(NodeId(1)), Some(1));
-        assert_eq!(sp.dist(NodeId(2)), Some(2));
-        assert_eq!(sp.dist(NodeId(3)), Some(3), "path beats the weight-5 chord");
-    }
-
-    #[test]
-    fn dijkstra_path_reconstruction() {
-        let g = path_with_chord();
-        let sp = ShortestPaths::dijkstra(&g, NodeId(0));
-        assert_eq!(
-            sp.path_to_root(NodeId(3)).unwrap(),
-            vec![NodeId(3), NodeId(2), NodeId(1), NodeId(0)]
-        );
-        assert_eq!(sp.path_to_root(NodeId(0)).unwrap(), vec![NodeId(0)]);
+        let ap = AllPairs::compute(&g);
+        assert_eq!(ap.dist(NodeId(0), NodeId(0)), Some(0));
+        assert_eq!(ap.dist(NodeId(0), NodeId(2)), Some(2));
+        assert_eq!(ap.dist(NodeId(0), NodeId(3)), Some(3), "path beats the weight-5 chord");
+        assert_eq!(ap.dist(NodeId(0), NodeId(4)), None, "out of range");
     }
 
     #[test]
     fn unreachable_nodes_report_none() {
         let mut g = path_with_chord();
         let iso = g.add_node();
-        let sp = ShortestPaths::dijkstra(&g, NodeId(0));
-        assert_eq!(sp.dist(iso), None);
-        assert_eq!(sp.path_to_root(iso), None);
-    }
-
-    #[test]
-    fn tie_break_is_smallest_predecessor() {
-        // 0 connects to 3 via 1 and via 2, both cost 2.
-        let mut g = Graph::with_nodes(4);
-        g.add_edge(NodeId(0), NodeId(1), 1);
-        g.add_edge(NodeId(0), NodeId(2), 1);
-        g.add_edge(NodeId(1), NodeId(3), 1);
-        g.add_edge(NodeId(2), NodeId(3), 1);
-        let sp = ShortestPaths::dijkstra(&g, NodeId(0));
-        assert_eq!(sp.toward_root(NodeId(3)), Some(NodeId(1)), "deterministic tie-break");
+        let ap = AllPairs::compute(&g);
+        assert_eq!(ap.dist(NodeId(0), iso), None);
+        assert_eq!(ap.eccentricity(NodeId(0)), None);
+        assert_eq!(ap.eccentricity(iso), None);
     }
 
     #[test]
     fn spanning_tree_is_a_tree_touching_members() {
         let g = path_with_chord();
-        let sp = ShortestPaths::dijkstra(&g, NodeId(0));
-        let tree = sp.tree_spanning(&g, &[NodeId(2), NodeId(3)]);
+        let t = SpfTree::full(&CsrGraph::from_graph(&g), 0, &mut SpfScratch::new());
+        let tree = tree_spanning(&g, &t, &[NodeId(2), NodeId(3)]);
         assert!(tree.is_forest());
         assert_eq!(tree.edge_count(), 3);
         assert_eq!(tree.total_weight(), 3);

@@ -3,11 +3,12 @@
 //! tree must be **identical** (distances and predecessors) to a
 //! from-scratch recompute over the same masked graph — plus a
 //! regression test pinning that a single flap touches a small fraction
-//! of the graph, which is the entire point of incremental SPF.
+//! of the graph, which is the entire point of incremental SPF. The full
+//! recompute itself is checked against an independent Bellman–Ford over
+//! the harness's own edge list.
 
 use cbt_topology::csr::{CsrGraph, SpfScratch, SpfTree};
 use cbt_topology::generate::{self, WaxmanParams};
-use cbt_topology::NodeId;
 
 /// Tiny deterministic xorshift64* — same style as the obs-merge
 /// property suite; no external RNG needed.
@@ -35,7 +36,8 @@ impl XorShift {
 struct Harness {
     g: CsrGraph,
     pairs: Vec<[u32; 2]>,
-    edges: Vec<(u32, u32)>,
+    /// `(a, b, weight)` per undirected edge, parallel to `pairs`.
+    edges: Vec<(u32, u32, u32)>,
     edge_down: Vec<bool>,
     node_down: Vec<bool>,
 }
@@ -45,13 +47,7 @@ impl Harness {
         let g0 = generate::waxman(WaxmanParams { n, alpha, beta: 0.3 }, seed);
         let edges: Vec<(u32, u32, u32)> = g0.edges().map(|(a, b, w)| (a.0, b.0, w)).collect();
         let (g, pairs) = CsrGraph::from_edges(n, &edges);
-        Harness {
-            g,
-            pairs,
-            edge_down: vec![false; edges.len()],
-            node_down: vec![false; n],
-            edges: edges.iter().map(|&(a, b, _)| (a, b)).collect(),
-        }
+        Harness { g, pairs, edge_down: vec![false; edges.len()], node_down: vec![false; n], edges }
     }
 
     /// Toggles a random batch of edges/nodes and applies it to `tree`
@@ -78,7 +74,7 @@ impl Harness {
                 }
             } else {
                 let e = rng.below(self.edges.len());
-                let (a, b) = self.edges[e];
+                let (a, b, _) = self.edges[e];
                 if self.edge_down[e] {
                     self.edge_down[e] = false;
                     for slot in self.pairs[e] {
@@ -167,7 +163,7 @@ fn single_flap_touches_a_small_fraction_of_the_graph() {
     let mut total_touched = 0u64;
     for _ in 0..flaps {
         let e = rng.below(h.edges.len());
-        let (a, b) = h.edges[e];
+        let (a, b, _) = h.edges[e];
         for slot in h.pairs[e] {
             h.g.set_slot_live(slot, false);
         }
@@ -186,23 +182,79 @@ fn single_flap_touches_a_small_fraction_of_the_graph() {
     );
 }
 
+/// Test-only reference: Bellman–Ford over the harness's edge list and
+/// down flags (not the CSR), then the predecessor rule — the smallest-id
+/// usable neighbour on a tight edge. The root keeps distance 0 even when
+/// down, and no path crosses a down node or a down edge.
+fn bellman_ford(h: &Harness, root: u32) -> (Vec<Option<u64>>, Vec<Option<u32>>) {
+    let n = h.node_down.len();
+    let up = |x: u32| !h.node_down[x as usize];
+    let usable: Vec<(u32, u32, u64)> = h
+        .edges
+        .iter()
+        .zip(&h.edge_down)
+        .filter(|&(&(a, b, _), &down)| !down && up(a) && up(b))
+        .map(|(&(a, b, w), _)| (a, b, u64::from(w)))
+        .collect();
+    let mut dist: Vec<Option<u64>> = vec![None; n];
+    dist[root as usize] = Some(0);
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &(a, b, w) in &usable {
+            for (u, v) in [(a, b), (b, a)] {
+                let Some(du) = dist[u as usize] else { continue };
+                if v != root && dist[v as usize].is_none_or(|dv| du + w < dv) {
+                    dist[v as usize] = Some(du + w);
+                    changed = true;
+                }
+            }
+        }
+    }
+    let pred = (0..n as u32)
+        .map(|x| {
+            let dx = dist[x as usize].filter(|_| x != root)?;
+            usable
+                .iter()
+                .filter_map(|&(a, b, w)| {
+                    let u = if x == a {
+                        b
+                    } else if x == b {
+                        a
+                    } else {
+                        return None;
+                    };
+                    dist[u as usize].is_some_and(|du| du + w == dx).then_some(u)
+                })
+                .min()
+        })
+        .collect();
+    (dist, pred)
+}
+
 #[test]
-fn repairs_agree_with_legacy_dijkstra_when_everything_is_up() {
-    // Cross-check the CSR layer against the Vec-of-Vec ShortestPaths
-    // implementation on the same graph.
-    let g0 = generate::waxman(WaxmanParams { n: 150, alpha: 0.2, beta: 0.25 }, 3);
-    let csr = CsrGraph::from_graph(&g0);
-    let mut scratch = SpfScratch::new();
-    for root in [0u32, 74, 149] {
-        let t = SpfTree::full(&csr, root, &mut scratch);
-        let sp = cbt_topology::ShortestPaths::dijkstra(&g0, NodeId(root));
-        for x in 0..150u32 {
-            assert_eq!(t.dist(x), sp.dist(NodeId(x)), "root {root} node {x}");
-            assert_eq!(
-                t.toward_root(x),
-                sp.toward_root(NodeId(x)).map(|p| p.0),
-                "root {root} node {x}"
-            );
+fn full_spf_matches_an_independent_bellman_ford() {
+    for seed in 0..12u64 {
+        let n = 30 + (seed as usize % 4) * 30;
+        let mut h = Harness::new(n, 0.2, seed);
+        let mut rng = XorShift::new(seed.wrapping_add(101));
+        let mut scratch = SpfScratch::new();
+        let mut repaired = SpfTree::full(&h.g, 0, &mut scratch);
+        // Round 0 has everything up; later rounds mask random batches of
+        // slots and nodes (the repaired tree only carries the masks).
+        for round in 0..6 {
+            if round > 0 {
+                h.random_batch(&mut rng, &mut repaired, &mut scratch);
+            }
+            for root in [0, rng.below(n) as u32] {
+                let t = SpfTree::full(&h.g, root, &mut scratch);
+                let (dist, pred) = bellman_ford(&h, root);
+                for x in 0..n as u32 {
+                    let at = format!("seed {seed} round {round} root {root} node {x}");
+                    assert_eq!(t.dist(x), dist[x as usize], "dist, {at}");
+                    assert_eq!(t.toward_root(x), pred[x as usize], "pred, {at}");
+                }
+            }
         }
     }
 }

@@ -2,7 +2,9 @@
 //! addressing-plan uniqueness, and shortest-path correctness — the
 //! foundations every experiment's correctness rests on.
 
-use cbt_topology::{generate, AllPairs, NetworkSpec, NodeId, ShortestPaths};
+use cbt_topology::{
+    generate, tree_spanning, AllPairs, CsrGraph, NetworkSpec, NodeId, SpfScratch, SpfTree,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -39,21 +41,20 @@ proptest! {
     #[test]
     fn dijkstra_optimality(n in 2usize..60, seed in any::<u64>()) {
         let g = generate::waxman(generate::WaxmanParams { n, ..Default::default() }, seed);
-        let root = NodeId(0);
-        let sp = ShortestPaths::dijkstra(&g, root);
+        let sp = SpfTree::full(&CsrGraph::from_graph(&g), 0, &mut SpfScratch::new());
         for (a, b, w) in g.edges() {
-            let da = sp.dist(a).unwrap();
-            let db = sp.dist(b).unwrap();
+            let da = sp.dist(a.0).unwrap();
+            let db = sp.dist(b.0).unwrap();
             prop_assert!(db <= da + u64::from(w), "relaxation violated on {}-{}", a, b);
             prop_assert!(da <= db + u64::from(w), "relaxation violated on {}-{}", b, a);
         }
-        for v in g.nodes() {
+        for v in 0..n as u32 {
             let path = sp.path_to_root(v).unwrap();
             prop_assert_eq!(*path.first().unwrap(), v);
-            prop_assert_eq!(*path.last().unwrap(), root);
+            prop_assert_eq!(*path.last().unwrap(), 0);
             let mut len = 0u64;
             for hop in path.windows(2) {
-                let w = g.edge_weight(hop[0], hop[1]);
+                let w = g.edge_weight(NodeId(hop[0]), NodeId(hop[1]));
                 prop_assert!(w.is_some(), "path uses a non-edge");
                 len += u64::from(w.unwrap());
             }
@@ -72,13 +73,14 @@ proptest! {
         let g = generate::waxman(generate::WaxmanParams { n, ..Default::default() }, seed);
         let members: Vec<NodeId> =
             picks.iter().map(|p| NodeId(p % n as u32)).collect();
-        let root = NodeId((seed % n as u64) as u32);
-        let sp = ShortestPaths::dijkstra(&g, root);
-        let tree = sp.tree_spanning(&g, &members);
+        let root = (seed % n as u64) as u32;
+        let mut scratch = SpfScratch::new();
+        let sp = SpfTree::full(&CsrGraph::from_graph(&g), root, &mut scratch);
+        let tree = tree_spanning(&g, &sp, &members);
         prop_assert!(tree.is_forest());
-        let tsp = ShortestPaths::dijkstra(&tree, root);
+        let tsp = SpfTree::full(&CsrGraph::from_graph(&tree), root, &mut scratch);
         for m in &members {
-            prop_assert_eq!(tsp.dist(*m), sp.dist(*m), "member {} stretched", m);
+            prop_assert_eq!(tsp.dist(m.0), sp.dist(m.0), "member {} stretched", m);
         }
     }
 

@@ -120,3 +120,48 @@ fn member_lan_outage_and_recovery() {
         "membership re-detected after the outage"
     );
 }
+
+/// A leaf reaches the core's side over a p2p link *and* a parallel
+/// transit LAN; the link (its lower interface) is down from the start.
+///
+/// ```text
+///   Rleaf ——link—— Rnext ——— Rcore
+///   [T: Rleaf, Rnext]          (parallel transit LAN)
+///   Rleaf —[S: member]
+/// ```
+///
+/// The join must leave by the live LAN and attach within the fast
+/// PEND-JOIN-TIMEOUT; sent onto the dead link it would never arrive.
+#[test]
+fn join_crosses_a_live_lan_beside_a_failed_parallel_link() {
+    let mut b = NetworkBuilder::new();
+    let r_leaf = b.router("Rleaf");
+    let r_next = b.router("Rnext");
+    let r_core = b.router("Rcore");
+    let link = b.link(r_leaf, r_next, 1);
+    let transit = b.lan("T");
+    b.attach(transit, r_leaf);
+    b.attach(transit, r_next);
+    b.link(r_next, r_core, 1);
+    let s = b.lan("S");
+    b.attach(s, r_leaf);
+    let h = b.host("H", s);
+    let net = b.build();
+    let core = net.router_addr(r_core);
+    let (_, next_on_lan) = net.routers[r_next.0 as usize].iface_on_lan(transit).unwrap();
+    let next_on_lan = next_on_lan.addr;
+
+    let cfg = CbtConfig::fast();
+    let budget = cfg.pend_join_timeout;
+    let group = GroupId::numbered(1);
+    let mut cw = CbtWorld::build(net, cfg, WorldConfig::default());
+    cw.fail_link(link);
+    cw.host(h).join_at(SimTime::from_secs(1), group, vec![core]);
+    cw.world.start();
+    cw.world.run_until(SimTime::from_secs(1) + budget);
+    assert_eq!(
+        cw.router(r_leaf).sharded().parent_of(group),
+        Some(next_on_lan),
+        "attached through the transit LAN within PEND-JOIN-TIMEOUT"
+    );
+}

@@ -105,10 +105,11 @@ fn protocol_tree_invariants_under_staggered_joins() {
     assert!(tree.is_forest(), "parent pointers form no cycle");
     // Every member DR is on-tree, and connected to the core within the
     // parent-pointer graph.
-    let sp = cbt_topology::ShortestPaths::dijkstra(&tree, core);
+    let csr = cbt_topology::CsrGraph::from_graph(&tree);
+    let sp = cbt_topology::SpfTree::full(&csr, core.0, &mut cbt_topology::SpfScratch::new());
     for m in &members {
         assert!(cw.router(RouterId(m.0)).sharded().is_on_tree(group), "member DR {m} attached");
-        assert!(sp.dist(*m).is_some(), "member DR {m} reaches the core through the tree");
+        assert!(sp.dist(m.0).is_some(), "member DR {m} reaches the core through the tree");
     }
     // The core has no parent; everyone else on-tree has exactly one.
     assert_eq!(cw.router(RouterId(core.0)).sharded().parent_of(group), None);
