@@ -10,13 +10,6 @@ use cbt_wire::{AckSubcode, Addr, ControlMessage, GroupId, JoinSubcode};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::collections::BTreeMap;
 
-struct FixedRoutes(BTreeMap<Addr, Hop>);
-impl cbt::RouteLookup for FixedRoutes {
-    fn hop_toward(&self, dst: Addr) -> Option<Hop> {
-        self.0.get(&dst).copied()
-    }
-}
-
 fn core() -> Addr {
     Addr::from_octets(10, 255, 0, 9)
 }
@@ -41,7 +34,7 @@ fn engine_with_routes() -> CbtRouter {
             dist: 1,
         },
     );
-    CbtRouter::new(&net, me, CbtConfig::default(), Box::new(FixedRoutes(routes)), SimTime::ZERO)
+    CbtRouter::new(&net, me, CbtConfig::default(), Box::new(routes), SimTime::ZERO)
 }
 
 /// Join termination at a core: the hot path of group setup.

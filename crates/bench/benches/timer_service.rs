@@ -1,7 +1,8 @@
 //! `TimerService` microbenches: arm, cancel, pop and peek at 100 and
-//! 10 000 armed keys — one router's worth of groups at either end of
-//! the Impl-1 range. The per-wakeup cost *through the engine* is
-//! `cbt-eval groupscale`.
+//! 10 000 armed keys — one router's worth of groups at either end. The
+//! per-wakeup cost through the engine is `engine_ops`'
+//! `echo_service_*`, and across a fleet the benchmark's
+//! `netscale.on_timer_ns_per_call`.
 
 use cbt::timers::TimerService;
 use cbt_netsim::{SimDuration, SimTime};

@@ -1,4 +1,6 @@
-//! Helper-free crate: the benchmarks live in `benches/`. One Criterion
-//! target per experiment table/figure (see DESIGN.md's index) plus
-//! microbenches for the wire codec, the forwarding fast path, the
-//! engine's control-plane operations and the graph substrate.
+//! Helper-free crate: the benchmarks live in `benches/`. Criterion
+//! microbenches for the substrates no `benchmark/` workload isolates:
+//! the wire codec, the timer service, the graph algorithms and the
+//! engine's control-plane operations. End-to-end timings are the
+//! benchmark's workloads; the forward path's zero-allocation claims are
+//! tests (`crates/core/tests/forward_allocs.rs`).

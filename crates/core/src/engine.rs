@@ -30,6 +30,14 @@ pub trait RouteLookup: Send {
     fn hop_toward(&self, dst: Addr) -> Option<Hop>;
 }
 
+/// A scripted route table: exactly the listed destinations, each
+/// through its fixed hop — what tests and benches drive one engine with.
+impl RouteLookup for BTreeMap<Addr, Hop> {
+    fn hop_toward(&self, dst: Addr) -> Option<Hop> {
+        self.get(&dst).copied()
+    }
+}
+
 /// A [`RouteLookup`] over a shared, swappable [`Rib`] — the harness
 /// recomputes the RIB on topology changes and every engine sees the
 /// update immediately, like a converged IGP.
@@ -964,15 +972,6 @@ pub(crate) mod testutil {
     use super::*;
     use cbt_topology::NetworkBuilder;
 
-    /// Scripted routes: dst addr → hop.
-    pub struct ScriptRoutes(pub BTreeMap<Addr, Hop>);
-
-    impl RouteLookup for ScriptRoutes {
-        fn hop_toward(&self, dst: Addr) -> Option<Hop> {
-            self.0.get(&dst).copied()
-        }
-    }
-
     /// A 3-interface router: if0 = LAN (10.1.0.x/24, my addr .1),
     /// if1 = p2p link "up" (172.31.0.0/30, my addr .1, peer .2),
     /// if2 = p2p link "down" (172.31.0.4/30, my addr .5, peer .6).
@@ -988,12 +987,12 @@ pub(crate) mod testutil {
         b.link(me, down, 1);
         let net = b.build();
         // Default script: everything unknown.
-        CbtRouter::new(&net, me, cfg, Box::new(ScriptRoutes(BTreeMap::new())), SimTime::ZERO)
+        CbtRouter::new(&net, me, cfg, Box::new(BTreeMap::<Addr, Hop>::new()), SimTime::ZERO)
     }
 
     /// Replaces the whole scripted table.
     pub fn set_routes(r: &mut CbtRouter, map: BTreeMap<Addr, Hop>) {
-        r.routes = Box::new(ScriptRoutes(map));
+        r.routes = Box::new(map);
     }
 
     /// Upstream hop helper (out of if1 toward 172.31.0.2).
@@ -1086,7 +1085,7 @@ mod tests {
             Addr::from_octets(10, 0, 0, 1),
             3,
             cfg,
-            Box::new(ScriptRoutes(map)),
+            Box::new(map),
             SimTime::ZERO,
         )
     }

@@ -822,7 +822,7 @@ mod tests {
     fn p2p_core() -> (CbtRouter, Addr) {
         let me = Addr::from_octets(10, 0, 0, 1);
         let cfg = CbtConfig { compact_idle: true, shards: 1, ..CbtConfig::fast() };
-        let routes = Box::new(ScriptRoutes(BTreeMap::new()));
+        let routes = Box::new(BTreeMap::<Addr, cbt_routing::Hop>::new());
         (CbtRouter::p2p(cbt_topology::RouterId(0), me, 1, cfg, routes, SimTime::ZERO), me)
     }
 

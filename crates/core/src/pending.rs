@@ -220,7 +220,6 @@ impl CbtRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::testutil::ScriptRoutes;
     use crate::CbtConfig;
     use cbt_netsim::SimDuration;
     use cbt_routing::Hop;
@@ -249,7 +248,7 @@ mod tests {
             cfg = cfg.with_mapping(g, cores.clone());
         }
         let hop = Hop { iface: IfIndex(0), router: RouterId(1), addr: via, dist: 1 };
-        let routes = ScriptRoutes(cores.iter().map(|c| (*c, hop)).collect());
+        let routes: BTreeMap<Addr, Hop> = cores.iter().map(|c| (*c, hop)).collect();
         let mut e = CbtRouter::p2p(RouterId(0), me, 3, cfg, Box::new(routes), SimTime::ZERO);
 
         let mut x = 0x5851_f42d_4c95_7f2du64;

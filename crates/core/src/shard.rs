@@ -453,7 +453,7 @@ impl ShardedRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::testutil::ScriptRoutes;
+    use cbt_routing::Hop;
     use cbt_topology::NetworkBuilder;
     use std::collections::BTreeMap;
 
@@ -480,9 +480,13 @@ mod tests {
     /// Routes reaching the core through if1 — so joins actually leave
     /// the router instead of dying on "no route".
     fn routes() -> Box<dyn RouteLookup> {
-        let hop =
-            cbt_routing::Hop { iface: IfIndex(1), router: RouterId(1), addr: core(), dist: 1 };
-        Box::new(ScriptRoutes([(core(), hop)].into_iter().collect()))
+        let hop = Hop { iface: IfIndex(1), router: RouterId(1), addr: core(), dist: 1 };
+        Box::new(BTreeMap::from([(core(), hop)]))
+    }
+
+    /// An empty table: every destination unreachable.
+    fn no_routes() -> Box<dyn RouteLookup> {
+        Box::new(BTreeMap::<Addr, Hop>::new())
     }
 
     fn sharded(n: usize) -> ShardedRouter {
@@ -534,20 +538,9 @@ mod tests {
     fn single_shard_is_a_transparent_pass_through() {
         let (net, me) = test_net();
         let cfg = CbtConfig::fast();
-        let mut plain = CbtRouter::new(
-            &net,
-            me,
-            cfg.clone(),
-            Box::new(ScriptRoutes(BTreeMap::new())),
-            SimTime::ZERO,
-        );
-        let mut front = ShardedRouter::new(
-            &net,
-            me,
-            CbtConfig { shards: 1, ..cfg },
-            || Box::new(ScriptRoutes(BTreeMap::new())),
-            SimTime::ZERO,
-        );
+        let mut plain = CbtRouter::new(&net, me, cfg.clone(), no_routes(), SimTime::ZERO);
+        let mut front =
+            ShardedRouter::new(&net, me, CbtConfig { shards: 1, ..cfg }, no_routes, SimTime::ZERO);
         let host = Addr::from_octets(10, 1, 0, 77);
         let g = GroupId::numbered(9);
         let report = IgmpMessage::Report { version: 2, group: g };

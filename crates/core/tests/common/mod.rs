@@ -1,5 +1,12 @@
-//! The smallest netscale fleet: a three-router p2p line `0 — 1 — 2`
-//! (1 ms per hop) of real engines, the core at router 0.
+//! Support shared by the test binaries: the counting allocator
+//! ([`alloc`]), and the smallest netscale fleet — a three-router p2p
+//! line `0 — 1 — 2` (1 ms per hop) of real engines, the core at
+//! router 0.
+
+// Each test binary compiles its own copy and uses a subset of it.
+#![allow(dead_code)]
+
+pub mod alloc;
 
 use cbt::{node_addr, CbtConfig, FleetRib, FleetRoutes, P2pNode, ShardedRouter};
 use cbt_netsim::{NetscaleWorld, SimDuration, SimTime};

@@ -1,0 +1,382 @@
+//! The forward paths under the counting allocator. Once warm, a packet
+//! costs no heap allocation: with a reused action buffer, refcounted
+//! payload handles and the engine's cached spanning entries, native
+//! transit, native local-origin fan-out, CBT-mode on-tree transit and
+//! first-hop §5.1 encapsulation (which carries the arrival datagram by
+//! reference) allocate nothing, and neither does a native hop through
+//! the simulator adapter, [`RouterNode`], whose frames come from the
+//! [`Outbox`] pool. A host's own send costs the payload it hands in.
+//!
+//! Each engine case runs on one `CbtRouter` and through a 4-shard
+//! `ShardedRouter`; every shard count is set here, whatever
+//! `CBT_SHARDS` says.
+
+mod common;
+
+use cbt::{
+    config::ForwardingMode, CbtConfig, CbtRouter, HostApp, RouteLookup, RouterAction, RouterNode,
+    ShardedRouter, SharedRib,
+};
+use cbt_netsim::{Bytes, Outbox, SimNode, SimTime};
+use cbt_routing::Hop;
+use cbt_topology::{IfIndex, NetworkBuilder, RouterId};
+use cbt_wire::header::ON_TREE;
+use cbt_wire::igmp::RP_CORE_CODE_CBT;
+use cbt_wire::{
+    AckSubcode, Addr, CbtDataPacket, ControlMessage, DataPacket, GroupId, IgmpMessage, JoinSubcode,
+    RpCoreReport,
+};
+use common::alloc;
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// Calls that grow every scratch buffer and memo before counting.
+const WARM: usize = 1_000;
+
+/// Packets counted per case.
+const PACKETS: usize = 10_000;
+
+fn group() -> GroupId {
+    GroupId::numbered(1)
+}
+
+fn core() -> Addr {
+    Addr::from_octets(10, 255, 0, 9)
+}
+
+fn parent_addr() -> Addr {
+    Addr::from_octets(172, 31, 0, 2)
+}
+
+/// A member host on the on-tree router's LAN.
+fn host_src() -> Addr {
+    Addr::from_octets(10, 1, 0, 100)
+}
+
+fn now() -> SimTime {
+    SimTime::from_secs(2)
+}
+
+/// A 512-byte packet from a sender beyond the parent.
+fn remote_packet() -> DataPacket {
+    DataPacket::new(Addr::from_octets(10, 9, 0, 100), group(), 32, vec![0u8; 512])
+}
+
+/// An on-tree router split over `shards` engines: member LAN on if0,
+/// parent via if1, child via if2.
+fn on_tree(mode: ForwardingMode, shards: usize) -> ShardedRouter {
+    let mut b = NetworkBuilder::new();
+    let me = b.router("ME");
+    let up = b.router("UP");
+    let down = b.router("DOWN");
+    let lan = b.lan("S0");
+    b.attach(lan, me);
+    b.host("H", lan);
+    b.link(me, up, 1);
+    b.link(me, down, 1);
+    let net = b.build();
+    let cfg = CbtConfig { shards, ..CbtConfig::default().with_mode(mode) };
+    let hop = Hop { iface: IfIndex(1), router: RouterId(1), addr: parent_addr(), dist: 1 };
+    let routes = || -> Box<dyn RouteLookup> { Box::new(BTreeMap::from([(core(), hop)])) };
+    let mut e = ShardedRouter::new(&net, me, cfg, routes, SimTime::ZERO);
+    e.handle_igmp(
+        SimTime::ZERO,
+        IfIndex(0),
+        host_src(),
+        IgmpMessage::RpCore(RpCoreReport {
+            group: group(),
+            code: RP_CORE_CODE_CBT,
+            target_core_index: 0,
+            cores: vec![core()],
+        }),
+    );
+    e.handle_igmp(
+        SimTime::ZERO,
+        IfIndex(0),
+        host_src(),
+        IgmpMessage::Report { version: 3, group: group() },
+    );
+    e.handle_control(
+        SimTime::from_secs(1),
+        IfIndex(1),
+        parent_addr(),
+        ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: group(),
+            origin: Addr::from_octets(10, 1, 0, 1),
+            target_core: core(),
+            cores: vec![core()],
+        },
+    );
+    e.handle_control(
+        SimTime::from_secs(1),
+        IfIndex(2),
+        Addr::from_octets(172, 31, 0, 6),
+        ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: group(),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: core(),
+            cores: vec![core()],
+        },
+    );
+    assert!(e.is_on_tree(group()));
+    e
+}
+
+/// A packet and where it arrives: interface and link-layer sender.
+enum Arrival {
+    Native(IfIndex, Addr, DataPacket),
+    Cbt(IfIndex, Addr, CbtDataPacket),
+}
+
+/// The data entry points `CbtRouter` and `ShardedRouter` share.
+trait Forward {
+    /// Hands a clone of the arrival's packet to the router.
+    fn forward(&mut self, a: &Arrival, act: &mut Vec<RouterAction>);
+}
+
+impl Forward for CbtRouter {
+    fn forward(&mut self, a: &Arrival, act: &mut Vec<RouterAction>) {
+        match a {
+            Arrival::Native(i, src, p) => self.handle_native_data(now(), *i, *src, p.clone(), act),
+            Arrival::Cbt(i, src, p) => self.handle_cbt_data(now(), *i, *src, p.clone(), act),
+        }
+    }
+}
+
+impl Forward for ShardedRouter {
+    fn forward(&mut self, a: &Arrival, act: &mut Vec<RouterAction>) {
+        match a {
+            Arrival::Native(i, src, p) => self.handle_native_data(now(), *i, *src, p.clone(), act),
+            Arrival::Cbt(i, src, p) => self.handle_cbt_data(now(), *i, *src, p.clone(), act),
+        }
+    }
+}
+
+/// Heap allocations across [`PACKETS`] calls of `step`, after [`WARM`]
+/// calls have grown every scratch buffer and memo to capacity.
+fn steady_state_allocs(mut step: impl FnMut()) -> u64 {
+    for _ in 0..WARM {
+        step();
+    }
+    alloc::count(|| (0..PACKETS).for_each(|_| step())).0.allocs
+}
+
+/// Allocations `e` spends forwarding [`PACKETS`] copies of `a` once
+/// warm, each into a cleared action buffer.
+fn forward_allocs(e: &mut impl Forward, a: &Arrival) -> u64 {
+    let mut act = Vec::new();
+    let spent = steady_state_allocs(|| {
+        act.clear();
+        e.forward(a, &mut act);
+    });
+    assert!(!act.is_empty(), "the packet must be forwarded");
+    spent
+}
+
+/// `a` at an on-tree router in `mode` costs no allocation per packet,
+/// on one engine and through four shards.
+fn assert_allocation_free(mode: ForwardingMode, a: Arrival) {
+    let engine = forward_allocs(on_tree(mode, 1).shard_for_mut(group()), &a);
+    let sharded = forward_allocs(&mut on_tree(mode, 4), &a);
+    assert_eq!(
+        (engine, sharded),
+        (0, 0),
+        "allocations over {PACKETS} packets: (CbtRouter, 4-shard ShardedRouter)"
+    );
+}
+
+#[test]
+fn the_counter_sees_this_threads_allocations() {
+    let (spent, v) = alloc::count(|| std::hint::black_box(Vec::<u8>::with_capacity(100)));
+    assert_eq!((spent.allocs, spent.bytes, spent.live), (1, 100, 100));
+    let (freed, ()) = alloc::count(|| drop(v));
+    assert_eq!((freed.allocs, freed.live), (0, -100));
+}
+
+/// A packet from the parent branch spans to the child and the member
+/// LAN.
+#[test]
+fn native_transit_allocates_nothing() {
+    assert_allocation_free(
+        ForwardingMode::Native,
+        Arrival::Native(IfIndex(1), parent_addr(), remote_packet()),
+    );
+}
+
+/// A member host's packet fans up to the parent and down to the child.
+#[test]
+fn native_local_origin_allocates_nothing() {
+    let pkt = DataPacket::new(host_src(), group(), 32, vec![0u8; 512]);
+    assert_allocation_free(ForwardingMode::Native, Arrival::Native(IfIndex(0), host_src(), pkt));
+}
+
+/// An on-tree encapsulated packet from the parent spans to the child
+/// (a refcounted clone) and is decapsulated for the member LAN (a
+/// zero-copy view).
+#[test]
+fn cbt_mode_on_tree_transit_allocates_nothing() {
+    let mut enc = CbtDataPacket::encapsulate(&remote_packet(), core());
+    enc.cbt.on_tree = ON_TREE;
+    assert_allocation_free(ForwardingMode::CbtMode, Arrival::Cbt(IfIndex(1), parent_addr(), enc));
+}
+
+/// §5.1: a member host's packet, decoded from the frame it put on the
+/// LAN, is encapsulated carrying that datagram by reference.
+#[test]
+fn first_hop_encapsulation_allocates_nothing() {
+    let frame = Bytes::from(DataPacket::new(host_src(), group(), 32, vec![0u8; 512]).encode());
+    let pkt = DataPacket::decode_bytes(&frame).expect("a frame `encode` built");
+    assert_allocation_free(ForwardingMode::CbtMode, Arrival::Native(IfIndex(0), host_src(), pkt));
+}
+
+/// Every branch of a native fan-out carries a handle to the arrival's
+/// payload, never a deep copy.
+#[test]
+fn fan_out_payloads_share_the_arrival_allocation() {
+    let mut e = on_tree(ForwardingMode::Native, 1);
+    let pkt = remote_packet();
+    let mut act = Vec::new();
+    e.handle_native_data(now(), IfIndex(1), parent_addr(), pkt.clone(), &mut act);
+    let sent: Vec<&DataPacket> = act
+        .iter()
+        .filter_map(|a| match a {
+            RouterAction::SendNativeData { pkt, .. } => Some(pkt),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sent.len(), 2, "to the child and the member LAN: {act:?}");
+    assert!(sent.iter().all(|out| out.payload.shares_allocation_with(&pkt.payload)));
+}
+
+/// A [`RouterNode`] on-tree with its parent behind if0 and `fanout`
+/// children behind if1.. (one link each, no member LAN), plus the frame
+/// a `payload`-byte native packet makes when the parent forwards it.
+/// Returns `(node, arrival iface, link-layer sender, frame)`.
+fn transit_node(fanout: usize, payload: usize) -> (RouterNode, IfIndex, Addr, Bytes) {
+    let mut b = NetworkBuilder::new();
+    let me = b.router("ME");
+    let up = b.router("UP");
+    b.link(me, up, 1);
+    let downs: Vec<RouterId> = (0..fanout).map(|i| b.router(format!("DOWN{i}"))).collect();
+    for &d in &downs {
+        b.link(me, d, 1);
+    }
+    let net = Arc::new(b.build());
+    let (_rib, make_rib) = SharedRib::build(net.clone());
+    let cfg = CbtConfig { shards: 1, ..CbtConfig::default() };
+    let mut node = RouterNode::new(&net, me, cfg, make_rib(me), SimTime::ZERO);
+
+    // The neighbour's address on the link behind each of ME's ifaces.
+    let peer_addr = |iface: usize, peer: RouterId| {
+        let subnet = net.routers[me.0 as usize].ifaces[iface].subnet;
+        net.routers[peer.0 as usize]
+            .ifaces
+            .iter()
+            .find(|i| i.subnet == subnet)
+            .expect("peer sits on the link")
+            .addr
+    };
+    let core = net.router_addr(up);
+    let parent = peer_addr(0, up);
+    let e = node.sharded_mut();
+    for (i, &d) in downs.iter().enumerate() {
+        let origin = Addr::from_octets(10, 9, i as u8, 1);
+        e.handle_control(
+            SimTime::from_secs(1),
+            IfIndex(1 + i as u32),
+            peer_addr(1 + i, d),
+            ControlMessage::JoinRequest {
+                subcode: JoinSubcode::ActiveJoin,
+                group: group(),
+                origin,
+                target_core: core,
+                cores: vec![core],
+            },
+        );
+        if i == 0 {
+            // The first child's join went upstream; the parent acks it
+            // and every later child finds ME already on-tree.
+            e.handle_control(
+                SimTime::from_secs(1),
+                IfIndex(0),
+                parent,
+                ControlMessage::JoinAck {
+                    subcode: AckSubcode::Normal,
+                    group: group(),
+                    origin,
+                    target_core: core,
+                    cores: vec![core],
+                },
+            );
+        }
+    }
+    assert_eq!(e.children_of(group()).len(), fanout);
+    let pkt = DataPacket::new(Addr::from_octets(10, 77, 0, 5), group(), 32, vec![0u8; payload]);
+    (node, IfIndex(0), parent, Bytes::from(pkt.encode()))
+}
+
+/// What the simulator does with a node's sends, minus the wire: takes
+/// every queued frame (through `carried`, a reused scratch) and offers
+/// it back to the outbox's pool, which keeps the buffer once the last
+/// branch sharing it has let go. Returns how many were queued.
+fn hand_back(out: &mut Outbox, carried: &mut Vec<Bytes>) -> usize {
+    carried.extend(out.drain().map(|t| t.frame));
+    let sent = carried.len();
+    for frame in carried.drain(..) {
+        out.recycle(frame);
+    }
+    sent
+}
+
+/// One hop through the simulator adapter: the outgoing frame is built
+/// in a pooled buffer and, once whoever carried it hands it back (as
+/// `World` does after delivery), the next hop reuses both the buffer
+/// and its `Arc` — whatever the fan-out. What goes out is the arrival
+/// with one less TTL, byte for byte a fresh encode, one allocation
+/// behind every branch.
+#[test]
+fn router_node_hop_allocates_nothing_and_shares_one_frame() {
+    for (fanout, payload) in [(1, 64), (3, 64), (1, 256), (3, 256)] {
+        let (mut node, iface, link_src, frame) = transit_node(fanout, payload);
+        let mut out = Outbox::new();
+        let mut carried = Vec::with_capacity(fanout);
+        let mut sent = 0;
+        let spent = steady_state_allocs(|| {
+            node.on_packet(now(), iface, link_src, &frame, &mut out);
+            sent = hand_back(&mut out, &mut carried);
+        });
+        assert_eq!(sent, fanout, "one frame per child branch");
+        assert_eq!(
+            spent, 0,
+            "fan-out {fanout}, {payload} B: {spent} allocations over {PACKETS} hops"
+        );
+
+        node.on_packet(now(), iface, link_src, &frame, &mut out);
+        let frames: Vec<Bytes> = out.drain().map(|t| t.frame).collect();
+        let mut next = DataPacket::decode_bytes(&frame).expect("a frame `encode` built");
+        next.ttl -= 1;
+        assert_eq!(frames.len(), fanout);
+        assert!(frames.iter().all(|f| *f == next.encode() && f.shares_allocation_with(&frames[0])));
+    }
+}
+
+/// A packet a [`HostApp`] originates is written straight into a pooled
+/// frame buffer: all it costs is the payload `Vec` the caller hands in.
+#[test]
+fn host_send_costs_only_the_callers_payload() {
+    for payload in [64, 256] {
+        let mut app = HostApp::new(host_src(), 3, CbtConfig::default().igmp);
+        let mut out = Outbox::new();
+        let mut carried = Vec::with_capacity(1);
+        let mut sent = 0;
+        let spent = steady_state_allocs(|| {
+            app.send_at(now(), group(), vec![0u8; payload], 32);
+            app.on_timer(now(), &mut out);
+            sent = hand_back(&mut out, &mut carried);
+        });
+        assert_eq!(sent, 1, "one frame per originated packet");
+        assert_eq!(spent, PACKETS as u64, "{payload} B: one allocation per send, the payload");
+    }
+}

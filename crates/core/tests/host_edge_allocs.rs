@@ -1,56 +1,13 @@
 //! The host edge under a counting allocator: what `HostApp::on_packet`
 //! allocates per delivery on either side of `RX_COPYBREAK`.
-//!
-//! One test only — the counter is process-wide, and a second test on
-//! another harness thread would be counted into this one.
+
+mod common;
 
 use cbt::{CbtConfig, HostApp, RX_COPYBREAK};
 use cbt_netsim::{Bytes, Outbox, SimNode, SimTime};
 use cbt_topology::IfIndex;
 use cbt_wire::{encode_native, Addr, GroupId};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// System allocator wrapped in a counter of heap acquisitions and of
-/// the bytes they asked for.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-fn count(bytes: usize) {
-    ALLOCS.fetch_add(1, Ordering::Relaxed);
-    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// whose contract is the one `GlobalAlloc` states; the counters are
-// plain atomics and touch no allocator state.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        count(l.size());
-        // SAFETY: `l` is the caller's layout, passed through.
-        unsafe { System.alloc(l) }
-    }
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        // SAFETY: `p` came from `System` with layout `l`.
-        unsafe { System.dealloc(p, l) }
-    }
-    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        count(l.size());
-        // SAFETY: as `alloc`.
-        unsafe { System.alloc_zeroed(l) }
-    }
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        count(n);
-        // SAFETY: `p` came from `System` with layout `l`; `n` is the
-        // caller's new size.
-        unsafe { System.realloc(p, l, n) }
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
+use common::alloc;
 
 const N: usize = 4096;
 
@@ -71,12 +28,11 @@ fn deliver(len: usize) -> (u64, u64) {
         })
         .collect();
 
-    let before = (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
-    for f in &frames {
-        app.on_packet(SimTime::from_secs(1), IfIndex(0), src, f, &mut out);
-    }
-    let spent =
-        (ALLOCS.load(Ordering::Relaxed) - before.0, BYTES.load(Ordering::Relaxed) - before.1);
+    let (spent, ()) = alloc::count(|| {
+        for f in &frames {
+            app.on_packet(SimTime::from_secs(1), IfIndex(0), src, f, &mut out);
+        }
+    });
 
     assert_eq!(app.received().len(), N);
     for (i, d) in app.received().iter().enumerate() {
@@ -84,7 +40,7 @@ fn deliver(len: usize) -> (u64, u64) {
         assert_eq!(d.payload[..4], (i as u32).to_le_bytes());
         assert_eq!(d.payload.shares_allocation_with(&frames[i]), len >= RX_COPYBREAK);
     }
-    spent
+    (spent.allocs, spent.bytes)
 }
 
 /// At and above the copybreak a delivery allocates nothing: N of them

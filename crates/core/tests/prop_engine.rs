@@ -5,7 +5,7 @@
 //! This is the sans-I/O payoff: the whole router is a pure state
 //! machine, so it can be fuzzed directly with no sockets or clocks.
 
-use cbt::{CbtConfig, CbtRouter, RouteLookup};
+use cbt::{CbtConfig, CbtRouter};
 use cbt_netsim::SimTime;
 use cbt_routing::Hop;
 use cbt_topology::{IfIndex, NetworkBuilder, RouterId};
@@ -15,13 +15,6 @@ use cbt_wire::{
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-
-struct FixedRoutes(BTreeMap<Addr, Hop>);
-impl RouteLookup for FixedRoutes {
-    fn hop_toward(&self, dst: Addr) -> Option<Hop> {
-        self.0.get(&dst).copied()
-    }
-}
 
 fn core_a() -> Addr {
     Addr::from_octets(10, 255, 0, 77)
@@ -55,7 +48,7 @@ fn engine() -> CbtRouter {
             },
         );
     }
-    CbtRouter::new(&net, me, CbtConfig::fast(), Box::new(FixedRoutes(routes)), SimTime::ZERO)
+    CbtRouter::new(&net, me, CbtConfig::fast(), Box::new(routes), SimTime::ZERO)
 }
 
 #[derive(Debug, Clone)]

@@ -1,50 +1,14 @@
 //! The native data hop in the full-fidelity `World` under a counting
 //! allocator: sender host — R0 — R1 — R2 — member host, every frame
 //! built in a pooled buffer and handed back when its last handle drops.
-//!
-//! One test only — the counter is process-wide, and a second test on
-//! another harness thread would be counted into this one.
+
+mod common;
 
 use cbt::{CbtConfig, CbtWorld, RX_COPYBREAK};
 use cbt_netsim::{SimTime, WorldConfig};
 use cbt_topology::{HostId, NetworkBuilder};
 use cbt_wire::GroupId;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// System allocator wrapped in a counter of heap acquisitions.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// whose contract is the one `GlobalAlloc` states; the counter is a
-// plain atomic and touches no allocator state.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `l` is the caller's layout, passed through.
-        unsafe { System.alloc(l) }
-    }
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        // SAFETY: `p` came from `System` with layout `l`.
-        unsafe { System.dealloc(p, l) }
-    }
-    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as `alloc`.
-        unsafe { System.alloc_zeroed(l) }
-    }
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `p` came from `System` with layout `l`; `n` is the
-        // caller's new size.
-        unsafe { System.realloc(p, l, n) }
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
+use common::alloc;
 
 /// Packets counted per phase, one per simulated millisecond.
 const N: u64 = 100;
@@ -106,12 +70,13 @@ fn steady_state_native_hops_allocate_only_what_the_member_keeps() {
         cw.host(member).received().len(),
     );
     assert_eq!(got, 130, "warm-up delivered");
-    let before = ALLOCS.load(Ordering::Relaxed);
-    cw.world.run_until(end);
-    let spent = ALLOCS.load(Ordering::Relaxed) - before;
+    let (spent, ()) = alloc::count(|| cw.world.run_until(end));
     assert_eq!(cw.host(member).received().len() as u64, 130 + N);
     assert_eq!(cw.world.trace().data_frames() - tx, 4 * N, "host send + three router hops each");
-    assert_eq!(spent, N, "{N} packets over four hops: one allocation each, the member's copy");
+    assert_eq!(
+        spent.allocs, N,
+        "{N} packets over four hops: one allocation each, the member's copy"
+    );
     assert_eq!(cw.world.pooled_frames(), pooled, "the frame pool stopped growing");
     assert!(pooled > 0 && pooled <= 8, "and holds the frames that were in flight at once");
 
@@ -125,10 +90,8 @@ fn steady_state_native_hops_allocate_only_what_the_member_keeps() {
     cw.world.run_until(warmed);
     let end = schedule(&mut cw, sender, 4_700, N, len);
     let pooled = cw.world.pooled_frames();
-    let before = ALLOCS.load(Ordering::Relaxed);
-    cw.world.run_until(end);
-    let spent = ALLOCS.load(Ordering::Relaxed) - before;
-    assert_eq!(spent, 2 * N, "{N} long packets: one fresh buffer each, no copy");
+    let (spent, ()) = alloc::count(|| cw.world.run_until(end));
+    assert_eq!(spent.allocs, 2 * N, "{N} long packets: one fresh buffer each, no copy");
     assert_eq!(cw.world.pooled_frames(), pooled);
     let got = cw.host(member).received();
     assert_eq!(got.len() as u64, 130 + N + 30 + N);

@@ -7,50 +7,14 @@
 //! on the path rebuilds its group's spanning entry on the first packet
 //! after the round. The rebuild refills the entry's vectors in place:
 //! a packet still costs only the member's copy of its payload.
-//!
-//! One test only — the counter is process-wide, and a second test on
-//! another harness thread would be counted into this one.
+
+mod common;
 
 use cbt::{CbtConfig, CbtWorld};
 use cbt_netsim::{SimTime, WorldConfig};
 use cbt_topology::{HostId, NetworkBuilder};
 use cbt_wire::GroupId;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// System allocator wrapped in a counter of heap acquisitions.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// whose contract is the one `GlobalAlloc` states; the counter is a
-// plain atomic and touches no allocator state.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `l` is the caller's layout, passed through.
-        unsafe { System.alloc(l) }
-    }
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        // SAFETY: `p` came from `System` with layout `l`.
-        unsafe { System.dealloc(p, l) }
-    }
-    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as `alloc`.
-        unsafe { System.alloc_zeroed(l) }
-    }
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `p` came from `System` with layout `l`; `n` is the
-        // caller's new size.
-        unsafe { System.realloc(p, l, n) }
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
+use common::alloc;
 
 /// Packets in the counted window, 10 ms apart.
 const N: u64 = 100;
@@ -68,11 +32,9 @@ fn schedule(cw: &mut CbtWorld, sender: HostId, at_ms: u64, count: u64, gap_ms: u
 /// data frames) spent on the way.
 fn run(cw: &mut CbtWorld, until_ms: u64) -> (u64, u64, u64) {
     let (ctl, data) = (cw.world.trace().control_frames(), cw.world.trace().data_frames());
-    let before = ALLOCS.load(Ordering::Relaxed);
-    cw.world.run_until(SimTime::from_micros(until_ms * 1000));
-    let spent = ALLOCS.load(Ordering::Relaxed) - before;
+    let (spent, ()) = alloc::count(|| cw.world.run_until(SimTime::from_micros(until_ms * 1000)));
     let trace = cw.world.trace();
-    (spent, trace.control_frames() - ctl, trace.data_frames() - data)
+    (spent.allocs, trace.control_frames() - ctl, trace.data_frames() - data)
 }
 
 #[test]

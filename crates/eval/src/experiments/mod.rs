@@ -1,11 +1,9 @@
 //! Experiment implementations. Each module exposes `run(...) -> Report`
 //! with a `Params::default()` matching DESIGN.md's index, plus a
-//! `quick()` preset that the integration tests and benches use.
+//! `quick()` preset that the integration tests use.
 
-pub mod dataplane;
 pub mod delay;
 pub mod explore;
-pub mod groupscale;
 pub mod latency;
 pub mod multicore;
 pub mod netscale;

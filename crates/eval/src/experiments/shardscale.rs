@@ -26,7 +26,7 @@
 //! shard).
 
 use crate::report::Report;
-use cbt::{shard_of, CbtConfig, RouteLookup, RouterAction, ShardedRouter};
+use cbt::{shard_of, CbtConfig, RouterAction, ShardedRouter};
 use cbt_metrics::{table::f, Table};
 use cbt_netsim::{SimDuration, SimTime};
 use cbt_routing::Hop;
@@ -74,15 +74,6 @@ impl Params {
             measure_secs: 40,
             reps: 2,
         }
-    }
-}
-
-/// Scripted unicast routing: dst → hop (same shape as `groupscale`).
-struct ScriptRoutes(BTreeMap<Addr, Hop>);
-
-impl RouteLookup for ScriptRoutes {
-    fn hop_toward(&self, dst: Addr) -> Option<Hop> {
-        self.0.get(&dst).copied()
     }
 }
 
@@ -205,11 +196,8 @@ fn drive(n: usize, shards: usize, packets_per_group: usize, measure_secs: u64) -
     // One slice per shard, exactly as the live plane builds them.
     let mut slices: Vec<ShardedRouter> = (0..shards)
         .map(|k| {
-            let routes = ScriptRoutes(
-                [(core, Hop { iface: up_if, router: up, addr: up_peer, dist: 1 })]
-                    .into_iter()
-                    .collect(),
-            );
+            let routes =
+                BTreeMap::from([(core, Hop { iface: up_if, router: up, addr: up_peer, dist: 1 })]);
             ShardedRouter::slice(&net, me, cfg.clone(), Box::new(routes), SimTime::ZERO, k, shards)
         })
         .collect();

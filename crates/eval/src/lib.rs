@@ -2,8 +2,9 @@
 //!
 //! One module per experiment in DESIGN.md's index. Every experiment is
 //! a pure function from parameters to a [`Report`] (tables + JSON), so
-//! the CLI, the integration tests and the Criterion benches all drive
-//! the same code.
+//! the CLI and the integration tests drive the same code. Impl-1
+//! (timer-service scaling) and Impl-2 (live data plane) are retired;
+//! their last rows are frozen in EXPERIMENTS.md.
 //!
 //! | id | module |
 //! |---|---|
@@ -16,8 +17,6 @@
 //! | S93-T4 join latency | [`experiments::latency`] |
 //! | Abl-1 core placement | [`experiments::placement`] |
 //! | Abl-2 multi-core failover | [`experiments::multicore`] |
-//! | Impl-1 timer-service scaling | [`experiments::groupscale`] |
-//! | Impl-2 live data plane | [`experiments::dataplane`] |
 //! | Impl-3 sharded engine scaling | [`experiments::shardscale`] |
 //! | Impl-4 internet-scale routing | [`experiments::netscale`] |
 //! | Impl-5 protocol at netscale | [`experiments::protoscale`] |

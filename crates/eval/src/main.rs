@@ -117,18 +117,6 @@ fn main() {
             }),
         ),
         (
-            "groupscale",
-            Box::new(|q| {
-                groupscale::run(&if q { groupscale::Params::quick() } else { Default::default() })
-            }),
-        ),
-        (
-            "dataplane",
-            Box::new(|q| {
-                dataplane::run(&if q { dataplane::Params::quick() } else { Default::default() })
-            }),
-        ),
-        (
             "shardscale",
             Box::new(|q| {
                 shardscale::run(&if q { shardscale::Params::quick() } else { Default::default() })
@@ -216,9 +204,7 @@ fn main() {
 
 /// The implementation benchmarks whose JSON rides along in
 /// `BENCH_eval.json`, and the key each goes under.
-const BENCH_ROWS: [(&str, &str); 7] = [
-    ("groupscale", "timer_scaling"),
-    ("dataplane", "dataplane"),
+const BENCH_ROWS: [(&str, &str); 5] = [
     ("shardscale", "shard_scaling"),
     ("netscale", "netscale"),
     ("protoscale", "protoscale"),
