@@ -13,7 +13,7 @@
 //!   honours the shared [`cbt_routing::FailureSet`];
 //! * the **delivery plan** ([`plan`]) — who hears a transmission, on
 //!   which interface, from which link-layer source: resolved once per
-//!   network and shared by the world and the live fabrics of `cbt-node`;
+//!   network and shared by the world and the live fabric of `cbt-node`;
 //! * **fault injection** ([`fault`]) — seeded probabilistic drop and
 //!   byte corruption, smoltcp-style;
 //! * the **netscale world** ([`netscale`]) — the scale-over-fidelity

@@ -5,8 +5,8 @@
 //! their interfaces, stamped with which source address" — resolved
 //! once per [`NetworkSpec`] into flat tables, and consumed by every
 //! runtime that moves frames: [`crate::World`]'s event loop and the
-//! live fabrics of `cbt-node`. The runtimes add only what is their own
-//! (failure masks and tracing; inboxes; sockets).
+//! live fabric of `cbt-node`. The runtimes add only what is their own
+//! (failure masks and tracing; inboxes).
 //!
 //! Entities are numbered densely, routers first and hosts after, so
 //! per-node tables are `Vec`s indexed by [`DeliveryPlan::index`].

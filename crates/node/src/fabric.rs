@@ -20,7 +20,6 @@
 use crate::inbox::{Inbox, InboxRx, Pushed};
 use cbt::shard_of;
 use cbt_netsim::{Bytes, DeliveryPlan, Entity, Receiver, Transmit};
-use cbt_obs::{AtomicDropCounters, DropCounters, DropReason};
 use cbt_topology::{IfIndex, NetworkSpec};
 use cbt_wire::ipv4::IPV4_HEADER_LEN;
 use cbt_wire::{Addr, GroupId, IgmpMessage, IpProto, CBT_AUX_PORT, CBT_PRIMARY_PORT};
@@ -97,8 +96,8 @@ pub fn steer_frame(frame: &[u8], shards: usize) -> Steer {
     }
 }
 
-/// Tuning knobs for the live data plane, shared by the in-process fabric,
-/// the UDP fabric and the node task loops.
+/// Tuning knobs for the live data plane, shared by the fabric and the
+/// node task loops.
 #[derive(Debug, Clone, Copy)]
 pub struct DataPlaneConfig {
     /// Bounded inbox capacity per node; beyond it frames are dropped
@@ -115,32 +114,16 @@ impl Default for DataPlaneConfig {
     }
 }
 
-/// The receive side both fabrics share: every node's inboxes and the
-/// live delivery counters. All counters are cumulative. Drops are
-/// tallied **per receiving node** under the shared [`DropReason`]
-/// taxonomy rather than as one fabric-wide total, so a single
-/// overwhelmed inbox is attributable: a full inbox counts as
-/// [`DropReason::InboxOverflow`], a datagram the UDP pump cannot parse
-/// as [`DropReason::DecodeError`].
-pub struct FabricCounters {
-    plan: Arc<DeliveryPlan>,
-    delivered: AtomicU64,
-    /// One taxonomy row per entity, indexed by [`DeliveryPlan::index`].
-    node_drops: Vec<AtomicDropCounters>,
-    /// Indexed by [`DeliveryPlan::index`], then shard.
-    inboxes: Vec<Vec<Arc<Inbox>>>,
-}
-
-/// A point-in-time snapshot of [`FabricCounters`].
+/// A point-in-time snapshot of a [`Fabric`]'s counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FabricStats {
     /// Frames enqueued into recipient inboxes.
     pub delivered: u64,
     /// Frames dropped because a recipient's bounded inbox was full
-    /// (sum of [`DropReason::InboxOverflow`] over every node).
+    /// (sum of [`Fabric::overflowed`] over every node).
     pub dropped_overflow: u64,
     /// The deepest any node's inbox has been
-    /// (max of [`FabricCounters::inbox_high_water`] over every node).
+    /// (max of [`Fabric::inbox_high_water`] over every node).
     pub inbox_high_water: usize,
 }
 
@@ -148,14 +131,38 @@ pub struct FabricStats {
 /// indexed by [`DeliveryPlan::index`], then shard.
 pub type Inboxes = Vec<Vec<InboxRx>>;
 
-impl FabricCounters {
-    /// One bounded inbox per shard of every entity — `shards` for a
-    /// router, one for a host — with the receive ends to hand out.
-    pub(crate) fn new(
-        plan: Arc<DeliveryPlan>,
+/// Shared dispatch fabric: the delivery plan, every node's bounded
+/// inboxes and the live delivery counters.
+///
+/// With `shards > 1` every router has one bounded inbox **per shard**;
+/// delivery peeks at each frame ([`steer_frame`]) and enqueues it on
+/// the owning shard's inbox only — no cross-shard locks, no shared
+/// queue. Hosts always have exactly one inbox.
+///
+/// All counters are cumulative. A full inbox is the only place the
+/// fabric drops a frame, and it is tallied **per receiving node**
+/// ([`cbt_obs::DropReason::InboxOverflow`] in that node's snapshot)
+/// rather than as one fabric-wide total, so a single overwhelmed inbox
+/// is attributable.
+pub struct Fabric {
+    plan: DeliveryPlan,
+    delivered: AtomicU64,
+    /// Frames shed at each node's full inboxes, indexed by
+    /// [`DeliveryPlan::index`].
+    overflowed: Vec<AtomicU64>,
+    /// Indexed by [`DeliveryPlan::index`], then shard.
+    inboxes: Vec<Vec<Arc<Inbox>>>,
+}
+
+impl Fabric {
+    /// Builds the fabric with `shards` bounded inboxes per **router**
+    /// (hosts keep one), with the receive ends to hand out.
+    pub fn with_shards(
+        net: &NetworkSpec,
         dp: DataPlaneConfig,
         shards: usize,
     ) -> (Arc<Self>, Inboxes) {
+        let plan = DeliveryPlan::new(net);
         let (inboxes, rxs) = plan
             .entities()
             .map(|e| {
@@ -166,135 +173,15 @@ impl FabricCounters {
                 (0..n).map(|_| Inbox::bounded(dp.inbox_capacity)).unzip()
             })
             .unzip();
-        let node_drops = plan.entities().map(|_| AtomicDropCounters::default()).collect();
-        let counters = FabricCounters { plan, delivered: AtomicU64::new(0), node_drops, inboxes };
-        (Arc::new(counters), rxs)
-    }
-
-    /// Enqueues a run of frames, all received on `iface` from
-    /// `link_src`, at the node with plan index `to`, counting the
-    /// outcome. A 1-inbox entity (a host, or `shards = 1`) takes the
-    /// run whole; a sharded router's inboxes each take, in order, the
-    /// frames they own (each peeks at the run through [`steer_frame`]
-    /// and locks only if some frame is its). False when every inbox
-    /// the run was meant for is closed (that node shut down).
-    pub(crate) fn deliver_run<'a>(
-        &self,
-        to: usize,
-        iface: IfIndex,
-        link_src: Addr,
-        frames: impl Iterator<Item = &'a Bytes> + Clone,
-    ) -> bool {
-        let inboxes = &self.inboxes[to];
-        if let [only] = &inboxes[..] {
-            return self.count(to, only.push_run(iface, link_src, frames));
-        }
-        let mut any_open = false;
-        for (k, inbox) in inboxes.iter().enumerate() {
-            let mut mine = frames
-                .clone()
-                .filter(|f| match steer_frame(f, inboxes.len()) {
-                    Steer::One(owner) => owner == k,
-                    Steer::All => true,
-                })
-                .peekable();
-            if mine.peek().is_some() {
-                any_open |= self.count(to, inbox.push_run(iface, link_src, mine));
-            }
-        }
-        any_open
-    }
-
-    /// Tallies one push at node `to`; false when the inbox was closed.
-    fn count(&self, to: usize, pushed: Option<Pushed>) -> bool {
-        let Some(Pushed { accepted, overflowed }) = pushed else { return false };
-        if accepted > 0 {
-            self.delivered.fetch_add(accepted, Ordering::Relaxed);
-        }
-        if overflowed > 0 {
-            self.node_drops[to].add(DropReason::InboxOverflow, overflowed);
-        }
-        true
-    }
-
-    pub(crate) fn count_dropped(&self, to: usize, why: DropReason) {
-        self.node_drops[to].bump(why);
-    }
-
-    /// Closes every inbox: the node tasks drain what is queued and
-    /// then see the end.
-    pub(crate) fn close_inboxes(&self) {
-        self.inboxes.iter().flatten().for_each(|i| i.close());
-    }
-
-    /// One node's transport-level drop taxonomy.
-    pub fn node_drops(&self, e: Entity) -> DropCounters {
-        self.plan.index(e).map(|i| self.node_drops[i].snapshot()).unwrap_or_default()
-    }
-
-    /// The deepest one node's inbox has been (the deepest of its
-    /// shards' inboxes for a sharded router; 0 for a stranger).
-    pub fn inbox_high_water(&self, e: Entity) -> usize {
-        self.plan.index(e).map_or(0, |i| deepest(&self.inboxes[i]))
-    }
-
-    /// The fleet-wide drop taxonomy (sum over every node).
-    pub fn drops_total(&self) -> DropCounters {
-        let mut out = DropCounters::default();
-        for d in &self.node_drops {
-            out.merge(&d.snapshot());
-        }
-        out
-    }
-
-    /// Snapshots the counters.
-    pub fn snapshot(&self) -> FabricStats {
-        FabricStats {
-            delivered: self.delivered.load(Ordering::Relaxed),
-            dropped_overflow: self.drops_total().get(DropReason::InboxOverflow),
-            inbox_high_water: deepest(self.inboxes.iter().flatten()),
-        }
-    }
-}
-
-/// The highest high-water mark among `inboxes` (0 for none).
-fn deepest<'a>(inboxes: impl IntoIterator<Item = &'a Arc<Inbox>>) -> usize {
-    inboxes.into_iter().map(|inbox| inbox.high_water()).max().unwrap_or(0)
-}
-
-/// Shared dispatch fabric.
-///
-/// With `shards > 1` every router has one bounded inbox **per shard**;
-/// delivery peeks at each frame ([`steer_frame`]) and enqueues it on
-/// the owning shard's inbox only — no cross-shard locks, no shared
-/// queue. Hosts always have exactly one inbox.
-pub struct Fabric {
-    plan: Arc<DeliveryPlan>,
-    counters: Arc<FabricCounters>,
-}
-
-impl Fabric {
-    /// Builds the fabric with `shards` bounded inboxes per **router**
-    /// (hosts keep one).
-    pub fn with_shards(
-        net: &NetworkSpec,
-        dp: DataPlaneConfig,
-        shards: usize,
-    ) -> (Arc<Self>, Inboxes) {
-        let plan = Arc::new(DeliveryPlan::new(net));
-        let (counters, rxs) = FabricCounters::new(plan.clone(), dp, shards);
-        (Arc::new(Fabric { plan, counters }), rxs)
+        let overflowed = plan.entities().map(|_| AtomicU64::new(0)).collect();
+        let fabric = Fabric { plan, delivered: AtomicU64::new(0), overflowed, inboxes };
+        (Arc::new(fabric), rxs)
     }
 
     /// The delivery plan this fabric walks (and indexes its receive
     /// ends by).
     pub fn plan(&self) -> &DeliveryPlan {
         &self.plan
-    }
-
-    /// Delivery counters (shared across all dispatches).
-    pub fn counters(&self) -> &Arc<FabricCounters> {
-        &self.counters
     }
 
     /// Dispatches one transmission from `from` to everyone it reaches.
@@ -315,11 +202,81 @@ impl Fabric {
             let Some(route) = self.plan.route(from, run[0].iface) else { continue };
             for &Receiver { entity, iface, .. } in route.heard_by(run[0].link_dst) {
                 let to = self.plan.index(entity).expect("the plan lists only its own entities");
-                // A closed inbox means that node shut down; fine.
-                self.counters.deliver_run(to, iface, route.link_src, run.iter().map(|t| &t.frame));
+                self.deliver_run(to, iface, route.link_src, run.iter().map(|t| &t.frame));
             }
         }
     }
+
+    /// Enqueues a run of frames, all received on `iface` from
+    /// `link_src`, at the node with plan index `to`, counting the
+    /// outcome. A 1-inbox entity (a host, or `shards = 1`) takes the
+    /// run whole; a sharded router's inboxes each take, in order, the
+    /// frames they own (each peeks at the run through [`steer_frame`]
+    /// and locks only if some frame is its).
+    fn deliver_run<'a>(
+        &self,
+        to: usize,
+        iface: IfIndex,
+        link_src: Addr,
+        frames: impl Iterator<Item = &'a Bytes> + Clone,
+    ) {
+        let inboxes = &self.inboxes[to];
+        if let [only] = &inboxes[..] {
+            self.count(to, only.push_run(iface, link_src, frames));
+            return;
+        }
+        for (k, inbox) in inboxes.iter().enumerate() {
+            let mut mine = frames
+                .clone()
+                .filter(|f| match steer_frame(f, inboxes.len()) {
+                    Steer::One(owner) => owner == k,
+                    Steer::All => true,
+                })
+                .peekable();
+            if mine.peek().is_some() {
+                self.count(to, inbox.push_run(iface, link_src, mine));
+            }
+        }
+    }
+
+    /// Tallies one push at node `to`. A closed inbox means that node
+    /// shut down: nothing to count.
+    fn count(&self, to: usize, pushed: Option<Pushed>) {
+        let Some(Pushed { accepted, overflowed }) = pushed else { return };
+        if accepted > 0 {
+            self.delivered.fetch_add(accepted, Ordering::Relaxed);
+        }
+        if overflowed > 0 {
+            self.overflowed[to].fetch_add(overflowed, Ordering::Relaxed);
+        }
+    }
+
+    /// Frames dropped at one node because its inbox (any of its
+    /// shards' inboxes, for a sharded router) was full; 0 for a
+    /// stranger.
+    pub fn overflowed(&self, e: Entity) -> u64 {
+        self.plan.index(e).map_or(0, |i| self.overflowed[i].load(Ordering::Relaxed))
+    }
+
+    /// The deepest one node's inbox has been (the deepest of its
+    /// shards' inboxes for a sharded router; 0 for a stranger).
+    pub fn inbox_high_water(&self, e: Entity) -> usize {
+        self.plan.index(e).map_or(0, |i| deepest(&self.inboxes[i]))
+    }
+
+    /// Snapshots the counters.
+    pub fn snapshot(&self) -> FabricStats {
+        FabricStats {
+            delivered: self.delivered.load(Ordering::Relaxed),
+            dropped_overflow: self.overflowed.iter().map(|n| n.load(Ordering::Relaxed)).sum(),
+            inbox_high_water: deepest(self.inboxes.iter().flatten()),
+        }
+    }
+}
+
+/// The highest high-water mark among `inboxes` (0 for none).
+fn deepest<'a>(inboxes: impl IntoIterator<Item = &'a Arc<Inbox>>) -> usize {
+    inboxes.into_iter().map(|inbox| inbox.high_water()).max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -374,7 +331,7 @@ mod tests {
         assert!(rxs.get_mut(&Entity::Router(r1)).unwrap().try_recv().is_some());
         assert!(rxs.get_mut(&Entity::Host(h)).unwrap().try_recv().is_some());
         assert!(rxs.get_mut(&Entity::Router(r0)).unwrap().try_recv().is_none(), "no self-delivery");
-        assert_eq!(fabric.counters().snapshot().delivered, 2);
+        assert_eq!(fabric.snapshot().delivered, 2);
     }
 
     #[tokio::test]
@@ -600,7 +557,7 @@ mod tests {
         }
         batched.dispatch_batch(Entity::Router(r0), &outbox);
 
-        let (a, b) = (one_by_one.counters(), batched.counters());
+        let (a, b) = (&one_by_one, &batched);
         assert_eq!(a.snapshot(), b.snapshot());
         assert!(
             a.snapshot().dropped_overflow >= 6,
@@ -610,7 +567,7 @@ mod tests {
         assert_eq!(b.snapshot().inbox_high_water, 4);
         let mut frames_seen = 0;
         for e in batched.plan().entities() {
-            assert_eq!(a.node_drops(e), b.node_drops(e), "{e:?}");
+            assert_eq!(a.overflowed(e), b.overflowed(e), "{e:?}");
             assert_eq!(a.inbox_high_water(e), b.inbox_high_water(e), "{e:?}");
             let shards = rx_a.get_mut(&e).unwrap().iter_mut().zip(rx_b.get_mut(&e).unwrap());
             for (k, (ra, rb)) in shards.enumerate() {
@@ -626,7 +583,7 @@ mod tests {
         }
         assert_eq!(frames_seen, b.snapshot().delivered);
         // The host hears the five broadcasts and none of the unicasts.
-        assert_eq!(b.node_drops(Entity::Host(h)).get(DropReason::InboxOverflow), 1);
+        assert_eq!(b.overflowed(Entity::Host(h)), 1);
         assert_eq!(
             b.inbox_high_water(Entity::Router(r3)),
             2,
@@ -645,15 +602,13 @@ mod tests {
         for _ in 0..10 {
             fabric.dispatch(Entity::Router(r0), &t);
         }
-        let stats = fabric.counters().snapshot();
+        let stats = fabric.snapshot();
         assert_eq!(stats.delivered, 4, "inbox capacity");
         assert_eq!(stats.dropped_overflow, 6, "excess counted, not queued");
-        // The drops are attributed to the overwhelmed node, under the
-        // right taxonomy bucket — not smeared over the fabric.
-        let r1_drops = fabric.counters().node_drops(Entity::Router(r1));
-        assert_eq!(r1_drops.get(DropReason::InboxOverflow), 6);
-        assert_eq!(r1_drops.total(), 6, "nothing else counted against R1");
-        assert_eq!(fabric.counters().node_drops(Entity::Router(r0)).total(), 0);
+        // The drops are attributed to the overwhelmed node, not smeared
+        // over the fabric.
+        assert_eq!(fabric.overflowed(Entity::Router(r1)), 6);
+        assert_eq!(fabric.overflowed(Entity::Router(r0)), 0);
         // The receiver still drains the accepted frames.
         let rx = rxs.get_mut(&Entity::Router(r1)).unwrap();
         for _ in 0..4 {

@@ -54,6 +54,7 @@ struct State {
     waker: Option<Waker>,
     /// Deepest the queue has been.
     high_water: usize,
+    /// The receiver is gone: pushes are refused, not queued or counted.
     closed: bool,
 }
 
@@ -109,19 +110,6 @@ impl Inbox {
     pub fn high_water(&self) -> usize {
         self.state.lock().high_water
     }
-
-    /// Closes the inbox: pushes are refused from now on, and the
-    /// receiver drains what is queued and then sees the end. Dropping
-    /// the [`InboxRx`] closes it too.
-    pub fn close(&self) {
-        let mut st = self.state.lock();
-        st.closed = true;
-        let waker = st.waker.take();
-        drop(st);
-        if let Some(w) = waker {
-            w.wake();
-        }
-    }
 }
 
 /// The receive end of an [`Inbox`]; dropping it closes the inbox.
@@ -130,9 +118,8 @@ pub struct InboxRx(Arc<Inbox>);
 impl InboxRx {
     /// Waits until at least one frame is queued, then moves up to
     /// `limit` of them (at least one) onto the end of `into`, oldest
-    /// first, under one lock. Returns how many it moved; zero means
-    /// the inbox is closed and drained. Cancel-safe: frames leave the
-    /// queue only in the poll that returns.
+    /// first, under one lock. Returns how many it moved. Cancel-safe:
+    /// frames leave the queue only in the poll that returns.
     pub async fn recv_batch(&mut self, limit: usize, into: &mut Vec<RxFrame>) -> usize {
         std::future::poll_fn(|cx| {
             let mut st = self.0.state.lock();
@@ -140,9 +127,6 @@ impl InboxRx {
             if n > 0 {
                 into.extend(st.queue.drain(..n));
                 return Poll::Ready(n);
-            }
-            if st.closed {
-                return Poll::Ready(0);
             }
             if !st.waker.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
                 st.waker = Some(cx.waker().clone());
@@ -160,7 +144,7 @@ impl InboxRx {
 
 impl Drop for InboxRx {
     fn drop(&mut self) {
-        self.0.close();
+        self.0.state.lock().closed = true;
     }
 }
 
@@ -252,28 +236,10 @@ mod tests {
         assert!(poll_recv(&mut rx, 64, &mut got, &waker).is_pending());
     }
 
-    /// Closing from the send side wakes the receiver, which drains
-    /// what is left and then sees the end; closing from the receive
-    /// side (a drop) makes pushes report closed and count nothing.
+    /// Dropping the receive end closes the inbox: pushes report closed
+    /// and count nothing.
     #[test]
     fn a_closed_inbox_reports_closed() {
-        let (inbox, mut rx) = Inbox::bounded(4);
-        let wakes = Arc::new(CountWakes::default());
-        let waker = Waker::from(wakes.clone());
-        let mut got = Vec::new();
-        assert!(poll_recv(&mut rx, 64, &mut got, &waker).is_pending());
-        push(&inbox, &frames(2));
-        inbox.close();
-        assert_eq!(push(&inbox, &frames(1)), None);
-        assert_eq!(poll_recv(&mut rx, 64, &mut got, &waker), Poll::Ready(2));
-        assert_eq!(poll_recv(&mut rx, 64, &mut got, &waker), Poll::Ready(0));
-
-        let (inbox, mut rx) = Inbox::bounded(4);
-        assert!(poll_recv(&mut rx, 64, &mut got, &waker).is_pending());
-        let before = wakes.0.load(Ordering::SeqCst);
-        inbox.close();
-        assert_eq!(wakes.0.load(Ordering::SeqCst), before + 1, "close wakes a parked receiver");
-
         let (inbox, rx) = Inbox::bounded(4);
         drop(rx);
         assert_eq!(push(&inbox, &frames(3)), None);

@@ -8,8 +8,8 @@
 //! * every router and host is its own task;
 //! * frames move over an in-process [`fabric`] of bounded inboxes
 //!   ([`inbox`]) that reproduces the link/LAN semantics (broadcast
-//!   fan-out, link-layer unicast filtering) — or over **real UDP
-//!   sockets** on loopback via [`udp`];
+//!   fan-out, link-layer unicast filtering), carrying the same encoded
+//!   datagrams a wire would;
 //! * timers are `tokio::time::sleep_until` against the node's own
 //!   `next_wakeup()`, so `tokio::time::pause()` makes tests instant.
 //!
@@ -20,17 +20,10 @@
 #![warn(missing_docs)]
 
 pub mod config;
-#[cfg(feature = "live")]
 pub mod fabric;
-#[cfg(feature = "live")]
 pub mod inbox;
-#[cfg(feature = "live")]
 pub mod live;
-#[cfg(feature = "live")]
-pub mod udp;
 
 pub use config::Deployment;
-#[cfg(feature = "live")]
 pub use fabric::Fabric;
-#[cfg(feature = "live")]
 pub use live::{LiveNet, RouterSnapshot};

@@ -7,10 +7,11 @@
 //! whole outbox to [`Fabric::dispatch_batch`] in place, so steady state
 //! forwards without per-wakeup allocations.
 
-use crate::fabric::{DataPlaneConfig, Fabric, FabricCounters, FabricStats};
+use crate::fabric::{DataPlaneConfig, Fabric, FabricStats};
 use crate::inbox::{InboxRx, RxFrame};
 use cbt::{CbtConfig, HostApp, RouterNode, SharedRib};
 use cbt_netsim::{Entity, Outbox, SimNode, SimTime};
+use cbt_obs::DropReason;
 use cbt_topology::{HostId, NetworkSpec, RouterId};
 use cbt_wire::{Addr, GroupId};
 use std::collections::HashMap;
@@ -51,7 +52,7 @@ pub struct RouterSnapshot {
     /// overflow) into `obs.drops` so one snapshot covers both layers.
     pub obs: cbt_obs::ObsSnapshot,
     /// The deepest this router's inbox has been
-    /// ([`FabricCounters::inbox_high_water`]); like the transport-level
+    /// ([`Fabric::inbox_high_water`]); like the transport-level
     /// drops it is the fabric's to know, and
     /// [`LiveNet::router_snapshot`] fills it in.
     pub inbox_high_water: usize,
@@ -96,7 +97,7 @@ pub struct LiveNet {
     host_cmds: HashMap<HostId, mpsc::UnboundedSender<HostCmd>>,
     /// One command channel per shard task, index = shard.
     router_cmds: HashMap<RouterId, Vec<mpsc::UnboundedSender<RouterCmd>>>,
-    counters: Arc<FabricCounters>,
+    fabric: Arc<Fabric>,
     tasks: Vec<JoinHandle<()>>,
 }
 
@@ -115,7 +116,6 @@ impl LiveNet {
         let epoch = Instant::now();
         let (_rib, make_rib) = SharedRib::build(net.clone());
         let (fabric, rxs) = Fabric::with_shards(&net, dp, shards);
-        let counters = fabric.counters().clone();
 
         let mut tasks = Vec::new();
         let mut router_cmds = HashMap::new();
@@ -165,7 +165,7 @@ impl LiveNet {
                 }
             }
         }
-        LiveNet { net, epoch, host_cmds, router_cmds, counters, tasks }
+        LiveNet { net, epoch, host_cmds, router_cmds, fabric, tasks }
     }
 
     /// Tells a host application to join a group.
@@ -243,8 +243,9 @@ impl LiveNet {
         // Transport-level drops (bounded-inbox overflow) and inbox depth
         // happen in the fabric, outside the engine; fold this node's
         // row in so the snapshot covers every layer.
-        snap.obs.drops.merge(&self.counters.node_drops(Entity::Router(r)));
-        snap.inbox_high_water = self.counters.inbox_high_water(Entity::Router(r));
+        let me = Entity::Router(r);
+        snap.obs.drops.add(DropReason::InboxOverflow, self.fabric.overflowed(me));
+        snap.inbox_high_water = self.fabric.inbox_high_water(me);
         Ok(snap)
     }
 
@@ -252,7 +253,7 @@ impl LiveNet {
     /// overflow, deepest inbox), cumulative over the deployment's
     /// lifetime.
     pub fn fabric_stats(&self) -> FabricStats {
-        self.counters.snapshot()
+        self.fabric.snapshot()
     }
 
     /// Time since the deployment started, as the nodes' virtual clock.
@@ -307,10 +308,7 @@ async fn router_task(
                     }
                 }
             }
-            n = rx.recv_batch(dp.rx_batch, &mut batch) => {
-                if n == 0 {
-                    break;
-                }
+            _ = rx.recv_batch(dp.rx_batch, &mut batch) => {
                 let now = instant_to_sim(epoch, Instant::now());
                 receive_batch(&mut node, &mut batch, now, &mut out);
             }
@@ -369,10 +367,7 @@ async fn host_task(
                     }
                 }
             }
-            n = rx.recv_batch(dp.rx_batch, &mut batch) => {
-                if n == 0 {
-                    break;
-                }
+            _ = rx.recv_batch(dp.rx_batch, &mut batch) => {
                 let now = instant_to_sim(epoch, Instant::now());
                 receive_batch(&mut app, &mut batch, now, &mut out);
             }
@@ -557,6 +552,38 @@ mod tests {
         assert!(snap_b.stats.quits_sent >= 1, "merged stats span shards: {:?}", snap_b.stats);
         assert!(snap_b.stats.joins_originated >= 2, "{:?}", snap_b.stats);
         live.shutdown();
+    }
+
+    /// A host bursts 64 packets onto a LAN whose only router is R, whose
+    /// inbox holds 4: one run lands in one shard inbox, which takes 4
+    /// and sheds 60. R's snapshot carries the fabric's overflow row and
+    /// inbox depth, and the fabric-wide stats agree.
+    #[tokio::test(start_paused = true)]
+    async fn router_snapshot_folds_in_the_fabric_overflow() {
+        const BURST: u64 = 64;
+        const CAPACITY: usize = 4;
+        for shards in [1, 2] {
+            let mut b = NetworkBuilder::new();
+            let r = b.router("R");
+            let lan = b.lan("S");
+            b.attach(lan, r);
+            let h = b.host("H", lan);
+            let group = GroupId::numbered(3);
+            let cfg = CbtConfig { shards, ..CbtConfig::fast() };
+            let dp = DataPlaneConfig { inbox_capacity: CAPACITY, ..Default::default() };
+            let live = LiveNet::spawn_with(b.build(), cfg, dp);
+
+            let burst = (0..BURST).map(|i| vec![i as u8; 8]).collect();
+            live.host_send_burst(h, group, burst, 16);
+            tokio::time::sleep(Duration::from_secs(1)).await;
+
+            let shed = BURST - CAPACITY as u64;
+            let snap = live.router_snapshot(r, group).await.expect("snapshot");
+            assert_eq!(snap.obs.drops.get(DropReason::InboxOverflow), shed, "{shards} shard(s)");
+            assert_eq!(snap.inbox_high_water, CAPACITY, "{shards} shard(s)");
+            assert_eq!(live.fabric_stats().dropped_overflow, shed, "{shards} shard(s)");
+            live.shutdown();
+        }
     }
 
     /// Dead tasks surface as errors instead of empty answers — a

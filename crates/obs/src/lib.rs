@@ -21,8 +21,6 @@
 //! invariant asserted by the `dataplane` bench holds with counters
 //! enabled. The per-group counter column is touched only on the
 //! control path.
-//! The live plane, which counts from multiple threads, uses
-//! [`AtomicDropCounters`] (relaxed adds on cache-resident atomics).
 //!
 //! This crate is dependency-free by design: the JSON exporter is
 //! hand-rolled (the output is validated against the vendored parser in
@@ -30,7 +28,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why a data or control packet was discarded. Closed taxonomy: every
 /// discard site in the tree maps onto exactly one of these.
@@ -97,6 +94,12 @@ impl DropCounters {
         self.0[reason as usize] += 1;
     }
 
+    /// Counts `n` discards at once.
+    #[inline]
+    pub fn add(&mut self, reason: DropReason, n: u64) {
+        self.0[reason as usize] += n;
+    }
+
     #[inline]
     pub fn get(&self, reason: DropReason) -> u64 {
         self.0[reason as usize]
@@ -115,48 +118,6 @@ impl DropCounters {
     /// `(reason, count)` pairs in taxonomy order, zeros included.
     pub fn iter(&self) -> impl Iterator<Item = (DropReason, u64)> + '_ {
         DropReason::ALL.iter().map(move |&r| (r, self.get(r)))
-    }
-}
-
-/// Drop counters shared across the live plane's threads. Relaxed adds:
-/// the values are monotone statistics, not synchronization.
-#[derive(Debug, Default)]
-pub struct AtomicDropCounters([AtomicU64; DropReason::COUNT]);
-
-impl AtomicDropCounters {
-    pub const fn new() -> Self {
-        AtomicDropCounters([
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-        ])
-    }
-
-    #[inline]
-    pub fn bump(&self, reason: DropReason) {
-        self.0[reason as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn add(&self, reason: DropReason, n: u64) {
-        self.0[reason as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn get(&self, reason: DropReason) -> u64 {
-        self.0[reason as usize].load(Ordering::Relaxed)
-    }
-
-    /// Plain-data copy of the current values.
-    pub fn snapshot(&self) -> DropCounters {
-        let mut out = DropCounters::new();
-        for r in DropReason::ALL {
-            out.0[r as usize] = self.get(r);
-        }
-        out
     }
 }
 
@@ -737,8 +698,6 @@ pub struct SpfStats {
     pub cache_hits: u64,
     /// On-demand tree cache misses.
     pub cache_misses: u64,
-    /// LRU evictions from the tree cache.
-    pub cache_evictions: u64,
     /// Distribution of nodes touched per incremental repair.
     pub touched_per_repair: Histogram,
 }
@@ -771,7 +730,6 @@ impl SpfStats {
         self.apply_batches += other.apply_batches;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
         self.touched_per_repair.merge(&other.touched_per_repair);
     }
 
@@ -782,7 +740,7 @@ impl SpfStats {
             out,
             "{{\"full_runs\":{},\"nodes_settled_full\":{},\"repairs\":{},\
              \"nodes_touched_incremental\":{},\"apply_batches\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\
+             \"cache_hits\":{},\"cache_misses\":{},\
              \"touched_per_repair\":",
             self.full_runs,
             self.nodes_settled_full,
@@ -791,7 +749,6 @@ impl SpfStats {
             self.apply_batches,
             self.cache_hits,
             self.cache_misses,
-            self.cache_evictions,
         );
         json_histogram(&mut out, &self.touched_per_repair);
         out.push('}');
@@ -817,19 +774,16 @@ mod tests {
         assert_eq!(a.nodes_touched_incremental, 8);
         let mut b = SpfStats::new();
         b.record_repair(10);
-        b.cache_evictions = 4;
         b.merge(&a);
         assert_eq!(b.repairs, 3);
         assert_eq!(b.nodes_touched_incremental, 18);
         assert_eq!(b.cache_hits, 7);
-        assert_eq!(b.cache_evictions, 4);
         assert_eq!(b.touched_per_repair.count(), 3);
         let json = b.to_json();
         for key in [
             "\"full_runs\":1",
             "\"repairs\":3",
             "\"nodes_touched_incremental\":18",
-            "\"cache_evictions\":4",
             "\"touched_per_repair\":{\"count\":3",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
@@ -850,17 +804,9 @@ mod tests {
         d.bump(DropReason::TtlExpired);
         d.merge(&c);
         assert_eq!(d.get(DropReason::TtlExpired), 3);
-    }
-
-    #[test]
-    fn atomic_counters_snapshot() {
-        let a = AtomicDropCounters::new();
-        a.bump(DropReason::InboxOverflow);
-        a.add(DropReason::DecodeError, 5);
-        let s = a.snapshot();
-        assert_eq!(s.get(DropReason::InboxOverflow), 1);
-        assert_eq!(s.get(DropReason::DecodeError), 5);
-        assert_eq!(s.total(), 6);
+        d.add(DropReason::InboxOverflow, 5);
+        assert_eq!(d.get(DropReason::InboxOverflow), 5);
+        assert_eq!(d.total(), 9);
     }
 
     #[test]

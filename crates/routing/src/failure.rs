@@ -76,21 +76,6 @@ impl FailureSet {
     pub fn is_empty(&self) -> bool {
         self.routers.is_empty() && self.links.is_empty() && self.lans.is_empty()
     }
-
-    /// The currently-failed routers, in unspecified order.
-    pub fn failed_routers(&self) -> impl Iterator<Item = RouterId> + '_ {
-        self.routers.iter().copied()
-    }
-
-    /// The currently-failed links, in unspecified order.
-    pub fn failed_links(&self) -> impl Iterator<Item = LinkId> + '_ {
-        self.links.iter().copied()
-    }
-
-    /// The currently-failed LANs, in unspecified order.
-    pub fn failed_lans(&self) -> impl Iterator<Item = LanId> + '_ {
-        self.lans.iter().copied()
-    }
 }
 
 #[cfg(test)]

@@ -202,19 +202,9 @@ impl NetworkSpec {
         }
     }
 
-    /// Finds a router by name.
-    pub fn router_by_name(&self, name: &str) -> Option<RouterId> {
-        self.routers.iter().position(|r| r.name == name).map(|i| RouterId(i as u32))
-    }
-
     /// Finds a LAN by name.
     pub fn lan_by_name(&self, name: &str) -> Option<LanId> {
         self.lans.iter().position(|l| l.name == name).map(|i| LanId(i as u32))
-    }
-
-    /// Finds a host by name.
-    pub fn host_by_name(&self, name: &str) -> Option<HostId> {
-        self.hosts.iter().position(|h| h.name == name).map(|i| HostId(i as u32))
     }
 
     /// The router-level weighted graph: one node per router (node id ==

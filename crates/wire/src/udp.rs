@@ -3,8 +3,8 @@
 //! "CBT primary and auxiliary control packets travel inside UDP
 //! datagrams": primary messages on port 7777, auxiliary (echo) messages
 //! on port 7778. The checksum here is computed over the UDP header and
-//! payload only (the simulator does not model the IP pseudo-header; the
-//! live runtime delegates to the kernel's real UDP).
+//! payload only: neither the simulator nor the live fabric models the
+//! IP pseudo-header.
 
 use crate::checksum::internet_checksum;
 use crate::error::WireError;
