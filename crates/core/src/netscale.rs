@@ -4,10 +4,10 @@
 //!
 //! * a deterministic **router-id ⇄ address** bijection (no address
 //!   tables at 100k routers);
-//! * [`FleetRib`] — shared flat route tables toward the core set,
-//!   derived from [`SpfTree`]s over the *same* [`CsrGraph`] the world
-//!   delivers frames on, so "interface `k` toward the core" and "the
-//!   world's port `k`" agree by construction;
+//! * [`FleetRib`] — shared routes toward the core set: one [`SpfTree`]
+//!   per core over the *same* [`CsrGraph`] the world delivers frames
+//!   on, so "interface `k` toward the core" and "the world's port `k`"
+//!   agree by construction;
 //! * [`P2pNode`] — wraps a [`ShardedRouter`] (so `CBT_SHARDS` steering
 //!   works unchanged at netscale), framing control messages as
 //!   `[source address | wire encoding]`, written straight into a
@@ -23,7 +23,7 @@ use crate::events::RouterAction;
 use crate::shard::ShardedRouter;
 use cbt_netsim::{NsNode, NsOutbox, SimTime};
 use cbt_routing::Hop;
-use cbt_topology::{CsrGraph, IfIndex, RouterId, SpfScratch, SpfTree, NO_NODE};
+use cbt_topology::{CsrGraph, IfIndex, RouterId, SpfScratch, SpfTree};
 use cbt_wire::{Addr, ControlMessage};
 use std::cell::RefCell;
 use std::sync::{Arc, RwLock};
@@ -41,132 +41,64 @@ pub fn addr_node(a: Addr) -> u32 {
     ((x as u32) << 16) | ((y as u32) << 8) | z as u32
 }
 
-/// Flat routing state toward the experiment's core set, shared by every
-/// engine in the fleet (`Arc<RwLock<_>>`). One [`SpfTree`] per core; per
-/// node the table keeps the next-hop node, the local interface toward
-/// it (CSR slot order — the netscale world's port-number contract) and
-/// the distance.
+/// Routing state toward the experiment's core set, shared by every
+/// engine in the fleet (`Arc<RwLock<_>>`): one [`SpfTree`] per core and
+/// a clone of the [`CsrGraph`] the trees were computed over.
 ///
 /// Lookups resolve **core addresses only**: a netscale fleet routes
 /// joins toward cores, and single-core groups (the protoscale setup)
 /// never send a join anywhere else. Any other destination reports
 /// unreachable.
 ///
-/// A rib built with [`FleetRib::repairable`] keeps its SPF trees and
-/// can be patched in place after a liveness change via
-/// [`FleetRib::apply_removals`] / [`FleetRib::apply_additions`] —
-/// PR 8's incremental repair, table columns rebuilt from the repaired
-/// trees. Repairs happen between world event-loop steps under the
-/// write lock, so every engine sees one consistent table version per
-/// step; [`FleetRib::version`] names it.
+/// A hop follows the same rule as [`cbt_routing::Rib`]: the next router
+/// is `me`'s predecessor in the core's tree, reached through the
+/// lowest-numbered live CSR slot toward it (the slot's offset is the
+/// local interface — the netscale world's port-number contract). The
+/// slots are read from the clone, not the caller's graph, so a mask
+/// the caller sets (or probes and undoes) takes effect only when the
+/// rib is told about it through [`FleetRib::apply_removals`] /
+/// [`FleetRib::apply_additions`]. Those patch every tree in place
+/// (incremental SPF repair) and re-sync the clone's masks. Repairs
+/// happen between world event-loop steps under the write lock, so every
+/// engine sees one consistent route version per step;
+/// [`FleetRib::version`] names it.
 pub struct FleetRib {
     /// Core addresses, sorted for binary search.
     cores: Vec<Addr>,
-    /// Fleet node-id of each core (parallel to `cores`).
-    core_nodes: Vec<u32>,
-    /// Per core (parallel to `cores`): flat per-node columns.
-    tables: Vec<CoreTable>,
-    /// The SPF trees behind `tables`, kept only by repairable ribs
-    /// (parallel to `cores`).
-    trees: Option<Vec<SpfTree>>,
+    /// One SPF tree per core (parallel to `cores`).
+    trees: Vec<SpfTree>,
+    /// The caller's graph with its masks as of the last build or
+    /// repair; hops take their slots from here.
+    graph: CsrGraph,
     /// Bumped once per applied liveness event.
     version: u64,
 }
 
-struct CoreTable {
-    /// Next-hop node toward the core, `NO_NODE` at the core itself and
-    /// on unreachable nodes.
-    next: Vec<u32>,
-    /// Local interface (CSR slot offset) toward `next`.
-    iface: Vec<u32>,
-    /// Distance to the core.
-    dist: Vec<u64>,
-}
-
-/// Rebuilds one core's flat columns from its (full or repaired) SPF
-/// tree over the current liveness masks of `graph`.
-fn build_table(graph: &CsrGraph, core: u32, tree: &SpfTree) -> CoreTable {
-    assert_eq!(tree.root(), core, "tree rooted at its core");
-    let n = graph.node_count();
-    let mut next = vec![NO_NODE; n];
-    let mut iface = vec![u32::MAX; n];
-    let mut dist = vec![u64::MAX; n];
-    for u in 0..n as u32 {
-        let Some(d) = tree.dist(u) else { continue };
-        if u == core {
-            dist[u as usize] = d;
-            continue;
-        }
-        let Some(p) = tree.toward_root(u) else { continue };
-        // First live slot toward the predecessor; parallel edges
-        // resolve to the lowest slot deterministically. A mask applied
-        // after the SPF ran (mid-flap window) can remove every slot
-        // toward the predecessor — the node is unroutable until the
-        // rib is repaired, not a panic.
-        let base = graph.slot_base(u);
-        if let Some((s, _, _)) = graph.live_slots(u).find(|&(_, v, _)| v == p) {
-            next[u as usize] = p;
-            iface[u as usize] = s - base;
-            dist[u as usize] = d;
-        }
-    }
-    CoreTable { next, iface, dist }
-}
-
 impl FleetRib {
-    /// Builds a fixed (non-repairable) rib from one SPF tree per core.
-    /// `core_nodes` are the fleet node-ids of the cores; trees must be
-    /// rooted at them (same order) and computed over `graph` — the
-    /// exact graph the netscale world was wired from.
-    pub fn new(graph: &CsrGraph, core_nodes: &[u32], trees: &[SpfTree]) -> Self {
+    /// Builds the rib from one SPF tree per core. `core_nodes` are the
+    /// fleet node-ids of the cores; trees must be rooted at them (same
+    /// order) and computed over `graph` — the exact graph the netscale
+    /// world was wired from. The trees are kept so liveness events can
+    /// patch routes in place instead of rebuilding from scratch.
+    pub fn repairable(graph: &CsrGraph, core_nodes: &[u32], mut trees: Vec<SpfTree>) -> Self {
         assert_eq!(core_nodes.len(), trees.len(), "one SPF tree per core");
-        let mut entries: Vec<(Addr, u32, CoreTable)> = core_nodes
-            .iter()
-            .zip(trees)
-            .map(|(&c, tree)| (node_addr(c), c, build_table(graph, c, tree)))
-            .collect();
-        entries.sort_by_key(|&(a, _, _)| a);
-        let mut cores = Vec::with_capacity(entries.len());
-        let mut nodes = Vec::with_capacity(entries.len());
-        let mut tables = Vec::with_capacity(entries.len());
-        for (a, c, t) in entries {
-            cores.push(a);
-            nodes.push(c);
-            tables.push(t);
+        for (&c, tree) in core_nodes.iter().zip(&trees) {
+            assert_eq!(tree.root(), c, "tree rooted at its core");
         }
-        FleetRib { cores, core_nodes: nodes, tables, trees: None, version: 0 }
+        trees.sort_by_key(|t| node_addr(t.root()));
+        let cores = trees.iter().map(|t| node_addr(t.root())).collect();
+        FleetRib { cores, trees, graph: graph.clone(), version: 0 }
     }
 
-    /// Builds a repairable rib: the SPF trees are retained (sorted to
-    /// match the core order) so liveness events can patch routes in
-    /// place instead of rebuilding from scratch.
-    pub fn repairable(graph: &CsrGraph, core_nodes: &[u32], trees: Vec<SpfTree>) -> Self {
-        assert_eq!(core_nodes.len(), trees.len(), "one SPF tree per core");
-        let mut entries: Vec<(Addr, u32, SpfTree)> =
-            core_nodes.iter().zip(trees).map(|(&c, tree)| (node_addr(c), c, tree)).collect();
-        entries.sort_by_key(|&(a, _, _)| a);
-        let mut cores = Vec::with_capacity(entries.len());
-        let mut nodes = Vec::with_capacity(entries.len());
-        let mut tables = Vec::with_capacity(entries.len());
-        let mut kept = Vec::with_capacity(entries.len());
-        for (a, c, tree) in entries {
-            tables.push(build_table(graph, c, &tree));
-            cores.push(a);
-            nodes.push(c);
-            kept.push(tree);
-        }
-        FleetRib { cores, core_nodes: nodes, tables, trees: Some(kept), version: 0 }
-    }
-
-    /// The table version, bumped once per applied liveness event.
+    /// The route version, bumped once per applied liveness event.
     pub fn version(&self) -> u64 {
         self.version
     }
 
     /// Patches every core tree for removed edges / downed nodes (the
-    /// masks must already be applied to `graph`), rebuilds the flat
-    /// columns and bumps the version. Returns total nodes re-settled
-    /// across trees. Panics unless built with [`FleetRib::repairable`].
+    /// masks must already be applied to `graph`), takes over `graph`'s
+    /// masks and bumps the version. Returns total nodes re-settled
+    /// across trees.
     pub fn apply_removals(
         &mut self,
         graph: &CsrGraph,
@@ -174,11 +106,10 @@ impl FleetRib {
         downed: &[u32],
         scratch: &mut SpfScratch,
     ) -> u64 {
-        let trees = self.trees.as_mut().expect("repairable rib");
+        self.graph.copy_masks_from(graph);
         let mut touched = 0;
-        for (k, tree) in trees.iter_mut().enumerate() {
+        for tree in &mut self.trees {
             touched += tree.repair_removals(graph, removed_pairs, downed, scratch);
-            self.tables[k] = build_table(graph, self.core_nodes[k], tree);
         }
         self.version += 1;
         touched
@@ -193,24 +124,23 @@ impl FleetRib {
         restored: &[u32],
         scratch: &mut SpfScratch,
     ) -> u64 {
-        let trees = self.trees.as_mut().expect("repairable rib");
+        self.graph.copy_masks_from(graph);
         let mut touched = 0;
-        for (k, tree) in trees.iter_mut().enumerate() {
+        for tree in &mut self.trees {
             touched += tree.repair_additions(graph, added_pairs, restored, scratch);
-            self.tables[k] = build_table(graph, self.core_nodes[k], tree);
         }
         self.version += 1;
         touched
     }
 
-    /// Hard-asserts every repaired tree and table column equals a
-    /// from-scratch SPF over the graph's current masks — the repair
-    /// path's bit-identity contract, checked after each fault event in
-    /// the soak harness.
+    /// Hard-asserts every repaired tree equals a from-scratch SPF over
+    /// the graph's current masks, and that the rib's own masks are
+    /// `graph`'s — the repair path's bit-identity contract, checked
+    /// after each fault event in the soak harness.
     pub fn assert_matches_full_spf(&self, graph: &CsrGraph, scratch: &mut SpfScratch) {
-        let trees = self.trees.as_ref().expect("repairable rib");
-        for (k, tree) in trees.iter().enumerate() {
-            let core = self.core_nodes[k];
+        assert!(self.graph.masks_eq(graph), "rib masks lag the graph's");
+        for tree in &self.trees {
+            let core = tree.root();
             let fresh = SpfTree::full(graph, core, scratch);
             for u in 0..graph.node_count() as u32 {
                 assert_eq!(tree.dist(u), fresh.dist(u), "repaired dist, node {u} core {core}");
@@ -220,26 +150,23 @@ impl FleetRib {
                     "repaired pred, node {u} core {core}"
                 );
             }
-            let table = build_table(graph, core, &fresh);
-            assert_eq!(self.tables[k].next, table.next, "next column, core {core}");
-            assert_eq!(self.tables[k].iface, table.iface, "iface column, core {core}");
-            assert_eq!(self.tables[k].dist, table.dist, "dist column, core {core}");
         }
     }
 
-    /// Next hop from `me` toward core `dst`, if routable.
+    /// Next hop from `me` toward core `dst`, if routable. A mask set
+    /// after the SPF ran (mid-flap window) can leave no live slot
+    /// toward the predecessor: the node is unroutable until the rib is
+    /// repaired, not a panic.
     fn hop(&self, me: u32, dst: Addr) -> Option<Hop> {
-        let k = self.cores.binary_search(&dst).ok()?;
-        let t = &self.tables[k];
-        let next = *t.next.get(me as usize)?;
-        if next == NO_NODE {
-            return None;
-        }
+        let tree = &self.trees[self.cores.binary_search(&dst).ok()?];
+        let next = tree.toward_root(me)?;
+        let dist = tree.dist(me)?;
+        let (slot, ..) = self.graph.live_slots(me).find(|&(_, v, _)| v == next)?;
         Some(Hop {
-            iface: IfIndex(t.iface[me as usize]),
+            iface: IfIndex(slot - self.graph.slot_base(me)),
             router: RouterId(next),
             addr: node_addr(next),
-            dist: t.dist[me as usize],
+            dist,
         })
     }
 }
@@ -386,7 +313,7 @@ mod tests {
         let (g, _) = CsrGraph::from_edges(3, &edges);
         let mut scratch = SpfScratch::new();
         let tree = SpfTree::full(&g, 0, &mut scratch);
-        let rib = FleetRib::new(&g, &[0], &[tree]);
+        let rib = FleetRib::repairable(&g, &[0], vec![tree]);
 
         let h = rib.hop(2, node_addr(0)).expect("reachable");
         assert_eq!(h.router, RouterId(1));
@@ -414,7 +341,7 @@ mod tests {
         let tree = SpfTree::full(&g, 0, &mut scratch);
         g.set_slot_live(pairs[1][0], false);
         g.set_slot_live(pairs[1][1], false);
-        let rib = FleetRib::new(&g, &[0], &[tree]);
+        let rib = FleetRib::repairable(&g, &[0], vec![tree]);
         assert!(rib.hop(2, node_addr(0)).is_none(), "stranded, not panicking");
         assert!(rib.hop(1, node_addr(0)).is_some(), "unaffected nodes still route");
     }
@@ -448,6 +375,33 @@ mod tests {
         assert_eq!(rib.version(), 2);
         rib.assert_matches_full_spf(&g, &mut scratch);
         assert_eq!(rib.hop(3, node_addr(0)).unwrap().router, RouterId(1));
+    }
+
+    #[test]
+    fn parallel_edges_route_over_the_lowest_live_slot() {
+        // Core 0 and node 1 joined twice at equal cost: the tree keeps
+        // predecessor 0 throughout, so only the rib's own masks decide
+        // which of node 1's two slots the hop leaves by.
+        let (mut g, pairs) = CsrGraph::from_edges(2, &[(0, 1, 1), (0, 1, 1)]);
+        let mut scratch = SpfScratch::new();
+        let tree = SpfTree::full(&g, 0, &mut scratch);
+        let mut rib = FleetRib::repairable(&g, &[0], vec![tree]);
+        let iface = |rib: &FleetRib| rib.hop(1, node_addr(0)).expect("reachable").iface;
+        assert_eq!(iface(&rib), IfIndex(0));
+
+        g.set_slot_live(pairs[0][0], false);
+        g.set_slot_live(pairs[0][1], false);
+        assert_eq!(iface(&rib), IfIndex(0), "an unapplied mask moves nothing");
+        rib.apply_removals(&g, &[(0, 1)], &[], &mut scratch);
+        rib.assert_matches_full_spf(&g, &mut scratch);
+        let h = rib.hop(1, node_addr(0)).expect("the parallel edge survives");
+        assert_eq!((h.iface, h.router, h.dist), (IfIndex(1), RouterId(0), 1));
+
+        g.set_slot_live(pairs[0][0], true);
+        g.set_slot_live(pairs[0][1], true);
+        rib.apply_additions(&g, &[(0, 1)], &[], &mut scratch);
+        rib.assert_matches_full_spf(&g, &mut scratch);
+        assert_eq!(iface(&rib), IfIndex(0), "back on the lower slot");
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub fn group() -> GroupId {
 pub fn rib() -> Arc<RwLock<FleetRib>> {
     let (csr, _) = CsrGraph::from_edges(3, &EDGES);
     let tree = SpfTree::full(&csr, 0, &mut SpfScratch::new());
-    Arc::new(RwLock::new(FleetRib::new(&csr, &[0], &[tree])))
+    Arc::new(RwLock::new(FleetRib::repairable(&csr, &[0], vec![tree])))
 }
 
 /// Boots router `i` of the line in the fleet benchmark's engine

@@ -33,7 +33,7 @@
 //! and the report tables.
 
 use super::netscale::TreeWalk;
-use crate::fleet::{rss_bytes, Fleet, RibKind, Sample, TOPO_100K, TOPO_10K, TOPO_1K};
+use crate::fleet::{rss_bytes, Fleet, Sample, TOPO_100K, TOPO_10K, TOPO_1K};
 use crate::membership::XorShift;
 use crate::report::Report;
 use cbt_metrics::{table::f, Table};
@@ -152,7 +152,7 @@ pub fn equivalence(
     shards: Option<usize>,
     seed: u64,
 ) -> EquivSummary {
-    let mut fleet = Fleet::new(topo, groups, shards, seed, RibKind::Fixed);
+    let mut fleet = Fleet::new(topo, groups, shards, seed);
     let members = fleet.join_staggered(&mut XorShift::new(seed ^ 0x5ca1_ab1e), members_per_group);
     // Worst-case join retrace is a handful of link RTTs; two seconds
     // also covers a pending-join retransmission if one were needed.
@@ -204,7 +204,7 @@ pub fn run(p: &Params) -> Report {
     let equiv_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // --- Phase 2: instantiate the fleet, RSS-audited. ---
-    let mut fleet = Fleet::new(p.topo, groups, None, p.seed, RibKind::Fixed);
+    let mut fleet = Fleet::new(p.topo, groups, None, p.seed);
     let marks = fleet.marks();
     let (rss0, rss_idle, build_ms) = (marks.rss_routed, marks.rss_built, marks.engines_ms);
     let idle_per_router = rss_idle.saturating_sub(rss0) / n as u64;

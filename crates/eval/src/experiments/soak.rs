@@ -15,7 +15,7 @@
 //!    edges plus router crashes with §6.2 cold restarts. Every fault
 //!    repairs the shared [`cbt::FleetRib`] incrementally
 //!    ([`cbt::FleetRib::apply_removals`] / [`cbt::FleetRib::apply_additions`])
-//!    and hard-asserts the repaired tables equal a from-scratch SPF;
+//!    and hard-asserts the repaired trees equal a from-scratch SPF;
 //! 3. **measure** — per-fault detached/reattached/lost member counts
 //!    and recovery time, the echo-timeout reattachment latency
 //!    histogram, control-frame rate peaks (fault storms and the final
@@ -34,7 +34,7 @@
 //! "silent" checks live in [`crate::fleet::Fleet`]; this module is the
 //! fault plan, the reattachment tracker (`Soak`) and the report tables.
 
-use crate::fleet::{Fleet, RibKind, TOPO_100K, TOPO_10K, TOPO_1K};
+use crate::fleet::{Fleet, TOPO_100K, TOPO_10K, TOPO_1K};
 use crate::membership::XorShift;
 use crate::report::Report;
 use cbt_metrics::{table::f, Table};
@@ -404,7 +404,7 @@ pub fn fault_regression(
     shards: Option<usize>,
     seed: u64,
 ) -> FaultSummary {
-    let mut fleet = Fleet::new(topo, groups, shards, seed, RibKind::Repairable);
+    let mut fleet = Fleet::new(topo, groups, shards, seed);
     let mut rng = XorShift::new(seed ^ 0x5ca1_ab1e);
     fleet.join_staggered(&mut rng, members_per_group);
     fleet.run_until_us(fleet.now_us() + 2_000_000);
@@ -486,7 +486,7 @@ pub fn run(p: &Params) -> Report {
     let regress_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // --- Phase 2: the soak fleet and its fault plan. ---
-    let fleet = Fleet::new(p.topo, groups, None, p.seed, RibKind::Repairable);
+    let fleet = Fleet::new(p.topo, groups, None, p.seed);
     let marks = fleet.marks();
     let links = fleet.links();
 

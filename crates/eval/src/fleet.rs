@@ -8,9 +8,10 @@
 //! attached / severed / silent" is decided here, once:
 //!
 //! * **construction** — topology → CSR → cores spread over the transit
-//!   routers → one SPF tree per core → shared [`FleetRib`] (fixed or
-//!   repairable) → one compact-idle engine per node; build time and the
-//!   RSS marks the reports print are recorded in [`BuildMarks`];
+//!   routers → one SPF tree per core → shared [`FleetRib`] (repaired
+//!   in place by the faults below) → one compact-idle engine per node;
+//!   build time and the RSS marks the reports print are recorded in
+//!   [`BuildMarks`];
 //! * **session ledger** — [`Fleet::member_join`] / [`Fleet::member_leave`]
 //!   / [`Fleet::force_leave`] keep per-router session multiplicity, and
 //!   only the 0→1 and 1→0 transitions reach the engine;
@@ -38,17 +39,6 @@ use cbt_wire::{Addr, GroupId};
 use serde_json::json;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, RwLock};
-
-/// Which [`FleetRib`] the fleet routes on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RibKind {
-    /// Flat tables only: nothing will break, so the SPF trees are
-    /// dropped once the columns are built.
-    Fixed,
-    /// The SPF trees stay inside the rib so [`Fleet::set_edge`],
-    /// [`Fleet::crash`] and [`Fleet::restart`] can repair it in place.
-    Repairable,
-}
 
 /// 8 × 16 × (1 + 6·131) = 100 736 live engines: the full-run fleet.
 pub const TOPO_100K: TransitStubParams = TransitStubParams {
@@ -251,13 +241,7 @@ impl Fleet {
     /// routers, every router a live compact-idle engine. Edge weights
     /// map to milliseconds of one-way latency. `shards` overrides the
     /// engine shard count (`None` keeps the `CBT_SHARDS` default).
-    pub fn new(
-        topo: TransitStubParams,
-        groups: usize,
-        shards: Option<usize>,
-        seed: u64,
-        rib_kind: RibKind,
-    ) -> Fleet {
+    pub fn new(topo: TransitStubParams, groups: usize, shards: Option<usize>, seed: u64) -> Fleet {
         let rss_start = rss_bytes();
         let t_start = std::time::Instant::now();
         let n = topo.total_nodes();
@@ -268,14 +252,8 @@ impl Fleet {
         let (csr, pairs) = CsrGraph::from_edges(n, &edge_list);
         let cores: Vec<u32> = (0..groups).map(|gi| ((gi * transit) / groups) as u32).collect();
         let mut scratch = SpfScratch::new();
-        let rib = {
-            let trees: Vec<SpfTree> =
-                cores.iter().map(|&c| SpfTree::full(&csr, c, &mut scratch)).collect();
-            Arc::new(RwLock::new(match rib_kind {
-                RibKind::Fixed => FleetRib::new(&csr, &cores, &trees),
-                RibKind::Repairable => FleetRib::repairable(&csr, &cores, trees),
-            }))
-        };
+        let trees = cores.iter().map(|&c| SpfTree::full(&csr, c, &mut scratch)).collect();
+        let rib = Arc::new(RwLock::new(FleetRib::repairable(&csr, &cores, trees)));
         let rss_routed = rss_bytes();
         let t_engines = std::time::Instant::now();
         let cfg = fleet_cfg(shards);
@@ -661,7 +639,7 @@ impl Fleet {
     }
 
     /// Repairs the rib after a liveness change already applied to the
-    /// CSR masks, and hard-asserts the repaired tables equal a
+    /// CSR masks, and hard-asserts the repaired trees equal a
     /// from-scratch SPF.
     fn repair_rib(&mut self, up: bool, pairs: &[(u32, u32)], nodes: &[u32]) {
         let mut rib = self.rib.write().expect("rib lock poisoned");
@@ -867,7 +845,7 @@ mod tests {
 
     #[test]
     fn ledger_transitions_reach_the_engine_once_and_teardown_demands_silence() {
-        let mut f = Fleet::new(TOPO_TINY, 2, None, 7, RibKind::Repairable);
+        let mut f = Fleet::new(TOPO_TINY, 2, None, 7);
         let r = f.routers() as u32 - 1;
         // (op, accepted, sessions, member, joins originated, quits sent)
         let table = [

@@ -23,7 +23,8 @@
 //! all, so fault-free streams do not depend on the rule; when a link
 //! fails beside a live parallel LAN (or the reverse), the hop moves to
 //! the live one. The netscale `FleetRib` applies the same rule to its
-//! own graph.
+//! own graph; `tests/rib_differential.rs` in the `cbt` crate holds the
+//! two tables equal on one topology.
 
 use crate::failure::FailureSet;
 use cbt_obs::SpfStats;

@@ -133,6 +133,18 @@ impl CsrGraph {
         self.node_up[node as usize]
     }
 
+    /// Copies `other`'s slot and node liveness onto this graph, which
+    /// must have the same shape (a clone of it, typically).
+    pub fn copy_masks_from(&mut self, other: &CsrGraph) {
+        self.live.copy_from_slice(&other.live);
+        self.node_up.copy_from_slice(&other.node_up);
+    }
+
+    /// Do both graphs carry the same slot and node liveness?
+    pub fn masks_eq(&self, other: &CsrGraph) -> bool {
+        self.live == other.live && self.node_up == other.node_up
+    }
+
     /// The slot index range of node `u`.
     #[inline]
     fn slot_range(&self, u: u32) -> std::ops::Range<usize> {
@@ -141,8 +153,8 @@ impl CsrGraph {
 
     /// First slot index of node `u`. `slot − slot_base(u)` is `u`'s
     /// local interface number for that slot — the contract the netscale
-    /// world and the flat route tables share: interface `k` of `u` is
-    /// the `k`-th entry of `u`'s slot range, in CSR order.
+    /// world and its route table share: interface `k` of `u` is the
+    /// `k`-th entry of `u`'s slot range, in CSR order.
     #[inline]
     pub fn slot_base(&self, u: u32) -> u32 {
         self.offsets[u as usize]
@@ -235,9 +247,8 @@ impl SpfScratch {
 }
 
 /// A single-destination shortest-path tree with incremental repair —
-/// the repo's only Dijkstra. Routing tables, netscale route columns and
-/// the analytic trees ([`crate::AllPairs`], [`crate::tree_spanning`])
-/// all read it.
+/// the repo's only Dijkstra. Both route tables and the analytic trees
+/// ([`crate::AllPairs`], [`crate::tree_spanning`]) read it.
 ///
 /// Dijkstra over the failure-filtered graph: the root always has
 /// distance 0 (even when down — mirroring how the RIB treats

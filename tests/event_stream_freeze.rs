@@ -68,7 +68,7 @@ fn fleet(shards: usize) -> Frozen {
     let cores: Vec<u32> = (0..groups).map(|gi| ((gi * transit) / groups) as u32).collect();
     let mut scratch = SpfScratch::new();
     let trees: Vec<SpfTree> = cores.iter().map(|&c| SpfTree::full(&csr, c, &mut scratch)).collect();
-    let rib = Arc::new(RwLock::new(FleetRib::new(&csr, &cores, &trees)));
+    let rib = Arc::new(RwLock::new(FleetRib::repairable(&csr, &cores, trees)));
     let cfg = CbtConfig { compact_idle: true, max_children: 4096, shards, ..CbtConfig::fast() };
     let nodes: Vec<P2pNode> = (0..n as u32)
         .map(|i| {
