@@ -4,10 +4,10 @@
 //!
 //! * a deterministic **router-id ⇄ address** bijection (no address
 //!   tables at 100k routers);
-//! * [`FleetRib`] — shared routes toward the core set: one [`SpfTree`]
-//!   per core over the *same* [`CsrGraph`] the world delivers frames
-//!   on, so "interface `k` toward the core" and "the world's port `k`"
-//!   agree by construction;
+//! * [`FleetRib`] — shared routes toward the core set: the
+//!   [`SpfRoutes`] core with one tree per core over a copy of the
+//!   [`CsrGraph`] the world delivers frames on, so "interface `k`
+//!   toward the core" and "the world's port `k`" agree by construction;
 //! * [`P2pNode`] — wraps a [`ShardedRouter`] (so `CBT_SHARDS` steering
 //!   works unchanged at netscale), framing control messages as
 //!   `[source address | wire encoding]`, written straight into a
@@ -22,7 +22,7 @@ use crate::engine::RouteLookup;
 use crate::events::RouterAction;
 use crate::shard::ShardedRouter;
 use cbt_netsim::{NsNode, NsOutbox, SimTime};
-use cbt_routing::Hop;
+use cbt_routing::{Hop, SpfRoutes};
 use cbt_topology::{CsrGraph, IfIndex, RouterId, SpfScratch, SpfTree};
 use cbt_wire::{Addr, ControlMessage};
 use std::cell::RefCell;
@@ -42,34 +42,20 @@ pub fn addr_node(a: Addr) -> u32 {
 }
 
 /// Routing state toward the experiment's core set, shared by every
-/// engine in the fleet (`Arc<RwLock<_>>`): one [`SpfTree`] per core and
-/// a clone of the [`CsrGraph`] the trees were computed over.
+/// engine in the fleet (`Arc<RwLock<_>>`): the [`SpfRoutes`] core, one
+/// tree per core over a clone of the fleet's [`CsrGraph`], and a version.
 ///
-/// Lookups resolve **core addresses only**: a netscale fleet routes
-/// joins toward cores, and single-core groups (the protoscale setup)
-/// never send a join anywhere else. Any other destination reports
-/// unreachable.
-///
-/// A hop follows the same rule as [`cbt_routing::Rib`]: the next router
-/// is `me`'s predecessor in the core's tree, reached through the
-/// lowest-numbered live CSR slot toward it (the slot's offset is the
-/// local interface — the netscale world's port-number contract). The
-/// slots are read from the clone, not the caller's graph, so a mask
-/// the caller sets (or probes and undoes) takes effect only when the
-/// rib is told about it through [`FleetRib::apply_removals`] /
-/// [`FleetRib::apply_additions`]. Those patch every tree in place
-/// (incremental SPF repair) and re-sync the clone's masks. Repairs
-/// happen between world event-loop steps under the write lock, so every
-/// engine sees one consistent route version per step;
-/// [`FleetRib::version`] names it.
+/// Lookups resolve **core addresses only**: `dst` names fleet node
+/// `addr_node(dst)`, and a node without a tree is not a core, so the
+/// route is unreachable. A slot's interface is its offset in the node's
+/// slot range, the world's port number. Hops read the clone, so a mask
+/// the caller sets (or probes and undoes) takes effect only once
+/// [`FleetRib::apply_removals`] / [`FleetRib::apply_additions`] copy it
+/// over and repair every tree. Repairs run between world event-loop
+/// steps under the write lock, so every engine sees one route version
+/// per step; [`FleetRib::version`] names it.
 pub struct FleetRib {
-    /// Core addresses, sorted for binary search.
-    cores: Vec<Addr>,
-    /// One SPF tree per core (parallel to `cores`).
-    trees: Vec<SpfTree>,
-    /// The caller's graph with its masks as of the last build or
-    /// repair; hops take their slots from here.
-    graph: CsrGraph,
+    routes: SpfRoutes,
     /// Bumped once per applied liveness event.
     version: u64,
 }
@@ -80,14 +66,10 @@ impl FleetRib {
     /// order) and computed over `graph` — the exact graph the netscale
     /// world was wired from. The trees are kept so liveness events can
     /// patch routes in place instead of rebuilding from scratch.
-    pub fn repairable(graph: &CsrGraph, core_nodes: &[u32], mut trees: Vec<SpfTree>) -> Self {
-        assert_eq!(core_nodes.len(), trees.len(), "one SPF tree per core");
-        for (&c, tree) in core_nodes.iter().zip(&trees) {
-            assert_eq!(tree.root(), c, "tree rooted at its core");
-        }
-        trees.sort_by_key(|t| node_addr(t.root()));
-        let cores = trees.iter().map(|t| node_addr(t.root())).collect();
-        FleetRib { cores, trees, graph: graph.clone(), version: 0 }
+    pub fn repairable(graph: &CsrGraph, core_nodes: &[u32], trees: Vec<SpfTree>) -> Self {
+        let roots: Vec<u32> = trees.iter().map(SpfTree::root).collect();
+        assert_eq!(roots, core_nodes, "one SPF tree per core, rooted at it");
+        FleetRib { routes: SpfRoutes::new(graph.clone(), trees), version: 0 }
     }
 
     /// The route version, bumped once per applied liveness event.
@@ -95,10 +77,9 @@ impl FleetRib {
         self.version
     }
 
-    /// Patches every core tree for removed edges / downed nodes (the
-    /// masks must already be applied to `graph`), takes over `graph`'s
-    /// masks and bumps the version. Returns total nodes re-settled
-    /// across trees.
+    /// Takes over `graph`'s masks for removed edges / downed nodes,
+    /// patches every core tree and bumps the version. Returns total
+    /// nodes re-settled across trees.
     pub fn apply_removals(
         &mut self,
         graph: &CsrGraph,
@@ -106,13 +87,9 @@ impl FleetRib {
         downed: &[u32],
         scratch: &mut SpfScratch,
     ) -> u64 {
-        self.graph.copy_masks_from(graph);
-        let mut touched = 0;
-        for tree in &mut self.trees {
-            touched += tree.repair_removals(graph, removed_pairs, downed, scratch);
-        }
+        self.routes.graph_mut().copy_masks_from(graph);
         self.version += 1;
-        touched
+        self.routes.repair_removals(removed_pairs, downed, scratch)
     }
 
     /// Counterpart of [`FleetRib::apply_removals`] for restored edges
@@ -124,33 +101,17 @@ impl FleetRib {
         restored: &[u32],
         scratch: &mut SpfScratch,
     ) -> u64 {
-        self.graph.copy_masks_from(graph);
-        let mut touched = 0;
-        for tree in &mut self.trees {
-            touched += tree.repair_additions(graph, added_pairs, restored, scratch);
-        }
+        self.routes.graph_mut().copy_masks_from(graph);
         self.version += 1;
-        touched
+        self.routes.repair_additions(added_pairs, restored, scratch)
     }
 
-    /// Hard-asserts every repaired tree equals a from-scratch SPF over
-    /// the graph's current masks, and that the rib's own masks are
-    /// `graph`'s — the repair path's bit-identity contract, checked
-    /// after each fault event in the soak harness.
+    /// Hard-asserts the rib's masks are `graph`'s and every repaired
+    /// tree equals a from-scratch SPF over them — checked after each
+    /// fault event in the soak harness.
     pub fn assert_matches_full_spf(&self, graph: &CsrGraph, scratch: &mut SpfScratch) {
-        assert!(self.graph.masks_eq(graph), "rib masks lag the graph's");
-        for tree in &self.trees {
-            let core = tree.root();
-            let fresh = SpfTree::full(graph, core, scratch);
-            for u in 0..graph.node_count() as u32 {
-                assert_eq!(tree.dist(u), fresh.dist(u), "repaired dist, node {u} core {core}");
-                assert_eq!(
-                    tree.toward_root(u),
-                    fresh.toward_root(u),
-                    "repaired pred, node {u} core {core}"
-                );
-            }
-        }
+        assert!(self.routes.graph().masks_eq(graph), "rib masks lag the graph's");
+        self.routes.assert_matches_full_spf(scratch);
     }
 
     /// Next hop from `me` toward core `dst`, if routable. A mask set
@@ -158,16 +119,11 @@ impl FleetRib {
     /// toward the predecessor: the node is unroutable until the rib is
     /// repaired, not a panic.
     fn hop(&self, me: u32, dst: Addr) -> Option<Hop> {
-        let tree = &self.trees[self.cores.binary_search(&dst).ok()?];
-        let next = tree.toward_root(me)?;
-        let dist = tree.dist(me)?;
-        let (slot, ..) = self.graph.live_slots(me).find(|&(_, v, _)| v == next)?;
-        Some(Hop {
-            iface: IfIndex(slot - self.graph.slot_base(me)),
-            router: RouterId(next),
-            addr: node_addr(next),
-            dist,
-        })
+        let core = addr_node(dst);
+        let i = self.routes.find(core).filter(|_| node_addr(core) == dst)?;
+        let base = self.routes.graph().slot_base(me);
+        let (next, dist, iface) = self.routes.hop(i, me, None, |s| IfIndex(s - base))?;
+        Some(Hop { iface, router: RouterId(next), addr: node_addr(next), dist })
     }
 }
 
@@ -327,6 +283,8 @@ mod tests {
 
         assert!(rib.hop(0, node_addr(0)).is_none(), "the core has no upstream");
         assert!(rib.hop(1, node_addr(2)).is_none(), "non-core lookups are refused");
+        let outside = Addr::from_octets(192, 0, 0, 0); // addr_node maps it to the core
+        assert!(rib.hop(2, outside).is_none(), "only the core's own address routes to it");
     }
 
     #[test]

@@ -681,11 +681,7 @@ fn flap_bench(
     // Exactness: after the whole flap schedule every repaired tree must
     // equal a from-scratch recompute on the (fully restored) graph.
     for t in trees.iter() {
-        let fresh = SpfTree::full(&csr, t.root(), scratch);
-        for x in 0..csr.node_count() as u32 {
-            assert_eq!(t.dist(x), fresh.dist(x), "incremental == full: dist of {x}");
-            assert_eq!(t.toward_root(x), fresh.toward_root(x), "incremental == full: pred of {x}");
-        }
+        t.assert_matches_full(&csr, scratch);
     }
     (touched, wall_ms)
 }

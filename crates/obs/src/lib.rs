@@ -18,8 +18,8 @@
 //!
 //! Everything on the forward path is a fixed-size array add on a plain
 //! struct — no locks, no heap allocation — so the zero-allocs/packet
-//! invariant asserted by the `dataplane` bench holds with counters
-//! enabled. The per-group counter column is touched only on the
+//! invariant pinned by `crates/core/tests/forward_allocs.rs` holds
+//! with counters enabled. The per-group counter column is touched only on the
 //! control path.
 //!
 //! This crate is dependency-free by design: the JSON exporter is
@@ -676,15 +676,15 @@ impl ObsSnapshot {
     }
 }
 
-/// Counters for the scalable unicast routing layer: on-demand SPF
-/// cache behaviour and the incremental-repair economics (how many
-/// nodes each repair touched vs. what a full recompute would settle).
+/// Counters for the scalable unicast routing layer: the
+/// incremental-repair economics (how many nodes each repair touched
+/// vs. what a full recompute would settle).
 ///
-/// Standalone and mergeable like every other counter set here; the
-/// RIB owns one and experiments export it next to [`ObsSnapshot`]s.
+/// Standalone and mergeable like every other counter set here;
+/// experiments export it next to [`ObsSnapshot`]s.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpfStats {
-    /// Full single-destination SPF runs (cache misses + invalidations).
+    /// Full single-destination SPF runs.
     pub full_runs: u64,
     /// Nodes settled across all full runs.
     pub nodes_settled_full: u64,
@@ -692,12 +692,6 @@ pub struct SpfStats {
     pub repairs: u64,
     /// Nodes touched across all incremental repairs.
     pub nodes_touched_incremental: u64,
-    /// Failure-delta batches applied in place.
-    pub apply_batches: u64,
-    /// On-demand tree cache hits.
-    pub cache_hits: u64,
-    /// On-demand tree cache misses.
-    pub cache_misses: u64,
     /// Distribution of nodes touched per incremental repair.
     pub touched_per_repair: Histogram,
 }
@@ -727,9 +721,6 @@ impl SpfStats {
         self.nodes_settled_full += other.nodes_settled_full;
         self.repairs += other.repairs;
         self.nodes_touched_incremental += other.nodes_touched_incremental;
-        self.apply_batches += other.apply_batches;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
         self.touched_per_repair.merge(&other.touched_per_repair);
     }
 
@@ -739,16 +730,8 @@ impl SpfStats {
         let _ = write!(
             out,
             "{{\"full_runs\":{},\"nodes_settled_full\":{},\"repairs\":{},\
-             \"nodes_touched_incremental\":{},\"apply_batches\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\
-             \"touched_per_repair\":",
-            self.full_runs,
-            self.nodes_settled_full,
-            self.repairs,
-            self.nodes_touched_incremental,
-            self.apply_batches,
-            self.cache_hits,
-            self.cache_misses,
+             \"nodes_touched_incremental\":{},\"touched_per_repair\":",
+            self.full_runs, self.nodes_settled_full, self.repairs, self.nodes_touched_incremental,
         );
         json_histogram(&mut out, &self.touched_per_repair);
         out.push('}');
@@ -761,14 +744,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spf_stats_record_merge_and_json() {
+    fn spf_counters_record_merge_and_json() {
         let mut a = SpfStats::new();
         a.record_full(100);
         a.record_repair(3);
         a.record_repair(5);
-        a.apply_batches = 1;
-        a.cache_hits = 7;
-        a.cache_misses = 2;
         assert_eq!(a.full_runs, 1);
         assert_eq!(a.repairs, 2);
         assert_eq!(a.nodes_touched_incremental, 8);
@@ -777,7 +757,6 @@ mod tests {
         b.merge(&a);
         assert_eq!(b.repairs, 3);
         assert_eq!(b.nodes_touched_incremental, 18);
-        assert_eq!(b.cache_hits, 7);
         assert_eq!(b.touched_per_repair.count(), 3);
         let json = b.to_json();
         for key in [

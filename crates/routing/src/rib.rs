@@ -1,39 +1,26 @@
-//! Per-router next-hop tables (the Routing Information Base).
+//! Per-router next-hop tables (the Routing Information Base): the
+//! [`SpfRoutes`] core's address map for a `NetworkSpec`.
 //!
-//! The router graph lives in an arena-backed CSR ([`CsrGraph`]) with
-//! in-place failure masks: one undirected edge per point-to-point link
-//! and per pair of routers sharing a LAN, so a link and a LAN between
-//! the same two routers are two parallel edges, masked independently.
-//! Per-destination shortest-path trees ([`SpfTree`]) are computed **on
-//! demand**, one per destination router — CBT only ever asks for routes
-//! toward cores and members, a tiny fraction of all n² pairs. Failure
-//! deltas are applied **incrementally**: masked edges/nodes detach only
-//! the affected subtrees of each cached tree and the frontier is re-run,
-//! instead of recomputing the world. Every repair is exact
-//! (bit-identical to a from-scratch SPF), so replay determinism is
-//! preserved no matter when trees were computed or repaired.
-//!
-//! **The hop rule.** A route from `from` toward router `dst` goes to
-//! `from`'s predecessor `next` in `dst`'s tree, out of the
-//! lowest-numbered interface among `from`'s *live* CSR slots toward
-//! `next`, addressed to `next`'s own address on that link or LAN. Each
-//! slot records its sender's interface and the peer's address when the
-//! rib is built, exactly by link / LAN, so no subnet matching happens.
-//! With every adjacency up this is the lowest interface toward `next` at
-//! all, so fault-free streams do not depend on the rule; when a link
-//! fails beside a live parallel LAN (or the reverse), the hop moves to
-//! the live one. The netscale `FleetRib` applies the same rule to its
-//! own graph; `tests/rib_differential.rs` in the `cbt` crate holds the
-//! two tables equal on one topology.
+//! The router graph has one undirected edge per point-to-point link and
+//! per pair of routers sharing a LAN, so a link and a LAN between the
+//! same two routers are two parallel edges, masked independently. Trees
+//! are built on demand, one per destination router — CBT only asks for
+//! routes toward cores and members, a tiny fraction of all n² pairs —
+//! and a new [`FailureSet`] is applied incrementally. Each CSR slot
+//! records its sender's interface and the peer's address on that link
+//! or LAN, so the core's hop rule (the lowest live interface toward the
+//! SPF predecessor) resolves to a [`Hop`] without subnet matching.
+//! `tests/rib_differential.rs` in the `cbt` crate holds this table and
+//! the netscale `FleetRib` equal on one topology.
 
 use crate::failure::FailureSet;
-use cbt_obs::SpfStats;
-use cbt_topology::csr::{CsrGraph, SpfScratch, SpfTree};
+use crate::spf_routes::SpfRoutes;
+use cbt_topology::csr::{CsrGraph, SpfScratch};
 use cbt_topology::network::Owner;
 use cbt_topology::{Attachment, IfIndex, LanId, LinkId, NetworkSpec, RouterId};
 use cbt_wire::Addr;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// One resolved forwarding decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,38 +61,27 @@ struct Edge {
     medium: Medium,
 }
 
-/// The per-destination trees plus the scratch/stat state that rides
-/// along under the same lock.
-#[derive(Debug, Default)]
-struct Trees {
-    /// Indexed by destination router; built on first use.
-    by_dst: Vec<Option<SpfTree>>,
-    scratch: SpfScratch,
-    stats: SpfStats,
-}
-
 /// A converged routing table for every router in a network.
 ///
 /// `Rib::compute` builds the failure-masked CSR router graph; SPF
-/// trees materialise lazily per destination. Per-router overrides can
-/// be layered on to model the transiently inconsistent tables of the
-/// §6.3 loop scenario.
+/// trees materialise lazily per destination in the route core.
+/// Per-router overrides can be layered on to model the transiently
+/// inconsistent tables of the §6.3 loop scenario.
 #[derive(Debug)]
 pub struct Rib {
-    /// Arena CSR of the router graph, failure state masked in place.
-    graph: CsrGraph,
     /// Per directed slot: the sender's interface and the peer's address
     /// on that link or LAN.
     slot_hops: Vec<(IfIndex, Addr)>,
     /// Every link, then every LAN's router pairs.
     edges: Vec<Edge>,
-    /// The failure set currently masked into `graph`.
+    /// The failure set currently masked into the core's graph.
     applied: FailureSet,
     /// Manual next-hop overrides: (from, dst_router) → forced next router.
     overrides: HashMap<(RouterId, RouterId), RouterId>,
-    /// Lazily-built per-destination trees (interior mutability: route
-    /// lookups are `&self` and shared across engine shards).
-    trees: Mutex<Trees>,
+    /// The route core and the scratch its lazy tree builds use
+    /// (interior mutability: route lookups are `&self` and shared
+    /// across engine shards).
+    routes: Mutex<(SpfRoutes, SpfScratch)>,
 }
 
 impl Rib {
@@ -156,8 +132,7 @@ impl Rib {
             .map(|(((a, b, _), medium), slots)| Edge { ends: (a, b), slots, medium })
             .collect();
         let mut rib = Rib {
-            trees: Mutex::new(Trees { by_dst: vec![None; graph.node_count()], ..Trees::default() }),
-            graph,
+            routes: Mutex::new((SpfRoutes::new(graph, Vec::new()), SpfScratch::new())),
             slot_hops,
             edges,
             applied: FailureSet::none(),
@@ -174,17 +149,13 @@ impl Rib {
 
     /// Applies a new failure state **incrementally**: the delta
     /// against the currently-applied set is masked in place and every
-    /// cached tree is patched (removals first, then restorations —
-    /// the order matters, since an improvement through a restored
-    /// element must not be visible while detached subtrees reattach).
-    /// Overrides that reference failed elements are cleared. A delta
-    /// that changes anything counts as one batch in [`Rib::spf_stats`].
+    /// kept tree repaired, removals first, then restorations (see
+    /// [`SpfRoutes`]). Overrides that reference failed elements are
+    /// cleared.
     pub fn apply_failures(&mut self, target: &FailureSet) {
-        // Diff the target against the applied set. Removals are masked
-        // immediately; additions are only *collected* here and unmasked
-        // after the removal repairs — a subtree reattaching during the
-        // removal phase must not route through a restored element whose
-        // improvements haven't been propagated yet.
+        let (spf, scratch) = self.routes.get_mut().expect("rib routes poisoned");
+        // Removals are masked now; additions are only collected and
+        // unmasked after the removal repairs.
         let mut removed_pairs: Vec<(u32, u32)> = Vec::new();
         let mut downed: Vec<u32> = Vec::new();
         let mut added_pairs: Vec<(u32, u32)> = Vec::new();
@@ -197,7 +168,7 @@ impl Rib {
             }
             if now {
                 for s in e.slots {
-                    self.graph.set_slot_live(s, false);
+                    spf.graph_mut().set_slot_live(s, false);
                 }
                 removed_pairs.push(e.ends);
             } else {
@@ -205,52 +176,33 @@ impl Rib {
                 added_pairs.push(e.ends);
             }
         }
-        for r in 0..self.graph.node_count() as u32 {
+        for r in 0..spf.graph().node_count() as u32 {
             let id = RouterId(r);
             let (was, now) = (self.applied.router_down(id), target.router_down(id));
             if was == now {
                 continue;
             }
             if now {
-                self.graph.set_node_up(r, false);
+                spf.graph_mut().set_node_up(r, false);
                 downed.push(r);
             } else {
                 restored.push(r);
             }
         }
-        let removals = !removed_pairs.is_empty() || !downed.is_empty();
-        let additions = !added_pairs.is_empty() || !restored.is_empty();
-        let trees = self.trees.get_mut().expect("rib trees poisoned");
-        // Phase 1: repair every cached tree for the removals.
-        if removals {
-            for tree in trees.by_dst.iter_mut().flatten() {
-                let touched =
-                    tree.repair_removals(&self.graph, &removed_pairs, &downed, &mut trees.scratch);
-                trees.stats.record_repair(touched);
-            }
+        spf.repair_removals(&removed_pairs, &downed, scratch);
+        let graph = spf.graph_mut();
+        for &s in &added_slots {
+            graph.set_slot_live(s, true);
         }
-        // Phase 2: unmask the restorations, then propagate improvements.
-        if additions {
-            for &s in &added_slots {
-                self.graph.set_slot_live(s, true);
-            }
-            for &r in &restored {
-                self.graph.set_node_up(r, true);
-            }
-            for tree in trees.by_dst.iter_mut().flatten() {
-                let touched =
-                    tree.repair_additions(&self.graph, &added_pairs, &restored, &mut trees.scratch);
-                trees.stats.record_repair(touched);
-            }
+        for &r in &restored {
+            graph.set_node_up(r, true);
         }
-        if removals || additions {
-            trees.stats.apply_batches += 1;
-        }
+        spf.repair_additions(&added_pairs, &restored, scratch);
         self.applied = target.clone();
         // Drop overrides that reference failed elements: either
         // endpoint router down, or no usable adjacency from → via
         // remains (the overridden link/LAN failed).
-        let graph = &self.graph;
+        let graph = spf.graph();
         self.overrides.retain(|&(from, dst), &mut via| {
             graph.is_node_up(from.0)
                 && graph.is_node_up(dst.0)
@@ -259,26 +211,9 @@ impl Rib {
         });
     }
 
-    /// Snapshot of the SPF counters (tree reuse, repair economics).
-    pub fn spf_stats(&self) -> SpfStats {
-        self.trees.lock().expect("rib trees poisoned").stats.clone()
-    }
-
-    /// Runs `f` against the (cached or freshly computed) tree rooted
-    /// at `dst`.
-    fn with_tree<R>(&self, dst: u32, f: impl FnOnce(&SpfTree) -> R) -> Option<R> {
-        let mut guard = self.trees.lock().expect("rib trees poisoned");
-        let Trees { by_dst, scratch, stats } = &mut *guard;
-        let slot = by_dst.get_mut(dst as usize)?;
-        if slot.is_some() {
-            stats.cache_hits += 1;
-        } else {
-            stats.cache_misses += 1;
-            let tree = SpfTree::full(&self.graph, dst, scratch);
-            stats.record_full(tree.reached());
-            *slot = Some(tree);
-        }
-        slot.as_ref().map(f)
+    /// The route core and its scratch, locked.
+    fn routes(&self) -> MutexGuard<'_, (SpfRoutes, SpfScratch)> {
+        self.routes.lock().expect("rib routes poisoned")
     }
 
     /// Forces `from`'s next hop toward `dst` to be `via`, regardless of
@@ -303,16 +238,20 @@ impl Rib {
         if let Some(&via) = self.overrides.get(&(from, dst)) {
             return Some(via);
         }
-        self.with_tree(dst.0, |t| t.toward_root(from.0).map(RouterId))?
+        let (spf, scratch) = &mut *self.routes();
+        let i = spf.find_or_build(dst.0, scratch)?;
+        spf.tree(i).toward_root(from.0).map(RouterId)
     }
 
     /// Distance (in routing metric) from `from` to router `dst`.
     pub fn dist(&self, from: RouterId, dst: RouterId) -> Option<u64> {
-        self.with_tree(dst.0, |t| t.dist(from.0))?
+        let (spf, scratch) = &mut *self.routes();
+        let i = spf.find_or_build(dst.0, scratch)?;
+        spf.tree(i).dist(from.0)
     }
 
     /// Resolves `from`'s route toward `dst_addr` to a concrete [`Hop`]
-    /// by the module's hop rule: which interface, which next-hop address.
+    /// by the core's hop rule: which interface, which next-hop address.
     ///
     /// `dst_addr` may be any address owned by a router (identity or
     /// interface) or by a host (the route then leads to the host's LAN).
@@ -323,25 +262,20 @@ impl Rib {
             // router of the host's LAN.
             Owner::Host(h) => {
                 let lan = net.hosts[h.0 as usize].lan;
-                *net.lans[lan.0 as usize].routers.iter().find(|r| self.graph.is_node_up(r.0))?
+                let routes = self.routes();
+                let up = |r: &&RouterId| routes.0.graph().is_node_up(r.0);
+                *net.lans[lan.0 as usize].routers.iter().find(up)?
             }
         };
         if dst == from {
             return None;
         }
-        let (spf_next, dist) =
-            self.with_tree(dst.0, |t| (t.toward_root(from.0), t.dist(from.0)))?;
-        let next = match self.overrides.get(&(from, dst)) {
-            Some(&via) => via,
-            None => RouterId(spf_next?),
-        };
-        let (iface, addr) = self
-            .graph
-            .live_slots(from.0)
-            .filter(|&(_, v, _)| v == next.0)
-            .map(|(s, ..)| self.slot_hops[s as usize])
-            .min_by_key(|&(iface, _)| iface)?;
-        Some(Hop { iface, router: next, addr, dist: dist? })
+        let via = self.overrides.get(&(from, dst)).map(|v| v.0);
+        let (spf, scratch) = &mut *self.routes();
+        let i = spf.find_or_build(dst.0, scratch)?;
+        let (next, dist, (iface, addr)) =
+            spf.hop(i, from.0, via, |s| self.slot_hops[s as usize])?;
+        Some(Hop { iface, router: RouterId(next), addr, dist })
     }
 }
 
@@ -480,30 +414,36 @@ mod tests {
         }
     }
 
+    /// The roots of the trees the rib keeps.
+    fn kept_roots(rib: &Rib) -> Vec<u32> {
+        let routes = rib.routes();
+        let spf = &routes.0;
+        (0..spf.graph().node_count() as u32).filter(|&r| spf.find(r).is_some()).collect()
+    }
+
     #[test]
     fn incremental_apply_equals_from_scratch() {
         let f = figure1();
+        let n = f.net.routers.len();
         let mut inc = Rib::converged(&f.net);
-        // Warm a few trees so repairs actually run.
-        for dst in 0..f.net.routers.len() as u32 {
+        // Warm every tree so repairs actually run.
+        for dst in 0..n as u32 {
             let _ = inc.dist(RouterId(0), RouterId(dst));
         }
         let mut failures = FailureSet::none();
         failures.fail_link(cbt_topology::LinkId(0));
         failures.fail_router(f.router(7));
         inc.apply_failures(&failures);
-        assert_eq!(inc.spf_stats().apply_batches, 1);
         let scratch = Rib::compute(&f.net, &failures);
         assert_tables_equal(&f.net, &inc, &scratch, "after failures");
         // Heal everything and fail a LAN in the same batch.
         let mut failures2 = FailureSet::none();
         failures2.fail_lan(f.subnet(4));
         inc.apply_failures(&failures2);
+        assert_eq!(kept_roots(&inc).len(), n, "trees are repaired in place, none dropped");
+        inc.routes().0.assert_matches_full_spf(&mut SpfScratch::new());
         let scratch2 = Rib::compute(&f.net, &failures2);
         assert_tables_equal(&f.net, &inc, &scratch2, "after heal + LAN fail");
-        let stats = inc.spf_stats();
-        assert!(stats.repairs > 0, "incremental repairs must have run");
-        assert_eq!(stats.apply_batches, 2);
     }
 
     #[test]
@@ -544,13 +484,19 @@ mod tests {
     fn trees_are_computed_on_demand_not_eagerly() {
         let f = figure1();
         let rib = Rib::converged(&f.net);
-        assert_eq!(rib.spf_stats().full_runs, 0, "construction computes nothing");
-        let _ = rib.next_router(f.router(1), f.router(4));
-        let s = rib.spf_stats();
-        assert_eq!(s.full_runs, 1, "one destination asked for, one tree built");
-        assert_eq!(s.cache_misses, 1);
-        let _ = rib.dist(f.router(2), f.router(4));
-        assert_eq!(rib.spf_stats().cache_hits, 1, "second lookup reuses the tree");
+        let r4 = f.router(4);
+        assert_eq!(kept_roots(&rib), [], "construction computes nothing");
+        let _ = rib.next_router(f.router(1), r4);
+        assert_eq!(kept_roots(&rib), [r4.0], "one destination asked for, one tree built");
+        // Down R3 behind the rib's back: the kept tree does not see it,
+        // a rebuilt one would route R1 around it.
+        let r3 = f.router(3);
+        rib.routes().0.graph_mut().set_node_up(r3.0, false);
+        assert_eq!(rib.next_router(f.router(1), r4), Some(r3), "second lookup reuses the tree");
+        assert_eq!(kept_roots(&rib), [r4.0]);
+        let mut failures = FailureSet::none();
+        failures.fail_router(r3);
+        assert_ne!(Rib::compute(&f.net, &failures).next_router(f.router(1), r4), Some(r3));
     }
 
     /// A and B share a p2p link (A's interface 0) *and* a LAN (A's

@@ -94,7 +94,8 @@ proptest! {
     /// Incrementally applying a random flap schedule one batch at a
     /// time yields exactly the same next hops and distances as
     /// computing a fresh RIB from scratch against the final failure
-    /// set — across links, LANs, and router flaps in any order.
+    /// set — across links, LANs, and router flaps in any order, with
+    /// lookups between batches building trees that later batches repair.
     #[test]
     fn incremental_apply_matches_from_scratch(
         n in 3usize..25,
@@ -111,7 +112,7 @@ proptest! {
         let link_count = net.links.len() as u32;
         let lan_count = net.lans.len() as u32;
         for (kind, pick) in &schedule {
-            match kind % 3 {
+            match kind % 4 {
                 0 if link_count > 0 => {
                     let l = LinkId(pick % link_count);
                     if failures.link_down(l) {
@@ -127,6 +128,9 @@ proptest! {
                     } else {
                         failures.fail_lan(l);
                     }
+                }
+                3 => {
+                    let _ = rib.dist(RouterId(0), RouterId(pick % n as u32));
                 }
                 _ => {
                     let r = RouterId(pick % n as u32);

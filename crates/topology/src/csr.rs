@@ -369,6 +369,15 @@ impl SpfTree {
         Some(path)
     }
 
+    /// Hard-asserts this tree equals a from-scratch SPF over `g`'s
+    /// current masks — the repair paths' bit-identity contract.
+    pub fn assert_matches_full(&self, g: &CsrGraph, scratch: &mut SpfScratch) {
+        let fresh = SpfTree::full(g, self.root, scratch);
+        let differs = |&u: &usize| (self.dist[u], self.pred[u]) != (fresh.dist[u], fresh.pred[u]);
+        let first = (0..g.node_count()).find(differs);
+        assert_eq!(first, None, "first node whose (dist, pred) differs, root {}", self.root);
+    }
+
     /// Number of reachable nodes (root inclusive).
     pub fn reached(&self) -> u64 {
         self.dist.iter().filter(|&&d| d != INF_DIST).count() as u64
