@@ -7,7 +7,7 @@
 //! `forward`) as further `impl CbtRouter` blocks.
 
 use crate::config::CbtConfig;
-use crate::events::{RouterAction, RouterStats};
+use crate::events::RouterAction;
 use crate::fib::{Fib, GroupSlot};
 use crate::forward::Span;
 use crate::inline::InlineBuf;
@@ -225,12 +225,10 @@ pub struct CbtRouter {
     pub(crate) child_deadline_max: SimTime,
     /// Instant of the last deadline-driven child sweep.
     pub(crate) last_child_sweep: SimTime,
-    /// Behaviour counters, less the per-type send counts and the
-    /// forwarded-data count that [`CbtRouter::stats`] reads from `obs`.
-    pub(crate) stats: RouterStats,
     /// Observability counters: the drop-reason taxonomy, per-group
-    /// protocol counters and latency histograms every path reports
-    /// into. Plain data — bumping is hot-path safe.
+    /// protocol counters, join and failure counts and latency
+    /// histograms every path reports into. Plain data — bumping is
+    /// hot-path safe.
     pub(crate) obs: RouterObs,
     /// Data-plane memo: the last group's dense FIB slot plus the control
     /// epoch it was resolved at. A burst of packets to one group pays
@@ -361,7 +359,6 @@ impl CbtRouter {
             child_expiry: BTreeSet::new(),
             child_deadline_max: SimTime::ZERO,
             last_child_sweep: SimTime::ZERO,
-            stats: RouterStats::default(),
             obs: RouterObs::new(),
             data_slot_memo: None,
             // A fresh `Span` carries epoch 0, so it is never current.
@@ -495,26 +492,8 @@ impl CbtRouter {
         self.transients.contains_key(&group)
     }
 
-    /// Behaviour counters. The per-type send counts and the
-    /// forwarded-data count are read from the observability counters,
-    /// which every sent control message (see `send_control`) and every
-    /// forwarded packet bumps.
-    pub fn stats(&self) -> RouterStats {
-        let sent = |k| self.obs.ctl.sent(k);
-        RouterStats {
-            acks_sent: sent(CtlKind::JoinAck),
-            nacks_sent: sent(CtlKind::JoinNack),
-            quits_sent: sent(CtlKind::QuitRequest),
-            flushes_sent: sent(CtlKind::FlushTree),
-            echo_requests_sent: sent(CtlKind::EchoRequest),
-            echo_replies_sent: sent(CtlKind::EchoReply),
-            data_forwarded: self.obs.data_forwarded,
-            ..self.stats
-        }
-    }
-
     /// Observability counters (drop taxonomy, per-group protocol
-    /// counters, latency histograms).
+    /// counters, join and failure counts, latency histograms).
     pub fn obs(&self) -> &RouterObs {
         &self.obs
     }
@@ -1023,7 +1002,7 @@ mod tests {
         let e = engine(CbtConfig::default());
         assert!(e.fib().is_empty());
         assert!(!e.has_pending_join(GroupId::numbered(1)));
-        assert_eq!(e.stats(), RouterStats::default());
+        assert_eq!(e.obs_snapshot(), RouterObs::new().snapshot(&e.id_addr().to_string()));
         assert!(e.is_my_addr(e.id_addr()));
         assert!(e.is_my_addr(Addr::from_octets(10, 1, 0, 1)), "LAN iface addr");
         assert!(e.is_my_addr(Addr::from_octets(172, 31, 0, 1)), "link iface addr");

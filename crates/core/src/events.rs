@@ -1,4 +1,4 @@
-//! Engine outputs and statistics.
+//! Engine outputs.
 
 use cbt_topology::IfIndex;
 use cbt_wire::{Addr, CbtDataPacket, ControlMessage, DataPacket, GroupId, IgmpMessage};
@@ -75,62 +75,6 @@ impl RouterAction {
     }
 }
 
-/// Counters a router keeps about its own behaviour (inputs to the
-/// overhead experiments and general observability).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouterStats {
-    /// JOIN_REQUESTs this router originated (not forwarded).
-    pub joins_originated: u64,
-    /// JOIN_REQUESTs forwarded hop-by-hop.
-    pub joins_forwarded: u64,
-    /// JOIN_ACKs sent (any subcode).
-    pub acks_sent: u64,
-    /// PROXY-ACKs sent (subset of `acks_sent`).
-    pub proxy_acks_sent: u64,
-    /// JOIN_NACKs sent.
-    pub nacks_sent: u64,
-    /// QUIT_REQUESTs sent.
-    pub quits_sent: u64,
-    /// FLUSH_TREE messages sent.
-    pub flushes_sent: u64,
-    /// Echo requests sent.
-    pub echo_requests_sent: u64,
-    /// Echo replies sent.
-    pub echo_replies_sent: u64,
-    /// Data packets forwarded (all modes).
-    pub data_forwarded: u64,
-    /// Data packets discarded by the §7 on-tree rules.
-    pub data_discarded: u64,
-    /// Parent failures detected (echo timeout).
-    pub parent_failures: u64,
-    /// Loops broken by the §6.3 NACTIVE mechanism.
-    pub loops_broken: u64,
-    /// Joins cached while a join for the same group was pending (§2.5).
-    pub joins_cached: u64,
-}
-
-impl RouterStats {
-    /// Folds another router's (or shard's) counters into this one.
-    /// Every field is a plain event count, so the fold is associative
-    /// and commutative — shard merge order cannot matter.
-    pub fn merge(&mut self, o: &RouterStats) {
-        self.joins_originated += o.joins_originated;
-        self.joins_forwarded += o.joins_forwarded;
-        self.acks_sent += o.acks_sent;
-        self.proxy_acks_sent += o.proxy_acks_sent;
-        self.nacks_sent += o.nacks_sent;
-        self.quits_sent += o.quits_sent;
-        self.flushes_sent += o.flushes_sent;
-        self.echo_requests_sent += o.echo_requests_sent;
-        self.echo_replies_sent += o.echo_replies_sent;
-        self.data_forwarded += o.data_forwarded;
-        self.data_discarded += o.data_discarded;
-        self.parent_failures += o.parent_failures;
-        self.loops_broken += o.loops_broken;
-        self.joins_cached += o.joins_cached;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,12 +94,5 @@ mod tests {
             msg: IgmpMessage::Query { group: None, max_resp_tenths: 100 },
         };
         assert_eq!(q.group(), None, "general query has no group");
-    }
-
-    #[test]
-    fn stats_default_to_zero() {
-        let s = RouterStats::default();
-        assert_eq!(s.joins_originated, 0);
-        assert_eq!(s.data_forwarded, 0);
     }
 }

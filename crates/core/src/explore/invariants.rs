@@ -171,7 +171,7 @@ fn collect_fleet(cw: &CbtWorld, groups: &[GroupId]) -> FleetView {
             }
         }
     }
-    let checksum_bad = super::fleet_obs(cw).drops.get(DropReason::ChecksumBad);
+    let checksum_bad = cw.obs_snapshot().drops.get(DropReason::ChecksumBad);
     FleetView {
         groups: groups.to_vec(),
         routers,

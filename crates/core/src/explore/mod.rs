@@ -319,7 +319,7 @@ pub fn execute(scenario: &Scenario, schedule: &Schedule, shards: usize, seed: u6
     record_violations(&mut cw, &violations);
 
     let signature = fleet_signature(&cw, &scenario.groups);
-    let obs = fleet_obs(&cw);
+    let obs = cw.obs_snapshot();
     RunResult {
         violations,
         signature,
@@ -459,21 +459,6 @@ pub fn fleet_signature(cw: &CbtWorld, groups: &[GroupId]) -> u64 {
     put(&mut h, &frames.to_be_bytes());
     put(&mut h, &bytes.to_be_bytes());
     h
-}
-
-/// Merged observability snapshot across all up routers.
-pub fn fleet_obs(cw: &CbtWorld) -> ObsSnapshot {
-    let mut merged = ObsSnapshot::default();
-    for i in 0..cw.net.routers.len() {
-        let r = RouterId(i as u32);
-        if cw.world.failures().router_down(r) {
-            continue;
-        }
-        if let Some(node) = cw.world.node::<crate::RouterNode>(cbt_netsim::Entity::Router(r)) {
-            merged.merge(&node.sharded().obs_snapshot());
-        }
-    }
-    merged
 }
 
 #[cfg(test)]

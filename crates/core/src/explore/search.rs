@@ -216,7 +216,7 @@ pub fn explore_with(
     let mut interleavings = 0u64;
     let mut violating_runs = 0u64;
     let mut quiesce_failures = 0u64;
-    let mut baseline_obs = ObsSnapshot::default();
+    let mut baseline_obs = ObsSnapshot { router: "fleet".into(), ..Default::default() };
     let mut raw_violations: Vec<(usize, Schedule, Vec<String>)> = Vec::new();
 
     // ---- baseline profiling: one fault-free run per scenario ----
@@ -466,7 +466,7 @@ fn profile_scenario(scn: &Scenario, params: &ExploreParams) -> Profile {
         violations,
         signature: super::fleet_signature(&cw, &scn.groups),
         quiesced,
-        obs: super::fleet_obs(&cw),
+        obs: cw.obs_snapshot(),
         fault_stats: cw.world.fault_stats(),
         injected_phases: Vec::new(),
     };

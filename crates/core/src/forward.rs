@@ -90,7 +90,6 @@ impl CbtRouter {
         act: &mut Vec<RouterAction>,
     ) {
         if pkt.ttl == 0 {
-            self.stats.data_discarded += 1;
             self.obs.drop_packet(DropReason::TtlExpired);
             return;
         }
@@ -127,7 +126,6 @@ impl CbtRouter {
                     self.send_toward_core(group, &pkt, act);
                 }
                 _ => {
-                    self.stats.data_discarded += 1;
                     // A responsible router with no tree has no FIB state
                     // to forward with; an unresponsible one is outside
                     // its scope — another router owns this LAN's
@@ -151,7 +149,6 @@ impl CbtRouter {
         match slot.filter(|&s| self.sent_by_tree_neighbor(s, iface, link_src)) {
             Some(slot) => self.forward_over_tree(group, slot, pkt, iface, act),
             None => {
-                self.stats.data_discarded += 1;
                 self.obs.drop_packet(DropReason::ScopeBoundary);
             }
         }
@@ -185,7 +182,6 @@ impl CbtRouter {
             match slot.filter(|&s| self.sent_by_tree_neighbor(s, arrival, outer_src)) {
                 Some(slot) => self.span_cbt(group, slot, pkt, Some(outer_src), act),
                 None => {
-                    self.stats.data_discarded += 1;
                     self.obs.drop_packet(DropReason::ScopeBoundary);
                 }
             }
@@ -197,7 +193,6 @@ impl CbtRouter {
         } else {
             // We are the target core but have no tree (no members ever
             // joined): nowhere to deliver.
-            self.stats.data_discarded += 1;
             self.obs.drop_packet(DropReason::NoFibEntry);
         }
     }
@@ -206,7 +201,6 @@ impl CbtRouter {
     /// best-known core (§5.1/§5.3).
     fn send_toward_core(&mut self, group: GroupId, pkt: &DataPacket, act: &mut Vec<RouterAction>) {
         let Some(cores) = self.cores_for(group) else {
-            self.stats.data_discarded += 1;
             self.obs.drop_packet(DropReason::NoFibEntry);
             return;
         };
@@ -220,7 +214,6 @@ impl CbtRouter {
                 return;
             }
         }
-        self.stats.data_discarded += 1;
         self.obs.drop_packet(DropReason::NoFibEntry);
     }
 
@@ -290,7 +283,6 @@ impl CbtRouter {
             // re-send decrements, so a ttl=1 packet cannot travel
             // further — its LAN of arrival already heard the original
             // broadcast, which is the §4 local delivery.
-            self.stats.data_discarded += 1;
             self.obs.drop_packet(DropReason::TtlExpired);
             return;
         }
@@ -337,7 +329,6 @@ impl CbtRouter {
         // expired` boundary governs native transit; both count the loss.
         if pkt.cbt.ip_ttl <= 1 {
             self.obs.drop_packet(DropReason::TtlExpired);
-            self.stats.data_discarded += 1;
             return;
         }
         pkt.cbt.ip_ttl -= 1;
@@ -582,7 +573,7 @@ mod tests {
         let rogue = DataPacket::new(Addr::from_octets(10, 9, 0, 100), g(), 16, b"x".to_vec());
         let act = native_data(&mut e, t(5), IfIndex(0), Addr::from_octets(10, 1, 0, 2), rogue);
         assert!(act.is_empty());
-        assert_eq!(e.stats().data_discarded, 1);
+        assert_eq!(e.obs().drops.get(DropReason::ScopeBoundary), 1);
     }
 
     #[test]
@@ -599,7 +590,7 @@ mod tests {
             host_pkt(0)
         )
         .is_empty());
-        assert_eq!(e.stats().data_discarded, 2);
+        assert_eq!(e.obs().drops.get(DropReason::TtlExpired), 2);
     }
 
     #[test]
@@ -609,7 +600,7 @@ mod tests {
         let act =
             native_data(&mut e, t(5), IfIndex(0), Addr::from_octets(10, 1, 0, 100), host_pkt(16));
         assert!(act.is_empty());
-        assert_eq!(e.stats().data_discarded, 1);
+        assert_eq!(e.obs().drops.get(DropReason::NoFibEntry), 1);
     }
 
     #[test]
@@ -732,7 +723,7 @@ mod tests {
         // Arrives on the member LAN (if0) — not a tree interface.
         let act = cbt_data(&mut e, t(5), IfIndex(0), Addr::from_octets(10, 1, 0, 7), enc);
         assert!(act.is_empty(), "§7 wandering packet discarded");
-        assert_eq!(e.stats().data_discarded, 1);
+        assert_eq!(e.obs().drops.get(DropReason::ScopeBoundary), 1);
     }
 
     #[test]
@@ -758,7 +749,7 @@ mod tests {
         let enc = CbtDataPacket::encapsulate(&native, core_a());
         let act = cbt_data(&mut e, t(5), IfIndex(1), up_hop().addr, enc);
         assert!(act.is_empty(), "target core without a tree: no receivers exist");
-        assert_eq!(e.stats().data_discarded, 1);
+        assert_eq!(e.obs().drops.get(DropReason::NoFibEntry), 1);
     }
 
     /// §5: "it is possible that an IP-style multicast and a CBT
@@ -817,7 +808,7 @@ mod tests {
             "an expired CBT packet is dropped whole: no transit, no member delivery"
         );
         assert_eq!(e.obs().drops.get(DropReason::TtlExpired), 1, "expiry lands in the taxonomy");
-        assert_eq!(e.stats().data_discarded, 1, "the packet died here");
+        assert_eq!(e.obs().drops.total(), 1, "the packet died here");
     }
 
     #[test]
@@ -862,7 +853,7 @@ mod tests {
         let act = cbt_data(&mut e, t(5), IfIndex(1), up_hop().addr, enc);
         assert!(act.is_empty(), "no members and no viable transit: packet dies here");
         assert_eq!(e.obs().drops.get(DropReason::TtlExpired), 1);
-        assert_eq!(e.stats().data_discarded, 1);
+        assert_eq!(e.obs().drops.total(), 1, "counted once");
     }
 
     #[test]
@@ -875,7 +866,7 @@ mod tests {
         let act = native_data(&mut e, t(5), IfIndex(1), up_hop().addr, pkt);
         assert!(act.is_empty(), "ttl=1 transit packet must not be forwarded (§4)");
         assert_eq!(e.obs().drops.get(DropReason::TtlExpired), 1);
-        assert_eq!(e.stats().data_discarded, 1);
+        assert_eq!(e.obs().drops.total(), 1, "counted once");
     }
 
     /// The forward path as it was before spanning entries, kept as the

@@ -197,7 +197,7 @@ impl CbtRouter {
                 self.flush_child(now, group, hop.addr, act);
             }
         }
-        self.stats.joins_originated += 1;
+        self.obs.joins_originated += 1;
         self.send_join(now, group, hop, reason, origin, target, cores, core_index, subcode, act);
     }
 
@@ -265,7 +265,7 @@ impl CbtRouter {
             target_core: converter,
             cores,
         };
-        self.stats.joins_forwarded += 1;
+        self.obs.joins_forwarded += 1;
         self.send_control(act, parent.iface, parent.addr, fwd);
     }
 
@@ -337,7 +337,7 @@ impl CbtRouter {
                 || (p.upstream.1 == src);
             if !dup {
                 self.edit(group, |t| t.join.as_mut().expect("pending").cached.push(join));
-                self.stats.joins_cached += 1;
+                self.obs.joins_cached += 1;
             }
             return;
         }
@@ -347,7 +347,7 @@ impl CbtRouter {
             Some(hop) if hop.addr != src => {
                 let reason = JoinReason::Forwarded { from_iface: iface, from_addr: src, subcode };
                 let core_index = cores.iter().position(|c| *c == target_core).unwrap_or(0);
-                self.stats.joins_forwarded += 1;
+                self.obs.joins_forwarded += 1;
                 self.send_join(
                     now,
                     group,
@@ -389,7 +389,7 @@ impl CbtRouter {
             // "It immediately sends a QUIT_REQUEST to its newly-
             // established parent and the loop is broken."
             let parent = entry.parent.take();
-            self.stats.loops_broken += 1;
+            self.obs.loops_broken += 1;
             if let Some(p) = parent {
                 let quit = ControlMessage::QuitRequest { group, origin: self.id_addr() };
                 self.send_control(act, p.iface, p.addr, quit);
@@ -461,7 +461,7 @@ impl CbtRouter {
                 target_core: affiliation,
                 cores,
             };
-            self.stats.proxy_acks_sent += 1;
+            self.obs.proxy_acks_sent += 1;
             self.send_control(act, join.from_iface, join.from_addr, ack);
             // We are now the group's attachment on that LAN (§2.6).
             self.gdr.insert((join.from_iface, group));
@@ -990,7 +990,7 @@ mod tests {
             } if *origin == Addr::from_octets(10, 9, 0, 1)
         ));
         assert!(e.has_pending_join(g()));
-        assert_eq!(e.stats().joins_forwarded, 1);
+        assert_eq!(e.obs().joins_forwarded, 1);
 
         // Ack comes back: entry created, downstream acked as a child.
         let act = e.handle_control(
@@ -1105,7 +1105,7 @@ mod tests {
             },
         );
         assert!(act.is_empty(), "§2.5: cached, not acked, not forwarded");
-        assert_eq!(e.stats().joins_cached, 1);
+        assert_eq!(e.obs().joins_cached, 1);
         // Our ack arrives: the cached join is acked too.
         let act = e.handle_control(
             t(2),
@@ -1212,7 +1212,7 @@ mod tests {
         ));
         assert!(e.children_of(g()).is_empty(), "proxy-ack adds no child");
         assert!(e.is_gdr(IfIndex(0), g()), "proxy sender becomes G-DR");
-        assert_eq!(e.stats().proxy_acks_sent, 1);
+        assert_eq!(e.obs().proxy_acks_sent, 1);
     }
 
     #[test]
@@ -1496,7 +1496,7 @@ mod tests {
             )),
             "§6.3: quit to the newly-established parent"
         );
-        assert_eq!(e.stats().loops_broken, 1);
+        assert_eq!(e.obs().loops_broken, 1);
         assert_eq!(e.parent_of(g()), None);
     }
 
@@ -1524,7 +1524,7 @@ mod tests {
         );
         assert!(e.has_pending_join(g()), "the member's join was cancelled");
         assert_eq!(e.protocol_phase(g(), t(1)), crate::ProtocolPhase::PendingJoin);
-        assert_eq!(e.stats().loops_broken, 0);
+        assert_eq!(e.obs().loops_broken, 0);
     }
 
     #[test]
@@ -1693,7 +1693,7 @@ mod tests {
             },
         );
         assert!(act.is_empty(), "§2.5: cached while pending");
-        assert_eq!(e.stats().joins_cached, 1);
+        assert_eq!(e.obs().joins_cached, 1);
         // Our ack arrives; serving the cached rejoin must launch the
         // loop-detection walk up our new parent path AND ack downstream.
         let act = e.handle_control(
@@ -1807,7 +1807,7 @@ mod tests {
         while let Some(w) = e.next_wakeup().filter(|w| *w <= t(1_000)) {
             e.on_timer(w);
         }
-        assert_eq!(e.stats().parent_failures, 1);
+        assert_eq!(e.obs().parent_failures, 1);
         assert!(!e.is_on_tree(g()));
         assert_eq!(e.protocol_phase(g(), t(1_000)), crate::ProtocolPhase::Idle);
         assert!(!e.has_transient_state(g()), "the campaign outlived its reattach join");

@@ -78,7 +78,7 @@ impl CbtRouter {
         for &g in failed.as_slice() {
             // §6.1: "the child realises that its parent has become
             // unreachable and must therefore try and re-connect."
-            self.stats.parent_failures += 1;
+            self.obs.parent_failures += 1;
             self.start_reattach(now, g, 0, act);
         }
     }
@@ -301,6 +301,7 @@ mod tests {
     use super::*;
     use crate::engine::testutil::*;
     use crate::CbtConfig;
+    use cbt_obs::CtlKind;
     use cbt_wire::{AckSubcode, JoinSubcode};
     use std::collections::BTreeMap;
 
@@ -366,7 +367,7 @@ mod tests {
                 ..
             }
         )));
-        assert_eq!(e.stats().echo_requests_sent, 1);
+        assert_eq!(e.obs().ctl.sent(CtlKind::EchoRequest), 1);
     }
 
     #[test]
@@ -400,7 +401,7 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(e.stats().echo_replies_sent, 1);
+        assert_eq!(e.obs().ctl.sent(CtlKind::EchoReply), 1);
     }
 
     #[test]
@@ -424,7 +425,7 @@ mod tests {
         e.on_timer(t(30));
         e.on_timer(t(60));
         let act = e.on_timer(t(90));
-        assert_eq!(e.stats().parent_failures, 1);
+        assert_eq!(e.obs().parent_failures, 1);
         assert!(
             act.iter().any(|a| matches!(
                 a,
@@ -466,7 +467,7 @@ mod tests {
         e.on_timer(t(30));
         e.on_timer(t(60));
         e.on_timer(t(90));
-        assert_eq!(e.stats().parent_failures, 1);
+        assert_eq!(e.obs().parent_failures, 1);
         assert!(e.has_pending_join(g(1)));
         // The member leaves mid-campaign: the quit is deferred.
         e.local_leave(t(91), g(1));
@@ -507,7 +508,7 @@ mod tests {
                 ControlMessage::EchoReply { group: g(1), origin: up_hop().addr, group_mask: None },
             );
         }
-        assert_eq!(e.stats().parent_failures, 0);
+        assert_eq!(e.obs().parent_failures, 0);
         assert_eq!(e.parent_of(g(1)), Some(up_hop().addr));
     }
 
@@ -569,7 +570,7 @@ mod tests {
             assert_eq!(entries, keys, "round {round}: a stale timer entry appeared");
         }
         assert_eq!(requests, 1000, "one echo request per interval");
-        assert_eq!(e.stats().parent_failures, 0);
+        assert_eq!(e.obs().parent_failures, 0);
         assert_eq!(e.children_of(g(1)).len(), 1);
     }
 
@@ -678,7 +679,7 @@ mod tests {
         // Neither parent may time out at t=90 (last_reply was t=31).
         e.on_timer(t(60));
         e.on_timer(t(90));
-        assert_eq!(e.stats().parent_failures, 0);
+        assert_eq!(e.obs().parent_failures, 0);
     }
 
     /// Regression for the §8.4 re-clock loop: refreshing one parent's

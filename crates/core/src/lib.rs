@@ -97,7 +97,7 @@ pub mod timers;
 
 pub use config::CbtConfig;
 pub use engine::{CbtRouter, ProtocolPhase, RouteLookup, SharedRib};
-pub use events::{RouterAction, RouterStats};
+pub use events::RouterAction;
 pub use fib::{Fib, FibEntry, MAX_CHILDREN};
 pub use netscale::{addr_node, node_addr, FleetRib, FleetRoutes, P2pNode, SharedFleetRib};
 pub use parallelism::Parallelism;

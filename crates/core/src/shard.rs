@@ -31,10 +31,9 @@
 //!
 //! `next_wakeup` is the min over per-shard timer peeks; `on_timer`
 //! visits due shards in index order, which keeps multi-shard instants
-//! deterministic. Snapshots ([`ShardedRouter::stats`],
-//! [`ShardedRouter::obs_snapshot`]) merge across shards with the same
-//! associative/commutative folds the parallel eval runner uses across
-//! seeds.
+//! deterministic. [`ShardedRouter::obs_snapshot`] merges across shards
+//! with the same associative/commutative fold the parallel eval runner
+//! uses across seeds.
 //!
 //! The front is the only way into a router's shards: every per-group
 //! query steers to the owner and every counter view merges, so no
@@ -42,7 +41,7 @@
 
 use crate::config::CbtConfig;
 use crate::engine::{CbtRouter, IfaceInfo, RouteLookup};
-use crate::events::{RouterAction, RouterStats};
+use crate::events::RouterAction;
 use cbt_netsim::SimTime;
 use cbt_obs::{ObsSnapshot, RouterObs};
 use cbt_topology::{IfIndex, NetworkSpec, RouterId};
@@ -427,15 +426,6 @@ impl ShardedRouter {
         self.shards[0].obs_mut()
     }
 
-    /// Behaviour counters summed across local shards.
-    pub fn stats(&self) -> RouterStats {
-        let mut total = RouterStats::default();
-        for s in &self.shards {
-            total.merge(&s.stats());
-        }
-        total
-    }
-
     /// Counter snapshot merged across local shards, labelled once with
     /// the router address. Merge order is irrelevant — `ObsSnapshot`
     /// merge is associative and commutative (see the obs crate's
@@ -560,7 +550,7 @@ mod tests {
                 "timer actions diverge at step {step}"
             );
         }
-        assert_eq!(plain.stats(), front.stats());
+        assert_eq!(plain.obs_snapshot(), front.obs_snapshot());
     }
 
     #[test]
@@ -708,7 +698,6 @@ mod tests {
 
         assert_eq!(single.obs_snapshot(), front.obs_snapshot());
         assert!(front.obs_snapshot().data_forwarded >= 24, "data actually flowed");
-        assert_eq!(single.stats(), front.stats());
     }
 
     #[test]
@@ -729,8 +718,8 @@ mod tests {
         let by_hand: usize = (0..4).map(|k| r.shard(k).obs().groups().len()).sum();
         assert_eq!(merged.groups.len(), 32, "every group visible in the merged snapshot");
         assert_eq!(by_hand, 32, "each group counted on exactly one shard");
-        let stats = r.stats();
-        let per_shard: u64 = (0..4).map(|k| r.shard(k).stats().joins_originated).sum();
-        assert_eq!(stats.joins_originated, per_shard);
+        let per_shard: u64 = (0..4).map(|k| r.shard(k).obs().joins_originated).sum();
+        assert_eq!(per_shard, 32, "one join originated per group");
+        assert_eq!(merged.joins_originated, per_shard);
     }
 }

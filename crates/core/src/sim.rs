@@ -12,7 +12,7 @@ use crate::payload::Payload;
 use crate::shard::ShardedRouter;
 use cbt_igmp::{HostMembership, IgmpTimers};
 use cbt_netsim::{Bytes, Outbox, SimNode, SimTime};
-use cbt_obs::DropReason;
+use cbt_obs::{DropReason, ObsSnapshot};
 use cbt_topology::IfIndex;
 use cbt_wire::data::PAYLOAD_OFFSET;
 use cbt_wire::ipv4::{split_datagram, write_datagram_with_ttl};
@@ -653,6 +653,22 @@ impl CbtWorld {
     /// Recomputes the shared RIB from the current failure set.
     pub fn recompute_routes(&self) {
         SharedRib::recompute(&self.rib, self.world.failures());
+    }
+
+    /// Fleet-wide counters: every up router's snapshot merged in id
+    /// order under the label `"fleet"`. Deterministic for a
+    /// deterministic run, so safe to embed in byte-compared output.
+    pub fn obs_snapshot(&self) -> ObsSnapshot {
+        let mut fleet = ObsSnapshot { router: "fleet".into(), ..Default::default() };
+        for i in 0..self.net.routers.len() {
+            let r = cbt_topology::RouterId(i as u32);
+            if self.world.failures().router_down(r) {
+                continue;
+            }
+            let node = self.world.node::<RouterNode>(cbt_netsim::Entity::Router(r));
+            fleet.merge(&node.expect("router exists").sharded().obs_snapshot());
+        }
+        fleet
     }
 }
 

@@ -234,6 +234,7 @@ mod tests {
     use super::*;
     use crate::engine::testutil::*;
     use crate::CbtConfig;
+    use cbt_obs::CtlKind;
     use cbt_wire::{AckSubcode, JoinSubcode};
     use std::collections::BTreeMap;
 
@@ -377,7 +378,7 @@ mod tests {
             down_addr(),
             ControlMessage::QuitRequest { group: g(), origin: down_addr() },
         );
-        assert_eq!(e.stats().quits_sent, 1);
+        assert_eq!(e.obs().ctl.sent(CtlKind::QuitRequest), 1);
         // No ack: retransmit on the quit interval (5 s default).
         let act = e.on_timer(t(15));
         assert!(act.iter().any(|a| matches!(
@@ -408,7 +409,11 @@ mod tests {
             down_addr(),
             ControlMessage::QuitRequest { group: g(), origin: down_addr() },
         );
-        assert_eq!(e.stats().quits_sent, 1, "the cascade quit went to the parent on if1");
+        assert_eq!(
+            e.obs().ctl.sent(CtlKind::QuitRequest),
+            1,
+            "the cascade quit went to the parent on if1"
+        );
         let retransmits = |act: &[RouterAction]| {
             act.iter().any(|a| {
                 matches!(

@@ -221,9 +221,9 @@ fn check_invariants(e: &CbtRouter) {
             assert!(!e.is_my_addr(c.addr), "{g}: self as child");
         }
     }
-    // next_wakeup, stats and accessors never panic.
+    // next_wakeup, counters and accessors never panic.
     let _ = e.next_wakeup();
-    let _ = e.stats();
+    let _ = e.obs_snapshot();
 }
 
 proptest! {
@@ -265,7 +265,7 @@ proptest! {
                 .iter()
                 .map(|(g, en)| (g, en.parent.map(|p| p.addr), en.children.len()))
                 .collect();
-            (outputs, fib, e.stats())
+            (outputs, fib, e.obs_snapshot())
         };
         prop_assert_eq!(run(&inputs), run(&inputs));
     }

@@ -90,16 +90,16 @@ pub fn run(p: &Params) -> Report {
                 }
             }
         }
-        (samples, first, later, setup.obs_fleet())
+        (samples, first, later, setup.cw.obs_snapshot())
     });
-    let mut fleet_obs = cbt_obs::ObsSnapshot { router: "fleet".into(), ..Default::default() };
+    let mut fleet = cbt_obs::ObsSnapshot { router: "fleet".into(), ..Default::default() };
     for (samples, first, later, obs) in trials {
         for (dist, latency_ms) in samples {
             by_distance.entry(dist).or_default().push(latency_ms);
         }
         first_vs_later.0.extend(first);
         first_vs_later.1.extend(later);
-        fleet_obs.merge(&obs);
+        fleet.merge(&obs);
     }
 
     let mut table = Table::new(["hops to core", "joins", "mean ms", "p95 ms", "max ms"]);
@@ -124,7 +124,7 @@ pub fn run(p: &Params) -> Report {
         "first_per_hop_ms": first.mean,
         "later_per_hop_ms": later.mean,
     });
-    report.attach_obs(&fleet_obs);
+    report.attach_obs(&fleet);
     report.finding(
         "Join latency is one control round-trip along the unicast path (grows with hop count); \
          later joiners terminate at the nearest on-tree router and attach faster than the \

@@ -614,7 +614,8 @@ pub fn run(p: &Params) -> Report {
             "full_equiv_wall_ms": full_equiv_ms,
             "wall_ratio": wall_ratio,
         },
-        "spf": stats.to_json(),
+        "spf": serde_json::from_str::<serde_json::Value>(&stats.to_json())
+            .expect("SpfStats exports valid JSON"),
     });
     report.finding(format!(
         "At {} routers / {} member-sessions the arena-backed graph routes without per-query \
@@ -710,6 +711,8 @@ mod tests {
         // we only pin that the repairs were meaningfully cheaper even at
         // toy scale.
         assert!(j["flaps"]["touched_ratio"].as_f64().unwrap() > 3.0);
+        // The SPF counters are embedded as an object, not as a string.
+        assert!(j["spf"]["repairs"].as_u64().unwrap() > 0, "spf: {}", j["spf"]);
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub fn run(p: &Params) -> Report {
         "dvmrp steady msgs/min",
     ]);
     let mut rows_json = Vec::new();
-    let mut fleet_obs = cbt_obs::ObsSnapshot { router: "fleet".into(), ..Default::default() };
+    let mut fleet = cbt_obs::ObsSnapshot { router: "fleet".into(), ..Default::default() };
 
     for &m in &p.group_sizes {
         if m > p.n {
@@ -118,10 +118,10 @@ pub fn run(p: &Params) -> Report {
                 let out = flood_and_prune(&graph, src, &members);
                 cycle_msgs += out.total_messages();
             }
-            (setup_msgs, per_min, cycle_msgs as f64, setup.obs_fleet())
+            (setup_msgs, per_min, cycle_msgs as f64, setup.cw.obs_snapshot())
         });
         for (setup_msgs, per_min, cycle_msgs, obs) in trials {
-            fleet_obs.merge(&obs);
+            fleet.merge(&obs);
             // CbtConfig::fast() compresses timers 10×, so a real
             // deployment sends 10× fewer steady-state messages.
             cbt_setup += setup_msgs;
@@ -157,7 +157,7 @@ pub fn run(p: &Params) -> Report {
         "params": {"n": p.n, "group_sizes": p.group_sizes, "senders": p.senders},
         "rows": rows_json,
     });
-    report.attach_obs(&fleet_obs);
+    report.attach_obs(&fleet);
     report.finding(
         "CBT setup cost tracks membership (a join/ack pair per new tree hop); flood-and-prune \
          setup tracks the whole topology times the sender count, and repeats every prune \

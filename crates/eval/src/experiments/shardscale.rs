@@ -289,7 +289,7 @@ fn drive(n: usize, shards: usize, packets_per_group: usize, measure_secs: u64) -
         }
     }
 
-    let forwarded: u64 = slices.iter().map(|s| s.stats().data_forwarded).sum();
+    let forwarded: u64 = slices.iter().map(|s| s.obs_snapshot().data_forwarded).sum();
     let fib_total: usize = slices.iter().map(|s| s.fib_len()).sum();
     assert_eq!(fib_total, n, "churn rejoins keep the FIB population at {n}");
 

@@ -774,7 +774,7 @@ pub fn run(p: &Params) -> Report {
             "dropped_link_down": trace.dropped_link_down,
             "dropped_node_down": trace.dropped_node_down,
             "kicks": tally.rejoin_kicks,
-            "parent_failures": harvest.parent_failures,
+            "parent_failures": harvest.obs.parent_failures,
             "rib_version": rib_version,
             "rib_repair_touched": tally.repair_touched,
             "heal_rounds": heal_rounds,

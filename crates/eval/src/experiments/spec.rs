@@ -95,7 +95,7 @@ pub fn e2() -> Report {
     let mut report = Report::new("Spec-E2", "§2.6: proxy-ack on S4 — R2 becomes G-DR");
     report.table("message ledger (from B's join)", ledger(&cw, t(3)));
     report.table("resulting tree state", tree_table(&mut cw, &fig));
-    let r2 = cw.router(fig.router(2)).sharded().stats();
+    let r2 = cw.router(fig.router(2)).sharded().obs_snapshot();
     let r6_state = cw.router(fig.router(6)).sharded().is_on_tree(GROUP);
     report.finding(format!(
         "R2 sent {} proxy-ack(s); R6 on-tree = {} (the D-DR keeps no FIB entry)",
@@ -233,7 +233,7 @@ pub fn e5() -> Report {
         }
         t2
     });
-    let loops = cw.router(r(3)).sharded().stats().loops_broken;
+    let loops = cw.router(r(3)).sharded().obs_snapshot().loops_broken;
     report.finding(format!(
         "R3 detected and broke the loop {loops} time(s) via its own NACTIVE rejoin"
     ));
@@ -261,7 +261,7 @@ pub fn e6() -> Report {
         "R9 (secondary core) on-tree = {}, parent = {:?}, parent failures seen = {}",
         r9.is_on_tree(GROUP),
         r9.parent_of(GROUP),
-        r9.stats().parent_failures,
+        r9.obs_snapshot().parent_failures,
     ));
     report.json = json!({"r9_on_tree": r9.is_on_tree(GROUP)});
     report

@@ -126,7 +126,8 @@ pub struct Sample {
 /// What [`Fleet::harvest`] collects from every router.
 pub struct Harvest {
     /// Every engine's counters merged (its `join_rtt_us` is the fleet's
-    /// join-RTT histogram: originators record on ack receipt).
+    /// join-RTT histogram: originators record on ack receipt; its
+    /// `parent_failures` the §6.1 parent failures detected).
     pub obs: ObsSnapshot,
     /// Frames that failed to decode, fleet-wide.
     pub decode_errors: u64,
@@ -134,8 +135,6 @@ pub struct Harvest {
     pub encode_errors: u64,
     /// Non-control emissions a p2p fleet cannot carry, fleet-wide.
     pub dropped_non_control: u64,
-    /// §6.1 parent failures detected, fleet-wide.
-    pub parent_failures: u64,
 }
 
 impl Harvest {
@@ -814,7 +813,6 @@ impl Fleet {
             decode_errors: 0,
             encode_errors: 0,
             dropped_non_control: 0,
-            parent_failures: 0,
         };
         for i in 0..self.n {
             let nd = self.world.node(i);
@@ -822,7 +820,6 @@ impl Fleet {
             h.decode_errors += nd.decode_errors;
             h.encode_errors += nd.encode_errors;
             h.dropped_non_control += nd.dropped_non_control;
-            h.parent_failures += nd.router.stats().parent_failures;
         }
         assert_eq!(h.decode_errors, 0, "the fleet must decode every frame");
         assert_eq!(h.encode_errors, 0, "the fleet must encode every control message");
@@ -834,6 +831,7 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbt_obs::CtlKind;
 
     #[derive(Clone, Copy)]
     enum Op {
@@ -877,12 +875,12 @@ mod tests {
                 }
             };
             f.run_until_us(f.now_us() + 1_000_000);
-            let stats = f.world.node(r).router.stats();
+            let obs = f.world.node(r).router.obs_snapshot();
             assert_eq!(ok, accepted, "step {step}: accepted");
             assert_eq!(f.tally().concurrent, sessions, "step {step}: live sessions");
             assert_eq!(f.is_member(0, r), member, "step {step}: ledger membership");
-            assert_eq!(stats.joins_originated, joins, "step {step}: joins originated");
-            assert_eq!(stats.quits_sent, quits, "step {step}: quits sent");
+            assert_eq!(obs.joins_originated, joins, "step {step}: joins originated");
+            assert_eq!(obs.ctl.sent(CtlKind::QuitRequest), quits, "step {step}: quits sent");
             assert_eq!(f.rooted(0, r), member, "step {step}: rooted");
         }
         assert!(f.dead_leaves.is_empty(), "the forgiven leave drained the dead ledger");

@@ -39,7 +39,7 @@ impl Report {
     }
 
     /// Attaches a counter snapshot (usually the fleet aggregate from
-    /// [`crate::simrun::SimSetup::obs_fleet`]). The snapshot's own JSON
+    /// [`cbt::CbtWorld::obs_snapshot`]). The snapshot's own JSON
     /// exporter is the schema authority; this just re-parses it into
     /// the report's machine-readable value.
     pub fn attach_obs(&mut self, snap: &cbt_obs::ObsSnapshot) -> &mut Self {

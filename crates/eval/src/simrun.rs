@@ -73,18 +73,6 @@ impl SimSetup {
             self.cw.router(r).sharded().is_on_tree(group)
         })
     }
-
-    /// Fleet-wide observability aggregate: every router's counter
-    /// snapshot (drop taxonomy, protocol counters, latency histograms)
-    /// merged into one. Deterministic for a deterministic run — safe to
-    /// embed in byte-compared experiment output.
-    pub fn obs_fleet(&mut self) -> cbt_obs::ObsSnapshot {
-        let mut fleet = cbt_obs::ObsSnapshot { router: "fleet".into(), ..Default::default() };
-        for i in 0..self.graph.node_count() {
-            fleet.merge(&self.cw.router(RouterId(i as u32)).sharded().obs_snapshot());
-        }
-        fleet
-    }
 }
 
 #[cfg(test)]

@@ -96,21 +96,17 @@ pub fn steer_frame(frame: &[u8], shards: usize) -> Steer {
     }
 }
 
-/// Tuning knobs for the live data plane, shared by the fabric and the
-/// node task loops.
+/// Tuning for the live data plane's fabric.
 #[derive(Debug, Clone, Copy)]
 pub struct DataPlaneConfig {
     /// Bounded inbox capacity per node; beyond it frames are dropped
     /// and counted ([`FabricStats::dropped_overflow`]).
     pub inbox_capacity: usize,
-    /// How many queued frames a node task drains per wakeup before
-    /// flushing its outbox.
-    pub rx_batch: usize,
 }
 
 impl Default for DataPlaneConfig {
     fn default() -> Self {
-        DataPlaneConfig { inbox_capacity: 2048, rx_batch: 64 }
+        DataPlaneConfig { inbox_capacity: 2048 }
     }
 }
 
@@ -549,7 +545,7 @@ mod tests {
         outbox.push(send(IfIndex(7), None, data(0, 0))); // no such interface
         outbox.push(send(lan_if, None, query));
 
-        let dp = DataPlaneConfig { inbox_capacity: 4, ..Default::default() };
+        let dp = DataPlaneConfig { inbox_capacity: 4 };
         let (one_by_one, mut rx_a) = keyed(&net, dp, 4);
         let (batched, mut rx_b) = keyed(&net, dp, 4);
         for t in &outbox {
@@ -596,7 +592,7 @@ mod tests {
     async fn overflow_is_dropped_and_counted() {
         let (net, r0, r1, _) = lan_pair();
         let r1_addr = net.routers[r1.0 as usize].ifaces[0].addr;
-        let dp = DataPlaneConfig { inbox_capacity: 4, ..Default::default() };
+        let dp = DataPlaneConfig { inbox_capacity: 4 };
         let (fabric, mut rxs) = unsharded(&net, dp);
         let t = Transmit { iface: IfIndex(0), link_dst: Some(r1_addr), frame: frame(&[1]) };
         for _ in 0..10 {

@@ -5,10 +5,11 @@
 //! Both ends do their work once per *run* of frames, not once per
 //! frame. [`Inbox::push_run`] enqueues a whole run of transmissions
 //! for one recipient under one lock and wakes the receiver at most
-//! once; [`InboxRx::recv_batch`] drains a task's whole `rx_batch`
-//! under one lock. Capacity is still checked frame by frame, so what
-//! is accepted, what overflows and the order frames come out in are
-//! exactly those of pushing and popping one frame at a time.
+//! once; [`InboxRx::recv_batch`] drains a task's whole
+//! [`RX_BATCH`](crate::live::RX_BATCH) under one lock. Capacity is
+//! still checked frame by frame, so what is accepted, what overflows
+//! and the order frames come out in are exactly those of pushing and
+//! popping one frame at a time.
 
 use cbt_netsim::Bytes;
 use cbt_topology::IfIndex;

@@ -2,7 +2,7 @@
 //! timers, command/query channels for the application layer.
 //!
 //! The node task loops are the live data plane's hot path: each wakeup
-//! takes up to [`DataPlaneConfig::rx_batch`] queued frames out of the
+//! takes up to [`RX_BATCH`] queued frames out of the
 //! inbox under one lock, runs them through the engine, and hands the
 //! whole outbox to [`Fabric::dispatch_batch`] in place, so steady state
 //! forwards without per-wakeup allocations.
@@ -19,6 +19,10 @@ use std::sync::Arc;
 use tokio::sync::{mpsc, oneshot};
 use tokio::task::JoinHandle;
 use tokio::time::{Duration, Instant};
+
+/// How many queued frames a node task drains per wakeup before
+/// flushing its outbox.
+pub const RX_BATCH: usize = 64;
 
 /// Commands the application layer sends to a host task.
 enum HostCmd {
@@ -44,8 +48,6 @@ pub struct RouterSnapshot {
     pub parent: Option<Addr>,
     /// Child addresses.
     pub children: Vec<Addr>,
-    /// Behaviour counters.
-    pub stats: cbt::RouterStats,
     /// Full observability snapshot: drop taxonomy, per-group protocol
     /// counters, latency histograms. [`LiveNet::router_snapshot`] folds
     /// the fabric's transport-level drops for this node (inbox
@@ -108,8 +110,7 @@ impl LiveNet {
         LiveNet::spawn_with(net, cfg, DataPlaneConfig::default())
     }
 
-    /// Spawns with explicit data-plane tuning: inbox depth and how many
-    /// queued frames a task drains per wakeup.
+    /// Spawns with explicit data-plane tuning (inbox depth).
     pub fn spawn_with(net: NetworkSpec, cfg: CbtConfig, dp: DataPlaneConfig) -> LiveNet {
         let shards = cfg.shards.max(1);
         let net = Arc::new(net);
@@ -143,7 +144,6 @@ impl LiveNet {
                             rx,
                             cmd_rx,
                             epoch,
-                            dp,
                         )));
                     }
                     router_cmds.insert(me, cmd_txs);
@@ -160,7 +160,6 @@ impl LiveNet {
                         rx,
                         cmd_rx,
                         epoch,
-                        dp,
                     )));
                 }
             }
@@ -217,7 +216,7 @@ impl LiveNet {
     ///
     /// Under sharding the per-group tree fields (`on_tree`, `parent`,
     /// `children`) come from the shard that owns the group, while
-    /// `stats` and `obs` are merged across every shard — the answer is
+    /// `obs` is merged across every shard — the answer is
     /// indistinguishable from an unsharded router's for event-driven
     /// counters.
     pub async fn router_snapshot(
@@ -237,7 +236,6 @@ impl LiveNet {
         // other shards' counters in.
         let mut snap = snaps.swap_remove(owner);
         for other in &snaps {
-            snap.stats.merge(&other.stats);
             snap.obs.merge(&other.obs);
         }
         // Transport-level drops (bounded-inbox overflow) and inbox depth
@@ -284,7 +282,6 @@ async fn router_task(
     mut rx: InboxRx,
     mut cmds: mpsc::UnboundedReceiver<RouterCmd>,
     epoch: Instant,
-    dp: DataPlaneConfig,
 ) {
     let mut out = Outbox::new();
     let mut batch = Vec::new();
@@ -301,14 +298,13 @@ async fn router_task(
                             on_tree: e.is_on_tree(group),
                             parent: e.parent_of(group),
                             children: e.children_of(group),
-                            stats: e.stats(),
                             obs: e.obs_snapshot(),
                             inbox_high_water: 0,
                         });
                     }
                 }
             }
-            _ = rx.recv_batch(dp.rx_batch, &mut batch) => {
+            _ = rx.recv_batch(RX_BATCH, &mut batch) => {
                 let now = instant_to_sim(epoch, Instant::now());
                 receive_batch(&mut node, &mut batch, now, &mut out);
             }
@@ -329,7 +325,6 @@ async fn host_task(
     mut rx: InboxRx,
     mut cmds: mpsc::UnboundedReceiver<HostCmd>,
     epoch: Instant,
-    dp: DataPlaneConfig,
 ) {
     let mut out = Outbox::new();
     let mut batch = Vec::new();
@@ -367,7 +362,7 @@ async fn host_task(
                     }
                 }
             }
-            _ = rx.recv_batch(dp.rx_batch, &mut batch) => {
+            _ = rx.recv_batch(RX_BATCH, &mut batch) => {
                 let now = instant_to_sim(epoch, Instant::now());
                 receive_batch(&mut app, &mut batch, now, &mut out);
             }
@@ -402,6 +397,7 @@ async fn sleep_maybe(deadline: Option<Instant>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbt_obs::CtlKind;
     use cbt_topology::NetworkBuilder;
 
     fn chain() -> (NetworkSpec, RouterId, RouterId, RouterId, HostId, HostId) {
@@ -462,7 +458,7 @@ mod tests {
         tokio::time::sleep(Duration::from_secs(10)).await;
         let snap = live.router_snapshot(r0, group).await.unwrap();
         assert!(!snap.on_tree, "quit after leave: {snap:?}");
-        assert!(snap.stats.quits_sent >= 1);
+        assert!(snap.obs.ctl.sent(CtlKind::QuitRequest) >= 1);
         live.shutdown();
     }
 
@@ -477,8 +473,8 @@ mod tests {
         // fast echo interval = 3 s; run 12 s.
         tokio::time::sleep(Duration::from_secs(12)).await;
         let snap = live.router_snapshot(r0, group).await.unwrap();
-        assert!(snap.stats.echo_requests_sent >= 2, "{snap:?}");
-        assert_eq!(snap.stats.parent_failures, 0, "parent stayed alive");
+        assert!(snap.obs.ctl.sent(CtlKind::EchoRequest) >= 2, "{snap:?}");
+        assert_eq!(snap.obs.parent_failures, 0, "parent stayed alive");
         live.shutdown();
     }
 
@@ -547,10 +543,11 @@ mod tests {
         let snap_b = live.router_snapshot(r0, gb).await.unwrap();
         assert!(!snap_a.on_tree, "left group torn down: {snap_a:?}");
         assert!(snap_b.on_tree, "other shard's tree untouched: {snap_b:?}");
-        // The merged stats see both shards' activity: the quit that
+        // The merged counters see both shards' activity: the quit that
         // tore ga down and the joins from both groups.
-        assert!(snap_b.stats.quits_sent >= 1, "merged stats span shards: {:?}", snap_b.stats);
-        assert!(snap_b.stats.joins_originated >= 2, "{:?}", snap_b.stats);
+        let obs = &snap_b.obs;
+        assert!(obs.ctl.sent(CtlKind::QuitRequest) >= 1, "merged counters span shards: {obs:?}");
+        assert!(obs.joins_originated >= 2, "{obs:?}");
         live.shutdown();
     }
 
@@ -570,7 +567,7 @@ mod tests {
             let h = b.host("H", lan);
             let group = GroupId::numbered(3);
             let cfg = CbtConfig { shards, ..CbtConfig::fast() };
-            let dp = DataPlaneConfig { inbox_capacity: CAPACITY, ..Default::default() };
+            let dp = DataPlaneConfig { inbox_capacity: CAPACITY };
             let live = LiveNet::spawn_with(b.build(), cfg, dp);
 
             let burst = (0..BURST).map(|i| vec![i as u8; 8]).collect();

@@ -405,6 +405,18 @@ pub struct RouterObs {
     /// Data packets forwarded (transit or fan-out; one per handled
     /// packet that produced at least one send).
     pub data_forwarded: u64,
+    /// JOIN_REQUESTs this router originated (not forwarded).
+    pub joins_originated: u64,
+    /// JOIN_REQUESTs forwarded hop-by-hop.
+    pub joins_forwarded: u64,
+    /// PROXY-ACKs sent (a subset of the sent `join_ack`s).
+    pub proxy_acks_sent: u64,
+    /// Parent failures detected (echo timeout).
+    pub parent_failures: u64,
+    /// Loops broken by the §6.3 NACTIVE mechanism.
+    pub loops_broken: u64,
+    /// Joins cached while a join for the same group was pending (§2.5).
+    pub joins_cached: u64,
     /// Data packets delivered to a locally attached member LAN.
     pub data_delivered: u64,
     /// Router-wide control counters (sum over groups).
@@ -477,6 +489,12 @@ impl RouterObs {
             router: router.to_string(),
             drops: self.drops,
             data_forwarded: self.data_forwarded,
+            joins_originated: self.joins_originated,
+            joins_forwarded: self.joins_forwarded,
+            proxy_acks_sent: self.proxy_acks_sent,
+            parent_failures: self.parent_failures,
+            loops_broken: self.loops_broken,
+            joins_cached: self.joins_cached,
             data_delivered: self.data_delivered,
             ctl: self.ctl,
             groups: self.groups.iter().copied().collect(),
@@ -493,13 +511,21 @@ impl RouterObs {
 }
 
 /// Exportable snapshot of one router's counters — or, after
-/// [`ObsSnapshot::merge`], an aggregate over many routers.
+/// [`ObsSnapshot::merge`], an aggregate over many routers. The six
+/// join and failure counters (`joins_originated` to `joins_cached`)
+/// merge like the rest but are not yet part of the exported schema.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObsSnapshot {
     /// Label: a router name, or an aggregate tag like `"fleet"`.
     pub router: String,
     pub drops: DropCounters,
     pub data_forwarded: u64,
+    pub joins_originated: u64,
+    pub joins_forwarded: u64,
+    pub proxy_acks_sent: u64,
+    pub parent_failures: u64,
+    pub loops_broken: u64,
+    pub joins_cached: u64,
     pub data_delivered: u64,
     pub ctl: ProtocolCounters,
     pub groups: BTreeMap<u32, ProtocolCounters>,
@@ -570,6 +596,12 @@ impl ObsSnapshot {
     pub fn merge(&mut self, other: &ObsSnapshot) {
         self.drops.merge(&other.drops);
         self.data_forwarded += other.data_forwarded;
+        self.joins_originated += other.joins_originated;
+        self.joins_forwarded += other.joins_forwarded;
+        self.proxy_acks_sent += other.proxy_acks_sent;
+        self.parent_failures += other.parent_failures;
+        self.loops_broken += other.loops_broken;
+        self.joins_cached += other.joins_cached;
         self.data_delivered += other.data_delivered;
         self.ctl.merge(&other.ctl);
         for (g, p) in &other.groups {
@@ -882,9 +914,32 @@ mod tests {
         b.drop_packet(DropReason::TtlExpired);
         b.drop_packet(DropReason::NoFibEntry);
         b.ctl_received(1, CtlKind::EchoRequest);
+        // Distinct per-field values: a counter the snapshot leaves out,
+        // or copies into its neighbour's slot, breaks the sums below.
+        for (o, n) in [(&mut a, 1), (&mut b, 10)] {
+            o.data_forwarded = n;
+            o.joins_originated = 2 * n;
+            o.joins_forwarded = 3 * n;
+            o.proxy_acks_sent = 4 * n;
+            o.parent_failures = 5 * n;
+            o.loops_broken = 6 * n;
+            o.joins_cached = 7 * n;
+            o.data_delivered = 8 * n;
+        }
         let mut fleet = a.snapshot("A");
         fleet.router = "fleet".into();
         fleet.merge(&b.snapshot("B"));
+        let counters = [
+            fleet.data_forwarded,
+            fleet.joins_originated,
+            fleet.joins_forwarded,
+            fleet.proxy_acks_sent,
+            fleet.parent_failures,
+            fleet.loops_broken,
+            fleet.joins_cached,
+            fleet.data_delivered,
+        ];
+        assert_eq!(counters, [11, 22, 33, 44, 55, 66, 77, 88]);
         assert_eq!(fleet.drops.get(DropReason::TtlExpired), 2);
         assert_eq!(fleet.drops.get(DropReason::NoFibEntry), 1);
         let g = fleet.groups.get(&1).unwrap();
@@ -943,6 +998,12 @@ mod tests {
             o.drop_packet(r);
         }
         o.data_forwarded = rng.next() % (1 << 32);
+        o.joins_originated = rng.next() % (1 << 32);
+        o.joins_forwarded = rng.next() % (1 << 32);
+        o.proxy_acks_sent = rng.next() % (1 << 32);
+        o.parent_failures = rng.next() % (1 << 32);
+        o.loops_broken = rng.next() % (1 << 32);
+        o.joins_cached = rng.next() % (1 << 32);
         o.data_delivered = rng.next() % (1 << 32);
         for _ in 0..(rng.next() % 16) {
             let g = 0xE000_0000 | (rng.next() as u32 % 8);

@@ -66,7 +66,7 @@ fn main() {
         let delivered = cw.host(receiver).received().len() > receiver_start;
         let failures: u64 = members
             .iter()
-            .map(|m| cw.router(RouterId(m.0)).sharded().stats().parent_failures)
+            .map(|m| cw.router(RouterId(m.0)).sharded().obs_snapshot().parent_failures)
             .sum();
         println!(
             "t={:>2}s after crash: probe {} — {} ({} parent-failure events so far, {}/{} DRs attached)",

@@ -11,6 +11,7 @@
 
 use cbt::CbtConfig;
 use cbt_node::LiveNet;
+use cbt_obs::CtlKind;
 use cbt_topology::NetworkBuilder;
 use cbt_wire::GroupId;
 use std::time::Duration;
@@ -53,7 +54,7 @@ async fn main() {
             snap.on_tree,
             snap.parent,
             snap.children.len(),
-            snap.stats.echo_requests_sent
+            snap.obs.ctl.sent(CtlKind::EchoRequest)
         );
     }
 
@@ -77,12 +78,13 @@ async fn main() {
     println!("\nletting keepalives run for 7s of wall-clock time…");
     tokio::time::sleep(Duration::from_secs(7)).await;
     let snap = live.router_snapshot(r0, group).await.unwrap();
+    let echoes = snap.obs.ctl.sent(CtlKind::EchoRequest);
     println!(
-        "  R0 sent {} echo requests, detected {} parent failures",
-        snap.stats.echo_requests_sent, snap.stats.parent_failures
+        "  R0 sent {echoes} echo requests, detected {} parent failures",
+        snap.obs.parent_failures
     );
-    assert!(snap.stats.echo_requests_sent >= 2);
-    assert_eq!(snap.stats.parent_failures, 0);
+    assert!(echoes >= 2);
+    assert_eq!(snap.obs.parent_failures, 0);
 
     live.shutdown();
     println!("\nok: the same engine that passed the deterministic suite ran live.");

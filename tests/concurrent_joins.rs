@@ -92,7 +92,7 @@ fn chain_of_simultaneous_joins_uses_the_pending_cache() {
     for i in 1..5u32 {
         let engine = cw.router(RouterId(i)).sharded();
         assert!(engine.is_on_tree(group), "R{i} attached");
-        cached_total += engine.stats().joins_cached;
+        cached_total += engine.obs_snapshot().joins_cached;
     }
     assert!(
         cached_total > 0,

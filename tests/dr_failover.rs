@@ -41,9 +41,9 @@ fn lowest_addressed_router_is_initial_dr() {
     // The D-DR (lowest address on S0) originated the join and serves
     // the branch; the other router holds nothing.
     assert!(cw.router(r_low).sharded().is_on_tree(group));
-    assert_eq!(cw.router(r_low).sharded().stats().joins_originated, 1);
+    assert_eq!(cw.router(r_low).sharded().obs_snapshot().joins_originated, 1);
     assert!(!cw.router(r_high).sharded().is_on_tree(group));
-    assert_eq!(cw.router(r_high).sharded().stats().joins_originated, 0);
+    assert_eq!(cw.router(r_high).sharded().obs_snapshot().joins_originated, 0);
     assert!(await_quiescence(&mut cw, &[group], SimDuration::from_secs(30)));
     assert_tree_invariants(&cw, &[group]);
 }
@@ -74,10 +74,10 @@ fn surviving_router_takes_over_after_dr_death() {
     let survivor = cw.router(r_high).sharded();
     assert!(
         survivor.is_on_tree(group),
-        "survivor took over DR duty and joined: stats {:?}",
-        survivor.stats()
+        "survivor took over DR duty and joined: {:?}",
+        survivor.obs_snapshot()
     );
-    assert!(survivor.stats().joins_originated >= 1);
+    assert!(survivor.obs_snapshot().joins_originated >= 1);
 
     // And the takeover carries data: the core forwards down to Rhigh.
     let children = cw.router(r_core).sharded().children_of(group);

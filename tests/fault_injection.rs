@@ -102,7 +102,7 @@ fn keepalives_survive_mild_loss() {
     cw.world.run_until(SimTime::from_secs(60));
     let mut failures = 0;
     for m in &members {
-        failures += cw.router(RouterId(m.0)).sharded().stats().parent_failures;
+        failures += cw.router(RouterId(m.0)).sharded().obs_snapshot().parent_failures;
     }
     // A rare false failure is tolerable (the router re-attaches — that
     // is §6.1 working as designed), but wholesale flapping is a bug.

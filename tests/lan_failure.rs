@@ -66,10 +66,10 @@ fn tree_branch_over_a_lan_then_reroutes_when_it_fails() {
     // check of delivery using the member on S as receiver only.)
     // Instead verify keepalives now flow on the new branch: no further
     // parent failures accumulate.
-    let failures_now = cw.router(r_leaf).sharded().stats().parent_failures;
+    let failures_now = cw.router(r_leaf).sharded().obs_snapshot().parent_failures;
     cw.world.run_for(SimDuration::from_secs(20));
     assert_eq!(
-        cw.router(r_leaf).sharded().stats().parent_failures,
+        cw.router(r_leaf).sharded().obs_snapshot().parent_failures,
         failures_now,
         "the rerouted branch is stable"
     );

@@ -90,7 +90,7 @@ fn echo_aggregation_reduces_keepalive_traffic() {
         cw.world.run_until(SimTime::from_secs(32));
         let echoes = cw.world.trace().count(PacketKind::Control(ControlType::EchoRequest));
         let failures: u64 =
-            (0..2).map(|i| cw.router(RouterId(i)).sharded().stats().parent_failures).sum();
+            (0..2).map(|i| cw.router(RouterId(i)).sharded().obs_snapshot().parent_failures).sum();
         (echoes, failures)
     };
 

@@ -4,6 +4,7 @@
 
 use cbt::{CbtConfig, CbtWorld};
 use cbt_netsim::{Entity, PacketKind, SimDuration, SimTime, WorldConfig};
+use cbt_obs::CtlKind;
 use cbt_topology::{HostId, NetworkBuilder, NetworkSpec, RouterId};
 use cbt_wire::{ControlType, GroupId};
 
@@ -49,7 +50,7 @@ fn duplicate_reports_are_idempotent() {
     assert_eq!(core_children.len(), 2, "one child per branch, no duplicates");
     // R0 originated at most... the §2.6 rule: a pending join absorbs
     // re-triggers, so exactly one join went upstream from R0.
-    assert_eq!(cw.router(r0).sharded().stats().joins_originated, 1);
+    assert_eq!(cw.router(r0).sharded().obs_snapshot().joins_originated, 1);
 }
 
 /// A leave followed by an immediate re-join (membership flapping) ends
@@ -131,7 +132,7 @@ fn v02_narrative_e_leaves_r7_quits_r4_stays() {
     let r7 = fig.router(7);
     let r4 = fig.router(4);
     assert!(!cw.router(r7).sharded().is_on_tree(group), "R7 quit after E left");
-    assert!(cw.router(r7).sharded().stats().quits_sent >= 1);
+    assert!(cw.router(r7).sharded().obs_snapshot().ctl.sent(CtlKind::QuitRequest) >= 1);
     let r4_engine = cw.router(r4).sharded();
     assert!(r4_engine.is_on_tree(group), "R4 stays: children and member subnets remain");
     assert!(!r4_engine.children_of(group).is_empty());

@@ -5,6 +5,7 @@
 
 use cbt::{CbtConfig, CbtWorld, HostApp, RouterNode};
 use cbt_netsim::{Entity, PacketKind, SimTime, WorldConfig};
+use cbt_obs::CtlKind;
 use cbt_topology::{figure1, figure5_loop, Figure1, RouterId};
 use cbt_wire::{Addr, ControlType, GroupId};
 
@@ -111,7 +112,7 @@ fn e2_proxy_ack_on_s4() {
     let r6_engine = cw.router(r6).sharded();
     assert!(!r6_engine.is_on_tree(GROUP), "D-DR keeps no FIB entry after proxy-ack");
     assert!(!r6_engine.has_pending_join(GROUP));
-    assert!(r6_engine.stats().joins_originated >= 1, "R6 did originate the join");
+    assert!(r6_engine.obs_snapshot().joins_originated >= 1, "R6 did originate the join");
 
     // R2 is on-tree, parent R3, no children: it is the LAN's G-DR.
     let s4_iface = {
@@ -124,7 +125,7 @@ fn e2_proxy_ack_on_s4() {
     assert_eq!(r2_engine.parent_of(GROUP), Some(link_addr_between(&fig, r3, r2)));
     assert!(r2_engine.children_of(GROUP).is_empty(), "proxy-ack adds no child");
     assert!(r2_engine.is_gdr(s4_iface, GROUP), "R2 is the group-specific DR for S4");
-    assert_eq!(r2_engine.stats().proxy_acks_sent, 1);
+    assert_eq!(r2_engine.obs_snapshot().proxy_acks_sent, 1);
 
     // R3 terminated B's join (it was already on-tree from A's join):
     // its children are now R1 and R2.
@@ -151,7 +152,7 @@ fn e3_teardown_quit_from_r2() {
     let r3 = fig.router(3);
     // R2 has quit.
     assert!(!cw.router(r2).sharded().is_on_tree(GROUP), "branch R3–R2 torn down");
-    assert!(cw.router(r2).sharded().stats().quits_sent >= 1);
+    assert!(cw.router(r2).sharded().obs_snapshot().ctl.sent(CtlKind::QuitRequest) >= 1);
     // R3 keeps its entry: R1 is still a child.
     let r3_engine = cw.router(r3).sharded();
     assert!(r3_engine.is_on_tree(GROUP), "R3 cannot quit (§2.7: it has children)");
@@ -353,8 +354,8 @@ fn e5_loop_detection_and_recovery() {
     // REJOIN_ACTIVE (it has child R4) toward R6 — the loop forms and
     // must be broken.
     cw.world.run_until(t(25));
-    let r3_stats = cw.router(r(3)).sharded().stats();
-    assert!(r3_stats.loops_broken >= 1, "§6.3 loop detected and broken: {r3_stats:?}");
+    let r3_obs = cw.router(r(3)).sharded().obs_snapshot();
+    assert!(r3_obs.loops_broken >= 1, "§6.3 loop detected and broken: {r3_obs:?}");
     // No data may loop: while routing stays stale every rejoin attempt
     // loops and is broken, so R3 must never hold a settled parent
     // toward R6 (the looping direction). And §6.1's RECONNECT-TIMEOUT
