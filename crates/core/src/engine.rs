@@ -195,8 +195,12 @@ pub struct CbtRouter {
     /// Groups on a LAN served by *another* router's branch (we were
     /// proxy-acked, §2.6): group → the G-DR's address.
     pub(crate) proxy_handled: BTreeMap<(IfIndex, GroupId), Addr>,
-    /// Core lists learned from joins/acks/IGMP (§2.1 advertisements).
-    pub(crate) core_knowledge: BTreeMap<GroupId, Vec<Addr>>,
+    /// Core lists learned from joins/acks/IGMP (§2.1 advertisements):
+    /// one `(group, core)` pair per learned core, sorted by group, a
+    /// group's cores adjacent in rank order. Kept at exact capacity, so
+    /// the history costs 8 B per learned core and no allocation per
+    /// list. Written only through [`CbtRouter::learn_cores`].
+    pub(crate) core_knowledge: Vec<(GroupId, Addr)>,
     /// Groups with directly attached members reached through this
     /// router itself rather than through an IGMP-tracked LAN — the
     /// netscale point-to-point mode's substitute for host presence
@@ -286,9 +290,9 @@ impl CbtRouter {
     ///
     /// Its memory follows its protocol state: once a router's groups
     /// have left, its FIB, transient, timer, child-deadline and member
-    /// tables are freed again, and what remains of the churn is one
-    /// counter row per group it has seen ([`RouterObs::groups`]) plus
-    /// the core lists it has learned.
+    /// tables are freed again, and what remains of the churn is its
+    /// history at exact size: one 68 B counter row per group it has
+    /// seen ([`RouterObs::groups`]) and 8 B per core it has learned.
     ///
     /// Membership is driven through [`CbtRouter::local_join`] /
     /// [`CbtRouter::local_leave`] instead of LAN presence.
@@ -354,7 +358,7 @@ impl CbtRouter {
             transients: BTreeMap::new(),
             gdr: BTreeSet::new(),
             proxy_handled: BTreeMap::new(),
-            core_knowledge: BTreeMap::new(),
+            core_knowledge: Vec::new(),
             local_members: BTreeSet::new(),
             child_expiry: BTreeSet::new(),
             child_deadline_max: SimTime::ZERO,
@@ -521,15 +525,13 @@ impl CbtRouter {
     /// — anything past the encodable bound is dropped here so the
     /// engine can never construct a control message the wire rejects.
     pub fn cores_for(&self, group: GroupId) -> Option<Vec<Addr>> {
-        self.core_knowledge
-            .get(&group)
-            .cloned()
-            .or_else(|| self.cfg.managed_mappings.get(&group).cloned())
-            .map(|mut c| {
-                c.truncate(cbt_wire::header::MAX_CORES);
-                c
-            })
-            .filter(|c| !c.is_empty())
+        let learned = &self.core_knowledge[self.learned(group)];
+        let mut c = match learned {
+            [] => self.cfg.managed_mappings.get(&group)?.clone(),
+            _ => learned.iter().map(|&(_, c)| c).collect(),
+        };
+        c.truncate(cbt_wire::header::MAX_CORES);
+        (!c.is_empty()).then_some(c)
     }
 
     /// Records a core list for a group, as the engine does when any
@@ -540,14 +542,34 @@ impl CbtRouter {
     /// (primary first, so the highest-ranked cores survive): the wire
     /// format cannot carry them, and rejecting here keeps every later
     /// encode infallible. Lists arriving off the wire already satisfy
-    /// the bound — decode enforces it.
+    /// the bound — decode enforces it. An empty list leaves what is
+    /// known in place.
     pub fn learn_cores(&mut self, group: GroupId, cores: &[Addr]) {
         let known = &cores[..cores.len().min(cbt_wire::header::MAX_CORES)];
+        let at = self.learned(group);
         // Every join and ack on a settled tree repeats the list the
         // router already holds; only a change is worth a copy.
-        if !known.is_empty() && self.core_knowledge.get(&group).map(Vec::as_slice) != Some(known) {
-            self.core_knowledge.insert(group, known.to_vec());
+        if known.is_empty()
+            || self.core_knowledge[at.clone()].iter().map(|&(_, c)| c).eq(known.iter().copied())
+        {
+            return;
         }
+        let old = at.len();
+        // Exact capacity: grow by what the list gained, give back what
+        // it lost.
+        self.core_knowledge.reserve_exact(known.len().saturating_sub(old));
+        self.core_knowledge.splice(at, known.iter().map(|&c| (group, c)));
+        if known.len() < old {
+            self.core_knowledge.shrink_to_fit();
+        }
+    }
+
+    /// Where `group`'s learned cores sit in `core_knowledge` (an empty
+    /// range at its sorted position when none are known).
+    fn learned(&self, group: GroupId) -> std::ops::Range<usize> {
+        let start = self.core_knowledge.partition_point(|&(g, _)| g < group);
+        let len = self.core_knowledge[start..].partition_point(|&(g, _)| g == group);
+        start..start + len
     }
 
     /// Am I the primary core for this core list?
@@ -1043,6 +1065,60 @@ mod tests {
         e.learn_cores(g, &[]);
         assert!(e.cores_for(g).is_some(), "empty list does not erase knowledge");
         assert_eq!(e.cores_for(GroupId::numbered(99)), None);
+    }
+
+    /// The learned-core column against a `BTreeMap` model: lists that
+    /// grow, shrink, reorder, overflow `MAX_CORES` or arrive empty, for
+    /// groups learned in random order. After every step `cores_for`
+    /// agrees with the model, the column stays sorted with each group's
+    /// cores in rank order, and it never holds spare capacity.
+    #[test]
+    fn learned_cores_match_a_map_model() {
+        use cbt_wire::header::MAX_CORES;
+        let mut x: u64 = 0x5EED_C0DE_0000_0036;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let core = |n: u64| Addr::from_octets(10, 255, (n / 250) as u8, (n % 250) as u8 + 1);
+        for _ in 0..64 {
+            let mut e = engine(CbtConfig::default());
+            let mut model: BTreeMap<GroupId, Vec<Addr>> = BTreeMap::new();
+            for _ in 0..48 {
+                let g = GroupId::numbered(1 + (next() % 12) as u16);
+                let list: Vec<Addr> = match next() % 6 {
+                    // Empty: knowledge stays.
+                    0 => Vec::new(),
+                    // Over the encodable bound: truncated.
+                    1 => {
+                        (0..MAX_CORES as u64 + 1 + next() % 4).map(|_| core(next() % 40)).collect()
+                    }
+                    // The known list reversed: a reorder is a change.
+                    2 => {
+                        model.get(&g).map(|c| c.iter().rev().copied().collect()).unwrap_or_default()
+                    }
+                    // The known list again: nothing to write.
+                    3 => model.get(&g).cloned().unwrap_or_default(),
+                    // A fresh list, longer or shorter than the old.
+                    _ => (0..1 + next() % 4).map(|_| core(next() % 40)).collect(),
+                };
+                let known = &list[..list.len().min(MAX_CORES)];
+                if !known.is_empty() {
+                    model.insert(g, known.to_vec());
+                }
+                e.learn_cores(g, &list);
+                for n in 1..=12 {
+                    let g = GroupId::numbered(n);
+                    assert_eq!(e.cores_for(g), model.get(&g).cloned(), "group {n}");
+                }
+                let flat: Vec<(GroupId, Addr)> =
+                    model.iter().flat_map(|(g, c)| c.iter().map(move |&c| (*g, c))).collect();
+                assert_eq!(e.core_knowledge, flat);
+                assert_eq!(e.core_knowledge.capacity(), e.core_knowledge.len(), "no slack");
+            }
+        }
     }
 
     #[test]

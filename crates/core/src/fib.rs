@@ -237,6 +237,10 @@ impl Fib {
                         s
                     }
                     None => {
+                        // One slot at a time, as `RouterObs` grows its
+                        // rows: doubling would leave slack a router
+                        // keeps for as long as it stays on-tree.
+                        self.slots.reserve_exact(1);
                         self.slots.push(Some(FibEntry::default()));
                         self.slots.len() - 1
                     }
@@ -403,6 +407,7 @@ mod tests {
         // Group 3 recycled group 1's slot: the dense vector stays dense.
         assert_eq!(fib.slots.iter().filter(|s| s.is_some()).count(), 2);
         assert_eq!(fib.slots.len(), 2);
+        assert_eq!(fib.slots.capacity(), 2, "slots grow one at a time");
         let gs: Vec<_> = fib.groups().collect();
         assert_eq!(gs, vec![GroupId::numbered(2), GroupId::numbered(3)]);
     }

@@ -298,6 +298,26 @@ impl ProtocolCounters {
     }
 }
 
+/// One group's control counters as [`RouterObs`] stores them: the
+/// cells of a [`ProtocolCounters`] at 32 bits, saturating.
+#[derive(Debug, Clone, Copy, Default)]
+struct GroupRow {
+    sent: [u32; CtlKind::COUNT],
+    received: [u32; CtlKind::COUNT],
+}
+
+impl GroupRow {
+    fn widen(&self) -> ProtocolCounters {
+        ProtocolCounters { sent: self.sent.map(u64::from), received: self.received.map(u64::from) }
+    }
+}
+
+/// Counts one more in a per-group cell, stopping at `u32::MAX`.
+#[inline]
+fn bump(cell: &mut u32) {
+    *cell = cell.saturating_add(1);
+}
+
 /// Log2-bucketed latency histogram (microseconds). Bucket `i` holds
 /// samples in `[2^(i-1), 2^i)` (bucket 0 holds zero); recording is a
 /// couple of integer ops, no allocation.
@@ -419,14 +439,22 @@ pub struct RouterObs {
     pub joins_cached: u64,
     /// Data packets delivered to a locally attached member LAN.
     pub data_delivered: u64,
-    /// Router-wide control counters (sum over groups).
+    /// Router-wide control counters (sum over groups), exact.
     pub ctl: ProtocolCounters,
     /// Per-group control counters: one row per group address (as u32)
     /// ever counted, sorted by group. Touched only on the control path,
     /// and grown one row at a time, so its capacity is exactly the
     /// number of groups seen — a map would keep an 11-row node for a
     /// router that saw one group.
-    groups: Vec<(u32, ProtocolCounters)>,
+    ///
+    /// The rows are the router's history and outlive its groups, so a
+    /// row's cells are 32 bits wide ([`RouterObs::GROUP_ROW_BYTES`] per
+    /// group, key included) and saturate at `u32::MAX`. That is far off:
+    /// even at `CbtConfig::fast()`'s 3 s echo interval, a core with
+    /// 1 000 children in one group takes about 150 days of uptime to
+    /// count that many echoes. [`RouterObs::group`] and
+    /// [`RouterObs::groups`] widen a row to a [`ProtocolCounters`].
+    groups: Vec<(u32, GroupRow)>,
     /// JOIN_REQUEST → JOIN_ACK round-trip, µs, at the joining router.
     pub join_rtt_us: Histogram,
     /// Timer wakeup lag (fire time minus deadline), µs.
@@ -437,6 +465,10 @@ pub struct RouterObs {
 }
 
 impl RouterObs {
+    /// Heap bytes one per-group counter row costs, its group key
+    /// included.
+    pub const GROUP_ROW_BYTES: usize = std::mem::size_of::<(u32, GroupRow)>();
+
     pub fn new() -> Self {
         RouterObs::default()
     }
@@ -444,22 +476,22 @@ impl RouterObs {
     /// Counts a sent control message, router-wide and per-group.
     pub fn ctl_sent(&mut self, group: u32, kind: CtlKind) {
         self.ctl.bump_sent(kind);
-        self.group_row(group).bump_sent(kind);
+        bump(&mut self.group_row(group).sent[kind as usize]);
     }
 
     /// Counts a received control message, router-wide and per-group.
     pub fn ctl_received(&mut self, group: u32, kind: CtlKind) {
         self.ctl.bump_received(kind);
-        self.group_row(group).bump_received(kind);
+        bump(&mut self.group_row(group).received[kind as usize]);
     }
 
     /// The counter row for `group`, inserted in order on first use.
-    fn group_row(&mut self, group: u32) -> &mut ProtocolCounters {
+    fn group_row(&mut self, group: u32) -> &mut GroupRow {
         let i = match self.groups.binary_search_by_key(&group, |&(g, _)| g) {
             Ok(i) => i,
             Err(i) => {
                 self.groups.reserve_exact(1);
-                self.groups.insert(i, (group, ProtocolCounters::new()));
+                self.groups.insert(i, (group, GroupRow::default()));
                 i
             }
         };
@@ -467,14 +499,14 @@ impl RouterObs {
     }
 
     /// Control counters for one group, if any message of it was counted.
-    pub fn group(&self, group: u32) -> Option<&ProtocolCounters> {
+    pub fn group(&self, group: u32) -> Option<ProtocolCounters> {
         let i = self.groups.binary_search_by_key(&group, |&(g, _)| g).ok()?;
-        Some(&self.groups[i].1)
+        Some(self.groups[i].1.widen())
     }
 
     /// Every counted group with its control counters, ascending.
-    pub fn groups(&self) -> impl ExactSizeIterator<Item = (u32, &ProtocolCounters)> {
-        self.groups.iter().map(|(g, p)| (*g, p))
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = (u32, ProtocolCounters)> + '_ {
+        self.groups.iter().map(|(g, r)| (*g, r.widen()))
     }
 
     /// Counts a discard. Hot-path safe.
@@ -497,7 +529,7 @@ impl RouterObs {
             joins_cached: self.joins_cached,
             data_delivered: self.data_delivered,
             ctl: self.ctl,
-            groups: self.groups.iter().copied().collect(),
+            groups: self.groups().collect(),
             join_rtt_us: self.join_rtt_us.clone(),
             timer_lag_us: self.timer_lag_us.clone(),
             invariants: self.invariants,
@@ -872,6 +904,28 @@ mod tests {
         assert!(o.group(0xE0000303).is_none());
     }
 
+    /// A per-group cell stops at `u32::MAX`; the router-wide row, which
+    /// is `u64`, keeps counting exactly past it.
+    #[test]
+    fn group_cells_saturate_while_ctl_counts_on() {
+        let (g, k) = (0xE000_0101, CtlKind::EchoRequest);
+        let mut o = RouterObs::new();
+        o.ctl_received(g, k);
+        o.ctl_sent(g, CtlKind::EchoReply);
+        let near = u64::from(u32::MAX) - 1;
+        o.groups[0].1.received[k as usize] = u32::MAX - 1;
+        o.ctl.received[k as usize] = near;
+        for _ in 0..3 {
+            o.ctl_received(g, k);
+        }
+        let row = o.group(g).unwrap();
+        assert_eq!(row.received(k), u64::from(u32::MAX), "saturated, not wrapped");
+        assert_eq!(row.sent(CtlKind::EchoReply), 1, "the row's other cells are untouched");
+        assert_eq!(o.ctl.received(k), near + 3, "router-wide stays exact");
+        assert_eq!(o.snapshot("R").groups[&g].received(k), u64::from(u32::MAX));
+        assert_eq!(RouterObs::GROUP_ROW_BYTES, 68, "key plus 2 x 8 cells of 32 bits");
+    }
+
     /// The counter column against a `BTreeMap` model over random bumps
     /// to 64 groups: same rows in the same order, the same snapshot and
     /// JSON as a map-built one, and never a spare row of capacity.
@@ -893,9 +947,9 @@ mod tests {
                 }
                 assert_eq!(o.groups.capacity(), o.groups.len(), "a row per group seen, no slack");
             }
-            assert!(o.groups().map(|(g, p)| (g, *p)).eq(model.iter().map(|(g, p)| (*g, *p))));
+            assert!(o.groups().eq(model.iter().map(|(g, p)| (*g, *p))));
             for g in 0xE000_0000..0xE000_0040 {
-                assert_eq!(o.group(g), model.get(&g));
+                assert_eq!(o.group(g), model.get(&g).copied());
             }
             let snap = o.snapshot("R");
             let want = ObsSnapshot { groups: model, ..snap.clone() };
