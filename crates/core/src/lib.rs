@@ -71,7 +71,7 @@
 //!
 //! assert!(cw.router(r0).sharded().is_on_tree(group));
 //! assert_eq!(cw.host(receiver).received().len(), 1);
-//! assert_eq!(cw.host(receiver).received()[0].payload, b"hi");
+//! assert_eq!(cw.host(receiver).received().get(0).unwrap().payload, b"hi");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -101,6 +101,6 @@ pub use events::RouterAction;
 pub use fib::{Fib, FibEntry, MAX_CHILDREN};
 pub use netscale::{addr_node, node_addr, FleetRib, FleetRoutes, P2pNode, SharedFleetRib};
 pub use parallelism::Parallelism;
-pub use payload::{Payload, RX_COPYBREAK};
+pub use payload::{Deliveries, Delivery, RX_COPYBREAK};
 pub use shard::{shard_of, ShardedRouter};
-pub use sim::{CbtWorld, Delivery, HostApp, RouterNode};
+pub use sim::{CbtWorld, HostApp, RouterNode};

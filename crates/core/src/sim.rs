@@ -8,7 +8,7 @@
 
 use crate::engine::{RouteLookup, SharedRib};
 use crate::events::RouterAction;
-use crate::payload::Payload;
+use crate::payload::Deliveries;
 use crate::shard::ShardedRouter;
 use cbt_igmp::{HostMembership, IgmpTimers};
 use cbt_netsim::{Bytes, Outbox, SimNode, SimTime};
@@ -350,19 +350,6 @@ impl SimNode for RouterNode {
     }
 }
 
-/// One multicast payload delivered to a host application.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Delivery {
-    /// When it arrived.
-    pub at: SimTime,
-    /// Group it was addressed to.
-    pub group: GroupId,
-    /// Originating end-system.
-    pub src: Addr,
-    /// Application payload.
-    pub payload: Payload,
-}
-
 /// An application-level operation a host performs at a given time.
 #[derive(Debug, Clone)]
 enum HostOp {
@@ -379,7 +366,7 @@ pub struct HostApp {
     /// Pending operations, ascending by instant; same-instant ones in
     /// the order they were scheduled.
     schedule: VecDeque<(SimTime, HostOp)>,
-    received: Vec<Delivery>,
+    received: Deliveries,
     tree_joined: Vec<(SimTime, GroupId, Addr)>,
 }
 
@@ -390,7 +377,7 @@ impl HostApp {
             addr,
             membership: HostMembership::new(addr, igmp_version, timers),
             schedule: VecDeque::new(),
-            received: Vec::new(),
+            received: Deliveries::default(),
             tree_joined: Vec::new(),
         }
     }
@@ -431,7 +418,7 @@ impl HostApp {
     }
 
     /// Everything the application has received.
-    pub fn received(&self) -> &[Delivery] {
+    pub fn received(&self) -> &Deliveries {
         &self.received
     }
 
@@ -483,16 +470,15 @@ impl SimNode for HostApp {
             IpProto::Udp => {
                 // Application data: only for groups we are members of.
                 // The IP header is validated above and the UDP shell is
-                // summed once; the application then takes the payload
-                // by copy or by reference, by length (`RX_COPYBREAK`).
+                // summed once; the log then keeps the payload by copy or
+                // by reference, by length (`RX_COPYBREAK`).
                 let Some(group) = GroupId::new(hdr.dst) else { return };
                 if !self.membership.is_member(group) || hdr.src == self.addr {
                     return;
                 }
                 if let Ok((_, payload)) = UdpHeader::unwrap(body) {
                     let at = PAYLOAD_OFFSET..PAYLOAD_OFFSET + payload.len();
-                    let payload = Payload::from_frame(frame, at);
-                    self.received.push(Delivery { at: now, group, src: hdr.src, payload });
+                    self.received.push(now, group, hdr.src, frame, at);
                 }
             }
             // "The IP module of end-systems ... will discard these
@@ -730,8 +716,8 @@ mod tests {
         // ...and B's data arrived at A exactly once.
         let got = cw.host(a).received();
         assert_eq!(got.len(), 1, "exactly one copy delivered");
-        assert_eq!(got[0].payload, b"hello");
-        assert_eq!(got[0].group, group);
+        let d = got.get(0).unwrap();
+        assert_eq!((d.payload, d.group), (&b"hello"[..], group));
     }
 
     /// Same network; member-to-member delivery both directions.
@@ -763,10 +749,10 @@ mod tests {
 
         let at_b = cw.host(bb).received();
         assert_eq!(at_b.len(), 1);
-        assert_eq!(at_b[0].payload, b"from A");
+        assert_eq!(at_b.get(0).unwrap().payload, b"from A");
         let at_a = cw.host(a).received();
         assert_eq!(at_a.len(), 1);
-        assert_eq!(at_a[0].payload, b"from B");
+        assert_eq!(at_a.get(0).unwrap().payload, b"from B");
         // The core carries both directions: it is on-tree with two
         // children and no parent.
         let core_engine = cw.router(r1).sharded();
@@ -805,8 +791,8 @@ mod tests {
         let sender_addr = cw.host(bb).addr();
         let got = cw.host(a).received();
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].payload, b"cbt mode");
-        assert_eq!(got[0].src, sender_addr);
+        let d = got.get(0).unwrap();
+        assert_eq!((d.payload, d.src), (&b"cbt mode"[..], sender_addr));
         // The delivered copy crossed a CBT-mode branch.
         use cbt_netsim::PacketKind;
         assert!(cw.world.trace().count(PacketKind::DataCbt) > 0, "branch used CBT mode");
@@ -1057,7 +1043,7 @@ mod tests {
             let d = app.received().last().expect("delivered");
             assert_eq!((d.group, d.src), (g, src));
             assert_eq!(d.payload, body);
-            assert_eq!(d.payload.shares_allocation_with(&frame), shared, "{len} B");
+            assert_eq!(d.payload.as_ptr() == frame[PAYLOAD_OFFSET..].as_ptr(), shared, "{len} B");
         }
         assert_eq!(app.received().len(), 2);
     }

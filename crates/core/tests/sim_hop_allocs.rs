@@ -55,12 +55,13 @@ fn steady_state_native_hops_allocate_only_what_the_member_keeps() {
     // Every send is scheduled (payload `Vec`s and all) outside the
     // counted windows; the windows sit between the routers' 3 s echo
     // rounds and 10 s IGMP queries, so data is all that moves in them.
-    // The member's delivery log doubles at 256 entries, inside the
-    // second warm-up.
+    // Each warm-up leaves the member's delivery log room for the window
+    // that follows: its columns double at 128 and 256 entries, inside
+    // the warm-ups.
 
-    // -- Below the copybreak: the member copies the payload out, so the
-    // frame's last handle drops when it returns and every buffer on the
-    // path goes round again. What is left is that copy.
+    // -- Below the copybreak: the member copies the payload into its
+    // log's arena, so the frame's last handle drops when it returns and
+    // every buffer on the path goes round again: nothing is allocated.
     let warmed = schedule(&mut cw, sender, 4_200, 130, 64);
     cw.world.run_until(warmed);
     let end = schedule(&mut cw, sender, 4_400, N, 64);
@@ -73,10 +74,7 @@ fn steady_state_native_hops_allocate_only_what_the_member_keeps() {
     let (spent, ()) = alloc::count(|| cw.world.run_until(end));
     assert_eq!(cw.host(member).received().len() as u64, 130 + N);
     assert_eq!(cw.world.trace().data_frames() - tx, 4 * N, "host send + three router hops each");
-    assert_eq!(
-        spent.allocs, N,
-        "{N} packets over four hops: one allocation each, the member's copy"
-    );
+    assert_eq!(spent.allocs, 0, "{N} packets over four hops, delivered into the log's arena");
     assert_eq!(cw.world.pooled_frames(), pooled, "the frame pool stopped growing");
     assert!(pooled > 0 && pooled <= 8, "and holds the frames that were in flight at once");
 
@@ -86,18 +84,18 @@ fn steady_state_native_hops_allocate_only_what_the_member_keeps() {
     // fresh (the buffer and its refcount block). The three transit
     // frames are reclaimed as before.
     let len = 2 * RX_COPYBREAK;
-    let warmed = schedule(&mut cw, sender, 4_600, 30, len);
+    let warmed = schedule(&mut cw, sender, 4_600, 130, len);
     cw.world.run_until(warmed);
-    let end = schedule(&mut cw, sender, 4_700, N, len);
+    let end = schedule(&mut cw, sender, 4_800, N, len);
     let pooled = cw.world.pooled_frames();
     let (spent, ()) = alloc::count(|| cw.world.run_until(end));
     assert_eq!(spent.allocs, 2 * N, "{N} long packets: one fresh buffer each, no copy");
     assert_eq!(cw.world.pooled_frames(), pooled);
     let got = cw.host(member).received();
-    assert_eq!(got.len() as u64, 130 + N + 30 + N);
+    assert_eq!(got.len() as u64, 130 + N + 130 + N);
     // Nothing delivered was rewritten by a later frame built in a
     // recycled buffer.
-    let sent = [(130, 64), (N, 64), (30, len), (N, len)];
+    let sent = [(130, 64), (N, 64), (130, len), (N, len)];
     let sent = sent.iter().flat_map(|&(count, len)| (0..count).map(move |i| (i as u8, len)));
     for (d, (fill, len)) in got.iter().zip(sent) {
         assert!(d.payload.len() == len && d.payload.iter().all(|&b| b == fill), "{d:?}");

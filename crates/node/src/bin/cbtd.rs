@@ -161,7 +161,7 @@ async fn main() {
                 "  {name}: {} packet(s) {:?}",
                 got.len(),
                 got.iter()
-                    .map(|d| String::from_utf8_lossy(&d.payload).into_owned())
+                    .map(|d| String::from_utf8_lossy(d.payload).into_owned())
                     .collect::<Vec<_>>()
             ),
             Err(e) => println!("  {name}: unavailable ({e})"),

@@ -30,7 +30,7 @@ enum HostCmd {
     Leave { group: GroupId },
     Send { group: GroupId, payload: Vec<u8>, ttl: u8 },
     SendBurst { group: GroupId, payloads: Vec<Vec<u8>>, ttl: u8 },
-    Received { resp: oneshot::Sender<Vec<cbt::Delivery>> },
+    Received { resp: oneshot::Sender<cbt::Deliveries> },
     ReceivedCount { resp: oneshot::Sender<usize> },
 }
 
@@ -192,7 +192,7 @@ impl LiveNet {
 
     /// Fetches everything a host has received so far. Errs when the
     /// host is unknown or its task has died.
-    pub async fn host_received(&self, h: HostId) -> Result<Vec<cbt::Delivery>, LiveError> {
+    pub async fn host_received(&self, h: HostId) -> Result<cbt::Deliveries, LiveError> {
         let cmds = self.host_cmds.get(&h).ok_or(LiveError::UnknownNode)?;
         let (tx, rx) = oneshot::channel();
         cmds.send(HostCmd::Received { resp: tx }).map_err(|_| LiveError::NodeDead)?;
@@ -355,7 +355,7 @@ async fn host_task(
                         app.on_timer(now, &mut out);
                     }
                     HostCmd::Received { resp } => {
-                        let _ = resp.send(app.received().to_vec());
+                        let _ = resp.send(app.received().clone());
                     }
                     HostCmd::ReceivedCount { resp } => {
                         let _ = resp.send(app.received().len());
@@ -437,7 +437,7 @@ mod tests {
         tokio::time::sleep(Duration::from_secs(1)).await;
         let got = live.host_received(a).await.expect("host alive");
         assert_eq!(got.len(), 1, "{got:?}");
-        assert_eq!(got[0].payload, b"live!");
+        assert_eq!(got.get(0).unwrap().payload, b"live!");
         assert!(live.fabric_stats().delivered > 0);
         assert_eq!(live.fabric_stats().dropped_overflow, 0);
         live.shutdown();
@@ -501,7 +501,7 @@ mod tests {
         tokio::time::sleep(Duration::from_secs(1)).await;
         let got = live.host_received(a).await.expect("host alive");
         assert_eq!(got.len(), 1, "{got:?}");
-        assert_eq!(got[0].payload, b"sharded");
+        assert_eq!(got.get(0).unwrap().payload, b"sharded");
         assert_eq!(live.fabric_stats().dropped_overflow, 0);
         live.shutdown();
     }

@@ -543,9 +543,7 @@ impl RouterObs {
 }
 
 /// Exportable snapshot of one router's counters — or, after
-/// [`ObsSnapshot::merge`], an aggregate over many routers. The six
-/// join and failure counters (`joins_originated` to `joins_cached`)
-/// merge like the rest but are not yet part of the exported schema.
+/// [`ObsSnapshot::merge`], an aggregate over many routers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObsSnapshot {
     /// Label: a router name, or an aggregate tag like `"fleet"`.
@@ -644,6 +642,18 @@ impl ObsSnapshot {
         self.invariants.merge(&other.invariants);
     }
 
+    /// The join and failure counters by export name, in schema order.
+    fn join_counters(&self) -> [(&'static str, u64); 6] {
+        [
+            ("joins_originated", self.joins_originated),
+            ("joins_forwarded", self.joins_forwarded),
+            ("proxy_acks_sent", self.proxy_acks_sent),
+            ("parent_failures", self.parent_failures),
+            ("loops_broken", self.loops_broken),
+            ("joins_cached", self.joins_cached),
+        ]
+    }
+
     /// JSON export. All six drop reasons are always present (zeros
     /// included) so consumers never need existence checks; group keys
     /// are dotted-quad strings.
@@ -658,9 +668,13 @@ impl ObsSnapshot {
         }
         let _ = write!(
             out,
-            "}},\"data_forwarded\":{},\"data_delivered\":{},\"control\":",
+            "}},\"data_forwarded\":{},\"data_delivered\":{}",
             self.data_forwarded, self.data_delivered
         );
+        for (name, n) in self.join_counters() {
+            let _ = write!(out, ",\"{name}\":{n}");
+        }
+        out.push_str(",\"control\":");
         json_protocol(&mut out, &self.ctl);
         out.push_str(",\"groups\":[");
         for (i, (g, p)) in self.groups.iter().enumerate() {
@@ -700,6 +714,11 @@ impl ObsSnapshot {
         for (r, n) in self.drops.iter() {
             let _ = writeln!(out, "    drop {:<14} {}", r.as_str(), n);
         }
+        out.push_str("  joins:");
+        for (name, n) in self.join_counters() {
+            let _ = write!(out, " {name}={n}");
+        }
+        out.push('\n');
         let _ = writeln!(out, "  control ({} groups):", self.groups.len());
         for k in CtlKind::ALL {
             let _ = writeln!(
@@ -994,6 +1013,18 @@ mod tests {
             fleet.data_delivered,
         ];
         assert_eq!(counters, [11, 22, 33, 44, 55, 66, 77, 88]);
+        let (json, text) = (fleet.to_json(), fleet.to_text());
+        for (name, n) in [
+            ("joins_originated", 22),
+            ("joins_forwarded", 33),
+            ("proxy_acks_sent", 44),
+            ("parent_failures", 55),
+            ("loops_broken", 66),
+            ("joins_cached", 77),
+        ] {
+            assert!(json.contains(&format!("\"{name}\":{n},")), "{name} in {json}");
+            assert!(text.contains(&format!(" {name}={n}")), "{name} in {text}");
+        }
         assert_eq!(fleet.drops.get(DropReason::TtlExpired), 2);
         assert_eq!(fleet.drops.get(DropReason::NoFibEntry), 1);
         let g = fleet.groups.get(&1).unwrap();

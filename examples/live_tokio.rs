@@ -67,9 +67,7 @@ async fn main() {
         println!(
             "  host {name} received {}: {:?}",
             got.len(),
-            got.iter()
-                .map(|d| String::from_utf8_lossy(&d.payload).into_owned())
-                .collect::<Vec<_>>()
+            got.iter().map(|d| String::from_utf8_lossy(d.payload).into_owned()).collect::<Vec<_>>()
         );
         assert_eq!(got.len(), 1);
     }

@@ -79,7 +79,7 @@ fn main() {
             "  t={:.3}s from {}: {:?}",
             d.at.as_secs_f64(),
             d.src,
-            String::from_utf8_lossy(&d.payload)
+            String::from_utf8_lossy(d.payload)
         );
     }
     assert_eq!(cw.host(receiver).received().len(), 1, "exactly-once delivery");

@@ -58,7 +58,7 @@ fn main() {
     println!();
     for (me, h) in speakers {
         print!("  {me:>4}");
-        let heard = cw.host(h).received().to_vec();
+        let heard = cw.host(h).received().clone();
         for (them, other) in speakers {
             if me == them {
                 print!("   ·");

@@ -42,14 +42,14 @@ const FROZEN: [(&str, Run, u64, u64); 8] = [
     (
         "control-overhead",
         || overhead::run(&overhead::Params::quick()),
-        0x78e0_feef_a443_f3fe,
-        0x5049_f70e_adc2_af20,
+        0x5957_fd48_4ddb_9c01,
+        0xa008_882e_dc2e_8ac1,
     ),
     (
         "join-latency",
         || latency::run(&latency::Params::quick()),
-        0x6dee_1361_4c85_2947,
-        0x6ffb_b0be_0fbd_041f,
+        0xd93c_9dde_08b7_2f60,
+        0x5329_377e_8590_4028,
     ),
     (
         "delay-ratio",

@@ -43,7 +43,7 @@ fn groups_are_isolated() {
     for (h, payload) in expect {
         let got = cw.host(h).received();
         assert_eq!(got.len(), 1, "{got:?}");
-        assert_eq!(got[0].payload, payload);
+        assert_eq!(got.get(0).unwrap().payload, payload);
     }
     // Senders hear nothing (no other senders in their groups).
     for h in [fig.hosts.a, fig.hosts.b, fig.hosts.c] {

@@ -48,7 +48,7 @@ fn first_on_tree_router_intercepts_non_member_data() {
     // Delivered exactly once.
     let got = cw.host(receiver).received();
     assert_eq!(got.len(), 1, "{got:?}");
-    assert_eq!(got[0].payload, b"intercepted");
+    assert_eq!(got.get(0).unwrap().payload, b"intercepted");
 
     // §7 evidence: Rmid intercepted. Count CBT-mode data frames by
     // sender: Rsnd sent the off-tree unicast (1). If Rmid intercepted,

@@ -211,7 +211,7 @@ fn e4_data_walkthrough_from_g_native_mode() {
     ] {
         let got = cw.host(h).received();
         assert_eq!(got.len(), 1, "host {name} must receive exactly one copy, got {got:?}");
-        assert_eq!(got[0].payload, b"from G");
+        assert_eq!(got.get(0).unwrap().payload, b"from G");
     }
     assert!(cw.host(fig.hosts.g).received().is_empty(), "G does not hear itself");
 

@@ -130,7 +130,7 @@ fn random_multiaccess_topologies_deliver_exactly_once() {
                 hosts.len() - 1,
                 "seed {seed}: host {i} missed payloads, heard {:?}",
                 got.iter()
-                    .map(|d| String::from_utf8_lossy(&d.payload).into_owned())
+                    .map(|d| String::from_utf8_lossy(d.payload).into_owned())
                     .collect::<Vec<_>>()
             );
             // BOUNDED: at most one copy per on-tree forwarder on the
