@@ -2,7 +2,7 @@
 //! router (ack generation) and at a forwarding router, keepalive
 //! service cost with many groups.
 
-use cbt::{CbtConfig, CbtRouter};
+use cbt::{CbtConfig, CbtRouter, Input, RouterAction};
 use cbt_netsim::SimTime;
 use cbt_routing::Hop;
 use cbt_topology::{IfIndex, NetworkBuilder, RouterId};
@@ -37,6 +37,28 @@ fn engine_with_routes() -> CbtRouter {
     CbtRouter::new(&net, me, CbtConfig::default(), Box::new(routes), SimTime::ZERO)
 }
 
+/// Steps `e` with `input` and returns what it emitted.
+fn step(e: &mut CbtRouter, now: SimTime, input: Input) -> Vec<RouterAction> {
+    let mut out = Vec::new();
+    e.step(now, input, &mut out);
+    out
+}
+
+/// A child's join for group 1 toward `core`, arriving on if2.
+fn child_join(core: Addr) -> Input {
+    Input::Control {
+        iface: IfIndex(2),
+        src: Addr::from_octets(172, 31, 0, 6),
+        msg: ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: GroupId::numbered(1),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: core,
+            cores: vec![core],
+        },
+    }
+}
+
 /// Join termination at a core: the hot path of group setup.
 fn bench_join_termination(c: &mut Criterion) {
     c.bench_function("engine/join_terminate_at_core", |b| {
@@ -45,35 +67,13 @@ fn bench_join_termination(c: &mut Criterion) {
                 let mut e = engine_with_routes();
                 let my_id = e.id_addr();
                 // Prime: become the core for the group.
-                e.handle_control(
-                    SimTime::ZERO,
-                    IfIndex(2),
-                    Addr::from_octets(172, 31, 0, 6),
-                    ControlMessage::JoinRequest {
-                        subcode: JoinSubcode::ActiveJoin,
-                        group: GroupId::numbered(1),
-                        origin: Addr::from_octets(10, 9, 0, 1),
-                        target_core: my_id,
-                        cores: vec![my_id],
-                    },
-                );
+                step(&mut e, SimTime::ZERO, child_join(my_id));
                 e
             },
             |mut e| {
                 let my_id = e.id_addr();
                 // A refreshed join from the same child: pure ack path.
-                e.handle_control(
-                    black_box(SimTime::from_secs(1)),
-                    IfIndex(2),
-                    Addr::from_octets(172, 31, 0, 6),
-                    ControlMessage::JoinRequest {
-                        subcode: JoinSubcode::ActiveJoin,
-                        group: GroupId::numbered(1),
-                        origin: Addr::from_octets(10, 9, 0, 1),
-                        target_core: my_id,
-                        cores: vec![my_id],
-                    },
-                )
+                step(&mut e, black_box(SimTime::from_secs(1)), child_join(my_id))
             },
             criterion::BatchSize::SmallInput,
         )
@@ -92,34 +92,36 @@ fn bench_keepalive_service(c: &mut Criterion) {
                         let g = GroupId::numbered(n as u16);
                         e.learn_cores(g, &[core()]);
                         // Manufacture on-tree state via a forwarded join + ack.
-                        e.handle_control(
+                        let join = ControlMessage::JoinRequest {
+                            subcode: JoinSubcode::ActiveJoin,
+                            group: g,
+                            origin: Addr::from_octets(10, 9, 0, 1),
+                            target_core: core(),
+                            cores: vec![core()],
+                        };
+                        let down = Addr::from_octets(172, 31, 0, 6);
+                        step(
+                            &mut e,
                             SimTime::ZERO,
-                            IfIndex(2),
-                            Addr::from_octets(172, 31, 0, 6),
-                            ControlMessage::JoinRequest {
-                                subcode: JoinSubcode::ActiveJoin,
-                                group: g,
-                                origin: Addr::from_octets(10, 9, 0, 1),
-                                target_core: core(),
-                                cores: vec![core()],
-                            },
+                            Input::Control { iface: IfIndex(2), src: down, msg: join },
                         );
-                        e.handle_control(
+                        let ack = ControlMessage::JoinAck {
+                            subcode: AckSubcode::Normal,
+                            group: g,
+                            origin: Addr::from_octets(10, 9, 0, 1),
+                            target_core: core(),
+                            cores: vec![core()],
+                        };
+                        let up = Addr::from_octets(172, 31, 0, 2);
+                        step(
+                            &mut e,
                             SimTime::ZERO,
-                            IfIndex(1),
-                            Addr::from_octets(172, 31, 0, 2),
-                            ControlMessage::JoinAck {
-                                subcode: AckSubcode::Normal,
-                                group: g,
-                                origin: Addr::from_octets(10, 9, 0, 1),
-                                target_core: core(),
-                                cores: vec![core()],
-                            },
+                            Input::Control { iface: IfIndex(1), src: up, msg: ack },
                         );
                     }
                     e
                 },
-                |mut e| e.on_timer(black_box(SimTime::from_secs(30))),
+                |mut e| step(&mut e, black_box(SimTime::from_secs(30)), Input::Timer),
                 criterion::BatchSize::SmallInput,
             )
         });

@@ -1,13 +1,13 @@
 //! The CBT router engine: one sans-I/O state machine per router.
 //!
-//! Inputs arrive through `handle_control`, `handle_igmp`,
-//! `handle_native_data`, `handle_cbt_data` and `on_timer`; every call
-//! returns the [`RouterAction`]s to perform. The heavier protocol paths
+//! Every input arrives through one door, [`CbtRouter::step`], as an
+//! [`Input`]; each call appends the [`RouterAction`]s to perform to a
+//! caller-owned buffer. The heavier protocol paths
 //! live in sibling modules (`join`, `teardown`, `keepalive`,
 //! `forward`) as further `impl CbtRouter` blocks.
 
 use crate::config::CbtConfig;
-use crate::events::RouterAction;
+use crate::events::{Input, RouterAction};
 use crate::fib::{Fib, GroupSlot};
 use crate::forward::Span;
 use crate::inline::InlineBuf;
@@ -101,7 +101,7 @@ pub(crate) struct LanState {
 /// Everything the engine schedules on its [`TimerService`]. One key per
 /// independent deadline; re-arming a key supersedes its previous entry.
 ///
-/// The variants are declared in the order `on_timer` services them —
+/// The variants are declared in the order a timer input services them —
 /// the derived `Ord` is what sorts a wakeup's due keys into phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum TimerKind {
@@ -172,6 +172,24 @@ impl ProtocolPhase {
     }
 }
 
+/// One router's tree state for one group, read in one call: what the
+/// tree-invariant checker, the exploration digest and live snapshots
+/// look at.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GroupView {
+    /// Does the router hold a FIB entry for the group?
+    pub on_tree: bool,
+    /// The parent's address, if any.
+    pub parent: Option<Addr>,
+    /// The children's addresses, in FIB order.
+    pub children: Vec<Addr>,
+    /// Is the router one of the group's cores?
+    pub i_am_core: bool,
+    /// Is a join, a quit or a re-attachment in flight
+    /// ([`CbtRouter::has_transient_state`])?
+    pub transient: bool,
+}
+
 /// The CBT protocol engine for one router.
 pub struct CbtRouter {
     pub(crate) me: RouterId,
@@ -204,14 +222,14 @@ pub struct CbtRouter {
     /// Groups with directly attached members reached through this
     /// router itself rather than through an IGMP-tracked LAN — the
     /// netscale point-to-point mode's substitute for host presence
-    /// (see [`CbtRouter::local_join`]). Counts as member presence in
+    /// (see [`Input::Join`]). Counts as member presence in
     /// [`CbtRouter::serves_members`].
     pub(crate) local_members: BTreeSet<GroupId>,
     pub(crate) next_child_sweep: SimTime,
     pub(crate) next_iff_scan: SimTime,
     /// Deadline-driven timer service (see [`TimerKind`]). Wherever the
     /// state behind a key is removed outside its own service routine,
-    /// the key is cancelled, and every mutating entry point ends with
+    /// the key is cancelled, and every non-data input ends with
     /// `compact`: `next_wakeup` must be *exact*, because the event
     /// loop's FIFO tie-break is part of the pinned event streams.
     pub(crate) timers: TimerService<TimerKind>,
@@ -238,11 +256,10 @@ pub struct CbtRouter {
     /// epoch it was resolved at. A burst of packets to one group pays
     /// the hashed FIB lookup once (see [`Fib::slot`]).
     pub(crate) data_slot_memo: Option<(GroupId, GroupSlot, u64)>,
-    /// Control epoch: bumped at the top of every entry point that can
-    /// write tree, G-DR or presence state (`handle_control_into`,
-    /// `handle_igmp`, `on_timer_into`, `local_join`, `local_leave`).
-    /// The data handlers write none of it, so a spanning entry built at
-    /// the current epoch is exact.
+    /// Control epoch: bumped by [`CbtRouter::step`] for every input but
+    /// the two data kinds — every input that can write tree, G-DR or
+    /// presence state. Data packets write none of it, so a spanning
+    /// entry built at the current epoch is exact.
     pub(crate) epoch: u64,
     /// One spanning entry per FIB slot — the outgoing interfaces and
     /// tree neighbours both forwarding modes read per packet, rebuilt
@@ -294,8 +311,8 @@ impl CbtRouter {
     /// history at exact size: one 68 B counter row per group it has
     /// seen ([`RouterObs::groups`]) and 8 B per core it has learned.
     ///
-    /// Membership is driven through [`CbtRouter::local_join`] /
-    /// [`CbtRouter::local_leave`] instead of LAN presence.
+    /// Membership is driven by [`Input::Join`] / [`Input::Leave`]
+    /// instead of LAN presence.
     pub fn p2p(
         me: RouterId,
         id_addr: Addr,
@@ -417,7 +434,7 @@ impl CbtRouter {
 
     /// Data-plane FIB lookup through the memoised dense slot: a burst
     /// of packets to one group probes the hash index once. Every FIB
-    /// insert/remove runs inside a control entry point, which moves the
+    /// insert/remove runs inside a non-data input, which moves the
     /// epoch, so a memo taken at the current epoch still names the
     /// group's slot — the same validity rule as the spanning entries.
     pub(crate) fn fib_slot_cached(&mut self, group: GroupId) -> Option<GroupSlot> {
@@ -460,6 +477,18 @@ impl CbtRouter {
     /// Child addresses for `group`.
     pub fn children_of(&self, group: GroupId) -> Vec<Addr> {
         self.fib.get(group).map(|e| e.children.iter().map(|c| c.addr).collect()).unwrap_or_default()
+    }
+
+    /// The group's tree state in one read.
+    pub fn group_view(&self, group: GroupId) -> GroupView {
+        let entry = self.fib.get(group);
+        GroupView {
+            on_tree: self.is_on_tree(group),
+            parent: self.parent_of(group),
+            children: self.children_of(group),
+            i_am_core: entry.is_some_and(|e| e.i_am_core),
+            transient: self.has_transient_state(group),
+        }
     }
 
     /// Is a join pending for `group`?
@@ -619,24 +648,43 @@ impl CbtRouter {
     // Input dispatch.
     // ------------------------------------------------------------------
 
-    /// Handles a received CBT control message.
-    pub fn handle_control(
-        &mut self,
-        now: SimTime,
-        iface: IfIndex,
-        src: Addr,
-        msg: ControlMessage,
-    ) -> Vec<RouterAction> {
-        let mut act = Vec::new();
-        self.handle_control_into(now, iface, src, msg, &mut act);
-        act
+    /// The one way into the engine: reacts to `input` at `now`,
+    /// appending the sends it causes to `out`.
+    ///
+    /// Every input but the two data kinds can write tree, G-DR,
+    /// presence or timer state, so it first moves the control epoch
+    /// (which retires every cached spanning entry and the FIB memo) and
+    /// last compacts the timer heap, which keeps
+    /// [`next_wakeup`](Self::next_wakeup) exact. Data packets do
+    /// neither: they write none of that state.
+    #[inline]
+    pub fn step(&mut self, now: SimTime, input: Input, out: &mut Vec<RouterAction>) {
+        let control = !matches!(input, Input::NativeData { .. } | Input::CbtData { .. });
+        if control {
+            self.epoch += 1;
+        }
+        match input {
+            Input::Control { iface, src, msg } => self.receive_control(now, iface, src, msg, out),
+            Input::Igmp { iface, src, msg } => self.receive_igmp(now, iface, src, msg, out),
+            Input::NativeData { iface, link_src, pkt } => {
+                self.receive_native_data(now, iface, link_src, pkt, out)
+            }
+            Input::CbtData { iface, outer_src, pkt } => {
+                self.receive_cbt_data(iface, outer_src, pkt, out)
+            }
+            Input::Join(group) => self.member_joined(now, group, out),
+            Input::Leave(group) => self.member_left(now, group, out),
+            Input::Timer => self.run_timers(now, out),
+        }
+        if control {
+            self.timers.compact();
+        }
     }
 
-    /// [`handle_control`](Self::handle_control) appending to a
-    /// caller-owned action buffer — the keepalive majority of control
-    /// traffic (an echo reply, an echo from a stranger) emits nothing
-    /// and a reused buffer never allocates.
-    pub fn handle_control_into(
+    /// A received CBT control message. The keepalive majority of
+    /// control traffic (an echo reply, an echo from a stranger) emits
+    /// nothing, so a reused `act` buffer never allocates.
+    fn receive_control(
         &mut self,
         now: SimTime,
         iface: IfIndex,
@@ -644,7 +692,6 @@ impl CbtRouter {
         msg: ControlMessage,
         act: &mut Vec<RouterAction>,
     ) {
-        self.epoch += 1;
         // A frame claiming to come from one of our own addresses is
         // spoofed or looped — no legitimate neighbour ever is us.
         if self.is_my_addr(src) {
@@ -687,26 +734,24 @@ impl CbtRouter {
                 self.on_echo_reply(now, iface, src, group, group_mask);
             }
         }
-        self.timers.compact();
     }
 
-    /// Handles a received IGMP message on a LAN interface.
-    pub fn handle_igmp(
+    /// A received IGMP message on a LAN interface.
+    fn receive_igmp(
         &mut self,
         now: SimTime,
         iface: IfIndex,
         src: Addr,
         msg: IgmpMessage,
-    ) -> Vec<RouterAction> {
-        self.epoch += 1;
-        let mut act = Vec::new();
+        act: &mut Vec<RouterAction>,
+    ) {
         // Core lists ride in RP/Core-Reports (§2.2); learn them even
         // when the matching membership report was lost in flight — the
         // IFF-scan retry path depends on this knowledge.
         if let IgmpMessage::RpCore(r) = &msg {
             self.learn_cores(r.group, &r.cores);
         }
-        let Some(lan) = self.lans.get_mut(&iface) else { return act };
+        let Some(lan) = self.lans.get_mut(&iface) else { return };
         if let IgmpMessage::Query { group: None, .. } = msg {
             lan.election.on_query_heard(src, now);
         }
@@ -716,7 +761,7 @@ impl CbtRouter {
             act.push(RouterAction::SendIgmp { iface, dst: s.dst, msg: s.msg });
         }
         for ev in events {
-            self.on_presence_event(now, iface, ev, &mut act);
+            self.on_presence_event(now, iface, ev, act);
         }
         // A late-arriving core list for a group whose membership is
         // already live (the earlier RP/Core-Report was lost): join now
@@ -724,14 +769,12 @@ impl CbtRouter {
         if let IgmpMessage::RpCore(r) = &msg {
             let live = self.lans.get(&iface).is_some_and(|l| l.presence.has_members(r.group));
             if live && !self.lan_group_handled(iface, r.group) && self.i_am_dr(iface, now) {
-                self.trigger_join(now, iface, r.group, r.target_core_index as usize, &mut act);
+                self.trigger_join(now, iface, r.group, r.target_core_index as usize, act);
             }
         }
         // Reports and Leaves move this LAN's presence deadlines (and a
         // foreign query re-times the election): re-clock its timer entry.
         self.arm_lan(iface);
-        self.timers.compact();
-        act
     }
 
     /// Reacts to membership appearing/disappearing on a LAN.
@@ -767,14 +810,6 @@ impl CbtRouter {
     }
 
     /// Advances every timer that has come due.
-    pub fn on_timer(&mut self, now: SimTime) -> Vec<RouterAction> {
-        let mut act = Vec::new();
-        self.on_timer_into(now, &mut act);
-        act
-    }
-
-    /// [`on_timer`](Self::on_timer) appending to a caller-owned action
-    /// buffer.
     ///
     /// Pops the due keys, then runs seven phases in `TimerKind`
     /// order, each visiting only its due candidates, in ascending key
@@ -782,8 +817,7 @@ impl CbtRouter {
     /// state (the group's transient record, the FIB…) before acting,
     /// so a stale or early entry degenerates to a no-op (plus a lazy
     /// re-arm where the true deadline moved later).
-    pub fn on_timer_into(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
-        self.epoch += 1;
+    fn run_timers(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
         let mut due: InlineBuf<(TimerKind, SimTime), 4> = InlineBuf::new();
         self.timers.pop_due_into(now, &mut due);
         // `TimerKind` orders by variant, then key, and the variants are
@@ -847,7 +881,7 @@ impl CbtRouter {
         // Phase 7: the IFF scan (inherently a membership-wide pass).
         // Compact-idle routers without LANs have no presence tables for
         // the scan to consult — local membership quits eagerly instead
-        // (`local_leave`) — so the clock stays down.
+        // (`member_left`) — so the clock stays down.
         if due.iter().any(|&(k, _)| k == TimerKind::IffScan) {
             if now >= self.next_iff_scan {
                 self.iff_scan(now, act);
@@ -857,7 +891,6 @@ impl CbtRouter {
                 self.timers.arm(TimerKind::IffScan, self.next_iff_scan);
             }
         }
-        self.timers.compact();
     }
 
     /// IGMP querier duty + presence expiry on one LAN, then its timer
@@ -877,8 +910,8 @@ impl CbtRouter {
 
     /// Earliest instant any internal timer wants service.
     ///
-    /// A peek at the timer heap's head, and *exact*: every mutating
-    /// entry point ends by compacting stale entries off the head, and
+    /// A peek at the timer heap's head, and *exact*: every non-data
+    /// input ends by compacting stale entries off the head, and
     /// every state removal cancels its key, so the head always carries
     /// the earliest valid deadline. This matters beyond efficiency —
     /// `netsim` breaks same-instant event ties in scheduling order, so
@@ -894,7 +927,7 @@ impl CbtRouter {
 
     /// (Re-)clocks a LAN's timer entry from its election + presence
     /// deadlines. Called wherever those deadlines can change: after
-    /// every `handle_igmp` and after each phase-1 poll.
+    /// every received IGMP message and after each phase-1 poll.
     pub(crate) fn arm_lan(&mut self, iface: IfIndex) {
         if let Some(lan) = self.lans.get(&iface) {
             let mut d = lan.election.next_wakeup();
@@ -971,7 +1004,17 @@ pub(crate) mod testutil {
     //! a scripted route table — no simulator, no other routers.
 
     use super::*;
+    pub use crate::events::Input;
     use cbt_topology::NetworkBuilder;
+
+    impl CbtRouter {
+        /// Steps the engine with `input` and returns what it emitted.
+        pub fn feed(&mut self, now: SimTime, input: Input) -> Vec<RouterAction> {
+            let mut out = Vec::new();
+            self.step(now, input, &mut out);
+            out
+        }
+    }
 
     /// A 3-interface router: if0 = LAN (10.1.0.x/24, my addr .1),
     /// if1 = p2p link "up" (172.31.0.0/30, my addr .1, peer .2),
@@ -1034,7 +1077,7 @@ mod tests {
     #[test]
     fn boot_sends_startup_igmp_queries() {
         let mut e = engine(CbtConfig::default());
-        let act = e.on_timer(SimTime::ZERO);
+        let act = e.feed(SimTime::ZERO, Input::Timer);
         let queries: Vec<_> = act
             .iter()
             .filter(|a| {
@@ -1164,7 +1207,7 @@ mod tests {
         let mut e = p2p_engine(cfg, via, &[core]);
 
         // Join: a JOIN_REQUEST goes out and the pending timer is live.
-        let act = e.local_join(SimTime::ZERO, g);
+        let act = e.feed(SimTime::ZERO, Input::Join(g));
         assert!(act.iter().any(|a| matches!(
             a,
             RouterAction::SendControl { msg: ControlMessage::JoinRequest { .. }, .. }
@@ -1181,21 +1224,22 @@ mod tests {
             target_core: core,
             cores: vec![core],
         };
-        e.handle_control(t1, IfIndex(0), via, ack);
+        e.feed(t1, Input::Control { iface: IfIndex(0), src: via, msg: ack });
         assert!(e.is_on_tree(g));
         assert_eq!(e.parent_of(g), Some(via));
 
         // Leave: the branch is quit eagerly, and once the quit is
         // acked the engine is back to zero state and zero wakeups.
         let t2 = t1 + SimDuration::from_millis(10);
-        let act = e.local_leave(t2, g);
+        let act = e.feed(t2, Input::Leave(g));
         assert!(act.iter().any(|a| matches!(
             a,
             RouterAction::SendControl { msg: ControlMessage::QuitRequest { .. }, .. }
         )));
         assert!(!e.is_on_tree(g));
         let t3 = t2 + SimDuration::from_millis(10);
-        e.handle_control(t3, IfIndex(0), via, ControlMessage::QuitAck { group: g, origin: via });
+        let msg = ControlMessage::QuitAck { group: g, origin: via };
+        e.feed(t3, Input::Control { iface: IfIndex(0), src: via, msg });
         assert!(e.fib().is_empty());
         assert_eq!(e.next_wakeup(), None, "round trip ends with every timer down");
     }
@@ -1209,9 +1253,9 @@ mod tests {
             CbtConfig { compact_idle: true, ..CbtConfig::default() }.with_mapping(g, vec![core]);
         let mut e = p2p_engine(cfg, via, &[core]);
 
-        e.local_join(SimTime::ZERO, g);
+        e.feed(SimTime::ZERO, Input::Join(g));
         let t1 = SimTime::ZERO + SimDuration::from_millis(5);
-        let act = e.local_leave(t1, g);
+        let act = e.feed(t1, Input::Leave(g));
         assert!(act.is_empty(), "leave defers to the in-flight join");
 
         let t2 = t1 + SimDuration::from_millis(5);
@@ -1222,7 +1266,7 @@ mod tests {
             target_core: core,
             cores: vec![core],
         };
-        let act = e.handle_control(t2, IfIndex(0), via, ack);
+        let act = e.feed(t2, Input::Control { iface: IfIndex(0), src: via, msg: ack });
         assert!(
             act.iter().any(|a| matches!(
                 a,
@@ -1243,7 +1287,7 @@ mod tests {
         let mut e = p2p_engine(cfg, via, &[]);
 
         // Becoming the (primary) core creates state but needs no clock.
-        e.local_join(SimTime::ZERO, g);
+        e.feed(SimTime::ZERO, Input::Join(g));
         assert!(e.is_on_tree(g));
         assert_eq!(e.next_wakeup(), None, "a childless core sits silent");
 
@@ -1256,7 +1300,7 @@ mod tests {
             cores: vec![my],
         };
         let t1 = SimTime::ZERO + SimDuration::from_millis(5);
-        let act = e.handle_control(t1, IfIndex(0), via, join);
+        let act = e.feed(t1, Input::Control { iface: IfIndex(0), src: via, msg: join });
         assert!(act.iter().any(|a| matches!(
             a,
             RouterAction::SendControl { msg: ControlMessage::JoinAck { .. }, .. }

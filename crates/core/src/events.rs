@@ -1,7 +1,77 @@
-//! Engine outputs.
+//! Engine inputs and outputs: a router takes one [`Input`] at a time
+//! and answers with [`RouterAction`]s.
 
 use cbt_topology::IfIndex;
 use cbt_wire::{Addr, CbtDataPacket, ControlMessage, DataPacket, GroupId, IgmpMessage};
+
+/// Everything that can happen to a router: a received control, IGMP
+/// or data message, a change of directly attached membership, or the
+/// clock reaching its next wakeup. [`crate::CbtRouter::step`] and
+/// [`crate::ShardedRouter::step`] take exactly these.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Input {
+    /// A CBT control message from neighbour `src`, received on `iface`.
+    Control {
+        /// Arrival interface.
+        iface: IfIndex,
+        /// Sending neighbour (IP source).
+        src: Addr,
+        /// The message.
+        msg: ControlMessage,
+    },
+    /// An IGMP message from `src` on the LAN behind `iface`.
+    Igmp {
+        /// Arrival (LAN) interface.
+        iface: IfIndex,
+        /// IP source.
+        src: Addr,
+        /// The message.
+        msg: IgmpMessage,
+    },
+    /// A native (plain IP multicast) data packet on `iface` from
+    /// link-layer neighbour `link_src` — the sender's interface
+    /// address on the shared medium, what a source MAC identifies.
+    NativeData {
+        /// Arrival interface.
+        iface: IfIndex,
+        /// Link-layer sender.
+        link_src: Addr,
+        /// The packet.
+        pkt: DataPacket,
+    },
+    /// A CBT-mode (encapsulated) data packet on `iface` from the
+    /// neighbour `outer_src`.
+    CbtData {
+        /// Arrival interface.
+        iface: IfIndex,
+        /// Outer IP source: the sending neighbour.
+        outer_src: Addr,
+        /// The encapsulated packet.
+        pkt: CbtDataPacket,
+    },
+    /// A member of the group appeared directly on this router (netscale
+    /// point-to-point mode: no LAN, no IGMP).
+    Join(GroupId),
+    /// The last directly attached member of the group left.
+    Leave(GroupId),
+    /// The clock reached the router's next wakeup: every due timer runs.
+    Timer,
+}
+
+impl Input {
+    /// The group the input belongs to; `None` for a timer and an IGMP
+    /// general query, which concern every group.
+    pub fn group(&self) -> Option<GroupId> {
+        match self {
+            Input::Control { msg, .. } => Some(msg.group()),
+            Input::Igmp { msg, .. } => msg.group(),
+            Input::NativeData { pkt, .. } => Some(pkt.group),
+            Input::CbtData { pkt, .. } => Some(pkt.cbt.group),
+            Input::Join(g) | Input::Leave(g) => Some(*g),
+            Input::Timer => None,
+        }
+    }
+}
 
 /// An action the engine wants performed. The adapter (simulator or
 /// tokio runtime) turns these into frames on interfaces.
@@ -61,13 +131,7 @@ impl RouterAction {
     pub fn group(&self) -> Option<GroupId> {
         match self {
             RouterAction::SendControl { msg, .. } => Some(msg.group()),
-            RouterAction::SendIgmp { msg, .. } => match msg {
-                IgmpMessage::Query { group, .. } => *group,
-                IgmpMessage::Report { group, .. }
-                | IgmpMessage::Leave { group }
-                | IgmpMessage::TreeJoined { group, .. } => Some(*group),
-                IgmpMessage::RpCore(r) => Some(r.group),
-            },
+            RouterAction::SendIgmp { msg, .. } => msg.group(),
             RouterAction::SendNativeData { pkt, .. } => Some(pkt.group),
             RouterAction::SendCbtUnicast { pkt, .. }
             | RouterAction::SendCbtMulticast { pkt, .. } => Some(pkt.cbt.group),

@@ -6,7 +6,7 @@
 //! testable with hand-built views — including states (forwarding
 //! loops, dangling parents) that a correct engine should never reach.
 
-use crate::CbtWorld;
+use crate::{CbtWorld, GroupView};
 use cbt_obs::{DropReason, InvariantKind};
 use cbt_topology::{HostId, LanId, RouterId};
 use cbt_wire::{Addr, GroupId};
@@ -52,16 +52,6 @@ pub(super) fn sort_violations(vs: &mut [Violation]) {
             &b.detail,
         ))
     });
-}
-
-/// Per-group slice of one router's FIB, as the checker sees it.
-#[derive(Debug, Clone, Default)]
-pub(super) struct GroupView {
-    pub on_tree: bool,
-    pub parent: Option<Addr>,
-    pub children: Vec<Addr>,
-    pub i_am_core: bool,
-    pub transient: bool,
 }
 
 /// One router in the snapshot.
@@ -132,25 +122,10 @@ fn collect_fleet(cw: &CbtWorld, groups: &[GroupId]) -> FleetView {
         let up = !cw.world.failures().router_down(r);
         let mut addrs = vec![spec.addr];
         addrs.extend(spec.ifaces.iter().map(|ifc| ifc.addr));
-        let mut per_group = BTreeMap::new();
-        if up {
-            if let Some(node) = cw.world.node::<crate::RouterNode>(cbt_netsim::Entity::Router(r)) {
-                for &g in groups {
-                    let eng = node.sharded().shard_for(g);
-                    let mut gv = GroupView {
-                        on_tree: eng.is_on_tree(g),
-                        transient: eng.has_transient_state(g),
-                        ..GroupView::default()
-                    };
-                    if let Some(e) = eng.fib().get(g) {
-                        gv.parent = e.parent.map(|p| p.addr);
-                        gv.children = e.children.iter().map(|c| c.addr).collect();
-                        gv.i_am_core = e.i_am_core;
-                    }
-                    per_group.insert(g, gv);
-                }
-            }
-        }
+        let per_group = match cw.world.node::<crate::RouterNode>(cbt_netsim::Entity::Router(r)) {
+            Some(node) if up => groups.iter().map(|&g| (g, node.sharded().group_view(g))).collect(),
+            _ => BTreeMap::new(),
+        };
         routers.push(RouterView { up, addrs, per_group });
     }
     let lan_routers = net
@@ -200,24 +175,12 @@ pub fn check_netscale_invariants(
     for i in 0..n {
         let up = world.is_node_up(i);
         let addrs = vec![crate::netscale::node_addr(i)];
-        let mut per_group = BTreeMap::new();
-        if up {
-            let sharded = &world.node(i).router;
-            for &g in groups {
-                let eng = sharded.shard_for(g);
-                let mut gv = GroupView {
-                    on_tree: eng.is_on_tree(g),
-                    transient: eng.has_transient_state(g),
-                    ..GroupView::default()
-                };
-                if let Some(e) = eng.fib().get(g) {
-                    gv.parent = e.parent.map(|p| p.addr);
-                    gv.children = e.children.iter().map(|c| c.addr).collect();
-                    gv.i_am_core = e.i_am_core;
-                }
-                per_group.insert(g, gv);
-            }
-        }
+        let per_group = if up {
+            let router = &world.node(i).router;
+            groups.iter().map(|&g| (g, router.group_view(g))).collect()
+        } else {
+            BTreeMap::new()
+        };
         routers.push(RouterView { up, addrs, per_group });
     }
     let mut lan_routers: BTreeMap<LanId, Vec<usize>> = BTreeMap::new();

@@ -434,13 +434,12 @@ pub fn fleet_signature(cw: &CbtWorld, groups: &[GroupId]) -> u64 {
             continue;
         };
         for &g in groups {
-            let eng = node.sharded();
+            let mut v = node.sharded().group_view(g);
             put(&mut h, &g.addr().0.to_be_bytes());
-            put(&mut h, &[eng.is_on_tree(g) as u8, eng.has_transient_state(g) as u8]);
-            put(&mut h, &eng.parent_of(g).unwrap_or(cbt_wire::Addr::NULL).0.to_be_bytes());
-            let mut kids = eng.children_of(g);
-            kids.sort_unstable();
-            for k in kids {
+            put(&mut h, &[v.on_tree as u8, v.transient as u8]);
+            put(&mut h, &v.parent.unwrap_or(cbt_wire::Addr::NULL).0.to_be_bytes());
+            v.children.sort_unstable();
+            for k in v.children {
                 put(&mut h, &k.0.to_be_bytes());
             }
         }

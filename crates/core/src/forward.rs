@@ -81,7 +81,7 @@ impl CbtRouter {
     /// from link-layer neighbour `link_src` (the sender's interface
     /// address on the shared medium — what the source MAC identifies
     /// on real Ethernet). Resulting sends are appended to `act`.
-    pub fn handle_native_data(
+    pub(crate) fn receive_native_data(
         &mut self,
         now: SimTime,
         iface: IfIndex,
@@ -165,9 +165,8 @@ impl CbtRouter {
     /// A CBT-mode (encapsulated) data packet arrived, addressed to us
     /// (or CBT-multicast on a LAN). `outer_src` identifies the sending
     /// neighbour; `arrival` the interface. Sends are appended to `act`.
-    pub fn handle_cbt_data(
+    pub(crate) fn receive_cbt_data(
         &mut self,
-        _now: SimTime,
         arrival: IfIndex,
         outer_src: Addr,
         mut pkt: CbtDataPacket,
@@ -407,31 +406,9 @@ mod tests {
         DataPacket::new(Addr::from_octets(10, 1, 0, 100), g(), ttl, b"data".to_vec())
     }
 
-    /// Drives `handle_native_data` through a fresh action buffer, the
-    /// way pre-out-param callers did.
-    fn native_data(
-        e: &mut CbtRouter,
-        now: SimTime,
-        iface: IfIndex,
-        link_src: Addr,
-        pkt: DataPacket,
-    ) -> Vec<RouterAction> {
-        let mut act = Vec::new();
-        e.handle_native_data(now, iface, link_src, pkt, &mut act);
-        act
-    }
-
-    /// Same for `handle_cbt_data`.
-    fn cbt_data(
-        e: &mut CbtRouter,
-        now: SimTime,
-        arrival: IfIndex,
-        outer_src: Addr,
-        pkt: CbtDataPacket,
-    ) -> Vec<RouterAction> {
-        let mut act = Vec::new();
-        e.handle_cbt_data(now, arrival, outer_src, pkt, &mut act);
-        act
+    /// `pkt` as the member host on LAN if0 puts it on the wire.
+    fn from_host(pkt: DataPacket) -> Input {
+        Input::NativeData { iface: IfIndex(0), link_src: Addr::from_octets(10, 1, 0, 100), pkt }
     }
 
     /// On-tree engine with parent via if1, one child via if2, members +
@@ -443,36 +420,24 @@ mod tests {
         set_routes(&mut e, map);
         e.learn_cores(g(), &[core_a()]);
         // Local member (also makes us G-DR when the join completes).
-        e.handle_igmp(
-            t(0),
-            IfIndex(0),
-            Addr::from_octets(10, 1, 0, 100),
-            IgmpMessage::Report { version: 3, group: g() },
-        );
-        e.handle_control(
-            t(1),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::Normal,
-                group: g(),
-                origin: Addr::from_octets(10, 1, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a()],
-            },
-        );
-        e.handle_control(
-            t(2),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a()],
-            },
-        );
+        let msg = IgmpMessage::Report { version: 3, group: g() };
+        e.feed(t(0), Input::Igmp { iface: IfIndex(0), src: Addr::from_octets(10, 1, 0, 100), msg });
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(),
+            origin: Addr::from_octets(10, 1, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        e.feed(t(1), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        e.feed(t(2), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert!(e.is_on_tree(g()));
         assert!(e.is_gdr(IfIndex(0), g()));
         assert_eq!(e.children_of(g()).len(), 1);
@@ -482,8 +447,7 @@ mod tests {
     #[test]
     fn local_packet_fans_up_and_down_but_not_back() {
         let mut e = full_tree_engine(CbtConfig::default());
-        let act =
-            native_data(&mut e, t(5), IfIndex(0), Addr::from_octets(10, 1, 0, 100), host_pkt(16));
+        let act = e.feed(t(5), from_host(host_pkt(16)));
         let ifaces: Vec<IfIndex> = act
             .iter()
             .filter_map(|a| match a {
@@ -507,7 +471,7 @@ mod tests {
         let mut e = full_tree_engine(CbtConfig::default());
         let src_pkt = host_pkt(16);
         let original_payload = src_pkt.payload.clone();
-        let act = native_data(&mut e, t(5), IfIndex(0), Addr::from_octets(10, 1, 0, 100), src_pkt);
+        let act = e.feed(t(5), from_host(src_pkt));
         let payloads: Vec<_> = act
             .iter()
             .filter_map(|a| match a {
@@ -529,22 +493,12 @@ mod tests {
         // Callers drain one reusable buffer; the handler must append.
         let mut e = full_tree_engine(CbtConfig::default());
         let mut act = Vec::new();
-        e.handle_native_data(
-            t(5),
-            IfIndex(0),
-            Addr::from_octets(10, 1, 0, 100),
-            host_pkt(16),
-            &mut act,
-        );
+        let pkt = host_pkt(16);
+        e.step(t(5), from_host(pkt), &mut act);
         let first = act.len();
         assert!(first >= 2);
-        e.handle_native_data(
-            t(6),
-            IfIndex(0),
-            Addr::from_octets(10, 1, 0, 100),
-            host_pkt(16),
-            &mut act,
-        );
+        let pkt = host_pkt(16);
+        e.step(t(6), from_host(pkt), &mut act);
         assert_eq!(act.len(), first * 2, "second packet appends after the first");
     }
 
@@ -552,7 +506,10 @@ mod tests {
     fn packet_from_parent_reaches_child_and_members() {
         let mut e = full_tree_engine(CbtConfig::default());
         let remote = DataPacket::new(Addr::from_octets(10, 9, 0, 100), g(), 16, b"x".to_vec());
-        let act = native_data(&mut e, t(5), IfIndex(1), up_hop().addr, remote);
+        let act = e.feed(
+            t(5),
+            Input::NativeData { iface: IfIndex(1), link_src: up_hop().addr, pkt: remote },
+        );
         let ifaces: Vec<IfIndex> = act
             .iter()
             .filter_map(|a| match a {
@@ -571,7 +528,14 @@ mod tests {
         // if0 is a member LAN, not a tree iface; a *forwarded* (non-
         // local-origin) packet arriving there violates §7.
         let rogue = DataPacket::new(Addr::from_octets(10, 9, 0, 100), g(), 16, b"x".to_vec());
-        let act = native_data(&mut e, t(5), IfIndex(0), Addr::from_octets(10, 1, 0, 2), rogue);
+        let act = e.feed(
+            t(5),
+            Input::NativeData {
+                iface: IfIndex(0),
+                link_src: Addr::from_octets(10, 1, 0, 2),
+                pkt: rogue,
+            },
+        );
         assert!(act.is_empty());
         assert_eq!(e.obs().drops.get(DropReason::ScopeBoundary), 1);
     }
@@ -579,17 +543,9 @@ mod tests {
     #[test]
     fn ttl_expiry_discards() {
         let mut e = full_tree_engine(CbtConfig::default());
-        let act =
-            native_data(&mut e, t(5), IfIndex(0), Addr::from_octets(10, 1, 0, 100), host_pkt(1));
+        let act = e.feed(t(5), from_host(host_pkt(1)));
         assert!(act.is_empty(), "TTL 1 cannot be forwarded");
-        assert!(native_data(
-            &mut e,
-            t(5),
-            IfIndex(0),
-            Addr::from_octets(10, 1, 0, 100),
-            host_pkt(0)
-        )
-        .is_empty());
+        assert!(e.feed(t(5), from_host(host_pkt(0))).is_empty());
         assert_eq!(e.obs().drops.get(DropReason::TtlExpired), 2);
     }
 
@@ -597,8 +553,7 @@ mod tests {
     fn unknown_group_from_host_without_dr_role_is_dropped() {
         let mut e = engine(CbtConfig::default());
         // No cores known, but we are the DR: nothing can be done.
-        let act =
-            native_data(&mut e, t(5), IfIndex(0), Addr::from_octets(10, 1, 0, 100), host_pkt(16));
+        let act = e.feed(t(5), from_host(host_pkt(16)));
         assert!(act.is_empty());
         assert_eq!(e.obs().drops.get(DropReason::NoFibEntry), 1);
     }
@@ -612,8 +567,7 @@ mod tests {
         e.learn_cores(g(), &[core_a()]);
         // Off-tree, D-DR of if0, host sends to a group with no local
         // members: §5.1/§5.3.
-        let act =
-            native_data(&mut e, t(5), IfIndex(0), Addr::from_octets(10, 1, 0, 100), host_pkt(16));
+        let act = e.feed(t(5), from_host(host_pkt(16)));
         assert_eq!(act.len(), 1);
         match &act[0] {
             RouterAction::SendCbtUnicast { iface, dst, pkt } => {
@@ -635,16 +589,14 @@ mod tests {
         set_routes(&mut e, map);
         e.learn_cores(g(), &[core_a()]);
         e.proxy_handled.insert((IfIndex(0), g()), Addr::from_octets(10, 1, 0, 2));
-        let act =
-            native_data(&mut e, t(5), IfIndex(0), Addr::from_octets(10, 1, 0, 100), host_pkt(16));
+        let act = e.feed(t(5), from_host(host_pkt(16)));
         assert!(act.is_empty(), "the G-DR on the LAN forwards; we must not duplicate");
     }
 
     #[test]
     fn cbt_mode_local_packet_spans_with_unicasts() {
         let mut e = full_tree_engine(CbtConfig::cbt_mode());
-        let act =
-            native_data(&mut e, t(5), IfIndex(0), Addr::from_octets(10, 1, 0, 100), host_pkt(16));
+        let act = e.feed(t(5), from_host(host_pkt(16)));
         let unicasts: Vec<(&IfIndex, &Addr)> = act
             .iter()
             .filter_map(|a| match a {
@@ -665,20 +617,18 @@ mod tests {
     fn cbt_mode_multicasts_when_children_share_iface() {
         let mut e = full_tree_engine(CbtConfig::cbt_mode());
         // Second child behind the same interface as the first.
-        e.handle_control(
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(),
+            origin: Addr::from_octets(10, 8, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        e.feed(
             t(3),
-            IfIndex(2),
-            Addr::from_octets(172, 31, 0, 9),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(),
-                origin: Addr::from_octets(10, 8, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a()],
-            },
+            Input::Control { iface: IfIndex(2), src: Addr::from_octets(172, 31, 0, 9), msg },
         );
-        let act =
-            native_data(&mut e, t(5), IfIndex(0), Addr::from_octets(10, 1, 0, 100), host_pkt(16));
+        let act = e.feed(t(5), from_host(host_pkt(16)));
         assert!(
             act.iter()
                 .any(|a| matches!(a, RouterAction::SendCbtMulticast { iface: IfIndex(2), .. })),
@@ -696,7 +646,8 @@ mod tests {
         let native = DataPacket::new(Addr::from_octets(10, 9, 0, 100), g(), 16, b"x".to_vec());
         let mut enc = CbtDataPacket::encapsulate(&native, core_a());
         enc.cbt.on_tree = ON_TREE;
-        let act = cbt_data(&mut e, t(5), IfIndex(1), up_hop().addr, enc);
+        let act =
+            e.feed(t(5), Input::CbtData { iface: IfIndex(1), outer_src: up_hop().addr, pkt: enc });
         assert!(
             act.iter().any(|a| matches!(a, RouterAction::SendCbtUnicast { iface: IfIndex(2), .. })),
             "down to the child"
@@ -721,7 +672,14 @@ mod tests {
         let mut enc = CbtDataPacket::encapsulate(&native, core_a());
         enc.cbt.on_tree = ON_TREE;
         // Arrives on the member LAN (if0) — not a tree interface.
-        let act = cbt_data(&mut e, t(5), IfIndex(0), Addr::from_octets(10, 1, 0, 7), enc);
+        let act = e.feed(
+            t(5),
+            Input::CbtData {
+                iface: IfIndex(0),
+                outer_src: Addr::from_octets(10, 1, 0, 7),
+                pkt: enc,
+            },
+        );
         assert!(act.is_empty(), "§7 wandering packet discarded");
         assert_eq!(e.obs().drops.get(DropReason::ScopeBoundary), 1);
     }
@@ -733,7 +691,14 @@ mod tests {
         let enc = CbtDataPacket::encapsulate(&native, core_a()); // OFF_TREE
                                                                  // Arrives over a non-tree path (unicast toward the core crossed
                                                                  // us first).
-        let act = cbt_data(&mut e, t(5), IfIndex(2), Addr::from_octets(172, 31, 0, 9), enc);
+        let act = e.feed(
+            t(5),
+            Input::CbtData {
+                iface: IfIndex(2),
+                outer_src: Addr::from_octets(172, 31, 0, 9),
+                pkt: enc,
+            },
+        );
         assert!(!act.is_empty(), "we are on-tree: the packet spans from here");
         for a in &act {
             if let RouterAction::SendCbtUnicast { pkt, .. } = a {
@@ -747,7 +712,8 @@ mod tests {
         let mut e = engine(CbtConfig::cbt_mode());
         let native = DataPacket::new(Addr::from_octets(10, 77, 0, 5), g(), 16, b"ns".to_vec());
         let enc = CbtDataPacket::encapsulate(&native, core_a());
-        let act = cbt_data(&mut e, t(5), IfIndex(1), up_hop().addr, enc);
+        let act =
+            e.feed(t(5), Input::CbtData { iface: IfIndex(1), outer_src: up_hop().addr, pkt: enc });
         assert!(act.is_empty(), "target core without a tree: no receivers exist");
         assert_eq!(e.obs().drops.get(DropReason::NoFibEntry), 1);
     }
@@ -761,24 +727,24 @@ mod tests {
         let mut e = full_tree_engine(CbtConfig::cbt_mode());
         // Two children ON THE LAN iface (if0) — addresses in its subnet.
         for last in [2u8, 3] {
-            e.handle_control(
+            let msg = ControlMessage::JoinRequest {
+                subcode: JoinSubcode::ActiveJoin,
+                group: g(),
+                origin: Addr::from_octets(10, 7, 0, last),
+                target_core: core_a(),
+                cores: vec![core_a()],
+            };
+            e.feed(
                 t(3),
-                IfIndex(0),
-                Addr::from_octets(10, 1, 0, last),
-                ControlMessage::JoinRequest {
-                    subcode: JoinSubcode::ActiveJoin,
-                    group: g(),
-                    origin: Addr::from_octets(10, 7, 0, last),
-                    target_core: core_a(),
-                    cores: vec![core_a()],
-                },
+                Input::Control { iface: IfIndex(0), src: Addr::from_octets(10, 1, 0, last), msg },
             );
         }
         // Data arrives from the parent.
         let native = DataPacket::new(Addr::from_octets(10, 9, 0, 100), g(), 16, b"x".to_vec());
         let mut enc = CbtDataPacket::encapsulate(&native, core_a());
         enc.cbt.on_tree = ON_TREE;
-        let act = cbt_data(&mut e, t(5), IfIndex(1), up_hop().addr, enc);
+        let act =
+            e.feed(t(5), Input::CbtData { iface: IfIndex(1), outer_src: up_hop().addr, pkt: enc });
         assert!(
             act.iter()
                 .any(|a| matches!(a, RouterAction::SendCbtMulticast { iface: IfIndex(0), .. })),
@@ -802,7 +768,8 @@ mod tests {
         let mut enc = CbtDataPacket::encapsulate(&native, core_a());
         enc.cbt.on_tree = ON_TREE;
         assert_eq!(enc.cbt.ip_ttl, 1);
-        let act = cbt_data(&mut e, t(5), IfIndex(1), up_hop().addr, enc);
+        let act =
+            e.feed(t(5), Input::CbtData { iface: IfIndex(1), outer_src: up_hop().addr, pkt: enc });
         assert!(
             act.is_empty(),
             "an expired CBT packet is dropped whole: no transit, no member delivery"
@@ -822,35 +789,28 @@ mod tests {
         set_routes(&mut e, map);
         e.learn_cores(g(), &[core_a()]);
         // A child's join (no local IGMP members), acked by the parent.
-        e.handle_control(
-            t(0),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a()],
-            },
-        );
-        e.handle_control(
-            t(1),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::Normal,
-                group: g(),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a()],
-            },
-        );
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        e.feed(t(0), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        e.feed(t(1), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         assert!(e.is_on_tree(g()));
         let native = DataPacket::new(Addr::from_octets(10, 9, 0, 100), g(), 1, b"x".to_vec());
         let mut enc = CbtDataPacket::encapsulate(&native, core_a());
         enc.cbt.on_tree = ON_TREE;
-        let act = cbt_data(&mut e, t(5), IfIndex(1), up_hop().addr, enc);
+        let act =
+            e.feed(t(5), Input::CbtData { iface: IfIndex(1), outer_src: up_hop().addr, pkt: enc });
         assert!(act.is_empty(), "no members and no viable transit: packet dies here");
         assert_eq!(e.obs().drops.get(DropReason::TtlExpired), 1);
         assert_eq!(e.obs().drops.total(), 1, "counted once");
@@ -863,7 +823,8 @@ mod tests {
         // paths now apply `ttl <= 1 ⇒ expired` and count TtlExpired.
         let mut e = full_tree_engine(CbtConfig::default());
         let pkt = DataPacket::new(Addr::from_octets(10, 9, 0, 100), g(), 1, b"x".to_vec());
-        let act = native_data(&mut e, t(5), IfIndex(1), up_hop().addr, pkt);
+        let act =
+            e.feed(t(5), Input::NativeData { iface: IfIndex(1), link_src: up_hop().addr, pkt });
         assert!(act.is_empty(), "ttl=1 transit packet must not be forwarded (§4)");
         assert_eq!(e.obs().drops.get(DropReason::TtlExpired), 1);
         assert_eq!(e.obs().drops.total(), 1, "counted once");
@@ -1027,12 +988,12 @@ mod tests {
         }
     }
 
-    /// Runs one control entry point and checks the rule the spanning
+    /// Steps one non-data input and checks the rule the spanning
     /// entries rest on: it moved the epoch.
-    fn control<T>(e: &mut CbtRouter, entry_point: impl FnOnce(&mut CbtRouter) -> T) {
+    fn control(e: &mut CbtRouter, now: SimTime, input: Input, act: &mut Vec<RouterAction>) {
         let before = e.epoch;
-        entry_point(e);
-        assert!(e.epoch > before, "a control entry point left the epoch at {before}");
+        e.step(now, input, act);
+        assert!(e.epoch > before, "a control input left the epoch at {before}");
     }
 
     /// Cached spanning entries against the per-packet model, in both
@@ -1042,11 +1003,11 @@ mod tests {
     /// expiry), with data from the parent, a child, a LAN child and a
     /// member host. Two groups share the FIB, so slots get reused.
     ///
-    /// A control step that forgot its epoch bump shows up as a
-    /// mismatch after the next packet. `local_join` / `local_leave`
-    /// only ever create or drop whole entries, whose slots are stale by
-    /// then anyway, so for those two the epoch check in `control` is
-    /// what fails.
+    /// A control input that skipped its epoch bump shows up as a
+    /// mismatch after the next packet. Local joins and leaves only ever
+    /// create or drop whole entries, whose slots are stale by then
+    /// anyway, so for those two the epoch check in `control` is what
+    /// fails.
     #[test]
     fn cached_spans_forward_exactly_like_the_per_packet_model() {
         let host = Addr::from_octets(10, 1, 0, 100);
@@ -1082,61 +1043,49 @@ mod tests {
                     [(IfIndex(2), down_addr()), (IfIndex(0), lan_child)][rnd(2) as usize];
                 let cores = vec![core_a()];
                 act.clear();
-                match rnd(16) {
-                    0 => control(&mut e, |e| {
-                        let report = IgmpMessage::Report { version: 3, group };
-                        e.handle_igmp(now, IfIndex(0), host, report)
+                let host_igmp = |msg| Input::Igmp { iface: IfIndex(0), src: host, msg };
+                let from_parent = |msg| Input::Control { iface: IfIndex(1), src: parent, msg };
+                let from_child = |msg| Input::Control { iface: child_iface, src: child, msg };
+                let input = match rnd(16) {
+                    0 => host_igmp(IgmpMessage::Report { version: 3, group }),
+                    1 => host_igmp(IgmpMessage::Leave { group }),
+                    2 => from_parent(ControlMessage::JoinAck {
+                        subcode: AckSubcode::Normal,
+                        group,
+                        origin: Addr::from_octets(10, 1, 0, 1),
+                        target_core: core_a(),
+                        cores,
                     }),
-                    1 => control(&mut e, |e| {
-                        e.handle_igmp(now, IfIndex(0), host, IgmpMessage::Leave { group })
+                    3 => from_child(ControlMessage::JoinRequest {
+                        subcode: JoinSubcode::ActiveJoin,
+                        group,
+                        origin: Addr::from_octets(10, 7, 0, 1),
+                        target_core: core_a(),
+                        cores,
                     }),
-                    2 => control(&mut e, |e| {
-                        let ack = ControlMessage::JoinAck {
-                            subcode: AckSubcode::Normal,
-                            group,
-                            origin: Addr::from_octets(10, 1, 0, 1),
-                            target_core: core_a(),
-                            cores,
-                        };
-                        e.handle_control_into(now, IfIndex(1), parent, ack, &mut act)
+                    4 => from_child(ControlMessage::QuitRequest { group, origin: child }),
+                    5 => from_child(ControlMessage::EchoRequest {
+                        group,
+                        origin: child,
+                        group_mask: None,
                     }),
-                    3 => control(&mut e, |e| {
-                        let join = ControlMessage::JoinRequest {
-                            subcode: JoinSubcode::ActiveJoin,
-                            group,
-                            origin: Addr::from_octets(10, 7, 0, 1),
-                            target_core: core_a(),
-                            cores,
-                        };
-                        e.handle_control_into(now, child_iface, child, join, &mut act)
+                    6 => from_parent(ControlMessage::EchoReply {
+                        group,
+                        origin: parent,
+                        group_mask: None,
                     }),
-                    4 => control(&mut e, |e| {
-                        let quit = ControlMessage::QuitRequest { group, origin: child };
-                        e.handle_control_into(now, child_iface, child, quit, &mut act)
-                    }),
-                    5 => control(&mut e, |e| {
-                        let echo =
-                            ControlMessage::EchoRequest { group, origin: child, group_mask: None };
-                        e.handle_control_into(now, child_iface, child, echo, &mut act)
-                    }),
-                    6 => control(&mut e, |e| {
-                        let echo =
-                            ControlMessage::EchoReply { group, origin: parent, group_mask: None };
-                        e.handle_control_into(now, IfIndex(1), parent, echo, &mut act)
-                    }),
-                    7 if rnd(4) == 0 => control(&mut e, |e| {
-                        let flush = ControlMessage::FlushTree { group, origin: parent };
-                        e.handle_control_into(now, IfIndex(1), parent, flush, &mut act)
-                    }),
+                    7 if rnd(4) == 0 => {
+                        from_parent(ControlMessage::FlushTree { group, origin: parent })
+                    }
                     8 | 9 => {
                         // Jump to the next deadline: presence, children
                         // and parents expire here when nothing refreshed
                         // them.
                         now = now.max(e.next_wakeup().unwrap_or(now));
-                        control(&mut e, |e| e.on_timer_into(now, &mut act));
+                        Input::Timer
                     }
-                    10 if rnd(2) == 0 => control(&mut e, |e| e.local_join(now, group)),
-                    10 => control(&mut e, |e| e.local_leave(now, group)),
+                    10 if rnd(2) == 0 => Input::Join(group),
+                    10 => Input::Leave(group),
                     _ => {
                         let (iface, link_src, src) = match rnd(4) {
                             0 => (IfIndex(0), host, host),
@@ -1148,13 +1097,14 @@ mod tests {
                         let pkt = DataPacket::new(src, group, ttl, b"x".to_vec());
                         let want = if rnd(2) == 0 {
                             let want = reference::native(&e, now, iface, link_src, pkt.clone());
-                            e.handle_native_data(now, iface, link_src, pkt, &mut act);
+                            e.step(now, Input::NativeData { iface, link_src, pkt }, &mut act);
                             want
                         } else {
                             let mut enc = CbtDataPacket::encapsulate(&pkt, core_a());
                             enc.cbt.on_tree = if rnd(4) == 0 { OFF_TREE } else { ON_TREE };
                             let want = reference::cbt(&e, iface, link_src, enc.clone());
-                            e.handle_cbt_data(now, iface, link_src, enc, &mut act);
+                            let input = Input::CbtData { iface, outer_src: link_src, pkt: enc };
+                            e.step(now, input, &mut act);
                             want
                         };
                         assert_eq!(act, want, "{mode:?}, step {step}: {group} from {link_src}");
@@ -1174,8 +1124,10 @@ mod tests {
                             act.iter().any(|a| matches!(a, RouterAction::SendCbtMulticast { .. })),
                         );
                         seen[3] += usize::from(delivered && branch);
+                        continue;
                     }
-                }
+                };
+                control(&mut e, now, input, &mut act);
             }
             println!("{mode:?}: {seen:?}");
             assert!(seen.iter().all(|&n| n >= 20), "{mode:?}: the walk stayed shallow: {seen:?}");

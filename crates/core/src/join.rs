@@ -76,32 +76,34 @@ impl CbtRouter {
     /// p2p mode: the router itself stands in for a member subnet, there
     /// is no LAN and no IGMP). Joins the tree exactly like a D-DR whose
     /// LAN gained presence, minus the subnet bookkeeping.
-    pub fn local_join(&mut self, now: SimTime, group: GroupId) -> Vec<RouterAction> {
-        self.epoch += 1;
-        let mut act = Vec::new();
+    pub(crate) fn member_joined(
+        &mut self,
+        now: SimTime,
+        group: GroupId,
+        act: &mut Vec<RouterAction>,
+    ) {
         // `serves_members` consults `local_members`, so an existing
         // branch or in-flight join serves this membership as it is.
         self.local_members.insert(group);
         let origin = self.id_addr();
-        self.join_for_member(now, group, origin, 0, &mut act);
-        self.timers.compact();
-        act
+        self.join_for_member(now, group, origin, 0, act);
     }
 
     /// The last directly attached member of `group` left this router.
     /// Quits the tree immediately when nothing else needs the branch —
     /// the eager analogue of the LAN path's periodic IFF scan.
-    pub fn local_leave(&mut self, now: SimTime, group: GroupId) -> Vec<RouterAction> {
-        self.epoch += 1;
-        let mut act = Vec::new();
+    pub(crate) fn member_left(
+        &mut self,
+        now: SimTime,
+        group: GroupId,
+        act: &mut Vec<RouterAction>,
+    ) {
         if self.local_members.remove(&group) {
             if self.local_members.is_empty() {
                 self.local_members = BTreeSet::new();
             }
-            self.maybe_quit(now, group, &mut act);
-            self.timers.compact();
+            self.maybe_quit(now, group, act);
         }
-        act
     }
 
     /// Instates this router as an on-tree core for `group`. A
@@ -918,18 +920,14 @@ mod tests {
     fn ack_creates_fib_entry_and_notifies_hosts() {
         let mut e = routed_engine();
         trigger(&mut e, t(0));
-        let act = e.handle_control(
-            t(1),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::Normal,
-                group: g(),
-                origin: Addr::from_octets(10, 1, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a(), core_b()],
-            },
-        );
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(),
+            origin: Addr::from_octets(10, 1, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a(), core_b()],
+        };
+        let act = e.feed(t(1), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         assert!(e.is_on_tree(g()));
         assert_eq!(e.parent_of(g()), Some(up_hop().addr));
         assert!(e.is_gdr(IfIndex(0), g()));
@@ -945,18 +943,14 @@ mod tests {
     fn ack_from_wrong_hop_is_ignored() {
         let mut e = routed_engine();
         trigger(&mut e, t(0));
-        e.handle_control(
-            t(1),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::Normal,
-                group: g(),
-                origin: Addr::NULL,
-                target_core: core_a(),
-                cores: vec![],
-            },
-        );
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(),
+            origin: Addr::NULL,
+            target_core: core_a(),
+            cores: vec![],
+        };
+        e.feed(t(1), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert!(!e.is_on_tree(g()));
         assert!(e.has_pending_join(g()), "still waiting for the real ack");
     }
@@ -964,18 +958,14 @@ mod tests {
     #[test]
     fn join_forwarding_creates_transient_state() {
         let mut e = routed_engine();
-        let act = e.handle_control(
-            t(0),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a()],
-            },
-        );
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        let act = e.feed(t(0), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         // Forwarded upstream unchanged.
         assert!(matches!(
             &act[0],
@@ -993,18 +983,14 @@ mod tests {
         assert_eq!(e.obs().joins_forwarded, 1);
 
         // Ack comes back: entry created, downstream acked as a child.
-        let act = e.handle_control(
-            t(1),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::Normal,
-                group: g(),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a()],
-            },
-        );
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        let act = e.feed(t(1), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         assert!(e.is_on_tree(g()));
         assert_eq!(e.children_of(g()), vec![down_addr()]);
         assert!(act.iter().any(|a| matches!(
@@ -1042,22 +1028,27 @@ mod tests {
         };
         for gap_ms in 1..=4 {
             let mut e = routed_engine();
-            e.handle_control(ms(0), IfIndex(2), down_addr(), transit_join.clone());
+            e.feed(
+                ms(0),
+                Input::Control { iface: IfIndex(2), src: down_addr(), msg: transit_join.clone() },
+            );
             assert!(e.has_pending_join(g()));
             // The local host's report lands mid-flight, through the
             // same IGMP entry point a real LAN would use.
             e.learn_cores(g(), &[core_a()]);
-            let act = e.handle_igmp(
+            let msg = IgmpMessage::Report { version: 2, group: g() };
+            let act = e.feed(
                 ms(gap_ms),
-                IfIndex(0),
-                Addr::from_octets(10, 1, 0, 77),
-                IgmpMessage::Report { version: 2, group: g() },
+                Input::Igmp { iface: IfIndex(0), src: Addr::from_octets(10, 1, 0, 77), msg },
             );
             assert!(
                 !act.iter().any(|a| matches!(a, RouterAction::SendControl { .. })),
                 "gap {gap_ms} ms: §2.6 — a join is already pending, no second one"
             );
-            let act = e.handle_control(ms(5), IfIndex(1), up_hop().addr, ack.clone());
+            let act = e.feed(
+                ms(5),
+                Input::Control { iface: IfIndex(1), src: up_hop().addr, msg: ack.clone() },
+            );
             assert_eq!(e.children_of(g()), vec![down_addr()], "transit obligation kept");
             assert!(e.is_gdr(IfIndex(0), g()), "gap {gap_ms} ms: member LAN left unserved");
             assert!(
@@ -1075,7 +1066,11 @@ mod tests {
             // reaches both the child and the member LAN.
             let mut fwd = Vec::new();
             let pkt = cbt_wire::DataPacket::new(Addr::from_octets(10, 7, 0, 9), g(), 16, vec![1]);
-            e.handle_native_data(ms(10), IfIndex(1), up_hop().addr, pkt, &mut fwd);
+            e.step(
+                ms(10),
+                Input::NativeData { iface: IfIndex(1), link_src: up_hop().addr, pkt },
+                &mut fwd,
+            );
             let mut out: Vec<IfIndex> = fwd
                 .iter()
                 .filter_map(|a| match a {
@@ -1092,33 +1087,31 @@ mod tests {
     fn concurrent_joins_are_cached_until_own_ack() {
         let mut e = routed_engine();
         trigger(&mut e, t(0)); // our own pending join
-        let act = e.handle_control(
+        let act = e.feed(
             t(1),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a(), core_b()],
+            Input::Control {
+                iface: IfIndex(2),
+                src: down_addr(),
+                msg: ControlMessage::JoinRequest {
+                    subcode: JoinSubcode::ActiveJoin,
+                    group: g(),
+                    origin: Addr::from_octets(10, 9, 0, 1),
+                    target_core: core_a(),
+                    cores: vec![core_a(), core_b()],
+                },
             },
         );
         assert!(act.is_empty(), "§2.5: cached, not acked, not forwarded");
         assert_eq!(e.obs().joins_cached, 1);
         // Our ack arrives: the cached join is acked too.
-        let act = e.handle_control(
-            t(2),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::Normal,
-                group: g(),
-                origin: Addr::from_octets(10, 1, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a(), core_b()],
-            },
-        );
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(),
+            origin: Addr::from_octets(10, 1, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a(), core_b()],
+        };
+        let act = e.feed(t(2), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         assert!(act.iter().any(|a| matches!(
             a,
             RouterAction::SendControl {
@@ -1134,31 +1127,23 @@ mod tests {
     fn on_tree_router_terminates_joins() {
         let mut e = routed_engine();
         trigger(&mut e, t(0));
-        e.handle_control(
-            t(1),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::Normal,
-                group: g(),
-                origin: Addr::from_octets(10, 1, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a(), core_b()],
-            },
-        );
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(),
+            origin: Addr::from_octets(10, 1, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a(), core_b()],
+        };
+        e.feed(t(1), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         // Now on-tree. A join from downstream terminates here.
-        let act = e.handle_control(
-            t(2),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a(), core_b()],
-            },
-        );
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a(), core_b()],
+        };
+        let act = e.feed(t(2), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert_eq!(act.len(), 1, "ack only — join not propagated (§2.5)");
         assert!(matches!(
             &act[0],
@@ -1177,29 +1162,27 @@ mod tests {
         // child, we become G-DR.
         let mut e = routed_engine();
         trigger(&mut e, t(0));
-        e.handle_control(
-            t(1),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::Normal,
-                group: g(),
-                origin: Addr::from_octets(10, 1, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a()],
-            },
-        );
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(),
+            origin: Addr::from_octets(10, 1, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        e.feed(t(1), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         let ddr = Addr::from_octets(10, 1, 0, 2); // another router on our LAN
-        let act = e.handle_control(
+        let act = e.feed(
             t(2),
-            IfIndex(0),
-            ddr,
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(),
-                origin: ddr,
-                target_core: core_a(),
-                cores: vec![core_a()],
+            Input::Control {
+                iface: IfIndex(0),
+                src: ddr,
+                msg: ControlMessage::JoinRequest {
+                    subcode: JoinSubcode::ActiveJoin,
+                    group: g(),
+                    origin: ddr,
+                    target_core: core_a(),
+                    cores: vec![core_a()],
+                },
             },
         );
         assert!(matches!(
@@ -1231,18 +1214,14 @@ mod tests {
         e.trigger_join(t(0), IfIndex(0), g(), 0, &mut act);
         assert!(e.has_pending_join(g()));
         // The LAN peer proxy-acks us.
-        e.handle_control(
-            t(1),
-            IfIndex(0),
-            lan_peer,
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::ProxyAck,
-                group: g(),
-                origin: Addr::from_octets(10, 1, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a()],
-            },
-        );
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::ProxyAck,
+            group: g(),
+            origin: Addr::from_octets(10, 1, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        e.feed(t(1), Input::Control { iface: IfIndex(0), src: lan_peer, msg });
         assert!(!e.is_on_tree(g()), "§2.6: D-DR keeps no FIB entry");
         assert!(!e.has_pending_join(g()));
         assert!(!e.is_gdr(IfIndex(0), g()));
@@ -1259,16 +1238,18 @@ mod tests {
     #[test]
     fn join_toward_unreachable_core_gets_nack() {
         let mut e = engine(CbtConfig::default()); // no routes at all
-        let act = e.handle_control(
+        let act = e.feed(
             t(0),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a()],
+            Input::Control {
+                iface: IfIndex(2),
+                src: down_addr(),
+                msg: ControlMessage::JoinRequest {
+                    subcode: JoinSubcode::ActiveJoin,
+                    group: g(),
+                    origin: Addr::from_octets(10, 9, 0, 1),
+                    target_core: core_a(),
+                    cores: vec![core_a()],
+                },
             },
         );
         assert!(matches!(
@@ -1286,16 +1267,12 @@ mod tests {
     fn nack_switches_to_alternate_core() {
         let mut e = routed_engine();
         trigger(&mut e, t(0));
-        let act = e.handle_control(
-            t(1),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::JoinNack {
-                group: g(),
-                origin: Addr::from_octets(10, 1, 0, 1),
-                target_core: core_a(),
-            },
-        );
+        let msg = ControlMessage::JoinNack {
+            group: g(),
+            origin: Addr::from_octets(10, 1, 0, 1),
+            target_core: core_a(),
+        };
+        let act = e.feed(t(1), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         // A fresh join toward core B went out.
         assert!(act.iter().any(|a| matches!(
             a,
@@ -1312,7 +1289,7 @@ mod tests {
         let mut e = routed_engine();
         trigger(&mut e, t(0));
         // t=10: PEND-JOIN-INTERVAL retransmission of the same join.
-        let act = e.on_timer(t(10));
+        let act = e.feed(t(10), Input::Timer);
         assert!(act.iter().any(|a| matches!(
             a,
             RouterAction::SendControl {
@@ -1321,7 +1298,7 @@ mod tests {
             } if *target_core == core_a()
         )));
         // t=30: PEND-JOIN-TIMEOUT switches to core B.
-        let act = e.on_timer(t(30));
+        let act = e.feed(t(30), Input::Timer);
         assert!(act.iter().any(|a| matches!(
             a,
             RouterAction::SendControl {
@@ -1330,8 +1307,8 @@ mod tests {
             } if *target_core == core_b()
         )));
         // t=90+: EXPIRE-PENDING-JOIN gives up entirely.
-        e.on_timer(t(60));
-        e.on_timer(t(91));
+        e.feed(t(60), Input::Timer);
+        e.feed(t(91), Input::Timer);
         assert!(!e.has_pending_join(g()), "overall budget exhausted");
     }
 
@@ -1341,18 +1318,14 @@ mod tests {
         // core list.
         let mut e = routed_engine();
         let my_id = e.id_addr();
-        let act = e.handle_control(
-            t(0),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: my_id,
-                cores: vec![my_id, core_b()],
-            },
-        );
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: my_id,
+            cores: vec![my_id, core_b()],
+        };
+        let act = e.feed(t(0), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert!(e.is_on_tree(g()));
         assert!(e.fib().get(g()).unwrap().i_am_core);
         assert!(e.fib().get(g()).unwrap().parent.is_none(), "primary core has no parent");
@@ -1372,18 +1345,14 @@ mod tests {
         // sends REJOIN-ACTIVE to the primary.
         let mut e = routed_engine();
         let my_id = e.id_addr();
-        let act = e.handle_control(
-            t(0),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: my_id,
-                cores: vec![core_a(), my_id], // primary is core_a
-            },
-        );
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: my_id,
+            cores: vec![core_a(), my_id], // primary is core_a
+        };
+        let act = e.feed(t(0), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         let acks: Vec<_> = act
             .iter()
             .filter(|a| {
@@ -1415,31 +1384,23 @@ mod tests {
     fn nactive_rejoin_walks_parentward() {
         let mut e = routed_engine();
         trigger(&mut e, t(0));
-        e.handle_control(
-            t(1),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::Normal,
-                group: g(),
-                origin: Addr::from_octets(10, 1, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a()],
-            },
-        );
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(),
+            origin: Addr::from_octets(10, 1, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        e.feed(t(1), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         let converter = Addr::from_octets(10, 255, 0, 50);
-        let act = e.handle_control(
-            t(2),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::RejoinNactive,
-                group: g(),
-                origin: Addr::from_octets(10, 255, 0, 60), // someone else's rejoin
-                target_core: converter,
-                cores: vec![core_a()],
-            },
-        );
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::RejoinNactive,
+            group: g(),
+            origin: Addr::from_octets(10, 255, 0, 60), // someone else's rejoin
+            target_core: converter,
+            cores: vec![core_a()],
+        };
+        let act = e.feed(t(2), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         // Forwarded out our parent interface, fields unchanged.
         assert!(matches!(
             &act[0],
@@ -1460,31 +1421,23 @@ mod tests {
     fn own_nactive_rejoin_breaks_loop_with_quit() {
         let mut e = routed_engine();
         trigger(&mut e, t(0));
-        e.handle_control(
-            t(1),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::Normal,
-                group: g(),
-                origin: Addr::from_octets(10, 1, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a(), core_b()],
-            },
-        );
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(),
+            origin: Addr::from_octets(10, 1, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a(), core_b()],
+        };
+        e.feed(t(1), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         let my_id = e.id_addr();
-        let act = e.handle_control(
-            t(2),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::RejoinNactive,
-                group: g(),
-                origin: my_id, // our own rejoin came back!
-                target_core: Addr::from_octets(10, 255, 0, 50),
-                cores: vec![core_a(), core_b()],
-            },
-        );
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::RejoinNactive,
+            group: g(),
+            origin: my_id, // our own rejoin came back!
+            target_core: Addr::from_octets(10, 255, 0, 50),
+            cores: vec![core_a(), core_b()],
+        };
+        let act = e.feed(t(2), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert!(
             act.iter().any(|a| matches!(
                 a,
@@ -1510,18 +1463,14 @@ mod tests {
         trigger(&mut e, t(0));
         assert!(e.has_pending_join(g()) && !e.is_on_tree(g()));
         let my_id = e.id_addr();
-        e.handle_control(
-            t(1),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::RejoinNactive,
-                group: g(),
-                origin: my_id,
-                target_core: Addr::from_octets(10, 255, 0, 50),
-                cores: vec![core_a(), core_b()],
-            },
-        );
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::RejoinNactive,
+            group: g(),
+            origin: my_id,
+            target_core: Addr::from_octets(10, 255, 0, 50),
+            cores: vec![core_a(), core_b()],
+        };
+        e.feed(t(1), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert!(e.has_pending_join(g()), "the member's join was cancelled");
         assert_eq!(e.protocol_phase(g(), t(1)), crate::ProtocolPhase::PendingJoin);
         assert_eq!(e.obs().loops_broken, 0);
@@ -1532,35 +1481,27 @@ mod tests {
         let mut e = routed_engine();
         let my_id = e.id_addr();
         // Become primary core by receiving a join listing us first.
-        e.handle_control(
-            t(0),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: my_id,
-                cores: vec![my_id],
-            },
-        );
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: my_id,
+            cores: vec![my_id],
+        };
+        e.feed(t(0), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         // Route to the converter for the direct ack.
         let converter = Addr::from_octets(10, 255, 0, 50);
         let mut map = BTreeMap::new();
         map.insert(converter, up_hop());
         set_routes(&mut e, map);
-        let act = e.handle_control(
-            t(1),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::RejoinNactive,
-                group: g(),
-                origin: Addr::from_octets(10, 255, 0, 60),
-                target_core: converter,
-                cores: vec![my_id],
-            },
-        );
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::RejoinNactive,
+            group: g(),
+            origin: Addr::from_octets(10, 255, 0, 60),
+            target_core: converter,
+            cores: vec![my_id],
+        };
+        let act = e.feed(t(1), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert!(
             matches!(
                 &act[0],
@@ -1579,30 +1520,22 @@ mod tests {
         let mut e = routed_engine();
         // On-tree with a child.
         trigger(&mut e, t(0));
-        e.handle_control(
-            t(1),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::Normal,
-                group: g(),
-                origin: Addr::from_octets(10, 1, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a(), core_b()],
-            },
-        );
-        e.handle_control(
-            t(2),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a(), core_b()],
-            },
-        );
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(),
+            origin: Addr::from_octets(10, 1, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a(), core_b()],
+        };
+        e.feed(t(1), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a(), core_b()],
+        };
+        e.feed(t(2), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert_eq!(e.children_of(g()).len(), 1);
         let mut act = Vec::new();
         e.start_reattach(t(3), g(), 0, &mut act);
@@ -1623,46 +1556,37 @@ mod tests {
         let mut e = routed_engine();
         let my_id = e.id_addr();
         // Become primary core.
-        e.handle_control(
-            t(0),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: my_id,
-                cores: vec![my_id],
-            },
-        );
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: my_id,
+            cores: vec![my_id],
+        };
+        e.feed(t(0), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         // Fill to 16 children.
         for i in 1..crate::fib::MAX_CHILDREN {
             let child = Addr::from_octets(172, 31, 10, i as u8);
-            e.handle_control(
-                t(1),
-                IfIndex(2),
-                child,
-                ControlMessage::JoinRequest {
-                    subcode: JoinSubcode::ActiveJoin,
-                    group: g(),
-                    origin: Addr::from_octets(10, 9, 0, i as u8),
-                    target_core: my_id,
-                    cores: vec![my_id],
-                },
-            );
-        }
-        assert_eq!(e.children_of(g()).len(), crate::fib::MAX_CHILDREN);
-        let act = e.handle_control(
-            t(2),
-            IfIndex(2),
-            Addr::from_octets(172, 31, 11, 1),
-            ControlMessage::JoinRequest {
+            let msg = ControlMessage::JoinRequest {
                 subcode: JoinSubcode::ActiveJoin,
                 group: g(),
-                origin: Addr::from_octets(10, 9, 1, 1),
+                origin: Addr::from_octets(10, 9, 0, i as u8),
                 target_core: my_id,
                 cores: vec![my_id],
-            },
+            };
+            e.feed(t(1), Input::Control { iface: IfIndex(2), src: child, msg });
+        }
+        assert_eq!(e.children_of(g()).len(), crate::fib::MAX_CHILDREN);
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(),
+            origin: Addr::from_octets(10, 9, 1, 1),
+            target_core: my_id,
+            cores: vec![my_id],
+        };
+        let act = e.feed(
+            t(2),
+            Input::Control { iface: IfIndex(2), src: Addr::from_octets(172, 31, 11, 1), msg },
         );
         assert!(matches!(
             &act[0],
@@ -1680,34 +1604,26 @@ mod tests {
         let mut e = routed_engine();
         trigger(&mut e, t(0)); // our own pending join
         let rejoin_origin = Addr::from_octets(10, 255, 0, 60);
-        let act = e.handle_control(
-            t(1),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::RejoinActive,
-                group: g(),
-                origin: rejoin_origin,
-                target_core: core_a(),
-                cores: vec![core_a(), core_b()],
-            },
-        );
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::RejoinActive,
+            group: g(),
+            origin: rejoin_origin,
+            target_core: core_a(),
+            cores: vec![core_a(), core_b()],
+        };
+        let act = e.feed(t(1), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert!(act.is_empty(), "§2.5: cached while pending");
         assert_eq!(e.obs().joins_cached, 1);
         // Our ack arrives; serving the cached rejoin must launch the
         // loop-detection walk up our new parent path AND ack downstream.
-        let act = e.handle_control(
-            t(2),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::Normal,
-                group: g(),
-                origin: Addr::from_octets(10, 1, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a(), core_b()],
-            },
-        );
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(),
+            origin: Addr::from_octets(10, 1, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a(), core_b()],
+        };
+        let act = e.feed(t(2), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         let my_id = e.id_addr();
         assert!(
             act.iter().any(|a| matches!(
@@ -1746,18 +1662,14 @@ mod tests {
         let mut e = routed_engine();
         let my_id = e.id_addr();
         // Become a non-primary core (primary listed first) with a child.
-        e.handle_control(
-            t(0),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: my_id,
-                cores: vec![core_a(), my_id],
-            },
-        );
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: my_id,
+            cores: vec![core_a(), my_id],
+        };
+        e.feed(t(0), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert_eq!(e.children_of(g()).len(), 1);
         // A campaign has been failing since t=0 (become_core's rejoin
         // attempt, cleared)...
@@ -1789,23 +1701,19 @@ mod tests {
     fn expired_reattach_join_ends_the_campaign() {
         let mut e = routed_engine();
         trigger(&mut e, t(0));
-        e.handle_control(
-            t(1),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::Normal,
-                group: g(),
-                origin: Addr::from_octets(10, 1, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a(), core_b()],
-            },
-        );
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(),
+            origin: Addr::from_octets(10, 1, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a(), core_b()],
+        };
+        e.feed(t(1), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         assert!(e.is_on_tree(g()));
         // The parent never answers: the campaign starts at 91 s, and
         // its reattach join expires unanswered.
         while let Some(w) = e.next_wakeup().filter(|w| *w <= t(1_000)) {
-            e.on_timer(w);
+            e.feed(w, Input::Timer);
         }
         assert_eq!(e.obs().parent_failures, 1);
         assert!(!e.is_on_tree(g()));
@@ -1819,30 +1727,22 @@ mod tests {
     fn non_core_past_reconnect_budget_flushes_downstream() {
         let mut e = routed_engine();
         trigger(&mut e, t(0));
-        e.handle_control(
-            t(1),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::Normal,
-                group: g(),
-                origin: Addr::from_octets(10, 1, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a()],
-            },
-        );
-        e.handle_control(
-            t(2),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a()],
-            },
-        );
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(),
+            origin: Addr::from_octets(10, 1, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        e.feed(t(1), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        e.feed(t(2), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert_eq!(e.children_of(g()).len(), 1);
         e.edit(g(), |r| r.campaign = Some(Campaign { since: t(2), backoff: None }));
         let past = t(2) + e.cfg.expire_pending_join;

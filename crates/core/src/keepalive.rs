@@ -325,18 +325,14 @@ mod tests {
         e.learn_cores(g(n), &[core_a(), core_b()]);
         let mut act = Vec::new();
         e.trigger_join(at, IfIndex(0), g(n), 0, &mut act);
-        e.handle_control(
-            at,
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::Normal,
-                group: g(n),
-                origin: Addr::from_octets(10, 1, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a(), core_b()],
-            },
-        );
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(n),
+            origin: Addr::from_octets(10, 1, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a(), core_b()],
+        };
+        e.feed(at, Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         assert!(e.is_on_tree(g(n)));
     }
 
@@ -354,11 +350,11 @@ mod tests {
         let mut e = routed_engine(CbtConfig::default());
         join_group(&mut e, 1, t(0));
         // Due at t=30 (CBT-ECHO-INTERVAL).
-        assert!(e.on_timer(t(29)).iter().all(|a| !matches!(
+        assert!(e.feed(t(29), Input::Timer).iter().all(|a| !matches!(
             a,
             RouterAction::SendControl { msg: ControlMessage::EchoRequest { .. }, .. }
         )));
-        let act = e.on_timer(t(30));
+        let act = e.feed(t(30), Input::Timer);
         assert!(act.iter().any(|a| matches!(
             a,
             RouterAction::SendControl {
@@ -375,24 +371,17 @@ mod tests {
         let mut e = routed_engine(CbtConfig::default());
         join_group(&mut e, 1, t(0));
         // Adopt a child.
-        e.handle_control(
-            t(1),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(1),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a()],
-            },
-        );
-        let act = e.handle_control(
-            t(5),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::EchoRequest { group: g(1), origin: down_addr(), group_mask: None },
-        );
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(1),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        e.feed(t(1), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
+        let msg =
+            ControlMessage::EchoRequest { group: g(1), origin: down_addr(), group_mask: None };
+        let act = e.feed(t(5), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert!(matches!(
             &act[0],
             RouterAction::SendControl {
@@ -408,12 +397,10 @@ mod tests {
     fn echo_from_stranger_gets_no_reply() {
         let mut e = routed_engine(CbtConfig::default());
         join_group(&mut e, 1, t(0));
-        let act = e.handle_control(
-            t(5),
-            IfIndex(2),
-            down_addr(), // not a child — we never acked it
-            ControlMessage::EchoRequest { group: g(1), origin: down_addr(), group_mask: None },
-        );
+        // The sender is not a child — we never acked it.
+        let msg =
+            ControlMessage::EchoRequest { group: g(1), origin: down_addr(), group_mask: None };
+        let act = e.feed(t(5), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert!(act.is_empty(), "silence makes the stranger re-join (§6.2)");
     }
 
@@ -422,9 +409,9 @@ mod tests {
         let mut e = routed_engine(CbtConfig::default());
         join_group(&mut e, 1, t(0));
         // Echoes go unanswered; at +90 s the parent is declared dead.
-        e.on_timer(t(30));
-        e.on_timer(t(60));
-        let act = e.on_timer(t(90));
+        e.feed(t(30), Input::Timer);
+        e.feed(t(60), Input::Timer);
+        let act = e.feed(t(90), Input::Timer);
         assert_eq!(e.obs().parent_failures, 1);
         assert!(
             act.iter().any(|a| matches!(
@@ -449,42 +436,34 @@ mod tests {
     fn reattach_ack_after_member_left_quits_eagerly() {
         let mut e = routed_engine(CbtConfig::default());
         e.learn_cores(g(1), &[core_a(), core_b()]);
-        e.local_join(t(0), g(1));
-        e.handle_control(
-            t(0),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::Normal,
-                group: g(1),
-                origin: Addr::from_octets(10, 1, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a(), core_b()],
-            },
-        );
+        e.feed(t(0), Input::Join(g(1)));
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(1),
+            origin: Addr::from_octets(10, 1, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a(), core_b()],
+        };
+        e.feed(t(0), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         assert!(e.is_on_tree(g(1)));
         // Parent goes silent; at +90 s §6.1 launches the reattach.
-        e.on_timer(t(30));
-        e.on_timer(t(60));
-        e.on_timer(t(90));
+        e.feed(t(30), Input::Timer);
+        e.feed(t(60), Input::Timer);
+        e.feed(t(90), Input::Timer);
         assert_eq!(e.obs().parent_failures, 1);
         assert!(e.has_pending_join(g(1)));
         // The member leaves mid-campaign: the quit is deferred.
-        e.local_leave(t(91), g(1));
+        e.feed(t(91), Input::Leave(g(1)));
         assert!(e.has_pending_join(g(1)), "leave defers to the in-flight reattach");
         // The reattach ack lands — the branch serves nobody now.
-        let act = e.handle_control(
-            t(92),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::Normal,
-                group: g(1),
-                origin: Addr::from_octets(10, 1, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a(), core_b()],
-            },
-        );
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(1),
+            origin: Addr::from_octets(10, 1, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a(), core_b()],
+        };
+        let act = e.feed(t(92), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         assert!(
             act.iter().any(|a| matches!(
                 a,
@@ -500,13 +479,10 @@ mod tests {
         let mut e = routed_engine(CbtConfig::default());
         join_group(&mut e, 1, t(0));
         for s in [30u64, 60, 90, 120] {
-            e.on_timer(t(s));
-            e.handle_control(
-                t(s),
-                IfIndex(1),
-                up_hop().addr,
-                ControlMessage::EchoReply { group: g(1), origin: up_hop().addr, group_mask: None },
-            );
+            e.feed(t(s), Input::Timer);
+            let msg =
+                ControlMessage::EchoReply { group: g(1), origin: up_hop().addr, group_mask: None };
+            e.feed(t(s), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         }
         assert_eq!(e.obs().parent_failures, 0);
         assert_eq!(e.parent_of(g(1)), Some(up_hop().addr));
@@ -520,18 +496,14 @@ mod tests {
     fn echo_rounds_leave_one_timer_entry_per_armed_key() {
         let mut e = routed_engine(CbtConfig::default());
         join_group(&mut e, 1, t(0));
-        e.handle_control(
-            t(1),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(1),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a()],
-            },
-        );
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(1),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        e.feed(t(1), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         let mut requests = 0;
         for round in 1..=1000u64 {
             // Our echo to the parent fires on its clock and is answered
@@ -541,7 +513,7 @@ mod tests {
             while let Some(w) = e.next_wakeup().filter(|w| *w <= at) {
                 now = w;
                 requests += e
-                    .on_timer(w)
+                    .feed(w, Input::Timer)
                     .iter()
                     .filter(|a| {
                         matches!(
@@ -554,17 +526,14 @@ mod tests {
                     })
                     .count();
             }
-            e.handle_control(
-                now,
-                IfIndex(2),
-                down_addr(),
-                ControlMessage::EchoRequest { group: g(1), origin: down_addr(), group_mask: None },
-            );
-            e.handle_control(
+            let msg =
+                ControlMessage::EchoRequest { group: g(1), origin: down_addr(), group_mask: None };
+            e.feed(now, Input::Control { iface: IfIndex(2), src: down_addr(), msg });
+            let msg =
+                ControlMessage::EchoReply { group: g(1), origin: up_hop().addr, group_mask: None };
+            e.feed(
                 at + cbt_netsim::SimDuration::from_secs(1),
-                IfIndex(1),
-                up_hop().addr,
-                ControlMessage::EchoReply { group: g(1), origin: up_hop().addr, group_mask: None },
+                Input::Control { iface: IfIndex(1), src: up_hop().addr, msg },
             );
             let (entries, keys) = (e.timers.len(), e.timers.tracked_keys());
             assert_eq!(entries, keys, "round {round}: a stale timer entry appeared");
@@ -578,24 +547,20 @@ mod tests {
     fn child_sweep_expires_silent_children() {
         let mut e = routed_engine(CbtConfig::default());
         join_group(&mut e, 1, t(0));
-        e.handle_control(
-            t(1),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(1),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a()],
-            },
-        );
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(1),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        e.feed(t(1), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert_eq!(e.children_of(g(1)).len(), 1);
         // Child stays silent: CHILD-ASSERT-EXPIRE-TIME is 180 s; sweeps
         // run every 90 s.
-        e.on_timer(t(90));
+        e.feed(t(90), Input::Timer);
         assert_eq!(e.children_of(g(1)).len(), 1, "only 89 s silent");
-        e.on_timer(t(185));
+        e.feed(t(185), Input::Timer);
         assert!(e.children_of(g(1)).is_empty(), "expired at the next sweep");
     }
 
@@ -603,34 +568,24 @@ mod tests {
     fn child_echo_refreshes_against_sweep() {
         let mut e = routed_engine(CbtConfig::default());
         join_group(&mut e, 1, t(0));
-        e.handle_control(
-            t(1),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(1),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a()],
-            },
-        );
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(1),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        e.feed(t(1), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         for s in [60u64, 120, 180, 240] {
-            e.handle_control(
-                t(s),
-                IfIndex(2),
-                down_addr(),
-                ControlMessage::EchoRequest { group: g(1), origin: down_addr(), group_mask: None },
-            );
+            let msg =
+                ControlMessage::EchoRequest { group: g(1), origin: down_addr(), group_mask: None };
+            e.feed(t(s), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
             // Keep our own parent alive too, so the child-assert sweep
             // is the only mechanism under test.
-            e.handle_control(
-                t(s),
-                IfIndex(1),
-                up_hop().addr,
-                ControlMessage::EchoReply { group: g(1), origin: up_hop().addr, group_mask: None },
-            );
-            e.on_timer(t(s + 1));
+            let msg =
+                ControlMessage::EchoReply { group: g(1), origin: up_hop().addr, group_mask: None };
+            e.feed(t(s), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
+            e.feed(t(s + 1), Input::Timer);
         }
         assert_eq!(e.children_of(g(1)).len(), 1, "regular echoes keep the child");
     }
@@ -642,7 +597,7 @@ mod tests {
         join_group(&mut e, 0, t(0));
         join_group(&mut e, 1, t(0));
         join_group(&mut e, 2, t(0));
-        let act = e.on_timer(t(30));
+        let act = e.feed(t(30), Input::Timer);
         let echoes: Vec<_> = act
             .iter()
             .filter_map(|a| match a {
@@ -667,18 +622,15 @@ mod tests {
         let mut e = routed_engine(cfg);
         join_group(&mut e, 1, t(0));
         join_group(&mut e, 2, t(0));
-        e.on_timer(t(30));
+        e.feed(t(30), Input::Timer);
         // One aggregated reply.
         let (low, mask) = mask_covering(&[g(1), g(2)]);
-        e.handle_control(
-            t(31),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::EchoReply { group: low, origin: up_hop().addr, group_mask: Some(mask) },
-        );
+        let msg =
+            ControlMessage::EchoReply { group: low, origin: up_hop().addr, group_mask: Some(mask) };
+        e.feed(t(31), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         // Neither parent may time out at t=90 (last_reply was t=31).
-        e.on_timer(t(60));
-        e.on_timer(t(90));
+        e.feed(t(60), Input::Timer);
+        e.feed(t(90), Input::Timer);
         assert_eq!(e.obs().parent_failures, 0);
     }
 
@@ -708,21 +660,17 @@ mod tests {
         e.learn_cores(g(3), &[core_b()]);
         let mut act = Vec::new();
         e.trigger_join(t(10), IfIndex(0), g(3), 0, &mut act);
-        e.handle_control(
-            t(10),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::Normal,
-                group: g(3),
-                origin: Addr::from_octets(10, 1, 0, 1),
-                target_core: core_b(),
-                cores: vec![core_b()],
-            },
-        );
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(3),
+            origin: Addr::from_octets(10, 1, 0, 1),
+            target_core: core_b(),
+            cores: vec![core_b()],
+        };
+        e.feed(t(10), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert_eq!(e.parent_of(g(3)), Some(down_addr()));
 
-        let act = e.on_timer(t(30));
+        let act = e.feed(t(30), Input::Timer);
         let echoes = act
             .iter()
             .filter(|a| {
@@ -741,7 +689,7 @@ mod tests {
 
         // The untouched clock fires on its own schedule, aimed at the
         // other parent only.
-        let act = e.on_timer(t(40));
+        let act = e.feed(t(40), Input::Timer);
         let targets: Vec<Addr> = act
             .iter()
             .filter_map(|a| match a {
@@ -764,12 +712,9 @@ mod tests {
         let mut e = routed_engine(CbtConfig::default());
         join_group(&mut e, 1, t(0));
         join_group(&mut e, 2, t(0));
-        e.handle_control(
-            t(31),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::EchoReply { group: g(1), origin: up_hop().addr, group_mask: None },
-        );
+        let msg =
+            ControlMessage::EchoReply { group: g(1), origin: up_hop().addr, group_mask: None };
+        e.feed(t(31), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         let last = |e: &CbtRouter, n: u16| e.fib().get(g(n)).unwrap().parent.unwrap().last_reply;
         assert_eq!(last(&e, 1), t(31), "named group refreshed");
         assert!(last(&e, 2) < t(31), "sibling on the same parent untouched");
@@ -800,20 +745,13 @@ mod tests {
             r.campaign = Some(crate::pending::Campaign { since: t(0), backoff: None })
         });
         // A reply from someone who is NOT the parent changes nothing.
-        e.handle_control(
-            t(5),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::EchoReply { group: g(1), origin: down_addr(), group_mask: None },
-        );
+        let msg = ControlMessage::EchoReply { group: g(1), origin: down_addr(), group_mask: None };
+        e.feed(t(5), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert!(e.has_transient_state(g(1)), "stranger's reply ignored");
         // The parent's reply retires the campaign.
-        e.handle_control(
-            t(6),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::EchoReply { group: g(1), origin: up_hop().addr, group_mask: None },
-        );
+        let msg =
+            ControlMessage::EchoReply { group: g(1), origin: up_hop().addr, group_mask: None };
+        e.feed(t(6), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         assert!(!e.has_transient_state(g(1)), "parent answered: settled");
     }
 
@@ -835,7 +773,7 @@ mod tests {
             target_core: me,
             cores: vec![me],
         };
-        e.handle_control(at, IfIndex(0), child, join);
+        e.feed(at, Input::Control { iface: IfIndex(0), src: child, msg: join });
     }
 
     /// A child that quits and is adopted again leaves its first tuple
@@ -847,22 +785,18 @@ mod tests {
         let (mut e, me) = p2p_core();
         let c = Addr::from_octets(10, 0, 1, 1);
         join_from(&mut e, t(0), g(1), c, me);
-        e.handle_control(
-            t(1),
-            IfIndex(0),
-            c,
-            ControlMessage::QuitRequest { group: g(1), origin: c },
-        );
+        let msg = ControlMessage::QuitRequest { group: g(1), origin: c };
+        e.feed(t(1), Input::Control { iface: IfIndex(0), src: c, msg });
         join_from(&mut e, t(2), g(1), c, me);
         assert_eq!(e.child_expiry.len(), 2, "the quit left its tuple behind");
         assert_eq!(e.check_child_filing(), 1);
         for s in 3..400u64 {
             if s % 3 == 0 {
                 let echo = ControlMessage::EchoRequest { group: g(1), origin: c, group_mask: None };
-                e.handle_control(t(s), IfIndex(0), c, echo);
+                e.feed(t(s), Input::Control { iface: IfIndex(0), src: c, msg: echo });
             }
             while e.next_wakeup().is_some_and(|w| w <= t(s)) {
-                e.on_timer(t(s));
+                e.feed(t(s), Input::Timer);
             }
             assert_eq!(e.check_child_filing(), usize::from(s < 18), "second {s}");
         }
@@ -908,7 +842,7 @@ mod tests {
             while let Some(due) = armed.filter(|d| *d <= until) {
                 assert_eq!(e.next_wakeup(), Some(due), "step {step}: sweep clock");
                 now = if rnd(3) == 0 { until } else { due.max(now) };
-                e.on_timer(now);
+                e.feed(now, Input::Timer);
                 armed = None;
                 if now >= next_sweep {
                     let due_groups: BTreeSet<GroupId> =
@@ -959,18 +893,14 @@ mod tests {
                     }
                     let echo =
                         ControlMessage::EchoRequest { group: g, origin: c, group_mask: None };
-                    let act = e.handle_control(now, IfIndex(0), c, echo);
+                    let act = e.feed(now, Input::Control { iface: IfIndex(0), src: c, msg: echo });
                     assert_eq!(act.len(), usize::from(heard.contains_key(&(g, c))), "reply");
                 }
                 _ => {
                     // The quit leaves its tuple behind in both designs.
                     heard.remove(&(g, c));
-                    e.handle_control(
-                        now,
-                        IfIndex(0),
-                        c,
-                        ControlMessage::QuitRequest { group: g, origin: c },
-                    );
+                    let msg = ControlMessage::QuitRequest { group: g, origin: c };
+                    e.feed(now, Input::Control { iface: IfIndex(0), src: c, msg });
                 }
             }
             let stale = e.check_child_filing();
@@ -981,7 +911,7 @@ mod tests {
         assert!(expired > 200 && survived > 200 && readopted > 200, "the schedule must mix");
         // Left alone, every child expires and every tuple is collected.
         while let Some(due) = e.next_wakeup() {
-            e.on_timer(due);
+            e.feed(due, Input::Timer);
         }
         assert_eq!(e.check_child_filing(), 0);
         assert!(e.child_expiry.is_empty() && e.fib.is_empty() && !e.children_tracked());

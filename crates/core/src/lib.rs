@@ -6,9 +6,10 @@
 //! the relationship to the SIGCOMM '93 architecture paper).
 //!
 //! The centrepiece is [`engine::CbtRouter`]: a **sans-I/O** state
-//! machine for one router. It consumes decoded control messages, IGMP
-//! messages, data packets and timer ticks, and emits
-//! [`events::RouterAction`]s (messages to send). It owns no sockets, no
+//! machine for one router. It has one door, [`engine::CbtRouter::step`],
+//! which takes one [`events::Input`] at a time — a decoded control, IGMP
+//! or data message, a local membership change or a timer tick — and
+//! emits [`events::RouterAction`]s (messages to send). It owns no sockets, no
 //! clock and no threads, which is why the *same* engine runs under the
 //! deterministic simulator (via [`sim::RouterNode`]) and under tokio
 //! (via the `cbt-node` crate).
@@ -96,8 +97,8 @@ pub mod teardown;
 pub mod timers;
 
 pub use config::CbtConfig;
-pub use engine::{CbtRouter, ProtocolPhase, RouteLookup, SharedRib};
-pub use events::RouterAction;
+pub use engine::{CbtRouter, GroupView, ProtocolPhase, RouteLookup, SharedRib};
+pub use events::{Input, RouterAction};
 pub use fib::{Fib, FibEntry, MAX_CHILDREN};
 pub use netscale::{addr_node, node_addr, FleetRib, FleetRoutes, P2pNode, SharedFleetRib};
 pub use parallelism::Parallelism;

@@ -220,6 +220,7 @@ impl CbtRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::Input;
     use crate::CbtConfig;
     use cbt_netsim::SimDuration;
     use cbt_routing::Hop;
@@ -265,11 +266,10 @@ mod tests {
         for step in 0..20_000 {
             now += SimDuration::from_millis(rnd(1_500));
             while let Some(w) = e.next_wakeup().filter(|w| *w <= now) {
-                e.on_timer(w);
+                e.feed(w, Input::Timer);
             }
             let g = groups[rnd(2) as usize];
-            let (iface, from) =
-                if rnd(4) == 0 { (IfIndex(1), stranger) } else { (IfIndex(0), via) };
+            let (iface, src) = if rnd(4) == 0 { (IfIndex(1), stranger) } else { (IfIndex(0), via) };
             let join = |subcode, origin| ControlMessage::JoinRequest {
                 subcode,
                 group: g,
@@ -277,52 +277,46 @@ mod tests {
                 target_core: cores[0],
                 cores: cores.clone(),
             };
-            let down = |msg| Some((IfIndex(2), child, msg));
+            let down = |msg| Input::Control { iface: IfIndex(2), src: child, msg };
             let input = match rnd(14) {
-                0..=1 => {
-                    e.local_join(now, g);
-                    None
-                }
-                2 => {
-                    e.local_leave(now, g);
-                    None
-                }
-                3..=4 => Some((
+                0..=1 => Input::Join(g),
+                2 => Input::Leave(g),
+                3..=4 => Input::Control {
                     iface,
-                    from,
-                    ControlMessage::JoinAck {
+                    src,
+                    msg: ControlMessage::JoinAck {
                         subcode: AckSubcode::Normal,
                         group: g,
                         origin: me,
                         target_core: cores[0],
                         cores: cores.clone(),
                     },
-                )),
-                5 => Some((
+                },
+                5 => Input::Control {
                     iface,
-                    from,
-                    ControlMessage::JoinNack { group: g, origin: me, target_core: cores[0] },
-                )),
-                6 => Some((iface, from, ControlMessage::QuitAck { group: g, origin: from })),
+                    src,
+                    msg: ControlMessage::JoinNack { group: g, origin: me, target_core: cores[0] },
+                },
+                6 => Input::Control {
+                    iface,
+                    src,
+                    msg: ControlMessage::QuitAck { group: g, origin: src },
+                },
                 7 => down(join(JoinSubcode::RejoinNactive, me)),
-                8..=9 => Some((
+                8..=9 => Input::Control {
                     iface,
-                    from,
-                    ControlMessage::EchoReply { group: g, origin: from, group_mask: None },
-                )),
+                    src,
+                    msg: ControlMessage::EchoReply { group: g, origin: src, group_mask: None },
+                },
                 10 => down(join(JoinSubcode::ActiveJoin, child)),
                 11 => down(ControlMessage::QuitRequest { group: g, origin: child }),
+                // The next wakeup (a no-op timer input if there is none).
                 _ => {
-                    if let Some(w) = e.next_wakeup() {
-                        now = now.max(w);
-                        e.on_timer(now);
-                    }
-                    None
+                    now = e.next_wakeup().map_or(now, |w| now.max(w));
+                    Input::Timer
                 }
             };
-            if let Some((iface, src, msg)) = input {
-                e.handle_control(now, iface, src, msg);
-            }
+            e.feed(now, input);
             for g in groups {
                 let t = e.transients.get(&g);
                 let join = t.is_some_and(|t| t.join.is_some());

@@ -11,8 +11,12 @@
 //!
 //! ## Steering rules
 //!
-//! * Control messages, group-specific IGMP, native data and CBT data
-//!   all carry a group — each goes to `shard_of(group)` alone.
+//! [`ShardedRouter::step`] takes the same [`Input`] as
+//! [`CbtRouter::step`] and steers it by [`Input::group`]:
+//!
+//! * Control messages, group-specific IGMP, native data, CBT data and
+//!   local joins and leaves all carry a group — each goes to
+//!   `shard_of(group)` alone.
 //! * A §8.4 aggregated echo names its mask cover by its first group,
 //!   which the sending shard owns, so it lands on the peer shard that
 //!   owns the cover's groups — provided both neighbours run the same
@@ -26,22 +30,24 @@
 //!   also wants to send its own general query — are suppressed for
 //!   every shard but the first, so the wire sees exactly what an
 //!   unsharded router would send.
+//! * A timer input runs every due shard, in index order, which keeps
+//!   multi-shard instants deterministic; the same first-shard filter
+//!   applies to what it emits. `next_wakeup` is the min over
+//!   per-shard timer peeks.
 //! * Non-group housekeeping (decode-error drop counts, group-less
 //!   transit) lands on shard 0 by convention.
 //!
-//! `next_wakeup` is the min over per-shard timer peeks; `on_timer`
-//! visits due shards in index order, which keeps multi-shard instants
-//! deterministic. [`ShardedRouter::obs_snapshot`] merges across shards
-//! with the same associative/commutative fold the parallel eval runner
-//! uses across seeds.
+//! [`ShardedRouter::obs_snapshot`] merges across shards with the same
+//! associative/commutative fold the parallel eval runner uses across
+//! seeds.
 //!
 //! The front is the only way into a router's shards: every per-group
 //! query steers to the owner and every counter view merges, so no
 //! caller can mistake shard 0 for the whole router.
 
 use crate::config::CbtConfig;
-use crate::engine::{CbtRouter, IfaceInfo, RouteLookup};
-use crate::events::RouterAction;
+use crate::engine::{CbtRouter, GroupView, IfaceInfo, RouteLookup};
+use crate::events::{Input, RouterAction};
 use cbt_netsim::SimTime;
 use cbt_obs::{ObsSnapshot, RouterObs};
 use cbt_topology::{IfIndex, NetworkSpec, RouterId};
@@ -118,7 +124,7 @@ impl ShardedRouter {
 
     /// Builds the full shard set for a bare point-to-point router (see
     /// [`CbtRouter::p2p`]): no `NetworkSpec`, no LANs, membership via
-    /// [`ShardedRouter::local_join`]/[`ShardedRouter::local_leave`].
+    /// [`Input::Join`]/[`Input::Leave`].
     pub fn p2p(
         me: RouterId,
         id_addr: Addr,
@@ -183,148 +189,37 @@ impl ShardedRouter {
     }
 
     /// The shard owning `group`.
-    pub fn shard_for(&self, group: GroupId) -> &CbtRouter {
+    fn shard_for(&self, group: GroupId) -> &CbtRouter {
         &self.shards[self.local_for(group)]
     }
 
-    /// Mutable access to the shard owning `group`.
-    pub fn shard_for_mut(&mut self, group: GroupId) -> &mut CbtRouter {
-        let k = self.local_for(group);
-        &mut self.shards[k]
-    }
-
-    // ------------------------------------------------------------------
-    // Steered input dispatch — same signatures as `CbtRouter`.
-    // ------------------------------------------------------------------
-
-    /// Steers a control message to its group's shard.
-    pub fn handle_control(
-        &mut self,
-        now: SimTime,
-        iface: IfIndex,
-        src: Addr,
-        msg: ControlMessage,
-    ) -> Vec<RouterAction> {
-        let k = self.local_for(msg.group());
-        self.shards[k].handle_control(now, iface, src, msg)
-    }
-
-    /// [`handle_control`](Self::handle_control) appending to a
-    /// caller-owned action buffer.
-    pub fn handle_control_into(
-        &mut self,
-        now: SimTime,
-        iface: IfIndex,
-        src: Addr,
-        msg: ControlMessage,
-        act: &mut Vec<RouterAction>,
-    ) {
-        let k = self.local_for(msg.group());
-        self.shards[k].handle_control_into(now, iface, src, msg, act);
-    }
-
-    /// Steers a direct local-membership join (netscale p2p mode) to its
-    /// group's shard.
-    pub fn local_join(&mut self, now: SimTime, group: GroupId) -> Vec<RouterAction> {
-        let k = self.local_for(group);
-        self.shards[k].local_join(now, group)
-    }
-
-    /// Steers a direct local-membership leave to its group's shard.
-    pub fn local_leave(&mut self, now: SimTime, group: GroupId) -> Vec<RouterAction> {
-        let k = self.local_for(group);
-        self.shards[k].local_leave(now, group)
-    }
-
-    /// Steers an IGMP message: group-carrying variants go to the owning
-    /// shard; general queries are broadcast to every shard (election
-    /// replicas) with redundant emissions filtered to the first shard.
-    pub fn handle_igmp(
-        &mut self,
-        now: SimTime,
-        iface: IfIndex,
-        src: Addr,
-        msg: IgmpMessage,
-    ) -> Vec<RouterAction> {
-        let group = match &msg {
-            IgmpMessage::Query { group, .. } => *group,
-            IgmpMessage::Report { group, .. }
-            | IgmpMessage::Leave { group }
-            | IgmpMessage::TreeJoined { group, .. } => Some(*group),
-            IgmpMessage::RpCore(r) => Some(r.group),
-        };
-        match group {
-            Some(g) => {
-                let k = self.local_for(g);
-                self.shards[k].handle_igmp(now, iface, src, msg)
-            }
-            None => {
-                let first = self.first_index;
-                let mut out = Vec::new();
-                for (k, shard) in self.shards.iter_mut().enumerate() {
-                    let act = shard.handle_igmp(now, iface, src, msg.clone());
-                    out.extend(act.into_iter().filter(|a| emits(first + k, a)));
-                }
-                out
-            }
+    /// The one way into the router: steers `input` to the shard owning
+    /// its group. The two group-less inputs run on several shards in
+    /// index order — a general query on every election replica, a timer
+    /// on every due shard (driving one that is not due would be a
+    /// no-op) — and what they emit without a group leaves from the
+    /// first shard only.
+    #[inline]
+    pub fn step(&mut self, now: SimTime, input: Input, out: &mut Vec<RouterAction>) {
+        if let Some(group) = input.group() {
+            let k = self.local_for(group);
+            return self.shards[k].step(now, input, out);
         }
-    }
-
-    /// Steers a native-mode data packet to its group's shard. Pure
-    /// index arithmetic in front of the zero-allocation forward path.
-    #[inline]
-    pub fn handle_native_data(
-        &mut self,
-        now: SimTime,
-        iface: IfIndex,
-        link_src: Addr,
-        pkt: DataPacket,
-        act: &mut Vec<RouterAction>,
-    ) {
-        let k = self.local_for(pkt.group);
-        self.shards[k].handle_native_data(now, iface, link_src, pkt, act);
-    }
-
-    /// Steers a CBT-mode data packet to its group's shard.
-    #[inline]
-    pub fn handle_cbt_data(
-        &mut self,
-        now: SimTime,
-        arrival: IfIndex,
-        outer_src: Addr,
-        pkt: CbtDataPacket,
-        act: &mut Vec<RouterAction>,
-    ) {
-        let k = self.local_for(pkt.cbt.group);
-        self.shards[k].handle_cbt_data(now, arrival, outer_src, pkt, act);
-    }
-
-    /// Advances every due shard, in shard order (deterministic when
-    /// several shards share a wakeup instant). Driving a shard that is
-    /// not due would be a no-op, so it is skipped.
-    pub fn on_timer(&mut self, now: SimTime) -> Vec<RouterAction> {
-        let mut act = Vec::new();
-        self.on_timer_into(now, &mut act);
-        act
-    }
-
-    /// [`on_timer`](Self::on_timer) appending to a caller-owned action
-    /// buffer.
-    pub fn on_timer_into(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
         let first = self.first_index;
         for (k, shard) in self.shards.iter_mut().enumerate() {
-            if shard.next_wakeup().is_some_and(|w| w <= now) {
-                let from = act.len();
-                shard.on_timer_into(now, act);
-                if first + k > 0 {
-                    // Drop this shard's redundant group-less emissions;
-                    // what was buffered before it ran stays.
-                    let mut at = 0;
-                    act.retain(|a| {
-                        at += 1;
-                        at <= from || emits(first + k, a)
-                    });
-                }
+            if matches!(input, Input::Timer) && shard.next_wakeup().is_none_or(|w| w > now) {
+                continue;
+            }
+            let from = out.len();
+            shard.step(now, input.clone(), out);
+            if first + k > 0 {
+                // Drop this shard's redundant group-less emissions;
+                // what was buffered before it ran stays.
+                let mut at = 0;
+                out.retain(|a| {
+                    at += 1;
+                    at <= from || emits(first + k, a)
+                });
             }
         }
     }
@@ -389,6 +284,11 @@ impl ShardedRouter {
         self.shard_for(group).has_pending_join(group)
     }
 
+    /// One read of `group`'s tree state, asked of the owning shard.
+    pub fn group_view(&self, group: GroupId) -> GroupView {
+        self.shard_for(group).group_view(group)
+    }
+
     /// Per-group protocol phase at `now`, asked of the owning shard.
     pub fn protocol_phase(&self, group: GroupId, now: SimTime) -> crate::engine::ProtocolPhase {
         self.shard_for(group).protocol_phase(group, now)
@@ -407,7 +307,8 @@ impl ShardedRouter {
 
     /// Records a core list with the owning shard.
     pub fn learn_cores(&mut self, group: GroupId, cores: &[Addr]) {
-        self.shard_for_mut(group).learn_cores(group, cores);
+        let k = self.local_for(group);
+        self.shards[k].learn_cores(group, cores);
     }
 
     /// The configuration in force (identical across shards).
@@ -437,6 +338,71 @@ impl ShardedRouter {
             snap.merge(&s.obs_snapshot());
         }
         snap
+    }
+}
+
+/// Per-kind doors kept only for callers that predate [`Input`]; each is
+/// one call to [`ShardedRouter::step`]. New code calls `step`.
+#[doc(hidden)]
+impl ShardedRouter {
+    pub fn handle_control(
+        &mut self,
+        now: SimTime,
+        iface: IfIndex,
+        src: Addr,
+        msg: ControlMessage,
+    ) -> Vec<RouterAction> {
+        let mut out = Vec::new();
+        self.step(now, Input::Control { iface, src, msg }, &mut out);
+        out
+    }
+
+    pub fn handle_igmp(
+        &mut self,
+        now: SimTime,
+        iface: IfIndex,
+        src: Addr,
+        msg: IgmpMessage,
+    ) -> Vec<RouterAction> {
+        let mut out = Vec::new();
+        self.step(now, Input::Igmp { iface, src, msg }, &mut out);
+        out
+    }
+
+    #[inline]
+    pub fn handle_native_data(
+        &mut self,
+        now: SimTime,
+        iface: IfIndex,
+        link_src: Addr,
+        pkt: DataPacket,
+        out: &mut Vec<RouterAction>,
+    ) {
+        self.step(now, Input::NativeData { iface, link_src, pkt }, out);
+    }
+
+    #[inline]
+    pub fn handle_cbt_data(
+        &mut self,
+        now: SimTime,
+        iface: IfIndex,
+        outer_src: Addr,
+        pkt: CbtDataPacket,
+        out: &mut Vec<RouterAction>,
+    ) {
+        self.step(now, Input::CbtData { iface, outer_src, pkt }, out);
+    }
+
+    pub fn local_join(&mut self, now: SimTime, group: GroupId) -> Vec<RouterAction> {
+        let mut out = Vec::new();
+        self.step(now, Input::Join(group), &mut out);
+        out
+    }
+
+    pub fn local_leave(&mut self, now: SimTime, group: GroupId) -> Vec<RouterAction> {
+        let mut out = Vec::new();
+        self.step(now, Input::Leave(group), &mut out);
+        out
     }
 }
 
@@ -533,22 +499,22 @@ mod tests {
             ShardedRouter::new(&net, me, CbtConfig { shards: 1, ..cfg }, no_routes, SimTime::ZERO);
         let host = Addr::from_octets(10, 1, 0, 77);
         let g = GroupId::numbered(9);
-        let report = IgmpMessage::Report { version: 2, group: g };
+        let report = Input::Igmp {
+            iface: IfIndex(0),
+            src: host,
+            msg: IgmpMessage::Report { version: 2, group: g },
+        };
+        let (mut a, mut b) = (Vec::new(), Vec::new());
         let mut t = SimTime::ZERO;
         for step in 0..200 {
-            let (a, b) = (
-                plain.handle_igmp(t, IfIndex(0), host, report.clone()),
-                front.handle_igmp(t, IfIndex(0), host, report.clone()),
-            );
-            assert_eq!(a, b, "igmp actions diverge at step {step}");
+            plain.step(t, report.clone(), &mut a);
+            front.step(t, report.clone(), &mut b);
             let (wa, wb) = (plain.next_wakeup(), front.next_wakeup());
             assert_eq!(wa, wb, "wakeup diverges at step {step}");
             t = wa.unwrap_or(t + cbt_netsim::SimDuration::from_secs(1));
-            assert_eq!(
-                plain.on_timer(t),
-                front.on_timer(t),
-                "timer actions diverge at step {step}"
-            );
+            plain.step(t, Input::Timer, &mut a);
+            front.step(t, Input::Timer, &mut b);
+            assert_eq!(a, b, "actions diverge at step {step}");
         }
         assert_eq!(plain.obs_snapshot(), front.obs_snapshot());
     }
@@ -569,12 +535,9 @@ mod tests {
         // Group B becomes live on the LAN (if0): cores learned, member
         // reported — B's owner shard originates the join upstream.
         r.learn_cores(gb, &[core()]);
-        r.handle_igmp(
-            SimTime::ZERO,
-            IfIndex(0),
-            host,
-            IgmpMessage::Report { version: 2, group: gb },
-        );
+        let mut out = Vec::new();
+        let report = IgmpMessage::Report { version: 2, group: gb };
+        r.step(SimTime::ZERO, Input::Igmp { iface: IfIndex(0), src: host, msg: report }, &mut out);
         // A JOIN for group A arrives on the downstream link (if2) —
         // same router, same ports as B's traffic would use.
         let child = Addr::from_octets(172, 31, 0, 6);
@@ -585,7 +548,11 @@ mod tests {
             target_core: core(),
             cores: vec![core()],
         };
-        r.handle_control(SimTime::from_micros(10_000), IfIndex(2), child, join);
+        r.step(
+            SimTime::from_micros(10_000),
+            Input::Control { iface: IfIndex(2), src: child, msg: join },
+            &mut out,
+        );
         let (ka, kb) = (r.shard_index(ga), r.shard_index(gb));
         for k in 0..n {
             // Group A's join state (and its control counters) live on
@@ -614,7 +581,8 @@ mod tests {
         let mut r = sharded(4);
         // Boot instant: every shard's election wants to send its
         // startup general query; exactly one may reach the wire.
-        let act = r.on_timer(SimTime::ZERO);
+        let mut act = Vec::new();
+        r.step(SimTime::ZERO, Input::Timer, &mut act);
         let queries = act
             .iter()
             .filter(|a| {
@@ -628,7 +596,11 @@ mod tests {
         // A foreign general query is heard by every shard's replica.
         let rival = Addr::from_octets(10, 1, 0, 200);
         let q = IgmpMessage::Query { group: None, max_resp_tenths: 100 };
-        r.handle_igmp(SimTime::from_micros(5_000), IfIndex(0), rival, q);
+        r.step(
+            SimTime::from_micros(5_000),
+            Input::Igmp { iface: IfIndex(0), src: rival, msg: q },
+            &mut act,
+        );
         for k in 0..4 {
             // The rival has a higher address than our 10.1.0.1 LAN
             // iface, so our shards keep querier duty — but each replica
@@ -658,15 +630,22 @@ mod tests {
             ShardedRouter::new(&net, me, CbtConfig { shards: 4, ..cfg }, routes, SimTime::ZERO);
         let host = Addr::from_octets(10, 1, 0, 77);
         let origin = Addr::from_octets(10, 1, 0, 1);
+        for i in 0..24u16 {
+            single.learn_cores(GroupId::numbered(i), &[core()]);
+            front.learn_cores(GroupId::numbered(i), &[core()]);
+        }
+        let mut act = Vec::new();
+        let mut both = |t, input: Input| {
+            single.step(t, input.clone(), &mut act);
+            front.step(t, input, &mut act);
+            act.clear();
+        };
 
         for i in 0..24u16 {
             let g = GroupId::numbered(i);
             let t = SimTime::from_micros(1_000 + i as u64);
-            single.learn_cores(g, &[core()]);
-            front.learn_cores(g, &[core()]);
             let report = IgmpMessage::Report { version: 2, group: g };
-            single.handle_igmp(t, IfIndex(0), host, report.clone());
-            front.handle_igmp(t, IfIndex(0), host, report);
+            both(t, Input::Igmp { iface: IfIndex(0), src: host, msg: report });
             let ack = ControlMessage::JoinAck {
                 subcode: cbt_wire::control::AckSubcode::Normal,
                 group: g,
@@ -675,25 +654,21 @@ mod tests {
                 cores: vec![core()],
             };
             let t2 = SimTime::from_micros(5_000 + 7 * i as u64);
-            single.handle_control(t2, IfIndex(1), core(), ack.clone());
-            front.handle_control(t2, IfIndex(1), core(), ack);
+            both(t2, Input::Control { iface: IfIndex(1), src: core(), msg: ack });
         }
-        let mut act = Vec::new();
         for i in 0..24u16 {
             let g = GroupId::numbered(i);
             let t3 = SimTime::from_micros(50_000 + i as u64);
             let pkt = DataPacket::new(host, g, 16, vec![0u8; 8]);
-            single.handle_native_data(t3, IfIndex(0), host, pkt.clone(), &mut act);
-            act.clear();
-            front.handle_native_data(t3, IfIndex(0), host, pkt, &mut act);
-            act.clear();
+            both(t3, Input::NativeData { iface: IfIndex(0), link_src: host, pkt });
         }
         for i in 0..6u16 {
             let g = GroupId::numbered(i);
             let t4 = SimTime::from_micros(90_000 + i as u64);
-            let leave = IgmpMessage::Leave { group: g };
-            single.handle_igmp(t4, IfIndex(0), host, leave.clone());
-            front.handle_igmp(t4, IfIndex(0), host, leave);
+            both(
+                t4,
+                Input::Igmp { iface: IfIndex(0), src: host, msg: IgmpMessage::Leave { group: g } },
+            );
         }
 
         assert_eq!(single.obs_snapshot(), front.obs_snapshot());
@@ -704,14 +679,15 @@ mod tests {
     fn merged_snapshot_totals_cover_all_shards() {
         let mut r = sharded(4);
         let host = Addr::from_octets(10, 1, 0, 77);
+        let mut out = Vec::new();
         for i in 0..32u16 {
             let g = GroupId::numbered(i);
             r.learn_cores(g, &[core()]);
-            r.handle_igmp(
+            let report = IgmpMessage::Report { version: 2, group: g };
+            r.step(
                 SimTime::ZERO,
-                IfIndex(0),
-                host,
-                IgmpMessage::Report { version: 2, group: g },
+                Input::Igmp { iface: IfIndex(0), src: host, msg: report },
+                &mut out,
             );
         }
         let merged = r.obs_snapshot();

@@ -7,7 +7,7 @@
 //! `cbt-wire`, so the trace sees exactly what a packet capture would.
 
 use crate::engine::{RouteLookup, SharedRib};
-use crate::events::RouterAction;
+use crate::events::{Input, RouterAction};
 use crate::payload::Deliveries;
 use crate::shard::ShardedRouter;
 use cbt_igmp::{HostMembership, IgmpTimers};
@@ -42,7 +42,7 @@ fn build_frame(out: &mut Outbox, write: impl FnOnce(&mut Vec<u8>)) -> Bytes {
 pub struct RouterNode {
     engine: ShardedRouter,
     rib: SharedRib,
-    /// Reusable action buffer every engine entry point writes into
+    /// Reusable action buffer every engine step writes into
     /// (see [`RouterNode::drive`]); drained by [`RouterNode::emit`],
     /// its capacity persists across packets so the steady-state
     /// forward path never reallocates it.
@@ -93,15 +93,13 @@ impl RouterNode {
         &mut self.engine
     }
 
-    /// Runs one engine entry point against the reusable action buffer
-    /// and puts what it emitted on the wire.
-    fn drive(
-        &mut self,
-        out: &mut Outbox,
-        input: impl FnOnce(&mut ShardedRouter, &mut Vec<RouterAction>),
-    ) {
+    /// Steps the engine with one input against the reusable action
+    /// buffer and puts what it emitted on the wire. Inlined, so each
+    /// call site's input kind is known where `step` matches on it.
+    #[inline]
+    fn drive(&mut self, now: SimTime, input: Input, out: &mut Outbox) {
         let mut actions = std::mem::take(&mut self.act_buf);
-        input(&mut self.engine, &mut actions);
+        self.engine.step(now, input, &mut actions);
         self.emit(&mut actions, out);
         self.act_buf = actions;
     }
@@ -260,10 +258,7 @@ impl SimNode for RouterNode {
         let mine = !hdr.dst.is_multicast() && self.engine.is_my_addr(hdr.dst);
         match hdr.proto {
             IpProto::Igmp => match IgmpMessage::decode(body) {
-                Ok(msg) => {
-                    let mut actions = self.engine.handle_igmp(now, iface, hdr.src, msg);
-                    self.emit(&mut actions, out);
-                }
+                Ok(msg) => self.drive(now, Input::Igmp { iface, src: hdr.src, msg }, out),
                 Err(e) => self.count_decode_failure(&e),
             },
             IpProto::Udp => {
@@ -273,9 +268,11 @@ impl SimNode for RouterNode {
                     {
                         if mine {
                             match ControlMessage::decode(payload) {
-                                Ok(msg) => self.drive(out, |e, act| {
-                                    e.handle_control_into(now, iface, hdr.src, msg, act)
-                                }),
+                                Ok(msg) => self.drive(
+                                    now,
+                                    Input::Control { iface, src: hdr.src, msg },
+                                    out,
+                                ),
                                 Err(e) => self.count_decode_failure(&e),
                             }
                         } else if !hdr.dst.is_multicast() {
@@ -288,9 +285,9 @@ impl SimNode for RouterNode {
                             // packet is views into the frame, nothing
                             // is parsed, summed or copied again.
                             match DataPacket::from_validated(frame, &hdr, &udp) {
-                                Ok(pkt) => self.drive(out, |e, act| {
-                                    e.handle_native_data(now, iface, link_src, pkt, act)
-                                }),
+                                Ok(pkt) => {
+                                    self.drive(now, Input::NativeData { iface, link_src, pkt }, out)
+                                }
                                 Err(e) => self.count_decode_failure(&e),
                             }
                         } else if !mine {
@@ -304,8 +301,9 @@ impl SimNode for RouterNode {
                 let payload = Self::subslice(frame, body);
                 if mine || hdr.dst.is_multicast() {
                     match CbtDataPacket::decode_payload_bytes(&payload) {
-                        Ok(pkt) => self
-                            .drive(out, |e, act| e.handle_cbt_data(now, iface, hdr.src, pkt, act)),
+                        Ok(pkt) => {
+                            self.drive(now, Input::CbtData { iface, outer_src: hdr.src, pkt }, out)
+                        }
                         Err(e) => self.count_decode_failure(&e),
                     }
                 } else {
@@ -319,7 +317,7 @@ impl SimNode for RouterNode {
                         .ok()
                         .filter(|p| !p.cbt.is_on_tree() && self.engine.is_on_tree(p.cbt.group));
                     if let Some(pkt) = intercept {
-                        self.drive(out, |e, act| e.handle_cbt_data(now, iface, hdr.src, pkt, act));
+                        self.drive(now, Input::CbtData { iface, outer_src: hdr.src, pkt }, out);
                     } else {
                         self.ip_forward(hdr, frame, out);
                     }
@@ -334,7 +332,7 @@ impl SimNode for RouterNode {
     }
 
     fn on_timer(&mut self, now: SimTime, out: &mut Outbox) {
-        self.drive(out, |e, act| e.on_timer_into(now, act));
+        self.drive(now, Input::Timer, out);
     }
 
     fn next_wakeup(&self) -> Option<SimTime> {

@@ -259,30 +259,22 @@ mod tests {
         e.learn_cores(g(), &[core_a()]);
         let mut act = Vec::new();
         e.trigger_join(t(0), IfIndex(0), g(), 0, &mut act);
-        e.handle_control(
-            t(1),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::JoinAck {
-                subcode: AckSubcode::Normal,
-                group: g(),
-                origin: Addr::from_octets(10, 1, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a()],
-            },
-        );
-        e.handle_control(
-            t(2),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: core_a(),
-                cores: vec![core_a()],
-            },
-        );
+        let msg = ControlMessage::JoinAck {
+            subcode: AckSubcode::Normal,
+            group: g(),
+            origin: Addr::from_octets(10, 1, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        e.feed(t(1), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: core_a(),
+            cores: vec![core_a()],
+        };
+        e.feed(t(2), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert!(e.is_on_tree(g()));
         assert_eq!(e.children_of(g()).len(), 1);
         e
@@ -291,12 +283,8 @@ mod tests {
     #[test]
     fn quit_from_child_removes_it_and_acks() {
         let mut e = on_tree_with_child();
-        let act = e.handle_control(
-            t(10),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::QuitRequest { group: g(), origin: down_addr() },
-        );
+        let msg = ControlMessage::QuitRequest { group: g(), origin: down_addr() };
+        let act = e.feed(t(10), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert!(matches!(
             &act[0],
             RouterAction::SendControl {
@@ -313,12 +301,8 @@ mod tests {
         let mut e = on_tree_with_child();
         // Drop our member LAN responsibility so the cascade can fire.
         e.gdr.remove(&(IfIndex(0), g()));
-        let act = e.handle_control(
-            t(10),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::QuitRequest { group: g(), origin: down_addr() },
-        );
+        let msg = ControlMessage::QuitRequest { group: g(), origin: down_addr() };
+        let act = e.feed(t(10), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         // Ack downstream + our own quit upstream.
         assert!(act.iter().any(|a| matches!(
             a,
@@ -347,13 +331,12 @@ mod tests {
         let mut e = on_tree_with_child();
         // Fake membership on LAN if0 where we are G-DR.
         let report = cbt_wire::IgmpMessage::Report { version: 3, group: g() };
-        e.handle_igmp(t(5), IfIndex(0), Addr::from_octets(10, 1, 0, 100), report);
-        let act = e.handle_control(
-            t(10),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::QuitRequest { group: g(), origin: down_addr() },
+        e.feed(
+            t(5),
+            Input::Igmp { iface: IfIndex(0), src: Addr::from_octets(10, 1, 0, 100), msg: report },
         );
+        let msg = ControlMessage::QuitRequest { group: g(), origin: down_addr() };
+        let act = e.feed(t(10), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert!(
             !act.iter().any(|a| matches!(
                 a,
@@ -372,27 +355,19 @@ mod tests {
     fn quit_retransmits_until_acked_or_exhausted() {
         let mut e = on_tree_with_child();
         e.gdr.remove(&(IfIndex(0), g()));
-        e.handle_control(
-            t(10),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::QuitRequest { group: g(), origin: down_addr() },
-        );
+        let msg = ControlMessage::QuitRequest { group: g(), origin: down_addr() };
+        e.feed(t(10), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert_eq!(e.obs().ctl.sent(CtlKind::QuitRequest), 1);
         // No ack: retransmit on the quit interval (5 s default).
-        let act = e.on_timer(t(15));
+        let act = e.feed(t(15), Input::Timer);
         assert!(act.iter().any(|a| matches!(
             a,
             RouterAction::SendControl { msg: ControlMessage::QuitRequest { .. }, .. }
         )));
         // An ack stops it.
-        e.handle_control(
-            t(16),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::QuitAck { group: g(), origin: up_hop().addr },
-        );
-        let act = e.on_timer(t(25));
+        let msg = ControlMessage::QuitAck { group: g(), origin: up_hop().addr };
+        e.feed(t(16), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
+        let act = e.feed(t(25), Input::Timer);
         assert!(!act.iter().any(|a| matches!(
             a,
             RouterAction::SendControl { msg: ControlMessage::QuitRequest { .. }, .. }
@@ -403,12 +378,8 @@ mod tests {
     fn quit_ack_from_a_stranger_does_not_stop_retransmission() {
         let mut e = on_tree_with_child();
         e.gdr.remove(&(IfIndex(0), g()));
-        e.handle_control(
-            t(10),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::QuitRequest { group: g(), origin: down_addr() },
-        );
+        let msg = ControlMessage::QuitRequest { group: g(), origin: down_addr() };
+        e.feed(t(10), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert_eq!(
             e.obs().ctl.sent(CtlKind::QuitRequest),
             1,
@@ -429,23 +400,15 @@ mod tests {
         // Acks from the former child, and from the parent's address on
         // the wrong interface, are not the parent's ack.
         for (iface, src) in [(IfIndex(2), down_addr()), (IfIndex(2), up_hop().addr)] {
-            e.handle_control(
-                t(11),
-                iface,
-                src,
-                ControlMessage::QuitAck { group: g(), origin: src },
-            );
+            let msg = ControlMessage::QuitAck { group: g(), origin: src };
+            e.feed(t(11), Input::Control { iface, src, msg });
         }
-        assert!(retransmits(&e.on_timer(t(15))), "a stranger's ack silenced the quit");
+        assert!(retransmits(&e.feed(t(15), Input::Timer)), "a stranger's ack silenced the quit");
         // The parent's own ack still does.
         let parent = up_hop().addr;
-        e.handle_control(
-            t(16),
-            IfIndex(1),
-            parent,
-            ControlMessage::QuitAck { group: g(), origin: parent },
-        );
-        assert!(!retransmits(&e.on_timer(t(20))));
+        let msg = ControlMessage::QuitAck { group: g(), origin: parent };
+        e.feed(t(16), Input::Control { iface: IfIndex(1), src: parent, msg });
+        assert!(!retransmits(&e.feed(t(20), Input::Timer)));
         assert_eq!(e.next_wakeup().map(|w| w > t(20)), Some(true), "quit timer is down");
     }
 
@@ -453,16 +416,12 @@ mod tests {
     fn quit_gives_up_after_retries() {
         let mut e = on_tree_with_child();
         e.gdr.remove(&(IfIndex(0), g()));
-        e.handle_control(
-            t(10),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::QuitRequest { group: g(), origin: down_addr() },
-        );
+        let msg = ControlMessage::QuitRequest { group: g(), origin: down_addr() };
+        e.feed(t(10), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         // Default: 3 retries at 5 s intervals, then silence.
         let mut quit_count = 0;
         for s in [15u64, 20, 25, 30, 35, 40] {
-            let act = e.on_timer(t(s));
+            let act = e.feed(t(s), Input::Timer);
             quit_count += act
                 .iter()
                 .filter(|a| {
@@ -479,12 +438,8 @@ mod tests {
     #[test]
     fn flush_from_parent_clears_state_and_forwards() {
         let mut e = on_tree_with_child();
-        let act = e.handle_control(
-            t(10),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::FlushTree { group: g(), origin: up_hop().addr },
-        );
+        let msg = ControlMessage::FlushTree { group: g(), origin: up_hop().addr };
+        let act = e.feed(t(10), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         assert!(
             act.iter().any(|a| matches!(
                 a,
@@ -504,12 +459,8 @@ mod tests {
     #[test]
     fn flush_from_non_parent_is_rejected() {
         let mut e = on_tree_with_child();
-        let act = e.handle_control(
-            t(10),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::FlushTree { group: g(), origin: down_addr() },
-        );
+        let msg = ControlMessage::FlushTree { group: g(), origin: down_addr() };
+        let act = e.feed(t(10), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert!(act.is_empty());
         assert!(e.is_on_tree(g()), "a child cannot flush its parent");
     }
@@ -519,13 +470,12 @@ mod tests {
         let mut e = on_tree_with_child();
         // Members on our LAN.
         let report = cbt_wire::IgmpMessage::Report { version: 3, group: g() };
-        e.handle_igmp(t(5), IfIndex(0), Addr::from_octets(10, 1, 0, 100), report);
-        let act = e.handle_control(
-            t(10),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::FlushTree { group: g(), origin: up_hop().addr },
+        e.feed(
+            t(5),
+            Input::Igmp { iface: IfIndex(0), src: Addr::from_octets(10, 1, 0, 100), msg: report },
         );
+        let msg = ControlMessage::FlushTree { group: g(), origin: up_hop().addr };
+        let act = e.feed(t(10), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
         assert!(
             act.iter().any(|a| matches!(
                 a,
@@ -547,13 +497,9 @@ mod tests {
         e.gdr.remove(&(IfIndex(0), g()));
         // Keep the parent alive so the echo timeout does not race the
         // scan into a re-attachment instead of a quit.
-        e.handle_control(
-            t(299),
-            IfIndex(1),
-            up_hop().addr,
-            ControlMessage::EchoReply { group: g(), origin: up_hop().addr, group_mask: None },
-        );
-        let act = e.on_timer(t(300));
+        let msg = ControlMessage::EchoReply { group: g(), origin: up_hop().addr, group_mask: None };
+        e.feed(t(299), Input::Control { iface: IfIndex(1), src: up_hop().addr, msg });
+        let act = e.feed(t(300), Input::Timer);
         assert!(
             act.iter().any(|a| matches!(
                 a,
@@ -576,14 +522,20 @@ mod tests {
         let report = cbt_wire::IgmpMessage::Report { version: 3, group: g() };
         // Suppress the immediate trigger by pretending no cores known.
         e.core_knowledge.clear();
-        e.handle_igmp(t(5), IfIndex(0), Addr::from_octets(10, 1, 0, 100), report);
+        e.feed(
+            t(5),
+            Input::Igmp { iface: IfIndex(0), src: Addr::from_octets(10, 1, 0, 100), msg: report },
+        );
         assert!(!e.has_pending_join(g()));
         // Cores become known again; scan picks the group up. A fresh
         // report keeps the membership from expiring before the scan.
         e.learn_cores(g(), &[core_a()]);
         let report = cbt_wire::IgmpMessage::Report { version: 3, group: g() };
-        e.handle_igmp(t(299), IfIndex(0), Addr::from_octets(10, 1, 0, 100), report);
-        let act = e.on_timer(t(300));
+        e.feed(
+            t(299),
+            Input::Igmp { iface: IfIndex(0), src: Addr::from_octets(10, 1, 0, 100), msg: report },
+        );
+        let act = e.feed(t(300), Input::Timer);
         assert!(act.iter().any(|a| matches!(
             a,
             RouterAction::SendControl { msg: ControlMessage::JoinRequest { .. }, .. }
@@ -604,18 +556,14 @@ mod tests {
         map.insert(primary, up_hop());
         set_routes(&mut e, map);
         // Become a non-primary core with a child (a serving fragment).
-        e.handle_control(
-            t(0),
-            IfIndex(2),
-            down_addr(),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
-                group: g(),
-                origin: Addr::from_octets(10, 9, 0, 1),
-                target_core: my_id,
-                cores: vec![primary, my_id],
-            },
-        );
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g(),
+            origin: Addr::from_octets(10, 9, 0, 1),
+            target_core: my_id,
+            cores: vec![primary, my_id],
+        };
+        e.feed(t(0), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         // become_core's own rejoin attempt is in flight; simulate its
         // campaign having expired and been given up quietly.
         e.edit(g(), |r| *r = Default::default());
@@ -623,15 +571,12 @@ mod tests {
         assert!(e.parent_of(g()).is_none());
         // Keep the child alive across the child-assert sweeps.
         for at in [90u64, 180, 270, 299] {
-            e.handle_control(
-                t(at),
-                IfIndex(2),
-                down_addr(),
-                ControlMessage::EchoRequest { group: g(), origin: down_addr(), group_mask: None },
-            );
+            let msg =
+                ControlMessage::EchoRequest { group: g(), origin: down_addr(), group_mask: None };
+            e.feed(t(at), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         }
         // The periodic scan re-opens the campaign toward the primary.
-        let act = e.on_timer(t(300));
+        let act = e.feed(t(300), Input::Timer);
         assert!(
             act.iter().any(|a| matches!(
                 a,

@@ -8,7 +8,7 @@
 
 pub mod alloc;
 
-use cbt::{node_addr, CbtConfig, FleetRib, FleetRoutes, P2pNode, ShardedRouter};
+use cbt::{node_addr, CbtConfig, FleetRib, FleetRoutes, Input, P2pNode, ShardedRouter};
 use cbt_netsim::{NetscaleWorld, SimDuration, SimTime};
 use cbt_topology::{CsrGraph, RouterId, SpfScratch, SpfTree};
 use cbt_wire::GroupId;
@@ -58,7 +58,6 @@ pub fn line(rib: &Arc<RwLock<FleetRib>>) -> NetscaleWorld<P2pNode> {
 pub fn join(world: &mut NetscaleWorld<P2pNode>, r: u32) {
     world.with_node(r, |nd, now, out| {
         nd.router.learn_cores(group(), &[node_addr(0)]);
-        let act = nd.router.local_join(now, group());
-        nd.deliver(act, out);
+        nd.step(now, Input::Join(group()), out);
     });
 }

@@ -7,19 +7,19 @@
 //! the simulator adapter, [`RouterNode`], whose frames come from the
 //! [`Outbox`] pool. A host's own send costs the payload it hands in.
 //!
-//! Each engine case runs on one `CbtRouter` and through a 4-shard
-//! `ShardedRouter`; every shard count is set here, whatever
-//! `CBT_SHARDS` says.
+//! Each engine case drives `step` on one `CbtRouter` and through a
+//! 1-shard and a 2-shard `ShardedRouter`; every shard count is set
+//! here, whatever `CBT_SHARDS` says.
 
 mod common;
 
 use cbt::{
-    config::ForwardingMode, CbtConfig, CbtRouter, HostApp, RouteLookup, RouterAction, RouterNode,
-    ShardedRouter, SharedRib,
+    config::ForwardingMode, CbtConfig, CbtRouter, HostApp, Input, RouteLookup, RouterAction,
+    RouterNode, ShardedRouter, SharedRib,
 };
 use cbt_netsim::{Bytes, Outbox, SimNode, SimTime};
 use cbt_routing::Hop;
-use cbt_topology::{IfIndex, NetworkBuilder, RouterId};
+use cbt_topology::{IfIndex, NetworkBuilder, NetworkSpec, RouterId};
 use cbt_wire::header::ON_TREE;
 use cbt_wire::igmp::RP_CORE_CODE_CBT;
 use cbt_wire::{
@@ -62,9 +62,41 @@ fn remote_packet() -> DataPacket {
     DataPacket::new(Addr::from_octets(10, 9, 0, 100), group(), 32, vec![0u8; 512])
 }
 
-/// An on-tree router split over `shards` engines: member LAN on if0,
-/// parent via if1, child via if2.
-fn on_tree(mode: ForwardingMode, shards: usize) -> ShardedRouter {
+/// The inputs that put a router on-tree for [`group`]: member LAN on
+/// if0, parent via if1, child via if2.
+fn on_tree_inputs() -> [(SimTime, Input); 4] {
+    let host = |msg| Input::Igmp { iface: IfIndex(0), src: host_src(), msg };
+    let rp_core = RpCoreReport {
+        group: group(),
+        code: RP_CORE_CODE_CBT,
+        target_core_index: 0,
+        cores: vec![core()],
+    };
+    let ack = ControlMessage::JoinAck {
+        subcode: AckSubcode::Normal,
+        group: group(),
+        origin: Addr::from_octets(10, 1, 0, 1),
+        target_core: core(),
+        cores: vec![core()],
+    };
+    let join = ControlMessage::JoinRequest {
+        subcode: JoinSubcode::ActiveJoin,
+        group: group(),
+        origin: Addr::from_octets(10, 9, 0, 1),
+        target_core: core(),
+        cores: vec![core()],
+    };
+    let child = Addr::from_octets(172, 31, 0, 6);
+    [
+        (SimTime::ZERO, host(IgmpMessage::RpCore(rp_core))),
+        (SimTime::ZERO, host(IgmpMessage::Report { version: 3, group: group() })),
+        (SimTime::from_secs(1), Input::Control { iface: IfIndex(1), src: parent_addr(), msg: ack }),
+        (SimTime::from_secs(1), Input::Control { iface: IfIndex(2), src: child, msg: join }),
+    ]
+}
+
+/// The router [`on_tree_inputs`] sets up, and its route to the core.
+fn net() -> (NetworkSpec, RouterId, impl Fn() -> Box<dyn RouteLookup>) {
     let mut b = NetworkBuilder::new();
     let me = b.router("ME");
     let up = b.router("UP");
@@ -74,84 +106,33 @@ fn on_tree(mode: ForwardingMode, shards: usize) -> ShardedRouter {
     b.host("H", lan);
     b.link(me, up, 1);
     b.link(me, down, 1);
-    let net = b.build();
-    let cfg = CbtConfig { shards, ..CbtConfig::default().with_mode(mode) };
     let hop = Hop { iface: IfIndex(1), router: RouterId(1), addr: parent_addr(), dist: 1 };
-    let routes = || -> Box<dyn RouteLookup> { Box::new(BTreeMap::from([(core(), hop)])) };
-    let mut e = ShardedRouter::new(&net, me, cfg, routes, SimTime::ZERO);
-    e.handle_igmp(
-        SimTime::ZERO,
-        IfIndex(0),
-        host_src(),
-        IgmpMessage::RpCore(RpCoreReport {
-            group: group(),
-            code: RP_CORE_CODE_CBT,
-            target_core_index: 0,
-            cores: vec![core()],
-        }),
-    );
-    e.handle_igmp(
-        SimTime::ZERO,
-        IfIndex(0),
-        host_src(),
-        IgmpMessage::Report { version: 3, group: group() },
-    );
-    e.handle_control(
-        SimTime::from_secs(1),
-        IfIndex(1),
-        parent_addr(),
-        ControlMessage::JoinAck {
-            subcode: AckSubcode::Normal,
-            group: group(),
-            origin: Addr::from_octets(10, 1, 0, 1),
-            target_core: core(),
-            cores: vec![core()],
-        },
-    );
-    e.handle_control(
-        SimTime::from_secs(1),
-        IfIndex(2),
-        Addr::from_octets(172, 31, 0, 6),
-        ControlMessage::JoinRequest {
-            subcode: JoinSubcode::ActiveJoin,
-            group: group(),
-            origin: Addr::from_octets(10, 9, 0, 1),
-            target_core: core(),
-            cores: vec![core()],
-        },
-    );
-    assert!(e.is_on_tree(group()));
+    let routes = move || -> Box<dyn RouteLookup> { Box::new(BTreeMap::from([(core(), hop)])) };
+    (b.build(), me, routes)
+}
+
+/// One on-tree engine in `mode`.
+fn engine(mode: ForwardingMode) -> CbtRouter {
+    let (net, me, routes) = net();
+    let mut e =
+        CbtRouter::new(&net, me, CbtConfig::default().with_mode(mode), routes(), SimTime::ZERO);
+    for (t, input) in on_tree_inputs() {
+        e.step(t, input, &mut Vec::new());
+    }
+    assert!(e.group_view(group()).on_tree);
     e
 }
 
-/// A packet and where it arrives: interface and link-layer sender.
-enum Arrival {
-    Native(IfIndex, Addr, DataPacket),
-    Cbt(IfIndex, Addr, CbtDataPacket),
-}
-
-/// The data entry points `CbtRouter` and `ShardedRouter` share.
-trait Forward {
-    /// Hands a clone of the arrival's packet to the router.
-    fn forward(&mut self, a: &Arrival, act: &mut Vec<RouterAction>);
-}
-
-impl Forward for CbtRouter {
-    fn forward(&mut self, a: &Arrival, act: &mut Vec<RouterAction>) {
-        match a {
-            Arrival::Native(i, src, p) => self.handle_native_data(now(), *i, *src, p.clone(), act),
-            Arrival::Cbt(i, src, p) => self.handle_cbt_data(now(), *i, *src, p.clone(), act),
-        }
+/// An on-tree router in `mode` split over `shards` engines.
+fn on_tree(mode: ForwardingMode, shards: usize) -> ShardedRouter {
+    let (net, me, routes) = net();
+    let cfg = CbtConfig { shards, ..CbtConfig::default().with_mode(mode) };
+    let mut e = ShardedRouter::new(&net, me, cfg, routes, SimTime::ZERO);
+    for (t, input) in on_tree_inputs() {
+        e.step(t, input, &mut Vec::new());
     }
-}
-
-impl Forward for ShardedRouter {
-    fn forward(&mut self, a: &Arrival, act: &mut Vec<RouterAction>) {
-        match a {
-            Arrival::Native(i, src, p) => self.handle_native_data(now(), *i, *src, p.clone(), act),
-            Arrival::Cbt(i, src, p) => self.handle_cbt_data(now(), *i, *src, p.clone(), act),
-        }
-    }
+    assert!(e.group_view(group()).on_tree);
+    e
 }
 
 /// Heap allocations across [`PACKETS`] calls of `step`, after [`WARM`]
@@ -163,27 +144,31 @@ fn steady_state_allocs(mut step: impl FnMut()) -> u64 {
     alloc::count(|| (0..PACKETS).for_each(|_| step())).0.allocs
 }
 
-/// Allocations `e` spends forwarding [`PACKETS`] copies of `a` once
-/// warm, each into a cleared action buffer.
-fn forward_allocs(e: &mut impl Forward, a: &Arrival) -> u64 {
+/// Allocations `step` spends forwarding [`PACKETS`] packets once warm,
+/// each into a cleared action buffer.
+fn forward_allocs(mut step: impl FnMut(&mut Vec<RouterAction>)) -> u64 {
     let mut act = Vec::new();
     let spent = steady_state_allocs(|| {
         act.clear();
-        e.forward(a, &mut act);
+        step(&mut act);
     });
     assert!(!act.is_empty(), "the packet must be forwarded");
     spent
 }
 
-/// `a` at an on-tree router in `mode` costs no allocation per packet,
-/// on one engine and through four shards.
-fn assert_allocation_free(mode: ForwardingMode, a: Arrival) {
-    let engine = forward_allocs(on_tree(mode, 1).shard_for_mut(group()), &a);
-    let sharded = forward_allocs(&mut on_tree(mode, 4), &a);
+/// `input` at an on-tree router in `mode` costs no allocation per
+/// packet, on one engine and through one and two shards.
+fn assert_allocation_free(mode: ForwardingMode, input: Input) {
+    let (mut e, mut one, mut two) = (engine(mode), on_tree(mode, 1), on_tree(mode, 2));
+    let spent = [
+        forward_allocs(|act| e.step(now(), input.clone(), act)),
+        forward_allocs(|act| one.step(now(), input.clone(), act)),
+        forward_allocs(|act| two.step(now(), input.clone(), act)),
+    ];
     assert_eq!(
-        (engine, sharded),
-        (0, 0),
-        "allocations over {PACKETS} packets: (CbtRouter, 4-shard ShardedRouter)"
+        spent,
+        [0, 0, 0],
+        "allocations over {PACKETS} packets: CbtRouter, 1- and 2-shard ShardedRouter"
     );
 }
 
@@ -199,9 +184,10 @@ fn the_counter_sees_this_threads_allocations() {
 /// LAN.
 #[test]
 fn native_transit_allocates_nothing() {
+    let pkt = remote_packet();
     assert_allocation_free(
         ForwardingMode::Native,
-        Arrival::Native(IfIndex(1), parent_addr(), remote_packet()),
+        Input::NativeData { iface: IfIndex(1), link_src: parent_addr(), pkt },
     );
 }
 
@@ -209,7 +195,10 @@ fn native_transit_allocates_nothing() {
 #[test]
 fn native_local_origin_allocates_nothing() {
     let pkt = DataPacket::new(host_src(), group(), 32, vec![0u8; 512]);
-    assert_allocation_free(ForwardingMode::Native, Arrival::Native(IfIndex(0), host_src(), pkt));
+    assert_allocation_free(
+        ForwardingMode::Native,
+        Input::NativeData { iface: IfIndex(0), link_src: host_src(), pkt },
+    );
 }
 
 /// An on-tree encapsulated packet from the parent spans to the child
@@ -219,7 +208,10 @@ fn native_local_origin_allocates_nothing() {
 fn cbt_mode_on_tree_transit_allocates_nothing() {
     let mut enc = CbtDataPacket::encapsulate(&remote_packet(), core());
     enc.cbt.on_tree = ON_TREE;
-    assert_allocation_free(ForwardingMode::CbtMode, Arrival::Cbt(IfIndex(1), parent_addr(), enc));
+    assert_allocation_free(
+        ForwardingMode::CbtMode,
+        Input::CbtData { iface: IfIndex(1), outer_src: parent_addr(), pkt: enc },
+    );
 }
 
 /// §5.1: a member host's packet, decoded from the frame it put on the
@@ -228,7 +220,10 @@ fn cbt_mode_on_tree_transit_allocates_nothing() {
 fn first_hop_encapsulation_allocates_nothing() {
     let frame = Bytes::from(DataPacket::new(host_src(), group(), 32, vec![0u8; 512]).encode());
     let pkt = DataPacket::decode_bytes(&frame).expect("a frame `encode` built");
-    assert_allocation_free(ForwardingMode::CbtMode, Arrival::Native(IfIndex(0), host_src(), pkt));
+    assert_allocation_free(
+        ForwardingMode::CbtMode,
+        Input::NativeData { iface: IfIndex(0), link_src: host_src(), pkt },
+    );
 }
 
 /// Every branch of a native fan-out carries a handle to the arrival's
@@ -238,7 +233,8 @@ fn fan_out_payloads_share_the_arrival_allocation() {
     let mut e = on_tree(ForwardingMode::Native, 1);
     let pkt = remote_packet();
     let mut act = Vec::new();
-    e.handle_native_data(now(), IfIndex(1), parent_addr(), pkt.clone(), &mut act);
+    let input = Input::NativeData { iface: IfIndex(1), link_src: parent_addr(), pkt: pkt.clone() };
+    e.step(now(), input, &mut act);
     let sent: Vec<&DataPacket> = act
         .iter()
         .filter_map(|a| match a {
@@ -281,35 +277,30 @@ fn transit_node(fanout: usize, payload: usize) -> (RouterNode, IfIndex, Addr, By
     let core = net.router_addr(up);
     let parent = peer_addr(0, up);
     let e = node.sharded_mut();
+    let mut out = Vec::new();
     for (i, &d) in downs.iter().enumerate() {
         let origin = Addr::from_octets(10, 9, i as u8, 1);
-        e.handle_control(
-            SimTime::from_secs(1),
-            IfIndex(1 + i as u32),
-            peer_addr(1 + i, d),
-            ControlMessage::JoinRequest {
-                subcode: JoinSubcode::ActiveJoin,
+        let join = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: group(),
+            origin,
+            target_core: core,
+            cores: vec![core],
+        };
+        let (iface, src) = (IfIndex(1 + i as u32), peer_addr(1 + i, d));
+        e.step(SimTime::from_secs(1), Input::Control { iface, src, msg: join }, &mut out);
+        if i == 0 {
+            // The first child's join went upstream; the parent acks it
+            // and every later child finds ME already on-tree.
+            let ack = ControlMessage::JoinAck {
+                subcode: AckSubcode::Normal,
                 group: group(),
                 origin,
                 target_core: core,
                 cores: vec![core],
-            },
-        );
-        if i == 0 {
-            // The first child's join went upstream; the parent acks it
-            // and every later child finds ME already on-tree.
-            e.handle_control(
-                SimTime::from_secs(1),
-                IfIndex(0),
-                parent,
-                ControlMessage::JoinAck {
-                    subcode: AckSubcode::Normal,
-                    group: group(),
-                    origin,
-                    target_core: core,
-                    cores: vec![core],
-                },
-            );
+            };
+            let input = Input::Control { iface: IfIndex(0), src: parent, msg: ack };
+            e.step(SimTime::from_secs(1), input, &mut out);
         }
     }
     assert_eq!(e.children_of(group()).len(), fanout);

@@ -7,7 +7,7 @@
 
 mod common;
 
-use cbt::{node_addr, CbtConfig, P2pNode, ShardedRouter};
+use cbt::{node_addr, CbtConfig, Input, P2pNode, ShardedRouter};
 use cbt_netsim::{NetscaleWorld, SimTime};
 use cbt_obs::RouterObs;
 use cbt_wire::{Addr, GroupId};
@@ -31,8 +31,7 @@ fn churn(world: &mut NetscaleWorld<P2pNode>, groups: &[(GroupId, Vec<Addr>)]) {
     world.with_node(2, |nd, now, out| {
         for (g, cores) in groups {
             nd.router.learn_cores(*g, cores);
-            let act = nd.router.local_join(now, *g);
-            nd.deliver(act, out);
+            nd.step(now, Input::Join(*g), out);
         }
     });
     world.run_until(at(21));
@@ -41,8 +40,7 @@ fn churn(world: &mut NetscaleWorld<P2pNode>, groups: &[(GroupId, Vec<Addr>)]) {
     }
     world.with_node(2, |nd, now, out| {
         for (g, _) in groups {
-            let act = nd.router.local_leave(now, *g);
-            nd.deliver(act, out);
+            nd.step(now, Input::Leave(*g), out);
         }
     });
     let horizon = at(10_000);

@@ -1,14 +1,19 @@
 //! Property tests on the protocol engine: arbitrary (including
-//! adversarial) control/IGMP/data inputs must never panic the engine,
-//! and its structural invariants must survive any input sequence.
+//! adversarial) sequences of [`Input`]s — control, IGMP and data
+//! messages, local joins and leaves, timers, with the clock advancing
+//! between them — must never panic the engine, and its structural
+//! invariants must survive any sequence. Every sequence also drives a
+//! two-shard [`ShardedRouter`], whose four fuzzed groups land on both
+//! shards.
 //!
 //! This is the sans-I/O payoff: the whole router is a pure state
 //! machine, so it can be fuzzed directly with no sockets or clocks.
 
-use cbt::{CbtConfig, CbtRouter};
-use cbt_netsim::SimTime;
+use cbt::{shard_of, CbtConfig, CbtRouter, Input, RouteLookup, RouterAction, ShardedRouter};
+use cbt_netsim::{SimDuration, SimTime};
+use cbt_obs::ObsSnapshot;
 use cbt_routing::Hop;
-use cbt_topology::{IfIndex, NetworkBuilder, RouterId};
+use cbt_topology::{IfIndex, NetworkBuilder, NetworkSpec, RouterId};
 use cbt_wire::{
     AckSubcode, Addr, CbtDataPacket, ControlMessage, DataPacket, GroupId, IgmpMessage, JoinSubcode,
     RpCoreReport,
@@ -24,8 +29,10 @@ fn core_b() -> Addr {
     Addr::from_octets(10, 255, 0, 88)
 }
 
-/// 1 LAN + 2 p2p ifaces, with routes to both cores via if1.
-fn engine() -> CbtRouter {
+/// 1 LAN + 2 p2p ifaces, with routes to both cores via if1; groups 2
+/// and 3 have managed core mappings, so a local join of them
+/// originates a join.
+fn net() -> (NetworkSpec, RouterId, CbtConfig, impl Fn() -> Box<dyn RouteLookup>) {
     let mut b = NetworkBuilder::new();
     let me = b.router("ME");
     let up = b.router("UP");
@@ -35,30 +42,33 @@ fn engine() -> CbtRouter {
     b.host("H", lan);
     b.link(me, up, 1);
     b.link(me, down, 1);
-    let net = b.build();
-    let mut routes = BTreeMap::new();
-    for c in [core_a(), core_b()] {
-        routes.insert(
-            c,
-            Hop {
-                iface: IfIndex(1),
-                router: RouterId(1),
-                addr: Addr::from_octets(172, 31, 0, 2),
-                dist: 1,
-            },
-        );
-    }
-    CbtRouter::new(&net, me, CbtConfig::fast(), Box::new(routes), SimTime::ZERO)
+    let hop = Hop {
+        iface: IfIndex(1),
+        router: RouterId(1),
+        addr: Addr::from_octets(172, 31, 0, 2),
+        dist: 1,
+    };
+    let routes = move || -> Box<dyn RouteLookup> {
+        Box::new(BTreeMap::from([(core_a(), hop), (core_b(), hop)]))
+    };
+    let cfg = CbtConfig::fast()
+        .with_mapping(GroupId::numbered(2), vec![core_a()])
+        .with_mapping(GroupId::numbered(3), vec![core_b(), core_a()]);
+    (b.build(), me, cfg, routes)
 }
 
-#[derive(Debug, Clone)]
-enum Input {
-    Control { iface: u8, src_last: u8, msg: ControlMessage },
-    Igmp { src_last: u8, msg: IgmpMessage },
-    NativeData { iface: u8, src_last: u8, ttl: u8 },
-    CbtData { iface: u8, on_tree: bool, ttl: u8 },
-    Tick { advance_ms: u32 },
+/// The same router as one engine and as two shards.
+fn routers() -> (CbtRouter, ShardedRouter) {
+    let (net, me, cfg, routes) = net();
+    let engine = CbtRouter::new(&net, me, cfg.clone(), routes(), SimTime::ZERO);
+    let sharded =
+        ShardedRouter::new(&net, me, CbtConfig { shards: 2, ..cfg }, routes, SimTime::ZERO);
+    (engine, sharded)
 }
+
+/// One fuzzed event: advance the clock by this many milliseconds, then
+/// step with the input.
+type Event = (u32, Input);
 
 fn arb_group() -> impl Strategy<Value = GroupId> {
     (0u16..4).prop_map(GroupId::numbered)
@@ -130,78 +140,88 @@ fn arb_igmp() -> impl Strategy<Value = IgmpMessage> {
     })
 }
 
+fn arb_data() -> impl Strategy<Value = Input> {
+    let native = (0u32..3, 1u8..120, arb_group(), 0u8..64).prop_map(|(iface, src, group, ttl)| {
+        let src = Addr::from_octets(10, 1, 0, src);
+        let pkt = DataPacket::new(src, group, ttl, b"x".to_vec());
+        // Fuzz both honest (link_src == ip src) and spoofed link senders.
+        let link_src = if ttl % 2 == 0 { src } else { Addr::from_octets(172, 31, 0, 2) };
+        Input::NativeData { iface: IfIndex(iface), link_src, pkt }
+    });
+    let cbt =
+        (0u32..3, any::<bool>(), arb_group(), 0u8..64).prop_map(|(iface, on_tree, group, ttl)| {
+            let native = DataPacket::new(Addr::from_octets(10, 9, 0, 5), group, ttl, b"y".to_vec());
+            let mut pkt = CbtDataPacket::encapsulate(&native, core_a());
+            pkt.cbt.on_tree =
+                if on_tree { cbt_wire::header::ON_TREE } else { cbt_wire::header::OFF_TREE };
+            Input::CbtData {
+                iface: IfIndex(iface),
+                outer_src: Addr::from_octets(172, 31, 0, 2),
+                pkt,
+            }
+        });
+    prop_oneof![native, cbt]
+}
+
 fn arb_input() -> impl Strategy<Value = Input> {
     prop_oneof![
-        (0u8..3, 1u8..120, arb_control()).prop_map(|(iface, src_last, msg)| Input::Control {
-            iface,
-            src_last,
+        (0u32..3, 1u8..120, arb_control()).prop_map(|(iface, src, msg)| Input::Control {
+            iface: IfIndex(iface),
+            src: Addr::from_octets(172, 31, 0, src),
             msg
         }),
-        (1u8..120, arb_igmp()).prop_map(|(src_last, msg)| Input::Igmp { src_last, msg }),
-        (0u8..3, 1u8..120, 0u8..64).prop_map(|(iface, src_last, ttl)| Input::NativeData {
-            iface,
-            src_last,
-            ttl
+        (1u8..120, arb_igmp()).prop_map(|(src, msg)| Input::Igmp {
+            iface: IfIndex(0),
+            src: Addr::from_octets(10, 1, 0, src),
+            msg
         }),
-        (0u8..3, any::<bool>(), 0u8..64).prop_map(|(iface, on_tree, ttl)| Input::CbtData {
-            iface,
-            on_tree,
-            ttl
-        }),
-        (1u32..5_000).prop_map(|advance_ms| Input::Tick { advance_ms }),
+        arb_data(),
+        arb_group().prop_map(Input::Join),
+        arb_group().prop_map(Input::Leave),
+        Just(Input::Timer),
     ]
 }
 
-/// Drives a fresh engine through the whole input sequence, checking
-/// invariants after every step.
-fn drive(inputs: &[Input]) {
-    let mut e = engine();
+/// Most events arrive at the same instant as the one before; a timer
+/// input always waits for the clock to move first.
+fn arb_event() -> impl Strategy<Value = Event> {
+    (0u8..4, 1u32..5_000, arb_input()).prop_map(|(pick, ms, input)| {
+        let waits = pick == 0 || input == Input::Timer;
+        (if waits { ms } else { 0 }, input)
+    })
+}
+
+/// Drives a fresh engine and a fresh two-shard router through the
+/// whole event sequence, checking invariants on the engine and on
+/// every shard after every step, and at the end that the two emitted
+/// the same, group by group: each group's sends come from the one
+/// shard that owns it, and the group-less ones (general queries) from
+/// the first shard only. Returns what each emitted.
+fn drive(events: &[Event]) -> (CbtRouter, ShardedRouter, Vec<RouterAction>, Vec<RouterAction>) {
+    let (mut e, mut r) = routers();
+    let (mut out_e, mut out_r) = (Vec::new(), Vec::new());
     let mut now = SimTime::ZERO;
-    for input in inputs {
-        match input.clone() {
-            Input::Control { iface, src_last, msg } => {
-                let src = Addr::from_octets(172, 31, 0, src_last);
-                let _ = e.handle_control(now, IfIndex(u32::from(iface)), src, msg);
-            }
-            Input::Igmp { src_last, msg } => {
-                let src = Addr::from_octets(10, 1, 0, src_last);
-                let _ = e.handle_igmp(now, IfIndex(0), src, msg);
-            }
-            Input::NativeData { iface, src_last, ttl } => {
-                let src = Addr::from_octets(10, 1, 0, src_last);
-                let pkt = DataPacket::new(src, GroupId::numbered(1), ttl, b"x".to_vec());
-                // Fuzz both honest (link_src == ip src) and spoofed
-                // link senders.
-                let link_src = if ttl % 2 == 0 { src } else { Addr::from_octets(172, 31, 0, 2) };
-                let mut act = Vec::new();
-                e.handle_native_data(now, IfIndex(u32::from(iface)), link_src, pkt, &mut act);
-            }
-            Input::CbtData { iface, on_tree, ttl } => {
-                let native = DataPacket::new(
-                    Addr::from_octets(10, 9, 0, 5),
-                    GroupId::numbered(1),
-                    ttl,
-                    b"y".to_vec(),
-                );
-                let mut pkt = CbtDataPacket::encapsulate(&native, core_a());
-                pkt.cbt.on_tree =
-                    if on_tree { cbt_wire::header::ON_TREE } else { cbt_wire::header::OFF_TREE };
-                let mut act = Vec::new();
-                e.handle_cbt_data(
-                    now,
-                    IfIndex(u32::from(iface)),
-                    Addr::from_octets(172, 31, 0, 2),
-                    pkt,
-                    &mut act,
-                );
-            }
-            Input::Tick { advance_ms } => {
-                now += cbt_netsim::SimDuration::from_millis(u64::from(advance_ms));
-                let _ = e.on_timer(now);
-            }
-        }
+    for (ms, input) in events {
+        now += SimDuration::from_millis(u64::from(*ms));
+        e.step(now, input.clone(), &mut out_e);
+        r.step(now, input.clone(), &mut out_r);
         check_invariants(&e);
+        for k in 0..r.local_count() {
+            check_invariants(r.shard(k));
+        }
+        let _ = (r.next_wakeup(), r.obs_snapshot());
     }
+    assert_eq!(by_group(&out_e), by_group(&out_r), "one engine and two shards emit differently");
+    (e, r, out_e, out_r)
+}
+
+/// Emissions split by the group they concern, each group's in order.
+fn by_group(out: &[RouterAction]) -> BTreeMap<Option<GroupId>, Vec<&RouterAction>> {
+    let mut split: BTreeMap<_, Vec<_>> = BTreeMap::new();
+    for a in out {
+        split.entry(a.group()).or_default().push(a);
+    }
+    split
 }
 
 fn check_invariants(e: &CbtRouter) {
@@ -226,47 +246,39 @@ fn check_invariants(e: &CbtRouter) {
     let _ = e.obs_snapshot();
 }
 
+/// The observable state of one engine: per-group parent and child
+/// count, and every counter.
+fn state(e: &CbtRouter) -> (Vec<(GroupId, Option<Addr>, usize)>, ObsSnapshot) {
+    let fib = e.fib().iter().map(|(g, en)| (g, en.parent.map(|p| p.addr), en.children.len()));
+    (fib.collect(), e.obs_snapshot())
+}
+
+#[test]
+fn fuzzed_groups_reach_both_shards() {
+    let owners: Vec<usize> = (0..4).map(|i| shard_of(GroupId::numbered(i), 2)).collect();
+    assert!(owners.contains(&0) && owners.contains(&1), "owners {owners:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// No sequence of inputs panics the engine or breaks FIB structure.
+    /// No sequence of inputs panics the engine or a shard, or breaks
+    /// FIB structure.
     #[test]
-    fn engine_survives_arbitrary_inputs(inputs in proptest::collection::vec(arb_input(), 0..120)) {
-        drive(&inputs);
+    fn engine_survives_arbitrary_inputs(events in proptest::collection::vec(arb_event(), 0..120)) {
+        drive(&events);
     }
 
-    /// Engines are deterministic state machines: the same input
-    /// sequence yields identical observable state.
+    /// Engines are deterministic state machines: the same event
+    /// sequence, every input kind included, yields identical emissions
+    /// and observable state — on one engine and on every shard.
     #[test]
-    fn engine_is_deterministic(inputs in proptest::collection::vec(arb_input(), 0..60)) {
-        let run = |inputs: &[Input]| {
-            let mut e = engine();
-            let mut now = SimTime::ZERO;
-            let mut outputs = 0usize;
-            for input in inputs {
-                match input.clone() {
-                    Input::Control { iface, src_last, msg } => {
-                        let src = Addr::from_octets(172, 31, 0, src_last);
-                        outputs += e.handle_control(now, IfIndex(u32::from(iface)), src, msg).len();
-                    }
-                    Input::Igmp { src_last, msg } => {
-                        let src = Addr::from_octets(10, 1, 0, src_last);
-                        outputs += e.handle_igmp(now, IfIndex(0), src, msg).len();
-                    }
-                    Input::Tick { advance_ms } => {
-                        now += cbt_netsim::SimDuration::from_millis(u64::from(advance_ms));
-                        outputs += e.on_timer(now).len();
-                    }
-                    _ => {}
-                }
-            }
-            let fib: Vec<(GroupId, Option<Addr>, usize)> = e
-                .fib()
-                .iter()
-                .map(|(g, en)| (g, en.parent.map(|p| p.addr), en.children.len()))
-                .collect();
-            (outputs, fib, e.obs_snapshot())
+    fn engine_is_deterministic(events in proptest::collection::vec(arb_event(), 0..60)) {
+        let run = |events: &[Event]| {
+            let (e, r, out_e, out_r) = drive(events);
+            let shards: Vec<_> = (0..r.local_count()).map(|k| state(r.shard(k))).collect();
+            (out_e, state(&e), out_r, shards)
         };
-        prop_assert_eq!(run(&inputs), run(&inputs));
+        prop_assert_eq!(run(&events), run(&events));
     }
 }

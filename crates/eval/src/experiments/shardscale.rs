@@ -26,7 +26,7 @@
 //! shard).
 
 use crate::report::Report;
-use cbt::{shard_of, CbtConfig, RouterAction, ShardedRouter};
+use cbt::{shard_of, CbtConfig, Input, RouterAction, ShardedRouter};
 use cbt_metrics::{table::f, Table};
 use cbt_netsim::{SimDuration, SimTime};
 use cbt_routing::Hop;
@@ -83,15 +83,6 @@ fn group(i: usize) -> GroupId {
     GroupId::new(Addr(0xE100_0000 + i as u32)).expect("class-D address")
 }
 
-/// One queued shard input: a data packet, or a churn event (leave
-/// immediately followed by a rejoin keeps the FIB population stable
-/// while still paying the membership-change control cost mid-stream).
-enum Input {
-    Data(DataPacket),
-    Leave(GroupId),
-    Rejoin(GroupId),
-}
-
 /// What one (size, shards) run measured.
 #[derive(Debug, Clone)]
 struct RunStats {
@@ -142,34 +133,29 @@ fn respond(
         if *iface != up_if {
             continue;
         }
-        match msg {
+        let msg = match msg {
             ControlMessage::JoinRequest { group, origin, target_core, cores, .. } => {
-                let ack = ControlMessage::JoinAck {
+                ControlMessage::JoinAck {
                     subcode: AckSubcode::Normal,
                     group: *group,
                     origin: *origin,
                     target_core: *target_core,
                     cores: cores.clone(),
-                };
-                let follow = eng.handle_control(now, up_if, up_peer, ack);
-                respond(eng, now, &follow, up_if, up_peer);
+                }
             }
             ControlMessage::QuitRequest { group, origin } => {
-                let ack = ControlMessage::QuitAck { group: *group, origin: *origin };
-                let follow = eng.handle_control(now, up_if, up_peer, ack);
-                respond(eng, now, &follow, up_if, up_peer);
+                ControlMessage::QuitAck { group: *group, origin: *origin }
             }
-            ControlMessage::EchoRequest { group, group_mask, .. } => {
-                let reply = ControlMessage::EchoReply {
-                    group: *group,
-                    origin: up_peer,
-                    group_mask: *group_mask,
-                };
-                let follow = eng.handle_control(now, up_if, up_peer, reply);
-                respond(eng, now, &follow, up_if, up_peer);
-            }
-            _ => {}
-        }
+            ControlMessage::EchoRequest { group, group_mask, .. } => ControlMessage::EchoReply {
+                group: *group,
+                origin: up_peer,
+                group_mask: *group_mask,
+            },
+            _ => continue,
+        };
+        let mut follow = Vec::new();
+        eng.step(now, Input::Control { iface: up_if, src: up_peer, msg }, &mut follow);
+        respond(eng, now, &follow, up_if, up_peer);
     }
 }
 
@@ -209,8 +195,9 @@ fn drive(n: usize, shards: usize, packets_per_group: usize, measure_secs: u64) -
         let k = shard_of(g, shards);
         let t = SimTime::from_micros(1_000_000 + (i as u64 * echo_us) / n as u64);
         slices[k].learn_cores(g, &[core]);
-        let acts =
-            slices[k].handle_igmp(t, lan_if, host, IgmpMessage::Report { version: 2, group: g });
+        let mut acts = Vec::new();
+        let report = IgmpMessage::Report { version: 2, group: g };
+        slices[k].step(t, Input::Igmp { iface: lan_if, src: host, msg: report }, &mut acts);
         respond(&mut slices[k], t, &acts, up_if, up_peer);
     }
     let settled = SimTime::from_micros(1_000_000 + echo_us);
@@ -219,7 +206,10 @@ fn drive(n: usize, shards: usize, packets_per_group: usize, measure_secs: u64) -
 
     // Pre-steer the measurement workload into per-shard queues — the
     // lock-free steering the fabric performs per frame. Deterministic
-    // LCG picks the group per packet; every ~20th slot is a churn pair.
+    // LCG picks the group per packet; every ~20th slot is a churn pair
+    // (a leave immediately followed by a rejoin keeps the FIB
+    // population stable while still paying the membership-change
+    // control cost mid-stream).
     let total_packets = n * packets_per_group;
     let mut queues: Vec<Vec<Input>> = (0..shards).map(|_| Vec::new()).collect();
     let mut churn_msgs = 0u64;
@@ -228,12 +218,14 @@ fn drive(n: usize, shards: usize, packets_per_group: usize, measure_secs: u64) -
         rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         let g = group((rng >> 33) as usize % n);
         let k = shard_of(g, shards);
+        let igmp = |msg| Input::Igmp { iface: lan_if, src: host, msg };
         if p % 20 == 19 {
-            queues[k].push(Input::Leave(g));
-            queues[k].push(Input::Rejoin(g));
+            queues[k].push(igmp(IgmpMessage::Leave { group: g }));
+            queues[k].push(igmp(IgmpMessage::Report { version: 2, group: g }));
             churn_msgs += 2;
         }
-        queues[k].push(Input::Data(DataPacket::new(host, g, 16, vec![0u8; 8])));
+        let pkt = DataPacket::new(host, g, 16, vec![0u8; 8]);
+        queues[k].push(Input::NativeData { iface: lan_if, link_src: host, pkt });
     }
 
     // Drain each shard's queue sequentially, timing each in isolation:
@@ -245,26 +237,9 @@ fn drive(n: usize, shards: usize, packets_per_group: usize, measure_secs: u64) -
         let eng = &mut slices[k];
         let t0 = std::time::Instant::now();
         for input in queue {
-            match input {
-                Input::Data(pkt) => {
-                    eng.handle_native_data(settled, lan_if, host, pkt, &mut act_buf);
-                    act_buf.clear();
-                }
-                Input::Leave(g) => {
-                    let acts =
-                        eng.handle_igmp(settled, lan_if, host, IgmpMessage::Leave { group: g });
-                    respond(eng, settled, &acts, up_if, up_peer);
-                }
-                Input::Rejoin(g) => {
-                    let acts = eng.handle_igmp(
-                        settled,
-                        lan_if,
-                        host,
-                        IgmpMessage::Report { version: 2, group: g },
-                    );
-                    respond(eng, settled, &acts, up_if, up_peer);
-                }
-            }
+            eng.step(settled, input, &mut act_buf);
+            respond(eng, settled, &act_buf, up_if, up_peer);
+            act_buf.clear();
         }
         busy_ns[k] = t0.elapsed().as_nanos();
     }
@@ -282,10 +257,11 @@ fn drive(n: usize, shards: usize, packets_per_group: usize, measure_secs: u64) -
             }
             let t0 = std::time::Instant::now();
             let _ = eng.next_wakeup();
-            let acts = eng.on_timer(t);
+            eng.step(t, Input::Timer, &mut act_buf);
             timer_ns += t0.elapsed().as_nanos();
             wakeups += 1;
-            respond(eng, t, &acts, up_if, up_peer);
+            respond(eng, t, &act_buf, up_if, up_peer);
+            act_buf.clear();
         }
     }
 

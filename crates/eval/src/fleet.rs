@@ -28,7 +28,8 @@ use crate::membership::{MembershipEvent, MembershipParams, MembershipStream, Xor
 use crate::report::Report;
 use cbt::explore::{check_netscale_invariants, Violation};
 use cbt::{
-    addr_node, node_addr, CbtConfig, FleetRib, FleetRoutes, P2pNode, ShardedRouter, SharedFleetRib,
+    addr_node, node_addr, CbtConfig, FleetRib, FleetRoutes, Input, P2pNode, ShardedRouter,
+    SharedFleetRib,
 };
 use cbt_netsim::{NetscaleWorld, NsTrace, SimDuration, SimTime};
 use cbt_obs::ObsSnapshot;
@@ -402,8 +403,7 @@ impl Fleet {
         let (gid, core) = (self.gids[gi], self.core_addrs[gi]);
         self.world.with_node(r, |nd, now, out| {
             nd.router.learn_cores(gid, &[core]);
-            let act = nd.router.local_join(now, gid);
-            nd.deliver(act, out);
+            nd.step(now, Input::Join(gid), out);
         });
     }
 
@@ -411,8 +411,7 @@ impl Fleet {
     fn engine_leave(&mut self, gi: usize, r: u32) {
         let gid = self.gids[gi];
         self.world.with_node(r, |nd, now, out| {
-            let act = nd.router.local_leave(now, gid);
-            nd.deliver(act, out);
+            nd.step(now, Input::Leave(gid), out);
         });
     }
 

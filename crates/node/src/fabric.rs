@@ -72,12 +72,7 @@ pub fn steer_frame(frame: &[u8], shards: usize) -> Steer {
     match frame[9] {
         p if p == IpProto::Cbt as u8 => steer_group(group_at(IPV4_HEADER_LEN + 8)),
         p if p == IpProto::Igmp as u8 => match IgmpMessage::decode(&frame[IPV4_HEADER_LEN..]) {
-            Ok(IgmpMessage::Query { group: None, .. }) => Steer::All,
-            Ok(IgmpMessage::Query { group: Some(g), .. })
-            | Ok(IgmpMessage::Report { group: g, .. })
-            | Ok(IgmpMessage::Leave { group: g })
-            | Ok(IgmpMessage::TreeJoined { group: g, .. }) => Steer::One(shard_of(g, shards)),
-            Ok(IgmpMessage::RpCore(r)) => Steer::One(shard_of(r.group, shards)),
+            Ok(msg) => msg.group().map_or(Steer::All, |g| Steer::One(shard_of(g, shards))),
             Err(_) => Steer::One(0),
         },
         p if p == IpProto::Udp as u8 => {

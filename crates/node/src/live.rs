@@ -294,10 +294,11 @@ async fn router_task(
                 match cmd {
                     RouterCmd::Snapshot { group, resp } => {
                         let e = node.sharded();
+                        let v = e.group_view(group);
                         let _ = resp.send(RouterSnapshot {
-                            on_tree: e.is_on_tree(group),
-                            parent: e.parent_of(group),
-                            children: e.children_of(group),
+                            on_tree: v.on_tree,
+                            parent: v.parent,
+                            children: v.children,
                             obs: e.obs_snapshot(),
                             inbox_high_water: 0,
                         });

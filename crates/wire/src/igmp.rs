@@ -134,6 +134,18 @@ impl IgmpMessage {
         }
     }
 
+    /// The group the message concerns; `None` only for a general
+    /// query, which speaks for every group on the LAN.
+    pub fn group(&self) -> Option<GroupId> {
+        match *self {
+            IgmpMessage::Query { group, .. } => group,
+            IgmpMessage::Report { group, .. }
+            | IgmpMessage::Leave { group }
+            | IgmpMessage::TreeJoined { group, .. }
+            | IgmpMessage::RpCore(RpCoreReport { group, .. }) => Some(group),
+        }
+    }
+
     /// Serializes the message.
     ///
     /// Basic messages use the classic 8-byte IGMP layout

@@ -19,7 +19,8 @@
 //! world, pinned to totals and a digest of every transmission.
 
 use cbt::{
-    node_addr, CbtConfig, CbtWorld, FleetRib, FleetRoutes, P2pNode, RouterNode, ShardedRouter,
+    node_addr, CbtConfig, CbtWorld, FleetRib, FleetRoutes, Input, P2pNode, RouterNode,
+    ShardedRouter,
 };
 use cbt_netsim::{Entity, FaultPlan, NetscaleWorld, SimDuration, SimTime, WorldConfig};
 use cbt_topology::generate::{self, TransitStubParams};
@@ -108,8 +109,7 @@ fn fleet(shards: usize) -> Frozen {
             world.run_until(SimTime::from_micros(k * 1000));
             world.with_node(m, |nd, now, out| {
                 nd.router.learn_cores(gid(gi), &[core]);
-                let act = nd.router.local_join(now, gid(gi));
-                nd.deliver(act, out);
+                nd.step(now, Input::Join(gid(gi)), out);
             });
         }
     }
@@ -138,8 +138,7 @@ fn fleet(shards: usize) -> Frozen {
             t += SimDuration::from_millis(1);
             world.run_until(t);
             world.with_node(m, |nd, now, out| {
-                let act = nd.router.local_leave(now, gid(gi));
-                nd.deliver(act, out);
+                nd.step(now, Input::Leave(gid(gi)), out);
             });
         }
     }

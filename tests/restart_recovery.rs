@@ -44,7 +44,7 @@ fn core_restart_relearns_role_from_next_join() {
     cw.world.start();
     cw.world.run_until(SimTime::from_secs(4));
     assert!(cw.router(r2).sharded().is_on_tree(group));
-    assert!(cw.router(r2).sharded().shard_for(group).fib().get(group).unwrap().i_am_core);
+    assert!(cw.router(r2).sharded().group_view(group).i_am_core);
 
     // The core dies and comes back with a blank engine.
     cw.fail_router(r2);
@@ -60,7 +60,7 @@ fn core_restart_relearns_role_from_next_join() {
     cw.world.run_until(SimTime::from_secs(12));
     let engine = cw.router(r2).sharded();
     assert!(engine.is_on_tree(group), "core re-learned its role from the join");
-    assert!(engine.shard_for(group).fib().get(group).unwrap().i_am_core);
+    assert!(engine.group_view(group).i_am_core);
     assert_eq!(engine.parent_of(group), None, "primary core: no parent");
 
     // The ORIGINAL branch (R0's) recovers too: R0's echoes toward the

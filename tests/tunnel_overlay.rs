@@ -10,7 +10,7 @@
 //! through the spec's worked example: primary tunnel up → join through
 //! it; primary down (Hello timeout) → re-join through the backup.
 
-use cbt::{CbtConfig, CbtRouter, RouteLookup, RouterAction};
+use cbt::{CbtConfig, CbtRouter, Input, RouteLookup, RouterAction};
 use cbt_netsim::SimTime;
 use cbt_routing::{Hop, RankedTunnels, TunnelState};
 use cbt_topology::{IfIndex, NetworkBuilder, RouterId};
@@ -77,6 +77,22 @@ fn t(s: u64) -> SimTime {
     SimTime::from_secs(s)
 }
 
+/// Steps `e` with `input` and returns what it emitted.
+fn step(e: &mut CbtRouter, now: SimTime, input: Input) -> Vec<RouterAction> {
+    let mut out = Vec::new();
+    e.step(now, input, &mut out);
+    out
+}
+
+/// The member host on the LAN reports the group.
+fn member_report() -> Input {
+    Input::Igmp {
+        iface: IfIndex(0),
+        src: Addr::from_octets(10, 1, 0, 100),
+        msg: IgmpMessage::Report { version: 3, group: group() },
+    }
+}
+
 fn join_sent_on(act: &[RouterAction]) -> Option<(IfIndex, Addr)> {
     act.iter().find_map(|a| match a {
         RouterAction::SendControl { iface, dst, msg: ControlMessage::JoinRequest { .. } } => {
@@ -90,12 +106,7 @@ fn join_sent_on(act: &[RouterAction]) -> Option<(IfIndex, Addr)> {
 fn join_uses_highest_ranked_live_tunnel() {
     let (mut e, _ranking) = overlay_engine();
     e.learn_cores(group(), &[core_a()]);
-    let act = e.handle_igmp(
-        t(1),
-        IfIndex(0),
-        Addr::from_octets(10, 1, 0, 100),
-        IgmpMessage::Report { version: 3, group: group() },
-    );
+    let act = step(&mut e, t(1), member_report());
     let (iface, dst) = join_sent_on(&act).expect("join sent");
     assert_eq!(iface, IfIndex(1), "primary tunnel chosen");
     assert_eq!(dst, Addr::from_octets(172, 31, 0, 2));
@@ -106,24 +117,16 @@ fn hello_timeout_fails_over_to_backup_tunnel() {
     let (mut e, ranking) = overlay_engine();
     e.learn_cores(group(), &[core_a()]);
     // Join and complete over the primary tunnel.
-    e.handle_igmp(
-        t(1),
-        IfIndex(0),
-        Addr::from_octets(10, 1, 0, 100),
-        IgmpMessage::Report { version: 3, group: group() },
-    );
-    e.handle_control(
-        t(1),
-        IfIndex(1),
-        Addr::from_octets(172, 31, 0, 2),
-        ControlMessage::JoinAck {
-            subcode: AckSubcode::Normal,
-            group: group(),
-            origin: Addr::from_octets(10, 1, 0, 1),
-            target_core: core_a(),
-            cores: vec![core_a()],
-        },
-    );
+    step(&mut e, t(1), member_report());
+    let ack = ControlMessage::JoinAck {
+        subcode: AckSubcode::Normal,
+        group: group(),
+        origin: Addr::from_octets(10, 1, 0, 1),
+        target_core: core_a(),
+        cores: vec![core_a()],
+    };
+    let primary = Addr::from_octets(172, 31, 0, 2);
+    step(&mut e, t(1), Input::Control { iface: IfIndex(1), src: primary, msg: ack });
     assert_eq!(e.parent_of(group()), Some(Addr::from_octets(172, 31, 0, 2)));
 
     // The tunnel's Hello protocol declares the primary down (§5.2);
@@ -132,7 +135,7 @@ fn hello_timeout_fails_over_to_backup_tunnel() {
     ranking.write().set_state(IfIndex(1), TunnelState::Down);
     let mut rejoin = None;
     for s in 2..=30u64 {
-        let act = e.on_timer(t(s));
+        let act = step(&mut e, t(s), Input::Timer);
         if let Some(hop) = join_sent_on(&act) {
             rejoin = Some(hop);
             break;
@@ -143,18 +146,15 @@ fn hello_timeout_fails_over_to_backup_tunnel() {
     assert_eq!(dst, Addr::from_octets(172, 31, 0, 6));
 
     // Ack over the backup re-attaches the branch.
-    e.handle_control(
-        t(31),
-        IfIndex(2),
-        Addr::from_octets(172, 31, 0, 6),
-        ControlMessage::JoinAck {
-            subcode: AckSubcode::Normal,
-            group: group(),
-            origin: e.id_addr(),
-            target_core: core_a(),
-            cores: vec![core_a()],
-        },
-    );
+    let ack = ControlMessage::JoinAck {
+        subcode: AckSubcode::Normal,
+        group: group(),
+        origin: e.id_addr(),
+        target_core: core_a(),
+        cores: vec![core_a()],
+    };
+    let backup = Addr::from_octets(172, 31, 0, 6);
+    step(&mut e, t(31), Input::Control { iface: IfIndex(2), src: backup, msg: ack });
     assert_eq!(e.parent_of(group()), Some(Addr::from_octets(172, 31, 0, 6)));
 }
 
@@ -164,12 +164,7 @@ fn all_tunnels_down_means_no_join_until_recovery() {
     e.learn_cores(group(), &[core_a()]);
     ranking.write().set_state(IfIndex(1), TunnelState::Down);
     ranking.write().set_state(IfIndex(2), TunnelState::Down);
-    let act = e.handle_igmp(
-        t(1),
-        IfIndex(0),
-        Addr::from_octets(10, 1, 0, 100),
-        IgmpMessage::Report { version: 3, group: group() },
-    );
+    let act = step(&mut e, t(1), member_report());
     assert!(join_sent_on(&act).is_none(), "nowhere to send the join");
     assert!(!e.has_pending_join(group()));
 
@@ -180,14 +175,9 @@ fn all_tunnels_down_means_no_join_until_recovery() {
     let mut sent = None;
     for s in 2..=40u64 {
         if s % 10 == 0 {
-            e.handle_igmp(
-                t(s),
-                IfIndex(0),
-                Addr::from_octets(10, 1, 0, 100),
-                IgmpMessage::Report { version: 3, group: group() },
-            );
+            step(&mut e, t(s), member_report());
         }
-        if let Some(hop) = join_sent_on(&e.on_timer(t(s))) {
+        if let Some(hop) = join_sent_on(&step(&mut e, t(s), Input::Timer)) {
             sent = Some(hop);
             break;
         }
