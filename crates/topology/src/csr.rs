@@ -17,13 +17,18 @@
 //! order. That property is what keeps every replay deterministic no
 //! matter how the failure schedule was batched.
 //!
+//! Every run pops distances in non-decreasing order, so the priority
+//! queue is a monotone radix heap: a push is one bucket append, and an
+//! entry moves between buckets at most 64 times before it pops. A full
+//! run builds only the distance and predecessor columns (12 B per
+//! node); a tree's first removal repair builds, from `pred`, the child
+//! lists it detaches subtrees with.
+//!
 //! All scratch state (heap, DFS stack, affected list, stamp array)
 //! lives in a reusable [`SpfScratch`], so steady-state repairs and
 //! full recomputes perform no per-query allocation.
 
 use crate::graph::Graph;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Sentinel for "no node" in `u32` arenas.
 pub const NO_NODE: u32 = u32::MAX;
@@ -191,14 +196,74 @@ impl CsrGraph {
     }
 }
 
+/// A monotone priority queue of `(key, node)` entries: every key pushed
+/// is at least the last key popped. Dijkstra keeps that promise — it
+/// pushes `d + w` after popping `d`, and the repairs push their seeds
+/// before the first pop.
+///
+/// Bucket 0 holds the keys equal to `last`, the last key popped; bucket
+/// `i > 0` the keys whose highest bit differing from `last` is bit
+/// `i − 1`. A pop from an empty bucket 0 takes the first non-empty
+/// bucket, makes its smallest key the new `last` and redistributes the
+/// bucket into strictly lower ones, so an entry moves at most 64 times.
+/// Entries with equal keys pop in no particular order.
+#[derive(Debug)]
+struct RadixHeap {
+    buckets: [Vec<(u64, u32)>; 65],
+    last: u64,
+}
+
+impl Default for RadixHeap {
+    fn default() -> Self {
+        RadixHeap { buckets: std::array::from_fn(|_| Vec::new()), last: 0 }
+    }
+}
+
+impl RadixHeap {
+    /// Empties the heap, keeping the buckets' capacity.
+    fn clear(&mut self) {
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.last = 0;
+    }
+
+    #[inline]
+    fn bucket(&self, key: u64) -> usize {
+        (u64::BITS - (key ^ self.last).leading_zeros()) as usize
+    }
+
+    #[inline]
+    fn push(&mut self, key: u64, node: u32) {
+        debug_assert!(key >= self.last, "key {key} below the last popped key {}", self.last);
+        let b = self.bucket(key);
+        self.buckets[b].push((key, node));
+    }
+
+    /// Removes an entry with the smallest key.
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        if self.buckets[0].is_empty() {
+            let i = self.buckets.iter().position(|b| !b.is_empty())?;
+            let mut moved = std::mem::take(&mut self.buckets[i]);
+            self.last = moved.iter().map(|&(k, _)| k).min().expect("bucket is non-empty");
+            for &(k, x) in &moved {
+                let b = self.bucket(k);
+                self.buckets[b].push((k, x));
+            }
+            moved.clear();
+            self.buckets[i] = moved;
+        }
+        self.buckets[0].pop()
+    }
+}
+
 /// Reusable scratch state for full SPF runs and incremental repairs.
 ///
 /// One instance serves any number of trees over graphs of any size —
 /// arrays grow to the largest graph seen and are reset in O(1) via a
-/// stamp counter.
+/// stamp counter. Its priority queue is a monotone radix heap (see the
+/// module docs), whose buckets keep their capacity between runs.
 #[derive(Debug, Default)]
 pub struct SpfScratch {
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    heap: RadixHeap,
     stack: Vec<u32>,
     affected: Vec<u32>,
     seeds: Vec<u32>,
@@ -255,13 +320,19 @@ impl SpfScratch {
 /// `dist(dst, dst)`), no path traverses a down node or a masked slot,
 /// and ties resolve to the smallest-id predecessor. On an undirected
 /// graph the distance toward the root is also the distance from it.
+///
+/// A full run keeps 12 B per node (`dist`, `pred`). The first
+/// [`SpfTree::repair_removals`] adds three child-list columns (12 B
+/// more per node), which later repairs keep in step with `pred`.
 #[derive(Debug, Clone)]
 pub struct SpfTree {
     root: u32,
     dist: Vec<u64>,
     pred: Vec<u32>,
     /// Intrusive child lists (`child_head[p]` → `child_next`/`child_prev`
-    /// chain) mirroring `pred` — used to detach whole subtrees in O(size).
+    /// chain) used to detach whole subtrees in O(size). Empty until the
+    /// first removal repair builds them from `pred`; from then on they
+    /// mirror `pred`.
     child_head: Vec<u32>,
     child_next: Vec<u32>,
     child_prev: Vec<u32>,
@@ -283,7 +354,8 @@ impl SpfTree {
     }
 
     /// From-scratch recompute in place; returns the number of nodes
-    /// settled (the cost a repair is compared against).
+    /// settled (the cost a repair is compared against). Drops the child
+    /// lists, keeping their capacity for the next removal repair.
     pub fn recompute_full(&mut self, g: &CsrGraph, scratch: &mut SpfScratch) -> u64 {
         let n = g.node_count();
         scratch.begin(n);
@@ -292,20 +364,17 @@ impl SpfTree {
         self.pred.clear();
         self.pred.resize(n, NO_NODE);
         self.child_head.clear();
-        self.child_head.resize(n, NO_NODE);
         self.child_next.clear();
-        self.child_next.resize(n, NO_NODE);
         self.child_prev.clear();
-        self.child_prev.resize(n, NO_NODE);
         if n == 0 {
             return 0;
         }
         self.dist[self.root as usize] = 0;
         let mut settled = 1u64;
         if g.is_node_up(self.root) {
-            scratch.heap.push(Reverse((0, self.root)));
+            scratch.heap.push(0, self.root);
         }
-        while let Some(Reverse((d, x))) = scratch.heap.pop() {
+        while let Some((d, x)) = scratch.heap.pop() {
             if self.dist[x as usize] != d {
                 continue; // stale entry
             }
@@ -318,17 +387,10 @@ impl SpfTree {
                     }
                     self.dist[y as usize] = nd;
                     self.pred[y as usize] = x;
-                    scratch.heap.push(Reverse((nd, y)));
+                    scratch.heap.push(nd, y);
                 } else if nd == old && x < self.pred[y as usize] && y != self.root {
                     self.pred[y as usize] = x;
                 }
-            }
-        }
-        // Build the child lists to mirror pred.
-        for x in 0..n as u32 {
-            let p = self.pred[x as usize];
-            if p != NO_NODE {
-                self.link_child(p, x);
             }
         }
         settled
@@ -383,9 +445,29 @@ impl SpfTree {
         self.dist.iter().filter(|&&d| d != INF_DIST).count() as u64
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Heap footprint in bytes: 12 per node, 24 once a removal repair
+    /// has built the child lists.
     pub fn mem_bytes(&self) -> usize {
-        self.dist.len() * 8 + self.pred.len() * 4 * 4
+        let columns = [&self.pred, &self.child_head, &self.child_next, &self.child_prev];
+        self.dist.capacity() * 8 + columns.iter().map(|c| c.capacity() * 4).sum::<usize>()
+    }
+
+    /// Builds the child lists from `pred`, once per tree: they are
+    /// kept in step from then on.
+    fn ensure_child_lists(&mut self) {
+        if !self.child_head.is_empty() {
+            return;
+        }
+        let n = self.pred.len();
+        self.child_head.resize(n, NO_NODE);
+        self.child_next.resize(n, NO_NODE);
+        self.child_prev.resize(n, NO_NODE);
+        for x in 0..n as u32 {
+            let p = self.pred[x as usize];
+            if p != NO_NODE {
+                self.link_child(p, x);
+            }
+        }
     }
 
     #[inline]
@@ -419,10 +501,15 @@ impl SpfTree {
         self.child_next[x as usize] = NO_NODE;
     }
 
-    /// Re-points `pred[x]` to `p`, keeping the child lists consistent.
+    /// Re-points `pred[x]` to `p`, keeping the child lists consistent
+    /// once they exist.
     #[inline]
     fn set_pred(&mut self, x: u32, p: u32) {
         if self.pred[x as usize] == p {
+            return;
+        }
+        if self.child_head.is_empty() {
+            self.pred[x as usize] = p;
             return;
         }
         self.unlink_child(x);
@@ -461,6 +548,8 @@ impl SpfTree {
     /// outside the detached set cannot change (their tree paths avoid
     /// every removed element), and their predecessors stay minimal
     /// because removal only shrinks candidate sets.
+    ///
+    /// The first call on a tree builds its child lists from `pred`.
     pub fn repair_removals(
         &mut self,
         g: &CsrGraph,
@@ -473,6 +562,7 @@ impl SpfTree {
             return 0;
         }
         scratch.begin(n);
+        self.ensure_child_lists();
         // 1. Detach points: tree edges crossing a removed pair, plus
         // every newly-down node (and, for a down root, its children).
         for &(a, b) in removed_pairs {
@@ -542,10 +632,10 @@ impl SpfTree {
             }
             if best != INF_DIST {
                 self.dist[x as usize] = best;
-                scratch.heap.push(Reverse((best, x)));
+                scratch.heap.push(best, x);
             }
         }
-        while let Some(Reverse((d, x))) = scratch.heap.pop() {
+        while let Some((d, x)) = scratch.heap.pop() {
             if self.dist[x as usize] != d {
                 continue;
             }
@@ -557,7 +647,7 @@ impl SpfTree {
                 let nd = d + u64::from(g.weights[s]);
                 if nd < self.dist[y as usize] {
                     self.dist[y as usize] = nd;
-                    scratch.heap.push(Reverse((nd, y)));
+                    scratch.heap.push(nd, y);
                 }
             }
         }
@@ -612,17 +702,17 @@ impl SpfTree {
                 }
                 let du = self.dist[u as usize];
                 if du != INF_DIST {
-                    self.relax(g, r, du + u64::from(g.weights[s]), u, scratch);
+                    self.relax(r, du + u64::from(g.weights[s]), u, scratch);
                 }
             }
             // …and let r itself relax outward (covers a restored root,
             // whose distance is 0 without any inbound improvement, and
             // new equal-cost candidacies r creates for its neighbours).
             if self.dist[r as usize] != INF_DIST {
-                scratch.heap.push(Reverse((self.dist[r as usize], r)));
+                scratch.heap.push(self.dist[r as usize], r);
             }
         }
-        while let Some(Reverse((d, x))) = scratch.heap.pop() {
+        while let Some((d, x)) = scratch.heap.pop() {
             if self.dist[x as usize] != d {
                 continue;
             }
@@ -631,7 +721,7 @@ impl SpfTree {
                 if !g.live[s] || !g.node_up[y as usize] {
                     continue;
                 }
-                self.relax(g, y, d + u64::from(g.weights[s]), x, scratch);
+                self.relax(y, d + u64::from(g.weights[s]), x, scratch);
             }
         }
         // Exact predecessors for every touched node.
@@ -657,7 +747,7 @@ impl SpfTree {
         }
         for s in g.slot_range(a) {
             if g.targets[s] == b && g.live[s] {
-                self.relax(g, b, da + u64::from(g.weights[s]), a, scratch);
+                self.relax(b, da + u64::from(g.weights[s]), a, scratch);
             }
         }
     }
@@ -666,7 +756,7 @@ impl SpfTree {
     /// equal-distance tie with a smaller-id candidate marks the node
     /// for the exact-pred post-pass without propagating.
     #[inline]
-    fn relax(&mut self, _g: &CsrGraph, x: u32, nd: u64, via: u32, scratch: &mut SpfScratch) {
+    fn relax(&mut self, x: u32, nd: u64, via: u32, scratch: &mut SpfScratch) {
         if x == self.root {
             return; // the root's distance is pinned at 0
         }
@@ -676,7 +766,7 @@ impl SpfTree {
             if scratch.mark(x) {
                 scratch.affected.push(x);
             }
-            scratch.heap.push(Reverse((nd, x)));
+            scratch.heap.push(nd, x);
         } else if nd == old && via < self.pred[x as usize] && scratch.mark(x) {
             scratch.affected.push(x);
         }
@@ -698,6 +788,60 @@ mod tests {
         let fresh = SpfTree::full(g, t.root(), &mut scratch);
         assert_eq!(t.dist, fresh.dist, "{label}: dist mismatch");
         assert_eq!(t.pred, fresh.pred, "{label}: pred mismatch");
+    }
+
+    #[test]
+    fn radix_heap_pops_like_a_binary_heap() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        // xorshift64*: random monotone push/pop runs whose increments
+        // include zero (equal keys), small steps and jumps past 2^32.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        };
+        let mut radix = RadixHeap::default();
+        for run in 0..200 {
+            radix.clear();
+            let mut model: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut last = 0u64;
+            for _ in 0..1 + next() % 300 {
+                if next() % 3 == 0 {
+                    let popped = radix.pop();
+                    let expected = model.pop().map(|Reverse(e)| e);
+                    assert_eq!(popped.map(|e| e.0), expected.map(|e| e.0), "run {run}");
+                    if let (Some(p), Some(e)) = (popped, expected) {
+                        last = p.0;
+                        got.push(p);
+                        want.push(e);
+                    }
+                    continue;
+                }
+                let step = match next() % 4 {
+                    0 => 0,
+                    1 => next() % 16,
+                    2 => next() % 100_000,
+                    _ => next() % (1 << 40),
+                };
+                let node = (next() % 64) as u32;
+                radix.push(last + step, node);
+                model.push(Reverse((last + step, node)));
+            }
+            while let Some(p) = radix.pop() {
+                let Reverse(e) = model.pop().expect("model holds as many entries");
+                assert_eq!(p.0, e.0, "run {run}: key order");
+                got.push(p);
+                want.push(e);
+            }
+            assert_eq!(model.pop(), None, "run {run}: radix heap ran dry first");
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "run {run}: nodes per key");
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! regression test pinning that a single flap touches a small fraction
 //! of the graph, which is the entire point of incremental SPF. The full
 //! recompute itself is checked against an independent Bellman–Ford over
-//! the harness's own edge list.
+//! the harness's own edge list. Both checks also run with edge weights
+//! drawn across all of `u32`, so distances pass 2^32 and the high
+//! buckets of the SPF's radix heap fill.
 
 use cbt_topology::csr::{CsrGraph, SpfScratch, SpfTree};
 use cbt_topology::generate::{self, WaxmanParams};
@@ -43,9 +45,17 @@ struct Harness {
 }
 
 impl Harness {
-    fn new(n: usize, alpha: f64, seed: u64) -> Self {
+    /// A Waxman graph; `wide` redraws every edge weight from
+    /// `1..=u32::MAX`.
+    fn new(n: usize, alpha: f64, seed: u64, wide: bool) -> Self {
         let g0 = generate::waxman(WaxmanParams { n, alpha, beta: 0.3 }, seed);
-        let edges: Vec<(u32, u32, u32)> = g0.edges().map(|(a, b, w)| (a.0, b.0, w)).collect();
+        let mut edges: Vec<(u32, u32, u32)> = g0.edges().map(|(a, b, w)| (a.0, b.0, w)).collect();
+        if wide {
+            let mut rng = XorShift::new(seed ^ 0x5eed);
+            for e in &mut edges {
+                e.2 = 1 + (rng.next() % u64::from(u32::MAX)) as u32;
+            }
+        }
         let (g, pairs) = CsrGraph::from_edges(n, &edges);
         Harness { g, pairs, edge_down: vec![false; edges.len()], node_down: vec![false; n], edges }
     }
@@ -107,16 +117,52 @@ fn assert_identical(g: &CsrGraph, t: &SpfTree, label: &str) {
 
 #[test]
 fn incremental_repair_equals_full_recompute_under_random_flaps() {
-    for seed in 0..24u64 {
+    for (seed, wide) in (0..24u64).flat_map(|s| [(s, false), (s, true)]) {
         let n = 40 + (seed as usize % 5) * 25;
-        let mut h = Harness::new(n, 0.15 + 0.05 * (seed % 3) as f64, seed);
+        let mut h = Harness::new(n, 0.15 + 0.05 * (seed % 3) as f64, seed, wide);
         let mut rng = XorShift::new(seed.wrapping_mul(0x9e37_79b9).wrapping_add(7));
         let root = rng.below(n) as u32;
         let mut scratch = SpfScratch::new();
         let mut tree = SpfTree::full(&h.g, root, &mut scratch);
         for step in 0..30 {
             h.random_batch(&mut rng, &mut tree, &mut scratch);
-            assert_identical(&h.g, &tree, &format!("seed {seed} step {step}"));
+            assert_identical(&h.g, &tree, &format!("seed {seed} wide {wide} step {step}"));
+        }
+    }
+}
+
+#[test]
+fn additions_before_the_first_removal_stay_exact() {
+    // A tree built while edges and nodes are down meets their return
+    // first: the addition repair re-points `pred` before any removal
+    // repair has built the child lists, and the first removal builds
+    // them from the re-pointed `pred`.
+    for (seed, wide) in (0..8u64).flat_map(|s| [(s, false), (s, true)]) {
+        let n = 60;
+        let mut h = Harness::new(n, 0.2, seed, wide);
+        let mut rng = XorShift::new(seed.wrapping_add(555));
+        let mut down: Vec<usize> = (0..8).map(|_| rng.below(h.edges.len())).collect();
+        down.sort_unstable();
+        down.dedup();
+        let v = 1 + rng.below(n - 1) as u32;
+        // The harness's down flags stay false: everything is back up
+        // before `random_batch` reads them.
+        let mask = |h: &mut Harness, up: bool| {
+            for &e in &down {
+                h.pairs[e].iter().for_each(|&slot| h.g.set_slot_live(slot, up));
+            }
+            h.g.set_node_up(v, up);
+        };
+        mask(&mut h, false);
+        let mut scratch = SpfScratch::new();
+        let mut tree = SpfTree::full(&h.g, 0, &mut scratch);
+        mask(&mut h, true);
+        let added: Vec<(u32, u32)> = down.iter().map(|&e| (h.edges[e].0, h.edges[e].1)).collect();
+        tree.repair_additions(&h.g, &added, &[v], &mut scratch);
+        assert_identical(&h.g, &tree, &format!("seed {seed} wide {wide} fresh additions"));
+        for step in 0..10 {
+            h.random_batch(&mut rng, &mut tree, &mut scratch);
+            assert_identical(&h.g, &tree, &format!("seed {seed} wide {wide} step {step}"));
         }
     }
 }
@@ -125,7 +171,7 @@ fn incremental_repair_equals_full_recompute_under_random_flaps() {
 fn flapping_the_root_itself_stays_exact() {
     // The root is special-cased (distance pinned at 0 even when down):
     // hammer specifically root flaps mixed with edge flaps.
-    let mut h = Harness::new(60, 0.2, 99);
+    let mut h = Harness::new(60, 0.2, 99, false);
     let mut rng = XorShift::new(4242);
     let root = 17u32;
     let mut scratch = SpfScratch::new();
@@ -155,7 +201,7 @@ fn single_flap_touches_a_small_fraction_of_the_graph() {
     // nodes must stay well below n — a full recompute touches all n
     // every time. Deterministic seed, so the numbers are stable.
     let n = 2000;
-    let mut h = Harness::new(n, 0.05, 7);
+    let mut h = Harness::new(n, 0.05, 7, false);
     let mut scratch = SpfScratch::new();
     let mut tree = SpfTree::full(&h.g, 0, &mut scratch);
     let mut rng = XorShift::new(31337);
@@ -234,9 +280,9 @@ fn bellman_ford(h: &Harness, root: u32) -> (Vec<Option<u64>>, Vec<Option<u32>>) 
 
 #[test]
 fn full_spf_matches_an_independent_bellman_ford() {
-    for seed in 0..12u64 {
+    for (seed, wide) in (0..12u64).flat_map(|s| [(s, false), (s, true)]) {
         let n = 30 + (seed as usize % 4) * 30;
-        let mut h = Harness::new(n, 0.2, seed);
+        let mut h = Harness::new(n, 0.2, seed, wide);
         let mut rng = XorShift::new(seed.wrapping_add(101));
         let mut scratch = SpfScratch::new();
         let mut repaired = SpfTree::full(&h.g, 0, &mut scratch);
@@ -250,7 +296,7 @@ fn full_spf_matches_an_independent_bellman_ford() {
                 let t = SpfTree::full(&h.g, root, &mut scratch);
                 let (dist, pred) = bellman_ford(&h, root);
                 for x in 0..n as u32 {
-                    let at = format!("seed {seed} round {round} root {root} node {x}");
+                    let at = format!("seed {seed} wide {wide} round {round} root {root} node {x}");
                     assert_eq!(t.dist(x), dist[x as usize], "dist, {at}");
                     assert_eq!(t.toward_root(x), pred[x as usize], "pred, {at}");
                 }
