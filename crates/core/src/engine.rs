@@ -192,7 +192,6 @@ pub struct GroupView {
 
 /// The CBT protocol engine for one router.
 pub struct CbtRouter {
-    pub(crate) me: RouterId,
     pub(crate) id_addr: Addr,
     /// Interface addresses other than `id_addr`. Empty — and so never
     /// touched — on an unnumbered p2p engine.
@@ -295,7 +294,7 @@ impl CbtRouter {
                 },
             })
             .collect();
-        Self::boot(me, spec.addr, ifaces, cfg, routes, now)
+        Self::boot(spec.addr, ifaces, cfg, routes, now)
     }
 
     /// Builds an engine for a bare point-to-point router: `degree`
@@ -314,7 +313,6 @@ impl CbtRouter {
     /// Membership is driven by [`Input::Join`] / [`Input::Leave`]
     /// instead of LAN presence.
     pub fn p2p(
-        me: RouterId,
         id_addr: Addr,
         degree: usize,
         cfg: CbtConfig,
@@ -332,14 +330,13 @@ impl CbtRouter {
                 lan: None,
             })
             .collect();
-        Self::boot(me, id_addr, ifaces, cfg, routes, now)
+        Self::boot(id_addr, ifaces, cfg, routes, now)
     }
 
     /// The one constructor behind [`CbtRouter::new`] and
     /// [`CbtRouter::p2p`]: empty protocol state, one election +
     /// presence table per LAN interface, boot timers armed.
     fn boot(
-        me: RouterId,
         id_addr: Addr,
         ifaces: Vec<IfaceInfo>,
         cfg: CbtConfig,
@@ -361,7 +358,6 @@ impl CbtRouter {
             }
         }
         let mut r = CbtRouter {
-            me,
             id_addr,
             other_addrs,
             ifaces,
@@ -412,11 +408,6 @@ impl CbtRouter {
     // ------------------------------------------------------------------
     // Identity / lookup helpers used across the protocol modules.
     // ------------------------------------------------------------------
-
-    /// This router's id in the network spec.
-    pub fn router_id(&self) -> RouterId {
-        self.me
-    }
 
     /// Stable identity address.
     pub fn id_addr(&self) -> Addr {
@@ -1178,14 +1169,7 @@ mod tests {
             .iter()
             .map(|t| (*t, Hop { iface: IfIndex(0), router: RouterId(1), addr: via, dist: 1 }))
             .collect();
-        CbtRouter::p2p(
-            RouterId(0),
-            Addr::from_octets(10, 0, 0, 1),
-            3,
-            cfg,
-            Box::new(map),
-            SimTime::ZERO,
-        )
+        CbtRouter::p2p(Addr::from_octets(10, 0, 0, 1), 3, cfg, Box::new(map), SimTime::ZERO)
     }
 
     #[test]

@@ -762,7 +762,7 @@ mod tests {
         let me = Addr::from_octets(10, 0, 0, 1);
         let cfg = CbtConfig { compact_idle: true, shards: 1, ..CbtConfig::fast() };
         let routes = Box::new(BTreeMap::<Addr, cbt_routing::Hop>::new());
-        (CbtRouter::p2p(cbt_topology::RouterId(0), me, 1, cfg, routes, SimTime::ZERO), me)
+        (CbtRouter::p2p(me, 1, cfg, routes, SimTime::ZERO), me)
     }
 
     fn join_from(e: &mut CbtRouter, at: SimTime, group: GroupId, child: Addr, me: Addr) {

@@ -250,7 +250,7 @@ mod tests {
         }
         let hop = Hop { iface: IfIndex(0), router: RouterId(1), addr: via, dist: 1 };
         let routes: BTreeMap<Addr, Hop> = cores.iter().map(|c| (*c, hop)).collect();
-        let mut e = CbtRouter::p2p(RouterId(0), me, 3, cfg, Box::new(routes), SimTime::ZERO);
+        let mut e = CbtRouter::p2p(me, 3, cfg, Box::new(routes), SimTime::ZERO);
 
         let mut x = 0x5851_f42d_4c95_7f2du64;
         let mut rnd = move |n: u64| {

@@ -124,9 +124,11 @@ impl ShardedRouter {
 
     /// Builds the full shard set for a bare point-to-point router (see
     /// [`CbtRouter::p2p`]): no `NetworkSpec`, no LANs, membership via
-    /// [`Input::Join`]/[`Input::Leave`].
+    /// [`Input::Join`]/[`Input::Leave`]. The engines keep no router id;
+    /// the first argument only keeps the constructor's signature, which
+    /// `benchmark/` calls.
     pub fn p2p(
-        me: RouterId,
+        _me: RouterId,
         id_addr: Addr,
         degree: usize,
         cfg: CbtConfig,
@@ -135,7 +137,7 @@ impl ShardedRouter {
     ) -> Self {
         let total = cfg.shards.max(1);
         let shards = (0..total)
-            .map(|_| CbtRouter::p2p(me, id_addr, degree, cfg.clone(), make_routes(), now))
+            .map(|_| CbtRouter::p2p(id_addr, degree, cfg.clone(), make_routes(), now))
             .collect();
         ShardedRouter { shards, first_index: 0, total }
     }
@@ -159,20 +161,10 @@ impl ShardedRouter {
         ShardedRouter { shards, first_index: index, total }
     }
 
-    /// Global shard count steering is computed against.
-    pub fn shard_count(&self) -> usize {
-        self.total
-    }
-
-    /// Number of engines held locally (equals `shard_count()` for a
+    /// Number of engines held locally (the global shard count for a
     /// full set, 1 for a slice).
     pub fn local_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The global shard index owning `group`.
-    pub fn shard_index(&self, group: GroupId) -> usize {
-        shard_of(group, self.total)
     }
 
     /// Local vector index for `group`. For a full set this is simply
@@ -232,11 +224,6 @@ impl ShardedRouter {
     // ------------------------------------------------------------------
     // Queries and merged views.
     // ------------------------------------------------------------------
-
-    /// This router's id in the network spec.
-    pub fn router_id(&self) -> RouterId {
-        self.shards[0].router_id()
-    }
 
     /// The router-id address (identical across shards).
     pub fn id_addr(&self) -> Addr {
@@ -531,7 +518,7 @@ mod tests {
         // numbered(1) → shard 0, numbered(0) → shard 1 at n = 4).
         let ga = GroupId::numbered(1);
         let gb = GroupId::numbered(0);
-        assert_ne!(r.shard_index(ga), r.shard_index(gb), "test needs distinct owners");
+        assert_ne!(shard_of(ga, n), shard_of(gb, n), "test needs distinct owners");
         // Group B becomes live on the LAN (if0): cores learned, member
         // reported — B's owner shard originates the join upstream.
         r.learn_cores(gb, &[core()]);
@@ -553,7 +540,7 @@ mod tests {
             Input::Control { iface: IfIndex(2), src: child, msg: join },
             &mut out,
         );
-        let (ka, kb) = (r.shard_index(ga), r.shard_index(gb));
+        let (ka, kb) = (shard_of(ga, n), shard_of(gb, n));
         for k in 0..n {
             // Group A's join state (and its control counters) live on
             // A's shard and nowhere else — B's LAN membership on the

@@ -855,7 +855,8 @@ mod tests {
             9,
             b"data".to_vec(),
         );
-        let good = pkt.encode();
+        let mut good = Vec::new();
+        pkt.encode_into(&mut good);
         for (what, byte) in [("IP header", 4), ("UDP shell", good.len() - 1)] {
             let mut bad = good.clone();
             bad[byte] ^= 0x40;
@@ -877,8 +878,10 @@ mod tests {
         let dst = net.router_addr(cbt_topology::RouterId(2));
         let mut hdr = Ipv4Header::new(from, dst, IpProto::Udp, 7, 8 + 3);
         hdr.ident = 0x1234;
+        let mut shell = Vec::new();
+        UdpHeader::wrap_into(4000, 4000, b"abc", &mut shell);
         let mut arrival = hdr.encode().to_vec();
-        arrival.extend_from_slice(&UdpHeader::wrap(4000, 4000, b"abc"));
+        arrival.extend_from_slice(&shell);
         let mut out = Outbox::new();
         node.on_packet(SimTime::from_secs(1), iface, from, &Bytes::from(arrival.clone()), &mut out);
         let sent: Vec<_> = out.drain().collect();
@@ -891,8 +894,9 @@ mod tests {
 
     /// A transit unicast `R0 → dst` with the given TTL, as it arrives.
     fn transit_unicast(from: Addr, dst: Addr, ttl: u8) -> Bytes {
+        let mut shell = Vec::new();
+        UdpHeader::wrap_into(4000, 4000, b"abc", &mut shell);
         let mut frame = Vec::new();
-        let shell = UdpHeader::wrap(4000, 4000, b"abc");
         cbt_wire::ipv4::build_datagram_into(from, dst, IpProto::Udp, ttl, &shell, &mut frame);
         Bytes::from(frame)
     }
@@ -1000,8 +1004,10 @@ mod tests {
         assert_eq!(app.next_wakeup(), Some(SimTime::from_secs(1)));
         let mut out = Outbox::new();
         app.on_timer(SimTime::from_secs(3), &mut out);
-        let sent: Vec<Vec<u8>> =
-            out.drain().map(|t| DataPacket::decode(&t.frame).unwrap().payload.to_vec()).collect();
+        let sent: Vec<Vec<u8>> = out
+            .drain()
+            .map(|t| DataPacket::decode_bytes(&t.frame).unwrap().payload.to_vec())
+            .collect();
         assert_eq!(sent, [b"1a", b"1b", b"1c", b"2a", b"3a", b"3b"]);
         assert_eq!(app.next_wakeup(), Some(SimTime::from_secs(9)), "the rest stays queued");
     }
@@ -1031,7 +1037,9 @@ mod tests {
         let mut out = Outbox::new();
         for (len, shared) in [(RX_COPYBREAK - 1, false), (RX_COPYBREAK, true)] {
             let body: Vec<u8> = (0..len).map(|i| i as u8).collect();
-            let frame = Bytes::from(cbt_wire::encode_native(src, g, 4, &body));
+            let frame = build_frame(&mut Outbox::new(), |buf| {
+                encode_native_into(src, g, 4, &body, buf);
+            });
             let mut bad = frame.to_vec();
             *bad.last_mut().unwrap() ^= 0x01; // payload no longer sums
             let before = app.received().len();

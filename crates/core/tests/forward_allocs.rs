@@ -218,8 +218,8 @@ fn cbt_mode_on_tree_transit_allocates_nothing() {
 /// LAN, is encapsulated carrying that datagram by reference.
 #[test]
 fn first_hop_encapsulation_allocates_nothing() {
-    let frame = Bytes::from(DataPacket::new(host_src(), group(), 32, vec![0u8; 512]).encode());
-    let pkt = DataPacket::decode_bytes(&frame).expect("a frame `encode` built");
+    let frame = encoded(&DataPacket::new(host_src(), group(), 32, vec![0u8; 512]));
+    let pkt = DataPacket::decode_bytes(&frame).expect("a frame `encode_into` built");
     assert_allocation_free(
         ForwardingMode::CbtMode,
         Input::NativeData { iface: IfIndex(0), link_src: host_src(), pkt },
@@ -305,7 +305,14 @@ fn transit_node(fanout: usize, payload: usize) -> (RouterNode, IfIndex, Addr, By
     }
     assert_eq!(e.children_of(group()).len(), fanout);
     let pkt = DataPacket::new(Addr::from_octets(10, 77, 0, 5), group(), 32, vec![0u8; payload]);
-    (node, IfIndex(0), parent, Bytes::from(pkt.encode()))
+    (node, IfIndex(0), parent, encoded(&pkt))
+}
+
+/// The packet's datagram, written the way a host's send path writes it.
+fn encoded(pkt: &DataPacket) -> Bytes {
+    let mut frame = Vec::new();
+    pkt.encode_into(&mut frame);
+    Bytes::from(frame)
 }
 
 /// What the simulator does with a node's sends, minus the wire: takes
@@ -346,10 +353,11 @@ fn router_node_hop_allocates_nothing_and_shares_one_frame() {
 
         node.on_packet(now(), iface, link_src, &frame, &mut out);
         let frames: Vec<Bytes> = out.drain().map(|t| t.frame).collect();
-        let mut next = DataPacket::decode_bytes(&frame).expect("a frame `encode` built");
+        let mut next = DataPacket::decode_bytes(&frame).expect("a frame `encode_into` built");
         next.ttl -= 1;
         assert_eq!(frames.len(), fanout);
-        assert!(frames.iter().all(|f| *f == next.encode() && f.shares_allocation_with(&frames[0])));
+        let want = encoded(&next);
+        assert!(frames.iter().all(|f| *f == want && f.shares_allocation_with(&frames[0])));
     }
 }
 

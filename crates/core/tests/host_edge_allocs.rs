@@ -11,7 +11,7 @@ use cbt::{CbtConfig, HostApp, RX_COPYBREAK};
 use cbt_netsim::{Bytes, Outbox, SimNode, SimTime};
 use cbt_topology::IfIndex;
 use cbt_wire::data::PAYLOAD_OFFSET;
-use cbt_wire::{encode_native, Addr, GroupId};
+use cbt_wire::{encode_native_into, Addr, GroupId};
 use common::alloc;
 
 const N: usize = 4096;
@@ -33,7 +33,9 @@ fn deliver(len: usize) -> (u64, u64) {
         .map(|i| {
             let mut body = vec![0u8; len];
             body[..4].copy_from_slice(&(i as u32).to_le_bytes());
-            Bytes::from(encode_native(src, g, 4, &body))
+            let mut frame = Vec::new();
+            encode_native_into(src, g, 4, &body, &mut frame);
+            Bytes::from(frame)
         })
         .collect();
 

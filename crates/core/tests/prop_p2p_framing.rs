@@ -99,7 +99,9 @@ proptest! {
         msgs in proptest::collection::vec((0u32..2, arb_control(12)), 1..24),
     ) {
         let mut world = common::line(&common::rib());
-        let encodable: Vec<bool> = msgs.iter().map(|(_, m)| m.encode().is_ok()).collect();
+        let mut scratch = Vec::new();
+        let encodable: Vec<bool> =
+            msgs.iter().map(|(_, m)| m.encode_into(&mut scratch).is_ok()).collect();
         let actions = msgs
             .into_iter()
             .map(|(iface, msg)| RouterAction::SendControl {
@@ -116,7 +118,7 @@ proptest! {
         // next frame of the same call found it.
         let pooled = encodable.iter().fold(0usize, |p, ok| p.saturating_sub(1) + usize::from(!ok));
         prop_assert_eq!(world.pooled_frames(), pooled);
-        // What did go out is `[src | encode()]`, byte for byte.
+        // What did go out is `[src | encode_into()]`, byte for byte.
         world.run_until(cbt_netsim::SimTime::from_micros(1_000));
         prop_assert_eq!(world.node(0).decode_errors + world.node(2).decode_errors, 0);
     }

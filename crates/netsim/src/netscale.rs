@@ -23,12 +23,15 @@
 //!
 //! Two queues drive the loop: a FIFO-stable arrival queue (frames in
 //! flight) and a wakeup heap keyed by each node's self-reported
-//! [`NsNode::next_wakeup`]. At equal instants arrivals are serviced
-//! before wakeups, and within each queue insertion order wins — the
-//! same tie-break contract as the full-fidelity world, so runs replay
-//! bit-identically. The wakeup heap re-keys lazily: a node whose
-//! deadline did not change is never re-pushed, and stale entries are
-//! skipped on pop. Idle nodes (no wakeup) cost nothing per tick.
+//! [`NsNode::next_wakeup`]. At equal instants every arrival is serviced
+//! before any wakeup, and within each queue insertion order wins, so
+//! runs replay bit-identically. The full-fidelity
+//! [`crate::world::World`] breaks ties differently: wakes and arrivals
+//! share one queue and one insertion counter, so a wake queued before
+//! an arrival at the same instant runs first. The wakeup heap re-keys
+//! lazily: a node whose deadline did not change is never re-pushed, and
+//! stale entries are skipped on pop. Idle nodes (no wakeup) cost
+//! nothing per tick.
 
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};

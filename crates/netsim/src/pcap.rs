@@ -142,13 +142,9 @@ mod tests {
     #[test]
     fn round_trip_preserves_frames_and_timestamps() {
         let mut cap = Capture::new();
-        let f1 = DataPacket::new(
-            Addr::from_octets(10, 1, 0, 100),
-            GroupId::numbered(1),
-            9,
-            b"a".to_vec(),
-        )
-        .encode();
+        let mut f1 = Vec::new();
+        DataPacket::new(Addr::from_octets(10, 1, 0, 100), GroupId::numbered(1), 9, b"a".to_vec())
+            .encode_into(&mut f1);
         let f2 = vec![0x45u8; 40];
         cap.record(SimTime::from_micros(1_500_000), f1.clone());
         cap.record(SimTime::from_micros(2_000_001), f2.clone());
@@ -183,11 +179,13 @@ mod tests {
             16,
             b"hello".to_vec(),
         );
-        cap.record(SimTime::from_secs(3), pkt.encode());
+        let mut frame = Vec::new();
+        pkt.encode_into(&mut frame);
+        cap.record(SimTime::from_secs(3), frame);
         let mut buf = Vec::new();
         cap.write_to(&mut buf).unwrap();
         let parsed = Capture::parse(&buf).unwrap();
-        let back = DataPacket::decode(&parsed[0].1).unwrap();
+        let back = DataPacket::decode_bytes(&Bytes::from(parsed[0].1.clone())).unwrap();
         assert_eq!(back, pkt);
     }
 }

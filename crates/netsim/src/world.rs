@@ -478,7 +478,9 @@ mod tests {
             if self.fire_at.is_some_and(|t| t <= now) {
                 self.fire_at = None;
                 let pkt = DataPacket::new(self.src, GroupId::numbered(1), 4, b"x".to_vec());
-                out.send(IfIndex(0), pkt.encode());
+                let mut frame = out.buffer();
+                pkt.encode_into(frame.as_mut_vec());
+                out.send(IfIndex(0), frame.freeze());
             }
         }
         fn next_wakeup(&self) -> Option<SimTime> {
@@ -566,7 +568,9 @@ mod tests {
                     4,
                     b"x".to_vec(),
                 );
-                out.send(IfIndex(7), pkt.encode());
+                let mut frame = out.buffer();
+                pkt.encode_into(frame.as_mut_vec());
+                out.send(IfIndex(7), frame.freeze());
             }
             fn next_wakeup(&self) -> Option<SimTime> {
                 None

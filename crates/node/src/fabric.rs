@@ -175,19 +175,15 @@ impl Fabric {
         &self.plan
     }
 
-    /// Dispatches one transmission from `from` to everyone it reaches.
-    /// The frame is encoded exactly once (by the sender, into the
-    /// `Transmit`); recipients share the allocation.
-    pub fn dispatch(&self, from: Entity, t: &Transmit) {
-        self.dispatch_batch(from, std::slice::from_ref(t));
-    }
-
-    /// Dispatches a whole outbox drain. Consecutive transmissions on
-    /// one interface to one link-layer destination form a *run*: the
-    /// route is resolved once per run, and each recipient's inbox takes
-    /// the run under one lock and at most one wakeup
-    /// ([`Inbox::push_run`]). Every inbox sees the frames it would have
-    /// seen from frame-by-frame [`Fabric::dispatch`], in that order.
+    /// Dispatches a whole outbox drain from `from` to everyone each
+    /// transmission reaches. Each frame is encoded exactly once (by the
+    /// sender, into the `Transmit`); recipients share the allocation.
+    /// Consecutive transmissions on one interface to one link-layer
+    /// destination form a *run*: the route is resolved once per run,
+    /// and each recipient's inbox takes the run under one lock and at
+    /// most one wakeup ([`Inbox::push_run`]). Every inbox sees the
+    /// frames it would have seen had each transmission been dispatched
+    /// on its own, in that order.
     pub fn dispatch_batch(&self, from: Entity, transmits: &[Transmit]) {
         for run in transmits.chunk_by(|a, b| (a.iface, a.link_dst) == (b.iface, b.link_dst)) {
             let Some(route) = self.plan.route(from, run[0].iface) else { continue };
@@ -275,6 +271,14 @@ mod tests {
     use super::*;
     use cbt_topology::{HostId, NetworkBuilder, RouterId};
     use std::collections::HashMap;
+    use std::slice;
+
+    /// What one of the in-place writers leaves in a fresh buffer.
+    fn written(write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write(&mut buf);
+        buf
+    }
 
     /// A fabric's receive ends keyed by entity, as the tests address
     /// them.
@@ -318,7 +322,7 @@ mod tests {
         let (net, r0, r1, h) = lan_pair();
         let (fabric, mut rxs) = unsharded(&net, DataPlaneConfig::default());
         let t = Transmit { iface: IfIndex(0), link_dst: None, frame: frame(&[1, 2, 3]) };
-        fabric.dispatch(Entity::Router(r0), &t);
+        fabric.dispatch_batch(Entity::Router(r0), slice::from_ref(&t));
         assert!(rxs.get_mut(&Entity::Router(r1)).unwrap().try_recv().is_some());
         assert!(rxs.get_mut(&Entity::Host(h)).unwrap().try_recv().is_some());
         assert!(rxs.get_mut(&Entity::Router(r0)).unwrap().try_recv().is_none(), "no self-delivery");
@@ -331,7 +335,7 @@ mod tests {
         let r1_addr = net.routers[r1.0 as usize].ifaces[0].addr;
         let (fabric, mut rxs) = unsharded(&net, DataPlaneConfig::default());
         let t = Transmit { iface: IfIndex(0), link_dst: Some(r1_addr), frame: frame(&[9]) };
-        fabric.dispatch(Entity::Router(r0), &t);
+        fabric.dispatch_batch(Entity::Router(r0), slice::from_ref(&t));
         assert!(rxs.get_mut(&Entity::Router(r1)).unwrap().try_recv().is_some());
         assert!(rxs.get_mut(&Entity::Host(h)).unwrap().try_recv().is_none(), "filtered");
     }
@@ -345,7 +349,7 @@ mod tests {
         let net = Arc::new(b.build());
         let (fabric, mut rxs) = unsharded(&net, DataPlaneConfig::default());
         let t = Transmit { iface: IfIndex(0), link_dst: None, frame: frame(&[7]) };
-        fabric.dispatch(Entity::Router(r0), &t);
+        fabric.dispatch_batch(Entity::Router(r0), slice::from_ref(&t));
         let got = rxs.get_mut(&Entity::Router(r1)).unwrap().try_recv().unwrap();
         assert_eq!(got.iface, IfIndex(0));
         assert_eq!(got.frame, vec![7]);
@@ -356,7 +360,7 @@ mod tests {
         let (net, r0, ..) = lan_pair();
         let (fabric, _rxs) = unsharded(&net, DataPlaneConfig::default());
         let t = Transmit { iface: IfIndex(42), link_dst: None, frame: frame(&[0]) };
-        fabric.dispatch(Entity::Router(r0), &t); // must not panic
+        fabric.dispatch_batch(Entity::Router(r0), slice::from_ref(&t)); // must not panic
         let _ = Addr::NULL;
     }
 
@@ -367,7 +371,7 @@ mod tests {
         let (net, r0, r1, h) = lan_pair();
         let (fabric, mut rxs) = unsharded(&net, DataPlaneConfig::default());
         let t = Transmit { iface: IfIndex(0), link_dst: None, frame: frame(&[5; 64]) };
-        fabric.dispatch(Entity::Router(r0), &t);
+        fabric.dispatch_batch(Entity::Router(r0), slice::from_ref(&t));
         let a = rxs.get_mut(&Entity::Router(r1)).unwrap().try_recv().unwrap();
         let b = rxs.get_mut(&Entity::Host(h)).unwrap().try_recv().unwrap();
         assert!(a.frame.shares_allocation_with(&t.frame), "handle, not copy");
@@ -379,14 +383,14 @@ mod tests {
     /// peeking at wire bytes only.
     #[test]
     fn steering_matches_group_ownership() {
-        use cbt_wire::{ipv4::build_datagram, ControlMessage, DataPacket, JoinSubcode, UdpHeader};
+        use cbt_wire::{ControlMessage, DataPacket, JoinSubcode};
         let g = GroupId::numbered(9);
         let own = Steer::One(shard_of(g, 4));
         let src = Addr::from_octets(10, 1, 0, 1);
         let dst = Addr::from_octets(172, 31, 0, 2);
 
         // Native-mode data: the destination address is the group.
-        let native = DataPacket::new(src, g, 16, vec![0u8; 8]).encode();
+        let native = written(|buf| DataPacket::new(src, g, 16, vec![0u8; 8]).encode_into(buf));
         assert_eq!(steer_frame(&native, 4), own);
         assert_eq!(steer_frame(&native, 1), Steer::One(0), "unsharded short-circuits");
 
@@ -398,24 +402,18 @@ mod tests {
             target_core: dst,
             cores: vec![dst],
         };
-        let udp = UdpHeader::wrap(CBT_PRIMARY_PORT, CBT_PRIMARY_PORT, &join.encode().unwrap());
-        let ctl = build_datagram(src, dst, IpProto::Udp, 64, &udp);
+        let ctl = written(|buf| join.write_datagram(src, dst, 64, buf).unwrap());
         assert_eq!(steer_frame(&ctl, 4), own);
 
         // CBT-mode data: group at bytes 8..12 of the Fig. 7 header.
         let encap =
             cbt_wire::CbtDataPacket::encapsulate(&DataPacket::new(src, g, 16, vec![1u8]), dst);
-        let cbt = encap.wrap_unicast(src, dst, None);
+        let cbt = written(|buf| encap.wrap_unicast_into(src, dst, None, buf));
         assert_eq!(steer_frame(&cbt, 4), own);
 
         // Group-carrying IGMP: steers by the decoded group.
-        let report = build_datagram(
-            src,
-            g.addr(),
-            IpProto::Igmp,
-            1,
-            &IgmpMessage::Report { version: 2, group: g }.encode(),
-        );
+        let report = IgmpMessage::Report { version: 2, group: g };
+        let report = written(|buf| report.write_datagram(src, g.addr(), buf));
         assert_eq!(steer_frame(&report, 4), own);
     }
 
@@ -424,26 +422,17 @@ mod tests {
     /// belongs to shard 0.
     #[test]
     fn general_queries_fan_out_and_groupless_goes_to_shard_zero() {
-        use cbt_wire::ipv4::build_datagram;
+        use cbt_wire::{ipv4::build_datagram_into, UdpHeader};
         let src = Addr::from_octets(10, 1, 0, 1);
-        let query = build_datagram(
-            src,
-            cbt_wire::ALL_SYSTEMS,
-            IpProto::Igmp,
-            1,
-            &IgmpMessage::Query { group: None, max_resp_tenths: 100 }.encode(),
-        );
+        let query = IgmpMessage::Query { group: None, max_resp_tenths: 100 };
+        let query = written(|buf| query.write_datagram(src, cbt_wire::ALL_SYSTEMS, buf));
         assert_eq!(steer_frame(&query, 4), Steer::All);
         assert_eq!(steer_frame(&query, 1), Steer::One(0), "one shard needs no fan-out");
 
         // Unicast transit UDP (not a CBT port, unicast dst).
-        let transit = build_datagram(
-            src,
-            Addr::from_octets(172, 31, 0, 9),
-            IpProto::Udp,
-            64,
-            &cbt_wire::UdpHeader::wrap(9000, 9000, b"app"),
-        );
+        let shell = written(|buf| UdpHeader::wrap_into(9000, 9000, b"app", buf));
+        let dst = Addr::from_octets(172, 31, 0, 9);
+        let transit = written(|buf| build_datagram_into(src, dst, IpProto::Udp, 64, &shell, buf));
         assert_eq!(steer_frame(&transit, 4), Steer::One(0));
 
         // Runt frames (shorter than an IP header) and garbage.
@@ -455,49 +444,42 @@ mod tests {
     /// inbox and fans a general query out to all of them.
     #[tokio::test]
     async fn sharded_delivery_steers_to_the_owning_inbox() {
-        use cbt_wire::{ipv4::build_datagram, DataPacket};
+        use cbt_wire::DataPacket;
         let (net, r0, r1, _h) = lan_pair();
         let (fabric, mut rxs) = keyed(&net, DataPlaneConfig::default(), 4);
         let g = GroupId::numbered(9);
-        let own = match steer_frame(
-            &DataPacket::new(Addr::from_octets(10, 1, 0, 1), g, 16, vec![0u8]).encode(),
-            4,
-        ) {
+        let src = Addr::from_octets(10, 1, 0, 1);
+        let data = written(|buf| DataPacket::new(src, g, 16, vec![0u8]).encode_into(buf));
+        let own = match steer_frame(&data, 4) {
             Steer::One(k) => k,
             Steer::All => unreachable!("data frames steer to one shard"),
         };
-        let data = DataPacket::new(Addr::from_octets(10, 1, 0, 1), g, 16, vec![0u8]).encode();
         let t = Transmit { iface: IfIndex(0), link_dst: None, frame: Bytes::from(data) };
-        fabric.dispatch(Entity::Router(r0), &t);
+        fabric.dispatch_batch(Entity::Router(r0), slice::from_ref(&t));
         let shard_rxs = rxs.get_mut(&Entity::Router(r1)).unwrap();
         for (k, rx) in shard_rxs.iter_mut().enumerate() {
             assert_eq!(rx.try_recv().is_some(), k == own, "only shard {own} owns group {g}");
         }
 
-        let query = build_datagram(
-            Addr::from_octets(10, 1, 0, 1),
-            cbt_wire::ALL_SYSTEMS,
-            IpProto::Igmp,
-            1,
-            &IgmpMessage::Query { group: None, max_resp_tenths: 100 }.encode(),
-        );
+        let query = IgmpMessage::Query { group: None, max_resp_tenths: 100 };
+        let query = written(|buf| query.write_datagram(src, cbt_wire::ALL_SYSTEMS, buf));
         let t = Transmit { iface: IfIndex(0), link_dst: None, frame: Bytes::from(query) };
-        fabric.dispatch(Entity::Router(r0), &t);
+        fabric.dispatch_batch(Entity::Router(r0), slice::from_ref(&t));
         let shard_rxs = rxs.get_mut(&Entity::Router(r1)).unwrap();
         for rx in shard_rxs.iter_mut() {
             assert!(rx.try_recv().is_some(), "general query reaches every shard");
         }
     }
 
-    /// `dispatch_batch` is frame-by-frame `dispatch` with the locks
-    /// amortised, nothing else: over an outbox that mixes two
+    /// `dispatch_batch` over a whole outbox is the same call made one
+    /// transmission at a time with the locks amortised, nothing else: over an outbox that mixes two
     /// interfaces, LAN broadcast and LAN unicast, a general IGMP query
     /// fanned to 4 shards and a run of 10 into a capacity of 4, every
     /// inbox ends with the same frames in the same order, and the
     /// `delivered`, per-node overflow and high-water figures agree.
     #[tokio::test]
     async fn batch_dispatch_equals_frame_by_frame_dispatch() {
-        use cbt_wire::{ipv4::build_datagram, DataPacket};
+        use cbt_wire::DataPacket;
         let mut b = NetworkBuilder::new();
         let r0 = b.router("R0");
         let r1 = b.router("R1");
@@ -513,15 +495,12 @@ mod tests {
         let r1_addr = net.routers[r1.0 as usize].ifaces[0].addr;
         let src = Addr::from_octets(10, 1, 0, 1);
         let data = |g: u16, tag: u8| {
-            Bytes::from(DataPacket::new(src, GroupId::numbered(g), 16, vec![tag; 8]).encode())
+            let pkt = DataPacket::new(src, GroupId::numbered(g), 16, vec![tag; 8]);
+            Bytes::from(written(|buf| pkt.encode_into(buf)))
         };
-        let query = Bytes::from(build_datagram(
-            src,
-            cbt_wire::ALL_SYSTEMS,
-            IpProto::Igmp,
-            1,
-            &IgmpMessage::Query { group: None, max_resp_tenths: 100 }.encode(),
-        ));
+        let query = IgmpMessage::Query { group: None, max_resp_tenths: 100 };
+        let query =
+            Bytes::from(written(|buf| query.write_datagram(src, cbt_wire::ALL_SYSTEMS, buf)));
         let (lan_if, link_if) = (IfIndex(0), IfIndex(1));
         let send = |iface, link_dst, frame| Transmit { iface, link_dst, frame };
         let mut outbox = vec![
@@ -544,7 +523,7 @@ mod tests {
         let (one_by_one, mut rx_a) = keyed(&net, dp, 4);
         let (batched, mut rx_b) = keyed(&net, dp, 4);
         for t in &outbox {
-            one_by_one.dispatch(Entity::Router(r0), t);
+            one_by_one.dispatch_batch(Entity::Router(r0), slice::from_ref(t));
         }
         batched.dispatch_batch(Entity::Router(r0), &outbox);
 
@@ -591,7 +570,7 @@ mod tests {
         let (fabric, mut rxs) = unsharded(&net, dp);
         let t = Transmit { iface: IfIndex(0), link_dst: Some(r1_addr), frame: frame(&[1]) };
         for _ in 0..10 {
-            fabric.dispatch(Entity::Router(r0), &t);
+            fabric.dispatch_batch(Entity::Router(r0), slice::from_ref(&t));
         }
         let stats = fabric.snapshot();
         assert_eq!(stats.delivered, 4, "inbox capacity");

@@ -351,18 +351,10 @@ impl ControlMessage {
         })
     }
 
-    /// Serializes straight to bytes (header encode).
-    ///
-    /// # Errors
-    /// Returns [`WireError::TooManyCores`] when the message's core
-    /// list exceeds [`crate::header::MAX_CORES`].
-    pub fn encode(&self) -> Result<Vec<u8>> {
-        self.to_header().encode()
-    }
-
-    /// Serializes into `buf`, replacing its contents. Hot send paths
-    /// keep one scratch buffer alive and call this per message instead
-    /// of allocating a fresh `Vec` via [`ControlMessage::encode`].
+    /// Serializes into `buf`, replacing its contents. The buffer's
+    /// capacity is reused across calls, so a send path that encodes
+    /// many messages through one scratch buffer allocates only until
+    /// the buffer has grown to the largest message seen.
     ///
     /// # Errors
     /// Returns [`WireError::TooManyCores`] (leaving `buf` empty) when
@@ -374,7 +366,8 @@ impl ControlMessage {
 
     /// Serializes onto the end of `buf`, keeping what it already holds
     /// (see [`CbtControlHeader::encode_append`]): afterwards `buf` is
-    /// its old contents followed by exactly [`ControlMessage::encode`].
+    /// its old contents followed by exactly what
+    /// [`ControlMessage::encode_into`] writes.
     ///
     /// # Errors
     /// Returns [`WireError::TooManyCores`] (leaving `buf` exactly as it
@@ -425,9 +418,18 @@ impl ControlMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::written;
 
     fn g() -> GroupId {
         GroupId::numbered(42)
+    }
+
+    fn encoded(msg: &ControlMessage) -> Vec<u8> {
+        written(|b| msg.encode_into(b).unwrap())
+    }
+
+    fn header_bytes(h: &CbtControlHeader) -> Vec<u8> {
+        written(|b| h.encode_append(b).unwrap())
     }
 
     fn cores() -> Vec<Addr> {
@@ -502,23 +504,24 @@ mod tests {
     #[test]
     fn every_message_round_trips() {
         for msg in all_samples() {
-            let bytes = msg.encode().unwrap();
+            let bytes = encoded(&msg);
+            assert_eq!(bytes, header_bytes(&msg.to_header()), "the typed message is its header");
             let back = ControlMessage::decode(&bytes).unwrap();
             assert_eq!(back, msg);
         }
     }
 
     #[test]
-    fn encode_into_matches_encode_and_reuses_the_buffer() {
+    fn encode_into_replaces_a_dirty_reused_buffer() {
         // One scratch buffer across every message shape: each call must
-        // leave exactly the bytes `encode` would have produced, even
-        // when the previous message was longer (stale-tail hazard).
-        let mut buf = Vec::new();
+        // leave exactly the bytes a fresh buffer gets, even when the
+        // previous message was longer (stale-tail hazard).
+        let mut buf = vec![0xee; 200];
         let mut samples = all_samples();
         samples.reverse(); // longest core lists first exercises shrink
         for msg in samples {
             msg.encode_into(&mut buf).unwrap();
-            assert_eq!(buf, msg.encode().unwrap());
+            assert_eq!(buf, encoded(&msg));
             assert_eq!(ControlMessage::decode(&buf).unwrap(), msg);
         }
     }
@@ -535,10 +538,13 @@ mod tests {
             target_core: Addr::from_octets(10, 255, 0, 4),
             cores: (0..300u32).map(Addr).collect(),
         };
-        assert_eq!(msg.encode(), Err(WireError::TooManyCores { got: 300 }));
         let mut buf = vec![0xaa; 4];
         assert_eq!(msg.encode_into(&mut buf), Err(WireError::TooManyCores { got: 300 }));
         assert!(buf.is_empty(), "a failed encode must not leave stale bytes behind");
+        buf.push(0xaa);
+        let err = msg.write_datagram(Addr::NULL, Addr::NULL, 1, &mut buf);
+        assert_eq!(err, Err(WireError::TooManyCores { got: 300 }));
+        assert!(buf.is_empty(), "nor a failed datagram write");
     }
 
     #[test]
@@ -580,7 +586,7 @@ mod tests {
     fn unknown_type_rejected() {
         let mut h = ControlMessage::QuitRequest { group: g(), origin: Addr::NULL }.to_header();
         h.typ = 99;
-        let bytes = h.encode().unwrap();
+        let bytes = header_bytes(&h);
         assert!(matches!(
             ControlMessage::decode(&bytes),
             Err(WireError::UnknownType { got: 99, .. })
@@ -594,7 +600,7 @@ mod tests {
                 .to_header();
         h.typ = ControlType::JoinRequest as u8;
         h.code = 7;
-        assert!(ControlMessage::decode(&h.encode().unwrap()).is_err());
+        assert!(ControlMessage::decode(&header_bytes(&h)).is_err());
     }
 
     #[test]

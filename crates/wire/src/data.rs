@@ -29,15 +29,6 @@ use bytes::Bytes;
 /// and the simulator (any non-CBT port would do).
 pub const APP_PORT: u16 = 9999;
 
-/// Which encapsulation a data packet currently wears.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EncapMode {
-    /// Plain IP multicast (native mode, §4).
-    Native,
-    /// CBT-header encapsulated (CBT mode, §5).
-    CbtMode,
-}
-
 /// Offset of the application payload in a native datagram.
 pub const PAYLOAD_OFFSET: usize = IPV4_HEADER_LEN + UDP_HEADER_LEN;
 
@@ -45,18 +36,11 @@ pub const PAYLOAD_OFFSET: usize = IPV4_HEADER_LEN + UDP_HEADER_LEN;
 const TTL_OFFSET: usize = 8;
 
 /// Serializes a native multicast datagram — IP header, a UDP shell on
-/// [`APP_PORT`] and `payload` — straight into one exactly-sized buffer.
-/// This is what [`DataPacket::encode`] writes; a sender that holds its
-/// payload as plain bytes calls it directly and skips the packet (and
-/// the refcounted payload handle a packet would wrap them in).
-pub fn encode_native(src: Addr, group: GroupId, ttl: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_native_into(src, group, ttl, payload, &mut out);
-    out
-}
-
-/// [`encode_native`] into a reusable buffer, replacing its contents:
+/// [`APP_PORT`] and `payload` — into `buf`, replacing its contents:
 /// header, shell and payload in one pass, no intermediate buffers.
+/// This is what [`DataPacket::encode_into`] writes; a sender that holds
+/// its payload as plain bytes calls it directly and skips the packet
+/// (and the refcounted payload handle a packet would wrap them in).
 pub fn encode_native_into(src: Addr, group: GroupId, ttl: u8, payload: &[u8], buf: &mut Vec<u8>) {
     buf.clear();
     let udp_len = UDP_HEADER_LEN + payload.len();
@@ -101,36 +85,23 @@ impl DataPacket {
         DataPacket { src, group, ttl, payload: payload.into(), datagram: None }
     }
 
-    /// Serializes to a complete IP datagram. The application payload
-    /// rides in a real UDP shell on [`APP_PORT`] — CBT does not care
-    /// what applications send, but carrying honest headers end-to-end
-    /// lets the trace classify every frame unambiguously.
-    pub fn encode(&self) -> Vec<u8> {
-        encode_native(self.src, self.group, self.ttl, &self.payload)
-    }
-
-    /// Serializes into `buf`, replacing its contents — IP header, UDP
-    /// shell and payload in one pass, with no intermediate buffers.
-    /// Hot send paths keep one scratch buffer alive and call this per
-    /// packet instead of allocating via [`DataPacket::encode`].
+    /// Serializes to a complete IP datagram in `buf`, replacing its
+    /// contents — IP header, UDP shell and payload in one pass, with no
+    /// intermediate buffers. The application payload rides in a real
+    /// UDP shell on [`APP_PORT`]: CBT does not care what applications
+    /// send, but carrying honest headers end-to-end lets the trace
+    /// classify every frame unambiguously.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         encode_native_into(self.src, self.group, self.ttl, &self.payload, buf);
     }
 
-    /// The datagram to put on the wire for this packet. One decoded
-    /// from a frame and changed in nothing but its TTL since re-sends
-    /// that datagram (see [`write_datagram_with_ttl`]); anything else
-    /// is [`DataPacket::encode`]d. For datagrams `encode` produced the
-    /// two agree byte for byte.
-    pub fn to_frame(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_frame(&mut out);
-        out
-    }
-
-    /// [`DataPacket::to_frame`] into a reusable buffer, replacing its
-    /// contents — the forward path's form: a transit hop is one copy
-    /// into a buffer it already owns.
+    /// Writes the datagram to put on the wire for this packet into
+    /// `buf`, replacing its contents. One decoded from a frame and
+    /// changed in nothing but its TTL since re-sends that datagram (see
+    /// [`write_datagram_with_ttl`]); anything else goes through
+    /// [`DataPacket::encode_into`]. For datagrams `encode_into` produced
+    /// the two agree byte for byte. A transit hop is thus one copy into
+    /// a buffer it already owns.
     pub fn write_frame(&self, buf: &mut Vec<u8>) {
         match self.pristine_datagram() {
             Some(datagram) => write_datagram_with_ttl(datagram, self.ttl, buf),
@@ -138,13 +109,17 @@ impl DataPacket {
         }
     }
 
-    /// [`DataPacket::to_frame`] as a refcounted handle: when not even
-    /// the TTL moved since decode, the remembered datagram itself — no
-    /// copy, no allocation.
+    /// [`DataPacket::write_frame`] as a refcounted handle: when not
+    /// even the TTL moved since decode, the remembered datagram itself —
+    /// no copy, no allocation.
     fn to_frame_bytes(&self) -> Bytes {
         match self.pristine_datagram() {
             Some(datagram) if datagram[TTL_OFFSET] == self.ttl => datagram.clone(),
-            _ => Bytes::from(self.to_frame()),
+            _ => {
+                let mut frame = Vec::new();
+                self.write_frame(&mut frame);
+                Bytes::from(frame)
+            }
         }
     }
 
@@ -192,13 +167,6 @@ impl DataPacket {
         })
     }
 
-    /// Parses a native multicast datagram out of a plain slice, which
-    /// it copies; receive paths hold [`Bytes`] and use
-    /// [`DataPacket::decode_bytes`].
-    pub fn decode(bytes: &[u8]) -> Result<Self> {
-        Self::decode_bytes(&Bytes::copy_from_slice(bytes))
-    }
-
     /// Parses a native multicast datagram out of a refcounted frame:
     /// the payload is a zero-copy view into `frame`'s allocation.
     pub fn decode_bytes(frame: &Bytes) -> Result<Self> {
@@ -224,7 +192,7 @@ impl CbtDataPacket {
     /// Encapsulates a native packet as the DR adjacent to the origin
     /// does (§5): the CBT header TTL is gleaned from the original IP
     /// header; the packet starts off-tree. The inner datagram follows
-    /// [`DataPacket::to_frame`]'s identity rule — a packet decoded from
+    /// [`DataPacket::write_frame`]'s identity rule — a packet decoded from
     /// a frame and unchanged since shares that frame's allocation, one
     /// whose TTL alone moved is the frame copied and patched, and only
     /// a locally built or edited packet is encoded.
@@ -243,54 +211,28 @@ impl CbtDataPacket {
         Ok(native)
     }
 
-    /// Serializes as the payload of an outer IP datagram: CBT header
-    /// followed by the inner datagram.
-    pub fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(CBT_DATA_HEADER_LEN + self.inner.len());
-        out.extend_from_slice(&self.cbt.encode());
-        out.extend_from_slice(&self.inner);
-        out
-    }
-
-    /// Parses a CBT-mode payload (CBT header + inner datagram), copying
-    /// the inner datagram out of `bytes`.
-    pub fn decode_payload(bytes: &[u8]) -> Result<Self> {
-        let cbt = Self::decode_payload_header(bytes)?;
-        Ok(CbtDataPacket { cbt, inner: Bytes::copy_from_slice(&bytes[CBT_DATA_HEADER_LEN..]) })
-    }
-
-    /// Parses a CBT-mode payload out of a refcounted buffer: the inner
-    /// datagram is a zero-copy view into `payload`'s allocation.
+    /// Parses the payload of an outer CBT-mode datagram (CBT header +
+    /// inner datagram) out of a refcounted buffer: the inner datagram
+    /// is a zero-copy view into `payload`'s allocation. The inner
+    /// datagram is checked eagerly so corruption is caught at the first
+    /// CBT router, not at delivery.
     pub fn decode_payload_bytes(payload: &Bytes) -> Result<Self> {
-        let cbt = Self::decode_payload_header(payload)?;
-        Ok(CbtDataPacket { cbt, inner: payload.slice(CBT_DATA_HEADER_LEN..) })
-    }
-
-    /// Shared validation: CBT header plus eager inner-datagram checks so
-    /// corruption is caught at the first CBT router, not at delivery.
-    fn decode_payload_header(bytes: &[u8]) -> Result<CbtDataHeader> {
-        let cbt = CbtDataHeader::decode(bytes)?;
-        let (inner_hdr, _) = split_datagram(&bytes[CBT_DATA_HEADER_LEN..])?;
+        let cbt = CbtDataHeader::decode(payload)?;
+        let (inner_hdr, _) = split_datagram(&payload[CBT_DATA_HEADER_LEN..])?;
         if GroupId::new(inner_hdr.dst) != Some(cbt.group) {
             return Err(WireError::BadField {
                 what: "cbt data packet",
                 why: "inner destination group disagrees with CBT header",
             });
         }
-        Ok(cbt)
+        Ok(CbtDataPacket { cbt, inner: payload.slice(CBT_DATA_HEADER_LEN..) })
     }
 
-    /// Wraps in the outer IP header for one unicast hop or tunnel
-    /// (CBT unicasting, §5). `tunnel_ttl` is the configured tunnel
-    /// length, or `MAX_TTL` when unknown.
-    pub fn wrap_unicast(&self, src: Addr, dst: Addr, tunnel_ttl: Option<u8>) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.wrap_unicast_into(src, dst, tunnel_ttl, &mut out);
-        out
-    }
-
-    /// [`Self::wrap_unicast`] into a reusable buffer: outer IP header,
-    /// CBT header and inner datagram written in one pass.
+    /// Writes the packet into `buf`, replacing its contents, behind the
+    /// outer IP header for one unicast hop or tunnel (CBT unicasting,
+    /// §5): outer IP header, CBT header and inner datagram in one pass.
+    /// `tunnel_ttl` is the configured tunnel length, or `MAX_TTL` when
+    /// unknown.
     pub fn wrap_unicast_into(
         &self,
         src: Addr,
@@ -301,17 +243,11 @@ impl CbtDataPacket {
         self.wrap_into(src, dst, tunnel_ttl.unwrap_or(MAX_TTL), buf);
     }
 
-    /// Wraps in an outer IP header addressed to the *group* (CBT
-    /// multicasting, §5): used when a parent or several children share
-    /// one multi-access interface. Hosts discard these because the outer
-    /// protocol is CBT, not UDP.
-    pub fn wrap_multicast(&self, src: Addr) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.wrap_multicast_into(src, &mut out);
-        out
-    }
-
-    /// [`Self::wrap_multicast`] into a reusable buffer.
+    /// Writes the packet into `buf`, replacing its contents, behind an
+    /// outer IP header addressed to the *group* (CBT multicasting, §5):
+    /// used when a parent or several children share one multi-access
+    /// interface. Hosts discard these because the outer protocol is
+    /// CBT, not UDP.
     pub fn wrap_multicast_into(&self, src: Addr, buf: &mut Vec<u8>) {
         self.wrap_into(src, self.cbt.group.addr(), 1, buf);
     }
@@ -325,26 +261,14 @@ impl CbtDataPacket {
         buf.extend_from_slice(&self.cbt.encode());
         buf.extend_from_slice(&self.inner);
     }
-
-    /// Unwraps an outer datagram produced by [`Self::wrap_unicast`] or
-    /// [`Self::wrap_multicast`].
-    pub fn unwrap_outer(bytes: &[u8]) -> Result<(Ipv4Header, Self)> {
-        let (outer, payload) = split_datagram(bytes)?;
-        if outer.proto != IpProto::Cbt {
-            return Err(WireError::BadField {
-                what: "cbt outer header",
-                why: "outer protocol is not CBT",
-            });
-        }
-        Ok((outer, Self::decode_payload(payload)?))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::header::{OFF_TREE, ON_TREE};
-    use crate::ipv4::build_datagram;
+    use crate::ipv4::build_datagram_into;
+    use crate::written;
 
     fn native() -> DataPacket {
         DataPacket::new(
@@ -355,18 +279,48 @@ mod tests {
         )
     }
 
-    #[test]
-    fn native_round_trip() {
-        let p = native();
-        assert_eq!(DataPacket::decode(&p.encode()).unwrap(), p);
+    fn encoded(p: &DataPacket) -> Vec<u8> {
+        written(|b| p.encode_into(b))
+    }
+
+    fn decode(bytes: &[u8]) -> Result<DataPacket> {
+        DataPacket::decode_bytes(&Bytes::copy_from_slice(bytes))
+    }
+
+    fn unicast(enc: &CbtDataPacket, src: Addr, dst: Addr, ttl: Option<u8>) -> Vec<u8> {
+        written(|b| enc.wrap_unicast_into(src, dst, ttl, b))
+    }
+
+    /// The CBT-mode read path a router runs: split the outer datagram,
+    /// take it as CBT data only when its protocol says so, then parse
+    /// the payload.
+    fn unwrap_cbt(wire: &[u8]) -> Result<(Ipv4Header, CbtDataPacket)> {
+        let (outer, payload) = split_datagram(wire)?;
+        if outer.proto != IpProto::Cbt {
+            return Err(WireError::BadField { what: "outer header", why: "not CBT" });
+        }
+        Ok((outer, CbtDataPacket::decode_payload_bytes(&Bytes::copy_from_slice(payload))?))
+    }
+
+    /// CBT header followed by the inner datagram: what the outer IP
+    /// header of a wrapped packet carries.
+    fn payload(enc: &CbtDataPacket) -> Bytes {
+        let wire = unicast(enc, Addr::NULL, Addr::NULL, None);
+        Bytes::copy_from_slice(&wire[IPV4_HEADER_LEN..])
     }
 
     #[test]
-    fn encode_into_matches_encode_and_reuses_the_buffer() {
+    fn native_round_trip() {
+        let p = native();
+        assert_eq!(decode(&encoded(&p)).unwrap(), p);
+    }
+
+    #[test]
+    fn encode_into_replaces_a_dirty_reused_buffer() {
         // One scratch buffer across packets of shrinking size: every
-        // call must leave exactly the bytes `encode` would, with no
-        // stale tail from the previous, longer packet.
-        let mut buf = Vec::new();
+        // call must leave exactly the bytes a fresh buffer gets, with
+        // no stale tail from the previous, longer packet.
+        let mut buf = vec![0xee; 2000];
         for len in [900usize, 64, 3, 0] {
             let p = DataPacket::new(
                 Addr::from_octets(10, 0, 0, 1),
@@ -375,15 +329,15 @@ mod tests {
                 vec![0xabu8; len],
             );
             p.encode_into(&mut buf);
-            assert_eq!(buf, p.encode());
-            assert_eq!(DataPacket::decode(&buf).unwrap(), p);
+            assert_eq!(buf, encoded(&p));
+            assert_eq!(decode(&buf).unwrap(), p);
         }
     }
 
     #[test]
     fn decode_bytes_is_zero_copy() {
         let p = native();
-        let frame = Bytes::from(p.encode());
+        let frame = Bytes::from(encoded(&p));
         let back = DataPacket::decode_bytes(&frame).unwrap();
         assert_eq!(back, p);
         assert!(
@@ -393,31 +347,33 @@ mod tests {
     }
 
     #[test]
-    fn to_frame_resends_the_arrival_datagram_with_only_the_ttl_patched() {
-        // An arrival no `encode` would produce: ident, source port and
-        // link-layer padding are all non-default. They must survive.
+    fn write_frame_resends_the_arrival_datagram_with_only_the_ttl_patched() {
+        // An arrival no `encode_into` would produce: ident, source port
+        // and link-layer padding are all non-default. They must survive.
         let mut hdr = Ipv4Header::new(native().src, native().group.addr(), IpProto::Udp, 9, 8 + 2);
         hdr.ident = 0xbeef;
         let mut arrival = hdr.encode().to_vec();
-        arrival.extend_from_slice(&UdpHeader::wrap(4242, APP_PORT, b"hi"));
+        arrival.extend_from_slice(&written(|b| UdpHeader::wrap_into(4242, APP_PORT, b"hi", b)));
         let datagram_len = arrival.len();
         arrival.extend_from_slice(&[0u8; 6]);
         let mut pkt = DataPacket::decode_bytes(&Bytes::from(arrival.clone())).unwrap();
         assert_eq!(pkt, DataPacket { ttl: 9, ..native() });
         pkt.ttl -= 1;
-        let next = pkt.to_frame();
+        let mut next = vec![0xee; 300]; // dirty, longer scratch
+        pkt.write_frame(&mut next);
         assert_eq!(next.len(), datagram_len, "padding is the link's, not the datagram's");
         let (back, body) = split_datagram(&next).unwrap();
         assert_eq!(back, Ipv4Header { ttl: 8, ..hdr });
         assert_eq!(body, &arrival[IPV4_HEADER_LEN..datagram_len], "UDP shell untouched");
-        assert_eq!(DataPacket::decode(&next).unwrap(), pkt);
+        assert_eq!(decode(&next).unwrap(), pkt);
     }
 
     #[test]
-    fn to_frame_encodes_when_the_packet_no_longer_says_what_its_datagram_says() {
-        let frame = Bytes::from(native().encode());
-        let decoded = DataPacket::decode_bytes(&frame).unwrap();
-        assert_eq!(native().to_frame(), native().encode(), "locally built: plain encode");
+    fn write_frame_encodes_when_the_packet_no_longer_says_what_its_datagram_says() {
+        let frame_bytes = Bytes::from(encoded(&native()));
+        let decoded = DataPacket::decode_bytes(&frame_bytes).unwrap();
+        let frame = |p: &DataPacket| written(|b| p.write_frame(b));
+        assert_eq!(frame(&native()), encoded(&native()), "locally built: plain encode");
         let other = Bytes::from(b"hi".to_vec()); // equal bytes, another allocation
         let changed = [
             DataPacket { src: Addr::from_octets(192, 168, 10, 8), ..decoded.clone() },
@@ -427,17 +383,17 @@ mod tests {
             DataPacket { payload: other, ..decoded.clone() },
         ];
         for pkt in changed {
-            assert_eq!(pkt.to_frame(), pkt.encode(), "{pkt:?}");
+            assert_eq!(frame(&pkt), encoded(&pkt), "{pkt:?}");
         }
     }
 
     #[test]
     fn shares_frame_with_is_identity_not_content() {
-        let frame = Bytes::from(native().encode());
+        let frame = Bytes::from(encoded(&native()));
         let a = DataPacket::decode_bytes(&frame).unwrap();
         assert!(a.shares_frame_with(&a.clone()), "fan-out clones share");
         assert!(!a.shares_frame_with(&DataPacket { ttl: a.ttl - 1, ..a.clone() }));
-        let twin = DataPacket::decode_bytes(&Bytes::from(native().encode())).unwrap();
+        let twin = DataPacket::decode_bytes(&Bytes::from(encoded(&native()))).unwrap();
         assert_eq!(a, twin);
         assert!(!a.shares_frame_with(&twin), "equal bytes in another allocation do not");
         let local = native();
@@ -447,14 +403,9 @@ mod tests {
 
     #[test]
     fn native_rejects_unicast_destination() {
-        let dg = build_datagram(
-            Addr::from_octets(10, 0, 0, 1),
-            Addr::from_octets(10, 0, 0, 2),
-            IpProto::Udp,
-            4,
-            b"x",
-        );
-        assert!(DataPacket::decode(&dg).is_err());
+        let (a, b) = (Addr::from_octets(10, 0, 0, 1), Addr::from_octets(10, 0, 0, 2));
+        let dg = written(|buf| build_datagram_into(a, b, IpProto::Udp, 4, b"x", buf));
+        assert!(decode(&dg).is_err());
     }
 
     #[test]
@@ -467,20 +418,22 @@ mod tests {
         assert_eq!(enc.cbt.origin, p.src);
         assert_eq!(enc.cbt.core, core);
         assert_eq!(enc.cbt.on_tree, OFF_TREE);
-        assert_eq!(DataPacket::decode(&enc.inner).unwrap(), p);
+        assert_eq!(decode(&enc.inner).unwrap(), p);
     }
 
     #[test]
     fn payload_round_trip() {
         let enc = CbtDataPacket::encapsulate(&native(), Addr::from_octets(10, 0, 0, 4));
-        let back = CbtDataPacket::decode_payload(&enc.encode_payload()).unwrap();
-        assert_eq!(back, enc);
+        let wire = payload(&enc);
+        assert_eq!(&wire[..CBT_DATA_HEADER_LEN], enc.cbt.encode(), "CBT header first");
+        assert_eq!(wire[CBT_DATA_HEADER_LEN..], enc.inner[..], "then the inner datagram");
+        assert_eq!(CbtDataPacket::decode_payload_bytes(&wire).unwrap(), enc);
     }
 
     #[test]
     fn decode_payload_bytes_is_zero_copy() {
         let enc = CbtDataPacket::encapsulate(&native(), Addr::from_octets(10, 0, 0, 4));
-        let payload = Bytes::from(enc.encode_payload());
+        let payload = payload(&enc);
         let back = CbtDataPacket::decode_payload_bytes(&payload).unwrap();
         assert_eq!(back, enc);
         assert!(back.inner.shares_allocation_with(&payload));
@@ -490,26 +443,28 @@ mod tests {
     }
 
     #[test]
-    fn wrap_into_matches_wrap_and_reuses_the_buffer() {
+    fn wrap_into_replaces_a_dirty_reused_buffer() {
         let enc = CbtDataPacket::encapsulate(&native(), Addr::from_octets(10, 0, 0, 4));
         let a = Addr::from_octets(10, 1, 0, 1);
         let b = Addr::from_octets(10, 2, 0, 1);
+        let mut reference = Vec::new();
+        let mut cbt_payload = enc.cbt.encode().to_vec();
+        cbt_payload.extend_from_slice(&enc.inner);
         let mut buf = vec![0xee; 2000]; // dirty, oversized scratch
         enc.wrap_unicast_into(a, b, Some(3), &mut buf);
-        assert_eq!(buf, enc.wrap_unicast(a, b, Some(3)));
+        build_datagram_into(a, b, IpProto::Cbt, 3, &cbt_payload, &mut reference);
+        assert_eq!(buf, reference);
         enc.wrap_multicast_into(a, &mut buf);
-        assert_eq!(buf, enc.wrap_multicast(a));
+        build_datagram_into(a, enc.cbt.group.addr(), IpProto::Cbt, 1, &cbt_payload, &mut reference);
+        assert_eq!(buf, reference);
     }
 
     #[test]
     fn unicast_wrap_round_trip_uses_cbt_protocol() {
         let enc = CbtDataPacket::encapsulate(&native(), Addr::from_octets(10, 0, 0, 4));
-        let wire = enc.wrap_unicast(
-            Addr::from_octets(10, 1, 0, 1),
-            Addr::from_octets(10, 2, 0, 1),
-            Some(3),
-        );
-        let (outer, back) = CbtDataPacket::unwrap_outer(&wire).unwrap();
+        let wire =
+            unicast(&enc, Addr::from_octets(10, 1, 0, 1), Addr::from_octets(10, 2, 0, 1), Some(3));
+        let (outer, back) = unwrap_cbt(&wire).unwrap();
         assert_eq!(outer.proto, IpProto::Cbt);
         assert_eq!(outer.ttl, 3, "outer TTL is the configured tunnel length (§5)");
         assert_eq!(back, enc);
@@ -519,16 +474,16 @@ mod tests {
     fn unicast_wrap_defaults_to_max_ttl() {
         let enc = CbtDataPacket::encapsulate(&native(), Addr::from_octets(10, 0, 0, 4));
         let wire =
-            enc.wrap_unicast(Addr::from_octets(10, 1, 0, 1), Addr::from_octets(10, 2, 0, 1), None);
-        let (outer, _) = CbtDataPacket::unwrap_outer(&wire).unwrap();
+            unicast(&enc, Addr::from_octets(10, 1, 0, 1), Addr::from_octets(10, 2, 0, 1), None);
+        let (outer, _) = unwrap_cbt(&wire).unwrap();
         assert_eq!(outer.ttl, MAX_TTL);
     }
 
     #[test]
     fn multicast_wrap_targets_group() {
         let enc = CbtDataPacket::encapsulate(&native(), Addr::from_octets(10, 0, 0, 4));
-        let wire = enc.wrap_multicast(Addr::from_octets(10, 1, 0, 1));
-        let (outer, _) = CbtDataPacket::unwrap_outer(&wire).unwrap();
+        let wire = written(|b| enc.wrap_multicast_into(Addr::from_octets(10, 1, 0, 1), b));
+        let (outer, _) = unwrap_cbt(&wire).unwrap();
         assert_eq!(outer.dst, GroupId::numbered(3).addr());
         assert!(outer.dst.is_multicast());
     }
@@ -546,8 +501,8 @@ mod tests {
         let mut enc = CbtDataPacket::encapsulate(&native(), Addr::from_octets(10, 0, 0, 4));
         enc.cbt.on_tree = ON_TREE;
         let wire =
-            enc.wrap_unicast(Addr::from_octets(1, 1, 1, 1), Addr::from_octets(2, 2, 2, 2), None);
-        let (_, back) = CbtDataPacket::unwrap_outer(&wire).unwrap();
+            unicast(&enc, Addr::from_octets(1, 1, 1, 1), Addr::from_octets(2, 2, 2, 2), None);
+        let (_, back) = unwrap_cbt(&wire).unwrap();
         assert!(back.cbt.is_on_tree());
     }
 
@@ -557,19 +512,14 @@ mod tests {
         let mut cbt = enc.cbt;
         cbt.group = GroupId::numbered(99); // disagree with inner datagram
         let bad = CbtDataPacket { cbt, inner: enc.inner };
-        assert!(CbtDataPacket::decode_payload(&bad.encode_payload()).is_err());
+        assert!(CbtDataPacket::decode_payload_bytes(&payload(&bad)).is_err());
     }
 
     #[test]
     fn non_cbt_outer_protocol_rejected() {
         let enc = CbtDataPacket::encapsulate(&native(), Addr::from_octets(10, 0, 0, 4));
-        let wire = build_datagram(
-            Addr::from_octets(1, 1, 1, 1),
-            Addr::from_octets(2, 2, 2, 2),
-            IpProto::Udp,
-            9,
-            &enc.encode_payload(),
-        );
-        assert!(CbtDataPacket::unwrap_outer(&wire).is_err());
+        let (a, b) = (Addr::from_octets(1, 1, 1, 1), Addr::from_octets(2, 2, 2, 2));
+        let wire = written(|buf| build_datagram_into(a, b, IpProto::Udp, 9, &payload(&enc), buf));
+        assert!(unwrap_cbt(&wire).is_err());
     }
 }

@@ -206,39 +206,16 @@ impl CbtControlHeader {
         CONTROL_FIXED_LEN + 4 * n_cores + CONTROL_TRAILER_LEN
     }
 
-    /// Serializes the control message with a freshly computed checksum.
-    ///
-    /// # Errors
-    /// Returns [`WireError::TooManyCores`] if `self.cores.len()`
-    /// exceeds [`MAX_CORES`] — the 8-bit on-wire count would otherwise
-    /// silently truncate the list.
-    pub fn encode(&self) -> Result<Vec<u8>> {
-        let mut b = Vec::new();
-        self.encode_into(&mut b)?;
-        Ok(b)
-    }
-
-    /// Serializes into `buf`, replacing its contents. The buffer's
-    /// capacity is reused across calls, so a send path that encodes
-    /// many messages through one scratch buffer allocates only until
-    /// the buffer has grown to the largest message seen.
-    ///
-    /// # Errors
-    /// Returns [`WireError::TooManyCores`] (leaving `buf` empty) if
-    /// `self.cores.len()` exceeds [`MAX_CORES`].
-    pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<()> {
-        buf.clear();
-        self.encode_append(buf)
-    }
-
-    /// Serializes onto the end of `buf`, leaving what it already holds
-    /// in place — a caller that frames the message behind its own
-    /// prefix writes both into one buffer with no copy in between. The
+    /// Serializes the control message onto the end of `buf`, with a
+    /// freshly computed checksum, leaving what `buf` already holds in
+    /// place — a caller that frames the message behind its own prefix
+    /// writes both into one buffer with no copy in between. The
     /// checksum covers the appended bytes only.
     ///
     /// # Errors
     /// Returns [`WireError::TooManyCores`] (leaving `buf` exactly as it
-    /// was) if `self.cores.len()` exceeds [`MAX_CORES`].
+    /// was) if `self.cores.len()` exceeds [`MAX_CORES`] — the 8-bit
+    /// on-wire count would otherwise silently truncate the list.
     pub fn encode_append(&self, buf: &mut Vec<u8>) -> Result<()> {
         if self.cores.len() > MAX_CORES {
             return Err(WireError::TooManyCores { got: self.cores.len() });
@@ -397,6 +374,10 @@ mod tests {
         assert!(matches!(CbtDataHeader::decode(&bytes), Err(WireError::BadField { .. })));
     }
 
+    fn encoded(msg: &CbtControlHeader) -> Vec<u8> {
+        crate::written(|b| msg.encode_append(b).unwrap())
+    }
+
     fn sample_control(n_cores: usize) -> CbtControlHeader {
         CbtControlHeader {
             typ: 1,
@@ -412,7 +393,7 @@ mod tests {
     fn control_round_trip_all_core_counts() {
         for n in 0..=MAX_CORES {
             let msg = sample_control(n);
-            let bytes = msg.encode().unwrap();
+            let bytes = encoded(&msg);
             assert_eq!(bytes.len(), CbtControlHeader::encoded_len(n));
             let back = CbtControlHeader::decode(&bytes).unwrap();
             assert_eq!(back, msg, "n_cores = {n}");
@@ -426,14 +407,16 @@ mod tests {
         for n in [MAX_CORES + 1, 300] {
             let mut msg = sample_control(0);
             msg.cores = (0..n as u32).map(Addr).collect();
-            assert_eq!(msg.encode(), Err(WireError::TooManyCores { got: n }));
+            let mut buf = vec![0xaa; 4];
+            assert_eq!(msg.encode_append(&mut buf), Err(WireError::TooManyCores { got: n }));
+            assert_eq!(buf, [0xaa; 4], "a failed append leaves the buffer as it was");
         }
     }
 
     #[test]
     fn control_rejects_core_count_mismatch() {
         let msg = sample_control(2);
-        let mut bytes = msg.encode().unwrap();
+        let mut bytes = encoded(&msg);
         bytes[3] = 3; // lie about the count; length now inconsistent
         bytes[6] = 0;
         bytes[7] = 0;
@@ -444,7 +427,7 @@ mod tests {
 
     #[test]
     fn control_rejects_flipped_bits_everywhere() {
-        let bytes = sample_control(3).encode().unwrap();
+        let bytes = encoded(&sample_control(3));
         for byte in 0..bytes.len() {
             let mut corrupted = bytes.clone();
             corrupted[byte] ^= 0x01;
@@ -460,7 +443,7 @@ mod tests {
         // Decoders take their length from the header so a UDP payload
         // with padding still parses.
         let msg = sample_control(1);
-        let mut bytes = msg.encode().unwrap();
+        let mut bytes = encoded(&msg);
         bytes.extend_from_slice(&[0xaa; 7]);
         assert_eq!(CbtControlHeader::decode(&bytes).unwrap(), msg);
     }

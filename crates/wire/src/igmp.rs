@@ -146,19 +146,13 @@ impl IgmpMessage {
         }
     }
 
-    /// Serializes the message.
+    /// Serializes the message onto the end of `buf`, leaving what it
+    /// already holds in place; the checksum covers the appended bytes
+    /// only.
     ///
     /// Basic messages use the classic 8-byte IGMP layout
     /// (type, code, checksum, group). The RP/Core-Report and TreeJoined
     /// extensions append their extra words, per Fig. 10.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        self.encode_append(&mut b);
-        b
-    }
-
-    /// Serializes onto the end of `buf`, leaving what it already holds
-    /// in place; the checksum covers the appended bytes only.
     pub fn encode_append(&self, buf: &mut Vec<u8>) {
         let (code, group) = match self {
             IgmpMessage::Query { group, max_resp_tenths } => {
@@ -296,6 +290,10 @@ mod tests {
         GroupId::numbered(9)
     }
 
+    fn encoded(msg: &IgmpMessage) -> Vec<u8> {
+        crate::written(|b| msg.encode_append(b))
+    }
+
     fn samples() -> Vec<IgmpMessage> {
         vec![
             IgmpMessage::Query { group: None, max_resp_tenths: 100 },
@@ -323,7 +321,7 @@ mod tests {
     #[test]
     fn every_message_round_trips() {
         for msg in samples() {
-            let bytes = msg.encode();
+            let bytes = encoded(&msg);
             assert_eq!(IgmpMessage::decode(&bytes).unwrap(), msg, "{msg:?}");
         }
     }
@@ -339,7 +337,7 @@ mod tests {
 
     #[test]
     fn general_query_has_null_group() {
-        let bytes = IgmpMessage::Query { group: None, max_resp_tenths: 0 }.encode();
+        let bytes = encoded(&IgmpMessage::Query { group: None, max_resp_tenths: 0 });
         assert_eq!(&bytes[4..8], &[0, 0, 0, 0]);
     }
 
@@ -363,7 +361,7 @@ mod tests {
             target_core_index: 0,
             cores: vec![Addr::from_octets(10, 0, 0, 4)],
         });
-        let mut bytes = r.encode();
+        let mut bytes = encoded(&r);
         bytes[9] = 5; // index 5 of a 1-entry list
         bytes[2] = 0;
         bytes[3] = 0;
@@ -375,7 +373,7 @@ mod tests {
     #[test]
     fn corruption_rejected() {
         for msg in samples() {
-            let bytes = msg.encode();
+            let bytes = encoded(&msg);
             for i in 0..bytes.len() {
                 let mut c = bytes.clone();
                 c[i] ^= 0x08;
@@ -387,7 +385,7 @@ mod tests {
     #[test]
     fn truncation_rejected() {
         for msg in samples() {
-            let bytes = msg.encode();
+            let bytes = encoded(&msg);
             for cut in 0..bytes.len() {
                 assert!(IgmpMessage::decode(&bytes[..cut]).is_err(), "{msg:?} cut {cut}");
             }

@@ -92,11 +92,8 @@ impl Ipv4Header {
         b
     }
 
-    /// Parses and validates a header from the front of `bytes`.
-    pub fn decode(bytes: &[u8]) -> Result<Self> {
-        Self::parse(bytes, true)
-    }
-
+    /// Parses a header from the front of `bytes`, summing it when
+    /// `verify` is set.
     fn parse(bytes: &[u8], verify: bool) -> Result<Self> {
         const WHAT: &str = "ipv4 header";
         if bytes.len() < IPV4_HEADER_LEN {
@@ -129,21 +126,12 @@ impl Ipv4Header {
             ident: u16::from_be_bytes([b[4], b[5]]),
         })
     }
-
-    /// Length of the payload according to `total_len`.
-    pub fn payload_len(&self) -> usize {
-        self.total_len as usize - IPV4_HEADER_LEN
-    }
 }
 
-/// Builds a complete datagram: header + payload.
-pub fn build_datagram(src: Addr, dst: Addr, proto: IpProto, ttl: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    build_datagram_into(src, dst, proto, ttl, payload, &mut out);
-    out
-}
-
-/// [`build_datagram`] into a reusable buffer, replacing its contents.
+/// Builds a complete datagram — header, then payload — into `buf`,
+/// replacing its contents. The send paths write their headers in place
+/// instead; this plain composition is the reference their layouts are
+/// checked against.
 pub fn build_datagram_into(
     src: Addr,
     dst: Addr,
@@ -204,6 +192,12 @@ fn split(bytes: &[u8], verify: bool) -> Result<(Ipv4Header, &[u8])> {
 mod tests {
     use super::*;
 
+    fn datagram(src: Addr, dst: Addr, proto: IpProto, ttl: u8, payload: &[u8]) -> Vec<u8> {
+        let mut buf = vec![0xee; 64]; // dirty and longer: replaced, not appended to
+        build_datagram_into(src, dst, proto, ttl, payload, &mut buf);
+        buf
+    }
+
     #[test]
     fn round_trip() {
         let h = Ipv4Header::new(
@@ -213,15 +207,17 @@ mod tests {
             64,
             100,
         );
-        let back = Ipv4Header::decode(&h.encode()).unwrap();
+        let mut dg = h.encode().to_vec();
+        dg.resize(IPV4_HEADER_LEN + 100, 0);
+        let (back, body) = split_datagram(&dg).unwrap();
         assert_eq!(back, h);
-        assert_eq!(back.payload_len(), 100);
+        assert_eq!(body.len(), 100);
     }
 
     #[test]
     fn datagram_round_trip() {
         let payload = b"multicast hello";
-        let dg = build_datagram(
+        let dg = datagram(
             Addr::from_octets(10, 0, 0, 1),
             Addr::from_octets(239, 1, 0, 0),
             IpProto::Cbt,
@@ -236,7 +232,7 @@ mod tests {
 
     #[test]
     fn datagram_honours_total_len_with_trailing_padding() {
-        let mut dg = build_datagram(
+        let mut dg = datagram(
             Addr::from_octets(10, 0, 0, 1),
             Addr::from_octets(10, 0, 0, 2),
             IpProto::Udp,
@@ -250,7 +246,7 @@ mod tests {
 
     #[test]
     fn corruption_rejected() {
-        let dg = build_datagram(
+        let dg = datagram(
             Addr::from_octets(10, 0, 0, 1),
             Addr::from_octets(10, 0, 0, 2),
             IpProto::Udp,
@@ -260,7 +256,7 @@ mod tests {
         for i in 0..IPV4_HEADER_LEN {
             let mut c = dg.clone();
             c[i] ^= 0x10;
-            assert!(Ipv4Header::decode(&c).is_err(), "byte {i}");
+            assert!(split_datagram(&c).is_err(), "byte {i}");
         }
     }
 
@@ -296,7 +292,7 @@ mod tests {
 
     #[test]
     fn truncated_datagram_rejected() {
-        let dg = build_datagram(
+        let dg = datagram(
             Addr::from_octets(10, 0, 0, 1),
             Addr::from_octets(10, 0, 0, 2),
             IpProto::Udp,

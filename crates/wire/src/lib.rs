@@ -45,7 +45,8 @@
 //!     target_core: Addr::from_octets(10, 255, 0, 4),
 //!     cores: vec![Addr::from_octets(10, 255, 0, 4)],
 //! };
-//! let bytes = join.encode().unwrap(); // checksummed §8.2 layout
+//! let mut bytes = Vec::new(); // one scratch buffer, reused per message
+//! join.encode_into(&mut bytes).unwrap(); // checksummed §8.2 layout
 //! assert_eq!(ControlMessage::decode(&bytes).unwrap(), join);
 //!
 //! // Corruption anywhere is caught by the one's-complement checksum.
@@ -69,7 +70,7 @@ pub mod udp;
 
 pub use addr::{Addr, GroupId, ALL_CBT_ROUTERS, ALL_ROUTERS, ALL_SYSTEMS};
 pub use control::{AckSubcode, ControlMessage, ControlType, JoinSubcode};
-pub use data::{encode_native, encode_native_into, CbtDataPacket, DataPacket, EncapMode};
+pub use data::{encode_native_into, CbtDataPacket, DataPacket};
 pub use error::WireError;
 pub use header::{CbtControlHeader, CbtDataHeader, CBT_VERSION};
 pub use igmp::{IgmpMessage, IgmpType, RpCoreReport};
@@ -78,3 +79,11 @@ pub use udp::{UdpHeader, CBT_AUX_PORT, CBT_PRIMARY_PORT};
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, WireError>;
+
+/// What one of the in-place writers leaves in a fresh buffer.
+#[cfg(test)]
+fn written(write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write(&mut buf);
+    buf
+}

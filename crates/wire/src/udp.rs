@@ -30,15 +30,10 @@ pub struct UdpHeader {
 }
 
 impl UdpHeader {
-    /// Wraps `payload` in a UDP datagram between the given ports.
-    pub fn wrap(src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        Self::wrap_into(src_port, dst_port, payload, &mut out);
-        out
-    }
-
-    /// [`UdpHeader::wrap`] into a reusable buffer, replacing its
-    /// contents.
+    /// Wraps `payload` in a UDP datagram between the given ports,
+    /// written into `buf` in place of its contents. The send paths seal
+    /// a payload already in place instead (see [`UdpHeader::seal`]);
+    /// this plain composition is the reference they are checked against.
     pub fn wrap_into(src_port: u16, dst_port: u16, payload: &[u8], buf: &mut Vec<u8>) {
         buf.clear();
         buf.reserve(UDP_HEADER_LEN + payload.len());
@@ -106,9 +101,13 @@ impl UdpHeader {
 mod tests {
     use super::*;
 
+    fn wrap(src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
+        crate::written(|b| UdpHeader::wrap_into(src_port, dst_port, payload, b))
+    }
+
     #[test]
     fn round_trip() {
-        let dg = UdpHeader::wrap(CBT_PRIMARY_PORT, CBT_PRIMARY_PORT, b"join!");
+        let dg = wrap(CBT_PRIMARY_PORT, CBT_PRIMARY_PORT, b"join!");
         let (hdr, payload) = UdpHeader::unwrap(&dg).unwrap();
         assert_eq!(hdr.src_port, CBT_PRIMARY_PORT);
         assert_eq!(hdr.dst_port, CBT_PRIMARY_PORT);
@@ -117,14 +116,14 @@ mod tests {
 
     #[test]
     fn aux_port_round_trip() {
-        let dg = UdpHeader::wrap(CBT_AUX_PORT, CBT_AUX_PORT, b"echo");
+        let dg = wrap(CBT_AUX_PORT, CBT_AUX_PORT, b"echo");
         let (hdr, _) = UdpHeader::unwrap(&dg).unwrap();
         assert_eq!(hdr.dst_port, CBT_AUX_PORT);
     }
 
     #[test]
     fn empty_payload() {
-        let dg = UdpHeader::wrap(1, 2, b"");
+        let dg = wrap(1, 2, b"");
         let (hdr, payload) = UdpHeader::unwrap(&dg).unwrap();
         assert_eq!(hdr.length as usize, UDP_HEADER_LEN);
         assert!(payload.is_empty());
@@ -132,7 +131,7 @@ mod tests {
 
     #[test]
     fn corruption_rejected() {
-        let dg = UdpHeader::wrap(CBT_PRIMARY_PORT, CBT_PRIMARY_PORT, b"payload bytes");
+        let dg = wrap(CBT_PRIMARY_PORT, CBT_PRIMARY_PORT, b"payload bytes");
         for i in 0..dg.len() {
             let mut c = dg.clone();
             c[i] ^= 0x02;
@@ -142,7 +141,7 @@ mod tests {
 
     #[test]
     fn trailing_padding_ignored() {
-        let mut dg = UdpHeader::wrap(5, 6, b"xy");
+        let mut dg = wrap(5, 6, b"xy");
         dg.push(0xee);
         let (_, payload) = UdpHeader::unwrap(&dg).unwrap();
         assert_eq!(payload, b"xy");
@@ -152,7 +151,7 @@ mod tests {
     fn wrap_into_replaces_a_dirty_longer_buffer() {
         let mut buf = vec![0xee; 100];
         UdpHeader::wrap_into(5, 6, b"xy", &mut buf);
-        assert_eq!(buf, UdpHeader::wrap(5, 6, b"xy"));
+        assert_eq!(buf, wrap(5, 6, b"xy"));
     }
 
     #[test]

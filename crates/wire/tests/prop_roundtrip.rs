@@ -4,11 +4,36 @@
 //! injection relies on (experiment Spec-E7 in DESIGN.md).
 
 use bytes::Bytes;
+use cbt_wire::ipv4::{build_datagram_into, split_datagram, IPV4_HEADER_LEN};
 use cbt_wire::{
     control::ECHO_AGGREGATE, igmp::RpCoreReport, AckSubcode, Addr, CbtControlHeader, CbtDataHeader,
-    CbtDataPacket, ControlMessage, DataPacket, GroupId, IgmpMessage, JoinSubcode,
+    CbtDataPacket, ControlMessage, DataPacket, GroupId, IgmpMessage, IpProto, Ipv4Header,
+    JoinSubcode, UdpHeader,
 };
 use proptest::prelude::*;
+
+/// What one of the in-place writers the send paths use leaves in a
+/// fresh buffer: the properties below run the same writers on dirty,
+/// reused buffers and compare.
+fn written(write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write(&mut buf);
+    buf
+}
+
+fn native_bytes(pkt: &DataPacket) -> Vec<u8> {
+    written(|b| pkt.encode_into(b))
+}
+
+/// The reference layouts the in-place writers are checked against:
+/// a UDP shell around a payload, and an IP header in front of one.
+fn udp(src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
+    written(|b| UdpHeader::wrap_into(src_port, dst_port, payload, b))
+}
+
+fn datagram(src: Addr, dst: Addr, proto: IpProto, ttl: u8, payload: &[u8]) -> Vec<u8> {
+    written(|b| build_datagram_into(src, dst, proto, ttl, payload, b))
+}
 
 fn arb_addr() -> impl Strategy<Value = Addr> {
     // Avoid class-D/E so unicast fields stay unicast.
@@ -46,7 +71,7 @@ fn arb_ack_subcode() -> impl Strategy<Value = AckSubcode> {
 /// update is most likely to get wrong.
 fn src_with_zero_header_checksum(src: Addr, group: GroupId, ttl: u8, payload_len: usize) -> Addr {
     let high = Addr(src.0 & 0xffff_0000);
-    let frame = DataPacket::new(high, group, ttl, vec![0u8; payload_len]).encode();
+    let frame = native_bytes(&DataPacket::new(high, group, ttl, vec![0u8; payload_len]));
     // With a zero low half the checksum is the complement of the sum
     // of everything else: adding it back makes the sum all ones.
     let low = u16::from_be_bytes([frame[10], frame[11]]);
@@ -84,13 +109,13 @@ prop_compose! {
 proptest! {
     #[test]
     fn control_round_trips(msg in arb_control()) {
-        let bytes = msg.encode().unwrap();
+        let bytes = written(|b| msg.encode_into(b).unwrap());
         prop_assert_eq!(ControlMessage::decode(&bytes).unwrap(), msg);
     }
 
     #[test]
     fn control_rejects_any_corruption(msg in arb_control(), byte in 0usize..64, bit in 0u8..8) {
-        let bytes = msg.encode().unwrap();
+        let bytes = written(|b| msg.encode_into(b).unwrap());
         let byte = byte % bytes.len();
         let mut corrupted = bytes.clone();
         corrupted[byte] ^= 1 << bit;
@@ -102,17 +127,18 @@ proptest! {
     }
 
     #[test]
-    fn encode_append_leaves_the_prefix_then_exactly_encode(
+    fn encode_append_leaves_the_prefix_then_exactly_encode_into(
         msg in arb_control(),
         prefix in proptest::collection::vec(any::<u8>(), 0..24),
     ) {
         let mut buf = prefix.clone();
         msg.encode_append(&mut buf).unwrap();
         prop_assert_eq!(&buf[..prefix.len()], &prefix[..]);
-        prop_assert_eq!(&buf[prefix.len()..], &msg.encode().unwrap()[..]);
-        // `encode_into` is the same body behind a `clear`.
+        prop_assert_eq!(&buf[prefix.len()..], &written(|b| msg.encode_into(b).unwrap())[..]);
+        // `encode_into` is the same body behind a `clear`: on the
+        // now-dirty buffer it leaves what a fresh one gets.
         msg.encode_into(&mut buf).unwrap();
-        prop_assert_eq!(buf, msg.encode().unwrap());
+        prop_assert_eq!(buf, written(|b| msg.encode_into(b).unwrap()));
     }
 
     #[test]
@@ -168,7 +194,7 @@ proptest! {
         // Echo messages interpret code specially; restrict accordingly.
         let code = if typ >= 7 { if code == 1 { ECHO_AGGREGATE } else { 0 } } else { code };
         let h = CbtControlHeader { typ, code, group, origin, target_core: target, cores };
-        let bytes = h.encode().unwrap();
+        let bytes = written(|b| h.encode_append(b).unwrap());
         prop_assert_eq!(CbtControlHeader::decode(&bytes).unwrap(), h);
     }
 
@@ -198,7 +224,7 @@ proptest! {
             IgmpMessage::TreeJoined { group, core: cores[0] },
         ];
         for msg in msgs {
-            let bytes = msg.encode();
+            let bytes = written(|b| msg.encode_append(b));
             prop_assert_eq!(IgmpMessage::decode(&bytes).unwrap(), msg);
         }
     }
@@ -219,11 +245,14 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
         // host sends native -> DR encapsulates -> unicast hop ->
-        // unwrap -> decapsulate for delivery.
+        // split the outer header -> decapsulate for delivery.
         let native = DataPacket::new(src, group, ttl, payload.clone());
         let enc = CbtDataPacket::encapsulate(&native, core);
-        let wire = enc.wrap_unicast(hop_src, hop_dst, None);
-        let (outer, back) = CbtDataPacket::unwrap_outer(&wire).unwrap();
+        let wire = Bytes::from(written(|b| enc.wrap_unicast_into(hop_src, hop_dst, None, b)));
+        let (outer, _) = split_datagram(&wire).unwrap();
+        prop_assert_eq!(outer.proto, IpProto::Cbt);
+        let back = CbtDataPacket::decode_payload_bytes(
+            &wire.slice(IPV4_HEADER_LEN..usize::from(outer.total_len))).unwrap();
         prop_assert_eq!(outer.src, hop_src);
         prop_assert_eq!(outer.dst, hop_dst);
         prop_assert_eq!(&back, &enc);
@@ -235,7 +264,7 @@ proptest! {
 
     /// First-hop §5.1 encapsulation carries "the original datagram
     /// unchanged": `encapsulate(decode_bytes(x)).inner == x` byte for
-    /// byte — for arrivals no `encode` would produce too (foreign
+    /// byte — for arrivals no `encode_into` would produce too (foreign
     /// ident and source port) — and by sharing `x`'s allocation, not
     /// by re-encoding. A packet whose TTL alone moved carries `x`
     /// patched; one edited in any other field is encoded afresh.
@@ -249,11 +278,10 @@ proptest! {
         src_port in any::<u16>(),
         payload in proptest::collection::vec(any::<u8>(), 0..600),
     ) {
-        let mut hdr = cbt_wire::Ipv4Header::new(
-            src, group.addr(), cbt_wire::IpProto::Udp, ttl, 8 + payload.len());
+        let mut hdr = Ipv4Header::new(src, group.addr(), IpProto::Udp, ttl, 8 + payload.len());
         hdr.ident = ident;
         let mut x = hdr.encode().to_vec();
-        x.extend_from_slice(&cbt_wire::UdpHeader::wrap(src_port, cbt_wire::data::APP_PORT, &payload));
+        x.extend_from_slice(&udp(src_port, cbt_wire::data::APP_PORT, &payload));
         let x = Bytes::from(x);
         let pkt = DataPacket::decode_bytes(&x).unwrap();
         let enc = CbtDataPacket::encapsulate(&pkt, core);
@@ -264,13 +292,14 @@ proptest! {
         let mut hop = pkt.clone();
         hop.ttl -= 1;
         let enc = CbtDataPacket::encapsulate(&hop, core);
-        prop_assert_eq!(&enc.inner[..], &hop.to_frame()[..]);
+        prop_assert_eq!(&enc.inner[..], &written(|b| hop.write_frame(b))[..]);
         prop_assert_eq!(&enc.inner[..8], &x[..8], "ident survives the TTL patch");
         prop_assert_eq!(&enc.inner[12..], &x[12..], "and so does everything behind the checksum");
 
         let mut edited = pkt;
         edited.src = Addr(src.0 ^ 1);
-        prop_assert_eq!(&CbtDataPacket::encapsulate(&edited, core).inner[..], &edited.encode()[..]);
+        let enc = CbtDataPacket::encapsulate(&edited, core);
+        prop_assert_eq!(&enc.inner[..], &native_bytes(&edited)[..]);
     }
 
     /// Patch-and-forward: for every TTL a transit router can see, the
@@ -289,8 +318,10 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 0..=1500),
     ) {
         let src = src_with_zero_header_checksum(src, group, zero_at, payload.len());
+        let mut patched = Vec::new(); // one forwarding buffer, reused per hop
         for ttl in 2..=255u8 {
-            let mut arrivals = vec![DataPacket::new(src, group, ttl, payload.clone()).encode()];
+            let pkt = DataPacket::new(src, group, ttl, payload.clone());
+            let mut arrivals = vec![native_bytes(&pkt)];
             if ttl == zero_at {
                 prop_assert_eq!(&arrivals[0][10..12], &[0u8, 0][..]);
                 let mut minus_zero = arrivals[0].clone();
@@ -300,20 +331,22 @@ proptest! {
             for arrival in arrivals {
                 let mut pkt = DataPacket::decode_bytes(&Bytes::from(arrival)).unwrap();
                 pkt.ttl -= 1;
-                let patched = pkt.to_frame();
-                prop_assert_eq!(&patched, &pkt.encode(), "ttl {}", ttl);
-                prop_assert_eq!(DataPacket::decode(&patched).unwrap(), pkt);
+                pkt.write_frame(&mut patched);
+                prop_assert_eq!(&patched, &native_bytes(&pkt), "ttl {}", ttl);
+                let back = DataPacket::decode_bytes(&Bytes::copy_from_slice(&patched));
+                prop_assert_eq!(back.unwrap(), pkt);
             }
         }
     }
 
     /// The write-into form of patch-and-forward against an oracle that
-    /// shares no code with it: for an arrival no `encode` would produce
-    /// (foreign ident and source port, link-layer padding behind the
-    /// datagram) and a buffer that is dirty and longer than the frame,
-    /// `write_frame` leaves the arrival's header re-encoded with the
-    /// new TTL followed by its UDP shell, untouched — which is also
-    /// what `to_frame` returns. Padding is not part of the datagram.
+    /// shares no code with it: for an arrival no `encode_into` would
+    /// produce (foreign ident and source port, link-layer padding
+    /// behind the datagram) and a buffer that is dirty and longer than
+    /// the frame, `write_frame` leaves the arrival's header re-encoded
+    /// with the new TTL followed by its UDP shell, untouched — which is
+    /// also what it writes into a fresh buffer. Padding is not part of
+    /// the datagram.
     #[test]
     fn write_frame_replaces_a_dirty_buffer_with_the_patched_arrival(
         group in arb_group(),
@@ -325,35 +358,35 @@ proptest! {
         padding in 0usize..12,
         dirt in any::<u8>(),
     ) {
-        let mut hdr = cbt_wire::Ipv4Header::new(
-            src, group.addr(), cbt_wire::IpProto::Udp, ttl, 8 + payload.len());
+        let mut hdr = Ipv4Header::new(src, group.addr(), IpProto::Udp, ttl, 8 + payload.len());
         hdr.ident = ident;
-        let shell = cbt_wire::UdpHeader::wrap(src_port, cbt_wire::data::APP_PORT, &payload);
+        let shell = udp(src_port, cbt_wire::data::APP_PORT, &payload);
         let mut arrival = hdr.encode().to_vec();
         arrival.extend_from_slice(&shell);
         arrival.resize(arrival.len() + padding, 0x5a);
         let mut pkt = DataPacket::decode_bytes(&Bytes::from(arrival)).unwrap();
         pkt.ttl -= 1;
 
-        let mut want = cbt_wire::Ipv4Header { ttl: ttl - 1, ..hdr }.encode().to_vec();
+        let mut want = Ipv4Header { ttl: ttl - 1, ..hdr }.encode().to_vec();
         want.extend_from_slice(&shell);
         let mut buf = vec![dirt; want.len() + 1 + usize::from(dirt)];
         pkt.write_frame(&mut buf);
         prop_assert_eq!(&buf, &want);
-        prop_assert_eq!(&pkt.to_frame(), &want);
+        prop_assert_eq!(&written(|b| pkt.write_frame(b)), &want);
 
         // A locally built packet (nothing to patch) is encoded, into
         // the same dirty buffer.
         let local = DataPacket::new(src, group, ttl, payload);
         buf.resize(want.len() + 40, dirt);
         local.write_frame(&mut buf);
-        prop_assert_eq!(&buf, &local.encode());
+        prop_assert_eq!(&buf, &native_bytes(&local));
     }
 
     /// Every other write-into encoder leaves, in a dirty and longer
-    /// buffer, exactly what its allocating form returns.
+    /// buffer, exactly the plain composition of its layers: an IP
+    /// header in front of a UDP shell around the payload.
     #[test]
-    fn write_into_forms_match_their_allocating_forms(
+    fn write_into_forms_match_their_reference_layouts(
         group in arb_group(),
         src in arb_addr(),
         dst in arb_addr(),
@@ -363,38 +396,45 @@ proptest! {
         msg in arb_control(),
         dirt in any::<u8>(),
     ) {
-        use cbt_wire::ipv4::{build_datagram, build_datagram_into};
-        use cbt_wire::{IpProto, UdpHeader};
         let dirty = || vec![dirt; 400 + usize::from(dirt)];
 
         let mut buf = dirty();
         build_datagram_into(src, dst, IpProto::Cbt, ttl, &payload, &mut buf);
-        prop_assert_eq!(&buf, &build_datagram(src, dst, IpProto::Cbt, ttl, &payload));
+        let hdr = Ipv4Header::new(src, dst, IpProto::Cbt, ttl, payload.len());
+        let mut want = hdr.encode().to_vec();
+        want.extend_from_slice(&payload);
+        prop_assert_eq!(&buf, &want);
 
         let mut buf = dirty();
         UdpHeader::wrap_into(ports.0, ports.1, &payload, &mut buf);
-        prop_assert_eq!(&buf, &UdpHeader::wrap(ports.0, ports.1, &payload));
+        let mut sealed = vec![0; cbt_wire::udp::UDP_HEADER_LEN];
+        sealed.extend_from_slice(&payload);
+        UdpHeader::seal(ports.0, ports.1, &mut sealed);
+        prop_assert_eq!(&buf, &sealed);
 
         let mut buf = dirty();
         cbt_wire::encode_native_into(src, group, ttl, &payload, &mut buf);
-        prop_assert_eq!(&buf, &cbt_wire::encode_native(src, group, ttl, &payload));
-        prop_assert_eq!(&buf, &DataPacket::new(src, group, ttl, payload).encode());
+        let app = cbt_wire::data::APP_PORT;
+        let shell = udp(app, app, &payload);
+        prop_assert_eq!(&buf, &datagram(src, group.addr(), IpProto::Udp, ttl, &shell));
+        prop_assert_eq!(&buf, &native_bytes(&DataPacket::new(src, group, ttl, payload)));
 
         // A control message on the wire: UDP on the port its type
         // selects, inside IP — built in place, no intermediate buffer.
         let port = if msg.is_primary() { cbt_wire::CBT_PRIMARY_PORT } else { cbt_wire::CBT_AUX_PORT };
-        let want = build_datagram(
-            src, dst, IpProto::Udp, ttl, &UdpHeader::wrap(port, port, &msg.encode().unwrap()));
+        let shell = udp(port, port, &written(|b| msg.encode_into(b).unwrap()));
+        let want = datagram(src, dst, IpProto::Udp, ttl, &shell);
         let mut buf = dirty();
         msg.write_datagram(src, dst, ttl, &mut buf).unwrap();
         prop_assert_eq!(&buf, &want);
     }
 
     /// IGMP the same way: `encode_append` keeps the prefix and appends
-    /// exactly `encode`, and the datagram form is that inside a TTL-1
-    /// IP header.
+    /// exactly what it writes into a fresh buffer, and the datagram
+    /// form, written over that dirty buffer, is those bytes inside a
+    /// TTL-1 IP header.
     #[test]
-    fn igmp_write_forms_match_encode(
+    fn igmp_write_forms_match_their_reference_layouts(
         group in arb_group(),
         src in arb_addr(),
         dst in arb_addr(),
@@ -415,9 +455,9 @@ proptest! {
         let mut buf = prefix.clone();
         msg.encode_append(&mut buf);
         prop_assert_eq!(&buf[..prefix.len()], &prefix[..]);
-        prop_assert_eq!(&buf[prefix.len()..], &msg.encode()[..]);
+        prop_assert_eq!(&buf[prefix.len()..], &written(|b| msg.encode_append(b))[..]);
         msg.write_datagram(src, dst, &mut buf);
-        let want = cbt_wire::ipv4::build_datagram(src, dst, cbt_wire::IpProto::Igmp, 1, &msg.encode());
+        let want = datagram(src, dst, IpProto::Igmp, 1, &written(|b| msg.encode_append(b)));
         prop_assert_eq!(&buf, &want);
     }
 }

@@ -4,7 +4,7 @@
 //! would see real CBT traffic.
 
 use cbt::{CbtConfig, CbtWorld};
-use cbt_netsim::{Capture, SimTime, WorldConfig};
+use cbt_netsim::{Bytes, Capture, SimTime, WorldConfig};
 use cbt_topology::figure1;
 use cbt_wire::{ControlMessage, IpProto, JoinSubcode, UdpHeader, CBT_AUX_PORT, CBT_PRIMARY_PORT};
 
@@ -70,7 +70,7 @@ fn figure1_run_produces_a_parseable_capture() {
     // The multicast data payload is in there too, recoverable.
     let data_frames: Vec<_> = records
         .iter()
-        .filter_map(|(_, f)| cbt_wire::DataPacket::decode(f).ok())
+        .filter_map(|(_, f)| cbt_wire::DataPacket::decode_bytes(&Bytes::copy_from_slice(f)).ok())
         .filter(|p| p.payload == b"captured")
         .collect();
     assert!(!data_frames.is_empty(), "application payload visible in the capture");
