@@ -251,9 +251,9 @@ pub struct CbtRouter {
     /// histograms every path reports into. Plain data — bumping is
     /// hot-path safe.
     pub(crate) obs: RouterObs,
-    /// Data-plane memo: the last group's dense FIB slot plus the control
+    /// Data-plane memo: the last group's FIB slot plus the control
     /// epoch it was resolved at. A burst of packets to one group pays
-    /// the hashed FIB lookup once (see [`Fib::slot`]).
+    /// the FIB search once (see [`Fib::slot`]).
     pub(crate) data_slot_memo: Option<(GroupId, GroupSlot, u64)>,
     /// Control epoch: bumped by [`CbtRouter::step`] for every input but
     /// the two data kinds — every input that can write tree, G-DR or
@@ -423,8 +423,8 @@ impl CbtRouter {
         self.ifaces.get(i.0 as usize)
     }
 
-    /// Data-plane FIB lookup through the memoised dense slot: a burst
-    /// of packets to one group probes the hash index once. Every FIB
+    /// Data-plane FIB lookup through the memoised slot: a burst of
+    /// packets to one group searches the group column once. Every FIB
     /// insert/remove runs inside a non-data input, which moves the
     /// epoch, so a memo taken at the current epoch still names the
     /// group's slot — the same validity rule as the spanning entries.
@@ -828,7 +828,7 @@ impl CbtRouter {
             // actually fired. In the simulator this is 0 unless wakes
             // coalesce; under the live runtime it measures scheduling
             // latency.
-            self.obs.timer_lag_us.record(now.since(deadline).micros());
+            self.obs.record_timer_lag(now.since(deadline).micros());
         }
         // Phase 1: IGMP querier duty + presence expiry per due LAN.
         for iface in due_of!(TimerKind::Lan) {
@@ -934,8 +934,7 @@ impl CbtRouter {
     /// parent.
     pub(crate) fn arm_echo(&mut self, group: GroupId) {
         let Some(p) = self.fib.get(group).and_then(|e| e.parent) else { return };
-        let d = p.next_echo.min(p.last_reply + self.cfg.echo_timeout);
-        self.timers.arm(TimerKind::Echo(group), d);
+        self.timers.arm(TimerKind::Echo(group), p.echo_deadline(self.cfg.echo_timeout));
     }
 
     /// Is any child's liveness still to be swept? Every deadline is

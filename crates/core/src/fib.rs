@@ -6,12 +6,14 @@
 //! parent-child relationships on a per-group basis" — plus, here, the
 //! keepalive bookkeeping (last echo times) that §6.1/§9 hang off those
 //! relationships.
+//!
+//! A router keeps one [`Fib`]: two exact-size columns sorted by group,
+//! so its memory is the entries it holds and nothing more, and an
+//! off-tree router holds none.
 
-use cbt_netsim::SimTime;
+use cbt_netsim::{SimDuration, SimTime};
 use cbt_topology::IfIndex;
 use cbt_wire::{Addr, GroupId};
-use std::collections::{BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Maximum children per group entry. Fig. 4's field widths "assume a
 /// maximum of 16 directly connected neighbouring routers".
@@ -28,6 +30,15 @@ pub struct Parent {
     pub last_reply: SimTime,
     /// When the next ECHO_REQUEST is due.
     pub next_echo: SimTime,
+}
+
+impl Parent {
+    /// When this parent's keepalive clock next needs the engine: the
+    /// next echo *or* the echo-timeout failure instant, whichever comes
+    /// first.
+    pub fn echo_deadline(&self, echo_timeout: SimDuration) -> SimTime {
+        self.next_echo.min(self.last_reply + echo_timeout)
+    }
 }
 
 /// One child in a FIB entry.
@@ -48,7 +59,7 @@ pub struct Child {
 }
 
 /// A per-group FIB entry.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FibEntry {
     /// Upstream attachment; `None` exactly when this router is the
     /// group's primary core ("R4 does not have a parent since it is the
@@ -122,79 +133,33 @@ impl FibEntry {
     }
 }
 
-/// A stable handle to one group's dense FIB slot, valid until the next
-/// insert or remove. Data-plane code resolves a group to its slot once
-/// per burst and then indexes directly, instead of probing the index
-/// per packet.
+/// A handle to one group's FIB entry: its position in the sorted
+/// columns, valid until the next insert or remove. Data-plane code
+/// resolves a group to its slot once per burst and then indexes
+/// directly, instead of searching the group column per packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupSlot(usize);
 
 impl GroupSlot {
-    /// The slot's position in the dense vector, for per-slot side
-    /// tables such as the engine's spanning entries.
+    /// The entry's position, for per-slot side tables such as the
+    /// engine's spanning entries.
     pub(crate) fn index(self) -> usize {
         self.0
     }
 }
 
-/// Deterministic hasher for `GroupId` keys. The group address is
-/// already a well-mixed 32-bit value after the splitmix-style finisher,
-/// and — unlike std's randomly seeded SipHash — the same group hashes
-/// the same in every process, which the sharded engine's steering and
-/// the determinism suite both rely on.
-#[derive(Debug, Default)]
-pub struct GroupIdHasher(u64);
-
-/// The splitmix64 finisher: full avalanche on sequential inputs. What
-/// this crate's deterministic hashers end with.
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-impl Hasher for GroupIdHasher {
-    fn finish(&self) -> u64 {
-        splitmix64(self.0)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // FNV-1a fallback for non-u32 key parts (none today).
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn write_u32(&mut self, x: u32) {
-        self.0 ^= u64::from(x);
-    }
-}
-
-/// Hash map keyed by group with the deterministic [`GroupIdHasher`].
-pub type GroupIndex<V> = HashMap<GroupId, V, BuildHasherDefault<GroupIdHasher>>;
-
 /// The full FIB: group → entry.
 ///
-/// Entries live in a dense slot vector. Two indexes point into it:
-///
-/// * `index` — a hash map ([`GroupIndex`], deterministic hasher) giving
-///   the per-packet group → slot lookup in O(1); with a `BTreeMap` here
-///   the sharded hot path paid an ordered walk per burst.
-/// * `order` — a sorted group set kept in lockstep, so every iteration
-///   API stays deterministic (sorted by group — the determinism suite
-///   depends on this order). Insert/remove pay the O(log n) twice; both
-///   are control-plane operations.
-///
-/// The slot layer exists for the data plane: [`Fib::slot`] pays the
-/// hash lookup once per burst, after which [`Fib::at`] is a
-/// bounds-checked index.
+/// Two columns at exact capacity, both sorted by group: `groups`,
+/// which [`Fib::slot`] binary-searches, and `entries` in the same
+/// order. Iteration is sorted by group with no second table (the
+/// determinism suite depends on this order), and the handles are
+/// positions. An insert or remove shifts the entries behind it: an
+/// O(n) memmove, paid on the control plane only.
 #[derive(Debug, Clone, Default)]
 pub struct Fib {
-    index: GroupIndex<usize>,
-    order: BTreeSet<GroupId>,
-    slots: Vec<Option<FibEntry>>,
-    free: Vec<usize>,
+    groups: Vec<GroupId>,
+    entries: Vec<FibEntry>,
 }
 
 impl Fib {
@@ -205,111 +170,93 @@ impl Fib {
 
     /// Entry for `group`, if on-tree.
     pub fn get(&self, group: GroupId) -> Option<&FibEntry> {
-        self.index.get(&group).map(|&s| self.slots[s].as_ref().expect("indexed slot is live"))
+        self.slot(group).map(|s| self.at(s))
     }
 
     /// Mutable entry for `group`.
     pub fn get_mut(&mut self, group: GroupId) -> Option<&mut FibEntry> {
-        let s = *self.index.get(&group)?;
-        Some(self.slots[s].as_mut().expect("indexed slot is live"))
+        let s = self.slot(group)?;
+        Some(&mut self.entries[s.0])
     }
 
-    /// Resolves `group` to its dense slot — the once-per-burst half of
-    /// a data-plane lookup. The handle is invalidated by any insert or
+    /// Resolves `group` to its slot — the once-per-burst half of a
+    /// data-plane lookup. The handle is invalidated by any insert or
     /// remove.
     pub fn slot(&self, group: GroupId) -> Option<GroupSlot> {
-        self.index.get(&group).map(|&s| GroupSlot(s))
+        self.groups.binary_search(&group).ok().map(GroupSlot)
     }
 
     /// Direct slot access — the per-packet half of a data-plane lookup.
     pub fn at(&self, slot: GroupSlot) -> &FibEntry {
-        self.slots[slot.0].as_ref().expect("slot handle outlived its entry")
+        &self.entries[slot.0]
     }
 
     /// Creates (or returns) the entry for `group`.
     pub fn entry(&mut self, group: GroupId) -> &mut FibEntry {
-        let s = match self.index.get(&group) {
-            Some(&s) => s,
-            None => {
-                let s = match self.free.pop() {
-                    Some(s) => {
-                        self.slots[s] = Some(FibEntry::default());
-                        s
-                    }
-                    None => {
-                        // One slot at a time, as `RouterObs` grows its
-                        // rows: doubling would leave slack a router
-                        // keeps for as long as it stays on-tree.
-                        self.slots.reserve_exact(1);
-                        self.slots.push(Some(FibEntry::default()));
-                        self.slots.len() - 1
-                    }
-                };
-                self.index.insert(group, s);
-                self.order.insert(group);
-                s
+        let i = match self.groups.binary_search(&group) {
+            Ok(i) => i,
+            Err(i) => {
+                // One entry at a time, as `RouterObs` grows its rows:
+                // doubling would leave slack a router keeps for as long
+                // as it stays on-tree.
+                self.groups.reserve_exact(1);
+                self.entries.reserve_exact(1);
+                self.groups.insert(i, group);
+                self.entries.insert(i, FibEntry::default());
+                i
             }
         };
-        self.slots[s].as_mut().expect("indexed slot is live")
+        &mut self.entries[i]
     }
 
-    /// Deletes the entry for `group`; returns it if it existed. Deleting
-    /// the last entry frees every table — an off-tree router owns no FIB
-    /// memory.
+    /// Deletes the entry for `group`; returns it if it existed. Both
+    /// columns shrink with it, so deleting the last entry frees them —
+    /// an off-tree router owns no FIB memory.
     pub fn remove(&mut self, group: GroupId) -> Option<FibEntry> {
-        let s = self.index.remove(&group)?;
-        let entry = self.slots[s].take().expect("indexed slot is live");
-        if self.index.is_empty() {
-            *self = Fib::default();
-        } else {
-            self.order.remove(&group);
-            self.free.push(s);
-        }
+        let i = self.groups.binary_search(&group).ok()?;
+        self.groups.remove(i);
+        let entry = self.entries.remove(i);
+        self.groups.shrink_to_fit();
+        self.entries.shrink_to_fit();
         Some(entry)
     }
 
     /// Is this router on-tree for `group`?
     pub fn on_tree(&self, group: GroupId) -> bool {
-        self.index.contains_key(&group)
+        self.slot(group).is_some()
     }
 
     /// All on-tree groups, sorted.
     pub fn groups(&self) -> impl Iterator<Item = GroupId> + '_ {
-        self.order.iter().copied()
+        self.groups.iter().copied()
     }
 
-    /// All (group, entry) pairs, sorted by group. (The sorted `order`
-    /// set drives iteration — never the hash index, whose bucket order
-    /// is not part of the determinism contract.)
+    /// All (group, entry) pairs, sorted by group.
     pub fn iter(&self) -> impl Iterator<Item = (GroupId, &FibEntry)> {
-        self.order
-            .iter()
-            .map(|g| (*g, self.slots[self.index[g]].as_ref().expect("indexed slot is live")))
+        self.groups.iter().copied().zip(&self.entries)
     }
 
-    /// Mutable iteration, sorted by group. (Control-plane only — the
-    /// per-call scatter vector is fine off the packet path.)
+    /// Mutable iteration, sorted by group.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (GroupId, &mut FibEntry)> {
-        let Fib { index, order, slots, .. } = self;
-        let mut refs: Vec<Option<&mut FibEntry>> = slots.iter_mut().map(|o| o.as_mut()).collect();
-        order.iter().map(move |g| (*g, refs[index[g]].take().expect("indexed slot is live")))
+        self.groups.iter().copied().zip(&mut self.entries)
     }
 
     /// Number of entries — the "state per router" metric of experiment
     /// S93-T1.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.groups.len()
     }
 
     /// True when no groups are on-tree.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.groups.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn g() -> GroupId {
         GroupId::numbered(1)
@@ -383,33 +330,15 @@ mod tests {
     }
 
     #[test]
-    fn slot_handles_survive_edits_and_other_inserts() {
+    fn slot_handles_survive_in_place_edits() {
         let mut fib = Fib::new();
         fib.entry(g()).cores = vec![a(4)];
         let slot = fib.slot(g()).expect("on-tree");
         assert_eq!(fib.at(slot).primary_core(), Some(a(4)));
-        // Mutating an entry in place does not move slots...
+        // Mutating an entry in place does not move slots.
         fib.get_mut(g()).unwrap().add_child(a(1), IfIndex(0), t(1));
         assert_eq!(fib.at(slot).children.len(), 1);
-        // ...and neither does another group's insert.
-        fib.entry(GroupId::numbered(2));
-        assert_eq!(fib.slot(g()), Some(slot), "existing entries keep their slot");
-    }
-
-    #[test]
-    fn removed_slots_are_reused() {
-        let mut fib = Fib::new();
-        fib.entry(GroupId::numbered(1));
-        fib.entry(GroupId::numbered(2));
-        assert!(fib.remove(GroupId::numbered(1)).is_some());
-        assert!(!fib.on_tree(GroupId::numbered(1)));
-        fib.entry(GroupId::numbered(3));
-        // Group 3 recycled group 1's slot: the dense vector stays dense.
-        assert_eq!(fib.slots.iter().filter(|s| s.is_some()).count(), 2);
-        assert_eq!(fib.slots.len(), 2);
-        assert_eq!(fib.slots.capacity(), 2, "slots grow one at a time");
-        let gs: Vec<_> = fib.groups().collect();
-        assert_eq!(gs, vec![GroupId::numbered(2), GroupId::numbered(3)]);
+        assert_eq!(fib.slot(g()), Some(slot));
     }
 
     #[test]
@@ -422,8 +351,7 @@ mod tests {
             assert!(fib.remove(GroupId::numbered(n)).is_some());
         }
         assert!(fib.is_empty());
-        assert_eq!(fib.index.capacity(), 0);
-        assert_eq!((fib.slots.capacity(), fib.free.capacity()), (0, 0));
+        assert_eq!((fib.groups.capacity(), fib.entries.capacity()), (0, 0));
     }
 
     #[test]
@@ -441,26 +369,54 @@ mod tests {
         assert!(fib.iter().all(|(_, e)| e.i_am_core));
     }
 
+    /// The two columns against a `BTreeMap` model over seeded inserts,
+    /// edits and removes of 24 groups. After every step the lookups,
+    /// the length and the sorted iteration agree with the model, every
+    /// slot reads the entry `get` returns, an insert leaves no spare
+    /// capacity, and removing the last entry frees both columns.
     #[test]
-    fn hash_index_and_order_stay_in_lockstep_under_churn() {
-        let mut fib = Fib::new();
-        let mut live = std::collections::BTreeSet::new();
-        let mut x: u32 = 1;
-        for _ in 0..2000 {
-            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            let g = GroupId::numbered((x >> 16) as u16 % 64);
-            if live.remove(&g) {
-                assert!(fib.remove(g).is_some());
-            } else {
-                fib.entry(g);
-                live.insert(g);
+    fn columns_match_a_map_model() {
+        let mut x: u64 = 0x5EED_F1B0_0000_0043;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..64 {
+            let mut fib = Fib::new();
+            let mut model: BTreeMap<GroupId, FibEntry> = BTreeMap::new();
+            for step in 0..96u64 {
+                let g = GroupId::numbered(1 + (next() % 24) as u16);
+                match next() % 3 {
+                    0 => assert_eq!(fib.remove(g), model.remove(&g), "remove {g}"),
+                    // Insert or edit: a new core tags the entry, so a
+                    // slot that names the wrong entry shows.
+                    _ => {
+                        let inserted = !model.contains_key(&g);
+                        let core = a((step % 250) as u8 + 1);
+                        fib.entry(g).cores.push(core);
+                        model.entry(g).or_default().cores.push(core);
+                        if inserted {
+                            assert_eq!(fib.groups.capacity(), fib.len(), "group column at size");
+                            assert_eq!(fib.entries.capacity(), fib.len(), "entry column at size");
+                        }
+                    }
+                }
+                assert_eq!(fib.len(), model.len());
+                assert_eq!(fib.is_empty(), model.is_empty());
+                for n in 1..=24 {
+                    let g = GroupId::numbered(n);
+                    assert_eq!(fib.get(g), model.get(&g), "get {g}");
+                    assert_eq!(fib.on_tree(g), model.contains_key(&g), "on_tree {g}");
+                    assert_eq!(fib.slot(g).map(|s| fib.at(s)), fib.get(g), "slot {g}");
+                }
+                assert!(fib.iter().eq(model.iter().map(|(g, e)| (*g, e))), "sorted iteration");
+                assert!(fib.groups().eq(model.keys().copied()));
+                if model.is_empty() {
+                    assert_eq!((fib.groups.capacity(), fib.entries.capacity()), (0, 0));
+                }
             }
-            assert_eq!(fib.len(), live.len());
-        }
-        let sorted: Vec<_> = live.iter().copied().collect();
-        assert_eq!(fib.groups().collect::<Vec<_>>(), sorted, "iteration stays sorted under churn");
-        for g in sorted {
-            assert!(fib.on_tree(g) && fib.get(g).is_some(), "hash index agrees with order set");
         }
     }
 
@@ -474,7 +430,7 @@ mod tests {
         assert_eq!(
             gs,
             vec![GroupId::numbered(1), GroupId::numbered(3), GroupId::numbered(5)],
-            "BTreeMap keeps deterministic order"
+            "iteration follows group order, not insert order"
         );
     }
 }

@@ -7,7 +7,7 @@
 //! steady-state forward path neither allocates nor sorts: the caller
 //! drains and reuses one `Vec<RouterAction>`, packet payloads are
 //! refcounted [`Bytes`](cbt_wire::data) handles, and group lookups go
-//! through the memoised dense FIB slot.
+//! through the memoised FIB slot.
 
 use crate::config::ForwardingMode;
 use crate::engine::{CbtRouter, LanState};

@@ -528,7 +528,7 @@ impl CbtRouter {
             return;
         }
         let Some(p) = self.take_pending_from(group, src) else { return };
-        self.obs.join_rtt_us.record(now.since(p.started).micros());
+        self.obs.record_join_rtt(now.since(p.started).micros());
 
         let proxied =
             matches!((&p.reason, subcode), (JoinReason::LocalMembership, AckSubcode::ProxyAck));

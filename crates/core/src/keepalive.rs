@@ -2,7 +2,7 @@
 //! request/reply between child and parent, optional aggregation, echo
 //! timeout → re-attachment, child-assert sweeps.
 
-use crate::engine::CbtRouter;
+use crate::engine::{CbtRouter, TimerKind};
 use crate::events::RouterAction;
 use crate::inline::InlineBuf;
 use cbt_netsim::SimTime;
@@ -22,23 +22,27 @@ impl CbtRouter {
         candidates: impl Iterator<Item = GroupId>,
         act: &mut Vec<RouterAction>,
     ) {
-        let mut echo_due: InlineBuf<(GroupId, IfIndex, Addr), 4> = InlineBuf::new();
+        let (interval, timeout) = (self.cfg.echo_interval, self.cfg.echo_timeout);
+        // One FIB lookup per candidate: a due echo advances its clock
+        // here and carries its next deadline to the arm after the send,
+        // which keeps every arm in its place in the FIFO tie-break.
+        let mut echo_due: InlineBuf<(GroupId, IfIndex, Addr, SimTime), 4> = InlineBuf::new();
         let mut failed: InlineBuf<GroupId, 4> = InlineBuf::new();
         for g in candidates {
-            let Some(p) = self.fib.get(g).and_then(|e| e.parent) else { continue };
-            if now.since(p.last_reply) >= self.cfg.echo_timeout {
+            let Some(p) = self.fib.get_mut(g).and_then(|e| e.parent.as_mut()) else { continue };
+            if now.since(p.last_reply) >= timeout {
                 failed.push(g);
             } else if now >= p.next_echo {
-                echo_due.push((g, p.iface, p.addr));
+                p.next_echo = now + interval;
+                echo_due.push((g, p.iface, p.addr, p.echo_deadline(timeout)));
             } else {
-                self.arm_echo(g);
+                self.timers.arm(TimerKind::Echo(g), p.echo_deadline(timeout));
             }
         }
-        let interval = self.cfg.echo_interval;
         if self.cfg.aggregate_echoes {
             // §8.4: one echo per parent covering a masked group range.
             let mut by_parent: BTreeMap<(IfIndex, Addr), Vec<GroupId>> = BTreeMap::new();
-            for &(g, iface, addr) in echo_due.as_slice() {
+            for &(g, iface, addr, _) in echo_due.as_slice() {
                 by_parent.entry((iface, addr)).or_default().push(g);
             }
             for ((iface, addr), groups) in by_parent {
@@ -51,27 +55,23 @@ impl CbtRouter {
                 self.send_control(act, iface, addr, msg);
                 // Every group this parent covers advances its echo clock
                 // (not just the due ones — the aggregate refreshed all).
-                let covered: Vec<GroupId> =
-                    self.fib.iter().filter(|(_, e)| e.is_parent(addr)).map(|(g, _)| g).collect();
-                for g in covered {
-                    if let Some(p) = self.fib.get_mut(g).and_then(|e| e.parent.as_mut()) {
+                let timers = &mut self.timers;
+                for (g, e) in self.fib.iter_mut() {
+                    if let Some(p) = e.parent.as_mut().filter(|p| p.addr == addr) {
                         p.next_echo = now + interval;
+                        timers.arm(TimerKind::Echo(g), p.echo_deadline(timeout));
                     }
-                    self.arm_echo(g);
                 }
             }
         } else {
-            for &(g, iface, addr) in echo_due.as_slice() {
+            for &(g, iface, addr, deadline) in echo_due.as_slice() {
                 let msg = ControlMessage::EchoRequest {
                     group: g,
                     origin: self.id_addr(),
                     group_mask: None,
                 };
                 self.send_control(act, iface, addr, msg);
-                if let Some(p) = self.fib.get_mut(g).and_then(|e| e.parent.as_mut()) {
-                    p.next_echo = now + interval;
-                }
-                self.arm_echo(g);
+                self.timers.arm(TimerKind::Echo(g), deadline);
             }
         }
 
@@ -174,10 +174,13 @@ impl CbtRouter {
     /// Parent `src` of `g` answered an echo at `now`. No-op if `src` is
     /// not `g`'s parent.
     fn settle_parent(&mut self, now: SimTime, g: GroupId, src: Addr) {
-        match self.fib.get_mut(g).and_then(|e| e.parent.as_mut()) {
-            Some(p) if p.addr == src => p.last_reply = now,
+        let deadline = match self.fib.get_mut(g).and_then(|e| e.parent.as_mut()) {
+            Some(p) if p.addr == src => {
+                p.last_reply = now;
+                p.echo_deadline(self.cfg.echo_timeout)
+            }
             _ => return,
-        }
+        };
         // A parent that answers echoes is real — not the transient
         // instatement of a §6.3 loop-in-progress — so the §6.1
         // RECONNECT-TIMEOUT campaign for this group has genuinely
@@ -185,7 +188,7 @@ impl CbtRouter {
         self.end_campaign(g);
         // The keepalive deadline may have moved later (the echo-timeout
         // arm of the min): re-clock so the next wake lands on it exactly.
-        self.arm_echo(g);
+        self.timers.arm(TimerKind::Echo(g), deadline);
     }
 
     /// §9 CHILD-ASSERT, phase 6 of the timer service: drop children
@@ -363,7 +366,7 @@ mod tests {
                 ..
             }
         )));
-        assert_eq!(e.obs().ctl.sent(CtlKind::EchoRequest), 1);
+        assert_eq!(e.obs().ctl().sent(CtlKind::EchoRequest), 1);
     }
 
     #[test]
@@ -390,7 +393,7 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(e.obs().ctl.sent(CtlKind::EchoReply), 1);
+        assert_eq!(e.obs().ctl().sent(CtlKind::EchoReply), 1);
     }
 
     #[test]

@@ -357,7 +357,7 @@ mod tests {
         e.gdr.remove(&(IfIndex(0), g()));
         let msg = ControlMessage::QuitRequest { group: g(), origin: down_addr() };
         e.feed(t(10), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
-        assert_eq!(e.obs().ctl.sent(CtlKind::QuitRequest), 1);
+        assert_eq!(e.obs().ctl().sent(CtlKind::QuitRequest), 1);
         // No ack: retransmit on the quit interval (5 s default).
         let act = e.feed(t(15), Input::Timer);
         assert!(act.iter().any(|a| matches!(
@@ -381,7 +381,7 @@ mod tests {
         let msg = ControlMessage::QuitRequest { group: g(), origin: down_addr() };
         e.feed(t(10), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert_eq!(
-            e.obs().ctl.sent(CtlKind::QuitRequest),
+            e.obs().ctl().sent(CtlKind::QuitRequest),
             1,
             "the cascade quit went to the parent on if1"
         );

@@ -27,7 +27,8 @@
 //! — same-deadline keys fire FIFO — so the engine's service order is
 //! deterministic. Nothing ever iterates the key table, so its hash order
 //! reaches no output; the hasher is fixed all the same (no per-process
-//! `RandomState`), after [`crate::fib::GroupIdHasher`]'s precedent.
+//! `RandomState`), so the table's layout is the same in every process
+//! too.
 
 use cbt_netsim::SimTime;
 use std::cmp::Reverse;
@@ -35,10 +36,17 @@ use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
+/// The splitmix64 finisher: full avalanche on sequential inputs.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Deterministic hasher for the key table: one multiply-rotate round
-/// per written word, splitmix64 finish. Unkeyed, like
-/// [`crate::fib::GroupIdHasher`], whose index the same wire-borne group
-/// ids already key.
+/// per written word, splitmix64 finish. Unkeyed, so a key hashes the
+/// same in every process.
 #[derive(Debug, Default, Clone, Copy)]
 struct TimerKeyHasher(u64);
 
@@ -50,7 +58,7 @@ impl TimerKeyHasher {
 
 impl Hasher for TimerKeyHasher {
     fn finish(&self) -> u64 {
-        crate::fib::splitmix64(self.0)
+        splitmix64(self.0)
     }
 
     fn write(&mut self, bytes: &[u8]) {

@@ -7,7 +7,7 @@
 
 mod common;
 
-use cbt::{node_addr, CbtConfig, Input, P2pNode, ShardedRouter};
+use cbt::{node_addr, CbtConfig, CbtRouter, Input, P2pNode, ShardedRouter};
 use cbt_netsim::{NetscaleWorld, SimTime};
 use cbt_obs::RouterObs;
 use cbt_wire::{Addr, GroupId};
@@ -53,6 +53,26 @@ fn retire(world: &mut NetscaleWorld<P2pNode>, i: u32, fresh: ShardedRouter) -> S
     let old = world.with_node(i, |nd, _, _| std::mem::replace(&mut nd.router, fresh));
     assert!(old.fib_len() == 0 && old.next_wakeup().is_none(), "router {i} kept state");
     old
+}
+
+/// Heap bytes the line's two-interface engine allocates at boot, one
+/// shard: its router struct, interface table and route handle.
+const BOOT_BYTES: i64 = 1168;
+
+/// What every engine of a fleet pays before it holds any state: the
+/// router struct, whose largest part is its counter block, and the
+/// heap a p2p engine allocates at boot.
+#[test]
+fn an_idle_engine_stays_small() {
+    let (obs, router) = (size_of::<RouterObs>(), size_of::<CbtRouter>());
+    assert!(obs <= 480, "RouterObs is {obs} B");
+    assert!(router <= 1120, "CbtRouter is {router} B");
+    let rib = common::rib();
+    for i in 0..3 {
+        let (boot, r) = alloc::count(|| common::engine(&rib, i));
+        assert!(boot.live <= BOOT_BYTES, "router {i}: boot {} B", boot.live);
+        drop(r);
+    }
 }
 
 #[test]

@@ -312,7 +312,7 @@ impl GroupRow {
     }
 }
 
-/// Counts one more in a per-group cell, stopping at `u32::MAX`.
+/// Counts one more in a 32-bit cell, stopping at `u32::MAX`.
 #[inline]
 fn bump(cell: &mut u32) {
     *cell = cell.saturating_add(1);
@@ -416,6 +416,32 @@ impl Histogram {
     }
 }
 
+/// A latency histogram as [`RouterObs`] stores it: the buckets of a
+/// [`Histogram`] at 32 bits, saturating, beside its `u64` sum and max.
+/// The count is not stored — it is the widened bucket sum — so while
+/// no bucket has saturated, [`widen`](Self::widen) returns exactly the
+/// `Histogram` the same samples record.
+#[derive(Debug, Clone, Copy, Default)]
+struct HistogramRow {
+    buckets: [u32; Histogram::BUCKETS],
+    sum: u64,
+    max: u64,
+}
+
+impl HistogramRow {
+    #[inline]
+    fn record(&mut self, value_us: u64) {
+        bump(&mut self.buckets[Histogram::bucket_index(value_us)]);
+        self.sum = self.sum.saturating_add(value_us);
+        self.max = self.max.max(value_us);
+    }
+
+    fn widen(&self) -> Histogram {
+        let buckets = self.buckets.map(u64::from);
+        Histogram { count: buckets.iter().sum(), buckets, sum: self.sum, max: self.max }
+    }
+}
+
 /// Per-router observability state: the single struct a router owns and
 /// bumps from its forward/control/timer paths.
 #[derive(Debug, Clone, Default)]
@@ -439,8 +465,6 @@ pub struct RouterObs {
     pub joins_cached: u64,
     /// Data packets delivered to a locally attached member LAN.
     pub data_delivered: u64,
-    /// Router-wide control counters (sum over groups), exact.
-    pub ctl: ProtocolCounters,
     /// Per-group control counters: one row per group address (as u32)
     /// ever counted, sorted by group. Touched only on the control path,
     /// and grown one row at a time, so its capacity is exactly the
@@ -453,12 +477,16 @@ pub struct RouterObs {
     /// even at `CbtConfig::fast()`'s 3 s echo interval, a core with
     /// 1 000 children in one group takes about 150 days of uptime to
     /// count that many echoes. [`RouterObs::group`] and
-    /// [`RouterObs::groups`] widen a row to a [`ProtocolCounters`].
+    /// [`RouterObs::groups`] widen a row to a [`ProtocolCounters`];
+    /// the router-wide [`RouterObs::ctl`] is their column sums, and
+    /// saturates with its cells.
     groups: Vec<(u32, GroupRow)>,
-    /// JOIN_REQUEST → JOIN_ACK round-trip, µs, at the joining router.
-    pub join_rtt_us: Histogram,
-    /// Timer wakeup lag (fire time minus deadline), µs.
-    pub timer_lag_us: Histogram,
+    /// JOIN_REQUEST → JOIN_ACK round-trip, µs, at the joining router;
+    /// read through [`RouterObs::join_rtt_us`].
+    join_rtt_us: HistogramRow,
+    /// Timer wakeup lag (fire time minus deadline), µs; read through
+    /// [`RouterObs::timer_lag_us`].
+    timer_lag_us: HistogramRow,
     /// Tree-invariant violations attributed to this router by the
     /// post-run checker (zero in a healthy run).
     pub invariants: InvariantCounters,
@@ -473,16 +501,46 @@ impl RouterObs {
         RouterObs::default()
     }
 
-    /// Counts a sent control message, router-wide and per-group.
+    /// Counts a sent control message in its group's row.
     pub fn ctl_sent(&mut self, group: u32, kind: CtlKind) {
-        self.ctl.bump_sent(kind);
         bump(&mut self.group_row(group).sent[kind as usize]);
     }
 
-    /// Counts a received control message, router-wide and per-group.
+    /// Counts a received control message in its group's row.
     pub fn ctl_received(&mut self, group: u32, kind: CtlKind) {
-        self.ctl.bump_received(kind);
         bump(&mut self.group_row(group).received[kind as usize]);
+    }
+
+    /// Router-wide control counters: the column sums of the per-group
+    /// rows.
+    pub fn ctl(&self) -> ProtocolCounters {
+        let mut total = ProtocolCounters::new();
+        for (_, row) in self.groups() {
+            total.merge(&row);
+        }
+        total
+    }
+
+    /// Records a JOIN_REQUEST → JOIN_ACK round-trip, µs.
+    #[inline]
+    pub fn record_join_rtt(&mut self, us: u64) {
+        self.join_rtt_us.record(us);
+    }
+
+    /// Records a timer's wakeup lag (fire time minus deadline), µs.
+    #[inline]
+    pub fn record_timer_lag(&mut self, us: u64) {
+        self.timer_lag_us.record(us);
+    }
+
+    /// The join round-trip histogram, widened to 64 bits.
+    pub fn join_rtt_us(&self) -> Histogram {
+        self.join_rtt_us.widen()
+    }
+
+    /// The timer wakeup-lag histogram, widened to 64 bits.
+    pub fn timer_lag_us(&self) -> Histogram {
+        self.timer_lag_us.widen()
     }
 
     /// The counter row for `group`, inserted in order on first use.
@@ -528,10 +586,10 @@ impl RouterObs {
             loops_broken: self.loops_broken,
             joins_cached: self.joins_cached,
             data_delivered: self.data_delivered,
-            ctl: self.ctl,
+            ctl: self.ctl(),
             groups: self.groups().collect(),
-            join_rtt_us: self.join_rtt_us.clone(),
-            timer_lag_us: self.timer_lag_us.clone(),
+            join_rtt_us: self.join_rtt_us(),
+            timer_lag_us: self.timer_lag_us(),
             invariants: self.invariants,
         }
     }
@@ -913,8 +971,8 @@ mod tests {
         o.ctl_sent(0xE0000101, CtlKind::JoinRequest);
         o.ctl_received(0xE0000101, CtlKind::JoinAck);
         o.ctl_sent(0xE0000202, CtlKind::QuitRequest);
-        assert_eq!(o.ctl.sent(CtlKind::JoinRequest), 2);
-        assert_eq!(o.ctl.received(CtlKind::JoinAck), 1);
+        assert_eq!(o.ctl().sent(CtlKind::JoinRequest), 2);
+        assert_eq!(o.ctl().received(CtlKind::JoinAck), 1);
         let g = o.group(0xE0000101).unwrap();
         assert_eq!(g.sent(CtlKind::JoinRequest), 2);
         assert_eq!(g.received(CtlKind::JoinAck), 1);
@@ -923,26 +981,113 @@ mod tests {
         assert!(o.group(0xE0000303).is_none());
     }
 
-    /// A per-group cell stops at `u32::MAX`; the router-wide row, which
-    /// is `u64`, keeps counting exactly past it.
+    /// A per-group cell stops at `u32::MAX`, and the router-wide total,
+    /// its column sum, stops with it.
     #[test]
-    fn group_cells_saturate_while_ctl_counts_on() {
+    fn group_cells_and_their_totals_saturate() {
         let (g, k) = (0xE000_0101, CtlKind::EchoRequest);
         let mut o = RouterObs::new();
         o.ctl_received(g, k);
         o.ctl_sent(g, CtlKind::EchoReply);
-        let near = u64::from(u32::MAX) - 1;
         o.groups[0].1.received[k as usize] = u32::MAX - 1;
-        o.ctl.received[k as usize] = near;
         for _ in 0..3 {
             o.ctl_received(g, k);
         }
         let row = o.group(g).unwrap();
         assert_eq!(row.received(k), u64::from(u32::MAX), "saturated, not wrapped");
         assert_eq!(row.sent(CtlKind::EchoReply), 1, "the row's other cells are untouched");
-        assert_eq!(o.ctl.received(k), near + 3, "router-wide stays exact");
-        assert_eq!(o.snapshot("R").groups[&g].received(k), u64::from(u32::MAX));
+        assert_eq!(o.ctl().received(k), u64::from(u32::MAX), "the total saturates with it");
+        let snap = o.snapshot("R");
+        assert_eq!(snap.groups[&g].received(k), u64::from(u32::MAX));
+        assert_eq!(snap.ctl, o.ctl());
         assert_eq!(RouterObs::GROUP_ROW_BYTES, 68, "key plus 2 x 8 cells of 32 bits");
+    }
+
+    /// The router-wide control counters are the column sums of the
+    /// per-group rows, in `ctl()` and in the snapshot, over random bumps
+    /// spread across up to 16 groups.
+    #[test]
+    fn ctl_is_the_column_sum_of_the_group_rows() {
+        let mut rng = XorShift(0xC7A1_5EED_0000_0043);
+        for _ in 0..32 {
+            let mut o = RouterObs::new();
+            for _ in 0..rng.next() % 256 {
+                let g = 0xE000_0000 | (rng.next() as u32 % 16);
+                let k = CtlKind::ALL[(rng.next() % CtlKind::COUNT as u64) as usize];
+                if rng.next().is_multiple_of(2) {
+                    o.ctl_sent(g, k);
+                } else {
+                    o.ctl_received(g, k);
+                }
+            }
+            let snap = o.snapshot("R");
+            for k in CtlKind::ALL {
+                let sent: u64 = o.groups().map(|(_, p)| p.sent(k)).sum();
+                let received: u64 = o.groups().map(|(_, p)| p.received(k)).sum();
+                assert_eq!((snap.ctl.sent(k), snap.ctl.received(k)), (sent, received), "{k:?}");
+            }
+            assert_eq!(snap.ctl, o.ctl());
+        }
+    }
+
+    /// The 32-bit histogram rows against a `u64` [`Histogram`] fed the
+    /// same samples: the widened row is equal — count, sum, max, every
+    /// bucket and so every quantile — alone and after a merge.
+    #[test]
+    fn histogram_rows_widen_to_the_u64_histogram() {
+        let mut rng = XorShift(0x4157_0032_5EED_0043);
+        for _ in 0..64 {
+            let (mut row, mut model) = (HistogramRow::default(), Histogram::new());
+            let (mut other, mut other_model) = (HistogramRow::default(), Histogram::new());
+            for _ in 0..rng.next() % 128 {
+                // Magnitudes across the whole bucket range, u64::MAX
+                // included now and then, so `sum` saturates too.
+                let v = match rng.next() % 16 {
+                    0 => u64::MAX,
+                    _ => rng.next() >> (rng.next() % 64),
+                };
+                row.record(v);
+                model.record(v);
+                let w = rng.next() % 1_000_000;
+                other.record(w);
+                other_model.record(w);
+            }
+            let wide = row.widen();
+            assert_eq!(wide, model);
+            for step in 0..=100u32 {
+                let q = f64::from(step) / 100.0;
+                assert_eq!(wide.quantile(q), model.quantile(q), "q={q}");
+            }
+            let (mut merged, mut merged_model) = (wide, model);
+            merged.merge(&other.widen());
+            merged_model.merge(&other_model);
+            assert_eq!(merged, merged_model, "after merge");
+        }
+        let mut o = RouterObs::new();
+        for v in [0, 7, 1000] {
+            o.record_join_rtt(v);
+            o.record_timer_lag(v + 1);
+        }
+        assert_eq!((o.join_rtt_us().count(), o.join_rtt_us().sum()), (3, 1007));
+        assert_eq!((o.timer_lag_us().count(), o.timer_lag_us().max()), (3, 1001));
+    }
+
+    /// A bucket stops at `u32::MAX`; the row's count, the widened bucket
+    /// sum, stops with it while sum and max stay exact.
+    #[test]
+    fn histogram_row_buckets_saturate() {
+        let mut row = HistogramRow::default();
+        row.record(5);
+        let i = Histogram::bucket_index(5);
+        row.buckets[i] = u32::MAX - 1;
+        for _ in 0..3 {
+            row.record(5);
+        }
+        let wide = row.widen();
+        assert_eq!(wide.buckets[i], u64::from(u32::MAX), "saturated, not wrapped");
+        assert_eq!(wide.count(), u64::from(u32::MAX));
+        assert_eq!((wide.sum(), wide.max()), (20, 5), "sum and max stay exact");
+        assert_eq!(std::mem::size_of::<HistogramRow>(), 144, "32 cells of 32 bits, sum and max");
     }
 
     /// The counter column against a `BTreeMap` model over random bumps
@@ -982,7 +1127,7 @@ mod tests {
         let mut a = RouterObs::new();
         a.drop_packet(DropReason::TtlExpired);
         a.ctl_sent(1, CtlKind::EchoRequest);
-        a.join_rtt_us.record(100);
+        a.record_join_rtt(100);
         let mut b = RouterObs::new();
         b.drop_packet(DropReason::TtlExpired);
         b.drop_packet(DropReason::NoFibEntry);
@@ -1100,8 +1245,8 @@ mod tests {
             }
         }
         for _ in 0..(rng.next() % 8) {
-            o.join_rtt_us.record(rng.next());
-            o.timer_lag_us.record(rng.next() % 1_000_000);
+            o.record_join_rtt(rng.next());
+            o.record_timer_lag(rng.next() % 1_000_000);
         }
         for _ in 0..(rng.next() % 8) {
             let k = InvariantKind::ALL[(rng.next() % InvariantKind::COUNT as u64) as usize];
@@ -1213,7 +1358,7 @@ mod tests {
     fn text_export_mentions_everything() {
         let mut o = RouterObs::new();
         o.drop_packet(DropReason::ChecksumBad);
-        o.timer_lag_us.record(7);
+        o.record_timer_lag(7);
         let t = o.snapshot("R9").to_text();
         assert!(t.contains("router R9"));
         assert!(t.contains("ChecksumBad"));

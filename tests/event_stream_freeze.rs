@@ -151,7 +151,7 @@ fn fleet(shards: usize) -> Frozen {
         assert!(nd.router.next_wakeup().is_none(), "router {i} kept a timer after teardown");
         assert_eq!(nd.decode_errors + nd.encode_errors + nd.dropped_non_control, 0);
         for s in 0..nd.router.local_count() {
-            let h = &nd.router.shard(s).obs().join_rtt_us;
+            let h = nd.router.shard(s).obs().join_rtt_us();
             rtt_sum += h.sum();
             rtt_count += h.count();
         }
@@ -205,7 +205,7 @@ fn lan_world(shards: usize) -> Frozen {
     for r in 0..routers {
         let node = cw.world.node::<RouterNode>(Entity::Router(RouterId(r))).expect("router node");
         for s in 0..node.sharded().local_count() {
-            rtt_sum += node.sharded().shard(s).obs().join_rtt_us.sum();
+            rtt_sum += node.sharded().shard(s).obs().join_rtt_us().sum();
         }
     }
     Frozen { events, frames, bytes, join_rtt_sum_us: rtt_sum, delivered }
