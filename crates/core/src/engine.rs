@@ -8,7 +8,7 @@
 
 use crate::config::CbtConfig;
 use crate::events::{Input, RouterAction};
-use crate::fib::{Fib, GroupSlot};
+use crate::fib::Fib;
 use crate::forward::Span;
 use crate::inline::InlineBuf;
 use crate::pending::Transient;
@@ -224,37 +224,25 @@ pub struct CbtRouter {
     /// (see [`Input::Join`]). Counts as member presence in
     /// [`CbtRouter::serves_members`].
     pub(crate) local_members: BTreeSet<GroupId>,
-    pub(crate) next_child_sweep: SimTime,
-    pub(crate) next_iff_scan: SimTime,
     /// Deadline-driven timer service (see [`TimerKind`]). Wherever the
     /// state behind a key is removed outside its own service routine,
     /// the key is cancelled, and every non-data input ends with
     /// `compact`: `next_wakeup` must be *exact*, because the event
     /// loop's FIFO tie-break is part of the pinned event streams.
     pub(crate) timers: TimerService<TimerKind>,
-    /// Child-liveness deadlines, filed lazily: each child in the FIB
-    /// owns exactly one tuple `(child.filed, group, child)` with
-    /// `filed <= last_heard + CHILD-ASSERT-EXPIRE`. An echo moves only
-    /// `last_heard`; the sweep pops due tuples and re-files survivors
-    /// at their true deadline. Tuples left by removed children match no
-    /// child's `filed` and are dropped when they pop.
-    pub(crate) child_expiry: BTreeSet<(SimTime, GroupId, Addr)>,
-    /// The latest child deadline any adopt or echo would have filed
-    /// (`now + CHILD-ASSERT-EXPIRE`). Some child's liveness is still to
+    /// The latest child deadline (`now + CHILD-ASSERT-EXPIRE`) any
+    /// adopt, re-ack or echo has set. Some child's liveness is still to
     /// be swept — [`CbtRouter::children_tracked`] — exactly while this
     /// lies beyond `last_child_sweep`.
     pub(crate) child_deadline_max: SimTime,
-    /// Instant of the last deadline-driven child sweep.
+    /// Instant of the last child sweep (the boot instant before the
+    /// first): the sweep cadence runs from it.
     pub(crate) last_child_sweep: SimTime,
     /// Observability counters: the drop-reason taxonomy, per-group
     /// protocol counters, join and failure counts and latency
     /// histograms every path reports into. Plain data — bumping is
     /// hot-path safe.
     pub(crate) obs: RouterObs,
-    /// Data-plane memo: the last group's FIB slot plus the control
-    /// epoch it was resolved at. A burst of packets to one group pays
-    /// the FIB search once (see [`Fib::slot`]).
-    pub(crate) data_slot_memo: Option<(GroupId, GroupSlot, u64)>,
     /// Control epoch: bumped by [`CbtRouter::step`] for every input but
     /// the two data kinds — every input that can write tree, G-DR or
     /// presence state. Data packets write none of it, so a spanning
@@ -305,9 +293,9 @@ impl CbtRouter {
     /// an idle router costs a few hundred bytes and never wakes.
     ///
     /// Its memory follows its protocol state: once a router's groups
-    /// have left, its FIB, transient, timer, child-deadline and member
-    /// tables are freed again, and what remains of the churn is its
-    /// history at exact size: one 68 B counter row per group it has
+    /// have left, its FIB, transient, timer and member tables are
+    /// freed again, and what remains of the churn is its history at
+    /// exact size: one 68 B counter row per group it has
     /// seen ([`RouterObs::groups`]) and 8 B per core it has learned.
     ///
     /// Membership is driven by [`Input::Join`] / [`Input::Leave`]
@@ -361,8 +349,6 @@ impl CbtRouter {
             id_addr,
             other_addrs,
             ifaces,
-            next_child_sweep: now + cfg.child_assert_interval,
-            next_iff_scan: now + cfg.iff_scan_interval,
             timers: TimerService::new(),
             cfg,
             routes,
@@ -373,32 +359,32 @@ impl CbtRouter {
             proxy_handled: BTreeMap::new(),
             core_knowledge: Vec::new(),
             local_members: BTreeSet::new(),
-            child_expiry: BTreeSet::new(),
             child_deadline_max: SimTime::ZERO,
-            last_child_sweep: SimTime::ZERO,
+            last_child_sweep: now,
             obs: RouterObs::new(),
-            data_slot_memo: None,
             // A fresh `Span` carries epoch 0, so it is never current.
             epoch: 1,
             spans: Vec::new(),
             #[cfg(debug_assertions)]
             span_check: Span::default(),
         };
-        r.boot_arm();
+        r.boot_arm(now);
         r
     }
 
-    /// Arms the boot-time timers. Under `compact_idle` the periodic
-    /// maintenance clocks stay unarmed until the state they service
-    /// exists: the child sweep is armed by the first tracked child
-    /// (see [`CbtRouter::track_child_deadline`]) and the IFF scan only
+    /// Arms the boot-time timers: the child sweep and the IFF scan one
+    /// interval after `now`, each LAN at its own deadline. Under
+    /// `compact_idle` the periodic maintenance clocks stay unarmed
+    /// until the state they service exists: the child sweep is armed
+    /// by the first tracked child (see
+    /// [`CbtRouter::track_child_deadline`]) and the IFF scan only
     /// matters on routers with member LANs to re-check.
-    fn boot_arm(&mut self) {
+    fn boot_arm(&mut self, now: SimTime) {
         if !self.cfg.compact_idle {
-            self.timers.arm(TimerKind::ChildSweep, self.next_child_sweep);
+            self.timers.arm(TimerKind::ChildSweep, now + self.cfg.child_assert_interval);
         }
         if !self.cfg.compact_idle || !self.lans.is_empty() {
-            self.timers.arm(TimerKind::IffScan, self.next_iff_scan);
+            self.timers.arm(TimerKind::IffScan, now + self.cfg.iff_scan_interval);
         }
         for iface in self.lan_ifaces() {
             self.arm_lan(iface);
@@ -421,23 +407,6 @@ impl CbtRouter {
 
     pub(crate) fn iface(&self, i: IfIndex) -> Option<&IfaceInfo> {
         self.ifaces.get(i.0 as usize)
-    }
-
-    /// Data-plane FIB lookup through the memoised slot: a burst of
-    /// packets to one group searches the group column once. Every FIB
-    /// insert/remove runs inside a non-data input, which moves the
-    /// epoch, so a memo taken at the current epoch still names the
-    /// group's slot — the same validity rule as the spanning entries.
-    pub(crate) fn fib_slot_cached(&mut self, group: GroupId) -> Option<GroupSlot> {
-        if let Some((g, slot, epoch)) = self.data_slot_memo {
-            if g == group && epoch == self.epoch {
-                debug_assert_eq!(self.fib.slot(group), Some(slot), "stale data-slot memo");
-                return Some(slot);
-            }
-        }
-        let slot = self.fib.slot(group)?;
-        self.data_slot_memo = Some((group, slot, self.epoch));
-        Some(slot)
     }
 
     /// Am I the D-DR on LAN interface `i` right now?
@@ -644,9 +613,9 @@ impl CbtRouter {
     ///
     /// Every input but the two data kinds can write tree, G-DR,
     /// presence or timer state, so it first moves the control epoch
-    /// (which retires every cached spanning entry and the FIB memo) and
-    /// last compacts the timer heap, which keeps
-    /// [`next_wakeup`](Self::next_wakeup) exact. Data packets do
+    /// (which retires every cached spanning entry) and last compacts
+    /// the timer heap, which keeps [`next_wakeup`](Self::next_wakeup)
+    /// exact. Data packets do
     /// neither: they write none of that state.
     #[inline]
     pub fn step(&mut self, now: SimTime, input: Input, out: &mut Vec<RouterAction>) {
@@ -857,16 +826,14 @@ impl CbtRouter {
                 self.service_pending_quit_group(now, group, act);
             }
         }
-        // Phase 6: child-liveness sweep, gated on its own cadence.
-        // Under compact_idle the sweep re-arms only while deadlines
-        // remain; the next tracked child re-arms it (`track_child_deadline`).
+        // Phase 6: the child-liveness sweep, one pass over the FIB per
+        // CHILD-ASSERT-INTERVAL. Under compact_idle the sweep re-arms
+        // only while deadlines remain; the next tracked child re-arms
+        // it (`track_child_deadline`).
         if due.iter().any(|&(k, _)| k == TimerKind::ChildSweep) {
-            if now >= self.next_child_sweep {
-                self.sweep_children_due(now, act);
-                self.next_child_sweep = now + self.cfg.child_assert_interval;
-            }
+            self.sweep_children_due(now, act);
             if !self.cfg.compact_idle || self.children_tracked() {
-                self.timers.arm(TimerKind::ChildSweep, self.next_child_sweep);
+                self.timers.arm(TimerKind::ChildSweep, now + self.cfg.child_assert_interval);
             }
         }
         // Phase 7: the IFF scan (inherently a membership-wide pass).
@@ -874,12 +841,9 @@ impl CbtRouter {
         // the scan to consult — local membership quits eagerly instead
         // (`member_left`) — so the clock stays down.
         if due.iter().any(|&(k, _)| k == TimerKind::IffScan) {
-            if now >= self.next_iff_scan {
-                self.iff_scan(now, act);
-                self.next_iff_scan = now + self.cfg.iff_scan_interval;
-            }
+            self.iff_scan(now, act);
             if !self.cfg.compact_idle || !self.lans.is_empty() {
-                self.timers.arm(TimerKind::IffScan, self.next_iff_scan);
+                self.timers.arm(TimerKind::IffScan, now + self.cfg.iff_scan_interval);
             }
         }
     }
@@ -947,13 +911,15 @@ impl CbtRouter {
 
     /// Raises the child-deadline watermark for an adopted or re-acked
     /// child. Under `compact_idle` the first tracked deadline also
-    /// raises the sweep clock, which `boot_arm` left down: the armed
-    /// instant may already lie in the past (the boot-relative cadence
-    /// kept ticking), in which case the sweep fires immediately as a
-    /// no-op and phase 6 re-times the cadence before re-arming.
+    /// raises the sweep clock, which `boot_arm` left down, one
+    /// interval after the last sweep (or boot). That instant may
+    /// already lie in the past, in which case the sweep fires
+    /// immediately as a no-op — every child it could expire went at
+    /// the last sweep — and phase 6 re-times the cadence from it.
     pub(crate) fn track_child_deadline(&mut self, deadline: SimTime) {
         if self.cfg.compact_idle && !self.children_tracked() {
-            self.timers.arm(TimerKind::ChildSweep, self.next_child_sweep);
+            let at = self.last_child_sweep + self.cfg.child_assert_interval;
+            self.timers.arm(TimerKind::ChildSweep, at);
         }
         self.child_deadline_max = self.child_deadline_max.max(deadline);
     }

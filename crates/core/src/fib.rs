@@ -48,14 +48,10 @@ pub struct Child {
     pub addr: Addr,
     /// Interface ("child vif") the child is reached through.
     pub iface: IfIndex,
-    /// Last time an ECHO_REQUEST arrived from this child.
+    /// Last time an ECHO_REQUEST (or a re-ack) arrived from this child.
+    /// The CHILD-ASSERT sweep drops the child once CHILD-ASSERT-EXPIRE
+    /// has passed since; it is the child's only liveness state.
     pub last_heard: SimTime,
-    /// Deadline of the one CHILD-ASSERT liveness tuple the engine has
-    /// filed for this child (`<= last_heard + CHILD-ASSERT-EXPIRE`; an
-    /// echo moves `last_heard` only, the sweep re-files). Set by the
-    /// engine; [`FibEntry::add_child`] alone leaves the adoption
-    /// instant here.
-    pub filed: SimTime,
 }
 
 /// A per-group FIB entry.
@@ -105,7 +101,7 @@ impl FibEntry {
         if self.children.len() >= cap {
             return false;
         }
-        self.children.push(Child { addr, iface, last_heard: now, filed: now });
+        self.children.push(Child { addr, iface, last_heard: now });
         true
     }
 
@@ -135,8 +131,8 @@ impl FibEntry {
 
 /// A handle to one group's FIB entry: its position in the sorted
 /// columns, valid until the next insert or remove. Data-plane code
-/// resolves a group to its slot once per burst and then indexes
-/// directly, instead of searching the group column per packet.
+/// resolves a packet's group to its slot once and then indexes the
+/// entry and its spanning entry directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupSlot(usize);
 

@@ -6,8 +6,8 @@
 //! (`Span`), which only a control event can make stale, so the
 //! steady-state forward path neither allocates nor sorts: the caller
 //! drains and reuses one `Vec<RouterAction>`, packet payloads are
-//! refcounted [`Bytes`](cbt_wire::data) handles, and group lookups go
-//! through the memoised FIB slot.
+//! refcounted [`Bytes`](cbt_wire::data) handles, and a group lookup is
+//! one binary search of the FIB's group column.
 
 use crate::config::ForwardingMode;
 use crate::engine::{CbtRouter, LanState};
@@ -94,7 +94,7 @@ impl CbtRouter {
             return;
         }
         let group = pkt.group;
-        let slot = self.fib_slot_cached(group);
+        let slot = self.fib.slot(group);
         // "Sourced locally" (§5) means the originating host itself put
         // the packet on this wire — the link sender IS the IP source.
         let local_origin =
@@ -173,7 +173,7 @@ impl CbtRouter {
         act: &mut Vec<RouterAction>,
     ) {
         let group = pkt.cbt.group;
-        let slot = self.fib_slot_cached(group);
+        let slot = self.fib.slot(group);
         if pkt.cbt.is_on_tree() {
             // §7: an on-tree packet arriving over a non-tree interface
             // — or from anyone but the tree neighbour behind that

@@ -473,30 +473,15 @@ impl CbtRouter {
         // Normal ack: the previous hop becomes a child (§8.3: "it is
         // the receipt of a JOIN-ACK that actually creates a branch" —
         // state on our side is created when we *send* one).
-        let was_child = self.fib.get(group).is_some_and(|e| e.has_child(join.from_addr));
-        let deadline = now + self.cfg.child_assert_expire;
-        let full = {
-            let cap = self.cfg.max_children;
-            let entry = self.fib.entry(group);
-            let added = entry.add_child_capped(join.from_addr, join.from_iface, now, cap);
-            if added && !was_child {
-                entry.children.last_mut().expect("just pushed").filed = deadline;
-            }
-            !added
-        };
-        if !full {
-            self.track_child_deadline(deadline);
-            // A re-acked child keeps the tuple it has on file.
-            if !was_child {
-                self.child_expiry.insert((deadline, group, join.from_addr));
-            }
-        }
-        if full {
+        let cap = self.cfg.max_children;
+        let entry = self.fib.entry(group);
+        if !entry.add_child_capped(join.from_addr, join.from_iface, now, cap) {
             let nack =
                 ControlMessage::JoinNack { group, origin: join.origin, target_core: affiliation };
             self.send_control(act, join.from_iface, join.from_addr, nack);
             return;
         }
+        self.track_child_deadline(now + self.cfg.child_assert_expire);
         let ack = ControlMessage::JoinAck {
             subcode: AckSubcode::Normal,
             group,

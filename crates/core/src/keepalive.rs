@@ -8,7 +8,7 @@ use crate::inline::InlineBuf;
 use cbt_netsim::SimTime;
 use cbt_topology::IfIndex;
 use cbt_wire::{Addr, ControlMessage, GroupId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 impl CbtRouter {
     /// Phase 4 of the timer service: sends due echo requests and
@@ -123,9 +123,8 @@ impl CbtRouter {
     }
 
     /// Marks child `src` of `g` heard at `now`. False if `src` is not a
-    /// child of `g`. The child's filed liveness tuple stays where it
-    /// is — early, never late — and the sweep that pops it re-files it
-    /// from `last_heard`; only the watermark moves here.
+    /// child of `g`. Only `last_heard` and the watermark move here: the
+    /// sweep reads the deadline from `last_heard`.
     fn refresh_child(&mut self, now: SimTime, g: GroupId, src: Addr) -> bool {
         let Some(c) =
             self.fib.get_mut(g).and_then(|e| e.children.iter_mut().find(|c| c.addr == src))
@@ -133,11 +132,6 @@ impl CbtRouter {
             return false;
         };
         c.last_heard = now;
-        debug_assert!(
-            self.child_expiry.contains(&(c.filed, g, src)),
-            "child {src} of {g} has no liveness tuple filed at {:?}",
-            c.filed
-        );
         let deadline = now + self.cfg.child_assert_expire;
         self.child_deadline_max = self.child_deadline_max.max(deadline);
         true
@@ -191,79 +185,25 @@ impl CbtRouter {
         self.timers.arm(TimerKind::Echo(g), deadline);
     }
 
-    /// §9 CHILD-ASSERT, phase 6 of the timer service: drop children
-    /// that have stopped sending echoes. Pops the due `(deadline,
-    /// group, child)` tuples, expires silent children of just those
-    /// groups, and re-files each survivor at `last_heard + expire`. A
-    /// child's tuple is never later than that, so a group with no due
-    /// tuple cannot hold an expired child. A popped tuple that is not
-    /// the one its child has on file (the child is gone, or was removed
-    /// and adopted again since) is dropped.
+    /// §9 CHILD-ASSERT, phase 6 of the timer service: once per
+    /// CHILD-ASSERT-INTERVAL, one pass over the FIB drops every child
+    /// not heard from for CHILD-ASSERT-EXPIRE, then offers each group
+    /// that lost a child to `maybe_quit`, in ascending group order.
     pub(crate) fn sweep_children_due(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
         let expire = self.cfg.child_assert_expire;
         self.last_child_sweep = self.last_child_sweep.max(now);
-        let mut popped: InlineBuf<(GroupId, Addr, SimTime), 4> = InlineBuf::new();
-        while let Some(&(deadline, g, child)) = self.child_expiry.first() {
-            if deadline > now {
-                break;
-            }
-            self.child_expiry.pop_first();
-            popped.push((g, child, deadline));
-        }
-        // Ascending group order: the phase contract.
-        popped.as_mut_slice().sort_unstable();
         let mut affected: InlineBuf<GroupId, 4> = InlineBuf::new();
-        let child_expiry = &mut self.child_expiry;
-        for of_group in popped.as_slice().chunk_by(|a, b| a.0 == b.0) {
-            let g = of_group[0].0;
-            let Some(e) = self.fib.get_mut(g) else { continue };
+        for (g, e) in self.fib.iter_mut() {
             let before = e.children.len();
-            e.children.retain_mut(|c| {
-                if now.since(c.last_heard) >= expire {
-                    return false;
-                }
-                if of_group.binary_search(&(g, c.addr, c.filed)).is_ok() {
-                    // `now - last_heard < expire`: strictly in the future.
-                    c.filed = c.last_heard + expire;
-                    child_expiry.insert((c.filed, g, c.addr));
-                }
-                true
-            });
+            e.children.retain(|c| now.since(c.last_heard) < expire);
             if e.children.len() != before {
                 affected.push(g);
             }
-        }
-        if self.child_expiry.is_empty() {
-            // The last deadline popped: free the set's emptied leaf.
-            self.child_expiry = BTreeSet::new();
         }
         for &g in affected.as_slice() {
             // Losing the last child may make us quittable (§2.7).
             self.maybe_quit(now, g, act);
         }
-    }
-}
-
-#[cfg(test)]
-impl CbtRouter {
-    /// Checks the lazy-filing invariant over the whole FIB — every
-    /// child owns the one tuple it has on file, no later than its true
-    /// deadline — and returns how many tuples belong to no child.
-    fn check_child_filing(&self) -> usize {
-        let expire = self.cfg.child_assert_expire;
-        let mut live = 0;
-        for (g, e) in self.fib.iter() {
-            for c in &e.children {
-                assert!(
-                    c.filed <= c.last_heard + expire,
-                    "{g} {}: filed past its deadline",
-                    c.addr
-                );
-                assert!(self.child_expiry.contains(&(c.filed, g, c.addr)), "{g} {}", c.addr);
-                live += 1;
-            }
-        }
-        self.child_expiry.len() - live
     }
 }
 
@@ -779,42 +719,17 @@ mod tests {
         e.feed(at, Input::Control { iface: IfIndex(0), src: child, msg: join });
     }
 
-    /// A child that quits and is adopted again leaves its first tuple
-    /// behind. When that tuple pops the child is alive — but it is not
-    /// the tuple the child has on file, so it is dropped, not re-filed
-    /// beside the real one for as long as the child lives.
+    /// The child sweep's FIB pass against an exact per-child reference
+    /// — a `BTreeSet` of `(last_heard + expire, group, child)` re-filed
+    /// on every refresh, whose sweep expires silent children only in
+    /// groups with a due tuple and whose clock is armed from the set's
+    /// emptiness — over a random schedule of adopts, re-adopts, echoes,
+    /// quits and sweeps (some serviced late). The engine is a
+    /// compact-idle p2p core, so the child sweep is its only timer and
+    /// `next_wakeup` shows exactly when the reference would have it
+    /// armed.
     #[test]
-    fn a_readopted_child_keeps_one_tuple_however_long_it_lives() {
-        let (mut e, me) = p2p_core();
-        let c = Addr::from_octets(10, 0, 1, 1);
-        join_from(&mut e, t(0), g(1), c, me);
-        let msg = ControlMessage::QuitRequest { group: g(1), origin: c };
-        e.feed(t(1), Input::Control { iface: IfIndex(0), src: c, msg });
-        join_from(&mut e, t(2), g(1), c, me);
-        assert_eq!(e.child_expiry.len(), 2, "the quit left its tuple behind");
-        assert_eq!(e.check_child_filing(), 1);
-        for s in 3..400u64 {
-            if s % 3 == 0 {
-                let echo = ControlMessage::EchoRequest { group: g(1), origin: c, group_mask: None };
-                e.feed(t(s), Input::Control { iface: IfIndex(0), src: c, msg: echo });
-            }
-            while e.next_wakeup().is_some_and(|w| w <= t(s)) {
-                e.feed(t(s), Input::Timer);
-            }
-            assert_eq!(e.check_child_filing(), usize::from(s < 18), "second {s}");
-        }
-        assert_eq!(e.children_of(g(1)).len(), 1);
-    }
-
-    /// Lazy child liveness against the exact reference it replaced — a
-    /// `BTreeSet` of `(last_heard + expire, group, child)` re-filed on
-    /// every refresh, with the sweep clock armed from its emptiness —
-    /// over a random schedule of adopts, re-adopts, echoes, quits and
-    /// sweeps (some serviced late). The engine is a compact-idle p2p
-    /// core, so the child sweep is its only timer and `next_wakeup`
-    /// shows exactly when the reference would have it armed.
-    #[test]
-    fn lazy_child_liveness_matches_the_exact_refile_model() {
+    fn child_sweep_pass_matches_the_exact_refile_model() {
         use cbt_netsim::SimDuration;
         use std::collections::BTreeSet;
         const GROUPS: u16 = 3;
@@ -825,7 +740,7 @@ mod tests {
 
         // The reference: exact tuples, children with their last-heard
         // instants, and the sweep clock as the old code armed it.
-        let mut filed: BTreeSet<(SimTime, GroupId, Addr)> = BTreeSet::new();
+        let mut filed = BTreeSet::<(SimTime, GroupId, Addr)>::new();
         let mut heard: BTreeMap<(GroupId, Addr), SimTime> = BTreeMap::new();
         let mut next_sweep = SimTime::ZERO + interval;
         let mut armed: Option<SimTime> = None;
@@ -900,23 +815,21 @@ mod tests {
                     assert_eq!(act.len(), usize::from(heard.contains_key(&(g, c))), "reply");
                 }
                 _ => {
-                    // The quit leaves its tuple behind in both designs.
+                    // The reference keeps the quitter's tuple, as the
+                    // engine's watermark keeps its deadline.
                     heard.remove(&(g, c));
                     let msg = ControlMessage::QuitRequest { group: g, origin: c };
                     e.feed(now, Input::Control { iface: IfIndex(0), src: c, msg });
                 }
             }
-            let stale = e.check_child_filing();
-            assert!(stale <= (GROUPS as usize) * (CHILDREN as usize) * 4, "step {step}: {stale}");
             assert_eq!(e.next_wakeup(), armed, "step {step}: sweep clock after the input");
             assert_eq!(e.children_tracked(), !filed.is_empty(), "step {step}: tracked");
         }
         assert!(expired > 200 && survived > 200 && readopted > 200, "the schedule must mix");
-        // Left alone, every child expires and every tuple is collected.
+        // Left alone, every child expires and the sweep clock goes down.
         while let Some(due) = e.next_wakeup() {
             e.feed(due, Input::Timer);
         }
-        assert_eq!(e.check_child_filing(), 0);
-        assert!(e.child_expiry.is_empty() && e.fib.is_empty() && !e.children_tracked());
+        assert!(e.fib.is_empty() && !e.children_tracked());
     }
 }

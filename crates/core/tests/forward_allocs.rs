@@ -30,7 +30,8 @@ use common::alloc;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Calls that grow every scratch buffer and memo before counting.
+/// Calls that grow every scratch buffer and spanning entry before
+/// counting.
 const WARM: usize = 1_000;
 
 /// Packets counted per case.
@@ -136,7 +137,8 @@ fn on_tree(mode: ForwardingMode, shards: usize) -> ShardedRouter {
 }
 
 /// Heap allocations across [`PACKETS`] calls of `step`, after [`WARM`]
-/// calls have grown every scratch buffer and memo to capacity.
+/// calls have grown every scratch buffer and spanning entry to
+/// capacity.
 fn steady_state_allocs(mut step: impl FnMut()) -> u64 {
     for _ in 0..WARM {
         step();

@@ -137,13 +137,14 @@ impl LiveNet {
                         );
                         let (cmd_tx, cmd_rx) = mpsc::unbounded_channel();
                         cmd_txs.push(cmd_tx);
-                        tasks.push(tokio::spawn(router_task(
+                        tasks.push(tokio::spawn(node_task(
                             node,
                             entity,
                             fabric.clone(),
                             rx,
                             cmd_rx,
                             epoch,
+                            router_cmd,
                         )));
                     }
                     router_cmds.insert(me, cmd_txs);
@@ -153,13 +154,14 @@ impl LiveNet {
                     let rx = shard_rxs.into_iter().next().expect("one inbox per host");
                     let (cmd_tx, cmd_rx) = mpsc::unbounded_channel();
                     host_cmds.insert(hid, cmd_tx);
-                    tasks.push(tokio::spawn(host_task(
+                    tasks.push(tokio::spawn(node_task(
                         app,
                         entity,
                         fabric.clone(),
                         rx,
                         cmd_rx,
                         epoch,
+                        host_cmd,
                     )));
                 }
             }
@@ -275,13 +277,19 @@ fn sim_to_instant(epoch: Instant, at: SimTime) -> Instant {
     epoch + Duration::from_micros(at.micros())
 }
 
-async fn router_task(
-    mut node: RouterNode,
+/// One node's task loop: a command from the application layer, a
+/// batch from the inbox or the node's own timer — commands first when
+/// several are ready — then one flush of everything the node sent.
+/// Routers and hosts differ only in the commands they take, which
+/// `on_cmd` handles.
+async fn node_task<N: SimNode, C>(
+    mut node: N,
     me: Entity,
     fabric: Arc<Fabric>,
     mut rx: InboxRx,
-    mut cmds: mpsc::UnboundedReceiver<RouterCmd>,
+    mut cmds: mpsc::UnboundedReceiver<C>,
     epoch: Instant,
+    on_cmd: fn(&mut N, C, SimTime, &mut Outbox),
 ) {
     let mut out = Outbox::new();
     let mut batch = Vec::new();
@@ -291,19 +299,7 @@ async fn router_task(
             biased;
             cmd = cmds.recv() => {
                 let Some(cmd) = cmd else { break };
-                match cmd {
-                    RouterCmd::Snapshot { group, resp } => {
-                        let e = node.sharded();
-                        let v = e.group_view(group);
-                        let _ = resp.send(RouterSnapshot {
-                            on_tree: v.on_tree,
-                            parent: v.parent,
-                            children: v.children,
-                            obs: e.obs_snapshot(),
-                            inbox_high_water: 0,
-                        });
-                    }
-                }
+                on_cmd(&mut node, cmd, instant_to_sim(epoch, Instant::now()), &mut out);
             }
             _ = rx.recv_batch(RX_BATCH, &mut batch) => {
                 let now = instant_to_sim(epoch, Instant::now());
@@ -319,61 +315,51 @@ async fn router_task(
     }
 }
 
-async fn host_task(
-    mut app: HostApp,
-    me: Entity,
-    fabric: Arc<Fabric>,
-    mut rx: InboxRx,
-    mut cmds: mpsc::UnboundedReceiver<HostCmd>,
-    epoch: Instant,
-) {
-    let mut out = Outbox::new();
-    let mut batch = Vec::new();
-    loop {
-        let wake = app.next_wakeup().map(|t| sim_to_instant(epoch, t));
-        tokio::select! {
-            biased;
-            cmd = cmds.recv() => {
-                let Some(cmd) = cmd else { break };
-                let now = instant_to_sim(epoch, Instant::now());
-                match cmd {
-                    HostCmd::Join { group, cores } => {
-                        app.join_at(now, group, cores);
-                        app.on_timer(now, &mut out);
-                    }
-                    HostCmd::Leave { group } => {
-                        app.leave_at(now, group);
-                        app.on_timer(now, &mut out);
-                    }
-                    HostCmd::Send { group, payload, ttl } => {
-                        app.send_at(now, group, payload, ttl);
-                        app.on_timer(now, &mut out);
-                    }
-                    HostCmd::SendBurst { group, payloads, ttl } => {
-                        for payload in payloads {
-                            app.send_at(now, group, payload, ttl);
-                        }
-                        app.on_timer(now, &mut out);
-                    }
-                    HostCmd::Received { resp } => {
-                        let _ = resp.send(app.received().clone());
-                    }
-                    HostCmd::ReceivedCount { resp } => {
-                        let _ = resp.send(app.received().len());
-                    }
-                }
-            }
-            _ = rx.recv_batch(RX_BATCH, &mut batch) => {
-                let now = instant_to_sim(epoch, Instant::now());
-                receive_batch(&mut app, &mut batch, now, &mut out);
-            }
-            _ = sleep_maybe(wake) => {
-                let now = instant_to_sim(epoch, Instant::now());
-                app.on_timer(now, &mut out);
-            }
+/// A router task's queries: they read the engine and send nothing.
+fn router_cmd(node: &mut RouterNode, cmd: RouterCmd, _now: SimTime, _out: &mut Outbox) {
+    match cmd {
+        RouterCmd::Snapshot { group, resp } => {
+            let e = node.sharded();
+            let v = e.group_view(group);
+            let _ = resp.send(RouterSnapshot {
+                on_tree: v.on_tree,
+                parent: v.parent,
+                children: v.children,
+                obs: e.obs_snapshot(),
+                inbox_high_water: 0,
+            });
         }
-        fabric.dispatch_batch(me, out.as_slice());
-        out.clear();
+    }
+}
+
+/// A host task's commands: membership changes and sends run the app's
+/// timer at once, so what they cause leaves in this wakeup's flush.
+fn host_cmd(app: &mut HostApp, cmd: HostCmd, now: SimTime, out: &mut Outbox) {
+    match cmd {
+        HostCmd::Join { group, cores } => {
+            app.join_at(now, group, cores);
+            app.on_timer(now, out);
+        }
+        HostCmd::Leave { group } => {
+            app.leave_at(now, group);
+            app.on_timer(now, out);
+        }
+        HostCmd::Send { group, payload, ttl } => {
+            app.send_at(now, group, payload, ttl);
+            app.on_timer(now, out);
+        }
+        HostCmd::SendBurst { group, payloads, ttl } => {
+            for payload in payloads {
+                app.send_at(now, group, payload, ttl);
+            }
+            app.on_timer(now, out);
+        }
+        HostCmd::Received { resp } => {
+            let _ = resp.send(app.received().clone());
+        }
+        HostCmd::ReceivedCount { resp } => {
+            let _ = resp.send(app.received().len());
+        }
     }
 }
 
