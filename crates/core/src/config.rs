@@ -4,7 +4,7 @@
 use cbt_igmp::IgmpTimers;
 use cbt_netsim::SimDuration;
 use cbt_wire::{Addr, GroupId};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// How data packets travel over tree interfaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -62,7 +62,7 @@ pub struct CbtConfig {
     /// Managed `<core, group>` mappings (§2.4: how v1/v2-host subnets
     /// learn cores — "by means of network management"). Ordered,
     /// primary first. Consulted when no RP/Core-Report supplied a list.
-    pub managed_mappings: HashMap<GroupId, Vec<Addr>>,
+    pub managed_mappings: BTreeMap<GroupId, Vec<Addr>>,
     /// Group-space shards per router (see [`crate::shard`]). Defaults
     /// to the `CBT_SHARDS` environment variable, or 1 when unset, so
     /// the whole test suite can exercise sharded steering without code
@@ -100,7 +100,7 @@ impl Default for CbtConfig {
             quit_interval: SimDuration::from_secs(5),
             aggregate_echoes: false,
             igmp: IgmpTimers::default(),
-            managed_mappings: HashMap::new(),
+            managed_mappings: BTreeMap::new(),
             shards: crate::parallelism::NODE_SHARDS.with_default(1).resolve_lenient(),
             compact_idle: false,
             max_children: crate::fib::MAX_CHILDREN,

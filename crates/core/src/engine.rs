@@ -92,10 +92,19 @@ impl IfaceInfo {
     }
 }
 
-/// Per-LAN protocol state: querier election + membership presence.
+/// Per-LAN protocol state: querier election, membership presence and
+/// who attaches the LAN to each group's tree (§2.6). Only LAN
+/// interfaces have one, so a point-to-point engine pays nothing for
+/// G-DR roles.
 pub(crate) struct LanState {
     pub election: QuerierElection,
     pub presence: GroupPresence,
+    /// Groups this router is the group-specific DR for on the LAN —
+    /// i.e. the tree's attachment point for it.
+    pub gdr: BTreeSet<GroupId>,
+    /// Groups served on the LAN by *another* router's branch (we were
+    /// proxy-acked): group → the G-DR's address.
+    pub proxy: BTreeMap<GroupId, Addr>,
 }
 
 /// Everything the engine schedules on its [`TimerService`]. One key per
@@ -206,12 +215,6 @@ pub struct CbtRouter {
     /// while one of its parts does. Written only through
     /// [`CbtRouter::edit`].
     pub(crate) transients: BTreeMap<GroupId, Transient>,
-    /// LAN interfaces where this router is the group-specific DR —
-    /// i.e. the tree's attachment point for that LAN (§2.6).
-    pub(crate) gdr: BTreeSet<(IfIndex, GroupId)>,
-    /// Groups on a LAN served by *another* router's branch (we were
-    /// proxy-acked, §2.6): group → the G-DR's address.
-    pub(crate) proxy_handled: BTreeMap<(IfIndex, GroupId), Addr>,
     /// Core lists learned from joins/acks/IGMP (§2.1 advertisements):
     /// one `(group, core)` pair per learned core, sorted by group, a
     /// group's cores adjacent in rank order. Kept at exact capacity, so
@@ -297,6 +300,9 @@ impl CbtRouter {
     /// freed again, and what remains of the churn is its history at
     /// exact size: one 68 B counter row per group it has
     /// seen ([`RouterObs::groups`]) and 8 B per core it has learned.
+    /// It pays nothing for LAN duties: G-DR roles and proxy-acked
+    /// groups live in the per-LAN tables it has none of, and an armed
+    /// timer costs 16 B in the heap and 16 B in the key table.
     ///
     /// Membership is driven by [`Input::Join`] / [`Input::Leave`]
     /// instead of LAN presence.
@@ -341,6 +347,8 @@ impl CbtRouter {
                     LanState {
                         election: QuerierElection::new(info.addr, cfg.igmp, now),
                         presence: GroupPresence::new(cfg.igmp),
+                        gdr: BTreeSet::new(),
+                        proxy: BTreeMap::new(),
                     },
                 );
             }
@@ -355,8 +363,6 @@ impl CbtRouter {
             lans,
             fib: Fib::new(),
             transients: BTreeMap::new(),
-            gdr: BTreeSet::new(),
-            proxy_handled: BTreeMap::new(),
             core_knowledge: Vec::new(),
             local_members: BTreeSet::new(),
             child_deadline_max: SimTime::ZERO,
@@ -416,7 +422,20 @@ impl CbtRouter {
 
     /// Am I the group-specific DR for `group` on LAN interface `i`?
     pub fn is_gdr(&self, i: IfIndex, group: GroupId) -> bool {
-        self.gdr.contains(&(i, group))
+        self.lans.get(&i).is_some_and(|l| l.gdr.contains(&group))
+    }
+
+    /// Is `group` on LAN interface `i` served by another router's
+    /// branch (we were proxy-acked, §2.6)?
+    pub(crate) fn is_proxied(&self, i: IfIndex, group: GroupId) -> bool {
+        self.lans.get(&i).is_some_and(|l| l.proxy.contains_key(&group))
+    }
+
+    /// The state of LAN interface `i`, where every G-DR and proxy
+    /// write lands: each such write follows LAN presence, a join from
+    /// a LAN, or a pending join's LAN list, so `i` is always a LAN.
+    pub(crate) fn lan_mut(&mut self, i: IfIndex) -> &mut LanState {
+        self.lans.get_mut(&i).expect("G-DR and proxy state live on LAN interfaces")
     }
 
     /// The FIB (read access for tests/metrics).
@@ -580,15 +599,13 @@ impl CbtRouter {
     /// router on-tree or joining, or another router's branch serving
     /// the LAN (proxy-ack, §2.6)? If not, its D-DR must (re)join.
     pub(crate) fn lan_group_handled(&self, lan: IfIndex, group: GroupId) -> bool {
-        self.fib.on_tree(group)
-            || self.has_pending_join(group)
-            || self.proxy_handled.contains_key(&(lan, group))
+        self.fib.on_tree(group) || self.has_pending_join(group) || self.is_proxied(lan, group)
     }
 
     /// Forgets every G-DR role for `group` (its tree state is gone).
     pub(crate) fn clear_gdr(&mut self, group: GroupId) {
-        for lan in self.lans.keys() {
-            self.gdr.remove(&(*lan, group));
+        for lan in self.lans.values_mut() {
+            lan.gdr.remove(&group);
         }
     }
 
@@ -598,10 +615,7 @@ impl CbtRouter {
     /// is trivially their DR.
     pub(crate) fn serves_members(&self, group: GroupId) -> bool {
         self.local_members.contains(&group)
-            || self
-                .lans
-                .iter()
-                .any(|(i, l)| l.presence.has_members(group) && self.is_gdr(*i, group))
+            || self.lans.values().any(|l| l.presence.has_members(group) && l.gdr.contains(&group))
     }
 
     // ------------------------------------------------------------------
@@ -755,14 +769,16 @@ impl CbtRouter {
                     // A non-DR router that already has a branch serving
                     // other subnets still becomes this LAN's forwarder
                     // if nobody else is (rare; keeps delivery total).
-                    if !self.proxy_handled.contains_key(&(iface, group)) {
-                        self.gdr.insert((iface, group));
+                    let lan = self.lan_mut(iface);
+                    if !lan.proxy.contains_key(&group) {
+                        lan.gdr.insert(group);
                     }
                 }
             }
             PresenceEvent::GroupExpired { group } => {
-                self.gdr.remove(&(iface, group));
-                self.proxy_handled.remove(&(iface, group));
+                let lan = self.lan_mut(iface);
+                lan.gdr.remove(&group);
+                lan.proxy.remove(&group);
                 // §2.7: no members anywhere and no children ⇒ quit.
                 self.maybe_quit(now, group, act);
             }

@@ -18,7 +18,7 @@ use cbt_obs::DropReason;
 use cbt_topology::IfIndex;
 use cbt_wire::header::{OFF_TREE, ON_TREE};
 use cbt_wire::{Addr, CbtDataPacket, DataPacket, GroupId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// One group's spanning entry: where a packet on its tree leaves this
 /// router, worked out from the FIB entry, LAN presence and the G-DR
@@ -39,13 +39,7 @@ pub(crate) struct Span {
 
 impl Span {
     /// Recomputes the entry in place, keeping the vectors' capacity.
-    fn build(
-        &mut self,
-        entry: &FibEntry,
-        group: GroupId,
-        lans: &BTreeMap<IfIndex, LanState>,
-        gdr: &BTreeSet<(IfIndex, GroupId)>,
-    ) {
+    fn build(&mut self, entry: &FibEntry, group: GroupId, lans: &BTreeMap<IfIndex, LanState>) {
         self.tree.clear();
         self.tree.extend(entry.parent.map(|p| (p.iface, p.addr)));
         self.tree.extend(entry.children.iter().map(|c| (c.iface, c.addr)));
@@ -53,7 +47,7 @@ impl Span {
         self.oifs.clear();
         self.oifs.extend(self.tree.iter().map(|&(iface, _)| (iface, false)));
         for (&lan, l) in lans {
-            if l.presence.has_members(group) && gdr.contains(&(lan, group)) {
+            if l.presence.has_members(group) && l.gdr.contains(&group) {
                 self.oifs.push((lan, true));
             }
         }
@@ -115,7 +109,7 @@ impl CbtRouter {
             //
             // Everyone else discards, or the tree carries duplicates.
             let responsible = self.is_gdr(iface, group)
-                || (self.i_am_dr(iface, now) && !self.proxy_handled.contains_key(&(iface, group)));
+                || (self.i_am_dr(iface, now) && !self.is_proxied(iface, group));
             match slot {
                 Some(slot) if responsible || self.fib.at(slot).is_tree_iface(iface) => {
                     self.forward_over_tree(group, slot, pkt, iface, act);
@@ -225,13 +219,13 @@ impl CbtRouter {
         }
         let span = &mut self.spans[i];
         if span.epoch != self.epoch {
-            span.build(self.fib.at(slot), group, &self.lans, &self.gdr);
+            span.build(self.fib.at(slot), group, &self.lans);
             span.epoch = self.epoch;
         }
         // The oracle: an entry built at the current epoch is exact.
         #[cfg(debug_assertions)]
         {
-            self.span_check.build(self.fib.at(slot), group, &self.lans, &self.gdr);
+            self.span_check.build(self.fib.at(slot), group, &self.lans);
             let (cached, fresh) = (&self.spans[i], &self.span_check);
             assert!(
                 cached.oifs == fresh.oifs && cached.tree == fresh.tree,
@@ -588,7 +582,7 @@ mod tests {
         map.insert(core_a(), up_hop());
         set_routes(&mut e, map);
         e.learn_cores(g(), &[core_a()]);
-        e.proxy_handled.insert((IfIndex(0), g()), Addr::from_octets(10, 1, 0, 2));
+        e.lan_mut(IfIndex(0)).proxy.insert(g(), Addr::from_octets(10, 1, 0, 2));
         let act = e.feed(t(5), from_host(host_pkt(16)));
         assert!(act.is_empty(), "the G-DR on the LAN forwards; we must not duplicate");
     }
@@ -855,7 +849,7 @@ mod tests {
                 e.iface(iface).is_some_and(|i| i.contains(pkt.src)) && link_src == pkt.src;
             if local_origin {
                 let responsible = e.is_gdr(iface, group)
-                    || (e.i_am_dr(iface, now) && !e.proxy_handled.contains_key(&(iface, group)));
+                    || (e.i_am_dr(iface, now) && !e.is_proxied(iface, group));
                 let arrival_is_tree = entry.is_some_and(|en| en.is_tree_iface(iface));
                 if entry.is_some() && (responsible || arrival_is_tree) {
                     over_tree(e, pkt, iface, &mut act);

@@ -27,7 +27,7 @@ impl CbtRouter {
         if self.fib.on_tree(group) {
             // On-tree (before, or just now as one of the group's
             // cores): this LAN just needs to be served.
-            self.gdr.insert((iface, group));
+            self.lan_mut(iface).gdr.insert(group);
         } else {
             // The LAN is remembered so the eventual ack serves it,
             // whether the pending join is the one just launched, a
@@ -466,7 +466,7 @@ impl CbtRouter {
             self.obs.proxy_acks_sent += 1;
             self.send_control(act, join.from_iface, join.from_addr, ack);
             // We are now the group's attachment on that LAN (§2.6).
-            self.gdr.insert((join.from_iface, group));
+            self.lan_mut(join.from_iface).gdr.insert(group);
             return;
         }
 
@@ -524,7 +524,7 @@ impl CbtRouter {
                 for &lan in &p.lans {
                     let origin_lan = self.iface(lan).is_some_and(|i| i.contains(p.origin));
                     if origin_lan {
-                        self.proxy_handled.insert((lan, group), src);
+                        self.lan_mut(lan).proxy.insert(group, src);
                     } else {
                         // Additional member LANs that the G-DR cannot
                         // serve (it is not attached to them): join again
@@ -568,7 +568,7 @@ impl CbtRouter {
             // used to be forgotten here — its host then sat on an
             // on-tree router and heard nothing.
             for &lan in &p.lans {
-                self.gdr.insert((lan, group));
+                self.lan_mut(lan).gdr.insert(group);
                 // §2.5 proposal: notify member hosts on the subnet
                 // that the tree has been joined.
                 act.push(RouterAction::SendIgmp {

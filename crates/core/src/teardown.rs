@@ -300,7 +300,7 @@ mod tests {
     fn cascading_quit_when_last_child_leaves_and_no_members() {
         let mut e = on_tree_with_child();
         // Drop our member LAN responsibility so the cascade can fire.
-        e.gdr.remove(&(IfIndex(0), g()));
+        e.lan_mut(IfIndex(0)).gdr.remove(&g());
         let msg = ControlMessage::QuitRequest { group: g(), origin: down_addr() };
         let act = e.feed(t(10), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         // Ack downstream + our own quit upstream.
@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn quit_retransmits_until_acked_or_exhausted() {
         let mut e = on_tree_with_child();
-        e.gdr.remove(&(IfIndex(0), g()));
+        e.lan_mut(IfIndex(0)).gdr.remove(&g());
         let msg = ControlMessage::QuitRequest { group: g(), origin: down_addr() };
         e.feed(t(10), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert_eq!(e.obs().ctl().sent(CtlKind::QuitRequest), 1);
@@ -377,7 +377,7 @@ mod tests {
     #[test]
     fn quit_ack_from_a_stranger_does_not_stop_retransmission() {
         let mut e = on_tree_with_child();
-        e.gdr.remove(&(IfIndex(0), g()));
+        e.lan_mut(IfIndex(0)).gdr.remove(&g());
         let msg = ControlMessage::QuitRequest { group: g(), origin: down_addr() };
         e.feed(t(10), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         assert_eq!(
@@ -415,7 +415,7 @@ mod tests {
     #[test]
     fn quit_gives_up_after_retries() {
         let mut e = on_tree_with_child();
-        e.gdr.remove(&(IfIndex(0), g()));
+        e.lan_mut(IfIndex(0)).gdr.remove(&g());
         let msg = ControlMessage::QuitRequest { group: g(), origin: down_addr() };
         e.feed(t(10), Input::Control { iface: IfIndex(2), src: down_addr(), msg });
         // Default: 3 retries at 5 s intervals, then silence.
@@ -494,7 +494,7 @@ mod tests {
         let mut e = on_tree_with_child();
         // Remove the child and member responsibility without a quit.
         e.fib.get_mut(g()).unwrap().children.clear();
-        e.gdr.remove(&(IfIndex(0), g()));
+        e.lan_mut(IfIndex(0)).gdr.remove(&g());
         // Keep the parent alive so the echo timeout does not race the
         // scan into a re-attachment instead of a quit.
         let msg = ControlMessage::EchoReply { group: g(), origin: up_hop().addr, group_mask: None };

@@ -5,16 +5,21 @@
 //! resident group state, exactly the cost CBT's per-group state model
 //! is supposed to avoid — the engine files each
 //! deadline in a [`TimerService`]: one lazy-deletion binary heap of
-//! `(deadline, seq, key)` plus a hashed key table `key → (deadline,
-//! seq)`:
+//! `(deadline, key)` plus a hashed key table `key → deadline`, 16 B an
+//! entry each for the engine's keys:
 //!
 //! * at most one *valid* deadline per key; a heap entry is valid iff
-//!   its `seq` is the one the table holds for its key. Sequence
-//!   numbers are never reused, so re-arming or cancelling a key is one
-//!   O(1) table write and never searches the heap;
+//!   the table holds its deadline for its key, so re-arming or
+//!   cancelling a key is one O(1) table write and never searches the
+//!   heap;
+//! * a key re-armed back to a deadline it held before, while the older
+//!   entry is still queued, has two equal entries, both valid. They pop
+//!   next to each other — `(deadline, key)` is a total order — and the
+//!   first pop disarms the key, so the second is discarded;
 //! * superseded entries stay in the heap until they surface at its
 //!   head, where [`TimerService::compact`] and the pop discard them —
-//!   or until they outnumber the armed keys, when `arm` sweeps them;
+//!   or until they outnumber the armed keys, when `arm` sweeps them and
+//!   the duplicates out;
 //! * re-arming a key with the deadline it already holds is a no-op —
 //!   the steady state of a keepalive clock whose reply arrives before
 //!   the next echo is due — so an idle tree holds exactly one heap
@@ -23,12 +28,12 @@
 //!   whatever it held before: [`TimerService::compact`] frees both
 //!   tables, so an engine's timer memory follows its armed clocks.
 //!
-//! Ordering contract: pops come out sorted by `(deadline, arm order)`
-//! — same-deadline keys fire FIFO — so the engine's service order is
-//! deterministic. Nothing ever iterates the key table, so its hash order
-//! reaches no output; the hasher is fixed all the same (no per-process
-//! `RandomState`), so the table's layout is the same in every process
-//! too.
+//! Ordering contract: pops come out sorted by `(deadline, key)`, so the
+//! engine's service order is deterministic and independent of the
+//! order keys were armed in. Nothing ever iterates the key table, so
+//! its hash order reaches no output; the hasher is fixed all the same
+//! (no per-process `RandomState`), so the table's layout is the same in
+//! every process too.
 
 use cbt_netsim::SimTime;
 use std::cmp::Reverse;
@@ -84,8 +89,8 @@ impl Hasher for TimerKeyHasher {
     }
 }
 
-/// The key table: armed key → its valid `(deadline, seq)`.
-type KeyTable<K> = HashMap<K, (SimTime, u64), BuildHasherDefault<TimerKeyHasher>>;
+/// The key table: armed key → its valid deadline.
+type KeyTable<K> = HashMap<K, SimTime, BuildHasherDefault<TimerKeyHasher>>;
 
 /// Superseded entries tolerated beyond twice the armed keys before
 /// [`TimerService::arm`] sweeps them out.
@@ -94,19 +99,18 @@ const SWEEP_SLACK: usize = 32;
 /// Keyed timer service with O(log n) arm and O(1) cancellation.
 #[derive(Debug, Clone)]
 pub struct TimerService<K: Ord + Hash + Copy> {
-    /// Min-heap on `(deadline, seq)`; may hold superseded entries.
-    heap: BinaryHeap<Reverse<(SimTime, u64, K)>>,
-    /// The valid `(deadline, seq)` per armed key. Fired and cancelled
-    /// keys leave the table at once, so it is bounded by the live key
-    /// set however long the service runs.
+    /// Min-heap on `(deadline, key)`; may hold superseded entries and
+    /// duplicates of a valid one.
+    heap: BinaryHeap<Reverse<(SimTime, K)>>,
+    /// The valid deadline per armed key. Fired and cancelled keys
+    /// leave the table at once, so it is bounded by the live key set
+    /// however long the service runs.
     keys: KeyTable<K>,
-    /// Next arm sequence number.
-    seq: u64,
 }
 
 impl<K: Ord + Hash + Copy> Default for TimerService<K> {
     fn default() -> Self {
-        TimerService { heap: BinaryHeap::new(), keys: KeyTable::default(), seq: 0 }
+        TimerService { heap: BinaryHeap::new(), keys: KeyTable::default() }
     }
 }
 
@@ -120,26 +124,28 @@ impl<K: Ord + Hash + Copy> TimerService<K> {
     /// other deadline armed for the key. Past deadlines are fine: they
     /// pop on the next [`pop_due_into`](Self::pop_due_into).
     pub fn arm(&mut self, key: K, deadline: SimTime) {
-        let seq = self.seq;
-        match self.keys.entry(key) {
-            Entry::Occupied(e) if e.get().0 == deadline => return,
-            Entry::Occupied(mut e) => {
-                e.insert((deadline, seq));
-            }
-            Entry::Vacant(e) => {
-                e.insert((deadline, seq));
-            }
+        if self.keys.insert(key, deadline) == Some(deadline) {
+            return;
         }
-        self.seq += 1;
-        self.heap.push(Reverse((deadline, seq, key)));
+        self.heap.push(Reverse((deadline, key)));
         // Superseded entries only leave when they surface, and a key
         // re-armed again and again to later deadlines never surfaces
         // them: sweep once they outnumber the live keys, so the heap
-        // stays O(armed keys). Amortised O(1) per arm; pop order is
-        // unaffected, `(deadline, seq)` being a total order.
+        // stays O(armed keys). A key re-armed back and forth between
+        // two deadlines leaves valid duplicates, which only the dedup
+        // removes. Amortised O(log n) per arm; pop order is unaffected,
+        // `(deadline, key)` being a total order.
         if self.heap.len() > 2 * self.keys.len() + SWEEP_SLACK {
             let keys = &self.keys;
-            self.heap.retain(|&Reverse((_, seq, key))| Self::is_valid(keys, key, seq));
+            self.heap.retain(|&Reverse((deadline, key))| Self::is_valid(keys, key, deadline));
+            // Every armed key has at least one valid entry, so only a
+            // surplus means duplicates; the sort is paid only then.
+            if self.heap.len() > keys.len() {
+                let mut live = std::mem::take(&mut self.heap).into_vec();
+                live.sort_unstable();
+                live.dedup();
+                self.heap = BinaryHeap::from(live);
+            }
         }
     }
 
@@ -148,23 +154,24 @@ impl<K: Ord + Hash + Copy> TimerService<K> {
         self.keys.remove(&key);
     }
 
-    /// Is `seq` the arm the table currently holds for `key`?
-    fn is_valid(keys: &KeyTable<K>, key: K, seq: u64) -> bool {
-        keys.get(&key).is_some_and(|&(_, s)| s == seq)
+    /// Is `deadline` the one the table currently holds for `key`?
+    fn is_valid(keys: &KeyTable<K>, key: K, deadline: SimTime) -> bool {
+        keys.get(&key) == Some(&deadline)
     }
 
     /// Pops every key whose valid deadline is `<= now` into `out`,
     /// paired with the deadline it was armed for (callers measure
-    /// wakeup lag as `now - deadline`), sorted by `(deadline, arm
-    /// order)`. Superseded entries met on the way are dropped for good.
+    /// wakeup lag as `now - deadline`), sorted by `(deadline, key)`.
+    /// Superseded entries and duplicates met on the way are dropped for
+    /// good.
     pub fn pop_due_into(&mut self, now: SimTime, out: &mut impl Extend<(K, SimTime)>) {
-        while let Some(&Reverse((deadline, seq, key))) = self.heap.peek() {
+        while let Some(&Reverse((deadline, key))) = self.heap.peek() {
             if deadline > now {
                 break;
             }
             self.heap.pop();
             if let Entry::Occupied(e) = self.keys.entry(key) {
-                if e.get().1 == seq {
+                if *e.get() == deadline {
                     e.remove();
                     out.extend([(key, deadline)]);
                 }
@@ -183,7 +190,7 @@ impl<K: Ord + Hash + Copy> TimerService<K> {
     /// may belong to a superseded entry, which makes it early (a safe
     /// but spurious wakeup), never late.
     pub fn peek(&self) -> Option<SimTime> {
-        self.heap.peek().map(|&Reverse((deadline, _, _))| deadline)
+        self.heap.peek().map(|&Reverse((deadline, _))| deadline)
     }
 
     /// Discards superseded entries from the heap head until a valid
@@ -197,8 +204,8 @@ impl<K: Ord + Hash + Copy> TimerService<K> {
             self.keys = KeyTable::default();
             return;
         }
-        while let Some(&Reverse((_, seq, key))) = self.heap.peek() {
-            if Self::is_valid(&self.keys, key, seq) {
+        while let Some(&Reverse((deadline, key))) = self.heap.peek() {
+            if Self::is_valid(&self.keys, key, deadline) {
                 return;
             }
             self.heap.pop();
@@ -252,8 +259,8 @@ mod tests {
         assert!(pop(&mut s, t(100)).is_empty(), "cancelled key must not fire");
         assert!(s.is_empty(), "stale entries are discarded as they surface");
 
-        // Cancel + re-arm at the *same* deadline: the old entry carries
-        // a retired seq and must not double-fire the key.
+        // Cancel + re-arm at the *same* deadline: the old entry is valid
+        // again beside the new one, and the key must not double-fire.
         s.arm("join", t(110));
         s.cancel("join");
         s.arm("join", t(110));
@@ -290,6 +297,36 @@ mod tests {
     }
 
     #[test]
+    fn alternating_rearms_leave_no_duplicates_behind() {
+        // The hot key swings between two deadlines, so most of its arms
+        // push an entry equal to one still queued, and while the key
+        // holds that deadline both are valid. The heap only shrinks in a
+        // sweep, and a sweep must
+        // leave exactly one entry per armed key — the retain alone
+        // would keep every duplicate of the hot key's current deadline.
+        let mut s = TimerService::new();
+        for k in 0..8u32 {
+            s.arm(k, t(1));
+        }
+        let mut sweeps = 0;
+        for n in 0..10_000u64 {
+            let before = s.len();
+            s.arm(7u32, t(10 + n % 2));
+            assert!(s.len() <= 2 * s.tracked_keys() + SWEEP_SLACK + 1, "heap grew to {}", s.len());
+            if s.len() < before {
+                assert_eq!(s.len(), s.tracked_keys(), "arm {n}: the sweep kept duplicates");
+                sweeps += 1;
+            }
+        }
+        assert!(sweeps > 100, "the sweep ran ({sweeps})");
+        assert_eq!(pop(&mut s, t(1)), vec![0, 1, 2, 3, 4, 5, 6]);
+        let mut out = Vec::new();
+        s.pop_due_into(t(100), &mut out);
+        assert_eq!(out, vec![(7, t(11))], "fires once, at its last deadline");
+        assert!(s.is_empty());
+    }
+
+    #[test]
     fn peek_is_early_until_compacted_then_exact() {
         let mut s = TimerService::new();
         s.arm(1u32, t(10));
@@ -304,7 +341,7 @@ mod tests {
     }
 
     #[test]
-    fn pops_are_sorted_by_deadline_then_arm_order() {
+    fn pops_are_sorted_by_deadline_then_key() {
         let mut s = TimerService::new();
         s.arm(3u8, t(5));
         s.arm(1u8, t(5));
@@ -312,13 +349,13 @@ mod tests {
         let mut out = Vec::new();
         // Woken late: everything fires, each tagged with its deadline.
         s.pop_due_into(t(30), &mut out);
-        assert_eq!(out, vec![(2, t(4)), (3, t(5)), (1, t(5))]);
+        assert_eq!(out, vec![(2, t(4)), (1, t(5)), (3, t(5))]);
         // Repeat pops at the same instant are harmless no-ops.
         assert!(pop(&mut s, t(30)).is_empty());
     }
 
     #[test]
-    fn equal_deadlines_pop_in_arm_order_after_a_sweep_whatever_the_hash_order() {
+    fn equal_deadlines_pop_in_key_order_after_a_sweep_whatever_the_arm_or_hash_order() {
         // Keys armed in an order that is neither ascending nor the
         // table's bucket order, all at one deadline; a hot key is then
         // re-armed until `arm` sweeps the heap through `retain`, which
@@ -334,12 +371,19 @@ mod tests {
         }
         assert!(s.len() < before + 200, "the sweep ran");
         s.arm(keys[5], t(100)); // back among its peers, armed last
-        let mut want = keys.clone();
-        want.remove(5);
-        want.push(keys[5]);
+        let want: Vec<u64> = (0..64).collect();
         assert_eq!(pop(&mut s, t(100)), want);
         s.compact(); // the hot key's superseded later deadlines
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn an_engine_timer_costs_sixteen_bytes_a_side() {
+        // A heap entry and a key-table slot each hold a deadline and a
+        // key, nothing more.
+        use crate::engine::TimerKind;
+        assert_eq!(size_of::<Reverse<(SimTime, TimerKind)>>(), 16, "heap entry");
+        assert_eq!(size_of::<(TimerKind, SimTime)>(), 16, "key slot");
     }
 
     #[test]
@@ -383,9 +427,9 @@ mod tests {
         assert_eq!((s.heap.capacity(), s.keys.capacity()), (0, 0));
     }
 
-    /// The service against a naive model — a map `key → (deadline,
-    /// arm_no)` scanned in full on every pop — over a random schedule
-    /// of arms, re-arms (incl. same-deadline), cancels and pops.
+    /// The service against a naive model — a map `key → deadline`
+    /// scanned in full on every pop — over a random schedule of arms,
+    /// re-arms (incl. same-deadline), cancels and pops.
     #[test]
     fn random_schedule_matches_a_naive_model() {
         const KEYS: u64 = 96;
@@ -397,8 +441,8 @@ mod tests {
             x % n
         };
         let mut s: TimerService<u64> = TimerService::new();
-        let mut model: BTreeMap<u64, (SimTime, u64)> = BTreeMap::new();
-        let (mut now, mut arm_no) = (0u64, 0u64);
+        let mut model: BTreeMap<u64, SimTime> = BTreeMap::new();
+        let mut now = 0u64;
         let mut fired = 0usize;
         for step in 0..20_000 {
             let key = rnd(KEYS);
@@ -407,10 +451,7 @@ mod tests {
                     // Coarse deadlines so ties and same-deadline
                     // re-arms are common; some already in the past.
                     let d = SimTime::from_micros((now + rnd(40) * 500).saturating_sub(2_000));
-                    if model.get(&key).map(|&(old, _)| old) != Some(d) {
-                        model.insert(key, (d, arm_no));
-                        arm_no += 1;
-                    }
+                    model.insert(key, d);
                     s.arm(key, d);
                 }
                 5..=6 => {
@@ -420,25 +461,21 @@ mod tests {
                 _ => {
                     now += rnd(3_000);
                     let at = SimTime::from_micros(now);
-                    let mut want: Vec<(SimTime, u64, u64)> = model
-                        .iter()
-                        .filter(|(_, &(d, _))| d <= at)
-                        .map(|(&k, &(d, n))| (d, n, k))
-                        .collect();
+                    let mut want: Vec<(SimTime, u64)> =
+                        model.iter().filter(|(_, &d)| d <= at).map(|(&k, &d)| (d, k)).collect();
                     want.sort_unstable();
-                    for &(_, _, k) in &want {
+                    for &(_, k) in &want {
                         model.remove(&k);
                     }
                     let mut got = Vec::new();
                     s.pop_due_into(at, &mut got);
-                    let want: Vec<(u64, SimTime)> =
-                        want.into_iter().map(|(d, _, k)| (k, d)).collect();
+                    let want: Vec<(u64, SimTime)> = want.into_iter().map(|(d, k)| (k, d)).collect();
                     assert_eq!(got, want, "step {step}: pop order diverges from the model");
                     fired += got.len();
                 }
             }
             s.compact();
-            assert_eq!(s.peek(), model.values().map(|&(d, _)| d).min(), "step {step}: peek");
+            assert_eq!(s.peek(), model.values().min().copied(), "step {step}: peek");
             assert_eq!(s.tracked_keys(), model.len(), "step {step}: key table");
         }
         assert!(fired > 1_000, "the schedule must actually fire timers ({fired})");
