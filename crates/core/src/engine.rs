@@ -229,8 +229,8 @@ pub struct CbtRouter {
     pub(crate) local_members: BTreeSet<GroupId>,
     /// Deadline-driven timer service (see [`TimerKind`]). Wherever the
     /// state behind a key is removed outside its own service routine,
-    /// the key is cancelled, and every non-data input ends with
-    /// `compact`: `next_wakeup` must be *exact*, because the event
+    /// the key is cancelled, and the service keeps its head valid after
+    /// every call: `next_wakeup` must be *exact*, because the event
     /// loop's FIFO tie-break is part of the pinned event streams.
     pub(crate) timers: TimerService<TimerKind>,
     /// The latest child deadline (`now + CHILD-ASSERT-EXPIRE`) any
@@ -628,9 +628,8 @@ impl CbtRouter {
     /// Every input but the two data kinds can write tree, G-DR,
     /// presence or timer state, so it first moves the control epoch
     /// (which retires every cached spanning entry) and last compacts
-    /// the timer heap, which keeps [`next_wakeup`](Self::next_wakeup)
-    /// exact. Data packets do
-    /// neither: they write none of that state.
+    /// the timer service, which frees its tables once no clock is
+    /// armed. Data packets do neither: they write none of that state.
     #[inline]
     pub fn step(&mut self, now: SimTime, input: Input, out: &mut Vec<RouterAction>) {
         let control = !matches!(input, Input::NativeData { .. } | Input::CbtData { .. });
@@ -881,10 +880,10 @@ impl CbtRouter {
 
     /// Earliest instant any internal timer wants service.
     ///
-    /// A peek at the timer heap's head, and *exact*: every non-data
-    /// input ends by compacting stale entries off the head, and
-    /// every state removal cancels its key, so the head always carries
-    /// the earliest valid deadline. This matters beyond efficiency —
+    /// A peek at the timer heap's head, and *exact*: the service pops
+    /// superseded entries off its head in every arm, cancel and pop,
+    /// and every state removal cancels its key, so the head always
+    /// carries the earliest valid deadline. This matters beyond efficiency —
     /// `netsim` breaks same-instant event ties in scheduling order, so
     /// a spurious early wake would reshuffle a router against its peers
     /// and move the pinned event streams.
@@ -930,8 +929,9 @@ impl CbtRouter {
     /// raises the sweep clock, which `boot_arm` left down, one
     /// interval after the last sweep (or boot). That instant may
     /// already lie in the past, in which case the sweep fires
-    /// immediately as a no-op — every child it could expire went at
-    /// the last sweep — and phase 6 re-times the cadence from it.
+    /// immediately — both worlds schedule an overdue wake at `now` —
+    /// as a no-op, since every child it could expire went at the last
+    /// sweep, and phase 6 re-times the cadence from `now`.
     pub(crate) fn track_child_deadline(&mut self, deadline: SimTime) {
         if self.cfg.compact_idle && !self.children_tracked() {
             let at = self.last_child_sweep + self.cfg.child_assert_interval;

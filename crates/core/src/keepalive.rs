@@ -719,6 +719,25 @@ mod tests {
         e.feed(at, Input::Control { iface: IfIndex(0), src: child, msg: join });
     }
 
+    /// A compact-idle core that adopts its first child long after boot
+    /// finds its sweep clock overdue: armed one interval after boot.
+    /// Serviced at the adoption instant, as both worlds schedule an
+    /// overdue wake, it sweeps exactly once — keeping the child — and
+    /// re-times the cadence from that instant, not from the past one.
+    #[test]
+    fn a_first_child_adopted_long_after_boot_gets_one_sweep_at_now() {
+        let (mut e, me) = p2p_core();
+        let interval = e.cfg.child_assert_interval;
+        let now = SimTime::from_secs(1_000);
+        join_from(&mut e, now, g(1), Addr::from_octets(10, 0, 1, 1), me);
+        assert_eq!(e.next_wakeup(), Some(SimTime::ZERO + interval), "overdue: fires now");
+        e.feed(now, Input::Timer);
+        assert_eq!(e.obs.timer_lag_us().count(), 1, "one sweep");
+        assert_eq!(e.last_child_sweep, now);
+        assert_eq!(e.next_wakeup(), Some(now + interval), "the cadence runs from now");
+        assert_eq!(e.children_of(g(1)).len(), 1, "the fresh child survived its sweep");
+    }
+
     /// The child sweep's FIB pass against an exact per-child reference
     /// — a `BTreeSet` of `(last_heard + expire, group, child)` re-filed
     /// on every refresh, whose sweep expires silent children only in

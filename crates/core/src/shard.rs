@@ -98,10 +98,15 @@ fn emits(shard: usize, a: &RouterAction) -> bool {
 ///   count so ownership agrees across tasks, and applies the same
 ///   emission filtering by its global index.
 pub struct ShardedRouter {
-    shards: Vec<CbtRouter>,
-    /// Global index of `shards[0]`: 0 for a full set, `k` for a slice.
+    /// Local shard 0, held inline: a one-shard router — every fleet
+    /// engine at the default shard count — reaches its engine without
+    /// a pointer chase.
+    first: CbtRouter,
+    /// Local shards 1.. (empty for one shard and for a slice).
+    rest: Vec<CbtRouter>,
+    /// Global index of local shard 0: 0 for a full set, `k` for a slice.
     first_index: usize,
-    /// Global shard count used for steering (≥ `shards.len()`).
+    /// Global shard count used for steering (≥ the local count).
     total: usize,
 }
 
@@ -116,10 +121,7 @@ impl ShardedRouter {
         mut make_routes: impl FnMut() -> Box<dyn RouteLookup>,
         now: SimTime,
     ) -> Self {
-        let total = cfg.shards.max(1);
-        let shards =
-            (0..total).map(|_| CbtRouter::new(net, me, cfg.clone(), make_routes(), now)).collect();
-        ShardedRouter { shards, first_index: 0, total }
+        Self::full(&cfg, || CbtRouter::new(net, me, cfg.clone(), make_routes(), now))
     }
 
     /// Builds the full shard set for a bare point-to-point router (see
@@ -135,11 +137,7 @@ impl ShardedRouter {
         mut make_routes: impl FnMut() -> Box<dyn RouteLookup>,
         now: SimTime,
     ) -> Self {
-        let total = cfg.shards.max(1);
-        let shards = (0..total)
-            .map(|_| CbtRouter::p2p(id_addr, degree, cfg.clone(), make_routes(), now))
-            .collect();
-        ShardedRouter { shards, first_index: 0, total }
+        Self::full(&cfg, || CbtRouter::p2p(id_addr, degree, cfg.clone(), make_routes(), now))
     }
 
     /// Builds a one-shard slice: global shard `index` of `total`. The
@@ -157,32 +155,58 @@ impl ShardedRouter {
     ) -> Self {
         let total = total.max(1);
         assert!(index < total, "shard index {index} out of range for {total} shards");
-        let shards = vec![CbtRouter::new(net, me, cfg, routes, now)];
-        ShardedRouter { shards, first_index: index, total }
+        let first = CbtRouter::new(net, me, cfg, routes, now);
+        ShardedRouter { first, rest: Vec::new(), first_index: index, total }
+    }
+
+    /// The full set of `cfg.shards` engines (min 1), built in index
+    /// order by `build`.
+    fn full(cfg: &CbtConfig, mut build: impl FnMut() -> CbtRouter) -> Self {
+        let total = cfg.shards.max(1);
+        let first = build();
+        let rest = (1..total).map(|_| build()).collect();
+        ShardedRouter { first, rest, first_index: 0, total }
     }
 
     /// Number of engines held locally (the global shard count for a
     /// full set, 1 for a slice).
     pub fn local_count(&self) -> usize {
-        self.shards.len()
+        1 + self.rest.len()
     }
 
-    /// Local vector index for `group`. For a full set this is simply
+    /// Every local shard, in index order.
+    fn shards(&self) -> impl Iterator<Item = &CbtRouter> {
+        std::iter::once(&self.first).chain(&self.rest)
+    }
+
+    /// Shard by local index, mutably.
+    #[inline]
+    fn shard_mut(&mut self, k: usize) -> &mut CbtRouter {
+        match k {
+            0 => &mut self.first,
+            k => &mut self.rest[k - 1],
+        }
+    }
+
+    /// Local shard index for `group`. For a full set this is simply
     /// the owning shard; a slice resolves foreign groups to its one
     /// engine (defensive — pre-steering should prevent that).
     #[inline]
     fn local_for(&self, group: GroupId) -> usize {
-        shard_of(group, self.total).wrapping_sub(self.first_index).min(self.shards.len() - 1)
+        shard_of(group, self.total).wrapping_sub(self.first_index).min(self.rest.len())
     }
 
     /// Shard by local index.
     pub fn shard(&self, k: usize) -> &CbtRouter {
-        &self.shards[k]
+        match k {
+            0 => &self.first,
+            k => &self.rest[k - 1],
+        }
     }
 
     /// The shard owning `group`.
     fn shard_for(&self, group: GroupId) -> &CbtRouter {
-        &self.shards[self.local_for(group)]
+        self.shard(self.local_for(group))
     }
 
     /// The one way into the router: steers `input` to the shard owning
@@ -195,10 +219,11 @@ impl ShardedRouter {
     pub fn step(&mut self, now: SimTime, input: Input, out: &mut Vec<RouterAction>) {
         if let Some(group) = input.group() {
             let k = self.local_for(group);
-            return self.shards[k].step(now, input, out);
+            return self.shard_mut(k).step(now, input, out);
         }
         let first = self.first_index;
-        for (k, shard) in self.shards.iter_mut().enumerate() {
+        let shards = std::iter::once(&mut self.first).chain(&mut self.rest);
+        for (k, shard) in shards.enumerate() {
             if matches!(input, Input::Timer) && shard.next_wakeup().is_none_or(|w| w > now) {
                 continue;
             }
@@ -218,7 +243,7 @@ impl ShardedRouter {
 
     /// Earliest wakeup across every local shard's timer peek.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        self.shards.iter().filter_map(|s| s.next_wakeup()).min()
+        self.shards().filter_map(|s| s.next_wakeup()).min()
     }
 
     // ------------------------------------------------------------------
@@ -227,23 +252,23 @@ impl ShardedRouter {
 
     /// The router-id address (identical across shards).
     pub fn id_addr(&self) -> Addr {
-        self.shards[0].id_addr()
+        self.first.id_addr()
     }
 
     /// Is `a` one of this router's addresses?
     pub fn is_my_addr(&self, a: Addr) -> bool {
-        self.shards[0].is_my_addr(a)
+        self.first.is_my_addr(a)
     }
 
     /// Interface info (identical across shards).
     pub(crate) fn iface(&self, i: IfIndex) -> Option<&IfaceInfo> {
-        self.shards[0].iface(i)
+        self.first.iface(i)
     }
 
     /// Am I the D-DR on `i`? Every shard's election replica agrees;
     /// the first answers.
     pub fn i_am_dr(&self, i: IfIndex, now: SimTime) -> bool {
-        self.shards[0].i_am_dr(i, now)
+        self.first.i_am_dr(i, now)
     }
 
     /// Am I the G-DR for `group` on `i`? Asked of the owning shard.
@@ -295,23 +320,23 @@ impl ShardedRouter {
     /// Records a core list with the owning shard.
     pub fn learn_cores(&mut self, group: GroupId, cores: &[Addr]) {
         let k = self.local_for(group);
-        self.shards[k].learn_cores(group, cores);
+        self.shard_mut(k).learn_cores(group, cores);
     }
 
     /// The configuration in force (identical across shards).
     pub fn config(&self) -> &CbtConfig {
-        self.shards[0].config()
+        self.first.config()
     }
 
     /// Total FIB entries across local shards.
     pub fn fib_len(&self) -> usize {
-        self.shards.iter().map(|s| s.fib().len()).sum()
+        self.shards().map(|s| s.fib().len()).sum()
     }
 
     /// Observability of the first local shard — where host layers
     /// classify drops that never reach a group (decode failures).
     pub fn obs_mut(&mut self) -> &mut RouterObs {
-        self.shards[0].obs_mut()
+        self.first.obs_mut()
     }
 
     /// Counter snapshot merged across local shards, labelled once with
@@ -320,8 +345,8 @@ impl ShardedRouter {
     /// property tests) — so full sets and slice-per-task deployments
     /// aggregate to the same totals.
     pub fn obs_snapshot(&self) -> ObsSnapshot {
-        let mut snap = self.shards[0].obs_snapshot();
-        for s in &self.shards[1..] {
+        let mut snap = self.first.obs_snapshot();
+        for s in &self.rest {
             snap.merge(&s.obs_snapshot());
         }
         snap

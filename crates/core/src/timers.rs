@@ -16,17 +16,23 @@
 //!   entry is still queued, has two equal entries, both valid. They pop
 //!   next to each other — `(deadline, key)` is a total order — and the
 //!   first pop disarms the key, so the second is discarded;
-//! * superseded entries stay in the heap until they surface at its
-//!   head, where [`TimerService::compact`] and the pop discard them —
-//!   or until they outnumber the armed keys, when `arm` sweeps them and
+//! * the head is always valid: `arm`, `cancel` and `pop_due_into` each
+//!   pop superseded entries off it before returning, while the key
+//!   table is hot from their own write, so [`TimerService::peek`] is
+//!   the exact earliest deadline after every call. An arm or cancel
+//!   only probes the table when its own key holds the head — no other
+//!   key's entries can have been superseded by it;
+//! * superseded entries below the head stay until they surface — or
+//!   until they outnumber the armed keys, when `arm` sweeps them and
 //!   the duplicates out;
 //! * re-arming a key with the deadline it already holds is a no-op —
 //!   the steady state of a keepalive clock whose reply arrives before
 //!   the next echo is due — so an idle tree holds exactly one heap
 //!   entry per armed key;
-//! * a service with no armed key owns no heap memory once compacted,
-//!   whatever it held before: [`TimerService::compact`] frees both
-//!   tables, so an engine's timer memory follows its armed clocks.
+//! * a service with no armed key has an empty heap (every entry was
+//!   superseded, so the head invariant popped it), and
+//!   [`TimerService::compact`] frees both tables' memory, so an
+//!   engine's timer memory follows its armed clocks.
 //!
 //! Ordering contract: pops come out sorted by `(deadline, key)`, so the
 //! engine's service order is deterministic and independent of the
@@ -147,11 +153,36 @@ impl<K: Ord + Hash + Copy> TimerService<K> {
                 self.heap = BinaryHeap::from(live);
             }
         }
+        self.settle_if_head(key);
     }
 
-    /// Disarms `key`; its heap entry is discarded when it surfaces.
+    /// Disarms `key`. Its heap entries are discarded as they surface —
+    /// at once if one is the head.
     pub fn cancel(&mut self, key: K) {
-        self.keys.remove(&key);
+        if self.keys.remove(&key).is_some() {
+            self.settle_if_head(key);
+        }
+    }
+
+    /// Restores the head invariant after `key`'s deadline changed: only
+    /// `key`'s own entries can have been superseded by that, so a head
+    /// of another key is still valid and costs no table probe.
+    #[inline]
+    fn settle_if_head(&mut self, key: K) {
+        if self.heap.peek().is_some_and(|&Reverse((_, k))| k == key) {
+            self.settle();
+        }
+    }
+
+    /// Pops superseded entries off the head until a valid one (or
+    /// nothing) is left.
+    fn settle(&mut self) {
+        while let Some(&Reverse((deadline, key))) = self.heap.peek() {
+            if Self::is_valid(&self.keys, key, deadline) {
+                return;
+            }
+            self.heap.pop();
+        }
     }
 
     /// Is `deadline` the one the table currently holds for `key`?
@@ -165,17 +196,24 @@ impl<K: Ord + Hash + Copy> TimerService<K> {
     /// Superseded entries and duplicates met on the way are dropped for
     /// good.
     pub fn pop_due_into(&mut self, now: SimTime, out: &mut impl Extend<(K, SimTime)>) {
+        // The head is valid on entry, so a late head means nothing is
+        // due, and only a pop can leave a superseded entry on top.
+        let mut popped = false;
         while let Some(&Reverse((deadline, key))) = self.heap.peek() {
             if deadline > now {
                 break;
             }
             self.heap.pop();
+            popped = true;
             if let Entry::Occupied(e) = self.keys.entry(key) {
                 if *e.get() == deadline {
                     e.remove();
                     out.extend([(key, deadline)]);
                 }
             }
+        }
+        if popped {
+            self.settle();
         }
     }
 
@@ -185,30 +223,20 @@ impl<K: Ord + Hash + Copy> TimerService<K> {
         self.keys.len()
     }
 
-    /// Deadline at the heap head, O(1). Exact — the earliest *valid*
-    /// deadline — right after [`compact`](Self::compact); otherwise it
-    /// may belong to a superseded entry, which makes it early (a safe
-    /// but spurious wakeup), never late.
+    /// The earliest armed deadline, O(1): the heap head, which every
+    /// `arm`, `cancel` and `pop_due_into` leaves valid.
     pub fn peek(&self) -> Option<SimTime> {
         self.heap.peek().map(|&Reverse((deadline, _))| deadline)
     }
 
-    /// Discards superseded entries from the heap head until a valid
-    /// one (or nothing) is left, making the next [`peek`](Self::peek)
-    /// exact. Amortised O(log n) per arm/cancel: each superseded entry
-    /// is popped at most once. With no key armed every entry is
-    /// superseded, so both tables are freed outright.
+    /// Frees both tables of a service with no key armed, whose heap the
+    /// head invariant has already emptied; otherwise does nothing. An
+    /// engine's timer memory so follows its armed clocks.
     pub fn compact(&mut self) {
         if self.keys.is_empty() {
+            debug_assert!(self.heap.is_empty(), "an entry outlived every armed key");
             self.heap = BinaryHeap::new();
             self.keys = KeyTable::default();
-            return;
-        }
-        while let Some(&Reverse((deadline, key))) = self.heap.peek() {
-            if Self::is_valid(&self.keys, key, deadline) {
-                return;
-            }
-            self.heap.pop();
         }
     }
 
@@ -327,17 +355,25 @@ mod tests {
     }
 
     #[test]
-    fn peek_is_early_until_compacted_then_exact() {
+    fn peek_is_exact_after_every_call() {
         let mut s = TimerService::new();
         s.arm(1u32, t(10));
-        s.arm(1u32, t(50));
-        assert_eq!(s.peek(), Some(t(10)), "stale head: early is fine, late is not");
-        s.compact();
+        s.arm(2u32, t(30));
+        s.arm(1u32, t(50)); // supersedes the head
+        assert_eq!(s.peek(), Some(t(30)), "the superseded head left with the arm");
+        assert_eq!(s.len(), 2);
+        s.cancel(2u32); // cancels the head
         assert_eq!(s.peek(), Some(t(50)));
-        s.cancel(1u32);
-        s.compact();
+        s.arm(3u32, t(40));
+        s.arm(3u32, t(60)); // key 3's stale t(40) entry is not the head
+        assert_eq!(s.peek(), Some(t(50)));
+        assert!(pop(&mut s, t(45)).is_empty(), "t(40) was superseded");
+        assert_eq!(s.peek(), Some(t(50)));
+        assert_eq!(pop(&mut s, t(50)), vec![1]);
+        assert_eq!(s.peek(), Some(t(60)), "the pop settled the head past key 1");
+        s.cancel(3u32);
         assert_eq!(s.peek(), None);
-        assert!(s.is_empty());
+        assert!(s.is_empty(), "no armed key, no entry");
     }
 
     #[test]
@@ -373,7 +409,7 @@ mod tests {
         s.arm(keys[5], t(100)); // back among its peers, armed last
         let want: Vec<u64> = (0..64).collect();
         assert_eq!(pop(&mut s, t(100)), want);
-        s.compact(); // the hot key's superseded later deadlines
+        // The pop settled the hot key's superseded later deadlines.
         assert!(s.is_empty());
     }
 
@@ -415,16 +451,19 @@ mod tests {
         s.compact();
         assert_eq!(s.peek(), None);
         assert_eq!((s.heap.capacity(), s.keys.capacity()), (0, 0));
-        // ...nor for timers it armed once: the cancelled key's entry is
-        // still in the heap until compaction frees both tables.
+        // ...nor for timers it armed once: cancelling the last key
+        // empties the heap at once, and compaction frees both tables.
         s.arm(1, t(10));
         s.arm(2, t(20));
         s.cancel(1);
         s.cancel(2);
-        assert_eq!(s.len(), 2);
+        assert_eq!((s.len(), s.peek()), (0, None));
         s.compact();
-        assert_eq!(s.peek(), None);
         assert_eq!((s.heap.capacity(), s.keys.capacity()), (0, 0));
+        // A service with an armed key keeps its tables.
+        s.arm(3, t(30));
+        s.compact();
+        assert_eq!(s.peek(), Some(t(30)));
     }
 
     /// The service against a naive model — a map `key → deadline`
@@ -474,8 +513,10 @@ mod tests {
                     fired += got.len();
                 }
             }
-            s.compact();
+            // No compaction between steps: the head is exact after
+            // every call on its own.
             assert_eq!(s.peek(), model.values().min().copied(), "step {step}: peek");
+            assert_eq!(s.is_empty(), model.is_empty(), "step {step}: empty heap");
             assert_eq!(s.tracked_keys(), model.len(), "step {step}: key table");
         }
         assert!(fired > 1_000, "the schedule must actually fire timers ({fired})");

@@ -31,7 +31,9 @@
 //! an arrival at the same instant runs first. The wakeup heap re-keys
 //! lazily: a node whose deadline did not change is never re-pushed, and
 //! stale entries are skipped on pop. Idle nodes (no wakeup) cost
-//! nothing per tick.
+//! nothing per tick. A wakeup is registered clamped at the current
+//! instant, as in `World`: an overdue deadline fires now, and the
+//! clock never runs back.
 
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
@@ -265,9 +267,8 @@ impl<N: NsNode> NetscaleWorld<N> {
                 dropped_node_down: 0,
             },
         };
-        for i in 0..w.nodes.len() {
-            let t = w.nodes[i].next_wakeup();
-            w.wake.set(i as u32, t);
+        for i in 0..n as u32 {
+            w.rekey(i);
         }
         w
     }
@@ -326,8 +327,7 @@ impl<N: NsNode> NetscaleWorld<N> {
     pub fn restart_node(&mut self, i: u32, f: impl FnOnce(&mut N)) {
         f(&mut self.nodes[i as usize]);
         self.node_up[i as usize] = true;
-        let t = self.nodes[i as usize].next_wakeup();
-        self.wake.set(i, t);
+        self.rekey(i);
     }
 
     /// Runs `f` against engine `i` (external input injection: local
@@ -365,7 +365,15 @@ impl<N: NsNode> NetscaleWorld<N> {
                 Arrive { node: port.peer, iface: port.peer_iface, frame },
             );
         }
-        let t = self.nodes[i as usize].next_wakeup();
+        self.rekey(i);
+    }
+
+    /// Re-registers node `i`'s self-reported wakeup, clamped at `now`
+    /// as [`crate::world::World`] clamps its wakes: an overdue deadline
+    /// (an engine that re-arms a clock from a past instant) fires now,
+    /// and the clock never runs backwards.
+    fn rekey(&mut self, i: u32) {
+        let t = self.nodes[i as usize].next_wakeup().map(|t| t.max(self.now));
         self.wake.set(i, t);
     }
 
@@ -394,6 +402,7 @@ impl<N: NsNode> NetscaleWorld<N> {
 
     /// Services the event [`NetscaleWorld::next_due`] just reported.
     fn service(&mut self, (at, is_arrival): (SimTime, bool)) {
+        debug_assert!(at >= self.now, "the clock ran back from {:?} to {at:?}", self.now);
         self.now = at;
         if is_arrival {
             let (_, arr) = self.queue.pop().expect("peeked");
@@ -453,7 +462,8 @@ mod tests {
     struct Relay {
         degree: u32,
         wake_at: Option<SimTime>,
-        woke: u32,
+        /// The instants `on_timer` ran at.
+        woke: Vec<SimTime>,
         got: Vec<(SimTime, u32, u8)>,
     }
 
@@ -469,8 +479,8 @@ mod tests {
                 }
             }
         }
-        fn on_timer(&mut self, _now: SimTime, _out: &mut NsOutbox) {
-            self.woke += 1;
+        fn on_timer(&mut self, now: SimTime, _out: &mut NsOutbox) {
+            self.woke.push(now);
             self.wake_at = None;
         }
         fn next_wakeup(&self) -> Option<SimTime> {
@@ -486,7 +496,7 @@ mod tests {
             .map(|i| Relay {
                 degree: if i == 1 { 2 } else { 1 },
                 wake_at: None,
-                woke: 0,
+                woke: Vec::new(),
                 got: Vec::new(),
             })
             .collect();
@@ -530,8 +540,8 @@ mod tests {
         // Re-keying to the same instant must not duplicate service.
         w.with_node(1, |_n, _now, _out| {});
         w.run_until(SimTime::from_secs(1));
-        assert_eq!(w.node(1).woke, 1);
-        assert_eq!(w.node(0).woke, 0);
+        assert_eq!(w.node(1).woke, vec![ms(5)]);
+        assert_eq!(w.node(0).woke, vec![]);
     }
 
     #[test]
@@ -543,7 +553,7 @@ mod tests {
         w.run_until(ms(1));
         let n1 = w.node(1);
         assert_eq!(n1.got.len(), 1, "frame delivered");
-        assert_eq!(n1.woke, 1, "wake at the same instant still serviced");
+        assert_eq!(n1.woke, vec![ms(1)], "wake at the same instant still serviced");
     }
 
     #[test]
@@ -584,7 +594,7 @@ mod tests {
         assert!(!w.is_node_up(1));
         w.with_node(0, |_n, _now, out| out.send(0, vec![2]));
         w.run_until(SimTime::from_secs(1));
-        assert_eq!(w.node(1).woke, 0, "no timer service on a crashed node");
+        assert_eq!(w.node(1).woke, vec![], "no timer service on a crashed node");
         assert_eq!(w.node(1).got, vec![], "no frame delivery to a crashed node");
         assert_eq!(w.trace.dropped_node_down, 1);
     }
@@ -598,13 +608,34 @@ mod tests {
         w.with_node(1, |n, _now, _out| n.wake_at = Some(ms(5)));
         w.crash_node(1);
         w.restart_node(1, |n| {
-            n.woke = 0;
+            n.woke.clear();
             n.got.clear();
             n.wake_at = Some(ms(5));
         });
         assert!(w.is_node_up(1));
         w.run_until(SimTime::from_secs(1));
-        assert_eq!(w.node(1).woke, 1, "restarted engine woke exactly once");
+        assert_eq!(w.node(1).woke, vec![ms(5)], "restarted engine woke exactly once");
+    }
+
+    #[test]
+    fn an_overdue_wakeup_fires_now_and_the_clock_never_runs_back() {
+        // A node may report a deadline that already passed — an engine
+        // that re-arms a clock from an old instant does. It fires at
+        // the current instant, after the arrivals due then, and the
+        // world's clock never steps back to it.
+        let (mut w, _) = line3();
+        let later = SimTime::from_secs(10);
+        w.run_until(later);
+        w.with_node(1, |n, _now, _out| n.wake_at = Some(ms(5)));
+        w.with_node(0, |_n, _now, out| out.send(0, vec![0]));
+        w.run_until(SimTime::from_secs(20));
+        assert_eq!(w.node(1).woke, vec![later], "fired once, at the instant it was reported");
+        assert_eq!(w.node(1).got, vec![(later + SimDuration::from_millis(1), 0, 0)]);
+        // The same at a restart that comes back with an old deadline.
+        w.crash_node(2);
+        w.restart_node(2, |n| n.wake_at = Some(ms(5)));
+        w.run_until(SimTime::from_secs(30));
+        assert_eq!(w.node(2).woke, vec![SimTime::from_secs(20)]);
     }
 
     /// Answers `[ttl, body…]` on the arrival interface with `[ttl - 1,

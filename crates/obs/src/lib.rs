@@ -298,17 +298,20 @@ impl ProtocolCounters {
     }
 }
 
-/// One group's control counters as [`RouterObs`] stores them: the
-/// cells of a [`ProtocolCounters`] at 32 bits, saturating.
-#[derive(Debug, Clone, Copy, Default)]
-struct GroupRow {
-    sent: [u32; CtlKind::COUNT],
-    received: [u32; CtlKind::COUNT],
-}
+/// Cells of one group's counter row in [`RouterObs`]'s block: the
+/// cells of a [`ProtocolCounters`] at 32 bits, saturating — the sent
+/// counts by [`CtlKind`], then the received ones.
+const ROW_CELLS: usize = 2 * CtlKind::COUNT;
 
-impl GroupRow {
-    fn widen(&self) -> ProtocolCounters {
-        ProtocolCounters { sent: self.sent.map(u64::from), received: self.received.map(u64::from) }
+/// 32-bit words one group takes in the block: its key and its row.
+const GROUP_WORDS: usize = 1 + ROW_CELLS;
+
+/// Widens one stored row to a [`ProtocolCounters`].
+fn widen_row(cells: &[u32]) -> ProtocolCounters {
+    let (sent, received) = cells.split_at(CtlKind::COUNT);
+    ProtocolCounters {
+        sent: std::array::from_fn(|k| u64::from(sent[k])),
+        received: std::array::from_fn(|k| u64::from(received[k])),
     }
 }
 
@@ -465,11 +468,14 @@ pub struct RouterObs {
     pub joins_cached: u64,
     /// Data packets delivered to a locally attached member LAN.
     pub data_delivered: u64,
-    /// Per-group control counters: one row per group address (as u32)
-    /// ever counted, sorted by group. Touched only on the control path,
-    /// and grown one row at a time, so its capacity is exactly the
-    /// number of groups seen — a map would keep an 11-row node for a
-    /// router that saw one group.
+    /// Per-group control counters in one block: the keys of the `k`
+    /// groups (addresses as u32) ever counted, ascending, then their
+    /// `k` rows of [`ROW_CELLS`] cells in the same order. A lookup
+    /// binary-searches the key prefix — a line or two for a router's
+    /// groups — and touches one row. Touched only on the control path
+    /// and regrown one group at a time, so it is exactly the size of
+    /// the groups seen — a map would keep an 11-row node for a router
+    /// that saw one group.
     ///
     /// The rows are the router's history and outlive its groups, so a
     /// row's cells are 32 bits wide ([`RouterObs::GROUP_ROW_BYTES`] per
@@ -480,7 +486,7 @@ pub struct RouterObs {
     /// [`RouterObs::groups`] widen a row to a [`ProtocolCounters`];
     /// the router-wide [`RouterObs::ctl`] is their column sums, and
     /// saturates with its cells.
-    groups: Vec<(u32, GroupRow)>,
+    groups: Box<[u32]>,
     /// JOIN_REQUEST → JOIN_ACK round-trip, µs, at the joining router;
     /// read through [`RouterObs::join_rtt_us`].
     join_rtt_us: HistogramRow,
@@ -495,7 +501,7 @@ pub struct RouterObs {
 impl RouterObs {
     /// Heap bytes one per-group counter row costs, its group key
     /// included.
-    pub const GROUP_ROW_BYTES: usize = std::mem::size_of::<(u32, GroupRow)>();
+    pub const GROUP_ROW_BYTES: usize = GROUP_WORDS * std::mem::size_of::<u32>();
 
     pub fn new() -> Self {
         RouterObs::default()
@@ -503,12 +509,12 @@ impl RouterObs {
 
     /// Counts a sent control message in its group's row.
     pub fn ctl_sent(&mut self, group: u32, kind: CtlKind) {
-        bump(&mut self.group_row(group).sent[kind as usize]);
+        bump(&mut self.group_row(group)[kind as usize]);
     }
 
     /// Counts a received control message in its group's row.
     pub fn ctl_received(&mut self, group: u32, kind: CtlKind) {
-        bump(&mut self.group_row(group).received[kind as usize]);
+        bump(&mut self.group_row(group)[CtlKind::COUNT + kind as usize]);
     }
 
     /// Router-wide control counters: the column sums of the per-group
@@ -543,28 +549,54 @@ impl RouterObs {
         self.timer_lag_us.widen()
     }
 
+    /// Groups counted so far: the block's key prefix length.
+    fn group_count(&self) -> usize {
+        self.groups.len() / GROUP_WORDS
+    }
+
+    /// The cells of the `i`-th group's row.
+    fn row(&self, i: usize) -> &[u32] {
+        let at = self.group_count() + i * ROW_CELLS;
+        &self.groups[at..at + ROW_CELLS]
+    }
+
     /// The counter row for `group`, inserted in order on first use.
-    fn group_row(&mut self, group: u32) -> &mut GroupRow {
-        let i = match self.groups.binary_search_by_key(&group, |&(g, _)| g) {
+    fn group_row(&mut self, group: u32) -> &mut [u32] {
+        let k = self.group_count();
+        let i = match self.groups[..k].binary_search(&group) {
             Ok(i) => i,
             Err(i) => {
-                self.groups.reserve_exact(1);
-                self.groups.insert(i, (group, GroupRow::default()));
+                self.insert_group(i, group);
                 i
             }
         };
-        &mut self.groups[i].1
+        let at = self.group_count() + i * ROW_CELLS;
+        &mut self.groups[at..at + ROW_CELLS]
+    }
+
+    /// Regrows the block by one group: `group`'s key at index `i` of
+    /// the key prefix and a zero row at index `i` of the rows. The
+    /// block is resized in place where the allocator can, as a `Vec`
+    /// grown by `reserve_exact` is, and ends at exact size.
+    fn insert_group(&mut self, i: usize, group: u32) {
+        let k = self.group_count();
+        let mut block = std::mem::take(&mut self.groups).into_vec();
+        block.reserve_exact(GROUP_WORDS);
+        block.insert(i, group);
+        let row = k + 1 + i * ROW_CELLS;
+        block.splice(row..row, [0; ROW_CELLS]);
+        self.groups = block.into_boxed_slice();
     }
 
     /// Control counters for one group, if any message of it was counted.
     pub fn group(&self, group: u32) -> Option<ProtocolCounters> {
-        let i = self.groups.binary_search_by_key(&group, |&(g, _)| g).ok()?;
-        Some(self.groups[i].1.widen())
+        let i = self.groups[..self.group_count()].binary_search(&group).ok()?;
+        Some(widen_row(self.row(i)))
     }
 
     /// Every counted group with its control counters, ascending.
     pub fn groups(&self) -> impl ExactSizeIterator<Item = (u32, ProtocolCounters)> + '_ {
-        self.groups.iter().map(|(g, r)| (*g, r.widen()))
+        (0..self.group_count()).map(|i| (self.groups[i], widen_row(self.row(i))))
     }
 
     /// Counts a discard. Hot-path safe.
@@ -989,7 +1021,8 @@ mod tests {
         let mut o = RouterObs::new();
         o.ctl_received(g, k);
         o.ctl_sent(g, CtlKind::EchoReply);
-        o.groups[0].1.received[k as usize] = u32::MAX - 1;
+        // One group: its key, then its sent and its received cells.
+        o.groups[1 + CtlKind::COUNT + k as usize] = u32::MAX - 1;
         for _ in 0..3 {
             o.ctl_received(g, k);
         }
@@ -1109,7 +1142,10 @@ mod tests {
                     o.ctl_received(g, k);
                     model.entry(g).or_default().bump_received(k);
                 }
-                assert_eq!(o.groups.capacity(), o.groups.len(), "a row per group seen, no slack");
+                // Keys first, rows after, exactly one of each per group.
+                let seen = model.len();
+                assert_eq!(o.groups.len(), seen * GROUP_WORDS, "a row per group seen, no slack");
+                assert!(o.groups[..seen].iter().copied().eq(model.keys().copied()), "key prefix");
             }
             assert!(o.groups().eq(model.iter().map(|(g, p)| (*g, *p))));
             for g in 0xE000_0000..0xE000_0040 {
