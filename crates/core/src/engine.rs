@@ -854,10 +854,11 @@ impl CbtRouter {
         // Phase 7: the IFF scan (inherently a membership-wide pass).
         // Compact-idle routers without LANs have no presence tables for
         // the scan to consult — local membership quits eagerly instead
-        // (`member_left`) — so the clock stays down.
+        // (`member_left`) — so the clock stays down unless the router
+        // is a non-primary core, whose backbone safety net it runs.
         if due.iter().any(|&(k, _)| k == TimerKind::IffScan) {
             self.iff_scan(now, act);
-            if !self.cfg.compact_idle || !self.lans.is_empty() {
+            if !self.cfg.compact_idle || self.iff_scan_has_work() {
                 self.timers.arm(TimerKind::IffScan, now + self.cfg.iff_scan_interval);
             }
         }
@@ -914,6 +915,18 @@ impl CbtRouter {
     pub(crate) fn arm_echo(&mut self, group: GroupId) {
         let Some(p) = self.fib.get(group).and_then(|e| e.parent) else { return };
         self.timers.arm(TimerKind::Echo(group), p.echo_deadline(self.cfg.echo_timeout));
+    }
+
+    /// Does the IFF scan have anything to re-check: presence tables
+    /// on a LAN, or a group this router holds as a non-primary core,
+    /// whose parentless fragment the scan re-joins to the primary
+    /// ([`CbtRouter::iff_scan`], §6.2)?
+    pub(crate) fn iff_scan_has_work(&self) -> bool {
+        !self.lans.is_empty()
+            || self
+                .fib
+                .iter()
+                .any(|(_, e)| e.i_am_core && !e.cores.is_empty() && !self.i_am_primary(&e.cores))
     }
 
     /// Is any child's liveness still to be swept? Every deadline is

@@ -125,6 +125,11 @@ impl CbtRouter {
         if cores.is_empty() {
             return;
         }
+        // A non-primary core's fragment may outlive its RECONNECT
+        // campaign; the IFF scan's backbone safety net re-joins it.
+        if !self.i_am_primary(cores) && !self.timers.is_armed(TimerKind::IffScan) {
+            self.timers.arm(TimerKind::IffScan, now + self.cfg.iff_scan_interval);
+        }
         if !self.i_am_primary(cores) && self.fib.get(group).unwrap().parent.is_none() {
             let primary = cores[0];
             if !self.has_pending_join(group) {

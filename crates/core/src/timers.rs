@@ -240,6 +240,11 @@ impl<K: Ord + Hash + Copy> TimerService<K> {
         }
     }
 
+    /// Does `key` hold a valid deadline?
+    pub(crate) fn is_armed(&self, key: K) -> bool {
+        self.keys.contains_key(&key)
+    }
+
     /// Entries in the heap, superseded ones included.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -248,14 +253,6 @@ impl<K: Ord + Hash + Copy> TimerService<K> {
     /// True when the heap holds no entries at all.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-}
-
-#[cfg(test)]
-impl<K: Ord + Hash + Copy> TimerService<K> {
-    /// Does `key` hold a valid deadline?
-    pub(crate) fn is_armed(&self, key: K) -> bool {
-        self.keys.contains_key(&key)
     }
 }
 
