@@ -68,12 +68,10 @@ pub struct CbtConfig {
     /// the whole test suite can exercise sharded steering without code
     /// changes (`CBT_SHARDS=2 cargo test`).
     pub shards: usize,
-    /// Compact-idle mode for netscale fleets: periodic maintenance
-    /// timers (child-assert sweep, IFF scan, LAN clocks) are armed
-    /// lazily on first use instead of at boot, so a router with no
-    /// group state never wakes and costs O(bytes). Off by default —
-    /// boot-armed timers are part of the replay-pinned event streams of
-    /// the determinism corpora.
+    /// Unread; kept for `benchmark/`, which still sets it. Every
+    /// router arms its maintenance clocks lazily, on the first state
+    /// they service (see DESIGN.md, "One arming policy").
+    #[doc(hidden)]
     pub compact_idle: bool,
     /// Per-group downstream children a router accepts before answering
     /// JOIN_REQUEST with a NACK (the implementation's branching-degree

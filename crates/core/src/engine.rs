@@ -291,8 +291,7 @@ impl CbtRouter {
     /// Builds an engine for a bare point-to-point router: `degree`
     /// unnumbered interfaces that all answer to the identity address,
     /// no LANs, no IGMP. This is the netscale fleet constructor — it
-    /// touches no `NetworkSpec` and, combined with
-    /// [`CbtConfig::compact_idle`], boots without arming any timer, so
+    /// touches no `NetworkSpec` and boots without arming any timer, so
     /// an idle router costs a few hundred bytes and never wakes.
     ///
     /// Its memory follows its protocol state: once a router's groups
@@ -378,18 +377,15 @@ impl CbtRouter {
         r
     }
 
-    /// Arms the boot-time timers: the child sweep and the IFF scan one
-    /// interval after `now`, each LAN at its own deadline. Under
-    /// `compact_idle` the periodic maintenance clocks stay unarmed
-    /// until the state they service exists: the child sweep is armed
-    /// by the first tracked child (see
-    /// [`CbtRouter::track_child_deadline`]) and the IFF scan only
-    /// matters on routers with member LANs to re-check.
+    /// Arms the boot-time timers: each LAN at its own deadline, and
+    /// the IFF scan one interval after `now` on a router with LANs to
+    /// re-check. The periodic maintenance clocks stay unarmed until the
+    /// state they service exists: the child sweep is armed by the first
+    /// tracked child ([`CbtRouter::track_child_deadline`]), and a
+    /// LAN-less router's IFF scan by its first non-primary core role
+    /// (`become_core`).
     fn boot_arm(&mut self, now: SimTime) {
-        if !self.cfg.compact_idle {
-            self.timers.arm(TimerKind::ChildSweep, now + self.cfg.child_assert_interval);
-        }
-        if !self.cfg.compact_idle || !self.lans.is_empty() {
+        if self.iff_scan_has_work() {
             self.timers.arm(TimerKind::IffScan, now + self.cfg.iff_scan_interval);
         }
         for iface in self.lan_ifaces() {
@@ -842,23 +838,23 @@ impl CbtRouter {
             }
         }
         // Phase 6: the child-liveness sweep, one pass over the FIB per
-        // CHILD-ASSERT-INTERVAL. Under compact_idle the sweep re-arms
-        // only while deadlines remain; the next tracked child re-arms
-        // it (`track_child_deadline`).
+        // CHILD-ASSERT-INTERVAL. The sweep re-arms only while deadlines
+        // remain; the next tracked child re-arms it
+        // (`track_child_deadline`).
         if due.iter().any(|&(k, _)| k == TimerKind::ChildSweep) {
             self.sweep_children_due(now, act);
-            if !self.cfg.compact_idle || self.children_tracked() {
+            if self.children_tracked() {
                 self.timers.arm(TimerKind::ChildSweep, now + self.cfg.child_assert_interval);
             }
         }
         // Phase 7: the IFF scan (inherently a membership-wide pass).
-        // Compact-idle routers without LANs have no presence tables for
-        // the scan to consult — local membership quits eagerly instead
+        // Routers without LANs have no presence tables for the scan to
+        // consult — local membership quits eagerly instead
         // (`member_left`) — so the clock stays down unless the router
         // is a non-primary core, whose backbone safety net it runs.
         if due.iter().any(|&(k, _)| k == TimerKind::IffScan) {
             self.iff_scan(now, act);
-            if !self.cfg.compact_idle || self.iff_scan_has_work() {
+            if self.iff_scan_has_work() {
                 self.timers.arm(TimerKind::IffScan, now + self.cfg.iff_scan_interval);
             }
         }
@@ -938,15 +934,15 @@ impl CbtRouter {
     }
 
     /// Raises the child-deadline watermark for an adopted or re-acked
-    /// child. Under `compact_idle` the first tracked deadline also
-    /// raises the sweep clock, which `boot_arm` left down, one
+    /// child. The first tracked deadline also arms the sweep clock —
+    /// down since boot, or since a sweep left nothing to track — one
     /// interval after the last sweep (or boot). That instant may
     /// already lie in the past, in which case the sweep fires
     /// immediately — both worlds schedule an overdue wake at `now` —
     /// as a no-op, since every child it could expire went at the last
     /// sweep, and phase 6 re-times the cadence from `now`.
     pub(crate) fn track_child_deadline(&mut self, deadline: SimTime) {
-        if self.cfg.compact_idle && !self.children_tracked() {
+        if !self.children_tracked() {
             let at = self.last_child_sweep + self.cfg.child_assert_interval;
             self.timers.arm(TimerKind::ChildSweep, at);
         }
@@ -1156,8 +1152,8 @@ mod tests {
         assert!(!e.i_am_dr(IfIndex(1), SimTime::ZERO), "p2p links have no DR");
     }
 
-    /// Compact-idle p2p engine with `routes` pointing every listed
-    /// address through iface 0 to `via`.
+    /// P2p engine with `routes` pointing every listed address through
+    /// iface 0 to `via`.
     fn p2p_engine(cfg: CbtConfig, via: Addr, targets: &[Addr]) -> CbtRouter {
         let map: BTreeMap<Addr, Hop> = targets
             .iter()
@@ -1167,10 +1163,9 @@ mod tests {
     }
 
     #[test]
-    fn compact_idle_p2p_boots_with_no_wakeup() {
-        let cfg = CbtConfig { compact_idle: true, ..CbtConfig::default() };
-        let e = p2p_engine(cfg, Addr::from_octets(10, 0, 0, 2), &[]);
-        assert_eq!(e.next_wakeup(), None, "an idle compact router never wakes");
+    fn p2p_boots_with_no_wakeup() {
+        let e = p2p_engine(CbtConfig::default(), Addr::from_octets(10, 0, 0, 2), &[]);
+        assert_eq!(e.next_wakeup(), None, "an idle p2p router never wakes");
         assert!(e.fib().is_empty());
         assert!(e.is_my_addr(Addr::from_octets(10, 0, 0, 1)));
     }
@@ -1180,8 +1175,7 @@ mod tests {
         let g = GroupId::numbered(7);
         let core = Addr::from_octets(10, 0, 0, 99);
         let via = Addr::from_octets(10, 0, 0, 2);
-        let cfg =
-            CbtConfig { compact_idle: true, ..CbtConfig::default() }.with_mapping(g, vec![core]);
+        let cfg = CbtConfig::default().with_mapping(g, vec![core]);
         let mut e = p2p_engine(cfg, via, &[core]);
 
         // Join: a JOIN_REQUEST goes out and the pending timer is live.
@@ -1227,8 +1221,7 @@ mod tests {
         let g = GroupId::numbered(7);
         let core = Addr::from_octets(10, 0, 0, 99);
         let via = Addr::from_octets(10, 0, 0, 2);
-        let cfg =
-            CbtConfig { compact_idle: true, ..CbtConfig::default() }.with_mapping(g, vec![core]);
+        let cfg = CbtConfig::default().with_mapping(g, vec![core]);
         let mut e = p2p_engine(cfg, via, &[core]);
 
         e.feed(SimTime::ZERO, Input::Join(g));
@@ -1256,12 +1249,11 @@ mod tests {
     }
 
     #[test]
-    fn compact_idle_core_arms_sweep_on_first_child() {
+    fn p2p_core_arms_sweep_on_first_child() {
         let g = GroupId::numbered(7);
         let my = Addr::from_octets(10, 0, 0, 1);
         let via = Addr::from_octets(10, 0, 0, 2);
-        let cfg =
-            CbtConfig { compact_idle: true, ..CbtConfig::default() }.with_mapping(g, vec![my]);
+        let cfg = CbtConfig::default().with_mapping(g, vec![my]);
         let mut e = p2p_engine(cfg, via, &[]);
 
         // Becoming the (primary) core creates state but needs no clock.
@@ -1285,5 +1277,41 @@ mod tests {
         )));
         assert_eq!(e.children_of(g), vec![via]);
         assert!(e.next_wakeup().is_some(), "child sweep armed by first child");
+    }
+
+    /// A router built from a `NetworkSpec` with links only boots as
+    /// silent as a p2p fleet engine: its IFF scan has no presence
+    /// table to re-check, and its child sweep waits for a child.
+    #[test]
+    fn lan_less_router_boots_silent_and_arms_the_sweep_on_its_first_child() {
+        use cbt_topology::NetworkBuilder;
+        let mut b = NetworkBuilder::new();
+        let me = b.router("ME");
+        let down = b.router("DOWN");
+        b.link(me, down, 1);
+        let net = b.build();
+        let (my, child) = (net.router_addr(me), net.router_addr(down));
+        let g = GroupId::numbered(7);
+        let cfg = CbtConfig::default();
+        let interval = cfg.child_assert_interval;
+        let routes = Box::new(BTreeMap::<Addr, Hop>::new());
+        let mut e = CbtRouter::new(&net, me, cfg, routes, SimTime::ZERO);
+        assert_eq!(e.next_wakeup(), None, "no LAN and no child: no clock at boot");
+
+        let join = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: g,
+            origin: child,
+            target_core: my,
+            cores: vec![my],
+        };
+        let t1 = SimTime::from_secs(5);
+        e.feed(t1, Input::Control { iface: IfIndex(0), src: child, msg: join });
+        assert_eq!(e.children_of(g), vec![child]);
+        assert_eq!(
+            e.next_wakeup(),
+            Some(SimTime::ZERO + interval),
+            "the first child arms the sweep, and nothing else is armed"
+        );
     }
 }

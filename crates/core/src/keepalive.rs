@@ -698,12 +698,12 @@ mod tests {
         assert!(!e.has_transient_state(g(1)), "parent answered: settled");
     }
 
-    /// A compact-idle p2p engine that every join below names as the
+    /// A p2p engine that every join below names as the
     /// group's core: no parent, no LAN, so the child sweep is the only
     /// timer it ever arms.
     fn p2p_core() -> (CbtRouter, Addr) {
         let me = Addr::from_octets(10, 0, 0, 1);
-        let cfg = CbtConfig { compact_idle: true, shards: 1, ..CbtConfig::fast() };
+        let cfg = CbtConfig { shards: 1, ..CbtConfig::fast() };
         let routes = Box::new(BTreeMap::<Addr, cbt_routing::Hop>::new());
         (CbtRouter::p2p(me, 1, cfg, routes, SimTime::ZERO), me)
     }
@@ -719,7 +719,7 @@ mod tests {
         e.feed(at, Input::Control { iface: IfIndex(0), src: child, msg: join });
     }
 
-    /// A compact-idle core that adopts its first child long after boot
+    /// A core that adopts its first child long after boot
     /// finds its sweep clock overdue: armed one interval after boot.
     /// Serviced at the adoption instant, as both worlds schedule an
     /// overdue wake, it sweeps exactly once — keeping the child — and
@@ -744,7 +744,7 @@ mod tests {
     /// groups with a due tuple and whose clock is armed from the set's
     /// emptiness — over a random schedule of adopts, re-adopts, echoes,
     /// quits and sweeps (some serviced late). The engine is a
-    /// compact-idle p2p core, so the child sweep is its only timer and
+    /// p2p core, so the child sweep is its only timer and
     /// `next_wakeup` shows exactly when the reference would have it
     /// armed.
     #[test]

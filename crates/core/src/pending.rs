@@ -244,7 +244,7 @@ mod tests {
         );
         let cores = vec![Addr::from_octets(10, 0, 9, 1), Addr::from_octets(10, 0, 9, 2)];
         let groups = [GroupId::numbered(1), GroupId::numbered(2)];
-        let mut cfg = CbtConfig { compact_idle: true, ..CbtConfig::fast() };
+        let mut cfg = CbtConfig::fast();
         for g in groups {
             cfg = cfg.with_mapping(g, cores.clone());
         }

@@ -441,7 +441,7 @@ mod tests {
 
     #[test]
     fn idle_service_owns_no_heap_memory() {
-        // Compact-idle contract: a fleet of mostly idle engines pays
+        // Idle contract: a fleet of mostly idle engines pays
         // nothing per router for timers it never armed...
         let mut s: TimerService<u8> = TimerService::new();
         assert!(pop(&mut s, t(1_000_000)).is_empty());

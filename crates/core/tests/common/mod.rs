@@ -33,10 +33,10 @@ pub fn rib() -> Arc<RwLock<FleetRib>> {
 }
 
 /// Boots router `i` of the line in the fleet benchmark's engine
-/// configuration (compact-idle, fast timers), one shard whatever
+/// configuration (fast timers), one shard whatever
 /// `CBT_SHARDS` says.
 pub fn engine(rib: &Arc<RwLock<FleetRib>>, i: u32) -> ShardedRouter {
-    let cfg = CbtConfig { compact_idle: true, shards: 1, ..CbtConfig::fast() };
+    let cfg = CbtConfig { shards: 1, ..CbtConfig::fast() };
     ShardedRouter::p2p(
         RouterId(i),
         node_addr(i),

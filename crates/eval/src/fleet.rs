@@ -181,13 +181,12 @@ pub struct Fleet {
 }
 
 /// Engine configuration for a netscale fleet: compressed (`fast`)
-/// timers so keepalive dynamics fit a minutes-long horizon, compact
-/// idle state so an untouched engine stays O(bytes), and a children
-/// cap comfortably above the largest node degree (children are
-/// distinct neighbour routers on a p2p fleet, so degree bounds them).
+/// timers so keepalive dynamics fit a minutes-long horizon, and a
+/// children cap comfortably above the largest node degree (children
+/// are distinct neighbour routers on a p2p fleet, so degree bounds
+/// them).
 fn fleet_cfg(shards: Option<usize>) -> CbtConfig {
     let mut cfg = CbtConfig::fast();
-    cfg.compact_idle = true;
     cfg.max_children = 4096;
     if let Some(s) = shards {
         cfg.shards = s;
@@ -773,7 +772,7 @@ impl Fleet {
 
     /// Full teardown: every member still in the ledger leaves, one per
     /// millisecond; quits must cascade all the way to the cores and the
-    /// compact-idle fleet must fall silent within `limit_us` — zero FIB
+    /// fleet must fall silent within `limit_us` — zero FIB
     /// entries, zero armed timers, no transient state for any fleet
     /// group and clean adapter counters on every router, all
     /// hard-asserted. Returns the instant (µs) of the last event before

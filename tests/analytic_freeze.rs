@@ -42,14 +42,14 @@ const FROZEN: [(&str, Run, u64, u64); 8] = [
     (
         "control-overhead",
         || overhead::run(&overhead::Params::quick()),
-        0x5957_fd48_4ddb_9c01,
-        0xa008_882e_dc2e_8ac1,
+        0x4ff9_5c31_1d2a_a4ac,
+        0xcf05_032a_daba_dee3,
     ),
     (
         "join-latency",
         || latency::run(&latency::Params::quick()),
-        0xd93c_9dde_08b7_2f60,
-        0x5329_377e_8590_4028,
+        0x0616_b306_eb72_3cf2,
+        0x6f09_7bbb_1bd5_4e0e,
     ),
     (
         "delay-ratio",

@@ -144,23 +144,14 @@ fn silent_primary_failure_rotates_after_pend_join_timeout() {
 /// which "only becomes aware that it is [a core] by receiving a
 /// JOIN-REQUEST" — absorbs the fragment: the tree re-roots at the
 /// primary and delivery spans it.
+///
+/// The secondary core has no LAN, so its IFF scan is not armed at
+/// boot: its non-primary core role is what arms it.
 #[test]
 fn revived_primary_reabsorbs_the_fragment_via_iff_scan() {
-    revived_primary_reabsorbs_the_fragment(CbtConfig::fast());
-}
-
-/// The same revival on compact-idle engines, whose IFF scan is not
-/// armed at boot: the secondary core has no LAN, so only its core role
-/// can arm the scan the safety net runs in.
-#[test]
-fn revived_primary_reabsorbs_the_fragment_via_iff_scan_compact_idle() {
-    revived_primary_reabsorbs_the_fragment(CbtConfig { compact_idle: true, ..CbtConfig::fast() });
-}
-
-fn revived_primary_reabsorbs_the_fragment(cfg: CbtConfig) {
     let yy = y_net();
     let group = GroupId::numbered(9);
-    let mut cw = CbtWorld::build(yy.net.clone(), cfg, WorldConfig::default());
+    let mut cw = CbtWorld::build(yy.net.clone(), CbtConfig::fast(), WorldConfig::default());
     cw.world.set_node(Entity::Router(yy.primary), Box::new(BlackHole));
     let cores = vec![cw.net.router_addr(yy.primary), cw.net.router_addr(yy.secondary)];
     cw.host(yy.x).join_at(SimTime::from_secs(1), group, cores.clone());
