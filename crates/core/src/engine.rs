@@ -933,20 +933,22 @@ impl CbtRouter {
         self.child_deadline_max > self.last_child_sweep
     }
 
-    /// Raises the child-deadline watermark for an adopted or re-acked
-    /// child. The first tracked deadline also arms the sweep clock —
-    /// down since boot, or since a sweep left nothing to track — one
-    /// interval after the last sweep (or boot). That instant may
-    /// already lie in the past, in which case the sweep fires
-    /// immediately — both worlds schedule an overdue wake at `now` —
-    /// as a no-op, since every child it could expire went at the last
-    /// sweep, and phase 6 re-times the cadence from `now`.
-    pub(crate) fn track_child_deadline(&mut self, deadline: SimTime) {
+    /// Raises the child-deadline watermark for a child adopted or
+    /// re-acked at `now`. The first tracked deadline also arms the
+    /// sweep clock — down since boot, or since a sweep left nothing to
+    /// track — one interval after the last sweep (or boot), or at
+    /// `now` if that instant has passed. Such a sweep is a no-op, since
+    /// every child it could expire went at the last sweep, and phase 6
+    /// re-times the cadence from `now`. Arming it in the past would
+    /// move no wake — both worlds clamp an overdue wake to `now` — but
+    /// the timer-lag histogram would book the gap as lag no scheduler
+    /// caused.
+    pub(crate) fn track_child_deadline(&mut self, now: SimTime) {
         if !self.children_tracked() {
             let at = self.last_child_sweep + self.cfg.child_assert_interval;
-            self.timers.arm(TimerKind::ChildSweep, at);
+            self.timers.arm(TimerKind::ChildSweep, at.max(now));
         }
-        self.child_deadline_max = self.child_deadline_max.max(deadline);
+        self.child_deadline_max = self.child_deadline_max.max(now + self.cfg.child_assert_expire);
     }
 
     // ------------------------------------------------------------------

@@ -486,7 +486,7 @@ impl CbtRouter {
             self.send_control(act, join.from_iface, join.from_addr, nack);
             return;
         }
-        self.track_child_deadline(now + self.cfg.child_assert_expire);
+        self.track_child_deadline(now);
         let ack = ControlMessage::JoinAck {
             subcode: AckSubcode::Normal,
             group,

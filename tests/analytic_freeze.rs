@@ -48,8 +48,8 @@ const FROZEN: [(&str, Run, u64, u64); 8] = [
     (
         "join-latency",
         || latency::run(&latency::Params::quick()),
-        0x0616_b306_eb72_3cf2,
-        0x6f09_7bbb_1bd5_4e0e,
+        0xa736_7b5e_23eb_60ce,
+        0x25e5_1873_baa4_3c1d,
     ),
     (
         "delay-ratio",
