@@ -182,8 +182,9 @@ impl ProtocolPhase {
 }
 
 /// One router's tree state for one group, read in one call: what the
-/// tree-invariant checker, the exploration digest and live snapshots
-/// look at.
+/// tree-invariant checker, the exploration digest, live snapshots and
+/// every test look at. It is the one public per-group read besides
+/// [`CbtRouter::protocol_phase`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupView {
     /// Does the router hold a FIB entry for the group?
@@ -194,8 +195,9 @@ pub struct GroupView {
     pub children: Vec<Addr>,
     /// Is the router one of the group's cores?
     pub i_am_core: bool,
-    /// Is a join, a quit or a re-attachment in flight
-    /// ([`CbtRouter::has_transient_state`])?
+    /// Is a join in flight?
+    pub pending_join: bool,
+    /// Is a join, a quit or a re-attachment in flight?
     pub transient: bool,
 }
 
@@ -440,17 +442,17 @@ impl CbtRouter {
     }
 
     /// Is this router on-tree for `group`?
-    pub fn is_on_tree(&self, group: GroupId) -> bool {
+    pub(crate) fn is_on_tree(&self, group: GroupId) -> bool {
         self.fib.on_tree(group)
     }
 
     /// Parent address for `group`, if any.
-    pub fn parent_of(&self, group: GroupId) -> Option<Addr> {
+    pub(crate) fn parent_of(&self, group: GroupId) -> Option<Addr> {
         self.fib.get(group)?.parent.map(|p| p.addr)
     }
 
     /// Child addresses for `group`.
-    pub fn children_of(&self, group: GroupId) -> Vec<Addr> {
+    pub(crate) fn children_of(&self, group: GroupId) -> Vec<Addr> {
         self.fib.get(group).map(|e| e.children.iter().map(|c| c.addr).collect()).unwrap_or_default()
     }
 
@@ -462,12 +464,13 @@ impl CbtRouter {
             parent: self.parent_of(group),
             children: self.children_of(group),
             i_am_core: entry.is_some_and(|e| e.i_am_core),
+            pending_join: self.has_pending_join(group),
             transient: self.has_transient_state(group),
         }
     }
 
     /// Is a join pending for `group`?
-    pub fn has_pending_join(&self, group: GroupId) -> bool {
+    pub(crate) fn has_pending_join(&self, group: GroupId) -> bool {
         self.pending_join(group).is_some()
     }
 
@@ -496,7 +499,7 @@ impl CbtRouter {
     /// campaign? The exploration harness waits for the whole fleet to
     /// answer `false` before checking tree invariants, so legitimate
     /// in-flight transitions are never misread as violations.
-    pub fn has_transient_state(&self, group: GroupId) -> bool {
+    pub(crate) fn has_transient_state(&self, group: GroupId) -> bool {
         self.transients.contains_key(&group)
     }
 

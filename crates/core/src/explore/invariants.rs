@@ -425,6 +425,7 @@ mod tests {
                 parent: Some(addr(11)),
                 children: vec![],
                 i_am_core: false,
+                pending_join: false,
                 transient: false,
             },
         );
@@ -436,6 +437,7 @@ mod tests {
                 parent: None,
                 children: vec![addr(10)],
                 i_am_core: true,
+                pending_join: false,
                 transient: false,
             },
         );

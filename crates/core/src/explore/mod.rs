@@ -403,7 +403,7 @@ fn fleet_is_quiescent(cw: &CbtWorld, groups: &[GroupId]) -> bool {
         let Some(node) = cw.world.node::<crate::RouterNode>(cbt_netsim::Entity::Router(r)) else {
             continue;
         };
-        if groups.iter().any(|&g| node.sharded().has_transient_state(g)) {
+        if groups.iter().any(|&g| node.sharded().group_view(g).transient) {
             return false;
         }
     }

@@ -91,6 +91,7 @@ pub mod netscale;
 pub mod parallelism;
 pub mod payload;
 mod pending;
+mod pinned;
 pub mod shard;
 pub mod sim;
 pub mod teardown;

@@ -51,7 +51,7 @@ use crate::events::{Input, RouterAction};
 use cbt_netsim::SimTime;
 use cbt_obs::{ObsSnapshot, RouterObs};
 use cbt_topology::{IfIndex, NetworkSpec, RouterId};
-use cbt_wire::{Addr, CbtDataPacket, ControlMessage, DataPacket, GroupId, IgmpMessage};
+use cbt_wire::{Addr, GroupId};
 
 /// Maps a group to its owning shard: a splitmix-style avalanche of the
 /// group address, reduced mod `shards`.
@@ -205,7 +205,7 @@ impl ShardedRouter {
     }
 
     /// The shard owning `group`.
-    fn shard_for(&self, group: GroupId) -> &CbtRouter {
+    pub(crate) fn shard_for(&self, group: GroupId) -> &CbtRouter {
         self.shard(self.local_for(group))
     }
 
@@ -276,26 +276,6 @@ impl ShardedRouter {
         self.shard_for(group).is_gdr(i, group)
     }
 
-    /// Is this router on-tree for `group`?
-    pub fn is_on_tree(&self, group: GroupId) -> bool {
-        self.shard_for(group).is_on_tree(group)
-    }
-
-    /// Parent address for `group`, if any.
-    pub fn parent_of(&self, group: GroupId) -> Option<Addr> {
-        self.shard_for(group).parent_of(group)
-    }
-
-    /// Child addresses for `group`.
-    pub fn children_of(&self, group: GroupId) -> Vec<Addr> {
-        self.shard_for(group).children_of(group)
-    }
-
-    /// Is a join in flight for `group`?
-    pub fn has_pending_join(&self, group: GroupId) -> bool {
-        self.shard_for(group).has_pending_join(group)
-    }
-
     /// One read of `group`'s tree state, asked of the owning shard.
     pub fn group_view(&self, group: GroupId) -> GroupView {
         self.shard_for(group).group_view(group)
@@ -304,12 +284,6 @@ impl ShardedRouter {
     /// Per-group protocol phase at `now`, asked of the owning shard.
     pub fn protocol_phase(&self, group: GroupId, now: SimTime) -> crate::engine::ProtocolPhase {
         self.shard_for(group).protocol_phase(group, now)
-    }
-
-    /// Any transient per-group state (pending join/quit, re-attach) on
-    /// the owning shard? See [`crate::engine::CbtRouter::has_transient_state`].
-    pub fn has_transient_state(&self, group: GroupId) -> bool {
-        self.shard_for(group).has_transient_state(group)
     }
 
     /// Cores known for `group` (owning shard's knowledge).
@@ -353,76 +327,12 @@ impl ShardedRouter {
     }
 }
 
-/// Per-kind doors kept only for callers that predate [`Input`]; each is
-/// one call to [`ShardedRouter::step`]. New code calls `step`.
-#[doc(hidden)]
-impl ShardedRouter {
-    pub fn handle_control(
-        &mut self,
-        now: SimTime,
-        iface: IfIndex,
-        src: Addr,
-        msg: ControlMessage,
-    ) -> Vec<RouterAction> {
-        let mut out = Vec::new();
-        self.step(now, Input::Control { iface, src, msg }, &mut out);
-        out
-    }
-
-    pub fn handle_igmp(
-        &mut self,
-        now: SimTime,
-        iface: IfIndex,
-        src: Addr,
-        msg: IgmpMessage,
-    ) -> Vec<RouterAction> {
-        let mut out = Vec::new();
-        self.step(now, Input::Igmp { iface, src, msg }, &mut out);
-        out
-    }
-
-    #[inline]
-    pub fn handle_native_data(
-        &mut self,
-        now: SimTime,
-        iface: IfIndex,
-        link_src: Addr,
-        pkt: DataPacket,
-        out: &mut Vec<RouterAction>,
-    ) {
-        self.step(now, Input::NativeData { iface, link_src, pkt }, out);
-    }
-
-    #[inline]
-    pub fn handle_cbt_data(
-        &mut self,
-        now: SimTime,
-        iface: IfIndex,
-        outer_src: Addr,
-        pkt: CbtDataPacket,
-        out: &mut Vec<RouterAction>,
-    ) {
-        self.step(now, Input::CbtData { iface, outer_src, pkt }, out);
-    }
-
-    pub fn local_join(&mut self, now: SimTime, group: GroupId) -> Vec<RouterAction> {
-        let mut out = Vec::new();
-        self.step(now, Input::Join(group), &mut out);
-        out
-    }
-
-    pub fn local_leave(&mut self, now: SimTime, group: GroupId) -> Vec<RouterAction> {
-        let mut out = Vec::new();
-        self.step(now, Input::Leave(group), &mut out);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cbt_routing::Hop;
     use cbt_topology::NetworkBuilder;
+    use cbt_wire::{ControlMessage, DataPacket, IgmpMessage};
     use std::collections::BTreeMap;
 
     fn test_net() -> (NetworkSpec, RouterId) {

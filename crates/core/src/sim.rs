@@ -313,9 +313,11 @@ impl SimNode for RouterNode {
                     // reaches an on-tree router — at this point, the
                     // router must convert [on-tree] to 0xff"), not only
                     // by the addressed core.
-                    let intercept = CbtDataPacket::decode_payload_bytes(&payload)
-                        .ok()
-                        .filter(|p| !p.cbt.is_on_tree() && self.engine.is_on_tree(p.cbt.group));
+                    let intercept =
+                        CbtDataPacket::decode_payload_bytes(&payload).ok().filter(|p| {
+                            !p.cbt.is_on_tree()
+                                && self.engine.shard_for(p.cbt.group).is_on_tree(p.cbt.group)
+                        });
                     if let Some(pkt) = intercept {
                         self.drive(now, Input::CbtData { iface, outer_src: hdr.src, pkt }, out);
                     } else {
@@ -695,9 +697,9 @@ mod tests {
         cw.world.run_until(SimTime::from_secs(5));
 
         // A's DR joined the tree...
-        assert!(cw.router(r0).sharded().is_on_tree(group));
+        assert!(cw.router(r0).sharded().group_view(group).on_tree);
         assert_eq!(
-            cw.router(r0).sharded().parent_of(group),
+            cw.router(r0).sharded().group_view(group).parent,
             Some({
                 // R0's parent is R1 via the p2p link.
                 let net = cw.net.clone();
@@ -754,9 +756,9 @@ mod tests {
         // The core carries both directions: it is on-tree with two
         // children and no parent.
         let core_engine = cw.router(r1).sharded();
-        assert!(core_engine.is_on_tree(group));
-        assert_eq!(core_engine.parent_of(group), None);
-        assert_eq!(core_engine.children_of(group).len(), 2);
+        assert!(core_engine.group_view(group).on_tree);
+        assert_eq!(core_engine.group_view(group).parent, None);
+        assert_eq!(core_engine.group_view(group).children.len(), 2);
     }
 
     /// CBT-mode forwarding delivers identically.
@@ -817,10 +819,10 @@ mod tests {
         cw.host(a).leave_at(SimTime::from_secs(5), group);
         cw.world.start();
         cw.world.run_until(SimTime::from_secs(4));
-        assert!(cw.router(r0).sharded().is_on_tree(group), "joined first");
+        assert!(cw.router(r0).sharded().group_view(group).on_tree, "joined first");
         cw.world.run_until(SimTime::from_secs(15));
-        assert!(!cw.router(r0).sharded().is_on_tree(group), "quit after leave");
-        let core_children = cw.router(r1).sharded().children_of(group);
+        assert!(!cw.router(r0).sharded().group_view(group).on_tree, "quit after leave");
+        let core_children = cw.router(r1).sharded().group_view(group).children;
         assert!(core_children.is_empty(), "core saw the quit");
     }
 

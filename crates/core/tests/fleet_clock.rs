@@ -24,7 +24,7 @@ fn a_core_adopting_its_first_child_long_after_boot_sweeps_once_at_now() {
     world.run_until(until);
     assert_eq!(world.now(), until, "the clock ran forward only");
     let core = &world.node(0).router;
-    assert_eq!(core.children_of(common::group()).len(), 1, "the branch came up");
+    assert_eq!(core.group_view(common::group()).children.len(), 1, "the branch came up");
     let lag = core.obs_snapshot().timer_lag_us;
     assert_eq!(lag.count(), 1, "one sweep, not one per interval since boot");
     let adopted = late + SimDuration::from_millis(2);

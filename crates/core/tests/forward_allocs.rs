@@ -305,7 +305,7 @@ fn transit_node(fanout: usize, payload: usize) -> (RouterNode, IfIndex, Addr, By
             e.step(SimTime::from_secs(1), input, &mut out);
         }
     }
-    assert_eq!(e.children_of(group()).len(), fanout);
+    assert_eq!(e.group_view(group()).children.len(), fanout);
     let pkt = DataPacket::new(Addr::from_octets(10, 77, 0, 5), group(), 32, vec![0u8; payload]);
     (node, IfIndex(0), parent, encoded(&pkt))
 }

@@ -36,7 +36,11 @@ fn churn(world: &mut NetscaleWorld<P2pNode>, groups: &[(GroupId, Vec<Addr>)]) {
     });
     world.run_until(at(21));
     for (g, _) in groups {
-        assert_eq!(world.node(0).router.children_of(*g).len(), 1, "{g}: the branch came up");
+        assert_eq!(
+            world.node(0).router.group_view(*g).children.len(),
+            1,
+            "{g}: the branch came up"
+        );
     }
     world.with_node(2, |nd, now, out| {
         for (g, _) in groups {

@@ -20,7 +20,7 @@ fn steady_state_echo_exchange_allocates_nothing() {
 
     // Warm-up: the join, the first two echo rounds, every buffer grown.
     world.run_until(at(2));
-    assert!(world.node(1).router.is_on_tree(common::group()), "the branch came up");
+    assert!(world.node(1).router.group_view(common::group()).on_tree, "the branch came up");
     let (events, frames, pooled) = (world.trace.events, world.trace.frames, world.pooled_frames());
 
     // 40 echo intervals: 13 CHILD-ASSERT sweeps on each parent ride along.
@@ -36,5 +36,5 @@ fn steady_state_echo_exchange_allocates_nothing() {
         let n = world.node(i);
         assert_eq!((n.decode_errors, n.encode_errors, n.dropped_non_control), (0, 0, 0));
     }
-    assert_eq!(world.node(0).router.children_of(common::group()).len(), 1);
+    assert_eq!(world.node(0).router.group_view(common::group()).children.len(), 1);
 }

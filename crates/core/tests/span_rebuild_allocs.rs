@@ -62,7 +62,10 @@ fn spans_rebuilt_after_a_control_event_allocate_nothing() {
     }
     cw.world.start();
     cw.world.run_until(SimTime::from_micros(3_500_000));
-    assert!(cw.router(r0).sharded().is_on_tree(group) && cw.router(r2).sharded().is_on_tree(group));
+    assert!(
+        cw.router(r0).sharded().group_view(group).on_tree
+            && cw.router(r2).sharded().group_view(group).on_tree
+    );
 
     // The branches came up just after 1 s, so R0 and R2 echo R1 just
     // after every third second. IGMP queries go out at 11 s and 21 s,

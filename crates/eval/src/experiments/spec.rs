@@ -50,14 +50,14 @@ fn tree_table(cw: &mut CbtWorld, fig: &Figure1) -> Table {
     for n in numbers {
         let r = fig.router(n);
         let engine = cw.router(r).sharded();
-        let parent = engine.parent_of(GROUP).map(|a| a.to_string()).unwrap_or("—".into());
-        let children = engine.children_of(GROUP).len().to_string();
+        let parent = engine.group_view(GROUP).parent.map(|a| a.to_string()).unwrap_or("—".into());
+        let children = engine.group_view(GROUP).children.len().to_string();
         t.row([
             format!("R{n}"),
-            engine.is_on_tree(GROUP).to_string(),
+            engine.group_view(GROUP).on_tree.to_string(),
             parent,
             children,
-            engine.has_pending_join(GROUP).to_string(),
+            engine.group_view(GROUP).pending_join.to_string(),
         ]);
     }
     t
@@ -76,7 +76,7 @@ pub fn e1() -> Report {
     report.table("resulting tree state", tree_table(&mut cw, &fig));
     report.finding(format!(
         "R1 parent = {:?}; R4 (primary core) has no parent; joins seen: {}",
-        cw.router(fig.router(1)).sharded().parent_of(GROUP),
+        cw.router(fig.router(1)).sharded().group_view(GROUP).parent,
         cw.world.trace().count(PacketKind::Control(cbt_wire::ControlType::JoinRequest)),
     ));
     report.json = json!({"joins": cw.world.trace().count(PacketKind::Control(cbt_wire::ControlType::JoinRequest))});
@@ -96,7 +96,7 @@ pub fn e2() -> Report {
     report.table("message ledger (from B's join)", ledger(&cw, t(3)));
     report.table("resulting tree state", tree_table(&mut cw, &fig));
     let r2 = cw.router(fig.router(2)).sharded().obs_snapshot();
-    let r6_state = cw.router(fig.router(6)).sharded().is_on_tree(GROUP);
+    let r6_state = cw.router(fig.router(6)).sharded().group_view(GROUP).on_tree;
     report.finding(format!(
         "R2 sent {} proxy-ack(s); R6 on-tree = {} (the D-DR keeps no FIB entry)",
         r2.proxy_acks_sent, r6_state
@@ -120,13 +120,13 @@ pub fn e3() -> Report {
     report.table("resulting tree state", tree_table(&mut cw, &fig));
     report.finding(format!(
         "R2 on-tree = {}; R3 on-tree = {} with {} child(ren)",
-        cw.router(fig.router(2)).sharded().is_on_tree(GROUP),
-        cw.router(fig.router(3)).sharded().is_on_tree(GROUP),
-        cw.router(fig.router(3)).sharded().children_of(GROUP).len(),
+        cw.router(fig.router(2)).sharded().group_view(GROUP).on_tree,
+        cw.router(fig.router(3)).sharded().group_view(GROUP).on_tree,
+        cw.router(fig.router(3)).sharded().group_view(GROUP).children.len(),
     ));
     report.json = json!({
-        "r2_on_tree": cw.router(fig.router(2)).sharded().is_on_tree(GROUP),
-        "r3_children": cw.router(fig.router(3)).sharded().children_of(GROUP).len(),
+        "r2_on_tree": cw.router(fig.router(2)).sharded().group_view(GROUP).on_tree,
+        "r3_children": cw.router(fig.router(3)).sharded().group_view(GROUP).children.len(),
     });
     report
 }
@@ -259,11 +259,11 @@ pub fn e6() -> Report {
     let r9 = cw.router(fig.router(9)).sharded();
     report.finding(format!(
         "R9 (secondary core) on-tree = {}, parent = {:?}, parent failures seen = {}",
-        r9.is_on_tree(GROUP),
-        r9.parent_of(GROUP),
+        r9.group_view(GROUP).on_tree,
+        r9.group_view(GROUP).parent,
         r9.obs_snapshot().parent_failures,
     ));
-    report.json = json!({"r9_on_tree": r9.is_on_tree(GROUP)});
+    report.json = json!({"r9_on_tree": r9.group_view(GROUP).on_tree});
     report
 }
 

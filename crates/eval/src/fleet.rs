@@ -525,7 +525,7 @@ impl Fleet {
         let gid = self.gids[gi];
         let mut cur = r;
         for _ in 0..=self.n {
-            if !self.world.is_node_up(cur) || !self.world.node(cur).router.is_on_tree(gid) {
+            if !self.world.is_node_up(cur) || !self.world.node(cur).router.group_view(gid).on_tree {
                 return false;
             }
             if cur == self.cores[gi] {
@@ -546,7 +546,7 @@ impl Fleet {
         if !self.world.is_node_up(cur) {
             return None;
         }
-        let p = addr_node(self.world.node(cur).router.parent_of(gid)?);
+        let p = addr_node(self.world.node(cur).router.group_view(gid).parent?);
         Some((p, self.edge_index.get(&(cur.min(p), cur.max(p))).copied()))
     }
 
@@ -563,7 +563,7 @@ impl Fleet {
             }
             let rt = &self.world.node(r).router;
             let gid = self.gids[gi];
-            !(settled_only && rt.has_transient_state(gid))
+            !(settled_only && rt.group_view(gid).transient)
         });
         out
     }
@@ -590,12 +590,12 @@ impl Fleet {
         let gid = self.gids[gi];
         let mut edges = Vec::new();
         for i in 0..self.n {
-            let r = &self.world.node(i).router;
-            assert!(!r.has_pending_join(gid), "router {i} still pending after settle");
-            match r.parent_of(gid) {
+            let v = self.world.node(i).router.group_view(gid);
+            assert!(!v.pending_join, "router {i} still pending after settle");
+            match v.parent {
                 Some(parent) => edges.push((i, addr_node(parent))),
                 None => assert!(
-                    !r.is_on_tree(gid) || i == self.cores[gi],
+                    !v.on_tree || i == self.cores[gi],
                     "router {i} is on-tree yet parentless and not the core"
                 ),
             }
@@ -613,8 +613,8 @@ impl Fleet {
             return false;
         }
         let gid = self.gids[gi];
-        let rt = &self.world.node(r).router;
-        if rt.is_on_tree(gid) || rt.has_transient_state(gid) {
+        let v = self.world.node(r).router.group_view(gid);
+        if v.on_tree || v.transient {
             return false;
         }
         self.engine_join(gi, r);
@@ -791,7 +791,7 @@ impl Fleet {
             assert_eq!(nd.router.fib_len(), 0, "router {i} kept tree state after teardown");
             assert!(nd.router.next_wakeup().is_none(), "router {i} kept a timer after teardown");
             for &gid in &self.gids {
-                let kept = nd.router.has_transient_state(gid);
+                let kept = nd.router.group_view(gid).transient;
                 assert!(!kept, "router {i} kept transient state for {gid} after teardown");
             }
             assert_eq!(nd.decode_errors, 0, "router {i} saw undecodable frames");

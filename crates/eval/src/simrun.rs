@@ -70,7 +70,7 @@ impl SimSetup {
         let group = self.group;
         member_routers.iter().all(|m| {
             let r = RouterId(m.0);
-            self.cw.router(r).sharded().is_on_tree(group)
+            self.cw.router(r).sharded().group_view(group).on_tree
         })
     }
 }

@@ -42,7 +42,10 @@ fn main() {
     cw.world.run_until(SimTime::from_secs(8));
 
     let on_tree = |cw: &mut CbtWorld| {
-        members.iter().filter(|m| cw.router(RouterId(m.0)).sharded().is_on_tree(group)).count()
+        members
+            .iter()
+            .filter(|m| cw.router(RouterId(m.0)).sharded().group_view(group).on_tree)
+            .count()
     };
     println!("t=8s   all joined: {}/{} member DRs on-tree", on_tree(&mut cw), members.len());
 

@@ -64,12 +64,10 @@ fn main() {
     // 4. Show the resulting tree and the delivery.
     println!("\ntree state:");
     for (name, r) in [("R0", r0), ("R1", r1), ("R2", r2)] {
-        let engine = cw.router(r).sharded();
+        let view = cw.router(r).sharded().group_view(group);
         println!(
             "  {name}: on_tree={} parent={:?} children={:?}",
-            engine.is_on_tree(group),
-            engine.parent_of(group),
-            engine.children_of(group),
+            view.on_tree, view.parent, view.children,
         );
     }
     let got = cw.host(receiver).received();

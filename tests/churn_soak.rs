@@ -116,15 +116,20 @@ fn full_leave_cleans_all_state() {
     }
     cw.world.start();
     cw.world.run_until(SimTime::from_secs(8));
-    let attached =
-        members.iter().filter(|m| cw.router(RouterId(m.0)).sharded().is_on_tree(group)).count();
+    let attached = members
+        .iter()
+        .filter(|m| cw.router(RouterId(m.0)).sharded().group_view(group).on_tree)
+        .count();
     assert_eq!(attached, members.len(), "everyone joined first");
 
     // Leave + teardown, including the IFF-scan safety net (fast: 30 s).
     cw.world.run_until(SimTime::from_secs(60));
     for i in 0..20u32 {
         let engine = cw.router(RouterId(i)).sharded();
-        assert!(!engine.is_on_tree(group), "router R{i} still holds state after universal leave");
-        assert!(!engine.has_pending_join(group));
+        assert!(
+            !engine.group_view(group).on_tree,
+            "router R{i} still holds state after universal leave"
+        );
+        assert!(!engine.group_view(group).pending_join);
     }
 }

@@ -62,11 +62,11 @@ fn join_send_and_check(mut cw: CbtWorld, yy: &Y, label: &str, expect_root: bool)
     cw.world.start();
     cw.world.run_until(SimTime::from_secs(25));
 
-    let sec = cw.router(yy.secondary).sharded().is_on_tree(group);
+    let sec = cw.router(yy.secondary).sharded().group_view(group).on_tree;
     assert!(sec, "{label}: secondary core serves the tree");
     if expect_root {
         assert!(
-            cw.router(yy.secondary).sharded().parent_of(group).is_none(),
+            cw.router(yy.secondary).sharded().group_view(group).parent.is_none(),
             "{label}: secondary core is the root (§6.1 fallback target)"
         );
     }
@@ -76,8 +76,8 @@ fn join_send_and_check(mut cw: CbtWorld, yy: &Y, label: &str, expect_root: bool)
     // simultaneously — that two-node loop is what §6.3 NACTIVE_REJOIN
     // detection breaks.
     let sec_engine = cw.router(yy.secondary).sharded();
-    let sec_parent = sec_engine.parent_of(group);
-    let sec_children = sec_engine.children_of(group);
+    let sec_parent = sec_engine.group_view(group).parent;
+    let sec_children = sec_engine.group_view(group).children;
     if let Some(p) = sec_parent {
         assert!(
             !sec_children.contains(&p),
@@ -161,7 +161,7 @@ fn revived_primary_reabsorbs_the_fragment_via_iff_scan() {
     cw.world.start();
     cw.world.run_until(SimTime::from_secs(20));
     assert!(
-        cw.router(yy.secondary).sharded().is_on_tree(group),
+        cw.router(yy.secondary).sharded().group_view(group).on_tree,
         "fragment serving under the secondary before revival"
     );
     let now = cw.world.now();
@@ -172,9 +172,9 @@ fn revived_primary_reabsorbs_the_fragment_via_iff_scan() {
     cw.touch_host(yy.x);
     cw.world.run_until(SimTime::from_secs(55));
     let prim = cw.router(yy.primary).sharded();
-    assert!(prim.is_on_tree(group), "revived primary absorbed the fragment");
+    assert!(prim.group_view(group).on_tree, "revived primary absorbed the fragment");
     assert!(
-        prim.parent_of(group).is_none(),
+        prim.group_view(group).parent.is_none(),
         "the primary is the root (§6.2: it waits to be joined)"
     );
     let y_got = cw.host(yy.y).received();

@@ -40,9 +40,9 @@ fn lowest_addressed_router_is_initial_dr() {
     cw.world.run_until(SimTime::from_secs(5));
     // The D-DR (lowest address on S0) originated the join and serves
     // the branch; the other router holds nothing.
-    assert!(cw.router(r_low).sharded().is_on_tree(group));
+    assert!(cw.router(r_low).sharded().group_view(group).on_tree);
     assert_eq!(cw.router(r_low).sharded().obs_snapshot().joins_originated, 1);
-    assert!(!cw.router(r_high).sharded().is_on_tree(group));
+    assert!(!cw.router(r_high).sharded().group_view(group).on_tree);
     assert_eq!(cw.router(r_high).sharded().obs_snapshot().joins_originated, 0);
     assert!(await_quiescence(&mut cw, &[group], SimDuration::from_secs(30)));
     assert_tree_invariants(&cw, &[group]);
@@ -63,7 +63,7 @@ fn surviving_router_takes_over_after_dr_death() {
     // attach in a richer topology; here we check control-plane takeover.
     cw.world.start();
     cw.world.run_until(SimTime::from_secs(5));
-    assert!(cw.router(r_low).sharded().is_on_tree(group));
+    assert!(cw.router(r_low).sharded().group_view(group).on_tree);
 
     // D-DR dies.
     cw.fail_router(r_low);
@@ -73,14 +73,14 @@ fn surviving_router_takes_over_after_dr_death() {
     cw.world.run_until(SimTime::from_secs(60));
     let survivor = cw.router(r_high).sharded();
     assert!(
-        survivor.is_on_tree(group),
+        survivor.group_view(group).on_tree,
         "survivor took over DR duty and joined: {:?}",
         survivor.obs_snapshot()
     );
     assert!(survivor.obs_snapshot().joins_originated >= 1);
 
     // And the takeover carries data: the core forwards down to Rhigh.
-    let children = cw.router(r_core).sharded().children_of(group);
+    let children = cw.router(r_core).sharded().group_view(group).children;
     assert_eq!(children.len(), 1, "exactly one live branch: {children:?}");
     // The post-takeover tree is fully consistent (Rlow stays dead and
     // is excluded; the checker proves the survivors' tree is clean).

@@ -120,7 +120,7 @@ fn fleet(shards: usize) -> Frozen {
     // echoes die on the wire, §6.1 declares the parent dead, the rejoin
     // retransmits into the dead link until it heals.
     let victim = members[0][0];
-    let parent = world.node(victim).router.parent_of(gid(0)).expect("victim is on-tree");
+    let parent = world.node(victim).router.group_view(gid(0)).parent.expect("victim is on-tree");
     let parent = cbt::addr_node(parent);
     let edge = edges
         .iter()

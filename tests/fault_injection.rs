@@ -84,7 +84,7 @@ fn faulty_runs_replay_deterministically() {
         let states: Vec<(bool, Option<cbt_wire::Addr>)> = (0..20u32)
             .map(|i| {
                 let e = cw.router(RouterId(i)).sharded();
-                (e.is_on_tree(group), e.parent_of(group))
+                (e.group_view(group).on_tree, e.group_view(group).parent)
             })
             .collect();
         (cw.world.trace().totals(), states)

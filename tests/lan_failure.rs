@@ -44,7 +44,7 @@ fn tree_branch_over_a_lan_then_reroutes_when_it_fails() {
     cw.world.run_until(SimTime::from_secs(4));
 
     // The branch initially runs over the transit LAN (1 hop beats 2).
-    let parent = cw.router(r_leaf).sharded().parent_of(group).expect("attached");
+    let parent = cw.router(r_leaf).sharded().group_view(group).parent.expect("attached");
     let on_lan_subnet = {
         let net = cw.net.clone();
         let lan_spec = &net.lans[transit.0 as usize];
@@ -56,7 +56,7 @@ fn tree_branch_over_a_lan_then_reroutes_when_it_fails() {
     // Rleaf re-attaches over the p2p chain through Rmid.
     cw.fail_lan(transit);
     cw.world.run_until(SimTime::from_secs(30));
-    let parent = cw.router(r_leaf).sharded().parent_of(group).expect("re-attached");
+    let parent = cw.router(r_leaf).sharded().group_view(group).parent.expect("re-attached");
     let via_chain = parent == Addr_on_chain(&mut cw, r_leaf);
     assert!(via_chain, "parent now Rmid's link address, got {parent}");
 
@@ -104,19 +104,22 @@ fn member_lan_outage_and_recovery() {
     cw.host(h).join_at(SimTime::from_secs(1), group, vec![core]);
     cw.world.start();
     cw.world.run_until(SimTime::from_secs(4));
-    assert!(cw.router(r_leaf).sharded().is_on_tree(group));
+    assert!(cw.router(r_leaf).sharded().group_view(group).on_tree);
 
     // Member LAN goes dark: reports stop; fast membership timeout is
     // 22 s, then Rleaf quits.
     cw.fail_lan(member_lan);
     cw.world.run_until(SimTime::from_secs(40));
-    assert!(!cw.router(r_leaf).sharded().is_on_tree(group), "presence expired, branch quit");
+    assert!(
+        !cw.router(r_leaf).sharded().group_view(group).on_tree,
+        "presence expired, branch quit"
+    );
 
     // LAN restored: the host answers the next query; the DR re-joins.
     cw.restore_lan(member_lan);
     cw.world.run_until(SimTime::from_secs(70));
     assert!(
-        cw.router(r_leaf).sharded().is_on_tree(group),
+        cw.router(r_leaf).sharded().group_view(group).on_tree,
         "membership re-detected after the outage"
     );
 }
@@ -160,7 +163,7 @@ fn join_crosses_a_live_lan_beside_a_failed_parallel_link() {
     cw.world.start();
     cw.world.run_until(SimTime::from_secs(1) + budget);
     assert_eq!(
-        cw.router(r_leaf).sharded().parent_of(group),
+        cw.router(r_leaf).sharded().group_view(group).parent,
         Some(next_on_lan),
         "attached through the transit LAN within PEND-JOIN-TIMEOUT"
     );

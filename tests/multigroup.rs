@@ -52,13 +52,13 @@ fn groups_are_isolated() {
     // Per-group state: each core serves its group; routers that none
     // of the trees cross hold nothing at all (R5, R6 proxy away their
     // state; R7 and R12 are off every join path).
-    assert!(cw.router(fig.router(4)).sharded().is_on_tree(g1));
-    assert!(cw.router(fig.router(9)).sharded().is_on_tree(g2));
-    assert!(cw.router(fig.router(3)).sharded().is_on_tree(g3));
+    assert!(cw.router(fig.router(4)).sharded().group_view(g1).on_tree);
+    assert!(cw.router(fig.router(9)).sharded().group_view(g2).on_tree);
+    assert!(cw.router(fig.router(3)).sharded().group_view(g3).on_tree);
     for n in [5usize, 6, 7, 12] {
         let engine = cw.router(fig.router(n)).sharded();
         for g in [g1, g2, g3] {
-            assert!(!engine.is_on_tree(g), "R{n} should hold no state for {g}");
+            assert!(!engine.group_view(g).on_tree, "R{n} should hold no state for {g}");
         }
     }
 }

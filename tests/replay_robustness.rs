@@ -46,7 +46,7 @@ fn duplicate_reports_are_idempotent() {
     cw.world.run_until(SimTime::from_secs(5));
 
     assert_eq!(cw.host(a).received().len(), 1, "exactly one delivery");
-    let core_children = cw.router(r1).sharded().children_of(group);
+    let core_children = cw.router(r1).sharded().group_view(group).children;
     assert_eq!(core_children.len(), 2, "one child per branch, no duplicates");
     // R0 originated at most... the §2.6 rule: a pending join absorbs
     // re-triggers, so exactly one join went upstream from R0.
@@ -71,9 +71,9 @@ fn leave_rejoin_flapping_settles_attached() {
     cw.world.run_until(SimTime::from_secs(20));
 
     assert!(cw.host(a).is_member(group));
-    assert!(cw.router(r0).sharded().is_on_tree(group), "final state: attached");
-    assert!(!cw.router(r0).sharded().has_pending_join(group));
-    let children = cw.router(r1).sharded().children_of(group);
+    assert!(cw.router(r0).sharded().group_view(group).on_tree, "final state: attached");
+    assert!(!cw.router(r0).sharded().group_view(group).pending_join);
+    let children = cw.router(r1).sharded().group_view(group).children;
     assert_eq!(children.len(), 1, "exactly one branch to R0: {children:?}");
 }
 
@@ -98,8 +98,8 @@ fn repeated_quits_are_reacked_harmlessly() {
     cw.world.run_until(SimTime::from_secs(40));
 
     // However many quits it took, the end state is clean on both sides.
-    assert!(!cw.router(r0).sharded().is_on_tree(group));
-    assert!(cw.router(r1).sharded().children_of(group).is_empty());
+    assert!(!cw.router(r0).sharded().group_view(group).on_tree);
+    assert!(cw.router(r1).sharded().group_view(group).children.is_empty());
     // Quit-acks were produced for retransmissions too (when the quits
     // got through at all).
     let quits = cw.world.trace().count(PacketKind::Control(ControlType::QuitRequest));
@@ -131,11 +131,11 @@ fn v02_narrative_e_leaves_r7_quits_r4_stays() {
 
     let r7 = fig.router(7);
     let r4 = fig.router(4);
-    assert!(!cw.router(r7).sharded().is_on_tree(group), "R7 quit after E left");
+    assert!(!cw.router(r7).sharded().group_view(group).on_tree, "R7 quit after E left");
     assert!(cw.router(r7).sharded().obs_snapshot().ctl.sent(CtlKind::QuitRequest) >= 1);
     let r4_engine = cw.router(r4).sharded();
-    assert!(r4_engine.is_on_tree(group), "R4 stays: children and member subnets remain");
-    assert!(!r4_engine.children_of(group).is_empty());
+    assert!(r4_engine.group_view(group).on_tree, "R4 stays: children and member subnets remain");
+    assert!(!r4_engine.group_view(group).children.is_empty());
     // And R7 is no longer among R4's children.
     let r7_events = cw
         .world

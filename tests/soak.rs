@@ -64,20 +64,20 @@ fn five_virtual_minutes_of_multigroup_churn() {
             for m in members {
                 let engine = cw.router(RouterId(m.0)).sharded();
                 assert!(
-                    engine.is_on_tree(*group),
+                    engine.group_view(*group).on_tree,
                     "group {group}: member {m} detached at end of soak"
                 );
-                assert!(!engine.has_pending_join(*group));
+                assert!(!engine.group_view(*group).pending_join);
             }
         } else {
             // Departed group: zero state anywhere in the network.
             for i in 0..n as u32 {
                 let engine = cw.router(RouterId(i)).sharded();
                 assert!(
-                    !engine.is_on_tree(*group),
+                    !engine.group_view(*group).on_tree,
                     "group {group}: router R{i} leaked state after universal leave"
                 );
-                assert!(!engine.has_pending_join(*group));
+                assert!(!engine.group_view(*group).pending_join);
             }
         }
     }

@@ -127,7 +127,7 @@ fn hello_timeout_fails_over_to_backup_tunnel() {
     };
     let primary = Addr::from_octets(172, 31, 0, 2);
     step(&mut e, t(1), Input::Control { iface: IfIndex(1), src: primary, msg: ack });
-    assert_eq!(e.parent_of(group()), Some(Addr::from_octets(172, 31, 0, 2)));
+    assert_eq!(e.group_view(group()).parent, Some(Addr::from_octets(172, 31, 0, 2)));
 
     // The tunnel's Hello protocol declares the primary down (§5.2);
     // echoes stop being answered, and at the echo timeout the engine
@@ -155,7 +155,7 @@ fn hello_timeout_fails_over_to_backup_tunnel() {
     };
     let backup = Addr::from_octets(172, 31, 0, 6);
     step(&mut e, t(31), Input::Control { iface: IfIndex(2), src: backup, msg: ack });
-    assert_eq!(e.parent_of(group()), Some(Addr::from_octets(172, 31, 0, 6)));
+    assert_eq!(e.group_view(group()).parent, Some(Addr::from_octets(172, 31, 0, 6)));
 }
 
 #[test]
@@ -166,7 +166,7 @@ fn all_tunnels_down_means_no_join_until_recovery() {
     ranking.write().set_state(IfIndex(2), TunnelState::Down);
     let act = step(&mut e, t(1), member_report());
     assert!(join_sent_on(&act).is_none(), "nowhere to send the join");
-    assert!(!e.has_pending_join(group()));
+    assert!(!e.group_view(group()).pending_join);
 
     // Hellos return on the backup; the IFF-scan retries the orphaned
     // membership (fast: 30 s). The host keeps answering the periodic
