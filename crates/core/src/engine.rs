@@ -8,7 +8,7 @@
 
 use crate::config::CbtConfig;
 use crate::events::{Input, RouterAction};
-use crate::fib::Fib;
+use crate::fib::{Fib, FibEntry};
 use crate::forward::Span;
 use crate::inline::InlineBuf;
 use crate::pending::Transient;
@@ -921,11 +921,13 @@ impl CbtRouter {
     /// whose parentless fragment the scan re-joins to the primary
     /// ([`CbtRouter::iff_scan`], §6.2)?
     pub(crate) fn iff_scan_has_work(&self) -> bool {
-        !self.lans.is_empty()
-            || self
-                .fib
-                .iter()
-                .any(|(_, e)| e.i_am_core && !e.cores.is_empty() && !self.i_am_primary(&e.cores))
+        !self.lans.is_empty() || self.fib.iter().any(|(_, e)| self.is_secondary_core(e))
+    }
+
+    /// Does `e` make this router a core of its group, but not the
+    /// primary?
+    pub(crate) fn is_secondary_core(&self, e: &FibEntry) -> bool {
+        e.i_am_core && e.cores.first().is_some_and(|c| !self.is_my_addr(*c))
     }
 
     /// Is any child's liveness still to be swept? Every deadline is

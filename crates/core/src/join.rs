@@ -121,16 +121,16 @@ impl CbtRouter {
         entry.i_am_core = true;
         // A join may (maliciously or due to damage) carry no core list
         // at all; we can still serve as a root, but there is no primary
-        // to join toward.
-        if cores.is_empty() {
+        // to join toward. The primary itself joins no one.
+        if cores.is_empty() || self.i_am_primary(cores) {
             return;
         }
         // A non-primary core's fragment may outlive its RECONNECT
         // campaign; the IFF scan's backbone safety net re-joins it.
-        if !self.i_am_primary(cores) && !self.timers.is_armed(TimerKind::IffScan) {
+        if !self.timers.is_armed(TimerKind::IffScan) {
             self.timers.arm(TimerKind::IffScan, now + self.cfg.iff_scan_interval);
         }
-        if !self.i_am_primary(cores) && self.fib.get(group).unwrap().parent.is_none() {
+        if self.fib.get(group).unwrap().parent.is_none() {
             let primary = cores[0];
             if !self.has_pending_join(group) {
                 let cores = cores.to_vec();

@@ -70,7 +70,7 @@
 //! cw.world.start();
 //! cw.world.run_until(SimTime::from_secs(5));
 //!
-//! assert!(cw.router(r0).sharded().is_on_tree(group));
+//! assert!(cw.router(r0).sharded().group_view(group).on_tree);
 //! assert_eq!(cw.host(receiver).received().len(), 1);
 //! assert_eq!(cw.host(receiver).received().get(0).unwrap().payload, b"hi");
 //! ```

@@ -201,12 +201,7 @@ impl CbtRouter {
             .fib
             .groups()
             .filter(|g| {
-                self.fib.get(*g).is_some_and(|e| {
-                    e.i_am_core
-                        && e.parent.is_none()
-                        && !e.cores.is_empty()
-                        && !self.is_my_addr(e.cores[0])
-                })
+                self.fib.get(*g).is_some_and(|e| e.parent.is_none() && self.is_secondary_core(e))
             })
             .filter(|g| {
                 !self.transients.get(g).is_some_and(|t| t.join.is_some() || t.backoff().is_some())
