@@ -49,15 +49,14 @@ fn tree_table(cw: &mut CbtWorld, fig: &Figure1) -> Table {
     let numbers: Vec<usize> = vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12];
     for n in numbers {
         let r = fig.router(n);
-        let engine = cw.router(r).sharded();
-        let parent = engine.group_view(GROUP).parent.map(|a| a.to_string()).unwrap_or("—".into());
-        let children = engine.group_view(GROUP).children.len().to_string();
+        let v = cw.router(r).sharded().group_view(GROUP);
+        let parent = v.parent.map(|a| a.to_string()).unwrap_or("—".into());
         t.row([
             format!("R{n}"),
-            engine.group_view(GROUP).on_tree.to_string(),
+            v.on_tree.to_string(),
             parent,
-            children,
-            engine.group_view(GROUP).pending_join.to_string(),
+            v.children.len().to_string(),
+            v.pending_join.to_string(),
         ]);
     }
     t
@@ -257,13 +256,14 @@ pub fn e6() -> Report {
     let mut report = Report::new("Spec-E6", "§6.1: R8 dies — echo timeout, island re-roots at R9");
     report.table("tree state after failure", tree_table(&mut cw, &fig));
     let r9 = cw.router(fig.router(9)).sharded();
+    let v = r9.group_view(GROUP);
     report.finding(format!(
         "R9 (secondary core) on-tree = {}, parent = {:?}, parent failures seen = {}",
-        r9.group_view(GROUP).on_tree,
-        r9.group_view(GROUP).parent,
+        v.on_tree,
+        v.parent,
         r9.obs_snapshot().parent_failures,
     ));
-    report.json = json!({"r9_on_tree": r9.group_view(GROUP).on_tree});
+    report.json = json!({"r9_on_tree": v.on_tree});
     report
 }
 
