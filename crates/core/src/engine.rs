@@ -16,12 +16,11 @@ use crate::timers::TimerService;
 use cbt_igmp::{GroupPresence, IgmpOut, PresenceEvent, QuerierElection};
 use cbt_netsim::SimTime;
 use cbt_obs::{CtlKind, ObsSnapshot, RouterObs};
-use cbt_routing::{FailureSet, Hop, Rib};
+use cbt_routing::{Hop, Rib};
 use cbt_topology::{Attachment, IfIndex, LanId, NetworkSpec, RouterId};
 use cbt_wire::{Addr, ControlMessage, GroupId, IgmpMessage};
-use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// The engine's window onto unicast routing: "best next hop toward this
 /// address" (§2.5) — the only question CBT ever asks its IGP.
@@ -38,37 +37,30 @@ impl RouteLookup for BTreeMap<Addr, Hop> {
     }
 }
 
-/// A [`RouteLookup`] over a shared, swappable [`Rib`] — the harness
-/// recomputes the RIB on topology changes and every engine sees the
-/// update immediately, like a converged IGP.
-#[derive(Clone)]
-pub struct SharedRib {
-    net: Arc<NetworkSpec>,
-    rib: Arc<RwLock<Rib>>,
-    me: RouterId,
+/// Router `me`'s handle on a route table its whole network shares. The
+/// harness repairs the table under the write lock between steps; every
+/// engine sees the repair at its next lookup, like a converged IGP.
+pub struct RouteHandle<T> {
+    pub(crate) table: Arc<RwLock<T>>,
+    pub(crate) me: u32,
 }
 
-impl SharedRib {
-    /// Builds the shared table set for a whole network.
-    pub fn build(net: Arc<NetworkSpec>) -> (Arc<RwLock<Rib>>, impl Fn(RouterId) -> SharedRib) {
-        let rib = Arc::new(RwLock::new(Rib::converged(&net)));
-        let rib2 = rib.clone();
-        let maker = move |me: RouterId| SharedRib { net: net.clone(), rib: rib2.clone(), me };
-        (rib, maker)
-    }
-
-    /// Converges the shared RIB onto a new failure state. This is
-    /// incremental: only cached shortest-path trees actually affected
-    /// by the delta are repaired, and manual `set_override` entries
-    /// survive unless they reference a failed element.
-    pub fn recompute(rib: &Arc<RwLock<Rib>>, failures: &FailureSet) {
-        rib.write().apply_failures(failures);
+impl<T> RouteHandle<T> {
+    /// The handle of router `me` on `table`.
+    pub fn new(table: Arc<RwLock<T>>, me: u32) -> Self {
+        RouteHandle { table, me }
     }
 }
 
-impl RouteLookup for SharedRib {
+impl<T> Clone for RouteHandle<T> {
+    fn clone(&self) -> Self {
+        RouteHandle::new(Arc::clone(&self.table), self.me)
+    }
+}
+
+impl RouteLookup for RouteHandle<Rib> {
     fn hop_toward(&self, dst: Addr) -> Option<Hop> {
-        self.rib.read().route(&self.net, self.me, dst)
+        self.table.read().expect("rib lock poisoned").route(RouterId(self.me), dst)
     }
 }
 

@@ -98,11 +98,13 @@ pub mod teardown;
 pub mod timers;
 
 pub use config::CbtConfig;
-pub use engine::{CbtRouter, GroupView, ProtocolPhase, RouteLookup, SharedRib};
+pub use engine::{CbtRouter, GroupView, ProtocolPhase, RouteHandle, RouteLookup};
 pub use events::{Input, RouterAction};
 pub use fib::{Fib, FibEntry, MAX_CHILDREN};
-pub use netscale::{addr_node, node_addr, FleetRib, FleetRoutes, P2pNode, SharedFleetRib};
+pub use netscale::{addr_node, node_addr, FleetRib, P2pNode};
 pub use parallelism::Parallelism;
 pub use payload::{Deliveries, Delivery, RX_COPYBREAK};
+#[doc(hidden)]
+pub use pinned::*;
 pub use shard::{shard_of, ShardedRouter};
 pub use sim::{CbtWorld, HostApp, RouterNode};

@@ -8,6 +8,7 @@
 //!   [`SpfRoutes`] core with one tree per core over a copy of the
 //!   [`CsrGraph`] the world delivers frames on, so "interface `k`
 //!   toward the core" and "the world's port `k`" agree by construction;
+//!   each engine reads it through its [`RouteHandle`], as in the simulator;
 //! * [`P2pNode`] — wraps a [`ShardedRouter`] (so `CBT_SHARDS` steering
 //!   works unchanged at netscale), framing control messages as
 //!   `[source address | wire encoding]`, written straight into a
@@ -18,7 +19,7 @@
 //! bare p2p fleet anyway) is counted and dropped rather than silently
 //! ignored.
 
-use crate::engine::RouteLookup;
+use crate::engine::{RouteHandle, RouteLookup};
 use crate::events::{Input, RouterAction};
 use crate::shard::ShardedRouter;
 use cbt_netsim::{NsNode, NsOutbox, SimTime};
@@ -26,7 +27,6 @@ use cbt_routing::{Hop, SpfRoutes};
 use cbt_topology::{CsrGraph, IfIndex, RouterId, SpfScratch, SpfTree};
 use cbt_wire::{Addr, ControlMessage};
 use std::cell::RefCell;
-use std::sync::{Arc, RwLock};
 
 /// The identity address of fleet router `i`: `10.x.y.z` with `i`
 /// little-ended into the host octets. Covers fleets up to 2^24 nodes.
@@ -42,7 +42,7 @@ pub fn addr_node(a: Addr) -> u32 {
 }
 
 /// Routing state toward the experiment's core set, shared by every
-/// engine in the fleet (`Arc<RwLock<_>>`): the [`SpfRoutes`] core, one
+/// engine in the fleet through a [`RouteHandle`]: the [`SpfRoutes`] core, one
 /// tree per core over a clone of the fleet's [`CsrGraph`], and a version.
 ///
 /// Lookups resolve **core addresses only**: `dst` names fleet node
@@ -127,28 +127,9 @@ impl FleetRib {
     }
 }
 
-/// The fleet-wide shared rib handle. Experiments repair it under the
-/// write lock between world event-loop steps; engines read through
-/// [`FleetRoutes`]. Single-threaded stepping means the lock is never
-/// contended — it buys the mutate-while-shared shape, not parallelism.
-pub type SharedFleetRib = Arc<RwLock<FleetRib>>;
-
-/// One engine's view of the shared [`FleetRib`].
-pub struct FleetRoutes {
-    rib: SharedFleetRib,
-    me: u32,
-}
-
-impl FleetRoutes {
-    /// Route handle for fleet node `me`.
-    pub fn new(rib: SharedFleetRib, me: u32) -> Self {
-        FleetRoutes { rib, me }
-    }
-}
-
-impl RouteLookup for FleetRoutes {
+impl RouteLookup for RouteHandle<FleetRib> {
     fn hop_toward(&self, dst: Addr) -> Option<Hop> {
-        self.rib.read().expect("rib lock poisoned").hop(self.me, dst)
+        self.table.read().expect("rib lock poisoned").hop(self.me, dst)
     }
 }
 

@@ -1,16 +1,34 @@
 //! Doors kept only for the `benchmark/` workspace, which pins its own
 //! `Cargo.lock` and calls them by name: six per-kind input wrappers,
-//! each one call to [`ShardedRouter::step`], and four per-group reads,
-//! each one field of [`ShardedRouter::group_view`]. Nothing else calls
-//! them (CI's "One engine door" step greps for it); everything else
-//! feeds a router through `step` and reads it through `group_view` or
-//! `protocol_phase`. They go when `benchmark/` moves to those doors.
+//! each one call to [`ShardedRouter::step`], four per-group reads,
+//! each one field of [`ShardedRouter::group_view`], and the old route
+//! handle names, aliases of [`RouteHandle`]. Nothing else names them
+//! (CI's "One engine door" and "One route handle" steps grep for it);
+//! everything else uses `step`, `group_view` and `RouteHandle::new`,
+//! and they go when `benchmark/` does.
 
-use crate::events::{Input, RouterAction};
-use crate::shard::ShardedRouter;
+use crate::{FleetRib, Input, RouteHandle, RouterAction, ShardedRouter};
 use cbt_netsim::SimTime;
-use cbt_topology::IfIndex;
+use cbt_routing::Rib;
+use cbt_topology::{IfIndex, NetworkSpec, RouterId};
 use cbt_wire::{Addr, CbtDataPacket, ControlMessage, DataPacket, GroupId, IgmpMessage};
+use std::sync::{Arc, RwLock};
+
+#[doc(hidden)]
+pub type SharedRib = RouteHandle<Rib>;
+#[doc(hidden)]
+pub type FleetRoutes = RouteHandle<FleetRib>;
+#[doc(hidden)]
+pub type SharedFleetRib = Arc<RwLock<FleetRib>>;
+
+/// `net`'s converged table, and a handle factory over it.
+#[doc(hidden)]
+impl RouteHandle<Rib> {
+    pub fn build(net: Arc<NetworkSpec>) -> (Arc<RwLock<Rib>>, impl Fn(RouterId) -> SharedRib) {
+        let rib = Arc::new(RwLock::new(Rib::converged(net)));
+        (rib.clone(), move |me: RouterId| RouteHandle::new(rib.clone(), me.0))
+    }
+}
 
 /// Per-kind input doors.
 #[doc(hidden)]

@@ -6,13 +6,14 @@
 //! Everything on the wire is a complete IPv4 datagram built by
 //! `cbt-wire`, so the trace sees exactly what a packet capture would.
 
-use crate::engine::{RouteLookup, SharedRib};
+use crate::engine::{RouteHandle, RouteLookup};
 use crate::events::{Input, RouterAction};
 use crate::payload::Deliveries;
 use crate::shard::ShardedRouter;
 use cbt_igmp::{HostMembership, IgmpTimers};
 use cbt_netsim::{Bytes, Outbox, SimNode, SimTime};
 use cbt_obs::{DropReason, ObsSnapshot};
+use cbt_routing::Rib;
 use cbt_topology::IfIndex;
 use cbt_wire::data::PAYLOAD_OFFSET;
 use cbt_wire::ipv4::{split_datagram, write_datagram_with_ttl};
@@ -22,6 +23,7 @@ use cbt_wire::{
 };
 use std::any::Any;
 use std::collections::VecDeque;
+use std::sync::{Arc, RwLock};
 
 /// Builds one frame in place: takes a buffer from `out`'s pool (a
 /// recycled one where the consumer recycles, see [`Outbox::buffer`]),
@@ -41,7 +43,7 @@ fn build_frame(out: &mut Outbox, write: impl FnOnce(&mut Vec<u8>)) -> Bytes {
 /// REJOIN-NACTIVE ack cross several hops).
 pub struct RouterNode {
     engine: ShardedRouter,
-    rib: SharedRib,
+    rib: RouteHandle<Rib>,
     /// Reusable action buffer every engine step writes into
     /// (see [`RouterNode::drive`]); drained by [`RouterNode::emit`],
     /// its capacity persists across packets so the steady-state
@@ -56,7 +58,7 @@ impl RouterNode {
         net: &cbt_topology::NetworkSpec,
         me: cbt_topology::RouterId,
         cfg: crate::CbtConfig,
-        rib: SharedRib,
+        rib: RouteHandle<Rib>,
         now: SimTime,
     ) -> Self {
         let engine = ShardedRouter::new(net, me, cfg, || Box::new(rib.clone()), now);
@@ -73,7 +75,7 @@ impl RouterNode {
         net: &cbt_topology::NetworkSpec,
         me: cbt_topology::RouterId,
         cfg: crate::CbtConfig,
-        rib: SharedRib,
+        rib: RouteHandle<Rib>,
         now: SimTime,
         index: usize,
         total: usize,
@@ -537,11 +539,9 @@ pub struct CbtWorld {
     /// The simulator world.
     pub world: cbt_netsim::World,
     /// The shared routing table (recompute after failures).
-    pub rib: std::sync::Arc<parking_lot::RwLock<cbt_routing::Rib>>,
+    pub rib: Arc<RwLock<Rib>>,
     /// The network, for address lookups.
-    pub net: std::sync::Arc<cbt_topology::NetworkSpec>,
-    /// RIB-view factory (used when re-installing a restarted router).
-    make_rib: Box<dyn Fn(cbt_topology::RouterId) -> SharedRib>,
+    pub net: Arc<cbt_topology::NetworkSpec>,
     /// Router config used at construction (restarts reuse it).
     cfg: crate::CbtConfig,
 }
@@ -564,12 +564,13 @@ impl CbtWorld {
         world_cfg: cbt_netsim::WorldConfig,
         igmp_version: impl Fn(cbt_topology::HostId) -> u8,
     ) -> Self {
-        let net = std::sync::Arc::new(net);
-        let (rib, make_rib) = SharedRib::build(net.clone());
+        let net = Arc::new(net);
+        let rib = Arc::new(RwLock::new(Rib::converged(net.clone())));
         let mut world = cbt_netsim::World::new((*net).clone(), world_cfg);
-        for i in 0..net.routers.len() {
-            let me = cbt_topology::RouterId(i as u32);
-            let node = RouterNode::new(&net, me, cfg.clone(), make_rib(me), SimTime::ZERO);
+        for i in 0..net.routers.len() as u32 {
+            let me = cbt_topology::RouterId(i);
+            let routes = RouteHandle::new(rib.clone(), i);
+            let node = RouterNode::new(&net, me, cfg.clone(), routes, SimTime::ZERO);
             world.set_node(cbt_netsim::Entity::Router(me), Box::new(node));
         }
         for (i, h) in net.hosts.iter().enumerate() {
@@ -577,7 +578,7 @@ impl CbtWorld {
             let app = HostApp::new(h.addr, igmp_version(hid), cfg.igmp);
             world.set_node(cbt_netsim::Entity::Host(hid), Box::new(app));
         }
-        CbtWorld { world, rib, net, make_rib: Box::new(make_rib), cfg }
+        CbtWorld { world, rib, net, cfg }
     }
 
     /// Host handle. If you schedule operations after `world.start()`,
@@ -632,13 +633,14 @@ impl CbtWorld {
     pub fn restart_router(&mut self, r: cbt_topology::RouterId, now: SimTime) {
         self.world.failures_mut().restore_router(r);
         self.recompute_routes();
-        let node = RouterNode::new(&self.net, r, self.cfg.clone(), (self.make_rib)(r), now);
+        let routes = RouteHandle::new(self.rib.clone(), r.0);
+        let node = RouterNode::new(&self.net, r, self.cfg.clone(), routes, now);
         self.world.set_node(cbt_netsim::Entity::Router(r), Box::new(node));
     }
 
-    /// Recomputes the shared RIB from the current failure set.
+    /// Recomputes the shared RIB from the current failure set, incrementally.
     pub fn recompute_routes(&self) {
-        SharedRib::recompute(&self.rib, self.world.failures());
+        self.rib.write().expect("rib lock poisoned").apply_failures(self.world.failures());
     }
 
     /// Fleet-wide counters: every up router's snapshot merged in id
@@ -663,7 +665,6 @@ mod tests {
     use super::*;
     use cbt_netsim::WorldConfig;
     use cbt_topology::NetworkBuilder;
-    use std::sync::Arc;
 
     /// Two LANs joined by a chain of three routers; host A joins, host
     /// B sends — the simplest end-to-end delivery through a real join.
@@ -839,8 +840,8 @@ mod tests {
         let stub = b.lan("S1");
         b.attach(stub, r1);
         let net = Arc::new(b.build());
-        let (_rib, make_rib) = SharedRib::build(net.clone());
-        let node = RouterNode::new(&net, r1, crate::CbtConfig::fast(), make_rib(r1), SimTime::ZERO);
+        let rib = RouteHandle::new(Arc::new(RwLock::new(Rib::converged(net.clone()))), r1.0);
+        let node = RouterNode::new(&net, r1, crate::CbtConfig::fast(), rib, SimTime::ZERO);
         let r0_addr = net.routers[r0.0 as usize].ifaces[0].addr;
         (node, net, IfIndex(0), r0_addr)
     }

@@ -8,7 +8,7 @@
 
 pub mod alloc;
 
-use cbt::{node_addr, CbtConfig, FleetRib, FleetRoutes, Input, P2pNode, ShardedRouter};
+use cbt::{node_addr, CbtConfig, FleetRib, Input, P2pNode, RouteHandle, ShardedRouter};
 use cbt_netsim::{NetscaleWorld, SimDuration, SimTime};
 use cbt_topology::{CsrGraph, RouterId, SpfScratch, SpfTree};
 use cbt_wire::GroupId;
@@ -42,7 +42,7 @@ pub fn engine(rib: &Arc<RwLock<FleetRib>>, i: u32) -> ShardedRouter {
         node_addr(i),
         DEGREE[i as usize],
         cfg,
-        || Box::new(FleetRoutes::new(Arc::clone(rib), i)),
+        || Box::new(RouteHandle::new(Arc::clone(rib), i)),
         SimTime::ZERO,
     )
 }

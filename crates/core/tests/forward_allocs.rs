@@ -14,11 +14,11 @@
 mod common;
 
 use cbt::{
-    config::ForwardingMode, CbtConfig, CbtRouter, HostApp, Input, RouteLookup, RouterAction,
-    RouterNode, ShardedRouter, SharedRib,
+    config::ForwardingMode, CbtConfig, CbtRouter, HostApp, Input, RouteHandle, RouteLookup,
+    RouterAction, RouterNode, ShardedRouter,
 };
 use cbt_netsim::{Bytes, Outbox, SimNode, SimTime};
-use cbt_routing::Hop;
+use cbt_routing::{Hop, Rib};
 use cbt_topology::{IfIndex, NetworkBuilder, NetworkSpec, RouterId};
 use cbt_wire::header::ON_TREE;
 use cbt_wire::igmp::RP_CORE_CODE_CBT;
@@ -28,7 +28,7 @@ use cbt_wire::{
 };
 use common::alloc;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// Calls that grow every scratch buffer and spanning entry before
 /// counting.
@@ -262,9 +262,9 @@ fn transit_node(fanout: usize, payload: usize) -> (RouterNode, IfIndex, Addr, By
         b.link(me, d, 1);
     }
     let net = Arc::new(b.build());
-    let (_rib, make_rib) = SharedRib::build(net.clone());
+    let rib = RouteHandle::new(Arc::new(RwLock::new(Rib::converged(net.clone()))), me.0);
     let cfg = CbtConfig { shards: 1, ..CbtConfig::default() };
-    let mut node = RouterNode::new(&net, me, cfg, make_rib(me), SimTime::ZERO);
+    let mut node = RouterNode::new(&net, me, cfg, rib, SimTime::ZERO);
 
     // The neighbour's address on the link behind each of ME's ifaces.
     let peer_addr = |iface: usize, peer: RouterId| {

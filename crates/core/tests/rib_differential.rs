@@ -2,14 +2,15 @@
 //! over a `NetworkSpec`) and `FleetRib` (the netscale fleet's, over a
 //! bare `CsrGraph`) must pick the same next router, interface and
 //! distance toward every core from every router, fault-free and through
-//! a link flap, a router crash and their restoration.
+//! a link flap, a router crash and their restoration. Both are read
+//! through `RouteHandle::hop_toward`, the door every engine reads by.
 //!
 //! One Waxman graph is built both ways. `from_graph_with_stub_lans`
 //! gives each router its links in edge order before its stub LAN, and
 //! `CsrGraph::from_edges` gives it its slots in the same order, so a
 //! link's interface number and its slot offset coincide.
 
-use cbt::{node_addr, FleetRib, FleetRoutes, RouteLookup};
+use cbt::{node_addr, FleetRib, RouteHandle, RouteLookup};
 use cbt_routing::{FailureSet, Rib};
 use cbt_topology::{
     waxman, CsrGraph, LinkId, NetworkSpec, RouterId, SpfScratch, SpfTree, WaxmanParams,
@@ -19,8 +20,8 @@ use std::sync::{Arc, RwLock};
 const CORES: [u32; 3] = [0, 17, 41];
 
 struct Both {
-    net: NetworkSpec,
-    rib: Rib,
+    net: Arc<NetworkSpec>,
+    rib: Arc<RwLock<Rib>>,
     failures: FailureSet,
     csr: CsrGraph,
     pairs: Vec<[u32; 2]>,
@@ -31,14 +32,14 @@ struct Both {
 impl Both {
     fn new() -> Both {
         let g = waxman(WaxmanParams { n: 60, alpha: 0.25, beta: 0.2 }, 33);
-        let net = NetworkSpec::from_graph_with_stub_lans(&g);
+        let net = Arc::new(NetworkSpec::from_graph_with_stub_lans(&g));
         let edges: Vec<(u32, u32, u32)> = g.edges().map(|(a, b, w)| (a.0, b.0, w)).collect();
         let (csr, pairs) = CsrGraph::from_edges(g.node_count(), &edges);
         let mut scratch = SpfScratch::new();
         let trees = CORES.iter().map(|&c| SpfTree::full(&csr, c, &mut scratch)).collect();
         let fleet = Arc::new(RwLock::new(FleetRib::repairable(&csr, &CORES, trees)));
         Both {
-            rib: Rib::converged(&net),
+            rib: Arc::new(RwLock::new(Rib::converged(net.clone()))),
             net,
             failures: FailureSet::none(),
             csr,
@@ -63,7 +64,7 @@ impl Both {
             self.failures.fail_link(LinkId(k as u32));
             fleet.apply_removals(&self.csr, &pair, &[], &mut self.scratch);
         }
-        self.rib.apply_failures(&self.failures);
+        self.rib.write().unwrap().apply_failures(&self.failures);
     }
 
     /// Crashes or restores router `r` in both tables.
@@ -77,7 +78,7 @@ impl Both {
             self.failures.fail_router(RouterId(r));
             fleet.apply_removals(&self.csr, &[], &[r], &mut self.scratch);
         }
-        self.rib.apply_failures(&self.failures);
+        self.rib.write().unwrap().apply_failures(&self.failures);
     }
 
     /// Every router's hop toward every core agrees between the tables;
@@ -86,10 +87,10 @@ impl Both {
         self.fleet.read().unwrap().assert_matches_full_spf(&self.csr, &mut self.scratch);
         let mut routed = 0;
         for me in 0..self.net.routers.len() as u32 {
-            let fleet = FleetRoutes::new(Arc::clone(&self.fleet), me);
+            let sim = RouteHandle::new(Arc::clone(&self.rib), me);
+            let fleet = RouteHandle::new(Arc::clone(&self.fleet), me);
             for &c in &CORES {
-                let core_addr = self.net.routers[c as usize].addr;
-                let sim = self.rib.route(&self.net, RouterId(me), core_addr);
+                let sim = sim.hop_toward(self.net.routers[c as usize].addr);
                 let flat = fleet.hop_toward(node_addr(c));
                 let key = |h: cbt_routing::Hop| (h.router, h.iface, h.dist);
                 assert_eq!(sim.map(key), flat.map(key), "{label}: router {me} toward core {c}");
@@ -108,7 +109,7 @@ fn rib_and_fleet_rib_route_alike_through_a_flap_and_a_crash() {
 
     // Flap the first hop of router 59's path toward core 0, and crash
     // the busiest router that is not a core.
-    let next = both.rib.next_router(RouterId(59), RouterId(0)).unwrap().0;
+    let next = both.rib.read().unwrap().next_router(RouterId(59), RouterId(0)).unwrap().0;
     let link = both
         .net
         .links

@@ -210,7 +210,7 @@ pub fn e5() -> Report {
     // Break R2–R3 and inject the stale-routing opinions of §6.3.
     cw.world.failures_mut().fail_link(cbt_topology::LinkId(1));
     {
-        let mut rib = cw.rib.write();
+        let mut rib = cw.rib.write().expect("rib lock poisoned");
         rib.set_override(r(3), r(1), r(6));
         rib.set_override(r(6), r(1), r(5));
     }

@@ -27,10 +27,7 @@
 use crate::membership::{MembershipEvent, MembershipParams, MembershipStream, XorShift};
 use crate::report::Report;
 use cbt::explore::{check_netscale_invariants, Violation};
-use cbt::{
-    addr_node, node_addr, CbtConfig, FleetRib, FleetRoutes, Input, P2pNode, ShardedRouter,
-    SharedFleetRib,
-};
+use cbt::{addr_node, node_addr, CbtConfig, FleetRib, Input, P2pNode, RouteHandle, ShardedRouter};
 use cbt_netsim::{NetscaleWorld, NsTrace, SimDuration, SimTime};
 use cbt_obs::ObsSnapshot;
 use cbt_topology::csr::{CsrGraph, SpfScratch, SpfTree};
@@ -163,7 +160,7 @@ pub struct Fleet {
     edge_list: Vec<(u32, u32, u32)>,
     /// `(min, max) endpoint pair → edge index` for chain walks.
     edge_index: HashMap<(u32, u32), usize>,
-    rib: SharedFleetRib,
+    rib: Arc<RwLock<FleetRib>>,
     scratch: SpfScratch,
     cores: Vec<u32>,
     core_addrs: Vec<Addr>,
@@ -216,7 +213,7 @@ pub fn rss_bytes() -> u64 {
 /// encodes, so routes and ports agree by construction.
 fn engine(
     csr: &CsrGraph,
-    rib: &SharedFleetRib,
+    rib: &Arc<RwLock<FleetRib>>,
     cfg: CbtConfig,
     i: u32,
     now: SimTime,
@@ -229,7 +226,7 @@ fn engine(
         node_addr(i),
         degree,
         cfg,
-        || Box::new(FleetRoutes::new(Arc::clone(rib), i)),
+        || Box::new(RouteHandle::new(Arc::clone(rib), i)),
         now,
     )
 }

@@ -9,13 +9,14 @@
 
 use crate::fabric::{DataPlaneConfig, Fabric, FabricStats};
 use crate::inbox::{InboxRx, RxFrame};
-use cbt::{CbtConfig, HostApp, RouterNode, SharedRib};
+use cbt::{CbtConfig, HostApp, RouteHandle, RouterNode};
 use cbt_netsim::{Entity, Outbox, SimNode, SimTime};
 use cbt_obs::DropReason;
+use cbt_routing::Rib;
 use cbt_topology::{HostId, NetworkSpec, RouterId};
 use cbt_wire::{Addr, GroupId};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use tokio::sync::{mpsc, oneshot};
 use tokio::task::JoinHandle;
 use tokio::time::{Duration, Instant};
@@ -115,7 +116,7 @@ impl LiveNet {
         let shards = cfg.shards.max(1);
         let net = Arc::new(net);
         let epoch = Instant::now();
-        let (_rib, make_rib) = SharedRib::build(net.clone());
+        let rib = Arc::new(RwLock::new(Rib::converged(net.clone())));
         let (fabric, rxs) = Fabric::with_shards(&net, dp, shards);
 
         let mut tasks = Vec::new();
@@ -130,7 +131,7 @@ impl LiveNet {
                             &net,
                             me,
                             cfg.clone(),
-                            make_rib(me),
+                            RouteHandle::new(rib.clone(), me.0),
                             SimTime::ZERO,
                             k,
                             shards,

@@ -8,7 +8,8 @@
 //! It models a converged link-state IGP: every router effectively knows
 //! the router-level topology and runs SPF, yielding per-router next-hop
 //! tables ([`Rib`]) over the route core [`SpfRoutes`] that the netscale
-//! fleet's rib shares. Link/router failures are applied through a
+//! fleet's rib shares; each engine reads one through a `cbt::RouteHandle`.
+//! Link/router failures are applied through a
 //! [`FailureSet`] and the tables repaired incrementally — that is what
 //! drives the §6 reconfiguration experiments. A route resolves to the
 //! SPF predecessor out of the lowest-numbered *live* interface toward it

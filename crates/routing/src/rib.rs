@@ -10,8 +10,9 @@
 //! records its sender's interface and the peer's address on that link
 //! or LAN, so the core's hop rule (the lowest live interface toward the
 //! SPF predecessor) resolves to a [`Hop`] without subnet matching.
-//! `tests/rib_differential.rs` in the `cbt` crate holds this table and
-//! the netscale `FleetRib` equal on one topology.
+//! Engines read a [`Rib`] through `cbt`'s `RouteHandle`, one lock around
+//! it; `cbt`'s `tests/rib_differential.rs` reads it and the netscale
+//! `FleetRib` through their handles and holds them equal.
 
 use crate::failure::FailureSet;
 use crate::spf_routes::SpfRoutes;
@@ -20,7 +21,7 @@ use cbt_topology::network::Owner;
 use cbt_topology::{Attachment, IfIndex, LanId, LinkId, NetworkSpec, RouterId};
 use cbt_wire::Addr;
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One resolved forwarding decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,6 +70,8 @@ struct Edge {
 /// inconsistent tables of the §6.3 loop scenario.
 #[derive(Debug)]
 pub struct Rib {
+    /// The network the graph was built from; it maps addresses to owners.
+    net: Arc<NetworkSpec>,
     /// Per directed slot: the sender's interface and the peer's address
     /// on that link or LAN.
     slot_hops: Vec<(IfIndex, Addr)>,
@@ -87,7 +90,8 @@ pub struct Rib {
 impl Rib {
     /// Builds the masked router graph for `net` with `failures`
     /// applied. Trees are computed on first use per destination.
-    pub fn compute(net: &NetworkSpec, failures: &FailureSet) -> Self {
+    pub fn compute(net: impl Into<Arc<NetworkSpec>>, failures: &FailureSet) -> Self {
+        let net = net.into();
         // The interface and address router `r` has on `medium`.
         let on = |r: RouterId, medium: Attachment| {
             let ifaces = &net.routers[r.0 as usize].ifaces;
@@ -132,6 +136,7 @@ impl Rib {
             .map(|(((a, b, _), medium), slots)| Edge { ends: (a, b), slots, medium })
             .collect();
         let mut rib = Rib {
+            net,
             routes: Mutex::new((SpfRoutes::new(graph, Vec::new()), SpfScratch::new())),
             slot_hops,
             edges,
@@ -143,7 +148,7 @@ impl Rib {
     }
 
     /// Convenience: converged tables with nothing failed.
-    pub fn converged(net: &NetworkSpec) -> Self {
+    pub fn converged(net: impl Into<Arc<NetworkSpec>>) -> Self {
         Self::compute(net, &FailureSet::none())
     }
 
@@ -255,23 +260,22 @@ impl Rib {
     ///
     /// `dst_addr` may be any address owned by a router (identity or
     /// interface) or by a host (the route then leads to the host's LAN).
-    pub fn route(&self, net: &NetworkSpec, from: RouterId, dst_addr: Addr) -> Option<Hop> {
-        let dst = match net.owner_of(dst_addr)? {
+    /// The route core is locked once, for the whole lookup.
+    pub fn route(&self, from: RouterId, dst_addr: Addr) -> Option<Hop> {
+        let (spf, scratch) = &mut *self.routes();
+        let dst = match self.net.owner_of(dst_addr)? {
             Owner::Router(r) => r,
             // Route to the first attached (lowest-addressed) live
             // router of the host's LAN.
             Owner::Host(h) => {
-                let lan = net.hosts[h.0 as usize].lan;
-                let routes = self.routes();
-                let up = |r: &&RouterId| routes.0.graph().is_node_up(r.0);
-                *net.lans[lan.0 as usize].routers.iter().find(up)?
+                let lan = &self.net.lans[self.net.hosts[h.0 as usize].lan.0 as usize];
+                *lan.routers.iter().find(|r| spf.graph().is_node_up(r.0))?
             }
         };
         if dst == from {
             return None;
         }
         let via = self.overrides.get(&(from, dst)).map(|v| v.0);
-        let (spf, scratch) = &mut *self.routes();
         let i = spf.find_or_build(dst.0, scratch)?;
         let (next, dist, (iface, addr)) =
             spf.hop(i, from.0, via, |s| self.slot_hops[s as usize])?;
@@ -287,7 +291,7 @@ mod tests {
     #[test]
     fn figure1_join_paths() {
         let f = figure1();
-        let rib = Rib::converged(&f.net);
+        let rib = Rib::converged(f.net.clone());
         let r = |n: usize| f.router(n);
         // §2.5: R1 → R4 goes via R3.
         assert_eq!(rib.next_router(r(1), r(4)), Some(r(3)));
@@ -300,9 +304,9 @@ mod tests {
     #[test]
     fn route_resolves_iface_and_addr() {
         let f = figure1();
-        let rib = Rib::converged(&f.net);
+        let rib = Rib::converged(f.net.clone());
         let core_addr = f.net.router_addr(f.router(4));
-        let hop = rib.route(&f.net, f.router(1), core_addr).unwrap();
+        let hop = rib.route(f.router(1), core_addr).unwrap();
         assert_eq!(hop.router, f.router(3));
         // The hop address is R3's address on the R1–R3 /30.
         let r3 = &f.net.routers[f.router(3).0 as usize];
@@ -313,8 +317,8 @@ mod tests {
     #[test]
     fn route_over_shared_lan_targets_peer_lan_address() {
         let f = figure1();
-        let rib = Rib::converged(&f.net);
-        let hop = rib.route(&f.net, f.router(6), f.net.router_addr(f.router(4))).unwrap();
+        let rib = Rib::converged(f.net.clone());
+        let hop = rib.route(f.router(6), f.net.router_addr(f.router(4))).unwrap();
         assert_eq!(hop.router, f.router(2));
         let s4 = f.subnet(4);
         let (_, r2_on_s4) = f.net.routers[f.router(2).0 as usize].iface_on_lan(s4).unwrap();
@@ -324,9 +328,9 @@ mod tests {
     #[test]
     fn self_route_is_none() {
         let f = figure1();
-        let rib = Rib::converged(&f.net);
+        let rib = Rib::converged(f.net.clone());
         assert_eq!(rib.next_router(f.router(4), f.router(4)), None);
-        assert!(rib.route(&f.net, f.router(4), f.net.router_addr(f.router(4))).is_none());
+        assert!(rib.route(f.router(4), f.net.router_addr(f.router(4))).is_none());
     }
 
     #[test]
@@ -343,17 +347,17 @@ mod tests {
         b.link(r3, r2, 1);
         let net = b.build();
 
-        let rib = Rib::converged(&net);
+        let rib = Rib::converged(net.clone());
         assert_eq!(rib.next_router(r0, r2), Some(r1), "prefer via R1 (tie-break id)");
 
         let mut failures = FailureSet::none();
         failures.fail_link(l0);
-        let rib = Rib::compute(&net, &failures);
+        let rib = Rib::compute(net.clone(), &failures);
         assert_eq!(rib.next_router(r0, r2), Some(r3), "reroute after failure");
         assert_eq!(rib.next_router(r0, r1), Some(r3), "R1 now two hops away");
 
         failures.fail_router(r3);
-        let rib = Rib::compute(&net, &failures);
+        let rib = Rib::compute(net.clone(), &failures);
         assert_eq!(rib.next_router(r0, r2), None, "fully cut off");
     }
 
@@ -366,16 +370,16 @@ mod tests {
         b.attach(lan, r0);
         b.attach(lan, r1);
         let net = b.build();
-        assert_eq!(Rib::converged(&net).next_router(r0, r1), Some(r1));
+        assert_eq!(Rib::converged(net.clone()).next_router(r0, r1), Some(r1));
         let mut failures = FailureSet::none();
         failures.fail_lan(lan);
-        assert_eq!(Rib::compute(&net, &failures).next_router(r0, r1), None);
+        assert_eq!(Rib::compute(net.clone(), &failures).next_router(r0, r1), None);
     }
 
     #[test]
     fn overrides_shadow_spf() {
         let f = figure1();
-        let mut rib = Rib::converged(&f.net);
+        let mut rib = Rib::converged(f.net.clone());
         // Force R3 to (wrongly) believe R4 is reached via R1.
         rib.set_override(f.router(3), f.router(4), f.router(1));
         assert_eq!(rib.next_router(f.router(3), f.router(4)), Some(f.router(1)));
@@ -386,17 +390,17 @@ mod tests {
     #[test]
     fn route_to_host_address_reaches_its_lan() {
         let f = figure1();
-        let rib = Rib::converged(&f.net);
+        let rib = Rib::converged(f.net.clone());
         let host_g = f.net.host_addr(f.hosts.g); // on S10 behind R8
-        let hop = rib.route(&f.net, f.router(4), host_g).unwrap();
+        let hop = rib.route(f.router(4), host_g).unwrap();
         assert_eq!(hop.router, f.router(8));
     }
 
     #[test]
     fn unknown_address_routes_nowhere() {
         let f = figure1();
-        let rib = Rib::converged(&f.net);
-        assert!(rib.route(&f.net, f.router(1), Addr::from_octets(203, 0, 113, 1)).is_none());
+        let rib = Rib::converged(f.net.clone());
+        assert!(rib.route(f.router(1), Addr::from_octets(203, 0, 113, 1)).is_none());
     }
 
     /// Every (from, dst) next hop and distance of `a` must equal `b`'s.
@@ -425,7 +429,7 @@ mod tests {
     fn incremental_apply_equals_from_scratch() {
         let f = figure1();
         let n = f.net.routers.len();
-        let mut inc = Rib::converged(&f.net);
+        let mut inc = Rib::converged(f.net.clone());
         // Warm every tree so repairs actually run.
         for dst in 0..n as u32 {
             let _ = inc.dist(RouterId(0), RouterId(dst));
@@ -434,7 +438,7 @@ mod tests {
         failures.fail_link(cbt_topology::LinkId(0));
         failures.fail_router(f.router(7));
         inc.apply_failures(&failures);
-        let scratch = Rib::compute(&f.net, &failures);
+        let scratch = Rib::compute(f.net.clone(), &failures);
         assert_tables_equal(&f.net, &inc, &scratch, "after failures");
         // Heal everything and fail a LAN in the same batch.
         let mut failures2 = FailureSet::none();
@@ -442,7 +446,7 @@ mod tests {
         inc.apply_failures(&failures2);
         assert_eq!(kept_roots(&inc).len(), n, "trees are repaired in place, none dropped");
         inc.routes().0.assert_matches_full_spf(&mut SpfScratch::new());
-        let scratch2 = Rib::compute(&f.net, &failures2);
+        let scratch2 = Rib::compute(f.net.clone(), &failures2);
         assert_tables_equal(&f.net, &inc, &scratch2, "after heal + LAN fail");
     }
 
@@ -459,7 +463,7 @@ mod tests {
         b.link(r0, r3, 1);
         b.link(r3, r2, 1);
         let net = b.build();
-        let mut rib = Rib::converged(&net);
+        let mut rib = Rib::converged(net.clone());
         rib.set_override(r0, r2, r1); // rides link l0
         rib.set_override(r3, r2, r2); // independent of l0
         let mut failures = FailureSet::none();
@@ -472,7 +476,7 @@ mod tests {
         );
         assert_eq!(rib.next_router(r3, r2), Some(r2), "unrelated override survives");
         // A downed via-router also invalidates.
-        let mut rib = Rib::converged(&net);
+        let mut rib = Rib::converged(net.clone());
         rib.set_override(r0, r2, r1);
         let mut failures = FailureSet::none();
         failures.fail_router(r1);
@@ -483,7 +487,7 @@ mod tests {
     #[test]
     fn trees_are_computed_on_demand_not_eagerly() {
         let f = figure1();
-        let rib = Rib::converged(&f.net);
+        let rib = Rib::converged(f.net.clone());
         let r4 = f.router(4);
         assert_eq!(kept_roots(&rib), [], "construction computes nothing");
         let _ = rib.next_router(f.router(1), r4);
@@ -496,7 +500,7 @@ mod tests {
         assert_eq!(kept_roots(&rib), [r4.0]);
         let mut failures = FailureSet::none();
         failures.fail_router(r3);
-        assert_ne!(Rib::compute(&f.net, &failures).next_router(f.router(1), r4), Some(r3));
+        assert_ne!(Rib::compute(f.net.clone(), &failures).next_router(f.router(1), r4), Some(r3));
     }
 
     /// A and B share a p2p link (A's interface 0) *and* a LAN (A's
@@ -520,17 +524,17 @@ mod tests {
         let (_, on_lan) = net.routers[1].iface_on_lan(lan).unwrap();
         let hop = |iface, addr| Some(Hop { iface: IfIndex(iface), router: bb, addr, dist: 2 });
         let core = net.router_addr(c);
-        let mut rib = Rib::converged(&net);
-        assert_eq!(rib.route(&net, a, core), hop(0, on_link), "both up: the lower interface");
+        let mut rib = Rib::converged(net.clone());
+        assert_eq!(rib.route(a, core), hop(0, on_link), "both up: the lower interface");
         let mut failures = FailureSet::none();
         failures.fail_link(link);
         rib.apply_failures(&failures);
-        assert_eq!(rib.route(&net, a, core), hop(1, on_lan.addr), "link down: over the LAN");
-        assert_eq!(Rib::compute(&net, &failures).route(&net, a, core), hop(1, on_lan.addr));
+        assert_eq!(rib.route(a, core), hop(1, on_lan.addr), "link down: over the LAN");
+        assert_eq!(Rib::compute(net.clone(), &failures).route(a, core), hop(1, on_lan.addr));
         let mut failures = FailureSet::none();
         failures.fail_lan(lan);
         rib.apply_failures(&failures);
-        assert_eq!(rib.route(&net, a, core), hop(0, on_link), "LAN down: over the link");
+        assert_eq!(rib.route(a, core), hop(0, on_link), "LAN down: over the link");
     }
 
     #[test]
@@ -546,11 +550,11 @@ mod tests {
         let host = b.host("H", lan);
         let net = b.build();
         let to_host = net.host_addr(host);
-        let rib = Rib::converged(&net);
-        assert_eq!(rib.route(&net, r, to_host).map(|h| h.router), Some(x));
+        let rib = Rib::converged(net.clone());
+        assert_eq!(rib.route(r, to_host).map(|h| h.router), Some(x));
         let mut failures = FailureSet::none();
         failures.fail_router(x);
-        let hop = Rib::compute(&net, &failures).route(&net, r, to_host);
+        let hop = Rib::compute(net.clone(), &failures).route(r, to_host);
         assert_eq!(hop.map(|h| (h.router, h.iface)), Some((y, IfIndex(1))), "X is down");
     }
 }

@@ -32,7 +32,7 @@ proptest! {
     #[test]
     fn converged_tables_are_loop_free_and_optimal(n in 2usize..40, seed in any::<u64>()) {
         let net = spec_from(n, seed);
-        let rib = Rib::converged(&net);
+        let rib = Rib::converged(net.clone());
         for i in 0..n {
             for j in 0..n {
                 let (a, b) = (RouterId(i as u32), RouterId(j as u32));
@@ -62,7 +62,7 @@ proptest! {
                 failures.fail_link(LinkId(k % link_count));
             }
         }
-        let rib = Rib::compute(&net, &failures);
+        let rib = Rib::compute(net.clone(), &failures);
         for i in 0..n {
             for j in 0..n {
                 let (a, b) = (RouterId(i as u32), RouterId(j as u32));
@@ -71,7 +71,7 @@ proptest! {
                 // Any resolved hop must be a physical neighbour over a
                 // *live* medium.
                 if a != b {
-                    if let Some(hop) = rib.route(&net, a, net.router_addr(b)) {
+                    if let Some(hop) = rib.route(a, net.router_addr(b)) {
                         let iface = net.routers[a.0 as usize].iface(hop.iface).expect("iface");
                         match iface.attachment {
                             Attachment::Link { link, peer } => {
@@ -103,7 +103,7 @@ proptest! {
         schedule in proptest::collection::vec((any::<u8>(), any::<u32>()), 1..12),
     ) {
         let net = spec_from(n, seed);
-        let mut rib = Rib::converged(&net);
+        let mut rib = Rib::converged(net.clone());
         // Warm a few trees so repairs actually have work to do.
         for d in 0..n.min(6) {
             let _ = rib.dist(RouterId(0), RouterId(d as u32));
@@ -143,7 +143,7 @@ proptest! {
             }
             rib.apply_failures(&failures);
         }
-        let fresh = Rib::compute(&net, &failures);
+        let fresh = Rib::compute(net.clone(), &failures);
         for i in 0..n {
             for j in 0..n {
                 let (a, b) = (RouterId(i as u32), RouterId(j as u32));

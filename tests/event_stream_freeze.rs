@@ -19,7 +19,7 @@
 //! world, pinned to totals and a digest of every transmission.
 
 use cbt::{
-    node_addr, CbtConfig, CbtWorld, FleetRib, FleetRoutes, Input, P2pNode, RouterNode,
+    node_addr, CbtConfig, CbtWorld, FleetRib, Input, P2pNode, RouteHandle, RouterNode,
     ShardedRouter,
 };
 use cbt_netsim::{Entity, FaultPlan, NetscaleWorld, SimDuration, SimTime, WorldConfig};
@@ -79,7 +79,7 @@ fn fleet(shards: usize) -> Frozen {
                 node_addr(i),
                 degree as usize,
                 cfg.clone(),
-                || Box::new(FleetRoutes::new(Arc::clone(&rib), i)),
+                || Box::new(RouteHandle::new(Arc::clone(&rib), i)),
                 SimTime::ZERO,
             ))
         })

@@ -352,7 +352,7 @@ fn e5_loop_detection_and_recovery() {
     let link_r2_r3 = cbt_topology::LinkId(1); // second link created
     cw.world.failures_mut().fail_link(link_r2_r3);
     {
-        let mut rib = cw.rib.write();
+        let mut rib = cw.rib.write().expect("rib lock poisoned");
         rib.set_override(r(3), r(1), r(6));
         rib.set_override(r(6), r(1), r(5));
     }
@@ -383,7 +383,7 @@ fn e5_loop_detection_and_recovery() {
     // Routing converges: link restored, overrides dropped.
     cw.world.failures_mut().restore_link(link_r2_r3);
     {
-        let mut rib = cw.rib.write();
+        let mut rib = cw.rib.write().expect("rib lock poisoned");
         rib.clear_override(r(3), r(1));
         rib.clear_override(r(6), r(1));
     }
