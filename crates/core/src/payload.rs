@@ -1,12 +1,19 @@
 //! What a host application keeps of its deliveries: a [`Deliveries`]
-//! log of one fixed-size header per delivery, with short payloads
-//! copied back to back into one arena and long ones held by reference
-//! into their arrival frame, chosen by length ([`RX_COPYBREAK`]).
+//! log of one 16-byte record per delivery, with short payloads copied
+//! back to back into one arena and long ones held by reference into
+//! their arrival frame, chosen by length ([`RX_COPYBREAK`]). A record
+//! names its `(group, source)` pair by index into a per-log table, so
+//! a flood from a few senders to a few groups pays for each pair once.
+//!
+//! The columns sit behind one `Arc`: a clone is a snapshot that costs
+//! a refcount, and the log copies its columns on a later push only
+//! while such a snapshot is still alive.
 
 use cbt_netsim::{Bytes, SimTime};
 use cbt_wire::{Addr, GroupId};
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Payloads of at least this many bytes are kept as a refcounted slice
 /// of the (already validated) arrival frame; shorter ones are copied
@@ -30,34 +37,88 @@ pub struct Delivery<'a> {
     pub payload: &'a [u8],
 }
 
-/// A delivery as stored, 24 bytes: its payload is `len` bytes at `off`
-/// in the arena, or `shared[off]` when `len` is [`SHARED`].
+/// A delivery as stored, 16 bytes. Its payload is `tag & LEN` bytes
+/// at `loc` in the arena, or `shared[loc]` when that low byte is
+/// [`SHARED`]; `tag >> PAIR_SHIFT` indexes its `(group, source)` pair.
 #[derive(Clone, Copy)]
-struct Header {
+struct Record {
     at: SimTime,
-    group: GroupId,
-    src: Addr,
-    off: u32,
-    len: u32,
+    loc: u32,
+    tag: u32,
 }
 
-const SHARED: u32 = u32::MAX;
+/// The tag's low byte: a copied payload's length, always below
+/// [`RX_COPYBREAK`], or [`SHARED`].
+const LEN: u32 = 0xFF;
+const SHARED: u32 = LEN;
+const PAIR_SHIFT: u32 = 8;
+const _: () = assert!(RX_COPYBREAK <= SHARED as usize, "a copied length fits below SHARED");
 
-/// Everything a host application has received, in arrival order.
-/// Compares by content: which column holds a payload is not part of
-/// its value.
+/// A log's columns, shared by its clones until one of them pushes.
 #[derive(Clone, Default)]
-pub struct Deliveries {
-    headers: Vec<Header>,
+struct Columns {
+    records: Vec<Record>,
     arena: Vec<u8>,
     shared: Vec<Bytes>,
+    /// The log's `(group, source)` pairs: row `i` holds the pair a tag
+    /// names by index `i`, in first-seen order.
+    pairs: Vec<PairRow>,
+    /// The row the last push used: a flood re-hits it.
+    hit: u32,
+}
+
+/// One row of a log's pair table, 12 bytes. The `by_key` column,
+/// read top to bottom, lists the rows in key order, so one column
+/// serves both the tags' index and the binary search.
+#[derive(Clone, Copy)]
+struct PairRow {
+    key: (GroupId, Addr),
+    by_key: u32,
+}
+
+impl Columns {
+    /// The row of `key`, added when new: the last hit, or a binary
+    /// search through `by_key`. A new pair shifts the `by_key` column
+    /// below its place once, O(p) for p pairs.
+    fn pair(&mut self, key: (GroupId, Addr)) -> u32 {
+        if self.pairs.get(self.hit as usize).is_some_and(|r| r.key == key) {
+            return self.hit;
+        }
+        let rows = &self.pairs;
+        self.hit = match rows.binary_search_by(|r| rows[r.by_key as usize].key.cmp(&key)) {
+            Ok(at) => rows[at].by_key,
+            Err(at) => {
+                let i = u32::try_from(rows.len())
+                    .ok()
+                    .filter(|&i| i < 1 << (32 - PAIR_SHIFT))
+                    .expect("< 2^24 (group, source) pairs per log");
+                self.pairs.push(PairRow { key, by_key: i });
+                for k in (at + 1..self.pairs.len()).rev() {
+                    self.pairs[k].by_key = self.pairs[k - 1].by_key;
+                }
+                self.pairs[at].by_key = i;
+                i
+            }
+        };
+        self.hit
+    }
+}
+
+/// Everything a host application has received, in arrival order.
+/// Compares by content: which column holds a payload, and which index
+/// a pair has, is not part of its value. Cloning is O(1).
+#[derive(Clone, Default)]
+pub struct Deliveries {
+    /// `None` until the first push, so an idle host allocates nothing.
+    cols: Option<Arc<Columns>>,
 }
 
 impl Deliveries {
     /// Appends the delivery of the bytes `payload` of a received,
     /// validated `frame`: copied into the arena when shorter than
     /// [`RX_COPYBREAK`] and within reach of its `u32` offsets, held by
-    /// reference otherwise.
+    /// reference otherwise. Copies the columns first if a clone still
+    /// shares them.
     pub fn push(
         &mut self,
         at: SimTime,
@@ -66,38 +127,42 @@ impl Deliveries {
         frame: &Bytes,
         payload: Range<usize>,
     ) {
-        let (off, len) = match u32::try_from(self.arena.len() + payload.len()) {
+        let c = Arc::make_mut(self.cols.get_or_insert_with(Arc::default));
+        let pair = c.pair((group, src));
+        let (loc, len) = match u32::try_from(c.arena.len() + payload.len()) {
             Ok(end) if payload.len() < RX_COPYBREAK => {
                 let len = payload.len() as u32; // < RX_COPYBREAK
-                self.arena.extend_from_slice(&frame[payload]);
+                c.arena.extend_from_slice(&frame[payload]);
                 (end - len, len)
             }
             _ => {
-                self.shared.push(frame.slice(payload));
-                (u32::try_from(self.shared.len() - 1).expect("< 2^32 shared payloads"), SHARED)
+                c.shared.push(frame.slice(payload));
+                (u32::try_from(c.shared.len() - 1).expect("< 2^32 shared payloads"), SHARED)
             }
         };
-        self.headers.push(Header { at, group, src, off, len });
+        c.records.push(Record { at, loc, tag: pair << PAIR_SHIFT | len });
     }
 
     /// How many deliveries the log holds.
     pub fn len(&self) -> usize {
-        self.headers.len()
+        self.cols.as_ref().map_or(0, |c| c.records.len())
     }
 
     /// True when nothing has been delivered.
     pub fn is_empty(&self) -> bool {
-        self.headers.is_empty()
+        self.len() == 0
     }
 
     /// The `i`-th delivery, oldest first.
     pub fn get(&self, i: usize) -> Option<Delivery<'_>> {
-        let h = self.headers.get(i)?;
-        let payload = match h.len {
-            SHARED => &self.shared[h.off as usize][..],
-            len => &self.arena[h.off as usize..][..len as usize],
+        let c = self.cols.as_deref()?;
+        let r = c.records.get(i)?;
+        let (group, src) = c.pairs[(r.tag >> PAIR_SHIFT) as usize].key;
+        let payload = match r.tag & LEN {
+            SHARED => &c.shared[r.loc as usize][..],
+            len => &c.arena[r.loc as usize..][..len as usize],
         };
-        Some(Delivery { at: h.at, group: h.group, src: h.src, payload })
+        Some(Delivery { at: r.at, group, src, payload })
     }
 
     /// The latest delivery.
@@ -108,6 +173,22 @@ impl Deliveries {
     /// Every delivery, oldest first.
     pub fn iter(&self) -> Iter<'_> {
         Iter(self, 0..self.len())
+    }
+
+    /// Heap bytes the log holds: the capacity of its columns and pair
+    /// table, and the `Arc` block around them; 0 before the first push.
+    /// Shared payloads' frames are not counted: they belong to every
+    /// member that received them. A snapshot reports the same block.
+    pub fn mem_bytes(&self) -> usize {
+        self.cols.as_deref().map_or(0, |c| {
+            // The `Arc` block: two reference counts, then the columns.
+            2 * size_of::<usize>()
+                + size_of::<Columns>()
+                + c.records.capacity() * size_of::<Record>()
+                + c.arena.capacity()
+                + c.shared.capacity() * size_of::<Bytes>()
+                + c.pairs.capacity() * size_of::<PairRow>()
+        })
     }
 }
 
@@ -151,6 +232,11 @@ mod tests {
 
     const LENS: [usize; 5] = [0, 1, RX_COPYBREAK - 1, RX_COPYBREAK, 1400];
 
+    /// How many `(group, source)` pairs the generated deliveries draw
+    /// from, so the pair table is re-hit; a draw of `POOL` is a pair
+    /// never seen before.
+    const POOL: usize = 4;
+
     /// A frame carrying `body` after a few bytes of stand-in headers,
     /// and where in it `body` sits.
     fn frame(body: &[u8]) -> (Bytes, Range<usize>) {
@@ -159,7 +245,7 @@ mod tests {
         (Bytes::from(f), 5..5 + body.len())
     }
 
-    fn check(log: &Deliveries, model: &Model) {
+    fn check(log: &Deliveries, model: &[(SimTime, GroupId, Addr, Vec<u8>)]) {
         fn view((at, group, src, p): &(SimTime, GroupId, Addr, Vec<u8>)) -> Delivery<'_> {
             Delivery { at: *at, group: *group, src: *src, payload: p }
         }
@@ -183,48 +269,112 @@ mod tests {
         log
     }
 
+    /// The generated deliveries: first `spread` of distinct pairs (more
+    /// than 256 of them give pair indices wider than one byte), then
+    /// `pushes`, each of a pool pair or a new one.
+    fn model_of(spread: usize, pushes: &[(usize, u8, u64, usize)]) -> Model {
+        let fresh = |n: usize| (GroupId::numbered(1000 + n as u16), Addr(0x0A00_0000 + n as u32));
+        let first = (0..spread).map(|n| (LENS[n % LENS.len()], n as u8, n as u64, fresh(n)));
+        let pushes = pushes.iter().enumerate().map(|(n, &(k, fill, us, p))| {
+            let pair = match p {
+                POOL => fresh(spread + n),
+                p => (GroupId::numbered(p as u16 % 3 + 1), Addr(p as u32)),
+            };
+            (LENS[k], fill, us, pair)
+        });
+        first
+            .chain(pushes)
+            .map(|(len, fill, us, (group, src))| {
+                let body = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                (SimTime::from_micros(us), group, src, body)
+            })
+            .collect()
+    }
+
+    fn any_pushes() -> impl Strategy<Value = Vec<(usize, u8, u64, usize)>> {
+        proptest::collection::vec(
+            (0usize..LENS.len(), any::<u8>(), 0u64..1_000_000, 0usize..=POOL),
+            0..48,
+        )
+    }
+
+    fn any_spread() -> impl Strategy<Value = usize> {
+        prop_oneof![Just(0usize), 257usize..300]
+    }
+
     proptest! {
         /// The log reads back exactly what a plain vector of owned
         /// deliveries holds, short (copied) and long (shared) payloads
-        /// interleaved. It equals its clone and a log holding every
-        /// payload by reference, and differs from one whose last
+        /// interleaved, pairs re-hit and new. It equals its clone and a
+        /// log holding every payload by reference with its pairs
+        /// indexed in another order, and differs from one whose last
         /// payload differs.
         #[test]
         fn reads_back_what_a_vec_of_owned_deliveries_holds(
-            pushes in proptest::collection::vec(
-                (0usize..LENS.len(), any::<u8>(), 0u64..1_000_000),
-                0..48,
-            ),
+            spread in any_spread(),
+            pushes in any_pushes(),
         ) {
-            let (mut log, mut model) = (Deliveries::default(), Model::new());
-            for (n, (k, fill, us)) in pushes.into_iter().enumerate() {
-                let body: Vec<u8> = (0..LENS[k]).map(|i| fill.wrapping_add(i as u8)).collect();
-                let (at, group, src) =
-                    (SimTime::from_micros(us), GroupId::numbered(n as u16 % 3 + 1), Addr(n as u32));
-                let (f, range) = frame(&body);
-                log.push(at, group, src, &f, range);
-                model.push((at, group, src, body));
-                check(&log, &model);
+            let mut model = model_of(spread, &pushes);
+            let mut log = log_of(&model[..spread]);
+            check(&log, &model[..spread]);
+            for (n, (at, group, src, body)) in model.iter().enumerate().skip(spread) {
+                let (f, range) = frame(body);
+                log.push(*at, *group, *src, &f, range);
+                check(&log, &model[..=n]);
             }
+            let distinct: std::collections::BTreeSet<_> =
+                model.iter().map(|(_, group, src, _)| (*group, *src)).collect();
+            let rows = log.cols.as_deref().map_or(&[][..], |c| &c.pairs[..]);
+            prop_assert!(
+                rows.iter().map(|r| rows[r.by_key as usize].key).eq(distinct),
+                "every pair is one row, and by_key lists the rows in key order"
+            );
             let copy = log.clone();
             prop_assert_eq!(&copy, &log);
             check(&copy, &model);
-            let by_reference = Deliveries {
-                headers: log
-                    .iter()
-                    .enumerate()
-                    .map(|(i, d)| {
-                        Header { at: d.at, group: d.group, src: d.src, off: i as u32, len: SHARED }
-                    })
-                    .collect(),
-                arena: Vec::new(),
-                shared: log.iter().map(|d| Bytes::from(d.payload.to_vec())).collect(),
-            };
+            let mut by_reference = Columns::default();
+            for d in log.iter().collect::<Vec<_>>().into_iter().rev() {
+                by_reference.pair((d.group, d.src));
+            }
+            for (i, d) in log.iter().enumerate() {
+                let tag = by_reference.pair((d.group, d.src)) << PAIR_SHIFT | SHARED;
+                by_reference.records.push(Record { at: d.at, loc: i as u32, tag });
+                by_reference.shared.push(Bytes::from(d.payload.to_vec()));
+            }
+            let by_reference = Deliveries { cols: Some(Arc::new(by_reference)) };
             prop_assert_eq!(&by_reference, &log);
             if let Some(last) = model.last_mut() {
                 last.3.push(b'x');
                 prop_assert_ne!(&log_of(&model), &log);
             }
+        }
+
+        /// A clone taken mid-stream is a snapshot: it shares the
+        /// columns until the original pushes again, then keeps exactly
+        /// the prefix it was taken at while the original goes on to
+        /// hold every delivery.
+        #[test]
+        fn a_snapshot_is_unaffected_by_later_pushes(
+            spread in any_spread(),
+            pushes in any_pushes(),
+            cut in any::<u16>(),
+        ) {
+            let model = model_of(spread, &pushes);
+            let cut = usize::from(cut) % (model.len() + 1);
+            let mut log = log_of(&model[..cut]);
+            let snapshot = log.clone();
+            let shares = |a: &Deliveries, b: &Deliveries| match (&a.cols, &b.cols) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            };
+            prop_assert_eq!(shares(&log, &snapshot), cut > 0);
+            for (at, group, src, body) in &model[cut..] {
+                let (f, range) = frame(body);
+                log.push(*at, *group, *src, &f, range);
+            }
+            prop_assert_eq!(shares(&log, &snapshot), cut > 0 && cut == model.len());
+            check(&snapshot, &model[..cut]);
+            check(&log, &model);
         }
     }
 
@@ -234,26 +384,30 @@ mod tests {
     /// mapping: its pages are never touched but the last one.)
     #[test]
     fn a_copy_past_u32_offsets_is_held_by_reference_instead() {
-        let mut log = Deliveries { arena: vec![0u8; u32::MAX as usize], ..Deliveries::default() };
-        log.arena.truncate(u32::MAX as usize - 2);
+        let mut arena = vec![0u8; u32::MAX as usize];
+        arena.truncate(u32::MAX as usize - 2);
+        let mut log = Deliveries { cols: Some(Arc::new(Columns { arena, ..Columns::default() })) };
         let (at, g, src) = (SimTime::ZERO, GroupId::numbered(1), Addr(7));
         for body in [&b"ab"[..], b"c", b""] {
             let (f, range) = frame(body);
             log.push(at, g, src, &f, range);
         }
-        assert_eq!(log.arena.len(), u32::MAX as usize);
-        assert_eq!(log.shared.len(), 1);
+        let c = log.cols.as_deref().expect("pushed");
+        assert_eq!(c.arena.len(), u32::MAX as usize);
+        assert_eq!(c.shared.len(), 1);
         let payloads: Vec<&[u8]> = log.iter().map(|d| d.payload).collect();
         assert_eq!(payloads, [&b"ab"[..], b"c", b""]);
-        assert_eq!(log.headers[1].len, SHARED);
+        assert_eq!(c.records[1].tag & LEN, SHARED);
     }
 
-    /// A delivery's stored header is at most 24 bytes: a short delivery
-    /// costs its header plus its payload bytes, a long one the header
-    /// plus a 16-byte frame handle.
+    /// A delivery's stored record is 16 bytes: a short delivery costs
+    /// its record plus its payload bytes, a long one the record plus a
+    /// 16-byte frame handle. Its group and source cost 12 bytes once
+    /// per distinct pair in the log.
     #[test]
-    fn a_stored_delivery_is_at_most_24_bytes_plus_its_payload_or_handle() {
-        assert!(std::mem::size_of::<Header>() <= 24);
+    fn a_stored_delivery_is_16_bytes_plus_its_payload_or_handle() {
+        assert_eq!(std::mem::size_of::<Record>(), 16);
         assert_eq!(std::mem::size_of::<Bytes>(), 16);
+        assert_eq!(std::mem::size_of::<PairRow>(), 12);
     }
 }

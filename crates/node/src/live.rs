@@ -193,8 +193,10 @@ impl LiveNet {
         let _ = self.host_cmds[&h].send(HostCmd::SendBurst { group, payloads, ttl });
     }
 
-    /// Fetches everything a host has received so far. Errs when the
-    /// host is unknown or its task has died.
+    /// Fetches everything a host has received so far: a snapshot that
+    /// shares the host's log, O(1) on the host task. While the caller
+    /// holds it, the host's next delivery copies the log once. Errs
+    /// when the host is unknown or its task has died.
     pub async fn host_received(&self, h: HostId) -> Result<cbt::Deliveries, LiveError> {
         let cmds = self.host_cmds.get(&h).ok_or(LiveError::UnknownNode)?;
         let (tx, rx) = oneshot::channel();
@@ -202,11 +204,11 @@ impl LiveNet {
         rx.await.map_err(|_| LiveError::NodeDead)
     }
 
-    /// How many deliveries a host has received so far — O(1) on the
-    /// host task, unlike [`host_received`](LiveNet::host_received)
-    /// which clones the whole delivery log (load generators poll this
-    /// in a loop; cloning megabytes through the receiving task would
-    /// perturb the very data plane being measured).
+    /// How many deliveries a host has received so far. Load generators
+    /// poll this in a loop: a [`host_received`](LiveNet::host_received)
+    /// snapshot held across deliveries would make the receiving task
+    /// copy megabytes of log, perturbing the very data plane being
+    /// measured.
     pub async fn host_received_count(&self, h: HostId) -> Result<usize, LiveError> {
         let cmds = self.host_cmds.get(&h).ok_or(LiveError::UnknownNode)?;
         let (tx, rx) = oneshot::channel();

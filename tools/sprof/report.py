@@ -14,6 +14,10 @@ its internal functions (malloc's, memcpy's variants) show under the
 nearest exported name below them. Return addresses are looked up one
 byte back, inside the call.
 
+The profiler samples the main thread on a wall clock, so a sample
+may fall while that thread is off CPU; the header gives the rate
+measured over the wall time the profiles cover.
+
 Output: one row per function with its self share (samples whose leaf
 frame is that function) and inclusive share (samples with the
 function anywhere on the stack, counted once each). `--folded` also
@@ -33,7 +37,7 @@ HASH = re.compile(r"::h[0-9a-f]{16}$")
 
 
 def parse(path):
-    exe, cpu_ns, dropped, maps, stacks = None, 0, 0, [], []
+    exe, cpu_ns, wall_ns, dropped, maps, stacks = None, 0, 0, 0, [], []
     section = None
     with open(path) as f:
         for line in f:
@@ -55,10 +59,12 @@ def parse(path):
                 exe = line[4:]
             elif line.startswith("cpu_ns "):
                 cpu_ns = int(line[7:])
+            elif line.startswith("wall_ns "):
+                wall_ns = int(line[8:])
             elif line.startswith("dropped "):
                 dropped = int(line[8:])
     maps.sort()
-    return exe, cpu_ns, dropped, maps, stacks
+    return exe, cpu_ns, wall_ns, dropped, maps, stacks
 
 
 def load_segments(path):
@@ -130,7 +136,7 @@ def nm_symbols(obj):
 def symbolize(path):
     """The profile's stacks as function names, root first, each call's
     inline chain expanded; and its header."""
-    exe, cpu_ns, dropped, maps, stacks = parse(path)
+    exe, cpu_ns, wall_ns, dropped, maps, stacks = parse(path)
     # Runtime address -> (object, link-time address).
     starts = [m[0] for m in maps]
     segments = {}
@@ -175,7 +181,7 @@ def symbolize(path):
             out.extend(names[w] if w else [f"[{a:#x}]"])
         return out
 
-    return (exe, cpu_ns, dropped), [frames(s) for s in stacks]
+    return (exe, cpu_ns, wall_ns, dropped), [frames(s) for s in stacks]
 
 
 def main():
@@ -186,11 +192,12 @@ def main():
     args = ap.parse_args()
 
     self_n, incl_n, folded = collections.Counter(), collections.Counter(), collections.Counter()
-    total, cpu_ns, dropped, exes = 0, 0, 0, set()
+    total, cpu_ns, wall_ns, dropped, exes = 0, 0, 0, 0, set()
     for path in args.profile:
-        (exe, cpu, drop), stacks = symbolize(path)
+        (exe, cpu, wall, drop), stacks = symbolize(path)
         exes.add(exe)
         cpu_ns += cpu
+        wall_ns += wall
         dropped += drop
         total += len(stacks)
         for fs in stacks:
@@ -201,10 +208,13 @@ def main():
     if not total:
         sys.exit("no samples")
 
-    cpu_s = cpu_ns / 1e9
-    rate = total / cpu_s if cpu_s else 0
+    cpu_s, wall_s = cpu_ns / 1e9, wall_ns / 1e9
+    rate = total / wall_s if wall_s else 0
     print(f"# sprof: {', '.join(sorted(exes))} ({len(args.profile)} profile(s))")
-    print(f"# {total} samples over {cpu_s:.2f} s of CPU ({rate:.0f} Hz), {dropped} dropped")
+    print(f"# {total} samples over {wall_s:.2f} s of wall time ({rate:.0f} Hz measured), "
+          f"{cpu_s:.2f} s of CPU, {dropped} dropped")
+    print("# the clock is wall time on the main thread: it also samples off-CPU time "
+          "(blocked or waiting), which shows as the frames the thread waits in")
     print(f"{'self%':>7} {'incl%':>7} {'self':>7} {'incl':>7}  function")
     rows = sorted(incl_n, key=lambda n: (-self_n[n], -incl_n[n], n))
     for name in rows[:args.top]:

@@ -2,15 +2,20 @@
 //! through `LD_PRELOAD` and needs no machine setting: it acts on its
 //! own process only.
 //!
-//! When the library loads, a constructor arms `ITIMER_PROF` (process
-//! CPU time) to fire every [`PERIOD_US`] of CPU and installs a
-//! `SIGPROF` handler. The kernel checks CPU timers at its scheduler
-//! tick, so the rate is capped at the kernel's `CONFIG_HZ` (250 on a
-//! common build); the profile records the CPU time it covers, and the
-//! report prints the rate it achieved. On each tick the handler takes the interrupted program counter and walks the
+//! When the library loads, a constructor on the main thread creates a
+//! POSIX timer on `CLOCK_MONOTONIC` that fires every [`PERIOD_US`] of
+//! wall time and sends `SIGPROF` to that thread alone
+//! (`SIGEV_THREAD_ID`), and installs a `SIGPROF` handler. A
+//! high-resolution timer is not held to the scheduler tick, so the
+//! rate is the 1 kHz asked (a process CPU timer, `ITIMER_PROF`, is
+//! checked at the tick: 250 Hz on a common build). The clock runs
+//! while the thread waits too, so samples also fall where the main
+//! thread is off CPU: blocked in a system call, say. The report prints
+//! the rate achieved over the wall time covered. On each tick the
+//! handler takes the interrupted program counter and walks the
 //! frame-pointer chain from the interrupted `rbp`, storing the return
 //! addresses in a preallocated buffer; it allocates nothing, takes no
-//! lock and calls nothing but atomics. At exit a destructor disarms
+//! lock and calls nothing but atomics. At exit a destructor deletes
 //! the timer and writes `$SPROF_OUT.<pid>` (default `sprof.out.<pid>`):
 //! the raw stacks in hex, leaf first, after a copy of
 //! `/proc/self/maps`, so `tools/sprof/report.py` can symbolize them
@@ -21,10 +26,10 @@
 //! Limits:
 //! - Linux on x86-64 only; elsewhere the library loads and does
 //!   nothing.
-//! - Frames are walked on the main thread's stack only, whose bounds
-//!   the constructor reads from `/proc/self/maps`, so no read can leave
-//!   mapped memory. A sample taken on another thread keeps its leaf
-//!   alone.
+//! - Only the main thread is sampled, and frames are walked on its
+//!   stack only, whose bounds the constructor reads from
+//!   `/proc/self/maps`, so no read can leave mapped memory. A program
+//!   whose work runs on other threads shows its main thread waiting.
 //! - Code built without frame pointers breaks the chain: the walk
 //!   stops at the first frame pointer that does not climb the stack. A
 //!   sample taken in a function's prologue skips its caller.
@@ -42,8 +47,8 @@ pub const WORDS: usize = 1 << 22;
 /// Deepest stack stored, leaf included.
 pub const MAX_DEPTH: usize = 64;
 
-/// Sampling period in microseconds of process CPU time: one sample per
-/// millisecond asked, which the kernel's tick caps in practice.
+/// Sampling period in microseconds of wall time: one sample per
+/// millisecond.
 pub const PERIOD_US: u64 = 1000;
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
@@ -54,12 +59,14 @@ mod imp {
     use super::{MAX_DEPTH, PERIOD_US, WORDS};
     use std::ffi::{c_int, c_long, c_void};
     use std::io::Write;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+    use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering::Relaxed};
 
     const SIGPROF: c_int = 27;
-    const ITIMER_PROF: c_int = 2;
     const SA_SIGINFO: c_int = 4;
     const SA_RESTART: c_int = 0x1000_0000;
+    const CLOCK_MONOTONIC: c_int = 1;
+    const CLOCK_PROCESS_CPUTIME_ID: c_int = 2;
+    const SIGEV_THREAD_ID: c_int = 4;
 
     /// Byte offset of `uc_mcontext.gregs` in glibc's x86-64
     /// `ucontext_t`: `uc_flags`, `uc_link` and the 24-byte `stack_t`
@@ -75,15 +82,28 @@ mod imp {
     const MAIN_STACK_SPAN: u64 = 64 << 20;
 
     #[repr(C)]
-    struct Timeval {
+    #[derive(Clone, Copy)]
+    struct Timespec {
         sec: c_long,
-        usec: c_long,
+        nsec: c_long,
     }
 
     #[repr(C)]
-    struct Itimerval {
-        interval: Timeval,
-        value: Timeval,
+    struct Itimerspec {
+        interval: Timespec,
+        value: Timespec,
+    }
+
+    /// glibc's x86-64 `struct sigevent`, 64 bytes: the value, the
+    /// signal, the notify kind, then a union whose first member, for
+    /// `SIGEV_THREAD_ID`, is the thread id.
+    #[repr(C)]
+    struct SigEvent {
+        value: usize,
+        signo: c_int,
+        notify: c_int,
+        tid: c_int,
+        pad: [c_int; 11],
     }
 
     /// glibc's x86-64 `struct sigaction`.
@@ -97,24 +117,24 @@ mod imp {
 
     extern "C" {
         fn sigaction(sig: c_int, act: *const SigAction, old: *mut SigAction) -> c_int;
-        fn setitimer(which: c_int, new: *const Itimerval, old: *mut Itimerval) -> c_int;
         fn clock_gettime(clock: c_int, ts: *mut Timespec) -> c_int;
+        fn gettid() -> c_int;
+        fn timer_create(clock: c_int, sev: *mut SigEvent, id: *mut *mut c_void) -> c_int;
+        fn timer_settime(
+            id: *mut c_void,
+            flags: c_int,
+            new: *const Itimerspec,
+            old: *mut Itimerspec,
+        ) -> c_int;
+        fn timer_delete(id: *mut c_void) -> c_int;
     }
 
-    const CLOCK_PROCESS_CPUTIME_ID: c_int = 2;
-
-    #[repr(C)]
-    struct Timespec {
-        sec: c_long,
-        nsec: c_long,
-    }
-
-    /// CPU time the process has used, in nanoseconds.
-    fn cpu_ns() -> i64 {
+    /// The time `clock` reads, in nanoseconds.
+    fn now_ns(clock: c_int) -> u64 {
         let mut ts = Timespec { sec: 0, nsec: 0 };
         // SAFETY: `ts` is a valid, writable `timespec`.
-        unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
-        ts.sec * 1_000_000_000 + ts.nsec
+        unsafe { clock_gettime(clock, &mut ts) };
+        ts.sec as u64 * 1_000_000_000 + ts.nsec as u64
     }
 
     static BUF: [AtomicU64; WORDS] = [const { AtomicU64::new(0) }; WORDS];
@@ -123,8 +143,12 @@ mod imp {
     static DROPPED: AtomicU64 = AtomicU64::new(0);
     /// Top (highest address) of the main thread's stack; 0 if unknown.
     static STACK_HI: AtomicU64 = AtomicU64::new(0);
-    /// Process CPU time when the timer was armed, ns.
+    /// Process CPU time and monotonic time when the timer was armed,
+    /// ns.
     static CPU_START: AtomicU64 = AtomicU64::new(0);
+    static WALL_START: AtomicU64 = AtomicU64::new(0);
+    /// The timer's id; null until armed.
+    static TIMER: AtomicPtr<c_void> = AtomicPtr::new(std::ptr::null_mut());
 
     /// The `SIGPROF` handler: async-signal-safe, it touches only its
     /// own stack frame, the stack it walks and atomics.
@@ -181,13 +205,33 @@ mod imp {
         u64::from_str_radix(range.split_once('-')?.1, 16).ok()
     }
 
-    /// Arms the timer every `usec` of CPU, or disarms it at 0.
-    fn set_timer(usec: c_long) {
-        let tick = Timeval { sec: 0, usec };
-        let it = Itimerval { interval: Timeval { sec: 0, usec }, value: tick };
-        // SAFETY: `it` is a valid `itimerval`; the old value is not
-        // asked for.
-        unsafe { setitimer(ITIMER_PROF, &it, std::ptr::null_mut()) };
+    /// Creates a `CLOCK_MONOTONIC` timer that sends `SIGPROF` to the
+    /// calling thread every [`PERIOD_US`], and arms it.
+    fn arm() -> Option<*mut c_void> {
+        let mut sev = SigEvent {
+            value: 0,
+            signo: SIGPROF,
+            notify: SIGEV_THREAD_ID,
+            // SAFETY: `gettid` has no preconditions.
+            tid: unsafe { gettid() },
+            pad: [0; 11],
+        };
+        let mut id = std::ptr::null_mut();
+        // SAFETY: `sev` is a valid glibc `struct sigevent` naming this
+        // thread, and `id` a writable `timer_t`.
+        if unsafe { timer_create(CLOCK_MONOTONIC, &mut sev, &mut id) } != 0 {
+            return None;
+        }
+        let period = Timespec { sec: 0, nsec: PERIOD_US as c_long * 1000 };
+        let every = Itimerspec { interval: period, value: period };
+        // SAFETY: `id` is the timer just created and `every` a valid
+        // `itimerspec`; the old value is not asked for.
+        if unsafe { timer_settime(id, 0, &every, std::ptr::null_mut()) } != 0 {
+            // SAFETY: `id` is the timer just created.
+            unsafe { timer_delete(id) };
+            return None;
+        }
+        Some(id)
     }
 
     extern "C" fn start() {
@@ -202,31 +246,41 @@ mod imp {
         // SAFETY: `act` is a valid glibc `struct sigaction` whose
         // handler has the SA_SIGINFO signature.
         if unsafe { sigaction(SIGPROF, &act, std::ptr::null_mut()) } == 0 {
-            CPU_START.store(cpu_ns() as u64, Relaxed);
-            set_timer(PERIOD_US as c_long);
+            CPU_START.store(now_ns(CLOCK_PROCESS_CPUTIME_ID), Relaxed);
+            WALL_START.store(now_ns(CLOCK_MONOTONIC), Relaxed);
+            if let Some(id) = arm() {
+                TIMER.store(id, Relaxed);
+            }
         }
     }
 
     extern "C" fn finish() {
-        set_timer(0);
-        let cpu = cpu_ns() as u64 - CPU_START.load(Relaxed);
+        let id = TIMER.swap(std::ptr::null_mut(), Relaxed);
+        if !id.is_null() {
+            // SAFETY: `id` is the live timer `start` created; it is
+            // deleted once.
+            unsafe { timer_delete(id) };
+        }
+        let cpu = now_ns(CLOCK_PROCESS_CPUTIME_ID) - CPU_START.load(Relaxed);
+        let wall = now_ns(CLOCK_MONOTONIC) - WALL_START.load(Relaxed);
         let path = format!(
             "{}.{}",
             std::env::var("SPROF_OUT").unwrap_or_else(|_| "sprof.out".into()),
             std::process::id()
         );
-        if let Err(e) = write_out(&path, cpu) {
+        if let Err(e) = write_out(&path, cpu, wall) {
             eprintln!("sprof: cannot write {path}: {e}");
         }
     }
 
-    fn write_out(path: &str, cpu_ns: u64) -> std::io::Result<()> {
+    fn write_out(path: &str, cpu_ns: u64, wall_ns: u64) -> std::io::Result<()> {
         let end = CURSOR.load(Relaxed).min(WORDS);
         let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
         let exe = std::fs::read_link("/proc/self/exe")?;
         writeln!(out, "sprof 1")?;
         writeln!(out, "exe {}", exe.display())?;
         writeln!(out, "cpu_ns {cpu_ns}")?;
+        writeln!(out, "wall_ns {wall_ns}")?;
         writeln!(out, "dropped {}", DROPPED.load(Relaxed))?;
         writeln!(out, "maps")?;
         out.write_all(std::fs::read_to_string("/proc/self/maps")?.as_bytes())?;
