@@ -4,7 +4,9 @@
 use cbt_igmp::IgmpTimers;
 use cbt_netsim::SimDuration;
 use cbt_wire::{Addr, GroupId};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::sync::{Arc, Weak};
 
 /// How data packets travel over tree interfaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -18,8 +20,10 @@ pub enum ForwardingMode {
     CbtMode,
 }
 
-/// One router's CBT configuration.
-#[derive(Debug, Clone)]
+/// One router's CBT configuration. An engine never writes its
+/// configuration, so engines booted one after another from equal ones
+/// share one block.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CbtConfig {
     /// Data-plane mode.
     pub mode: ForwardingMode,
@@ -140,6 +144,29 @@ impl CbtConfig {
     pub fn with_mode(mut self, mode: ForwardingMode) -> Self {
         self.mode = mode;
         self
+    }
+
+    /// The block an engine booted from `self` holds: the last block
+    /// this thread interned, while an engine still holds it and its
+    /// configuration equals `self`, or a new one that becomes the last.
+    /// A fleet's boot loop hands every router a clone of one
+    /// configuration, and a sharded router each shard; a restarted
+    /// engine boots from a copy of the one it replaces. All of them
+    /// land on one block. The intern holds the last block weakly, so it
+    /// keeps no configuration alive; per thread, so booting takes no
+    /// lock.
+    pub(crate) fn intern(self) -> Arc<CbtConfig> {
+        thread_local! {
+            static LAST: RefCell<Weak<CbtConfig>> = const { RefCell::new(Weak::new()) };
+        }
+        LAST.with_borrow_mut(|last| match last.upgrade() {
+            Some(block) if *block == self => block,
+            _ => {
+                let block = Arc::new(self);
+                *last = Arc::downgrade(&block);
+                block
+            }
+        })
     }
 }
 

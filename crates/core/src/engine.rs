@@ -198,9 +198,11 @@ pub struct CbtRouter {
     pub(crate) id_addr: Addr,
     /// Interface addresses other than `id_addr`. Empty — and so never
     /// touched — on an unnumbered p2p engine.
-    other_addrs: BTreeSet<Addr>,
+    pub(crate) other_addrs: BTreeSet<Addr>,
     pub(crate) ifaces: Vec<IfaceInfo>,
-    pub(crate) cfg: CbtConfig,
+    /// The configuration in force, shared with the engines booted from
+    /// an equal one ([`CbtConfig::intern`]).
+    pub(crate) cfg: Arc<CbtConfig>,
     pub(crate) routes: Box<dyn RouteLookup>,
     pub(crate) lans: BTreeMap<IfIndex, LanState>,
     pub(crate) fib: Fib,
@@ -330,6 +332,7 @@ impl CbtRouter {
         routes: Box<dyn RouteLookup>,
         now: SimTime,
     ) -> Self {
+        let cfg = cfg.intern();
         let other_addrs: BTreeSet<Addr> =
             ifaces.iter().map(|i| i.addr).filter(|a| *a != id_addr).collect();
         let mut lans = BTreeMap::new();

@@ -217,6 +217,21 @@ impl Fib {
         Some(entry)
     }
 
+    /// Heap bytes the FIB holds: both columns and every entry's child
+    /// and core lists, by capacity.
+    pub fn mem_bytes(&self) -> usize {
+        let lists: usize = self
+            .entries
+            .iter()
+            .map(|e| {
+                e.children.capacity() * size_of::<Child>() + e.cores.capacity() * size_of::<Addr>()
+            })
+            .sum();
+        self.groups.capacity() * size_of::<GroupId>()
+            + self.entries.capacity() * size_of::<FibEntry>()
+            + lists
+    }
+
     /// Is this router on-tree for `group`?
     pub fn on_tree(&self, group: GroupId) -> bool {
         self.slot(group).is_some()

@@ -38,6 +38,12 @@ pub(crate) struct Span {
 }
 
 impl Span {
+    /// Heap bytes the entry's two lists hold.
+    pub(crate) fn mem_bytes(&self) -> usize {
+        self.oifs.capacity() * size_of::<(IfIndex, bool)>()
+            + self.tree.capacity() * size_of::<(IfIndex, Addr)>()
+    }
+
     /// Recomputes the entry in place, keeping the vectors' capacity.
     fn build(&mut self, entry: &FibEntry, group: GroupId, lans: &BTreeMap<IfIndex, LanState>) {
         self.tree.clear();

@@ -78,6 +78,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod census;
 pub mod config;
 pub mod engine;
 pub mod events;
@@ -97,6 +98,7 @@ pub mod sim;
 pub mod teardown;
 pub mod timers;
 
+pub use census::Census;
 pub use config::CbtConfig;
 pub use engine::{CbtRouter, GroupView, ProtocolPhase, RouteHandle, RouteLookup};
 pub use events::{Input, RouterAction};

@@ -5,9 +5,10 @@
 //! names its `(group, source)` pair by index into a per-log table, so
 //! a flood from a few senders to a few groups pays for each pair once.
 //!
-//! The columns sit behind one `Arc`: a clone is a snapshot that costs
-//! a refcount, and the log copies its columns on a later push only
-//! while such a snapshot is still alive.
+//! The log owns its columns outright, so a push checks no reference
+//! count on them. A [`Deliveries::snapshot`] moves them behind one `Arc` the
+//! snapshot shares; the log's next push takes them back out, copying
+//! them only while the snapshot is still alive.
 
 use cbt_netsim::{Bytes, SimTime};
 use cbt_wire::{Addr, GroupId};
@@ -54,7 +55,7 @@ const SHARED: u32 = LEN;
 const PAIR_SHIFT: u32 = 8;
 const _: () = assert!(RX_COPYBREAK <= SHARED as usize, "a copied length fits below SHARED");
 
-/// A log's columns, shared by its clones until one of them pushes.
+/// A log's columns, shared with its snapshots until it pushes again.
 #[derive(Clone, Default)]
 struct Columns {
     records: Vec<Record>,
@@ -106,19 +107,29 @@ impl Columns {
 
 /// Everything a host application has received, in arrival order.
 /// Compares by content: which column holds a payload, and which index
-/// a pair has, is not part of its value. Cloning is O(1).
+/// a pair has, is not part of its value. Cloning copies the columns;
+/// [`snapshot`](Self::snapshot) shares them.
 #[derive(Clone, Default)]
 pub struct Deliveries {
-    /// `None` until the first push, so an idle host allocates nothing.
-    cols: Option<Arc<Columns>>,
+    /// The columns while no snapshot shares them: empty, and so no
+    /// heap, on an idle host.
+    own: Columns,
+    /// The columns since the last snapshot, which shares them, until
+    /// the next push takes them back into `own`.
+    shared: Option<Arc<Columns>>,
 }
 
 impl Deliveries {
+    /// The columns, wherever they are.
+    fn cols(&self) -> &Columns {
+        self.shared.as_deref().unwrap_or(&self.own)
+    }
+
     /// Appends the delivery of the bytes `payload` of a received,
     /// validated `frame`: copied into the arena when shorter than
     /// [`RX_COPYBREAK`] and within reach of its `u32` offsets, held by
-    /// reference otherwise. Copies the columns first if a clone still
-    /// shares them.
+    /// reference otherwise. After a snapshot, first takes the columns
+    /// back, copying them if the snapshot is still alive.
     pub fn push(
         &mut self,
         at: SimTime,
@@ -127,7 +138,10 @@ impl Deliveries {
         frame: &Bytes,
         payload: Range<usize>,
     ) {
-        let c = Arc::make_mut(self.cols.get_or_insert_with(Arc::default));
+        if let Some(shared) = self.shared.take() {
+            self.own = Self::take_back(shared);
+        }
+        let c = &mut self.own;
         let pair = c.pair((group, src));
         let (loc, len) = match u32::try_from(c.arena.len() + payload.len()) {
             Ok(end) if payload.len() < RX_COPYBREAK => {
@@ -143,9 +157,30 @@ impl Deliveries {
         c.records.push(Record { at, loc, tag: pair << PAIR_SHIFT | len });
     }
 
+    /// The columns out of a snapshot's `Arc`: moved out when the
+    /// snapshot is gone, copied while it lives. Out of line, because
+    /// it runs once per snapshot and not once per push.
+    #[cold]
+    #[inline(never)]
+    fn take_back(shared: Arc<Columns>) -> Columns {
+        Arc::try_unwrap(shared).unwrap_or_else(|s| Columns::clone(&s))
+    }
+
+    /// The log as it stands, in O(1): the columns move behind an `Arc`
+    /// the snapshot and the log share (one block, unless the log has
+    /// not pushed since its last snapshot) until the log's next push.
+    /// An empty log's snapshot allocates nothing.
+    pub fn snapshot(&mut self) -> Deliveries {
+        if self.is_empty() {
+            return Deliveries::default();
+        }
+        let shared = self.shared.get_or_insert_with(|| Arc::new(std::mem::take(&mut self.own)));
+        Deliveries { own: Columns::default(), shared: Some(Arc::clone(shared)) }
+    }
+
     /// How many deliveries the log holds.
     pub fn len(&self) -> usize {
-        self.cols.as_ref().map_or(0, |c| c.records.len())
+        self.cols().records.len()
     }
 
     /// True when nothing has been delivered.
@@ -155,7 +190,7 @@ impl Deliveries {
 
     /// The `i`-th delivery, oldest first.
     pub fn get(&self, i: usize) -> Option<Delivery<'_>> {
-        let c = self.cols.as_deref()?;
+        let c = self.cols();
         let r = c.records.get(i)?;
         let (group, src) = c.pairs[(r.tag >> PAIR_SHIFT) as usize].key;
         let payload = match r.tag & LEN {
@@ -176,19 +211,20 @@ impl Deliveries {
     }
 
     /// Heap bytes the log holds: the capacity of its columns and pair
-    /// table, and the `Arc` block around them; 0 before the first push.
-    /// Shared payloads' frames are not counted: they belong to every
-    /// member that received them. A snapshot reports the same block.
+    /// table, and since a snapshot the `Arc` block around them; 0
+    /// before the first push. Shared payloads' frames are not counted:
+    /// they belong to every member that received them. A snapshot
+    /// reports the same block as its log until the log pushes again.
     pub fn mem_bytes(&self) -> usize {
-        self.cols.as_deref().map_or(0, |c| {
-            // The `Arc` block: two reference counts, then the columns.
-            2 * size_of::<usize>()
-                + size_of::<Columns>()
-                + c.records.capacity() * size_of::<Record>()
-                + c.arena.capacity()
-                + c.shared.capacity() * size_of::<Bytes>()
-                + c.pairs.capacity() * size_of::<PairRow>()
-        })
+        let c = self.cols();
+        let columns = c.records.capacity() * size_of::<Record>()
+            + c.arena.capacity()
+            + c.shared.capacity() * size_of::<Bytes>()
+            + c.pairs.capacity() * size_of::<PairRow>();
+        // The `Arc` block: two reference counts, then the columns.
+        let block =
+            self.shared.as_ref().map_or(0, |_| 2 * size_of::<usize>() + size_of::<Columns>());
+        columns + block
     }
 }
 
@@ -324,7 +360,7 @@ mod tests {
             }
             let distinct: std::collections::BTreeSet<_> =
                 model.iter().map(|(_, group, src, _)| (*group, *src)).collect();
-            let rows = log.cols.as_deref().map_or(&[][..], |c| &c.pairs[..]);
+            let rows = &log.cols().pairs;
             prop_assert!(
                 rows.iter().map(|r| rows[r.by_key as usize].key).eq(distinct),
                 "every pair is one row, and by_key lists the rows in key order"
@@ -341,7 +377,7 @@ mod tests {
                 by_reference.records.push(Record { at: d.at, loc: i as u32, tag });
                 by_reference.shared.push(Bytes::from(d.payload.to_vec()));
             }
-            let by_reference = Deliveries { cols: Some(Arc::new(by_reference)) };
+            let by_reference = Deliveries { own: by_reference, shared: None };
             prop_assert_eq!(&by_reference, &log);
             if let Some(last) = model.last_mut() {
                 last.3.push(b'x');
@@ -349,10 +385,9 @@ mod tests {
             }
         }
 
-        /// A clone taken mid-stream is a snapshot: it shares the
-        /// columns until the original pushes again, then keeps exactly
-        /// the prefix it was taken at while the original goes on to
-        /// hold every delivery.
+        /// A snapshot taken mid-stream shares the columns until the log
+        /// pushes again, then keeps exactly the prefix it was taken at
+        /// while the log goes on to hold every delivery.
         #[test]
         fn a_snapshot_is_unaffected_by_later_pushes(
             spread in any_spread(),
@@ -362,8 +397,8 @@ mod tests {
             let model = model_of(spread, &pushes);
             let cut = usize::from(cut) % (model.len() + 1);
             let mut log = log_of(&model[..cut]);
-            let snapshot = log.clone();
-            let shares = |a: &Deliveries, b: &Deliveries| match (&a.cols, &b.cols) {
+            let snapshot = log.snapshot();
+            let shares = |a: &Deliveries, b: &Deliveries| match (&a.shared, &b.shared) {
                 (Some(a), Some(b)) => Arc::ptr_eq(a, b),
                 _ => false,
             };
@@ -386,13 +421,13 @@ mod tests {
     fn a_copy_past_u32_offsets_is_held_by_reference_instead() {
         let mut arena = vec![0u8; u32::MAX as usize];
         arena.truncate(u32::MAX as usize - 2);
-        let mut log = Deliveries { cols: Some(Arc::new(Columns { arena, ..Columns::default() })) };
+        let mut log = Deliveries { own: Columns { arena, ..Columns::default() }, shared: None };
         let (at, g, src) = (SimTime::ZERO, GroupId::numbered(1), Addr(7));
         for body in [&b"ab"[..], b"c", b""] {
             let (f, range) = frame(body);
             log.push(at, g, src, &f, range);
         }
-        let c = log.cols.as_deref().expect("pushed");
+        let c = log.cols();
         assert_eq!(c.arena.len(), u32::MAX as usize);
         assert_eq!(c.shared.len(), 1);
         let payloads: Vec<&[u8]> = log.iter().map(|d| d.payload).collect();

@@ -150,6 +150,16 @@ impl Transient {
         self.join.is_none() && self.campaign.is_none() && self.quit.is_none()
     }
 
+    /// Heap bytes the record holds: the boxed join and its lists.
+    pub fn mem_bytes(&self) -> usize {
+        self.join.as_deref().map_or(0, |j| {
+            size_of::<PendingJoin>()
+                + j.cores.capacity() * size_of::<Addr>()
+                + j.cached.capacity() * size_of::<CachedJoin>()
+                + j.lans.capacity() * size_of::<IfIndex>()
+        })
+    }
+
     /// The campaign's scheduled re-attachment, if any.
     pub fn backoff(&self) -> Option<(SimTime, usize)> {
         self.campaign?.backoff

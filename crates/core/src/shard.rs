@@ -45,6 +45,7 @@
 //! query steers to the owner and every counter view merges, so no
 //! caller can mistake shard 0 for the whole router.
 
+use crate::census::Census;
 use crate::config::CbtConfig;
 use crate::engine::{CbtRouter, GroupView, IfaceInfo, RouteLookup};
 use crate::events::{Input, RouterAction};
@@ -177,6 +178,18 @@ impl ShardedRouter {
     /// Every local shard, in index order.
     fn shards(&self) -> impl Iterator<Item = &CbtRouter> {
         std::iter::once(&self.first).chain(&self.rest)
+    }
+
+    /// The heap bytes every local shard holds, summed row by row with
+    /// their shared configuration once, and the front's own vector of
+    /// shards.
+    pub fn census(&self) -> Census {
+        let mut sum = Census::default();
+        sum.shards = self.rest.capacity() * size_of::<CbtRouter>();
+        for shard in self.shards() {
+            sum.add(&shard.census());
+        }
+        sum
     }
 
     /// Shard by local index, mutably.

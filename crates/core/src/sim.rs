@@ -424,6 +424,12 @@ impl HostApp {
         &self.received
     }
 
+    /// An O(1) snapshot of everything received (see
+    /// [`Deliveries::snapshot`]).
+    pub fn received_snapshot(&mut self) -> Deliveries {
+        self.received.snapshot()
+    }
+
     /// Tree-joined notifications heard from the DR (§2.5 proposal).
     pub fn tree_joined_events(&self) -> &[(SimTime, GroupId, Addr)] {
         &self.tree_joined

@@ -245,6 +245,27 @@ impl<K: Ord + Hash + Copy> TimerService<K> {
         self.keys.contains_key(&key)
     }
 
+    /// Heap bytes both tables hold, by capacity. The key table's bucket
+    /// count is the least whose load limit covers its capacity: exact
+    /// while the table holds no tombstone, which a table of up to 8
+    /// buckets (7 keys) never does.
+    pub fn mem_bytes(&self) -> usize {
+        /// Control bytes `std`'s SwissTable probes at once.
+        const GROUP: usize = if cfg!(target_arch = "x86_64") { 16 } else { 8 };
+        let slot = size_of::<(K, SimTime)>();
+        let keys = match self.keys.capacity() {
+            0 => 0,
+            cap => {
+                let load = |b: usize| if b < 8 { b - 1 } else { b / 8 * 7 };
+                let buckets = (2..).map(|k| 1usize << k).find(|&b| load(b) >= cap).expect("fits");
+                (slot * buckets).next_multiple_of(GROUP.max(align_of::<(K, SimTime)>()))
+                    + buckets
+                    + GROUP
+            }
+        };
+        self.heap.capacity() * size_of::<Reverse<(SimTime, K)>>() + keys
+    }
+
     /// Entries in the heap, superseded ones included.
     pub fn len(&self) -> usize {
         self.heap.len()

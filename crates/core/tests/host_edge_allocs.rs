@@ -3,8 +3,9 @@
 //!
 //! The delivery log is three columns — a 16 B record per delivery, an
 //! arena of copied payloads, and frame handles for shared ones — and a
-//! table of its `(group, source)` pairs, all behind one `Arc`: a
-//! delivery on either side costs only amortized column growth, and
+//! table of its `(group, source)` pairs, all owned by the log until a
+//! snapshot shares them: a delivery on either side costs only
+//! amortized column growth, and
 //! `Deliveries::mem_bytes` accounts for every byte the log holds.
 
 mod common;
@@ -23,10 +24,9 @@ const N: usize = 4096;
 const RECORD: usize = 16;
 
 /// The bytes a log allocates once, whatever it holds, with one pair: a
-/// 120 B `Arc` block around its columns (two counts, four column heads
-/// and the last-hit index) and a first pair-table allocation of four
-/// 12 B rows.
-const LOG_BLOCK_BYTES: usize = 120 + 4 * 12;
+/// first pair-table allocation of four 12 B rows. The columns sit in
+/// the log itself, not in a block of their own.
+const LOG_BLOCK_BYTES: usize = 4 * 12;
 
 /// `(allocations, bytes)` spent delivering `N` already-built frames of
 /// `len`-byte payloads to a fresh member host.
@@ -64,8 +64,7 @@ fn deliver(len: usize) -> (u64, u64) {
 }
 
 /// No delivery allocates on its own: N of them cost two columns'
-/// doublings and the log's two one-time blocks (its `Arc` block and
-/// pair table), O(log N) allocations — within 2 (log2 N + 1), as the
+/// doublings and the log's one-time pair table, O(log N) allocations — within 2 (log2 N + 1), as the
 /// record column's first allocation already holds four — and at most
 /// twice the bytes the columns end up holding, beside those blocks. At
 /// and above the copybreak those are a 16 B record and a frame handle
@@ -88,8 +87,10 @@ fn deliveries_allocate_only_log_growth_on_either_side_of_the_copybreak() {
 /// The log's census is exact: after N short and N long deliveries,
 /// interleaved over three `(group, source)` pairs, `mem_bytes` equals
 /// the live heap bytes the pushes left, frames aside. A snapshot costs
-/// nothing until the log pushes again; then the log copies its columns
-/// once, at exact size, and both report their own blocks.
+/// one block, the `Arc` the columns move into, until the log pushes
+/// again; then the log copies its columns once, at exact size, and
+/// both report their own blocks. A snapshot dropped before that push
+/// costs the log no copy.
 #[test]
 fn the_log_census_equals_the_allocators_live_bytes() {
     let src = [Addr::from_octets(10, 9, 0, 7), Addr::from_octets(10, 9, 0, 8)];
@@ -115,13 +116,21 @@ fn the_log_census_equals_the_allocators_live_bytes() {
     assert_eq!(log.len(), 2 * N);
     assert_eq!(built.live, log.mem_bytes() as i64, "the census of {} deliveries", 2 * N);
 
-    let (cloned, snapshot) = alloc::count(|| log.clone());
-    assert_eq!((cloned.allocs, cloned.live), (0, 0), "a snapshot shares the columns");
+    let (shared, snapshot) = alloc::count(|| log.snapshot());
+    let held = snapshot.mem_bytes() as i64;
+    assert_eq!(log.mem_bytes() as i64, held, "the log and its snapshot report one block");
+    assert_eq!((shared.allocs, shared.live), (1, held - built.live), "a snapshot costs one block");
     let (copied, ()) = alloc::count(|| push(&mut log, 0));
     assert_eq!(copied.live, log.mem_bytes() as i64, "the first push after a snapshot copies");
     assert_eq!(snapshot.len(), 2 * N);
     assert_eq!(log.len(), 2 * N + 1);
     assert!(log.iter().zip(&snapshot).all(|(a, b)| a == b));
     let (freed, ()) = alloc::count(|| drop(snapshot));
-    assert_eq!(-freed.live, built.live, "the snapshot held the first block alone");
+    assert_eq!(-freed.live, held, "the snapshot held the first block alone");
+
+    drop(log.snapshot());
+    let before = log.mem_bytes() as i64;
+    let (taken, ()) = alloc::count(|| push(&mut log, 1));
+    assert_eq!(taken.live, log.mem_bytes() as i64 - before, "the block is freed");
+    assert!(taken.allocs <= 2, "no copy after a dropped snapshot: {taken:?}");
 }

@@ -3,15 +3,17 @@
 //! boot plus its history at exact size — one counter row per group it
 //! has seen and 8 B per core it has learned — and nothing left over
 //! from the FIB entries, transient records and timers it held on the
-//! way.
+//! way. Its census names every one of those bytes, and engines booted
+//! from equal configurations share one configuration block.
 
 mod common;
 
-use cbt::{node_addr, CbtConfig, CbtRouter, Input, P2pNode, ShardedRouter};
+use cbt::{node_addr, CbtConfig, CbtRouter, Census, Input, P2pNode, ShardedRouter};
 use cbt_netsim::{NetscaleWorld, SimTime};
 use cbt_obs::RouterObs;
 use cbt_wire::{Addr, GroupId};
 use common::alloc;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Heap bytes of one per-group counter row.
 const ROW: i64 = RouterObs::GROUP_ROW_BYTES as i64;
@@ -51,10 +53,15 @@ fn churn(world: &mut NetscaleWorld<P2pNode>, groups: &[(GroupId, Vec<Addr>)]) {
     assert!(world.run_to_quiescence(horizon) < horizon, "the line went silent");
 }
 
-/// Takes router `i` out of the line, putting `fresh` in its place, and
-/// checks it holds no group state and arms no timer.
+/// Takes router `i` out of the line, putting `fresh` in its place.
+fn swap(world: &mut NetscaleWorld<P2pNode>, i: u32, fresh: ShardedRouter) -> ShardedRouter {
+    world.with_node(i, |nd, _, _| std::mem::replace(&mut nd.router, fresh))
+}
+
+/// [`swap`], checking the old engine holds no group state and arms no
+/// timer.
 fn retire(world: &mut NetscaleWorld<P2pNode>, i: u32, fresh: ShardedRouter) -> ShardedRouter {
-    let old = world.with_node(i, |nd, _, _| std::mem::replace(&mut nd.router, fresh));
+    let old = swap(world, i, fresh);
     assert!(old.fib_len() == 0 && old.next_wakeup().is_none(), "router {i} kept state");
     old
 }
@@ -62,21 +69,23 @@ fn retire(world: &mut NetscaleWorld<P2pNode>, i: u32, fresh: ShardedRouter) -> S
 /// Heap bytes the line's two-interface engine allocates at boot, one
 /// shard: its interface table and route handle. The router struct is
 /// no heap block of its own: the sharded front holds its first shard
-/// inline.
+/// inline. Nor is its configuration, while another engine booted from
+/// an equal one is alive: the two share its block.
 const BOOT_BYTES: i64 = 56;
 
 /// What every engine of a fleet pays before it holds any state: the
 /// router struct, whose largest part is its counter block, and the
 /// heap a p2p engine allocates at boot. LAN-only state (G-DR roles,
 /// proxy-acked groups) lives in the LAN tables a p2p engine has none
-/// of, and the configuration carries its managed mappings in an
-/// ordered map. A child costs what a parent needs to know of it: its
-/// address, interface and last-heard instant.
+/// of, the configuration is one shared block, and the timer-lag row
+/// holds a count of on-time wakeups until a timer fires late. A child
+/// costs what a parent needs to know of it: its address, interface and
+/// last-heard instant.
 #[test]
 fn an_idle_engine_stays_small() {
     let (obs, router) = (size_of::<RouterObs>(), size_of::<CbtRouter>());
-    assert!(obs <= 456, "RouterObs is {obs} B");
-    assert!(router <= 952, "CbtRouter is {router} B");
+    assert!(obs <= 328, "RouterObs is {obs} B");
+    assert!(router <= 656, "CbtRouter is {router} B");
     // The front holds its first shard inline and a vector of the rest.
     let front = size_of::<ShardedRouter>();
     assert!(front <= router + 40, "ShardedRouter is {front} B");
@@ -85,10 +94,91 @@ fn an_idle_engine_stays_small() {
     let child = size_of::<cbt::fib::Child>();
     assert!(child <= 16, "a FIB child is {child} B");
     let rib = common::rib();
+    // A fleet boots every engine under its one live configuration.
+    let fleet = common::engine(&rib, 0);
     for i in 0..3 {
         let (boot, r) = alloc::count(|| common::engine(&rib, i));
         assert!(boot.live <= BOOT_BYTES, "router {i}: boot {} B", boot.live);
+        assert!(std::ptr::eq(r.config(), fleet.config()), "router {i} shares the block");
         drop(r);
+    }
+}
+
+/// Engines booted from equal configurations hold one block: a fleet's
+/// routers, the shards of one router, and an engine restarted from a
+/// copy of its predecessor's configuration. An unequal configuration
+/// gets a block of its own, and a census sum over the fleet counts the
+/// shared block once.
+#[test]
+fn equal_configurations_share_one_block() {
+    let rib = common::rib();
+    let fleet: Vec<ShardedRouter> = (0..3).map(|i| common::engine(&rib, i)).collect();
+    let block = fleet[0].config();
+    assert!(fleet.iter().all(|r| std::ptr::eq(r.config(), block)), "the fleet shares one block");
+    // A restart, as the fleets run one: the replacement boots from a
+    // copy of the configuration of the engine it replaces, which is
+    // still alive.
+    let restarted = common::engine(&rib, 2);
+    assert!(std::ptr::eq(restarted.config(), block), "the restarted engine shares the block");
+
+    let two = CbtConfig { shards: 2, ..CbtConfig::fast() };
+    let sharded = ShardedRouter::p2p(
+        cbt_topology::RouterId(1),
+        node_addr(1),
+        2,
+        two,
+        || Box::new(cbt::RouteHandle::new(std::sync::Arc::clone(&rib), 1)),
+        SimTime::ZERO,
+    );
+    assert_eq!(sharded.local_count(), 2);
+    assert!(std::ptr::eq(sharded.shard(0).config(), sharded.shard(1).config()), "shards share");
+    assert!(!std::ptr::eq(sharded.config(), block), "an unequal configuration has its own block");
+    let census = sharded.census();
+    assert_eq!(census.config, sharded.shard(0).census().config, "counted once per router");
+
+    let mut sum = Census::default();
+    fleet.iter().chain([&restarted]).for_each(|r| sum.add(&r.census()));
+    assert_eq!(sum.config, fleet[0].census().config, "the fleet counts its block once");
+    assert!(sum.config > size_of::<CbtConfig>(), "the block is counted with its header");
+}
+
+/// The census names every heap byte an engine holds, whatever its
+/// state: the rows of each engine of the line — on-tree with timers
+/// armed, and again once its groups have left — sum to the bytes that
+/// dropping it frees. The configuration block is the one row dropping
+/// it does not free: the engine that takes its place shares it.
+#[test]
+fn a_census_counts_every_live_byte() {
+    let groups: Vec<(GroupId, Vec<Addr>)> =
+        (1..=5).map(|n| (GroupId::numbered(n), vec![node_addr(0), node_addr(7)])).collect();
+    for on_tree in [true, false] {
+        let rib = common::rib();
+        let mut world = common::line(&rib);
+        if on_tree {
+            world.with_node(2, |nd, now, out| {
+                for (g, cores) in &groups {
+                    nd.router.learn_cores(*g, cores);
+                    nd.step(now, Input::Join(*g), out);
+                }
+            });
+            world.run_until(at(21));
+        } else {
+            churn(&mut world, &groups);
+        }
+        for i in 0..3 {
+            let old = swap(&mut world, i, common::engine(&rib, i));
+            assert_eq!(old.fib_len() > 0, on_tree, "router {i}");
+            let census = old.census();
+            let (freed, ()) = alloc::count(|| drop::<ShardedRouter>(old));
+            let rows = census.rows();
+            assert_eq!(
+                -freed.live,
+                (census.total() - census.config) as i64,
+                "router {i}, on tree {on_tree}: {rows:?}"
+            );
+            assert_eq!(census.obs as i64, groups.len() as i64 * ROW, "router {i}: {rows:?}");
+            assert_eq!(census.cores as i64, 2 * groups.len() as i64 * CORE, "router {i}");
+        }
     }
 }
 
@@ -158,6 +248,27 @@ fn history_costs_a_row_per_group_and_eight_bytes_per_core() {
                 boot + i64::from(k) * ROW + learned * CORE,
                 "router {i}, k {k}: boot {boot} B"
             );
+        }
+    }
+}
+
+/// The census's B-tree rows: exact while a tree is one leaf (up to 11
+/// entries), a lower bound beyond, for a set and for a map.
+#[test]
+fn b_tree_rows_are_exact_to_one_leaf() {
+    for len in 0..=40u16 {
+        let (set, _s) = alloc::count(|| (1..=len).map(GroupId::numbered).collect::<BTreeSet<_>>());
+        let (map, _m) = alloc::count(|| {
+            (1..=len)
+                .map(|n| (GroupId::numbered(n), node_addr(n.into())))
+                .collect::<BTreeMap<_, _>>()
+        });
+        let set_rows = cbt_igmp::btree_bytes::<GroupId, ()>(len.into()) as i64;
+        let map_rows = cbt_igmp::btree_bytes::<GroupId, Addr>(len.into()) as i64;
+        if len <= 11 {
+            assert_eq!((set.live, map.live), (set_rows, map_rows), "{len} entries");
+        } else {
+            assert!(set.live >= set_rows && map.live >= map_rows, "{len} entries");
         }
     }
 }

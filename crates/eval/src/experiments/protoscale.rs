@@ -208,6 +208,7 @@ pub fn run(p: &Params) -> Report {
     let marks = fleet.marks();
     let (rss0, rss_idle, build_ms) = (marks.rss_routed, marks.rss_built, marks.engines_ms);
     let idle_per_router = rss_idle.saturating_sub(rss0) / n as u64;
+    let census_idle = fleet.census();
 
     // --- Phase 3: drive the session stream through real control
     // traffic. Membership transitions (0→1 joins, 1→0 leaves) hit the
@@ -233,6 +234,7 @@ pub fn run(p: &Params) -> Report {
     }
     let drive_s = t0.elapsed().as_secs_f64();
     let rss_end = rss_bytes();
+    let census_end = fleet.census();
 
     // --- Phase 4: harvest. ---
     let harvest = fleet.harvest();
@@ -406,6 +408,11 @@ pub fn run(p: &Params) -> Report {
             "idle_fleet": rss_idle,
             "after_drive": rss_end,
         },
+        "census": {
+            "engine_slot_bytes": size_of::<cbt::P2pNode>(),
+            "idle_fleet": census_json(&census_idle),
+            "after_drive": census_json(&census_end),
+        },
     });
     harvest.attach(&mut report);
     report.finding(format!(
@@ -425,6 +432,15 @@ pub fn run(p: &Params) -> Report {
         eq.routers,
     ));
     report
+}
+
+/// A fleet census as JSON: heap bytes per store and their total.
+fn census_json(c: &cbt::Census) -> serde_json::Value {
+    let mut rows = serde_json::Map::new();
+    for (name, bytes) in c.rows() {
+        rows.insert(name.to_string(), json!(bytes));
+    }
+    json!({ "rows": serde_json::Value::Object(rows), "total": c.total() })
 }
 
 #[cfg(test)]

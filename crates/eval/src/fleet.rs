@@ -27,7 +27,9 @@
 use crate::membership::{MembershipEvent, MembershipParams, MembershipStream, XorShift};
 use crate::report::Report;
 use cbt::explore::{check_netscale_invariants, Violation};
-use cbt::{addr_node, node_addr, CbtConfig, FleetRib, Input, P2pNode, RouteHandle, ShardedRouter};
+use cbt::{
+    addr_node, node_addr, CbtConfig, Census, FleetRib, Input, P2pNode, RouteHandle, ShardedRouter,
+};
 use cbt_netsim::{NetscaleWorld, NsTrace, SimDuration, SimTime};
 use cbt_obs::ObsSnapshot;
 use cbt_topology::csr::{CsrGraph, SpfScratch, SpfTree};
@@ -313,6 +315,18 @@ impl Fleet {
     pub fn edge_ends(&self, k: usize) -> (u32, u32) {
         let (a, b, _) = self.edge_list[k];
         (a, b)
+    }
+
+    /// The routers' heap by store, summed over the fleet, which boots
+    /// every engine from one configuration and so counts its block
+    /// once. The engines' own structs sit in the world's node table:
+    /// `size_of::<P2pNode>()` each.
+    pub fn census(&self) -> Census {
+        let mut sum = Census::default();
+        for r in 0..self.n {
+            sum.add(&self.world.node(r).router.census());
+        }
+        sum
     }
 
     /// The marks taken while the fleet was built.

@@ -34,6 +34,19 @@ pub use querier::QuerierElection;
 
 use cbt_wire::{Addr, IgmpMessage};
 
+/// Heap bytes a `BTreeMap<K, V>` of `len` entries holds (a `BTreeSet<K>`
+/// is `V = ()`), as a router's memory census counts them. A B-tree's
+/// node count depends on its insertion history, which no map reveals,
+/// so this counts the fewest nodes that can hold the entries, each at
+/// a leaf's size: exact for up to 11 entries (one leaf), a lower bound
+/// beyond. It sits in the lowest crate whose tables the census counts.
+pub fn btree_bytes<K, V>(len: usize) -> usize {
+    /// Entries per node (std's `CAPACITY`).
+    const B: usize = 11;
+    // A leaf: parent pointer, parent index, length, keys, values.
+    len.div_ceil(B) * size_of::<(usize, u16, u16, [K; B], [V; B])>()
+}
+
 /// An IGMP message to put on the LAN, with its destination address
 /// (reports go to the group itself, queries to all-systems, leaves to
 /// all-routers — the caller wraps it in IP).
@@ -46,7 +59,7 @@ pub struct IgmpOut {
 }
 
 /// Protocol timing constants (IGMPv2 defaults; §9-style, configurable).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IgmpTimers {
     /// Interval between general queries from the querier (125 s).
     pub query_interval_s: u64,

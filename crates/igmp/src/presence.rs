@@ -74,6 +74,16 @@ impl GroupPresence {
         }
     }
 
+    /// Heap bytes the table holds (see [`crate::btree_bytes`]).
+    pub fn mem_bytes(&self) -> usize {
+        let lists: usize = self.groups.values().map(|s| s.cores.capacity()).sum::<usize>()
+            + self.pending_cores.values().map(|(c, _)| c.capacity()).sum::<usize>();
+        crate::btree_bytes::<GroupId, GroupState>(self.groups.len())
+            + crate::btree_bytes::<GroupId, (Vec<Addr>, usize)>(self.pending_cores.len())
+            + crate::btree_bytes::<(SimTime, GroupId), ()>(self.deadlines.len())
+            + lists * size_of::<Addr>()
+    }
+
     /// Does this LAN currently have members of `group`?
     pub fn has_members(&self, group: GroupId) -> bool {
         self.groups.contains_key(&group)

@@ -42,6 +42,12 @@ impl QuerierElection {
         }
     }
 
+    /// Heap bytes the election holds: its neighbour table (see
+    /// [`crate::btree_bytes`]).
+    pub fn mem_bytes(&self) -> usize {
+        crate::btree_bytes::<Addr, bool>(self.neighbours.len())
+    }
+
     /// My address on this LAN.
     pub fn my_addr(&self) -> Addr {
         self.my_addr

@@ -358,7 +358,7 @@ fn host_cmd(app: &mut HostApp, cmd: HostCmd, now: SimTime, out: &mut Outbox) {
             app.on_timer(now, out);
         }
         HostCmd::Received { resp } => {
-            let _ = resp.send(app.received().clone());
+            let _ = resp.send(app.received_snapshot());
         }
         HostCmd::ReceivedCount { resp } => {
             let _ = resp.send(app.received().len());

@@ -445,6 +445,34 @@ impl HistogramRow {
     }
 }
 
+/// The timer-lag row: a [`HistogramRow`] whose zero bucket is a `u32`
+/// held inline, and whose other buckets are boxed on the first late
+/// wakeup. Both worlds fire every timer at its deadline, so a
+/// simulated router records only zeros and never allocates the box.
+/// A zero changes neither sum nor max, so the two parts widen to
+/// exactly the `Histogram` a plain row of the same samples does.
+#[derive(Debug, Clone, Default)]
+struct LagRow {
+    on_time: u32,
+    late: Option<Box<HistogramRow>>,
+}
+
+impl LagRow {
+    #[inline]
+    fn record(&mut self, value_us: u64) {
+        match value_us {
+            0 => bump(&mut self.on_time),
+            late => self.late.get_or_insert_default().record(late),
+        }
+    }
+
+    fn widen(&self) -> Histogram {
+        let mut row = self.late.as_deref().copied().unwrap_or_default();
+        row.buckets[0] = self.on_time;
+        row.widen()
+    }
+}
+
 /// Per-router observability state: the single struct a router owns and
 /// bumps from its forward/control/timer paths.
 #[derive(Debug, Clone, Default)]
@@ -491,8 +519,9 @@ pub struct RouterObs {
     /// read through [`RouterObs::join_rtt_us`].
     join_rtt_us: HistogramRow,
     /// Timer wakeup lag (fire time minus deadline), µs; read through
-    /// [`RouterObs::timer_lag_us`].
-    timer_lag_us: HistogramRow,
+    /// [`RouterObs::timer_lag_us`]. Heap-free while every timer fires
+    /// on time.
+    timer_lag_us: LagRow,
     /// Tree-invariant violations attributed to this router by the
     /// post-run checker (zero in a healthy run).
     pub invariants: InvariantCounters,
@@ -547,6 +576,13 @@ impl RouterObs {
     /// The timer wakeup-lag histogram, widened to 64 bits.
     pub fn timer_lag_us(&self) -> Histogram {
         self.timer_lag_us.widen()
+    }
+
+    /// Heap bytes the counters hold: the per-group block, and the
+    /// lag row's buckets once a timer has fired late.
+    pub fn mem_bytes(&self) -> usize {
+        size_of_val(&*self.groups)
+            + self.timer_lag_us.late.as_ref().map_or(0, |_| size_of::<HistogramRow>())
     }
 
     /// Groups counted so far: the block's key prefix length.
@@ -1121,6 +1157,56 @@ mod tests {
         assert_eq!(wide.count(), u64::from(u32::MAX));
         assert_eq!((wide.sum(), wide.max()), (20, 5), "sum and max stay exact");
         assert_eq!(std::mem::size_of::<HistogramRow>(), 144, "32 cells of 32 bits, sum and max");
+    }
+
+    /// The lag row against a plain [`HistogramRow`] fed the same
+    /// samples, over runs of zeros (most of them long) broken by late
+    /// samples, with the zero bucket and one late bucket started near
+    /// `u32::MAX` now and then so both saturate: it widens to the same
+    /// `Histogram` after every run, and holds no heap until the first
+    /// late sample.
+    #[test]
+    fn lag_row_widens_to_a_plain_row() {
+        let mut rng = XorShift(0x1A60_0000_0000_0047);
+        for case in 0..128 {
+            let (mut lag, mut model) = (LagRow::default(), HistogramRow::default());
+            if case % 4 == 0 {
+                let start = u32::MAX - (rng.next() % 600) as u32;
+                (lag.on_time, model.buckets[0]) = (start, start);
+            }
+            let mut late = false;
+            for _ in 0..rng.next() % 12 {
+                for _ in 0..rng.next() % 1024 {
+                    lag.record(0);
+                    model.record(0);
+                }
+                assert_eq!(lag.widen(), model.widen(), "case {case}, a run of zeros");
+                assert_eq!(lag.late.is_some(), late, "case {case}: boxed only once late");
+                let v = match rng.next() % 8 {
+                    0 => u64::MAX,
+                    _ => 1 + (rng.next() >> (rng.next() % 63 + 1)),
+                };
+                if case % 8 == 1 {
+                    let i = Histogram::bucket_index(v);
+                    let near = u32::MAX - 1;
+                    let row = lag.late.get_or_insert_default();
+                    row.buckets[i] = row.buckets[i].max(near);
+                    model.buckets[i] = model.buckets[i].max(near);
+                }
+                lag.record(v);
+                model.record(v);
+                late = true;
+                assert_eq!(lag.widen(), model.widen(), "case {case}, after {v}");
+            }
+        }
+        let mut o = RouterObs::new();
+        for _ in 0..1000 {
+            o.record_timer_lag(0);
+        }
+        assert_eq!((o.timer_lag_us().count(), o.mem_bytes()), (1000, 0), "on time, heap-free");
+        o.record_timer_lag(3);
+        assert_eq!(o.mem_bytes(), size_of::<HistogramRow>(), "late: the row is boxed");
+        assert_eq!(o.timer_lag_us().count(), 1001);
     }
 
     /// The counter column against a `BTreeMap` model over random bumps
