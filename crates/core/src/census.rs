@@ -23,7 +23,8 @@ pub struct Census {
     pub fib: usize,
     /// Timer heap and key table.
     pub timers: usize,
-    /// Per-group counter rows, and the lag row once a timer fired late.
+    /// The control counter row once a message was counted, and the
+    /// lag row once a timer fired late.
     pub obs: usize,
     /// Learned core lists (`core_knowledge`).
     pub cores: usize,

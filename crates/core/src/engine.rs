@@ -237,8 +237,8 @@ pub struct CbtRouter {
     /// Instant of the last child sweep (the boot instant before the
     /// first): the sweep cadence runs from it.
     pub(crate) last_child_sweep: SimTime,
-    /// Observability counters: the drop-reason taxonomy, per-group
-    /// protocol counters, join and failure counts and latency
+    /// Observability counters: the drop-reason taxonomy, the control
+    /// counters by kind, join and failure counts and latency
     /// histograms every path reports into. Plain data — bumping is
     /// hot-path safe.
     pub(crate) obs: RouterObs,
@@ -292,9 +292,8 @@ impl CbtRouter {
     ///
     /// Its memory follows its protocol state: once a router's groups
     /// have left, its FIB, transient, timer and member tables are
-    /// freed again, and what remains of the churn is its history at
-    /// exact size: one 68 B counter row per group it has
-    /// seen ([`RouterObs::groups`]) and 8 B per core it has learned.
+    /// freed again, and what remains of the churn is its history: one
+    /// 64 B counter row ([`RouterObs::ctl`]) and 8 B per learned core.
     /// It pays nothing for LAN duties: G-DR roles and proxy-acked
     /// groups live in the per-LAN tables it has none of, and an armed
     /// timer costs 16 B in the heap and 16 B in the key table.
@@ -363,7 +362,7 @@ impl CbtRouter {
             local_members: BTreeSet::new(),
             child_deadline_max: SimTime::ZERO,
             last_child_sweep: now,
-            obs: RouterObs::new(),
+            obs: RouterObs::default(),
             // A fresh `Span` carries epoch 0, so it is never current.
             epoch: 1,
             spans: Vec::new(),
@@ -498,8 +497,8 @@ impl CbtRouter {
         self.transients.contains_key(&group)
     }
 
-    /// Observability counters (drop taxonomy, per-group protocol
-    /// counters, join and failure counts, latency histograms).
+    /// Observability counters (drop taxonomy, control counters by
+    /// kind, join and failure counts, latency histograms).
     pub fn obs(&self) -> &RouterObs {
         &self.obs
     }
@@ -664,7 +663,7 @@ impl CbtRouter {
         if self.is_my_addr(src) {
             return;
         }
-        self.obs.ctl_received(msg.group().addr().0, ctl_kind(msg.control_type()));
+        self.obs.ctl_received(ctl_kind(msg.control_type()));
         match msg {
             ControlMessage::JoinRequest { subcode, group, origin, target_core, cores } => {
                 self.on_join_request(
@@ -962,7 +961,7 @@ impl CbtRouter {
         dst: Addr,
         msg: ControlMessage,
     ) {
-        self.obs.ctl_sent(msg.group().addr().0, ctl_kind(msg.control_type()));
+        self.obs.ctl_sent(ctl_kind(msg.control_type()));
         act.push(RouterAction::SendControl { iface, dst, msg });
     }
 }
@@ -1050,7 +1049,7 @@ mod tests {
         let e = engine(CbtConfig::default());
         assert!(e.fib().is_empty());
         assert!(!e.has_pending_join(GroupId::numbered(1)));
-        assert_eq!(e.obs_snapshot(), RouterObs::new().snapshot(&e.id_addr().to_string()));
+        assert_eq!(e.obs_snapshot(), RouterObs::default().snapshot(&e.id_addr().to_string()));
         assert!(e.is_my_addr(e.id_addr()));
         assert!(e.is_my_addr(Addr::from_octets(10, 1, 0, 1)), "LAN iface addr");
         assert!(e.is_my_addr(Addr::from_octets(172, 31, 0, 1)), "link iface addr");

@@ -12,14 +12,14 @@
 //! * [`P2pNode`] — wraps a [`ShardedRouter`] (so `CBT_SHARDS` steering
 //!   works unchanged at netscale), framing control messages as
 //!   `[source address | wire encoding]`, written straight into a
-//!   buffer from the world's frame pool.
+//!   buffer from the world's frame pool and counted in its group table.
 //!
 //! The adapter carries **no data plane**: netscale runs are control-
 //! plane experiments, and any data or IGMP emission (impossible on a
 //! bare p2p fleet anyway) is counted and dropped rather than silently
 //! ignored.
 
-use crate::engine::{RouteHandle, RouteLookup};
+use crate::engine::{ctl_kind, RouteHandle, RouteLookup};
 use crate::events::{Input, RouterAction};
 use crate::shard::ShardedRouter;
 use cbt_netsim::{NsNode, NsOutbox, SimTime};
@@ -201,6 +201,8 @@ impl P2pNode {
                     if msg.encode_append(frame).is_err() {
                         out.unsend();
                         self.encode_errors += 1;
+                    } else {
+                        out.groups.sent(msg.group().addr().0, ctl_kind(msg.control_type()));
                     }
                 }
                 _ => self.dropped_non_control += 1,
@@ -220,6 +222,10 @@ impl NsNode for P2pNode {
             self.decode_errors += 1;
             return;
         };
+        // Counted where the engine counts it: past its own-address check.
+        if !self.router.is_my_addr(src) {
+            out.groups.received(msg.group().addr().0, ctl_kind(msg.control_type()));
+        }
         // The input is built inside the closure, as in `on_timer`, so
         // the router's match on its kind folds away; handed through
         // `step` it is captured by value, and the echo path ran about
@@ -245,7 +251,94 @@ impl NsNode for P2pNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbt_netsim::{NetscaleWorld, SimDuration};
+    use cbt_obs::CtlKind;
     use cbt_topology::SpfScratch;
+    use cbt_wire::{GroupId, JoinSubcode};
+    use std::sync::{Arc, RwLock};
+
+    /// Control messages by kind over `world`: its group table's column
+    /// sums, and the engines' rows summed.
+    fn ctl(world: &NetscaleWorld<P2pNode>) -> [cbt_obs::ProtocolCounters; 2] {
+        let mut sums = [cbt_obs::ProtocolCounters::default(); 2];
+        world.groups().iter().for_each(|(_, row)| sums[0].merge(&row));
+        (0..3).for_each(|i| sums[1].merge(&world.node(i).router.obs_snapshot().ctl));
+        sums
+    }
+
+    /// The world's table counts a control frame where the adapter
+    /// encodes it, and where it decodes it past the engine's
+    /// own-address check, so its rows sum to what the engines count by
+    /// kind. A message that fails to encode is counted by the engine
+    /// only, and a frame claiming the receiver's own address by neither.
+    #[test]
+    fn the_world_table_counts_what_the_engines_count() {
+        // 0 — 1 — 2 line, core at 0; a member joins behind 2.
+        let edges = vec![(0, 1, 1), (1, 2, 1)];
+        let (g, pairs) = CsrGraph::from_edges(3, &edges);
+        let tree = SpfTree::full(&g, 0, &mut SpfScratch::new());
+        let rib = Arc::new(RwLock::new(FleetRib::repairable(&g, &[0], vec![tree])));
+        let cfg = crate::CbtConfig { shards: 1, ..crate::CbtConfig::fast() };
+        let nodes = (0..3u32)
+            .map(|i| {
+                let routes = || Box::new(RouteHandle::new(Arc::clone(&rib), i)) as _;
+                let degree = if i == 1 { 2 } else { 1 };
+                let r = ShardedRouter::p2p(
+                    RouterId(i),
+                    node_addr(i),
+                    degree,
+                    cfg.clone(),
+                    routes,
+                    SimTime::ZERO,
+                );
+                P2pNode::new(r)
+            })
+            .collect();
+        let mut world =
+            NetscaleWorld::new(nodes, &g, &pairs, &edges, |w| SimDuration::from_millis(w.into()));
+        let group = GroupId::numbered(1);
+        world.with_node(2, |nd, now, out| {
+            nd.router.learn_cores(group, &[node_addr(0)]);
+            nd.step(now, Input::Join(group), out);
+        });
+        world.run_until(SimTime::from_secs(30));
+        let (_, row) = world.groups().iter().next().expect("the group's row");
+        assert_eq!(row.received(CtlKind::JoinAck), 2, "one ack per hop");
+        assert!(row.received(CtlKind::EchoReply) > 0, "keepalives counted");
+        let [table, engines] = ctl(&world);
+        assert_eq!(table, engines);
+
+        // Too many cores to encode: node 1's engine would have counted
+        // it, the wire never carries it.
+        let bad = GroupId::numbered(2);
+        let msg = ControlMessage::JoinRequest {
+            subcode: JoinSubcode::ActiveJoin,
+            group: bad,
+            origin: node_addr(1),
+            target_core: node_addr(0),
+            cores: vec![node_addr(0); cbt_wire::header::MAX_CORES + 1],
+        };
+        world.with_node(1, |nd, _, out| {
+            let dst = node_addr(0);
+            nd.ship(&mut vec![RouterAction::SendControl { iface: IfIndex(0), dst, msg }], out);
+        });
+        assert_eq!(world.node(1).encode_errors, 1);
+        assert_eq!(world.groups().iter().len(), 1, "a frame that failed to encode");
+
+        // A frame from node 0 whose prefix claims node 1's address: the
+        // engine drops it unread, and the world does not count it.
+        let echo = ControlMessage::EchoRequest { group, origin: node_addr(1), group_mask: None };
+        let (before, events) = (ctl(&world), world.trace.events);
+        world.with_node(0, |_, _, out| {
+            let frame = out.frame(0);
+            frame.extend_from_slice(&node_addr(1).octets());
+            echo.encode_append(frame).expect("encodes");
+        });
+        world.run_until(world.now() + SimDuration::from_millis(2));
+        assert_eq!(world.trace.events, events + 1, "the spoof alone arrived");
+        assert_eq!(world.node(1).decode_errors, 0, "and decoded");
+        assert_eq!(ctl(&world), before, "neither side counts it");
+    }
 
     #[test]
     fn addressing_round_trips() {

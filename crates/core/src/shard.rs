@@ -343,6 +343,7 @@ impl ShardedRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbt_obs::CtlKind;
     use cbt_routing::Hop;
     use cbt_topology::NetworkBuilder;
     use cbt_wire::{ControlMessage, DataPacket, IgmpMessage};
@@ -490,18 +491,18 @@ mod tests {
         );
         let (ka, kb) = (shard_of(ga, n), shard_of(gb, n));
         for k in 0..n {
-            // Group A's join state (and its control counters) live on
-            // A's shard and nowhere else — B's LAN membership on the
-            // same router must not capture them.
+            // Group A's join state (and the received join it counted)
+            // live on A's shard and nowhere else — B's LAN membership
+            // on the same router must not capture them.
             assert_eq!(
-                r.shard(k).has_pending_join(ga),
+                r.shard(k).group_view(ga).pending_join,
                 k == ka,
                 "shard {k}: group A join state misplaced"
             );
             assert_eq!(
-                r.shard(k).obs().group(ga.addr().0).is_some(),
-                k == ka,
-                "shard {k}: group A counters misplaced"
+                r.shard(k).obs().ctl().received(CtlKind::JoinRequest),
+                u64::from(k == ka),
+                "shard {k}: group A's join counted elsewhere"
             );
             assert_eq!(
                 r.shard(k).has_pending_join(gb) || r.shard(k).is_on_tree(gb),
@@ -626,9 +627,14 @@ mod tests {
             );
         }
         let merged = r.obs_snapshot();
-        let by_hand: usize = (0..4).map(|k| r.shard(k).obs().groups().len()).sum();
-        assert_eq!(merged.groups.len(), 32, "every group visible in the merged snapshot");
-        assert_eq!(by_hand, 32, "each group counted on exactly one shard");
+        for i in 0..32u16 {
+            let g = GroupId::numbered(i);
+            let owners: Vec<usize> =
+                (0..4).filter(|&k| r.shard(k).group_view(g).pending_join).collect();
+            assert_eq!(owners, [shard_of(g, 4)], "{g}: joining on exactly its own shard");
+        }
+        let sent: u64 = (0..4).map(|k| r.shard(k).obs().ctl().sent(CtlKind::JoinRequest)).sum();
+        assert_eq!((sent, merged.ctl.sent(CtlKind::JoinRequest)), (32, 32), "one join per group");
         let per_shard: u64 = (0..4).map(|k| r.shard(k).obs().joins_originated).sum();
         assert_eq!(per_shard, 32, "one join originated per group");
         assert_eq!(merged.joins_originated, per_shard);

@@ -6,7 +6,7 @@
 //! Everything on the wire is a complete IPv4 datagram built by
 //! `cbt-wire`, so the trace sees exactly what a packet capture would.
 
-use crate::engine::{RouteHandle, RouteLookup};
+use crate::engine::{ctl_kind, RouteHandle, RouteLookup};
 use crate::events::{Input, RouterAction};
 use crate::payload::Deliveries;
 use crate::shard::ShardedRouter;
@@ -130,6 +130,7 @@ impl RouterNode {
                         out.recycle(frame);
                         continue;
                     }
+                    out.groups.sent(msg.group().addr().0, ctl_kind(msg.control_type()));
                     self.emit_frame(iface, dst, frame, out);
                 }
                 RouterAction::SendIgmp { iface, dst, msg } => {
@@ -270,11 +271,15 @@ impl SimNode for RouterNode {
                     {
                         if mine {
                             match ControlMessage::decode(payload) {
-                                Ok(msg) => self.drive(
-                                    now,
-                                    Input::Control { iface, src: hdr.src, msg },
-                                    out,
-                                ),
+                                Ok(msg) => {
+                                    // Past the engine's own-address check.
+                                    if !self.engine.is_my_addr(hdr.src) {
+                                        let (g, k) = (msg.group(), msg.control_type());
+                                        out.groups.received(g.addr().0, ctl_kind(k));
+                                    }
+                                    let input = Input::Control { iface, src: hdr.src, msg };
+                                    self.drive(now, input, out)
+                                }
                                 Err(e) => self.count_decode_failure(&e),
                             }
                         } else if !hdr.dst.is_multicast() {
@@ -650,10 +655,12 @@ impl CbtWorld {
     }
 
     /// Fleet-wide counters: every up router's snapshot merged in id
-    /// order under the label `"fleet"`. Deterministic for a
-    /// deterministic run, so safe to embed in byte-compared output.
+    /// order under the label `"fleet"`, plus the world's group table.
+    /// Deterministic for a deterministic run, so safe to embed in
+    /// byte-compared output.
     pub fn obs_snapshot(&self) -> ObsSnapshot {
         let mut fleet = ObsSnapshot { router: "fleet".into(), ..Default::default() };
+        fleet.add_groups(self.world.groups());
         for i in 0..self.net.routers.len() {
             let r = cbt_topology::RouterId(i as u32);
             if self.world.failures().router_down(r) {
@@ -725,6 +732,12 @@ mod tests {
         assert_eq!(got.len(), 1, "exactly one copy delivered");
         let d = got.get(0).unwrap();
         assert_eq!((d.payload, d.group), (&b"hello"[..], group));
+        // The world's row for the one group holds what the routers
+        // counted by kind: the join, its ack, the keepalives.
+        let fleet = cw.obs_snapshot();
+        let row = fleet.groups[&group.addr().0];
+        assert_eq!(row, fleet.ctl);
+        assert_eq!(row.received(cbt_obs::CtlKind::JoinAck), 1);
     }
 
     /// Same network; member-to-member delivery both directions.
@@ -991,6 +1004,7 @@ mod tests {
         node.emit(&mut actions, &mut out);
         assert!(out.is_empty() && actions.is_empty());
         assert_eq!(drops(&node, DropReason::DecodeError), 1);
+        assert_eq!(out.groups.iter().len(), 0, "a frame that failed to encode is not counted");
         assert_eq!(out.pooled(), 1, "the buffer it was tried in is back");
     }
 

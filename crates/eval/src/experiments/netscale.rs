@@ -199,7 +199,7 @@ pub fn run(p: &Params) -> Report {
     let n = p.topo.total_nodes();
     let transit = p.topo.transit_nodes();
     let groups = p.groups.min(transit);
-    let mut stats = SpfStats::new();
+    let mut stats = SpfStats::default();
 
     // --- Phase 1: topology generation (wall-timed). ---
     let t0 = std::time::Instant::now();

@@ -37,8 +37,10 @@ use crate::fleet::{rss_bytes, Fleet, Sample, TOPO_100K, TOPO_10K, TOPO_1K};
 use crate::membership::XorShift;
 use crate::report::Report;
 use cbt_metrics::{table::f, Table};
+use cbt_obs::{ObsSnapshot, ProtocolCounters};
 use cbt_topology::generate::TransitStubParams;
 use serde_json::json;
+use std::collections::BTreeMap;
 
 /// Experiment parameters.
 #[derive(Debug, Clone)]
@@ -137,6 +139,10 @@ pub struct EquivSummary {
     pub settle_us: u64,
     /// Instant (µs) of the last event before fleet-wide silence.
     pub silent_us: u64,
+    /// The engines' control rows at the end, merged ([`Fleet::harvest`]).
+    pub ctl: ProtocolCounters,
+    /// The world's group table at the end.
+    pub group_rows: BTreeMap<u32, ProtocolCounters>,
 }
 
 /// The equivalence gate: real joins must build exactly the tree the
@@ -172,6 +178,7 @@ pub fn equivalence(
     }
 
     let silent_us = fleet.teardown_to_silence(30_000_000);
+    let ObsSnapshot { ctl, groups: group_rows, .. } = fleet.harvest().obs;
     EquivSummary {
         routers: fleet.routers(),
         groups: fleet.groups(),
@@ -181,6 +188,8 @@ pub fn equivalence(
         total_frames: fleet.trace().frames,
         settle_us,
         silent_us,
+        ctl,
+        group_rows,
     }
 }
 

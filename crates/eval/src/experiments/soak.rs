@@ -38,7 +38,7 @@ use crate::fleet::{Fleet, TOPO_100K, TOPO_10K, TOPO_1K};
 use crate::membership::XorShift;
 use crate::report::Report;
 use cbt_metrics::{table::f, Table};
-use cbt_obs::Histogram;
+use cbt_obs::{Histogram, ObsSnapshot, ProtocolCounters};
 use cbt_topology::generate::TransitStubParams;
 use serde_json::json;
 use std::collections::BTreeMap;
@@ -388,6 +388,10 @@ pub struct FaultSummary {
     pub total_frames: u64,
     /// Instant (µs) of the last event before fleet-wide silence.
     pub silent_us: u64,
+    /// The engines' control rows at the end, merged ([`Fleet::harvest`]).
+    pub ctl: ProtocolCounters,
+    /// The world's group table at the end.
+    pub group_rows: BTreeMap<u32, ProtocolCounters>,
 }
 
 /// The fault regression gate: flap one in-use on-tree link at ~1k
@@ -450,6 +454,7 @@ pub fn fault_regression(
     assert!(violations.is_empty(), "invariant violations after fault recovery: {violations:?}");
 
     let silent_us = fleet.teardown_to_silence(30_000_000);
+    let ObsSnapshot { ctl, groups: group_rows, .. } = fleet.harvest().obs;
     FaultSummary {
         routers: fleet.routers(),
         members,
@@ -461,6 +466,8 @@ pub fn fault_regression(
         dropped_link_down: fleet.trace().dropped_link_down,
         total_frames: fleet.trace().frames,
         silent_us,
+        ctl,
+        group_rows,
     }
 }
 
@@ -520,8 +527,8 @@ pub fn run(p: &Params) -> Report {
         next_poll: POLL_US,
         polls: 0,
         detached: BTreeMap::new(),
-        hist: Histogram::new(),
-        stray_hist: Histogram::new(),
+        hist: Histogram::default(),
+        stray_hist: Histogram::default(),
         strays_found: 0,
         last_frames: 0,
         peak_frames_per_s: 0.0,

@@ -812,7 +812,8 @@ impl Fleet {
         silent.micros()
     }
 
-    /// Merges every router's counters into one fleet snapshot and sums
+    /// Merges every router's counters and the world's group table into
+    /// one fleet snapshot, and sums
     /// the adapter-level loss counters, which must all be zero: the
     /// liveness masks drop whole frames, so nothing may arrive torn,
     /// fail to encode or leave as anything but control.
@@ -823,6 +824,7 @@ impl Fleet {
             encode_errors: 0,
             dropped_non_control: 0,
         };
+        h.obs.add_groups(self.world.groups());
         for i in 0..self.n {
             let nd = self.world.node(i);
             h.obs.merge(&nd.router.obs_snapshot());

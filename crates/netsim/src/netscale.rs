@@ -67,6 +67,9 @@ pub struct NsOutbox {
     sends: Vec<(u32, Vec<u8>)>,
     /// Spent frame buffers, capacity kept, contents stale.
     pool: Vec<Vec<u8>>,
+    /// Control frames by group, counted where the node adapters encode
+    /// and decode them: one table for the whole world.
+    pub groups: cbt_obs::GroupCounters,
 }
 
 impl NsOutbox {
@@ -428,6 +431,11 @@ impl<N: NsNode> NetscaleWorld<N> {
             self.nodes[node as usize].on_timer(self.now, &mut self.outbox);
             self.flush(node);
         }
+    }
+
+    /// Control frames by group since the world was built.
+    pub fn groups(&self) -> &cbt_obs::GroupCounters {
+        &self.outbox.groups
     }
 
     /// Buffers resting in the frame pool (see [`NsOutbox`]).

@@ -61,6 +61,9 @@ pub struct Outbox {
     pub(crate) sends: Vec<Transmit>,
     /// Spent frame buffers, capacity kept, contents stale.
     pub(crate) pool: FramePool,
+    /// Control frames by group, counted where the node adapters encode
+    /// and decode them: one table per world, or per live router task.
+    pub groups: cbt_obs::GroupCounters,
 }
 
 /// The buffers behind frames nobody views any more.

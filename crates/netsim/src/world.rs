@@ -181,6 +181,11 @@ impl World {
         self.outbox.pooled()
     }
 
+    /// Control frames by group since the world was built.
+    pub fn groups(&self) -> &cbt_obs::GroupCounters {
+        &self.outbox.groups
+    }
+
     /// Fault-injector counters: (passed clean, corrupted, dropped).
     pub fn fault_stats(&self) -> (u64, u64, u64) {
         self.injector.stats()
@@ -348,7 +353,7 @@ impl World {
     /// the sender's handle — and one that reaches nobody goes straight
     /// back to the pool.
     fn emit(&mut self, from: Entity, out: &mut Outbox) {
-        let Outbox { sends, pool } = out;
+        let Outbox { sends, pool, .. } = out;
         for t in sends.drain(..) {
             let Some(route) = self.plan.route(from, t.iface) else {
                 // Unknown interface: the world has no plan to carry

@@ -318,17 +318,20 @@ async fn node_task<N: SimNode, C>(
     }
 }
 
-/// A router task's queries: they read the engine and send nothing.
-fn router_cmd(node: &mut RouterNode, cmd: RouterCmd, _now: SimTime, _out: &mut Outbox) {
+/// A router task's queries: they read the engine and the group table
+/// in the task's outbox, and send nothing.
+fn router_cmd(node: &mut RouterNode, cmd: RouterCmd, _now: SimTime, out: &mut Outbox) {
     match cmd {
         RouterCmd::Snapshot { group, resp } => {
             let e = node.sharded();
             let v = e.group_view(group);
+            let mut obs = e.obs_snapshot();
+            obs.add_groups(&out.groups);
             let _ = resp.send(RouterSnapshot {
                 on_tree: v.on_tree,
                 parent: v.parent,
                 children: v.children,
-                obs: e.obs_snapshot(),
+                obs,
                 inbox_high_water: 0,
             });
         }

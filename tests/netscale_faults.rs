@@ -11,7 +11,9 @@
 //! and the cross-shard determinism on top.
 
 use cbt_eval::experiments::soak;
+use cbt_obs::{CtlKind, ProtocolCounters};
 use cbt_topology::generate::TransitStubParams;
+use std::collections::BTreeMap;
 
 /// 2 × 4 × (1 + 3·40) = 968 routers — the same ~1k gate shape the
 /// Impl-5 equivalence test uses, now with a mid-run link fault.
@@ -49,12 +51,34 @@ fn a_flapped_tree_link_reattaches_every_member_at_1k_routers() {
     assert_eq!(s.dropped_link_down, 12);
     assert_eq!(s.total_frames, 25_004);
     assert_eq!(s.silent_us, 54_000_000);
+    assert_counted_twice_alike(&s.ctl, &s.group_rows);
+}
+
+/// Conservation between the two places control traffic is counted: for
+/// every kind, the world's per-group rows (counted where a frame is
+/// encoded, and where it is decoded past the receiver's own-address
+/// check) sum to the engines' per-type rows, sent and received. The
+/// downed link's frames were encoded, so both sides count them sent
+/// and neither received.
+fn assert_counted_twice_alike(
+    engines: &ProtocolCounters,
+    groups: &BTreeMap<u32, ProtocolCounters>,
+) {
+    let mut world = ProtocolCounters::default();
+    groups.values().for_each(|row| world.merge(row));
+    for k in CtlKind::ALL {
+        assert_eq!(world.sent(k), engines.sent(k), "{k:?} sent");
+        assert_eq!(world.received(k), engines.received(k), "{k:?} received");
+    }
+    assert!(world.received(CtlKind::EchoReply) > 0, "keepalives were counted");
 }
 
 #[test]
 fn fault_recovery_is_deterministic_across_engine_shards() {
     let a = soak::fault_regression(TOPO, 8, 32, Some(1), 6262);
     let b = soak::fault_regression(TOPO, 8, 32, Some(2), 6262);
+    assert_counted_twice_alike(&a.ctl, &a.group_rows);
+    assert_counted_twice_alike(&b.ctl, &b.group_rows);
     // Group-space sharding must not change a single observable of the
     // faulted run: same severed members, same convergence instant,
     // same frame and drop counts, same silence instant.

@@ -10,7 +10,9 @@
 //! cross-shard determinism on top.
 
 use cbt_eval::experiments::protoscale;
+use cbt_obs::{CtlKind, ProtocolCounters};
 use cbt_topology::generate::TransitStubParams;
+use std::collections::BTreeMap;
 
 /// 2 × 4 × (1 + 3·40) = 968 routers — the ~1k gate from the Impl-5
 /// experiment, run with the session's `CBT_SHARDS` default so the CI
@@ -39,12 +41,32 @@ fn live_engines_rebuild_the_analytic_tree_at_1k_routers() {
     assert_eq!(eq.total_frames, 3920);
     assert_eq!(eq.settle_us, 2_251_000);
     assert_eq!(eq.silent_us, 27_000_000);
+    assert_counted_twice_alike(&eq.ctl, &eq.group_rows);
+}
+
+/// Conservation between the two places control traffic is counted: for
+/// every kind, the world's per-group rows (counted where a frame is
+/// encoded, and where it is decoded past the receiver's own-address
+/// check) sum to the engines' per-type rows, sent and received.
+fn assert_counted_twice_alike(
+    engines: &ProtocolCounters,
+    groups: &BTreeMap<u32, ProtocolCounters>,
+) {
+    let mut world = ProtocolCounters::default();
+    groups.values().for_each(|row| world.merge(row));
+    for k in CtlKind::ALL {
+        assert_eq!(world.sent(k), engines.sent(k), "{k:?} sent");
+        assert_eq!(world.received(k), engines.received(k), "{k:?} received");
+    }
+    assert!(world.received(CtlKind::QuitAck) > 0, "the teardown was counted");
 }
 
 #[test]
 fn equivalence_is_deterministic_across_engine_shards() {
     let one = protoscale::equivalence(TOPO, 8, 32, Some(1), 9393);
     let two = protoscale::equivalence(TOPO, 8, 32, Some(2), 9393);
+    assert_counted_twice_alike(&one.ctl, &one.group_rows);
+    assert_counted_twice_alike(&two.ctl, &two.group_rows);
     // Group-space sharding is an internal engine detail: the wire
     // behaviour — frame counts, tree shape, settle and silence
     // instants — must not move by a single microsecond or frame.
