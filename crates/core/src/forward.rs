@@ -838,7 +838,7 @@ mod tests {
     mod reference {
         use super::*;
 
-        pub fn native(
+        pub(crate) fn native(
             e: &CbtRouter,
             now: SimTime,
             iface: IfIndex,
@@ -868,7 +868,7 @@ mod tests {
             act
         }
 
-        pub fn cbt(
+        pub(crate) fn cbt(
             e: &CbtRouter,
             arrival: IfIndex,
             outer_src: Addr,

@@ -77,15 +77,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod census;
 pub mod config;
 pub mod engine;
 pub mod events;
-pub mod explore;
 pub mod fib;
 pub mod forward;
 mod inline;
+pub mod invariants;
 pub mod join;
 pub mod keepalive;
 pub mod netscale;

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 
 /// Why this router has a join in flight.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JoinReason {
+pub(crate) enum JoinReason {
     /// We are the D-DR (or, in netscale p2p mode, the member's own
     /// router) and local membership triggered it (§2.5).
     LocalMembership,
@@ -43,7 +43,7 @@ pub enum JoinReason {
 
 /// A join cached behind our own pending join (§2.5).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CachedJoin {
+pub(crate) struct CachedJoin {
     /// Interface it arrived on.
     pub from_iface: IfIndex,
     /// Previous hop that sent it.
@@ -56,7 +56,7 @@ pub struct CachedJoin {
 
 /// One in-flight join for one group.
 #[derive(Debug, Clone)]
-pub struct PendingJoin {
+pub(crate) struct PendingJoin {
     /// Why it exists.
     pub reason: JoinReason,
     /// The join's `origin` field (ours, or the forwarded origin).
@@ -89,7 +89,7 @@ pub struct PendingJoin {
 impl PendingJoin {
     /// The JOIN_REQUEST this pending join stands for — what went
     /// upstream when it was filed and what each retransmission repeats.
-    pub fn request(&self, group: GroupId) -> ControlMessage {
+    pub(crate) fn request(&self, group: GroupId) -> ControlMessage {
         ControlMessage::JoinRequest {
             subcode: self.sent_subcode,
             group,
@@ -103,7 +103,7 @@ impl PendingJoin {
 /// A quit in flight (§2.7/§6.3: retried a small number of times, then
 /// parent state is dropped unilaterally).
 #[derive(Debug, Clone, Copy)]
-pub struct PendingQuit {
+pub(crate) struct PendingQuit {
     /// The parent the quit went to.
     pub parent_addr: Addr,
     /// The interface that parent sits on.
@@ -117,7 +117,7 @@ pub struct PendingQuit {
 /// A §6.1 re-attachment campaign, bounded as a whole by
 /// RECONNECT-TIMEOUT: once it runs out, the subtree is flushed.
 #[derive(Debug, Clone, Copy)]
-pub struct Campaign {
+pub(crate) struct Campaign {
     /// When the campaign began.
     pub since: SimTime,
     /// A re-attachment deferred after a broken loop, or while no core
@@ -134,7 +134,7 @@ pub struct Campaign {
 /// beside a new join when a member leaves and another joins within
 /// QUIT-INTERVAL.
 #[derive(Debug, Default)]
-pub struct Transient {
+pub(crate) struct Transient {
     /// The group's pending join, at most one (§2.5). Boxed: it is by
     /// far the largest part, and most records hold only the others.
     pub join: Option<Box<PendingJoin>>,
@@ -151,7 +151,7 @@ impl Transient {
     }
 
     /// Heap bytes the record holds: the boxed join and its lists.
-    pub fn mem_bytes(&self) -> usize {
+    pub(crate) fn mem_bytes(&self) -> usize {
         self.join.as_deref().map_or(0, |j| {
             size_of::<PendingJoin>()
                 + j.cores.capacity() * size_of::<Addr>()
@@ -161,7 +161,7 @@ impl Transient {
     }
 
     /// The campaign's scheduled re-attachment, if any.
-    pub fn backoff(&self) -> Option<(SimTime, usize)> {
+    pub(crate) fn backoff(&self) -> Option<(SimTime, usize)> {
         self.campaign?.backoff
     }
 }

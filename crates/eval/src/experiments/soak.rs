@@ -7,7 +7,7 @@
 //!
 //! 1. **regression gate** — at ~1k routers, flap one on-tree link,
 //!    require every severed member to reattach (§6.1 echo-timeout →
-//!    rejoin), run the explore-harness tree-invariant checker, and
+//!    rejoin), run the tree-invariant checker, and
 //!    tear the fleet down to silence — all hard-asserted;
 //! 2. **soak** — instantiate the preset fleet (quick ≈ 10k, full ≈
 //!    100k), drive the Poisson/diurnal membership stream, and fire a

@@ -26,7 +26,7 @@
 
 use crate::membership::{MembershipEvent, MembershipParams, MembershipStream, XorShift};
 use crate::report::Report;
-use cbt::explore::{check_netscale_invariants, Violation};
+use cbt::invariants::{check_netscale_invariants, Violation};
 use cbt::{
     addr_node, node_addr, CbtConfig, Census, FleetRib, Input, P2pNode, RouteHandle, ShardedRouter,
 };
@@ -177,6 +177,9 @@ pub struct Fleet {
     dead_leaves: HashMap<(u32, u32), u32>,
     tally: Tally,
     marks: BuildMarks,
+    /// Counters of the engines restarts replaced, so a harvest covers
+    /// the same lifetime as the world's group table.
+    retired: ObsSnapshot,
 }
 
 /// Engine configuration for a netscale fleet: compressed (`fast`)
@@ -289,6 +292,7 @@ impl Fleet {
             dead_leaves: HashMap::new(),
             tally: Tally::default(),
             marks,
+            retired: ObsSnapshot::default(),
         }
     }
 
@@ -588,8 +592,7 @@ impl Fleet {
         m
     }
 
-    /// Runs the explore-harness tree-invariant checker over the fleet
-    /// and its ledger. The fleet must be healed and quiescent.
+    /// Runs the tree-invariant checker over the fleet and its ledger. The fleet must be healed and quiescent.
     pub fn invariant_violations(&self) -> Vec<Violation> {
         check_netscale_invariants(&self.world, &self.gids, &self.members_map())
     }
@@ -689,7 +692,9 @@ impl Fleet {
     /// the masks and rib are restored around it.
     pub fn restart(&mut self, r: u32) {
         self.csr.set_node_up(r, true);
-        let cfg = self.world.node(r).router.config().clone();
+        let old = &self.world.node(r).router;
+        self.retired.merge(&old.obs_snapshot());
+        let cfg = old.config().clone();
         let router = engine(&self.csr, &self.rib, cfg, r, self.world.now());
         self.world.restart_node(r, |nd| nd.restart(router));
         self.repair_rib(true, &[], &[r]);
@@ -812,8 +817,9 @@ impl Fleet {
         silent.micros()
     }
 
-    /// Merges every router's counters and the world's group table into
-    /// one fleet snapshot, and sums
+    /// Merges every router's counters, those of the engines restarts
+    /// replaced and the world's group table into one fleet snapshot, so
+    /// per kind the group rows sum to the control row; and sums
     /// the adapter-level loss counters, which must all be zero: the
     /// liveness masks drop whole frames, so nothing may arrive torn,
     /// fail to encode or leave as anything but control.
@@ -825,6 +831,7 @@ impl Fleet {
             dropped_non_control: 0,
         };
         h.obs.add_groups(self.world.groups());
+        h.obs.merge(&self.retired);
         for i in 0..self.n {
             let nd = self.world.node(i);
             h.obs.merge(&nd.router.obs_snapshot());
@@ -906,5 +913,39 @@ mod tests {
         let msg =
             *torn.expect_err("a leftover FIB entry is not silence").downcast::<String>().unwrap();
         assert!(msg.contains("kept tree state after teardown"), "{msg}");
+    }
+
+    /// A restart mid-churn: the replaced engine's counters stay in the
+    /// harvest, so the world's group table and the control row cover
+    /// one lifetime and per kind the group rows sum to the control row.
+    #[test]
+    fn a_restarted_router_keeps_its_counters_in_the_harvest() {
+        let mut f = Fleet::new(TOPO_TINY, 2, None, 7);
+        let stubs: Vec<u32> = (f.transit..f.n).collect();
+        for (k, &r) in stubs.iter().enumerate().step_by(3) {
+            f.member_join(k % 2, r);
+        }
+        f.run_until_us(f.now_us() + 2_000_000);
+        let on_tree = |f: &Fleet, r: u32| f.world.node(r).router.fib_len() > 0;
+        let r = (f.transit..f.n)
+            .chain(0..f.transit)
+            .find(|&r| on_tree(&f, r) && !f.cores.contains(&r))
+            .expect("some non-core router carries a branch");
+        f.crash(r);
+        f.run_until_us(f.now_us() + 1_000_000);
+        f.restart(r);
+        for (k, &r) in stubs.iter().enumerate().skip(1).step_by(3) {
+            f.member_join(k % 2, r);
+        }
+        f.run_until_us(f.now_us() + 5_000_000);
+
+        let obs = f.harvest().obs;
+        for kind in CtlKind::ALL {
+            let sent: u64 = obs.groups.values().map(|g| g.sent(kind)).sum();
+            let received: u64 = obs.groups.values().map(|g| g.received(kind)).sum();
+            assert_eq!(sent, obs.ctl.sent(kind), "{kind:?} sent");
+            assert_eq!(received, obs.ctl.received(kind), "{kind:?} received");
+        }
+        assert!(obs.ctl.sent(CtlKind::JoinRequest) > 0);
     }
 }

@@ -21,7 +21,7 @@
 //! | Impl-4 internet-scale routing | [`experiments::netscale`] |
 //! | Impl-5 protocol at netscale | [`experiments::protoscale`] |
 //! | Impl-6 faults at netscale | [`experiments::soak`] |
-//! | Expl-1 fault-interleaving exploration | [`experiments::explore`] |
+//! | Expl-1 small-scope exhaustive check | [`experiments::explore`] |
 //!
 //! Impl-5 and Impl-6 are scripts over one live-fleet harness,
 //! [`fleet::Fleet`]: construction, the membership ledger, the
@@ -31,6 +31,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod experiments;
 pub mod fleet;

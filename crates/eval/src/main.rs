@@ -35,19 +35,6 @@ fn main() {
             }
         }
     }
-    // `--depth N` caps the fault-schedule length of the `explore`
-    // search (ignored by every other experiment).
-    let mut depth: Option<usize> = None;
-    if let Some(i) = args.iter().position(|a| a == "--depth") {
-        let value = args.get(i + 1).map(String::as_str).unwrap_or("");
-        match value.parse::<usize>() {
-            Ok(n) if n >= 1 => depth = Some(n),
-            _ => {
-                eprintln!("--depth expects a positive integer, got '{value}'");
-                std::process::exit(2);
-            }
-        }
-    }
     let mut skip_next = false;
     let which = args
         .iter()
@@ -56,7 +43,7 @@ fn main() {
                 skip_next = false;
                 return false;
             }
-            if *a == "--jobs" || *a == "--depth" {
+            if *a == "--jobs" {
                 skip_next = true;
                 return false;
             }
@@ -140,12 +127,8 @@ fn main() {
         ),
         (
             "explore",
-            Box::new(move |q| {
-                let mut p = if q { explore::Params::quick() } else { Default::default() };
-                if let Some(d) = depth {
-                    p.depth = d;
-                }
-                explore::run(&p)
+            Box::new(|q| {
+                explore::run(&if q { explore::Params::quick() } else { Default::default() })
             }),
         ),
     ];

@@ -64,15 +64,6 @@ impl SimSetup {
         }
         schedule
     }
-
-    /// Are all `member_routers`' serving DRs on-tree right now?
-    pub fn all_on_tree(&mut self, member_routers: &[NodeId]) -> bool {
-        let group = self.group;
-        member_routers.iter().all(|m| {
-            let r = RouterId(m.0);
-            self.cw.router(r).sharded().group_view(group).on_tree
-        })
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +81,10 @@ mod tests {
         setup.join_members(&members, SimTime::from_secs(1), SimDuration::from_millis(200));
         setup.cw.world.start();
         setup.cw.world.run_until(SimTime::from_secs(10));
-        assert!(setup.all_on_tree(&members), "every member DR joined");
+        for m in &members {
+            let view = setup.cw.router(RouterId(m.0)).sharded().group_view(setup.group);
+            assert!(view.on_tree, "member DR {m:?} joined");
+        }
         // And the trace saw join traffic.
         use cbt_netsim::PacketKind;
         use cbt_wire::ControlType;

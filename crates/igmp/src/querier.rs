@@ -23,8 +23,12 @@ pub struct QuerierElection {
     startup_left: u32,
     /// When we next send a general query (if we are querier).
     next_query: SimTime,
-    /// CBT-capable routers heard on this LAN (address → CBT-capable).
-    /// Fed by the CBT engine, which knows its CBT neighbours (§2.3).
+    /// LAN routers' CBT capability (address → CBT-capable), for the
+    /// §2.3 rule that a non-CBT querier hands the D-DR role to the
+    /// lowest CBT router. Only the unit tests fill it: no engine calls
+    /// [`QuerierElection::set_neighbour_cbt`], since every router of
+    /// every world here speaks CBT, so a remembered querier counts as
+    /// CBT-capable.
     neighbours: BTreeMap<Addr, bool>,
 }
 
@@ -87,8 +91,8 @@ impl QuerierElection {
         }
     }
 
-    /// Marks a LAN neighbour's CBT capability (engine feeds this from
-    /// its own neighbour knowledge).
+    /// Marks a LAN neighbour's CBT capability. No engine calls it: no
+    /// world models a non-CBT router.
     pub fn set_neighbour_cbt(&mut self, addr: Addr, cbt_capable: bool) {
         self.neighbours.insert(addr, cbt_capable);
     }

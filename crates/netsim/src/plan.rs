@@ -186,11 +186,6 @@ impl DeliveryPlan {
         (0..self.num_entities()).map(|i| self.entity(i))
     }
 
-    /// How many interfaces `e` has (1 for a host, 0 for a stranger).
-    pub fn iface_count(&self, e: Entity) -> usize {
-        self.index(e).map_or(0, |i| (self.iface_base[i + 1] - self.iface_base[i]) as usize)
-    }
-
     /// Where a transmission by `from` on `iface` goes; `None` when
     /// `from` has no such interface.
     pub fn route(&self, from: Entity, iface: IfIndex) -> Option<Route<'_>> {
@@ -296,9 +291,5 @@ mod tests {
             assert_eq!(plan.index(e), Some(i));
         }
         assert_eq!(plan.index(Entity::Host(HostId(3))), None);
-        assert_eq!(
-            [e0, e1, ea, Entity::Router(RouterId(9))].map(|e| plan.iface_count(e)),
-            [3, 1, 1, 0]
-        );
     }
 }

@@ -27,6 +27,8 @@
 //! hand-rolled (the output is validated against the vendored parser in
 //! `cbt-eval` and by the CI schema smoke step).
 
+#![warn(unreachable_pub)]
+
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 

@@ -418,18 +418,6 @@ pub fn transit_stub(params: TransitStubParams, seed: u64) -> Graph {
     g
 }
 
-/// A uniformly random spanning tree over `n` nodes (random attachment:
-/// node `i` links to a uniform earlier node), weight-1 edges.
-pub fn random_tree(n: usize, seed: u64) -> Graph {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut g = Graph::with_nodes(n);
-    for i in 1..n {
-        let parent = rng.gen_range(0..i);
-        g.add_edge(NodeId(i as u32), NodeId(parent as u32), 1);
-    }
-    g
-}
-
 /// A line (path) of `n` nodes.
 pub fn line(n: usize) -> Graph {
     let mut g = Graph::with_nodes(n);
@@ -519,16 +507,6 @@ mod tests {
         let g = waxman(WaxmanParams { n: 20, alpha: 0.0, beta: 0.2 }, 3);
         assert!(g.is_connected());
         assert_eq!(g.edge_count(), 19);
-    }
-
-    #[test]
-    fn random_tree_is_spanning_tree() {
-        for seed in 0..5 {
-            let g = random_tree(50, seed);
-            assert!(g.is_connected());
-            assert!(g.is_forest());
-            assert_eq!(g.edge_count(), 49);
-        }
     }
 
     #[test]
@@ -638,7 +616,6 @@ mod tests {
             let _ = line(n);
             let _ = ring(n);
             let _ = star(n.max(1));
-            let _ = random_tree(n, 0);
             let _ = waxman(WaxmanParams { n, ..Default::default() }, 0);
         }
     }

@@ -105,18 +105,6 @@ impl Graph {
         self.adj.get(a.idx())?.iter().find(|e| e.to == b).map(|e| e.weight)
     }
 
-    /// Removes the edge `a — b` if present; returns whether it existed.
-    pub fn remove_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        let before = self.adj[a.idx()].len();
-        self.adj[a.idx()].retain(|e| e.to != b);
-        if self.adj[a.idx()].len() == before {
-            return false;
-        }
-        self.adj[b.idx()].retain(|e| e.to != a);
-        self.edge_count -= 1;
-        true
-    }
-
     /// Neighbours of `n` with edge weights, in insertion order.
     pub fn neighbors(&self, n: NodeId) -> impl Iterator<Item = (NodeId, EdgeWeight)> + '_ {
         self.adj[n.idx()].iter().map(|e| (e.to, e.weight))
@@ -229,16 +217,6 @@ mod tests {
         let mut g = Graph::with_nodes(1);
         assert!(!g.add_edge(NodeId(0), NodeId(0), 1));
         assert_eq!(g.edge_count(), 0);
-    }
-
-    #[test]
-    fn remove_edge_works_both_directions() {
-        let mut g = triangle();
-        assert!(g.remove_edge(NodeId(1), NodeId(0)));
-        assert!(!g.has_edge(NodeId(0), NodeId(1)));
-        assert!(!g.has_edge(NodeId(1), NodeId(0)));
-        assert!(!g.remove_edge(NodeId(1), NodeId(0)), "double remove");
-        assert_eq!(g.edge_count(), 2);
     }
 
     #[test]

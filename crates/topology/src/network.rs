@@ -140,19 +140,6 @@ pub struct LinkSpec {
     pub cost: u32,
 }
 
-impl LinkSpec {
-    /// The endpoint opposite `r`, if `r` is an endpoint at all.
-    pub fn peer_of(&self, r: RouterId) -> Option<RouterId> {
-        if self.a == r {
-            Some(self.b)
-        } else if self.b == r {
-            Some(self.a)
-        } else {
-            None
-        }
-    }
-}
-
 /// An end-system on a LAN.
 #[derive(Debug, Clone)]
 pub struct HostSpec {
@@ -536,14 +523,5 @@ mod tests {
         let l = b.lan("S");
         b.attach(l, r);
         b.attach(l, r);
-    }
-
-    #[test]
-    fn peer_of() {
-        let n = small();
-        let l = n.links[0];
-        assert_eq!(l.peer_of(RouterId(1)), Some(RouterId(2)));
-        assert_eq!(l.peer_of(RouterId(2)), Some(RouterId(1)));
-        assert_eq!(l.peer_of(RouterId(0)), None);
     }
 }

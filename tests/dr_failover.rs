@@ -3,11 +3,11 @@
 //! survivor takes over serving new membership.
 //!
 //! End states are validated by the shared tree-invariant checker
-//! (`cbt::explore`): DR-specific assertions stay, but attachment,
+//! (`cbt::invariants`): DR-specific assertions stay, but attachment,
 //! FIB symmetry, and loop freedom come from the common suite (down
 //! routers are skipped, so a permanently dead D-DR is fine).
 
-use cbt::explore::{assert_tree_invariants, await_quiescence};
+use cbt::invariants::{assert_tree_invariants, await_quiescence};
 use cbt::{CbtConfig, CbtWorld};
 use cbt_netsim::{SimDuration, SimTime, WorldConfig};
 use cbt_topology::{HostId, NetworkBuilder, NetworkSpec, RouterId};

@@ -3,10 +3,10 @@
 //! and identical seeds must replay identically even under faults.
 //!
 //! Convergence is asserted through the shared tree-invariant checker
-//! (`cbt::explore`): not just "every member's router is on-tree" but
+//! (`cbt::invariants`): not just "every member's router is on-tree" but
 //! full parent/child symmetry, rootedness, and loop freedom.
 
-use cbt::explore::{assert_tree_invariants, await_quiescence};
+use cbt::invariants::{assert_tree_invariants, await_quiescence};
 use cbt::{CbtConfig, CbtWorld};
 use cbt_netsim::{FaultPlan, SimDuration, SimTime, WorldConfig};
 use cbt_topology::{generate, HostId, NetworkSpec, NodeId, RouterId};

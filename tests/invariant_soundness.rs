@@ -1,16 +1,17 @@
-//! Soundness of the tree-invariant checker (`cbt::explore`): the
+//! Soundness of the tree-invariant checker (`cbt::invariants`): the
 //! checker must accept every state the engine legitimately reaches.
 //! Randomized join/leave/fault schedules (xorshift — no external
 //! crates) drive the fleet through chaos; after healing and
 //! quiescence, a correct engine plus a sound checker means **zero**
 //! violations. A failure here is either a real protocol bug (good —
-//! minimize it through `cbt::explore`) or a checker false positive
-//! (bad — the exploration harness would drown in noise).
+//! the failing trace replays through the small-scope checker) or a
+//! checker false positive (bad — the checker would drown in noise).
 
-use cbt::explore::{check_tree_invariants, execute, Fault, Scenario, Schedule};
+use cbt::invariants::{await_quiescence, check_tree_invariants};
 use cbt::{CbtConfig, CbtWorld};
+use cbt_eval::experiments::explore::{Bounds, Net, Scope, Trace};
 use cbt_netsim::{FaultPlan, SimDuration, SimTime, WorldConfig};
-use cbt_topology::{generate, HostId, LanId, LinkId, NetworkSpec, RouterId};
+use cbt_topology::{generate, HostId, NetworkSpec, RouterId};
 use cbt_wire::GroupId;
 
 /// xorshift64* — deterministic, dependency-free randomness.
@@ -87,7 +88,7 @@ fn checker_accepts_every_surviving_random_schedule() {
         cw.world.set_fault_plan(FaultPlan::none());
         cw.world.run_until(SimTime::from_secs(130));
         assert!(
-            cbt::explore::await_quiescence(&mut cw, &[group], SimDuration::from_secs(60)),
+            await_quiescence(&mut cw, &[group], SimDuration::from_secs(60)),
             "round {round}: fleet failed to quiesce"
         );
         let violations = check_tree_invariants(&cw, &[group]);
@@ -100,42 +101,28 @@ fn checker_accepts_every_surviving_random_schedule() {
     }
 }
 
-/// The same property through the replay primitive: random fault
-/// schedules over the named scenarios all execute to an `ok` verdict
-/// on the healthy engine.
+/// The same property through the small-scope checker: seeded random
+/// walks through its transitions, longer and with larger budgets than
+/// its exhaustive presets, all heal to a clean verdict on the healthy
+/// engine.
 #[test]
-fn random_schedules_replay_clean_through_execute() {
+fn random_walks_replay_clean_through_the_checker() {
     let mut rng = XorShift::new(0xD1CE);
+    let bounds = Bounds { depth: 24, faults: 3, membership: 4 };
     for round in 0..10u64 {
-        let name = Scenario::names()[rng.below(Scenario::names().len() as u64) as usize];
-        let scn = Scenario::by_name(name).unwrap();
-        // Size the random fault targets to the scenario's topology.
-        let probe = scn.build(1, 0, &Schedule::none(), false);
-        let (n_routers, n_links, n_lans) = (
-            probe.net.routers.len() as u64,
-            probe.net.links.len() as u64,
-            probe.net.lans.len() as u64,
-        );
-        let mut schedule = Schedule::none();
-        for _ in 0..=rng.below(3) {
-            let horizon_us = scn.horizon.micros();
-            let at = SimTime::from_micros(1_000_000 + rng.below(horizon_us - 1_000_000));
-            let down = SimDuration::from_micros(2_000_000 + rng.below(14_000_000));
-            let f = match rng.below(4) {
-                0 => Fault::DropControl { seq: rng.below(120) },
-                1 => Fault::Crash { router: RouterId(rng.below(n_routers) as u32), at, down },
-                2 => Fault::CutLink { link: LinkId(rng.below(n_links) as u32), at, down },
-                _ => Fault::CutLan { lan: LanId(rng.below(n_lans) as u32), at, down },
-            };
-            schedule = schedule.and(f);
+        let scope = Scope::ALL[rng.below(Scope::ALL.len() as u64) as usize];
+        let spec = scope.spec();
+        let mut net = Net::boot(&spec, 1);
+        let mut steps = Vec::new();
+        for _ in 0..bounds.depth {
+            let enabled = net.enabled(&bounds);
+            let step = enabled[rng.below(enabled.len() as u64) as usize];
+            net.apply(step).expect("an enabled step applies");
+            steps.push(step);
         }
-        let r = execute(&scn, &schedule, 1, round);
-        assert!(r.quiesced, "round {round} {name} {schedule:?}: did not quiesce");
-        assert_eq!(
-            r.verdict_lines(),
-            vec!["ok".to_string()],
-            "round {round} {name} {schedule:?}: {:?}",
-            r.violations
-        );
+        let trace = Trace { scope, steps };
+        let v = net.verdict();
+        assert!(v.is_clean(), "round {round}: {trace} => {v:?}");
+        assert_eq!(trace.replay(1), Ok(v), "round {round}: {trace} replays to its verdict");
     }
 }

@@ -1,7 +1,7 @@
 //! Netscale fault regression (ISSUE 10 satellite): at ~1k routers,
 //! flap an in-use on-tree link under live engines and require the
 //! §6.1 echo-timeout machinery to reattach every severed member, the
-//! explore-harness invariant checker to come back clean, and the
+//! tree-invariant checker to come back clean, and the
 //! fleet to tear down to silence — byte-deterministically across
 //! engine shard counts.
 //!

@@ -4,9 +4,9 @@
 //! downstream join crosses it or its own subnets need service.
 //!
 //! Recovered end states are validated by the shared tree-invariant
-//! checker (`cbt::explore`) on top of the §6.2-specific assertions.
+//! checker (`cbt::invariants`) on top of the §6.2-specific assertions.
 
-use cbt::explore::{assert_tree_invariants, await_quiescence};
+use cbt::invariants::{assert_tree_invariants, await_quiescence};
 use cbt::{CbtConfig, CbtWorld};
 use cbt_netsim::{SimDuration, SimTime, WorldConfig};
 use cbt_topology::{HostId, NetworkBuilder, NetworkSpec, RouterId};
