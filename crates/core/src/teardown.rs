@@ -210,13 +210,18 @@ impl CbtRouter {
         for g in fragments {
             self.start_reattach(now, g, 0, act);
         }
-        // Re-join safety net.
+        // Re-join safety net, and the re-validation of proxied LANs.
         let lans = self.lan_ifaces();
         for lan in lans {
             let groups: Vec<GroupId> =
                 self.lans.get(&lan).map(|l| l.presence.groups().collect()).unwrap_or_default();
             for g in groups {
-                if !self.lan_group_handled(lan, g) && self.i_am_dr(lan, now) {
+                if !self.i_am_dr(lan, now) {
+                    continue;
+                }
+                if self.is_proxied(lan, g) && !self.fib.on_tree(g) && !self.has_pending_join(g) {
+                    self.revalidate_proxy(now, lan, g, act);
+                } else if !self.lan_group_handled(lan, g) {
                     self.trigger_join(now, lan, g, 0, act);
                 }
             }
