@@ -14,14 +14,13 @@ use std::sync::Arc;
 
 /// Heap bytes one router (or a sum of routers) holds, store by store.
 /// B-tree rows count the fewest nodes that hold their entries
-/// ([`cbt_igmp::btree_bytes`]: exact up to 11 entries), and
-/// the timer key table's share is exact while it holds no tombstone;
-/// every other row is exact.
+/// ([`cbt_igmp::btree_bytes`]: exact up to 11 entries); every other
+/// row is exact.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Census {
     /// FIB columns, with every entry's child and core lists.
     pub fib: usize,
-    /// Timer heap and key table.
+    /// The timer heap.
     pub timers: usize,
     /// The control counter row once a message was counted, and the
     /// lag row once a timer fired late.

@@ -100,7 +100,9 @@ pub(crate) struct LanState {
 }
 
 /// Everything the engine schedules on its [`TimerService`]. One key per
-/// independent deadline; re-arming a key supersedes its previous entry.
+/// independent deadline, which lives in the record the clock guards
+/// ([`CbtRouter::timer_deadline`]): moving it supersedes the key's
+/// older entries, and removing the record cancels them.
 ///
 /// The variants are declared in the order a timer input services them —
 /// the derived `Ord` is what sorts a wakeup's due keys into phases.
@@ -223,20 +225,23 @@ pub struct CbtRouter {
     /// (see [`Input::Join`]). Counts as member presence in
     /// [`CbtRouter::serves_members`].
     pub(crate) local_members: BTreeSet<GroupId>,
-    /// Deadline-driven timer service (see [`TimerKind`]). Wherever the
-    /// state behind a key is removed outside its own service routine,
-    /// the key is cancelled, and the service keeps its head valid after
-    /// every call: `next_wakeup` must be *exact*, because the event
-    /// loop's FIFO tie-break is part of the pinned event streams.
+    /// Deadline heap (see [`TimerKind`]). An entry is live iff
+    /// [`CbtRouter::timer_deadline`] still names its deadline, and
+    /// `step` settles the head after every input that can write a
+    /// record: `next_wakeup` must be *exact*, because the event loop's
+    /// FIFO tie-break is part of the pinned event streams.
     pub(crate) timers: TimerService<TimerKind>,
     /// The latest child deadline (`now + CHILD-ASSERT-EXPIRE`) any
     /// adopt, re-ack or echo has set. Some child's liveness is still to
     /// be swept — [`CbtRouter::children_tracked`] — exactly while this
-    /// lies beyond `last_child_sweep`.
+    /// lies beyond the last sweep, one interval before `child_sweep_at`.
     pub(crate) child_deadline_max: SimTime,
-    /// Instant of the last child sweep (the boot instant before the
-    /// first): the sweep cadence runs from it.
-    pub(crate) last_child_sweep: SimTime,
+    /// The child sweep's next instant, armed while a child is tracked:
+    /// one interval after the last sweep (or boot), or the instant the
+    /// first tracked child arrived if that was later.
+    pub(crate) child_sweep_at: SimTime,
+    /// The IFF scan's next instant, while its clock is armed.
+    pub(crate) iff_scan_at: Option<SimTime>,
     /// Observability counters: the drop-reason taxonomy, the control
     /// counters by kind, join and failure counts and latency
     /// histograms every path reports into. Plain data — bumping is
@@ -296,7 +301,7 @@ impl CbtRouter {
     /// 64 B counter row ([`RouterObs::ctl`]) and 8 B per learned core.
     /// It pays nothing for LAN duties: G-DR roles and proxy-acked
     /// groups live in the per-LAN tables it has none of, and an armed
-    /// timer costs 16 B in the heap and 16 B in the key table.
+    /// timer costs one 16 B heap entry beside the record it guards.
     ///
     /// Membership is driven by [`Input::Join`] / [`Input::Leave`]
     /// instead of LAN presence.
@@ -348,6 +353,7 @@ impl CbtRouter {
                 );
             }
         }
+        let child_sweep_at = now + cfg.child_assert_interval;
         let mut r = CbtRouter {
             id_addr,
             other_addrs,
@@ -361,7 +367,8 @@ impl CbtRouter {
             core_knowledge: Vec::new(),
             local_members: BTreeSet::new(),
             child_deadline_max: SimTime::ZERO,
-            last_child_sweep: now,
+            child_sweep_at,
+            iff_scan_at: None,
             obs: RouterObs::default(),
             // A fresh `Span` carries epoch 0, so it is never current.
             epoch: 1,
@@ -382,10 +389,10 @@ impl CbtRouter {
     /// (`become_core`).
     fn boot_arm(&mut self, now: SimTime) {
         if self.iff_scan_has_work() {
-            self.timers.arm(TimerKind::IffScan, now + self.cfg.iff_scan_interval);
+            self.arm_iff_scan(now);
         }
         for iface in self.lan_ifaces() {
-            self.arm_lan(iface);
+            self.rearm(TimerKind::Lan(iface), None);
         }
     }
 
@@ -626,9 +633,10 @@ impl CbtRouter {
     ///
     /// Every input but the two data kinds can write tree, G-DR,
     /// presence or timer state, so it first moves the control epoch
-    /// (which retires every cached spanning entry) and last compacts
-    /// the timer service, which frees its tables once no clock is
-    /// armed. Data packets do neither: they write none of that state.
+    /// (which retires every cached spanning entry) and last settles the
+    /// timer heap against the records it wrote, which keeps
+    /// `next_wakeup` exact and frees the heap once no clock is armed.
+    /// Data packets do neither: they write none of that state.
     #[inline]
     pub fn step(&mut self, now: SimTime, input: Input, out: &mut Vec<RouterAction>) {
         let control = !matches!(input, Input::NativeData { .. } | Input::CbtData { .. });
@@ -649,7 +657,9 @@ impl CbtRouter {
             Input::Timer => self.run_timers(now, out),
         }
         if control {
-            self.timers.compact();
+            let mut timers = std::mem::take(&mut self.timers);
+            timers.settle(|kind, at| self.timer_deadline(kind) == Some(at));
+            self.timers = timers;
         }
     }
 
@@ -723,6 +733,7 @@ impl CbtRouter {
         if let IgmpMessage::RpCore(r) = &msg {
             self.learn_cores(r.group, &r.cores);
         }
+        let was = self.timer_deadline(TimerKind::Lan(iface));
         let Some(lan) = self.lans.get_mut(&iface) else { return };
         let mut yielded = false;
         if let IgmpMessage::Query { group: None, .. } = msg {
@@ -767,7 +778,7 @@ impl CbtRouter {
         }
         // Reports and Leaves move this LAN's presence deadlines (and a
         // foreign query re-times the election): re-clock its timer entry.
-        self.arm_lan(iface);
+        self.rearm(TimerKind::Lan(iface), was);
     }
 
     /// Reacts to membership appearing/disappearing on a LAN.
@@ -806,18 +817,19 @@ impl CbtRouter {
 
     /// Advances every timer that has come due.
     ///
-    /// Pops the due keys, then runs seven phases in `TimerKind`
-    /// order, each visiting only its due candidates, in ascending key
-    /// order. Every candidate is re-checked against the authoritative
-    /// state (the group's transient record, the FIB…) before acting,
-    /// so a stale or early entry degenerates to a no-op (plus a lazy
-    /// re-arm where the true deadline moved later).
+    /// Pops the keys whose records hold a due deadline, then runs
+    /// seven phases in `TimerKind` order, each visiting only its due
+    /// candidates, in ascending key order. Every candidate is
+    /// re-checked against its record before acting, since an earlier
+    /// phase may have moved or removed it.
     fn run_timers(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
         let mut due: InlineBuf<(TimerKind, SimTime), 4> = InlineBuf::new();
-        self.timers.pop_due_into(now, &mut due);
+        let mut timers = std::mem::take(&mut self.timers);
+        timers.pop_due_into(now, |kind, at| self.timer_deadline(kind) == Some(at), &mut due);
+        self.timers = timers;
         // `TimerKind` orders by variant, then key, and the variants are
         // declared in phase order: one sort lines every phase's
-        // candidates up ascending. A key has one valid deadline, so no
+        // candidates up ascending. A record holds one deadline, so no
         // candidate repeats.
         due.as_mut_slice().sort_unstable_by_key(|&(kind, _)| kind);
         let due = due.as_slice();
@@ -833,6 +845,12 @@ impl CbtRouter {
             // coalesce; under the live runtime it measures scheduling
             // latency.
             self.obs.record_timer_lag(now.since(deadline).micros());
+        }
+        // A fired IFF scan is down until phase 7 re-arms it: a core
+        // role taken on the way arms it afresh (`become_core`).
+        let iff_due = due.iter().any(|&(k, _)| k == TimerKind::IffScan);
+        if iff_due {
+            self.iff_scan_at = None;
         }
         // Phase 1: IGMP querier duty + presence expiry per due LAN.
         for iface in due_of!(TimerKind::Lan) {
@@ -865,10 +883,10 @@ impl CbtRouter {
         // CHILD-ASSERT-INTERVAL. The sweep re-arms only while deadlines
         // remain; the next tracked child re-arms it
         // (`track_child_deadline`).
-        if due.iter().any(|&(k, _)| k == TimerKind::ChildSweep) {
+        if let Some(&(_, fired)) = due.iter().find(|&&(k, _)| k == TimerKind::ChildSweep) {
             self.sweep_children_due(now, act);
             if self.children_tracked() {
-                self.timers.arm(TimerKind::ChildSweep, now + self.cfg.child_assert_interval);
+                self.timers.arm(TimerKind::ChildSweep, Some(fired), self.child_sweep_at);
             }
         }
         // Phase 7: the IFF scan (inherently a membership-wide pass).
@@ -876,10 +894,10 @@ impl CbtRouter {
         // consult — local membership quits eagerly instead
         // (`member_left`) — so the clock stays down unless the router
         // is a non-primary core, whose backbone safety net it runs.
-        if due.iter().any(|&(k, _)| k == TimerKind::IffScan) {
+        if iff_due {
             self.iff_scan(now, act);
             if self.iff_scan_has_work() {
-                self.timers.arm(TimerKind::IffScan, now + self.cfg.iff_scan_interval);
+                self.arm_iff_scan(now);
             }
         }
     }
@@ -887,6 +905,7 @@ impl CbtRouter {
     /// IGMP querier duty + presence expiry on one LAN, then its timer
     /// entry re-clocked from the deadlines the poll moved.
     fn poll_lan(&mut self, now: SimTime, iface: IfIndex, act: &mut Vec<RouterAction>) {
+        let was = self.timer_deadline(TimerKind::Lan(iface));
         let Some(lan) = self.lans.get_mut(&iface) else { return };
         let sends: Vec<IgmpOut> = lan.election.poll(now);
         let events = lan.presence.poll(now);
@@ -896,15 +915,15 @@ impl CbtRouter {
         for ev in events {
             self.on_presence_event(now, iface, ev, act);
         }
-        self.arm_lan(iface);
+        self.rearm(TimerKind::Lan(iface), was);
     }
 
     /// Earliest instant any internal timer wants service.
     ///
-    /// A peek at the timer heap's head, and *exact*: the service pops
-    /// superseded entries off its head in every arm, cancel and pop,
-    /// and every state removal cancels its key, so the head always
-    /// carries the earliest valid deadline. This matters beyond efficiency —
+    /// A peek at the timer heap's head, and *exact*: `step` settles the
+    /// head against the records after every input that can write one,
+    /// so it carries the earliest deadline a record holds. This matters
+    /// beyond efficiency —
     /// `netsim` breaks same-instant event ties in scheduling order, so
     /// a spurious early wake would reshuffle a router against its peers
     /// and move the pinned event streams.
@@ -916,25 +935,76 @@ impl CbtRouter {
     // Timer arming, shared by the protocol modules.
     // ------------------------------------------------------------------
 
-    /// (Re-)clocks a LAN's timer entry from its election + presence
-    /// deadlines. Called wherever those deadlines can change: after
-    /// every received IGMP message and after each phase-1 poll.
-    pub(crate) fn arm_lan(&mut self, iface: IfIndex) {
-        if let Some(lan) = self.lans.get(&iface) {
-            let mut d = lan.election.next_wakeup();
-            if let Some(p) = lan.presence.next_wakeup() {
-                d = d.min(p);
+    /// The deadline `kind`'s record holds, if it holds one — the one
+    /// source of a timer entry's liveness:
+    /// * a LAN's election and presence deadlines, the earlier of the two;
+    /// * a campaign's backoff, a pending join's retransmit instant and a
+    ///   pending quit's next send, in the group's transient record;
+    /// * a parent's next echo or echo-timeout failure, whichever is
+    ///   earlier, in its FIB entry;
+    /// * the child sweep's and the IFF scan's next instants, in the
+    ///   router's own fields.
+    pub(crate) fn timer_deadline(&self, kind: TimerKind) -> Option<SimTime> {
+        match kind {
+            TimerKind::Lan(iface) => {
+                let lan = self.lans.get(&iface)?;
+                let d = lan.election.next_wakeup();
+                Some(lan.presence.next_wakeup().map_or(d, |p| d.min(p)))
             }
-            self.timers.arm(TimerKind::Lan(iface), d);
+            TimerKind::Reattach(g) => self.transients.get(&g)?.backoff().map(|(at, _)| at),
+            TimerKind::PendingJoin(g) => Some(self.pending_join(g)?.next_retransmit),
+            TimerKind::Echo(g) => {
+                Some(self.fib.get(g)?.parent?.echo_deadline(self.cfg.echo_timeout))
+            }
+            TimerKind::Quit(g) => Some(self.transients.get(&g)?.quit?.next_send),
+            TimerKind::ChildSweep => self.children_tracked().then_some(self.child_sweep_at),
+            TimerKind::IffScan => self.iff_scan_at,
         }
     }
 
-    /// (Re-)clocks a group's keepalive entry: next echo *or* the echo-
-    /// timeout failure instant, whichever comes first. No-op without a
-    /// parent.
-    pub(crate) fn arm_echo(&mut self, group: GroupId) {
-        let Some(p) = self.fib.get(group).and_then(|e| e.parent) else { return };
-        self.timers.arm(TimerKind::Echo(group), p.echo_deadline(self.cfg.echo_timeout));
+    /// Files `kind` at the deadline its record holds now, the record
+    /// having held `was` before the write. No-op without one.
+    pub(crate) fn rearm(&mut self, kind: TimerKind, was: Option<SimTime>) {
+        if let Some(at) = self.timer_deadline(kind) {
+            self.timers.arm(kind, was, at);
+        }
+    }
+
+    /// Arms the IFF scan one interval after `now`.
+    pub(crate) fn arm_iff_scan(&mut self, now: SimTime) {
+        let at = now + self.cfg.iff_scan_interval;
+        self.timers.arm(TimerKind::IffScan, self.iff_scan_at.replace(at), at);
+    }
+
+    /// Every deadline the records hold, with its key.
+    pub(crate) fn clocks(&self) -> impl Iterator<Item = (TimerKind, SimTime)> + '_ {
+        let groups = self
+            .transients
+            .keys()
+            .flat_map(|&g| [TimerKind::Reattach(g), TimerKind::PendingJoin(g), TimerKind::Quit(g)]);
+        self.lans
+            .keys()
+            .map(|&i| TimerKind::Lan(i))
+            .chain(groups)
+            .chain(self.fib.iter().map(|(g, _)| TimerKind::Echo(g)))
+            .chain([TimerKind::ChildSweep, TimerKind::IffScan])
+            .filter_map(|kind| Some((kind, self.timer_deadline(kind)?)))
+    }
+
+    /// Checks the timer heap against the records: every deadline a
+    /// record holds has a heap entry, and the head is live. `Err` names
+    /// the first clock that fails. A linear scan per clock, for tests.
+    #[doc(hidden)]
+    pub fn check_timers(&self) -> Result<(), String> {
+        if let Some((kind, at)) = self.clocks().find(|&(kind, at)| !self.timers.holds(kind, at)) {
+            return Err(format!("{kind:?} holds {at:?} with no heap entry"));
+        }
+        match self.timers.head() {
+            Some((kind, at)) if self.timer_deadline(kind) != Some(at) => {
+                Err(format!("the head {kind:?} at {at:?} is dead"))
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Does the IFF scan have anything to re-check: presence tables
@@ -954,9 +1024,11 @@ impl CbtRouter {
     /// Is any child's liveness still to be swept? Every deadline is
     /// `now + CHILD-ASSERT-EXPIRE` with `now` monotone, so the latest
     /// one belongs to some child's newest refresh, and that child has
-    /// been swept iff a sweep ran at or after it.
+    /// been swept iff a sweep ran at or after it. The last sweep ran one
+    /// interval before `child_sweep_at`, or earlier while a child is
+    /// tracked, which this test then reads alike.
     pub(crate) fn children_tracked(&self) -> bool {
-        self.child_deadline_max > self.last_child_sweep
+        self.child_deadline_max + self.cfg.child_assert_interval > self.child_sweep_at
     }
 
     /// Raises the child-deadline watermark for a child adopted or
@@ -971,8 +1043,8 @@ impl CbtRouter {
     /// caused.
     pub(crate) fn track_child_deadline(&mut self, now: SimTime) {
         if !self.children_tracked() {
-            let at = self.last_child_sweep + self.cfg.child_assert_interval;
-            self.timers.arm(TimerKind::ChildSweep, at.max(now));
+            self.child_sweep_at = self.child_sweep_at.max(now);
+            self.timers.arm(TimerKind::ChildSweep, None, self.child_sweep_at);
         }
         self.child_deadline_max = self.child_deadline_max.max(now + self.cfg.child_assert_expire);
     }

@@ -13,9 +13,8 @@ use std::collections::BTreeMap;
 impl CbtRouter {
     /// Phase 4 of the timer service: sends due echo requests and
     /// detects parent failures among the due candidates (ascending
-    /// group order). A candidate whose true deadline moved later (its
-    /// parent answered an echo since the entry was armed) is silently
-    /// re-armed.
+    /// group order). A candidate whose parent went since its pop is
+    /// skipped.
     pub(crate) fn service_keepalives_due(
         &mut self,
         now: SimTime,
@@ -24,25 +23,25 @@ impl CbtRouter {
     ) {
         let (interval, timeout) = (self.cfg.echo_interval, self.cfg.echo_timeout);
         // One FIB lookup per candidate: a due echo advances its clock
-        // here and carries its next deadline to the arm after the send,
-        // which keeps every arm in its place in the FIFO tie-break.
-        let mut echo_due: InlineBuf<(GroupId, IfIndex, Addr, SimTime), 4> = InlineBuf::new();
+        // here and carries its old and next deadlines to the arm after
+        // the sends.
+        let mut echo_due: InlineBuf<(GroupId, IfIndex, Addr, SimTime, SimTime), 4> =
+            InlineBuf::new();
         let mut failed: InlineBuf<GroupId, 4> = InlineBuf::new();
         for g in candidates {
             let Some(p) = self.fib.get_mut(g).and_then(|e| e.parent.as_mut()) else { continue };
             if now.since(p.last_reply) >= timeout {
                 failed.push(g);
             } else if now >= p.next_echo {
+                let was = p.echo_deadline(timeout);
                 p.next_echo = now + interval;
-                echo_due.push((g, p.iface, p.addr, p.echo_deadline(timeout)));
-            } else {
-                self.timers.arm(TimerKind::Echo(g), p.echo_deadline(timeout));
+                echo_due.push((g, p.iface, p.addr, was, p.echo_deadline(timeout)));
             }
         }
         if self.cfg.aggregate_echoes {
             // §8.4: one echo per parent covering a masked group range.
             let mut by_parent: BTreeMap<(IfIndex, Addr), Vec<GroupId>> = BTreeMap::new();
-            for &(g, iface, addr, _) in echo_due.as_slice() {
+            for &(g, iface, addr, ..) in echo_due.as_slice() {
                 by_parent.entry((iface, addr)).or_default().push(g);
             }
             for ((iface, addr), groups) in by_parent {
@@ -58,21 +57,26 @@ impl CbtRouter {
                 let timers = &mut self.timers;
                 for (g, e) in self.fib.iter_mut() {
                     if let Some(p) = e.parent.as_mut().filter(|p| p.addr == addr) {
+                        let was = p.echo_deadline(timeout);
                         p.next_echo = now + interval;
-                        timers.arm(TimerKind::Echo(g), p.echo_deadline(timeout));
+                        timers.arm(TimerKind::Echo(g), Some(was), p.echo_deadline(timeout));
                     }
                 }
             }
         } else {
-            for &(g, iface, addr, deadline) in echo_due.as_slice() {
+            for &(g, iface, addr, ..) in echo_due.as_slice() {
                 let msg = ControlMessage::EchoRequest {
                     group: g,
                     origin: self.id_addr(),
                     group_mask: None,
                 };
                 self.send_control(act, iface, addr, msg);
-                self.timers.arm(TimerKind::Echo(g), deadline);
             }
+        }
+        // Each due clock's fired entry is gone: file its next deadline
+        // (the aggregate's own arms found these clocks already moved).
+        for &(g, _, _, was, deadline) in echo_due.as_slice() {
+            self.timers.arm(TimerKind::Echo(g), Some(was), deadline);
         }
 
         for &g in failed.as_slice() {
@@ -168,10 +172,12 @@ impl CbtRouter {
     /// Parent `src` of `g` answered an echo at `now`. No-op if `src` is
     /// not `g`'s parent.
     fn settle_parent(&mut self, now: SimTime, g: GroupId, src: Addr) {
-        let deadline = match self.fib.get_mut(g).and_then(|e| e.parent.as_mut()) {
+        let timeout = self.cfg.echo_timeout;
+        let (was, deadline) = match self.fib.get_mut(g).and_then(|e| e.parent.as_mut()) {
             Some(p) if p.addr == src => {
+                let was = p.echo_deadline(timeout);
                 p.last_reply = now;
-                p.echo_deadline(self.cfg.echo_timeout)
+                (was, p.echo_deadline(timeout))
             }
             _ => return,
         };
@@ -182,7 +188,7 @@ impl CbtRouter {
         self.end_campaign(g);
         // The keepalive deadline may have moved later (the echo-timeout
         // arm of the min): re-clock so the next wake lands on it exactly.
-        self.timers.arm(TimerKind::Echo(g), deadline);
+        self.timers.arm(TimerKind::Echo(g), Some(was), deadline);
     }
 
     /// §9 CHILD-ASSERT, phase 6 of the timer service: once per
@@ -191,7 +197,7 @@ impl CbtRouter {
     /// that lost a child to `maybe_quit`, in ascending group order.
     pub(crate) fn sweep_children_due(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
         let expire = self.cfg.child_assert_expire;
-        self.last_child_sweep = self.last_child_sweep.max(now);
+        self.child_sweep_at = self.child_sweep_at.max(now + self.cfg.child_assert_interval);
         let mut affected: InlineBuf<GroupId, 4> = InlineBuf::new();
         for (g, e) in self.fib.iter_mut() {
             let before = e.children.len();
@@ -478,8 +484,9 @@ mod tests {
                 at + cbt_netsim::SimDuration::from_secs(1),
                 Input::Control { iface: IfIndex(1), src: up_hop().addr, msg },
             );
-            let (entries, keys) = (e.timers.len(), e.timers.tracked_keys());
-            assert_eq!(entries, keys, "round {round}: a stale timer entry appeared");
+            assert_eq!(e.check_timers(), Ok(()), "round {round}");
+            let clocks = e.clocks().count();
+            assert_eq!(e.timers.len(), clocks, "round {round}: a dead timer entry appeared");
         }
         assert_eq!(requests, 1000, "one echo request per interval");
         assert_eq!(e.obs().parent_failures, 0);
@@ -734,7 +741,7 @@ mod tests {
         e.feed(now, Input::Timer);
         assert_eq!(e.obs.timer_lag_us().count(), 1, "one sweep");
         assert_eq!(e.obs.timer_lag_us().max(), 0, "serviced on time");
-        assert_eq!(e.last_child_sweep, now);
+        assert_eq!(e.child_sweep_at, now + interval);
         assert_eq!(e.next_wakeup(), Some(now + interval), "the cadence runs from now");
         assert_eq!(e.children_of(g(1)).len(), 1, "the fresh child survived its sweep");
     }

@@ -30,8 +30,8 @@ impl CbtRouter {
                 retries_left: self.cfg.quit_retries,
                 next_send: now + self.cfg.quit_interval,
             };
-            self.edit(group, |t| t.quit = Some(q));
-            self.timers.arm(TimerKind::Quit(group), q.next_send);
+            let was = self.edit(group, |t| t.quit.replace(q)).map(|q| q.next_send);
+            self.timers.arm(TimerKind::Quit(group), was, q.next_send);
         }
         // The child removes its own state right away; the pending quit
         // only drives retransmission (§8.3: if the parent cannot
@@ -43,20 +43,16 @@ impl CbtRouter {
     }
 
     /// Removes every trace of `group`'s branch from this router: its
-    /// FIB entry, G-DR roles, pending join and campaign. A quit already
-    /// sent keeps retransmitting. This is the engine's only
-    /// `fib.remove`; the keepalive clock is cancelled with the parent,
-    /// or `next_wakeup` stops being exact.
+    /// FIB entry, G-DR roles, pending join and campaign, and with them
+    /// their clocks. A quit already sent keeps retransmitting. This is
+    /// the engine's only `fib.remove`.
     pub(crate) fn drop_group_state(&mut self, group: GroupId) {
         self.fib.remove(group);
-        self.timers.cancel(TimerKind::Echo(group));
         self.clear_gdr(group);
         self.edit(group, |t| {
             t.join = None;
             t.campaign = None;
         });
-        self.timers.cancel(TimerKind::PendingJoin(group));
-        self.timers.cancel(TimerKind::Reattach(group));
     }
 
     /// Receipt of a QUIT_REQUEST from a child (§2.7).
@@ -89,7 +85,6 @@ impl CbtRouter {
         let quit = self.transients.get(&group).and_then(|t| t.quit);
         if quit.is_some_and(|q| q.parent_addr == src && q.parent_iface == iface) {
             self.edit(group, |t| t.quit = None);
-            self.timers.cancel(TimerKind::Quit(group));
         }
     }
 
@@ -112,7 +107,7 @@ impl CbtRouter {
         let next_send = now + self.cfg.quit_interval;
         let retries_left = q.retries_left - 1;
         self.edit(group, |t| t.quit = Some(PendingQuit { retries_left, next_send, ..q }));
-        self.timers.arm(TimerKind::Quit(group), next_send);
+        self.timers.arm(TimerKind::Quit(group), Some(q.next_send), next_send);
     }
 
     /// Sends FLUSH_TREE down one child branch and removes that child

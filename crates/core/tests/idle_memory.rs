@@ -8,6 +8,7 @@
 
 mod common;
 
+use cbt::timers::TimerService;
 use cbt::{node_addr, CbtConfig, CbtRouter, Census, Input, P2pNode, ShardedRouter};
 use cbt_netsim::{NetscaleWorld, SimTime};
 use cbt_obs::RouterObs;
@@ -86,7 +87,7 @@ const BOOT_BYTES: i64 = 56;
 fn an_idle_engine_stays_small() {
     let (obs, router) = (size_of::<RouterObs>(), size_of::<CbtRouter>());
     assert!(obs <= 320, "RouterObs is {obs} B");
-    assert!(router <= 648, "CbtRouter is {router} B");
+    assert!(router <= 640, "CbtRouter is {router} B");
     // The front holds its first shard inline and a vector of the rest.
     let front = size_of::<ShardedRouter>();
     assert!(front <= router + 40, "ShardedRouter is {front} B");
@@ -249,6 +250,45 @@ fn history_costs_one_counter_row_and_eight_bytes_per_core() {
                 "router {i}, k {k}: boot {boot} B"
             );
         }
+    }
+}
+
+/// The census's timer row is the heap's capacity, byte for byte: the
+/// service holds its deadline heap and nothing else — no key table —
+/// whatever it pushed, swept and popped, and it fits in 32 B. Its size
+/// does not depend on the key, so `u64` keys stand in for the engine's.
+#[test]
+fn the_timer_row_is_the_heap_capacity() {
+    let svc = size_of::<TimerService<u64>>();
+    assert!(svc <= 32, "TimerService is {svc} B");
+    // Every key's record holds deadline `k` µs until `now` passes it.
+    let live = |now: u64| move |k: u64, at: SimTime| at.micros() == k && k > now;
+    for n in [1u64, 7, 100, 1_000] {
+        let (made, mut s) = alloc::count(|| {
+            let mut s = TimerService::new();
+            for k in 1..=n {
+                s.arm(k, None, SimTime::from_micros(k));
+                // Every third key is re-filed later and back: a dead
+                // entry and a duplicate for the sweep.
+                if k % 3 == 0 {
+                    s.arm(k, Some(SimTime::from_micros(k)), SimTime::from_micros(k + n));
+                    s.arm(k, Some(SimTime::from_micros(k + n)), SimTime::from_micros(k));
+                }
+            }
+            s.settle(live(0));
+            s
+        });
+        assert_eq!(made.live, s.mem_bytes() as i64, "{n} keys armed");
+        let mut due = Vec::with_capacity(n as usize);
+        let (popped, ()) = alloc::count(|| {
+            s.pop_due_into(SimTime::from_micros(n / 2), live(0), &mut due);
+            s.settle(live(n / 2));
+        });
+        assert_eq!(popped.allocs, 0, "{n} keys: pops allocate nothing");
+        let bytes = s.mem_bytes() as i64;
+        assert!(n < 2 || bytes > 0, "{n} keys: half still armed");
+        let (freed, ()) = alloc::count(|| drop(s));
+        assert_eq!(-freed.live, bytes, "{n} keys: the row is what dropping frees");
     }
 }
 
