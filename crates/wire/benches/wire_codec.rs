@@ -3,6 +3,7 @@
 //! routers and hosts call.
 
 use bytes::Bytes;
+use cbt_wire::checksum::internet_checksum;
 use cbt_wire::ipv4::{split_datagram, IPV4_HEADER_LEN};
 use cbt_wire::{
     Addr, CbtDataHeader, CbtDataPacket, ControlMessage, DataPacket, GroupId, IgmpMessage,
@@ -96,5 +97,25 @@ fn bench_full_datagram(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_control, bench_data_header, bench_igmp, bench_full_datagram);
+/// The Internet checksum per buffer size: a CBT data header (20 B),
+/// IPv4 plus CBT headers (40 B), a JOIN_REQUEST frame (72 B), a small
+/// data packet (264 B) and a full one (1 400 B).
+fn bench_checksum(c: &mut Criterion) {
+    for size in [20usize, 40, 72, 264, 1400] {
+        let buf: Vec<u8> = (0..size).map(|i| (i * 31 + 7) as u8).collect();
+        let mut g = c.benchmark_group(format!("checksum_{size}B"));
+        g.throughput(Throughput::Bytes(size as u64));
+        g.bench_function("sum", |b| b.iter(|| internet_checksum(black_box(&buf))));
+        g.finish();
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_control,
+    bench_data_header,
+    bench_igmp,
+    bench_full_datagram,
+    bench_checksum
+);
 criterion_main!(benches);
