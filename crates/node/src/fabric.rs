@@ -6,20 +6,21 @@
 //! instead of an event queue.
 //!
 //! Data-plane properties (see DESIGN.md "Data-plane architecture"):
-//! - **Zero-copy fan-out** — a [`Transmit`] already owns its frame as
-//!   refcounted [`Bytes`]; delivery clones the handle per recipient
-//!   (a refcount bump), never the payload.
+//! - **Zero-copy fan-out, one handle per run** — a sender's wakeup
+//!   hands its whole outbox drain over as one shared [`Batch`]; each
+//!   recipient's inbox queues one handle to it per run (a refcount
+//!   bump), never a copy of the payload and never a handle per frame.
 //! - **Bounded inboxes** — when a receiver falls behind, frames are
 //!   dropped and counted instead of growing an unbounded queue (a real
 //!   router sheds load, it does not OOM).
-//! - **Runs, not frames** — an outbox drain is dispatched as runs of
+//! - **Runs, not frames** — a batch is dispatched as runs of
 //!   same-destination transmissions ([`Fabric::dispatch_batch`]): one
 //!   route lookup per run, one inbox lock and at most one wakeup per
 //!   recipient per run.
 
-use crate::inbox::{Inbox, InboxRx, Pushed};
+use crate::inbox::{Batch, Inbox, InboxRx, Pushed};
 use cbt::shard_of;
-use cbt_netsim::{Bytes, DeliveryPlan, Entity, Receiver, Transmit};
+use cbt_netsim::{DeliveryPlan, Entity, Receiver, Transmit};
 use cbt_topology::{IfIndex, NetworkSpec};
 use cbt_wire::ipv4::IPV4_HEADER_LEN;
 use cbt_wire::{Addr, GroupId, IgmpMessage, IpProto, CBT_AUX_PORT, CBT_PRIMARY_PORT};
@@ -175,53 +176,66 @@ impl Fabric {
         &self.plan
     }
 
-    /// Dispatches a whole outbox drain from `from` to everyone each
-    /// transmission reaches. Each frame is encoded exactly once (by the
-    /// sender, into the `Transmit`); recipients share the allocation.
-    /// Consecutive transmissions on one interface to one link-layer
-    /// destination form a *run*: the route is resolved once per run,
-    /// and each recipient's inbox takes the run under one lock and at
-    /// most one wakeup ([`Inbox::push_run`]). Every inbox sees the
-    /// frames it would have seen had each transmission been dispatched
-    /// on its own, in that order.
-    pub fn dispatch_batch(&self, from: Entity, transmits: &[Transmit]) {
+    /// Dispatches one wakeup's outbox drain from `from` to everyone
+    /// each transmission reaches. Each frame is encoded exactly once
+    /// (by the sender, into the `Transmit`), and the batch is shared:
+    /// consecutive transmissions on one interface to one link-layer
+    /// destination form a *run*, the route is resolved once per run,
+    /// and each recipient's inbox takes the run as one handle to the
+    /// batch under one lock and at most one wakeup
+    /// ([`Inbox::push_run`]). Every inbox sees the frames it would have
+    /// seen had each transmission been dispatched on its own, in that
+    /// order.
+    pub fn dispatch_batch(&self, from: Entity, batch: &Batch) {
+        let transmits = batch.transmits();
+        let mut end = 0;
         for run in transmits.chunk_by(|a, b| (a.iface, a.link_dst) == (b.iface, b.link_dst)) {
+            let range = end..end + run.len();
+            end = range.end;
             let Some(route) = self.plan.route(from, run[0].iface) else { continue };
             for &Receiver { entity, iface, .. } in route.heard_by(run[0].link_dst) {
                 let to = self.plan.index(entity).expect("the plan lists only its own entities");
-                self.deliver_run(to, iface, route.link_src, run.iter().map(|t| &t.frame));
+                self.deliver_run(to, iface, route.link_src, batch, run, range.start);
             }
         }
     }
 
-    /// Enqueues a run of frames, all received on `iface` from
-    /// `link_src`, at the node with plan index `to`, counting the
-    /// outcome. A 1-inbox entity (a host, or `shards = 1`) takes the
-    /// run whole; a sharded router's inboxes each take, in order, the
-    /// frames they own (each peeks at the run through [`steer_frame`]
-    /// and locks only if some frame is its).
-    fn deliver_run<'a>(
+    /// Enqueues `run`, batch frames from `start` on, all received on
+    /// `iface` from `link_src`, at the node with plan index `to`,
+    /// counting the outcome. A 1-inbox entity (a host, or `shards = 1`)
+    /// takes the run whole; each inbox of a sharded router takes, in
+    /// one push, the maximal sub-runs of frames it owns (every shard
+    /// owns a [`Steer::All`] frame), and is locked only if it owns one.
+    fn deliver_run(
         &self,
         to: usize,
         iface: IfIndex,
         link_src: Addr,
-        frames: impl Iterator<Item = &'a Bytes> + Clone,
+        batch: &Batch,
+        run: &[Transmit],
+        start: usize,
     ) {
         let inboxes = &self.inboxes[to];
         if let [only] = &inboxes[..] {
-            self.count(to, only.push_run(iface, link_src, frames));
+            let whole = std::iter::once(start..start + run.len());
+            self.count(to, only.push_run(iface, link_src, batch, whole));
             return;
         }
         for (k, inbox) in inboxes.iter().enumerate() {
-            let mut mine = frames
-                .clone()
-                .filter(|f| match steer_frame(f, inboxes.len()) {
-                    Steer::One(owner) => owner == k,
-                    Steer::All => true,
-                })
-                .peekable();
+            let owns = |t: &Transmit| match steer_frame(&t.frame, inboxes.len()) {
+                Steer::One(owner) => owner == k,
+                Steer::All => true,
+            };
+            let mut at = 0;
+            let mut mine = std::iter::from_fn(|| {
+                let lo = at + run[at..].iter().position(owns)?;
+                let hi = lo + run[lo..].iter().position(|t| !owns(t)).unwrap_or(run.len() - lo);
+                at = hi;
+                Some(start + lo..start + hi)
+            })
+            .peekable();
             if mine.peek().is_some() {
-                self.count(to, inbox.push_run(iface, link_src, mine));
+                self.count(to, inbox.push_run(iface, link_src, batch, mine));
             }
         }
     }
@@ -269,9 +283,9 @@ fn deepest<'a>(inboxes: impl IntoIterator<Item = &'a Arc<Inbox>>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbt_netsim::Bytes;
     use cbt_topology::{HostId, NetworkBuilder, RouterId};
     use std::collections::HashMap;
-    use std::slice;
 
     /// What one of the in-place writers leaves in a fresh buffer.
     fn written(write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
@@ -317,12 +331,17 @@ mod tests {
         Bytes::from(bytes.to_vec())
     }
 
+    /// A batch of one transmission.
+    fn one(t: &Transmit) -> Batch {
+        Batch::new(vec![t.clone()])
+    }
+
     #[tokio::test]
     async fn lan_broadcast_reaches_everyone() {
         let (net, r0, r1, h) = lan_pair();
         let (fabric, mut rxs) = unsharded(&net, DataPlaneConfig::default());
         let t = Transmit { iface: IfIndex(0), link_dst: None, frame: frame(&[1, 2, 3]) };
-        fabric.dispatch_batch(Entity::Router(r0), slice::from_ref(&t));
+        fabric.dispatch_batch(Entity::Router(r0), &one(&t));
         assert!(rxs.get_mut(&Entity::Router(r1)).unwrap().try_recv().is_some());
         assert!(rxs.get_mut(&Entity::Host(h)).unwrap().try_recv().is_some());
         assert!(rxs.get_mut(&Entity::Router(r0)).unwrap().try_recv().is_none(), "no self-delivery");
@@ -335,7 +354,7 @@ mod tests {
         let r1_addr = net.routers[r1.0 as usize].ifaces[0].addr;
         let (fabric, mut rxs) = unsharded(&net, DataPlaneConfig::default());
         let t = Transmit { iface: IfIndex(0), link_dst: Some(r1_addr), frame: frame(&[9]) };
-        fabric.dispatch_batch(Entity::Router(r0), slice::from_ref(&t));
+        fabric.dispatch_batch(Entity::Router(r0), &one(&t));
         assert!(rxs.get_mut(&Entity::Router(r1)).unwrap().try_recv().is_some());
         assert!(rxs.get_mut(&Entity::Host(h)).unwrap().try_recv().is_none(), "filtered");
     }
@@ -349,7 +368,7 @@ mod tests {
         let net = Arc::new(b.build());
         let (fabric, mut rxs) = unsharded(&net, DataPlaneConfig::default());
         let t = Transmit { iface: IfIndex(0), link_dst: None, frame: frame(&[7]) };
-        fabric.dispatch_batch(Entity::Router(r0), slice::from_ref(&t));
+        fabric.dispatch_batch(Entity::Router(r0), &one(&t));
         let got = rxs.get_mut(&Entity::Router(r1)).unwrap().try_recv().unwrap();
         assert_eq!(got.iface, IfIndex(0));
         assert_eq!(got.frame, vec![7]);
@@ -360,7 +379,7 @@ mod tests {
         let (net, r0, ..) = lan_pair();
         let (fabric, _rxs) = unsharded(&net, DataPlaneConfig::default());
         let t = Transmit { iface: IfIndex(42), link_dst: None, frame: frame(&[0]) };
-        fabric.dispatch_batch(Entity::Router(r0), slice::from_ref(&t)); // must not panic
+        fabric.dispatch_batch(Entity::Router(r0), &one(&t)); // must not panic
         let _ = Addr::NULL;
     }
 
@@ -371,7 +390,7 @@ mod tests {
         let (net, r0, r1, h) = lan_pair();
         let (fabric, mut rxs) = unsharded(&net, DataPlaneConfig::default());
         let t = Transmit { iface: IfIndex(0), link_dst: None, frame: frame(&[5; 64]) };
-        fabric.dispatch_batch(Entity::Router(r0), slice::from_ref(&t));
+        fabric.dispatch_batch(Entity::Router(r0), &one(&t));
         let a = rxs.get_mut(&Entity::Router(r1)).unwrap().try_recv().unwrap();
         let b = rxs.get_mut(&Entity::Host(h)).unwrap().try_recv().unwrap();
         assert!(a.frame.shares_allocation_with(&t.frame), "handle, not copy");
@@ -455,7 +474,7 @@ mod tests {
             Steer::All => unreachable!("data frames steer to one shard"),
         };
         let t = Transmit { iface: IfIndex(0), link_dst: None, frame: Bytes::from(data) };
-        fabric.dispatch_batch(Entity::Router(r0), slice::from_ref(&t));
+        fabric.dispatch_batch(Entity::Router(r0), &one(&t));
         let shard_rxs = rxs.get_mut(&Entity::Router(r1)).unwrap();
         for (k, rx) in shard_rxs.iter_mut().enumerate() {
             assert_eq!(rx.try_recv().is_some(), k == own, "only shard {own} owns group {g}");
@@ -464,7 +483,7 @@ mod tests {
         let query = IgmpMessage::Query { group: None, max_resp_tenths: 100 };
         let query = written(|buf| query.write_datagram(src, cbt_wire::ALL_SYSTEMS, buf));
         let t = Transmit { iface: IfIndex(0), link_dst: None, frame: Bytes::from(query) };
-        fabric.dispatch_batch(Entity::Router(r0), slice::from_ref(&t));
+        fabric.dispatch_batch(Entity::Router(r0), &one(&t));
         let shard_rxs = rxs.get_mut(&Entity::Router(r1)).unwrap();
         for rx in shard_rxs.iter_mut() {
             assert!(rx.try_recv().is_some(), "general query reaches every shard");
@@ -523,9 +542,9 @@ mod tests {
         let (one_by_one, mut rx_a) = keyed(&net, dp, 4);
         let (batched, mut rx_b) = keyed(&net, dp, 4);
         for t in &outbox {
-            one_by_one.dispatch_batch(Entity::Router(r0), slice::from_ref(t));
+            one_by_one.dispatch_batch(Entity::Router(r0), &one(t));
         }
-        batched.dispatch_batch(Entity::Router(r0), &outbox);
+        batched.dispatch_batch(Entity::Router(r0), &Batch::new(outbox));
 
         let (a, b) = (&one_by_one, &batched);
         assert_eq!(a.snapshot(), b.snapshot());
@@ -561,6 +580,61 @@ mod tests {
         );
     }
 
+    /// One run that mixes six groups and carries two general queries,
+    /// sent into a 2-shard and a 4-shard router: each shard's inbox
+    /// holds exactly the frames it owns, in send order, queued as its
+    /// maximal sub-runs of the batch (a query belongs to every shard,
+    /// so it joins its neighbours' sub-runs), and the one-inbox host
+    /// takes the run whole.
+    #[tokio::test]
+    async fn a_mixed_run_keeps_each_shards_order() {
+        use crate::inbox::Run;
+        use cbt_wire::DataPacket;
+        let src = Addr::from_octets(10, 1, 0, 1);
+        let query = IgmpMessage::Query { group: None, max_resp_tenths: 100 };
+        let query =
+            Bytes::from(written(|buf| query.write_datagram(src, cbt_wire::ALL_SYSTEMS, buf)));
+        let frames: Vec<Bytes> = (0..24u8)
+            .map(|i| match i {
+                5 | 17 => query.clone(),
+                _ => {
+                    let pkt =
+                        DataPacket::new(src, GroupId::numbered(u16::from(i % 6)), 16, vec![i]);
+                    Bytes::from(written(|buf| pkt.encode_into(buf)))
+                }
+            })
+            .collect();
+        let send = |f: &Bytes| Transmit { iface: IfIndex(0), link_dst: None, frame: f.clone() };
+        /// Everything queued at `rx`: how many runs, and their frames.
+        async fn taken(rx: &mut InboxRx) -> (usize, Vec<Bytes>) {
+            let mut runs: Vec<Run> = Vec::new();
+            rx.recv_batch(usize::MAX, &mut runs).await;
+            let frames = runs.iter().flat_map(|r| r.frames().iter().cloned().collect::<Vec<_>>());
+            (runs.len(), frames.collect())
+        }
+        for shards in [2, 4] {
+            let (net, r0, r1, h) = lan_pair();
+            let (fabric, mut rxs) = keyed(&net, DataPlaneConfig::default(), shards);
+            fabric
+                .dispatch_batch(Entity::Router(r0), &Batch::new(frames.iter().map(send).collect()));
+            let owns = |k: usize, f: &Bytes| match steer_frame(f, shards) {
+                Steer::One(owner) => owner == k,
+                Steer::All => true,
+            };
+            for (k, rx) in rxs.get_mut(&Entity::Router(r1)).unwrap().iter_mut().enumerate() {
+                let want: Vec<Bytes> = frames.iter().filter(|f| owns(k, f)).cloned().collect();
+                let sub_runs = frames.chunk_by(|a, b| owns(k, a) == owns(k, b));
+                let sub_runs = sub_runs.filter(|r| owns(k, &r[0])).count();
+                let (runs, got) = taken(rx).await;
+                assert_eq!(got, want, "{shards} shards: shard {k} keeps send order");
+                assert_eq!(runs, sub_runs, "{shards} shards: shard {k} queues maximal sub-runs");
+                assert!(got.contains(&query), "{shards} shards: the query reaches shard {k}");
+            }
+            let (runs, got) = taken(&mut rxs.get_mut(&Entity::Host(h)).unwrap()[0]).await;
+            assert_eq!((runs, got), (1, frames.clone()), "the host takes the run whole");
+        }
+    }
+
     /// A full bounded inbox sheds frames and counts the overflow.
     #[tokio::test]
     async fn overflow_is_dropped_and_counted() {
@@ -570,7 +644,7 @@ mod tests {
         let (fabric, mut rxs) = unsharded(&net, dp);
         let t = Transmit { iface: IfIndex(0), link_dst: Some(r1_addr), frame: frame(&[1]) };
         for _ in 0..10 {
-            fabric.dispatch_batch(Entity::Router(r0), slice::from_ref(&t));
+            fabric.dispatch_batch(Entity::Router(r0), &one(&t));
         }
         let stats = fabric.snapshot();
         assert_eq!(stats.delivered, 4, "inbox capacity");

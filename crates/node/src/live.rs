@@ -2,13 +2,15 @@
 //! timers, command/query channels for the application layer.
 //!
 //! The node task loops are the live data plane's hot path: each wakeup
-//! takes up to [`RX_BATCH`] queued frames out of the
-//! inbox under one lock, runs them through the engine, and hands the
-//! whole outbox to [`Fabric::dispatch_batch`] in place, so steady state
-//! forwards without per-wakeup allocations.
+//! takes runs holding up to [`RX_BATCH`] queued frames out of the inbox
+//! under one lock, runs their frames through the engine by reference,
+//! moves the whole outbox into one shared [`Batch`](crate::inbox::Batch)
+//! from the task's [`BatchPool`] and hands that to
+//! [`Fabric::dispatch_batch`], so steady state forwards without
+//! per-wakeup allocations.
 
 use crate::fabric::{DataPlaneConfig, Fabric, FabricStats};
-use crate::inbox::{InboxRx, RxFrame};
+use crate::inbox::{BatchPool, InboxRx, Run};
 use cbt::{CbtConfig, HostApp, RouteHandle, RouterNode};
 use cbt_netsim::{Entity, Outbox, SimNode, SimTime};
 use cbt_obs::DropReason;
@@ -22,7 +24,7 @@ use tokio::task::JoinHandle;
 use tokio::time::{Duration, Instant};
 
 /// How many queued frames a node task drains per wakeup before
-/// flushing its outbox.
+/// flushing its outbox (the last run taken is split at the limit).
 pub const RX_BATCH: usize = 64;
 
 /// Commands the application layer sends to a host task.
@@ -282,7 +284,9 @@ fn sim_to_instant(epoch: Instant, at: SimTime) -> Instant {
 
 /// One node's task loop: a command from the application layer, a
 /// batch from the inbox or the node's own timer — commands first when
-/// several are ready — then one flush of everything the node sent.
+/// several are ready — then one flush of everything the node sent, as
+/// one shared batch in a block the task reuses once its readers are
+/// done with it.
 /// Routers and hosts differ only in the commands they take, which
 /// `on_cmd` handles.
 async fn node_task<N: SimNode, C>(
@@ -295,7 +299,8 @@ async fn node_task<N: SimNode, C>(
     on_cmd: fn(&mut N, C, SimTime, &mut Outbox),
 ) {
     let mut out = Outbox::new();
-    let mut batch = Vec::new();
+    let mut pool = BatchPool::default();
+    let mut runs = Vec::new();
     loop {
         let wake = node.next_wakeup().map(|t| sim_to_instant(epoch, t));
         tokio::select! {
@@ -304,17 +309,18 @@ async fn node_task<N: SimNode, C>(
                 let Some(cmd) = cmd else { break };
                 on_cmd(&mut node, cmd, instant_to_sim(epoch, Instant::now()), &mut out);
             }
-            _ = rx.recv_batch(RX_BATCH, &mut batch) => {
+            _ = rx.recv_batch(RX_BATCH, &mut runs) => {
                 let now = instant_to_sim(epoch, Instant::now());
-                receive_batch(&mut node, &mut batch, now, &mut out);
+                receive_batch(&mut node, &mut runs, now, &mut out);
             }
             _ = sleep_maybe(wake) => {
                 let now = instant_to_sim(epoch, Instant::now());
                 node.on_timer(now, &mut out);
             }
         }
-        fabric.dispatch_batch(me, out.as_slice());
-        out.clear();
+        if !out.is_empty() {
+            fabric.dispatch_batch(me, &pool.fill(out.drain()));
+        }
     }
 }
 
@@ -369,13 +375,16 @@ fn host_cmd(app: &mut HostApp, cmd: HostCmd, now: SimTime, out: &mut Outbox) {
     }
 }
 
-/// Runs the frames one wakeup took out of the inbox through `node`,
-/// all at the same `now` — a burst pays one wakeup, one inbox lock and
-/// one outbox flush, not one per packet. Leaves `batch` empty, with its
+/// Runs the frames of the runs one wakeup took out of the inbox through
+/// `node` by reference, all at the same `now` — a burst pays one
+/// wakeup, one inbox lock and one outbox flush, not one per packet, and
+/// a run one handle, not one per frame. Leaves `runs` empty, with its
 /// capacity.
-fn receive_batch(node: &mut dyn SimNode, batch: &mut Vec<RxFrame>, now: SimTime, out: &mut Outbox) {
-    for f in batch.drain(..) {
-        node.on_packet(now, f.iface, f.link_src, &f.frame, out);
+fn receive_batch(node: &mut dyn SimNode, runs: &mut Vec<Run>, now: SimTime, out: &mut Outbox) {
+    for run in runs.drain(..) {
+        for frame in run.frames().iter() {
+            node.on_packet(now, run.iface, run.link_src, frame, out);
+        }
     }
 }
 
