@@ -533,13 +533,21 @@ impl CbtRouter {
     /// — anything past the encodable bound is dropped here so the
     /// engine can never construct a control message the wire rejects.
     pub fn cores_for(&self, group: GroupId) -> Option<Vec<Addr>> {
-        let learned = &self.core_knowledge[self.learned(group)];
-        let mut c = match learned {
-            [] => self.cfg.managed_mappings.get(&group)?.clone(),
-            _ => learned.iter().map(|&(_, c)| c).collect(),
-        };
-        c.truncate(cbt_wire::header::MAX_CORES);
+        let c: Vec<Addr> = self.known_cores(group).collect();
         (!c.is_empty()).then_some(c)
+    }
+
+    /// The cores of [`CbtRouter::cores_for`], in order, read in place
+    /// from the learned list or the managed mapping: what the §5.1
+    /// first hop walks for every packet, without a copy.
+    pub(crate) fn known_cores(&self, group: GroupId) -> impl Iterator<Item = Addr> + '_ {
+        let learned = &self.core_knowledge[self.learned(group)];
+        let managed = match learned {
+            [] => self.cfg.managed_mappings.get(&group).map_or(&[][..], Vec::as_slice),
+            _ => &[],
+        };
+        let cores = learned.iter().map(|&(_, c)| c).chain(managed.iter().copied());
+        cores.take(cbt_wire::header::MAX_CORES)
     }
 
     /// Records a core list for a group, as the engine does when any

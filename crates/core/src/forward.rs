@@ -199,21 +199,17 @@ impl CbtRouter {
     /// Encapsulates a native packet and unicasts it toward the group's
     /// best-known core (§5.1/§5.3).
     fn send_toward_core(&mut self, group: GroupId, pkt: &DataPacket, act: &mut Vec<RouterAction>) {
-        let Some(cores) = self.cores_for(group) else {
+        // First reachable core wins; no core known or none reachable
+        // alike leave nowhere to send.
+        let reachable = |core| Some((core, self.routes.hop_toward(core)?));
+        let Some((core, hop)) = self.known_cores(group).find_map(reachable) else {
             self.obs.drop_packet(DropReason::NoFibEntry);
             return;
         };
-        // First reachable core wins.
-        for core in cores {
-            if let Some(hop) = self.routes.hop_toward(core) {
-                let mut enc = CbtDataPacket::encapsulate(pkt, core);
-                enc.cbt.on_tree = OFF_TREE;
-                self.obs.data_forwarded += 1;
-                act.push(RouterAction::SendCbtUnicast { iface: hop.iface, dst: core, pkt: enc });
-                return;
-            }
-        }
-        self.obs.drop_packet(DropReason::NoFibEntry);
+        let mut enc = CbtDataPacket::encapsulate(pkt, core);
+        enc.cbt.on_tree = OFF_TREE;
+        self.obs.data_forwarded += 1;
+        act.push(RouterAction::SendCbtUnicast { iface: hop.iface, dst: core, pkt: enc });
     }
 
     /// The spanning entry for `slot` (an index into `spans`), rebuilt

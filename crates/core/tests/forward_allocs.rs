@@ -228,6 +228,37 @@ fn first_hop_encapsulation_allocates_nothing() {
     );
 }
 
+/// §5.1 at an off-tree DR, as `live_flood`'s first router: a
+/// non-member host's packet reaches a router with no tree for the
+/// group, only a managed `<core, group>` mapping, and is encapsulated
+/// toward the core. The core list is walked where it is configured, so
+/// this hop allocates nothing either.
+#[test]
+fn off_tree_first_hop_toward_a_managed_core_allocates_nothing() {
+    let (net, me, routes) = net();
+    let cfg =
+        |shards| CbtConfig { shards, ..CbtConfig::default().with_mapping(group(), vec![core()]) };
+    let mut e = CbtRouter::new(&net, me, cfg(1), routes(), SimTime::ZERO);
+    let mut one = ShardedRouter::new(&net, me, cfg(1), &routes, SimTime::ZERO);
+    let mut two = ShardedRouter::new(&net, me, cfg(2), &routes, SimTime::ZERO);
+    assert!(!e.group_view(group()).on_tree);
+    let frame = encoded(&DataPacket::new(host_src(), group(), 32, vec![0u8; 512]));
+    let pkt = DataPacket::decode_bytes(&frame).expect("a frame `encode_into` built");
+    let input = Input::NativeData { iface: IfIndex(0), link_src: host_src(), pkt };
+    let mut act = Vec::new();
+    e.step(now(), input.clone(), &mut act);
+    assert!(
+        matches!(act[..], [RouterAction::SendCbtUnicast { dst, .. }] if dst == core()),
+        "one encapsulation toward the managed core: {act:?}"
+    );
+    let spent = [
+        forward_allocs(|act| e.step(now(), input.clone(), act)),
+        forward_allocs(|act| one.step(now(), input.clone(), act)),
+        forward_allocs(|act| two.step(now(), input.clone(), act)),
+    ];
+    assert_eq!(spent, [0, 0, 0], "allocations over {PACKETS} packets: CbtRouter, 1 and 2 shards");
+}
+
 /// Every branch of a native fan-out carries a handle to the arrival's
 /// payload, never a deep copy.
 #[test]

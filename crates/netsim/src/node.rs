@@ -53,9 +53,12 @@ pub struct Transmit {
 /// views it. [`crate::World`] offers back every arrival once its
 /// receiver has returned, so there a steady flow allocates nothing and
 /// the pool holds at most the peak number of frames that were in flight
-/// at once. A consumer that never recycles (the live runtimes) leaves
-/// the pool empty, and `buffer` then allocates what building a `Vec`
-/// and wrapping it in [`Bytes`] always did.
+/// at once. The live runtime offers each node task's own frames back
+/// when the task refills the batch block that carried them, so there
+/// a task's pool holds at most the frames its blocks carried. An
+/// outbox nobody recycles into stays empty, and `buffer` then
+/// allocates what building a `Vec` and wrapping it in [`Bytes`] always
+/// did.
 #[derive(Debug, Default)]
 pub struct Outbox {
     pub(crate) sends: Vec<Transmit>,

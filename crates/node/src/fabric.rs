@@ -609,7 +609,7 @@ mod tests {
         async fn taken(rx: &mut InboxRx) -> (usize, Vec<Bytes>) {
             let mut runs: Vec<Run> = Vec::new();
             rx.recv_batch(usize::MAX, &mut runs).await;
-            let frames = runs.iter().flat_map(|r| r.frames().iter().cloned().collect::<Vec<_>>());
+            let frames = runs.iter().flat_map(|r| r.frames().cloned());
             (runs.len(), frames.collect())
         }
         for shards in [2, 4] {

@@ -8,6 +8,16 @@
 //! to one batch and a range of its frames, so fanning a run out to a
 //! LAN costs one handle per recipient, not one per frame.
 //!
+//! Frames circulate inside the task that built them. A block whose
+//! last reader is gone keeps its frames; the next fill of that block
+//! ([`BatchPool::fill_from`]) hands each back to the sender's own
+//! [`Outbox`], which reopens the buffer only if the block held its last
+//! handle ([`Outbox::recycle`]). So a steady flow builds its frames in
+//! the buffers of frames it sent before, a frame some other handle
+//! still views (a host's delivery log, an [`RxFrame`], a capture) is
+//! never rewritten, and a task's pool only ever holds buffers that
+//! task built — no more than the frames its blocks carried.
+//!
 //! Both ends do their work once per run, not once per frame.
 //! [`Inbox::push_run`] enqueues one recipient's share of a run under
 //! one lock and wakes the receiver at most once; [`InboxRx::recv_batch`]
@@ -17,78 +27,47 @@
 //! overflows, the high-water mark and the order frames come out in are
 //! exactly those of pushing and popping one frame at a time.
 
-use cbt_netsim::{Bytes, Transmit};
+use cbt_netsim::{Bytes, Outbox, Transmit};
 use cbt_topology::IfIndex;
 use cbt_wire::Addr;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, RwLockReadGuard};
+use std::sync::Arc;
 use std::task::{Poll, Waker};
-
-/// The block behind a [`Batch`]: one wakeup's transmissions and the
-/// number of [`Batch`] handles that still read them.
-#[derive(Default)]
-struct Block {
-    frames: RwLock<Vec<Transmit>>,
-    readers: AtomicUsize,
-}
 
 /// A shared handle to one wakeup's outbox drain. The dispatch holds
 /// one and every queued [`Run`] holds one. When the last handle drops,
-/// the frames are dropped with it (freed, unless another handle such
-/// as a host's delivery log still views them); the emptied block stays
-/// in its sender's [`BatchPool`] for the next wakeup.
-pub struct Batch(Arc<Block>);
+/// the frames stay in the block, which its sender's [`BatchPool`]
+/// refills at a later wakeup.
+#[derive(Clone)]
+pub struct Batch(Arc<Vec<Transmit>>);
 
 impl Batch {
     /// A batch in a block of its own, outside any pool.
     pub fn new(transmits: Vec<Transmit>) -> Batch {
-        Batch(Arc::new(Block { frames: RwLock::new(transmits), readers: AtomicUsize::new(1) }))
+        Batch(Arc::new(transmits))
     }
 
-    /// The batch's transmissions, in send order, for as long as the
-    /// guard lives.
-    pub fn transmits(&self) -> RwLockReadGuard<'_, Vec<Transmit>> {
-        self.0.frames.read()
-    }
-}
-
-impl Clone for Batch {
-    fn clone(&self) -> Batch {
-        // A new handle is made only from a live one, so the count never
-        // rises from zero, and the increment publishes nothing (as
-        // `Arc`'s own).
-        self.0.readers.fetch_add(1, Ordering::Relaxed);
-        Batch(self.0.clone())
-    }
-}
-
-impl Drop for Batch {
-    fn drop(&mut self) {
-        // Release: this handle's reads happen before the clear; the
-        // last handle's Acquire sees every other handle's.
-        if self.0.readers.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // The last reader. A read guard borrows a live handle, so
-            // none is held now and the lock is free; were it not, the
-            // pool would clear the frames on reuse instead.
-            if let Some(mut frames) = self.0.frames.try_write() {
-                frames.clear();
-            }
-        }
+    /// The batch's transmissions, in send order.
+    pub fn transmits(&self) -> &[Transmit] {
+        &self.0
     }
 }
 
 /// A sender's batch blocks: each wakeup fills one that no reader holds
 /// any more, so a steady flow allocates no block after warm-up.
 #[derive(Default)]
-pub struct BatchPool(Vec<Arc<Block>>);
+pub struct BatchPool(Vec<Arc<Vec<Transmit>>>);
 
 impl BatchPool {
-    /// Moves `transmits` into a free block — a new one only while every
-    /// pooled block is still being read — and hands it out as a batch.
-    pub fn fill(&mut self, transmits: impl IntoIterator<Item = Transmit>) -> Batch {
+    /// Moves everything `out` has queued into a free block — a new one
+    /// only while every pooled block is still being read — and hands it
+    /// out as a batch. The frames the block carried before go back to
+    /// `out` first: [`Outbox::recycle`] pools each buffer the block held
+    /// the last handle to and drops the rest, so the next wakeup builds
+    /// its frames in them.
+    pub fn fill_from(&mut self, out: &mut Outbox) -> Batch {
         let free = match self.0.iter_mut().position(|b| Arc::get_mut(b).is_some()) {
             Some(i) => i,
             None => {
@@ -96,11 +75,11 @@ impl BatchPool {
                 self.0.len() - 1
             }
         };
-        let block = Arc::get_mut(&mut self.0[free]).expect("no handle reads a free block");
-        let frames = block.frames.get_mut();
-        frames.clear();
-        frames.extend(transmits);
-        *block.readers.get_mut() = 1;
+        let frames = Arc::get_mut(&mut self.0[free]).expect("no handle reads a free block");
+        for spent in frames.drain(..) {
+            out.recycle(spent.frame);
+        }
+        frames.extend(out.drain());
         Batch(self.0[free].clone())
     }
 }
@@ -128,9 +107,9 @@ impl Run {
         self.hi == self.lo
     }
 
-    /// The run's frames, oldest first, for as long as the view lives.
-    pub fn frames(&self) -> Frames<'_> {
-        Frames { guard: self.batch.transmits(), range: self.lo as usize..self.hi as usize }
+    /// The run's frames, oldest first; each is the sender's own handle.
+    pub fn frames(&self) -> impl ExactSizeIterator<Item = &Bytes> {
+        self.batch.transmits()[self.lo as usize..self.hi as usize].iter().map(|t| &t.frame)
     }
 
     /// Takes the first `n` frames (fewer than [`Run::len`]) off the
@@ -140,19 +119,6 @@ impl Run {
         let head = Run { batch: self.batch.clone(), hi: mid, ..*self };
         self.lo = mid;
         head
-    }
-}
-
-/// A read view of a [`Run`]'s frames.
-pub struct Frames<'a> {
-    guard: RwLockReadGuard<'a, Vec<Transmit>>,
-    range: Range<usize>,
-}
-
-impl Frames<'_> {
-    /// The frames, oldest first; each is the sender's own handle.
-    pub fn iter(&self) -> impl Iterator<Item = &Bytes> {
-        self.guard[self.range.clone()].iter().map(|t| &t.frame)
     }
 }
 
@@ -300,7 +266,7 @@ impl InboxRx {
     pub fn try_recv(&mut self) -> Option<RxFrame> {
         let mut st = self.0.state.lock();
         let front = st.queue.front_mut()?;
-        let frame = front.frames().iter().next().expect("a queued run is not empty").clone();
+        let frame = front.frames().next().expect("a queued run is not empty").clone();
         let got = RxFrame { iface: front.iface, link_src: front.link_src, frame };
         front.lo += 1;
         if front.is_empty() {
@@ -369,7 +335,7 @@ mod tests {
 
     /// The frame numbers in `runs`, in order.
     fn tags(runs: &[Run]) -> Vec<u32> {
-        runs.iter().flat_map(|r| r.frames().iter().map(tag).collect::<Vec<_>>()).collect()
+        runs.iter().flat_map(|r| r.frames().map(tag)).collect()
     }
 
     /// A run into a nearly full inbox: room is checked per frame under
@@ -439,34 +405,46 @@ mod tests {
         assert_eq!(Arc::strong_count(&batch.0), 1, "the queued run's handle is gone");
     }
 
-    /// A batch's frames go when its last handle does — the dispatch's
-    /// or a queued run's, whichever is last — and its block is reused
-    /// only after that.
+    /// A batch's last handle — the dispatch's or a queued run's,
+    /// whichever is last — frees nothing: the frames stay in the block.
+    /// The sender's next fill of that block hands its outbox back
+    /// exactly the buffers no other handle views, each the allocation
+    /// it sent, and drops the one an `RxFrame` still holds.
     #[test]
-    fn the_last_handle_frees_the_frames_and_frees_the_block() {
+    fn the_last_handle_frees_nothing_and_the_refill_takes_the_buffers_back() {
         let mut pool = BatchPool::default();
+        let mut out = Outbox::new();
         let (inbox, mut rx) = Inbox::bounded(8);
-        let sent = batch_from(0, 4).transmits().clone();
-        let viewed = |what: &str| {
-            let shared: Vec<bool> = sent.iter().map(|t| !t.frame.is_unique()).collect();
-            assert!(shared.iter().all(|&s| s == shared[0]), "{what}: the frames go together");
-            shared[0]
-        };
-        let batch = pool.fill(sent.iter().cloned());
+        let sent: Vec<Bytes> =
+            batch_from(0, 4).transmits().iter().map(|t| t.frame.clone()).collect();
+        let at: Vec<*const u8> = sent.iter().map(|f| f.as_ptr()).collect();
+        for frame in &sent {
+            out.send(IfIndex(0), frame.clone());
+        }
+        let batch = pool.fill_from(&mut out);
         inbox.push_run(IfIndex(0), Addr::NULL, &batch, std::iter::once(1..3));
         drop(batch);
-        assert!(viewed("after dispatch"), "the queued run still views the whole batch");
         let mut got = Vec::new();
         let waker = Waker::from(Arc::new(CountWakes::default()));
         assert_eq!(poll_recv(&mut rx, 1, &mut got, &waker), Poll::Ready(1));
-        drop(pool.fill([]));
+        drop(pool.fill_from(&mut out));
         assert_eq!(pool.0.len(), 2, "the first block is still read");
         drop(got);
-        assert!(viewed("after the split"), "the queued tail still views the batch");
-        assert_eq!(rx.try_recv().map(|f| tag(&f.frame)), Some(2));
-        assert!(!viewed("after the last read"), "the last handle dropped every frame");
-        drop((pool.fill([]), pool.fill([])));
+        let kept = rx.try_recv().expect("the queued tail");
+        assert_eq!(tag(&kept.frame), 2);
+        assert!(sent.iter().all(|f| !f.is_unique()), "the last reader freed no frame");
+        drop(sent);
+        assert_eq!(out.pooled(), 0, "nothing is taken back before the refill");
+        drop(pool.fill_from(&mut out));
         assert_eq!(pool.0.len(), 2, "both blocks were free again");
+        let mut back: Vec<*const u8> =
+            std::iter::from_fn(|| (out.pooled() > 0).then(|| out.buffer().as_ptr())).collect();
+        back.sort();
+        let mut want = vec![at[0], at[1], at[3]];
+        want.sort();
+        assert_eq!(back, want, "the sender's own buffers, all but the one still viewed");
+        assert!(kept.frame.is_unique(), "the viewed frame was let go, not reopened");
+        assert_eq!(tag(&kept.frame), 2);
     }
 
     /// One step of the model test: `(kind, n)`.

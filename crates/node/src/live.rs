@@ -6,8 +6,11 @@
 //! under one lock, runs their frames through the engine by reference,
 //! moves the whole outbox into one shared [`Batch`](crate::inbox::Batch)
 //! from the task's [`BatchPool`] and hands that to
-//! [`Fabric::dispatch_batch`], so steady state forwards without
-//! per-wakeup allocations.
+//! [`Fabric::dispatch_batch`]. The fill first gives the task's
+//! [`Outbox`] back the buffers of the frames that block carried last
+//! time and nobody else still views, and the next wakeup builds its
+//! frames in them: a task recycles only what it sent, so steady state
+//! forwards without per-wakeup or per-frame allocations.
 
 use crate::fabric::{DataPlaneConfig, Fabric, FabricStats};
 use crate::inbox::{BatchPool, InboxRx, Run};
@@ -286,8 +289,8 @@ fn sim_to_instant(epoch: Instant, at: SimTime) -> Instant {
 /// batch from the inbox or the node's own timer — commands first when
 /// several are ready — then one flush of everything the node sent, as
 /// one shared batch in a block the task reuses once its readers are
-/// done with it.
-/// Routers and hosts differ only in the commands they take, which
+/// done with it; later frames are built in the buffers that block
+/// gives back. Routers and hosts differ only in the commands they take, which
 /// `on_cmd` handles.
 async fn node_task<N: SimNode, C>(
     mut node: N,
@@ -319,7 +322,7 @@ async fn node_task<N: SimNode, C>(
             }
         }
         if !out.is_empty() {
-            fabric.dispatch_batch(me, &pool.fill(out.drain()));
+            fabric.dispatch_batch(me, &pool.fill_from(&mut out));
         }
     }
 }
@@ -382,7 +385,7 @@ fn host_cmd(app: &mut HostApp, cmd: HostCmd, now: SimTime, out: &mut Outbox) {
 /// capacity.
 fn receive_batch(node: &mut dyn SimNode, runs: &mut Vec<Run>, now: SimTime, out: &mut Outbox) {
     for run in runs.drain(..) {
-        for frame in run.frames().iter() {
+        for frame in run.frames() {
             node.on_packet(now, run.iface, run.link_src, frame, out);
         }
     }
@@ -399,8 +402,12 @@ async fn sleep_maybe(deadline: Option<Instant>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbt_netsim::Bytes;
     use cbt_obs::CtlKind;
-    use cbt_topology::NetworkBuilder;
+    use cbt_topology::{IfIndex, NetworkBuilder};
+    use std::collections::HashSet;
+    use std::future::Future;
+    use std::task::{Context, Waker};
 
     fn chain() -> (NetworkSpec, RouterId, RouterId, RouterId, HostId, HostId) {
         let mut b = NetworkBuilder::new();
@@ -583,6 +590,75 @@ mod tests {
             assert_eq!(live.fabric_stats().dropped_overflow, shed, "{shards} shard(s)");
             live.shutdown();
         }
+    }
+
+    /// A node that reads every frame and sends nothing.
+    struct Sink;
+    impl SimNode for Sink {
+        fn on_packet(&mut self, _: SimTime, _: IfIndex, _: Addr, _: &Bytes, _: &mut Outbox) {}
+        fn on_timer(&mut self, _: SimTime, _: &mut Outbox) {}
+        fn next_wakeup(&self) -> Option<SimTime> {
+            None
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    /// A task's pool holds only buffers that task built. A router task
+    /// bursts three full wakeups onto a LAN before its member's task
+    /// reads, then keeps sending short runs while the member runs
+    /// `receive_batch` on everything queued after each one. The router
+    /// pools only buffers of its own frames, never more than its blocks
+    /// carried; the member, which builds nothing, pools nothing.
+    #[test]
+    fn a_task_pools_only_the_buffers_it_built() {
+        const BURST: usize = 3;
+        let mut b = NetworkBuilder::new();
+        let r = b.router("R");
+        let lan = b.lan("S");
+        b.attach(lan, r);
+        let m = b.host("M", lan);
+        let (fabric, rxs) = Fabric::with_shards(&b.build(), DataPlaneConfig::default(), 1);
+        let member = fabric.plan().entities().zip(rxs).find(|(e, _)| *e == Entity::Host(m));
+        let mut rx = member.and_then(|(_, rx)| rx.into_iter().next()).expect("the member's inbox");
+        let (mut out, mut pool, mut built) = (Outbox::new(), BatchPool::default(), HashSet::new());
+        let (mut member_out, mut runs) = (Outbox::new(), Vec::new());
+        for wakeup in 0..4 * BURST {
+            let n = if wakeup < BURST { RX_BATCH } else { 1 + wakeup % 4 };
+            for _ in 0..n {
+                let mut buf = out.buffer();
+                let bytes = buf.as_mut_vec();
+                bytes.clear();
+                bytes.resize(32, wakeup as u8);
+                let frame = buf.freeze();
+                built.insert(frame.as_ptr());
+                out.send(IfIndex(0), frame);
+            }
+            fabric.dispatch_batch(Entity::Router(r), &pool.fill_from(&mut out));
+            if wakeup + 1 >= BURST {
+                let mut cx = Context::from_waker(Waker::noop());
+                while std::pin::pin!(rx.recv_batch(RX_BATCH, &mut runs)).poll(&mut cx).is_ready() {
+                    receive_batch(&mut Sink, &mut runs, SimTime::ZERO, &mut member_out);
+                }
+            }
+            assert_eq!(
+                member_out.pooled(),
+                0,
+                "wakeup {wakeup}: the member pooled a frame it never built"
+            );
+            assert!(out.pooled() <= BURST * RX_BATCH, "wakeup {wakeup}: {} pooled", out.pooled());
+        }
+        let pooled: Vec<*const u8> =
+            std::iter::from_fn(|| (out.pooled() > 0).then(|| out.buffer().as_ptr())).collect();
+        assert!(!pooled.is_empty(), "the burst's buffers came back");
+        assert!(
+            pooled.iter().all(|p| built.contains(p)),
+            "the router pooled a buffer it never built"
+        );
     }
 
     /// Dead tasks surface as errors instead of empty answers — a
